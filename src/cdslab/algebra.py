@@ -1,4 +1,4 @@
-"""Finite-field linear algebra, span programs, branching programs, and LSSS.
+"""Linear algebra mod a prime, span programs, and LSSS.
 
 Everything here is exact integer arithmetic mod a prime; no floats. Matrices
 are tuples of tuples so program descriptors stay hashable and immutable.
@@ -13,40 +13,6 @@ from itertools import product
 
 from .boolfn import is_prime
 from .errors import DomainError, ValidationError
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic in Z_p for prime p."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"{self.p} is not prime")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise DomainError("0 has no inverse")
-        return pow(a, -1, self.p)
-
-    def pow(self, a, e):
-        return pow(a, e, self.p)
-
-    def elements(self):
-        return range(self.p)
 
 
 def euler_qr(a: int, p: int) -> int:
@@ -77,7 +43,8 @@ def in_span(rows, target, p: int):
         (True, coeffs) with ``sum(coeffs[i] * rows[i]) == target`` mod p,
         or (False, None). The witness is exact and re-verified before return.
     """
-    fld = PrimeField(p)
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     e = len(target)
     d = len(rows)
     for r in rows:
@@ -92,12 +59,12 @@ def in_span(rows, target, p: int):
         if pivot is None:
             continue
         aug[rank_row], aug[pivot] = aug[pivot], aug[rank_row]
-        inv = fld.inv(aug[rank_row][col])
-        aug[rank_row] = [fld.mul(v, inv) for v in aug[rank_row]]
+        inv = pow(aug[rank_row][col], -1, p)
+        aug[rank_row] = [(v * inv) % p for v in aug[rank_row]]
         for r in range(e):
             if r != rank_row and aug[r][col] != 0:
                 factor = aug[r][col]
-                aug[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(aug[r], aug[rank_row])]
+                aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[rank_row])]
         pivots.append((rank_row, col))
         rank_row += 1
     # Inconsistent if a zero row has nonzero rhs.
@@ -271,122 +238,6 @@ def span_threshold_2of3(p: int) -> SpanProgram:
     return SpanProgram(rows, labels, (1, 0), p, 3)
 
 
-# -- branching programs ------------------------------------------------------
-
-YES = "yes"
-
-
-@dataclass(frozen=True)
-class BranchingProgram:
-    """DAG whose s->t1 / s->t0 path counts decide acceptance.
-
-    Edges carry either the label "yes" (always live) or a pair (var, bit),
-    live exactly when the input's var-th bit equals the label's bit (variables
-    1-based, inputs read MSB-first as in ``literal_input``).
-    """
-
-    vertices: tuple
-    edges: tuple            # (u, v, label); label is YES or (var, bit)
-    source: object
-    t0: object
-    t1: object
-    n_vars: int
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValidationError("duplicate vertices")
-        for node in (self.source, self.t0, self.t1):
-            if node not in vset:
-                raise ValidationError(f"distinguished vertex {node!r} missing")
-        if self.t0 == self.t1:
-            raise ValidationError("t0 and t1 must differ")
-        for (u, v, label) in self.edges:
-            if u not in vset or v not in vset:
-                raise ValidationError(f"edge ({u!r}, {v!r}) uses unknown vertex")
-            if label != YES:
-                var, bit = label
-                if not 1 <= var <= self.n_vars or bit not in (0, 1):
-                    raise ValidationError(f"bad edge label {label!r}")
-        self._topo_order()  # raises on cycles
-
-    def _topo_order(self) -> list:
-        order = []
-        indeg = {v: 0 for v in self.vertices}
-        for (u, v, _) in self.edges:
-            indeg[v] += 1
-        ready = [v for v in self.vertices if indeg[v] == 0]
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for (u, v, _) in self.edges:
-                if u == node:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        ready.append(v)
-        if len(order) != len(self.vertices):
-            raise ValidationError("branching program graph has a cycle")
-        return order
-
-    def live_edges(self, z) -> list:
-        if len(z) != self.n_vars:
-            raise DomainError(f"assignment length {len(z)} != {self.n_vars}")
-        live = []
-        for (u, v, label) in self.edges:
-            if label == YES or z[label[0] - 1] == label[1]:
-                live.append((u, v))
-        return live
-
-    def to_json(self) -> str:
-        obj = {
-            "vertices": list(self.vertices),
-            "edges": [[u, v, ("yes" if label == YES else list(label))]
-                      for (u, v, label) in self.edges],
-            "source": self.source,
-            "t0": self.t0,
-            "t1": self.t1,
-            "n_vars": self.n_vars,
-        }
-        return json.dumps(obj, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BranchingProgram":
-        obj = json.loads(text)
-        edges = tuple(
-            (u, v, YES if label == "yes" else (int(label[0]), int(label[1])))
-            for (u, v, label) in obj["edges"]
-        )
-        return BranchingProgram(tuple(obj["vertices"]), edges, obj["source"],
-                                obj["t0"], obj["t1"], int(obj["n_vars"]))
-
-
-def bp_count(program: BranchingProgram, z, p: int = 0) -> tuple:
-    """Path counts (to t1, to t0) over live edges, mod p (p = 0: exact).
-
-    Dynamic programming over a topological order; z is a bit tuple of length
-    n_vars.
-    """
-    if p and not is_prime(p):
-        raise ValidationError(f"modulus {p} must be prime or 0")
-    live = program.live_edges(z)
-    counts = {v: 0 for v in program.vertices}
-    counts[program.source] = 1
-    for node in program._topo_order():
-        c = counts[node]
-        if c == 0:
-            continue
-        for (u, v) in live:
-            if u == node:
-                counts[v] = counts[v] + c if p == 0 else (counts[v] + c) % p
-    return (counts[program.t1], counts[program.t0])
-
-
-def bp_eval_modp(program: BranchingProgram, z, p: int) -> int:
-    """Accept iff the t1 path count is nonzero mod p."""
-    acc, _ = bp_count(program, z, p)
-    return int(acc % p != 0)
-
-
 # -- linear secret sharing ---------------------------------------------------
 
 
@@ -426,7 +277,6 @@ class LsssScheme:
         with <target, u> = secret arises from exactly one choice of free
         coordinates, so uniform free coordinates give the uniform sharing.
         """
-        fld = PrimeField(self.p)
         t = self.program.target
         j = self._pivot()
         u = [0] * len(t)
@@ -439,7 +289,7 @@ class LsssScheme:
                 u[k] = free[idx] % self.p
                 idx += 1
         acc = sum(t[k] * u[k] for k in range(len(t)) if k != j) % self.p
-        u[j] = fld.mul(fld.sub(secret, acc), fld.inv(t[j]))
+        u[j] = ((secret - acc) * pow(t[j], -1, self.p)) % self.p
         return tuple(u)
 
     def shares_from_vector(self, u) -> tuple:

@@ -129,8 +129,7 @@ def literal_input(f: BoolFn, x: int, y: int) -> tuple:
     """Joint assignment (z_1 .. z_n) read MSB-first: Alice's bits then Bob's.
 
     Variable k <= n_x is Alice's k-th bit in reading order; variables
-    n_x+1 .. n_x+n_y are Bob's. This is the indexing span programs and
-    branching programs use.
+    n_x+1 .. n_x+n_y are Bob's. This is the indexing span programs use.
     """
     return bits_msb_first(x, f.n_x) + bits_msb_first(y, f.n_y)
 
@@ -199,49 +198,46 @@ def _qr_split(p: int, alice_positions=None, n_bits=None):
         raise ValidationError("duplicate alice positions")
     bob_positions = tuple(i for i in range(1, n + 1) if i not in alice_positions)
     residues = qr_residues(p)
-
-    def assemble(x, y):
-        a = 0
-        for j, pos in enumerate(alice_positions):
-            a |= ((x >> j) & 1) << (pos - 1)
-        for j, pos in enumerate(bob_positions):
-            a |= ((y >> j) & 1) << (pos - 1)
-        return a
-
     fn = _build(
         len(alice_positions),
         len(bob_positions),
-        lambda x, y: int(assemble(x, y) % p in residues),
+        lambda x, y: int(_assemble(x, y, alice_positions, bob_positions) % p
+                         in residues),
         f"qr{p}",
         {"p": p, "alice_positions": list(alice_positions), "n_bits": n},
     )
     return fn
 
 
-def qr_join(f: BoolFn, x: int, y: int) -> int:
-    """Assemble the split integer a from a qr function's two inputs."""
-    if "alice_positions" not in f.params:
-        raise DomainError("not a qr-split function")
-    n = f.params["n_bits"]
-    alice = sorted(f.params["alice_positions"])
-    bob = [i for i in range(1, n + 1) if i not in alice]
+def _assemble(x: int, y: int, alice_positions, bob_positions) -> int:
+    """Integer whose bit at each party's j-th position is that input's bit j."""
     a = 0
-    for j, pos in enumerate(alice):
+    for j, pos in enumerate(alice_positions):
         a |= ((x >> j) & 1) << (pos - 1)
-    for j, pos in enumerate(bob):
+    for j, pos in enumerate(bob_positions):
         a |= ((y >> j) & 1) << (pos - 1)
     return a
 
 
-def qr_split_inputs(f: BoolFn, a: int) -> tuple:
-    """Split an integer a into the (x, y) pair that assembles back to it."""
+def _qr_positions(f: BoolFn) -> tuple:
+    """(Alice's positions, Bob's positions) of a qr-split function."""
     if "alice_positions" not in f.params:
         raise DomainError("not a qr-split function")
+    alice = sorted(f.params["alice_positions"])
+    return alice, [i for i in range(1, f.params["n_bits"] + 1) if i not in alice]
+
+
+def qr_join(f: BoolFn, x: int, y: int) -> int:
+    """Assemble the split integer a from a qr function's two inputs."""
+    return _assemble(x, y, *_qr_positions(f))
+
+
+def qr_split_inputs(f: BoolFn, a: int) -> tuple:
+    """Split an integer a into the (x, y) pair that assembles back to it."""
+    alice, bob = _qr_positions(f)
     n = f.params["n_bits"]
     if not 0 <= a < (1 << n):
         raise DomainError(f"a={a} does not fit in {n} bits")
-    alice = sorted(f.params["alice_positions"])
-    bob = [i for i in range(1, n + 1) if i not in alice]
     x = sum(((a >> (pos - 1)) & 1) << j for j, pos in enumerate(alice))
     y = sum(((a >> (pos - 1)) & 1) << j for j, pos in enumerate(bob))
     return (x, y)

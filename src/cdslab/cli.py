@@ -28,20 +28,33 @@ from .gardenhose import GhStrategy, RIGHT, gh_eval, gh_generic, gh_search
 from .nlqc import (cdqs_from_cds, cdqs_from_frouting, cdqs_from_psqm,
                    frouting_from_cdqs, frouting_from_gh, psqm_from_psm,
                    verify_cdqs, verify_frouting, verify_psqm)
-from .protocols import (DEFAULT_BUDGET, cds_from_gh, cds_from_psm,
-                        cds_from_span, dre_qr, psm_from_dre,
+from .protocols import (DEFAULT_BUDGET, VerificationReport, cds_from_gh,
+                        cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
                         psm_generic_table, verify_cds, verify_dre, verify_psm)
 
 BASES = ("gh", "span", "dre", "psm")
-EDGES = {
-    ("gh", "cds"), ("gh", "frouting"),
-    ("span", "cds"),
-    ("dre", "psm"),
-    ("psm", "cds"), ("psm", "psqm"),
-    ("cds", "cdqs"),
-    ("cdqs", "frouting"),
-    ("frouting", "cdqs"),
-    ("psqm", "cdqs"),
+
+# Entries call compilers and verifiers through their module-level names, so
+# a wrapper installed on this module after import is what runs.
+COMPILE = {  # (from, to) -> compile(obj, f, opts)
+    ("gh", "cds"): lambda obj, f, opts: cds_from_gh(obj, f),
+    ("gh", "frouting"): lambda obj, f, opts: frouting_from_gh(obj, f),
+    ("span", "cds"): lambda obj, f, opts: cds_from_span(obj, f, variant=opts["variant"]),
+    ("dre", "psm"): lambda obj, f, opts: psm_from_dre(obj),
+    ("psm", "cds"): lambda obj, f, opts: cds_from_psm(obj),
+    ("psm", "psqm"): lambda obj, f, opts: psqm_from_psm(obj),
+    ("cds", "cdqs"): lambda obj, f, opts: cdqs_from_cds(obj),
+    ("cdqs", "frouting"): lambda obj, f, opts: frouting_from_cdqs(obj),
+    ("frouting", "cdqs"): lambda obj, f, opts: cdqs_from_frouting(obj),
+    ("psqm", "cdqs"): lambda obj, f, opts: cdqs_from_psqm(obj),
+}
+VERIFY = {  # kind -> verify(obj, budget)
+    "cds": lambda obj, budget: verify_cds(obj, budget=budget),
+    "psm": lambda obj, budget: verify_psm(obj, budget=budget),
+    "dre": lambda obj, budget: verify_dre(obj, budget=budget),
+    "cdqs": lambda obj, budget: verify_cdqs(obj, budget=budget),
+    "frouting": lambda obj, budget: verify_frouting(obj, budget=budget),
+    "psqm": lambda obj, budget: verify_psqm(obj, budget=budget),
 }
 
 DESCRIPTOR_FORMAT = "cdslab-descriptor"
@@ -80,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--variant", choices=("comm", "rand"), default="comm",
                    help="span-based disclosure flavour")
     b.add_argument("--max-pipes", type=int, default=4)
-    b.add_argument("--max-qubits", type=int, default=14)
     b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     b.add_argument("--seed", type=int, default=0,
                    help="recorded in the descriptor; all searches are "
@@ -156,7 +168,7 @@ def _check_chain(tokens) -> None:
     if tokens[0] not in BASES:
         raise ValidationError(f"chain must start at one of {BASES}")
     for a, b in zip(tokens, tokens[1:]):
-        if (a, b) not in EDGES:
+        if (a, b) not in COMPILE:
             raise ValidationError(f"no rule builds {b!r} from {a!r}")
 
 
@@ -199,65 +211,25 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
 
 
 def _compile_chain(tokens, f: BoolFn, opts: dict, embedded: dict):
+    """Compile a chain ``_check_chain`` accepted; returns (kind, obj, artifacts)."""
     obj, artifacts = _base_artifact(tokens[0], f, opts, embedded)
-    kind = tokens[0]
-    for tok in tokens[1:]:
-        if kind == "gh" and tok == "cds":
-            obj = cds_from_gh(obj, f)
-        elif kind == "gh" and tok == "frouting":
-            obj = frouting_from_gh(obj, f)
-        elif kind == "span" and tok == "cds":
-            obj = cds_from_span(obj, f, variant=opts["variant"])
-        elif kind == "dre" and tok == "psm":
-            obj = psm_from_dre(obj)
-        elif kind == "psm" and tok == "cds":
-            obj = cds_from_psm(obj)
-        elif kind == "psm" and tok == "psqm":
-            obj = psqm_from_psm(obj)
-        elif kind == "cds" and tok == "cdqs":
-            obj = cdqs_from_cds(obj)
-        elif kind == "cdqs" and tok == "frouting":
-            obj = frouting_from_cdqs(obj)
-        elif kind == "frouting" and tok == "cdqs":
-            obj = cdqs_from_frouting(obj)
-        elif kind == "psqm" and tok == "cdqs":
-            obj = cdqs_from_psqm(obj)
-        else:
-            raise ValidationError(f"no rule builds {tok!r} from {kind!r}")
-        kind = tok
-    return kind, obj, artifacts
+    for edge in zip(tokens, tokens[1:]):
+        obj = COMPILE[edge](obj, f, opts)
+    return tokens[-1], obj, artifacts
 
 
 # -- verification dispatch --------------------------------------------------------
 
 
-def _verify_object(kind, obj, f: BoolFn, budget: int, tol: float) -> dict:
+def _verify_object(kind, obj, budget: int, tol: float) -> dict:
     if kind == "gh":
         return {"status": "pass", "kind": kind,
                 "report": {"pipes": obj.pipes}}
     if kind == "span":
         return {"status": "pass", "kind": kind,
                 "report": {"rows": obj.size, "width": obj.width, "p": obj.p}}
-    if kind == "cds":
-        rep = verify_cds(obj, budget=budget)
-        ok = rep.perfect
-    elif kind == "psm":
-        rep = verify_psm(obj, budget=budget)
-        ok = rep.perfect
-    elif kind == "dre":
-        rep = verify_dre(obj, budget=budget)
-        ok = rep.perfect
-    elif kind == "cdqs":
-        rep = verify_cdqs(obj, budget=budget)
-        ok = rep.perfect(tol)
-    elif kind == "frouting":
-        rep = verify_frouting(obj, budget=budget)
-        ok = rep.perfect(tol)
-    elif kind == "psqm":
-        rep = verify_psqm(obj, budget=budget)
-        ok = rep.perfect(tol)
-    else:
-        raise ValidationError(f"cannot verify kind {kind!r}")
+    rep = VERIFY[kind](obj, budget)
+    ok = rep.perfect if isinstance(rep, VerificationReport) else rep.perfect(tol)
     out = {"status": "pass" if ok else "fail", "kind": kind,
            "report": rep.to_jsonable()}
     if not ok:
@@ -344,7 +316,7 @@ def _cmd_verify(args) -> int:
         opts.setdefault("max_pipes", 4)
         opts["budget"] = args.budget
         kind, obj, _ = _compile_chain(tokens, f, opts, desc.get("artifacts", {}))
-        result.update(_verify_object(kind, obj, f, args.budget, args.tol))
+        result.update(_verify_object(kind, obj, args.budget, args.tol))
         result["chain"] = tokens
         result["fn"] = desc["fn"]
     except VerifyFailure as exc:

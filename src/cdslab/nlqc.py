@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
-from .protocols import CdsProtocol, PsmProtocol, cds_parallel
+from .protocols import CdsProtocol, PsmProtocol, cds_parallel, message_hist
 from .quantum import (MAX_QUBITS, PAULI_EIGENSTATES, PureState, U_BELL,
                       epr_pairs, fidelity, phased_pad, random_qubit)
 
@@ -410,7 +411,7 @@ def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
     """
     psi = np.asarray(psi, dtype=complex).reshape(2)
     psi = psi / np.linalg.norm(psi)
-    hists = _transcript_hists(K, x, y)
+    hists = K.meta["message_hists"](x, y)
     union = set()
     for s in KEYS:
         union.update(hists[s])
@@ -436,27 +437,45 @@ def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
 # -- compilers -----------------------------------------------------------------
 
 
-def _transcript_hists(K: CdsProtocol, x: int, y: int) -> dict:
-    """Per-key message histograms of a key-disclosing scheme, as probabilities.
+def _padded_branches(K: CdsProtocol, x: int, y: int, carrier, q_reg) -> list:
+    """Run of a pad-and-disclose protocol.
 
-    Honors a ``message_hists`` shortcut in the protocol's meta (parallel
-    compositions factorize instead of sweeping their product space).
+    The carrier is padded under each key; each transcript of the parallel
+    key-disclosing scheme K for that key is one branch.
     """
-    fast = K.meta.get("message_hists")
-    if fast is not None:
-        return fast(x, y)
-    joint = len(K.shared) * len(K.alice_private) * len(K.bob_private)
-    out = {}
+    hists = K.meta["message_hists"](x, y)
+    branches = []
     for s in KEYS:
-        hist = {}
-        for r in K.shared:
-            for ra in K.alice_private:
-                m0 = K.alice_msg(x, s, r, ra)
-                for rb in K.bob_private:
-                    m = (m0, K.bob_msg(y, r, rb))
-                    hist[m] = hist.get(m, 0) + 1
-        out[s] = {m: c / joint for m, c in hist.items()}
-    return out
+        padded = carrier.apply(phased_pad(*s), [q_reg])
+        for m, p in hists[s].items():
+            branches.append(RunBranch(0.25 * p, m, padded))
+    return branches
+
+
+def _unpadder() -> Callable:
+    """``unpad(state, s)``: undo pad key s on register "Q".
+
+    A non-key, i.e. a failed decode, passes the state through.
+
+    Recovery runs once per branch, yet a run holds at most four distinct
+    padded states, so results are memoised. The memo is keyed by the state's
+    value (registers and amplitudes) and s: a fresh but equal carrier in a
+    later verify reuses the entries instead of adding new ones, and every
+    branch of one (state, s) gets the same object, which ``_cached_ptrace``
+    then finds.
+    """
+    memo = {}
+
+    def unpad(state, s):
+        if s not in KEYS:
+            return state
+        key = (state.regs, state.vec.tobytes(), s)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = state.apply(phased_pad(*s).conj().T, ["Q"])
+        return got
+
+    return unpad
 
 
 def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
@@ -470,33 +489,14 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     K = cds_parallel(C, 2)
-    pad_cache = {}
-    rec_cache = {}
-
-    def run(x, y, carrier, q_reg):
-        hists = _transcript_hists(K, x, y)
-        branches = []
-        for s in KEYS:
-            padded = carrier.apply(phased_pad(*s), [q_reg])
-            for m, p in hists[s].items():
-                branches.append(RunBranch(0.25 * p, m, padded))
-        return branches
+    unpad = _unpadder()
 
     def msg_regs(x, y):
         return ("Q",)
 
     def recover(x, y, transcript, state):
         m0, m1 = transcript
-        s = K.decode(m0, x, m1, y)
-        if s is None or any(v not in (0, 1) for v in s):
-            return state
-        key = (id(state), s)
-        got = rec_cache.get(key)
-        if got is None:
-            got = state.apply(phased_pad(*s).conj().T, ["Q"])
-            rec_cache[key] = (got, state)
-            return got
-        return got[0]
+        return unpad(state, K.decode(m0, x, m1, y))
 
     def out_reg(x, y):
         return "Q"
@@ -505,8 +505,9 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
                  "cds_randomness_states": len(K.shared)}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
             "parameters": {"cds": C.meta}}
-    return CdqsProtocol(C.f, run, msg_regs, recover, out_reg, key_cds=K,
-                        domain=C.domain, resources=resources, meta=meta)
+    return CdqsProtocol(C.f, partial(_padded_branches, K), msg_regs, recover,
+                        out_reg, key_cds=K, domain=C.domain, resources=resources,
+                        meta=meta)
 
 
 def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
@@ -584,21 +585,6 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
         raise ValidationError("need a protocol exposing its key-disclosing scheme")
     K = C.key_cds
     f = C.f
-    pad_states = {}
-
-    def run(x, y, carrier, q_reg):
-        hists = _transcript_hists(K, x, y)
-        branches = []
-        for s in KEYS:
-            key = (id(carrier), s)
-            got = pad_states.get(key)
-            if got is None:
-                got = (carrier.apply(phased_pad(*s), [q_reg]), carrier)
-                pad_states[key] = got
-            padded = got[0]
-            for m, p in hists[s].items():
-                branches.append(RunBranch(0.25 * p, m, padded))
-        return branches
 
     def exit_info(x, y):
         if f.eval(x, y) == 1:
@@ -608,7 +594,7 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     def correction(x, y, transcript):
         m0, m1 = transcript
         s = K.decode(m0, x, m1, y)
-        if s is None or any(v not in (0, 1) for v in s):
+        if s not in KEYS:
             return np.eye(2, dtype=complex)
         return phased_pad(*s).conj().T
 
@@ -622,9 +608,9 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     resources["qubits_sent"] = 1
     meta = {"kind": "frouting", "compiler": "frouting_from_cdqs",
             "parameters": {"cdqs": C.meta}}
-    return FRoutingProtocol(f, run, exit_info, correction, holdings=holdings,
-                            left_fidelity=left_fidelity, domain=C.domain,
-                            resources=resources, meta=meta)
+    return FRoutingProtocol(f, partial(_padded_branches, K), exit_info, correction,
+                            holdings=holdings, left_fidelity=left_fidelity,
+                            domain=C.domain, resources=resources, meta=meta)
 
 
 def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
@@ -667,15 +653,8 @@ def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
 
     def run(x, y):
         joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
-        hist = {}
-        for r in P.shared:
-            for ra in P.alice_private:
-                m0 = P.alice_msg(x, r, ra)
-                for rb in P.bob_private:
-                    m = (m0, P.bob_msg(y, r, rb))
-                    hist[m] = hist.get(m, 0) + 1
         return [RunBranch(c / joint, m, None) for m, c in
-                sorted(hist.items(), key=lambda kv: repr(kv[0]))]
+                sorted(message_hist(P, x, y).items(), key=lambda kv: repr(kv[0]))]
 
     def decode(transcript):
         m0, m1 = transcript
@@ -708,7 +687,7 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
         raise ValidationError("substitute input must evaluate to 0")
 
     hist_cache = {}
-    rec_cache = {}
+    unpad = _unpadder()
 
     def hist_for(x, y):
         got = hist_cache.get((x, y))
@@ -733,15 +712,7 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
 
     def recover(x, y, transcript, state):
         t1, t2 = transcript
-        s = (P.decode(t1), P.decode(t2))
-        if any(v not in (0, 1) for v in s):
-            return state
-        key = (id(state), s)
-        got = rec_cache.get(key)
-        if got is None:
-            got = (state.apply(phased_pad(*s).conj().T, ["Q"]), state)
-            rec_cache[key] = got
-        return got[0]
+        return unpad(state, (P.decode(t1), P.decode(t2)))
 
     def out_reg(x, y):
         return "Q"

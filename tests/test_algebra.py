@@ -1,4 +1,4 @@
-"""Prime-field linear algebra, span programs, branching programs, LSSS."""
+"""Linear algebra mod a prime, span programs, LSSS."""
 
 from __future__ import annotations
 
@@ -8,29 +8,18 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdslab.algebra import (BranchingProgram, LsssScheme, PrimeField, YES,
-                            bp_count, bp_eval_modp, euler_qr, in_span,
-                            lsss_privacy_check, lsss_reconstruct, span_and1,
-                            span_dnf, span_eq1, span_or1, span_threshold_2of3,
-                            sp_eval, SpanProgram)
+from cdslab.algebra import (LsssScheme, euler_qr, in_span, lsss_privacy_check,
+                            lsss_reconstruct, span_and1, span_dnf, span_eq1,
+                            span_or1, span_threshold_2of3, sp_eval, SpanProgram)
 from cdslab.errors import DomainError, ValidationError
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97, 101]
 
 
-def test_field_ops():
-    fld = PrimeField(7)
-    assert fld.add(5, 4) == 2
-    assert fld.sub(2, 5) == 4
-    assert fld.mul(3, 5) == 1
-    assert fld.neg(3) == 4
-    assert fld.inv(3) == 5
-    assert fld.pow(3, 6) == 1
-    with pytest.raises(DomainError):
-        fld.inv(0)
+def test_in_span_rejects_composite_modulus():
     with pytest.raises(ValidationError):
-        PrimeField(6)
+        in_span([(1, 0)], (1, 0), 6)
 
 
 def test_euler_criterion_matches_squaring():
@@ -126,78 +115,6 @@ def test_span_json_round_trip():
     prog = span_threshold_2of3(5)
     again = SpanProgram.from_json(prog.to_json())
     assert again == prog
-
-
-def _bp_paths_oracle(bp, z):
-    """Count source->t1 / source->t0 paths by explicit DFS enumeration."""
-    live = bp.live_edges(z)
-    out = {}
-    for (u, v) in live:
-        out.setdefault(u, []).append(v)
-
-    def count(node, goal):
-        if node == goal:
-            return 1
-        return sum(count(nxt, goal) for nxt in out.get(node, []))
-
-    return (count(bp.source, bp.t1), count(bp.source, bp.t0))
-
-
-def _diamond_bp():
-    # two parallel routes source->t1 when var1 = 1, one route to t0 otherwise
-    return BranchingProgram(
-        vertices=("s", "a", "b", "acc", "rej"),
-        edges=(
-            ("s", "a", (1, 1)),
-            ("s", "b", (1, 1)),
-            ("a", "acc", YES),
-            ("b", "acc", (2, 1)),
-            ("s", "rej", (1, 0)),
-        ),
-        source="s", t0="rej", t1="acc", n_vars=2,
-    )
-
-
-def test_bp_count_against_dfs_oracle():
-    bp = _diamond_bp()
-    for z in product((0, 1), repeat=2):
-        assert bp_count(bp, z) == _bp_paths_oracle(bp, z)
-    assert bp_count(bp, (1, 1)) == (2, 0)
-    # mod 2 the two accepting paths cancel
-    assert bp_eval_modp(bp, (1, 1), 2) == 0
-    assert bp_eval_modp(bp, (1, 1), 3) == 1
-
-
-def test_bp_random_graphs_match_oracle():
-    rng = random.Random(99)
-    for _ in range(40):
-        n_mid = rng.randrange(0, 4)
-        vertices = ["s"] + [f"m{i}" for i in range(n_mid)] + ["t0", "t1"]
-        order = {v: i for i, v in enumerate(vertices)}
-        edges = []
-        for u in vertices:
-            for v in vertices:
-                if order[u] < order[v] and rng.random() < 0.5:
-                    label = YES if rng.random() < 0.3 else (rng.randrange(1, 3), rng.randrange(2))
-                    edges.append((u, v, label))
-        bp = BranchingProgram(tuple(vertices), tuple(edges), "s", "t0", "t1", 2)
-        for z in product((0, 1), repeat=2):
-            want = _bp_paths_oracle(bp, z)
-            assert bp_count(bp, z) == want
-            for p in (2, 3, 5):
-                assert bp_count(bp, z, p) == (want[0] % p, want[1] % p)
-
-
-def test_bp_cycle_rejected():
-    with pytest.raises(ValidationError):
-        BranchingProgram(("s", "a", "t0", "t1"),
-                         (("s", "a", YES), ("a", "s", YES)),
-                         "s", "t0", "t1", 1)
-
-
-def test_bp_json_round_trip():
-    bp = _diamond_bp()
-    assert BranchingProgram.from_json(bp.to_json()) == bp
 
 
 def test_lsss_dichotomy():

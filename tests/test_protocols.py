@@ -15,8 +15,8 @@ from cdslab.algebra import span_and1, span_eq1, span_or1, span_threshold_2of3
 from cdslab.boolfn import from_table, named_fn, qr_split_inputs
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
-from cdslab.protocols import (CdsProtocol, Dre, cds_from_gh, cds_from_psm,
-                              cds_from_span, cds_parallel, dre_qr,
+from cdslab.protocols import (CdsProtocol, Dre, PsmProtocol, cds_from_gh,
+                              cds_from_psm, cds_from_span, cds_parallel, dre_qr,
                               psm_from_dre, psm_generic_table, qr_value,
                               verify_cds, verify_dre, verify_psm)
 
@@ -249,3 +249,32 @@ def test_verifier_budgets():
         verify_dre(dre_qr(7), budget=10)
     with pytest.raises(BudgetError):
         verify_psm(psm_generic_table(AND1), budget=3)
+
+
+def test_dre_leaking_x_is_caught():
+    # enc_x also sends x in the clear; decoding stays exact, but equal-value
+    # inputs with different x now have disjoint encoding distributions
+    D = dre_qr(5)
+    leaky = Dre(D.f, D.shared, lambda x, r: (D.enc_x(x, r), x), D.enc_y,
+                lambda mx, my: D.decode(mx[0], my), domain=D.domain)
+    report = verify_dre(leaky)
+    assert report.eps_hat == 0
+    assert report.delta_pair == 2
+    assert report.witnesses["delta"] == ((1, 0), (0, 2))  # a = 1 and a = 4
+    assert report.resources["same_class_histograms_equal"] is False
+    assert not report.perfect
+
+
+def test_psm_decoder_erring_on_one_randomness_value():
+    # Alice flags the first of the 8 randomness values and the decoder flips
+    # its answer there, so every input decodes wrongly with probability 1/8
+    P = psm_generic_table(AND1)
+    r0 = P.shared[0]
+    bad = PsmProtocol(AND1, P.shared,
+                      lambda x, r, ra=None: (P.alice_msg(x, r), r == r0),
+                      P.bob_msg,
+                      lambda m0, m1: P.decode(m0[0], m1) ^ m0[1])
+    report = verify_psm(bad)
+    assert report.eps_hat == Fraction(1, 8)
+    assert report.witnesses["eps"] == (0, 0)
+    assert report.delta_pair == Fraction(1, 2)  # the flag ties messages to r0
