@@ -16,6 +16,8 @@ Outputs are deterministic: same inputs and seed give identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -246,7 +248,11 @@ def _emit(obj, path, fmt="json") -> None:
     else:
         rows = []
         _flatten(obj, "", rows)
-        text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((k, f"{v}") for k, v in rows)
+        text = buf.getvalue()
     if path:
         with open(path, "w") as fh:
             fh.write(text)

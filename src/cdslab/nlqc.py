@@ -3,9 +3,14 @@
 Covers conditional disclosure of a quantum state (the quantum analogue of
 CDS), one-round routing of a qubit to the side named by a boolean function,
 and simultaneous-message computation with quantum resources. A protocol
-execution is never sampled: ``run(x, y, carrier, q_reg)`` returns every
-classical branch as a (probability, transcript, residual state) triple, so
-verifiers can compute exact figures of merit.
+execution is never sampled: ``run(x, y, carrier, q_reg)`` returns its
+classical branches as (probability, transcript, residual state) triples, so
+verifiers can compute exact figures of merit. Pad-and-disclose runs return
+one branch per pad key and transcript class: the transcripts of a class
+decode to the same key and have proportional likelihoods under every key,
+so the referee's view of each is a positive multiple of one operator and
+the class's representative transcript, with the summed probability, stands
+for all ``count`` of them exactly.
 
 Verification uses two complementary views:
 
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +33,8 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
-from .protocols import CdsProtocol, PsmProtocol, cds_parallel, message_hist
+from .protocols import (CdsProtocol, PsmProtocol, cds_parallel, class_product,
+                        message_hist, transcript_classes)
 from .quantum import (MAX_QUBITS, PAULI_EIGENSTATES, PureState, U_BELL,
                       epr_pairs, fidelity, phased_pad, random_qubit)
 
@@ -43,11 +48,16 @@ KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @dataclass(frozen=True)
 class RunBranch:
-    """One classical branch of a protocol run."""
+    """One classical branch of a protocol run, or a class of ``count`` branches.
+
+    A class branch carries its first member as ``transcript`` and the
+    members' summed probability; budgets and branch counts use ``count``.
+    """
 
     prob: float
     transcript: tuple
     state: Optional[PureState]
+    count: int = 1
 
 
 @dataclass
@@ -171,6 +181,16 @@ def _cached_ptrace(cache: dict, state: PureState, regs: tuple) -> np.ndarray:
     return got[0]
 
 
+def _branch_count(branches) -> int:
+    return sum(b.count for b in branches)
+
+
+def _add_block(blocks: dict, transcript, prob: float, mat: np.ndarray) -> None:
+    """Add prob * mat to the referee-view block of ``transcript``."""
+    got = blocks.get(transcript)
+    blocks[transcript] = prob * mat if got is None else got + prob * mat
+
+
 def _block_gap(blocks: dict, d_ref: int) -> float:
     """Half trace norm of (block-diagonal view) minus (marginal product)."""
     if not blocks:
@@ -208,10 +228,11 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerifi
     for (x, y) in P.input_pairs():
         carrier = epr_pairs([("R", "Q")])
         branches = P.run(x, y, carrier, "Q")
-        total_branches += len(branches)
+        n = _branch_count(branches)
+        total_branches += n
         if total_branches > budget:
             raise BudgetError(f"branch count {total_branches} exceeds {budget}")
-        max_branches = max(max_branches, len(branches))
+        max_branches = max(max_branches, n)
         fx = P.f.eval(x, y)
         cache = {}
         if fx == 1:
@@ -221,7 +242,7 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerifi
                 rec = P.recover(x, y, b.transcript, b.state)
                 rho += b.prob * _cached_ptrace(cache, rec, ("R", out))
             F = fidelity(rho, PHI_PLUS_DM)
-            per_input[(x, y)] = {"f": 1, "fidelity": F, "branches": len(branches)}
+            per_input[(x, y)] = {"f": 1, "fidelity": F, "branches": n}
             if 1 - F > worst_inf:
                 worst_inf = 1 - F
                 witnesses["infidelity"] = (x, y)
@@ -229,11 +250,10 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerifi
             msg = tuple(P.msg_regs(x, y))
             blocks = {}
             for b in branches:
-                mat = _cached_ptrace(cache, b.state, ("R",) + msg)
-                got = blocks.get(b.transcript)
-                blocks[b.transcript] = b.prob * mat if got is None else got + b.prob * mat
+                _add_block(blocks, b.transcript, b.prob,
+                           _cached_ptrace(cache, b.state, ("R",) + msg))
             gap = _block_gap(blocks, d_ref=2)
-            per_input[(x, y)] = {"f": 0, "gap": gap, "branches": len(branches)}
+            per_input[(x, y)] = {"f": 0, "gap": gap, "branches": n}
             if gap > worst_gap:
                 worst_gap = gap
                 witnesses["gap"] = (x, y)
@@ -266,10 +286,11 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
         if reg is not None:
             carrier = epr_pairs([("R", "Q")])
             branches = P.run(x, y, carrier, "Q")
-            total_branches += len(branches)
+            n = _branch_count(branches)
+            total_branches += n
             if total_branches > budget:
                 raise BudgetError(f"branch count {total_branches} exceeds {budget}")
-            max_branches = max(max_branches, len(branches))
+            max_branches = max(max_branches, n)
             cache = {}
             rho = np.zeros((4, 4), dtype=complex)
             for b in branches:
@@ -277,7 +298,7 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
                 rho += b.prob * _cached_ptrace(cache, fixed, ("R", reg))
             F = fidelity(rho, PHI_PLUS_DM)
             per_input[(x, y)] = {"f": fx, "side": side, "fidelity": F,
-                                 "branches": len(branches)}
+                                 "branches": n}
         else:
             if P.left_fidelity is None:
                 raise ValidationError("no register and no local reconstruction")
@@ -303,10 +324,11 @@ def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerifi
     total_branches = 0
     for (x, y) in pairs:
         branches = P.run(x, y)
-        total_branches += len(branches)
+        n = _branch_count(branches)
+        total_branches += n
         if total_branches > budget:
             raise BudgetError(f"branch count {total_branches} exceeds {budget}")
-        max_branches = max(max_branches, len(branches))
+        max_branches = max(max_branches, n)
         fx = P.f.eval(x, y)
         fail = 0.0
         blocks = {}
@@ -318,10 +340,9 @@ def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerifi
                 mat = _cached_ptrace(cache, b.state, tuple(P.quantum_regs))
             else:
                 mat = np.array([[1.0 + 0j]])
-            got = blocks.get(b.transcript)
-            blocks[b.transcript] = b.prob * mat if got is None else got + b.prob * mat
+            _add_block(blocks, b.transcript, b.prob, mat)
         views[(x, y)] = blocks
-        per_input[(x, y)] = {"f": fx, "decode_error": fail, "branches": len(branches)}
+        per_input[(x, y)] = {"f": fx, "decode_error": fail, "branches": n}
         if fail > worst_eps:
             worst_eps = fail
             witnesses["decode"] = (x, y)
@@ -361,10 +382,8 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
             cache = {}
             blocks = {}
             for b in P.run(x, y, st, "Q"):
-                mat = _cached_ptrace(cache, b.state, msg)
-                got = blocks.get(b.transcript)
-                blocks[b.transcript] = (b.prob * mat if got is None
-                                        else got + b.prob * mat)
+                _add_block(blocks, b.transcript, b.prob,
+                           _cached_ptrace(cache, b.state, msg))
             blocks_by_state.append((name, blocks))
         local = 0.0
         for i in range(len(blocks_by_state)):
@@ -408,26 +427,29 @@ def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
     hands exactly when the messages carry no key information. Returns the
     squared overlap with the ideal state: 1 when the key stays hidden, and
     1/2 when the messages pin the key down completely.
+
+    The message register holds one basis vector per transcript class of K:
+    within a class the amplitudes sqrt(P(m | key)) are proportional, so
+    mapping the members' normalised superposition to one basis vector is an
+    isometry on the register, which is traced out.
     """
     psi = np.asarray(psi, dtype=complex).reshape(2)
     psi = psi / np.linalg.norm(psi)
-    hists = K.meta["message_hists"](x, y)
-    union = set()
-    for s in KEYS:
-        union.update(hists[s])
-    order = {m: i for i, m in enumerate(sorted(union, key=repr))}
-    kq = max(1, math.ceil(math.log2(max(2, len(order)))))
+    classes = K.meta["message_classes"](x, y)
+    kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
     if 3 + kq > MAX_QUBITS:
         raise BudgetError(f"message register needs {kq} qubits")
     vec = np.zeros(1 << (3 + kq), dtype=complex)
-    for s, hist in hists.items():
+    for s in KEYS:
         padded = phased_pad(*s) @ psi
         base = ((s[0] << 1) | s[1]) << (1 + kq)
-        for m, prob in hist.items():
+        for i, c in enumerate(classes):
+            prob = c.weights.get(s)
+            if not prob:
+                continue
             amp = 0.5 * math.sqrt(prob)
-            idx = base | order[m]
-            vec[idx] += amp * padded[0]
-            vec[idx | (1 << kq)] += amp * padded[1]
+            vec[base | i] += amp * padded[0]
+            vec[base | i | (1 << kq)] += amp * padded[1]
     state = PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
     state = state.apply(U_BELL, ["A1", "A2"])
     rho = state.ptrace(["A2"]).mat
@@ -437,45 +459,32 @@ def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
 # -- compilers -----------------------------------------------------------------
 
 
-def _padded_branches(K: CdsProtocol, x: int, y: int, carrier, q_reg) -> list:
+def _pad_run(classes_of: Callable) -> Callable:
     """Run of a pad-and-disclose protocol.
 
-    The carrier is padded under each key; each transcript of the parallel
-    key-disclosing scheme K for that key is one branch.
+    The carrier is padded under each key; each transcript class of
+    ``classes_of(x, y)`` with weight under that key is one branch, carrying
+    the class's representative, summed probability and member count.
     """
-    hists = K.meta["message_hists"](x, y)
-    branches = []
-    for s in KEYS:
-        padded = carrier.apply(phased_pad(*s), [q_reg])
-        for m, p in hists[s].items():
-            branches.append(RunBranch(0.25 * p, m, padded))
-    return branches
+    def run(x, y, carrier, q_reg):
+        classes = classes_of(x, y)
+        branches = []
+        for s in KEYS:
+            padded = carrier.apply(phased_pad(*s), [q_reg])
+            for c in classes:
+                prob = c.weights.get(s)
+                if prob:
+                    branches.append(RunBranch(0.25 * prob, c.rep, padded, c.count))
+        return branches
+
+    return run
 
 
-def _unpadder() -> Callable:
-    """``unpad(state, s)``: undo pad key s on register "Q".
-
-    A non-key, i.e. a failed decode, passes the state through.
-
-    Recovery runs once per branch, yet a run holds at most four distinct
-    padded states, so results are memoised. The memo is keyed by the state's
-    value (registers and amplitudes) and s: a fresh but equal carrier in a
-    later verify reuses the entries instead of adding new ones, and every
-    branch of one (state, s) gets the same object, which ``_cached_ptrace``
-    then finds.
-    """
-    memo = {}
-
-    def unpad(state, s):
-        if s not in KEYS:
-            return state
-        key = (state.regs, state.vec.tobytes(), s)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = state.apply(phased_pad(*s).conj().T, ["Q"])
-        return got
-
-    return unpad
+def _unpad(state: PureState, s) -> PureState:
+    """Undo pad key s on register "Q"; a failed decode passes the state through."""
+    if s not in KEYS:
+        return state
+    return state.apply(phased_pad(*s).conj().T, ["Q"])
 
 
 def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
@@ -489,14 +498,13 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     K = cds_parallel(C, 2)
-    unpad = _unpadder()
 
     def msg_regs(x, y):
         return ("Q",)
 
     def recover(x, y, transcript, state):
         m0, m1 = transcript
-        return unpad(state, K.decode(m0, x, m1, y))
+        return _unpad(state, K.decode(m0, x, m1, y))
 
     def out_reg(x, y):
         return "Q"
@@ -505,7 +513,7 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
                  "cds_randomness_states": len(K.shared)}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
             "parameters": {"cds": C.meta}}
-    return CdqsProtocol(C.f, partial(_padded_branches, K), msg_regs, recover,
+    return CdqsProtocol(C.f, _pad_run(K.meta["message_classes"]), msg_regs, recover,
                         out_reg, key_cds=K, domain=C.domain, resources=resources,
                         meta=meta)
 
@@ -608,7 +616,7 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     resources["qubits_sent"] = 1
     meta = {"kind": "frouting", "compiler": "frouting_from_cdqs",
             "parameters": {"cdqs": C.meta}}
-    return FRoutingProtocol(f, partial(_padded_branches, K), exit_info, correction,
+    return FRoutingProtocol(f, _pad_run(K.meta["message_classes"]), exit_info, correction,
                             holdings=holdings, left_fidelity=left_fidelity,
                             domain=C.domain, resources=resources, meta=meta)
 
@@ -686,33 +694,26 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     if f.eval(x_star, y_star) != 0:
         raise ValidationError("substitute input must evaluate to 0")
 
-    hist_cache = {}
-    unpad = _unpadder()
+    class_cache = {}
 
     def hist_for(x, y):
-        got = hist_cache.get((x, y))
-        if got is None:
-            got = {b.transcript: b.prob for b in P.run(x, y)}
-            hist_cache[(x, y)] = got
-        return got
+        return {b.transcript: b.prob for b in P.run(x, y)}
 
-    def run(x, y, carrier, q_reg):
-        branches = []
-        for s1, s2 in KEYS:
-            padded = carrier.apply(phased_pad(s1, s2), [q_reg])
-            h1 = hist_for(x if s1 else x_star, y if s1 else y_star)
-            h2 = hist_for(x if s2 else x_star, y if s2 else y_star)
-            for t1, p1 in h1.items():
-                for t2, p2 in h2.items():
-                    branches.append(RunBranch(0.25 * p1 * p2, (t1, t2), padded))
-        return branches
+    def classes_for(x, y):
+        # key bit 0 runs the substitute input, key bit 1 the real one
+        got = class_cache.get((x, y))
+        if got is None:
+            hists = {0: hist_for(x_star, y_star), 1: hist_for(x, y)}
+            got = class_product(transcript_classes(hists, P.decode), 2)
+            class_cache[(x, y)] = got
+        return got
 
     def msg_regs(x, y):
         return ("Q",)
 
     def recover(x, y, transcript, state):
         t1, t2 = transcript
-        return unpad(state, (P.decode(t1), P.decode(t2)))
+        return _unpad(state, (P.decode(t1), P.decode(t2)))
 
     def out_reg(x, y):
         return "Q"
@@ -720,5 +721,5 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_psqm",
             "parameters": {"psqm": P.meta, "substitute": [x_star, y_star]}}
-    return CdqsProtocol(f, run, msg_regs, recover, out_reg, domain=P.domain,
-                        resources=resources, meta=meta)
+    return CdqsProtocol(f, _pad_run(classes_for), msg_regs, recover, out_reg,
+                        domain=P.domain, resources=resources, meta=meta)

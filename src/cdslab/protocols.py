@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebra import LsssScheme, SpanProgram, euler_qr, in_span
 from .boolfn import BoolFn, literal_input, named_fn, qr_join, qr_split_inputs
@@ -556,14 +556,75 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
                        domain=P.domain, resources=resources, meta=meta)
 
 
+class TranscriptClass(NamedTuple):
+    """Transcripts that decode alike and carry proportional key weights.
+
+    ``rep`` is the first member in sweep order, ``weights`` maps each key of
+    nonzero weight to the members' summed weight under it, and ``count`` is
+    the number of members. Members share their support, so every key in
+    ``weights`` stands for ``count`` transcripts.
+    """
+
+    rep: object
+    weights: dict
+    count: int
+
+
+def transcript_classes(hists: dict, decode: Callable) -> list:
+    """Group the transcripts of ``hists`` = {key: {transcript: weight}}.
+
+    Two transcripts share a class when ``decode`` maps them to the same value
+    and their weight vectors over the keys are exactly proportional; weights
+    are compared as Fractions, never within a tolerance. A referee view that
+    is linear in the weights and reads a transcript only through its decoded
+    value is then a positive multiple of one operator across a class, so one
+    branch per class gives the same fidelity and the same trace-norm gap as
+    one branch per transcript. Classes come in order of their first member,
+    scanning the keys in order and each histogram in sweep order.
+    """
+    keys = list(hists)
+    classes = {}
+    for m in dict.fromkeys(m for s in keys for m in hists[s]):
+        vec = [hists[s].get(m, 0) for s in keys]
+        lead = Fraction(next(w for w in vec if w))
+        label = (decode(m), tuple(Fraction(w) / lead for w in vec))
+        rep, weights, count = classes.get(label) or (m, {}, 0)
+        for s, w in zip(keys, vec):
+            if w:
+                weights[s] = weights.get(s, 0) + w
+        classes[label] = (rep, weights, count + 1)
+    return [TranscriptClass(*c) for c in classes.values()]
+
+
+def class_product(classes: list, copies: int) -> list:
+    """Classes of ``copies`` independent runs keyed independently.
+
+    A joint class's members are the tuples of per-copy members, its key is
+    the tuple of per-copy keys and its weights multiply: an outer product of
+    proportional vectors is proportional, so the joint space is never
+    enumerated member by member.
+    """
+    joint = [TranscriptClass((), {(): 1}, 1)]
+    for _ in range(copies):
+        joint = [TranscriptClass(j.rep + (c.rep,),
+                                 {k + (s,): w * v for k, w in j.weights.items()
+                                  for s, v in c.weights.items()},
+                                 j.count * c.count)
+                 for j in joint for c in classes]
+    return joint
+
+
 def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     """Independent copies side by side; hides a tuple of secrets.
 
     Worst-case error and leakage each scale at most linearly in the number of
     copies; randomness and communication scale exactly linearly. Because the
     copies draw independent randomness, the joint message distribution is the
-    product of per-copy distributions; ``meta["message_hists"]`` exposes that
-    factorization so downstream sweeps need not enumerate the product space.
+    product of per-copy distributions. ``meta["message_classes"](x, y)``
+    returns the joint transcript classes (``TranscriptClass`` with
+    probabilities as weights, keyed by secret tuples), composed from per-copy
+    classes, so downstream sweeps enumerate neither the product randomness
+    nor the product transcripts.
     """
     if copies < 1:
         raise ValidationError("need at least one copy")
@@ -581,21 +642,13 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     def decode(m0, x, m1, y):
         return tuple(P.decode(m0[i], x, m1[i], y) for i in range(copies))
 
-    def message_hists(x, y):
-        joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
-        base = {s: {m: c / joint for m, c in message_hist(P, x, y, s).items()}
-                for s in P.secrets}
-        out = {}
-        for key in secrets:
-            acc = {((), ()): 1.0}
-            for s_i in key:
-                nxt = {}
-                for (pm0, pm1), pp in acc.items():
-                    for (m0, m1), q in base[s_i].items():
-                        nxt[(pm0 + (m0,), pm1 + (m1,))] = pp * q
-                acc = nxt
-            out[key] = acc
-        return out
+    def message_classes(x, y):
+        hists = {s: message_hist(P, x, y, s) for s in P.secrets}
+        per_copy = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
+        denom = (len(P.shared) * len(P.alice_private) * len(P.bob_private)) ** copies
+        return [TranscriptClass(tuple(zip(*c.rep)),
+                                {s: w / denom for s, w in c.weights.items()}, c.count)
+                for c in class_product(per_copy, copies)]
 
     resources = {f"per_copy_{k}": v for k, v in P.resources.items()}
     resources["copies"] = copies
@@ -603,7 +656,7 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
         resources["randomness_bits"] = copies * P.resources["randomness_bits"]
     meta = {"kind": "cds", "compiler": "cds_parallel",
             "parameters": {"copies": copies, "inner": P.meta},
-            "message_hists": message_hists}
+            "message_classes": message_classes}
     return CdsProtocol(P.f, secrets, shared, alice_msg, bob_msg, decode,
                        alice_private=alice_private, bob_private=bob_private,
                        domain=P.domain, resources=resources, meta=meta)

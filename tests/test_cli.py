@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -149,6 +150,21 @@ def test_verify_csv_format(tmp_path):
     lines = rep.read_text().strip().split("\n")
     assert lines[0] == "key,value"
     assert any(line.startswith("status,") for line in lines)
+
+
+def test_verify_csv_rows_have_two_fields(tmp_path):
+    # per-input keys such as "report.per_input.0,0.fidelity" hold a comma
+    desc = tmp_path / "d.json"
+    rep = tmp_path / "r.csv"
+    assert main(["build", "--chain", "gh,frouting", "--fn", "and",
+                 "--out", str(desc)]) == 0
+    assert main(["verify", str(desc), "--format", "csv",
+                 "--out", str(rep)]) == 0
+    with open(rep, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"]
+    assert any(row[0].startswith("report.per_input.0,0.") for row in rows)
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_stdout_output(capsys):

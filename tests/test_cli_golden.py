@@ -6,14 +6,20 @@ reports must match byte for byte. Quantum reports are float results of
 statevector arithmetic, so they must match field for field with floats
 within 1e-12.
 
-The golden files are ``run_case``'s output on the code before a refactor;
-after an intended output change, write each case's files and exit codes
-(``exit_codes.json``) from ``run_case`` again.
+The golden files are ``run_case``'s output on the code before a refactor.
+After an intended output change, rewrite only the cases it changes, files
+and exit codes (``exit_codes.json``) alike, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py CASE [CASE ...]
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -93,12 +99,11 @@ def _close(a, b, where: str) -> None:
 
 
 def _csv_fields(data: bytes) -> dict:
-    """Report CSV as {key: value}; keys may hold commas, values do not."""
-    lines = data.decode().splitlines()
-    assert lines[0] == "key,value"
+    """Report CSV as {key: value}."""
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    assert rows[0] == ["key", "value"]
     out = {}
-    for line in lines[1:]:
-        key, _, value = line.rpartition(",")
+    for key, value in rows[1:]:
         try:
             out[key] = float(value)
         except ValueError:
@@ -125,3 +130,23 @@ def test_cli_output_matches_golden(name, tmp_path):
             _close(_csv_fields(want), _csv_fields(data), fname)
         else:
             _close(json.loads(want), json.loads(data), fname)
+
+
+def regenerate(names) -> None:
+    """Rewrite the golden files and exit codes of the named cases only."""
+    unknown = [n for n in names if n not in CASES and n not in ("sweep", "tampered")]
+    if unknown:
+        raise SystemExit(f"unknown cases: {unknown}")
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text())
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_case(name, Path(tmp))
+        for fname, data in got["files"].items():
+            (GOLDEN / fname).write_bytes(data)
+        codes[name] = got["codes"]
+    codes_path.write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])

@@ -14,8 +14,8 @@ from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, PsqmProtocol,
                          otp_reconstruct_left, pauli_frame, psqm_from_psm,
                          security_state_sweep, verify_cdqs, verify_frouting,
                          verify_psqm)
-from cdslab.protocols import (CdsProtocol, cds_from_gh, psm_from_dre,
-                              psm_generic_table, dre_qr)
+from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm,
+                              psm_from_dre, psm_generic_table, dre_qr)
 from cdslab.quantum import PureState, X, Z, epr_pairs, random_qubit
 
 AND1 = named_fn("and", n=1)
@@ -142,6 +142,14 @@ def test_otp_reconstruction_values():
     for (x, y) in ((0, 0), (0, 1), (1, 0)):
         assert abs(otp_reconstruct_left(K, x, y, psi) - 1.0) < 1e-12
     assert abs(otp_reconstruct_left(K, 1, 1, psi) - 0.5) < 1e-12
+
+
+def test_qr5_pad_route_fits_the_qubit_cap():
+    # one message basis vector per transcript class: 5 qubits, not 3 + 14
+    C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
+    report = verify_frouting(frouting_from_cdqs(C))
+    assert report.perfect(1e-9)
+    assert report.max_branches == 40000
 
 
 def test_route_compilers_validate_their_inputs():
