@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 from .boolfn import BoolFn
 from .errors import BudgetError, DomainError, ValidationError
@@ -207,21 +206,93 @@ def _alice_choices(m, fix_tap=None):
     return choices
 
 
+# m -> (tap-1 Alice choices, all Alice choices, Bob matchings, spill rows),
+# shared by every search; keys are bounded by the searches' max_pipes
+_TABLES = {}
+
+
+def _tables(m):
+    """The choice lists at m pipes and the spill rows built for them so far.
+
+    The tap-1 choices open the list of all Alice choices, so a row index
+    names the same choice in both lists.
+    """
+    if m not in _TABLES:
+        _TABLES[m] = (_alice_choices(m, fix_tap=1), _alice_choices(m),
+                      _matchings(list(range(1, m + 1))), [])
+    return _TABLES[m]
+
+
+def _spill_rows(m, n_rows):
+    """Bob-side spill masks of the first ``n_rows`` Alice choices at m pipes.
+
+    Bit j of row i is set when water from Alice's i-th choice spills on Bob's
+    side against Bob's j-th matching; each bit is one trace of a 0+0-bit
+    strategy through ``gh_eval``. Rows are built once and kept.
+    """
+    _, alice_choices, bob_choices, rows = _tables(m)
+    for choice in alice_choices[len(rows):n_rows]:
+        mask = 0
+        for j, matching in enumerate(bob_choices):
+            single = GhStrategy(m, 0, 0, {0: choice}, {0: matching})
+            if gh_eval(single, 0, 0).side == RIGHT:
+                mask |= 1 << j
+        rows.append(mask)
+    return rows
+
+
+def _first_alice_pick(per_alice, spill, columns, full):
+    """Lex-first Alice pick (row indices) leaving every y a Bob choice.
+
+    ``columns[x][y]`` is f(x, y). Returns (pick, masks), masks[y] being the
+    Bob choices consistent with f's column y under the pick, or None.
+    """
+    pick = []
+
+    def descend(x, masks):
+        if x == len(per_alice):
+            return masks
+        for i in per_alice[x]:
+            row = spill[i]
+            narrowed = [mask & (row if bit else full ^ row)
+                        for mask, bit in zip(masks, columns[x])]
+            if all(narrowed):
+                pick.append(i)
+                found = descend(x + 1, narrowed)
+                if found is not None:
+                    return found
+                pick.pop()
+        return None
+
+    masks = descend(0, [full] * len(columns[0]))
+    return None if masks is None else (pick, masks)
+
+
 def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
     """Smallest working strategy with at most ``max_pipes`` pipes, or None.
 
     Exhaustive over per-input tap/matching choices, in a fixed lexicographic
-    order, so the result is deterministic. One symmetry is quotiented out:
-    pipes can be relabelled consistently on both sides, so the tap for x = 0
-    is pinned to pipe 1 without loss of generality (anything else is a
-    relabelling of something enumerated).
+    order, so the result is deterministic: the first (Alice pick, Bob pick)
+    in ``product(*per_alice) x product(bob_choices, repeat=2^n_y)`` order
+    that computes f. One symmetry is quotiented out: pipes can be relabelled
+    consistently on both sides, so the tap for x = 0 is pinned to pipe 1
+    without loss of generality (anything else is a relabelling of something
+    enumerated). ``budget`` bounds that candidate count at each m.
+
+    Nothing is traced per candidate. A spill table, built once per m and
+    shared by every search, holds for each Alice choice the bitmask of Bob
+    matchings that make the water spill on Bob's side. A depth-first search
+    walks Alice's picks in product order, keeping per y the mask of Bob
+    choices that agree with f's column y on the rows picked so far, and
+    prunes a prefix once any mask is empty. Bob's y-th choice meets only
+    column y, so the valid Bob picks of an Alice pick are the product of
+    the per-y masks, and the lex-first of them takes each mask's lowest bit.
     """
     n_inputs_x = 1 << f.n_x
     n_inputs_y = 1 << f.n_y
+    columns = [[f.eval(x, y) for y in range(n_inputs_y)] for x in range(n_inputs_x)]
     for m in range(1, max_pipes + 1):
-        first_choices = _alice_choices(m, fix_tap=1)
-        other_choices = _alice_choices(m)
-        bob_choices = _matchings(list(range(1, m + 1)))
+        first_choices, other_choices, bob_choices, _ = _tables(m)
         per_alice = [first_choices] + [other_choices] * (n_inputs_x - 1)
         total = 1
         for c in per_alice:
@@ -230,11 +301,17 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
         if total > budget:
             raise BudgetError(
                 f"{total} candidate strategies at m={m} exceeds budget {budget}")
-        for alice_pick in product(*per_alice):
-            alice = {x: alice_pick[x] for x in range(n_inputs_x)}
-            for bob_pick in product(bob_choices, repeat=n_inputs_y):
-                bob = {y: bob_pick[y] for y in range(n_inputs_y)}
-                strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)
-                if gh_verify(strategy, f):
-                    return strategy
+        spill = _spill_rows(m, len(other_choices if n_inputs_x > 1 else first_choices))
+        found = _first_alice_pick([range(len(c)) for c in per_alice], spill,
+                                  columns, (1 << len(bob_choices)) - 1)
+        if found is None:
+            continue
+        pick, masks = found
+        alice = {x: other_choices[i] for x, i in enumerate(pick)}
+        bob = {y: bob_choices[(mask & -mask).bit_length() - 1]
+               for y, mask in enumerate(masks)}
+        strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)
+        if not gh_verify(strategy, f):
+            raise AssertionError("spill table disagrees with the water trace")
+        return strategy
     return None

@@ -624,7 +624,8 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     returns the joint transcript classes (``TranscriptClass`` with
     probabilities as weights, keyed by secret tuples), composed from per-copy
     classes, so downstream sweeps enumerate neither the product randomness
-    nor the product transcripts.
+    nor the product transcripts. They are computed once per input pair and
+    kept, since the quantum verifiers ask again for every swept qubit state.
     """
     if copies < 1:
         raise ValidationError("need at least one copy")
@@ -642,13 +643,19 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     def decode(m0, x, m1, y):
         return tuple(P.decode(m0[i], x, m1[i], y) for i in range(copies))
 
+    classes_by_input = {}
+
     def message_classes(x, y):
-        hists = {s: message_hist(P, x, y, s) for s in P.secrets}
-        per_copy = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
-        denom = (len(P.shared) * len(P.alice_private) * len(P.bob_private)) ** copies
-        return [TranscriptClass(tuple(zip(*c.rep)),
-                                {s: w / denom for s, w in c.weights.items()}, c.count)
+        if (x, y) not in classes_by_input:
+            hists = {s: message_hist(P, x, y, s) for s in P.secrets}
+            per_copy = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
+            denom = (len(P.shared) * len(P.alice_private) * len(P.bob_private)) ** copies
+            classes_by_input[(x, y)] = [
+                TranscriptClass(tuple(zip(*c.rep)),
+                                {s: w / denom for s, w in c.weights.items()},
+                                c.count)
                 for c in class_product(per_copy, copies)]
+        return classes_by_input[(x, y)]
 
     resources = {f"per_copy_{k}": v for k, v in P.resources.items()}
     resources["copies"] = copies

@@ -50,6 +50,15 @@ CASES = {
 }
 
 
+# sweep case name -> sweep arguments; the 3-pipe cases freeze every search
+# result over the 256 functions of each shape
+SWEEPS = {
+    "sweep": ["--nx", "1", "--ny", "1"],
+    "sweep21": ["--nx", "2", "--ny", "1", "--max-pipes", "3"],
+    "sweep12": ["--nx", "1", "--ny", "2", "--max-pipes", "3"],
+}
+
+
 def _tamper(desc_bytes: bytes) -> str:
     """Swap Alice's two taps, so some input spills on the wrong side."""
     obj = json.loads(desc_bytes)
@@ -61,10 +70,10 @@ def _tamper(desc_bytes: bytes) -> str:
 def run_case(name: str, tmp: Path) -> dict:
     """Run one case; returns {golden file name: bytes} plus exit codes."""
     out = {}
-    if name == "sweep":
-        path = tmp / "sweep.csv"
-        code = main(["sweep", "--nx", "1", "--ny", "1", "--out", str(path)])
-        out["sweep.csv"] = path.read_bytes()
+    if name in SWEEPS:
+        path = tmp / f"{name}.csv"
+        code = main(["sweep"] + SWEEPS[name] + ["--out", str(path)])
+        out[path.name] = path.read_bytes()
         return {"files": out, "codes": [code]}
     if name == "tampered":
         desc = tmp / "tampered.desc.json"
@@ -117,7 +126,7 @@ def _quantum(fname: str, data: bytes) -> bool:
     return fname.endswith(".report.json") and json.loads(data).get("kind") in QUANTUM_KINDS
 
 
-@pytest.mark.parametrize("name", list(CASES) + ["sweep", "tampered"])
+@pytest.mark.parametrize("name", list(CASES) + list(SWEEPS) + ["tampered"])
 def test_cli_output_matches_golden(name, tmp_path):
     got = run_case(name, tmp_path)
     want_codes = json.loads((GOLDEN / "exit_codes.json").read_text())[name]
@@ -134,7 +143,8 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 def regenerate(names) -> None:
     """Rewrite the golden files and exit codes of the named cases only."""
-    unknown = [n for n in names if n not in CASES and n not in ("sweep", "tampered")]
+    unknown = [n for n in names if n not in CASES and n not in SWEEPS
+               and n != "tampered"]
     if unknown:
         raise SystemExit(f"unknown cases: {unknown}")
     codes_path = GOLDEN / "exit_codes.json"

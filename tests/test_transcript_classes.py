@@ -286,3 +286,23 @@ def test_planted_leak_gap_matches_flat():
         assert got.per_input[(x, y)]["gap"] <= TOL
     _same_sweep(security_state_sweep(classed, seeds=range(2)),
                 security_state_sweep(flat, seeds=range(2)))
+
+
+
+def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
+    # the quantum verifiers ask for an input's classes once per swept qubit
+    # state; each (x, y, secret) histogram must still be computed only once
+    calls = []
+
+    def counted(P, x, y, *secret):
+        calls.append((x, y) + secret)
+        return message_hist(P, x, y, *secret)
+
+    monkeypatch.setattr(protocols, "message_hist", counted)
+    cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
+    verify_frouting(frouting_from_cdqs(cdqs))
+    sweep = security_state_sweep(cdqs, seeds=range(2))
+    assert security_state_sweep(cdqs, seeds=range(2)) == sweep
+    inputs = {call[:2] for call in calls}
+    assert len(inputs) > 1
+    assert len(calls) == 2 * len(inputs)   # two secrets, each swept once
