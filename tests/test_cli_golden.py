@@ -143,8 +143,7 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 def regenerate(names) -> None:
     """Rewrite the golden files and exit codes of the named cases only."""
-    unknown = [n for n in names if n not in CASES and n not in SWEEPS
-               and n != "tampered"]
+    unknown = [n for n in names if n not in {*CASES, *SWEEPS, "tampered"}]
     if unknown:
         raise SystemExit(f"unknown cases: {unknown}")
     codes_path = GOLDEN / "exit_codes.json"

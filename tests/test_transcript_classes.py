@@ -288,7 +288,6 @@ def test_planted_leak_gap_matches_flat():
                 security_state_sweep(flat, seeds=range(2)))
 
 
-
 def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
     # the quantum verifiers ask for an input's classes once per swept qubit
     # state; each (x, y, secret) histogram must still be computed only once
