@@ -26,7 +26,8 @@ from .algebra import (SpanProgram, span_and1, span_eq1, span_or1, span_dnf,
                       sp_eval)
 from .boolfn import BoolFn, literal_input, named_fn, all_functions
 from .errors import BudgetError, DomainError, ValidationError
-from .gardenhose import GhStrategy, RIGHT, gh_eval, gh_generic, gh_search
+from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
+                         gh_search)
 from .nlqc import (cdqs_from_cds, cdqs_from_frouting, cdqs_from_psqm,
                    frouting_from_cdqs, frouting_from_gh, psqm_from_psm,
                    verify_cdqs, verify_frouting, verify_psqm)
@@ -346,7 +347,7 @@ def _cmd_sweep(args) -> int:
         if found is not None:
             rows.append((index, f.name, found.pipes, "search"))
         else:
-            rows.append((index, f.name, gh_generic(f).pipes, "generic"))
+            rows.append((index, f.name, gh_generic_pipes(f.n_x), "generic"))
     if args.format == "json":
         obj = [{"index": i, "table": name, "pipes": p, "method": m}
                for (i, name, p, m) in rows]

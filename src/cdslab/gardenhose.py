@@ -161,6 +161,11 @@ def gh_verify(strategy: GhStrategy, f: BoolFn) -> bool:
     return True
 
 
+def gh_generic_pipes(n_x: int) -> int:
+    """Pipe count of ``gh_generic`` for any f with n_x Alice bits."""
+    return 1 << (n_x + 1)
+
+
 def gh_generic(f: BoolFn) -> GhStrategy:
     """2^(n_x+1)-pipe strategy that works for every f.
 
@@ -168,7 +173,7 @@ def gh_generic(f: BoolFn) -> GhStrategy:
     taps her own pair's first pipe; Bob bridges pair i exactly when
     f(i, y) = 0, sending the water back to spill on the left.
     """
-    m = 1 << (f.n_x + 1)
+    m = gh_generic_pipes(f.n_x)
     alice = {x: (2 * x + 1, frozenset()) for x in range(1 << f.n_x)}
     bob = {}
     for y in range(1 << f.n_y):

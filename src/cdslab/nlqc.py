@@ -33,15 +33,15 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
-from .protocols import (CdsProtocol, PsmProtocol, cds_parallel, class_product,
-                        message_hist, transcript_classes)
-from .quantum import (MAX_QUBITS, PAULI_EIGENSTATES, PureState, U_BELL,
-                      epr_pairs, fidelity, phased_pad, random_qubit)
+from .protocols import (CdsProtocol, InputDomain, PsmProtocol, _worst_pair,
+                        cds_parallel, class_product, message_hist,
+                        transcript_classes)
+from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, PureState,
+                      U_BELL, X, Z, epr_pairs, fidelity, phased_pad, random_qubit)
 
 DEFAULT_BRANCH_BUDGET = 1 << 24
 
-_PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-PHI_PLUS_DM = np.outer(_PHI, _PHI.conj())
+PHI_PLUS_DM = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -102,7 +102,7 @@ class QVerificationReport:
 
 
 @dataclass
-class CdqsProtocol:
+class CdqsProtocol(InputDomain):
     """Conditional disclosure of a quantum state held by Alice.
 
     The secret qubit enters in register ``q_reg`` of the carrier state and the
@@ -120,12 +120,9 @@ class CdqsProtocol:
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
-
 
 @dataclass
-class FRoutingProtocol:
+class FRoutingProtocol(InputDomain):
     """Route a qubit left or right according to f in one simultaneous round.
 
     ``exit_info`` names the side and, for branch-verifiable protocols, the
@@ -144,12 +141,9 @@ class FRoutingProtocol:
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
-
 
 @dataclass
-class PsqmProtocol:
+class PsqmProtocol(InputDomain):
     """Simultaneous messages computing f; the referee sees messages only.
 
     ``run`` enumerates transcript branches; ``quantum_regs`` names any message
@@ -164,31 +158,79 @@ class PsqmProtocol:
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
-
 
 # -- shared verification plumbing ---------------------------------------------
 
 
-def _cached_ptrace(cache: dict, state: PureState, regs: tuple) -> np.ndarray:
-    key = (id(state), regs)
-    got = cache.get(key)
-    if got is None:
-        got = state.ptrace(list(regs)).mat
-        cache[key] = (got, state)   # keep the state alive so ids stay unique
-        return got
-    return got[0]
+class _Sweep:
+    """One verification's per-input figures, worst cases and branch budget.
+
+    Branches are counted by ``count``, so a transcript class weighs as much
+    as the transcripts it stands for; the budget bounds the running total.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.total = 0
+        self.per_input = {}
+        self.worst = {}
+        self.witnesses = {}
+
+    def run(self, run: Callable, *args) -> tuple:
+        """(branches of ``run(*args)``, their count); over budget raises."""
+        branches = run(*args)
+        n = sum(b.count for b in branches)
+        self.total += n
+        if self.total > self.budget:
+            raise BudgetError(f"branch count {self.total} exceeds {self.budget}")
+        return branches, n
+
+    def worse(self, name: str, figure: float, witness) -> None:
+        """Raise worst case ``name`` to ``figure``; the first to reach it is witness."""
+        if figure > self.worst.get(name, 0.0):
+            self.worst[name] = figure
+            self.witnesses[name] = witness
+
+    def record(self, xy: tuple, info: dict, name: str, figure: float) -> None:
+        self.per_input[xy] = info
+        self.worse(name, figure, xy)
+
+    def report(self, kind: str, error: str, gap: Optional[str], resources: dict,
+               consistent: bool = True) -> QVerificationReport:
+        max_branches = max((info["branches"] for info in self.per_input.values()),
+                           default=0)
+        return QVerificationReport(kind, self.worst.get(error, 0.0),
+                                   self.worst.get(gap, 0.0), self.per_input,
+                                   max_branches, consistent, dict(resources),
+                                   self.witnesses)
 
 
-def _branch_count(branches) -> int:
-    return sum(b.count for b in branches)
+def _choi_fidelity(branches, fix: Callable, out: str) -> float:
+    """Fidelity with |Phi+> of what the branches deliver to (R, ``out``).
+
+    ``fix(b)`` is branch b's state after the receiver's correction.
+    """
+    rho = np.zeros((4, 4), dtype=complex)
+    for b in branches:
+        rho += b.prob * fix(b).ptrace(["R", out]).mat
+    return fidelity(rho, PHI_PLUS_DM)
 
 
-def _add_block(blocks: dict, transcript, prob: float, mat: np.ndarray) -> None:
-    """Add prob * mat to the referee-view block of ``transcript``."""
-    got = blocks.get(transcript)
-    blocks[transcript] = prob * mat if got is None else got + prob * mat
+def _view_blocks(branches, regs) -> dict:
+    """Referee view per transcript: the sum of prob * (state reduced to ``regs``).
+
+    With ``regs`` None, or a branch without a state, the transcript is the
+    whole view.
+    """
+    blocks = {}
+    for b in branches:
+        if regs is None or b.state is None:
+            mat = np.array([[1.0 + 0j]])
+        else:
+            mat = b.state.ptrace(list(regs)).mat
+        got = blocks.get(b.transcript)
+        blocks[b.transcript] = b.prob * mat if got is None else got + b.prob * mat
+    return blocks
 
 
 def _block_gap(blocks: dict, d_ref: int) -> float:
@@ -209,9 +251,7 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
     keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
     if not keys:
         return 0.0
-    d = next(iter(blocks_a.values())).shape[0] if blocks_a else \
-        next(iter(blocks_b.values())).shape[0]
-    zero = np.zeros((d, d), dtype=complex)
+    zero = np.zeros_like(next(iter((blocks_a or blocks_b).values())))
     diffs = np.stack([blocks_a.get(k, zero) - blocks_b.get(k, zero) for k in keys])
     vals = np.linalg.eigvalsh(diffs)
     return float(0.5 * np.abs(vals).sum())
@@ -219,46 +259,20 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
 
 def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
-    per_input = {}
-    worst_inf = 0.0
-    worst_gap = 0.0
-    max_branches = 0
-    witnesses = {}
-    total_branches = 0
+    sweep = _Sweep(budget)
     for (x, y) in P.input_pairs():
-        carrier = epr_pairs([("R", "Q")])
-        branches = P.run(x, y, carrier, "Q")
-        n = _branch_count(branches)
-        total_branches += n
-        if total_branches > budget:
-            raise BudgetError(f"branch count {total_branches} exceeds {budget}")
-        max_branches = max(max_branches, n)
-        fx = P.f.eval(x, y)
-        cache = {}
-        if fx == 1:
-            out = P.out_reg(x, y)
-            rho = np.zeros((4, 4), dtype=complex)
-            for b in branches:
-                rec = P.recover(x, y, b.transcript, b.state)
-                rho += b.prob * _cached_ptrace(cache, rec, ("R", out))
-            F = fidelity(rho, PHI_PLUS_DM)
-            per_input[(x, y)] = {"f": 1, "fidelity": F, "branches": n}
-            if 1 - F > worst_inf:
-                worst_inf = 1 - F
-                witnesses["infidelity"] = (x, y)
+        branches, n = sweep.run(P.run, x, y, epr_pairs([("R", "Q")]), "Q")
+        if P.f.eval(x, y) == 1:
+            F = _choi_fidelity(branches,
+                               lambda b: P.recover(x, y, b.transcript, b.state),
+                               P.out_reg(x, y))
+            sweep.record((x, y), {"f": 1, "fidelity": F, "branches": n},
+                         "infidelity", 1 - F)
         else:
-            msg = tuple(P.msg_regs(x, y))
-            blocks = {}
-            for b in branches:
-                _add_block(blocks, b.transcript, b.prob,
-                           _cached_ptrace(cache, b.state, ("R",) + msg))
+            blocks = _view_blocks(branches, ("R",) + tuple(P.msg_regs(x, y)))
             gap = _block_gap(blocks, d_ref=2)
-            per_input[(x, y)] = {"f": 0, "gap": gap, "branches": n}
-            if gap > worst_gap:
-                worst_gap = gap
-                witnesses["gap"] = (x, y)
-    return QVerificationReport("cdqs", worst_inf, worst_gap, per_input,
-                               max_branches, True, dict(P.resources), witnesses)
+            sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap)
+    return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
 
 def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
@@ -269,94 +283,45 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
     reconstruct by local decoding are swept over the six Pauli eigenstates
     plus seeded random qubits, keeping the worst fidelity.
     """
-    per_input = {}
-    worst_inf = 0.0
-    max_branches = 0
-    consistent = True
-    witnesses = {}
-    total_branches = 0
-    sweep = [vec for (_, vec) in PAULI_EIGENSTATES]
-    sweep += [random_qubit(seed).vec for seed in sweep_seeds]
+    sweep = _Sweep(budget)
+    secrets = [vec for (_, vec) in PAULI_EIGENSTATES]
+    secrets += [random_qubit(seed).vec for seed in sweep_seeds]
     for (x, y) in P.input_pairs():
         fx = P.f.eval(x, y)
         side, reg = P.exit_info(x, y)
         if (side == RIGHT) != (fx == 1):
-            consistent = False
-            witnesses["side"] = (x, y)
+            sweep.witnesses["side"] = (x, y)
         if reg is not None:
-            carrier = epr_pairs([("R", "Q")])
-            branches = P.run(x, y, carrier, "Q")
-            n = _branch_count(branches)
-            total_branches += n
-            if total_branches > budget:
-                raise BudgetError(f"branch count {total_branches} exceeds {budget}")
-            max_branches = max(max_branches, n)
-            cache = {}
-            rho = np.zeros((4, 4), dtype=complex)
-            for b in branches:
-                fixed = b.state.apply(P.correction(x, y, b.transcript), [reg])
-                rho += b.prob * _cached_ptrace(cache, fixed, ("R", reg))
-            F = fidelity(rho, PHI_PLUS_DM)
-            per_input[(x, y)] = {"f": fx, "side": side, "fidelity": F,
-                                 "branches": n}
+            branches, n = sweep.run(P.run, x, y, epr_pairs([("R", "Q")]), "Q")
+            F = _choi_fidelity(
+                branches,
+                lambda b: b.state.apply(P.correction(x, y, b.transcript), [reg]),
+                reg)
         else:
             if P.left_fidelity is None:
                 raise ValidationError("no register and no local reconstruction")
-            F = min(P.left_fidelity(x, y, vec) for vec in sweep)
-            per_input[(x, y)] = {"f": fx, "side": side, "fidelity": F,
-                                 "branches": 0}
-        if 1 - F > worst_inf:
-            worst_inf = 1 - F
-            witnesses["infidelity"] = (x, y)
-    return QVerificationReport("frouting", worst_inf, 0.0, per_input,
-                               max_branches, consistent, dict(P.resources),
-                               witnesses)
+            F = min(P.left_fidelity(x, y, vec) for vec in secrets)
+            n = 0
+        sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
+                     "infidelity", 1 - F)
+    return sweep.report("frouting", "infidelity", None, P.resources,
+                        consistent="side" not in sweep.witnesses)
 
 
 def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerificationReport:
     """Decode accuracy on every input; view distance across equal-value inputs."""
-    pairs = P.input_pairs()
+    sweep = _Sweep(budget)
     views = {}
-    per_input = {}
-    worst_eps = 0.0
-    max_branches = 0
-    witnesses = {}
-    total_branches = 0
-    for (x, y) in pairs:
-        branches = P.run(x, y)
-        n = _branch_count(branches)
-        total_branches += n
-        if total_branches > budget:
-            raise BudgetError(f"branch count {total_branches} exceeds {budget}")
-        max_branches = max(max_branches, n)
+    for (x, y) in P.input_pairs():
+        branches, n = sweep.run(P.run, x, y)
         fx = P.f.eval(x, y)
-        fail = 0.0
-        blocks = {}
-        cache = {}
-        for b in branches:
-            if P.decode(b.transcript) != fx:
-                fail += b.prob
-            if P.quantum_regs and b.state is not None:
-                mat = _cached_ptrace(cache, b.state, tuple(P.quantum_regs))
-            else:
-                mat = np.array([[1.0 + 0j]])
-            _add_block(blocks, b.transcript, b.prob, mat)
-        views[(x, y)] = blocks
-        per_input[(x, y)] = {"f": fx, "decode_error": fail, "branches": n}
-        if fail > worst_eps:
-            worst_eps = fail
-            witnesses["decode"] = (x, y)
-    worst_gap = 0.0
-    for i, a in enumerate(pairs):
-        for b in pairs[i + 1:]:
-            if P.f.eval(*a) != P.f.eval(*b):
-                continue
-            d = _block_distance(views[a], views[b])
-            if d > worst_gap:
-                worst_gap = d
-                witnesses["view"] = (a, b)
-    return QVerificationReport("psqm", worst_eps, worst_gap, per_input,
-                               max_branches, True, dict(P.resources), witnesses)
+        fail = sum((b.prob for b in branches if P.decode(b.transcript) != fx), 0.0)
+        views[(x, y)] = _view_blocks(branches, P.quantum_regs or None)
+        sweep.record((x, y), {"f": fx, "decode_error": fail, "branches": n},
+                     "decode", fail)
+    sweep.worse("view", *_worst_pair(views, _block_distance, 0.0,
+                                     lambda a, b: P.f.eval(*a) == P.f.eval(*b)))
+    return sweep.report("psqm", "decode", "view", P.resources)
 
 
 def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
@@ -377,24 +342,12 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
         if P.f.eval(x, y) != 0:
             continue
         msg = tuple(P.msg_regs(x, y))
-        blocks_by_state = []
-        for name, st in states:
-            cache = {}
-            blocks = {}
-            for b in P.run(x, y, st, "Q"):
-                _add_block(blocks, b.transcript, b.prob,
-                           _cached_ptrace(cache, b.state, msg))
-            blocks_by_state.append((name, blocks))
-        local = 0.0
-        for i in range(len(blocks_by_state)):
-            for j in range(i + 1, len(blocks_by_state)):
-                d = _block_distance(blocks_by_state[i][1], blocks_by_state[j][1])
-                if d > local:
-                    local = d
-                    if d > worst:
-                        worst = d
-                        witness = (x, y, blocks_by_state[i][0], blocks_by_state[j][0])
+        views = {name: _view_blocks(P.run(x, y, st, "Q"), msg) for name, st in states}
+        local, names = _worst_pair(views, _block_distance, 0.0)
         per_input[(x, y)] = local
+        if local > worst:
+            worst = local
+            witness = (x, y) + names
     return {"worst": worst, "per_input": per_input, "witness": witness,
             "n_states": len(states)}
 
@@ -409,11 +362,9 @@ def pauli_frame(outcomes) -> np.ndarray:
     act on the already-twisted state, so the net twist is the ordered product
     and the correction is its adjoint.
     """
-    net = np.eye(2, dtype=complex)
+    net = I2
     for (a, b) in outcomes:
-        step = np.linalg.matrix_power(np.array([[0, 1], [1, 0]], complex), a)
-        stepz = np.linalg.matrix_power(np.diag([1, -1]).astype(complex), b)
-        net = (step @ stepz) @ net
+        net = ((X if a else I2) @ (Z if b else I2)) @ net
     return net.conj().T
 
 
@@ -480,11 +431,29 @@ def _pad_run(classes_of: Callable) -> Callable:
     return run
 
 
+def _inverse_pad(s) -> np.ndarray:
+    """Inverse of pad key s; the identity when s is a failed decode."""
+    return phased_pad(*s).conj().T if s in KEYS else I2
+
+
 def _unpad(state: PureState, s) -> PureState:
     """Undo pad key s on register "Q"; a failed decode passes the state through."""
-    if s not in KEYS:
-        return state
-    return state.apply(phased_pad(*s).conj().T, ["Q"])
+    return state if s not in KEYS else state.apply(_inverse_pad(s), ["Q"])
+
+
+def _pad_cdqs(f: BoolFn, classes_of: Callable, key_of: Callable, domain,
+              resources: dict, meta: dict, key_cds=None) -> CdqsProtocol:
+    """Pad-and-disclose CDQS: the referee gets the padded "Q" and the transcript.
+
+    ``classes_of(x, y)`` gives the transcript classes keyed by pad key, and
+    ``key_of(x, y, transcript)`` decodes the key that recovery unpads.
+    """
+    def recover(x, y, transcript, state):
+        return _unpad(state, key_of(x, y, transcript))
+
+    return CdqsProtocol(f, _pad_run(classes_of), lambda x, y: ("Q",), recover,
+                        lambda x, y: "Q", key_cds=key_cds, domain=domain,
+                        resources=resources, meta=meta)
 
 
 def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
@@ -499,23 +468,16 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
         raise ValidationError("need a single-bit CDS")
     K = cds_parallel(C, 2)
 
-    def msg_regs(x, y):
-        return ("Q",)
-
-    def recover(x, y, transcript, state):
+    def key_of(x, y, transcript):
         m0, m1 = transcript
-        return _unpad(state, K.decode(m0, x, m1, y))
-
-    def out_reg(x, y):
-        return "Q"
+        return K.decode(m0, x, m1, y)
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1,
                  "cds_randomness_states": len(K.shared)}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
             "parameters": {"cds": C.meta}}
-    return CdqsProtocol(C.f, _pad_run(K.meta["message_classes"]), msg_regs, recover,
-                        out_reg, key_cds=K, domain=C.domain, resources=resources,
-                        meta=meta)
+    return _pad_cdqs(C.f, K.meta["message_classes"], key_of, C.domain, resources,
+                     meta, key_cds=K)
 
 
 def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
@@ -601,10 +563,7 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
 
     def correction(x, y, transcript):
         m0, m1 = transcript
-        s = K.decode(m0, x, m1, y)
-        if s not in KEYS:
-            return np.eye(2, dtype=complex)
-        return phased_pad(*s).conj().T
+        return _inverse_pad(K.decode(m0, x, m1, y))
 
     def holdings(x, y):
         return {"left": (), "right": ("Q",)}
@@ -633,9 +592,6 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
         raise ValidationError("router must expose per-side register holdings")
     f = R.f
 
-    def run(x, y, carrier, q_reg):
-        return R.run(x, y, carrier, q_reg)
-
     def msg_regs(x, y):
         return tuple(R.holdings(x, y)["right"])
 
@@ -652,7 +608,7 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
     resources = dict(R.resources)
     meta = {"kind": "cdqs", "compiler": "cdqs_from_frouting",
             "parameters": {"frouting": R.meta}}
-    return CdqsProtocol(f, run, msg_regs, recover, out_reg, domain=R.domain,
+    return CdqsProtocol(f, R.run, msg_regs, recover, out_reg, domain=R.domain,
                         resources=resources, meta=meta)
 
 
@@ -708,18 +664,11 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
             class_cache[(x, y)] = got
         return got
 
-    def msg_regs(x, y):
-        return ("Q",)
-
-    def recover(x, y, transcript, state):
+    def key_of(x, y, transcript):
         t1, t2 = transcript
-        return _unpad(state, (P.decode(t1), P.decode(t2)))
-
-    def out_reg(x, y):
-        return "Q"
+        return (P.decode(t1), P.decode(t2))
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_psqm",
             "parameters": {"psqm": P.meta, "substitute": [x_star, y_star]}}
-    return CdqsProtocol(f, _pad_run(classes_for), msg_regs, recover, out_reg,
-                        domain=P.domain, resources=resources, meta=meta)
+    return _pad_cdqs(f, classes_for, key_of, P.domain, resources, meta)

@@ -75,8 +75,15 @@ class VerificationReport:
         }
 
 
+class InputDomain:
+    """``input_pairs`` of a protocol with fields ``f`` and ``domain``."""
+
+    def input_pairs(self):
+        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
+
+
 @dataclass
-class CdsProtocol:
+class CdsProtocol(InputDomain):
     """Conditional disclosure of a secret held by Alice.
 
     Alice sends ``alice_msg(x, s, r, ra)``, Bob sends ``bob_msg(y, r, rb)``;
@@ -96,12 +103,9 @@ class CdsProtocol:
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
-
 
 @dataclass
-class PsmProtocol:
+class PsmProtocol(InputDomain):
     """Private simultaneous messages: the referee learns f(x, y) and nothing else."""
 
     f: BoolFn
@@ -115,12 +119,9 @@ class PsmProtocol:
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
-
 
 @dataclass
-class Dre:
+class Dre(InputDomain):
     """Decomposable randomized encoding: per-side encoders plus a decoder.
 
     The pair (enc_x(x, r), enc_y(y, r)) must determine f(x, y) and its
@@ -136,9 +137,6 @@ class Dre:
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
-
 
 # -- verifiers ---------------------------------------------------------------
 
@@ -153,14 +151,19 @@ def _l1(hist_a, hist_b, denom) -> Fraction:
     return Fraction(sum(abs(hist_a.get(k, 0) - hist_b.get(k, 0)) for k in keys), denom)
 
 
-def _worst_l1(hists: dict, denom, alike) -> tuple:
-    """(largest L1 distance, first key pair reaching it) over pairs ``alike`` accepts."""
-    keys = list(hists)
-    worst, witness = Fraction(0), None
+def _worst_pair(values: dict, distance: Callable, zero,
+                alike=lambda a, b: True) -> tuple:
+    """(largest ``distance`` between two values, first key pair reaching it).
+
+    Key pairs come in order, each once, restricted to those ``alike``
+    accepts; the witness stays None unless some distance exceeds ``zero``.
+    """
+    keys = list(values)
+    worst, witness = zero, None
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
             if alike(a, b):
-                d = _l1(hists[a], hists[b], denom)
+                d = distance(values[a], values[b])
                 if d > worst:
                     worst, witness = d, (a, b)
     return worst, witness
@@ -230,7 +233,8 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
                 if frac > eps:
                     eps, eps_witness = frac, (x, y, s)
         else:
-            d, secret_pair = _worst_l1(hists, joint, lambda a, b: True)
+            d, secret_pair = _worst_pair(hists, lambda u, v: _l1(u, v, joint),
+                                         Fraction(0))
             if d > delta:
                 delta, delta_witness = d, (x, y) + secret_pair
 
@@ -262,7 +266,8 @@ def _sweep_psm(P: PsmProtocol, budget: int, what: str) -> tuple:
         frac = Fraction(fails, joint)
         if frac > eps:
             eps, eps_witness = frac, (x, y)
-    delta, delta_witness = _worst_l1(hists, joint, lambda a, b: values[a] == values[b])
+    delta, delta_witness = _worst_pair(hists, lambda u, v: _l1(u, v, joint),
+                                       Fraction(0), lambda a, b: values[a] == values[b])
     return eps, delta, _witnesses(eps_witness, delta_witness)
 
 
@@ -487,34 +492,23 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     """
     f = P.f
     pairs = P.input_pairs()
-    if all(f.eval(x, y) == 1 for (x, y) in pairs):
-        # nothing to hide: reveal on every input
+    values = {f.eval(x, y) for (x, y) in pairs}
+    if len(values) < 2:
+        # constant f (an empty domain counts as 1): Alice sends the secret in
+        # the clear when it may be revealed and nothing otherwise
+        reveal = values != {0}
+
         def alice_msg(x, s, r, ra=None):
-            return s
+            return s if reveal else ()
 
         def bob_msg(y, r, rb=None):
             return ()
 
         def decode(m0, x, m1, y):
-            return m0
+            return m0 if reveal else None
 
         meta = {"kind": "cds", "compiler": "cds_from_psm",
-                "parameters": {"constant": 1}}
-        return CdsProtocol(f, (0, 1), (None,), alice_msg, bob_msg, decode,
-                           domain=P.domain, resources={"randomness_bits": 0},
-                           meta=meta)
-    if all(f.eval(x, y) == 0 for (x, y) in pairs):
-        def alice_msg(x, s, r, ra=None):
-            return ()
-
-        def bob_msg(y, r, rb=None):
-            return ()
-
-        def decode(m0, x, m1, y):
-            return None
-
-        meta = {"kind": "cds", "compiler": "cds_from_psm",
-                "parameters": {"constant": 0}}
+                "parameters": {"constant": int(reveal)}}
         return CdsProtocol(f, (0, 1), (None,), alice_msg, bob_msg, decode,
                            domain=P.domain, resources={"randomness_bits": 0},
                            meta=meta)

@@ -30,6 +30,7 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def pauli_string(ops: str) -> np.ndarray:
@@ -57,6 +58,24 @@ U_BELL = np.column_stack([
     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     for k in range(4)
 ])
+
+# outcome (a, b) of a Bell measurement and the conjugate of its basis vector
+# (I x X^a Z^b)|epr>, so that a measured pair's amplitude is one product
+_BELL_BRAS = tuple(
+    ((a, b), (np.kron(I2, np.linalg.matrix_power(X, a) @
+                      np.linalg.matrix_power(Z, b)) @
+              np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)).conj())
+    for a, b in product((0, 1), repeat=2))
+
+
+def _offsets(regs) -> dict:
+    """Register name -> (first qubit, qubit count) in tensor order."""
+    out = {}
+    pos = 0
+    for name, k in regs:
+        out[name] = (pos, k)
+        pos += k
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,17 +130,9 @@ class PureState:
 
     # -- addressing ----------------------------------------------------------
 
-    def _offsets(self) -> dict:
-        out = {}
-        pos = 0
-        for name, k in self.regs:
-            out[name] = (pos, k)
-            pos += k
-        return out
-
     def qubits_of(self, target) -> list:
         """Expand a register name or (name, index) into global qubit axes."""
-        offs = self._offsets()
+        offs = _offsets(self.regs)
         if isinstance(target, tuple) and len(target) == 2 and isinstance(target[1], int):
             name, k = target
             pos, size = offs[name]
@@ -188,9 +199,7 @@ class PureState:
         registers are removed from the post state. ``bits`` is the integer
         read MSB-first across the given registers in the given order.
         """
-        axes = []
-        for nm in reg_names:
-            axes.extend(self.qubits_of(nm))
+        axes = self._axes(reg_names)
         k = len(axes)
         n = self.n_qubits
         T = np.moveaxis(self.vec.reshape((2,) * n), axes, range(k))
@@ -212,7 +221,7 @@ class PureState:
         the state is left as if X^a Z^b had hit the partner of a perfect EPR
         link, which is the teleportation correction convention used throughout.
         """
-        offs = self._offsets()
+        offs = _offsets(self.regs)
         if offs[reg_a][1] != 1 or offs[reg_b][1] != 1:
             raise ValidationError("bell_measure wants two 1-qubit registers")
         axes = self.qubits_of(reg_a) + self.qubits_of(reg_b)
@@ -221,15 +230,12 @@ class PureState:
         T = T.reshape(4, -1)
         keep_regs = tuple(r for r in self.regs if r[0] not in (reg_a, reg_b))
         out = []
-        for a, b in product((0, 1), repeat=2):
-            basis = (np.kron(I2, np.linalg.matrix_power(X, a) @
-                             np.linalg.matrix_power(Z, b)) @
-                     np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-            amp = basis.conj() @ T
+        for ab, bra in _BELL_BRAS:
+            amp = bra @ T
             p = float(np.vdot(amp, amp).real)
             if p <= tol:
                 continue
-            out.append(((a, b), p, PureState(keep_regs, amp / np.sqrt(p))))
+            out.append((ab, p, PureState(keep_regs, amp / np.sqrt(p))))
         return out
 
     # -- density views -----------------------------------------------------------
@@ -239,13 +245,11 @@ class PureState:
 
     def ptrace(self, keep: Sequence[str]) -> "DensityOp":
         """Reduced density operator on the named registers, in given order."""
-        axes = []
-        for nm in keep:
-            axes.extend(self.qubits_of(nm))
+        axes = self._axes(keep)
         n = self.n_qubits
         T = np.moveaxis(self.vec.reshape((2,) * n), axes, range(len(axes)))
         M = T.reshape(1 << len(axes), -1)
-        offs = self._offsets()
+        offs = _offsets(self.regs)
         regs = tuple((nm, offs[nm][1]) for nm in keep)
         return DensityOp(regs, M @ M.conj().T)
 
@@ -265,11 +269,7 @@ class DensityOp:
         n = sum(k for (_, k) in self.regs)
         keep_set = list(keep)
         axes = []
-        pos = 0
-        offs = {}
-        for name, k in self.regs:
-            offs[name] = (pos, k)
-            pos += k
+        offs = _offsets(self.regs)
         for nm in keep_set:
             p0, k = offs[nm]
             axes.extend(range(p0, p0 + k))
@@ -326,9 +326,8 @@ def trace_norm(mat: np.ndarray) -> float:
 def epr_pairs(pairs: Sequence) -> PureState:
     """Tensor product of EPR links, one per (left name, right name) pair."""
     state = None
-    phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     for (a, b) in pairs:
-        piece = PureState(((a, 1), (b, 1)), phi.copy())
+        piece = PureState(((a, 1), (b, 1)), PHI_PLUS.copy())
         state = piece if state is None else state.tensor(piece)
     if state is None:
         raise ValidationError("need at least one pair")

@@ -43,6 +43,8 @@ CASES = {
     "dre_psm_cds_cdqs_qr5": (["--chain", "dre,psm,cds,cdqs", "--fn", "qr",
                               "--p", "5"], "json"),
     "psm_cds_index": (["--chain", "psm,cds", "--fn", "index"], "json"),
+    "psm_cds_const0": (["--chain", "psm,cds", "--table", "1:1:0"], "json"),
+    "psm_cds_const1": (["--chain", "psm,cds", "--table", "1:1:f"], "json"),
     "psm_psqm_cdqs_and": (["--chain", "psm,psqm,cdqs", "--fn", "and"], "json"),
     "gh_frouting_cdqs": (["--chain", "gh,frouting,cdqs", "--fn", "and"], "json"),
     "gh_cds_cdqs_frouting": (["--chain", "gh,cds,cdqs,frouting", "--fn", "and"],
@@ -51,11 +53,13 @@ CASES = {
 
 
 # sweep case name -> sweep arguments; the 3-pipe cases freeze every search
-# result over the 256 functions of each shape
+# result over the 256 functions of each shape, and the 2-pipe 1+2 case leaves
+# most of them to the generic strategy
 SWEEPS = {
     "sweep": ["--nx", "1", "--ny", "1"],
     "sweep21": ["--nx", "2", "--ny", "1", "--max-pipes", "3"],
     "sweep12": ["--nx", "1", "--ny", "2", "--max-pipes", "3"],
+    "sweep12_m2": ["--nx", "1", "--ny", "2", "--max-pipes", "2"],
 }
 
 

@@ -235,3 +235,47 @@ def test_report_jsonable_shape():
                         "max_branches", "routing_consistent"}
     assert all("," in k for k in obj["per_input"])
     assert isinstance(obj["worst_gap"], float)
+
+
+def _qubit_psqm(message_qubit):
+    """XOR by one-time-padded bits plus a 1-qubit message register M.
+
+    ``message_qubit(x, y)`` gives M's amplitudes; a junk qubit J that the
+    referee never sees is entangled with M, so the view needs a partial trace.
+    """
+    def run(x, y):
+        a, b = message_qubit(x, y)
+        vec = np.array([a, 0, 0, b], dtype=complex)   # a|00> + b|11> on (M, J)
+        state = PureState((("M", 1), ("J", 1)), vec / np.linalg.norm(vec))
+        return [RunBranch(0.5, (x ^ r, y ^ r), state) for r in (0, 1)]
+
+    return PsqmProtocol(XOR1, run, lambda t: t[0] ^ t[1], quantum_regs=("M",))
+
+
+def test_verify_psqm_with_a_quantum_message_register():
+    honest = _qubit_psqm(lambda x, y: (1, 1) if x ^ y else (1, 2))
+    report = verify_psqm(honest)
+    assert report.worst_infidelity == 0
+    assert report.worst_gap <= 1e-12
+    assert all(info["branches"] == 2 for info in report.per_input.values())
+    # a decoder that reads Alice's padded bit alone is wrong half the time
+    wrong = PsqmProtocol(XOR1, honest.run, lambda t: t[0], quantum_regs=("M",))
+    assert verify_psqm(wrong).worst_infidelity == 0.5
+    # M now depends on x: diag(1, 0) against diag(1/2, 1/2) per transcript
+    leaky = _qubit_psqm(lambda x, y: (1, 0) if x == 0 else (1, 1))
+    report = verify_psqm(leaky)
+    assert report.worst_infidelity == 0
+    assert abs(report.worst_gap - 0.5) <= 1e-12
+    assert "view" in report.witnesses
+
+
+@pytest.mark.parametrize("f", [AND1, XOR1], ids=lambda f: f.name)
+def test_security_state_sweep_on_a_garden_hose_route(f):
+    R = frouting_from_gh(gh_search(f, 3), f)
+    C = cdqs_from_frouting(R)
+    assert security_state_sweep(C)["worst"] <= 1e-9
+    # hand the referee the register where the hidden qubit lands
+    leaky = CdqsProtocol(f, C.run,
+                         lambda x, y: C.msg_regs(x, y) + (R.exit_info(x, y)[1],),
+                         C.recover, C.out_reg)
+    assert security_state_sweep(leaky)["worst"] > 0.1

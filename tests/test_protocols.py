@@ -6,6 +6,7 @@ are known in closed form, so the sweep arithmetic itself is what gets checked.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -234,6 +235,12 @@ def test_cds_from_psm_constant_functions():
     Q = cds_from_psm(zeros)
     assert verify_cds(Q).perfect
     assert Q.decode(Q.alice_msg(0, 1, None), 0, Q.bob_msg(0, None), 0) is None
+    assert (P.meta["parameters"], Q.meta["parameters"]) == ({"constant": 1},
+                                                            {"constant": 0})
+    # an empty domain counts as constant 1
+    E = cds_from_psm(replace(zeros, domain=()))
+    assert E.meta["parameters"] == {"constant": 1}
+    assert E.alice_msg(0, 1, None) == 1 and E.input_pairs() == ()
 
 
 def test_cds_from_psm_substitute_validation():

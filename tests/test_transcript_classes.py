@@ -103,8 +103,8 @@ def _class_and_flat_psqm(psm):
 def _memo_unpad():
     """Unpad each (state, key) once, as the per-transcript code did.
 
-    Flat runs hold at most four distinct padded states, so this keeps the
-    reference's per-branch ptrace cache hitting.
+    Flat runs hold at most four distinct padded states, so this saves the
+    reference an unpad per branch.
     """
     unpad, memo = nlqc._unpad, {}
 
