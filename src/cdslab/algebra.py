@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .boolfn import is_prime
 from .errors import DomainError, ValidationError
@@ -31,6 +30,33 @@ def euler_qr(a: int, p: int) -> int:
 # -- linear span -------------------------------------------------------------
 
 
+def echelon(rows, p: int) -> tuple:
+    """Reduced row echelon form over Z_p (p prime) of equal-length ``rows``.
+
+    Returns (basis, pivots): the nonzero reduced rows, as tuples, and the
+    column of each one's leading 1; every other basis row is 0 there. Pivots
+    are taken column by column, each from the first unused row with a nonzero
+    entry, so the result depends only on ``rows`` and their order.
+    """
+    rows = [[v % p for v in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return [tuple(row) for row in rows[:len(pivots)]], pivots
+
+
 def in_span(rows, target, p: int):
     """Decide whether ``target`` lies in the row span of ``rows`` over Z_p.
 
@@ -50,30 +76,15 @@ def in_span(rows, target, p: int):
     for r in rows:
         if len(r) != e:
             raise ValidationError("row length mismatch")
-    # Solve A c = t where A's columns are the rows (A is e x d).
-    aug = [[rows[i][j] % p for i in range(d)] + [target[j] % p] for j in range(e)]
-    pivots = []  # (row index in aug, variable index)
-    rank_row = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank_row, e) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank_row], aug[pivot] = aug[pivot], aug[rank_row]
-        inv = pow(aug[rank_row][col], -1, p)
-        aug[rank_row] = [(v * inv) % p for v in aug[rank_row]]
-        for r in range(e):
-            if r != rank_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    # Inconsistent if a zero row has nonzero rhs.
-    for r in range(rank_row, e):
-        if aug[r][d] != 0:
-            return (False, None)
+    # Solve A c = t where A's columns are the rows (A is e x d): a pivot in
+    # the last column of [A | t] means a zero row of A with nonzero rhs.
+    aug = [[rows[i][j] for i in range(d)] + [target[j]] for j in range(e)]
+    basis, pivots = echelon(aug, p)
+    if pivots and pivots[-1] == d:
+        return (False, None)
     coeffs = [0] * d
-    for row_i, var_i in pivots:
-        coeffs[var_i] = aug[row_i][d]
+    for row, var in zip(basis, pivots):
+        coeffs[var] = row[d]
     # Free variables stay 0. Re-verify.
     for j in range(e):
         acc = 0
@@ -248,7 +259,7 @@ class LsssScheme:
     The sharing vector u is uniform over { u : <target, u> = s }; share i is
     <row_i, u>. A row subset reconstructs exactly when the target lies in its
     span, and is blind to the secret otherwise (the classic dichotomy, which
-    ``lsss_privacy_check`` verifies by enumeration rather than assuming).
+    ``lsss_privacy_check`` verifies by a rank test rather than assuming).
     """
 
     program: SpanProgram
@@ -315,17 +326,18 @@ def lsss_reconstruct(scheme: LsssScheme, subset, shares):
 def lsss_privacy_check(scheme: LsssScheme, subset) -> bool:
     """True iff the subset's joint share distribution is secret-independent.
 
-    Exact enumeration over all sharing vectors for each secret value.
+    Exact, without enumerating sharings: under secret s the subset's shares
+    are uniform on the coset v_s + W, where v_s are the shares of
+    ``vector_for(s, 0)`` and W is the span of the shares of the kernel
+    vectors ``vector_for(0, unit)``. These cosets of one subspace coincide
+    for every secret iff v_1 - v_0 = v_1 lies in W.
     """
-    p = scheme.p
     e = len(scheme.program.target)
-    dists = []
-    for secret in range(p):
-        hist = {}
-        for free in product(range(p), repeat=e - 1):
-            u = scheme.vector_for(secret, free)
-            shares = scheme.shares_from_vector(u)
-            key = tuple(shares[i] for i in subset)
-            hist[key] = hist.get(key, 0) + 1
-        dists.append(hist)
-    return all(d == dists[0] for d in dists[1:])
+
+    def view(secret, free):
+        shares = scheme.shares_from_vector(scheme.vector_for(secret, free))
+        return tuple(shares[i] for i in subset)
+
+    kernel = [view(0, [int(i == k) for i in range(e - 1)]) for k in range(e - 1)]
+    private, _ = in_span(kernel, view(1, [0] * (e - 1)), scheme.p)
+    return private

@@ -28,36 +28,41 @@ from .boolfn import BoolFn, literal_input, named_fn, all_functions
 from .errors import BudgetError, DomainError, ValidationError
 from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
                          gh_search)
-from .nlqc import (cdqs_from_cds, cdqs_from_frouting, cdqs_from_psqm,
-                   frouting_from_cdqs, frouting_from_gh, psqm_from_psm,
-                   verify_cdqs, verify_frouting, verify_psqm)
 from .protocols import (DEFAULT_BUDGET, VerificationReport, cds_from_gh,
                         cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
                         psm_generic_table, verify_cds, verify_dre, verify_psm)
 
 BASES = ("gh", "span", "dre", "psm")
 
-# Entries call compilers and verifiers through their module-level names, so
-# a wrapper installed on this module after import is what runs.
+
+def _nlqc():
+    """The quantum module, imported (with numpy) only by chains that need it."""
+    from . import nlqc
+    return nlqc
+
+
+# Entries call compilers and verifiers through their module-level names (the
+# quantum ones through the ``nlqc`` module, looked up at call time), so a
+# wrapper installed on either module after import is what runs.
 COMPILE = {  # (from, to) -> compile(obj, f, opts)
     ("gh", "cds"): lambda obj, f, opts: cds_from_gh(obj, f),
-    ("gh", "frouting"): lambda obj, f, opts: frouting_from_gh(obj, f),
+    ("gh", "frouting"): lambda obj, f, opts: _nlqc().frouting_from_gh(obj, f),
     ("span", "cds"): lambda obj, f, opts: cds_from_span(obj, f, variant=opts["variant"]),
     ("dre", "psm"): lambda obj, f, opts: psm_from_dre(obj),
     ("psm", "cds"): lambda obj, f, opts: cds_from_psm(obj),
-    ("psm", "psqm"): lambda obj, f, opts: psqm_from_psm(obj),
-    ("cds", "cdqs"): lambda obj, f, opts: cdqs_from_cds(obj),
-    ("cdqs", "frouting"): lambda obj, f, opts: frouting_from_cdqs(obj),
-    ("frouting", "cdqs"): lambda obj, f, opts: cdqs_from_frouting(obj),
-    ("psqm", "cdqs"): lambda obj, f, opts: cdqs_from_psqm(obj),
+    ("psm", "psqm"): lambda obj, f, opts: _nlqc().psqm_from_psm(obj),
+    ("cds", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_cds(obj),
+    ("cdqs", "frouting"): lambda obj, f, opts: _nlqc().frouting_from_cdqs(obj),
+    ("frouting", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_frouting(obj),
+    ("psqm", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_psqm(obj),
 }
 VERIFY = {  # kind -> verify(obj, budget)
     "cds": lambda obj, budget: verify_cds(obj, budget=budget),
     "psm": lambda obj, budget: verify_psm(obj, budget=budget),
     "dre": lambda obj, budget: verify_dre(obj, budget=budget),
-    "cdqs": lambda obj, budget: verify_cdqs(obj, budget=budget),
-    "frouting": lambda obj, budget: verify_frouting(obj, budget=budget),
-    "psqm": lambda obj, budget: verify_psqm(obj, budget=budget),
+    "cdqs": lambda obj, budget: _nlqc().verify_cdqs(obj, budget=budget),
+    "frouting": lambda obj, budget: _nlqc().verify_frouting(obj, budget=budget),
+    "psqm": lambda obj, budget: _nlqc().verify_psqm(obj, budget=budget),
 }
 
 DESCRIPTOR_FORMAT = "cdslab-descriptor"

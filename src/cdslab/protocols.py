@@ -3,7 +3,8 @@
 Protocols are concrete message functions over finite, fully enumerable
 randomness spaces. Verifiers never sample: correctness error and secrecy
 leakage come out as exact rationals from sweeping every input, secret, and
-randomness value.
+randomness value, or every coset of messages that randomness entering
+linearly fills.
 
 Conventions shared by every protocol type here:
 
@@ -12,6 +13,11 @@ Conventions shared by every protocol type here:
   ``None``). Only the shared space counts as randomness complexity.
 * messages must be hashable so message distributions can be histogrammed.
 * ``domain`` optionally restricts the verified input pairs; None means all.
+* ``meta["linear"]``, when present, is a ``LinearPart``: the messages are
+  affine over Z_p in part of the randomness. The verifiers then count one
+  coset of messages at a time (``coset_hist``) instead of enumerating that
+  part; ``message_hist`` stays the reference and the path of every other
+  protocol. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre`` declare it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, NamedTuple, Optional
 
-from .algebra import LsssScheme, SpanProgram, euler_qr, in_span
+from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, in_span
 from .boolfn import BoolFn, literal_input, named_fn, qr_join, qr_split_inputs
 from .errors import BudgetError, DomainError, ValidationError
 from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
@@ -80,6 +86,29 @@ class InputDomain:
 
     def input_pairs(self):
         return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
+
+
+class LazySpace:
+    """A randomness space of ``size`` elements made on demand.
+
+    ``element(i)`` is element i and ``iterate()`` yields them all in index
+    order, so ``len``, indexing and iteration work as on the tuple it stands
+    for without building it.
+    """
+
+    def __init__(self, size: int, element: Callable, iterate: Callable):
+        self.size, self.element, self.iterate = size, element, iterate
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return self.iterate()
+
+    def __getitem__(self, i: int):
+        if not -self.size <= i < self.size:
+            raise IndexError("randomness index out of range")
+        return self.element(i % self.size)
 
 
 @dataclass
@@ -141,9 +170,9 @@ class Dre(InputDomain):
 # -- verifiers ---------------------------------------------------------------
 
 
-def _check_budget(total, budget, what):
+def _check_budget(total, budget, what, unit="joint states"):
     if total > budget:
-        raise BudgetError(f"{what}: {total} joint states exceed budget {budget}")
+        raise BudgetError(f"{what}: {total} {unit} exceed budget {budget}")
 
 
 def _l1(hist_a, hist_b, denom) -> Fraction:
@@ -203,44 +232,217 @@ def message_hist(P, x, y, *secret) -> dict:
     return hist
 
 
+# -- coset histograms --------------------------------------------------------
+
+
+class LinearPart(NamedTuple):
+    """A protocol's declaration that its messages are affine in rho over Z_p.
+
+    ``embed(nu, rho)`` gives the protocol's own (r, ra, rb) for a value
+    ``nu`` of the nonlinear randomness and a vector ``rho`` in Z_p^ell; over
+    ``nus`` x Z_p^ell it must hit every element of ``shared x alice_private x
+    bob_private`` once. For fixed nu the message pair must be affine in rho:
+    its int leaves in range(p) are its coordinates, and its other leaves,
+    with the tuple structure, are its skeleton. The decoder must give one
+    value on each coset the messages of one nu fill, as a linear
+    reconstruction does.
+    """
+
+    p: int
+    nus: tuple
+    ell: int
+    embed: Callable
+
+
+class Coset(NamedTuple):
+    """Messages b + V of one skeleton, keyed by a canonical member.
+
+    ``(m0, m1)`` is the member whose coordinates are b reduced by the
+    echelon ``basis`` of V, so two cosets with one basis are equal exactly
+    when their members are. Indexing gives m0 and m1 as for a message pair.
+    """
+
+    m0: object
+    m1: object
+    skeleton: tuple
+    basis: tuple
+
+
+_SLOT = object()   # a coordinate's place in a skeleton
+
+
+def _split(m, p: int, values: list):
+    """Skeleton of message ``m``; its coordinates are appended to ``values``."""
+    if isinstance(m, tuple):
+        return tuple(_split(v, p, values) for v in m)
+    if isinstance(m, int) and 0 <= m < p:
+        values.append(m)
+        return _SLOT
+    return m
+
+
+def _fill(skeleton, values):
+    """The message of ``skeleton`` with coordinates taken from iterator ``values``."""
+    if skeleton is _SLOT:
+        return next(values)
+    if isinstance(skeleton, tuple):
+        return tuple(_fill(s, values) for s in skeleton)
+    return skeleton
+
+
+def _reduce(vec, basis, pivots, p: int) -> tuple:
+    """Canonical member of vec + span(basis): zero in every pivot column."""
+    vec = list(vec)
+    for row, col in zip(basis, pivots):
+        c = vec[col]
+        if c:
+            vec = [(v - c * w) % p for v, w in zip(vec, row)]
+    return tuple(vec)
+
+
+def coset_hist(P, x, y, *secret) -> dict:
+    """Exact counts of P's message pair on (x, y), one entry per coset.
+
+    P declares ``meta["linear"]``, a ``LinearPart``. For each nonlinear value
+    nu the pair is b + A rho, so as rho runs over Z_p^ell it is uniform on
+    the coset b + V, V the column space of A. P's own callables at rho = 0
+    and at the ell unit vectors give b and A; each nu then adds p^ell to its
+    coset's ``Coset`` key. Counts sum to the joint randomness, as in
+    ``message_hist``, and each coset holds count / p^dim(V) of every one of
+    its messages. Cosets of one basis are equal or disjoint, so L1 distances
+    between such histograms equal those between message histograms.
+    """
+    lin = P.meta["linear"]
+    p, ell = lin.p, lin.ell
+    # rho = 0, then the unit vectors
+    points = [tuple(int(i == k) for i in range(ell)) for k in range(-1, ell)]
+    hist = {}
+    for nu in lin.nus:
+        layouts = []
+        for rho in points:
+            r, ra, rb = lin.embed(nu, rho)
+            values = []
+            m = (P.alice_msg(x, *secret, r, ra), P.bob_msg(y, r, rb))
+            layouts.append((_split(m, p, values), values))
+        skeleton, b = layouts[0]
+        if any(s != skeleton for s, _ in layouts[1:]):
+            raise ValidationError("message skeleton moves with the linear randomness")
+        basis, pivots = echelon([[v - w for v, w in zip(values, b)]
+                                 for _, values in layouts[1:]], p)
+        m0, m1 = _fill(skeleton, iter(_reduce(b, basis, pivots, p)))
+        key = Coset(m0, m1, skeleton, tuple(basis))
+        hist[key] = hist.get(key, 0) + p ** ell
+    return hist
+
+
+def _same_spaces(hists) -> None:
+    """Refuse compared coset histograms where one skeleton has two subspaces.
+
+    Cosets of different subspaces may overlap without being equal, so their
+    keys no longer tell equal messages from different ones.
+    """
+    spaces = {}
+    for hist in hists:
+        for c in hist:
+            if spaces.setdefault(c.skeleton, c.basis) != c.basis:
+                raise ValidationError("compared messages share a skeleton but "
+                                      "not a subspace; no exact distance")
+
+
+def _coset_alphabet(cosets, p: int, side: int) -> int:
+    """Distinct messages of one party (0 Alice, 1 Bob) over ``cosets``.
+
+    Each coset projects to a coset of that party's coordinates, of size p^dim.
+    Distinct projections of one basis are disjoint; projections of one
+    skeleton but different bases must be shown disjoint by rank, else this
+    raises rather than count an overlap twice.
+    """
+    found = set()
+    for c in cosets:
+        values = ([], [])
+        skeletons = (_split(c.m0, p, values[0]), _split(c.m1, p, values[1]))
+        lo = len(values[0]) if side else 0
+        basis, pivots = echelon([row[lo:lo + len(values[side])] for row in c.basis], p)
+        found.add((skeletons[side], tuple(basis), _reduce(values[side], basis, pivots, p)))
+    keys = list(found)
+    for i, (skel, basis, rep) in enumerate(keys):
+        for other, obasis, orep in keys[i + 1:]:
+            if other == skel and obasis != basis:
+                joint, pivots = echelon(list(basis) + list(obasis), p)
+                diff = [a - b for a, b in zip(rep, orep)]
+                if not any(_reduce(diff, joint, pivots, p)):
+                    raise ValidationError("message cosets of different subspaces "
+                                          "overlap; no exact alphabet")
+    return sum(p ** len(basis) for (_, basis, _) in keys)
+
+
+def _sweep_kernel(P, cases: int, budget: int, what: str) -> tuple:
+    """(histogram function, joint randomness) for ``cases`` histograms of P.
+
+    A protocol declaring ``meta["linear"]`` is swept by ``coset_hist`` and
+    charged one message evaluation per (case, nu, rho in {0, units}); any
+    other by ``message_hist``, charged every joint randomness state. Both
+    are checked against ``budget`` before anything runs.
+    """
+    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
+    lin = P.meta.get("linear")
+    if lin is None:
+        _check_budget(joint * cases, budget, what)
+        return message_hist, joint
+    if len(lin.nus) * lin.p ** lin.ell != joint:
+        raise ValidationError(f"{what}: declared linear randomness does not "
+                              "cover the randomness space")
+    _check_budget(cases * len(lin.nus) * (lin.ell + 1), budget, what,
+                  "message evaluations")
+    return coset_hist, joint
+
+
 def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Sweep all (x, y, s, randomness); exact worst-case error and leakage.
 
-    Decoding is deterministic, so it runs once per distinct message pair and
-    counts with that pair's multiplicity.
+    Decoding is deterministic, so it runs once per distinct message pair (per
+    coset, for a protocol with a ``LinearPart``) and counts with its
+    multiplicity. Message alphabets are counted exactly on either path.
     """
     pairs = P.input_pairs()
-    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
-    _check_budget(joint * len(P.secrets) * max(1, len(pairs)), budget, "verify_cds")
+    hist_of, joint = _sweep_kernel(P, len(P.secrets) * max(1, len(pairs)),
+                                   budget, "verify_cds")
+    linear = hist_of is coset_hist
 
     eps = Fraction(0)
     eps_witness = None
     delta = Fraction(0)
     delta_witness = None
-    m0_alphabet = set()
-    m1_alphabet = set()
+    alphabets = (set(), set())
+    cosets = set()
 
     for (x, y) in pairs:
-        hists = {s: message_hist(P, x, y, s) for s in P.secrets}
+        hists = {s: hist_of(P, x, y, s) for s in P.secrets}
         for hist in hists.values():
-            m0_alphabet.update(m0 for (m0, _) in hist)
-            m1_alphabet.update(m1 for (_, m1) in hist)
+            if linear:
+                cosets.update(hist)
+            else:
+                alphabets[0].update(m0 for (m0, _) in hist)
+                alphabets[1].update(m1 for (_, m1) in hist)
         if P.f.eval(x, y) == 1:
             for s, hist in hists.items():
-                fails = sum(c for (m0, m1), c in hist.items()
-                            if P.decode(m0, x, m1, y) != s)
+                fails = sum(c for m, c in hist.items()
+                            if P.decode(m[0], x, m[1], y) != s)
                 frac = Fraction(fails, joint)
                 if frac > eps:
                     eps, eps_witness = frac, (x, y, s)
         else:
+            if linear:
+                _same_spaces(hists.values())
             d, secret_pair = _worst_pair(hists, lambda u, v: _l1(u, v, joint),
                                          Fraction(0))
             if d > delta:
                 delta, delta_witness = d, (x, y) + secret_pair
 
     resources = _randomness(P)
-    resources["alice_message_alphabet"] = len(m0_alphabet)
-    resources["bob_message_alphabet"] = len(m1_alphabet)
+    for side, name in enumerate(("alice_message_alphabet", "bob_message_alphabet")):
+        resources[name] = (_coset_alphabet(cosets, P.meta["linear"].p, side) if linear
+                           else len(alphabets[side]))
     return VerificationReport("cds", eps, delta, resources,
                               _witnesses(eps_witness, delta_witness))
 
@@ -249,11 +451,12 @@ def _sweep_psm(P: PsmProtocol, budget: int, what: str) -> tuple:
     """(eps, delta, witnesses) of a PSM.
 
     Decode error over all inputs; histogram L1 distance over equal-value
-    input pairs. ``what`` names the caller in budget errors.
+    input pairs. A protocol with a ``LinearPart`` is swept by coset, with one
+    decode per coset, else by message. ``what`` names the caller in budget
+    errors.
     """
     pairs = P.input_pairs()
-    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
-    _check_budget(joint * max(1, len(pairs)), budget, what)
+    hist_of, joint = _sweep_kernel(P, max(1, len(pairs)), budget, what)
 
     eps = Fraction(0)
     eps_witness = None
@@ -261,11 +464,14 @@ def _sweep_psm(P: PsmProtocol, budget: int, what: str) -> tuple:
     hists = {}
     for (x, y) in pairs:
         fx = values[(x, y)] = P.f.eval(x, y)
-        hist = hists[(x, y)] = message_hist(P, x, y)
-        fails = sum(c for (m0, m1), c in hist.items() if P.decode(m0, m1) != fx)
+        hist = hists[(x, y)] = hist_of(P, x, y)
+        fails = sum(c for m, c in hist.items() if P.decode(m[0], m[1]) != fx)
         frac = Fraction(fails, joint)
         if frac > eps:
             eps, eps_witness = frac, (x, y)
+    if hist_of is coset_hist:
+        for v in set(values.values()):
+            _same_spaces(h for xy, h in hists.items() if values[xy] == v)
     delta, delta_witness = _worst_pair(hists, lambda u, v: _l1(u, v, joint),
                                        Fraction(0), lambda a, b: values[a] == values[b])
     return eps, delta, _witnesses(eps_witness, delta_witness)
@@ -369,6 +575,10 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     ``rand``: Alice shares the secret herself with private coins and sends all
     of Bob's rows masked; shared randomness pays only for the masks, one per
     Bob row. Bob reveals the masks his bits entitle him to.
+
+    Both variants are linear CDS schemes: the messages are affine over Z_p in
+    all of the randomness (u, or the masks then the free coordinates), which
+    ``meta["linear"]`` declares with no nonlinear part.
     """
     if program.n_vars != f.n_x + f.n_y:
         raise ValidationError("span program variable count must match f's input bits")
@@ -432,6 +642,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
         }
         alice_private = (None,)
         bob_private = (None,)
+        linear = LinearPart(p, (None,), e, lambda nu, rho: (rho, None, None))
     else:
         n_masks = len(bob_rows)
         shared = tuple(product(range(p), repeat=n_masks))
@@ -467,12 +678,15 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
             "bound_randomness_le_share_total": n_masks * elem_bits <= d * elem_bits,
             "alice_private_states": p ** (e - 1),
         }
+        linear = LinearPart(p, (None,), n_masks + e - 1,
+                            lambda nu, rho: (rho[:n_masks], rho[n_masks:], None))
 
     resources["field"] = p
     resources["program_rows"] = d
     meta = {"kind": "cds", "compiler": "cds_from_span",
             "parameters": {"program": program.to_json(), "f": f.to_json(),
-                           "variant": variant}}
+                           "variant": variant},
+            "linear": linear}
     return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
                        alice_private=alice_private, bob_private=bob_private,
                        resources=resources, meta=meta)
@@ -667,7 +881,11 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
 
 
 def psm_from_dre(D: Dre) -> PsmProtocol:
-    """A DRE is already a PSM: send the two encoding halves as the messages."""
+    """A DRE is already a PSM: send the two encoding halves as the messages.
+
+    The PSM keeps the DRE's ``meta["linear"]``: its randomness is the DRE's,
+    passed as r with no private coins.
+    """
     return _dre_as_psm(D)
 
 
@@ -685,6 +903,8 @@ def _dre_as_psm(D: Dre) -> PsmProtocol:
         return D.decode(m0, m1)
 
     meta = {"kind": "psm", "compiler": "psm_from_dre", "parameters": {"dre": D.meta}}
+    if "linear" in D.meta:
+        meta["linear"] = D.meta["linear"]
     return PsmProtocol(D.f, D.shared, alice_msg, bob_msg, decode,
                        domain=D.domain, resources=dict(D.resources), meta=meta)
 
@@ -741,18 +961,35 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     The y_i sum telescopes to r^2 * a, whose residuosity equals a's; the
     random square factor and additive shares hide everything else. Inputs are
     restricted to a in Z_p^* (nonzero, below p): 0 has no residue class.
+
+    ``shared`` lists (r, s) lazily, r-major with the n - 1 free shares in
+    ``product`` order. For fixed r the encoding is affine in the free shares,
+    which ``meta["linear"]`` declares (r nonlinear, the free shares linear):
+    it fills the coset of the hyperplane sum(y) = r^2 * a, so the verifiers
+    count (p - 1) / 2 cosets per input instead of (p - 1) * p^(n-1) values.
     """
     f = named_fn("qr", p=p, alice_positions=alice_positions, n_bits=n_bits)
     n = f.params["n_bits"]
     alice_pos = tuple(sorted(f.params["alice_positions"]))
     bob_pos = tuple(i for i in range(1, n + 1) if i not in alice_pos)
 
-    shared = []
-    for r in range(1, p):
-        for free in product(range(p), repeat=n - 1):
-            s_last = (-sum(free)) % p
-            shared.append((r, free + (s_last,)))
-    shared = tuple(shared)
+    def shares(free):
+        return free + ((-sum(free)) % p,)
+
+    def element(i):
+        r, i = divmod(i, p ** (n - 1))
+        free = []
+        for _ in range(n - 1):
+            i, digit = divmod(i, p)
+            free.append(digit)
+        return (r + 1, shares(tuple(reversed(free))))
+
+    def iterate():
+        for r in range(1, p):
+            for free in product(range(p), repeat=n - 1):
+                yield (r, shares(free))
+
+    shared = LazySpace((p - 1) * p ** (n - 1), element, iterate)
 
     def encode_bits(value, positions, r, s):
         rsq = (r * r) % p
@@ -788,7 +1025,9 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         "encoding_elements": n,
     }
     meta = {"kind": "dre", "compiler": "dre_qr",
-            "parameters": {"p": p, "alice_positions": list(alice_pos), "n_bits": n}}
+            "parameters": {"p": p, "alice_positions": list(alice_pos), "n_bits": n},
+            "linear": LinearPart(p, tuple(range(1, p)), n - 1,
+                                 lambda r, free: ((r, shares(free)), None, None))}
     return Dre(f, shared, enc_x, enc_y, decode, domain=domain,
                resources=resources, meta=meta)
 

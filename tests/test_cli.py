@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,35 @@ def test_cds_cdqs_frouting_chain(tmp_path):
     report = json.loads(rep.read_text())
     assert report["status"] == "pass"
     assert report["kind"] == "frouting"
+
+
+_CLASSICAL_RUN = """
+import sys
+from cdslab.cli import main
+desc, rep = sys.argv[1], sys.argv[2]
+codes = [main(["build", "--chain", "gh,cds", "--fn", "and", "--out", desc]),
+         main(["verify", desc, "--out", rep])]
+print(codes, sorted(m for m in ("numpy", "cdslab.nlqc", "cdslab.quantum")
+                    if m in sys.modules))
+"""
+
+
+def test_classical_chain_never_imports_numpy(tmp_path):
+    # quantum stages load nlqc, and with it numpy, only when a chain has one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _CLASSICAL_RUN, str(tmp_path / "d.json"),
+                          str(tmp_path / "r.json")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[0, 0] []"
+
+
+def test_dre_qr17_verifies_within_the_default_budget(tmp_path):
+    desc = tmp_path / "d.json"
+    rep = tmp_path / "r.json"
+    assert main(["build", "--chain", "dre", "--fn", "qr", "--p", "17",
+                 "--out", str(desc)]) == 0
+    assert main(["verify", str(desc), "--out", str(rep)]) == 0
+    report = json.loads(rep.read_text())["report"]
+    assert report["perfect"] is True
+    assert report["resources"]["randomness_states"] == 16 * 17 ** 4

@@ -9,7 +9,6 @@ transcript is its own branch. Class runs must give the same figures within
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -65,12 +64,65 @@ def _flat_parallel(P, copies):
     return K
 
 
+_UNPAD = nlqc._unpad   # the module's own, before ``_verify_flat`` patches it
+
+
+class _MemoState:
+    """A branch state whose corrections and reductions are computed once each.
+
+    A flat run hands out at most four distinct padded states, each shared by
+    many branches, so the reference pays a kernel call per state instead of
+    one per branch.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.memo = {}
+
+    def apply(self, U, regs):
+        key = ("apply", U.tobytes(), U.shape, tuple(regs))
+        if key not in self.memo:
+            self.memo[key] = _MemoState(self.state.apply(U, regs))
+        return self.memo[key]
+
+    def unpad(self, s):
+        key = ("unpad", s)
+        if key not in self.memo:
+            self.memo[key] = _UNPAD(self, s)
+        return self.memo[key]
+
+    def ptrace(self, regs):
+        key = ("ptrace", tuple(regs))
+        if key not in self.memo:
+            self.memo[key] = self.state.ptrace(regs)
+        return self.memo[key]
+
+
+def _verify_flat(P):
+    """``verify_cdqs`` of a flat route, unpadding each memoised state once per key."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nlqc, "_unpad", lambda state, s: state.unpad(s))
+        return verify_cdqs(P)
+
+
+def _memo_states(run):
+    """``run`` with every distinct branch state wrapped in one ``_MemoState``."""
+    def memo_run(*args):
+        branches = run(*args)
+        wrapped = {id(b.state): _MemoState(b.state) for b in branches
+                   if b.state is not None}
+        return [RunBranch(b.prob, b.transcript, wrapped.get(id(b.state)), b.count)
+                for b in branches]
+
+    return memo_run
+
+
 def _class_and_flat_cdqs(cds):
     classed = cdqs_from_cds(cds)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(nlqc, "cds_parallel", _flat_parallel)
         flat = cdqs_from_cds(cds)
-    return classed, flat
+    return classed, replace(flat, run=_memo_states(flat.run))
 
 
 def _flat_psqm_run(Q, x_star, y_star):
@@ -96,27 +148,8 @@ def _class_and_flat_psqm(psm):
     Q = psqm_from_psm(psm)
     classed = cdqs_from_psqm(Q)
     x_star, y_star = classed.meta["parameters"]["substitute"]
-    return classed, replace(classed, run=_flat_psqm_run(Q, x_star, y_star))
-
-
-@contextmanager
-def _memo_unpad():
-    """Unpad each (state, key) once, as the per-transcript code did.
-
-    Flat runs hold at most four distinct padded states, so this saves the
-    reference an unpad per branch.
-    """
-    unpad, memo = nlqc._unpad, {}
-
-    def memo_unpad(state, s):
-        got = memo.get((id(state), s))
-        if got is None:
-            got = memo[(id(state), s)] = (unpad(state, s), state)
-        return got[0]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(nlqc, "_unpad", memo_unpad)
-        yield
+    return classed, replace(classed,
+                            run=_memo_states(_flat_psqm_run(Q, x_star, y_star)))
 
 
 # -- comparisons ------------------------------------------------------------------
@@ -145,11 +178,6 @@ def _same_sweep(a, b) -> None:
         assert abs(v - b["per_input"][key]) <= TOL, key
 
 
-def _verify_flat(P):
-    with _memo_unpad():
-        return verify_cdqs(P)
-
-
 def _check_cds_route(cds, routing=True, sweep=True) -> None:
     classed, flat = _class_and_flat_cdqs(cds)
     _same_report(verify_cdqs(classed), _verify_flat(flat))
@@ -157,7 +185,9 @@ def _check_cds_route(cds, routing=True, sweep=True) -> None:
         _same_sweep(security_state_sweep(classed, seeds=range(2)),
                     security_state_sweep(flat, seeds=range(2)))
     if routing:
-        R, R_flat = frouting_from_cdqs(classed), frouting_from_cdqs(flat)
+        R = frouting_from_cdqs(classed)
+        R_flat = frouting_from_cdqs(flat)
+        R_flat = replace(R_flat, run=_memo_states(R_flat.run))
         _same_report(verify_frouting(R, sweep_seeds=range(2)),
                      verify_frouting(R_flat, sweep_seeds=range(2)))
         psi = random_qubit(5).vec
