@@ -10,7 +10,10 @@ Three subcommands:
 * ``sweep``  runs the pipe-count search over every function of a given shape.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget exceeded.
-Outputs are deterministic: same inputs and seed give identical bytes.
+A budget stop names the space it counted, its size and the limit: ``verify``
+writes them as a report with status "budget", ``build`` and ``sweep`` print
+them to stderr. Outputs are deterministic: same inputs and seed give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -338,8 +341,11 @@ def _cmd_verify(args) -> int:
         result.update({"status": "fail",
                        "error": f"descriptor rejected: {exc}",
                        "witness": str(exc)})
+    except BudgetError as exc:
+        _report_budget(exc)
+        result.update(_budget_fields(exc))
     _emit(result, args.out, args.format)
-    return 0 if result.get("status") == "pass" else 1
+    return {"pass": 0, "budget": 3}.get(result.get("status"), 1)
 
 
 def _cmd_sweep(args) -> int:
@@ -369,6 +375,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _budget_fields(exc: BudgetError) -> dict:
+    return {"status": "budget", "space": exc.space, "size": exc.size,
+            "limit": exc.limit}
+
+
+def _report_budget(exc: BudgetError) -> None:
+    """The budget stop on stderr: its message, then its fields as JSON."""
+    print(f"budget exceeded: {exc}", file=sys.stderr)
+    print(json.dumps(_budget_fields(exc), sort_keys=True), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -385,7 +402,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        _report_budget(exc)
         return 3
 
 

@@ -15,4 +15,12 @@ class DomainError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An exact enumeration or register allocation would exceed the configured budget."""
+    """An exact enumeration or register allocation would exceed the configured budget.
+
+    ``space`` names what was counted, ``size`` is its count and ``limit`` the
+    budget it exceeds; the CLI reports the three fields.
+    """
+
+    def __init__(self, message: str, *, space: str, size: int, limit: int):
+        super().__init__(message)
+        self.space, self.size, self.limit = space, size, limit

@@ -305,7 +305,9 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
         total *= len(bob_choices) ** n_inputs_y
         if total > budget:
             raise BudgetError(
-                f"{total} candidate strategies at m={m} exceeds budget {budget}")
+                f"{total} candidate strategies at m={m} exceeds budget {budget}",
+                space=f"gh_search candidate strategies at m={m}", size=total,
+                limit=budget)
         spill = _spill_rows(m, len(other_choices if n_inputs_x > 1 else first_choices))
         found = _first_alice_pick([range(len(c)) for c in per_alice], spill,
                                   columns, (1 << len(bob_choices)) - 1)

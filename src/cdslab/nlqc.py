@@ -10,7 +10,10 @@ one branch per pad key and transcript class: the transcripts of a class
 decode to the same key and have proportional likelihoods under every key,
 so the referee's view of each is a positive multiple of one operator and
 the class's representative transcript, with the summed probability, stands
-for all ``count`` of them exactly.
+for all ``count`` of them exactly. Garden-hose routes return one branch per
+Pauli-frame class: teleporting through fresh EPR links, the transcripts of
+a class leave the routed qubit in one state up to a phase, held in a
+``FactoredState`` whose untouched links the referee views leave out.
 
 Verification uses two complementary views:
 
@@ -36,8 +39,9 @@ from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (CdsProtocol, InputDomain, PsmProtocol, _worst_pair,
                         cds_parallel, class_product, message_hist,
                         transcript_classes)
-from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, PureState,
-                      U_BELL, X, Z, epr_pairs, fidelity, phased_pad, random_qubit)
+from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, FactoredState,
+                      PureState, U_BELL, X, Z, epr_pairs, fidelity, phased_pad,
+                      random_qubit)
 
 DEFAULT_BRANCH_BUDGET = 1 << 24
 
@@ -182,7 +186,8 @@ class _Sweep:
         n = sum(b.count for b in branches)
         self.total += n
         if self.total > self.budget:
-            raise BudgetError(f"branch count {self.total} exceeds {self.budget}")
+            raise BudgetError(f"branch count {self.total} exceeds {self.budget}",
+                              space="branches", size=self.total, limit=self.budget)
         return branches, n
 
     def worse(self, name: str, figure: float, witness) -> None:
@@ -227,7 +232,11 @@ def _view_blocks(branches, regs) -> dict:
         if regs is None or b.state is None:
             mat = np.array([[1.0 + 0j]])
         else:
-            mat = b.state.ptrace(list(regs)).mat
+            # an untouched register sits in one fixed state on every branch,
+            # which tensors each block by the same trace-one operator; leaving
+            # it out changes no trace norm of blocks, their differences or gaps
+            mat = b.state.ptrace([r for r in regs
+                                  if r not in b.state.untouched]).mat
         got = blocks.get(b.transcript)
         blocks[b.transcript] = b.prob * mat if got is None else got + b.prob * mat
     return blocks
@@ -389,7 +398,8 @@ def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
     classes = K.meta["message_classes"](x, y)
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
     if 3 + kq > MAX_QUBITS:
-        raise BudgetError(f"message register needs {kq} qubits")
+        raise BudgetError(f"message register needs {kq} qubits",
+                          space="qubits per factor", size=3 + kq, limit=MAX_QUBITS)
     vec = np.zeros(1 << (3 + kq), dtype=complex)
     for s in KEYS:
         padded = phased_pad(*s) @ psi
@@ -487,10 +497,23 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     a Bell measurement that forwards the qubit, and the broadcast outcomes fix
     the Pauli frame. The qubit lands on the spill side: left register when
     f = 0, right when f = 1.
+
+    A run returns one branch per Pauli-frame class, not one per transcript.
+    Every hop Bell-measures the carried qubit with half of a link no hop has
+    used (a water path never reuses a pipe), so each outcome (a, b) has
+    probability exactly 1/4 and leaves X^a Z^b on the link's far end. The
+    4^h transcripts of h hops therefore split by their net frame X^A Z^B, A
+    and B the parities of the a's and of the b's, into four classes of
+    4^(h-1) members whose states agree up to a global phase. Class (A, B)
+    is represented by its first transcript, (0, 0) at every hop but the last
+    and (A, B) there, with probability 1/4 and its raw count. Each link is an
+    idle factor of a ``FactoredState`` until the path reaches it, so a hop
+    acts on at most four qubits: the reference, the carried qubit and a link.
     """
     if not gh_verify(strategy, f):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
+    links = tuple(epr_pairs([(f"L{i}", f"R{i}")]) for i in range(1, m + 1))
 
     def plan_for(x, y):
         outcome = gh_eval(strategy, x, y)
@@ -504,35 +527,34 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
                              ("alice", prev[0], cur[0])))
         last_pipe, last_dir = outcome.path[-1]
         exit_reg = (f"R{last_pipe}" if last_dir == "lr" else f"L{last_pipe}")
-        return plan, outcome.side, exit_reg
+        measured = {r for (a, b, _) in plan for r in (a, b)}
+        held = {side: tuple(f"{end}{i}" for i in range(1, m + 1)
+                            if f"{end}{i}" not in measured)
+                for side, end in (("left", "L"), ("right", "R"))}
+        return plan, outcome.side, exit_reg, held
+
+    plans = {(x, y): plan_for(x, y) for (x, y) in f.inputs()}
 
     def run(x, y, carrier, q_reg):
-        plan, _, _ = plan_for(x, y)
-        state = carrier.tensor(epr_pairs([(f"L{i}", f"R{i}")
-                                          for i in range(1, m + 1)]))
-        branches = [(1.0, (), state)]
-        for (reg_a, reg_b, desc) in plan:
-            ra = q_reg if reg_a == "q" else reg_a
-            nxt = []
-            for (p, t, st) in branches:
-                for (ab, q, st2) in st.bell_measure(ra, reg_b):
-                    nxt.append((p * q, t + ((desc, ab),), st2))
-            branches = nxt
-        return [RunBranch(p, t, st) for (p, t, st) in branches]
+        plan = plans[(x, y)][0]
+        hops = [(q_reg if a == "q" else a, b) for (a, b, _) in plan]
+        state = FactoredState((carrier,), links)
+        for reg_a, reg_b in hops[:-1]:
+            state = next(st for ab, _, st in state.bell_measure(reg_a, reg_b)
+                         if ab == (0, 0))
+        first = tuple((desc, (0, 0)) for (_, _, desc) in plan[:-1])
+        return [RunBranch(0.25, first + ((plan[-1][2], ab),), st, 4 ** len(first))
+                for ab, _, st in state.bell_measure(*hops[-1])]
 
     def exit_info(x, y):
-        _, side, reg = plan_for(x, y)
+        _, side, reg, _ = plans[(x, y)]
         return side, reg
 
     def correction(x, y, transcript):
         return pauli_frame([ab for (_, ab) in transcript])
 
     def holdings(x, y):
-        plan, _, _ = plan_for(x, y)
-        measured = {r for (a, b, _) in plan for r in (a, b)}
-        left = tuple(f"L{i}" for i in range(1, m + 1) if f"L{i}" not in measured)
-        right = tuple(f"R{i}" for i in range(1, m + 1) if f"R{i}" not in measured)
-        return {"left": left, "right": right}
+        return plans[(x, y)][3]
 
     resources = {"epr_pairs": m, "pipes": m,
                  "bound_epr_equals_pipes": True}

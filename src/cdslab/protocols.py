@@ -111,6 +111,33 @@ class LazySpace:
         return self.element(i % self.size)
 
 
+def product_space(space, repeat: int) -> LazySpace:
+    """``space`` to the power ``repeat``, in ``itertools.product`` order, on demand.
+
+    Element i has its first coordinate most significant, as ``product``
+    lists them. Iteration walks ``space`` once per coordinate and never
+    holds the product, nor, for a lazy ``space``, ``space`` itself.
+    """
+    n = len(space)
+
+    def element(i):
+        out = []
+        for _ in range(repeat):
+            i, digit = divmod(i, n)
+            out.append(space[digit])
+        return tuple(reversed(out))
+
+    def iterate(k=repeat):
+        if k == 0:
+            yield ()
+            return
+        for head in space:
+            for tail in iterate(k - 1):
+                yield (head,) + tail
+
+    return LazySpace(n ** repeat, element, iterate)
+
+
 @dataclass
 class CdsProtocol(InputDomain):
     """Conditional disclosure of a secret held by Alice.
@@ -172,7 +199,8 @@ class Dre(InputDomain):
 
 def _check_budget(total, budget, what, unit="joint states"):
     if total > budget:
-        raise BudgetError(f"{what}: {total} {unit} exceed budget {budget}")
+        raise BudgetError(f"{what}: {total} {unit} exceed budget {budget}",
+                          space=f"{what} {unit}", size=total, limit=budget)
 
 
 def _l1(hist_a, hist_b, denom) -> Fraction:
@@ -608,7 +636,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
         return [i for i in bob_rows if z[program.labels[i][0] - 1] == program.labels[i][1]]
 
     if variant == "comm":
-        shared = tuple(product(range(p), repeat=e))
+        shared = product_space(range(p), e)
 
         def alice_msg(x, s, u, ra=None):
             shares = scheme.shares_from_vector(u)
@@ -645,8 +673,8 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
         linear = LinearPart(p, (None,), e, lambda nu, rho: (rho, None, None))
     else:
         n_masks = len(bob_rows)
-        shared = tuple(product(range(p), repeat=n_masks))
-        alice_private = tuple(product(range(p), repeat=e - 1))
+        shared = product_space(range(p), n_masks)
+        alice_private = product_space(range(p), e - 1)
         bob_private = (None,)
 
         def alice_msg(x, s, masks, free):
@@ -833,14 +861,19 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     probabilities as weights, keyed by secret tuples), composed from per-copy
     classes, so downstream sweeps enumerate neither the product randomness
     nor the product transcripts. They are computed once per input pair and
-    kept, since the quantum verifiers ask again for every swept qubit state.
+    kept, since the quantum verifiers ask again for every swept qubit state;
+    the per-copy sweep they cost is checked against ``DEFAULT_BUDGET`` first.
+    The product spaces are lazy, so only their sizes are ever read on the
+    way to the quantum routes.
     """
     if copies < 1:
         raise ValidationError("need at least one copy")
     secrets = tuple(product(P.secrets, repeat=copies))
-    shared = tuple(product(P.shared, repeat=copies))
-    alice_private = tuple(product(P.alice_private, repeat=copies))
-    bob_private = tuple(product(P.bob_private, repeat=copies))
+    shared = product_space(P.shared, copies)
+    alice_private = product_space(P.alice_private, copies)
+    bob_private = product_space(P.bob_private, copies)
+    per_copy = len(P.shared) * len(P.alice_private) * len(P.bob_private)
+    denom = per_copy ** copies
 
     def alice_msg(x, s, r, ra):
         return tuple(P.alice_msg(x, s[i], r[i], ra[i]) for i in range(copies))
@@ -855,14 +888,14 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
 
     def message_classes(x, y):
         if (x, y) not in classes_by_input:
+            _check_budget(len(P.secrets) * per_copy, DEFAULT_BUDGET, "cds_parallel")
             hists = {s: message_hist(P, x, y, s) for s in P.secrets}
-            per_copy = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
-            denom = (len(P.shared) * len(P.alice_private) * len(P.bob_private)) ** copies
+            classes = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
             classes_by_input[(x, y)] = [
                 TranscriptClass(tuple(zip(*c.rep)),
                                 {s: w / denom for s, w in c.weights.items()},
                                 c.count)
-                for c in class_product(per_copy, copies)]
+                for c in class_product(classes, copies)]
         return classes_by_input[(x, y)]
 
     resources = {f"per_copy_{k}": v for k, v in P.resources.items()}
@@ -921,7 +954,9 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
     cols = 1 << f.n_y
     total = math.factorial(cols) * (1 << cols)
     if total > budget:
-        raise BudgetError(f"one-time table needs {total} randomness states")
+        raise BudgetError(f"one-time table needs {total} randomness states",
+                          space="psm_generic_table randomness states", size=total,
+                          limit=budget)
     shared = tuple((perm, mask)
                    for perm in permutations(range(cols))
                    for mask in product((0, 1), repeat=cols))

@@ -235,3 +235,96 @@ def test_dre_qr17_verifies_within_the_default_budget(tmp_path):
     report = json.loads(rep.read_text())["report"]
     assert report["perfect"] is True
     assert report["resources"]["randomness_states"] == 16 * 17 ** 4
+
+
+@pytest.mark.parametrize("chain,fn", [("gh,frouting,cdqs", "eq"), ("gh,frouting", "ip")])
+def test_generic_two_bit_routes_verify(tmp_path, chain, fn):
+    # no 3-pipe strategy exists, so these route through gh_generic's 8 pipes
+    desc = tmp_path / "d.json"
+    rep = tmp_path / "r.json"
+    assert main(["build", "--chain", chain, "--fn", fn, "--nx", "2",
+                 "--max-pipes", "3", "--out", str(desc)]) == 0
+    assert main(["verify", str(desc), "--out", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["status"] == "pass"
+    assert report["report"]["resources"]["pipes"] == 8
+    assert report["report"]["max_branches"] == 16
+
+
+def test_qr11_pad_route_builds(tmp_path):
+    # the parallel CDS's product spaces are sized, not built: 26,620^2 shared
+    assert main(["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "11",
+                 "--out", str(tmp_path / "d.json")]) == 0
+
+
+_SPAN_IP = """
+import json, resource, sys
+from cdslab.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+common = ["--fn", "ip", "--nx", "2", "--p", "3"]
+codes = [main(["build", "--chain", "span,cds", *common, "--out", "a.json"]),
+         main(["verify", "a.json", "--out", "a.rep.json"]),
+         main(["build", "--chain", "span,cds,cdqs", *common, "--out", "b.json"]),
+         main(["verify", "b.json", "--out", "b.rep.json"])]
+print(json.dumps(codes))
+"""
+
+
+def test_span_ip_spaces_are_lazy(tmp_path):
+    # 3^19 shared vectors: the classical chain verifies by coset, and the
+    # quantum one stops on the parallel CDS's budget before it sweeps them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _SPAN_IP], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, 0, 0, 3]
+    assert json.loads((tmp_path / "a.rep.json").read_text())["status"] == "pass"
+    stop = json.loads((tmp_path / "b.rep.json").read_text())
+    assert (stop["status"], stop["space"], stop["size"], stop["limit"]) == (
+        "budget", "cds_parallel joint states", 2 * 3 ** 19, 1 << 24)
+
+
+def _budget_report(tmp_path, build_args, verify_args=()):
+    desc = tmp_path / "d.json"
+    rep = tmp_path / "r.json"
+    assert main(["build", *build_args, "--out", str(desc)]) == 0
+    assert main(["verify", str(desc), *verify_args, "--out", str(rep)]) == 3
+    report = json.loads(rep.read_text())
+    assert report["status"] == "budget"
+    return report["space"], report["size"], report["limit"]
+
+
+def test_verify_reports_a_branch_budget_stop(tmp_path):
+    got = _budget_report(tmp_path, ["--chain", "gh,frouting", "--fn", "and"],
+                         ["--budget", "3"])
+    assert got == ("branches", 16, 3)   # the first input's route takes two hops
+
+
+def test_verify_reports_an_evaluation_budget_stop(tmp_path):
+    got = _budget_report(tmp_path, ["--chain", "dre", "--fn", "qr", "--p", "7"],
+                         ["--budget", "10"])
+    assert got == ("verify_dre message evaluations", 6 * 6 * 3, 10)
+
+
+def test_verify_reports_a_qubit_budget_stop(tmp_path, monkeypatch):
+    from cdslab import quantum
+    monkeypatch.setattr(quantum, "MAX_QUBITS", 3)
+    got = _budget_report(tmp_path, ["--chain", "gh,frouting", "--fn", "and"])
+    assert got == ("qubits per factor", 4, 3)
+
+
+@pytest.mark.parametrize("args,space", [
+    (["build", "--chain", "gh", "--fn", "eq", "--nx", "2", "--max-pipes", "4",
+      "--budget", "1000"], "gh_search candidate strategies at m=3"),
+    (["sweep", "--nx", "1", "--ny", "1", "--budget", "1"],
+     "gh_search candidate strategies at m=2"),
+    (["build", "--chain", "psm,cds", "--fn", "ip", "--nx", "4"],
+     "psm_generic_table randomness states"),
+])
+def test_build_and_sweep_print_budget_fields(capsys, args, space):
+    assert main(args) == 3
+    fields = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert fields["status"] == "budget"
+    assert fields["space"] == space
+    assert fields["size"] > fields["limit"]

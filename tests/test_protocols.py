@@ -285,3 +285,15 @@ def test_psm_decoder_erring_on_one_randomness_value():
     assert report.eps_hat == Fraction(1, 8)
     assert report.witnesses["eps"] == (0, 0)
     assert report.delta_pair == Fraction(1, 2)  # the flag ties messages to r0
+
+
+def test_product_space_matches_itertools():
+    from cdslab.protocols import LazySpace, product_space
+    base = LazySpace(3, lambda i: "abc"[i], lambda: iter("abc"))
+    space = product_space(base, 3)
+    want = tuple(product("abc", repeat=3))
+    assert len(space) == 27
+    assert tuple(space) == want
+    assert [space[i] for i in range(-27, 27)] == list(want) * 2
+    P = cds_parallel(_xor_cds(), 2)
+    assert tuple(P.shared) == tuple(product(_xor_cds().shared, repeat=2))
