@@ -49,6 +49,10 @@ CASES = {
     "gh_frouting_cdqs": (["--chain", "gh,frouting,cdqs", "--fn", "and"], "json"),
     "gh_cds_cdqs_frouting": (["--chain", "gh,cds,cdqs,frouting", "--fn", "and"],
                              "json"),
+    "gh_frouting_ip2": (["--chain", "gh,frouting", "--fn", "ip", "--nx", "2",
+                         "--max-pipes", "3"], "json"),
+    "gh_frouting_cdqs_eq2": (["--chain", "gh,frouting,cdqs", "--fn", "eq", "--nx", "2",
+                              "--max-pipes", "3"], "json"),
 }
 
 
