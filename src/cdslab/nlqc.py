@@ -12,8 +12,8 @@ so the referee's view of each is a positive multiple of one operator and
 the class's representative transcript, with the summed probability, stands
 for all ``count`` of them exactly. Garden-hose routes return one branch per
 Pauli-frame class: teleporting through fresh EPR links, the transcripts of
-a class leave the routed qubit in one state up to a phase, held in a
-``FactoredState`` whose untouched links the referee views leave out.
+a class leave the routed qubit in one state up to a phase, and each link
+enters the state only when the water path reaches it.
 
 Verification uses two complementary views:
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,14 +37,11 @@ import numpy as np
 from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
-from .protocols import (CdsProtocol, InputDomain, PsmProtocol, _worst_pair,
-                        cds_parallel, class_product, message_hist,
-                        transcript_classes)
-from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, FactoredState,
-                      PureState, U_BELL, X, Z, epr_pairs, fidelity, phased_pad,
-                      random_qubit)
-
-DEFAULT_BRANCH_BUDGET = 1 << 24
+from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
+                        _check_budget, _joint, _worst_pair, cds_parallel,
+                        class_product, message_hist, transcript_classes)
+from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, PureState,
+                      U_BELL, X, Z, epr_pairs, fidelity, phased_pad, random_qubit)
 
 PHI_PLUS_DM = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -133,6 +131,8 @@ class FRoutingProtocol(InputDomain):
     register where the qubit lands; ``correction`` undoes the accumulated
     frame. Protocols whose left side reconstructs the qubit by local decoding
     instead of holding a branch register supply ``left_fidelity``.
+    ``holdings`` names the registers each side holds after a run; it may
+    leave out registers in product with the rest of the state.
     """
 
     f: BoolFn
@@ -232,11 +232,7 @@ def _view_blocks(branches, regs) -> dict:
         if regs is None or b.state is None:
             mat = np.array([[1.0 + 0j]])
         else:
-            # an untouched register sits in one fixed state on every branch,
-            # which tensors each block by the same trace-one operator; leaving
-            # it out changes no trace norm of blocks, their differences or gaps
-            mat = b.state.ptrace([r for r in regs
-                                  if r not in b.state.untouched]).mat
+            mat = b.state.ptrace(regs).mat
         got = blocks.get(b.transcript)
         blocks[b.transcript] = b.prob * mat if got is None else got + b.prob * mat
     return blocks
@@ -266,7 +262,7 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
     return float(0.5 * np.abs(vals).sum())
 
 
-def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerificationReport:
+def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
     sweep = _Sweep(budget)
     for (x, y) in P.input_pairs():
@@ -285,7 +281,7 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerifi
 
 
 def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
-                    budget: int = DEFAULT_BRANCH_BUDGET) -> QVerificationReport:
+                    budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Delivered-qubit fidelity on both sides, worst case over inputs.
 
     Branch-register sides are checked through the Choi state; sides that
@@ -317,7 +313,7 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
                         consistent="side" not in sweep.witnesses)
 
 
-def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BRANCH_BUDGET) -> QVerificationReport:
+def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Decode accuracy on every input; view distance across equal-value inputs."""
     sweep = _Sweep(budget)
     views = {}
@@ -483,7 +479,7 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
         return K.decode(m0, x, m1, y)
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1,
-                 "cds_randomness_states": len(K.shared)}
+                 "cds_randomness_states": K.shared.size}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
             "parameters": {"cds": C.meta}}
     return _pad_cdqs(C.f, K.meta["message_classes"], key_of, C.domain, resources,
@@ -506,14 +502,19 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     and B the parities of the a's and of the b's, into four classes of
     4^(h-1) members whose states agree up to a global phase. Class (A, B)
     is represented by its first transcript, (0, 0) at every hop but the last
-    and (A, B) there, with probability 1/4 and its raw count. Each link is an
-    idle factor of a ``FactoredState`` until the path reaches it, so a hop
-    acts on at most four qubits: the reference, the carried qubit and a link.
+    and (A, B) there, with probability 1/4 and its raw count.
+
+    A run starts from the carrier alone and tensors each link in at the hop
+    that measures it, so a hop acts on at most four qubits: the reference,
+    the carried qubit and a link. Links off the water path never enter the
+    state, and ``holdings`` names only the exit register, on its side: an
+    EPR pair no operation touched tensors every referee view block by the
+    same trace-one operator, so leaving it out changes no trace norm.
     """
     if not gh_verify(strategy, f):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
-    links = tuple(epr_pairs([(f"L{i}", f"R{i}")]) for i in range(1, m + 1))
+    links = {i: epr_pairs([(f"L{i}", f"R{i}")]) for i in range(1, m + 1)}
 
     def plan_for(x, y):
         outcome = gh_eval(strategy, x, y)
@@ -527,24 +528,23 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
                              ("alice", prev[0], cur[0])))
         last_pipe, last_dir = outcome.path[-1]
         exit_reg = (f"R{last_pipe}" if last_dir == "lr" else f"L{last_pipe}")
-        measured = {r for (a, b, _) in plan for r in (a, b)}
-        held = {side: tuple(f"{end}{i}" for i in range(1, m + 1)
-                            if f"{end}{i}" not in measured)
-                for side, end in (("left", "L"), ("right", "R"))}
+        held = {LEFT: (), RIGHT: ()}
+        held[outcome.side] = (exit_reg,)
         return plan, outcome.side, exit_reg, held
 
     plans = {(x, y): plan_for(x, y) for (x, y) in f.inputs()}
 
     def run(x, y, carrier, q_reg):
         plan = plans[(x, y)][0]
-        hops = [(q_reg if a == "q" else a, b) for (a, b, _) in plan]
-        state = FactoredState((carrier,), links)
-        for reg_a, reg_b in hops[:-1]:
-            state = next(st for ab, _, st in state.bell_measure(reg_a, reg_b)
-                         if ab == (0, 0))
+        state = carrier
+        for reg_a, reg_b, desc in plan:
+            # a hop's label ends in the pipe whose link it measures half of
+            outcomes = state.tensor(links[desc[2]]).bell_measure(
+                q_reg if reg_a == "q" else reg_a, reg_b)
+            state = next(st for ab, _, st in outcomes if ab == (0, 0))
         first = tuple((desc, (0, 0)) for (_, _, desc) in plan[:-1])
         return [RunBranch(0.25, first + ((plan[-1][2], ab),), st, 4 ** len(first))
-                for ab, _, st in state.bell_measure(*hops[-1])]
+                for ab, _, st in outcomes]
 
     def exit_info(x, y):
         _, side, reg, _ = plans[(x, y)]
@@ -635,10 +635,17 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
 
 
 def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
-    """A classical PSM is a simultaneous-message protocol with no qubits."""
+    """A classical PSM is a simultaneous-message protocol with no qubits.
+
+    A run sweeps P's joint randomness for one input pair. The sweep over
+    every pair, the count ``verify_psm`` charges a PSM without a linear
+    part, is checked against ``DEFAULT_BUDGET`` before any run starts.
+    """
+    joint = _joint(P)
+    sweep = joint * max(1, len(P.input_pairs()))
 
     def run(x, y):
-        joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
+        _check_budget(sweep, DEFAULT_BUDGET, "psqm_from_psm")
         return [RunBranch(c / joint, m, None) for m, c in
                 sorted(message_hist(P, x, y).items(), key=lambda kv: repr(kv[0]))]
 
@@ -672,19 +679,14 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     if f.eval(x_star, y_star) != 0:
         raise ValidationError("substitute input must evaluate to 0")
 
-    class_cache = {}
-
     def hist_for(x, y):
         return {b.transcript: b.prob for b in P.run(x, y)}
 
+    @cache
     def classes_for(x, y):
         # key bit 0 runs the substitute input, key bit 1 the real one
-        got = class_cache.get((x, y))
-        if got is None:
-            hists = {0: hist_for(x_star, y_star), 1: hist_for(x, y)}
-            got = class_product(transcript_classes(hists, P.decode), 2)
-            class_cache[(x, y)] = got
-        return got
+        hists = {0: hist_for(x_star, y_star), 1: hist_for(x, y)}
+        return class_product(transcript_classes(hists, P.decode), 2)
 
     def key_of(x, y, transcript):
         t1, t2 = transcript

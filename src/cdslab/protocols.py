@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from typing import Callable, NamedTuple, Optional
 
@@ -93,7 +94,8 @@ class LazySpace:
 
     ``element(i)`` is element i and ``iterate()`` yields them all in index
     order, so ``len``, indexing and iteration work as on the tuple it stands
-    for without building it.
+    for without building it. Sizes past 2^63 - 1 are read as ``size`` (see
+    ``space_size``), which ``len`` cannot return.
     """
 
     def __init__(self, size: int, element: Callable, iterate: Callable):
@@ -111,6 +113,11 @@ class LazySpace:
         return self.element(i % self.size)
 
 
+def space_size(space) -> int:
+    """Number of elements of a randomness space, lazy or not, of any size."""
+    return space.size if isinstance(space, LazySpace) else len(space)
+
+
 def product_space(space, repeat: int) -> LazySpace:
     """``space`` to the power ``repeat``, in ``itertools.product`` order, on demand.
 
@@ -118,7 +125,7 @@ def product_space(space, repeat: int) -> LazySpace:
     lists them. Iteration walks ``space`` once per coordinate and never
     holds the product, nor, for a lazy ``space``, ``space`` itself.
     """
-    n = len(space)
+    n = space_size(space)
 
     def element(i):
         out = []
@@ -136,6 +143,13 @@ def product_space(space, repeat: int) -> LazySpace:
                 yield (head,) + tail
 
     return LazySpace(n ** repeat, element, iterate)
+
+
+def pair_space(first, second) -> LazySpace:
+    """Pairs (a, b) of two spaces, ``first`` major, on demand."""
+    n = space_size(second)
+    return LazySpace(space_size(first) * n, lambda i: (first[i // n], second[i % n]),
+                     lambda: ((a, b) for a in first for b in second))
 
 
 @dataclass
@@ -235,10 +249,17 @@ def _witnesses(eps_witness, delta_witness) -> dict:
     return witnesses
 
 
+def _joint(P) -> int:
+    """Joint randomness states of P: shared times both private spaces."""
+    return (space_size(P.shared) * space_size(P.alice_private) *
+            space_size(P.bob_private))
+
+
 def _randomness(P) -> dict:
     resources = dict(P.resources)
-    resources.setdefault("randomness_states", len(P.shared))
-    resources.setdefault("randomness_bits", math.log2(len(P.shared)) if P.shared else 0.0)
+    n = space_size(P.shared)
+    resources.setdefault("randomness_states", n)
+    resources.setdefault("randomness_bits", math.log2(n) if n else 0.0)
     return resources
 
 
@@ -412,7 +433,7 @@ def _sweep_kernel(P, cases: int, budget: int, what: str) -> tuple:
     other by ``message_hist``, charged every joint randomness state. Both
     are checked against ``budget`` before anything runs.
     """
-    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
+    joint = _joint(P)
     lin = P.meta.get("linear")
     if lin is None:
         _check_budget(joint * cases, budget, what)
@@ -519,7 +540,7 @@ def verify_dre(D: Dre, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """
     eps, delta, witnesses = _sweep_psm(_dre_as_psm(D), budget, "verify_dre")
     resources = dict(D.resources)
-    resources.setdefault("randomness_states", len(D.shared))
+    resources.setdefault("randomness_states", space_size(D.shared))
     resources["same_class_histograms_equal"] = delta == 0
     return VerificationReport("dre", eps, delta, resources, witnesses)
 
@@ -538,7 +559,7 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     if not gh_verify(strategy, f):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
-    shared = tuple(product((0, 1), repeat=m))
+    shared = product_space((0, 1), m)
 
     def alice_msg(x, s, r, ra=None):
         tap, matching = strategy.alice[x]
@@ -761,7 +782,8 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     if f.eval(x_star, y_star) != 0:
         raise ValidationError("substitute input must evaluate to 0")
 
-    shared = tuple((r, sel) for r in P.shared for sel in (0, 1))
+    n = space_size(P.shared)
+    shared = pair_space(P.shared, (0, 1))
 
     def alice_msg(x, s, rr, ra=None):
         r, sel = rr
@@ -779,9 +801,9 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
         return masked ^ sel
 
     resources = {
-        "randomness_states": 2 * len(P.shared),
-        "randomness_bits": math.log2(len(P.shared)) + 1,
-        "psm_randomness_states": len(P.shared),
+        "randomness_states": 2 * n,
+        "randomness_bits": math.log2(n) + 1,
+        "psm_randomness_states": n,
         "extra_message_bits": 1,
     }
     meta = {"kind": "cds", "compiler": "cds_from_psm",
@@ -872,7 +894,7 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     shared = product_space(P.shared, copies)
     alice_private = product_space(P.alice_private, copies)
     bob_private = product_space(P.bob_private, copies)
-    per_copy = len(P.shared) * len(P.alice_private) * len(P.bob_private)
+    per_copy = _joint(P)
     denom = per_copy ** copies
 
     def alice_msg(x, s, r, ra):
@@ -884,19 +906,15 @@ def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
     def decode(m0, x, m1, y):
         return tuple(P.decode(m0[i], x, m1[i], y) for i in range(copies))
 
-    classes_by_input = {}
-
+    @cache
     def message_classes(x, y):
-        if (x, y) not in classes_by_input:
-            _check_budget(len(P.secrets) * per_copy, DEFAULT_BUDGET, "cds_parallel")
-            hists = {s: message_hist(P, x, y, s) for s in P.secrets}
-            classes = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
-            classes_by_input[(x, y)] = [
-                TranscriptClass(tuple(zip(*c.rep)),
+        _check_budget(len(P.secrets) * per_copy, DEFAULT_BUDGET, "cds_parallel")
+        hists = {s: message_hist(P, x, y, s) for s in P.secrets}
+        classes = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
+        return [TranscriptClass(tuple(zip(*c.rep)),
                                 {s: w / denom for s, w in c.weights.items()},
                                 c.count)
                 for c in class_product(classes, copies)]
-        return classes_by_input[(x, y)]
 
     resources = {f"per_copy_{k}": v for k, v in P.resources.items()}
     resources["copies"] = copies
@@ -957,9 +975,7 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
         raise BudgetError(f"one-time table needs {total} randomness states",
                           space="psm_generic_table randomness states", size=total,
                           limit=budget)
-    shared = tuple((perm, mask)
-                   for perm in permutations(range(cols))
-                   for mask in product((0, 1), repeat=cols))
+    shared = pair_space(tuple(permutations(range(cols))), product_space((0, 1), cols))
 
     def alice_msg(x, r, ra=None):
         perm, mask = r
@@ -1055,8 +1071,8 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     resources = {
         "field": p,
         "bits": n,
-        "randomness_states": len(shared),
-        "randomness_bits": math.log2(len(shared)),
+        "randomness_states": shared.size,
+        "randomness_bits": math.log2(shared.size),
         "encoding_elements": n,
     }
     meta = {"kind": "dre", "compiler": "dre_qr",

@@ -2,11 +2,10 @@
 
 States carry an ordered tuple of (register name, qubit count) and a complex
 amplitude vector; every operation addresses qubits as (register, index) or a
-bare register name meaning all of its qubits, most significant first. A
-``FactoredState`` keeps a product of such dense states and merges factors
-only when an operation touches more than one. The register budget,
-``MAX_QUBITS``, caps each dense factor and is checked before a merge
-allocates, so protocol bugs fail fast instead of allocating huge arrays.
+bare register name meaning all of its qubits, most significant first. The
+register budget, ``MAX_QUBITS``, caps every state and is checked before
+``tensor`` or ``apply_isometry`` allocates, so protocol bugs fail fast
+instead of allocating huge arrays.
 
 Measurement never samples: ``measure`` returns every outcome branch with its
 exact probability, which is what the protocol verifiers enumerate.
@@ -71,6 +70,7 @@ _BELL_BRAS = tuple(
 
 
 def _qubit_budget(n: int) -> BudgetError:
+    # a dense state is one factor; budget reports keep this space name
     return BudgetError(f"{n} qubits exceed the {MAX_QUBITS}-qubit budget",
                        space="qubits per factor", size=n, limit=MAX_QUBITS)
 
@@ -91,8 +91,6 @@ class PureState:
 
     regs: tuple
     vec: np.ndarray
-
-    untouched = ()   # a dense state has no idle factor (see ``FactoredState``)
 
     def __post_init__(self):
         names = [n for (n, _) in self.regs]
@@ -293,61 +291,6 @@ class DensityOp:
         out = np.einsum("ikjk->ij", T)
         regs = tuple((nm, offs[nm][1]) for nm in keep_set)
         return DensityOp(regs, out)
-
-
-@dataclass(frozen=True)
-class FactoredState:
-    """A pure state kept as a product of ``PureState`` factors.
-
-    The factors' registers are disjoint. ``factors`` are those some
-    operation has acted on; ``idle`` are those none has yet, such as fresh
-    EPR links, and ``untouched`` names their registers. An operation merges
-    the factors holding its targets into one, checking the merged size
-    against ``MAX_QUBITS`` before any amplitude is allocated, and runs the
-    ``PureState`` kernel on that factor alone. A sequence of local
-    operations then costs what its largest merged factor costs, and the
-    budget applies per factor.
-    """
-
-    factors: tuple
-    idle: tuple = ()
-
-    @property
-    def untouched(self) -> tuple:
-        return tuple(name for f in self.idle for (name, _) in f.regs)
-
-    def _merge(self, names: set) -> tuple:
-        """(one factor holding every register in ``names``, the other
-        touched factors, the idle factors left)."""
-        def holds(f):
-            return any(n in names for (n, _) in f.regs)
-
-        hit = ([f for f in self.factors if holds(f)] +
-               [f for f in self.idle if holds(f)])
-        size = sum(f.n_qubits for f in hit)
-        if size > MAX_QUBITS:
-            raise _qubit_budget(size)
-        merged = hit[0] if hit else PureState((), np.ones(1, dtype=complex))
-        for f in hit[1:]:
-            merged = merged.tensor(f)
-        return (merged, tuple(f for f in self.factors if not holds(f)),
-                tuple(f for f in self.idle if not holds(f)))
-
-    def apply(self, U: np.ndarray, targets: Sequence) -> "FactoredState":
-        merged, factors, idle = self._merge(
-            {t[0] if isinstance(t, tuple) else t for t in targets})
-        return FactoredState(factors + (merged.apply(U, targets),), idle)
-
-    def bell_measure(self, reg_a: str, reg_b: str, tol: float = _TOL) -> list:
-        """``PureState.bell_measure`` on the factor holding the pair."""
-        merged, factors, idle = self._merge({reg_a, reg_b})
-        return [(ab, p, FactoredState(factors + (post,), idle))
-                for ab, p, post in merged.bell_measure(reg_a, reg_b, tol)]
-
-    def ptrace(self, keep: Sequence[str]) -> "DensityOp":
-        """Reduced density operator; factors holding no kept register trace to 1."""
-        merged, _, _ = self._merge(set(keep))
-        return merged.ptrace(keep)
 
 
 def _eigh_psd(mat: np.ndarray):

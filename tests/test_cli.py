@@ -18,6 +18,12 @@ def _read(path):
     return path.read_bytes()
 
 
+def _child_env():
+    """Environment for a ``cdslab`` child process run from this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
 
@@ -218,8 +224,7 @@ print(codes, sorted(m for m in ("numpy", "cdslab.nlqc", "cdslab.quantum")
 
 def test_classical_chain_never_imports_numpy(tmp_path):
     # quantum stages load nlqc, and with it numpy, only when a chain has one
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     out = subprocess.run([sys.executable, "-c", _CLASSICAL_RUN, str(tmp_path / "d.json"),
                           str(tmp_path / "r.json")],
                          env=env, capture_output=True, text=True, check=True).stdout
@@ -273,8 +278,7 @@ print(json.dumps(codes))
 def test_span_ip_spaces_are_lazy(tmp_path):
     # 3^19 shared vectors: the classical chain verifies by coset, and the
     # quantum one stops on the parallel CDS's budget before it sweeps them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     run = subprocess.run([sys.executable, "-c", _SPAN_IP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -283,6 +287,42 @@ def test_span_ip_spaces_are_lazy(tmp_path):
     stop = json.loads((tmp_path / "b.rep.json").read_text())
     assert (stop["status"], stop["space"], stop["size"], stop["limit"]) == (
         "budget", "cds_parallel joint states", 2 * 3 ** 19, 1 << 24)
+
+
+_LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cdslab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("chain,args,stop", [
+    ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], "verify_cds joint states"),
+    ("dre,psm,cds", ["--fn", "qr", "--p", "31"], "verify_cds joint states"),
+    ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm joint states"),
+    ("dre", ["--fn", "qr", "--p", "257"], None),
+    ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "5"],
+     "cds_parallel joint states"),
+    ("dre,psm,psqm", ["--fn", "qr", "--p", "31"], "psqm_from_psm joint states"),
+])
+def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
+    # 2^32 pipe-bit strings, 55,411,260 PSM pairs, 10,321,920 one-time tables and
+    # lazy spaces past 2^63: each build sizes its spaces without listing
+    # them, and each verify ends on a budget before it sweeps them
+    env = _child_env()
+    commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 0)]
+    if stop is not None:
+        commands.append((["verify", "d.json", "--out", "r.json"], 3))
+    for argv, code in commands:
+        run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == code, (argv, run.returncode, run.stderr)
+        for word in ("MemoryError", "OverflowError", "Traceback"):
+            assert word not in run.stderr, (argv, run.stderr)
+    if stop is not None:
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["status"], report["space"]) == ("budget", stop)
 
 
 def _budget_report(tmp_path, build_args, verify_args=()):

@@ -3,8 +3,11 @@
 The reference runs a route the way ``frouting_from_gh`` did before classes:
 one dense state holding the carrier and every pipe's EPR link, a Bell
 measurement per hop on every branch, and one branch per transcript, 4^h of
-them after h hops. The class path must give the same fidelities, gaps and
-secret sweeps within 1e-12, and the same raw branch counts.
+them after h hops. Its holdings are physical: every link half no hop
+measures, idle links included, where the class path names only the exit
+register. The class path must give the same fidelities, gaps and secret
+sweeps within 1e-12, and the same raw branch counts, which shows that
+leaving idle links out of the state and of the referee's view is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from cdslab import nlqc
 from cdslab.boolfn import from_table, named_fn
-from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval, gh_generic, gh_search
+from cdslab.gardenhose import LEFT, RIGHT, GhStrategy, gh_eval, gh_generic, gh_search
 from cdslab.nlqc import (RunBranch, cdqs_from_frouting, frouting_from_gh,
                          security_state_sweep, verify_cdqs, verify_frouting)
 from cdslab.quantum import PureState, epr_pairs
@@ -56,6 +59,19 @@ def _flat_run(strategy: GhStrategy):
     return run
 
 
+def _physical_holdings(strategy: GhStrategy):
+    """Every link half no hop measures, on its side, idle links included."""
+    m = strategy.pipes
+
+    def holdings(x, y):
+        measured = {r for (a, b, _) in _plan(strategy, x, y) for r in (a, b)}
+        return {side: tuple(f"{end}{i}" for i in range(1, m + 1)
+                            if f"{end}{i}" not in measured)
+                for side, end in ((LEFT, "L"), (RIGHT, "R"))}
+
+    return holdings
+
+
 def _same_report(a, b) -> None:
     assert a.max_branches == b.max_branches
     assert abs(a.worst_infidelity - b.worst_infidelity) <= TOL
@@ -74,7 +90,7 @@ def _same_report(a, b) -> None:
 
 def _check_against_flat(strategy: GhStrategy, f, sweep_seeds=range(2)) -> None:
     R = frouting_from_gh(strategy, f)
-    flat = replace(R, run=_flat_run(strategy))
+    flat = replace(R, run=_flat_run(strategy), holdings=_physical_holdings(strategy))
     _same_report(verify_frouting(R), verify_frouting(flat))
     C, C_flat = cdqs_from_frouting(R), cdqs_from_frouting(flat)
     _same_report(verify_cdqs(C), verify_cdqs(C_flat))

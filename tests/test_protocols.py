@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -288,7 +288,7 @@ def test_psm_decoder_erring_on_one_randomness_value():
 
 
 def test_product_space_matches_itertools():
-    from cdslab.protocols import LazySpace, product_space
+    from cdslab.protocols import LazySpace, product_space, space_size
     base = LazySpace(3, lambda i: "abc"[i], lambda: iter("abc"))
     space = product_space(base, 3)
     want = tuple(product("abc", repeat=3))
@@ -297,3 +297,18 @@ def test_product_space_matches_itertools():
     assert [space[i] for i in range(-27, 27)] == list(want) * 2
     P = cds_parallel(_xor_cds(), 2)
     assert tuple(P.shared) == tuple(product(_xor_cds().shared, repeat=2))
+    assert space_size(product_space(range(5), 40)) == 5 ** 40   # past 2^63
+    # the compilers' spaces that were tuples list lazily in the same order
+    f = named_fn("index", n_x=1)
+    tables = tuple((perm, mask) for perm in permutations(range(4))
+                   for mask in product((0, 1), repeat=4))
+    strategy = gh_generic(AND1)
+    for space, want in (
+            (cds_from_gh(strategy, AND1).shared,
+             tuple(product((0, 1), repeat=strategy.pipes))),
+            (psm_generic_table(f).shared, tables),
+            (cds_from_psm(psm_generic_table(f)).shared,
+             tuple((r, sel) for r in tables for sel in (0, 1)))):
+        assert space_size(space) == len(want)
+        assert tuple(space) == want
+        assert [space[i] for i in range(len(want))] == list(want)

@@ -7,7 +7,7 @@ import pytest
 
 from cdslab.boolfn import named_fn
 from cdslab.errors import BudgetError, ValidationError
-from cdslab.quantum import (MAX_QUBITS, DensityOp, FactoredState, H, I2,
+from cdslab.quantum import (MAX_QUBITS, DensityOp, H, I2,
                             PAULI_EIGENSTATES, PureState, U_BELL, X, Y, Z,
                             build_vf, choi, decoupling_gap, epr_pairs, fidelity,
                             pad_average, pauli_string, phased_pad, random_qubit,
@@ -113,25 +113,6 @@ def test_measure_total_probability_random_states():
         assert abs(sum(p for _, p, _ in out) - 1) < 1e-10
         for _, _, post in out:
             assert abs(np.linalg.norm(post.vec) - 1) < 1e-10
-
-
-def test_factored_state_matches_the_dense_state():
-    a, b, c = (_rand_state(((n, 1),)) for n in "abc")
-    dense = a.tensor(b).tensor(c)
-    factored = FactoredState((a,), (b, c))
-    assert factored.untouched == ("b", "c")
-    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    dense, factored = dense.apply(cnot, ["a", "b"]), factored.apply(cnot, ["a", "b"])
-    assert factored.untouched == ("c",)
-    assert max(f.n_qubits for f in factored.factors) == 2
-    for keep in (["b"], ["c", "a"], ["a", "b", "c"], []):
-        assert np.allclose(factored.ptrace(keep).mat, dense.ptrace(keep).mat,
-                           atol=1e-12)
-    for (ab, p, post), (ab2, p2, post2) in zip(factored.bell_measure("a", "c"),
-                                               dense.bell_measure("a", "c")):
-        assert ab == ab2 and abs(p - p2) < 1e-12
-        assert np.allclose(post.ptrace(["b"]).mat, post2.ptrace(["b"]).mat,
-                           atol=1e-12)
 
 
 def test_teleport_correction_convention():
@@ -274,20 +255,17 @@ def test_trace_norm():
 
 
 def test_qubit_budget(monkeypatch):
-    # the budget holds per factor: two 8-qubit factors are within it, and an
-    # operation touching both is refused before it merges them into 16 qubits
-    state = FactoredState((_rand_state((("a", 8),)), _rand_state((("b", 8),))))
-    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    # two 8-qubit states are each within the budget; their product is
+    # refused before any of its amplitudes are allocated
+    a, b = _rand_state((("a", 8),)), _rand_state((("b", 8),))
 
     def no_kron(*args):
-        raise AssertionError("merged amplitudes allocated")
+        raise AssertionError("product amplitudes allocated")
 
     with monkeypatch.context() as m:
         m.setattr(np, "kron", no_kron)
         with pytest.raises(BudgetError) as exc:
-            state.apply(cnot, [("a", 0), ("b", 0)])
-        with pytest.raises(BudgetError):
-            state.ptrace(["a", "b"])
+            a.tensor(b)
     assert (exc.value.space, exc.value.size, exc.value.limit) == (
         "qubits per factor", 16, MAX_QUBITS)
     state = _rand_state((("a", 7), ("b", 7)))

@@ -77,7 +77,6 @@ class _MemoState:
 
     def __init__(self, state):
         self.state = state
-        self.untouched = state.untouched
         self.memo = {}
 
     def apply(self, U, regs):
