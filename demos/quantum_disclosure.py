@@ -16,13 +16,18 @@ from cdslab.protocols import CdsProtocol, cds_from_gh
 
 and1 = named_fn("and", n=1)
 
-# The pad key has two bits, so the compiler runs two parallel copies of a
-# single-bit CDS. Take the 3-pipe garden-hose scheme for AND as the base.
+# The pad key has two bits, so the compiler runs two independent copies of a
+# single-bit CDS, one per key bit. Take the 3-pipe garden-hose scheme for AND
+# as the base.
 base = cds_from_gh(gh_search(and1, 3), and1)
 print("classical layer randomness bits:", base.resources["randomness_bits"])
 
 Q = cdqs_from_cds(base)
-print("key layer secrets:", Q.key_cds.secrets)
+# A transcript is one (Alice, Bob) message pair per key bit; transcripts that
+# decode alike with proportional likelihoods form one class.
+classes = Q.key_classes(1, 1)
+print("pad keys:", sorted({key for c in classes for key in c.weights}))
+print("transcript classes on input (1, 1):", len(classes))
 
 # Correctness is checked through the Choi state of the recovery map on every
 # f = 1 input: one EPR half goes in as the secret, and the delivered half must

@@ -48,8 +48,7 @@ print("round trip infidelity:", back.worst_infidelity,
 # messages carry no key information, rotating Alice's kept key register
 # through the pad-to-EPR basis pulls the qubit back with probability exactly
 # one; once the key is decodable the best she can do is 1/2.
-K = C.key_cds
 psi = random_qubit(7).vec
 for (x, y) in and1.inputs():
-    p = otp_reconstruct_left(K, x, y, psi)
+    p = otp_reconstruct_left(C.key_classes(x, y), psi)
     print(f"  x={x} y={y} (f={and1.eval(x, y)}): left recovery = {p:.12f}")

@@ -272,7 +272,7 @@ def _emit(obj, path, fmt="json") -> None:
 def _flatten(obj, prefix, rows) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj, key=str):
-            _flatten(obj[k], f"{prefix}{k}." if prefix == "" else f"{prefix}{k}.", rows)
+            _flatten(obj[k], f"{prefix}{k}.", rows)
     elif isinstance(obj, (list, tuple)):
         rows.append((prefix.rstrip("."), ";".join(str(v) for v in obj)))
     else:

@@ -38,8 +38,8 @@ from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
-                        _check_budget, _joint, _worst_pair, cds_parallel,
-                        class_product, message_hist, transcript_classes)
+                        TranscriptClass, _check_budget, _joint, _worst_pair,
+                        class_product, message_hist, space_size, transcript_classes)
 from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, PureState,
                       U_BELL, X, Z, epr_pairs, fidelity, phased_pad, random_qubit)
 
@@ -110,6 +110,9 @@ class CdqsProtocol(InputDomain):
     The secret qubit enters in register ``q_reg`` of the carrier state and the
     referee receives the registers named by ``msg_regs`` plus the transcript.
     ``recover`` must restore the secret into ``out_reg`` when f(x, y) = 1.
+    A pad-and-disclose protocol also exposes its pad key: ``key_classes(x,
+    y)`` gives the transcript classes with their weights under each key, and
+    ``key_of(x, y, transcript)`` the key a transcript decodes to.
     """
 
     f: BoolFn
@@ -117,7 +120,8 @@ class CdqsProtocol(InputDomain):
     msg_regs: Callable            # (x, y) -> tuple of register names
     recover: Callable             # (x, y, transcript, state) -> PureState
     out_reg: Callable             # (x, y) -> register name
-    key_cds: Optional[CdsProtocol] = None
+    key_classes: Optional[Callable] = None  # (x, y) -> [TranscriptClass]
+    key_of: Optional[Callable] = None       # (x, y, transcript) -> key
     domain: Optional[tuple] = None
     resources: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -373,7 +377,7 @@ def pauli_frame(outcomes) -> np.ndarray:
     return net.conj().T
 
 
-def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
+def otp_reconstruct_left(classes: list, psi) -> float:
     """Sender-side recovery probability of a pad key kept in superposition.
 
     Alice pads her qubit with the key register held in uniform superposition
@@ -384,14 +388,15 @@ def otp_reconstruct_left(K: CdsProtocol, x: int, y: int, psi) -> float:
     squared overlap with the ideal state: 1 when the key stays hidden, and
     1/2 when the messages pin the key down completely.
 
-    The message register holds one basis vector per transcript class of K:
-    within a class the amplitudes sqrt(P(m | key)) are proportional, so
-    mapping the members' normalised superposition to one basis vector is an
-    isometry on the register, which is traced out.
+    ``classes`` are the transcript classes of the key disclosure on one
+    input, weighted by probability under each key. The message register
+    holds one basis vector per class: within a class the amplitudes
+    sqrt(P(m | key)) are proportional, so mapping the members' normalised
+    superposition to one basis vector is an isometry on the register, which
+    is traced out.
     """
     psi = np.asarray(psi, dtype=complex).reshape(2)
     psi = psi / np.linalg.norm(psi)
-    classes = K.meta["message_classes"](x, y)
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
     if 3 + kq > MAX_QUBITS:
         raise BudgetError(f"message register needs {kq} qubits",
@@ -447,43 +452,63 @@ def _unpad(state: PureState, s) -> PureState:
     return state if s not in KEYS else state.apply(_inverse_pad(s), ["Q"])
 
 
-def _pad_cdqs(f: BoolFn, classes_of: Callable, key_of: Callable, domain,
-              resources: dict, meta: dict, key_cds=None) -> CdqsProtocol:
+def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
+              resources: dict, meta: dict) -> CdqsProtocol:
     """Pad-and-disclose CDQS: the referee gets the padded "Q" and the transcript.
 
-    ``classes_of(x, y)`` gives the transcript classes keyed by pad key, and
-    ``key_of(x, y, transcript)`` decodes the key that recovery unpads.
+    Alice pads the qubit with two key bits, and each bit is disclosed by one
+    independent run. ``bit_hists(x, y)`` maps a key-bit value to one run's
+    transcript weights, and ``bit_of(x, y, t)`` decodes one run's transcript
+    t to a bit. A transcript of the protocol is the pair of run transcripts.
+    Its classes, the product of the per-run classes with weights divided by
+    ``denom``, are formed once per input and kept, since the quantum
+    verifiers ask again for every swept qubit state.
     """
+    @cache
+    def key_classes(x, y):
+        classes = transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t))
+        return [TranscriptClass(c.rep, {s: w / denom for s, w in c.weights.items()},
+                                c.count)
+                for c in class_product(classes, 2)]
+
+    def key_of(x, y, transcript):
+        return tuple(bit_of(x, y, t) for t in transcript)
+
     def recover(x, y, transcript, state):
         return _unpad(state, key_of(x, y, transcript))
 
-    return CdqsProtocol(f, _pad_run(classes_of), lambda x, y: ("Q",), recover,
-                        lambda x, y: "Q", key_cds=key_cds, domain=domain,
-                        resources=resources, meta=meta)
+    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",), recover,
+                        lambda x, y: "Q", key_classes=key_classes, key_of=key_of,
+                        domain=domain, resources=resources, meta=meta)
 
 
 def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
     """Quantum one-time pad keyed by two secret bits a classical CDS hides.
 
     Alice pads the secret qubit with the two-bit key and sends it along; two
-    parallel runs of the bit-CDS disclose the key exactly on revealing inputs.
-    Hiding inputs leave the pad key uniform to the referee, so the qubit they
-    hold is maximally mixed and decoupled.
+    independent runs of the bit-CDS disclose the key exactly on revealing
+    inputs. Hiding inputs leave the pad key uniform to the referee, so the
+    qubit they hold is maximally mixed and decoupled. Each run's message
+    counts come from one sweep per secret, checked against
+    ``DEFAULT_BUDGET`` first; the product weights stay integers until one
+    division by the squared joint randomness.
     """
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
-    K = cds_parallel(C, 2)
+    joint = _joint(C)
 
-    def key_of(x, y, transcript):
-        m0, m1 = transcript
-        return K.decode(m0, x, m1, y)
+    def bit_hists(x, y):
+        _check_budget(len(C.secrets) * joint, DEFAULT_BUDGET, "cdqs_from_cds")
+        return {s: message_hist(C, x, y, s) for s in C.secrets}
+
+    def bit_of(x, y, m):
+        return C.decode(m[0], x, m[1], y)
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1,
-                 "cds_randomness_states": K.shared.size}
+                 "cds_randomness_states": space_size(C.shared) ** 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
             "parameters": {"cds": C.meta}}
-    return _pad_cdqs(C.f, K.meta["message_classes"], key_of, C.domain, resources,
-                     meta, key_cds=K)
+    return _pad_cdqs(C.f, bit_hists, bit_of, joint ** 2, C.domain, resources, meta)
 
 
 def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
@@ -571,11 +596,12 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     underneath. Revealing inputs let the right side decode the key and unpad.
     On hiding inputs the messages carry no key information, so Alice, who kept
     her key register coherent, can rotate it through the pad-to-EPR basis and
-    swap the qubit back onto her side.
+    swap the qubit back onto her side. The route reuses C's run and pad key,
+    so any pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one
+    made from a router has no pad key and is refused.
     """
-    if C.key_cds is None:
-        raise ValidationError("need a protocol exposing its key-disclosing scheme")
-    K = C.key_cds
+    if C.key_of is None:
+        raise ValidationError("need a protocol exposing its pad key")
     f = C.f
 
     def exit_info(x, y):
@@ -584,22 +610,21 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
         return LEFT, None
 
     def correction(x, y, transcript):
-        m0, m1 = transcript
-        return _inverse_pad(K.decode(m0, x, m1, y))
+        return _inverse_pad(C.key_of(x, y, transcript))
 
     def holdings(x, y):
         return {"left": (), "right": ("Q",)}
 
     def left_fidelity(x, y, psi):
-        return otp_reconstruct_left(K, x, y, psi)
+        return otp_reconstruct_left(C.key_classes(x, y), psi)
 
     resources = dict(C.resources)
     resources["qubits_sent"] = 1
     meta = {"kind": "frouting", "compiler": "frouting_from_cdqs",
             "parameters": {"cdqs": C.meta}}
-    return FRoutingProtocol(f, _pad_run(K.meta["message_classes"]), exit_info, correction,
-                            holdings=holdings, left_fidelity=left_fidelity,
-                            domain=C.domain, resources=resources, meta=meta)
+    return FRoutingProtocol(f, C.run, exit_info, correction, holdings=holdings,
+                            left_fidelity=left_fidelity, domain=C.domain,
+                            resources=resources, meta=meta)
 
 
 def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
@@ -682,17 +707,14 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     def hist_for(x, y):
         return {b.transcript: b.prob for b in P.run(x, y)}
 
-    @cache
-    def classes_for(x, y):
+    def bit_hists(x, y):
         # key bit 0 runs the substitute input, key bit 1 the real one
-        hists = {0: hist_for(x_star, y_star), 1: hist_for(x, y)}
-        return class_product(transcript_classes(hists, P.decode), 2)
+        return {0: hist_for(x_star, y_star), 1: hist_for(x, y)}
 
-    def key_of(x, y, transcript):
-        t1, t2 = transcript
-        return (P.decode(t1), P.decode(t2))
+    def bit_of(x, y, t):
+        return P.decode(t)
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_psqm",
             "parameters": {"psqm": P.meta, "substitute": [x_star, y_star]}}
-    return _pad_cdqs(f, classes_for, key_of, P.domain, resources, meta)
+    return _pad_cdqs(f, bit_hists, bit_of, 1, P.domain, resources, meta)

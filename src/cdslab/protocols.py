@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import permutations, product
 from typing import Callable, NamedTuple, Optional
 
@@ -870,62 +869,6 @@ def class_product(classes: list, copies: int) -> list:
                                  j.count * c.count)
                  for j in joint for c in classes]
     return joint
-
-
-def cds_parallel(P: CdsProtocol, copies: int) -> CdsProtocol:
-    """Independent copies side by side; hides a tuple of secrets.
-
-    Worst-case error and leakage each scale at most linearly in the number of
-    copies; randomness and communication scale exactly linearly. Because the
-    copies draw independent randomness, the joint message distribution is the
-    product of per-copy distributions. ``meta["message_classes"](x, y)``
-    returns the joint transcript classes (``TranscriptClass`` with
-    probabilities as weights, keyed by secret tuples), composed from per-copy
-    classes, so downstream sweeps enumerate neither the product randomness
-    nor the product transcripts. They are computed once per input pair and
-    kept, since the quantum verifiers ask again for every swept qubit state;
-    the per-copy sweep they cost is checked against ``DEFAULT_BUDGET`` first.
-    The product spaces are lazy, so only their sizes are ever read on the
-    way to the quantum routes.
-    """
-    if copies < 1:
-        raise ValidationError("need at least one copy")
-    secrets = tuple(product(P.secrets, repeat=copies))
-    shared = product_space(P.shared, copies)
-    alice_private = product_space(P.alice_private, copies)
-    bob_private = product_space(P.bob_private, copies)
-    per_copy = _joint(P)
-    denom = per_copy ** copies
-
-    def alice_msg(x, s, r, ra):
-        return tuple(P.alice_msg(x, s[i], r[i], ra[i]) for i in range(copies))
-
-    def bob_msg(y, r, rb):
-        return tuple(P.bob_msg(y, r[i], rb[i]) for i in range(copies))
-
-    def decode(m0, x, m1, y):
-        return tuple(P.decode(m0[i], x, m1[i], y) for i in range(copies))
-
-    @cache
-    def message_classes(x, y):
-        _check_budget(len(P.secrets) * per_copy, DEFAULT_BUDGET, "cds_parallel")
-        hists = {s: message_hist(P, x, y, s) for s in P.secrets}
-        classes = transcript_classes(hists, lambda m: P.decode(m[0], x, m[1], y))
-        return [TranscriptClass(tuple(zip(*c.rep)),
-                                {s: w / denom for s, w in c.weights.items()},
-                                c.count)
-                for c in class_product(classes, copies)]
-
-    resources = {f"per_copy_{k}": v for k, v in P.resources.items()}
-    resources["copies"] = copies
-    if "randomness_bits" in P.resources:
-        resources["randomness_bits"] = copies * P.resources["randomness_bits"]
-    meta = {"kind": "cds", "compiler": "cds_parallel",
-            "parameters": {"copies": copies, "inner": P.meta},
-            "message_classes": message_classes}
-    return CdsProtocol(P.f, secrets, shared, alice_msg, bob_msg, decode,
-                       alice_private=alice_private, bob_private=bob_private,
-                       domain=P.domain, resources=resources, meta=meta)
 
 
 # -- DRE and PSM constructions ------------------------------------------------

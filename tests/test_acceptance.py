@@ -170,7 +170,7 @@ def test_criterion_08_route_round_trip_preserves_disclosure():
     worst_rec = 1.0
     for (x, y) in ((0, 0), (0, 1), (1, 0)):  # the f = 0 side
         for seed in range(10):
-            rec = otp_reconstruct_left(C.key_cds, x, y, random_qubit(seed).vec)
+            rec = otp_reconstruct_left(C.key_classes(x, y), random_qubit(seed).vec)
             worst_rec = min(worst_rec, rec)
             assert rec >= 1 - 1e-9, (x, y, seed)
     print(f"criterion 08 PASS: round trip keeps "

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cdslab.cli import main
+from cdslab.cli import BASES, COMPILE, main
 
 
 def _read(path):
@@ -190,6 +190,8 @@ def test_stdout_output(capsys):
     ("span,cds", "or", ["--p", "3"]),
     ("psm,cds", "index", []),
     ("psm,psqm", "and", []),
+    ("psm,psqm,cdqs,frouting", "and", []),
+    ("dre,psm,psqm,cdqs,frouting", "qr", ["--p", "5"]),
 ])
 def test_every_listed_edge_passes(tmp_path, chain, fn, extra):
     desc = tmp_path / "d.json"
@@ -256,8 +258,37 @@ def test_generic_two_bit_routes_verify(tmp_path, chain, fn):
     assert report["report"]["max_branches"] == 16
 
 
+def _chains(stages: int) -> list:
+    """Every chain of at most ``stages`` stages along the compile edges."""
+    chains = []
+
+    def extend(chain):
+        chains.append(chain)
+        if len(chain) < stages:
+            for (a, b) in COMPILE:
+                if a == chain[-1]:
+                    extend(chain + (b,))
+
+    for base in BASES:
+        extend((base,))
+    return [",".join(chain) for chain in chains]
+
+
+_CHAIN_ARGS = {"gh": ["--fn", "and"], "span": ["--fn", "and"], "psm": ["--fn", "and"],
+               "dre": ["--fn", "qr", "--p", "5"]}
+
+
+@pytest.mark.parametrize("chain", _chains(6))
+def test_every_compile_chain_builds(tmp_path, chain):
+    # a CDQS made from a router has no pad key to route by; every other path
+    # along the compile edges builds
+    code = main(["build", "--chain", chain, *_CHAIN_ARGS[chain.split(",")[0]],
+                 "--out", str(tmp_path / "d.json")])
+    assert code == (2 if "frouting,cdqs,frouting" in chain else 0)
+
+
 def test_qr11_pad_route_builds(tmp_path):
-    # the parallel CDS's product spaces are sized, not built: 26,620^2 shared
+    # cdqs_from_cds sizes the key's randomness, 26,620^2 states, without building it
     assert main(["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "11",
                  "--out", str(tmp_path / "d.json")]) == 0
 
@@ -277,7 +308,7 @@ print(json.dumps(codes))
 
 def test_span_ip_spaces_are_lazy(tmp_path):
     # 3^19 shared vectors: the classical chain verifies by coset, and the
-    # quantum one stops on the parallel CDS's budget before it sweeps them
+    # quantum one stops on cdqs_from_cds's key-sweep budget before it sweeps them
     env = _child_env()
     run = subprocess.run([sys.executable, "-c", _SPAN_IP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
@@ -286,7 +317,7 @@ def test_span_ip_spaces_are_lazy(tmp_path):
     assert json.loads((tmp_path / "a.rep.json").read_text())["status"] == "pass"
     stop = json.loads((tmp_path / "b.rep.json").read_text())
     assert (stop["status"], stop["space"], stop["size"], stop["limit"]) == (
-        "budget", "cds_parallel joint states", 2 * 3 ** 19, 1 << 24)
+        "budget", "cdqs_from_cds joint states", 2 * 3 ** 19, 1 << 24)
 
 
 _LIMITED_MAIN = """
@@ -303,7 +334,7 @@ sys.exit(main(sys.argv[1:]))
     ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm joint states"),
     ("dre", ["--fn", "qr", "--p", "257"], None),
     ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "5"],
-     "cds_parallel joint states"),
+     "cdqs_from_cds joint states"),
     ("dre,psm,psqm", ["--fn", "qr", "--p", "31"], "psqm_from_psm joint states"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):

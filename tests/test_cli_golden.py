@@ -46,6 +46,8 @@ CASES = {
     "psm_cds_const0": (["--chain", "psm,cds", "--table", "1:1:0"], "json"),
     "psm_cds_const1": (["--chain", "psm,cds", "--table", "1:1:f"], "json"),
     "psm_psqm_cdqs_and": (["--chain", "psm,psqm,cdqs", "--fn", "and"], "json"),
+    "psm_psqm_cdqs_frouting_and": (["--chain", "psm,psqm,cdqs,frouting", "--fn", "and"],
+                                   "json"),
     "gh_frouting_cdqs": (["--chain", "gh,frouting,cdqs", "--fn", "and"], "json"),
     "gh_cds_cdqs_frouting": (["--chain", "gh,cds,cdqs,frouting", "--fn", "and"],
                              "json"),

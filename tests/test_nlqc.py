@@ -137,11 +137,11 @@ def test_pad_route_round_trip_preserves_quality():
 
 def test_otp_reconstruction_values():
     # hidden key: recovery probability is exactly 1; disclosed key: 1/2
-    K = cdqs_from_cds(_gh_cds(AND1)).key_cds
+    C = cdqs_from_cds(_gh_cds(AND1))
     psi = random_qubit(17).vec
     for (x, y) in ((0, 0), (0, 1), (1, 0)):
-        assert abs(otp_reconstruct_left(K, x, y, psi) - 1.0) < 1e-12
-    assert abs(otp_reconstruct_left(K, 1, 1, psi) - 0.5) < 1e-12
+        assert abs(otp_reconstruct_left(C.key_classes(x, y), psi) - 1.0) < 1e-12
+    assert abs(otp_reconstruct_left(C.key_classes(1, 1), psi) - 0.5) < 1e-12
 
 
 def test_qr5_pad_route_fits_the_qubit_cap():

@@ -17,7 +17,7 @@ from cdslab.boolfn import from_table, named_fn, qr_split_inputs
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, Dre, PsmProtocol, cds_from_gh,
-                              cds_from_psm, cds_from_span, cds_parallel, dre_qr,
+                              cds_from_psm, cds_from_span, dre_qr,
                               psm_from_dre, psm_generic_table, qr_value,
                               verify_cds, verify_dre, verify_psm)
 
@@ -149,14 +149,6 @@ def test_span_cds_validation():
         cds_from_span(span_and1(2), MAJ)  # variable count mismatch
     with pytest.raises(ValidationError):
         cds_from_span(span_and1(2), AND1, variant="fast")
-
-
-def test_parallel_copies():
-    P = cds_parallel(_xor_cds(), 2)
-    assert P.secrets == tuple(product((0, 1), repeat=2))
-    assert P.resources["randomness_bits"] == 4
-    report = verify_cds(P)
-    assert report.perfect
 
 
 def test_dre_qr_frozen_example():
@@ -295,8 +287,8 @@ def test_product_space_matches_itertools():
     assert len(space) == 27
     assert tuple(space) == want
     assert [space[i] for i in range(-27, 27)] == list(want) * 2
-    P = cds_parallel(_xor_cds(), 2)
-    assert tuple(P.shared) == tuple(product(_xor_cds().shared, repeat=2))
+    shared = _xor_cds().shared
+    assert tuple(product_space(shared, 2)) == tuple(product(shared, repeat=2))
     assert space_size(product_space(range(5), 40)) == 5 ** 40   # past 2^63
     # the compilers' spaces that were tuples list lazily in the same order
     f = named_fn("index", n_x=1)

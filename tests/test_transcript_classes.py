@@ -1,22 +1,21 @@
 """Transcript classes against a flat reference with one branch per transcript.
 
 The reference builds each pad-and-disclose run the way the verifiers saw it
-before classes: the joint message distribution of the key-disclosing CDS is
-the per-key product of per-copy ``message_hist`` counts, and every joint
-transcript is its own branch. Class runs must give the same figures within
-1e-12 and the same branch counts as integers.
+before classes: the distribution of a transcript, one run transcript per key
+bit, is the per-key product of the two runs' distributions, and every pair
+of run transcripts is its own branch. Class runs must give the same figures
+within 1e-12 and the same branch counts as integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import nlqc, protocols
+from cdslab import nlqc
 from cdslab.algebra import span_and1, span_dnf, span_eq1
 from cdslab.boolfn import from_table, literal_input, named_fn
 from cdslab.gardenhose import gh_generic, gh_search
@@ -26,7 +25,7 @@ from cdslab.nlqc import (KEYS, RunBranch, cdqs_from_cds, cdqs_from_psqm,
 from cdslab.protocols import (CdsProtocol, TranscriptClass, cds_from_gh,
                               cds_from_psm, cds_from_span, dre_qr, message_hist,
                               psm_from_dre, psm_generic_table, transcript_classes)
-from cdslab.quantum import epr_pairs, phased_pad, random_qubit
+from cdslab.quantum import epr_pairs, random_qubit
 
 TOL = 1e-12
 AND1 = named_fn("and", n=1)
@@ -37,31 +36,26 @@ EQ1 = named_fn("eq", n=1)
 # -- the flat reference ----------------------------------------------------------
 
 
-def _flat_message_classes(P: CdsProtocol, copies: int):
-    """One singleton class per joint transcript of ``copies`` runs of P."""
-    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
-
-    def message_classes(x, y):
-        base = {s: {m: c / joint for m, c in message_hist(P, x, y, s).items()}
-                for s in P.secrets}
+def _flat_classes(bit_hists):
+    """One singleton class per pair of run transcripts, weighted under each key."""
+    def key_classes(x, y):
+        hists = bit_hists(x, y)
         weights = {}
-        for key in product(P.secrets, repeat=copies):
-            acc = {((), ()): 1.0}
-            for s_i in key:
-                acc = {(pm0 + (m0,), pm1 + (m1,)): pp * q
-                       for (pm0, pm1), pp in acc.items()
-                       for (m0, m1), q in base[s_i].items()}
-            for m, p in acc.items():
-                weights.setdefault(m, {})[key] = p
-        return [TranscriptClass(m, w, 1) for m, w in weights.items()]
+        for key in KEYS:
+            for t1, p1 in hists[key[0]].items():
+                for t2, p2 in hists[key[1]].items():
+                    weights.setdefault((t1, t2), {})[key] = p1 * p2
+        return [TranscriptClass(t, w, 1) for t, w in weights.items()]
 
-    return message_classes
+    return key_classes
 
 
-def _flat_parallel(P, copies):
-    K = protocols.cds_parallel(P, copies)
-    K.meta["message_classes"] = _flat_message_classes(P, copies)
-    return K
+def _flat_message_classes(P: CdsProtocol):
+    """Flat classes of two runs of P; a run's transcript is its (m0, m1)."""
+    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
+    return _flat_classes(lambda x, y: {
+        s: {m: c / joint for m, c in message_hist(P, x, y, s).items()}
+        for s in P.secrets})
 
 
 _UNPAD = nlqc._unpad   # the module's own, before ``_verify_flat`` patches it
@@ -117,39 +111,29 @@ def _memo_states(run):
     return memo_run
 
 
+def _with_flat(classed, flat):
+    """``classed`` with the flat key classes ``flat`` in place of its own."""
+    return replace(classed, run=_memo_states(nlqc._pad_run(flat)), key_classes=flat)
+
+
 def _class_and_flat_cdqs(cds):
     classed = cdqs_from_cds(cds)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(nlqc, "cds_parallel", _flat_parallel)
-        flat = cdqs_from_cds(cds)
-    return classed, replace(flat, run=_memo_states(flat.run))
+    return classed, _with_flat(classed, _flat_message_classes(cds))
 
 
-def _flat_psqm_run(Q, x_star, y_star):
-    """The psqm route's run with one branch per pair of run transcripts."""
+def _flat_psqm_classes(Q, x_star, y_star):
+    """Flat classes of the psqm route: key bit 0 runs the substitute input."""
     def hist(x, y):
         return {b.transcript: b.prob for b in Q.run(x, y)}
 
-    def run(x, y, carrier, q_reg):
-        branches = []
-        for s1, s2 in KEYS:
-            padded = carrier.apply(phased_pad(s1, s2), [q_reg])
-            h1 = hist(x, y) if s1 else hist(x_star, y_star)
-            h2 = hist(x, y) if s2 else hist(x_star, y_star)
-            for t1, p1 in h1.items():
-                for t2, p2 in h2.items():
-                    branches.append(RunBranch(0.25 * p1 * p2, (t1, t2), padded))
-        return branches
-
-    return run
+    return _flat_classes(lambda x, y: {0: hist(x_star, y_star), 1: hist(x, y)})
 
 
 def _class_and_flat_psqm(psm):
     Q = psqm_from_psm(psm)
     classed = cdqs_from_psqm(Q)
     x_star, y_star = classed.meta["parameters"]["substitute"]
-    return classed, replace(classed,
-                            run=_memo_states(_flat_psqm_run(Q, x_star, y_star)))
+    return classed, _with_flat(classed, _flat_psqm_classes(Q, x_star, y_star))
 
 
 # -- comparisons ------------------------------------------------------------------
@@ -178,31 +162,27 @@ def _same_sweep(a, b) -> None:
         assert abs(v - b["per_input"][key]) <= TOL, key
 
 
-def _check_cds_route(cds, routing=True, sweep=True) -> None:
-    classed, flat = _class_and_flat_cdqs(cds)
+def _check_route(classed, flat, routing, sweep) -> None:
     _same_report(verify_cdqs(classed), _verify_flat(flat))
     if sweep:
         _same_sweep(security_state_sweep(classed, seeds=range(2)),
                     security_state_sweep(flat, seeds=range(2)))
     if routing:
-        R = frouting_from_cdqs(classed)
-        R_flat = frouting_from_cdqs(flat)
-        R_flat = replace(R_flat, run=_memo_states(R_flat.run))
-        _same_report(verify_frouting(R, sweep_seeds=range(2)),
-                     verify_frouting(R_flat, sweep_seeds=range(2)))
+        _same_report(verify_frouting(frouting_from_cdqs(classed), sweep_seeds=range(2)),
+                     verify_frouting(frouting_from_cdqs(flat), sweep_seeds=range(2)))
         psi = random_qubit(5).vec
         for (x, y) in classed.input_pairs():
-            got = otp_reconstruct_left(classed.key_cds, x, y, psi)
-            want = otp_reconstruct_left(flat.key_cds, x, y, psi)
+            got = otp_reconstruct_left(classed.key_classes(x, y), psi)
+            want = otp_reconstruct_left(flat.key_classes(x, y), psi)
             assert abs(got - want) <= TOL, (x, y)
 
 
-def _check_psqm_route(psm, sweep=True) -> None:
-    classed, flat = _class_and_flat_psqm(psm)
-    _same_report(verify_cdqs(classed), _verify_flat(flat))
-    if sweep:
-        _same_sweep(security_state_sweep(classed, seeds=range(2)),
-                    security_state_sweep(flat, seeds=range(2)))
+def _check_cds_route(cds, routing=True, sweep=True) -> None:
+    _check_route(*_class_and_flat_cdqs(cds), routing, sweep)
+
+
+def _check_psqm_route(psm, routing=True, sweep=True) -> None:
+    _check_route(*_class_and_flat_psqm(psm), routing, sweep)
 
 
 def _span_xor1(p):
@@ -263,16 +243,17 @@ def test_psm_table_routes_match_flat():
     _check_cds_route(cds_from_psm(psm))
     _check_psqm_route(psm)
     # index1's flat cds route has up to 768^2 joint transcripts per key; its psqm
-    # route is small
-    _check_psqm_route(psm_generic_table(named_fn("index", n_x=1)), sweep=False)
+    # route is small, though its flat transcripts need a 12-qubit message register
+    _check_psqm_route(psm_generic_table(named_fn("index", n_x=1)), routing=False,
+                      sweep=False)
 
 
 def test_qr5_routes_match_flat():
     # the flat reference takes seconds per run here, so verify_cdqs only;
-    # flat otp_reconstruct_left would need a 14-qubit message register
+    # flat otp_reconstruct_left would need a message register past 14 qubits
     psm = psm_from_dre(dre_qr(5))
     _check_cds_route(cds_from_psm(psm), routing=False, sweep=False)
-    _check_psqm_route(psm, sweep=False)
+    _check_psqm_route(psm, routing=False, sweep=False)
 
 
 @settings(max_examples=8, deadline=None)
@@ -327,7 +308,7 @@ def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
         calls.append((x, y) + secret)
         return message_hist(P, x, y, *secret)
 
-    monkeypatch.setattr(protocols, "message_hist", counted)
+    monkeypatch.setattr(nlqc, "message_hist", counted)
     cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
     verify_frouting(frouting_from_cdqs(cdqs))
     sweep = security_state_sweep(cdqs, seeds=range(2))
