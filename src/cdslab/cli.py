@@ -39,7 +39,12 @@ BASES = ("gh", "span", "dre", "psm")
 
 
 def _nlqc():
-    """The quantum module, imported (with numpy) only by chains that need it."""
+    """The quantum protocol compilers, imported only by chains that need them.
+
+    Loading ``nlqc`` loads no numpy: a chain with a quantum stage imports
+    numpy at its first run, so ``build`` of any chain, and a ``verify``
+    refused or stopped on a budget before any run, never do.
+    """
     from . import nlqc
     return nlqc
 
@@ -53,8 +58,8 @@ COMPILE = {  # (from, to) -> compile(obj, f, opts)
     ("span", "cds"): lambda obj, f, opts: cds_from_span(obj, f, variant=opts["variant"]),
     ("dre", "psm"): lambda obj, f, opts: psm_from_dre(obj),
     ("psm", "cds"): lambda obj, f, opts: cds_from_psm(obj),
-    ("psm", "psqm"): lambda obj, f, opts: _nlqc().psqm_from_psm(obj),
-    ("cds", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_cds(obj),
+    ("psm", "psqm"): lambda obj, f, opts: _nlqc().psqm_from_psm(obj, opts["budget"]),
+    ("cds", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_cds(obj, opts["budget"]),
     ("cdqs", "frouting"): lambda obj, f, opts: _nlqc().frouting_from_cdqs(obj),
     ("frouting", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_frouting(obj),
     ("psqm", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_psqm(obj),

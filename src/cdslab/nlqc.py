@@ -15,6 +15,12 @@ Pauli-frame class: teleporting through fresh EPR links, the transcripts of
 a class leave the routed qubit in one state up to a phase, and each link
 enters the state only when the water path reaches it.
 
+Every protocol here is compiled from classical data (a pad key a CDS or
+PSM discloses, or a garden-hose water path), so the compilers need no
+amplitude and this module loads without numpy. The statevector layer,
+``quantum`` and numpy with it, is imported at a protocol's first run,
+recovery or verification.
+
 Verification uses two complementary views:
 
 * correctness feeds half an EPR pair through the protocol and compares the
@@ -30,9 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
@@ -40,12 +44,26 @@ from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
                         TranscriptClass, _check_budget, _joint, _worst_pair,
                         class_product, message_hist, space_size, transcript_classes)
-from .quantum import (I2, MAX_QUBITS, PAULI_EIGENSTATES, PHI_PLUS, PureState,
-                      U_BELL, X, Z, epr_pairs, fidelity, phased_pad, random_qubit)
 
-PHI_PLUS_DM = np.outer(PHI_PLUS, PHI_PLUS.conj())
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quantum import PureState
 
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _statevector():
+    """(numpy, the ``quantum`` module), imported at their first use.
+
+    Compilers build closures, plans and key classes only, so compiling a
+    chain loads neither; runs, recoveries and verifiers fetch both here at
+    call time, which also reads ``quantum.MAX_QUBITS`` as it stands then.
+    """
+    import numpy as np
+
+    from . import quantum
+    return np, quantum
 
 
 @dataclass(frozen=True)
@@ -219,10 +237,11 @@ def _choi_fidelity(branches, fix: Callable, out: str) -> float:
 
     ``fix(b)`` is branch b's state after the receiver's correction.
     """
+    np, quantum = _statevector()
     rho = np.zeros((4, 4), dtype=complex)
     for b in branches:
         rho += b.prob * fix(b).ptrace(["R", out]).mat
-    return fidelity(rho, PHI_PLUS_DM)
+    return quantum.fidelity(rho, np.outer(quantum.PHI_PLUS, quantum.PHI_PLUS.conj()))
 
 
 def _view_blocks(branches, regs) -> dict:
@@ -231,6 +250,7 @@ def _view_blocks(branches, regs) -> dict:
     With ``regs`` None, or a branch without a state, the transcript is the
     whole view.
     """
+    np, _ = _statevector()
     blocks = {}
     for b in branches:
         if regs is None or b.state is None:
@@ -246,6 +266,7 @@ def _block_gap(blocks: dict, d_ref: int) -> float:
     """Half trace norm of (block-diagonal view) minus (marginal product)."""
     if not blocks:
         return 0.0
+    np, _ = _statevector()
     mats = np.stack(list(blocks.values()))
     t, d, _ = mats.shape
     d_msg = d // d_ref
@@ -260,6 +281,7 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
     keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
     if not keys:
         return 0.0
+    np, _ = _statevector()
     zero = np.zeros_like(next(iter((blocks_a or blocks_b).values())))
     diffs = np.stack([blocks_a.get(k, zero) - blocks_b.get(k, zero) for k in keys])
     vals = np.linalg.eigvalsh(diffs)
@@ -268,9 +290,10 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
 
 def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
+    _, quantum = _statevector()
     sweep = _Sweep(budget)
     for (x, y) in P.input_pairs():
-        branches, n = sweep.run(P.run, x, y, epr_pairs([("R", "Q")]), "Q")
+        branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
         if P.f.eval(x, y) == 1:
             F = _choi_fidelity(branches,
                                lambda b: P.recover(x, y, b.transcript, b.state),
@@ -290,18 +313,20 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
 
     Branch-register sides are checked through the Choi state; sides that
     reconstruct by local decoding are swept over the six Pauli eigenstates
-    plus seeded random qubits, keeping the worst fidelity.
+    plus seeded random qubits, keeping the worst fidelity. Those states are
+    made at the first input that needs them, so a route whose every side
+    holds a branch register never makes them.
     """
+    _, quantum = _statevector()
     sweep = _Sweep(budget)
-    secrets = [vec for (_, vec) in PAULI_EIGENSTATES]
-    secrets += [random_qubit(seed).vec for seed in sweep_seeds]
+    secrets = None
     for (x, y) in P.input_pairs():
         fx = P.f.eval(x, y)
         side, reg = P.exit_info(x, y)
         if (side == RIGHT) != (fx == 1):
             sweep.witnesses["side"] = (x, y)
         if reg is not None:
-            branches, n = sweep.run(P.run, x, y, epr_pairs([("R", "Q")]), "Q")
+            branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
             F = _choi_fidelity(
                 branches,
                 lambda b: b.state.apply(P.correction(x, y, b.transcript), [reg]),
@@ -309,6 +334,9 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
         else:
             if P.left_fidelity is None:
                 raise ValidationError("no register and no local reconstruction")
+            if secrets is None:
+                secrets = [vec for (_, vec) in quantum.PAULI_EIGENSTATES]
+                secrets += [quantum.random_qubit(seed).vec for seed in sweep_seeds]
             F = min(P.left_fidelity(x, y, vec) for vec in secrets)
             n = 0
         sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
@@ -340,9 +368,10 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
     qubits as the secret; a protocol that leaks nothing produces views at
     distance zero from each other.
     """
-    states = [(name, PureState.from_qubit("Q", vec))
-              for (name, vec) in PAULI_EIGENSTATES]
-    states += [(f"rand{seed}", random_qubit(seed).rename({"q": "Q"}))
+    _, quantum = _statevector()
+    states = [(name, quantum.PureState.from_qubit("Q", vec))
+              for (name, vec) in quantum.PAULI_EIGENSTATES]
+    states += [(f"rand{seed}", quantum.random_qubit(seed).rename({"q": "Q"}))
                for seed in seeds]
     worst = 0.0
     per_input = {}
@@ -371,6 +400,8 @@ def pauli_frame(outcomes) -> np.ndarray:
     act on the already-twisted state, so the net twist is the ordered product
     and the correction is its adjoint.
     """
+    _, quantum = _statevector()
+    I2, X, Z = quantum.I2, quantum.X, quantum.Z
     net = I2
     for (a, b) in outcomes:
         net = ((X if a else I2) @ (Z if b else I2)) @ net
@@ -395,15 +426,17 @@ def otp_reconstruct_left(classes: list, psi) -> float:
     superposition to one basis vector is an isometry on the register, which
     is traced out.
     """
+    np, quantum = _statevector()
     psi = np.asarray(psi, dtype=complex).reshape(2)
     psi = psi / np.linalg.norm(psi)
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
-    if 3 + kq > MAX_QUBITS:
+    if 3 + kq > quantum.MAX_QUBITS:
         raise BudgetError(f"message register needs {kq} qubits",
-                          space="qubits per factor", size=3 + kq, limit=MAX_QUBITS)
+                          space="qubits per factor", size=3 + kq,
+                          limit=quantum.MAX_QUBITS)
     vec = np.zeros(1 << (3 + kq), dtype=complex)
     for s in KEYS:
-        padded = phased_pad(*s) @ psi
+        padded = quantum.phased_pad(*s) @ psi
         base = ((s[0] << 1) | s[1]) << (1 + kq)
         for i, c in enumerate(classes):
             prob = c.weights.get(s)
@@ -412,8 +445,8 @@ def otp_reconstruct_left(classes: list, psi) -> float:
             amp = 0.5 * math.sqrt(prob)
             vec[base | i] += amp * padded[0]
             vec[base | i | (1 << kq)] += amp * padded[1]
-    state = PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
-    state = state.apply(U_BELL, ["A1", "A2"])
+    state = quantum.PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
+    state = state.apply(quantum.U_BELL, ["A1", "A2"])
     rho = state.ptrace(["A2"]).mat
     return float(np.real(psi.conj() @ rho @ psi))
 
@@ -430,9 +463,10 @@ def _pad_run(classes_of: Callable) -> Callable:
     """
     def run(x, y, carrier, q_reg):
         classes = classes_of(x, y)
+        _, quantum = _statevector()
         branches = []
         for s in KEYS:
-            padded = carrier.apply(phased_pad(*s), [q_reg])
+            padded = carrier.apply(quantum.phased_pad(*s), [q_reg])
             for c in classes:
                 prob = c.weights.get(s)
                 if prob:
@@ -444,7 +478,8 @@ def _pad_run(classes_of: Callable) -> Callable:
 
 def _inverse_pad(s) -> np.ndarray:
     """Inverse of pad key s; the identity when s is a failed decode."""
-    return phased_pad(*s).conj().T if s in KEYS else I2
+    _, quantum = _statevector()
+    return quantum.phased_pad(*s).conj().T if s in KEYS else quantum.I2
 
 
 def _unpad(state: PureState, s) -> PureState:
@@ -482,23 +517,23 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
                         domain=domain, resources=resources, meta=meta)
 
 
-def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
+def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     """Quantum one-time pad keyed by two secret bits a classical CDS hides.
 
     Alice pads the secret qubit with the two-bit key and sends it along; two
     independent runs of the bit-CDS disclose the key exactly on revealing
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
-    counts come from one sweep per secret, checked against
-    ``DEFAULT_BUDGET`` first; the product weights stay integers until one
-    division by the squared joint randomness.
+    counts come from one sweep per secret, checked against ``budget``
+    first; the product weights stay integers until one division by the
+    squared joint randomness.
     """
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     joint = _joint(C)
 
     def bit_hists(x, y):
-        _check_budget(len(C.secrets) * joint, DEFAULT_BUDGET, "cdqs_from_cds")
+        _check_budget(len(C.secrets) * joint, budget, "cdqs_from_cds")
         return {s: message_hist(C, x, y, s) for s in C.secrets}
 
     def bit_of(x, y, m):
@@ -529,17 +564,17 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     is represented by its first transcript, (0, 0) at every hop but the last
     and (A, B) there, with probability 1/4 and its raw count.
 
-    A run starts from the carrier alone and tensors each link in at the hop
-    that measures it, so a hop acts on at most four qubits: the reference,
-    the carried qubit and a link. Links off the water path never enter the
-    state, and ``holdings`` names only the exit register, on its side: an
-    EPR pair no operation touched tensors every referee view block by the
-    same trace-one operator, so leaving it out changes no trace norm.
+    A run starts from the carrier alone, and the hop that measures a link
+    makes it and tensors it in, so a hop acts on at most four qubits: the
+    reference, the carried qubit and a link. Compiling makes no link, links
+    off the water path are never made, and ``holdings`` names only the exit
+    register, on its side: an EPR pair no operation touched tensors every
+    referee view block by the same trace-one operator, so leaving it out
+    changes no trace norm.
     """
     if not gh_verify(strategy, f):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
-    links = {i: epr_pairs([(f"L{i}", f"R{i}")]) for i in range(1, m + 1)}
 
     def plan_for(x, y):
         outcome = gh_eval(strategy, x, y)
@@ -560,11 +595,13 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     plans = {(x, y): plan_for(x, y) for (x, y) in f.inputs()}
 
     def run(x, y, carrier, q_reg):
+        _, quantum = _statevector()
         plan = plans[(x, y)][0]
         state = carrier
         for reg_a, reg_b, desc in plan:
             # a hop's label ends in the pipe whose link it measures half of
-            outcomes = state.tensor(links[desc[2]]).bell_measure(
+            link = quantum.epr_pairs([(f"L{desc[2]}", f"R{desc[2]}")])
+            outcomes = state.tensor(link).bell_measure(
                 q_reg if reg_a == "q" else reg_a, reg_b)
             state = next(st for ab, _, st in outcomes if ab == (0, 0))
         first = tuple((desc, (0, 0)) for (_, _, desc) in plan[:-1])
@@ -659,18 +696,18 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
                         resources=resources, meta=meta)
 
 
-def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
+def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
     """A classical PSM is a simultaneous-message protocol with no qubits.
 
     A run sweeps P's joint randomness for one input pair. The sweep over
     every pair, the count ``verify_psm`` charges a PSM without a linear
-    part, is checked against ``DEFAULT_BUDGET`` before any run starts.
+    part, is checked against ``budget`` before any run starts.
     """
     joint = _joint(P)
     sweep = joint * max(1, len(P.input_pairs()))
 
     def run(x, y):
-        _check_budget(sweep, DEFAULT_BUDGET, "psqm_from_psm")
+        _check_budget(sweep, budget, "psqm_from_psm")
         return [RunBranch(c / joint, m, None) for m, c in
                 sorted(message_hist(P, x, y).items(), key=lambda kv: repr(kv[0]))]
 

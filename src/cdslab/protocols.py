@@ -17,7 +17,8 @@ Conventions shared by every protocol type here:
   affine over Z_p in part of the randomness. The verifiers then count one
   coset of messages at a time (``coset_hist``) instead of enumerating that
   part; ``message_hist`` stays the reference and the path of every other
-  protocol. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre`` declare it.
+  protocol. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre`` declare it,
+  and ``cds_from_psm`` does over a PSM that declares it.
 """
 
 from __future__ import annotations
@@ -751,6 +752,11 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     becomes f(x, y) AND s'. Alice additionally sends s XOR s'. When
     f(x, y) = 1 the referee reads s' off the PSM and unmasks the secret; when
     f(x, y) = 0 the selector stays hidden, and with it the secret.
+
+    Over a PSM declaring ``meta["linear"]`` the CDS declares one too: for
+    each (nu, s') the messages are the PSM's, affine in its rho, plus the
+    masked bit, a constant coordinate. So (nu, s') is nonlinear, in
+    ``shared``'s order, and rho stays linear.
     """
     f = P.f
     pairs = P.input_pairs()
@@ -808,6 +814,16 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     meta = {"kind": "cds", "compiler": "cds_from_psm",
             "parameters": {"substitute": [x_star, y_star],
                            "psm": P.meta.get("compiler", "psm")}}
+    lin = P.meta.get("linear")
+    if lin is not None:
+
+        def embed(nu_sel, rho):
+            nu, sel = nu_sel
+            r, ra, rb = lin.embed(nu, rho)
+            return (r, sel), ra, rb
+
+        meta["linear"] = LinearPart(lin.p, tuple((nu, sel) for nu in lin.nus
+                                                 for sel in (0, 1)), lin.ell, embed)
     return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
                        alice_private=P.alice_private, bob_private=P.bob_private,
                        domain=P.domain, resources=resources, meta=meta)

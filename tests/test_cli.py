@@ -233,6 +233,52 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     assert out.strip() == "[0, 0] []"
 
 
+_QUANTUM_RUN = """
+import json, sys
+from cdslab.cli import main
+
+def loaded():
+    return sorted(m for m in ("numpy", "cdslab.quantum") if m in sys.modules)
+
+chains = [("gh,frouting", "--fn", "and"), ("gh,frouting,cdqs", "--fn", "eq"),
+          ("gh,cds,cdqs,frouting", "--fn", "and"),
+          ("dre,psm,psqm,cdqs", "--fn", "qr", "--p", "5")]
+built = [main(["build", "--chain", *c, "--out", f"{i}.json"]) for i, c in enumerate(chains)]
+built.append(main(["build", "--chain", "dre,psm,psqm", "--fn", "qr", "--p", "5",
+                   "--out", "stop.json"]))
+after_build = loaded()
+desc = json.load(open("0.json"))
+desc["chain"] = ["gh", "frouting", "cdqs", "frouting"]
+json.dump(desc, open("bad.json", "w"))
+refused = [main(["verify", "bad.json", "--out", "bad.rep.json"]),
+           main(["verify", "stop.json", "--budget", "300", "--out", "stop.rep.json"])]
+after_refusal = loaded()
+verified = [main(["verify", f"{i}.json", "--out", f"{i}.rep.json"])
+            for i in range(len(chains))]
+print(json.dumps([built, after_build, refused, after_refusal, verified, loaded()]))
+"""
+
+
+def test_quantum_chains_compile_without_numpy(tmp_path):
+    # every quantum compile edge builds from classical data; the statevector
+    # layer, and numpy with it, loads at a chain's first run, so a verify
+    # refused at compile or stopped on a budget before any run loads none
+    run = subprocess.run([sys.executable, "-c", _QUANTUM_RUN], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    built, after_build, refused, after_refusal, verified, after_runs = json.loads(run.stdout)
+    assert (built, after_build) == ([0, 0, 0, 0, 0], [])
+    assert (refused, after_refusal) == ([1, 3], [])
+    rejected = json.loads((tmp_path / "bad.rep.json").read_text())
+    assert rejected["error"].startswith("descriptor rejected")
+    stop = json.loads((tmp_path / "stop.rep.json").read_text())
+    assert stop["space"] == "psqm_from_psm joint states"
+    assert verified == [0, 0, 0, 0]
+    for i in range(4):
+        assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
+    assert after_runs == ["cdslab.quantum", "numpy"]
+
+
 def test_dre_qr17_verifies_within_the_default_budget(tmp_path):
     desc = tmp_path / "d.json"
     rep = tmp_path / "r.json"
@@ -330,7 +376,7 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("chain,args,stop", [
     ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], "verify_cds joint states"),
-    ("dre,psm,cds", ["--fn", "qr", "--p", "31"], "verify_cds joint states"),
+    ("dre,psm,cds", ["--fn", "qr", "--p", "1031"], "verify_cds message evaluations"),
     ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm joint states"),
     ("dre", ["--fn", "qr", "--p", "257"], None),
     ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "5"],
@@ -338,9 +384,9 @@ sys.exit(main(sys.argv[1:]))
     ("dre,psm,psqm", ["--fn", "qr", "--p", "31"], "psqm_from_psm joint states"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
-    # 2^32 pipe-bit strings, 55,411,260 PSM pairs, 10,321,920 one-time tables and
-    # lazy spaces past 2^63: each build sizes its spaces without listing
-    # them, and each verify ends on a budget before it sweeps them
+    # 2^32 pipe-bit strings, 2,060^2 * 11 coset evaluations, 10,321,920
+    # one-time tables and lazy spaces past 2^63: each build sizes its spaces
+    # without listing them, and each verify ends on a budget before it sweeps them
     env = _child_env()
     commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 0)]
     if stop is not None:
@@ -370,6 +416,17 @@ def test_verify_reports_a_branch_budget_stop(tmp_path):
     got = _budget_report(tmp_path, ["--chain", "gh,frouting", "--fn", "and"],
                          ["--budget", "3"])
     assert got == ("branches", 16, 3)   # the first input's route takes two hops
+
+
+@pytest.mark.parametrize("chain,space", [
+    ("dre,psm,cds,cdqs", "cdqs_from_cds joint states"),
+    ("dre,psm,psqm", "psqm_from_psm joint states"),
+])
+def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
+    # both sweep 2 * 200 CDS or 4 * 100 PSM randomness states on qr p=5
+    got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
+                         ["--budget", "300"])
+    assert got == (space, 400, 300)
 
 
 def test_verify_reports_an_evaluation_budget_stop(tmp_path):

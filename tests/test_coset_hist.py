@@ -25,8 +25,9 @@ from cdslab.algebra import (LsssScheme, SpanProgram, lsss_privacy_check, sp_eval
 from cdslab.boolfn import from_table, literal_input, named_fn
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.protocols import (DEFAULT_BUDGET, CdsProtocol, LinearPart, PsmProtocol,
-                              cds_from_span, coset_hist, dre_qr, message_hist,
-                              psm_from_dre, verify_cds, verify_dre, verify_psm)
+                              cds_from_psm, cds_from_span, coset_hist, dre_qr,
+                              message_hist, psm_from_dre, verify_cds, verify_dre,
+                              verify_psm)
 
 GOLDEN = Path(__file__).parent / "golden"
 AND1 = named_fn("and", n=1)
@@ -67,8 +68,14 @@ def _expand(hist: dict, p: int) -> dict:
 
 
 def _same_cds(P) -> None:
-    got, want = verify_cds(P), verify_cds(_undeclared(P))
+    _same_cds_as(P, verify_cds(_undeclared(P)))
+
+
+def _same_cds_as(P, want) -> None:
+    """P's coset report equals ``want``, its message sweep, Fractions included."""
+    got = verify_cds(P)
     assert isinstance(got.eps_hat, Fraction) and isinstance(got.delta_pair, Fraction)
+    assert (got.eps_hat, got.delta_pair) == (want.eps_hat, want.delta_pair)
     assert got.to_jsonable() == want.to_jsonable()
     assert got.witnesses == want.witnesses
 
@@ -87,6 +94,14 @@ def test_qr_dre_and_psm_match_the_message_sweep(p, monkeypatch):
         assert isinstance(report.eps_hat, Fraction)
         assert isinstance(report.delta_pair, Fraction)
     assert dre.resources["randomness_states"] == (p - 1) * p ** (D.f.params["n_bits"] - 1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_qr_psm_cds_matches_the_message_sweep(p, monkeypatch):
+    P = cds_from_psm(psm_from_dre(dre_qr(p)))
+    want = verify_cds(_undeclared(P))
+    _forbid_message_sweep(monkeypatch)
+    _same_cds_as(P, want)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -184,6 +199,17 @@ def test_declared_span_cds_ignoring_the_secret_is_caught(variant, no_message_swe
     assert report.eps_hat == 1              # secret 1 always decodes as 0
     assert report.witnesses["eps"] == (1, 1, 1)
     assert report.delta_pair == 0
+
+
+def test_declared_psm_cds_sending_the_secret_is_caught(monkeypatch):
+    P = cds_from_psm(psm_from_dre(dre_qr(5)))
+    clear = replace(P, alice_msg=lambda x, s, rr, ra=None:
+                    (P.alice_msg(x, s, rr, ra)[0], s))
+    want = verify_cds(_undeclared(clear))
+    # the referee decodes s XOR s', right half the time, and reads s itself
+    assert (want.eps_hat, want.delta_pair) == (Fraction(1, 2), 2)
+    _forbid_message_sweep(monkeypatch)
+    _same_cds_as(clear, want)
 
 
 def _scaled_cds(alice):
