@@ -272,11 +272,6 @@ class LsssScheme:
     def n_shares(self) -> int:
         return self.program.size
 
-    @property
-    def share_bits(self) -> int:
-        elem_bits = max(1, (self.p - 1).bit_length())
-        return self.n_shares * elem_bits
-
     def _pivot(self) -> int:
         t = self.program.target
         return next(j for j in range(len(t)) if t[j] % self.p != 0)

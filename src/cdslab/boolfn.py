@@ -76,19 +76,6 @@ class BoolFn:
     def ones(self) -> list:
         return [(x, y) for (x, y) in self.inputs() if self.eval(x, y) == 1]
 
-    def zeros(self) -> list:
-        return [(x, y) for (x, y) in self.inputs() if self.eval(x, y) == 0]
-
-    def is_constant(self) -> bool:
-        return len(set(self.table)) == 1
-
-    def find_zero_input(self):
-        """Lexicographically smallest (x, y) with f(x, y) = 0, or None."""
-        for (x, y) in self.inputs():
-            if self.eval(x, y) == 0:
-                return (x, y)
-        return None
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:

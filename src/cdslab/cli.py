@@ -267,6 +267,11 @@ def _emit(obj, path, fmt="json") -> None:
         writer.writerow(("key", "value"))
         writer.writerows((k, f"{v}") for k, v in rows)
         text = buf.getvalue()
+    _write(text, path)
+
+
+def _write(text: str, path) -> None:
+    """``text`` to the file at ``path``, or to stdout when there is none."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -370,13 +375,8 @@ def _cmd_sweep(args) -> int:
         _emit({"format": "cdslab-sweep", "version": 1, "n_x": args.nx,
                "n_y": args.ny, "results": obj}, args.out, "json")
     else:
-        text = "index,table,pipes,method\n" + "".join(
-            f"{i},{name},{p},{m}\n" for (i, name, p, m) in rows)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("index,table,pipes,method\n" + "".join(
+            f"{i},{name},{p},{m}\n" for (i, name, p, m) in rows), args.out)
     return 0
 
 

@@ -201,29 +201,29 @@ def _matchings(elems):
     return out
 
 
-def _alice_choices(m, fix_tap=None):
-    taps = [fix_tap] if fix_tap is not None else list(range(1, m + 1))
+def _alice_choices(m):
     choices = []
-    for tap in taps:
+    for tap in range(1, m + 1):
         others = [i for i in range(1, m + 1) if i != tap]
         for matching in _matchings(others):
             choices.append((tap, matching))
     return choices
 
 
-# m -> (tap-1 Alice choices, all Alice choices, Bob matchings, spill rows),
-# shared by every search; keys are bounded by the searches' max_pipes
+# m -> (number of tap-1 Alice choices, Alice choices, Bob matchings, spill
+# rows), shared by every search; keys are bounded by the searches' max_pipes
 _TABLES = {}
 
 
 def _tables(m):
     """The choice lists at m pipes and the spill rows built for them so far.
 
-    The tap-1 choices open the list of all Alice choices, so a row index
-    names the same choice in both lists.
+    Alice's choices are listed tap by tap, so the tap-1 choices are a prefix
+    of the list and are kept as its length.
     """
     if m not in _TABLES:
-        _TABLES[m] = (_alice_choices(m, fix_tap=1), _alice_choices(m),
+        alice = _alice_choices(m)
+        _TABLES[m] = (sum(tap == 1 for tap, _ in alice), alice,
                       _matchings(list(range(1, m + 1))), [])
     return _TABLES[m]
 
@@ -297,8 +297,8 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
     n_inputs_y = 1 << f.n_y
     columns = [[f.eval(x, y) for y in range(n_inputs_y)] for x in range(n_inputs_x)]
     for m in range(1, max_pipes + 1):
-        first_choices, other_choices, bob_choices, _ = _tables(m)
-        per_alice = [first_choices] + [other_choices] * (n_inputs_x - 1)
+        n_first, alice_choices, bob_choices, _ = _tables(m)
+        per_alice = [range(n_first)] + [range(len(alice_choices))] * (n_inputs_x - 1)
         total = 1
         for c in per_alice:
             total *= len(c)
@@ -308,13 +308,12 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
                 f"{total} candidate strategies at m={m} exceeds budget {budget}",
                 space=f"gh_search candidate strategies at m={m}", size=total,
                 limit=budget)
-        spill = _spill_rows(m, len(other_choices if n_inputs_x > 1 else first_choices))
-        found = _first_alice_pick([range(len(c)) for c in per_alice], spill,
-                                  columns, (1 << len(bob_choices)) - 1)
+        spill = _spill_rows(m, len(per_alice[-1]))
+        found = _first_alice_pick(per_alice, spill, columns, (1 << len(bob_choices)) - 1)
         if found is None:
             continue
         pick, masks = found
-        alice = {x: other_choices[i] for x, i in enumerate(pick)}
+        alice = {x: alice_choices[i] for x, i in enumerate(pick)}
         bob = {y: bob_choices[(mask & -mask).bit_length() - 1]
                for y, mask in enumerate(masks)}
         strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)

@@ -42,7 +42,7 @@ from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
-                        TranscriptClass, _check_budget, _joint, _worst_pair,
+                        TranscriptClass, _charge_sweeps, _joint, _worst_pair,
                         class_product, message_hist, space_size, transcript_classes)
 
 if TYPE_CHECKING:
@@ -262,35 +262,23 @@ def _view_blocks(branches, regs) -> dict:
     return blocks
 
 
-def _block_gap(blocks: dict, d_ref: int) -> float:
-    """Half trace norm of (block-diagonal view) minus (marginal product)."""
-    if not blocks:
-        return 0.0
-    np, _ = _statevector()
-    mats = np.stack(list(blocks.values()))
-    t, d, _ = mats.shape
-    d_msg = d // d_ref
-    sigma_ref = np.einsum("tikjk->ij", mats.reshape(t, d_ref, d_msg, d_ref, d_msg))
-    msg = np.einsum("tkikj->tij", mats.reshape(t, d_ref, d_msg, d_ref, d_msg))
-    prods = np.einsum("ab,tcd->tacbd", sigma_ref, msg).reshape(t, d, d)
-    vals = np.linalg.eigvalsh(mats - prods)
-    return float(0.5 * np.abs(vals).sum())
-
-
 def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
+    """Trace distance of two views, their blocks matched by transcript.
+
+    A transcript only one view has is a zero block in the other.
+    """
     keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
     if not keys:
         return 0.0
-    np, _ = _statevector()
+    np, quantum = _statevector()
     zero = np.zeros_like(next(iter((blocks_a or blocks_b).values())))
-    diffs = np.stack([blocks_a.get(k, zero) - blocks_b.get(k, zero) for k in keys])
-    vals = np.linalg.eigvalsh(diffs)
-    return float(0.5 * np.abs(vals).sum())
+    return quantum.trace_distance(np.stack([blocks_a.get(k, zero) for k in keys]),
+                                  np.stack([blocks_b.get(k, zero) for k in keys]))
 
 
 def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
-    _, quantum = _statevector()
+    np, quantum = _statevector()
     sweep = _Sweep(budget)
     for (x, y) in P.input_pairs():
         branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
@@ -302,7 +290,8 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationR
                          "infidelity", 1 - F)
         else:
             blocks = _view_blocks(branches, ("R",) + tuple(P.msg_regs(x, y)))
-            gap = _block_gap(blocks, d_ref=2)
+            stack = np.stack(list(blocks.values()))
+            gap = quantum.decoupling_gap(stack, 2, stack.shape[-1] // 2)
             sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap)
     return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
@@ -335,8 +324,7 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
             if P.left_fidelity is None:
                 raise ValidationError("no register and no local reconstruction")
             if secrets is None:
-                secrets = [vec for (_, vec) in quantum.PAULI_EIGENSTATES]
-                secrets += [quantum.random_qubit(seed).vec for seed in sweep_seeds]
+                secrets = [vec for (_, vec) in quantum.probe_qubits(sweep_seeds)]
             F = min(P.left_fidelity(x, y, vec) for vec in secrets)
             n = 0
         sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
@@ -369,10 +357,8 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
     distance zero from each other.
     """
     _, quantum = _statevector()
-    states = [(name, quantum.PureState.from_qubit("Q", vec))
-              for (name, vec) in quantum.PAULI_EIGENSTATES]
-    states += [(f"rand{seed}", quantum.random_qubit(seed).rename({"q": "Q"}))
-               for seed in seeds]
+    states = [(name, quantum.PureState((("Q", 1),), vec))
+              for (name, vec) in quantum.probe_qubits(seeds)]
     worst = 0.0
     per_input = {}
     witness = None
@@ -524,16 +510,19 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     independent runs of the bit-CDS disclose the key exactly on revealing
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
-    counts come from one sweep per secret, checked against ``budget``
-    first; the product weights stay integers until one division by the
-    squared joint randomness.
+    counts come from one sweep per secret. The sweeps over every input,
+    the count ``verify_cds`` charges a CDS without a linear part, are
+    checked against ``budget`` before the first of them; the product
+    weights stay integers until one division by the squared joint
+    randomness.
     """
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     joint = _joint(C)
+    sweeps = len(C.secrets) * max(1, len(C.input_pairs()))
 
     def bit_hists(x, y):
-        _check_budget(len(C.secrets) * joint, budget, "cdqs_from_cds")
+        _charge_sweeps(C, sweeps, budget, "cdqs_from_cds")
         return {s: message_hist(C, x, y, s) for s in C.secrets}
 
     def bit_of(x, y, m):
@@ -703,11 +692,10 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
     every pair, the count ``verify_psm`` charges a PSM without a linear
     part, is checked against ``budget`` before any run starts.
     """
-    joint = _joint(P)
-    sweep = joint * max(1, len(P.input_pairs()))
+    sweeps = max(1, len(P.input_pairs()))
 
     def run(x, y):
-        _check_budget(sweep, budget, "psqm_from_psm")
+        joint = _charge_sweeps(P, sweeps, budget, "psqm_from_psm")
         return [RunBranch(c / joint, m, None) for m, c in
                 sorted(message_hist(P, x, y).items(), key=lambda kv: repr(kv[0]))]
 

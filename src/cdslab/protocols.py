@@ -30,8 +30,8 @@ from itertools import permutations, product
 from typing import Callable, NamedTuple, Optional
 
 from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, in_span
-from .boolfn import BoolFn, literal_input, named_fn, qr_join, qr_split_inputs
-from .errors import BudgetError, DomainError, ValidationError
+from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
+from .errors import BudgetError, ValidationError
 from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
 
 DEFAULT_BUDGET = 1 << 24
@@ -92,25 +92,21 @@ class InputDomain:
 class LazySpace:
     """A randomness space of ``size`` elements made on demand.
 
-    ``element(i)`` is element i and ``iterate()`` yields them all in index
-    order, so ``len``, indexing and iteration work as on the tuple it stands
-    for without building it. Sizes past 2^63 - 1 are read as ``size`` (see
-    ``space_size``), which ``len`` cannot return.
+    ``iterate()`` yields the elements in order, so ``len`` and iteration
+    work as on the tuple it stands for without building it. Verifiers only
+    ever sweep a space whole, so no element is looked up by index. Sizes
+    past 2^63 - 1 are read as ``size`` (see ``space_size``), which ``len``
+    cannot return.
     """
 
-    def __init__(self, size: int, element: Callable, iterate: Callable):
-        self.size, self.element, self.iterate = size, element, iterate
+    def __init__(self, size: int, iterate: Callable):
+        self.size, self.iterate = size, iterate
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
         return self.iterate()
-
-    def __getitem__(self, i: int):
-        if not -self.size <= i < self.size:
-            raise IndexError("randomness index out of range")
-        return self.element(i % self.size)
 
 
 def space_size(space) -> int:
@@ -121,34 +117,19 @@ def space_size(space) -> int:
 def product_space(space, repeat: int) -> LazySpace:
     """``space`` to the power ``repeat``, in ``itertools.product`` order, on demand.
 
-    Element i has its first coordinate most significant, as ``product``
-    lists them. Iteration walks ``space`` once per coordinate and never
-    holds the product, nor, for a lazy ``space``, ``space`` itself.
+    Iteration holds ``space`` as a tuple but never the product, so ``space``
+    must be small, such as the bits (0, 1) or ``range(p)``.
     """
-    n = space_size(space)
-
-    def element(i):
-        out = []
-        for _ in range(repeat):
-            i, digit = divmod(i, n)
-            out.append(space[digit])
-        return tuple(reversed(out))
-
-    def iterate(k=repeat):
-        if k == 0:
-            yield ()
-            return
-        for head in space:
-            for tail in iterate(k - 1):
-                yield (head,) + tail
-
-    return LazySpace(n ** repeat, element, iterate)
+    return LazySpace(space_size(space) ** repeat, lambda: product(space, repeat=repeat))
 
 
 def pair_space(first, second) -> LazySpace:
-    """Pairs (a, b) of two spaces, ``first`` major, on demand."""
-    n = space_size(second)
-    return LazySpace(space_size(first) * n, lambda i: (first[i // n], second[i % n]),
+    """Pairs (a, b) of two spaces, ``first`` major, on demand.
+
+    Iteration walks ``first`` once and never holds it, so ``first`` may be
+    a lazy space of any size.
+    """
+    return LazySpace(space_size(first) * space_size(second),
                      lambda: ((a, b) for a in first for b in second))
 
 
@@ -425,6 +406,17 @@ def _coset_alphabet(cosets, p: int, side: int) -> int:
     return sum(p ** len(basis) for (_, basis, _) in keys)
 
 
+def _charge_sweeps(P, cases: int, budget: int, what: str) -> int:
+    """P's joint randomness, once ``cases`` message sweeps of it are charged.
+
+    A message sweep visits every joint randomness state; all ``cases`` of
+    them are checked against ``budget`` together, before the first runs.
+    """
+    joint = _joint(P)
+    _check_budget(joint * cases, budget, what)
+    return joint
+
+
 def _sweep_kernel(P, cases: int, budget: int, what: str) -> tuple:
     """(histogram function, joint randomness) for ``cases`` histograms of P.
 
@@ -433,11 +425,10 @@ def _sweep_kernel(P, cases: int, budget: int, what: str) -> tuple:
     other by ``message_hist``, charged every joint randomness state. Both
     are checked against ``budget`` before anything runs.
     """
-    joint = _joint(P)
     lin = P.meta.get("linear")
     if lin is None:
-        _check_budget(joint * cases, budget, what)
-        return message_hist, joint
+        return message_hist, _charge_sweeps(P, cases, budget, what)
+    joint = _joint(P)
     if len(lin.nus) * lin.p ** lin.ell != joint:
         raise ValidationError(f"{what}: declared linear randomness does not "
                               "cover the randomness space")
@@ -561,21 +552,21 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     m = strategy.pipes
     shared = product_space((0, 1), m)
 
-    def alice_msg(x, s, r, ra=None):
-        tap, matching = strategy.alice[x]
-        parts = [("tap", s ^ r[tap - 1])]
-        for pair in sorted(tuple(sorted(p)) for p in matching):
-            i, j = pair
-            parts.append((pair, r[i - 1] ^ r[j - 1]))
-        return tuple(parts)
-
-    def bob_msg(y, r, rb=None):
-        matching = strategy.bob[y]
-        used = {v for pair in matching for v in pair}
+    def pair_xors(matching, r):
         parts = []
         for pair in sorted(tuple(sorted(p)) for p in matching):
             i, j = pair
             parts.append((pair, r[i - 1] ^ r[j - 1]))
+        return parts
+
+    def alice_msg(x, s, r, ra=None):
+        tap, matching = strategy.alice[x]
+        return tuple([("tap", s ^ r[tap - 1])] + pair_xors(matching, r))
+
+    def bob_msg(y, r, rb=None):
+        matching = strategy.bob[y]
+        used = {v for pair in matching for v in pair}
+        parts = pair_xors(matching, r)
         for k in range(1, m + 1):
             if k not in used:
                 parts.append((k, r[k - 1]))
@@ -986,20 +977,12 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     def shares(free):
         return free + ((-sum(free)) % p,)
 
-    def element(i):
-        r, i = divmod(i, p ** (n - 1))
-        free = []
-        for _ in range(n - 1):
-            i, digit = divmod(i, p)
-            free.append(digit)
-        return (r + 1, shares(tuple(reversed(free))))
-
     def iterate():
         for r in range(1, p):
             for free in product(range(p), repeat=n - 1):
                 yield (r, shares(free))
 
-    shared = LazySpace((p - 1) * p ** (n - 1), element, iterate)
+    shared = LazySpace((p - 1) * p ** (n - 1), iterate)
 
     def encode_bits(value, positions, r, s):
         rsq = (r * r) % p
@@ -1040,11 +1023,3 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
                                  lambda r, free: ((r, shares(free)), None, None))}
     return Dre(f, shared, enc_x, enc_y, decode, domain=domain,
                resources=resources, meta=meta)
-
-
-def qr_value(D: Dre, x: int, y: int) -> int:
-    """The split integer a some (x, y) pair of a qr DRE assembles to."""
-    a = qr_join(D.f, x, y)
-    if a % D.f.params["p"] == 0 or a >= D.f.params["p"]:
-        raise DomainError(f"a={a} outside Z_{D.f.params['p']}^*")
-    return a

@@ -7,8 +7,11 @@ register budget, ``MAX_QUBITS``, caps every state and is checked before
 ``tensor`` or ``apply_isometry`` allocates, so protocol bugs fail fast
 instead of allocating huge arrays.
 
-Measurement never samples: ``measure`` returns every outcome branch with its
-exact probability, which is what the protocol verifiers enumerate.
+Measurement never samples: ``measure`` and ``bell_measure`` return every
+outcome branch with its exact probability. The protocol verifiers read a
+referee's classical-quantum view as a block stack, a (t, d, d) array holding
+the t blocks of a block-diagonal operator, one block per transcript;
+``decoupling_gap`` and ``trace_distance`` take such stacks whole.
 """
 
 from __future__ import annotations
@@ -30,18 +33,7 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def pauli_string(ops: str) -> np.ndarray:
-    """Kronecker product of single-qubit Paulis, e.g. "XZI"."""
-    mat = np.array([[1]], dtype=complex)
-    for c in ops:
-        if c not in PAULIS:
-            raise ValidationError(f"unknown Pauli letter {c!r}")
-        mat = np.kron(mat, PAULIS[c])
-    return mat
 
 
 def phased_pad(s1: int, s2: int) -> np.ndarray:
@@ -54,18 +46,14 @@ def phased_pad(s1: int, s2: int) -> np.ndarray:
 # column k encodes key (s1, s2) with k = 2 s1 + s2; columns are the padded
 # halves of an EPR pair, so this unitary coherently maps a key register onto
 # the pad it selects.
-U_BELL = np.column_stack([
-    np.kron(I2, phased_pad(k >> 1, k & 1)) @
-    np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    for k in range(4)
-])
+U_BELL = np.column_stack([np.kron(I2, phased_pad(k >> 1, k & 1)) @ PHI_PLUS
+                          for k in range(4)])
 
 # outcome (a, b) of a Bell measurement and the conjugate of its basis vector
 # (I x X^a Z^b)|epr>, so that a measured pair's amplitude is one product
 _BELL_BRAS = tuple(
     ((a, b), (np.kron(I2, np.linalg.matrix_power(X, a) @
-                      np.linalg.matrix_power(Z, b)) @
-              np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)).conj())
+                      np.linalg.matrix_power(Z, b)) @ PHI_PLUS).conj())
     for a, b in product((0, 1), repeat=2))
 
 
@@ -318,16 +306,16 @@ def fidelity(rho, sigma) -> float:
 
 
 def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference."""
+    """Half the trace norm of the difference.
+
+    Also takes two block stacks of one shape, (t, d, d) arrays holding the t
+    blocks of block-diagonal operators: the eigenvalues broadcast over the
+    stack, so the result is the trace distance of the two operators.
+    """
     r = rho.mat if isinstance(rho, DensityOp) else np.asarray(rho, complex)
     s = sigma.mat if isinstance(sigma, DensityOp) else np.asarray(sigma, complex)
     vals = np.linalg.eigvalsh(r - s)
     return float(0.5 * np.abs(vals).sum())
-
-
-def trace_norm(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    return float(np.abs(vals).sum())
 
 
 # -- states and channels -------------------------------------------------------
@@ -360,6 +348,16 @@ PAULI_EIGENSTATES = (
 )
 
 
+def probe_qubits(seeds) -> list:
+    """(name, amplitudes) of the secret qubits a state sweep tries.
+
+    The six Pauli eigenstates come first, then ``random_qubit(seed)`` as
+    "rand<seed>" for each seed in order; the amplitudes are used as stored.
+    """
+    return list(PAULI_EIGENSTATES) + [(f"rand{seed}", random_qubit(seed).vec)
+                                      for seed in seeds]
+
+
 def pad_average(rho: np.ndarray) -> np.ndarray:
     """Average over the four pads; a single qubit becomes maximally mixed."""
     out = np.zeros_like(rho, dtype=complex)
@@ -390,34 +388,24 @@ def choi(channel: Callable, dim: int) -> np.ndarray:
     return J / dim
 
 
-def _ptrace_pair(mat: np.ndarray, d1: int, d2: int, keep_first: bool) -> np.ndarray:
-    T = mat.reshape(d1, d2, d1, d2)
-    if keep_first:
-        return np.einsum("ikjk->ij", T)
-    return np.einsum("kikj->ij", T)
-
-
 def decoupling_gap(J: np.ndarray, d_ref: int, d_msg: int) -> float:
     """How far a bipartite state sits from the product of its marginals.
 
     Returns half the trace norm of J - J_ref x J_msg. Zero means the message
-    side carries no information about the reference side.
+    side carries no information about the reference side. ``J`` is one
+    (d, d) matrix on reference x message, d = d_ref * d_msg, or a block
+    stack of t such blocks, standing for the block-diagonal operator on
+    reference x (block, message). Its reference marginal sums over the
+    whole stack, and its message marginal is again one block per block. A
+    matrix is a stack of one.
     """
-    if J.shape != (d_ref * d_msg, d_ref * d_msg):
+    d = d_ref * d_msg
+    if J.ndim not in (2, 3) or J.shape[-2:] != (d, d):
         raise ValidationError("dimension mismatch")
-    J_r = _ptrace_pair(J, d_ref, d_msg, keep_first=True)
-    J_m = _ptrace_pair(J, d_ref, d_msg, keep_first=False)
-    return 0.5 * trace_norm(J - np.kron(J_r, J_m))
-
-
-def state_jsonable(state: PureState, digits: int = 10) -> dict:
-    """Deterministic JSON-friendly dump of a pure state."""
-    def rnd(z):
-        re = round(float(z.real), digits) + 0.0
-        im = round(float(z.imag), digits) + 0.0
-        return [re, im]
-
-    return {
-        "registers": [[n, k] for (n, k) in state.regs],
-        "amplitudes": [rnd(z) for z in state.vec],
-    }
+    stack = J.reshape(-1, d, d)
+    T = stack.reshape(-1, d_ref, d_msg, d_ref, d_msg)
+    J_r = np.einsum("tikjk->ij", T)
+    J_m = np.einsum("tkikj->tij", T)
+    prods = np.einsum("ab,tcd->tacbd", J_r, J_m).reshape(stack.shape)
+    vals = np.linalg.eigvalsh(stack - prods)
+    return float(0.5 * np.abs(vals).sum())

@@ -149,11 +149,6 @@ def test_lsss_sharing_vector_properties():
     assert len(seen) == 5 ** (len(t) - 1)
 
 
-def test_lsss_share_bits():
-    scheme = LsssScheme(span_and1(3))
-    assert scheme.share_bits == scheme.n_shares * 2  # field elems of Z_3 in 2 bits
-
-
 @settings(max_examples=60)
 @given(st.integers(0, 4), st.sampled_from([2, 3, 5]), st.integers(0, 10 ** 6))
 def test_lsss_share_reconstruct_round_trip(secret, p, seed):

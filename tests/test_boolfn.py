@@ -87,16 +87,6 @@ def test_eval_range_checks():
         f.eval(0, -1)
 
 
-def test_zero_finding_and_constants():
-    f = named_fn("or", n=1)
-    assert f.find_zero_input() == (0, 0)
-    ones = from_table(1, 1, (1, 1, 1, 1))
-    assert ones.find_zero_input() is None
-    assert ones.is_constant()
-    assert not f.is_constant()
-    assert set(f.ones()) | set(f.zeros()) == set(f.inputs())
-
-
 def test_all_functions_enumeration():
     fns = list(all_functions(1, 1))
     assert len(fns) == 16
@@ -127,6 +117,7 @@ def test_eval_matches_table(n_x, n_y, data):
     x = data.draw(st.integers(0, (1 << n_x) - 1))
     y = data.draw(st.integers(0, (1 << n_y) - 1))
     assert f.eval(x, y) == table[(x << n_y) | y]
+    assert f.ones() == [(x, y) for (x, y) in f.inputs() if table[(x << n_y) | y]]
 
 
 def test_table_length_validation():

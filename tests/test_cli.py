@@ -354,7 +354,8 @@ print(json.dumps(codes))
 
 def test_span_ip_spaces_are_lazy(tmp_path):
     # 3^19 shared vectors: the classical chain verifies by coset, and the
-    # quantum one stops on cdqs_from_cds's key-sweep budget before it sweeps them
+    # quantum one stops on cdqs_from_cds's key-sweep budget, charged for both
+    # secrets on all 16 inputs, before it sweeps them
     env = _child_env()
     run = subprocess.run([sys.executable, "-c", _SPAN_IP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
@@ -363,7 +364,7 @@ def test_span_ip_spaces_are_lazy(tmp_path):
     assert json.loads((tmp_path / "a.rep.json").read_text())["status"] == "pass"
     stop = json.loads((tmp_path / "b.rep.json").read_text())
     assert (stop["status"], stop["space"], stop["size"], stop["limit"]) == (
-        "budget", "cdqs_from_cds joint states", 2 * 3 ** 19, 1 << 24)
+        "budget", "cdqs_from_cds joint states", 2 * 16 * 3 ** 19, 1 << 24)
 
 
 _LIMITED_MAIN = """
@@ -382,11 +383,13 @@ sys.exit(main(sys.argv[1:]))
     ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "5"],
      "cdqs_from_cds joint states"),
     ("dre,psm,psqm", ["--fn", "qr", "--p", "31"], "psqm_from_psm joint states"),
+    ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "17"], "cdqs_from_cds joint states"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # 2^32 pipe-bit strings, 2,060^2 * 11 coset evaluations, 10,321,920
     # one-time tables and lazy spaces past 2^63: each build sizes its spaces
     # without listing them, and each verify ends on a budget before it sweeps them
+    # (qr p=17's key sweep is charged for every input before the first one)
     env = _child_env()
     commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 0)]
     if stop is not None:
@@ -423,10 +426,12 @@ def test_verify_reports_a_branch_budget_stop(tmp_path):
     ("dre,psm,psqm", "psqm_from_psm joint states"),
 ])
 def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
-    # both sweep 2 * 200 CDS or 4 * 100 PSM randomness states on qr p=5
+    # on qr p=5, 2 secrets * 4 inputs * 200 CDS or 4 inputs * 100 PSM
+    # randomness states, all charged before the first input's sweep
     got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
                          ["--budget", "300"])
-    assert got == (space, 400, 300)
+    size = {"dre,psm,cds,cdqs": 1600, "dre,psm,psqm": 400}[chain]
+    assert got == (space, size, 300)
 
 
 def test_verify_reports_an_evaluation_budget_stop(tmp_path):

@@ -28,7 +28,9 @@ def _reference_search(f, max_pipes):
     n_inputs_x = 1 << f.n_x
     n_inputs_y = 1 << f.n_y
     for m in range(1, max_pipes + 1):
-        per_alice = [_alice_choices(m, fix_tap=1)] + [_alice_choices(m)] * (n_inputs_x - 1)
+        choices = _alice_choices(m)
+        per_alice = ([[c for c in choices if c[0] == 1]]
+                     + [choices] * (n_inputs_x - 1))
         bob_choices = _matchings(list(range(1, m + 1)))
         for alice_pick in product(*per_alice):
             alice = {x: alice_pick[x] for x in range(n_inputs_x)}
@@ -120,5 +122,5 @@ def test_alice_without_input_bits_builds_only_tap_one_rows(monkeypatch):
     monkeypatch.setattr(gardenhose, "_TABLES", {})
     f = from_table(0, 2, (0, 1, 1, 0))
     assert gh_search(f, 3) == _reference_search(f, 3)
-    for first, _, _, rows in gardenhose._TABLES.values():
-        assert len(rows) == len(first)
+    for n_first, _, _, rows in gardenhose._TABLES.values():
+        assert len(rows) == n_first

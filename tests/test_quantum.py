@@ -10,8 +10,8 @@ from cdslab.errors import BudgetError, ValidationError
 from cdslab.quantum import (MAX_QUBITS, DensityOp, H, I2,
                             PAULI_EIGENSTATES, PureState, U_BELL, X, Y, Z,
                             build_vf, choi, decoupling_gap, epr_pairs, fidelity,
-                            pad_average, pauli_string, phased_pad, random_qubit,
-                            sqrtm_psd, state_jsonable, trace_distance, trace_norm)
+                            pad_average, phased_pad, random_qubit, sqrtm_psd,
+                            trace_distance)
 
 RNG = np.random.default_rng(20260813)
 
@@ -155,12 +155,6 @@ def test_u_bell_columns():
     assert np.allclose(U_BELL[:, 3], np.array([0, 1j, -1j, 0]) / np.sqrt(2))
 
 
-def test_pauli_string():
-    assert np.allclose(pauli_string("XZ"), np.kron(X, Z))
-    with pytest.raises(ValidationError):
-        pauli_string("Q")
-
-
 def test_pad_average_is_depolarizing():
     for seed in range(5):
         psi = random_qubit(seed).vec
@@ -249,9 +243,37 @@ def test_choi_depolarizing_channel_decouples():
     assert decoupling_gap(J, 2, 2) < 1e-12
 
 
-def test_trace_norm():
-    assert abs(trace_norm(Z) - 2) < 1e-12
-    assert abs(trace_norm(np.zeros((2, 2)))) < 1e-12
+def _dense(stack, d_ref):
+    """The block-diagonal operator of a block stack, on R x (block, message)."""
+    t, d, _ = stack.shape
+    d_msg = d // d_ref
+    blocks = stack.reshape(t, d_ref, d_msg, d_ref, d_msg)
+    dense = np.zeros((d_ref, t, d_msg, d_ref, t, d_msg), dtype=complex)
+    for k in range(t):
+        dense[:, k, :, :, k, :] = blocks[k]
+    return dense.reshape(t * d, t * d)
+
+
+@pytest.mark.parametrize("t,d_ref,d_msg", [(1, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 2)])
+def test_block_stack_figures_equal_those_of_the_dense_operator(t, d_ref, d_msg):
+    rng = np.random.default_rng(100 * t + 10 * d_ref + d_msg)
+    d = d_ref * d_msg
+
+    def random_stack():
+        A = rng.normal(size=(t, d, d)) + 1j * rng.normal(size=(t, d, d))
+        S = A @ A.conj().transpose(0, 2, 1)
+        return S / np.trace(S, axis1=1, axis2=2).real.sum()
+
+    a, b = random_stack(), random_stack()
+    gap = decoupling_gap(a, d_ref, d_msg)
+    assert gap > 1e-3
+    assert abs(gap - decoupling_gap(_dense(a, d_ref), d_ref, t * d_msg)) < 1e-12
+    assert decoupling_gap(a[0], d_ref, d_msg) == decoupling_gap(a[:1], d_ref, d_msg)
+    dist = trace_distance(a, b)
+    assert dist > 1e-3
+    assert abs(dist - trace_distance(_dense(a, d_ref), _dense(b, d_ref))) < 1e-12
+    with pytest.raises(ValidationError):
+        decoupling_gap(a, d_ref, d_msg + 1)
 
 
 def test_qubit_budget(monkeypatch):
@@ -291,13 +313,6 @@ def test_pauli_eigenstates_are_eigenstates():
         assert np.allclose(ops[name[0]] @ vec, sign * vec, atol=1e-12)
 
 
-def test_state_jsonable_deterministic():
-    state = PureState.from_qubit("q", [1, -1])
-    a = state_jsonable(state)
-    b = state_jsonable(PureState.from_qubit("q", [1, -1]))
-    assert a == b
-    flat = [v for amp in a["amplitudes"] for v in amp]
-    assert all(not (v == 0 and str(v)[0] == "-") for v in flat)  # no -0.0
 
 
 def test_random_qubit_seeded():

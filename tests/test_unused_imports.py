@@ -1,0 +1,67 @@
+"""Every name a ``cdslab`` module imports is used in that module.
+
+No linter ships with the package, and deleting code tends to leave imports
+behind, so this parses each module with ``ast``. A use is a name read
+anywhere in the module, including annotations written as strings, or a
+listing in ``__all__``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cdslab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported(tree) -> dict:
+    """Bound name -> line of every import outside ``__future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a string annotation such as "PureState" names what it refers to
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_module_is_checked():
+    assert {p.stem for p in MODULES} >= {"cli", "nlqc", "protocols", "quantum"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_unused_import(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    unused = {name: line for name, line in _imported(tree).items()
+              if name not in _used(tree)}
+    assert unused == {}, f"{module.name}: imported but unused {unused}"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import json\nfrom typing import Callable, Optional\n"
+                     "x: 'Optional[int]' = None\n__all__ = ['Callable']\n")
+    imported = _imported(tree)
+    assert {n for n in imported if n not in _used(tree)} == {"json"}
