@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from .boolfn import is_prime
 from .errors import DomainError, ValidationError
@@ -98,7 +97,6 @@ def in_span(rows, target, p: int):
 # -- span programs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpanProgram:
     """Monotone-literal span program over Z_p.
 
@@ -109,13 +107,12 @@ class SpanProgram:
     order) and n_x+1..n_x+n_y Bob's.
     """
 
-    matrix: tuple          # d rows, each a tuple of e field elements
-    labels: tuple          # d pairs (var, bit)
-    target: tuple          # length e, nonzero
-    p: int
-    n_vars: int
-
-    def __post_init__(self):
+    def __init__(self, matrix: tuple, labels: tuple, target: tuple, p: int, n_vars: int):
+        self.matrix = matrix       # d rows, each a tuple of e field elements
+        self.labels = labels       # d pairs (var, bit)
+        self.target = target       # length e, nonzero
+        self.p = p
+        self.n_vars = n_vars
         if not is_prime(self.p):
             raise ValidationError(f"p={self.p} not prime")
         d = len(self.matrix)
@@ -133,6 +130,12 @@ class SpanProgram:
                 raise ValidationError(f"label variable {var} outside 1..{self.n_vars}")
             if bit not in (0, 1):
                 raise ValidationError("label bit must be 0 or 1")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SpanProgram and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.labels, self.target, self.p, self.n_vars))
 
     @property
     def size(self) -> int:
@@ -252,7 +255,6 @@ def span_threshold_2of3(p: int) -> SpanProgram:
 # -- linear secret sharing ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LsssScheme:
     """Linear secret sharing induced by a span program.
 
@@ -262,7 +264,8 @@ class LsssScheme:
     ``lsss_privacy_check`` verifies by a rank test rather than assuming).
     """
 
-    program: SpanProgram
+    def __init__(self, program: SpanProgram):
+        self.program = program
 
     @property
     def p(self) -> int:

@@ -9,7 +9,6 @@ module shares one indexing convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DomainError, ValidationError
@@ -31,7 +30,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class BoolFn:
     """Truth table of a two-party Boolean function.
 
@@ -40,17 +38,15 @@ class BoolFn:
         n_y: number of input bits on Bob's side.
         table: tuple of 2**(n_x+n_y) bits, entry ``(x << n_y) | y``.
         name: optional tag for named families.
-        params: construction parameters of named families (not part of
-            equality semantics beyond their values).
+        params: construction parameters of named families; equality and
+            hashing ignore them.
     """
 
-    n_x: int
-    n_y: int
-    table: tuple
-    name: str = ""
-    params: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, n_x: int, n_y: int, table: tuple, name: str = "",
+                 params: dict | None = None):
+        self.n_x, self.n_y = n_x, n_y
+        self.table, self.name = table, name
+        self.params = {} if params is None else params
         if self.n_x < 0 or self.n_y < 0 or self.n_x + self.n_y == 0:
             raise ValidationError("need at least one input bit across both sides")
         size = 1 << (self.n_x + self.n_y)
@@ -58,6 +54,15 @@ class BoolFn:
             raise ValidationError(f"table length {len(self.table)} != {size}")
         if any(b not in (0, 1) for b in self.table):
             raise ValidationError("table entries must be bits")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BoolFn and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (self.n_x, self.n_y, self.table, self.name)
 
     # -- evaluation ---------------------------------------------------------
 

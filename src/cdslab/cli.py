@@ -31,7 +31,7 @@ from .boolfn import BoolFn, literal_input, named_fn, all_functions
 from .errors import BudgetError, DomainError, ValidationError
 from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
                          gh_search)
-from .protocols import (DEFAULT_BUDGET, VerificationReport, cds_from_gh,
+from .protocols import (DEFAULT_BUDGET, VerificationReport, _check_budget, cds_from_gh,
                         cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
                         psm_generic_table, verify_cds, verify_dre, verify_psm)
 
@@ -135,25 +135,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _charge_table(n_x: int, n_y: int, budget: int) -> None:
+    """Charge a truth table's 2^(n_x+n_y) entries against ``budget`` before it exists."""
+    if n_x < 0 or n_y < 0 or n_x + n_y >= sys.maxsize.bit_length():
+        # no tuple holds 2^63 entries, whatever the budget
+        raise ValidationError(f"input widths {n_x}+{n_y} outside 0..62 bits")
+    _check_budget(1 << (n_x + n_y), budget, "truth table", "entries")
+
+
 def _parse_fn(args) -> BoolFn:
     if args.table:
-        parts = args.table.split(":")
-        if len(parts) != 3:
-            raise ValidationError("--table wants nx:ny:hex")
-        n_x, n_y = int(parts[0]), int(parts[1])
-        packed = int(parts[2], 16)
+        try:
+            width_x, width_y, hex_table = args.table.split(":")
+            n_x, n_y, packed = int(width_x), int(width_y), int(hex_table, 16)
+        except ValueError:
+            raise ValidationError("--table wants nx:ny:hex") from None
+        _charge_table(n_x, n_y, args.budget)
         size = 1 << (n_x + n_y)
         if packed >= (1 << size):
             raise ValidationError("table value wider than 2^(nx+ny) bits")
         table = tuple((packed >> i) & 1 for i in range(size))
-        return BoolFn(n_x, n_y, table, name=f"t{parts[2]}")
+        return BoolFn(n_x, n_y, table, name=f"t{hex_table}")
     if not args.fn:
         raise ValidationError("need --fn or --table")
     name = args.fn.lower()
     if name == "qr":
+        _charge_table(args.p.bit_length(), 0, args.budget)
         return named_fn("qr", p=args.p)
-    if name == "index":
+    if name == "index":   # Bob's input is a 2^nx-bit database
+        _charge_table(args.nx, 1 << max(args.nx, 0), args.budget)
         return named_fn("index", n_x=args.nx)
+    _charge_table(args.nx, args.nx, args.budget)
     return named_fn(name, n=args.nx)
 
 
@@ -332,6 +344,7 @@ def _cmd_verify(args) -> int:
     try:
         if desc.get("format") != DESCRIPTOR_FORMAT:
             raise VerifyFailure("not a descriptor file")
+        _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]), args.budget)
         f = BoolFn.from_json(json.dumps(desc["fn"]))
         tokens = list(desc["chain"])
         _check_chain(tokens)
@@ -359,8 +372,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.nx < 0 or args.ny < 0 or args.nx + args.ny > 4:
-        print("usage error: sweep supports nx+ny <= 4", file=sys.stderr)
+    if args.nx < 0 or args.ny < 0 or not 0 < args.nx + args.ny <= 4:
+        print("usage error: sweep supports 0 < nx+ny <= 4", file=sys.stderr)
         return 2
     rows = []
     for index, f in enumerate(all_functions(args.nx, args.ny)):

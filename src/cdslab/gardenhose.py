@@ -10,7 +10,7 @@ f(x, y) = 1, on Alice's side f(x, y) = 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boolfn import BoolFn
 from .errors import BudgetError, DomainError, ValidationError
@@ -34,7 +34,6 @@ def _freeze_matching(pairs):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class GhStrategy:
     """A garden-hose strategy for a two-party function.
 
@@ -47,13 +46,9 @@ class GhStrategy:
     Matchings are frozensets of frozenset pairs {i, j}.
     """
 
-    pipes: int
-    n_x: int
-    n_y: int
-    alice: dict
-    bob: dict
-
-    def __post_init__(self):
+    def __init__(self, pipes: int, n_x: int, n_y: int, alice: dict, bob: dict):
+        self.pipes, self.n_x, self.n_y = pipes, n_x, n_y
+        self.alice, self.bob = alice, bob
         if self.pipes < 1:
             raise ValidationError("need at least one pipe")
         valid = set(range(1, self.pipes + 1))
@@ -75,6 +70,9 @@ class GhStrategy:
             if not ends <= valid:
                 raise ValidationError("right matching uses unknown pipe")
             _freeze_matching(matching)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GhStrategy and vars(self) == vars(other)
 
     def to_json(self) -> str:
         obj = {
@@ -103,8 +101,7 @@ class GhStrategy:
         return GhStrategy(int(obj["pipes"]), int(obj["n_x"]), int(obj["n_y"]), alice, bob)
 
 
-@dataclass(frozen=True)
-class GhOutcome:
+class GhOutcome(NamedTuple):
     """Where the water ends up: spill side, exit pipe, traversal order.
 
     ``path`` lists (pipe, direction) hops, direction "lr" (left to right,

@@ -34,9 +34,8 @@ Verification uses two complementary views:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn
 from .errors import BudgetError, ValidationError
@@ -66,12 +65,12 @@ def _statevector():
     return np, quantum
 
 
-@dataclass(frozen=True)
-class RunBranch:
+class RunBranch(NamedTuple):
     """One classical branch of a protocol run, or a class of ``count`` branches.
 
     A class branch carries its first member as ``transcript`` and the
-    members' summed probability; budgets and branch counts use ``count``.
+    members' summed probability; branch counts use ``count``, and the
+    verifiers' branch budget charges the class branch once.
     """
 
     prob: float
@@ -80,7 +79,6 @@ class RunBranch:
     count: int = 1
 
 
-@dataclass
 class QVerificationReport:
     """Exact-to-float verification outcome of a quantum protocol.
 
@@ -89,15 +87,14 @@ class QVerificationReport:
     distance) over the inputs where it must stay hidden.
     """
 
-    kind: str
-    worst_infidelity: float
-    worst_gap: float
-    per_input: dict = field(default_factory=dict)
-    max_branches: int = 0
-    routing_consistent: bool = True
-    resources: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    notes: tuple = ()
+    def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
+                 per_input: dict, max_branches: int, routing_consistent: bool,
+                 resources: dict, witnesses: dict, notes: tuple = ()):
+        self.kind = kind
+        self.worst_infidelity, self.worst_gap = worst_infidelity, worst_gap
+        self.per_input, self.max_branches = per_input, max_branches
+        self.routing_consistent = routing_consistent
+        self.resources, self.witnesses, self.notes = resources, witnesses, notes
 
     def perfect(self, tol: float = 1e-9) -> bool:
         return (self.worst_infidelity <= tol and self.worst_gap <= tol
@@ -121,7 +118,6 @@ class QVerificationReport:
         }
 
 
-@dataclass
 class CdqsProtocol(InputDomain):
     """Conditional disclosure of a quantum state held by Alice.
 
@@ -133,19 +129,22 @@ class CdqsProtocol(InputDomain):
     ``key_of(x, y, transcript)`` the key a transcript decodes to.
     """
 
-    f: BoolFn
-    run: Callable                 # (x, y, carrier, q_reg) -> [RunBranch]
-    msg_regs: Callable            # (x, y) -> tuple of register names
-    recover: Callable             # (x, y, transcript, state) -> PureState
-    out_reg: Callable             # (x, y) -> register name
-    key_classes: Optional[Callable] = None  # (x, y) -> [TranscriptClass]
-    key_of: Optional[Callable] = None       # (x, y, transcript) -> key
-    domain: Optional[tuple] = None
-    resources: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
+                 out_reg: Callable, key_classes: Optional[Callable] = None,
+                 key_of: Optional[Callable] = None, domain: Optional[tuple] = None,
+                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+        self.f = f
+        self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
+        self.msg_regs = msg_regs          # (x, y) -> tuple of register names
+        self.recover = recover            # (x, y, transcript, state) -> PureState
+        self.out_reg = out_reg            # (x, y) -> register name
+        self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
+        self.key_of = key_of              # (x, y, transcript) -> key
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
 class FRoutingProtocol(InputDomain):
     """Route a qubit left or right according to f in one simultaneous round.
 
@@ -157,18 +156,21 @@ class FRoutingProtocol(InputDomain):
     leave out registers in product with the rest of the state.
     """
 
-    f: BoolFn
-    run: Callable                 # (x, y, carrier, q_reg) -> [RunBranch]
-    exit_info: Callable           # (x, y) -> (side, reg name or None)
-    correction: Callable          # (x, y, transcript) -> 2x2 matrix
-    holdings: Callable = None     # (x, y) -> {"left": regs, "right": regs}
-    left_fidelity: Optional[Callable] = None  # (x, y, psi_vec) -> float
-    domain: Optional[tuple] = None
-    resources: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, f: BoolFn, run: Callable, exit_info: Callable,
+                 correction: Callable, holdings: Optional[Callable] = None,
+                 left_fidelity: Optional[Callable] = None, domain: Optional[tuple] = None,
+                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+        self.f = f
+        self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
+        self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
+        self.correction = correction      # (x, y, transcript) -> 2x2 matrix
+        self.holdings = holdings          # (x, y) -> {"left": regs, "right": regs}
+        self.left_fidelity = left_fidelity    # (x, y, psi_vec) -> float
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
 class PsqmProtocol(InputDomain):
     """Simultaneous messages computing f; the referee sees messages only.
 
@@ -176,13 +178,16 @@ class PsqmProtocol(InputDomain):
     registers carried by branch states (empty for purely classical schemes).
     """
 
-    f: BoolFn
-    run: Callable                 # (x, y) -> [RunBranch]
-    decode: Callable              # (transcript) -> value of f
-    quantum_regs: tuple = ()
-    domain: Optional[tuple] = None
-    resources: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, f: BoolFn, run: Callable, decode: Callable, quantum_regs: tuple = (),
+                 domain: Optional[tuple] = None, resources: Optional[dict] = None,
+                 meta: Optional[dict] = None):
+        self.f = f
+        self.run = run                    # (x, y) -> [RunBranch]
+        self.decode = decode              # (transcript) -> value of f
+        self.quantum_regs = quantum_regs
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
 
 # -- shared verification plumbing ---------------------------------------------
@@ -191,8 +196,9 @@ class PsqmProtocol(InputDomain):
 class _Sweep:
     """One verification's per-input figures, worst cases and branch budget.
 
-    Branches are counted by ``count``, so a transcript class weighs as much
-    as the transcripts it stands for; the budget bounds the running total.
+    The budget bounds the running total of branches the verifier walks, one
+    per class branch; the per-input ``branches`` figures, and with them
+    ``max_branches``, count by ``count``, the transcripts each class stands for.
     """
 
     def __init__(self, budget: int):
@@ -203,14 +209,13 @@ class _Sweep:
         self.witnesses = {}
 
     def run(self, run: Callable, *args) -> tuple:
-        """(branches of ``run(*args)``, their count); over budget raises."""
+        """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
         branches = run(*args)
-        n = sum(b.count for b in branches)
-        self.total += n
+        self.total += len(branches)
         if self.total > self.budget:
             raise BudgetError(f"branch count {self.total} exceeds {self.budget}",
                               space="branches", size=self.total, limit=self.budget)
-        return branches, n
+        return branches, sum(b.count for b in branches)
 
     def worse(self, name: str, figure: float, witness) -> None:
         """Raise worst case ``name`` to ``figure``; the first to reach it is witness."""

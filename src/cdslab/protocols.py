@@ -24,7 +24,6 @@ Conventions shared by every protocol type here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, NamedTuple, Optional
@@ -37,7 +36,6 @@ from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
 DEFAULT_BUDGET = 1 << 24
 
 
-@dataclass
 class VerificationReport:
     """Exact verification outcome of a classical protocol.
 
@@ -48,12 +46,10 @@ class VerificationReport:
     sits somewhere in ``delta_bracket`` = [delta_pair/2, delta_pair].
     """
 
-    kind: str
-    eps_hat: Fraction
-    delta_pair: Fraction
-    resources: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    notes: tuple = ()
+    def __init__(self, kind: str, eps_hat: Fraction, delta_pair: Fraction,
+                 resources: dict, witnesses: dict, notes: tuple = ()):
+        self.kind, self.eps_hat, self.delta_pair = kind, eps_hat, delta_pair
+        self.resources, self.witnesses, self.notes = resources, witnesses, notes
 
     @property
     def delta_bracket(self) -> tuple:
@@ -133,7 +129,6 @@ def pair_space(first, second) -> LazySpace:
                      lambda: ((a, b) for a in first for b in second))
 
 
-@dataclass
 class CdsProtocol(InputDomain):
     """Conditional disclosure of a secret held by Alice.
 
@@ -142,36 +137,35 @@ class CdsProtocol(InputDomain):
     and learn nothing about it otherwise.
     """
 
-    f: BoolFn
-    secrets: tuple
-    shared: tuple
-    alice_msg: Callable
-    bob_msg: Callable
-    decode: Callable
-    alice_private: tuple = (None,)
-    bob_private: tuple = (None,)
-    domain: Optional[tuple] = None
-    resources: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, f: BoolFn, secrets: tuple, shared: tuple, alice_msg: Callable,
+                 bob_msg: Callable, decode: Callable, alice_private: tuple = (None,),
+                 bob_private: tuple = (None,), domain: Optional[tuple] = None,
+                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+        self.f, self.secrets, self.shared = f, secrets, shared
+        self.alice_msg, self.bob_msg, self.decode = alice_msg, bob_msg, decode
+        self.alice_private, self.bob_private = alice_private, bob_private
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
 class PsmProtocol(InputDomain):
     """Private simultaneous messages: the referee learns f(x, y) and nothing else."""
 
-    f: BoolFn
-    shared: tuple
-    alice_msg: Callable          # (x, r, ra) -> message
-    bob_msg: Callable            # (y, r, rb) -> message
-    decode: Callable             # (m0, m1) -> value of f
-    alice_private: tuple = (None,)
-    bob_private: tuple = (None,)
-    domain: Optional[tuple] = None
-    resources: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, f: BoolFn, shared: tuple, alice_msg: Callable, bob_msg: Callable,
+                 decode: Callable, alice_private: tuple = (None,),
+                 bob_private: tuple = (None,), domain: Optional[tuple] = None,
+                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+        self.f, self.shared = f, shared
+        self.alice_msg = alice_msg        # (x, r, ra) -> message
+        self.bob_msg = bob_msg            # (y, r, rb) -> message
+        self.decode = decode              # (m0, m1) -> value of f
+        self.alice_private, self.bob_private = alice_private, bob_private
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
 class Dre(InputDomain):
     """Decomposable randomized encoding: per-side encoders plus a decoder.
 
@@ -179,14 +173,14 @@ class Dre(InputDomain):
     distribution must depend on the input only through f(x, y).
     """
 
-    f: BoolFn
-    shared: tuple
-    enc_x: Callable
-    enc_y: Callable
-    decode: Callable
-    domain: Optional[tuple] = None
-    resources: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, f: BoolFn, shared: tuple, enc_x: Callable, enc_y: Callable,
+                 decode: Callable, domain: Optional[tuple] = None,
+                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+        self.f, self.shared = f, shared
+        self.enc_x, self.enc_y, self.decode = enc_x, enc_y, decode
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
 
 # -- verifiers ---------------------------------------------------------------

@@ -16,7 +16,6 @@ the t blocks of a block-diagonal operator, one block per transcript;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -73,14 +72,11 @@ def _offsets(regs) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class PureState:
     """Statevector over named registers, tensor order = tuple order."""
 
-    regs: tuple
-    vec: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, regs: tuple, vec: np.ndarray):
+        self.regs, self.vec = regs, vec
         names = [n for (n, _) in self.regs]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate register names")
@@ -252,12 +248,11 @@ class PureState:
         return DensityOp(regs, M @ M.conj().T)
 
 
-@dataclass(frozen=True)
 class DensityOp:
     """Density operator over named registers."""
 
-    regs: tuple
-    mat: np.ndarray
+    def __init__(self, regs: tuple, mat: np.ndarray):
+        self.regs, self.mat = regs, mat
 
     @property
     def dim(self) -> int:

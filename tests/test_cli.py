@@ -73,13 +73,18 @@ def test_verify_wrong_format_file(tmp_path):
     assert main(["verify", str(bad), "--out", str(rep)]) == 1
 
 
-def test_chain_validation_exit_codes(tmp_path):
+def test_chain_validation_exit_codes(tmp_path, capsys):
     assert main(["build", "--chain", "cds,gh", "--fn", "and"]) == 2
     assert main(["build", "--chain", "gh,nope", "--fn", "and"]) == 2
     assert main(["build", "--chain", "gh,cds"]) == 2  # no --fn/--table
     assert main(["build", "--chain", "gh,cds", "--table", "1:1"]) == 2
     assert main(["build", "--chain", "dre,psm", "--fn", "and"]) == 2  # dre wants qr
     assert main(["not-a-command"]) == 2
+    # a malformed table or width is a usage error, not a traceback
+    for shape in (["--table", "1:1:z"], ["--table", "1:one:8"], ["--fn", "and", "--nx", "-1"]):
+        capsys.readouterr()
+        assert main(["build", "--chain", "gh,cds", *shape]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_budget_exit_code(tmp_path):
@@ -134,8 +139,10 @@ def test_sweep_json_format(tmp_path):
     assert len(obj["results"]) == 16
 
 
-def test_sweep_size_guard():
-    assert main(["sweep", "--nx", "3", "--ny", "2"]) == 2
+def test_sweep_size_guard(capsys):
+    for nx, ny in ((3, 2), (0, 0)):   # no function has zero input bits
+        assert main(["sweep", "--nx", str(nx), "--ny", str(ny)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_table_function_chain(tmp_path):
@@ -216,21 +223,25 @@ def test_cds_cdqs_frouting_chain(tmp_path):
 _CLASSICAL_RUN = """
 import sys
 from cdslab.cli import main
-desc, rep = sys.argv[1], sys.argv[2]
-codes = [main(["build", "--chain", "gh,cds", "--fn", "and", "--out", desc]),
-         main(["verify", desc, "--out", rep])]
-print(codes, sorted(m for m in ("numpy", "cdslab.nlqc", "cdslab.quantum")
-                    if m in sys.modules))
+chains = [("gh,cds", "--fn", "and"), ("span,cds", "--fn", "eq"),
+          ("dre,psm,cds", "--fn", "qr", "--p", "5")]
+codes = []
+for i, chain in enumerate(chains):
+    codes.append(main(["build", "--chain", *chain, "--out", f"{i}.json"]))
+    codes.append(main(["verify", f"{i}.json", "--out", f"{i}.rep.json"]))
+codes.append(main(["sweep", "--nx", "1", "--ny", "1", "--out", "sweep.csv"]))
+print(codes, sorted(m for m in ("dataclasses", "inspect", "numpy", "cdslab.nlqc",
+                                "cdslab.quantum") if m in sys.modules))
 """
 
 
 def test_classical_chain_never_imports_numpy(tmp_path):
-    # quantum stages load nlqc, and with it numpy, only when a chain has one
+    # quantum stages load nlqc, and with it numpy, only when a chain has one;
+    # records are plain classes, so nothing loads dataclasses or inspect
     env = _child_env()
-    out = subprocess.run([sys.executable, "-c", _CLASSICAL_RUN, str(tmp_path / "d.json"),
-                          str(tmp_path / "r.json")],
+    out = subprocess.run([sys.executable, "-c", _CLASSICAL_RUN], cwd=tmp_path,
                          env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[0, 0] []"
+    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
 _QUANTUM_RUN = """
@@ -238,7 +249,8 @@ import json, sys
 from cdslab.cli import main
 
 def loaded():
-    return sorted(m for m in ("numpy", "cdslab.quantum") if m in sys.modules)
+    return sorted(m for m in ("dataclasses", "inspect", "numpy", "cdslab.quantum")
+                  if m in sys.modules)
 
 chains = [("gh,frouting", "--fn", "and"), ("gh,frouting,cdqs", "--fn", "eq"),
           ("gh,cds,cdqs,frouting", "--fn", "and"),
@@ -262,7 +274,8 @@ print(json.dumps([built, after_build, refused, after_refusal, verified, loaded()
 def test_quantum_chains_compile_without_numpy(tmp_path):
     # every quantum compile edge builds from classical data; the statevector
     # layer, and numpy with it, loads at a chain's first run, so a verify
-    # refused at compile or stopped on a budget before any run loads none
+    # refused at compile or stopped on a budget before any run loads none.
+    # numpy loads inspect; nothing loads dataclasses
     run = subprocess.run([sys.executable, "-c", _QUANTUM_RUN], cwd=tmp_path,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -276,7 +289,7 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     assert verified == [0, 0, 0, 0]
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
-    assert after_runs == ["cdslab.quantum", "numpy"]
+    assert after_runs == ["cdslab.quantum", "inspect", "numpy"]
 
 
 def test_dre_qr17_verifies_within_the_default_budget(tmp_path):
@@ -405,6 +418,32 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
         assert (report["status"], report["space"]) == ("budget", stop)
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--chain", "gh,cds", "--fn", "and", "--nx", "20"],
+    ["build", "--chain", "psm", "--fn", "eq", "--nx", "14"],
+    ["build", "--chain", "gh,cds", "--table", "20:20:1"],
+    ["verify", "wide.json", "--out", "r.json"],
+])
+def test_truth_tables_are_charged_before_they_are_built(tmp_path, argv):
+    # 2^40 and 2^28 entries: each stops on the budget before any table exists
+    # (unlimited, the first runs for minutes and the others die of MemoryError)
+    if argv[0] == "verify":   # a gh,cds descriptor whose fn claims 20+20 input bits
+        assert main(["build", "--chain", "gh,cds", "--fn", "and",
+                     "--out", str(tmp_path / "wide.json")]) == 0
+        desc = json.loads((tmp_path / "wide.json").read_text())
+        desc["fn"].update(n_x=20, n_y=20)
+        (tmp_path / "wide.json").write_text(json.dumps(desc))
+    run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3, (argv, run.stderr)
+    for word in ("MemoryError", "Traceback"):
+        assert word not in run.stderr, (argv, run.stderr)
+    if argv[0] == "verify":
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["status"], report["space"], report["size"]) == (
+            "budget", "truth table entries", 1 << 40)
+
+
 def _budget_report(tmp_path, build_args, verify_args=()):
     desc = tmp_path / "d.json"
     rep = tmp_path / "r.json"
@@ -416,9 +455,27 @@ def _budget_report(tmp_path, build_args, verify_args=()):
 
 
 def test_verify_reports_a_branch_budget_stop(tmp_path):
+    # the budget counts class branches, four Pauli frames per input however
+    # many hops (the first input's two hops make 16 transcripts), so the second
+    # input passes a budget of 4; at 3, and1's 4-entry truth table would stop first
     got = _budget_report(tmp_path, ["--chain", "gh,frouting", "--fn", "and"],
-                         ["--budget", "3"])
-    assert got == ("branches", 16, 3)   # the first input's route takes two hops
+                         ["--budget", "4"])
+    assert got == ("branches", 8, 4)
+
+
+@pytest.mark.parametrize("chain,raw", [("dre,psm,cds,cdqs", 40_000),
+                                       ("dre,psm,psqm,cdqs", 10_000)])
+def test_branch_budget_charges_class_branches(tmp_path, chain, raw):
+    # qr p=5: each input's run walks a few class branches that stand for
+    # ``raw`` transcripts; charged raw, a budget of 2,000 stopped on the first
+    desc = tmp_path / "d.json"
+    rep = tmp_path / "r.json"
+    assert main(["build", "--chain", chain, "--fn", "qr", "--p", "5",
+                 "--out", str(desc)]) == 0
+    assert main(["verify", str(desc), "--budget", "2000", "--out", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["status"] == "pass"
+    assert report["report"]["max_branches"] == raw
 
 
 @pytest.mark.parametrize("chain,space", [

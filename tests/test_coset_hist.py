@@ -10,7 +10,6 @@ still be caught on the coset path.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -33,6 +32,11 @@ GOLDEN = Path(__file__).parent / "golden"
 AND1 = named_fn("and", n=1)
 MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
                              for x in range(4) for y in range(2)), name="maj3")
+
+
+def replace(P, **changes):
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
+    return type(P)(**{**vars(P), **changes})
 
 
 def _undeclared(P):

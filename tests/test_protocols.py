@@ -6,7 +6,6 @@ are known in closed form, so the sweep arithmetic itself is what gets checked.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -26,6 +25,11 @@ XOR1 = named_fn("xor", n=1)
 MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
                              for x in range(4) for y in range(2)),
                  name="maj3")
+
+
+def replace(P, **changes):
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
+    return type(P)(**{**vars(P), **changes})
 
 
 def _xor_cds():

@@ -9,8 +9,6 @@ within 1e-12 and the same branch counts as integers.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +29,11 @@ TOL = 1e-12
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
 EQ1 = named_fn("eq", n=1)
+
+
+def replace(P, **changes):
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
+    return type(P)(**{**vars(P), **changes})
 
 
 # -- the flat reference ----------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Every name a ``cdslab`` module imports is used in that module.
+"""Every name a ``cdslab`` module imports is used there, and none imports ``dataclasses``.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
 anywhere in the module, including annotations written as strings, or a
 listing in ``__all__``.
+
+``dataclasses`` loads ``inspect``, and each ``@dataclass`` compiles its
+methods at every import: together about 25 ms of each ``cdslab`` child's
+start-up. Records are plain classes or ``typing.NamedTuple``s instead.
 """
 
 from __future__ import annotations
@@ -65,3 +69,26 @@ def test_the_check_sees_an_unused_import():
                      "x: 'Optional[int]' = None\n__all__ = ['Callable']\n")
     imported = _imported(tree)
     assert {n for n in imported if n not in _used(tree)} == {"json"}
+
+
+def _imports_dataclasses(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "dataclasses" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert not _imports_dataclasses(tree), f"{module.name} imports dataclasses"
+
+
+def test_the_check_sees_a_dataclasses_import():
+    for planted in ("from dataclasses import dataclass\n", "import dataclasses as dc\n",
+                    "def f():\n    from dataclasses import field\n"):
+        assert _imports_dataclasses(ast.parse(planted)), planted
+    assert not _imports_dataclasses(ast.parse("from typing import NamedTuple\n"))
