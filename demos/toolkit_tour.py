@@ -19,8 +19,8 @@ from cdslab.quantum import (PureState, U_BELL, X, Z, choi, decoupling_gap,
 psi = random_qubit(42).rename({"q": "msg"})
 state = psi.tensor(epr_pairs([("here", "there")]))
 for (a, b), prob, post in state.bell_measure("msg", "here"):
-    fixed = post.apply(np.linalg.matrix_power(Z, b), ["there"])
-    fixed = fixed.apply(np.linalg.matrix_power(X, a), ["there"])
+    fixed = post.apply(np.linalg.matrix_power(np.asarray(Z), b), ["there"])
+    fixed = fixed.apply(np.linalg.matrix_power(np.asarray(X), a), ["there"])
     overlap = abs(np.vdot(psi.vec, fixed.vec))
     print(f"outcome {(a, b)}: p = {prob:.2f}, corrected overlap = {overlap:.12f}")
 
@@ -29,13 +29,13 @@ for (a, b), prob, post in state.bell_measure("msg", "here"):
 # uniform two-bit key they erase everything: any state becomes I / 2.
 print("phased_pad(1, 1) == Y:",
       np.allclose(phased_pad(1, 1), np.array([[0, -1j], [1j, 0]])))
-rho = np.outer(psi.vec, psi.vec.conj())
+rho = np.outer(psi.vec, np.conj(psi.vec))
 print("pad average deviation from I/2:",
-      float(np.max(np.abs(pad_average(rho) - np.eye(2) / 2))))
+      float(np.max(np.abs(np.asarray(pad_average(rho)) - np.eye(2) / 2))))
 
 # U_BELL rotates the pad-key basis into the Bell basis; its columns are
 # (I x pad_k)|phi+>, which is what makes key-register recovery tricks work.
-print("U_BELL unitary:", np.allclose(U_BELL @ U_BELL.conj().T, np.eye(4)))
+print("U_BELL unitary:", np.allclose(np.asarray(U_BELL) @ np.asarray(U_BELL).conj().T, np.eye(4)))
 
 # Channels enter through their Choi states. The identity channel keeps its
 # input maximally correlated with the reference: decoupling gap 3/4. The
@@ -57,4 +57,4 @@ for _ in range(3):
 # Registers are named; partial traces and measurements address them by name.
 ghzish = PureState.computational((("a", 1), ("b", 1)), {}).apply(
     U_BELL, ["a", "b"])
-print("reduced state of one Bell half:\n", ghzish.ptrace(["a"]).mat.real)
+print("reduced state of one Bell half:\n", np.asarray(ghzish.ptrace(["a"]).mat).real)

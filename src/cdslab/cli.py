@@ -12,8 +12,13 @@ Three subcommands:
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget exceeded.
 A budget stop names the space it counted, its size and the limit: ``verify``
 writes them as a report with status "budget", ``build`` and ``sweep`` print
-them to stderr. Outputs are deterministic: same inputs and seed give
-identical bytes.
+them to stderr. A size past 256 bits is written as the power of two it
+reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
+give identical bytes.
+
+Only chains with a quantum stage load the protocol and statevector layers,
+and those run on the standard library; numpy loads only for the seeded probe
+states of a route that reconstructs a qubit by ``left_fidelity``.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ BASES = ("gh", "span", "dre", "psm")
 def _nlqc():
     """The quantum protocol compilers, imported only by chains that need them.
 
-    Loading ``nlqc`` loads no numpy: a chain with a quantum stage imports
-    numpy at its first run, so ``build`` of any chain, and a ``verify``
-    refused or stopped on a budget before any run, never do.
+    ``nlqc`` loads the statevector layer at a chain's first run, and that
+    layer runs on the standard library: no ``build``, and no ``verify`` of a
+    garden-hose route or a pad-and-disclose CDQS or PSQM, loads numpy. Only
+    a route whose left side reconstructs by ``left_fidelity`` imports it,
+    for its seeded probe states.
     """
     from . import nlqc
     return nlqc

@@ -14,13 +14,30 @@ class DomainError(ValueError):
     """An input lies outside the domain an object is defined on."""
 
 
+_EXACT_BITS = 256
+
+
+def count_text(n: int) -> str:
+    """A count for a report: decimal, or past 256 bits the power of two it reaches.
+
+    Python refuses to format an int of more than 4,300 digits (a limit a
+    user may lower to 640), and no reader needs such a count in full.
+    """
+    if n.bit_length() <= _EXACT_BITS:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
+
+
 class BudgetError(RuntimeError):
     """An exact enumeration or register allocation would exceed the configured budget.
 
     ``space`` names what was counted, ``size`` is its count and ``limit`` the
-    budget it exceeds; the CLI reports the three fields.
+    budget it exceeds; the CLI reports the three fields. A count past 256
+    bits is kept as its ``count_text``, so a report can always write it.
     """
 
     def __init__(self, message: str, *, space: str, size: int, limit: int):
         super().__init__(message)
+        if size.bit_length() > _EXACT_BITS:
+            size = count_text(size)
         self.space, self.size, self.limit = space, size, limit

@@ -10,10 +10,11 @@ f(x, y) = 1, on Alice's side f(x, y) = 0.
 from __future__ import annotations
 
 import json
+from functools import cache
 from typing import NamedTuple
 
 from .boolfn import BoolFn
-from .errors import BudgetError, DomainError, ValidationError
+from .errors import BudgetError, DomainError, ValidationError, count_text
 
 LEFT = "left"
 RIGHT = "right"
@@ -243,10 +244,10 @@ def _spill_rows(m, n_rows):
     return rows
 
 
-def _first_alice_pick(per_alice, spill, columns, full):
+def _first_alice_pick(per_alice, spill, column, n_y_inputs, full):
     """Lex-first Alice pick (row indices) leaving every y a Bob choice.
 
-    ``columns[x][y]`` is f(x, y). Returns (pick, masks), masks[y] being the
+    ``column(x)[y]`` is f(x, y). Returns (pick, masks), masks[y] being the
     Bob choices consistent with f's column y under the pick, or None.
     """
     pick = []
@@ -257,7 +258,7 @@ def _first_alice_pick(per_alice, spill, columns, full):
         for i in per_alice[x]:
             row = spill[i]
             narrowed = [mask & (row if bit else full ^ row)
-                        for mask, bit in zip(masks, columns[x])]
+                        for mask, bit in zip(masks, column(x))]
             if all(narrowed):
                 pick.append(i)
                 found = descend(x + 1, narrowed)
@@ -266,7 +267,7 @@ def _first_alice_pick(per_alice, spill, columns, full):
                 pick.pop()
         return None
 
-    masks = descend(0, [full] * len(columns[0]))
+    masks = descend(0, [full] * n_y_inputs)
     return None if masks is None else (pick, masks)
 
 
@@ -279,7 +280,9 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
     that computes f. One symmetry is quotiented out: pipes can be relabelled
     consistently on both sides, so the tap for x = 0 is pinned to pipe 1
     without loss of generality (anything else is a relabelling of something
-    enumerated). ``budget`` bounds that candidate count at each m.
+    enumerated). ``budget`` bounds that candidate count at each m, checked
+    before the search at m evaluates f or builds a table row; f's columns
+    are evaluated once each, when the search first reaches them.
 
     Nothing is traced per candidate. A spill table, built once per m and
     shared by every search, holds for each Alice choice the bitmask of Bob
@@ -292,7 +295,11 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
     """
     n_inputs_x = 1 << f.n_x
     n_inputs_y = 1 << f.n_y
-    columns = [[f.eval(x, y) for y in range(n_inputs_y)] for x in range(n_inputs_x)]
+
+    @cache
+    def column(x):
+        return [f.eval(x, y) for y in range(n_inputs_y)]
+
     for m in range(1, max_pipes + 1):
         n_first, alice_choices, bob_choices, _ = _tables(m)
         per_alice = [range(n_first)] + [range(len(alice_choices))] * (n_inputs_x - 1)
@@ -302,11 +309,12 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
         total *= len(bob_choices) ** n_inputs_y
         if total > budget:
             raise BudgetError(
-                f"{total} candidate strategies at m={m} exceeds budget {budget}",
+                f"{count_text(total)} candidate strategies at m={m} exceeds budget {budget}",
                 space=f"gh_search candidate strategies at m={m}", size=total,
                 limit=budget)
         spill = _spill_rows(m, len(per_alice[-1]))
-        found = _first_alice_pick(per_alice, spill, columns, (1 << len(bob_choices)) - 1)
+        found = _first_alice_pick(per_alice, spill, column, n_inputs_y,
+                                  (1 << len(bob_choices)) - 1)
         if found is None:
             continue
         pick, masks = found

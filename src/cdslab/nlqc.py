@@ -17,9 +17,9 @@ enters the state only when the water path reaches it.
 
 Every protocol here is compiled from classical data (a pad key a CDS or
 PSM discloses, or a garden-hose water path), so the compilers need no
-amplitude and this module loads without numpy. The statevector layer,
-``quantum`` and numpy with it, is imported at a protocol's first run,
-recovery or verification.
+amplitude. The statevector layer, ``quantum``, is imported at a protocol's
+first run, recovery or verification; it loads no numpy, which only the
+seeded probe states of a side reconstructing by ``left_fidelity`` import.
 
 Verification uses two complementary views:
 
@@ -45,24 +45,20 @@ from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
                         class_product, message_hist, space_size, transcript_classes)
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .quantum import PureState
 
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _statevector():
-    """(numpy, the ``quantum`` module), imported at their first use.
+    """The ``quantum`` module, imported at its first use.
 
     Compilers build closures, plans and key classes only, so compiling a
-    chain loads neither; runs, recoveries and verifiers fetch both here at
+    chain does not load it; runs, recoveries and verifiers fetch it here at
     call time, which also reads ``quantum.MAX_QUBITS`` as it stands then.
     """
-    import numpy as np
-
     from . import quantum
-    return np, quantum
+    return quantum
 
 
 class RunBranch(NamedTuple):
@@ -240,13 +236,14 @@ class _Sweep:
 def _choi_fidelity(branches, fix: Callable, out: str) -> float:
     """Fidelity with |Phi+> of what the branches deliver to (R, ``out``).
 
-    ``fix(b)`` is branch b's state after the receiver's correction.
+    ``fix(b)`` is branch b's state after the receiver's correction. The
+    target is pure, so Uhlmann's fidelity is sqrt(<Phi+| rho |Phi+>), with
+    rho the branches' probability-weighted mixture, and needs no eigen-solve.
     """
-    np, quantum = _statevector()
-    rho = np.zeros((4, 4), dtype=complex)
-    for b in branches:
-        rho += b.prob * fix(b).ptrace(["R", out]).mat
-    return quantum.fidelity(rho, np.outer(quantum.PHI_PLUS, quantum.PHI_PLUS.conj()))
+    quantum = _statevector()
+    overlap = sum(b.prob * quantum.overlap(fix(b).ptrace(["R", out]).mat, quantum.PHI_PLUS)
+                  for b in branches)
+    return min(1.0, math.sqrt(max(0.0, overlap)))
 
 
 def _view_blocks(branches, regs) -> dict:
@@ -255,16 +252,12 @@ def _view_blocks(branches, regs) -> dict:
     With ``regs`` None, or a branch without a state, the transcript is the
     whole view.
     """
-    np, _ = _statevector()
-    blocks = {}
+    terms = {}
     for b in branches:
-        if regs is None or b.state is None:
-            mat = np.array([[1.0 + 0j]])
-        else:
-            mat = b.state.ptrace(regs).mat
-        got = blocks.get(b.transcript)
-        blocks[b.transcript] = b.prob * mat if got is None else got + b.prob * mat
-    return blocks
+        mat = ((1.0,),) if regs is None or b.state is None else b.state.ptrace(regs).mat
+        terms.setdefault(b.transcript, []).append((b.prob, mat))
+    quantum = _statevector()
+    return {t: quantum.weighted(ts) for t, ts in terms.items()}
 
 
 def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
@@ -275,15 +268,15 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
     keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
     if not keys:
         return 0.0
-    np, quantum = _statevector()
-    zero = np.zeros_like(next(iter((blocks_a or blocks_b).values())))
-    return quantum.trace_distance(np.stack([blocks_a.get(k, zero) for k in keys]),
-                                  np.stack([blocks_b.get(k, zero) for k in keys]))
+    d = len(next(iter((blocks_a or blocks_b).values())))
+    zero = [[0j] * d for _ in range(d)]
+    return _statevector().trace_distance([blocks_a.get(k, zero) for k in keys],
+                                         [blocks_b.get(k, zero) for k in keys])
 
 
 def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
-    np, quantum = _statevector()
+    quantum = _statevector()
     sweep = _Sweep(budget)
     for (x, y) in P.input_pairs():
         branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
@@ -295,8 +288,8 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationR
                          "infidelity", 1 - F)
         else:
             blocks = _view_blocks(branches, ("R",) + tuple(P.msg_regs(x, y)))
-            stack = np.stack(list(blocks.values()))
-            gap = quantum.decoupling_gap(stack, 2, stack.shape[-1] // 2)
+            stack = list(blocks.values())
+            gap = quantum.decoupling_gap(stack, 2, len(stack[0]) // 2)
             sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap)
     return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
@@ -311,7 +304,7 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
     made at the first input that needs them, so a route whose every side
     holds a branch register never makes them.
     """
-    _, quantum = _statevector()
+    quantum = _statevector()
     sweep = _Sweep(budget)
     secrets = None
     for (x, y) in P.input_pairs():
@@ -361,7 +354,7 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
     qubits as the secret; a protocol that leaks nothing produces views at
     distance zero from each other.
     """
-    _, quantum = _statevector()
+    quantum = _statevector()
     states = [(name, quantum.PureState((("Q", 1),), vec))
               for (name, vec) in quantum.probe_qubits(seeds)]
     worst = 0.0
@@ -384,19 +377,19 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
 # -- pad machinery -------------------------------------------------------------
 
 
-def pauli_frame(outcomes) -> np.ndarray:
+def pauli_frame(outcomes) -> list:
     """Correction undoing a chain of teleportation byproducts.
 
     Outcome (a, b) at step t means X^a Z^b hit the carried state; later steps
     act on the already-twisted state, so the net twist is the ordered product
     and the correction is its adjoint.
     """
-    _, quantum = _statevector()
+    quantum = _statevector()
     I2, X, Z = quantum.I2, quantum.X, quantum.Z
     net = I2
     for (a, b) in outcomes:
-        net = ((X if a else I2) @ (Z if b else I2)) @ net
-    return net.conj().T
+        net = quantum.matmul(quantum.matmul(X if a else I2, Z if b else I2), net)
+    return quantum.dagger(net)
 
 
 def otp_reconstruct_left(classes: list, psi) -> float:
@@ -417,17 +410,16 @@ def otp_reconstruct_left(classes: list, psi) -> float:
     superposition to one basis vector is an isometry on the register, which
     is traced out.
     """
-    np, quantum = _statevector()
-    psi = np.asarray(psi, dtype=complex).reshape(2)
-    psi = psi / np.linalg.norm(psi)
+    quantum = _statevector()
+    psi = quantum.PureState.from_qubit("q", psi).vec
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
     if 3 + kq > quantum.MAX_QUBITS:
         raise BudgetError(f"message register needs {kq} qubits",
                           space="qubits per factor", size=3 + kq,
                           limit=quantum.MAX_QUBITS)
-    vec = np.zeros(1 << (3 + kq), dtype=complex)
+    vec = [0j] * (1 << (3 + kq))
     for s in KEYS:
-        padded = quantum.phased_pad(*s) @ psi
+        padded = quantum.matmul(quantum.phased_pad(*s), psi)
         base = ((s[0] << 1) | s[1]) << (1 + kq)
         for i, c in enumerate(classes):
             prob = c.weights.get(s)
@@ -438,8 +430,7 @@ def otp_reconstruct_left(classes: list, psi) -> float:
             vec[base | i | (1 << kq)] += amp * padded[1]
     state = quantum.PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
     state = state.apply(quantum.U_BELL, ["A1", "A2"])
-    rho = state.ptrace(["A2"]).mat
-    return float(np.real(psi.conj() @ rho @ psi))
+    return quantum.overlap(state.ptrace(["A2"]).mat, psi)
 
 
 # -- compilers -----------------------------------------------------------------
@@ -454,7 +445,7 @@ def _pad_run(classes_of: Callable) -> Callable:
     """
     def run(x, y, carrier, q_reg):
         classes = classes_of(x, y)
-        _, quantum = _statevector()
+        quantum = _statevector()
         branches = []
         for s in KEYS:
             padded = carrier.apply(quantum.phased_pad(*s), [q_reg])
@@ -467,10 +458,10 @@ def _pad_run(classes_of: Callable) -> Callable:
     return run
 
 
-def _inverse_pad(s) -> np.ndarray:
+def _inverse_pad(s) -> list:
     """Inverse of pad key s; the identity when s is a failed decode."""
-    _, quantum = _statevector()
-    return quantum.phased_pad(*s).conj().T if s in KEYS else quantum.I2
+    quantum = _statevector()
+    return quantum.dagger(quantum.phased_pad(*s)) if s in KEYS else quantum.I2
 
 
 def _unpad(state: PureState, s) -> PureState:
@@ -589,7 +580,7 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     plans = {(x, y): plan_for(x, y) for (x, y) in f.inputs()}
 
     def run(x, y, carrier, q_reg):
-        _, quantum = _statevector()
+        quantum = _statevector()
         plan = plans[(x, y)][0]
         state = carrier
         for reg_a, reg_b, desc in plan:

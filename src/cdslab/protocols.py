@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, in_span
 from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, count_text
 from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
 
 DEFAULT_BUDGET = 1 << 24
@@ -188,7 +188,7 @@ class Dre(InputDomain):
 
 def _check_budget(total, budget, what, unit="joint states"):
     if total > budget:
-        raise BudgetError(f"{what}: {total} {unit} exceed budget {budget}",
+        raise BudgetError(f"{what}: {count_text(total)} {unit} exceed budget {budget}",
                           space=f"{what} {unit}", size=total, limit=budget)
 
 
@@ -916,7 +916,7 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
     cols = 1 << f.n_y
     total = math.factorial(cols) * (1 << cols)
     if total > budget:
-        raise BudgetError(f"one-time table needs {total} randomness states",
+        raise BudgetError(f"one-time table needs {count_text(total)} randomness states",
                           space="psm_generic_table randomness states", size=total,
                           limit=budget)
     shared = pair_space(tuple(permutations(range(cols))), product_space((0, 1), cols))

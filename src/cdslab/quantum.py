@@ -1,58 +1,148 @@
-"""Statevector toolkit with named registers.
+"""Statevector toolkit with named registers, on the standard library.
 
-States carry an ordered tuple of (register name, qubit count) and a complex
-amplitude vector; every operation addresses qubits as (register, index) or a
-bare register name meaning all of its qubits, most significant first. The
-register budget, ``MAX_QUBITS``, caps every state and is checked before
-``tensor`` or ``apply_isometry`` allocates, so protocol bugs fail fast
-instead of allocating huge arrays.
+States carry an ordered tuple of (register name, qubit count) and an
+amplitude vector, a list of ``complex``; operators are sequences of rows
+(functions return lists, the module's constants are tuples). Every
+operation addresses qubits as (register, index) or a bare register name
+meaning all of its qubits, most significant first, and works by index
+arithmetic: qubit q of an n-qubit state is bit n - 1 - q of an amplitude's
+index. Inputs may be any nested sequence of numbers, numpy arrays included;
+a state or operator reads them into Python ``complex`` once. The register
+budget, ``MAX_QUBITS``, caps every state and is checked before ``tensor`` or
+``apply_isometry`` allocates, so protocol bugs fail fast instead of
+allocating huge vectors.
 
 Measurement never samples: ``measure`` and ``bell_measure`` return every
 outcome branch with its exact probability. The protocol verifiers read a
-referee's classical-quantum view as a block stack, a (t, d, d) array holding
-the t blocks of a block-diagonal operator, one block per transcript;
-``decoupling_gap`` and ``trace_distance`` take such stacks whole.
+referee's classical-quantum view as a block stack, a list holding the t
+(d, d) blocks of a block-diagonal operator, one block per transcript;
+``decoupling_gap`` and ``trace_distance`` take such stacks whole. Their
+spectra come from the cyclic Jacobi method for Hermitian matrices (Golub
+and Van Loan, *Matrix Computations*, section 8.5).
+
+numpy serves only ``random_qubit``, whose seeded draws it imports at call
+time, so loading this module loads no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
+from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import BudgetError, DomainError, ValidationError
 
 MAX_QUBITS = 14
 _TOL = 1e-12
-
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+_R2 = 1 / math.sqrt(2)
 
 
-def phased_pad(s1: int, s2: int) -> np.ndarray:
+def _vector(v) -> list:
+    return list(map(complex, v))
+
+
+def _matrix(m) -> list:
+    return [list(map(complex, row)) for row in m]
+
+
+def _nested(x) -> bool:
+    """True when ``x`` is a sequence (a row or a block), not a number."""
+    try:
+        len(x)
+    except TypeError:
+        return False
+    return True
+
+
+def _stack(m) -> list:
+    """A matrix or a block stack as a list of blocks; a matrix is a stack of one."""
+    if len(m) and len(m[0]) and _nested(m[0][0]):
+        return [_matrix(block) for block in m]
+    return [_matrix(m)]
+
+
+def dagger(a) -> list:
+    """Conjugate transpose of a matrix."""
+    return [[z.conjugate() for z in col] for col in zip(*_matrix(a))]
+
+
+def matmul(a, b) -> list:
+    """a @ b for a matrix a and a matrix or vector b."""
+    a = _matrix(a)
+    if len(b) and _nested(b[0]):
+        cols = list(zip(*_matrix(b)))
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    b = _vector(b)
+    return [sum(map(mul, row, b)) for row in a]
+
+
+def kron(a, b) -> list:
+    """Kronecker product of two vectors or of two matrices."""
+    if len(a) and _nested(a[0]):
+        a, b = _matrix(a), _matrix(b)
+        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+    return [x * y for x in _vector(a) for y in _vector(b)]
+
+
+def weighted(terms) -> list:
+    """The sum of p * m over the (p, m) pairs of ``terms``, added in their order."""
+    out = None
+    for p, m in terms:
+        if out is None:
+            out = [[p * z for z in map(complex, row)] for row in m]
+        else:
+            out = [[u + p * z for u, z in zip(ro, map(complex, row))]
+                   for ro, row in zip(out, m)]
+    if out is None:
+        raise ValidationError("no terms to sum")
+    return out
+
+
+def overlap(rho, psi) -> float:
+    """<psi| rho |psi>, real part: a density operator's squared fidelity with psi."""
+    psi = _vector(psi)
+    bra = [z.conjugate() for z in psi]
+    row = [sum(map(mul, bra, col)) for col in zip(*rho)]
+    return float(sum(map(mul, row, psi)).real)
+
+
+I2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+X = ((0j, 1 + 0j), (1 + 0j, 0j))
+Y = ((0j, -1j), (1j, 0j))
+Z = ((1 + 0j, 0j), (0j, -1 + 0j))
+H = ((_R2 + 0j, _R2 + 0j), (_R2 + 0j, -_R2 + 0j))
+
+PHI_PLUS = (_R2 + 0j, 0j, 0j, _R2 + 0j)
+
+
+def _freeze(m) -> tuple:
+    return tuple(map(tuple, m))
+
+
+# key (s1, s2) -> i^(s1 s2) X^s1 Z^s2
+_PADS = {(s1, s2): _freeze([[(1j ** (s1 * s2)) * z for z in row]
+                            for row in matmul(X if s1 else I2, Z if s2 else I2)])
+         for s1, s2 in product((0, 1), repeat=2)}
+
+
+def phased_pad(s1: int, s2: int) -> list:
     """i^(s1 s2) X^s1 Z^s2: the Hermitian one-time-pad family {I, X, Z, Y}."""
-    mat = (1j ** (s1 * s2)) * (np.linalg.matrix_power(X, s1) @
-                               np.linalg.matrix_power(Z, s2))
-    return mat
+    return [list(row) for row in _PADS[(s1, s2)]]
 
 
 # column k encodes key (s1, s2) with k = 2 s1 + s2; columns are the padded
 # halves of an EPR pair, so this unitary coherently maps a key register onto
 # the pad it selects.
-U_BELL = np.column_stack([np.kron(I2, phased_pad(k >> 1, k & 1)) @ PHI_PLUS
-                          for k in range(4)])
+U_BELL = _freeze(zip(*[matmul(kron(I2, _PADS[(k >> 1, k & 1)]), PHI_PLUS)
+                       for k in range(4)]))
 
-# outcome (a, b) of a Bell measurement and the conjugate of its basis vector
-# (I x X^a Z^b)|epr>, so that a measured pair's amplitude is one product
+# outcome (a, b) of a Bell measurement and the nonzero entries (row, conjugate
+# amplitude) of its basis vector (I x X^a Z^b)|epr>, so that a measured
+# pair's amplitude is one short sum
 _BELL_BRAS = tuple(
-    ((a, b), (np.kron(I2, np.linalg.matrix_power(X, a) @
-                      np.linalg.matrix_power(Z, b)) @ PHI_PLUS).conj())
+    ((a, b), tuple((r, z.conjugate()) for r, z in enumerate(
+        matmul(kron(I2, matmul(X if a else I2, Z if b else I2)), PHI_PLUS)) if z))
     for a, b in product((0, 1), repeat=2))
 
 
@@ -72,18 +162,35 @@ def _offsets(regs) -> dict:
     return out
 
 
+def _layout(n: int, axes) -> tuple:
+    """(offsets, bases) of the qubits ``axes`` of an n-qubit index.
+
+    ``offsets[s]`` sets those qubits to the value s, read MSB-first in the
+    order given; ``bases`` are the indices with those qubits zero, ascending,
+    so index ``base + offsets[s]`` runs over the whole space once.
+    """
+    offs = [0]
+    mask = 0
+    for a in axes:
+        bit = 1 << (n - 1 - a)
+        offs = [o + x for o in offs for x in (0, bit)]
+        mask |= bit
+    return offs, [i for i in range(1 << n) if not i & mask]
+
+
 class PureState:
     """Statevector over named registers, tensor order = tuple order."""
 
-    def __init__(self, regs: tuple, vec: np.ndarray):
-        self.regs, self.vec = regs, vec
+    def __init__(self, regs: tuple, vec):
+        self.regs = regs
         names = [n for (n, _) in self.regs]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate register names")
         n = self.n_qubits
         if n > MAX_QUBITS:
             raise _qubit_budget(n)
-        if self.vec.shape != (1 << n,):
+        self.vec = _vector(vec)
+        if len(self.vec) != 1 << n:
             raise ValidationError("amplitude vector length mismatch")
 
     @property
@@ -104,23 +211,28 @@ class PureState:
             if not 0 <= v < (1 << k):
                 raise DomainError(f"value {v} out of range for register {name}")
             idx = (idx << k) | v
-        vec = np.zeros(1 << sum(k for (_, k) in regs), dtype=complex)
-        vec[idx] = 1.0
+        n = sum(k for (_, k) in regs)
+        if n > MAX_QUBITS:
+            raise _qubit_budget(n)
+        vec = [0j] * (1 << n)
+        vec[idx] = 1 + 0j
         return PureState(regs, vec)
 
     @staticmethod
     def from_qubit(name: str, amplitudes) -> "PureState":
-        vec = np.asarray(amplitudes, dtype=complex).reshape(2)
-        norm = np.linalg.norm(vec)
+        vec = _vector(amplitudes)
+        if len(vec) != 2:
+            raise ValidationError("a qubit has two amplitudes")
+        norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in vec))
         if norm < _TOL:
             raise ValidationError("zero vector")
-        return PureState(((name, 1),), vec / norm)
+        return PureState(((name, 1),), [z / norm for z in vec])
 
     def tensor(self, other: "PureState") -> "PureState":
         n = self.n_qubits + other.n_qubits
         if n > MAX_QUBITS:
             raise _qubit_budget(n)
-        return PureState(self.regs + other.regs, np.kron(self.vec, other.vec))
+        return PureState(self.regs + other.regs, kron(self.vec, other.vec))
 
     # -- addressing ----------------------------------------------------------
 
@@ -146,45 +258,63 @@ class PureState:
 
     # -- evolution -------------------------------------------------------------
 
-    def apply(self, U: np.ndarray, targets: Sequence) -> "PureState":
+    def apply(self, U, targets: Sequence) -> "PureState":
         """Apply a 2^k x 2^k unitary to the k addressed qubits."""
         axes = self._axes(targets)
         k = len(axes)
-        U = np.asarray(U, dtype=complex)
-        if U.shape != (1 << k, 1 << k):
-            raise ValidationError(f"operator shape {U.shape} does not address {k} qubits")
-        n = self.n_qubits
-        T = self.vec.reshape((2,) * n)
-        res = np.tensordot(U.reshape((2,) * (2 * k)), T,
-                           axes=(list(range(k, 2 * k)), axes))
-        res = np.moveaxis(res, list(range(k)), axes)
-        return PureState(self.regs, np.ascontiguousarray(res.reshape(-1)))
+        U = _matrix(U)
+        if len(U) != 1 << k or any(len(row) != 1 << k for row in U):
+            shape = (len(U), len(U[0]) if U else 0)
+            raise ValidationError(f"operator shape {shape} does not address {k} qubits")
+        offs, bases = _layout(self.n_qubits, axes)
+        vec = self.vec
+        out = [0j] * len(vec)
+        for base in bases:
+            idx = [base + o for o in offs]
+            amps = [vec[i] for i in idx]
+            for i, row in zip(idx, U):
+                out[i] = sum(map(mul, row, amps))
+        return PureState(self.regs, out)
 
-    def apply_isometry(self, V: np.ndarray, targets: Sequence,
+    def apply_isometry(self, V, targets: Sequence,
                        new_reg: tuple) -> "PureState":
-        """Apply a (2^(k+m), 2^k) isometry; fresh qubits become a new register."""
+        """Apply a (2^(k+m), 2^k) isometry; fresh qubits become a new register.
+
+        Row r of V writes the addressed qubits with r's top k bits and the
+        fresh register, the last in tensor order, with its low m bits.
+        """
         axes = self._axes(targets)
         k = len(axes)
         name, m = new_reg
-        V = np.asarray(V, dtype=complex)
-        if V.shape != (1 << (k + m), 1 << k):
+        V = _matrix(V)
+        if len(V) != 1 << (k + m) or any(len(row) != 1 << k for row in V):
             raise ValidationError("isometry shape mismatch")
         n = self.n_qubits
         if n + m > MAX_QUBITS:
             raise _qubit_budget(n + m)
-        T = self.vec.reshape((2,) * n)
-        res = np.tensordot(V.reshape((2,) * (2 * k + m)), T,
-                           axes=(list(range(k + m, 2 * k + m)), axes))
-        dest = axes + list(range(n, n + m))
-        res = np.moveaxis(res, list(range(k + m)), dest)
-        return PureState(self.regs + ((name, m),),
-                         np.ascontiguousarray(res.reshape(-1)))
+        offs, bases = _layout(n, axes)
+        fresh = (1 << m) - 1
+        vec = self.vec
+        out = [0j] * (1 << (n + m))
+        for base in bases:
+            amps = [vec[base + o] for o in offs]
+            for r, row in enumerate(V):
+                out[((base + offs[r >> m]) << m) | (r & fresh)] = sum(map(mul, row, amps))
+        return PureState(self.regs + ((name, m),), out)
 
     def rename(self, mapping: dict) -> "PureState":
         regs = tuple((mapping.get(n, n), k) for (n, k) in self.regs)
         return PureState(regs, self.vec)
 
     # -- measurement -----------------------------------------------------------
+
+    def _branch(self, keep_regs, amp, tol):
+        """(prob, post state) of an unnormalised branch, or None at most ``tol``."""
+        p = sum(z.real * z.real + z.imag * z.imag for z in amp)
+        if p <= tol:
+            return None
+        root = math.sqrt(p)
+        return p, PureState(keep_regs, [z / root for z in amp])
 
     def measure(self, reg_names: Sequence[str], tol: float = _TOL) -> list:
         """All nonzero computational branches over whole registers.
@@ -194,18 +324,14 @@ class PureState:
         read MSB-first across the given registers in the given order.
         """
         axes = self._axes(reg_names)
-        k = len(axes)
-        n = self.n_qubits
-        T = np.moveaxis(self.vec.reshape((2,) * n), axes, range(k))
-        T = T.reshape(1 << k, -1)
+        offs, bases = _layout(self.n_qubits, axes)
         keep_regs = tuple(r for r in self.regs if r[0] not in set(reg_names))
+        vec = self.vec
         out = []
-        for outcome in range(1 << k):
-            amp = T[outcome]
-            p = float(np.vdot(amp, amp).real)
-            if p <= tol:
-                continue
-            out.append((outcome, p, PureState(keep_regs, amp / np.sqrt(p))))
+        for outcome, off in enumerate(offs):
+            got = self._branch(keep_regs, [vec[base + off] for base in bases], tol)
+            if got is not None:
+                out.append((outcome,) + got)
         return out
 
     def bell_measure(self, reg_a: str, reg_b: str, tol: float = _TOL) -> list:
@@ -219,72 +345,141 @@ class PureState:
         if offs[reg_a][1] != 1 or offs[reg_b][1] != 1:
             raise ValidationError("bell_measure wants two 1-qubit registers")
         axes = self.qubits_of(reg_a) + self.qubits_of(reg_b)
-        n = self.n_qubits
-        T = np.moveaxis(self.vec.reshape((2,) * n), axes, (0, 1))
-        T = T.reshape(4, -1)
+        pair, bases = _layout(self.n_qubits, axes)
+        vec = self.vec
         keep_regs = tuple(r for r in self.regs if r[0] not in (reg_a, reg_b))
         out = []
-        for ab, bra in _BELL_BRAS:
-            amp = bra @ T
-            p = float(np.vdot(amp, amp).real)
-            if p <= tol:
-                continue
-            out.append((ab, p, PureState(keep_regs, amp / np.sqrt(p))))
+        for ab, ((r0, c0), (r1, c1)) in _BELL_BRAS:
+            o0, o1 = pair[r0], pair[r1]
+            amp = [c0 * vec[base + o0] + c1 * vec[base + o1] for base in bases]
+            got = self._branch(keep_regs, amp, tol)
+            if got is not None:
+                out.append((ab,) + got)
         return out
 
     # -- density views -----------------------------------------------------------
 
     def density(self) -> "DensityOp":
-        return DensityOp(self.regs, np.outer(self.vec, self.vec.conj()))
+        return DensityOp(self.regs, [[a * b.conjugate() for b in self.vec]
+                                     for a in self.vec])
 
     def ptrace(self, keep: Sequence[str]) -> "DensityOp":
         """Reduced density operator on the named registers, in given order."""
-        axes = self._axes(keep)
-        n = self.n_qubits
-        T = np.moveaxis(self.vec.reshape((2,) * n), axes, range(len(axes)))
-        M = T.reshape(1 << len(axes), -1)
-        offs = _offsets(self.regs)
-        regs = tuple((nm, offs[nm][1]) for nm in keep)
-        return DensityOp(regs, M @ M.conj().T)
+        offs, bases = _layout(self.n_qubits, self._axes(keep))
+        vec = self.vec
+        rows = [[vec[base + o] for base in bases] for o in offs]
+        conj = [[z.conjugate() for z in row] for row in rows]
+        regs_of = _offsets(self.regs)
+        regs = tuple((nm, regs_of[nm][1]) for nm in keep)
+        return DensityOp(regs, [[sum(map(mul, ri, cj)) for cj in conj] for ri in rows])
 
 
 class DensityOp:
     """Density operator over named registers."""
 
-    def __init__(self, regs: tuple, mat: np.ndarray):
-        self.regs, self.mat = regs, mat
+    def __init__(self, regs: tuple, mat):
+        self.regs, self.mat = regs, _matrix(mat)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return len(self.mat)
 
     def ptrace(self, keep: Sequence[str]) -> "DensityOp":
         n = sum(k for (_, k) in self.regs)
-        keep_set = list(keep)
-        axes = []
         offs = _offsets(self.regs)
-        for nm in keep_set:
+        axes = []
+        for nm in keep:
             p0, k = offs[nm]
             axes.extend(range(p0, p0 + k))
-        T = self.mat.reshape((2,) * (2 * n))
-        order = axes + [a for a in range(n) if a not in axes]
-        T = np.moveaxis(T, order + [n + a for a in order], range(2 * n))
-        ka = len(axes)
-        T = T.reshape(1 << ka, 1 << (n - ka), 1 << ka, 1 << (n - ka))
-        out = np.einsum("ikjk->ij", T)
-        regs = tuple((nm, offs[nm][1]) for nm in keep_set)
-        return DensityOp(regs, out)
+        sub, bases = _layout(n, axes)
+        mat = self.mat
+        out = [[sum(mat[i + b][j + b] for b in bases) for j in sub] for i in sub]
+        return DensityOp(tuple((nm, offs[nm][1]) for nm in keep), out)
 
 
-def _eigh_psd(mat: np.ndarray):
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    return np.clip(vals, 0.0, None), vecs
+# -- spectra -------------------------------------------------------------------
 
 
-def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
+def _jacobi(a: list, vectors: bool) -> tuple:
+    """Cyclic Jacobi diagonalisation of the Hermitian matrix ``a``, in place.
+
+    Each rotation zeroes one off-diagonal pair: a phase makes the pivot real
+    and a real rotation annihilates it, so the rotation on rows and columns
+    (p, q) is [[c, s e], [-s conj(e), c]] with e the pivot's phase. Sweeps
+    run row by row over p < q and stop after one that finds every
+    off-diagonal entry at most 2^-60 of the Frobenius norm. Returns
+    (diagonal, accumulated rotations or None).
+    """
+    n = len(a)
+    v = ([[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+         if vectors else None)
+    tiny = 2.0 ** -120 * sum(z.real * z.real + z.imag * z.imag for row in a for z in row)
+    rotated = True
+    while rotated:
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                g = abs(apq)
+                if g * g <= tiny:
+                    continue
+                rotated = True
+                e = apq / g
+                app, aqq = a[p][p].real, a[q][q].real
+                tau = (aqq - app) / (2 * g)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1 / math.sqrt(1 + t * t)
+                s = t * c
+                se = s * e
+                sec = se.conjugate()
+                for k in range(n):
+                    if k == p or k == q:
+                        continue
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = nkp = c * akp - sec * akq
+                    a[k][q] = nkq = se * akp + c * akq
+                    a[p][k], a[q][k] = nkp.conjugate(), nkq.conjugate()
+                a[p][p], a[q][q] = complex(app - t * g), complex(aqq + t * g)
+                a[p][q] = a[q][p] = 0j
+                if v is not None:
+                    for row in v:
+                        vkp, vkq = row[p], row[q]
+                        row[p], row[q] = c * vkp - sec * vkq, se * vkp + c * vkq
+    return [a[i][i].real for i in range(n)], v
+
+
+def _hermitian(mat) -> list:
+    """(mat + mat^H) / 2, which is ``mat`` itself when it is Hermitian."""
+    m = _matrix(mat)
+    if any(len(row) != len(m) for row in m):
+        raise ValidationError("matrix is not square")
+    return [[(x + y.conjugate()) / 2 for x, y in zip(row, col)]
+            for row, col in zip(m, zip(*m))]
+
+
+def eigvalsh(mat) -> list:
+    """Eigenvalues, ascending, of the Hermitian part of ``mat``."""
+    return sorted(_jacobi(_hermitian(mat), False)[0])
+
+
+def eigh(mat) -> tuple:
+    """(eigenvalues ascending, matrix whose columns are the eigenvectors)
+    of the Hermitian part of ``mat``."""
+    vals, v = _jacobi(_hermitian(mat), True)
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [vals[i] for i in order], [[row[i] for i in order] for row in v]
+
+
+def _eigh_psd(mat) -> tuple:
+    vals, vecs = eigh(mat)
+    return [max(0.0, x) for x in vals], vecs
+
+
+def sqrtm_psd(mat) -> list:
     """Hermitian PSD square root via eigendecomposition."""
     vals, vecs = _eigh_psd(mat)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    scaled = [[z * math.sqrt(x) for z, x in zip(row, vals)] for row in vecs]
+    return matmul(scaled, dagger(vecs))
 
 
 def fidelity(rho, sigma) -> float:
@@ -293,24 +488,30 @@ def fidelity(rho, sigma) -> float:
     Accepts DensityOp or raw matrices; for pure states this is the absolute
     overlap. Satisfies 1 - F <= trace distance <= sqrt(1 - F^2).
     """
-    r = rho.mat if isinstance(rho, DensityOp) else np.asarray(rho, complex)
-    s = sigma.mat if isinstance(sigma, DensityOp) else np.asarray(sigma, complex)
+    r = rho.mat if isinstance(rho, DensityOp) else rho
+    s = sigma.mat if isinstance(sigma, DensityOp) else sigma
     root = sqrtm_psd(r)
-    vals, _ = _eigh_psd(root @ s @ root)
-    return float(min(1.0, np.sqrt(vals).sum()))
+    vals, _ = _eigh_psd(matmul(matmul(root, s), root))
+    return float(min(1.0, sum(map(math.sqrt, vals))))
+
+
+def _trace_norm(mat) -> float:
+    return sum(map(abs, eigvalsh(mat)))
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference.
 
-    Also takes two block stacks of one shape, (t, d, d) arrays holding the t
-    blocks of block-diagonal operators: the eigenvalues broadcast over the
-    stack, so the result is the trace distance of the two operators.
+    Also takes two block stacks of one shape, lists of the (d, d) blocks of
+    block-diagonal operators: the trace norm adds up block by block, so the
+    result is the trace distance of the two operators.
     """
-    r = rho.mat if isinstance(rho, DensityOp) else np.asarray(rho, complex)
-    s = sigma.mat if isinstance(sigma, DensityOp) else np.asarray(sigma, complex)
-    vals = np.linalg.eigvalsh(r - s)
-    return float(0.5 * np.abs(vals).sum())
+    r = [rho.mat] if isinstance(rho, DensityOp) else _stack(rho)
+    s = [sigma.mat] if isinstance(sigma, DensityOp) else _stack(sigma)
+    if len(r) != len(s) or any(len(a) != len(b) for a, b in zip(r, s)):
+        raise ValidationError("dimension mismatch")
+    return 0.5 * sum(_trace_norm([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+                     for a, b in zip(r, s))
 
 
 # -- states and channels -------------------------------------------------------
@@ -320,7 +521,7 @@ def epr_pairs(pairs: Sequence) -> PureState:
     """Tensor product of EPR links, one per (left name, right name) pair."""
     state = None
     for (a, b) in pairs:
-        piece = PureState(((a, 1), (b, 1)), PHI_PLUS.copy())
+        piece = PureState(((a, 1), (b, 1)), PHI_PLUS)
         state = piece if state is None else state.tensor(piece)
     if state is None:
         raise ValidationError("need at least one pair")
@@ -328,18 +529,25 @@ def epr_pairs(pairs: Sequence) -> PureState:
 
 
 def random_qubit(seed: int) -> PureState:
+    """The qubit of ``numpy.random.default_rng(seed)``'s normal draw, normalised.
+
+    numpy is imported here, the one place it serves, so the seeded probe
+    states keep their bits.
+    """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return PureState.from_qubit("q", v)
+    return PureState((("q", 1),), v / np.linalg.norm(v))
 
 
 PAULI_EIGENSTATES = (
-    ("z+", np.array([1, 0], dtype=complex)),
-    ("z-", np.array([0, 1], dtype=complex)),
-    ("x+", np.array([1, 1], dtype=complex) / np.sqrt(2)),
-    ("x-", np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    ("y+", np.array([1, 1j], dtype=complex) / np.sqrt(2)),
-    ("y-", np.array([1, -1j], dtype=complex) / np.sqrt(2)),
+    ("z+", (1 + 0j, 0j)),
+    ("z-", (0j, 1 + 0j)),
+    ("x+", (_R2 + 0j, _R2 + 0j)),
+    ("x-", (_R2 + 0j, -_R2 + 0j)),
+    ("y+", (_R2 + 0j, 1j / math.sqrt(2))),
+    ("y-", (_R2 + 0j, -1j / math.sqrt(2))),
 )
 
 
@@ -353,54 +561,55 @@ def probe_qubits(seeds) -> list:
                                       for seed in seeds]
 
 
-def pad_average(rho: np.ndarray) -> np.ndarray:
+def pad_average(rho) -> list:
     """Average over the four pads; a single qubit becomes maximally mixed."""
-    out = np.zeros_like(rho, dtype=complex)
-    for s1, s2 in product((0, 1), repeat=2):
-        P = phased_pad(s1, s2)
-        out += P @ rho @ P.conj().T
-    return out / 4
+    terms = [(1.0, matmul(matmul(P, rho), dagger(P)))
+             for P in (_PADS[key] for key in product((0, 1), repeat=2))]
+    return [[z / 4 for z in row] for row in weighted(terms)]
 
 
-def build_vf(f) -> np.ndarray:
+def build_vf(f) -> list:
     """Isometry writing f(x, y) into a fresh qubit: |x,y> -> |x,y,f(x,y)>."""
     n = f.n_x + f.n_y
-    V = np.zeros((1 << (n + 1), 1 << n), dtype=complex)
+    V = [[0j] * (1 << n) for _ in range(1 << (n + 1))]
     for x, y in f.inputs():
         col = (x << f.n_y) | y
-        V[(col << 1) | f.eval(x, y), col] = 1.0
+        V[(col << 1) | f.eval(x, y)][col] = 1 + 0j
     return V
 
 
-def choi(channel: Callable, dim: int) -> np.ndarray:
+def choi(channel: Callable, dim: int) -> list:
     """Choi state (I x N)(|phi><phi|), normalized to trace one."""
-    J = np.zeros((dim * dim, dim * dim), dtype=complex)
+    terms = []
     for i in range(dim):
         for j in range(dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[i, j] = 1.0
-            J += np.kron(E, channel(E))
-    return J / dim
+            E = [[0j] * dim for _ in range(dim)]
+            E[i][j] = 1 + 0j
+            terms.append((1.0, kron(E, _matrix(channel(E)))))
+    return [[z / dim for z in row] for row in weighted(terms)]
 
 
-def decoupling_gap(J: np.ndarray, d_ref: int, d_msg: int) -> float:
+def decoupling_gap(J, d_ref: int, d_msg: int) -> float:
     """How far a bipartite state sits from the product of its marginals.
 
     Returns half the trace norm of J - J_ref x J_msg. Zero means the message
     side carries no information about the reference side. ``J`` is one
     (d, d) matrix on reference x message, d = d_ref * d_msg, or a block
-    stack of t such blocks, standing for the block-diagonal operator on
-    reference x (block, message). Its reference marginal sums over the
+    stack, a list of t such blocks, standing for the block-diagonal operator
+    on reference x (block, message). Its reference marginal sums over the
     whole stack, and its message marginal is again one block per block. A
     matrix is a stack of one.
     """
     d = d_ref * d_msg
-    if J.ndim not in (2, 3) or J.shape[-2:] != (d, d):
+    stack = _stack(J)
+    if any(len(block) != d or any(len(row) != d for row in block) for block in stack):
         raise ValidationError("dimension mismatch")
-    stack = J.reshape(-1, d, d)
-    T = stack.reshape(-1, d_ref, d_msg, d_ref, d_msg)
-    J_r = np.einsum("tikjk->ij", T)
-    J_m = np.einsum("tkikj->tij", T)
-    prods = np.einsum("ab,tcd->tacbd", J_r, J_m).reshape(stack.shape)
-    vals = np.linalg.eigvalsh(stack - prods)
-    return float(0.5 * np.abs(vals).sum())
+    J_r = [[sum(block[i * d_msg + k][j * d_msg + k] for block in stack for k in range(d_msg))
+            for j in range(d_ref)] for i in range(d_ref)]
+    gap = 0.0
+    for block in stack:
+        J_m = [[sum(block[k * d_msg + i][k * d_msg + j] for k in range(d_ref))
+                for j in range(d_msg)] for i in range(d_msg)]
+        prod = kron(J_r, J_m)
+        gap += _trace_norm([[x - y for x, y in zip(rb, rp)] for rb, rp in zip(block, prod)])
+    return 0.5 * gap

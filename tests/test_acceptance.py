@@ -183,7 +183,7 @@ def test_criterion_09_single_qubit_toolkit():
     rng = np.random.default_rng(20260813)
     worst_pad = 0.0
     for seed in range(10):
-        psi = random_qubit(seed).vec
+        psi = np.asarray(random_qubit(seed).vec)
         rho = np.outer(psi, psi.conj())
         worst_pad = max(worst_pad, float(np.max(np.abs(
             pad_average(rho) - np.eye(2) / 2))))

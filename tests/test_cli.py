@@ -253,8 +253,8 @@ def loaded():
                   if m in sys.modules)
 
 chains = [("gh,frouting", "--fn", "and"), ("gh,frouting,cdqs", "--fn", "eq"),
-          ("gh,cds,cdqs,frouting", "--fn", "and"),
-          ("dre,psm,psqm,cdqs", "--fn", "qr", "--p", "5")]
+          ("dre,psm,psqm,cdqs", "--fn", "qr", "--p", "5"),
+          ("dre,psm,cds,cdqs", "--fn", "qr", "--p", "5")]
 built = [main(["build", "--chain", *c, "--out", f"{i}.json"]) for i, c in enumerate(chains)]
 built.append(main(["build", "--chain", "dre,psm,psqm", "--fn", "qr", "--p", "5",
                    "--out", "stop.json"]))
@@ -272,10 +272,11 @@ print(json.dumps([built, after_build, refused, after_refusal, verified, loaded()
 
 
 def test_quantum_chains_compile_without_numpy(tmp_path):
-    # every quantum compile edge builds from classical data; the statevector
-    # layer, and numpy with it, loads at a chain's first run, so a verify
-    # refused at compile or stopped on a budget before any run loads none.
-    # numpy loads inspect; nothing loads dataclasses
+    # every quantum compile edge builds from classical data, and the
+    # statevector layer loads at a chain's first run on the standard library
+    # alone, so neither compiling nor verifying a garden-hose route or a
+    # pad-and-disclose CDQS or PSQM loads numpy, or the inspect it loads;
+    # nothing loads dataclasses
     run = subprocess.run([sys.executable, "-c", _QUANTUM_RUN], cwd=tmp_path,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -289,7 +290,49 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     assert verified == [0, 0, 0, 0]
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
-    assert after_runs == ["cdslab.quantum", "inspect", "numpy"]
+    assert after_runs == ["cdslab.quantum"]
+
+
+_LEFT_FIDELITY_RUN = """
+import json, sys
+from cdslab import quantum
+from cdslab.cli import main
+
+numpy_before = []
+draw = quantum.random_qubit
+
+def spied(seed):
+    numpy_before.append("numpy" in sys.modules)
+    return draw(seed)
+
+quantum.random_qubit = spied
+codes = [main(["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and",
+               "--out", "d.json"]),
+         main(["verify", "d.json", "--out", "r.json"])]
+print(json.dumps([codes, numpy_before, sorted(m for m in ("inspect", "numpy")
+                                                 if m in sys.modules)]))
+"""
+
+
+def test_only_seeded_probe_states_load_numpy(tmp_path):
+    # a pad route's left side reconstructs by left_fidelity over ten seeded
+    # random qubits; numpy, and inspect with it, arrive with the first of them
+    run = subprocess.run([sys.executable, "-c", _LEFT_FIDELITY_RUN], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    codes, numpy_before, after = json.loads(run.stdout)
+    assert codes == [0, 0]
+    assert numpy_before == [False] + [True] * 9
+    assert after == ["inspect", "numpy"]
+
+
+def test_a_budget_count_too_long_to_print_is_reported_by_its_bit_length(capsys):
+    # 2^14 Alice inputs make 2^16384 candidate strategies at m=2, 4,933 digits,
+    # past the 4,300 Python formats: the stop is still exit 3 with its fields
+    assert main(["build", "--chain", "gh", "--table", "14:0:" + "0" * 4096]) == 3
+    fields = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert fields == {"status": "budget", "space": "gh_search candidate strategies at m=2",
+                      "size": "at least 2^16384", "limit": 1 << 24}
 
 
 def test_dre_qr17_verifies_within_the_default_budget(tmp_path):

@@ -151,6 +151,37 @@ def test_cli_output_matches_golden(name, tmp_path):
             _close(json.loads(want), json.loads(data), fname)
 
 
+def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
+    # every Choi state a quantum golden case scores: the closed form
+    # sqrt(<Phi+| rho |Phi+>) against the eigen-solved Uhlmann fidelity
+    import numpy as np
+
+    from cdslab import nlqc, quantum
+
+    closed = nlqc._choi_fidelity
+    phi = np.asarray(quantum.PHI_PLUS)
+    target = np.outer(phi, phi.conj())
+    scored = []
+
+    def compared(branches, fix, out):
+        got = closed(branches, fix, out)
+        rho = sum(b.prob * np.asarray(fix(b).ptrace(["R", out]).mat) for b in branches)
+        assert abs(got - quantum.fidelity(rho, target)) <= FLOAT_TOL
+        scored.append(got)
+        return got
+
+    monkeypatch.setattr(nlqc, "_choi_fidelity", compared)
+    for name, (build_args, _) in CASES.items():
+        if set(build_args[1].split(",")) & set(QUANTUM_KINDS):
+            run_case(name, tmp_path)
+    # and mixed ones: a garden-hose route corrected with its outcomes swapped
+    frame = nlqc.pauli_frame
+    monkeypatch.setattr(nlqc, "pauli_frame",
+                        lambda outcomes: frame([(b, a) for (a, b) in outcomes]))
+    run_case("gh_frouting_cdqs", tmp_path)
+    assert len(scored) >= 20 and min(scored) < 0.9
+
+
 def regenerate(names) -> None:
     """Rewrite the golden files and exit codes of the named cases only."""
     unknown = [n for n in names if n not in {*CASES, *SWEEPS, "tampered"}]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import gardenhose
-from cdslab.boolfn import all_functions, from_table, named_fn
+from cdslab.boolfn import BoolFn, all_functions, from_table, named_fn
 from cdslab.cli import main
 from cdslab.errors import BudgetError
 from cdslab.gardenhose import (GhStrategy, _alice_choices, _matchings, gh_search,
@@ -124,3 +124,37 @@ def test_alice_without_input_bits_builds_only_tap_one_rows(monkeypatch):
     assert gh_search(f, 3) == _reference_search(f, 3)
     for n_first, _, _, rows in gardenhose._TABLES.values():
         assert len(rows) == n_first
+
+
+class _CountedFn(BoolFn):
+    """A function whose every ``eval`` is counted."""
+
+    def __init__(self, f):
+        super().__init__(f.n_x, f.n_y, f.table, name=f.name)
+        self.calls = 0
+
+    def eval(self, x, y):
+        self.calls += 1
+        return super().eval(x, y)
+
+
+def test_a_refused_search_evaluates_nothing():
+    f = _CountedFn(EQ2)
+    with pytest.raises(BudgetError, match="at m=1 "):
+        gh_search(f, 3, budget=0)
+    assert f.calls == 0
+    # refused at m=2: the m=1 search read only the column it pruned on
+    g = _CountedFn(from_table(3, 3, [0] * 64))
+    with pytest.raises(BudgetError, match="at m=2 "):
+        gh_search(g, 3, budget=10 ** 4)
+    assert g.calls == 8
+
+
+def test_a_count_past_the_int_to_str_limit_is_reported_by_its_bit_length():
+    # 2^14 Alice inputs at m=2: 2^16383 Alice picks times 2 Bob picks
+    f = from_table(14, 0, [0] * (1 << 14))
+    with pytest.raises(BudgetError) as exc:
+        gh_search(f, 2)
+    assert str(exc.value) == ("at least 2^16384 candidate strategies at m=2 exceeds "
+                              "budget 100000000")
+    assert exc.value.size == "at least 2^16384"

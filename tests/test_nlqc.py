@@ -43,7 +43,7 @@ def test_pauli_frame_on_two_hop_teleport():
     for o1, p1, s1 in state.bell_measure("q0", "l1"):
         for o2, p2, s2 in s1.bell_measure("r1", "l2"):
             fixed = s2.apply(pauli_frame([o1, o2]), ["r2"])
-            overlap = abs(np.vdot(psi.vec, fixed.ptrace(["r2"]).mat @ psi.vec))
+            overlap = abs(np.vdot(psi.vec, np.asarray(fixed.ptrace(["r2"]).mat) @ psi.vec))
             assert abs(overlap - 1) < 1e-12
 
 

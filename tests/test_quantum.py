@@ -51,7 +51,7 @@ def test_apply_single_qubit_matches_embedding_oracle():
     state = _rand_state(regs)
     for target, axis in [("a", 0), (("b", 0), 1), (("b", 1), 2), ("c", 3)]:
         got = state.apply(H, [target]).vec
-        want = _embed(H, [axis], 4) @ state.vec
+        want = _embed(np.asarray(H), [axis], 4) @ state.vec
         assert np.allclose(got, want, atol=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_bell_measure_agrees_with_rotated_computational_measure():
     # second route: undo U_BELL, then measure in the computational basis
     state = _rand_state((("p", 1), ("q", 1), ("rest", 1)))
     direct = {o: p for (o, p, _) in state.bell_measure("p", "q")}
-    rotated = state.apply(U_BELL.conj().T, ["p", "q"])
+    rotated = state.apply(np.asarray(U_BELL).conj().T, ["p", "q"])
     alt = {divmod(o, 2): p for (o, p, _) in rotated.measure(["p", "q"])}
     for key in set(direct) | set(alt):
         assert abs(direct.get(key, 0) - alt.get(key, 0)) < 1e-12
@@ -148,20 +148,20 @@ def test_phased_pads_are_the_pauli_group_representatives():
 def test_u_bell_columns():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     for s1, s2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        col = U_BELL[:, 2 * s1 + s2]
+        col = np.asarray(U_BELL)[:, 2 * s1 + s2]
         want = np.kron(I2, phased_pad(s1, s2)) @ phi
         assert np.allclose(col, want, atol=1e-12)
-    assert np.allclose(U_BELL @ U_BELL.conj().T, np.eye(4), atol=1e-12)
-    assert np.allclose(U_BELL[:, 3], np.array([0, 1j, -1j, 0]) / np.sqrt(2))
+    assert np.allclose(np.asarray(U_BELL) @ np.asarray(U_BELL).conj().T, np.eye(4), atol=1e-12)
+    assert np.allclose(np.asarray(U_BELL)[:, 3], np.array([0, 1j, -1j, 0]) / np.sqrt(2))
 
 
 def test_pad_average_is_depolarizing():
     for seed in range(5):
-        psi = random_qubit(seed).vec
+        psi = np.asarray(random_qubit(seed).vec)
         rho = np.outer(psi, psi.conj())
-        assert np.max(np.abs(pad_average(rho) - I2 / 2)) < 1e-12
+        assert np.max(np.abs(pad_average(rho) - np.asarray(I2) / 2)) < 1e-12
     herm = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    assert np.max(np.abs(pad_average(herm) - I2 / 2)) < 1e-12
+    assert np.max(np.abs(pad_average(herm) - np.asarray(I2) / 2)) < 1e-12
 
 
 def test_fidelity_and_trace_distance_known_values():
@@ -173,7 +173,7 @@ def test_fidelity_and_trace_distance_known_values():
     assert abs(fidelity(zero, plus) - 1 / np.sqrt(2)) < 1e-12
     assert abs(trace_distance(zero, plus) - 1 / np.sqrt(2)) < 1e-12
     assert abs(fidelity(plus, plus) - 1) < 1e-12
-    mixed = I2 / 2
+    mixed = np.asarray(I2) / 2
     assert abs(fidelity(zero, mixed) - 1 / np.sqrt(2)) < 1e-12
 
 
@@ -198,7 +198,7 @@ def test_fidelity_distance_inequalities():
 def test_sqrtm_psd():
     rng = np.random.default_rng(5)
     rho = _rand_density(rng)
-    root = sqrtm_psd(rho)
+    root = np.asarray(sqrtm_psd(rho))
     assert np.allclose(root @ root, rho, atol=1e-12)
     assert np.allclose(root, root.conj().T, atol=1e-12)
 
@@ -216,12 +216,12 @@ def test_ptrace_two_routes_agree():
 
 def test_ptrace_epr_marginal():
     half = epr_pairs([("l", "r")]).ptrace(["l"])
-    assert np.allclose(half.mat, I2 / 2, atol=1e-12)
+    assert np.allclose(half.mat, np.asarray(I2) / 2, atol=1e-12)
 
 
 def test_build_vf_isometry():
     f = named_fn("and", n=1)
-    V = build_vf(f)
+    V = np.asarray(build_vf(f))
     assert np.allclose(V.conj().T @ V, np.eye(4), atol=1e-12)
     state = PureState.computational((("in", 2),), {"in": 0b11})
     out = state.apply_isometry(V, ["in"], ("f", 1))
@@ -238,7 +238,7 @@ def test_choi_identity_channel():
 
 
 def test_choi_depolarizing_channel_decouples():
-    J = choi(lambda E: np.trace(E) * I2 / 2, 2)
+    J = choi(lambda E: np.trace(E) * np.asarray(I2) / 2, 2)
     assert np.allclose(J, np.eye(4) / 4, atol=1e-12)
     assert decoupling_gap(J, 2, 2) < 1e-12
 
@@ -310,7 +310,7 @@ def test_pauli_eigenstates_are_eigenstates():
     ops = {"z": Z, "x": X, "y": Y}
     for name, vec in PAULI_EIGENSTATES:
         sign = 1 if name[1] == "+" else -1
-        assert np.allclose(ops[name[0]] @ vec, sign * vec, atol=1e-12)
+        assert np.allclose(np.asarray(ops[name[0]]) @ vec, sign * np.asarray(vec), atol=1e-12)
 
 
 

@@ -9,6 +9,7 @@ within 1e-12 and the same branch counts as integers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,7 +78,7 @@ class _MemoState:
         self.memo = {}
 
     def apply(self, U, regs):
-        key = ("apply", U.tobytes(), U.shape, tuple(regs))
+        key = ("apply", np.asarray(U).tobytes(), np.asarray(U).shape, tuple(regs))
         if key not in self.memo:
             self.memo[key] = _MemoState(self.state.apply(U, regs))
         return self.memo[key]

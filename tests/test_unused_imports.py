@@ -1,4 +1,5 @@
-"""Every name a ``cdslab`` module imports is used there, and none imports ``dataclasses``.
+"""Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
+and none imports numpy when it loads.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -8,6 +9,7 @@ listing in ``__all__``.
 ``dataclasses`` loads ``inspect``, and each ``@dataclass`` compiles its
 methods at every import: together about 25 ms of each ``cdslab`` child's
 start-up. Records are plain classes or ``typing.NamedTuple``s instead.
+numpy is imported only inside the one function that needs it.
 """
 
 from __future__ import annotations
@@ -71,12 +73,24 @@ def test_the_check_sees_an_unused_import():
     assert {n for n in imported if n not in _used(tree)} == {"json"}
 
 
-def _imports_dataclasses(tree) -> bool:
-    for node in ast.walk(tree):
+def _executed_at_import(tree):
+    """The nodes an import of the module runs: all but those inside functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports(nodes, module: str) -> bool:
+    """True when an import among ``nodes`` loads ``module`` or a submodule of it."""
+    for node in nodes:
         if isinstance(node, ast.Import) and any(
-                alias.name.split(".")[0] == "dataclasses" for alias in node.names):
+                alias.name.split(".")[0] == module for alias in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+        if (isinstance(node, ast.ImportFrom) and not node.level
+                and node.module.split(".")[0] == module):
             return True
     return False
 
@@ -84,11 +98,30 @@ def _imports_dataclasses(tree) -> bool:
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_no_module_imports_dataclasses(module):
     tree = ast.parse(module.read_text(), filename=str(module))
-    assert not _imports_dataclasses(tree), f"{module.name} imports dataclasses"
+    assert not _imports(ast.walk(tree), "dataclasses"), f"{module.name} imports dataclasses"
 
 
 def test_the_check_sees_a_dataclasses_import():
     for planted in ("from dataclasses import dataclass\n", "import dataclasses as dc\n",
                     "def f():\n    from dataclasses import field\n"):
-        assert _imports_dataclasses(ast.parse(planted)), planted
-    assert not _imports_dataclasses(ast.parse("from typing import NamedTuple\n"))
+        assert _imports(ast.walk(ast.parse(planted)), "dataclasses"), planted
+    assert not _imports(ast.walk(ast.parse("from typing import NamedTuple\n")),
+                        "dataclasses")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_numpy_at_import(module):
+    # numpy costs a child about 0.13 s to load; only random_qubit's seeded
+    # draws need it, and they import it when called
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert not _imports(_executed_at_import(tree), "numpy"), f"{module.name} imports numpy"
+
+
+def test_the_check_sees_a_module_level_numpy_import():
+    for planted in ("import numpy as np\n", "from numpy import linalg\n",
+                    "import numpy.linalg\n", "if True:\n    import numpy\n",
+                    "class A:\n    import numpy\n"):
+        assert _imports(_executed_at_import(ast.parse(planted)), "numpy"), planted
+    for allowed in ("def f():\n    import numpy as np\n", "from . import quantum\n",
+                    "class A:\n    def f(self):\n        import numpy\n"):
+        assert not _imports(_executed_at_import(ast.parse(allowed)), "numpy"), allowed
