@@ -20,8 +20,8 @@ referee's classical-quantum view as a block stack, a list holding the t
 spectra come from the cyclic Jacobi method for Hermitian matrices (Golub
 and Van Loan, *Matrix Computations*, section 8.5).
 
-numpy serves only ``random_qubit``, whose seeded draws it imports at call
-time, so loading this module loads no numpy.
+Only ``random_qubit`` uses numpy, for its seeded draws, and imports it when
+called, so loading this module loads no numpy.
 """
 
 from __future__ import annotations
