@@ -33,10 +33,10 @@ from . import __version__
 from .algebra import (SpanProgram, span_and1, span_eq1, span_or1, span_dnf,
                       sp_eval)
 from .boolfn import BoolFn, literal_input, named_fn, all_functions
-from .errors import BudgetError, DomainError, ValidationError
+from .errors import BudgetError, DomainError, ValidationError, charge
 from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
                          gh_search)
-from .protocols import (DEFAULT_BUDGET, VerificationReport, _check_budget, cds_from_gh,
+from .protocols import (DEFAULT_BUDGET, VerificationReport, cds_from_gh,
                         cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
                         psm_generic_table, verify_cds, verify_dre, verify_psm)
 
@@ -147,7 +147,7 @@ def _charge_table(n_x: int, n_y: int, budget: int) -> None:
     if n_x < 0 or n_y < 0 or n_x + n_y >= sys.maxsize.bit_length():
         # no tuple holds 2^63 entries, whatever the budget
         raise ValidationError(f"input widths {n_x}+{n_y} outside 0..62 bits")
-    _check_budget(1 << (n_x + n_y), budget, "truth table", "entries")
+    charge(1 << (n_x + n_y), budget, "truth table entries")
 
 
 def _parse_fn(args) -> BoolFn:

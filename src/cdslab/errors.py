@@ -1,8 +1,9 @@
-"""Shared exception types.
+"""Shared exception types and the one budget charge.
 
 Three failure categories are kept apart so callers (and the CLI exit codes)
 can distinguish them: malformed objects, out-of-range inputs, and enumeration
-or register budgets being exceeded.
+or register budgets being exceeded. Every budget stop goes through
+``charge``, so each reads "{space}: {count} exceed budget {limit}".
 """
 
 
@@ -36,8 +37,14 @@ class BudgetError(RuntimeError):
     bits is kept as its ``count_text``, so a report can always write it.
     """
 
-    def __init__(self, message: str, *, space: str, size: int, limit: int):
-        super().__init__(message)
+    def __init__(self, space: str, size: int, limit: int):
+        super().__init__(f"{space}: {count_text(size)} exceed budget {limit}")
         if size.bit_length() > _EXACT_BITS:
             size = count_text(size)
         self.space, self.size, self.limit = space, size, limit
+
+
+def charge(size: int, limit: int, space: str) -> None:
+    """Stop with a ``BudgetError`` if ``size`` elements of ``space`` exceed ``limit``."""
+    if size > limit:
+        raise BudgetError(space, size, limit)

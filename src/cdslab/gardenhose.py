@@ -14,7 +14,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .boolfn import BoolFn
-from .errors import BudgetError, DomainError, ValidationError, count_text
+from .errors import DomainError, ValidationError, charge
 
 LEFT = "left"
 RIGHT = "right"
@@ -307,11 +307,7 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
         for c in per_alice:
             total *= len(c)
         total *= len(bob_choices) ** n_inputs_y
-        if total > budget:
-            raise BudgetError(
-                f"{count_text(total)} candidate strategies at m={m} exceeds budget {budget}",
-                space=f"gh_search candidate strategies at m={m}", size=total,
-                limit=budget)
+        charge(total, budget, f"gh_search candidate strategies at m={m}")
         spill = _spill_rows(m, len(per_alice[-1]))
         found = _first_alice_pick(per_alice, spill, column, n_inputs_y,
                                   (1 << len(bob_choices)) - 1)

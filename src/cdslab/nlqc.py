@@ -35,14 +35,15 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
-                        TranscriptClass, _charge_sweeps, _joint, _worst_pair,
-                        class_product, message_hist, space_size, transcript_classes)
+                        TranscriptClass, Worst, _charge_sweeps, _joint, class_product,
+                        message_hist, space_size, transcript_classes)
 
 if TYPE_CHECKING:
     from .quantum import PureState
@@ -85,12 +86,12 @@ class QVerificationReport:
 
     def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
                  per_input: dict, max_branches: int, routing_consistent: bool,
-                 resources: dict, witnesses: dict, notes: tuple = ()):
+                 resources: dict, witnesses: dict):
         self.kind = kind
         self.worst_infidelity, self.worst_gap = worst_infidelity, worst_gap
         self.per_input, self.max_branches = per_input, max_branches
         self.routing_consistent = routing_consistent
-        self.resources, self.witnesses, self.notes = resources, witnesses, notes
+        self.resources, self.witnesses = resources, witnesses
 
     def perfect(self, tol: float = 1e-9) -> bool:
         return (self.worst_infidelity <= tol and self.worst_gap <= tol
@@ -110,7 +111,7 @@ class QVerificationReport:
             "resources": {k: self.resources[k] for k in sorted(self.resources)},
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
                           for k, v in sorted(self.witnesses.items())},
-            "notes": list(self.notes),
+            "notes": [],
         }
 
 
@@ -136,9 +137,7 @@ class CdqsProtocol(InputDomain):
         self.out_reg = out_reg            # (x, y) -> register name
         self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
         self.key_of = key_of              # (x, y, transcript) -> key
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
+        super().__init__(domain, resources, meta)
 
 
 class FRoutingProtocol(InputDomain):
@@ -162,9 +161,7 @@ class FRoutingProtocol(InputDomain):
         self.correction = correction      # (x, y, transcript) -> 2x2 matrix
         self.holdings = holdings          # (x, y) -> {"left": regs, "right": regs}
         self.left_fidelity = left_fidelity    # (x, y, psi_vec) -> float
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
+        super().__init__(domain, resources, meta)
 
 
 class PsqmProtocol(InputDomain):
@@ -181,15 +178,13 @@ class PsqmProtocol(InputDomain):
         self.run = run                    # (x, y) -> [RunBranch]
         self.decode = decode              # (transcript) -> value of f
         self.quantum_regs = quantum_regs
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
+        super().__init__(domain, resources, meta)
 
 
 # -- shared verification plumbing ---------------------------------------------
 
 
-class _Sweep:
+class _Sweep(Worst):
     """One verification's per-input figures, worst cases and branch budget.
 
     The budget bounds the running total of branches the verifier walks, one
@@ -198,26 +193,17 @@ class _Sweep:
     """
 
     def __init__(self, budget: int):
+        super().__init__()
         self.budget = budget
         self.total = 0
         self.per_input = {}
-        self.worst = {}
-        self.witnesses = {}
 
     def run(self, run: Callable, *args) -> tuple:
         """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
         branches = run(*args)
         self.total += len(branches)
-        if self.total > self.budget:
-            raise BudgetError(f"branch count {self.total} exceeds {self.budget}",
-                              space="branches", size=self.total, limit=self.budget)
+        charge(self.total, self.budget, "branches")
         return branches, sum(b.count for b in branches)
-
-    def worse(self, name: str, figure: float, witness) -> None:
-        """Raise worst case ``name`` to ``figure``; the first to reach it is witness."""
-        if figure > self.worst.get(name, 0.0):
-            self.worst[name] = figure
-            self.witnesses[name] = witness
 
     def record(self, xy: tuple, info: dict, name: str, figure: float) -> None:
         self.per_input[xy] = info
@@ -342,8 +328,9 @@ def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationR
         views[(x, y)] = _view_blocks(branches, P.quantum_regs or None)
         sweep.record((x, y), {"f": fx, "decode_error": fail, "branches": n},
                      "decode", fail)
-    sweep.worse("view", *_worst_pair(views, _block_distance, 0.0,
-                                     lambda a, b: P.f.eval(*a) == P.f.eval(*b)))
+    for a, b in combinations(views, 2):
+        if P.f.eval(*a) == P.f.eval(*b):
+            sweep.worse("view", _block_distance(views[a], views[b]), (a, b))
     return sweep.report("psqm", "decode", "view", P.resources)
 
 
@@ -357,21 +344,20 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
     quantum = _statevector()
     states = [(name, quantum.PureState((("Q", 1),), vec))
               for (name, vec) in quantum.probe_qubits(seeds)]
-    worst = 0.0
+    worst = Worst()
     per_input = {}
-    witness = None
     for (x, y) in P.input_pairs():
         if P.f.eval(x, y) != 0:
             continue
         msg = tuple(P.msg_regs(x, y))
         views = {name: _view_blocks(P.run(x, y, st, "Q"), msg) for name, st in states}
-        local, names = _worst_pair(views, _block_distance, 0.0)
-        per_input[(x, y)] = local
-        if local > worst:
-            worst = local
-            witness = (x, y) + names
-    return {"worst": worst, "per_input": per_input, "witness": witness,
-            "n_states": len(states)}
+        per_input[(x, y)] = 0.0
+        for a, b in combinations(views, 2):
+            d = _block_distance(views[a], views[b])
+            per_input[(x, y)] = max(per_input[(x, y)], d)
+            worst.worse("view", d, (x, y, a, b))
+    return {"worst": worst.worst.get("view", 0.0), "per_input": per_input,
+            "witness": worst.witnesses.get("view"), "n_states": len(states)}
 
 
 # -- pad machinery -------------------------------------------------------------
@@ -413,10 +399,7 @@ def otp_reconstruct_left(classes: list, psi) -> float:
     quantum = _statevector()
     psi = quantum.PureState.from_qubit("q", psi).vec
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
-    if 3 + kq > quantum.MAX_QUBITS:
-        raise BudgetError(f"message register needs {kq} qubits",
-                          space="qubits per factor", size=3 + kq,
-                          limit=quantum.MAX_QUBITS)
+    charge(3 + kq, quantum.MAX_QUBITS, "qubits per factor")
     vec = [0j] * (1 << (3 + kq))
     for s in KEYS:
         padded = quantum.matmul(quantum.phased_pad(*s), psi)
@@ -459,9 +442,9 @@ def _pad_run(classes_of: Callable) -> Callable:
 
 
 def _inverse_pad(s) -> list:
-    """Inverse of pad key s; the identity when s is a failed decode."""
+    """Inverse of pad key s, the Hermitian pad itself; the identity for a failed decode."""
     quantum = _statevector()
-    return quantum.dagger(quantum.phased_pad(*s)) if s in KEYS else quantum.I2
+    return quantum.phased_pad(*s) if s in KEYS else quantum.I2
 
 
 def _unpad(state: PureState, s) -> PureState:
@@ -515,7 +498,7 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     joint = _joint(C)
-    sweeps = len(C.secrets) * max(1, len(C.input_pairs()))
+    sweeps = max(1, len(C.secrets) * len(C.input_pairs()))
 
     def bit_hists(x, y):
         _charge_sweeps(C, sweeps, budget, "cdqs_from_cds")

@@ -4,7 +4,10 @@ Protocols are concrete message functions over finite, fully enumerable
 randomness spaces. Verifiers never sample: correctness error and secrecy
 leakage come out as exact rationals from sweeping every input, secret, and
 randomness value, or every coset of messages that randomness entering
-linearly fills.
+linearly fills. ``verify_cds``, ``verify_psm`` and ``verify_dre`` share one
+sweep loop, ``_sweep``, over cases that each name the value they must decode
+to and the group they must look like; it charges the whole sweep before it
+starts and keeps each worst figure's first witness in a ``Worst``.
 
 Conventions shared by every protocol type here:
 
@@ -30,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, in_span
 from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
-from .errors import BudgetError, ValidationError, count_text
+from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
 
 DEFAULT_BUDGET = 1 << 24
@@ -47,9 +50,9 @@ class VerificationReport:
     """
 
     def __init__(self, kind: str, eps_hat: Fraction, delta_pair: Fraction,
-                 resources: dict, witnesses: dict, notes: tuple = ()):
+                 resources: dict, witnesses: dict):
         self.kind, self.eps_hat, self.delta_pair = kind, eps_hat, delta_pair
-        self.resources, self.witnesses, self.notes = resources, witnesses, notes
+        self.resources, self.witnesses = resources, witnesses
 
     @property
     def delta_bracket(self) -> tuple:
@@ -74,12 +77,18 @@ class VerificationReport:
             "resources": {k: enc(v) for k, v in sorted(self.resources.items())},
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
                           for k, v in sorted(self.witnesses.items())},
-            "notes": list(self.notes),
+            "notes": [],
         }
 
 
 class InputDomain:
-    """``input_pairs`` of a protocol with fields ``f`` and ``domain``."""
+    """Every record's ``domain`` (None: all of f's inputs), ``resources`` and ``meta``."""
+
+    def __init__(self, domain: Optional[tuple], resources: Optional[dict],
+                 meta: Optional[dict]):
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+        self.meta = {} if meta is None else meta
 
     def input_pairs(self):
         return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
@@ -144,9 +153,7 @@ class CdsProtocol(InputDomain):
         self.f, self.secrets, self.shared = f, secrets, shared
         self.alice_msg, self.bob_msg, self.decode = alice_msg, bob_msg, decode
         self.alice_private, self.bob_private = alice_private, bob_private
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
+        super().__init__(domain, resources, meta)
 
 
 class PsmProtocol(InputDomain):
@@ -161,9 +168,7 @@ class PsmProtocol(InputDomain):
         self.bob_msg = bob_msg            # (y, r, rb) -> message
         self.decode = decode              # (m0, m1) -> value of f
         self.alice_private, self.bob_private = alice_private, bob_private
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
+        super().__init__(domain, resources, meta)
 
 
 class Dre(InputDomain):
@@ -178,18 +183,10 @@ class Dre(InputDomain):
                  resources: Optional[dict] = None, meta: Optional[dict] = None):
         self.f, self.shared = f, shared
         self.enc_x, self.enc_y, self.decode = enc_x, enc_y, decode
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
+        super().__init__(domain, resources, meta)
 
 
 # -- verifiers ---------------------------------------------------------------
-
-
-def _check_budget(total, budget, what, unit="joint states"):
-    if total > budget:
-        raise BudgetError(f"{what}: {count_text(total)} {unit} exceed budget {budget}",
-                          space=f"{what} {unit}", size=total, limit=budget)
 
 
 def _l1(hist_a, hist_b, denom) -> Fraction:
@@ -197,31 +194,20 @@ def _l1(hist_a, hist_b, denom) -> Fraction:
     return Fraction(sum(abs(hist_a.get(k, 0) - hist_b.get(k, 0)) for k in keys), denom)
 
 
-def _worst_pair(values: dict, distance: Callable, zero,
-                alike=lambda a, b: True) -> tuple:
-    """(largest ``distance`` between two values, first key pair reaching it).
+class Worst:
+    """Worst figures by name, each with its witness.
 
-    Key pairs come in order, each once, restricted to those ``alike``
-    accepts; the witness stays None unless some distance exceeds ``zero``.
+    A figure replaces the running worst only when it exceeds it, so of equal
+    figures the first one met stays witness; a name no figure has raised
+    above zero has neither.
     """
-    keys = list(values)
-    worst, witness = zero, None
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            if alike(a, b):
-                d = distance(values[a], values[b])
-                if d > worst:
-                    worst, witness = d, (a, b)
-    return worst, witness
 
+    def __init__(self):
+        self.worst, self.witnesses = {}, {}
 
-def _witnesses(eps_witness, delta_witness) -> dict:
-    witnesses = {}
-    if eps_witness:
-        witnesses["eps"] = eps_witness
-    if delta_witness:
-        witnesses["delta"] = delta_witness
-    return witnesses
+    def worse(self, name: str, figure, witness) -> None:
+        if figure > self.worst.get(name, 0):
+            self.worst[name], self.witnesses[name] = figure, witness
 
 
 def _joint(P) -> int:
@@ -407,7 +393,7 @@ def _charge_sweeps(P, cases: int, budget: int, what: str) -> int:
     them are checked against ``budget`` together, before the first runs.
     """
     joint = _joint(P)
-    _check_budget(joint * cases, budget, what)
+    charge(joint * cases, budget, f"{what} joint states")
     return joint
 
 
@@ -426,94 +412,96 @@ def _sweep_kernel(P, cases: int, budget: int, what: str) -> tuple:
     if len(lin.nus) * lin.p ** lin.ell != joint:
         raise ValidationError(f"{what}: declared linear randomness does not "
                               "cover the randomness space")
-    _check_budget(cases * len(lin.nus) * (lin.ell + 1), budget, what,
-                  "message evaluations")
+    charge(cases * len(lin.nus) * (lin.ell + 1), budget, f"{what} message evaluations")
     return coset_hist, joint
+
+
+def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
+           seen: Callable = lambda hist: None) -> tuple:
+    """(eps, delta, witnesses) of P over ``cases``: the one classical sweep.
+
+    A case (args, want, group) sweeps P's messages on args = (x, y, *secret).
+    Unless ``want`` is None they must ``decode(m, x, y)`` to it; eps is the
+    worst fraction of the randomness that fails, witnessed by args. Unless
+    ``group`` is None they must be distributed as every case of the group;
+    delta is the worst L1 distance, witnessed by the first pair (args,
+    args') in case order to reach it. A histogram is held only until its
+    case is compared with its whole group. A protocol with a ``LinearPart``
+    is swept by coset, else by message; decoding is deterministic, so it runs
+    once per coset or distinct message pair and counts with its multiplicity.
+    ``seen`` gets every histogram, and ``what`` names the caller in budget errors.
+    """
+    hist_of, joint = _sweep_kernel(P, max(1, len(cases)), budget, what)
+    members = {}
+    for i, (_, _, group) in enumerate(cases):
+        members.setdefault(group, []).append(i)
+    worst, hists, done = Worst(), {}, 0
+    for i, (args, want, group) in enumerate(cases):
+        hist = hists[i] = hist_of(P, *args)
+        seen(hist)
+        if want is not None:
+            fails = sum(c for m, c in hist.items() if decode(m, *args[:2]) != want)
+            worst.worse("eps", Fraction(fails, joint), args)
+        # compare, in case order, each case whose whole group is swept
+        while done <= i:
+            key = cases[done][2]
+            same = [done] if key is None else members[key]
+            if same[-1] > i:
+                break
+            if key is not None and same[0] == done and hist_of is coset_hist:
+                _same_spaces(hists[j] for j in same)
+            first = hists.pop(done)
+            for j in same[same.index(done) + 1:]:
+                worst.worse("delta", _l1(first, hists[j], joint),
+                            (cases[done][0], cases[j][0]))
+            done += 1
+    return (worst.worst.get("eps", Fraction(0)), worst.worst.get("delta", Fraction(0)),
+            worst.witnesses)
 
 
 def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Sweep all (x, y, s, randomness); exact worst-case error and leakage.
 
-    Decoding is deterministic, so it runs once per distinct message pair (per
-    coset, for a protocol with a ``LinearPart``) and counts with its
-    multiplicity. Message alphabets are counted exactly on either path.
+    A revealing input must decode every secret and a hiding input send all
+    of them alike, a leak witnessed as (x, y, s, s'). Message alphabets are
+    counted exactly on either path.
     """
-    pairs = P.input_pairs()
-    hist_of, joint = _sweep_kernel(P, len(P.secrets) * max(1, len(pairs)),
-                                   budget, "verify_cds")
-    linear = hist_of is coset_hist
+    cases = []
+    for (x, y) in P.input_pairs():
+        reveal = P.f.eval(x, y) == 1
+        cases += [((x, y, s), s if reveal else None, None if reveal else (x, y))
+                  for s in P.secrets]
+    linear = P.meta.get("linear") is not None
+    alphabets, cosets = (set(), set()), set()
 
-    eps = Fraction(0)
-    eps_witness = None
-    delta = Fraction(0)
-    delta_witness = None
-    alphabets = (set(), set())
-    cosets = set()
-
-    for (x, y) in pairs:
-        hists = {s: hist_of(P, x, y, s) for s in P.secrets}
-        for hist in hists.values():
-            if linear:
-                cosets.update(hist)
-            else:
-                alphabets[0].update(m0 for (m0, _) in hist)
-                alphabets[1].update(m1 for (_, m1) in hist)
-        if P.f.eval(x, y) == 1:
-            for s, hist in hists.items():
-                fails = sum(c for m, c in hist.items()
-                            if P.decode(m[0], x, m[1], y) != s)
-                frac = Fraction(fails, joint)
-                if frac > eps:
-                    eps, eps_witness = frac, (x, y, s)
+    def seen(hist):
+        if linear:
+            cosets.update(hist)
         else:
-            if linear:
-                _same_spaces(hists.values())
-            d, secret_pair = _worst_pair(hists, lambda u, v: _l1(u, v, joint),
-                                         Fraction(0))
-            if d > delta:
-                delta, delta_witness = d, (x, y) + secret_pair
+            alphabets[0].update(m0 for (m0, _) in hist)
+            alphabets[1].update(m1 for (_, m1) in hist)
 
+    eps, delta, witnesses = _sweep(P, cases, lambda m, x, y: P.decode(m[0], x, m[1], y),
+                                   budget, "verify_cds", seen)
+    if "delta" in witnesses:
+        a, b = witnesses["delta"]
+        witnesses["delta"] = a + b[2:]
     resources = _randomness(P)
     for side, name in enumerate(("alice_message_alphabet", "bob_message_alphabet")):
         resources[name] = (_coset_alphabet(cosets, P.meta["linear"].p, side) if linear
                            else len(alphabets[side]))
-    return VerificationReport("cds", eps, delta, resources,
-                              _witnesses(eps_witness, delta_witness))
+    return VerificationReport("cds", eps, delta, resources, witnesses)
 
 
-def _sweep_psm(P: PsmProtocol, budget: int, what: str) -> tuple:
-    """(eps, delta, witnesses) of a PSM.
-
-    Decode error over all inputs; histogram L1 distance over equal-value
-    input pairs. A protocol with a ``LinearPart`` is swept by coset, with one
-    decode per coset, else by message. ``what`` names the caller in budget
-    errors.
-    """
-    pairs = P.input_pairs()
-    hist_of, joint = _sweep_kernel(P, max(1, len(pairs)), budget, what)
-
-    eps = Fraction(0)
-    eps_witness = None
-    values = {}
-    hists = {}
-    for (x, y) in pairs:
-        fx = values[(x, y)] = P.f.eval(x, y)
-        hist = hists[(x, y)] = hist_of(P, x, y)
-        fails = sum(c for m, c in hist.items() if P.decode(m[0], m[1]) != fx)
-        frac = Fraction(fails, joint)
-        if frac > eps:
-            eps, eps_witness = frac, (x, y)
-    if hist_of is coset_hist:
-        for v in set(values.values()):
-            _same_spaces(h for xy, h in hists.items() if values[xy] == v)
-    delta, delta_witness = _worst_pair(hists, lambda u, v: _l1(u, v, joint),
-                                       Fraction(0), lambda a, b: values[a] == values[b])
-    return eps, delta, _witnesses(eps_witness, delta_witness)
+def _value_cases(P) -> list:
+    """A PSM's cases: each input decodes to f's value and looks like all inputs of it."""
+    return [((x, y), v, v) for (x, y) in P.input_pairs() for v in (P.f.eval(x, y),)]
 
 
 def verify_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Exact decode error over all inputs; leakage over equal-value input pairs."""
-    eps, delta, witnesses = _sweep_psm(P, budget, "verify_psm")
+    eps, delta, witnesses = _sweep(P, _value_cases(P),
+                                   lambda m, x, y: P.decode(m[0], m[1]), budget, "verify_psm")
     return VerificationReport("psm", eps, delta, _randomness(P), witnesses)
 
 
@@ -523,7 +511,9 @@ def verify_dre(D: Dre, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     Privacy holds exactly when equal-value inputs have equal whole-encoding
     histograms, i.e. when ``delta_pair`` is 0.
     """
-    eps, delta, witnesses = _sweep_psm(_dre_as_psm(D), budget, "verify_dre")
+    P = _dre_as_psm(D)
+    eps, delta, witnesses = _sweep(P, _value_cases(P),
+                                   lambda m, x, y: P.decode(m[0], m[1]), budget, "verify_dre")
     resources = dict(D.resources)
     resources.setdefault("randomness_states", space_size(D.shared))
     resources["same_class_histograms_equal"] = delta == 0
@@ -914,11 +904,12 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
     grows with (2^n_y)! so this is for tiny functions only.
     """
     cols = 1 << f.n_y
-    total = math.factorial(cols) * (1 << cols)
-    if total > budget:
-        raise BudgetError(f"one-time table needs {count_text(total)} randomness states",
-                          space="psm_generic_table randomness states", size=total,
-                          limit=budget)
+    # (2^n_y)! 2^(2^n_y) states: past 256 bits and the budget, charge the power
+    # of two lgamma (within 1e-3 bits) shows it reaches; (2^20)! takes seconds
+    bits = math.lgamma(cols + 1) / math.log(2) + cols - 1e-3
+    total = (1 << int(bits) if bits > max(256, budget.bit_length())
+             else math.factorial(cols) * (1 << cols))
+    charge(total, budget, "psm_generic_table randomness states")
     shared = pair_space(tuple(permutations(range(cols))), product_space((0, 1), cols))
 
     def alice_msg(x, r, ra=None):

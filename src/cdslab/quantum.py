@@ -10,7 +10,8 @@ index. Inputs may be any nested sequence of numbers, numpy arrays included;
 a state or operator reads them into Python ``complex`` once. The register
 budget, ``MAX_QUBITS``, caps every state and is checked before ``tensor`` or
 ``apply_isometry`` allocates, so protocol bugs fail fast instead of
-allocating huge vectors.
+allocating huge vectors; a dense state is one factor, so its budget stops
+name the space "qubits per factor".
 
 Measurement never samples: ``measure`` and ``bell_measure`` return every
 outcome branch with its exact probability. The protocol verifiers read a
@@ -31,7 +32,7 @@ from itertools import product
 from operator import mul
 from typing import Callable, Sequence
 
-from .errors import BudgetError, DomainError, ValidationError
+from .errors import DomainError, ValidationError, charge
 
 MAX_QUBITS = 14
 _TOL = 1e-12
@@ -146,12 +147,6 @@ _BELL_BRAS = tuple(
     for a, b in product((0, 1), repeat=2))
 
 
-def _qubit_budget(n: int) -> BudgetError:
-    # a dense state is one factor; budget reports keep this space name
-    return BudgetError(f"{n} qubits exceed the {MAX_QUBITS}-qubit budget",
-                       space="qubits per factor", size=n, limit=MAX_QUBITS)
-
-
 def _offsets(regs) -> dict:
     """Register name -> (first qubit, qubit count) in tensor order."""
     out = {}
@@ -187,8 +182,7 @@ class PureState:
         if len(set(names)) != len(names):
             raise ValidationError("duplicate register names")
         n = self.n_qubits
-        if n > MAX_QUBITS:
-            raise _qubit_budget(n)
+        charge(n, MAX_QUBITS, "qubits per factor")
         self.vec = _vector(vec)
         if len(self.vec) != 1 << n:
             raise ValidationError("amplitude vector length mismatch")
@@ -196,10 +190,6 @@ class PureState:
     @property
     def n_qubits(self) -> int:
         return sum(k for (_, k) in self.regs)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
 
     @staticmethod
     def computational(regs: Sequence, values: dict) -> "PureState":
@@ -212,8 +202,7 @@ class PureState:
                 raise DomainError(f"value {v} out of range for register {name}")
             idx = (idx << k) | v
         n = sum(k for (_, k) in regs)
-        if n > MAX_QUBITS:
-            raise _qubit_budget(n)
+        charge(n, MAX_QUBITS, "qubits per factor")
         vec = [0j] * (1 << n)
         vec[idx] = 1 + 0j
         return PureState(regs, vec)
@@ -230,8 +219,7 @@ class PureState:
 
     def tensor(self, other: "PureState") -> "PureState":
         n = self.n_qubits + other.n_qubits
-        if n > MAX_QUBITS:
-            raise _qubit_budget(n)
+        charge(n, MAX_QUBITS, "qubits per factor")
         return PureState(self.regs + other.regs, kron(self.vec, other.vec))
 
     # -- addressing ----------------------------------------------------------
@@ -290,8 +278,7 @@ class PureState:
         if len(V) != 1 << (k + m) or any(len(row) != 1 << k for row in V):
             raise ValidationError("isometry shape mismatch")
         n = self.n_qubits
-        if n + m > MAX_QUBITS:
-            raise _qubit_budget(n + m)
+        charge(n + m, MAX_QUBITS, "qubits per factor")
         offs, bases = _layout(n, axes)
         fresh = (1 << m) - 1
         vec = self.vec
@@ -379,10 +366,6 @@ class DensityOp:
 
     def __init__(self, regs: tuple, mat):
         self.regs, self.mat = regs, _matrix(mat)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mat)
 
     def ptrace(self, keep: Sequence[str]) -> "DensityOp":
         n = sum(k for (_, k) in self.regs)

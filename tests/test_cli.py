@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -333,6 +335,27 @@ def test_a_budget_count_too_long_to_print_is_reported_by_its_bit_length(capsys):
     fields = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert fields == {"status": "budget", "space": "gh_search candidate strategies at m=2",
                       "size": "at least 2^16384", "limit": 1 << 24}
+
+
+def test_an_oversized_one_time_table_is_refused_before_its_count_is_formed(capsys):
+    # (2^20)! alone takes seconds to form: the charge reads the count's size
+    # off lgamma, and 2^20507331 is the power of two the exact count reaches
+    start = time.perf_counter()
+    assert main(["build", "--chain", "psm", "--table", "0:20:0"]) == 3
+    assert time.perf_counter() - start < 2
+    fields = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert fields == {"status": "budget", "space": "psm_generic_table randomness states",
+                      "size": "at least 2^20507331", "limit": 1 << 24}
+
+
+def test_a_small_one_time_table_is_charged_its_exact_count(capsys):
+    assert main(["build", "--chain", "psm", "--table", "0:4:0"]) == 3
+    message, fields = capsys.readouterr().err.strip().splitlines()
+    total = math.factorial(16) * 2 ** 16
+    assert message == ("budget exceeded: psm_generic_table randomness states: "
+                       f"{total} exceed budget {1 << 24}")
+    assert json.loads(fields) == {"status": "budget", "size": total, "limit": 1 << 24,
+                                  "space": "psm_generic_table randomness states"}
 
 
 def test_dre_qr17_verifies_within_the_default_budget(tmp_path):

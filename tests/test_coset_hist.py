@@ -90,7 +90,9 @@ def _same_cds_as(P, want) -> None:
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_qr_dre_and_psm_match_the_message_sweep(p, monkeypatch):
     D = dre_qr(p)
-    want = protocols._sweep_psm(_undeclared(psm_from_dre(D)), DEFAULT_BUDGET, "ref")
+    P = _undeclared(psm_from_dre(D))
+    want = protocols._sweep(P, protocols._value_cases(P),
+                            lambda m, x, y: P.decode(m[0], m[1]), DEFAULT_BUDGET, "ref")
     _forbid_message_sweep(monkeypatch)
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):
@@ -269,7 +271,8 @@ def test_declared_budget_counts_evaluations_before_any_call():
     D = dre_qr(7)
     calls = []
     counted = replace(D, enc_x=lambda x, r: calls.append(x) or D.enc_x(x, r))
-    with pytest.raises(BudgetError, match="108 message evaluations"):
+    with pytest.raises(BudgetError,
+                       match="verify_dre message evaluations: 108 exceed budget 107"):
         verify_dre(counted, budget=107)
     assert calls == []
     assert verify_dre(counted, budget=108).perfect

@@ -90,8 +90,8 @@ def test_budget_message_unchanged():
     assert gh_search(EQ2, 3) is None
     with pytest.raises(BudgetError) as exc:
         gh_search(EQ2, 4)
-    assert str(exc.value) == ("163840000 candidate strategies at m=4 exceeds "
-                              "budget 100000000")
+    assert str(exc.value) == ("gh_search candidate strategies at m=4: 163840000 "
+                              "exceed budget 100000000")
 
 
 def test_sweep_2x2_four_pipes_exceeds_budget(tmp_path):
@@ -110,7 +110,7 @@ def test_tables_stay_within_the_admitted_budget(monkeypatch):
 
     monkeypatch.setattr(gardenhose, "_TABLES", {})
     monkeypatch.setattr(gardenhose, "gh_eval", counted)
-    with pytest.raises(BudgetError, match="at m=4 "):
+    with pytest.raises(BudgetError, match="at m=4:"):
         gh_search(EQ2, 12, budget=10 ** 6)
     # full tables for m = 1..3, none for the m that exceeds the budget
     admitted = sum(len(_alice_choices(m)) * len(_matchings(list(range(1, m + 1))))
@@ -140,12 +140,12 @@ class _CountedFn(BoolFn):
 
 def test_a_refused_search_evaluates_nothing():
     f = _CountedFn(EQ2)
-    with pytest.raises(BudgetError, match="at m=1 "):
+    with pytest.raises(BudgetError, match="at m=1:"):
         gh_search(f, 3, budget=0)
     assert f.calls == 0
     # refused at m=2: the m=1 search read only the column it pruned on
     g = _CountedFn(from_table(3, 3, [0] * 64))
-    with pytest.raises(BudgetError, match="at m=2 "):
+    with pytest.raises(BudgetError, match="at m=2:"):
         gh_search(g, 3, budget=10 ** 4)
     assert g.calls == 8
 
@@ -155,6 +155,6 @@ def test_a_count_past_the_int_to_str_limit_is_reported_by_its_bit_length():
     f = from_table(14, 0, [0] * (1 << 14))
     with pytest.raises(BudgetError) as exc:
         gh_search(f, 2)
-    assert str(exc.value) == ("at least 2^16384 candidate strategies at m=2 exceeds "
-                              "budget 100000000")
+    assert str(exc.value) == ("gh_search candidate strategies at m=2: at least 2^16384 "
+                              "exceed budget 100000000")
     assert exc.value.size == "at least 2^16384"

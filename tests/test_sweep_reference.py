@@ -1,0 +1,170 @@
+"""The one classical sweep against a flat reference, on protocols with planted faults.
+
+``verify_cds``, ``verify_psm`` and ``verify_dre`` all reach one sweep loop.
+Here each report's ``eps_hat``, ``delta_pair`` and ``witnesses`` must equal a
+reference written out below from ``message_hist`` loops alone: every input,
+every secret, every pair that must look alike, worst figure and first
+witness kept by hand. The protocols are small random 1+1 and 2+1 tables
+compiled through the garden hose (message path), a span program (coset
+path) and the one-time table, and ``dre_qr`` for p = 5 and 7, each with a
+leak and a decode fault planted on inputs hypothesis draws.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cdslab.algebra import span_dnf
+from cdslab.boolfn import from_table, literal_input
+from cdslab.gardenhose import gh_generic
+from cdslab.protocols import (cds_from_gh, cds_from_span, dre_qr, message_hist,
+                              psm_from_dre, psm_generic_table, space_size, verify_cds,
+                              verify_dre, verify_psm)
+
+
+def replace(P, **changes):
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
+    return type(P)(**{**vars(P), **changes})
+
+
+def _joint(P) -> int:
+    return space_size(P.shared) * space_size(P.alice_private) * space_size(P.bob_private)
+
+
+def _l1(a: dict, b: dict, joint: int) -> Fraction:
+    return Fraction(sum(abs(a.get(m, 0) - b.get(m, 0)) for m in set(a) | set(b)), joint)
+
+
+def _flat_cds(P) -> tuple:
+    joint = _joint(P)
+    eps, delta, witnesses = Fraction(0), Fraction(0), {}
+    for (x, y) in P.input_pairs():
+        hists = {s: message_hist(P, x, y, s) for s in P.secrets}
+        if P.f.eval(x, y) == 1:
+            for s in P.secrets:
+                fails = sum(c for (m0, m1), c in hists[s].items()
+                            if P.decode(m0, x, m1, y) != s)
+                if Fraction(fails, joint) > eps:
+                    eps, witnesses["eps"] = Fraction(fails, joint), (x, y, s)
+        else:
+            for i, s in enumerate(P.secrets):
+                for t in P.secrets[i + 1:]:
+                    d = _l1(hists[s], hists[t], joint)
+                    if d > delta:
+                        delta, witnesses["delta"] = d, (x, y, s, t)
+    return eps, delta, witnesses
+
+
+def _flat_psm(P) -> tuple:
+    joint = _joint(P)
+    pairs = P.input_pairs()
+    value = {xy: P.f.eval(*xy) for xy in pairs}
+    hists = {xy: message_hist(P, *xy) for xy in pairs}
+    eps, delta, witnesses = Fraction(0), Fraction(0), {}
+    for xy in pairs:
+        fails = sum(c for (m0, m1), c in hists[xy].items() if P.decode(m0, m1) != value[xy])
+        if Fraction(fails, joint) > eps:
+            eps, witnesses["eps"] = Fraction(fails, joint), xy
+    for i, a in enumerate(pairs):
+        for b in pairs[i + 1:]:
+            if value[a] == value[b]:
+                d = _l1(hists[a], hists[b], joint)
+                if d > delta:
+                    delta, witnesses["delta"] = d, (a, b)
+    return eps, delta, witnesses
+
+
+def _same(report, want) -> None:
+    assert isinstance(report.eps_hat, Fraction) and isinstance(report.delta_pair, Fraction)
+    assert (report.eps_hat, report.delta_pair, report.witnesses) == want
+
+
+@st.composite
+def tables(draw):
+    """A 1+1 or 2+1 table taking both values, with drawn leaky and faulty inputs."""
+    n_x = draw(st.sampled_from([1, 2]))
+    bits = draw(st.lists(st.integers(0, 1), min_size=2 << n_x, max_size=2 << n_x))
+    assume(0 < sum(bits) < len(bits))
+    f = from_table(n_x, 1, bits)
+    inputs = list(f.inputs())
+    leaky = draw(st.sets(st.sampled_from(range(1 << n_x))))
+    bad = draw(st.sets(st.sampled_from(inputs)))
+    return f, leaky, bad
+
+
+def _leaky_alice(alice_msg, leak):
+    """Alice's message with ``leak(x, s, r)`` appended."""
+    return lambda x, s, r, ra=None: (alice_msg(x, s, r, ra), leak(x, s, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_gh_cds_matches_the_flat_sweep(drawn):
+    # message path: Alice leaks s AND a pipe bit, and decoding flips with the
+    # tap entry, so both figures take fractional values
+    f, leaky, bad = drawn
+    P = cds_from_gh(gh_generic(f), f)
+    decode = P.decode
+    P = replace(P, alice_msg=_leaky_alice(P.alice_msg,
+                                          lambda x, s, r: s & r[0] if x in leaky else 0),
+                decode=lambda m0, x, m1, y: decode(m0[0], x, m1, y)
+                ^ (m0[0][0][1] if (x, y) in bad else 0))
+    _same(verify_cds(P), _flat_cds(P))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(), st.sampled_from([2, 3]), st.sampled_from(["comm", "rand"]))
+def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant):
+    # the planted secret is a constant coordinate and the fault depends on the
+    # input only, so the messages stay affine and decoding coset-invariant
+    f, leaky, bad = drawn
+    terms = [[(k + 1, bit) for k, bit in enumerate(literal_input(f, x, y))]
+             for (x, y) in f.inputs() if f.eval(x, y)]
+    # one span column per literal past a term's first: the flat reference
+    # enumerates p^columns randomness values, so 2+1 tables keep two terms
+    assume(f.n_x == 1 or len(terms) <= 2)
+    P = cds_from_span(span_dnf(terms, f.n_x + f.n_y, p), f, variant)
+    assert "linear" in P.meta
+    decode = P.decode
+    P = replace(P, alice_msg=_leaky_alice(P.alice_msg,
+                                          lambda x, s, r: s if x in leaky else 0),
+                decode=lambda m0, x, m1, y: None if (x, y) in bad
+                else decode(m0[0], x, m1, y))
+    _same(verify_cds(P), _flat_cds(P))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_one_time_table_psm_matches_the_flat_sweep(drawn):
+    # Alice also sends x on the leaky inputs; decoding flips with the first
+    # masked cell when the sent x is faulty
+    f, leaky, bad = drawn
+    P = psm_generic_table(f)
+    faulty = {x for (x, _) in bad}
+    alice_msg, decode = P.alice_msg, P.decode
+    P = replace(P, alice_msg=lambda x, r, ra=None: (alice_msg(x, r, ra),
+                                                    x if x in leaky else -1),
+                decode=lambda m0, m1: decode(m0[0], m1)
+                ^ (m0[0][0] if m0[1] in faulty else 0))
+    _same(verify_psm(P), _flat_psm(P))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([5, 7]), st.data())
+def test_qr_dre_and_psm_match_the_flat_sweep(p, data):
+    # Alice's encoding also carries x on the leaky inputs, a coordinate
+    # constant in the linear randomness; decoding drops it and flips the
+    # residuosity of the faulty ones
+    D = dre_qr(p)
+    xs = sorted({x for (x, _) in D.input_pairs()})
+    leaky = data.draw(st.sets(st.sampled_from(xs)))
+    faulty = data.draw(st.sets(st.sampled_from(xs)))
+    enc_x, decode = D.enc_x, D.decode
+    D = replace(D, enc_x=lambda x, r: enc_x(x, r) + (("x", x if x in leaky else p),),
+                decode=lambda mx, my: decode(mx[:-1], my) ^ (mx[-1][1] in faulty))
+    want = _flat_psm(psm_from_dre(D))
+    _same(verify_dre(D), want)
+    _same(verify_psm(psm_from_dre(D)), want)

@@ -1,5 +1,5 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
-and none imports numpy when it loads.
+none imports numpy when it loads, and every definition is read somewhere.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -9,7 +9,9 @@ listing in ``__all__``.
 ``dataclasses`` loads ``inspect``, and each ``@dataclass`` compiles its
 methods at every import: together about 25 ms of each ``cdslab`` child's
 start-up. Records are plain classes or ``typing.NamedTuple``s instead.
-numpy is imported only inside the one function that needs it.
+numpy is imported only inside the one function that needs it. A function,
+class or method that nothing in the sources, tests, demos or benchmark reads
+is dead code that a deletion left behind or that nothing ever needed.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cdslab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cdslab"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = MODULES + sorted(p for d in ("tests", "demos", "bench")
+                           for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported(tree) -> dict:
@@ -125,3 +130,53 @@ def test_the_check_sees_a_module_level_numpy_import():
     for allowed in ("def f():\n    import numpy as np\n", "from . import quantum\n",
                     "class A:\n    def f(self):\n        import numpy\n"):
         assert not _imports(_executed_at_import(ast.parse(allowed)), "numpy"), allowed
+
+
+def _reads(tree) -> tuple:
+    """(names read as a name, attribute or import; names read as an attribute)."""
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names | attributes, attributes
+
+
+def _unread(tree, names: set, attributes: set) -> list:
+    """Top-level functions and classes not in ``names``, methods not in ``attributes``."""
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name not in names:
+            unread.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            unread += [f"{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not item.name.startswith("__") and item.name not in attributes]
+    return unread
+
+
+def test_every_definition_is_referenced():
+    names, attributes = set(), set()
+    for path in READERS:
+        read = _reads(ast.parse(path.read_text(), filename=str(path)))
+        names |= read[0]
+        attributes |= read[1]
+    unread = {module.name: _unread(ast.parse(module.read_text()), names, attributes)
+              for module in MODULES}
+    assert {k: v for k, v in unread.items() if v} == {}
+
+
+def test_the_check_sees_an_unread_definition():
+    tree = ast.parse("def used():\n    pass\ndef unused():\n    pass\n"
+                     "class A:\n    def __len__(self):\n        return 0\n"
+                     "    def m(self):\n        pass\n    @property\n"
+                     "    def p(self):\n        return used()\n"
+                     "    def q(self):\n        pass\n"
+                     "A().p\nq = 1\n")
+    names, attributes = _reads(tree)
+    assert _unread(tree, names, attributes) == ["unused", "A.m", "A.q"]
