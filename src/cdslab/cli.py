@@ -17,8 +17,8 @@ reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
 give identical bytes.
 
 Only chains with a quantum stage load the protocol and statevector layers,
-and those run on the standard library; numpy loads only for the seeded probe
-states of a route that reconstructs a qubit by ``left_fidelity``.
+and those run on the standard library: no ``build`` or ``verify`` loads
+numpy, which serves only ``quantum.random_qubit``'s seeded draws.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ def _nlqc():
     """The quantum protocol compilers, imported only by chains that need them.
 
     ``nlqc`` loads the statevector layer at a chain's first run, and that
-    layer runs on the standard library: no ``build``, and no ``verify`` of a
-    garden-hose route or a pad-and-disclose CDQS or PSQM, loads numpy. Only
-    a route whose left side reconstructs by ``left_fidelity`` imports it,
-    for its seeded probe states.
+    layer runs on the standard library, so no ``build`` or ``verify`` of any
+    chain loads numpy.
     """
     from . import nlqc
     return nlqc

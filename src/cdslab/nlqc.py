@@ -18,8 +18,9 @@ enters the state only when the water path reaches it.
 Every protocol here is compiled from classical data (a pad key a CDS or
 PSM discloses, or a garden-hose water path), so the compilers need no
 amplitude. The statevector layer, ``quantum``, is imported at a protocol's
-first run, recovery or verification; it loads no numpy, which only the
-seeded probe states of a side reconstructing by ``left_fidelity`` import.
+first run, recovery or verification, and loads no numpy: no verifier here
+samples a state. numpy serves only ``quantum.random_qubit``, for
+``security_state_sweep``'s seeded secrets, demos and tests.
 
 Verification uses two complementary views:
 
@@ -146,21 +147,23 @@ class FRoutingProtocol(InputDomain):
     ``exit_info`` names the side and, for branch-verifiable protocols, the
     register where the qubit lands; ``correction`` undoes the accumulated
     frame. Protocols whose left side reconstructs the qubit by local decoding
-    instead of holding a branch register supply ``left_fidelity``.
+    instead of holding a branch register supply ``left_output``: the 2x2
+    density matrix the left side reconstructs from an input qubit of unit
+    amplitudes psi, linear in |psi><psi|.
     ``holdings`` names the registers each side holds after a run; it may
     leave out registers in product with the rest of the state.
     """
 
     def __init__(self, f: BoolFn, run: Callable, exit_info: Callable,
                  correction: Callable, holdings: Optional[Callable] = None,
-                 left_fidelity: Optional[Callable] = None, domain: Optional[tuple] = None,
+                 left_output: Optional[Callable] = None, domain: Optional[tuple] = None,
                  resources: Optional[dict] = None, meta: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
         self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
         self.correction = correction      # (x, y, transcript) -> 2x2 matrix
         self.holdings = holdings          # (x, y) -> {"left": regs, "right": regs}
-        self.left_fidelity = left_fidelity    # (x, y, psi_vec) -> float
+        self.left_output = left_output    # (x, y, psi_vec) -> 2x2 matrix
         super().__init__(domain, resources, meta)
 
 
@@ -190,6 +193,10 @@ class _Sweep(Worst):
     The budget bounds the running total of branches the verifier walks, one
     per class branch; the per-input ``branches`` figures, and with them
     ``max_branches``, count by ``count``, the transcripts each class stands for.
+    Every figure counts toward its worst case, but only one above the
+    statevector layer's rounding floor, ``quantum._TOL``, names a witness: of
+    figures that are all rounding noise, which one is largest depends on the
+    order of floating-point operations, not on the protocol.
     """
 
     def __init__(self, budget: int):
@@ -197,6 +204,12 @@ class _Sweep(Worst):
         self.budget = budget
         self.total = 0
         self.per_input = {}
+
+    def worse(self, name: str, figure, witness) -> None:
+        if figure > _statevector()._TOL:
+            super().worse(name, figure, witness)
+        elif figure > self.worst.get(name, 0):
+            self.worst[name] = figure
 
     def run(self, run: Callable, *args) -> tuple:
         """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
@@ -280,19 +293,16 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationR
     return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
 
-def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
-                    budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
     """Delivered-qubit fidelity on both sides, worst case over inputs.
 
-    Branch-register sides are checked through the Choi state; sides that
-    reconstruct by local decoding are swept over the six Pauli eigenstates
-    plus seeded random qubits, keeping the worst fidelity. Those states are
-    made at the first input that needs them, so a route whose every side
-    holds a branch register never makes them.
+    Branch-register sides are checked through the Choi state. A side that
+    reconstructs by local decoding reports its exact worst fidelity over
+    every pure input qubit, ``quantum.worst_fidelity`` of four runs of
+    ``left_output``.
     """
     quantum = _statevector()
     sweep = _Sweep(budget)
-    secrets = None
     for (x, y) in P.input_pairs():
         fx = P.f.eval(x, y)
         side, reg = P.exit_info(x, y)
@@ -305,11 +315,9 @@ def verify_frouting(P: FRoutingProtocol, sweep_seeds=range(10),
                 lambda b: b.state.apply(P.correction(x, y, b.transcript), [reg]),
                 reg)
         else:
-            if P.left_fidelity is None:
+            if P.left_output is None:
                 raise ValidationError("no register and no local reconstruction")
-            if secrets is None:
-                secrets = [vec for (_, vec) in quantum.probe_qubits(sweep_seeds)]
-            F = min(P.left_fidelity(x, y, vec) for vec in secrets)
+            F = quantum.worst_fidelity(lambda psi: P.left_output(x, y, psi))
             n = 0
         sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
                      "infidelity", 1 - F)
@@ -386,18 +394,26 @@ def otp_reconstruct_left(classes: list, psi) -> float:
     Against the minimal purification of the message distribution, rotating the
     key register through the pad-to-EPR basis swaps the qubit back into her
     hands exactly when the messages carry no key information. Returns the
-    squared overlap with the ideal state: 1 when the key stays hidden, and
-    1/2 when the messages pin the key down completely.
+    squared overlap of her output, ``_otp_left_output``, with the ideal
+    state: 1 when the key stays hidden, and 1/2 when the messages pin the
+    key down completely.
+    """
+    quantum = _statevector()
+    psi = quantum.PureState.from_qubit("q", psi).vec
+    return quantum.overlap(_otp_left_output(classes, psi), psi)
+
+
+def _otp_left_output(classes: list, psi) -> list:
+    """The qubit Alice reconstructs from unit amplitudes psi, as a 2x2 matrix.
 
     ``classes`` are the transcript classes of the key disclosure on one
     input, weighted by probability under each key. The message register
     holds one basis vector per class: within a class the amplitudes
     sqrt(P(m | key)) are proportional, so mapping the members' normalised
     superposition to one basis vector is an isometry on the register, which
-    is traced out.
+    is traced out. The state has 3 + k qubits, k those of the register.
     """
     quantum = _statevector()
-    psi = quantum.PureState.from_qubit("q", psi).vec
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
     charge(3 + kq, quantum.MAX_QUBITS, "qubits per factor")
     vec = [0j] * (1 << (3 + kq))
@@ -413,7 +429,7 @@ def otp_reconstruct_left(classes: list, psi) -> float:
             vec[base | i | (1 << kq)] += amp * padded[1]
     state = quantum.PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
     state = state.apply(quantum.U_BELL, ["A1", "A2"])
-    return quantum.overlap(state.ptrace(["A2"]).mat, psi)
+    return state.ptrace(["A2"]).mat
 
 
 # -- compilers -----------------------------------------------------------------
@@ -620,15 +636,15 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     def holdings(x, y):
         return {"left": (), "right": ("Q",)}
 
-    def left_fidelity(x, y, psi):
-        return otp_reconstruct_left(C.key_classes(x, y), psi)
+    def left_output(x, y, psi):
+        return _otp_left_output(C.key_classes(x, y), psi)
 
     resources = dict(C.resources)
     resources["qubits_sent"] = 1
     meta = {"kind": "frouting", "compiler": "frouting_from_cdqs",
             "parameters": {"cdqs": C.meta}}
     return FRoutingProtocol(f, C.run, exit_info, correction, holdings=holdings,
-                            left_fidelity=left_fidelity, domain=C.domain,
+                            left_output=left_output, domain=C.domain,
                             resources=resources, meta=meta)
 
 

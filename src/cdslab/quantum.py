@@ -17,9 +17,11 @@ Measurement never samples: ``measure`` and ``bell_measure`` return every
 outcome branch with its exact probability. The protocol verifiers read a
 referee's classical-quantum view as a block stack, a list holding the t
 (d, d) blocks of a block-diagonal operator, one block per transcript;
-``decoupling_gap`` and ``trace_distance`` take such stacks whole. Their
-spectra come from the cyclic Jacobi method for Hermitian matrices (Golub
-and Van Loan, *Matrix Computations*, section 8.5).
+``decoupling_gap`` and ``trace_distance`` take such stacks whole.
+``worst_fidelity`` gives a qubit map's exact worst fidelity over every pure
+input from its outputs on four inputs. Spectra come from the cyclic Jacobi
+method for Hermitian matrices (Golub and Van Loan, *Matrix Computations*,
+section 8.5).
 
 Only ``random_qubit`` uses numpy, for its seeded draws, and imports it when
 called, so loading this module loads no numpy.
@@ -509,6 +511,54 @@ def epr_pairs(pairs: Sequence) -> PureState:
     if state is None:
         raise ValidationError("need at least one pair")
     return state
+
+
+# |0>, |1>, |+> and |+i>: their density operators span a qubit's operators
+_SPANNING_QUBITS = ((1 + 0j, 0j), (0j, 1 + 0j), (_R2 + 0j, _R2 + 0j), (_R2 + 0j, 1j * _R2))
+
+
+def worst_fidelity(channel: Callable) -> float:
+    """min over every pure qubit psi of <psi| channel(psi) |psi>, exactly.
+
+    ``channel(psi)`` is the 2x2 image of |psi><psi| under a linear map Phi
+    that keeps operators Hermitian; psi has unit norm. Four inputs fix Phi:
+    |0> and |1> give Phi(I) and Phi(Z), and with them |+> and |+i> give
+    Phi(X) and Phi(Y). For psi with Bloch vector n, and n_0 = 1, the figure
+    is sum_ab n_a n_b M_ab with M_ab = tr(sigma_a Phi(sigma_b)) / 4, so the
+    worst case is the trust-region problem min over |n| = 1 of n.An + b.n,
+    A the symmetric part of M's Pauli block and b its first row plus first
+    column. For a channel with Bloch form (T, t) the figure is
+    (1 + n.(Tn + t)) / 2: A is the symmetric part of T / 2 and b = t / 2.
+
+    One sphere constraint leaves no duality gap, so the minimum is the
+    maximum over mu <= lambda_min(A) of g(mu) = mu - sum_i beta_i^2 /
+    (lambda_i - mu), with A = Q diag(lambda) Q^T and beta = Q^T b / 2. g is
+    concave and g' = 1 - sum_i beta_i^2 / (lambda_i - mu)^2 falls
+    monotonically, so bisection on g' finds the maximiser; every g(mu) is a
+    lower bound and 0 <= g' <= 1 at the bracket's left end, so the value
+    there is short of the minimum by at most the final bracket width. The
+    hard case, b with no component in A's lowest eigenspace, needs no
+    branch: g' stays positive up to lambda_min and the bracket closes on it.
+    """
+    r0, r1, rx, ry = (channel(psi) for psi in _SPANNING_QUBITS)
+    images = (weighted([(1, r0), (1, r1)]), weighted([(2, rx), (-1, r0), (-1, r1)]),
+              weighted([(2, ry), (-1, r0), (-1, r1)]), weighted([(1, r0), (-1, r1)]))
+    M = [[sum(s[i][j] * im[j][i] for i in range(2) for j in range(2)).real / 4
+          for im in images] for s in (I2, X, Y, Z)]
+    lams, Q = eigh([row[1:] for row in M[1:]])
+    # A is real symmetric, so Jacobi's rotations, and Q, are real
+    beta = [sum(Q[j][i].real * (M[0][j + 1] + M[j + 1][0]) for j in range(3)) / 2
+            for i in range(3)]
+    terms = [(lam, b * b) for lam, b in zip(lams, beta) if b]
+    lo = hi = lams[0]
+    lo -= math.sqrt(sum(b2 for _, b2 in terms))
+    while lo < (mu := (lo + hi) / 2) < hi:
+        if sum(b2 / (lam - mu) ** 2 for lam, b2 in terms) < 1:
+            lo = mu
+        else:
+            hi = mu
+    # lo reaches an eigenvalue only when |beta| vanished beside it in rounding
+    return M[0][0] + lo - sum(b2 / (lam - lo) for lam, b2 in terms if lam > lo)
 
 
 def random_qubit(seed: int) -> PureState:

@@ -172,8 +172,8 @@ def _check_route(classed, flat, routing, sweep) -> None:
         _same_sweep(security_state_sweep(classed, seeds=range(2)),
                     security_state_sweep(flat, seeds=range(2)))
     if routing:
-        _same_report(verify_frouting(frouting_from_cdqs(classed), sweep_seeds=range(2)),
-                     verify_frouting(frouting_from_cdqs(flat), sweep_seeds=range(2)))
+        _same_report(verify_frouting(frouting_from_cdqs(classed)),
+                     verify_frouting(frouting_from_cdqs(flat)))
         psi = random_qubit(5).vec
         for (x, y) in classed.input_pairs():
             got = otp_reconstruct_left(classed.key_classes(x, y), psi)

@@ -1,5 +1,5 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
-none imports numpy when it loads, and every definition is read somewhere.
+only ``quantum.random_qubit`` imports numpy, and every definition is read somewhere.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -9,9 +9,11 @@ listing in ``__all__``.
 ``dataclasses`` loads ``inspect``, and each ``@dataclass`` compiles its
 methods at every import: together about 25 ms of each ``cdslab`` child's
 start-up. Records are plain classes or ``typing.NamedTuple``s instead.
-numpy is imported only inside the one function that needs it. A function,
-class or method that nothing in the sources, tests, demos or benchmark reads
-is dead code that a deletion left behind or that nothing ever needed.
+numpy is imported only inside the one function that needs it,
+``quantum.random_qubit``, so no module loads it at import and no ``cdslab``
+build or verify loads it at all. A function, class or method that nothing
+in the sources, tests, demos or benchmark reads is dead code that a
+deletion left behind or that nothing ever needed.
 """
 
 from __future__ import annotations
@@ -130,6 +132,48 @@ def test_the_check_sees_a_module_level_numpy_import():
     for allowed in ("def f():\n    import numpy as np\n", "from . import quantum\n",
                     "class A:\n    def f(self):\n        import numpy\n"):
         assert not _imports(_executed_at_import(ast.parse(allowed)), "numpy"), allowed
+
+
+def _numpy_scopes(tree) -> list:
+    """Dotted name of the function or class around each numpy import; "" at module level."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if _imports([child], "numpy"):
+                scopes.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return scopes
+
+
+# module -> the functions that may import numpy
+NUMPY_ALLOWED = {"quantum": {"random_qubit"}}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_numpy_is_imported_only_by_random_qubit(module):
+    # every build and verify runs on the standard library; numpy serves only
+    # random_qubit's seeded draws, for the security state sweep, demos and tests
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert set(_numpy_scopes(tree)) <= NUMPY_ALLOWED.get(module.stem, set()), module.name
+
+
+def test_the_check_sees_a_numpy_import_anywhere():
+    for planted, scopes in (("import numpy.linalg\n", [""]),
+                            ("def f():\n    import numpy as np\n", ["f"]),
+                            ("class A:\n    def g(self):\n        from numpy import linalg\n",
+                             ["A.g"]),
+                            ("def random_qubit(seed):\n    def draw():\n"
+                             "        import numpy\n", ["random_qubit.draw"]),
+                            ("def random_qubit(seed):\n    if seed:\n"
+                             "        import numpy as np\n", ["random_qubit"]),
+                            ("from . import quantum\ndef f():\n    import math\n", [])):
+        assert _numpy_scopes(ast.parse(planted)) == scopes, planted
 
 
 def _reads(tree) -> tuple:
