@@ -42,9 +42,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from .boolfn import BoolFn
 from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
-from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol,
-                        TranscriptClass, Worst, _charge_sweeps, _joint, class_product,
-                        message_hist, space_size, transcript_classes)
+from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol, Worst,
+                        _joint, _same_spaces, _sweep_kernel, class_product,
+                        message_count, space_size, transcript_classes)
 
 if TYPE_CHECKING:
     from .quantum import PureState
@@ -105,9 +105,7 @@ class QVerificationReport:
             "worst_gap": float(self.worst_gap),
             "max_branches": self.max_branches,
             "routing_consistent": self.routing_consistent,
-            "per_input": {f"{x},{y}": {k: (float(v) if isinstance(v, (int, float))
-                                            else v)
-                                       for k, v in sorted(info.items())}
+            "per_input": {f"{x},{y}": dict(sorted(info.items()))
                           for (x, y), info in sorted(self.per_input.items())},
             "resources": {k: self.resources[k] for k in sorted(self.resources)},
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
@@ -483,17 +481,14 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     @cache
     def key_classes(x, y):
         classes = transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t))
-        return [TranscriptClass(c.rep, {s: w / denom for s, w in c.weights.items()},
-                                c.count)
+        return [c._replace(weights={s: w / denom for s, w in c.weights.items()})
                 for c in class_product(classes, 2)]
 
     def key_of(x, y, transcript):
         return tuple(bit_of(x, y, t) for t in transcript)
 
-    def recover(x, y, transcript, state):
-        return _unpad(state, key_of(x, y, transcript))
-
-    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",), recover,
+    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",),
+                        lambda x, y, t, state: _unpad(state, key_of(x, y, t)),
                         lambda x, y: "Q", key_classes=key_classes, key_of=key_of,
                         domain=domain, resources=resources, meta=meta)
 
@@ -505,29 +500,25 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     independent runs of the bit-CDS disclose the key exactly on revealing
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
-    counts come from one sweep per secret. The sweeps over every input,
-    the count ``verify_cds`` charges a CDS without a linear part, are
-    checked against ``budget`` before the first of them; the product
-    weights stay integers until one division by the squared joint
-    randomness.
+    counts come from one sweep per secret by ``verify_cds``'s kernel, by
+    coset for a CDS declaring a linear part, and all the sweeps are charged
+    against ``budget`` before the first; the product weights stay integers
+    until one division by the squared joint randomness.
     """
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
-    joint = _joint(C)
-    sweeps = max(1, len(C.secrets) * len(C.input_pairs()))
+    cases = [(x, y, s) for (x, y) in C.input_pairs() for s in C.secrets]
+    kernel = cache(lambda: _sweep_kernel(C, cases, budget, "cdqs_from_cds")[0])
 
     def bit_hists(x, y):
-        _charge_sweeps(C, sweeps, budget, "cdqs_from_cds")
-        return {s: message_hist(C, x, y, s) for s in C.secrets}
-
-    def bit_of(x, y, m):
-        return C.decode(m[0], x, m[1], y)
+        return {s: kernel()(C, x, y, s) for s in C.secrets}
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1,
                  "cds_randomness_states": space_size(C.shared) ** 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
             "parameters": {"cds": C.meta}}
-    return _pad_cdqs(C.f, bit_hists, bit_of, joint ** 2, C.domain, resources, meta)
+    return _pad_cdqs(C.f, bit_hists, lambda x, y, m: C.decode(m[0], x, m[1], y),
+                     _joint(C) ** 2, C.domain, resources, meta)
 
 
 def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
@@ -683,24 +674,24 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
 def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
     """A classical PSM is a simultaneous-message protocol with no qubits.
 
-    A run sweeps P's joint randomness for one input pair. The sweep over
-    every pair, the count ``verify_psm`` charges a PSM without a linear
-    part, is checked against ``budget`` before any run starts.
+    A run is one sweep of P's messages on one input pair by ``verify_psm``'s
+    kernel, one branch per coset or message pair, the sweeps over every pair
+    charged before any run starts. ``verify_psqm`` compares views across
+    inputs, so all runs' cosets must share their subspaces.
     """
-    sweeps = max(1, len(P.input_pairs()))
+    spaces = {}
+    kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), budget, "psqm_from_psm"))
 
     def run(x, y):
-        joint = _charge_sweeps(P, sweeps, budget, "psqm_from_psm")
-        return [RunBranch(c / joint, m, None) for m, c in
-                sorted(message_hist(P, x, y).items(), key=lambda kv: repr(kv[0]))]
-
-    def decode(transcript):
-        m0, m1 = transcript
-        return P.decode(m0, m1)
+        hist_of, joint = kernel()
+        hist = hist_of(P, x, y)
+        _same_spaces([hist], spaces)
+        return [RunBranch(c / joint, m, None, message_count(m)) for m, c in
+                sorted(hist.items(), key=lambda kv: repr(kv[0]))]
 
     meta = {"kind": "psqm", "compiler": "psqm_from_psm",
             "parameters": {"psm": P.meta}}
-    return PsqmProtocol(P.f, run, decode, quantum_regs=(), domain=P.domain,
+    return PsqmProtocol(P.f, run, lambda t: P.decode(t[0], t[1]), domain=P.domain,
                         resources=dict(P.resources), meta=meta)
 
 
@@ -724,17 +715,12 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     if f.eval(x_star, y_star) != 0:
         raise ValidationError("substitute input must evaluate to 0")
 
-    def hist_for(x, y):
-        return {b.transcript: b.prob for b in P.run(x, y)}
-
     def bit_hists(x, y):
         # key bit 0 runs the substitute input, key bit 1 the real one
-        return {0: hist_for(x_star, y_star), 1: hist_for(x, y)}
-
-    def bit_of(x, y, t):
-        return P.decode(t)
+        return {bit: {b.transcript: b.prob for b in P.run(*xy)}
+                for bit, xy in ((0, (x_star, y_star)), (1, (x, y)))}
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_psqm",
             "parameters": {"psqm": P.meta, "substitute": [x_star, y_star]}}
-    return _pad_cdqs(f, bit_hists, bit_of, 1, P.domain, resources, meta)
+    return _pad_cdqs(f, bit_hists, lambda x, y, t: P.decode(t), 1, P.domain, resources, meta)

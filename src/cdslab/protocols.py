@@ -17,11 +17,11 @@ Conventions shared by every protocol type here:
 * messages must be hashable so message distributions can be histogrammed.
 * ``domain`` optionally restricts the verified input pairs; None means all.
 * ``meta["linear"]``, when present, is a ``LinearPart``: the messages are
-  affine over Z_p in part of the randomness. The verifiers then count one
-  coset of messages at a time (``coset_hist``) instead of enumerating that
-  part; ``message_hist`` stays the reference and the path of every other
-  protocol. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre`` declare it,
-  and ``cds_from_psm`` does over a PSM that declares it.
+  affine over Z_p in part of the randomness. Every message sweep, here or in
+  ``nlqc``'s pad routes, then counts one coset at a time (``coset_hist``),
+  and enumerates (``message_hist``) only undeclared protocols; the choice is
+  ``_sweep_kernel``'s. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre``
+  declare it, and ``cds_from_psm`` does over a PSM that declares it.
 """
 
 from __future__ import annotations
@@ -270,12 +270,19 @@ class Coset(NamedTuple):
     ``(m0, m1)`` is the member whose coordinates are b reduced by the
     echelon ``basis`` of V, so two cosets with one basis are equal exactly
     when their members are. Indexing gives m0 and m1 as for a message pair.
+    ``count`` is the number of messages, p^dim(V).
     """
 
     m0: object
     m1: object
     skeleton: tuple
     basis: tuple
+    count: int
+
+
+def message_count(m) -> int:
+    """Messages a histogram key stands for: a coset's ``count``, else 1."""
+    return m.count if isinstance(m, Coset) else 1
 
 
 _SLOT = object()   # a coordinate's place in a skeleton
@@ -340,20 +347,23 @@ def coset_hist(P, x, y, *secret) -> dict:
         basis, pivots = echelon([[v - w for v, w in zip(values, b)]
                                  for _, values in layouts[1:]], p)
         m0, m1 = _fill(skeleton, iter(_reduce(b, basis, pivots, p)))
-        key = Coset(m0, m1, skeleton, tuple(basis))
+        key = Coset(m0, m1, skeleton, tuple(basis), p ** len(basis))
         hist[key] = hist.get(key, 0) + p ** ell
     return hist
 
 
-def _same_spaces(hists) -> None:
+def _same_spaces(hists, spaces: dict) -> None:
     """Refuse compared coset histograms where one skeleton has two subspaces.
 
     Cosets of different subspaces may overlap without being equal, so their
-    keys no longer tell equal messages from different ones.
+    keys no longer tell equal messages from different ones. ``spaces`` keeps
+    each skeleton's first subspace, across calls if passed again. Message
+    histograms pass.
     """
-    spaces = {}
     for hist in hists:
         for c in hist:
+            if not isinstance(c, Coset):
+                return
             if spaces.setdefault(c.skeleton, c.basis) != c.basis:
                 raise ValidationError("compared messages share a skeleton but "
                                       "not a subspace; no exact distance")
@@ -386,33 +396,33 @@ def _coset_alphabet(cosets, p: int, side: int) -> int:
     return sum(p ** len(basis) for (_, basis, _) in keys)
 
 
-def _charge_sweeps(P, cases: int, budget: int, what: str) -> int:
-    """P's joint randomness, once ``cases`` message sweeps of it are charged.
+def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
+    """(histogram function, joint randomness) for P's histograms on ``cases``.
 
-    A message sweep visits every joint randomness state; all ``cases`` of
-    them are checked against ``budget`` together, before the first runs.
-    """
-    joint = _joint(P)
-    charge(joint * cases, budget, f"{what} joint states")
-    return joint
-
-
-def _sweep_kernel(P, cases: int, budget: int, what: str) -> tuple:
-    """(histogram function, joint randomness) for ``cases`` histograms of P.
-
-    A protocol declaring ``meta["linear"]`` is swept by ``coset_hist`` and
-    charged one message evaluation per (case, nu, rho in {0, units}); any
-    other by ``message_hist``, charged every joint randomness state. Both
-    are checked against ``budget`` before anything runs.
+    ``cases`` lists the arguments (x, y, *secret) to sweep. A protocol
+    declaring ``meta["linear"]`` is swept by ``coset_hist``, charged the
+    coordinates of its ell + 1 message pairs per (case, nu), which bound what
+    echelon reads and a coset key holds; each pair is as wide as the widest
+    at the first nu and rho = 0. Any other protocol is swept by
+    ``message_hist``, charged every joint randomness state.
     """
     lin = P.meta.get("linear")
-    if lin is None:
-        return message_hist, _charge_sweeps(P, cases, budget, what)
     joint = _joint(P)
+    if lin is None:
+        charge(joint * max(1, len(cases)), budget, f"{what} joint states")
+        return message_hist, joint
     if len(lin.nus) * lin.p ** lin.ell != joint:
         raise ValidationError(f"{what}: declared linear randomness does not "
                               "cover the randomness space")
-    charge(cases * len(lin.nus) * (lin.ell + 1), budget, f"{what} message evaluations")
+    pairs = max(1, len(cases)) * len(lin.nus) * (lin.ell + 1)
+    charge(pairs, budget, f"{what} message coordinates")   # before the width probe
+    r, ra, rb = lin.embed(lin.nus[0], (0,) * lin.ell)
+    width = 1
+    for (x, y, *s) in cases:
+        values = []
+        _split((P.alice_msg(x, *s, r, ra), P.bob_msg(y, r, rb)), lin.p, values)
+        width = max(width, len(values))
+    charge(pairs * width, budget, f"{what} message coordinates")
     return coset_hist, joint
 
 
@@ -431,7 +441,7 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
     once per coset or distinct message pair and counts with its multiplicity.
     ``seen`` gets every histogram, and ``what`` names the caller in budget errors.
     """
-    hist_of, joint = _sweep_kernel(P, max(1, len(cases)), budget, what)
+    hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], budget, what)
     members = {}
     for i, (_, _, group) in enumerate(cases):
         members.setdefault(group, []).append(i)
@@ -448,8 +458,8 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
             same = [done] if key is None else members[key]
             if same[-1] > i:
                 break
-            if key is not None and same[0] == done and hist_of is coset_hist:
-                _same_spaces(hists[j] for j in same)
+            if key is not None and same[0] == done:
+                _same_spaces((hists[j] for j in same), {})
             first = hists.pop(done)
             for j in same[same.index(done) + 1:]:
                 worst.worse("delta", _l1(first, hists[j], joint),
@@ -809,8 +819,8 @@ class TranscriptClass(NamedTuple):
 
     ``rep`` is the first member in sweep order, ``weights`` maps each key of
     nonzero weight to the members' summed weight under it, and ``count`` is
-    the number of members. Members share their support, so every key in
-    ``weights`` stands for ``count`` transcripts.
+    the number of transcripts the members stand for. Members share their
+    support, so every key in ``weights`` stands for ``count`` transcripts.
     """
 
     rep: object
@@ -828,8 +838,10 @@ def transcript_classes(hists: dict, decode: Callable) -> list:
     value is then a positive multiple of one operator across a class, so one
     branch per class gives the same fidelity and the same trace-norm gap as
     one branch per transcript. Classes come in order of their first member,
-    scanning the keys in order and each histogram in sweep order.
+    scanning the keys in order and each histogram in sweep order. A coset
+    key stands for its ``count`` messages, which share its class.
     """
+    _same_spaces(hists.values(), {})
     keys = list(hists)
     classes = {}
     for m in dict.fromkeys(m for s in keys for m in hists[s]):
@@ -840,7 +852,7 @@ def transcript_classes(hists: dict, decode: Callable) -> list:
         for s, w in zip(keys, vec):
             if w:
                 weights[s] = weights.get(s, 0) + w
-        classes[label] = (rep, weights, count + 1)
+        classes[label] = (rep, weights, count + message_count(m))
     return [TranscriptClass(*c) for c in classes.values()]
 
 

@@ -265,7 +265,7 @@ desc = json.load(open("0.json"))
 desc["chain"] = ["gh", "frouting", "cdqs", "frouting"]
 json.dump(desc, open("bad.json", "w"))
 refused = [main(["verify", "bad.json", "--out", "bad.rep.json"]),
-           main(["verify", "stop.json", "--budget", "300", "--out", "stop.rep.json"])]
+           main(["verify", "stop.json", "--budget", "200", "--out", "stop.rep.json"])]
 after_refusal = loaded()
 verified = [main(["verify", f"{i}.json", "--out", f"{i}.rep.json"])
             for i in range(len(chains))]
@@ -288,7 +288,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     rejected = json.loads((tmp_path / "bad.rep.json").read_text())
     assert rejected["error"].startswith("descriptor rejected")
     stop = json.loads((tmp_path / "stop.rep.json").read_text())
-    assert stop["space"] == "psqm_from_psm joint states"
+    # 4 inputs x 4 values of r x 3 points x 6 coordinates, charged before any run
+    assert (stop["space"], stop["size"]) == ("psqm_from_psm message coordinates", 288)
     assert verified == [0, 0, 0, 0]
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
@@ -428,18 +429,15 @@ print(json.dumps(codes))
 
 
 def test_span_ip_spaces_are_lazy(tmp_path):
-    # 3^19 shared vectors: the classical chain verifies by coset, and the
-    # quantum one stops on cdqs_from_cds's key-sweep budget, charged for both
-    # secrets on all 16 inputs, before it sweeps them
+    # 3^19 shared vectors: the classical chain and the key sweep of the
+    # quantum one both run by coset, so both pass within 1 GiB
     env = _child_env()
     run = subprocess.run([sys.executable, "-c", _SPAN_IP], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [0, 0, 0, 3]
+    assert json.loads(run.stdout) == [0, 0, 0, 0]
     assert json.loads((tmp_path / "a.rep.json").read_text())["status"] == "pass"
-    stop = json.loads((tmp_path / "b.rep.json").read_text())
-    assert (stop["status"], stop["space"], stop["size"], stop["limit"]) == (
-        "budget", "cdqs_from_cds joint states", 2 * 16 * 3 ** 19, 1 << 24)
+    assert json.loads((tmp_path / "b.rep.json").read_text())["status"] == "pass"
 
 
 _LIMITED_MAIN = """
@@ -452,19 +450,19 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("chain,args,stop", [
     ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], "verify_cds joint states"),
-    ("dre,psm,cds", ["--fn", "qr", "--p", "1031"], "verify_cds message evaluations"),
+    ("dre,psm,cds", ["--fn", "qr", "--p", "1031"], "verify_cds message coordinates"),
     ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm joint states"),
     ("dre", ["--fn", "qr", "--p", "257"], None),
-    ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "5"],
-     "cdqs_from_cds joint states"),
-    ("dre,psm,psqm", ["--fn", "qr", "--p", "31"], "psqm_from_psm joint states"),
-    ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "17"], "cdqs_from_cds joint states"),
+    ("dre", ["--fn", "qr", "--p", "1031"], "verify_dre message coordinates"),
+    ("dre,psm", ["--fn", "qr", "--p", "1031"], "verify_psm message coordinates"),
+    ("dre,psm,psqm", ["--fn", "qr", "--p", "1031"], "psqm_from_psm message coordinates"),
+    ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "1031"], "cdqs_from_cds message coordinates"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
-    # 2^32 pipe-bit strings, 2,060^2 * 11 coset evaluations, 10,321,920
-    # one-time tables and lazy spaces past 2^63: each build sizes its spaces
-    # without listing them, and each verify ends on a budget before it sweeps them
-    # (qr p=17's key sweep is charged for every input before the first one)
+    # 2^32 pipe-bit strings, 10,321,920 one-time tables, lazy spaces past
+    # 2^63, and qr p=1031's coset keys, about 1030^2 * 22 coordinates that
+    # would not fit in 1 GiB: each build sizes its spaces without listing
+    # them, and each verify ends on a budget before it sweeps them
     env = _child_env()
     commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 0)]
     if stop is not None:
@@ -478,6 +476,40 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     if stop is not None:
         report = json.loads((tmp_path / "r.json").read_text())
         assert (report["status"], report["space"]) == ("budget", stop)
+
+
+def _qr_runs(p: int) -> int:
+    """Randomness states of qr's PSM at p: (p - 1) p^(n - 1), n the bits of p.
+
+    A run of the PSM alone has half as many distinct transcripts, since r
+    and -r encode alike.
+    """
+    return (p - 1) * p ** (p.bit_length() - 1)
+
+
+@pytest.mark.parametrize("chain,args,branches", [
+    ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "17"], (2 * _qr_runs(17)) ** 2),
+    ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "19"], (2 * _qr_runs(19)) ** 2),
+    ("dre,psm,psqm,cdqs", ["--fn", "qr", "--p", "17"], _qr_runs(17) ** 2),
+    ("dre,psm,psqm,cdqs", ["--fn", "qr", "--p", "19"], _qr_runs(19) ** 2),
+    ("dre,psm,psqm", ["--fn", "qr", "--p", "31"], _qr_runs(31) // 2),   # r, -r alike
+    ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "3"], (2 * 3 ** 17) ** 2),
+    ("span,cds,cdqs", ["--fn", "ip", "--nx", "2", "--p", "5"], (2 * 5 ** 17) ** 2),
+])
+def test_pad_routes_pass_by_coset(tmp_path, chain, args, branches):
+    # each run's classes form by coset, so these pass within the default
+    # budget and 1 GiB; per-input branch counts are exact ints past 2^53
+    env = _child_env()
+    for argv in (["build", "--chain", chain, *args, "--out", "d.json"],
+                 ["verify", "d.json", "--out", "r.json"]):
+        run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, (argv, run.returncode, run.stderr)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["status"] == "pass"
+    assert report["report"]["max_branches"] == branches
+    counts = [info["branches"] for info in report["report"]["per_input"].values()]
+    assert all(type(n) is int for n in counts) and max(counts) == branches
 
 
 @pytest.mark.parametrize("argv", [
@@ -541,22 +573,24 @@ def test_branch_budget_charges_class_branches(tmp_path, chain, raw):
 
 
 @pytest.mark.parametrize("chain,space", [
-    ("dre,psm,cds,cdqs", "cdqs_from_cds joint states"),
-    ("dre,psm,psqm", "psqm_from_psm joint states"),
+    ("dre,psm,cds,cdqs", "cdqs_from_cds message coordinates"),
+    ("dre,psm,psqm", "psqm_from_psm message coordinates"),
 ])
 def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
-    # on qr p=5, 2 secrets * 4 inputs * 200 CDS or 4 inputs * 100 PSM
-    # randomness states, all charged before the first input's sweep
+    # on qr p=5, (2 secrets * 4 inputs) * (4 values of r * 2 selectors) * 3
+    # points * 7 coordinates of the CDS, or 4 inputs * 4 values of r * 3
+    # points * 6 coordinates of the PSM, all charged before the first sweep
     got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
-                         ["--budget", "300"])
-    size = {"dre,psm,cds,cdqs": 1600, "dre,psm,psqm": 400}[chain]
-    assert got == (space, size, 300)
+                         ["--budget", "200"])
+    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 * 7, "dre,psm,psqm": 4 * 4 * 3 * 6}[chain]
+    assert got == (space, size, 200)
 
 
 def test_verify_reports_an_evaluation_budget_stop(tmp_path):
+    # 6 inputs x 6 values of r x 3 points, each a pair of 6 coordinates
     got = _budget_report(tmp_path, ["--chain", "dre", "--fn", "qr", "--p", "7"],
-                         ["--budget", "10"])
-    assert got == ("verify_dre message evaluations", 6 * 6 * 3, 10)
+                         ["--budget", "200"])
+    assert got == ("verify_dre message coordinates", 6 * 6 * 3 * 6, 200)
 
 
 def test_verify_reports_a_qubit_budget_stop(tmp_path, monkeypatch):

@@ -267,16 +267,22 @@ def test_declared_messages_must_keep_their_skeleton():
 
 
 def test_declared_budget_counts_evaluations_before_any_call():
-    # 6 inputs x 6 values of r x (2 + 1) points = 108 evaluations
+    # 6 inputs x 6 values of r x (2 + 1) points = 108 evaluations, each a
+    # message pair of 6 coordinates: ((1, y1),) and ((2, y2), (3, y3))
     D = dre_qr(7)
     calls = []
     counted = replace(D, enc_x=lambda x, r: calls.append(x) or D.enc_x(x, r))
     with pytest.raises(BudgetError,
-                       match="verify_dre message evaluations: 108 exceed budget 107"):
+                       match="verify_dre message coordinates: 108 exceed budget 107"):
         verify_dre(counted, budget=107)
     assert calls == []
-    assert verify_dre(counted, budget=108).perfect
-    assert len(calls) == 108
+    # one evaluation per input sizes the pairs before the sweep is charged
+    with pytest.raises(BudgetError,
+                       match="verify_dre message coordinates: 648 exceed budget 647"):
+        verify_dre(counted, budget=647)
+    assert len(calls) == 6
+    assert verify_dre(counted, budget=648).perfect
+    assert len(calls) == 6 + 6 + 108
 
 
 def test_qr_shared_space_is_lazy_and_in_the_old_order():

@@ -17,13 +17,16 @@ from hypothesis import strategies as st
 from cdslab import nlqc
 from cdslab.algebra import span_and1, span_dnf, span_eq1
 from cdslab.boolfn import from_table, literal_input, named_fn
+from cdslab.cli import _span_for
+from cdslab.errors import ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
 from cdslab.nlqc import (KEYS, RunBranch, cdqs_from_cds, cdqs_from_psqm,
                          frouting_from_cdqs, otp_reconstruct_left, psqm_from_psm,
-                         security_state_sweep, verify_cdqs, verify_frouting)
-from cdslab.protocols import (CdsProtocol, TranscriptClass, cds_from_gh,
-                              cds_from_psm, cds_from_span, dre_qr, message_hist,
-                              psm_from_dre, psm_generic_table, transcript_classes)
+                         security_state_sweep, verify_cdqs, verify_frouting, verify_psqm)
+from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, TranscriptClass,
+                              cds_from_gh, cds_from_psm, cds_from_span, coset_hist, dre_qr,
+                              message_hist, psm_from_dre, psm_generic_table,
+                              transcript_classes)
 from cdslab.quantum import epr_pairs, random_qubit
 
 TOL = 1e-12
@@ -35,6 +38,11 @@ EQ1 = named_fn("eq", n=1)
 def replace(P, **changes):
     """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
     return type(P)(**{**vars(P), **changes})
+
+
+def _undeclared(P):
+    """P without its ``LinearPart``: every sweep enumerates its messages."""
+    return replace(P, meta={k: v for k, v in P.meta.items() if k != "linear"})
 
 
 # -- the flat reference ----------------------------------------------------------
@@ -134,10 +142,12 @@ def _flat_psqm_classes(Q, x_star, y_star):
 
 
 def _class_and_flat_psqm(psm):
-    Q = psqm_from_psm(psm)
-    classed = cdqs_from_psqm(Q)
+    """The psqm route of ``psm``, and its flat reference, whose runs enumerate
+    the messages of ``psm`` with any linear part removed."""
+    classed = cdqs_from_psqm(psqm_from_psm(psm))
     x_star, y_star = classed.meta["parameters"]["substitute"]
-    return classed, _with_flat(classed, _flat_psqm_classes(Q, x_star, y_star))
+    flat = _flat_psqm_classes(psqm_from_psm(_undeclared(psm)), x_star, y_star)
+    return classed, _with_flat(classed, flat)
 
 
 # -- comparisons ------------------------------------------------------------------
@@ -305,18 +315,110 @@ def test_planted_leak_gap_matches_flat():
 
 def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
     # the quantum verifiers ask for an input's classes once per swept qubit
-    # state; each (x, y, secret) histogram must still be computed only once
-    calls = []
+    # state; each (x, y, secret) histogram must still be computed only once,
+    # by the kernel the shared sweep picks, once charged
+    calls, kernels = [], []
+    kernel = nlqc._sweep_kernel
 
-    def counted(P, x, y, *secret):
-        calls.append((x, y) + secret)
-        return message_hist(P, x, y, *secret)
+    def counted_kernel(*args):
+        hist_of, joint = kernel(*args)
+        kernels.append(hist_of)
 
-    monkeypatch.setattr(nlqc, "message_hist", counted)
+        def counted(P, x, y, *secret):
+            calls.append((x, y) + secret)
+            return hist_of(P, x, y, *secret)
+
+        return counted, joint
+
+    monkeypatch.setattr(nlqc, "_sweep_kernel", counted_kernel)
     cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
     verify_frouting(frouting_from_cdqs(cdqs))
     sweep = security_state_sweep(cdqs, seeds=range(2))
     assert security_state_sweep(cdqs, seeds=range(2)) == sweep
+    assert kernels == [coset_hist]
     inputs = {call[:2] for call in calls}
     assert len(inputs) > 1
     assert len(calls) == 2 * len(inputs)   # two secrets, each swept once
+
+
+# -- coset classes against enumerated classes --------------------------------------
+
+
+def _integer_classes(C, denom) -> dict:
+    """Every input's key classes of pad route C as sorted (decoded key, integer
+    weights, count) triples; ``denom`` scales the weights back to integers."""
+    return {(x, y): sorted((C.key_of(x, y, c.rep),
+                            tuple(sorted((k, round(w * denom)) for k, w in c.weights.items())),
+                            c.count)
+                           for c in C.key_classes(x, y))
+            for (x, y) in C.input_pairs()}
+
+
+def _same_cds_classes(cds) -> None:
+    joint = len(cds.shared) * len(cds.alice_private) * len(cds.bob_private)
+    got = _integer_classes(cdqs_from_cds(cds), joint ** 2)
+    assert got == _integer_classes(cdqs_from_cds(_undeclared(cds)), joint ** 2)
+
+
+def _same_psqm_classes(psm) -> None:
+    joint = len(psm.shared)
+    got = _integer_classes(cdqs_from_psqm(psqm_from_psm(psm)), joint ** 2)
+    want = _integer_classes(cdqs_from_psqm(psqm_from_psm(_undeclared(psm))), joint ** 2)
+    assert got == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=st.sampled_from([2, 3]), variant=st.sampled_from(["comm", "rand"]),
+       data=st.data())
+def test_span_coset_classes_match_enumerated(p, variant, data):
+    # random 2+1 tables; at most 3 ones over Z_2 and 2 over Z_3 keep the
+    # enumerated sweep within 3^7 coins
+    ones = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=3 if p == 2 else 2))
+    f = from_table(2, 1, [int(i in ones) for i in range(8)])
+    _same_cds_classes(cds_from_span(_span_for(f, p), f, variant))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_qr_coset_classes_match_enumerated(p):
+    psm = psm_from_dre(dre_qr(p))
+    _same_cds_classes(cds_from_psm(psm))
+    _same_psqm_classes(psm)
+
+
+def test_planted_leak_coset_classes_match_enumerated():
+    # Alice adds her secret in the clear when x = 0, so (0, 0) leaks it;
+    # a PSM whose Alice adds x leaks it between equal-value inputs
+    cds = cds_from_span(span_and1(3), AND1, "comm")
+    leaky = replace(cds, alice_msg=lambda x, s, r, ra=None:
+                    (cds.alice_msg(x, s, r, ra), s if x == 0 else 0),
+                    decode=lambda m0, x, m1, y: cds.decode(m0[0], x, m1, y))
+    _same_cds_classes(leaky)
+    report = verify_cdqs(cdqs_from_cds(leaky))
+    assert report.worst_gap > 0.1 and report.witnesses["gap"] == (0, 0)
+    psm = psm_from_dre(dre_qr(5))
+    leaky_psm = replace(psm, alice_msg=lambda x, r, ra=None: (psm.alice_msg(x, r, ra), x),
+                        decode=lambda m0, m1: psm.decode(m0[0], m1))
+    _same_psqm_classes(leaky_psm)
+    assert verify_psqm(psqm_from_psm(leaky_psm)).worst_gap > 0.1
+
+
+def _two_subspaces(alice):
+    """A linear bit-CDS over Z_3, one coordinate, Alice sending ``alice(x, s, r)``."""
+    return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)),
+                       lambda x, s, r, ra=None: (alice(x, s, r[0]),),
+                       lambda y, r, rb=None: (), lambda m0, x, m1, y: m0[0],
+                       meta={"linear": LinearPart(3, (None,), 1,
+                                                  lambda nu, rho: (rho, None, None))})
+
+
+def test_pad_routes_refuse_cosets_of_two_subspaces():
+    # secret 0 sends 0, secret 1 the uniform coordinate: one input's two
+    # histograms put one skeleton on two subspaces
+    cds = _two_subspaces(lambda x, s, r: (s * r) % 3)
+    with pytest.raises(ValidationError):
+        cdqs_from_cds(cds).key_classes(0, 0)
+    # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM do
+    psm = PsmProtocol(AND1, cds.shared, lambda x, r, ra=None: ((x * r[0]) % 3,),
+                      lambda y, r, rb=None: (), lambda m0, m1: 0, meta=cds.meta)
+    with pytest.raises(ValidationError):
+        verify_psqm(psqm_from_psm(psm))

@@ -1,5 +1,6 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
-only ``quantum.random_qubit`` imports numpy, and every definition is read somewhere.
+only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads a message-histogram
+kernel, and every definition is read somewhere.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -13,7 +14,9 @@ numpy is imported only inside the one function that needs it,
 ``quantum.random_qubit``, so no module loads it at import and no ``cdslab``
 build or verify loads it at all. A function, class or method that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
-deletion left behind or that nothing ever needed.
+deletion left behind or that nothing ever needed. The choice between
+``message_hist`` and ``coset_hist``, and the sweep's budget charge, are made
+in ``protocols._sweep_kernel`` alone, so no other module reads either kernel.
 """
 
 from __future__ import annotations
@@ -174,6 +177,34 @@ def test_the_check_sees_a_numpy_import_anywhere():
                              "        import numpy as np\n", ["random_qubit"]),
                             ("from . import quantum\ndef f():\n    import math\n", [])):
         assert _numpy_scopes(ast.parse(planted)) == scopes, planted
+
+
+# the message-histogram kernels: only protocols._sweep_kernel picks one
+KERNELS = {"message_hist", "coset_hist"}
+
+
+def _kernel_reads(tree) -> set:
+    """The kernels a module names, as a name, an attribute or an import."""
+    names, _ = _reads(tree)
+    return names & KERNELS
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_only_protocols_reads_a_histogram_kernel(module):
+    # every sweep of a protocol's messages, the pad routes' included, gets
+    # its kernel and its budget charge from protocols._sweep_kernel
+    if module.stem == "protocols":
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _kernel_reads(tree) == set(), module.name
+
+
+def test_the_check_sees_a_kernel_read():
+    for planted in ("from .protocols import message_hist\n",
+                    "from . import protocols\nh = protocols.coset_hist\n",
+                    "def f(P):\n    return coset_hist(P, 0, 0)\n"):
+        assert _kernel_reads(ast.parse(planted)), planted
+    assert not _kernel_reads(ast.parse("from .protocols import _sweep_kernel\n"))
 
 
 def _reads(tree) -> tuple:
