@@ -44,7 +44,7 @@ from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol, Worst,
                         _joint, _same_spaces, _sweep_kernel, class_product,
-                        message_count, space_size, transcript_classes)
+                        hiding_input, message_count, space_size, transcript_classes)
 
 if TYPE_CHECKING:
     from .quantum import PureState
@@ -482,7 +482,7 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     def key_classes(x, y):
         classes = transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t))
         return [c._replace(weights={s: w / denom for s, w in c.weights.items()})
-                for c in class_product(classes, 2)]
+                for c in class_product(classes)]
 
     def key_of(x, y, transcript):
         return tuple(bit_of(x, y, t) for t in transcript)
@@ -705,22 +705,15 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     """
     if P.quantum_regs:
         raise ValidationError("only classical-message protocols can be lifted here")
-    f = P.f
-    pairs = P.input_pairs()
-    if substitute is None:
-        substitute = next(((x, y) for (x, y) in pairs if f.eval(x, y) == 0), None)
-        if substitute is None:
-            raise ValidationError("no hiding input available to mask with")
-    x_star, y_star = substitute
-    if f.eval(x_star, y_star) != 0:
-        raise ValidationError("substitute input must evaluate to 0")
+    x_star, y_star = hiding_input(P, substitute)
 
-    def bit_hists(x, y):
-        # key bit 0 runs the substitute input, key bit 1 the real one
-        return {bit: {b.transcript: b.prob for b in P.run(*xy)}
-                for bit, xy in ((0, (x_star, y_star)), (1, (x, y)))}
+    def hist(x, y):
+        return {b.transcript: b.prob for b in P.run(x, y)}
 
+    # key bit 0 runs the substitute input, swept once; key bit 1 the real one
+    hidden = cache(lambda: hist(x_star, y_star))
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
     meta = {"kind": "cdqs", "compiler": "cdqs_from_psqm",
             "parameters": {"psqm": P.meta, "substitute": [x_star, y_star]}}
-    return _pad_cdqs(f, bit_hists, lambda x, y, t: P.decode(t), 1, P.domain, resources, meta)
+    return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: hist(x, y)},
+                     lambda x, y, t: P.decode(t), 1, P.domain, resources, meta)

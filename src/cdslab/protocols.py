@@ -744,8 +744,7 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     ``shared``'s order, and rho stays linear.
     """
     f = P.f
-    pairs = P.input_pairs()
-    values = {f.eval(x, y) for (x, y) in pairs}
+    values = {f.eval(x, y) for (x, y) in P.input_pairs()}
     if len(values) < 2:
         # constant f (an empty domain counts as 1): Alice sends the secret in
         # the clear when it may be revealed and nothing otherwise
@@ -766,12 +765,7 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
                            domain=P.domain, resources={"randomness_bits": 0},
                            meta=meta)
 
-    if substitute is None:
-        substitute = next((x, y) for (x, y) in pairs if f.eval(x, y) == 0)
-    x_star, y_star = substitute
-    if f.eval(x_star, y_star) != 0:
-        raise ValidationError("substitute input must evaluate to 0")
-
+    x_star, y_star = hiding_input(P, substitute)
     n = space_size(P.shared)
     shared = pair_space(P.shared, (0, 1))
 
@@ -814,6 +808,18 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
                        domain=P.domain, resources=resources, meta=meta)
 
 
+def hiding_input(P, substitute=None) -> tuple:
+    """The input a masked run uses for the real one: ``substitute``, else P's
+    first input pair with f = 0. f must be 0 there."""
+    if substitute is None:
+        substitute = next(((x, y) for (x, y) in P.input_pairs() if P.f.eval(x, y) == 0), None)
+        if substitute is None:
+            raise ValidationError("no hiding input available to mask with")
+    if P.f.eval(*substitute) != 0:
+        raise ValidationError("substitute input must evaluate to 0")
+    return substitute
+
+
 class TranscriptClass(NamedTuple):
     """Transcripts that decode alike and carry proportional key weights.
 
@@ -832,22 +838,26 @@ def transcript_classes(hists: dict, decode: Callable) -> list:
     """Group the transcripts of ``hists`` = {key: {transcript: weight}}.
 
     Two transcripts share a class when ``decode`` maps them to the same value
-    and their weight vectors over the keys are exactly proportional; weights
-    are compared as Fractions, never within a tolerance. A referee view that
-    is linear in the weights and reads a transcript only through its decoded
+    and their weight vectors over the keys are exactly proportional: the
+    integer vectors left over a common denominator (floats count as the
+    rationals they hold), divided by their gcd, are equal. A referee view
+    linear in the weights that reads a transcript only through its decoded
     value is then a positive multiple of one operator across a class, so one
-    branch per class gives the same fidelity and the same trace-norm gap as
-    one branch per transcript. Classes come in order of their first member,
-    scanning the keys in order and each histogram in sweep order. A coset
-    key stands for its ``count`` messages, which share its class.
+    branch per class gives the fidelity and trace-norm gap of one branch per
+    transcript. Classes come in order of their first member, scanning the
+    keys in order and each histogram in sweep order. A coset key stands for
+    its ``count`` messages, which share its class.
     """
     _same_spaces(hists.values(), {})
     keys = list(hists)
     classes = {}
     for m in dict.fromkeys(m for s in keys for m in hists[s]):
         vec = [hists[s].get(m, 0) for s in keys]
-        lead = Fraction(next(w for w in vec if w))
-        label = (decode(m), tuple(Fraction(w) / lead for w in vec))
+        ratios = [w.as_integer_ratio() for w in vec]
+        denom = math.lcm(*(d for _, d in ratios))
+        ints = [n * (denom // d) for n, d in ratios]
+        g = math.gcd(*ints)
+        label = (decode(m), tuple(n // g for n in ints))
         rep, weights, count = classes.get(label) or (m, {}, 0)
         for s, w in zip(keys, vec):
             if w:
@@ -856,22 +866,18 @@ def transcript_classes(hists: dict, decode: Callable) -> list:
     return [TranscriptClass(*c) for c in classes.values()]
 
 
-def class_product(classes: list, copies: int) -> list:
-    """Classes of ``copies`` independent runs keyed independently.
+def class_product(classes: list) -> list:
+    """Classes of two independent runs keyed independently.
 
-    A joint class's members are the tuples of per-copy members, its key is
-    the tuple of per-copy keys and its weights multiply: an outer product of
+    A joint class's members are the pairs of per-run members, its key is
+    the pair of per-run keys and its weights multiply: an outer product of
     proportional vectors is proportional, so the joint space is never
     enumerated member by member.
     """
-    joint = [TranscriptClass((), {(): 1}, 1)]
-    for _ in range(copies):
-        joint = [TranscriptClass(j.rep + (c.rep,),
-                                 {k + (s,): w * v for k, w in j.weights.items()
-                                  for s, v in c.weights.items()},
-                                 j.count * c.count)
-                 for j in joint for c in classes]
-    return joint
+    return [TranscriptClass((a.rep, b.rep), {(s, t): v * w for s, v in a.weights.items()
+                                             for t, w in b.weights.items()},
+                            a.count * b.count)
+            for a in classes for b in classes]
 
 
 # -- DRE and PSM constructions ------------------------------------------------

@@ -9,6 +9,9 @@ within 1e-12 and the same branch counts as integers.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,8 @@ from cdslab.nlqc import (KEYS, RunBranch, cdqs_from_cds, cdqs_from_psqm,
                          security_state_sweep, verify_cdqs, verify_frouting, verify_psqm)
 from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, TranscriptClass,
                               cds_from_gh, cds_from_psm, cds_from_span, coset_hist, dre_qr,
-                              message_hist, psm_from_dre, psm_generic_table,
-                              transcript_classes)
+                              message_count, message_hist, psm_from_dre,
+                              psm_generic_table, transcript_classes)
 from cdslab.quantum import epr_pairs, random_qubit
 
 TOL = 1e-12
@@ -227,6 +230,65 @@ def test_transcript_classes_compare_floats_without_tolerance():
     assert len(transcript_classes(hists, decode=lambda m: 0)) == 2
 
 
+def _fraction_classes(hists, decode):
+    """``transcript_classes`` keyed on each weight's ``Fraction`` ratio to the
+    first nonzero weight: the reference for the integer key."""
+    keys = list(hists)
+    classes = {}
+    for m in dict.fromkeys(m for s in keys for m in hists[s]):
+        vec = [hists[s].get(m, 0) for s in keys]
+        lead = Fraction(next(w for w in vec if w))
+        label = (decode(m), tuple(Fraction(w) / lead for w in vec))
+        rep, weights, count = classes.get(label) or (m, {}, 0)
+        for s, w in zip(keys, vec):
+            if w:
+                weights[s] = weights.get(s, 0) + w
+        classes[label] = (rep, weights, count + message_count(m))
+    return [TranscriptClass(*c) for c in classes.values()]
+
+
+@st.composite
+def _weight_hists(draw, as_float):
+    """{key: {transcript: weight}} whose transcripts repeat a few base vectors,
+    zeros included, scaled by small integers; float weights are counts c / J."""
+    n_keys = draw(st.integers(1, 4))
+    bases = draw(st.lists(st.lists(st.integers(0, 6), min_size=n_keys, max_size=n_keys)
+                          .filter(any), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(st.sampled_from(bases), st.integers(1, 5)),
+                         min_size=1, max_size=12))
+    joint = draw(st.integers(1, 10 ** 6)) if as_float else None
+    hists = {k: {} for k in range(n_keys)}
+    for t, (base, scale) in enumerate(rows):
+        for k, c in enumerate(base):
+            if c or draw(st.booleans()):   # a zero weight listed or left out
+                hists[k][t] = c * scale / joint if as_float else c * scale
+    return hists
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), as_float=st.booleans(), parity=st.booleans())
+def test_transcript_classes_match_fraction_reference(data, as_float, parity):
+    hists = data.draw(_weight_hists(as_float))
+    decode = (lambda t: t % 2) if parity else (lambda t: 0)
+    got = transcript_classes(hists, decode)
+    assert got == _fraction_classes(hists, decode)
+    assert sum(c.count for c in got) == len({t for h in hists.values() for t in h})
+
+
+@settings(max_examples=30, deadline=None)
+@given(counts=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=4),
+       joint=st.integers(1, 10 ** 6), data=st.data())
+def test_transcript_classes_split_nearly_proportional_floats(counts, joint, data):
+    # transcript 1 is transcript 0 with one weight moved by one ulp
+    k = data.draw(st.integers(0, len(counts) - 1))
+    hists = {i: {0: c / joint} for i, c in enumerate(counts)}
+    for i, c in enumerate(counts):
+        hists[i][1] = math.nextafter(c / joint, math.inf) if i == k else c / joint
+    got = transcript_classes(hists, decode=lambda t: 0)
+    assert got == _fraction_classes(hists, decode=lambda t: 0)
+    assert [c.rep for c in got] == [0, 1]
+
+
 def test_class_runs_compress_and_keep_counts():
     C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
     for (x, y) in C.input_pairs():
@@ -313,10 +375,9 @@ def test_planted_leak_gap_matches_flat():
                 security_state_sweep(flat, seeds=range(2)))
 
 
-def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
-    # the quantum verifiers ask for an input's classes once per swept qubit
-    # state; each (x, y, secret) histogram must still be computed only once,
-    # by the kernel the shared sweep picks, once charged
+def _count_sweeps(monkeypatch) -> tuple:
+    """(calls, kernels): from now on, the arguments of every histogram that a
+    sweep kernel handed to ``nlqc`` computes, and those kernels."""
     calls, kernels = [], []
     kernel = nlqc._sweep_kernel
 
@@ -331,6 +392,14 @@ def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
         return counted, joint
 
     monkeypatch.setattr(nlqc, "_sweep_kernel", counted_kernel)
+    return calls, kernels
+
+
+def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
+    # the quantum verifiers ask for an input's classes once per swept qubit
+    # state; each (x, y, secret) histogram must still be computed only once,
+    # by the kernel the shared sweep picks, once charged
+    calls, kernels = _count_sweeps(monkeypatch)
     cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
     verify_frouting(frouting_from_cdqs(cdqs))
     sweep = security_state_sweep(cdqs, seeds=range(2))
@@ -339,6 +408,19 @@ def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
     inputs = {call[:2] for call in calls}
     assert len(inputs) > 1
     assert len(calls) == 2 * len(inputs)   # two secrets, each swept once
+
+
+def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
+    # psqm_from_psm is charged one sweep per input; the pad route's key-bit-0
+    # run on the hiding input is swept once for all inputs, not once per input
+    calls, kernels = _count_sweeps(monkeypatch)
+    cdqs = cdqs_from_psqm(psqm_from_psm(psm_from_dre(dre_qr(7))))
+    verify_cdqs(cdqs)
+    verify_frouting(frouting_from_cdqs(cdqs))
+    inputs = cdqs.input_pairs()
+    assert kernels == [coset_hist] and len(inputs) == 6
+    assert len(calls) == len(inputs) + 1
+    assert calls.count(tuple(cdqs.meta["parameters"]["substitute"])) == 2
 
 
 # -- coset classes against enumerated classes --------------------------------------

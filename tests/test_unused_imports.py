@@ -1,6 +1,6 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
 only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads a message-histogram
-kernel, and every definition is read somewhere.
+kernel, the pad routes read no ``Fraction``, and every definition is read somewhere.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -17,6 +17,9 @@ in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. The choice between
 ``message_hist`` and ``coset_hist``, and the sweep's budget charge, are made
 in ``protocols._sweep_kernel`` alone, so no other module reads either kernel.
+The pad routes key their transcript classes on integer tuples, so nothing in
+``nlqc``, and neither ``transcript_classes`` nor ``class_product``, reads
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -205,6 +208,44 @@ def test_the_check_sees_a_kernel_read():
                     "def f(P):\n    return coset_hist(P, 0, 0)\n"):
         assert _kernel_reads(ast.parse(planted)), planted
     assert not _kernel_reads(ast.parse("from .protocols import _sweep_kernel\n"))
+
+
+# module -> the top-level functions that must not read Fraction; None: the
+# whole module must not
+FRACTION_FREE = {"nlqc": None, "protocols": {"transcript_classes", "class_product"}}
+
+
+def _fraction_readers(tree, functions) -> set:
+    """Those of ``functions`` (the module, as "", when None) that read ``Fraction``."""
+    scopes = ({"": tree} if functions is None else
+              {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in functions})
+    assert functions is None or set(scopes) == functions, "a checked function is gone"
+    return {name for name, node in scopes.items() if "Fraction" in _reads(node)[0]}
+
+
+@pytest.mark.parametrize("module", sorted(FRACTION_FREE))
+def test_pad_route_classes_read_no_fraction(module):
+    # classes are keyed by (decoded value, primitive integer weight vector),
+    # so no pad route builds a Fraction per transcript and key
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert _fraction_readers(tree, FRACTION_FREE[module]) == set(), module
+
+
+def test_the_check_sees_a_fraction_read():
+    planted = ast.parse("from fractions import Fraction\nimport math\n"
+                        "def transcript_classes(h):\n    return [Fraction(w) for w in h]\n"
+                        "def class_product(c):\n    return math.lcm(*c)\n"
+                        "def other(w):\n    return Fraction(w)\n")
+    assert _fraction_readers(planted, {"transcript_classes", "class_product"}) == {
+        "transcript_classes"}
+    assert _fraction_readers(planted, None) == {""}
+    for module in ("import fractions\nx = fractions.Fraction(1, 2)\n",
+                   "def f(w):\n    from fractions import Fraction\n"):
+        assert _fraction_readers(ast.parse(module), None) == {""}, module
+    assert _fraction_readers(ast.parse("import math\nx = math.gcd(4, 6)\n"), None) == set()
+    with pytest.raises(AssertionError):
+        _fraction_readers(planted, {"transcript_classes", "gone"})
 
 
 def _reads(tree) -> tuple:
