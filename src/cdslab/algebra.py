@@ -6,7 +6,6 @@ are tuples of tuples so program descriptors stay hashable and immutable.
 
 from __future__ import annotations
 
-import json
 import random
 
 from .boolfn import is_prime
@@ -151,19 +150,17 @@ class SpanProgram:
             raise DomainError(f"assignment length {len(z)} != {self.n_vars}")
         return [i for i, (var, bit) in enumerate(self.labels) if z[var - 1] == bit]
 
-    def to_json(self) -> str:
-        obj = {
+    def to_jsonable(self) -> dict:
+        return {
             "matrix": [list(r) for r in self.matrix],
             "labels": [list(l) for l in self.labels],
             "target": list(self.target),
             "p": self.p,
             "n_vars": self.n_vars,
         }
-        return json.dumps(obj, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "SpanProgram":
-        obj = json.loads(text)
+    def from_jsonable(obj: dict) -> "SpanProgram":
         return SpanProgram(
             tuple(tuple(r) for r in obj["matrix"]),
             tuple(tuple(l) for l in obj["labels"]),

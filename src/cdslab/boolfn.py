@@ -8,7 +8,6 @@ module shares one indexing convention.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from .errors import DomainError, ValidationError
@@ -83,33 +82,34 @@ class BoolFn:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> str:
-        # table packed into an integer with table[0] as the least significant bit
+    def to_jsonable(self) -> dict:
+        # hex bit i is entry i, the packing ``from_packed`` reads
         packed = 0
         for i, b in enumerate(self.table):
             packed |= b << i
-        obj = {
+        return {
             "n_x": self.n_x,
             "n_y": self.n_y,
             "table": format(packed, "x"),
             "name": self.name,
             "params": self.params,
         }
-        return json.dumps(obj, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "BoolFn":
-        obj = json.loads(text)
-        n_x, n_y = int(obj["n_x"]), int(obj["n_y"])
-        packed = int(obj["table"], 16)
-        size = 1 << (n_x + n_y)
-        table = tuple((packed >> i) & 1 for i in range(size))
-        return BoolFn(n_x, n_y, table, name=obj.get("name", ""),
-                      params=obj.get("params", {}))
+    def from_jsonable(obj: dict) -> "BoolFn":
+        return from_packed(int(obj["n_x"]), int(obj["n_y"]), int(obj["table"], 16),
+                           name=obj.get("name", ""), params=obj.get("params", {}))
 
 
 def from_table(n_x: int, n_y: int, table, name: str = "") -> BoolFn:
     return BoolFn(n_x, n_y, tuple(table), name=name)
+
+
+def from_packed(n_x: int, n_y: int, packed: int, name: str = "",
+                params: dict | None = None) -> BoolFn:
+    """The function whose entry i is bit i of ``packed``; higher bits are ignored."""
+    table = tuple((packed >> i) & 1 for i in range(1 << (n_x + n_y)))
+    return BoolFn(n_x, n_y, table, name=name, params=params)
 
 
 def bits_msb_first(value: int, width: int) -> tuple:
@@ -260,7 +260,5 @@ def named_fn(name: str, **params) -> BoolFn:
 
 def all_functions(n_x: int, n_y: int) -> Iterator[BoolFn]:
     """Every Boolean function on n_x + n_y bits, in truth-table order."""
-    size = 1 << (n_x + n_y)
-    for packed in range(1 << size):
-        table = tuple((packed >> i) & 1 for i in range(size))
-        yield BoolFn(n_x, n_y, table, name=f"t{packed:x}")
+    for packed in range(1 << (1 << (n_x + n_y))):
+        yield from_packed(n_x, n_y, packed, name=f"t{packed:x}")

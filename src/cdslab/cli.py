@@ -32,7 +32,7 @@ import sys
 from . import __version__
 from .algebra import (SpanProgram, span_and1, span_eq1, span_or1, span_dnf,
                       sp_eval)
-from .boolfn import BoolFn, literal_input, named_fn, all_functions
+from .boolfn import BoolFn, all_functions, from_packed, literal_input, named_fn
 from .errors import BudgetError, DomainError, ValidationError, charge
 from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
                          gh_search)
@@ -156,11 +156,9 @@ def _parse_fn(args) -> BoolFn:
         except ValueError:
             raise ValidationError("--table wants nx:ny:hex") from None
         _charge_table(n_x, n_y, args.budget)
-        size = 1 << (n_x + n_y)
-        if packed >= (1 << size):
+        if packed >= (1 << (1 << (n_x + n_y))):
             raise ValidationError("table value wider than 2^(nx+ny) bits")
-        table = tuple((packed >> i) & 1 for i in range(size))
-        return BoolFn(n_x, n_y, table, name=f"t{hex_table}")
+        return from_packed(n_x, n_y, packed, name=f"t{hex_table}")
     if not args.fn:
         raise ValidationError("need --fn or --table")
     name = args.fn.lower()
@@ -209,7 +207,7 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
     """Build (or reload) the chain's base object; returns (obj, artifacts)."""
     if token == "gh":
         if "gh_strategy" in embedded:
-            strategy = GhStrategy.from_json(json.dumps(embedded["gh_strategy"]))
+            strategy = GhStrategy.from_jsonable(embedded["gh_strategy"])
         else:
             strategy = gh_search(f, opts["max_pipes"], budget=opts["budget"])
             if strategy is None:
@@ -219,10 +217,10 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         if bad:
             raise VerifyFailure("strategy routes some input to the wrong side",
                                 witness={"inputs": [list(b) for b in bad]})
-        return strategy, {"gh_strategy": json.loads(strategy.to_json())}
+        return strategy, {"gh_strategy": strategy.to_jsonable()}
     if token == "span":
         if "span_program" in embedded:
-            program = SpanProgram.from_json(json.dumps(embedded["span_program"]))
+            program = SpanProgram.from_jsonable(embedded["span_program"])
         else:
             program = _span_for(f, opts["p"])
         bad = [(x, y) for (x, y) in f.inputs()
@@ -230,7 +228,7 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         if bad:
             raise VerifyFailure("span program disagrees with the function",
                                 witness={"inputs": [list(b) for b in bad]})
-        return program, {"span_program": json.loads(program.to_json())}
+        return program, {"span_program": program.to_jsonable()}
     if token == "dre":
         params = f.params
         if "p" not in params:
@@ -328,7 +326,7 @@ def _cmd_build(args) -> int:
         "version": 1,
         "chain": tokens,
         "kind": kind,
-        "fn": json.loads(f.to_json()),
+        "fn": f.to_jsonable(),
         "options": {"p": args.p, "variant": args.variant,
                     "max_pipes": args.max_pipes, "seed": args.seed},
         "artifacts": artifacts,
@@ -350,7 +348,7 @@ def _cmd_verify(args) -> int:
         if desc.get("format") != DESCRIPTOR_FORMAT:
             raise VerifyFailure("not a descriptor file")
         _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]), args.budget)
-        f = BoolFn.from_json(json.dumps(desc["fn"]))
+        f = BoolFn.from_jsonable(desc["fn"])
         tokens = list(desc["chain"])
         _check_chain(tokens)
         opts = dict(desc.get("options", {}))

@@ -9,7 +9,6 @@ f(x, y) = 1, on Alice's side f(x, y) = 0.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from typing import NamedTuple
 
@@ -75,8 +74,8 @@ class GhStrategy:
     def __eq__(self, other) -> bool:
         return type(other) is GhStrategy and vars(self) == vars(other)
 
-    def to_json(self) -> str:
-        obj = {
+    def to_jsonable(self) -> dict:
+        return {
             "pipes": self.pipes,
             "n_x": self.n_x,
             "n_y": self.n_y,
@@ -89,11 +88,9 @@ class GhStrategy:
                 for y, matching in self.bob.items()
             },
         }
-        return json.dumps(obj, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "GhStrategy":
-        obj = json.loads(text)
+    def from_jsonable(obj: dict) -> "GhStrategy":
         alice = {
             int(x): (entry["tap"], _freeze_matching(entry["match"]))
             for x, entry in obj["alice"].items()

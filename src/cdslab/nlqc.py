@@ -128,7 +128,7 @@ class CdqsProtocol(InputDomain):
     def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
                  out_reg: Callable, key_classes: Optional[Callable] = None,
                  key_of: Optional[Callable] = None, domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+                 resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
         self.msg_regs = msg_regs          # (x, y) -> tuple of register names
@@ -136,7 +136,7 @@ class CdqsProtocol(InputDomain):
         self.out_reg = out_reg            # (x, y) -> register name
         self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
         self.key_of = key_of              # (x, y, transcript) -> key
-        super().__init__(domain, resources, meta)
+        super().__init__(domain, resources)
 
 
 class FRoutingProtocol(InputDomain):
@@ -155,14 +155,14 @@ class FRoutingProtocol(InputDomain):
     def __init__(self, f: BoolFn, run: Callable, exit_info: Callable,
                  correction: Callable, holdings: Optional[Callable] = None,
                  left_output: Optional[Callable] = None, domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+                 resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
         self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
         self.correction = correction      # (x, y, transcript) -> 2x2 matrix
         self.holdings = holdings          # (x, y) -> {"left": regs, "right": regs}
         self.left_output = left_output    # (x, y, psi_vec) -> 2x2 matrix
-        super().__init__(domain, resources, meta)
+        super().__init__(domain, resources)
 
 
 class PsqmProtocol(InputDomain):
@@ -173,13 +173,12 @@ class PsqmProtocol(InputDomain):
     """
 
     def __init__(self, f: BoolFn, run: Callable, decode: Callable, quantum_regs: tuple = (),
-                 domain: Optional[tuple] = None, resources: Optional[dict] = None,
-                 meta: Optional[dict] = None):
+                 domain: Optional[tuple] = None, resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y) -> [RunBranch]
         self.decode = decode              # (transcript) -> value of f
         self.quantum_regs = quantum_regs
-        super().__init__(domain, resources, meta)
+        super().__init__(domain, resources)
 
 
 # -- shared verification plumbing ---------------------------------------------
@@ -467,7 +466,7 @@ def _unpad(state: PureState, s) -> PureState:
 
 
 def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
-              resources: dict, meta: dict) -> CdqsProtocol:
+              resources: dict) -> CdqsProtocol:
     """Pad-and-disclose CDQS: the referee gets the padded "Q" and the transcript.
 
     Alice pads the qubit with two key bits, and each bit is disclosed by one
@@ -490,7 +489,7 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",),
                         lambda x, y, t, state: _unpad(state, key_of(x, y, t)),
                         lambda x, y: "Q", key_classes=key_classes, key_of=key_of,
-                        domain=domain, resources=resources, meta=meta)
+                        domain=domain, resources=resources)
 
 
 def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
@@ -515,10 +514,8 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1,
                  "cds_randomness_states": space_size(C.shared) ** 2}
-    meta = {"kind": "cdqs", "compiler": "cdqs_from_cds",
-            "parameters": {"cds": C.meta}}
     return _pad_cdqs(C.f, bit_hists, lambda x, y, m: C.decode(m[0], x, m[1], y),
-                     _joint(C) ** 2, C.domain, resources, meta)
+                     _joint(C) ** 2, C.domain, resources)
 
 
 def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
@@ -595,10 +592,8 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
 
     resources = {"epr_pairs": m, "pipes": m,
                  "bound_epr_equals_pipes": True}
-    meta = {"kind": "frouting", "compiler": "frouting_from_gh",
-            "parameters": {"strategy": strategy.to_json(), "f": f.to_json()}}
     return FRoutingProtocol(f, run, exit_info, correction, holdings=holdings,
-                            resources=resources, meta=meta)
+                            resources=resources)
 
 
 def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
@@ -632,11 +627,9 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
 
     resources = dict(C.resources)
     resources["qubits_sent"] = 1
-    meta = {"kind": "frouting", "compiler": "frouting_from_cdqs",
-            "parameters": {"cdqs": C.meta}}
     return FRoutingProtocol(f, C.run, exit_info, correction, holdings=holdings,
                             left_output=left_output, domain=C.domain,
-                            resources=resources, meta=meta)
+                            resources=resources)
 
 
 def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
@@ -665,10 +658,8 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
         return reg
 
     resources = dict(R.resources)
-    meta = {"kind": "cdqs", "compiler": "cdqs_from_frouting",
-            "parameters": {"frouting": R.meta}}
     return CdqsProtocol(f, R.run, msg_regs, recover, out_reg, domain=R.domain,
-                        resources=resources, meta=meta)
+                        resources=resources)
 
 
 def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
@@ -689,10 +680,8 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
         return [RunBranch(c / joint, m, None, message_count(m)) for m, c in
                 sorted(hist.items(), key=lambda kv: repr(kv[0]))]
 
-    meta = {"kind": "psqm", "compiler": "psqm_from_psm",
-            "parameters": {"psm": P.meta}}
     return PsqmProtocol(P.f, run, lambda t: P.decode(t[0], t[1]), domain=P.domain,
-                        resources=dict(P.resources), meta=meta)
+                        resources=dict(P.resources))
 
 
 def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
@@ -713,7 +702,5 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     # key bit 0 runs the substitute input, swept once; key bit 1 the real one
     hidden = cache(lambda: hist(x_star, y_star))
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
-    meta = {"kind": "cdqs", "compiler": "cdqs_from_psqm",
-            "parameters": {"psqm": P.meta, "substitute": [x_star, y_star]}}
     return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: hist(x, y)},
-                     lambda x, y, t: P.decode(t), 1, P.domain, resources, meta)
+                     lambda x, y, t: P.decode(t), 1, P.domain, resources)

@@ -16,8 +16,8 @@ Conventions shared by every protocol type here:
   ``None``). Only the shared space counts as randomness complexity.
 * messages must be hashable so message distributions can be histogrammed.
 * ``domain`` optionally restricts the verified input pairs; None means all.
-* ``meta["linear"]``, when present, is a ``LinearPart``: the messages are
-  affine over Z_p in part of the randomness. Every message sweep, here or in
+* ``linear``, when not None, is a ``LinearPart``: the messages are affine
+  over Z_p in part of the randomness. Every message sweep, here or in
   ``nlqc``'s pad routes, then counts one coset at a time (``coset_hist``),
   and enumerates (``message_hist``) only undeclared protocols; the choice is
   ``_sweep_kernel``'s. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre``
@@ -82,13 +82,11 @@ class VerificationReport:
 
 
 class InputDomain:
-    """Every record's ``domain`` (None: all of f's inputs), ``resources`` and ``meta``."""
+    """Every record's ``domain`` (None: all of f's inputs) and ``resources``."""
 
-    def __init__(self, domain: Optional[tuple], resources: Optional[dict],
-                 meta: Optional[dict]):
+    def __init__(self, domain: Optional[tuple], resources: Optional[dict]):
         self.domain = domain
         self.resources = {} if resources is None else resources
-        self.meta = {} if meta is None else meta
 
     def input_pairs(self):
         return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
@@ -149,11 +147,12 @@ class CdsProtocol(InputDomain):
     def __init__(self, f: BoolFn, secrets: tuple, shared: tuple, alice_msg: Callable,
                  bob_msg: Callable, decode: Callable, alice_private: tuple = (None,),
                  bob_private: tuple = (None,), domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+                 resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
         self.f, self.secrets, self.shared = f, secrets, shared
         self.alice_msg, self.bob_msg, self.decode = alice_msg, bob_msg, decode
         self.alice_private, self.bob_private = alice_private, bob_private
-        super().__init__(domain, resources, meta)
+        self.linear = linear
+        super().__init__(domain, resources)
 
 
 class PsmProtocol(InputDomain):
@@ -162,13 +161,14 @@ class PsmProtocol(InputDomain):
     def __init__(self, f: BoolFn, shared: tuple, alice_msg: Callable, bob_msg: Callable,
                  decode: Callable, alice_private: tuple = (None,),
                  bob_private: tuple = (None,), domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+                 resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
         self.f, self.shared = f, shared
         self.alice_msg = alice_msg        # (x, r, ra) -> message
         self.bob_msg = bob_msg            # (y, r, rb) -> message
         self.decode = decode              # (m0, m1) -> value of f
         self.alice_private, self.bob_private = alice_private, bob_private
-        super().__init__(domain, resources, meta)
+        self.linear = linear
+        super().__init__(domain, resources)
 
 
 class Dre(InputDomain):
@@ -180,10 +180,11 @@ class Dre(InputDomain):
 
     def __init__(self, f: BoolFn, shared: tuple, enc_x: Callable, enc_y: Callable,
                  decode: Callable, domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, meta: Optional[dict] = None):
+                 resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
         self.f, self.shared = f, shared
         self.enc_x, self.enc_y, self.decode = enc_x, enc_y, decode
-        super().__init__(domain, resources, meta)
+        self.linear = linear
+        super().__init__(domain, resources)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -253,9 +254,11 @@ class LinearPart(NamedTuple):
     ``nus`` x Z_p^ell it must hit every element of ``shared x alice_private x
     bob_private`` once. For fixed nu the message pair must be affine in rho:
     its int leaves in range(p) are its coordinates, and its other leaves,
-    with the tuple structure, are its skeleton. The decoder must give one
-    value on each coset the messages of one nu fill, as a linear
-    reconstruction does.
+    with the tuple structure, are its skeleton. An int label below p, such
+    as a row index of ``cds_from_span``, is a coordinate too: constant in
+    rho, it adds nothing to V but is charged and echeloned with the rest.
+    The decoder must give one value on each coset the messages of one nu
+    fill, as a linear reconstruction does.
     """
 
     p: int
@@ -289,7 +292,8 @@ _SLOT = object()   # a coordinate's place in a skeleton
 
 
 def _split(m, p: int, values: list):
-    """Skeleton of message ``m``; its coordinates are appended to ``values``."""
+    """Skeleton of message ``m``; its coordinates, every int leaf in range(p)
+    (constant labels below p included), are appended to ``values``."""
     if isinstance(m, tuple):
         return tuple(_split(v, p, values) for v in m)
     if isinstance(m, int) and 0 <= m < p:
@@ -320,7 +324,7 @@ def _reduce(vec, basis, pivots, p: int) -> tuple:
 def coset_hist(P, x, y, *secret) -> dict:
     """Exact counts of P's message pair on (x, y), one entry per coset.
 
-    P declares ``meta["linear"]``, a ``LinearPart``. For each nonlinear value
+    P declares ``linear``, a ``LinearPart``. For each nonlinear value
     nu the pair is b + A rho, so as rho runs over Z_p^ell it is uniform on
     the coset b + V, V the column space of A. P's own callables at rho = 0
     and at the ell unit vectors give b and A; each nu then adds p^ell to its
@@ -329,7 +333,7 @@ def coset_hist(P, x, y, *secret) -> dict:
     its messages. Cosets of one basis are equal or disjoint, so L1 distances
     between such histograms equal those between message histograms.
     """
-    lin = P.meta["linear"]
+    lin = P.linear
     p, ell = lin.p, lin.ell
     # rho = 0, then the unit vectors
     points = [tuple(int(i == k) for i in range(ell)) for k in range(-1, ell)]
@@ -400,13 +404,13 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
     ``cases`` lists the arguments (x, y, *secret) to sweep. A protocol
-    declaring ``meta["linear"]`` is swept by ``coset_hist``, charged the
+    declaring ``linear`` is swept by ``coset_hist``, charged the
     coordinates of its ell + 1 message pairs per (case, nu), which bound what
     echelon reads and a coset key holds; each pair is as wide as the widest
     at the first nu and rho = 0. Any other protocol is swept by
     ``message_hist``, charged every joint randomness state.
     """
-    lin = P.meta.get("linear")
+    lin = P.linear
     joint = _joint(P)
     if lin is None:
         charge(joint * max(1, len(cases)), budget, f"{what} joint states")
@@ -481,7 +485,7 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
         reveal = P.f.eval(x, y) == 1
         cases += [((x, y, s), s if reveal else None, None if reveal else (x, y))
                   for s in P.secrets]
-    linear = P.meta.get("linear") is not None
+    linear = P.linear is not None
     alphabets, cosets = (set(), set()), set()
 
     def seen(hist):
@@ -498,7 +502,7 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
         witnesses["delta"] = a + b[2:]
     resources = _randomness(P)
     for side, name in enumerate(("alice_message_alphabet", "bob_message_alphabet")):
-        resources[name] = (_coset_alphabet(cosets, P.meta["linear"].p, side) if linear
+        resources[name] = (_coset_alphabet(cosets, P.linear.p, side) if linear
                            else len(alphabets[side]))
     return VerificationReport("cds", eps, delta, resources, witnesses)
 
@@ -588,10 +592,8 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
         "bob_message_bits": bob_bits,
         "bound_randomness_equals_pipes": True,
     }
-    meta = {"kind": "cds", "compiler": "cds_from_gh",
-            "parameters": {"strategy": strategy.to_json(), "f": f.to_json()}}
     return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
-                       resources=resources, meta=meta)
+                       resources=resources)
 
 
 # -- span program -> CDS -----------------------------------------------------
@@ -612,7 +614,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
 
     Both variants are linear CDS schemes: the messages are affine over Z_p in
     all of the randomness (u, or the masks then the free coordinates), which
-    ``meta["linear"]`` declares with no nonlinear part.
+    ``linear`` declares with no nonlinear part.
     """
     if program.n_vars != f.n_x + f.n_y:
         raise ValidationError("span program variable count must match f's input bits")
@@ -675,13 +677,11 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
                 comm_elems * elem_bits <= (d + 1) * elem_bits,
         }
         alice_private = (None,)
-        bob_private = (None,)
         linear = LinearPart(p, (None,), e, lambda nu, rho: (rho, None, None))
     else:
         n_masks = len(bob_rows)
         shared = product_space(range(p), n_masks)
         alice_private = product_space(range(p), e - 1)
-        bob_private = (None,)
 
         def alice_msg(x, s, masks, free):
             u = scheme.vector_for(s, free)
@@ -717,13 +717,8 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
 
     resources["field"] = p
     resources["program_rows"] = d
-    meta = {"kind": "cds", "compiler": "cds_from_span",
-            "parameters": {"program": program.to_json(), "f": f.to_json(),
-                           "variant": variant},
-            "linear": linear}
     return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
-                       alice_private=alice_private, bob_private=bob_private,
-                       resources=resources, meta=meta)
+                       alice_private=alice_private, resources=resources, linear=linear)
 
 
 # -- PSM -> CDS and composition ---------------------------------------------
@@ -738,7 +733,7 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     f(x, y) = 1 the referee reads s' off the PSM and unmasks the secret; when
     f(x, y) = 0 the selector stays hidden, and with it the secret.
 
-    Over a PSM declaring ``meta["linear"]`` the CDS declares one too: for
+    Over a PSM declaring ``linear`` the CDS declares one too: for
     each (nu, s') the messages are the PSM's, affine in its rho, plus the
     masked bit, a constant coordinate. So (nu, s') is nonlinear, in
     ``shared``'s order, and rho stays linear.
@@ -759,11 +754,8 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
         def decode(m0, x, m1, y):
             return m0 if reveal else None
 
-        meta = {"kind": "cds", "compiler": "cds_from_psm",
-                "parameters": {"constant": int(reveal)}}
         return CdsProtocol(f, (0, 1), (None,), alice_msg, bob_msg, decode,
-                           domain=P.domain, resources={"randomness_bits": 0},
-                           meta=meta)
+                           domain=P.domain, resources={"randomness_bits": 0})
 
     x_star, y_star = hiding_input(P, substitute)
     n = space_size(P.shared)
@@ -790,10 +782,7 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
         "psm_randomness_states": n,
         "extra_message_bits": 1,
     }
-    meta = {"kind": "cds", "compiler": "cds_from_psm",
-            "parameters": {"substitute": [x_star, y_star],
-                           "psm": P.meta.get("compiler", "psm")}}
-    lin = P.meta.get("linear")
+    lin = linear = P.linear
     if lin is not None:
 
         def embed(nu_sel, rho):
@@ -801,11 +790,11 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
             r, ra, rb = lin.embed(nu, rho)
             return (r, sel), ra, rb
 
-        meta["linear"] = LinearPart(lin.p, tuple((nu, sel) for nu in lin.nus
-                                                 for sel in (0, 1)), lin.ell, embed)
+        linear = LinearPart(lin.p, tuple((nu, sel) for nu in lin.nus
+                                         for sel in (0, 1)), lin.ell, embed)
     return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
                        alice_private=P.alice_private, bob_private=P.bob_private,
-                       domain=P.domain, resources=resources, meta=meta)
+                       domain=P.domain, resources=resources, linear=linear)
 
 
 def hiding_input(P, substitute=None) -> tuple:
@@ -886,7 +875,7 @@ def class_product(classes: list) -> list:
 def psm_from_dre(D: Dre) -> PsmProtocol:
     """A DRE is already a PSM: send the two encoding halves as the messages.
 
-    The PSM keeps the DRE's ``meta["linear"]``: its randomness is the DRE's,
+    The PSM keeps the DRE's ``linear``: its randomness is the DRE's,
     passed as r with no private coins.
     """
     return _dre_as_psm(D)
@@ -905,11 +894,8 @@ def _dre_as_psm(D: Dre) -> PsmProtocol:
     def decode(m0, m1):
         return D.decode(m0, m1)
 
-    meta = {"kind": "psm", "compiler": "psm_from_dre", "parameters": {"dre": D.meta}}
-    if "linear" in D.meta:
-        meta["linear"] = D.meta["linear"]
     return PsmProtocol(D.f, D.shared, alice_msg, bob_msg, decode,
-                       domain=D.domain, resources=dict(D.resources), meta=meta)
+                       domain=D.domain, resources=dict(D.resources), linear=D.linear)
 
 
 def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
@@ -951,10 +937,7 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
         "alice_message_bits": cols,
         "bob_message_bits": f.n_y + 1,
     }
-    meta = {"kind": "psm", "compiler": "psm_generic_table",
-            "parameters": {"f": f.to_json()}}
-    return PsmProtocol(f, shared, alice_msg, bob_msg, decode,
-                       resources=resources, meta=meta)
+    return PsmProtocol(f, shared, alice_msg, bob_msg, decode, resources=resources)
 
 
 def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
@@ -963,12 +946,14 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     Bit i of a (weight 2^(i-1)) is encoded as y_i = a_i * r^2 * 2^(i-1) + s_i
     mod p with r uniform over the units and the s_i uniform summing to zero.
     The y_i sum telescopes to r^2 * a, whose residuosity equals a's; the
-    random square factor and additive shares hide everything else. Inputs are
+    random square factor and additive shares hide everything else. Each side
+    sends its y_i alone, in position order: the positions are fixed, and
+    labels below p would be charged as coordinates (``_split``). Inputs are
     restricted to a in Z_p^* (nonzero, below p): 0 has no residue class.
 
     ``shared`` lists (r, s) lazily, r-major with the n - 1 free shares in
     ``product`` order. For fixed r the encoding is affine in the free shares,
-    which ``meta["linear"]`` declares (r nonlinear, the free shares linear):
+    which ``linear`` declares (r nonlinear, the free shares linear):
     it fills the coset of the hyperplane sum(y) = r^2 * a, so the verifiers
     count (p - 1) / 2 cosets per input instead of (p - 1) * p^(n-1) values.
     """
@@ -992,8 +977,7 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         out = []
         for j, pos in enumerate(positions):
             bit = (value >> j) & 1
-            y_i = (bit * rsq * (1 << (pos - 1)) + s[pos - 1]) % p
-            out.append((pos, y_i))
+            out.append((bit * rsq * (1 << (pos - 1)) + s[pos - 1]) % p)
         return tuple(out)
 
     def enc_x(x, rr):
@@ -1005,8 +989,7 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         return encode_bits(y, bob_pos, r, s)
 
     def decode(mx, my):
-        total = sum(v for (_, v) in mx) + sum(v for (_, v) in my)
-        return euler_qr(total % p, p)
+        return euler_qr((sum(mx) + sum(my)) % p, p)
 
     domain = []
     for a in range(1, p):
@@ -1020,9 +1003,7 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         "randomness_bits": math.log2(shared.size),
         "encoding_elements": n,
     }
-    meta = {"kind": "dre", "compiler": "dre_qr",
-            "parameters": {"p": p, "alice_positions": list(alice_pos), "n_bits": n},
-            "linear": LinearPart(p, tuple(range(1, p)), n - 1,
-                                 lambda r, free: ((r, shares(free)), None, None))}
+    linear = LinearPart(p, tuple(range(1, p)), n - 1,
+                        lambda r, free: ((r, shares(free)), None, None))
     return Dre(f, shared, enc_x, enc_y, decode, domain=domain,
-               resources=resources, meta=meta)
+               resources=resources, linear=linear)

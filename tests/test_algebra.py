@@ -113,7 +113,7 @@ def test_span_program_validation():
 
 def test_span_json_round_trip():
     prog = span_threshold_2of3(5)
-    again = SpanProgram.from_json(prog.to_json())
+    again = SpanProgram.from_jsonable(prog.to_jsonable())
     assert again == prog
 
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+from itertools import islice
+
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cdslab.boolfn import (BoolFn, all_functions, bits_msb_first, from_table,
                            literal_input, named_fn, qr_join, qr_residues,
                            qr_split_inputs)
+from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
+from cdslab.protocols import DEFAULT_BUDGET
 
 
 def test_table_indexing_order():
@@ -105,8 +110,25 @@ def test_json_round_trip(n_x, n_y, packed):
     size = 1 << (n_x + n_y)
     table = tuple((packed >> i) & 1 for i in range(size))
     f = BoolFn(n_x, n_y, table, name="t")
-    g = BoolFn.from_json(f.to_json())
+    g = BoolFn.from_jsonable(f.to_jsonable())
     assert g == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_table_option_codec_and_enumeration_share_one_packing(n_x, n_y, data):
+    # hex bit i is entry i for --table, the dict codec and all_functions alike
+    assume(n_x + n_y > 0)
+    size = 1 << (n_x + n_y)
+    packed = data.draw(st.integers(0, (1 << size) - 1))
+    want = tuple((packed >> i) & 1 for i in range(size))
+    parsed = _parse_fn(argparse.Namespace(table=f"{n_x}:{n_y}:{packed:x}",
+                                          budget=DEFAULT_BUDGET))
+    decoded = BoolFn.from_jsonable({"n_x": n_x, "n_y": n_y, "table": f"{packed:x}"})
+    assert parsed.table == decoded.table == want
+    if packed < 1 << 12:   # all_functions lists the tables in packed order
+        listed = next(islice(all_functions(n_x, n_y), packed, None))
+        assert (listed.table, listed.name) == (want, parsed.name)
 
 
 @given(st.integers(1, 2), st.integers(1, 2), st.data())

@@ -265,7 +265,7 @@ desc = json.load(open("0.json"))
 desc["chain"] = ["gh", "frouting", "cdqs", "frouting"]
 json.dump(desc, open("bad.json", "w"))
 refused = [main(["verify", "bad.json", "--out", "bad.rep.json"]),
-           main(["verify", "stop.json", "--budget", "200", "--out", "stop.rep.json"])]
+           main(["verify", "stop.json", "--budget", "100", "--out", "stop.rep.json"])]
 after_refusal = loaded()
 verified = [main(["verify", f"{i}.json", "--out", f"{i}.rep.json"])
             for i in range(len(chains))]
@@ -288,8 +288,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     rejected = json.loads((tmp_path / "bad.rep.json").read_text())
     assert rejected["error"].startswith("descriptor rejected")
     stop = json.loads((tmp_path / "stop.rep.json").read_text())
-    # 4 inputs x 4 values of r x 3 points x 6 coordinates, charged before any run
-    assert (stop["space"], stop["size"]) == ("psqm_from_psm message coordinates", 288)
+    # 4 inputs x 4 values of r x 3 points x 3 coordinates, charged before any run
+    assert (stop["space"], stop["size"]) == ("psqm_from_psm message coordinates", 144)
     assert verified == [0, 0, 0, 0]
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
@@ -578,19 +578,21 @@ def test_branch_budget_charges_class_branches(tmp_path, chain, raw):
 ])
 def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
     # on qr p=5, (2 secrets * 4 inputs) * (4 values of r * 2 selectors) * 3
-    # points * 7 coordinates of the CDS, or 4 inputs * 4 values of r * 3
-    # points * 6 coordinates of the PSM, all charged before the first sweep
+    # points * 4 coordinates of the CDS, or 4 inputs * 4 values of r * 3
+    # points * 3 coordinates of the PSM, all charged before the first sweep;
+    # each budget admits the points alone, so the stop is on the coordinates
+    budget = {"dre,psm,cds,cdqs": 200, "dre,psm,psqm": 100}[chain]
     got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
-                         ["--budget", "200"])
-    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 * 7, "dre,psm,psqm": 4 * 4 * 3 * 6}[chain]
-    assert got == (space, size, 200)
+                         ["--budget", str(budget)])
+    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 * 4, "dre,psm,psqm": 4 * 4 * 3 * 3}[chain]
+    assert got == (space, size, budget)
 
 
 def test_verify_reports_an_evaluation_budget_stop(tmp_path):
-    # 6 inputs x 6 values of r x 3 points, each a pair of 6 coordinates
+    # 6 inputs x 6 values of r x 3 points, each a pair of 3 coordinates
     got = _budget_report(tmp_path, ["--chain", "dre", "--fn", "qr", "--p", "7"],
                          ["--budget", "200"])
-    assert got == ("verify_dre message coordinates", 6 * 6 * 3 * 6, 200)
+    assert got == ("verify_dre message coordinates", 6 * 6 * 3 * 3, 200)
 
 
 def test_verify_reports_a_qubit_budget_stop(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from cdslab import protocols
 from cdslab.algebra import (LsssScheme, SpanProgram, lsss_privacy_check, sp_eval,
                             span_and1, span_eq1, span_or1, span_threshold_2of3)
-from cdslab.boolfn import from_table, literal_input, named_fn
+from cdslab.boolfn import BoolFn, from_table, literal_input, named_fn
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.protocols import (DEFAULT_BUDGET, CdsProtocol, LinearPart, PsmProtocol,
                               cds_from_psm, cds_from_span, coset_hist, dre_qr,
@@ -41,7 +41,7 @@ def replace(P, **changes):
 
 def _undeclared(P):
     """P without its ``LinearPart``: the verifiers sweep it message by message."""
-    return replace(P, meta={k: v for k, v in P.meta.items() if k != "linear"})
+    return replace(P, linear=None)
 
 
 def _forbid_message_sweep(monkeypatch) -> None:
@@ -129,10 +129,8 @@ def _golden_span_cases():
 
 @pytest.mark.parametrize("name,desc", list(_golden_span_cases()))
 def test_span_goldens_match_the_message_sweep(name, desc, no_message_sweep):
-    program = SpanProgram.from_json(json.dumps(desc["artifacts"]["span_program"]))
-    f = from_table(desc["fn"]["n_x"], desc["fn"]["n_y"],
-                   [(int(desc["fn"]["table"], 16) >> i) & 1
-                    for i in range(1 << (desc["fn"]["n_x"] + desc["fn"]["n_y"]))])
+    program = SpanProgram.from_jsonable(desc["artifacts"]["span_program"])
+    f = BoolFn.from_jsonable(desc["fn"])
     P = cds_from_span(program, f, desc["options"]["variant"])
     got = verify_cds(P)
     report = json.loads((GOLDEN / name.replace(".desc.", ".report.")).read_text())
@@ -222,8 +220,7 @@ def _scaled_cds(alice):
     """1-bit CDS over Z_3 with one linear coordinate and Alice's message ``alice``."""
     return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)), alice,
                        lambda y, r, rb=None: (), lambda m0, x, m1, y: m0[0],
-                       meta={"linear": LinearPart(3, (None,), 1,
-                                                  lambda nu, rho: (rho, None, None))})
+                       linear=LinearPart(3, (None,), 1, lambda nu, rho: (rho, None, None)))
 
 
 def test_compared_cosets_of_two_subspaces_are_refused():
@@ -235,7 +232,7 @@ def test_compared_cosets_of_two_subspaces_are_refused():
         verify_cds(P)
     # the same fault between the equal-value inputs (0, 0) and (1, 0) of a PSM
     Q = PsmProtocol(AND1, P.shared, lambda x, r, ra=None: ((x * r[0]) % 3,),
-                    lambda y, r, rb=None: (), lambda m0, m1: 0, meta=P.meta)
+                    lambda y, r, rb=None: (), lambda m0, m1: 0, linear=P.linear)
     assert verify_psm(_undeclared(Q)).delta_pair == Fraction(4, 3)
     with pytest.raises(ValidationError):
         verify_psm(Q)
@@ -268,7 +265,7 @@ def test_declared_messages_must_keep_their_skeleton():
 
 def test_declared_budget_counts_evaluations_before_any_call():
     # 6 inputs x 6 values of r x (2 + 1) points = 108 evaluations, each a
-    # message pair of 6 coordinates: ((1, y1),) and ((2, y2), (3, y3))
+    # message pair of 3 coordinates: (y1,) and (y2, y3)
     D = dre_qr(7)
     calls = []
     counted = replace(D, enc_x=lambda x, r: calls.append(x) or D.enc_x(x, r))
@@ -278,10 +275,10 @@ def test_declared_budget_counts_evaluations_before_any_call():
     assert calls == []
     # one evaluation per input sizes the pairs before the sweep is charged
     with pytest.raises(BudgetError,
-                       match="verify_dre message coordinates: 648 exceed budget 647"):
-        verify_dre(counted, budget=647)
+                       match="verify_dre message coordinates: 324 exceed budget 323"):
+        verify_dre(counted, budget=323)
     assert len(calls) == 6
-    assert verify_dre(counted, budget=648).perfect
+    assert verify_dre(counted, budget=324).perfect
     assert len(calls) == 6 + 6 + 108
 
 

@@ -77,7 +77,7 @@ def test_no_two_pipe_strategy_for_and_or_xor():
 def test_search_deterministic():
     a = gh_search(AND1, 3)
     b = gh_search(AND1, 3)
-    assert a.to_json() == b.to_json()
+    assert a.to_jsonable() == b.to_jsonable()
 
 
 def test_search_budget():
@@ -121,7 +121,7 @@ def test_eval_domain_checks():
 
 def test_json_round_trip():
     s = gh_search(XOR1, 3)
-    again = GhStrategy.from_json(s.to_json())
+    again = GhStrategy.from_jsonable(s.to_jsonable())
     assert again == s
     assert gh_verify(again, XOR1)
 

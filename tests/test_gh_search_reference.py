@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import gardenhose
-from cdslab.boolfn import BoolFn, all_functions, from_table, named_fn
+from cdslab.boolfn import BoolFn, all_functions, from_packed, from_table, named_fn
 from cdslab.cli import main
 from cdslab.errors import BudgetError
 from cdslab.gardenhose import (GhStrategy, _alice_choices, _matchings, gh_search,
@@ -47,7 +47,7 @@ def _same_as_reference(f, max_pipes):
     if want is None:
         assert got is None, f.name
     else:
-        assert got is not None and got.to_json() == want.to_json(), f.name
+        assert got is not None and got.to_jsonable() == want.to_jsonable(), f.name
     return want
 
 
@@ -77,7 +77,7 @@ def test_sampled_3_bit_functions_up_to_three_pipes(n_x, n_y):
 @settings(max_examples=40, deadline=None)
 @given(packed=st.integers(0, (1 << 16) - 1))
 def test_random_2x2_tables_up_to_two_pipes(packed):
-    f = from_table(2, 2, [(packed >> i) & 1 for i in range(16)], name=f"t{packed:x}")
+    f = from_packed(2, 2, packed, name=f"t{packed:x}")
     _same_as_reference(f, 2)
 
 

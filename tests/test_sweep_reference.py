@@ -127,7 +127,7 @@ def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant):
     # enumerates p^columns randomness values, so 2+1 tables keep two terms
     assume(f.n_x == 1 or len(terms) <= 2)
     P = cds_from_span(span_dnf(terms, f.n_x + f.n_y, p), f, variant)
-    assert "linear" in P.meta
+    assert P.linear is not None
     decode = P.decode
     P = replace(P, alice_msg=_leaky_alice(P.alice_msg,
                                           lambda x, s, r: s if x in leaky else 0),

@@ -28,7 +28,7 @@ from cdslab.nlqc import (KEYS, RunBranch, cdqs_from_cds, cdqs_from_psqm,
                          security_state_sweep, verify_cdqs, verify_frouting, verify_psqm)
 from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, TranscriptClass,
                               cds_from_gh, cds_from_psm, cds_from_span, coset_hist, dre_qr,
-                              message_count, message_hist, psm_from_dre,
+                              hiding_input, message_count, message_hist, psm_from_dre,
                               psm_generic_table, transcript_classes)
 from cdslab.quantum import epr_pairs, random_qubit
 
@@ -45,7 +45,7 @@ def replace(P, **changes):
 
 def _undeclared(P):
     """P without its ``LinearPart``: every sweep enumerates its messages."""
-    return replace(P, meta={k: v for k, v in P.meta.items() if k != "linear"})
+    return replace(P, linear=None)
 
 
 # -- the flat reference ----------------------------------------------------------
@@ -148,7 +148,7 @@ def _class_and_flat_psqm(psm):
     """The psqm route of ``psm``, and its flat reference, whose runs enumerate
     the messages of ``psm`` with any linear part removed."""
     classed = cdqs_from_psqm(psqm_from_psm(psm))
-    x_star, y_star = classed.meta["parameters"]["substitute"]
+    x_star, y_star = hiding_input(psm)
     flat = _flat_psqm_classes(psqm_from_psm(_undeclared(psm)), x_star, y_star)
     return classed, _with_flat(classed, flat)
 
@@ -420,7 +420,7 @@ def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
     inputs = cdqs.input_pairs()
     assert kernels == [coset_hist] and len(inputs) == 6
     assert len(calls) == len(inputs) + 1
-    assert calls.count(tuple(cdqs.meta["parameters"]["substitute"])) == 2
+    assert calls.count(hiding_input(cdqs)) == 2
 
 
 # -- coset classes against enumerated classes --------------------------------------
@@ -489,8 +489,7 @@ def _two_subspaces(alice):
     return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)),
                        lambda x, s, r, ra=None: (alice(x, s, r[0]),),
                        lambda y, r, rb=None: (), lambda m0, x, m1, y: m0[0],
-                       meta={"linear": LinearPart(3, (None,), 1,
-                                                  lambda nu, rho: (rho, None, None))})
+                       linear=LinearPart(3, (None,), 1, lambda nu, rho: (rho, None, None)))
 
 
 def test_pad_routes_refuse_cosets_of_two_subspaces():
@@ -501,6 +500,6 @@ def test_pad_routes_refuse_cosets_of_two_subspaces():
         cdqs_from_cds(cds).key_classes(0, 0)
     # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM do
     psm = PsmProtocol(AND1, cds.shared, lambda x, r, ra=None: ((x * r[0]) % 3,),
-                      lambda y, r, rb=None: (), lambda m0, m1: 0, meta=cds.meta)
+                      lambda y, r, rb=None: (), lambda m0, m1: 0, linear=cds.linear)
     with pytest.raises(ValidationError):
         verify_psqm(psqm_from_psm(psm))

@@ -19,7 +19,10 @@ deletion left behind or that nothing ever needed. The choice between
 in ``protocols._sweep_kernel`` alone, so no other module reads either kernel.
 The pad routes key their transcript classes on integer tuples, so nothing in
 ``nlqc``, and neither ``transcript_classes`` nor ``class_product``, reads
-``Fraction``.
+``Fraction``. Records carry only fields something reads: a protocol's linear
+part is its ``linear`` field, no ``.meta`` attribute is read or written, and
+the codecs exchange dicts, so only ``cli``, which reads and writes the files,
+imports ``json``.
 """
 
 from __future__ import annotations
@@ -246,6 +249,37 @@ def test_the_check_sees_a_fraction_read():
     assert _fraction_readers(ast.parse("import math\nx = math.gcd(4, 6)\n"), None) == set()
     with pytest.raises(AssertionError):
         _fraction_readers(planted, {"transcript_classes", "gone"})
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_only_cli_imports_json(module):
+    # BoolFn, GhStrategy and SpanProgram convert to and from dicts; the CLI
+    # alone turns those into text
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _imports(ast.walk(tree), "json") == (module.stem == "cli"), module.name
+
+
+def _meta_uses(tree) -> list:
+    """Lines that read or write an attribute named ``meta``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "meta"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_uses_a_meta_attribute(module):
+    # a record's linear part is its ``linear`` field; no provenance is kept
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _meta_uses(tree) == [], module.name
+
+
+def test_the_checks_see_json_and_meta():
+    for planted in ("import json\n", "def f():\n    from json import dumps\n"):
+        assert _imports(ast.walk(ast.parse(planted)), "json"), planted
+    assert not _imports(ast.walk(ast.parse("from . import jsonable\n")), "json")
+    for planted in ("lin = P.meta['linear']\n", "self.meta = {}\n",
+                    "def f(P):\n    return P.meta.get('linear')\n"):
+        assert _meta_uses(ast.parse(planted)) == [len(planted.splitlines())], planted
+    assert _meta_uses(ast.parse("lin = P.linear\nmeta = {}\nf(meta=meta)\n")) == []
 
 
 def _reads(tree) -> tuple:
