@@ -107,7 +107,9 @@ def from_table(n_x: int, n_y: int, table, name: str = "") -> BoolFn:
 
 def from_packed(n_x: int, n_y: int, packed: int, name: str = "",
                 params: dict | None = None) -> BoolFn:
-    """The function whose entry i is bit i of ``packed``; higher bits are ignored."""
+    """The function whose entry i is bit i of ``packed``, which has no higher bit."""
+    if packed < 0 or packed.bit_length() > 1 << (n_x + n_y):
+        raise ValidationError("table value wider than 2^(nx+ny) bits")
     table = tuple((packed >> i) & 1 for i in range(1 << (n_x + n_y)))
     return BoolFn(n_x, n_y, table, name=name, params=params)
 

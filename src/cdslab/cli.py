@@ -156,8 +156,6 @@ def _parse_fn(args) -> BoolFn:
         except ValueError:
             raise ValidationError("--table wants nx:ny:hex") from None
         _charge_table(n_x, n_y, args.budget)
-        if packed >= (1 << (1 << (n_x + n_y))):
-            raise ValidationError("table value wider than 2^(nx+ny) bits")
         return from_packed(n_x, n_y, packed, name=f"t{hex_table}")
     if not args.fn:
         raise ValidationError("need --fn or --table")
@@ -339,13 +337,13 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.descriptor) as fh:
             desc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or bad UTF-8
         _emit({"format": REPORT_FORMAT, "version": 1, "status": "fail",
                "error": f"unreadable descriptor: {exc}"}, args.out, args.format)
         return 1
     result = {"format": REPORT_FORMAT, "version": 1}
     try:
-        if desc.get("format") != DESCRIPTOR_FORMAT:
+        if not isinstance(desc, dict) or desc.get("format") != DESCRIPTOR_FORMAT:
             raise VerifyFailure("not a descriptor file")
         _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]), args.budget)
         f = BoolFn.from_jsonable(desc["fn"])

@@ -323,14 +323,20 @@ def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerif
 
 
 def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
-    """Decode accuracy on every input; view distance across equal-value inputs."""
+    """Decode accuracy on every input; view distance across equal-value inputs.
+
+    As ``protocols._sweep`` does with histograms, a value keeps only its
+    distinct views and compares them pairwise in input order.
+    """
     sweep = _Sweep(budget)
     views = {}
     for (x, y) in P.input_pairs():
         branches, n = sweep.run(P.run, x, y)
         fx = P.f.eval(x, y)
         fail = sum((b.prob for b in branches if P.decode(b.transcript) != fx), 0.0)
-        views[(x, y)] = _view_blocks(branches, P.quantum_regs or None)
+        view = _view_blocks(branches, P.quantum_regs or None)
+        if all(P.f.eval(*xy) != fx or other != view for xy, other in views.items()):
+            views[(x, y)] = view
         sweep.record((x, y), {"f": fx, "decode_error": fail, "branches": n},
                      "decode", fail)
     for a, b in combinations(views, 2):

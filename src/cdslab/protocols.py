@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple, Optional
 
-from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, in_span
+from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, lsss_reconstruct, sp_eval
 from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
 from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
@@ -335,13 +335,11 @@ def coset_hist(P, x, y, *secret) -> dict:
     """
     lin = P.linear
     p, ell = lin.p, lin.ell
-    # rho = 0, then the unit vectors
-    points = [tuple(int(i == k) for i in range(ell)) for k in range(-1, ell)]
     hist = {}
     for nu in lin.nus:
         layouts = []
-        for rho in points:
-            r, ra, rb = lin.embed(nu, rho)
+        for k in range(-1, ell):   # rho = 0, then the unit vectors, each made as used
+            r, ra, rb = lin.embed(nu, tuple(int(i == k) for i in range(ell)))
             values = []
             m = (P.alice_msg(x, *secret, r, ra), P.bob_msg(y, r, rb))
             layouts.append((_split(m, p, values), values))
@@ -404,11 +402,11 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
     ``cases`` lists the arguments (x, y, *secret) to sweep. A protocol
-    declaring ``linear`` is swept by ``coset_hist``, charged the
-    coordinates of its ell + 1 message pairs per (case, nu), which bound what
-    echelon reads and a coset key holds; each pair is as wide as the widest
-    at the first nu and rho = 0. Any other protocol is swept by
-    ``message_hist``, charged every joint randomness state.
+    declaring ``linear`` is swept by ``coset_hist``, charged the coordinates
+    of its ell + 1 message pairs per (case, nu), as wide as the widest at the
+    first nu and rho = 0, which bound what echelon reads and a coset key
+    holds, then the ell coordinates of rho each pair reads. Any other
+    protocol is swept by ``message_hist``, charged every joint state.
     """
     lin = P.linear
     joint = _joint(P)
@@ -427,6 +425,7 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
         _split((P.alice_msg(x, *s, r, ra), P.bob_msg(y, r, rb)), lin.p, values)
         width = max(width, len(values))
     charge(pairs * width, budget, f"{what} message coordinates")
+    charge(pairs * lin.ell, budget, f"{what} randomness coordinates")
     return coset_hist, joint
 
 
@@ -439,36 +438,35 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
     worst fraction of the randomness that fails, witnessed by args. Unless
     ``group`` is None they must be distributed as every case of the group;
     delta is the worst L1 distance, witnessed by the first pair (args,
-    args') in case order to reach it. A histogram is held only until its
-    case is compared with its whole group. A protocol with a ``LinearPart``
-    is swept by coset, else by message; decoding is deterministic, so it runs
-    once per coset or distinct message pair and counts with its multiplicity.
-    ``seen`` gets every histogram, and ``what`` names the caller in budget errors.
+    args') in case order to reach it. A group keeps only its distinct
+    histograms, each with its first case: an equal one is as far from every
+    other, and two distinct ones' first cases make their first pair. At its
+    last case they are compared pairwise and dropped (a CDS holds one
+    input's at a time); the distances meet ``Worst`` in case order. A
+    protocol with a ``LinearPart`` is swept by coset, else by message;
+    decoding is deterministic, so it runs once per coset or distinct message
+    pair and counts with its multiplicity. ``seen`` gets every histogram,
+    and ``what`` names the caller in budget errors.
     """
     hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], budget, what)
-    members = {}
-    for i, (_, _, group) in enumerate(cases):
-        members.setdefault(group, []).append(i)
-    worst, hists, done = Worst(), {}, 0
+    last = {group: i for i, (_, _, group) in enumerate(cases)}
+    worst, kept, gaps = Worst(), {}, []
     for i, (args, want, group) in enumerate(cases):
-        hist = hists[i] = hist_of(P, *args)
+        hist = hist_of(P, *args)
         seen(hist)
         if want is not None:
             fails = sum(c for m, c in hist.items() if decode(m, *args[:2]) != want)
             worst.worse("eps", Fraction(fails, joint), args)
-        # compare, in case order, each case whose whole group is swept
-        while done <= i:
-            key = cases[done][2]
-            same = [done] if key is None else members[key]
-            if same[-1] > i:
-                break
-            if key is not None and same[0] == done:
-                _same_spaces((hists[j] for j in same), {})
-            first = hists.pop(done)
-            for j in same[same.index(done) + 1:]:
-                worst.worse("delta", _l1(first, hists[j], joint),
-                            (cases[done][0], cases[j][0]))
-            done += 1
+        if group is not None:
+            held = kept.setdefault(group, [])
+            if all(hist != other for _, other in held):
+                held.append((i, hist))
+            if last[group] == i:
+                _same_spaces((other for _, other in held), {})
+                gaps += [(a, b, _l1(u, v, joint))
+                         for (a, u), (b, v) in combinations(kept.pop(group), 2)]
+    for a, b, gap in sorted(gaps):
+        worst.worse("delta", gap, (cases[a][0], cases[b][0]))
     return (worst.worst.get("eps", Fraction(0)), worst.worst.get("delta", Fraction(0)),
             worst.witnesses)
 
@@ -621,10 +619,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     if variant not in ("comm", "rand"):
         raise ValidationError(f"unknown variant {variant!r}")
     for (x, y) in f.inputs():
-        z = literal_input(f, x, y)
-        rows = [program.matrix[i] for i in program.available_rows(z)]
-        ok, _ = in_span(rows, program.target, program.p)
-        if int(ok) != f.eval(x, y):
+        if sp_eval(program, literal_input(f, x, y)) != f.eval(x, y):
             raise ValidationError(f"span program disagrees with f at {(x, y)}")
 
     p = program.p
@@ -636,12 +631,10 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     bob_rows = [i for i, (var, _) in enumerate(program.labels) if var > f.n_x]
 
     def avail_alice(x):
-        z = literal_input(f, x, 0)
-        return [i for i in alice_rows if z[program.labels[i][0] - 1] == program.labels[i][1]]
+        return [i for i in program.available_rows(literal_input(f, x, 0)) if i in alice_rows]
 
     def avail_bob(y):
-        z = literal_input(f, 0, y)
-        return [i for i in bob_rows if z[program.labels[i][0] - 1] == program.labels[i][1]]
+        return [i for i in program.available_rows(literal_input(f, 0, y)) if i in bob_rows]
 
     if variant == "comm":
         shared = product_space(range(p), e)
@@ -659,12 +652,8 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
         def decode(m0, x, m1, y):
             pad = dict(m0)["pad"]
             got = [(i, v) for (i, v) in m0 if i != "pad"] + list(m1)
-            rows = [program.matrix[i] for (i, _) in got]
-            ok, coeffs = in_span(rows, program.target, p)
-            if not ok:
-                return None
-            implicit = sum(c * v for c, (_, v) in zip(coeffs, got)) % p
-            return (implicit + pad) % p
+            implicit = lsss_reconstruct(scheme, [i for i, _ in got], [v for _, v in got])
+            return None if implicit is None else (implicit + pad) % p
 
         comm_elems = max(
             len(avail_alice(x)) + 1 + len(avail_bob(y)) for (x, y) in f.inputs())
@@ -699,11 +688,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
             clear, masked = m0
             masked = dict(masked)
             got = list(clear) + [(i, (masked[i] - mk) % p) for (i, mk) in m1]
-            rows = [program.matrix[i] for (i, _) in got]
-            ok, coeffs = in_span(rows, program.target, p)
-            if not ok:
-                return None
-            return sum(c * v for c, (_, v) in zip(coeffs, got)) % p
+            return lsss_reconstruct(scheme, [i for i, _ in got], [v for _, v in got])
 
         resources = {
             "randomness_states": p ** n_masks,

@@ -9,9 +9,12 @@ import os
 import subprocess
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdslab.cli import BASES, COMPILE, main
 
@@ -616,3 +619,133 @@ def test_build_and_sweep_print_budget_fields(capsys, args, space):
     assert fields["status"] == "budget"
     assert fields["space"] == space
     assert fields["size"] > fields["limit"]
+
+
+def test_a_table_value_wider_than_its_widths_is_refused(tmp_path, capsys):
+    # bits past 2^(nx+ny) would make the descriptor verify another function
+    # than the one it records; a descriptor and --table are refused alike
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["build", "--chain", "gh,cds", "--fn", "and", "--out", str(desc)]) == 0
+    obj = json.loads(desc.read_text())
+    assert obj["fn"]["table"] == "8"
+    obj["fn"]["table"] = "f8"
+    desc.write_text(json.dumps(obj))
+    assert main(["verify", str(desc), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert report["status"] == "fail"
+    assert report["error"] == "descriptor rejected: table value wider than 2^(nx+ny) bits"
+    for table in ("1:1:1f", "1:1:-8"):   # a negative value has infinitely many bits
+        capsys.readouterr()
+        assert main(["build", "--chain", "gh,cds", "--table", table]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: table value wider than 2^(nx+ny) bits\n")
+
+
+def _wide_span_descriptor(tmp_path, width: int) -> Path:
+    """A ``span,cds`` descriptor of and1 whose program's target is ``width`` wide.
+
+    The two rows and the target gain zero columns, so the program still
+    computes and1 and the descriptor reaches the verifier.
+    """
+    path = tmp_path / f"wide{width}.json"
+    assert main(["build", "--chain", "span,cds", "--fn", "and", "--out", str(path)]) == 0
+    desc = json.loads(path.read_text())
+    program = desc["artifacts"]["span_program"]
+    pad = [0] * (width - len(program["target"]))
+    program["matrix"] = [row + pad for row in program["matrix"]]
+    program["target"] = program["target"] + pad
+    path.write_text(json.dumps(desc))
+    return path
+
+
+def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
+    # 8 cases x 20,001 evaluations of 5 message coordinates pass the budget,
+    # but each evaluation reads a 20,000-long rho: building them all took
+    # ell^2 memory and ended in MemoryError without a report
+    desc = _wide_span_descriptor(tmp_path, 20_000)
+    run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
+                          "--out", "r.json"], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3, run.stderr
+    assert "MemoryError" not in run.stderr and "Traceback" not in run.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert (report["status"], report["space"], report["size"]) == (
+        "budget", "verify_cds randomness coordinates", 8 * 20_001 * 20_000)
+
+
+@cache
+def _built(chain: str, tmp: Path) -> str:
+    """The descriptor text ``build --chain chain --fn and`` writes, built once."""
+    path = tmp / f"{chain}.json"
+    assert main(["build", "--chain", chain, "--fn", "and", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def _composes(tokens) -> bool:
+    return (bool(tokens) and tokens[0] in BASES
+            and all(edge in COMPILE for edge in zip(tokens, tokens[1:])))
+
+
+def _hostile(recipe, tmp: Path) -> bytes:
+    """The descriptor bytes a drawn ``recipe`` names; see ``HOSTILE``."""
+    kind, *args = recipe
+    if kind == "span":
+        width, variant = args
+        desc = json.loads(_wide_span_descriptor(tmp, width).read_text())
+        desc["options"]["variant"] = variant
+    elif kind == "pipes":
+        chain, pipes = args   # the pipes past and1's three stay unconnected
+        desc = json.loads(_built(chain, tmp))
+        desc["artifacts"]["gh_strategy"]["pipes"] = pipes
+    elif kind == "table":
+        chain, table = args
+        desc = json.loads(_built(chain, tmp))
+        desc["fn"]["table"] = format(table, "x")
+    elif kind == "chain":
+        desc = json.loads(_built("gh,cds", tmp))
+        desc["chain"] = args[0]
+    elif kind == "truncated":
+        text = _built("gh,cds", tmp)
+        return text[:args[0] % (len(text) - 1)].encode()   # short of "}\n"
+    else:
+        return args[0]
+    return json.dumps(desc).encode()
+
+
+TOKENS = (*BASES, "cds", "cdqs", "frouting", "psqm", "nope")
+# verify children that must each stop with a report: span targets too wide
+# to evaluate, garden-hose strategies whose 2^pipes randomness exceeds the
+# budget, truth tables wider than their widths or negative, malformed JSON
+# and bytes, and chains whose stages do not compose
+HOSTILE = st.one_of(
+    st.tuples(st.just("span"), st.integers(2_000, 50_000), st.sampled_from(["comm", "rand"])),
+    st.tuples(st.just("pipes"), st.sampled_from(["gh,cds", "gh,cds,cdqs"]),
+              st.integers(22, 30)),
+    st.tuples(st.just("table"), st.sampled_from(["gh,cds", "span,cds", "gh,frouting"]),
+              st.integers(1 << 4, 1 << 64) | st.integers(-(1 << 64), -1)),
+    st.tuples(st.just("chain"), st.lists(st.sampled_from(TOKENS), max_size=4).filter(
+        lambda tokens: not _composes(tokens))),
+    st.tuples(st.just("truncated"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("bytes"), st.binary(max_size=40)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@example(("table", "gh,cds", 0xf8))
+@example(("span", 20_000, "comm"))
+@given(HOSTILE)
+def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
+    # one `cdslab verify` child at a time, each setting its own 1 GiB address
+    # limit: whatever the descriptor, it exits 1, 2 or 3 with a report, never
+    # on a signal
+    tmp = tmp_path_factory.getbasetemp() / "hostile"
+    tmp.mkdir(exist_ok=True)
+    desc, rep = tmp / "d.json", tmp / "r.json"
+    desc.write_bytes(_hostile(recipe, tmp))
+    rep.unlink(missing_ok=True)
+    run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
+                          "--out", str(rep)], env=_child_env(), capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode in (1, 2, 3), (recipe, run.returncode, run.stderr)
+    assert "MemoryError" not in run.stderr and "Traceback" not in run.stderr, run.stderr
+    assert json.loads(rep.read_text())["status"] in ("fail", "budget")

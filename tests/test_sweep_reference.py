@@ -8,6 +8,12 @@ witness kept by hand. The protocols are small random 1+1 and 2+1 tables
 compiled through the garden hose (message path), a span program (coset
 path) and the one-time table, and ``dre_qr`` for p = 5 and 7, each with a
 leak and a decode fault planted on inputs hypothesis draws.
+
+The sweep compares each group's distinct histograms only, and
+``verify_psqm`` each value's distinct views; random message tables with
+many equal histograms, and ties among the unequal ones, check both against
+references that compare every pair, and two private qr p=31 protocols pin
+that nothing is compared at all.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from hypothesis import strategies as st
 from cdslab.algebra import span_dnf
 from cdslab.boolfn import from_table, literal_input
 from cdslab.gardenhose import gh_generic
-from cdslab.protocols import (cds_from_gh, cds_from_span, dre_qr, message_hist,
-                              psm_from_dre, psm_generic_table, space_size, verify_cds,
-                              verify_dre, verify_psm)
+from cdslab.nlqc import psqm_from_psm, verify_psqm
+from cdslab.protocols import (CdsProtocol, PsmProtocol, cds_from_gh, cds_from_span,
+                              dre_qr, message_hist, psm_from_dre, psm_generic_table,
+                              space_size, verify_cds, verify_dre, verify_psm)
 
 
 def replace(P, **changes):
@@ -168,3 +175,97 @@ def test_qr_dre_and_psm_match_the_flat_sweep(p, data):
     want = _flat_psm(psm_from_dre(D))
     _same(verify_dre(D), want)
     _same(verify_psm(psm_from_dre(D)), want)
+
+
+# -- distinct views: each group's distinct histograms or views only -----------
+
+
+def _flat_psqm(P) -> tuple:
+    """(worst view distance, its witness or None) over every equal-value pair.
+
+    A pair's distance raises the worst case when it exceeds it, and names
+    the witness only above the statevector layer's rounding floor, as the
+    quantum verifiers do.
+    """
+    from cdslab import nlqc, quantum
+
+    pairs = P.input_pairs()
+    views = {xy: nlqc._view_blocks(P.run(*xy), P.quantum_regs or None) for xy in pairs}
+    worst, witness = 0.0, None
+    for i, a in enumerate(pairs):
+        for b in pairs[i + 1:]:
+            if P.f.eval(*a) == P.f.eval(*b):
+                d = nlqc._block_distance(views[a], views[b])
+                if d > worst:
+                    worst = d
+                    if d > quantum._TOL:
+                        witness = (a, b)
+    return worst, witness
+
+
+@st.composite
+def message_tables(draw):
+    """A 1+1 to 2+2 table, and per-input message tables over a few shared
+    values from a 3-letter alphabet: of up to 16 inputs, many histograms of
+    a group are equal, some are not, and distances tie."""
+    n_x, n_y = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    f = from_table(n_x, n_y, draw(st.lists(st.integers(0, 1), min_size=1 << (n_x + n_y),
+                                           max_size=1 << (n_x + n_y))))
+    k = draw(st.integers(1, 4))
+    letter = st.integers(0, 2)
+    alice = {(x, s): draw(st.lists(letter, min_size=k, max_size=k))
+             for x in range(1 << f.n_x) for s in (0, 1)}
+    bob = {y: draw(st.lists(letter, min_size=k, max_size=k)) for y in range(1 << f.n_y)}
+    return f, k, alice, bob
+
+
+@settings(max_examples=60, deadline=None)
+@given(message_tables())
+def test_random_cds_matches_the_all_pairs_sweep(drawn):
+    f, k, alice, bob = drawn
+    P = CdsProtocol(f, (0, 1), tuple(range(k)),
+                    lambda x, s, r, ra=None: alice[(x, s)][r],
+                    lambda y, r, rb=None: bob[y][r],
+                    lambda m0, x, m1, y: (m0 + m1) % 2)
+    _same(verify_cds(P), _flat_cds(P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(message_tables())
+def test_random_psm_and_psqm_match_the_all_pairs_sweep(drawn):
+    f, k, alice, bob = drawn
+    P = PsmProtocol(f, tuple(range(k)), lambda x, r, ra=None: alice[(x, 0)][r],
+                    lambda y, r, rb=None: bob[y][r], lambda m0, m1: (m0 * m1) % 2)
+    _same(verify_psm(P), _flat_psm(P))
+    report = verify_psqm(psqm_from_psm(P))
+    assert (report.worst_gap, report.witnesses.get("view")) == _flat_psqm(psqm_from_psm(P))
+
+
+def _calls(monkeypatch, module, name: str) -> list:
+    """A list that grows by one at each call of ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_private_dre_compares_no_histograms(monkeypatch):
+    # qr p=31: 15 residues and 15 non-residues, each value's histograms all
+    # equal, so no pair is compared (all pairs would be 2 * C(15, 2) = 210)
+    from cdslab import protocols
+
+    calls = _calls(monkeypatch, protocols, "_l1")
+    assert verify_dre(dre_qr(31)).perfect
+    assert calls == []
+
+
+def test_a_private_psqm_compares_no_views(monkeypatch):
+    from cdslab import nlqc
+
+    calls = _calls(monkeypatch, nlqc, "_block_distance")
+    report = verify_psqm(psqm_from_psm(psm_from_dre(dre_qr(31))))
+    assert report.perfect() and calls == []
