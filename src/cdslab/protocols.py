@@ -17,9 +17,10 @@ Conventions shared by every protocol type here:
 * messages must be hashable so message distributions can be histogrammed.
 * ``domain`` optionally restricts the verified input pairs; None means all.
 * ``linear``, when not None, is a ``LinearPart``: the messages are affine
-  over Z_p in part of the randomness. Every message sweep, here or in
-  ``nlqc``'s pad routes, then counts one coset at a time (``coset_hist``),
-  and enumerates (``message_hist``) only undeclared protocols; the choice is
+  over Z_p in part of the randomness, and each party sends a pair ``(tag,
+  values)``. Every message sweep, here or in ``nlqc``'s pad routes, then
+  counts one coset at a time (``coset_hist``), and enumerates
+  (``message_hist``) only undeclared protocols; the choice is
   ``_sweep_kernel``'s. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre``
   declare it, and ``cds_from_psm`` does over a PSM that declares it.
 """
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple, Optional
 
-from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, lsss_reconstruct, sp_eval
+from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, lsss_reconstruct
 from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
 from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
@@ -252,13 +253,13 @@ class LinearPart(NamedTuple):
     ``embed(nu, rho)`` gives the protocol's own (r, ra, rb) for a value
     ``nu`` of the nonlinear randomness and a vector ``rho`` in Z_p^ell; over
     ``nus`` x Z_p^ell it must hit every element of ``shared x alice_private x
-    bob_private`` once. For fixed nu the message pair must be affine in rho:
-    its int leaves in range(p) are its coordinates, and its other leaves,
-    with the tuple structure, are its skeleton. An int label below p, such
-    as a row index of ``cds_from_span``, is a coordinate too: constant in
-    rho, it adds nothing to V but is charged and echeloned with the rest.
-    The decoder must give one value on each coset the messages of one nu
-    fill, as a linear reconstruction does.
+    bob_private`` once. Each party sends a pair ``(tag, values)``: ``tag`` is
+    any hashable constant of the input and secret for fixed nu, such as the
+    rows a span party reveals, and ``values`` is a tuple of Z_p elements,
+    affine in rho. A party's affine map must depend on its tag alone, which
+    the sweeps check where they rely on it. The decoder must give one value
+    on each coset the messages of one nu fill, as a linear reconstruction
+    does.
     """
 
     p: int
@@ -268,17 +269,17 @@ class LinearPart(NamedTuple):
 
 
 class Coset(NamedTuple):
-    """Messages b + V of one skeleton, keyed by a canonical member.
+    """Messages b + V of one pair of tags, keyed by a canonical member.
 
-    ``(m0, m1)`` is the member whose coordinates are b reduced by the
-    echelon ``basis`` of V, so two cosets with one basis are equal exactly
-    when their members are. Indexing gives m0 and m1 as for a message pair.
-    ``count`` is the number of messages, p^dim(V).
+    ``m0`` and ``m1`` are Alice's and Bob's ``(tag, values)`` at the member
+    whose values, concatenated, are b reduced by the echelon ``basis`` of V,
+    so two cosets with one basis are equal exactly when their members are.
+    Indexing gives m0 and m1 as for a message pair. ``count`` is the number
+    of messages, p^dim(V).
     """
 
-    m0: object
-    m1: object
-    skeleton: tuple
+    m0: tuple
+    m1: tuple
     basis: tuple
     count: int
 
@@ -288,27 +289,14 @@ def message_count(m) -> int:
     return m.count if isinstance(m, Coset) else 1
 
 
-_SLOT = object()   # a coordinate's place in a skeleton
-
-
-def _split(m, p: int, values: list):
-    """Skeleton of message ``m``; its coordinates, every int leaf in range(p)
-    (constant labels below p included), are appended to ``values``."""
-    if isinstance(m, tuple):
-        return tuple(_split(v, p, values) for v in m)
-    if isinstance(m, int) and 0 <= m < p:
-        values.append(m)
-        return _SLOT
-    return m
-
-
-def _fill(skeleton, values):
-    """The message of ``skeleton`` with coordinates taken from iterator ``values``."""
-    if skeleton is _SLOT:
-        return next(values)
-    if isinstance(skeleton, tuple):
-        return tuple(_fill(s, values) for s in skeleton)
-    return skeleton
+def _tagged(m) -> tuple:
+    """(layout, values) of a message pair ((tag0, v0), (tag1, v1)): its layout
+    is (tag0, tag1, len(v0), len(v1)) and its values v0 + v1."""
+    try:
+        (tag0, v0), (tag1, v1) = m
+        return (tag0, tag1, len(v0), len(v1)), v0 + v1
+    except (TypeError, ValueError):
+        raise ValidationError("a linear message is not a (tag, values) pair") from None
 
 
 def _reduce(vec, basis, pivots, p: int) -> tuple:
@@ -324,86 +312,80 @@ def _reduce(vec, basis, pivots, p: int) -> tuple:
 def coset_hist(P, x, y, *secret) -> dict:
     """Exact counts of P's message pair on (x, y), one entry per coset.
 
-    P declares ``linear``, a ``LinearPart``. For each nonlinear value
-    nu the pair is b + A rho, so as rho runs over Z_p^ell it is uniform on
-    the coset b + V, V the column space of A. P's own callables at rho = 0
-    and at the ell unit vectors give b and A; each nu then adds p^ell to its
-    coset's ``Coset`` key. Counts sum to the joint randomness, as in
-    ``message_hist``, and each coset holds count / p^dim(V) of every one of
-    its messages. Cosets of one basis are equal or disjoint, so L1 distances
-    between such histograms equal those between message histograms.
+    P declares ``linear``, a ``LinearPart``. For each nonlinear value nu
+    the tags are fixed and the concatenated values are b + A rho, so as rho
+    runs over Z_p^ell they are uniform on the coset b + V, V the column
+    space of A. P's own callables at rho = 0 and at the ell unit vectors give
+    b and A, and must keep their tags and value counts; each nu then adds
+    p^ell to its coset's ``Coset`` key. Counts sum to the joint randomness,
+    as in ``message_hist``, and each coset holds count / p^dim(V) of every
+    one of its messages. Cosets of one basis are equal or disjoint, so L1
+    distances between such histograms equal those between message
+    histograms.
     """
     lin = P.linear
     p, ell = lin.p, lin.ell
     hist = {}
     for nu in lin.nus:
-        layouts = []
+        probes = []
         for k in range(-1, ell):   # rho = 0, then the unit vectors, each made as used
             r, ra, rb = lin.embed(nu, tuple(int(i == k) for i in range(ell)))
-            values = []
-            m = (P.alice_msg(x, *secret, r, ra), P.bob_msg(y, r, rb))
-            layouts.append((_split(m, p, values), values))
-        skeleton, b = layouts[0]
-        if any(s != skeleton for s, _ in layouts[1:]):
-            raise ValidationError("message skeleton moves with the linear randomness")
+            probes.append(_tagged((P.alice_msg(x, *secret, r, ra), P.bob_msg(y, r, rb))))
+        (layout, b), *units = probes
+        if any(other != layout for other, _ in units):
+            raise ValidationError("message tags or value counts move with the "
+                                  "linear randomness")
         basis, pivots = echelon([[v - w for v, w in zip(values, b)]
-                                 for _, values in layouts[1:]], p)
-        m0, m1 = _fill(skeleton, iter(_reduce(b, basis, pivots, p)))
-        key = Coset(m0, m1, skeleton, tuple(basis), p ** len(basis))
+                                 for _, values in units], p)
+        c = _reduce(b, basis, pivots, p)
+        tag0, tag1, n0, _ = layout
+        key = Coset((tag0, c[:n0]), (tag1, c[n0:]), tuple(basis), p ** len(basis))
         hist[key] = hist.get(key, 0) + p ** ell
     return hist
 
 
 def _same_spaces(hists, spaces: dict) -> None:
-    """Refuse compared coset histograms where one skeleton has two subspaces.
+    """Refuse compared coset histograms where one layout has two subspaces.
 
-    Cosets of different subspaces may overlap without being equal, so their
-    keys no longer tell equal messages from different ones. ``spaces`` keeps
-    each skeleton's first subspace, across calls if passed again. Message
-    histograms pass.
+    A layout is a coset's two tags and value counts. Cosets of different
+    subspaces may overlap without being equal, so their keys no longer tell
+    equal messages from different ones. ``spaces`` keeps each layout's first
+    subspace, across calls if passed again. Message histograms pass.
     """
     for hist in hists:
         for c in hist:
             if not isinstance(c, Coset):
                 return
-            if spaces.setdefault(c.skeleton, c.basis) != c.basis:
-                raise ValidationError("compared messages share a skeleton but "
+            if spaces.setdefault(_tagged(c[:2])[0], c.basis) != c.basis:
+                raise ValidationError("compared messages share their tags but "
                                       "not a subspace; no exact distance")
 
 
 def _coset_alphabet(cosets, p: int, side: int) -> int:
     """Distinct messages of one party (0 Alice, 1 Bob) over ``cosets``.
 
-    Each coset projects to a coset of that party's coordinates, of size p^dim.
-    Distinct projections of one basis are disjoint; projections of one
-    skeleton but different bases must be shown disjoint by rank, else this
-    raises rather than count an overlap twice.
+    Each coset projects to a coset of that party's values, of size p^dim.
+    A party's affine map depends only on its tag, so one tag keeps one
+    subspace, whose cosets are equal or disjoint; a tag met with two
+    subspaces raises rather than count an overlap twice.
     """
-    found = set()
+    spaces, found = {}, set()
     for c in cosets:
-        values = ([], [])
-        skeletons = (_split(c.m0, p, values[0]), _split(c.m1, p, values[1]))
-        lo = len(values[0]) if side else 0
-        basis, pivots = echelon([row[lo:lo + len(values[side])] for row in c.basis], p)
-        found.add((skeletons[side], tuple(basis), _reduce(values[side], basis, pivots, p)))
-    keys = list(found)
-    for i, (skel, basis, rep) in enumerate(keys):
-        for other, obasis, orep in keys[i + 1:]:
-            if other == skel and obasis != basis:
-                joint, pivots = echelon(list(basis) + list(obasis), p)
-                diff = [a - b for a, b in zip(rep, orep)]
-                if not any(_reduce(diff, joint, pivots, p)):
-                    raise ValidationError("message cosets of different subspaces "
-                                          "overlap; no exact alphabet")
-    return sum(p ** len(basis) for (_, basis, _) in keys)
+        tag, values = c[side]
+        lo = len(c.m0[1]) if side else 0
+        basis, pivots = echelon([row[lo:lo + len(values)] for row in c.basis], p)
+        if spaces.setdefault(tag, basis) != basis:
+            raise ValidationError("one message tag has two subspaces; no exact alphabet")
+        found.add((tag, _reduce(values, basis, pivots, p)))
+    return sum(p ** len(spaces[tag]) for tag, _ in found)
 
 
 def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
     ``cases`` lists the arguments (x, y, *secret) to sweep. A protocol
-    declaring ``linear`` is swept by ``coset_hist``, charged the coordinates
-    of its ell + 1 message pairs per (case, nu), as wide as the widest at the
+    declaring ``linear`` is swept by ``coset_hist``, charged the values of
+    its ell + 1 message pairs per (case, nu), as many as the most at the
     first nu and rho = 0, which bound what echelon reads and a coset key
     holds, then the ell coordinates of rho each pair reads. Any other
     protocol is swept by ``message_hist``, charged every joint state.
@@ -421,8 +403,7 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     r, ra, rb = lin.embed(lin.nus[0], (0,) * lin.ell)
     width = 1
     for (x, y, *s) in cases:
-        values = []
-        _split((P.alice_msg(x, *s, r, ra), P.bob_msg(y, r, rb)), lin.p, values)
+        _, values = _tagged((P.alice_msg(x, *s, r, ra), P.bob_msg(y, r, rb)))
         width = max(width, len(values))
     charge(pairs * width, budget, f"{what} message coordinates")
     charge(pairs * lin.ell, budget, f"{what} randomness coordinates")
@@ -610,31 +591,30 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     of Bob's rows masked; shared randomness pays only for the masks, one per
     Bob row. Bob reveals the masks his bits entitle him to.
 
-    Both variants are linear CDS schemes: the messages are affine over Z_p in
-    all of the randomness (u, or the masks then the free coordinates), which
-    ``linear`` declares with no nonlinear part.
+    Both variants are linear CDS schemes: each party sends the rows its input
+    makes available, found once per input, as its tag, and field elements
+    affine over Z_p in all of the randomness (u, or the masks then the free
+    coordinates) as its values, which ``linear`` declares with no nonlinear
+    part. The program must compute f: ``verify_cds`` reports a decode error
+    where it rejects a 1-input and a leak where it accepts a 0-input, and
+    the CLI refuses it before compiling, naming every such input.
     """
     if program.n_vars != f.n_x + f.n_y:
         raise ValidationError("span program variable count must match f's input bits")
     if variant not in ("comm", "rand"):
         raise ValidationError(f"unknown variant {variant!r}")
-    for (x, y) in f.inputs():
-        if sp_eval(program, literal_input(f, x, y)) != f.eval(x, y):
-            raise ValidationError(f"span program disagrees with f at {(x, y)}")
 
     p = program.p
     scheme = LsssScheme(program)
     e = program.width
     d = program.size
     elem_bits = (p - 1).bit_length()
-    alice_rows = [i for i, (var, _) in enumerate(program.labels) if var <= f.n_x]
     bob_rows = [i for i, (var, _) in enumerate(program.labels) if var > f.n_x]
-
-    def avail_alice(x):
-        return [i for i in program.available_rows(literal_input(f, x, 0)) if i in alice_rows]
-
-    def avail_bob(y):
-        return [i for i in program.available_rows(literal_input(f, 0, y)) if i in bob_rows]
+    # each input's available rows, its party's tag, found once per input
+    rows_a = {x: tuple(i for i in program.available_rows(literal_input(f, x, 0))
+                       if program.labels[i][0] <= f.n_x) for x in range(1 << f.n_x)}
+    rows_b = {y: tuple(i for i in program.available_rows(literal_input(f, 0, y))
+                       if program.labels[i][0] > f.n_x) for y in range(1 << f.n_y)}
 
     if variant == "comm":
         shared = product_space(range(p), e)
@@ -643,20 +623,20 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
             shares = scheme.shares_from_vector(u)
             implicit = sum(t * v for t, v in zip(program.target, u)) % p
             pad = (s - implicit) % p
-            return (("pad", pad),) + tuple((i, shares[i]) for i in avail_alice(x))
+            rows = rows_a[x]
+            return rows, (pad,) + tuple(shares[i] for i in rows)
 
         def bob_msg(y, u, rb=None):
             shares = scheme.shares_from_vector(u)
-            return tuple((i, shares[i]) for i in avail_bob(y))
+            rows = rows_b[y]
+            return rows, tuple(shares[i] for i in rows)
 
         def decode(m0, x, m1, y):
-            pad = dict(m0)["pad"]
-            got = [(i, v) for (i, v) in m0 if i != "pad"] + list(m1)
-            implicit = lsss_reconstruct(scheme, [i for i, _ in got], [v for _, v in got])
+            (rows0, (pad, *values0)), (rows1, values1) = m0, m1
+            implicit = lsss_reconstruct(scheme, rows0 + rows1, values0 + list(values1))
             return None if implicit is None else (implicit + pad) % p
 
-        comm_elems = max(
-            len(avail_alice(x)) + 1 + len(avail_bob(y)) for (x, y) in f.inputs())
+        comm_elems = max(len(rows_a[x]) + 1 + len(rows_b[y]) for (x, y) in f.inputs())
         resources = {
             "randomness_states": p ** e,
             "randomness_bits": e * elem_bits,
@@ -669,26 +649,27 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
         linear = LinearPart(p, (None,), e, lambda nu, rho: (rho, None, None))
     else:
         n_masks = len(bob_rows)
+        mask_of = {i: k for k, i in enumerate(bob_rows)}
         shared = product_space(range(p), n_masks)
         alice_private = product_space(range(p), e - 1)
 
         def alice_msg(x, s, masks, free):
             u = scheme.vector_for(s, free)
             shares = scheme.shares_from_vector(u)
-            clear = tuple((i, shares[i]) for i in avail_alice(x))
-            masked = tuple((i, (shares[i] + masks[k]) % p)
-                           for k, i in enumerate(bob_rows))
-            return (clear, masked)
+            rows = rows_a[x]
+            return rows, (tuple(shares[i] for i in rows) +
+                          tuple((shares[i] + mk) % p for i, mk in zip(bob_rows, masks)))
 
         def bob_msg(y, masks, rb=None):
-            return tuple((i, masks[k]) for k, i in enumerate(bob_rows)
-                         if i in avail_bob(y))
+            rows = rows_b[y]
+            return rows, tuple(masks[mask_of[i]] for i in rows)
 
         def decode(m0, x, m1, y):
-            clear, masked = m0
-            masked = dict(masked)
-            got = list(clear) + [(i, (masked[i] - mk) % p) for (i, mk) in m1]
-            return lsss_reconstruct(scheme, [i for i, _ in got], [v for _, v in got])
+            (rows0, values0), (rows1, masks1) = m0, m1
+            masked = values0[len(rows0):]
+            unmasked = [(masked[mask_of[i]] - mk) % p for i, mk in zip(rows1, masks1)]
+            return lsss_reconstruct(scheme, rows0 + rows1,
+                                    list(values0[:len(rows0)]) + unmasked)
 
         resources = {
             "randomness_states": p ** n_masks,
@@ -718,10 +699,11 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     f(x, y) = 1 the referee reads s' off the PSM and unmasks the secret; when
     f(x, y) = 0 the selector stays hidden, and with it the secret.
 
-    Over a PSM declaring ``linear`` the CDS declares one too: for
-    each (nu, s') the messages are the PSM's, affine in its rho, plus the
-    masked bit, a constant coordinate. So (nu, s') is nonlinear, in
-    ``shared``'s order, and rho stays linear.
+    Over a PSM declaring ``linear`` the CDS declares one too: for each
+    (nu, s') Alice sends the PSM's tag with the masked bit as her tag, and
+    the PSM's values, affine in its rho. So (nu, s') is nonlinear, in
+    ``shared``'s order, and rho stays linear. Over any other PSM the whole
+    PSM message joins the masked bit as the tag, with no values.
     """
     f = P.f
     values = {f.eval(x, y) for (x, y) in P.input_pairs()}
@@ -745,11 +727,14 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
     x_star, y_star = hiding_input(P, substitute)
     n = space_size(P.shared)
     shared = pair_space(P.shared, (0, 1))
+    lin = linear = P.linear
 
     def alice_msg(x, s, rr, ra=None):
         r, sel = rr
         xx = x if sel == 1 else x_star
-        return (P.alice_msg(xx, r, ra), s ^ sel)
+        m = P.alice_msg(xx, r, ra)
+        tag, values = (m, ()) if lin is None else m
+        return (tag, s ^ sel), values
 
     def bob_msg(y, rr, rb=None):
         r, sel = rr
@@ -757,9 +742,8 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
         return P.bob_msg(yy, r, rb)
 
     def decode(m0, x, m1, y):
-        psm_msg, masked = m0
-        sel = P.decode(psm_msg, m1)
-        return masked ^ sel
+        (tag, masked), values = m0
+        return masked ^ P.decode(tag if lin is None else (tag, values), m1)
 
     resources = {
         "randomness_states": 2 * n,
@@ -767,7 +751,6 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
         "psm_randomness_states": n,
         "extra_message_bits": 1,
     }
-    lin = linear = P.linear
     if lin is not None:
 
         def embed(nu_sel, rho):
@@ -932,9 +915,9 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     mod p with r uniform over the units and the s_i uniform summing to zero.
     The y_i sum telescopes to r^2 * a, whose residuosity equals a's; the
     random square factor and additive shares hide everything else. Each side
-    sends its y_i alone, in position order: the positions are fixed, and
-    labels below p would be charged as coordinates (``_split``). Inputs are
-    restricted to a in Z_p^* (nonzero, below p): 0 has no residue class.
+    sends ``((), values)``, its y_i in position order: the positions are
+    fixed, so the tag is empty. Inputs are restricted to a in Z_p^*
+    (nonzero, below p): 0 has no residue class.
 
     ``shared`` lists (r, s) lazily, r-major with the n - 1 free shares in
     ``product`` order. For fixed r the encoding is affine in the free shares,
@@ -963,7 +946,7 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         for j, pos in enumerate(positions):
             bit = (value >> j) & 1
             out.append((bit * rsq * (1 << (pos - 1)) + s[pos - 1]) % p)
-        return tuple(out)
+        return (), tuple(out)
 
     def enc_x(x, rr):
         r, s = rr
@@ -974,12 +957,9 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         return encode_bits(y, bob_pos, r, s)
 
     def decode(mx, my):
-        return euler_qr((sum(mx) + sum(my)) % p, p)
+        return euler_qr((sum(mx[1]) + sum(my[1])) % p, p)
 
-    domain = []
-    for a in range(1, p):
-        domain.append(qr_split_inputs(f, a))
-    domain = tuple(domain)
+    domain = tuple(qr_split_inputs(f, a) for a in range(1, p))
 
     resources = {
         "field": p,

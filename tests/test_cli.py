@@ -581,13 +581,14 @@ def test_branch_budget_charges_class_branches(tmp_path, chain, raw):
 ])
 def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
     # on qr p=5, (2 secrets * 4 inputs) * (4 values of r * 2 selectors) * 3
-    # points * 4 coordinates of the CDS, or 4 inputs * 4 values of r * 3
-    # points * 3 coordinates of the PSM, all charged before the first sweep;
-    # each budget admits the points alone, so the stop is on the coordinates
+    # points * 3 values of the CDS (the masked bit is in Alice's tag), or 4
+    # inputs * 4 values of r * 3 points * 3 values of the PSM, all charged
+    # before the first sweep; each budget admits the points alone, so the
+    # stop is on the coordinates
     budget = {"dre,psm,cds,cdqs": 200, "dre,psm,psqm": 100}[chain]
     got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
                          ["--budget", str(budget)])
-    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 * 4, "dre,psm,psqm": 4 * 4 * 3 * 3}[chain]
+    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 * 3, "dre,psm,psqm": 4 * 4 * 3 * 3}[chain]
     assert got == (space, size, budget)
 
 
@@ -659,7 +660,7 @@ def _wide_span_descriptor(tmp_path, width: int) -> Path:
 
 
 def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
-    # 8 cases x 20,001 evaluations of 5 message coordinates pass the budget,
+    # 8 cases x 20,001 evaluations of 3 message values pass the budget,
     # but each evaluation reads a 20,000-long rho: building them all took
     # ell^2 memory and ended in MemoryError without a report
     desc = _wide_span_descriptor(tmp_path, 20_000)
@@ -671,6 +672,38 @@ def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert (report["status"], report["space"], report["size"]) == (
         "budget", "verify_cds randomness coordinates", 8 * 20_001 * 20_000)
+
+
+def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
+    # the CLI checks the program on every input and names each one it gets
+    # wrong; cds_from_span does not evaluate it again
+    from cdslab import algebra, cli, protocols
+    calls, sp_eval = [], algebra.sp_eval
+
+    def counted(program, z):
+        calls.append(z)
+        return sp_eval(program, z)
+
+    for module in (algebra, cli, protocols):
+        if hasattr(module, "sp_eval"):
+            monkeypatch.setattr(module, "sp_eval", counted)
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["build", "--chain", "span,cds", "--fn", "ip", "--nx", "2", "--p", "3",
+                 "--out", str(desc)]) == 0
+    assert len(calls) == 16
+    assert main(["verify", str(desc), "--out", str(rep)]) == 0
+    assert len(calls) == 32
+    # the and1 program checked against xor1 fails on three of four inputs
+    assert main(["build", "--chain", "span,cds", "--fn", "and", "--out", str(desc)]) == 0
+    xor = tmp_path / "x.json"
+    assert main(["build", "--chain", "gh,cds", "--fn", "xor", "--out", str(xor)]) == 0
+    tampered = json.loads(desc.read_text())
+    tampered["fn"] = json.loads(xor.read_text())["fn"]
+    desc.write_text(json.dumps(tampered))
+    assert main(["verify", str(desc), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert report["error"] == "span program disagrees with the function"
+    assert report["witness"] == {"inputs": [[0, 1], [1, 0], [1, 1]]}
 
 
 @cache

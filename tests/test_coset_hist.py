@@ -61,14 +61,25 @@ def _expand(hist: dict, p: int) -> dict:
     """The message histogram a coset histogram stands for, as Fractions."""
     out = {}
     for c, count in hist.items():
-        values = []
-        protocols._split((c.m0, c.m1), p, values)
+        (tag0, v0), (tag1, v1) = c.m0, c.m1
         for coeffs in product(range(p), repeat=len(c.basis)):
-            vec = [(v + sum(a * row[i] for a, row in zip(coeffs, c.basis))) % p
-                   for i, v in enumerate(values)]
-            m = protocols._fill(c.skeleton, iter(vec))
+            vec = tuple((v + sum(a * row[i] for a, row in zip(coeffs, c.basis))) % p
+                        for i, v in enumerate(v0 + v1))
+            m = ((tag0, vec[:len(v0)]), (tag1, vec[len(v0):]))
             out[m] = out.get(m, 0) + Fraction(count, p ** len(c.basis))
     return out
+
+
+def _leak(m, leaked, where: str):
+    """The (tag, values) message ``m`` also sending ``leaked`` in its tag or values."""
+    tag, values = m
+    return ((tag, leaked), values) if where == "tag" else (tag, values + (leaked,))
+
+
+def _unleak(m, where: str):
+    """``m`` as it was before ``_leak`` with ``where``."""
+    tag, values = m
+    return (tag[0], values) if where == "tag" else (tag, values[:-1])
 
 
 def _same_cds(P) -> None:
@@ -186,13 +197,14 @@ def test_random_span_programs_match_the_message_sweep(drawn, variant):
 
 def test_declared_dre_leaking_x_is_caught(no_message_sweep):
     D = dre_qr(5)
-    leaky = replace(D, enc_x=lambda x, r: (D.enc_x(x, r), x),
-                    decode=lambda mx, my: D.decode(mx[0], my))
-    report = verify_dre(leaky)
-    assert report.eps_hat == 0
-    assert report.delta_pair == 2
-    assert report.witnesses["delta"] == ((1, 0), (0, 2))  # a = 1 and a = 4
-    assert report.resources["same_class_histograms_equal"] is False
+    for where in ("tag", "values"):
+        leaky = replace(D, enc_x=lambda x, r: _leak(D.enc_x(x, r), x, where),
+                        decode=lambda mx, my: D.decode(_unleak(mx, where), my))
+        report = verify_dre(leaky)
+        assert report.eps_hat == 0
+        assert report.delta_pair == 2
+        assert report.witnesses["delta"] == ((1, 0), (0, 2))  # a = 1 and a = 4
+        assert report.resources["same_class_histograms_equal"] is False
 
 
 @pytest.mark.parametrize("variant", ["comm", "rand"])
@@ -207,57 +219,77 @@ def test_declared_span_cds_ignoring_the_secret_is_caught(variant, no_message_swe
 
 def test_declared_psm_cds_sending_the_secret_is_caught(monkeypatch):
     P = cds_from_psm(psm_from_dre(dre_qr(5)))
-    clear = replace(P, alice_msg=lambda x, s, rr, ra=None:
-                    (P.alice_msg(x, s, rr, ra)[0], s))
-    want = verify_cds(_undeclared(clear))
-    # the referee decodes s XOR s', right half the time, and reads s itself
-    assert (want.eps_hat, want.delta_pair) == (Fraction(1, 2), 2)
+
+    def secret_in_tag(x, s, rr, ra=None):
+        (psm_tag, _), values = P.alice_msg(x, s, rr, ra)
+        return (psm_tag, s), values
+
+    # in the tag, in place of s XOR s': the referee decodes s XOR s', right
+    # half the time, and reads s itself
+    in_tag = replace(P, alice_msg=secret_in_tag)
+    # after the values, which decoding drops: decoding stays right
+    in_values = replace(P, alice_msg=lambda x, s, rr, ra=None:
+                        _leak(P.alice_msg(x, s, rr, ra), s, "values"),
+                        decode=lambda m0, x, m1, y: P.decode(_unleak(m0, "values"), x, m1, y))
+    wants = [(clear, verify_cds(_undeclared(clear))) for clear in (in_tag, in_values)]
+    assert [(w.eps_hat, w.delta_pair) for _, w in wants] == [(Fraction(1, 2), 2), (0, 2)]
     _forbid_message_sweep(monkeypatch)
-    _same_cds_as(clear, want)
+    for clear, want in wants:
+        _same_cds_as(clear, want)
 
 
 def _scaled_cds(alice):
     """1-bit CDS over Z_3 with one linear coordinate and Alice's message ``alice``."""
     return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)), alice,
-                       lambda y, r, rb=None: (), lambda m0, x, m1, y: m0[0],
+                       lambda y, r, rb=None: ((), ()), lambda m0, x, m1, y: m0[1][0],
                        linear=LinearPart(3, (None,), 1, lambda nu, rho: (rho, None, None)))
 
 
 def test_compared_cosets_of_two_subspaces_are_refused():
     # secret 0 sends 0, secret 1 sends the uniform coordinate: the canonical
     # members coincide, so no figure may come from the coset keys
-    P = _scaled_cds(lambda x, s, r, ra=None: ((s * r[0]) % 3,))
+    P = _scaled_cds(lambda x, s, r, ra=None: ((), ((s * r[0]) % 3,)))
     assert verify_cds(_undeclared(P)).delta_pair == Fraction(4, 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not a subspace"):
         verify_cds(P)
     # the same fault between the equal-value inputs (0, 0) and (1, 0) of a PSM
-    Q = PsmProtocol(AND1, P.shared, lambda x, r, ra=None: ((x * r[0]) % 3,),
-                    lambda y, r, rb=None: (), lambda m0, m1: 0, linear=P.linear)
+    Q = PsmProtocol(AND1, P.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
+                    lambda y, r, rb=None: ((), ()), lambda m0, m1: 0, linear=P.linear)
     assert verify_psm(_undeclared(Q)).delta_pair == Fraction(4, 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not a subspace"):
         verify_psm(Q)
 
 
 def test_overlapping_alphabet_cosets_are_refused():
-    # x = 0 sends 0, x = 1 sends the uniform coordinate: Alice's messages
-    # overlap across inputs that are never compared
-    P = _scaled_cds(lambda x, s, r, ra=None: ((x * r[0]) % 3, s))
+    # x = 0 sends 0, x = 1 sends the uniform coordinate, both under the tag
+    # s: Alice's messages overlap across inputs that are never compared
+    P = _scaled_cds(lambda x, s, r, ra=None: (s, ((x * r[0]) % 3,)))
     assert verify_cds(_undeclared(P)).resources["alice_message_alphabet"] == 6
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="two subspaces"):
         verify_cds(P)
 
 
 def test_declaration_must_cover_the_randomness():
-    P = _scaled_cds(lambda x, s, r, ra=None: (r[0], s))
+    P = _scaled_cds(lambda x, s, r, ra=None: (s, (r[0],)))
     with pytest.raises(ValidationError):
         verify_cds(replace(P, shared=((0,), (1,))))
 
 
-def test_declared_messages_must_keep_their_skeleton():
+def test_declared_messages_must_keep_their_tags_and_value_counts():
     # the coordinate is sent only when it is nonzero: not affine in rho
-    P = _scaled_cds(lambda x, s, r, ra=None: (r[0], s) if r[0] else (s,))
-    with pytest.raises(ValidationError, match="skeleton moves"):
+    P = _scaled_cds(lambda x, s, r, ra=None: (s, (r[0],)) if r[0] else (s, ()))
+    with pytest.raises(ValidationError, match="value counts move"):
         verify_cds(P)
+    # the tag is the coordinate itself, so it moves with rho
+    P = _scaled_cds(lambda x, s, r, ra=None: ((s, r[0]), ()))
+    with pytest.raises(ValidationError, match="tags or value counts move"):
+        verify_cds(P)
+    # messages that are not (tag, values) pairs are refused, not read
+    for alice in (lambda x, s, r, ra=None: (r[0], s),
+                  lambda x, s, r, ra=None: (s, r[0], ()),
+                  lambda x, s, r, ra=None: (s, [r[0]])):
+        with pytest.raises(ValidationError, match=r"not a \(tag, values\) pair"):
+            verify_cds(_scaled_cds(alice))
 
 
 # -- budget and the lazy space ------------------------------------------------------

@@ -146,9 +146,34 @@ def test_span_cds_resource_bounds():
         assert Q.resources["randomness_bits"] <= Q.resources["share_total_bits"]
 
 
+@pytest.mark.parametrize("variant", ["comm", "rand"])
+def test_span_cds_finds_each_inputs_rows_once(variant, monkeypatch):
+    # the rows an input makes available are its party's tag: found once per
+    # x and per y, not at each of the sweep's message evaluations
+    from cdslab.algebra import SpanProgram
+    from cdslab.cli import _span_for
+    f = named_fn("ip", n=2)
+    calls, available_rows = [], SpanProgram.available_rows
+    monkeypatch.setattr(SpanProgram, "available_rows",
+                        lambda self, z: calls.append(z) or available_rows(self, z))
+    P = cds_from_span(_span_for(f, 3), f, variant)
+    assert len(calls) == 4 + 4
+    messages = []
+    counted = replace(P, bob_msg=lambda y, r, rb=None:
+                      messages.append(y) or P.bob_msg(y, r, rb))
+    assert verify_cds(counted).perfect
+    assert len(calls) == 4 + 4
+    assert len(messages) == {"comm": 672, "rand": 1024}[variant]
+
+
 def test_span_cds_validation():
-    with pytest.raises(ValidationError):
-        cds_from_span(span_and1(2), XOR1)  # program computes AND, not XOR
+    for variant in ("comm", "rand"):
+        # the program computes AND, not XOR: the verifier, not the compiler,
+        # reports (0, 1) undecodable and (1, 1) leaking; the CLI refuses
+        # such a program before compiling
+        report = verify_cds(cds_from_span(span_and1(2), XOR1, variant))
+        assert (report.eps_hat, report.delta_pair) == (1, 2)
+        assert report.witnesses == {"eps": (0, 1, 0), "delta": (1, 1, 0, 1)}
     with pytest.raises(ValidationError):
         cds_from_span(span_and1(2), MAJ)  # variable count mismatch
     with pytest.raises(ValidationError):
@@ -166,8 +191,8 @@ def test_dre_qr_frozen_example():
     assert qr_join(D.f, x, y) == 3
     mx = D.enc_x(x, rr)
     my = D.enc_y(y, rr)
-    assert mx == (2,)
-    assert my == (3, 0)
+    assert mx == ((), (2,))
+    assert my == ((), (3, 0))
     assert D.decode(mx, my) == 0
 
 

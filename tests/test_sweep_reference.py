@@ -107,6 +107,18 @@ def _leaky_alice(alice_msg, leak):
     return lambda x, s, r, ra=None: (alice_msg(x, s, r, ra), leak(x, s, r))
 
 
+def _leak(m, leaked, where: str):
+    """The (tag, values) message ``m`` also sending ``leaked`` in its tag or values."""
+    tag, values = m
+    return ((tag, leaked), values) if where == "tag" else (tag, values + (leaked,))
+
+
+def _unleak(m, where: str):
+    """``m`` as it was before ``_leak`` with ``where``."""
+    tag, values = m
+    return (tag[0], values) if where == "tag" else (tag, values[:-1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(tables())
 def test_gh_cds_matches_the_flat_sweep(drawn):
@@ -123,10 +135,12 @@ def test_gh_cds_matches_the_flat_sweep(drawn):
 
 
 @settings(max_examples=40, deadline=None)
-@given(tables(), st.sampled_from([2, 3]), st.sampled_from(["comm", "rand"]))
-def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant):
-    # the planted secret is a constant coordinate and the fault depends on the
-    # input only, so the messages stay affine and decoding coset-invariant
+@given(tables(), st.sampled_from([2, 3]), st.sampled_from(["comm", "rand"]),
+       st.sampled_from(["tag", "values"]))
+def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant, where):
+    # the planted secret is constant in the linear randomness, sent in the
+    # tag or as a value, and the fault depends on the input only, so the
+    # messages stay affine and decoding coset-invariant
     f, leaky, bad = drawn
     terms = [[(k + 1, bit) for k, bit in enumerate(literal_input(f, x, y))]
              for (x, y) in f.inputs() if f.eval(x, y)]
@@ -135,11 +149,11 @@ def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant):
     assume(f.n_x == 1 or len(terms) <= 2)
     P = cds_from_span(span_dnf(terms, f.n_x + f.n_y, p), f, variant)
     assert P.linear is not None
-    decode = P.decode
-    P = replace(P, alice_msg=_leaky_alice(P.alice_msg,
-                                          lambda x, s, r: s if x in leaky else 0),
+    alice_msg, decode = P.alice_msg, P.decode
+    P = replace(P, alice_msg=lambda x, s, r, ra=None:
+                _leak(alice_msg(x, s, r, ra), s if x in leaky else 0, where),
                 decode=lambda m0, x, m1, y: None if (x, y) in bad
-                else decode(m0[0], x, m1, y))
+                else decode(_unleak(m0, where), x, m1, y))
     _same(verify_cds(P), _flat_cds(P))
 
 
@@ -160,18 +174,23 @@ def test_one_time_table_psm_matches_the_flat_sweep(drawn):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([5, 7]), st.data())
-def test_qr_dre_and_psm_match_the_flat_sweep(p, data):
-    # Alice's encoding also carries x on the leaky inputs, a coordinate
-    # constant in the linear randomness; decoding drops it and flips the
-    # residuosity of the faulty ones
+@given(st.sampled_from([5, 7]), st.sampled_from(["tag", "values"]), st.data())
+def test_qr_dre_and_psm_match_the_flat_sweep(p, where, data):
+    # Alice's encoding also carries x on the leaky inputs, in its tag or as
+    # a value, constant in the linear randomness; decoding drops it and
+    # flips the residuosity of the faulty ones
     D = dre_qr(p)
     xs = sorted({x for (x, _) in D.input_pairs()})
     leaky = data.draw(st.sets(st.sampled_from(xs)))
     faulty = data.draw(st.sets(st.sampled_from(xs)))
     enc_x, decode = D.enc_x, D.decode
-    D = replace(D, enc_x=lambda x, r: enc_x(x, r) + (("x", x if x in leaky else p),),
-                decode=lambda mx, my: decode(mx[:-1], my) ^ (mx[-1][1] in faulty))
+
+    def sent(mx):
+        return mx[0][1] if where == "tag" else mx[1][-1]
+
+    # the other inputs send p - 1, which no x of Alice's equals
+    D = replace(D, enc_x=lambda x, r: _leak(enc_x(x, r), x if x in leaky else p - 1, where),
+                decode=lambda mx, my: decode(_unleak(mx, where), my) ^ (sent(mx) in faulty))
     want = _flat_psm(psm_from_dre(D))
     _same(verify_dre(D), want)
     _same(verify_psm(psm_from_dre(D)), want)

@@ -468,18 +468,26 @@ def test_qr_coset_classes_match_enumerated(p):
 
 
 def test_planted_leak_coset_classes_match_enumerated():
-    # Alice adds her secret in the clear when x = 0, so (0, 0) leaks it;
-    # a PSM whose Alice adds x leaks it between equal-value inputs
+    # Alice adds her secret to her tag when x = 0, so (0, 0) leaks it; a
+    # PSM whose Alice adds x to her values leaks it between equal-value inputs
     cds = cds_from_span(span_and1(3), AND1, "comm")
-    leaky = replace(cds, alice_msg=lambda x, s, r, ra=None:
-                    (cds.alice_msg(x, s, r, ra), s if x == 0 else 0),
-                    decode=lambda m0, x, m1, y: cds.decode(m0[0], x, m1, y))
+    psm = psm_from_dre(dre_qr(5))
+
+    def secret_in_tag(x, s, r, ra=None):
+        tag, values = cds.alice_msg(x, s, r, ra)
+        return (tag, s if x == 0 else 0), values
+
+    def x_in_values(x, r, ra=None):
+        tag, values = psm.alice_msg(x, r, ra)
+        return tag, values + (x,)
+
+    leaky = replace(cds, alice_msg=secret_in_tag,
+                    decode=lambda m0, x, m1, y: cds.decode((m0[0][0], m0[1]), x, m1, y))
     _same_cds_classes(leaky)
     report = verify_cdqs(cdqs_from_cds(leaky))
     assert report.worst_gap > 0.1 and report.witnesses["gap"] == (0, 0)
-    psm = psm_from_dre(dre_qr(5))
-    leaky_psm = replace(psm, alice_msg=lambda x, r, ra=None: (psm.alice_msg(x, r, ra), x),
-                        decode=lambda m0, m1: psm.decode(m0[0], m1))
+    leaky_psm = replace(psm, alice_msg=x_in_values,
+                        decode=lambda m0, m1: psm.decode((m0[0], m0[1][:-1]), m1))
     _same_psqm_classes(leaky_psm)
     assert verify_psqm(psqm_from_psm(leaky_psm)).worst_gap > 0.1
 
@@ -487,19 +495,19 @@ def test_planted_leak_coset_classes_match_enumerated():
 def _two_subspaces(alice):
     """A linear bit-CDS over Z_3, one coordinate, Alice sending ``alice(x, s, r)``."""
     return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)),
-                       lambda x, s, r, ra=None: (alice(x, s, r[0]),),
-                       lambda y, r, rb=None: (), lambda m0, x, m1, y: m0[0],
+                       lambda x, s, r, ra=None: ((), (alice(x, s, r[0]),)),
+                       lambda y, r, rb=None: ((), ()), lambda m0, x, m1, y: m0[1][0],
                        linear=LinearPart(3, (None,), 1, lambda nu, rho: (rho, None, None)))
 
 
 def test_pad_routes_refuse_cosets_of_two_subspaces():
     # secret 0 sends 0, secret 1 the uniform coordinate: one input's two
-    # histograms put one skeleton on two subspaces
+    # histograms put one pair of tags on two subspaces
     cds = _two_subspaces(lambda x, s, r: (s * r) % 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not a subspace"):
         cdqs_from_cds(cds).key_classes(0, 0)
     # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM do
-    psm = PsmProtocol(AND1, cds.shared, lambda x, r, ra=None: ((x * r[0]) % 3,),
-                      lambda y, r, rb=None: (), lambda m0, m1: 0, linear=cds.linear)
-    with pytest.raises(ValidationError):
+    psm = PsmProtocol(AND1, cds.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
+                      lambda y, r, rb=None: ((), ()), lambda m0, m1: 0, linear=cds.linear)
+    with pytest.raises(ValidationError, match="not a subspace"):
         verify_psqm(psqm_from_psm(psm))

@@ -17,6 +17,11 @@ in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. The choice between
 ``message_hist`` and ``coset_hist``, and the sweep's budget charge, are made
 in ``protocols._sweep_kernel`` alone, so no other module reads either kernel.
+Only ``protocols`` reads the linear message format, in which a declaring
+protocol's parties send ``(tag, values)`` pairs: no other module names
+``Coset``, ``LinearPart`` or ``_tagged``, the one reader of a message pair's
+tags and values, or reads a field that only those records have; ``nlqc``
+counts a coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, so nothing in
 ``nlqc``, and neither ``transcript_classes`` nor ``class_product``, reads
 ``Fraction``. Records carry only fields something reads: a protocol's linear
@@ -211,6 +216,42 @@ def test_the_check_sees_a_kernel_read():
                     "def f(P):\n    return coset_hist(P, 0, 0)\n"):
         assert _kernel_reads(ast.parse(planted)), planted
     assert not _kernel_reads(ast.parse("from .protocols import _sweep_kernel\n"))
+
+
+# the linear message format: the records and the reader of a pair's tags and
+# values, and the fields of a Coset or LinearPart no other record has
+FORMAT_NAMES = {"Coset", "LinearPart", "_tagged"}
+FORMAT_FIELDS = {"m0", "m1", "basis", "nus", "ell", "embed"}
+
+
+def _format_reads(tree) -> set:
+    """The format's records, reader and fields a module names."""
+    names, attributes = _reads(tree)
+    return names & FORMAT_NAMES | attributes & FORMAT_FIELDS
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_only_protocols_reads_the_linear_message_format(module):
+    # coset keys reach the pad routes as transcripts, which nlqc decodes
+    # through the protocol's own decoder and counts through message_count
+    if module.stem == "protocols":
+        return
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _format_reads(tree) == set(), module.name
+    if module.stem == "nlqc":
+        assert {"message_count", "_sweep_kernel"} <= _reads(tree)[0]
+
+
+def test_the_check_sees_a_format_read():
+    for planted in ("from .protocols import Coset\n",
+                    "from . import protocols\nlin = protocols.LinearPart(3, (), 0, f)\n",
+                    "def f(C):\n    return _tagged(C.run(0, 0))\n",
+                    "def f(m):\n    return len(m.basis)\n",
+                    "def f(m):\n    tag, values = m.m0\n",
+                    "def f(P):\n    return P.linear.nus\n"):
+        assert _format_reads(ast.parse(planted)), planted
+    assert not _format_reads(ast.parse(
+        "from .protocols import message_count\nn = message_count(m) * b.count\n"))
 
 
 # module -> the top-level functions that must not read Fraction; None: the
