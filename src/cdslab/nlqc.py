@@ -43,8 +43,7 @@ from .boolfn import BoolFn
 from .errors import ValidationError, charge
 from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
 from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol, Worst,
-                        _joint, _same_spaces, _sweep_kernel, class_product,
-                        hiding_input, message_count, space_size, transcript_classes)
+                        _joint, _sweep_kernel, hiding_input, message_count, space_size)
 
 if TYPE_CHECKING:
     from .quantum import PureState
@@ -374,6 +373,65 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
 # -- pad machinery -------------------------------------------------------------
 
 
+class TranscriptClass(NamedTuple):
+    """Transcripts that decode alike and carry proportional key weights.
+
+    ``rep`` is the first member in sweep order, ``weights`` maps each key of
+    nonzero weight to the members' summed weight under it, and ``count`` is
+    the number of transcripts the members stand for. Members share their
+    support, so every key in ``weights`` stands for ``count`` transcripts.
+    """
+
+    rep: object
+    weights: dict
+    count: int
+
+
+def transcript_classes(hists: dict, decode: Callable) -> list:
+    """Group the transcripts of ``hists`` = {key: {transcript: weight}}.
+
+    Two transcripts share a class when ``decode`` maps them to the same value
+    and their weight vectors over the keys are exactly proportional: the
+    integer vectors left over a common denominator (floats count as the
+    rationals they hold), divided by their gcd, are equal. A referee view
+    linear in the weights that reads a transcript only through its decoded
+    value is then a positive multiple of one operator across a class, so one
+    branch per class gives the fidelity and trace-norm gap of one branch per
+    transcript. Classes come in order of their first member, scanning the
+    keys in order and each histogram in sweep order. A coset key stands for
+    its ``count`` messages, which share its class.
+    """
+    keys = list(hists)
+    classes = {}
+    for m in dict.fromkeys(m for s in keys for m in hists[s]):
+        vec = [hists[s].get(m, 0) for s in keys]
+        ratios = [w.as_integer_ratio() for w in vec]
+        denom = math.lcm(*(d for _, d in ratios))
+        ints = [n * (denom // d) for n, d in ratios]
+        g = math.gcd(*ints)
+        label = (decode(m), tuple(n // g for n in ints))
+        rep, weights, count = classes.get(label) or (m, {}, 0)
+        for s, w in zip(keys, vec):
+            if w:
+                weights[s] = weights.get(s, 0) + w
+        classes[label] = (rep, weights, count + message_count(m))
+    return [TranscriptClass(*c) for c in classes.values()]
+
+
+def class_product(classes: list) -> list:
+    """Classes of two independent runs keyed independently.
+
+    A joint class's members are the pairs of per-run members, its key is
+    the pair of per-run keys and its weights multiply: an outer product of
+    proportional vectors is proportional, so the joint space is never
+    enumerated member by member.
+    """
+    return [TranscriptClass((a.rep, b.rep), {(s, t): v * w for s, v in a.weights.items()
+                                             for t, w in b.weights.items()},
+                            a.count * b.count)
+            for a in classes for b in classes]
+
+
 def pauli_frame(outcomes) -> list:
     """Correction undoing a chain of teleportation byproducts.
 
@@ -516,7 +574,7 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     kernel = cache(lambda: _sweep_kernel(C, cases, budget, "cdqs_from_cds")[0])
 
     def bit_hists(x, y):
-        return {s: kernel()(C, x, y, s) for s in C.secrets}
+        return {s: kernel()(x, y, s) for s in C.secrets}
 
     resources = {"pad_key_bits": 2, "qubits_sent": 1,
                  "cds_randomness_states": space_size(C.shared) ** 2}
@@ -673,24 +731,21 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
 
     A run is one sweep of P's messages on one input pair by ``verify_psm``'s
     kernel, one branch per coset or message pair, the sweeps over every pair
-    charged before any run starts. ``verify_psqm`` compares views across
-    inputs, so all runs' cosets must share their subspaces.
+    charged before any run starts, and holding each layout to one subspace
+    across all of them, as ``verify_psqm``'s view comparisons need.
     """
-    spaces = {}
     kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), budget, "psqm_from_psm"))
 
     def run(x, y):
         hist_of, joint = kernel()
-        hist = hist_of(P, x, y)
-        _same_spaces([hist], spaces)
         return [RunBranch(c / joint, m, None, message_count(m)) for m, c in
-                sorted(hist.items(), key=lambda kv: repr(kv[0]))]
+                sorted(hist_of(x, y).items(), key=lambda kv: repr(kv[0]))]
 
     return PsqmProtocol(P.f, run, lambda t: P.decode(t[0], t[1]), domain=P.domain,
                         resources=dict(P.resources))
 
 
-def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
+def cdqs_from_psqm(P: PsqmProtocol) -> CdqsProtocol:
     """Pad the qubit with two shared bits; leak each bit through one masked run.
 
     For each key bit the parties either use their real inputs or a fixed
@@ -700,12 +755,12 @@ def cdqs_from_psqm(P: PsqmProtocol, substitute=None) -> CdqsProtocol:
     """
     if P.quantum_regs:
         raise ValidationError("only classical-message protocols can be lifted here")
-    x_star, y_star = hiding_input(P, substitute)
+    x_star, y_star = hiding_input(P)
 
     def hist(x, y):
         return {b.transcript: b.prob for b in P.run(x, y)}
 
-    # key bit 0 runs the substitute input, swept once; key bit 1 the real one
+    # key bit 0 runs the hiding input, swept once; key bit 1 the real one
     hidden = cache(lambda: hist(x_star, y_star))
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
     return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: hist(x, y)},

@@ -20,15 +20,16 @@ Conventions shared by every protocol type here:
   over Z_p in part of the randomness, and each party sends a pair ``(tag,
   values)``. Every message sweep, here or in ``nlqc``'s pad routes, then
   counts one coset at a time (``coset_hist``), and enumerates
-  (``message_hist``) only undeclared protocols; the choice is
-  ``_sweep_kernel``'s. ``cds_from_span``, ``dre_qr`` and ``psm_from_dre``
-  declare it, and ``cds_from_psm`` does over a PSM that declares it.
+  (``message_hist``) only undeclared protocols; ``_sweep_kernel`` chooses,
+  holding each layout to one subspace per sweep. ``cds_from_span``, ``dre_qr``
+  and ``psm_from_dre`` declare it, and ``cds_from_psm`` over a declaring PSM.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple, Optional
 
@@ -257,9 +258,9 @@ class LinearPart(NamedTuple):
     any hashable constant of the input and secret for fixed nu, such as the
     rows a span party reveals, and ``values`` is a tuple of Z_p elements,
     affine in rho. A party's affine map must depend on its tag alone, which
-    the sweeps check where they rely on it. The decoder must give one value
-    on each coset the messages of one nu fill, as a linear reconstruction
-    does.
+    each sweep checks as one subspace per layout across all its cosets. The
+    decoder must give one value on each coset the messages of one nu fill,
+    as a linear reconstruction does.
     """
 
     p: int
@@ -309,27 +310,31 @@ def _reduce(vec, basis, pivots, p: int) -> tuple:
     return tuple(vec)
 
 
-def coset_hist(P, x, y, *secret) -> dict:
+def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None) -> dict:
     """Exact counts of P's message pair on (x, y), one entry per coset.
 
     P declares ``linear``, a ``LinearPart``. For each nonlinear value nu
     the tags are fixed and the concatenated values are b + A rho, so as rho
     runs over Z_p^ell they are uniform on the coset b + V, V the column
-    space of A. P's own callables at rho = 0 and at the ell unit vectors give
-    b and A, and must keep their tags and value counts; each nu then adds
-    p^ell to its coset's ``Coset`` key. Counts sum to the joint randomness,
-    as in ``message_hist``, and each coset holds count / p^dim(V) of every
-    one of its messages. Cosets of one basis are equal or disjoint, so L1
-    distances between such histograms equal those between message
-    histograms.
+    space of A. P's own callables at rho = 0 and at the ell unit vectors,
+    built once per call, give b and A, and must keep their tags and value
+    counts; each nu then adds p^ell to its coset's ``Coset`` key. Counts sum
+    to the joint randomness, as in ``message_hist``, and each coset holds
+    count / p^dim(V) of every one of its messages. Cosets of one subspace
+    are equal or disjoint, so L1 distances between such histograms equal
+    those between message histograms; ``spaces`` maps each layout (both
+    tags and value counts) to its one subspace, for a whole sweep or else
+    this call, and a layout met with a second one is refused.
     """
     lin = P.linear
     p, ell = lin.p, lin.ell
+    spaces = {} if spaces is None else spaces
+    rhos = [tuple(int(i == k) for i in range(ell)) for k in range(-1, ell)]   # 0, then units
     hist = {}
     for nu in lin.nus:
         probes = []
-        for k in range(-1, ell):   # rho = 0, then the unit vectors, each made as used
-            r, ra, rb = lin.embed(nu, tuple(int(i == k) for i in range(ell)))
+        for rho in rhos:
+            r, ra, rb = lin.embed(nu, rho)
             probes.append(_tagged((P.alice_msg(x, *secret, r, ra), P.bob_msg(y, r, rb))))
         (layout, b), *units = probes
         if any(other != layout for other, _ in units):
@@ -337,6 +342,9 @@ def coset_hist(P, x, y, *secret) -> dict:
                                   "linear randomness")
         basis, pivots = echelon([[v - w for v, w in zip(values, b)]
                                  for _, values in units], p)
+        if spaces.setdefault(layout, basis) != basis:
+            raise ValidationError("messages share their tags and value counts but "
+                                  "not a subspace; no exact count")
         c = _reduce(b, basis, pivots, p)
         tag0, tag1, n0, _ = layout
         key = Coset((tag0, c[:n0]), (tag1, c[n0:]), tuple(basis), p ** len(basis))
@@ -344,36 +352,20 @@ def coset_hist(P, x, y, *secret) -> dict:
     return hist
 
 
-def _same_spaces(hists, spaces: dict) -> None:
-    """Refuse compared coset histograms where one layout has two subspaces.
-
-    A layout is a coset's two tags and value counts. Cosets of different
-    subspaces may overlap without being equal, so their keys no longer tell
-    equal messages from different ones. ``spaces`` keeps each layout's first
-    subspace, across calls if passed again. Message histograms pass.
-    """
-    for hist in hists:
-        for c in hist:
-            if not isinstance(c, Coset):
-                return
-            if spaces.setdefault(_tagged(c[:2])[0], c.basis) != c.basis:
-                raise ValidationError("compared messages share their tags but "
-                                      "not a subspace; no exact distance")
-
-
 def _coset_alphabet(cosets, p: int, side: int) -> int:
     """Distinct messages of one party (0 Alice, 1 Bob) over ``cosets``.
 
-    Each coset projects to a coset of that party's values, of size p^dim.
-    A party's affine map depends only on its tag, so one tag keeps one
-    subspace, whose cosets are equal or disjoint; a tag met with two
+    Each coset projects to a coset of that party's values, of size p^dim;
+    the projection's echelon form is found once per column range and
+    subspace. A party's affine map depends only on its tag, so one tag keeps
+    one subspace, whose cosets are equal or disjoint; a tag met with two
     subspaces raises rather than count an overlap twice.
     """
+    project = cache(lambda lo, n, rows: echelon([row[lo:lo + n] for row in rows], p))
     spaces, found = {}, set()
     for c in cosets:
         tag, values = c[side]
-        lo = len(c.m0[1]) if side else 0
-        basis, pivots = echelon([row[lo:lo + len(values)] for row in c.basis], p)
+        basis, pivots = project(len(c.m0[1]) if side else 0, len(values), c.basis)
         if spaces.setdefault(tag, basis) != basis:
             raise ValidationError("one message tag has two subspaces; no exact alphabet")
         found.add((tag, _reduce(values, basis, pivots, p)))
@@ -383,18 +375,20 @@ def _coset_alphabet(cosets, p: int, side: int) -> int:
 def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
-    ``cases`` lists the arguments (x, y, *secret) to sweep. A protocol
-    declaring ``linear`` is swept by ``coset_hist``, charged the values of
-    its ell + 1 message pairs per (case, nu), as many as the most at the
-    first nu and rho = 0, which bound what echelon reads and a coset key
-    holds, then the ell coordinates of rho each pair reads. Any other
-    protocol is swept by ``message_hist``, charged every joint state.
+    ``cases`` lists the arguments (x, y, *secret) to sweep, which the
+    function, bound to P, takes; it looks its kernel up at each call. A
+    protocol declaring ``linear`` is swept by ``coset_hist``, one layout
+    held to one subspace across every case, and charged the values of its
+    ell + 1 message pairs per (case, nu), as many as the most at the first
+    nu and rho = 0, which bound what echelon reads and a coset key holds,
+    then the ell coordinates of rho each pair reads. Any other protocol is
+    swept by ``message_hist``, charged every joint state.
     """
     lin = P.linear
     joint = _joint(P)
     if lin is None:
         charge(joint * max(1, len(cases)), budget, f"{what} joint states")
-        return message_hist, joint
+        return (lambda *args: message_hist(P, *args)), joint
     if len(lin.nus) * lin.p ** lin.ell != joint:
         raise ValidationError(f"{what}: declared linear randomness does not "
                               "cover the randomness space")
@@ -407,7 +401,8 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
         width = max(width, len(values))
     charge(pairs * width, budget, f"{what} message coordinates")
     charge(pairs * lin.ell, budget, f"{what} randomness coordinates")
-    return coset_hist, joint
+    spaces = {}
+    return (lambda *args: coset_hist(P, *args, spaces=spaces)), joint
 
 
 def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
@@ -433,7 +428,7 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
     last = {group: i for i, (_, _, group) in enumerate(cases)}
     worst, kept, gaps = Worst(), {}, []
     for i, (args, want, group) in enumerate(cases):
-        hist = hist_of(P, *args)
+        hist = hist_of(*args)
         seen(hist)
         if want is not None:
             fails = sum(c for m, c in hist.items() if decode(m, *args[:2]) != want)
@@ -443,7 +438,6 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
             if all(hist != other for _, other in held):
                 held.append((i, hist))
             if last[group] == i:
-                _same_spaces((other for _, other in held), {})
                 gaps += [(a, b, _l1(u, v, joint))
                          for (a, u), (b, v) in combinations(kept.pop(group), 2)]
     for a, b, gap in sorted(gaps):
@@ -690,7 +684,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
 # -- PSM -> CDS and composition ---------------------------------------------
 
 
-def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
+def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
     """Hide a bit behind a PSM by remapping inputs toward a fixed 0-input.
 
     Both parties know a shared selector bit s'; they run the PSM on their real
@@ -724,7 +718,7 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
         return CdsProtocol(f, (0, 1), (None,), alice_msg, bob_msg, decode,
                            domain=P.domain, resources={"randomness_bits": 0})
 
-    x_star, y_star = hiding_input(P, substitute)
+    x_star, y_star = hiding_input(P)
     n = space_size(P.shared)
     shared = pair_space(P.shared, (0, 1))
     lin = linear = P.linear
@@ -765,76 +759,12 @@ def cds_from_psm(P: PsmProtocol, substitute=None) -> CdsProtocol:
                        domain=P.domain, resources=resources, linear=linear)
 
 
-def hiding_input(P, substitute=None) -> tuple:
-    """The input a masked run uses for the real one: ``substitute``, else P's
-    first input pair with f = 0. f must be 0 there."""
-    if substitute is None:
-        substitute = next(((x, y) for (x, y) in P.input_pairs() if P.f.eval(x, y) == 0), None)
-        if substitute is None:
-            raise ValidationError("no hiding input available to mask with")
-    if P.f.eval(*substitute) != 0:
-        raise ValidationError("substitute input must evaluate to 0")
-    return substitute
-
-
-class TranscriptClass(NamedTuple):
-    """Transcripts that decode alike and carry proportional key weights.
-
-    ``rep`` is the first member in sweep order, ``weights`` maps each key of
-    nonzero weight to the members' summed weight under it, and ``count`` is
-    the number of transcripts the members stand for. Members share their
-    support, so every key in ``weights`` stands for ``count`` transcripts.
-    """
-
-    rep: object
-    weights: dict
-    count: int
-
-
-def transcript_classes(hists: dict, decode: Callable) -> list:
-    """Group the transcripts of ``hists`` = {key: {transcript: weight}}.
-
-    Two transcripts share a class when ``decode`` maps them to the same value
-    and their weight vectors over the keys are exactly proportional: the
-    integer vectors left over a common denominator (floats count as the
-    rationals they hold), divided by their gcd, are equal. A referee view
-    linear in the weights that reads a transcript only through its decoded
-    value is then a positive multiple of one operator across a class, so one
-    branch per class gives the fidelity and trace-norm gap of one branch per
-    transcript. Classes come in order of their first member, scanning the
-    keys in order and each histogram in sweep order. A coset key stands for
-    its ``count`` messages, which share its class.
-    """
-    _same_spaces(hists.values(), {})
-    keys = list(hists)
-    classes = {}
-    for m in dict.fromkeys(m for s in keys for m in hists[s]):
-        vec = [hists[s].get(m, 0) for s in keys]
-        ratios = [w.as_integer_ratio() for w in vec]
-        denom = math.lcm(*(d for _, d in ratios))
-        ints = [n * (denom // d) for n, d in ratios]
-        g = math.gcd(*ints)
-        label = (decode(m), tuple(n // g for n in ints))
-        rep, weights, count = classes.get(label) or (m, {}, 0)
-        for s, w in zip(keys, vec):
-            if w:
-                weights[s] = weights.get(s, 0) + w
-        classes[label] = (rep, weights, count + message_count(m))
-    return [TranscriptClass(*c) for c in classes.values()]
-
-
-def class_product(classes: list) -> list:
-    """Classes of two independent runs keyed independently.
-
-    A joint class's members are the pairs of per-run members, its key is
-    the pair of per-run keys and its weights multiply: an outer product of
-    proportional vectors is proportional, so the joint space is never
-    enumerated member by member.
-    """
-    return [TranscriptClass((a.rep, b.rep), {(s, t): v * w for s, v in a.weights.items()
-                                             for t, w in b.weights.items()},
-                            a.count * b.count)
-            for a in classes for b in classes]
+def hiding_input(P) -> tuple:
+    """P's first input pair with f = 0, which a masked run uses for the real one."""
+    for (x, y) in P.input_pairs():
+        if P.f.eval(x, y) == 0:
+            return x, y
+    raise ValidationError("no hiding input available to mask with")
 
 
 # -- DRE and PSM constructions ------------------------------------------------

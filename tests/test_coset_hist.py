@@ -260,13 +260,32 @@ def test_compared_cosets_of_two_subspaces_are_refused():
         verify_psm(Q)
 
 
+def test_uncompared_cosets_of_two_subspaces_are_refused():
+    # (0, 1) sends 0 and (1, 1) the uniform coordinate, under one layout: f
+    # tells them apart, so no distance compares them, yet the sweep refuses
+    P = _scaled_cds(lambda x, s, r, ra=None: ((), ()))
+    Q = PsmProtocol(AND1, P.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
+                    lambda y, r, rb=None: ((), ()), lambda m0, m1: int(m0[1] != (0,)),
+                    domain=((0, 1), (1, 1)), linear=P.linear)
+    assert verify_psm(_undeclared(Q)).delta_pair == 0
+    with pytest.raises(ValidationError, match="not a subspace"):
+        verify_psm(Q)
+
+
 def test_overlapping_alphabet_cosets_are_refused():
     # x = 0 sends 0, x = 1 sends the uniform coordinate, both under the tag
-    # s: Alice's messages overlap across inputs that are never compared
+    # s: Alice's messages overlap across inputs that are never compared, and
+    # the sweep refuses their one layout's two subspaces before any alphabet
     P = _scaled_cds(lambda x, s, r, ra=None: (s, ((x * r[0]) % 3,)))
     assert verify_cds(_undeclared(P)).resources["alice_message_alphabet"] == 6
-    with pytest.raises(ValidationError, match="two subspaces"):
+    with pytest.raises(ValidationError, match="not a subspace"):
         verify_cds(P)
+    # Bob's tag y sets the two inputs' layouts apart, so the sweep passes
+    # them, but Alice's tag s still meets two subspaces in her alphabet
+    Q = replace(P, bob_msg=lambda y, r, rb=None: (y, ()), domain=((0, 0), (1, 1)))
+    assert verify_cds(_undeclared(Q)).resources["alice_message_alphabet"] == 6
+    with pytest.raises(ValidationError, match="two subspaces"):
+        verify_cds(Q)
 
 
 def test_declaration_must_cover_the_randomness():

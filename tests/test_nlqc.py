@@ -209,8 +209,6 @@ def test_cdqs_from_psqm_guards():
     quantum = PsqmProtocol(AND1, Q.run, Q.decode, quantum_regs=("M",))
     with pytest.raises(ValidationError):
         cdqs_from_psqm(quantum)
-    with pytest.raises(ValidationError):
-        cdqs_from_psqm(Q, substitute=(1, 1))  # f(1,1) = 1, cannot mask
     ones = psqm_from_psm(psm_generic_table(from_table(1, 1, (1, 1, 1, 1))))
     with pytest.raises(ValidationError):
         cdqs_from_psqm(ones)  # no hiding input exists

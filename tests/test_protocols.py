@@ -16,7 +16,7 @@ from cdslab.boolfn import from_table, named_fn, qr_join, qr_split_inputs
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, Dre, PsmProtocol, cds_from_gh,
-                              cds_from_psm, cds_from_span, dre_qr,
+                              cds_from_psm, cds_from_span, dre_qr, hiding_input,
                               psm_from_dre, psm_generic_table,
                               verify_cds, verify_dre, verify_psm)
 
@@ -260,9 +260,12 @@ def test_cds_from_psm_constant_functions():
     assert E.alice_msg(0, 1, None) == 1 and E.input_pairs() == ()
 
 
-def test_cds_from_psm_substitute_validation():
-    with pytest.raises(ValidationError):
-        cds_from_psm(psm_generic_table(AND1), substitute=(1, 1))
+def test_hiding_input_is_the_first_zero_input():
+    P = psm_generic_table(AND1)
+    assert hiding_input(P) == (0, 0)
+    assert hiding_input(replace(P, domain=((1, 1), (1, 0), (0, 1)))) == (1, 0)
+    with pytest.raises(ValidationError, match="no hiding input"):
+        hiding_input(psm_generic_table(from_table(1, 1, (1, 1, 1, 1))))
 
 
 def test_verifier_budgets():

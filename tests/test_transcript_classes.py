@@ -17,19 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import nlqc
+from cdslab import nlqc, protocols
 from cdslab.algebra import span_and1, span_dnf, span_eq1
 from cdslab.boolfn import from_table, literal_input, named_fn
 from cdslab.cli import _span_for
 from cdslab.errors import ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
-from cdslab.nlqc import (KEYS, RunBranch, cdqs_from_cds, cdqs_from_psqm,
+from cdslab.nlqc import (KEYS, RunBranch, TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
                          frouting_from_cdqs, otp_reconstruct_left, psqm_from_psm,
-                         security_state_sweep, verify_cdqs, verify_frouting, verify_psqm)
-from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, TranscriptClass,
-                              cds_from_gh, cds_from_psm, cds_from_span, coset_hist, dre_qr,
-                              hiding_input, message_count, message_hist, psm_from_dre,
-                              psm_generic_table, transcript_classes)
+                         security_state_sweep, transcript_classes, verify_cdqs,
+                         verify_frouting, verify_psqm)
+from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh,
+                              cds_from_psm, cds_from_span, coset_hist, dre_qr, hiding_input,
+                              message_count, message_hist, psm_from_dre, psm_generic_table)
 from cdslab.quantum import epr_pairs, random_qubit
 
 TOL = 1e-12
@@ -137,7 +137,7 @@ def _class_and_flat_cdqs(cds):
 
 
 def _flat_psqm_classes(Q, x_star, y_star):
-    """Flat classes of the psqm route: key bit 0 runs the substitute input."""
+    """Flat classes of the psqm route: key bit 0 runs the hiding input."""
     def hist(x, y):
         return {b.transcript: b.prob for b in Q.run(x, y)}
 
@@ -377,20 +377,29 @@ def test_planted_leak_gap_matches_flat():
 
 def _count_sweeps(monkeypatch) -> tuple:
     """(calls, kernels): from now on, the arguments of every histogram that a
-    sweep kernel handed to ``nlqc`` computes, and those kernels."""
+    sweep kernel handed to ``nlqc`` computes, and for each kernel handed, the
+    set of ``protocols`` histogram kernels its histograms called."""
     calls, kernels = [], []
-    kernel = nlqc._sweep_kernel
+    bind = nlqc._sweep_kernel
 
     def counted_kernel(*args):
-        hist_of, joint = kernel(*args)
-        kernels.append(hist_of)
+        hist_of, joint = bind(*args)
+        kernels.append(set())
 
-        def counted(P, x, y, *secret):
+        def counted(x, y, *secret):
             calls.append((x, y) + secret)
-            return hist_of(P, x, y, *secret)
+            return hist_of(x, y, *secret)
 
         return counted, joint
 
+    def seen(kernel):
+        def called(*args, **kwargs):
+            kernels[-1].add(kernel)
+            return kernel(*args, **kwargs)
+        return called
+
+    for name in ("coset_hist", "message_hist"):
+        monkeypatch.setattr(protocols, name, seen(getattr(protocols, name)))
     monkeypatch.setattr(nlqc, "_sweep_kernel", counted_kernel)
     return calls, kernels
 
@@ -404,7 +413,7 @@ def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
     verify_frouting(frouting_from_cdqs(cdqs))
     sweep = security_state_sweep(cdqs, seeds=range(2))
     assert security_state_sweep(cdqs, seeds=range(2)) == sweep
-    assert kernels == [coset_hist]
+    assert kernels == [{coset_hist}]
     inputs = {call[:2] for call in calls}
     assert len(inputs) > 1
     assert len(calls) == 2 * len(inputs)   # two secrets, each swept once
@@ -418,7 +427,7 @@ def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
     verify_cdqs(cdqs)
     verify_frouting(frouting_from_cdqs(cdqs))
     inputs = cdqs.input_pairs()
-    assert kernels == [coset_hist] and len(inputs) == 6
+    assert kernels == [{coset_hist}] and len(inputs) == 6
     assert len(calls) == len(inputs) + 1
     assert calls.count(hiding_input(cdqs)) == 2
 
@@ -509,5 +518,22 @@ def test_pad_routes_refuse_cosets_of_two_subspaces():
     # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM do
     psm = PsmProtocol(AND1, cds.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
                       lambda y, r, rb=None: ((), ()), lambda m0, m1: 0, linear=cds.linear)
+    with pytest.raises(ValidationError, match="not a subspace"):
+        verify_psqm(psqm_from_psm(psm))
+
+
+def test_pad_routes_refuse_uncompared_cosets_of_two_subspaces():
+    # x = 0 sends 0, x = 1 the uniform coordinate, under one layout: the
+    # route's one kernel refuses the second input, though no run of it is
+    # compared with the first
+    C = cdqs_from_cds(_two_subspaces(lambda x, s, r: (x * r) % 3))
+    C.key_classes(0, 0)
+    with pytest.raises(ValidationError, match="not a subspace"):
+        C.key_classes(1, 0)
+    # (0, 1) has f = 0 and (1, 1) f = 1, so verify_psqm compares no views
+    base = _two_subspaces(lambda x, s, r: 0)
+    psm = PsmProtocol(AND1, base.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
+                      lambda y, r, rb=None: ((), ()), lambda m0, m1: 0,
+                      domain=((0, 1), (1, 1)), linear=base.linear)
     with pytest.raises(ValidationError, match="not a subspace"):
         verify_psqm(psqm_from_psm(psm))

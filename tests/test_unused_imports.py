@@ -1,6 +1,7 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
 only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads a message-histogram
-kernel, the pad routes read no ``Fraction``, and every definition is read somewhere.
+kernel, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``, and every
+definition is read somewhere.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -17,13 +18,17 @@ in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. The choice between
 ``message_hist`` and ``coset_hist``, and the sweep's budget charge, are made
 in ``protocols._sweep_kernel`` alone, so no other module reads either kernel.
+The kernel it binds holds each layout of tags and value counts to one
+subspace across the whole sweep, so no module defines or reads the
+after-the-fact check ``_same_spaces``, and the only private ``protocols``
+names ``nlqc`` imports are ``_sweep_kernel`` and ``_joint``.
 Only ``protocols`` reads the linear message format, in which a declaring
 protocol's parties send ``(tag, values)`` pairs: no other module names
 ``Coset``, ``LinearPart`` or ``_tagged``, the one reader of a message pair's
 tags and values, or reads a field that only those records have; ``nlqc``
 counts a coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, so nothing in
-``nlqc``, and neither ``transcript_classes`` nor ``class_product``, reads
+``nlqc``, where ``transcript_classes`` and ``class_product`` live, reads
 ``Fraction``. Records carry only fields something reads: a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only ``cli``, which reads and writes the files,
@@ -254,9 +259,70 @@ def test_the_check_sees_a_format_read():
         "from .protocols import message_count\nn = message_count(m) * b.count\n"))
 
 
+def _named(tree) -> set:
+    """Every name a module defines, binds, imports or reads."""
+    names = _reads(tree)[0]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_names_same_spaces(module):
+    # a sweep's kernel refuses a layout's second subspace where the coset is
+    # made, so no caller re-checks histograms after the fact
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert "_same_spaces" not in _named(tree), module.name
+
+
+def test_the_check_sees_same_spaces():
+    for planted in ("def _same_spaces(hists, spaces):\n    pass\n",
+                    "from .protocols import _same_spaces\n",
+                    "from . import protocols\nprotocols._same_spaces([h], {})\n",
+                    "check = _same_spaces\n", "_same_spaces = None\n"):
+        assert "_same_spaces" in _named(ast.parse(planted)), planted
+    assert "_same_spaces" not in _named(ast.parse("same_spaces = 1  # _same_spaces\n"))
+
+
+def _private_protocols_reads(tree) -> set:
+    """Private names a module imports from ``protocols`` or reads as its attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("protocols"):
+            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "protocols" and node.attr.startswith("_")):
+            names.add(node.attr)
+    return names
+
+
+def test_nlqc_reads_only_the_sweep_kernel_and_joint_privately():
+    # the pad routes get their kernel, and with it the subspace rule, from
+    # _sweep_kernel, and the joint randomness from _joint; no other private
+    # helper of protocols is theirs to call
+    tree = ast.parse((SRC / "nlqc.py").read_text())
+    assert _private_protocols_reads(tree) == {"_sweep_kernel", "_joint"}
+
+
+def test_the_check_sees_a_private_protocols_read():
+    for planted, names in (("from .protocols import Worst, _joint, _tagged\n",
+                            {"_joint", "_tagged"}),
+                           ("from cdslab.protocols import _same_spaces\n", {"_same_spaces"}),
+                           ("from . import protocols\nf = protocols._coset_alphabet\n",
+                            {"_coset_alphabet"}),
+                           ("from .algebra import _x\nfrom .protocols import Coset\n"
+                            "y = quantum._TOL\n", set())):
+        assert _private_protocols_reads(ast.parse(planted)) == names, planted
+
+
 # module -> the top-level functions that must not read Fraction; None: the
 # whole module must not
-FRACTION_FREE = {"nlqc": None, "protocols": {"transcript_classes", "class_product"}}
+FRACTION_FREE = {"nlqc": None}
 
 
 def _fraction_readers(tree, functions) -> set:
