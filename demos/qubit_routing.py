@@ -10,10 +10,9 @@ simultaneous round of classical broadcast plus pre-shared entanglement.
 from cdslab.boolfn import named_fn
 from cdslab.gardenhose import gh_search
 from cdslab.nlqc import (cdqs_from_cds, cdqs_from_frouting, frouting_from_cdqs,
-                         frouting_from_gh, otp_reconstruct_left, verify_cdqs,
-                         verify_frouting)
+                         frouting_from_gh, verify_cdqs, verify_frouting)
 from cdslab.protocols import cds_from_gh
-from cdslab.quantum import random_qubit
+from cdslab.quantum import worst_fidelity
 
 and1 = named_fn("and", n=1)
 
@@ -46,9 +45,9 @@ print("round trip infidelity:", back.worst_infidelity,
 
 # Sender-side recovery is the sharp version of the f = 0 claim: when the
 # messages carry no key information, rotating Alice's kept key register
-# through the pad-to-EPR basis pulls the qubit back with probability exactly
-# one; once the key is decodable the best she can do is 1/2.
-psi = random_qubit(7).vec
+# through the pad-to-EPR basis pulls the qubit back with fidelity exactly
+# one; once the key is decodable the best she can do is 1/2. The figure is
+# exact: the worst fidelity over every pure input qubit.
 for (x, y) in and1.inputs():
-    p = otp_reconstruct_left(C.key_classes(x, y), psi)
-    print(f"  x={x} y={y} (f={and1.eval(x, y)}): left recovery = {p:.12f}")
+    p = worst_fidelity(lambda psi: R2.left_output(x, y, psi))
+    print(f"  x={x} y={y} (f={and1.eval(x, y)}): left worst fidelity = {p:.12f}")

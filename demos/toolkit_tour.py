@@ -57,4 +57,4 @@ for _ in range(3):
 # Registers are named; partial traces and measurements address them by name.
 ghzish = PureState.computational((("a", 1), ("b", 1)), {}).apply(
     U_BELL, ["a", "b"])
-print("reduced state of one Bell half:\n", np.asarray(ghzish.ptrace(["a"]).mat).real)
+print("reduced state of one Bell half:\n", np.asarray(ghzish.ptrace(["a"])).real)

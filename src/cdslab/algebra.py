@@ -257,8 +257,7 @@ class LsssScheme:
 
     The sharing vector u is uniform over { u : <target, u> = s }; share i is
     <row_i, u>. A row subset reconstructs exactly when the target lies in its
-    span, and is blind to the secret otherwise (the classic dichotomy, which
-    ``lsss_privacy_check`` verifies by a rank test rather than assuming).
+    span, and is blind to the secret otherwise (the classic dichotomy).
     """
 
     def __init__(self, program: SpanProgram):
@@ -267,10 +266,6 @@ class LsssScheme:
     @property
     def p(self) -> int:
         return self.program.p
-
-    @property
-    def n_shares(self) -> int:
-        return self.program.size
 
     def _pivot(self) -> int:
         t = self.program.target
@@ -317,22 +312,3 @@ def lsss_reconstruct(scheme: LsssScheme, subset, shares):
         return None
     return sum(c * s for c, s in zip(coeffs, shares)) % scheme.p
 
-
-def lsss_privacy_check(scheme: LsssScheme, subset) -> bool:
-    """True iff the subset's joint share distribution is secret-independent.
-
-    Exact, without enumerating sharings: under secret s the subset's shares
-    are uniform on the coset v_s + W, where v_s are the shares of
-    ``vector_for(s, 0)`` and W is the span of the shares of the kernel
-    vectors ``vector_for(0, unit)``. These cosets of one subspace coincide
-    for every secret iff v_1 - v_0 = v_1 lies in W.
-    """
-    e = len(scheme.program.target)
-
-    def view(secret, free):
-        shares = scheme.shares_from_vector(scheme.vector_for(secret, free))
-        return tuple(shares[i] for i in subset)
-
-    kernel = [view(0, [int(i == k) for i in range(e - 1)]) for k in range(e - 1)]
-    private, _ = in_span(kernel, view(1, [0] * (e - 1)), scheme.p)
-    return private

@@ -221,11 +221,6 @@ def _qr_positions(f: BoolFn) -> tuple:
     return alice, [i for i in range(1, f.params["n_bits"] + 1) if i not in alice]
 
 
-def qr_join(f: BoolFn, x: int, y: int) -> int:
-    """Assemble the split integer a from a qr function's two inputs."""
-    return _assemble(x, y, *_qr_positions(f))
-
-
 def qr_split_inputs(f: BoolFn, a: int) -> tuple:
     """Split an integer a into the (x, y) pair that assembles back to it."""
     alice, bob = _qr_positions(f)

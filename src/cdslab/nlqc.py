@@ -236,7 +236,7 @@ def _choi_fidelity(branches, fix: Callable, out: str) -> float:
     rho the branches' probability-weighted mixture, and needs no eigen-solve.
     """
     quantum = _statevector()
-    overlap = sum(b.prob * quantum.overlap(fix(b).ptrace(["R", out]).mat, quantum.PHI_PLUS)
+    overlap = sum(b.prob * quantum.overlap(fix(b).ptrace(["R", out]), quantum.PHI_PLUS)
                   for b in branches)
     return min(1.0, math.sqrt(max(0.0, overlap)))
 
@@ -249,7 +249,7 @@ def _view_blocks(branches, regs) -> dict:
     """
     terms = {}
     for b in branches:
-        mat = ((1.0,),) if regs is None or b.state is None else b.state.ptrace(regs).mat
+        mat = ((1.0,),) if regs is None or b.state is None else b.state.ptrace(regs)
         terms.setdefault(b.transcript, []).append((b.prob, mat))
     quantum = _statevector()
     return {t: quantum.weighted(ts) for t, ts in terms.items()}
@@ -447,23 +447,6 @@ def pauli_frame(outcomes) -> list:
     return quantum.dagger(net)
 
 
-def otp_reconstruct_left(classes: list, psi) -> float:
-    """Sender-side recovery probability of a pad key kept in superposition.
-
-    Alice pads her qubit with the key register held in uniform superposition
-    and keeps that register while the messages disclosing the key travel out.
-    Against the minimal purification of the message distribution, rotating the
-    key register through the pad-to-EPR basis swaps the qubit back into her
-    hands exactly when the messages carry no key information. Returns the
-    squared overlap of her output, ``_otp_left_output``, with the ideal
-    state: 1 when the key stays hidden, and 1/2 when the messages pin the
-    key down completely.
-    """
-    quantum = _statevector()
-    psi = quantum.PureState.from_qubit("q", psi).vec
-    return quantum.overlap(_otp_left_output(classes, psi), psi)
-
-
 def _otp_left_output(classes: list, psi) -> list:
     """The qubit Alice reconstructs from unit amplitudes psi, as a 2x2 matrix.
 
@@ -490,7 +473,7 @@ def _otp_left_output(classes: list, psi) -> list:
             vec[base | i | (1 << kq)] += amp * padded[1]
     state = quantum.PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
     state = state.apply(quantum.U_BELL, ["A1", "A2"])
-    return state.ptrace(["A2"]).mat
+    return state.ptrace(["A2"])
 
 
 # -- compilers -----------------------------------------------------------------

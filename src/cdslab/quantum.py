@@ -8,16 +8,17 @@ meaning all of its qubits, most significant first, and works by index
 arithmetic: qubit q of an n-qubit state is bit n - 1 - q of an amplitude's
 index. Inputs may be any nested sequence of numbers, numpy arrays included;
 a state or operator reads them into Python ``complex`` once. The register
-budget, ``MAX_QUBITS``, caps every state and is checked before ``tensor`` or
-``apply_isometry`` allocates, so protocol bugs fail fast instead of
-allocating huge vectors; a dense state is one factor, so its budget stops
-name the space "qubits per factor".
+budget, ``MAX_QUBITS``, caps every state and is checked before ``tensor``
+allocates, so protocol bugs fail fast instead of allocating huge vectors; a
+dense state is one factor, so its budget stops name the space "qubits per
+factor".
 
-Measurement never samples: ``measure`` and ``bell_measure`` return every
-outcome branch with its exact probability. The protocol verifiers read a
-referee's classical-quantum view as a block stack, a list holding the t
-(d, d) blocks of a block-diagonal operator, one block per transcript;
-``decoupling_gap`` and ``trace_distance`` take such stacks whole.
+Measurement never samples: ``bell_measure`` returns every outcome branch
+with its exact probability, and ``ptrace`` returns a reduced density
+operator as a list of rows. The protocol verifiers read a referee's
+classical-quantum view as a block stack, a list holding the t (d, d) blocks
+of a block-diagonal operator, one block per transcript; ``decoupling_gap``
+and ``trace_distance`` take such stacks whole.
 ``worst_fidelity`` gives a qubit map's exact worst fidelity over every pure
 input from its outputs on four inputs. Spectra come from the cyclic Jacobi
 method for Hermitian matrices (Golub and Van Loan, *Matrix Computations*,
@@ -209,16 +210,6 @@ class PureState:
         vec[idx] = 1 + 0j
         return PureState(regs, vec)
 
-    @staticmethod
-    def from_qubit(name: str, amplitudes) -> "PureState":
-        vec = _vector(amplitudes)
-        if len(vec) != 2:
-            raise ValidationError("a qubit has two amplitudes")
-        norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in vec))
-        if norm < _TOL:
-            raise ValidationError("zero vector")
-        return PureState(((name, 1),), [z / norm for z in vec])
-
     def tensor(self, other: "PureState") -> "PureState":
         n = self.n_qubits + other.n_qubits
         charge(n, MAX_QUBITS, "qubits per factor")
@@ -266,62 +257,11 @@ class PureState:
                 out[i] = sum(map(mul, row, amps))
         return PureState(self.regs, out)
 
-    def apply_isometry(self, V, targets: Sequence,
-                       new_reg: tuple) -> "PureState":
-        """Apply a (2^(k+m), 2^k) isometry; fresh qubits become a new register.
-
-        Row r of V writes the addressed qubits with r's top k bits and the
-        fresh register, the last in tensor order, with its low m bits.
-        """
-        axes = self._axes(targets)
-        k = len(axes)
-        name, m = new_reg
-        V = _matrix(V)
-        if len(V) != 1 << (k + m) or any(len(row) != 1 << k for row in V):
-            raise ValidationError("isometry shape mismatch")
-        n = self.n_qubits
-        charge(n + m, MAX_QUBITS, "qubits per factor")
-        offs, bases = _layout(n, axes)
-        fresh = (1 << m) - 1
-        vec = self.vec
-        out = [0j] * (1 << (n + m))
-        for base in bases:
-            amps = [vec[base + o] for o in offs]
-            for r, row in enumerate(V):
-                out[((base + offs[r >> m]) << m) | (r & fresh)] = sum(map(mul, row, amps))
-        return PureState(self.regs + ((name, m),), out)
-
     def rename(self, mapping: dict) -> "PureState":
         regs = tuple((mapping.get(n, n), k) for (n, k) in self.regs)
         return PureState(regs, self.vec)
 
     # -- measurement -----------------------------------------------------------
-
-    def _branch(self, keep_regs, amp, tol):
-        """(prob, post state) of an unnormalised branch, or None at most ``tol``."""
-        p = sum(z.real * z.real + z.imag * z.imag for z in amp)
-        if p <= tol:
-            return None
-        root = math.sqrt(p)
-        return p, PureState(keep_regs, [z / root for z in amp])
-
-    def measure(self, reg_names: Sequence[str], tol: float = _TOL) -> list:
-        """All nonzero computational branches over whole registers.
-
-        Returns [(bits, prob, post_state)] sorted by outcome; measured
-        registers are removed from the post state. ``bits`` is the integer
-        read MSB-first across the given registers in the given order.
-        """
-        axes = self._axes(reg_names)
-        offs, bases = _layout(self.n_qubits, axes)
-        keep_regs = tuple(r for r in self.regs if r[0] not in set(reg_names))
-        vec = self.vec
-        out = []
-        for outcome, off in enumerate(offs):
-            got = self._branch(keep_regs, [vec[base + off] for base in bases], tol)
-            if got is not None:
-                out.append((outcome,) + got)
-        return out
 
     def bell_measure(self, reg_a: str, reg_b: str, tol: float = _TOL) -> list:
         """Measure a qubit pair in the basis (I x X^a Z^b)|epr>.
@@ -341,45 +281,21 @@ class PureState:
         for ab, ((r0, c0), (r1, c1)) in _BELL_BRAS:
             o0, o1 = pair[r0], pair[r1]
             amp = [c0 * vec[base + o0] + c1 * vec[base + o1] for base in bases]
-            got = self._branch(keep_regs, amp, tol)
-            if got is not None:
-                out.append((ab,) + got)
+            p = sum(z.real * z.real + z.imag * z.imag for z in amp)
+            if p > tol:
+                root = math.sqrt(p)
+                out.append((ab, p, PureState(keep_regs, [z / root for z in amp])))
         return out
 
     # -- density views -----------------------------------------------------------
 
-    def density(self) -> "DensityOp":
-        return DensityOp(self.regs, [[a * b.conjugate() for b in self.vec]
-                                     for a in self.vec])
-
-    def ptrace(self, keep: Sequence[str]) -> "DensityOp":
-        """Reduced density operator on the named registers, in given order."""
+    def ptrace(self, keep: Sequence[str]) -> list:
+        """Reduced density operator on the named registers, in given order, as rows."""
         offs, bases = _layout(self.n_qubits, self._axes(keep))
         vec = self.vec
         rows = [[vec[base + o] for base in bases] for o in offs]
         conj = [[z.conjugate() for z in row] for row in rows]
-        regs_of = _offsets(self.regs)
-        regs = tuple((nm, regs_of[nm][1]) for nm in keep)
-        return DensityOp(regs, [[sum(map(mul, ri, cj)) for cj in conj] for ri in rows])
-
-
-class DensityOp:
-    """Density operator over named registers."""
-
-    def __init__(self, regs: tuple, mat):
-        self.regs, self.mat = regs, _matrix(mat)
-
-    def ptrace(self, keep: Sequence[str]) -> "DensityOp":
-        n = sum(k for (_, k) in self.regs)
-        offs = _offsets(self.regs)
-        axes = []
-        for nm in keep:
-            p0, k = offs[nm]
-            axes.extend(range(p0, p0 + k))
-        sub, bases = _layout(n, axes)
-        mat = self.mat
-        out = [[sum(mat[i + b][j + b] for b in bases) for j in sub] for i in sub]
-        return DensityOp(tuple((nm, offs[nm][1]) for nm in keep), out)
+        return [[sum(map(mul, ri, cj)) for cj in conj] for ri in rows]
 
 
 # -- spectra -------------------------------------------------------------------
@@ -470,13 +386,11 @@ def sqrtm_psd(mat) -> list:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), unsquared.
 
-    Accepts DensityOp or raw matrices; for pure states this is the absolute
-    overlap. Satisfies 1 - F <= trace distance <= sqrt(1 - F^2).
+    For pure states this is the absolute overlap. Satisfies
+    1 - F <= trace distance <= sqrt(1 - F^2).
     """
-    r = rho.mat if isinstance(rho, DensityOp) else rho
-    s = sigma.mat if isinstance(sigma, DensityOp) else sigma
-    root = sqrtm_psd(r)
-    vals, _ = _eigh_psd(matmul(matmul(root, s), root))
+    root = sqrtm_psd(rho)
+    vals, _ = _eigh_psd(matmul(matmul(root, sigma), root))
     return float(min(1.0, sum(map(math.sqrt, vals))))
 
 
@@ -491,8 +405,7 @@ def trace_distance(rho, sigma) -> float:
     block-diagonal operators: the trace norm adds up block by block, so the
     result is the trace distance of the two operators.
     """
-    r = [rho.mat] if isinstance(rho, DensityOp) else _stack(rho)
-    s = [sigma.mat] if isinstance(sigma, DensityOp) else _stack(sigma)
+    r, s = _stack(rho), _stack(sigma)
     if len(r) != len(s) or any(len(a) != len(b) for a, b in zip(r, s)):
         raise ValidationError("dimension mismatch")
     return 0.5 * sum(_trace_norm([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
@@ -599,16 +512,6 @@ def pad_average(rho) -> list:
     terms = [(1.0, matmul(matmul(P, rho), dagger(P)))
              for P in (_PADS[key] for key in product((0, 1), repeat=2))]
     return [[z / 4 for z in row] for row in weighted(terms)]
-
-
-def build_vf(f) -> list:
-    """Isometry writing f(x, y) into a fresh qubit: |x,y> -> |x,y,f(x,y)>."""
-    n = f.n_x + f.n_y
-    V = [[0j] * (1 << n) for _ in range(1 << (n + 1))]
-    for x, y in f.inputs():
-        col = (x << f.n_y) | y
-        V[(col << 1) | f.eval(x, y)][col] = 1 + 0j
-    return V
 
 
 def choi(channel: Callable, dim: int) -> list:

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdslab.algebra import (LsssScheme, euler_qr, in_span, lsss_privacy_check,
+from cdslab.algebra import (LsssScheme, euler_qr, in_span,
                             lsss_reconstruct, span_and1, span_dnf, span_eq1,
                             span_or1, span_threshold_2of3, sp_eval, SpanProgram)
 from cdslab.errors import DomainError, ValidationError
@@ -117,12 +117,26 @@ def test_span_json_round_trip():
     assert again == prog
 
 
+def _private_by_enumeration(scheme, subset) -> bool:
+    """True when the subset's shares are distributed alike under every secret."""
+    e = len(scheme.program.target)
+    dists = []
+    for secret in range(scheme.p):
+        hist = {}
+        for free in product(range(scheme.p), repeat=e - 1):
+            shares = scheme.shares_from_vector(scheme.vector_for(secret, free))
+            key = tuple(shares[i] for i in subset)
+            hist[key] = hist.get(key, 0) + 1
+        dists.append(hist)
+    return all(d == dists[0] for d in dists[1:])
+
+
 def test_lsss_dichotomy():
     """Authorized subsets reconstruct; unauthorized ones are distribution-blind."""
     for p in (2, 3, 5):
         for prog in (span_and1(p), span_or1(p), span_threshold_2of3(p)):
             scheme = LsssScheme(prog)
-            d = scheme.n_shares
+            d = prog.size
             for size in range(d + 1):
                 for subset in combinations(range(d), size):
                     rows = [prog.matrix[i] for i in subset]
@@ -134,7 +148,7 @@ def test_lsss_dichotomy():
                             assert got == secret
                     else:
                         assert lsss_reconstruct(scheme, subset, [0] * size) is None
-                        assert lsss_privacy_check(scheme, subset), (p, subset)
+                        assert _private_by_enumeration(scheme, subset), (p, subset)
 
 
 def test_lsss_sharing_vector_properties():
@@ -154,5 +168,5 @@ def test_lsss_sharing_vector_properties():
 def test_lsss_share_reconstruct_round_trip(secret, p, seed):
     scheme = LsssScheme(span_or1(p))
     shares = scheme.share(secret, seed)
-    full = tuple(range(scheme.n_shares))
+    full = tuple(range(scheme.program.size))
     assert lsss_reconstruct(scheme, full, shares) == secret % p

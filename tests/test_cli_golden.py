@@ -165,7 +165,7 @@ def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
 
     def compared(branches, fix, out):
         got = closed(branches, fix, out)
-        rho = sum(b.prob * np.asarray(fix(b).ptrace(["R", out]).mat) for b in branches)
+        rho = sum(b.prob * np.asarray(fix(b).ptrace(["R", out])) for b in branches)
         assert abs(got - quantum.fidelity(rho, target)) <= FLOAT_TOL
         scored.append(got)
         return got

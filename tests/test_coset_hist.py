@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import protocols
-from cdslab.algebra import (LsssScheme, SpanProgram, lsss_privacy_check, sp_eval,
-                            span_and1, span_eq1, span_or1, span_threshold_2of3)
+from cdslab.algebra import (SpanProgram, sp_eval, span_and1, span_eq1, span_or1,
+                            span_threshold_2of3)
 from cdslab.boolfn import BoolFn, from_table, literal_input, named_fn
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.protocols import (DEFAULT_BUDGET, CdsProtocol, LinearPart, PsmProtocol,
@@ -343,30 +343,3 @@ def test_qr_shared_space_is_lazy_and_in_the_old_order():
     big = dre_qr(17)
     assert len(big.shared) == 1_336_336
     assert next(iter(big.shared)) == (1, (0,) * 5)
-
-
-# -- LSSS privacy by rank ------------------------------------------------------------
-
-
-def _private_by_enumeration(scheme, subset) -> bool:
-    e = len(scheme.program.target)
-    dists = []
-    for secret in range(scheme.p):
-        hist = {}
-        for free in product(range(scheme.p), repeat=e - 1):
-            shares = scheme.shares_from_vector(scheme.vector_for(secret, free))
-            key = tuple(shares[i] for i in subset)
-            hist[key] = hist.get(key, 0) + 1
-        dists.append(hist)
-    return all(d == dists[0] for d in dists[1:])
-
-
-@settings(max_examples=30, deadline=None)
-@given(span_programs())
-def test_lsss_privacy_rank_test_matches_enumeration(drawn):
-    program, _ = drawn
-    scheme = LsssScheme(program)
-    for size in range(program.size + 1):
-        for subset in combinations(range(program.size), size):
-            assert lsss_privacy_check(scheme, subset) == \
-                _private_by_enumeration(scheme, subset), subset

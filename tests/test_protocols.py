@@ -12,7 +12,7 @@ from itertools import permutations, product
 import pytest
 
 from cdslab.algebra import span_and1, span_eq1, span_or1, span_threshold_2of3
-from cdslab.boolfn import from_table, named_fn, qr_join, qr_split_inputs
+from cdslab.boolfn import from_table, named_fn, qr_split_inputs
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, Dre, PsmProtocol, cds_from_gh,
@@ -188,7 +188,7 @@ def test_dre_qr_frozen_example():
     rr = (2, (5, 2, 0))
     assert rr in D.shared
     x, y = qr_split_inputs(D.f, 3)
-    assert qr_join(D.f, x, y) == 3
+    assert (x, y) == (1, 1)  # Alice holds bit 1 of a, Bob bits 2 and 3
     mx = D.enc_x(x, rr)
     my = D.enc_y(y, rr)
     assert mx == ((), (2,))

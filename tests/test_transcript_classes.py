@@ -24,13 +24,13 @@ from cdslab.cli import _span_for
 from cdslab.errors import ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
 from cdslab.nlqc import (KEYS, RunBranch, TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
-                         frouting_from_cdqs, otp_reconstruct_left, psqm_from_psm,
+                         frouting_from_cdqs, psqm_from_psm,
                          security_state_sweep, transcript_classes, verify_cdqs,
                          verify_frouting, verify_psqm)
 from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh,
                               cds_from_psm, cds_from_span, coset_hist, dre_qr, hiding_input,
                               message_count, message_hist, psm_from_dre, psm_generic_table)
-from cdslab.quantum import epr_pairs, random_qubit
+from cdslab.quantum import PAULI_EIGENSTATES, epr_pairs
 
 TOL = 1e-12
 AND1 = named_fn("and", n=1)
@@ -185,13 +185,14 @@ def _check_route(classed, flat, routing, sweep) -> None:
         _same_sweep(security_state_sweep(classed, seeds=range(2)),
                     security_state_sweep(flat, seeds=range(2)))
     if routing:
-        _same_report(verify_frouting(frouting_from_cdqs(classed)),
-                     verify_frouting(frouting_from_cdqs(flat)))
-        psi = random_qubit(5).vec
+        got, want = frouting_from_cdqs(classed), frouting_from_cdqs(flat)
+        _same_report(verify_frouting(got), verify_frouting(want))
+        # the Pauli eigenstates span a qubit's operators, so equal outputs on
+        # them make the left side's two maps equal on every input qubit
         for (x, y) in classed.input_pairs():
-            got = otp_reconstruct_left(classed.key_classes(x, y), psi)
-            want = otp_reconstruct_left(flat.key_classes(x, y), psi)
-            assert abs(got - want) <= TOL, (x, y)
+            for name, psi in PAULI_EIGENSTATES:
+                a, b = got.left_output(x, y, psi), want.left_output(x, y, psi)
+                assert np.max(np.abs(np.subtract(a, b))) <= TOL, (x, y, name)
 
 
 def _check_cds_route(cds, routing=True, sweep=True) -> None:
@@ -326,7 +327,7 @@ def test_psm_table_routes_match_flat():
 
 def test_qr5_routes_match_flat():
     # the flat reference takes seconds per run here, so verify_cdqs only;
-    # flat otp_reconstruct_left would need a message register past 14 qubits
+    # the flat left_output would need a message register past 14 qubits
     psm = psm_from_dre(dre_qr(5))
     _check_cds_route(cds_from_psm(psm), routing=False, sweep=False)
     _check_psqm_route(psm, routing=False, sweep=False)

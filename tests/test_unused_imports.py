@@ -1,7 +1,7 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
 only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads a message-histogram
 kernel, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``, and every
-definition is read somewhere.
+definition is read by the program itself, not by tests alone.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -15,9 +15,12 @@ numpy is imported only inside the one function that needs it,
 ``quantum.random_qubit``, so no module loads it at import and no ``cdslab``
 build or verify loads it at all. A function, class or method that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
-deletion left behind or that nothing ever needed. The choice between
-``message_hist`` and ``coset_hist``, and the sweep's budget charge, are made
-in ``protocols._sweep_kernel`` alone, so no other module reads either kernel.
+deletion left behind or that nothing ever needed. One that only tests read
+is no part of the program either: the sources, demos and benchmark must read
+it, so a test checks a figure the program computes, or keeps its own helper.
+The choice between ``message_hist`` and ``coset_hist``, and the sweep's
+budget charge, are made in ``protocols._sweep_kernel`` alone, so no other
+module reads either kernel.
 The kernel it binds holds each layout of tags and value counts to one
 subspace across the whole sweep, so no module defines or reads the
 after-the-fact check ``_same_spaces``, and the only private ``protocols``
@@ -45,8 +48,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cdslab"
 MODULES = sorted(SRC.glob("*.py"))
-READERS = MODULES + sorted(p for d in ("tests", "demos", "bench")
-                           for p in (ROOT / d).rglob("*.py"))
+# the program: what a build, a verify, a demo or the benchmark can run
+PROGRAM = MODULES + sorted(p for d in ("demos", "bench") for p in (ROOT / d).rglob("*.py"))
+READERS = PROGRAM + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def _imported(tree) -> dict:
@@ -417,15 +421,51 @@ def _unread(tree, names: set, attributes: set) -> list:
     return unread
 
 
-def test_every_definition_is_referenced():
+def _trees(paths) -> list:
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
+def _unread_in(modules: dict, readers: list) -> dict:
+    """Module name -> those of its definitions that no tree in ``readers`` reads."""
     names, attributes = set(), set()
-    for path in READERS:
-        read = _reads(ast.parse(path.read_text(), filename=str(path)))
+    for tree in readers:
+        read = _reads(tree)
         names |= read[0]
         attributes |= read[1]
-    unread = {module.name: _unread(ast.parse(module.read_text()), names, attributes)
-              for module in MODULES}
+    unread = {name: _unread(tree, names, attributes) for name, tree in modules.items()}
+    return {k: v for k, v in unread.items() if v}
+
+
+def _modules() -> dict:
+    return dict(zip((module.name for module in MODULES), _trees(MODULES)))
+
+
+def test_every_definition_is_referenced():
+    assert _unread_in(_modules(), _trees(READERS)) == {}
+
+
+# definitions the program reads by a name no ast node holds
+READ_BY_STRING = {
+    "LsssScheme.share",  # bench/tracer.py wraps it through getattr on a string
+}
+
+
+def test_no_definition_is_read_only_by_tests():
+    # a definition only tests read is no part of the program: a test checks
+    # the figure the program computes, or keeps its helper to itself
+    unread = {k: [d for d in v if d not in READ_BY_STRING]
+              for k, v in _unread_in(_modules(), _trees(PROGRAM)).items()}
     assert {k: v for k, v in unread.items() if v} == {}
+
+
+def test_the_check_sees_a_definition_only_tests_read():
+    module = ast.parse("def kernel():\n    pass\ndef helper():\n    pass\n"
+                       "class S:\n    def run(self):\n        return helper()\n"
+                       "    def probe(self):\n        pass\n")
+    program = ast.parse("from m import S\nS().run()\n")
+    test = ast.parse("from m import kernel, S\nkernel()\nS().probe()\n")
+    assert _unread_in({"m": module}, [module, program]) == {"m": ["kernel", "S.probe"]}
+    assert _unread_in({"m": module}, [module, program, test]) == {}
 
 
 def test_the_check_sees_an_unread_definition():

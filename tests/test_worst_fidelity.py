@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from cdslab.boolfn import from_table, named_fn
 from cdslab.gardenhose import LEFT, gh_generic, gh_search
 from cdslab.nlqc import (cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs,
-                         otp_reconstruct_left, psqm_from_psm, verify_frouting)
+                         psqm_from_psm, verify_frouting)
 from cdslab.protocols import cds_from_gh, cds_from_psm, psm_generic_table
 from cdslab.quantum import overlap, probe_qubits, worst_fidelity
 
@@ -185,7 +185,7 @@ def _check_left_side(C, leak=None) -> None:
         lefts += 1
         exact = worst_fidelity(lambda psi: R.left_output(x, y, psi))
         assert report.per_input[(x, y)]["fidelity"] == exact
-        sampled = [otp_reconstruct_left(C.key_classes(x, y), vec) for vec in probes]
+        sampled = [overlap(R.left_output(x, y, vec), vec) for vec in probes]
         assert exact <= min(sampled) + TOL, (x, y)
         if (x, y) == leak:
             assert abs(exact - 0.5) <= TOL
