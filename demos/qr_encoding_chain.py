@@ -21,9 +21,10 @@ print(f"encoding residuosity mod {p}; Alice holds bit positions",
       D.f.params["alice_positions"])
 
 # A worked example with pinned randomness: a = 3 has bits (1, 1, 0) and is
-# not a square mod 7. With r = 2 and shares (5, 2, 0) the encodings are
-# exactly computable by hand. Each side sends an empty tag and its values.
-rr = (2, (5, 2, 0))
+# not a square mod 7. With r = 2 and free shares (5, 2), so shares (5, 2, 0),
+# the last being the negated sum of the others, the encodings are exactly
+# computable by hand. Each side sends an empty tag and its values.
+rr = (2, (5, 2))
 x, y = qr_split_inputs(D.f, 3)
 mx, my = D.enc_x(x, rr), D.enc_y(y, rr)
 print("a = 3 encodes as", mx[1], "+", my[1], "-> decode", D.decode(mx, my))

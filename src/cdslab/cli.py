@@ -12,13 +12,13 @@ Three subcommands:
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget exceeded.
 A budget stop names the space it counted, its size and the limit: ``verify``
 writes them as a report with status "budget", ``build`` and ``sweep`` print
-them to stderr. A size past 256 bits is written as the power of two it
-reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
+them to stderr. A size or count past 256 bits is written as the power of two
+it reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
 give identical bytes.
 
-Only chains with a quantum stage load the protocol and statevector layers,
-and those run on the standard library: no ``build`` or ``verify`` loads
-numpy, which serves only ``quantum.random_qubit``'s seeded draws.
+Only chains with a quantum stage load ``nlqc`` and ``quantum``, on the
+standard library: no ``build`` or ``verify`` loads numpy, which serves only
+``quantum.random_qubit``'s seeded draws.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import __version__
 from .algebra import (SpanProgram, span_and1, span_eq1, span_or1, span_dnf,
                       sp_eval)
 from .boolfn import BoolFn, all_functions, from_packed, literal_input, named_fn
-from .errors import BudgetError, DomainError, ValidationError, charge
+from .errors import BudgetError, DomainError, ValidationError, charge, count_text
 from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
                          gh_search)
 from .protocols import (DEFAULT_BUDGET, VerificationReport, cds_from_gh,
@@ -171,21 +171,14 @@ def _parse_fn(args) -> BoolFn:
 
 
 def _span_for(f: BoolFn, p: int) -> SpanProgram:
-    if f.name == "and1":
-        return span_and1(p)
-    if f.name == "or1":
-        return span_or1(p)
-    if f.name == "eq1":
-        return span_eq1(p)
+    named = {"and1": span_and1, "or1": span_or1, "eq1": span_eq1}
+    if f.name in named:
+        return named[f.name](p)
     ones = f.ones()
     if not ones:
         raise ValidationError("constant-0 function has no satisfying terms")
-    n = f.n_x + f.n_y
-    terms = []
-    for (x, y) in ones:
-        z = literal_input(f, x, y)
-        terms.append([(k + 1, z[k]) for k in range(n)])
-    return span_dnf(terms, n, p)
+    terms = [[(k + 1, bit) for k, bit in enumerate(literal_input(f, x, y))] for (x, y) in ones]
+    return span_dnf(terms, f.n_x + f.n_y, p)
 
 
 # -- chain compilation -----------------------------------------------------------
@@ -201,6 +194,12 @@ def _check_chain(tokens) -> None:
             raise ValidationError(f"no rule builds {b!r} from {a!r}")
 
 
+def _refuse(message: str, bad: list) -> None:
+    """Fail on inputs ``bad`` that a base artifact gets wrong."""
+    if bad:
+        raise VerifyFailure(message, witness={"inputs": list(map(list, bad))})
+
+
 def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
     """Build (or reload) the chain's base object; returns (obj, artifacts)."""
     if token == "gh":
@@ -210,22 +209,18 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
             strategy = gh_search(f, opts["max_pipes"], budget=opts["budget"])
             if strategy is None:
                 strategy = gh_generic(f)
-        bad = [(x, y) for (x, y) in f.inputs()
-               if (gh_eval(strategy, x, y).side == RIGHT) != (f.eval(x, y) == 1)]
-        if bad:
-            raise VerifyFailure("strategy routes some input to the wrong side",
-                                witness={"inputs": [list(b) for b in bad]})
+        _refuse("strategy routes some input to the wrong side",
+                [(x, y) for (x, y) in f.inputs()
+                 if (gh_eval(strategy, x, y).side == RIGHT) != (f.eval(x, y) == 1)])
         return strategy, {"gh_strategy": strategy.to_jsonable()}
     if token == "span":
         if "span_program" in embedded:
             program = SpanProgram.from_jsonable(embedded["span_program"])
         else:
             program = _span_for(f, opts["p"])
-        bad = [(x, y) for (x, y) in f.inputs()
-               if sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)]
-        if bad:
-            raise VerifyFailure("span program disagrees with the function",
-                                witness={"inputs": [list(b) for b in bad]})
+        _refuse("span program disagrees with the function",
+                [(x, y) for (x, y) in f.inputs()
+                 if sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
         return program, {"span_program": program.to_jsonable()}
     if token == "dre":
         params = f.params
@@ -269,7 +264,17 @@ def _verify_object(kind, obj, budget: int, tol: float) -> dict:
 # -- io helpers --------------------------------------------------------------------
 
 
+def _counts(obj) -> None:
+    """Each int past 256 bits in ``obj`` as ``count_text``, in place."""
+    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(v, (dict, list)):
+            _counts(v)
+        elif isinstance(v, int) and v.bit_length() > 256:
+            obj[k] = count_text(v)
+
+
 def _emit(obj, path, fmt="json") -> None:
+    _counts(obj)
     if fmt == "json":
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     else:
@@ -349,11 +354,8 @@ def _cmd_verify(args) -> int:
         f = BoolFn.from_jsonable(desc["fn"])
         tokens = list(desc["chain"])
         _check_chain(tokens)
-        opts = dict(desc.get("options", {}))
-        opts.setdefault("p", 2)
-        opts.setdefault("variant", "comm")
-        opts.setdefault("max_pipes", 4)
-        opts["budget"] = args.budget
+        opts = {"p": 2, "variant": "comm", "max_pipes": 4, **dict(desc.get("options", {})),
+                "budget": args.budget}
         kind, obj, _ = _compile_chain(tokens, f, opts, desc.get("artifacts", {}))
         result.update(_verify_object(kind, obj, args.budget, args.tol))
         result["chain"] = tokens
@@ -412,14 +414,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.cmd == "build":
-            return _cmd_build(args)
-        if args.cmd == "verify":
-            return _cmd_verify(args)
-        if args.cmd == "sweep":
-            return _cmd_sweep(args)
-        parser.print_usage(sys.stderr)
-        return 2
+        return {"build": _cmd_build, "verify": _cmd_verify,
+                "sweep": _cmd_sweep}[args.cmd](args)
     except BudgetError as exc:
         _report_budget(exc)
         return 3

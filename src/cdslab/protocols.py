@@ -6,8 +6,9 @@ leakage come out as exact rationals from sweeping every input, secret, and
 randomness value, or every coset of messages that randomness entering
 linearly fills. ``verify_cds``, ``verify_psm`` and ``verify_dre`` share one
 sweep loop, ``_sweep``, over cases that each name the value they must decode
-to and the group they must look like; it charges the whole sweep before it
-starts and keeps each worst figure's first witness in a ``Worst``.
+to and the group they must look like; it charges the sweep before it starts
+(a coset layout when met) and keeps each worst figure's first witness in a
+``Worst``.
 
 Conventions shared by every protocol type here:
 
@@ -16,13 +17,12 @@ Conventions shared by every protocol type here:
   ``None``). Only the shared space counts as randomness complexity.
 * messages must be hashable so message distributions can be histogrammed.
 * ``domain`` optionally restricts the verified input pairs; None means all.
-* ``linear``, when not None, is a ``LinearPart``: the messages are affine
-  over Z_p in part of the randomness, and each party sends a pair ``(tag,
-  values)``. Every message sweep, here or in ``nlqc``'s pad routes, then
-  counts one coset at a time (``coset_hist``), and enumerates
-  (``message_hist``) only undeclared protocols; ``_sweep_kernel`` chooses,
-  holding each layout to one subspace per sweep. ``cds_from_span``, ``dre_qr``
-  and ``psm_from_dre`` declare it, and ``cds_from_psm`` over a declaring PSM.
+* ``linear``, when not None, is a ``LinearPart``: affine forms of each
+  party's ``(tag, values)``, which make the record's spaces and callbacks.
+  Every message sweep, here or in ``nlqc``, then reads them one coset at a
+  time (``coset_hist``), and enumerates (``message_hist``) only undeclared
+  protocols; ``_sweep_kernel`` chooses. ``cds_from_span``, ``dre_qr`` and
+  ``psm_from_dre`` declare it, and ``cds_from_psm`` over a declaring PSM.
 """
 
 from __future__ import annotations
@@ -84,11 +84,43 @@ class VerificationReport:
 
 
 class InputDomain:
-    """Every record's ``domain`` (None: all of f's inputs) and ``resources``."""
+    """Every record's ``domain`` (None: all of f's inputs) and ``resources``,
+    and a message protocol's ``linear`` part (``_messages``)."""
 
     def __init__(self, domain: Optional[tuple], resources: Optional[dict]):
         self.domain = domain
         self.resources = {} if resources is None else resources
+
+    def _messages(self, linear: Optional[LinearPart]) -> None:
+        """Keep ``linear``; a record with one takes from it, never given too,
+        its spaces, (nu, shared rho) and each party's rho, and messages b +
+        rho . maps mod p."""
+        self.linear = linear
+        if linear is None:
+            return
+        p, (n_shared, n_alice, n_bob) = linear.p, linear.coords
+
+        def sender(side, form):
+            def send(x, *args):   # args: *secret, (nu, shared rho), the party's own rho
+                *secret, (nu, rho), own = args
+                tag, b = form(x, *secret, nu)
+                rho += (0,) * (n_alice * side) + own
+                return tag, _shift(b, rho, linear.maps(side, tag), p)
+            return send
+
+        alice_msg, bob_msg = sender(0, linear.alice_form), sender(1, linear.bob_form)
+        for name, value in {
+                "shared": pair_space(linear.nus, product_space(range(p), n_shared)),
+                "alice_private": product_space(range(p), n_alice),
+                "bob_private": product_space(range(p), n_bob),
+                "alice_msg": alice_msg, "bob_msg": bob_msg,
+                "enc_x": lambda x, r: alice_msg(x, r, ()),
+                "enc_y": lambda y, r: bob_msg(y, r, ())}.items():
+            if name in vars(self):
+                if vars(self)[name] not in (None, (None,)):
+                    raise ValidationError("a record takes a LinearPart or message "
+                                          "callbacks, not both")
+                setattr(self, name, value)
 
     def input_pairs(self):
         return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
@@ -138,39 +170,33 @@ def pair_space(first, second) -> LazySpace:
                      lambda: ((a, b) for a in first for b in second))
 
 
-class CdsProtocol(InputDomain):
-    """Conditional disclosure of a secret held by Alice.
-
-    Alice sends ``alice_msg(x, s, r, ra)``, Bob sends ``bob_msg(y, r, rb)``;
-    the referee, knowing (x, y), should recover s exactly when f(x, y) = 1
-    and learn nothing about it otherwise.
-    """
-
-    def __init__(self, f: BoolFn, secrets: tuple, shared: tuple, alice_msg: Callable,
-                 bob_msg: Callable, decode: Callable, alice_private: tuple = (None,),
-                 bob_private: tuple = (None,), domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
-        self.f, self.secrets, self.shared = f, secrets, shared
-        self.alice_msg, self.bob_msg, self.decode = alice_msg, bob_msg, decode
-        self.alice_private, self.bob_private = alice_private, bob_private
-        self.linear = linear
-        super().__init__(domain, resources)
-
-
 class PsmProtocol(InputDomain):
     """Private simultaneous messages: the referee learns f(x, y) and nothing else."""
 
-    def __init__(self, f: BoolFn, shared: tuple, alice_msg: Callable, bob_msg: Callable,
-                 decode: Callable, alice_private: tuple = (None,),
-                 bob_private: tuple = (None,), domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
+    def __init__(self, f: BoolFn, shared=None, alice_msg=None, bob_msg=None, decode=None,
+                 alice_private: tuple = (None,), bob_private: tuple = (None,),
+                 domain: Optional[tuple] = None, resources: Optional[dict] = None,
+                 linear: Optional[LinearPart] = None):
         self.f, self.shared = f, shared
         self.alice_msg = alice_msg        # (x, r, ra) -> message
         self.bob_msg = bob_msg            # (y, r, rb) -> message
         self.decode = decode              # (m0, m1) -> value of f
         self.alice_private, self.bob_private = alice_private, bob_private
-        self.linear = linear
         super().__init__(domain, resources)
+        self._messages(linear)
+
+
+class CdsProtocol(PsmProtocol):
+    """Conditional disclosure of a secret held by Alice: a PSM record plus ``secrets``.
+
+    Alice sends ``alice_msg(x, s, r, ra)``, Bob sends ``bob_msg(y, r, rb)``;
+    the referee, knowing (x, y), should recover s exactly when f(x, y) = 1
+    and learn nothing about it otherwise, by ``decode(m0, x, m1, y)``.
+    """
+
+    def __init__(self, f: BoolFn, secrets: tuple, *args, **kwargs):
+        self.secrets = secrets
+        super().__init__(f, *args, **kwargs)
 
 
 class Dre(InputDomain):
@@ -180,13 +206,13 @@ class Dre(InputDomain):
     distribution must depend on the input only through f(x, y).
     """
 
-    def __init__(self, f: BoolFn, shared: tuple, enc_x: Callable, enc_y: Callable,
-                 decode: Callable, domain: Optional[tuple] = None,
+    def __init__(self, f: BoolFn, shared=None, enc_x=None, enc_y=None, decode=None,
+                 domain: Optional[tuple] = None,
                  resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
         self.f, self.shared = f, shared
         self.enc_x, self.enc_y, self.decode = enc_x, enc_y, decode
-        self.linear = linear
         super().__init__(domain, resources)
+        self._messages(linear)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -249,24 +275,23 @@ def message_hist(P, x, y, *secret) -> dict:
 
 
 class LinearPart(NamedTuple):
-    """A protocol's declaration that its messages are affine in rho over Z_p.
+    """A protocol's messages as affine forms over Z_p.
 
-    ``embed(nu, rho)`` gives the protocol's own (r, ra, rb) for a value
-    ``nu`` of the nonlinear randomness and a vector ``rho`` in Z_p^ell; over
-    ``nus`` x Z_p^ell it must hit every element of ``shared x alice_private x
-    bob_private`` once. Each party sends a pair ``(tag, values)``: ``tag`` is
-    any hashable constant of the input and secret for fixed nu, such as the
-    rows a span party reveals, and ``values`` is a tuple of Z_p elements,
-    affine in rho. A party's affine map must depend on its tag alone, which
-    each sweep checks as one subspace per layout across all its cosets. The
-    decoder must give one value on each coset the messages of one nu fill,
-    as a linear reconstruction does.
+    Randomness is ``nu`` in ``nus``, nonlinear, and rho in Z_p^ell, ``coords``
+    counting its shared, Alice's and Bob's coordinates. A party sends ``(tag,
+    values)``: ``alice_form(x, *secret, nu)`` and ``bob_form(y, nu)`` give
+    the tag, any hashable constant, and the values b at rho = 0, in 0..p-1;
+    rho adds rho . ``maps(side, tag)`` (side 0 Alice), row k the change per
+    unit of rho_k, zero on the other party's coordinates. The decoder must
+    give one value on each coset the messages of one nu fill.
     """
 
     p: int
     nus: tuple
-    ell: int
-    embed: Callable
+    coords: tuple
+    alice_form: Callable
+    bob_form: Callable
+    maps: Callable
 
 
 class Coset(NamedTuple):
@@ -290,86 +315,61 @@ def message_count(m) -> int:
     return m.count if isinstance(m, Coset) else 1
 
 
-def _tagged(m) -> tuple:
-    """(layout, values) of a message pair ((tag0, v0), (tag1, v1)): its layout
-    is (tag0, tag1, len(v0), len(v1)) and its values v0 + v1."""
-    try:
-        (tag0, v0), (tag1, v1) = m
-        return (tag0, tag1, len(v0), len(v1)), v0 + v1
-    except (TypeError, ValueError):
-        raise ValidationError("a linear message is not a (tag, values) pair") from None
-
-
-def _reduce(vec, basis, pivots, p: int) -> tuple:
-    """Canonical member of vec + span(basis): zero in every pivot column."""
-    vec = list(vec)
-    for row, col in zip(basis, pivots):
-        c = vec[col]
+def _shift(vec, coeffs, rows, p: int) -> tuple:
+    """vec + sum of coeffs[k] rows[k] over Z_p; with rows an echelon basis and
+    coeffs -vec at its pivots, vec + span(rows)'s member zero at every pivot."""
+    for c, row in zip(coeffs, rows):
         if c:
-            vec = [(v - c * w) % p for v, w in zip(vec, row)]
+            vec = [(v + c * w) % p for v, w in zip(vec, row)]
     return tuple(vec)
 
 
-def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None) -> dict:
+def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None,
+               met: Callable = lambda size: None) -> dict:
     """Exact counts of P's message pair on (x, y), one entry per coset.
 
-    P declares ``linear``, a ``LinearPart``. For each nonlinear value nu
-    the tags are fixed and the concatenated values are b + A rho, so as rho
-    runs over Z_p^ell they are uniform on the coset b + V, V the column
-    space of A. P's own callables at rho = 0 and at the ell unit vectors,
-    built once per call, give b and A, and must keep their tags and value
-    counts; each nu then adds p^ell to its coset's ``Coset`` key. Counts sum
-    to the joint randomness, as in ``message_hist``, and each coset holds
-    count / p^dim(V) of every one of its messages. Cosets of one subspace
-    are equal or disjoint, so L1 distances between such histograms equal
-    those between message histograms; ``spaces`` maps each layout (both
-    tags and value counts) to its one subspace, for a whole sweep or else
-    this call, and a layout met with a second one is refused.
+    P declares ``linear``; no callback is called. For each nu the values run
+    over b + rho A, A both tags' maps side by side: uniform on b + V, V A's
+    row space, and nu adds p^ell to its ``Coset``. A layout (tags and value
+    counts) has one A, so its cosets are equal or disjoint and L1 distances
+    are the message histograms'. ``spaces`` keeps each layout's echelon
+    form, for a sweep or this call, made when first met after ``met`` gets
+    A's coordinate count; a map not as wide as its values is refused.
     """
     lin = P.linear
-    p, ell = lin.p, lin.ell
+    p, ell = lin.p, sum(lin.coords)
     spaces = {} if spaces is None else spaces
-    rhos = [tuple(int(i == k) for i in range(ell)) for k in range(-1, ell)]   # 0, then units
     hist = {}
     for nu in lin.nus:
-        probes = []
-        for rho in rhos:
-            r, ra, rb = lin.embed(nu, rho)
-            probes.append(_tagged((P.alice_msg(x, *secret, r, ra), P.bob_msg(y, r, rb))))
-        (layout, b), *units = probes
-        if any(other != layout for other, _ in units):
-            raise ValidationError("message tags or value counts move with the "
-                                  "linear randomness")
-        basis, pivots = echelon([[v - w for v, w in zip(values, b)]
-                                 for _, values in units], p)
-        if spaces.setdefault(layout, basis) != basis:
-            raise ValidationError("messages share their tags and value counts but "
-                                  "not a subspace; no exact count")
-        c = _reduce(b, basis, pivots, p)
-        tag0, tag1, n0, _ = layout
-        key = Coset((tag0, c[:n0]), (tag1, c[n0:]), tuple(basis), p ** len(basis))
+        (tag0, b0), (tag1, b1) = lin.alice_form(x, *secret, nu), lin.bob_form(y, nu)
+        layout = (tag0, tag1, len(b0), len(b1))
+        if layout not in spaces:
+            met(ell * (len(b0) + len(b1)))
+            maps = lin.maps(0, tag0), lin.maps(1, tag1)
+            if any(len(row) != len(b) for rows, b in zip(maps, (b0, b1)) for row in rows):
+                raise ValidationError("a map's rows are not as wide as its party's values")
+            spaces[layout] = echelon([r0 + r1 for r0, r1 in zip(*maps)], p)
+        basis, pivots = spaces[layout]
+        b = b0 + b1
+        c = _shift(b, [-b[col] for col in pivots], basis, p)
+        key = Coset((tag0, c[:len(b0)]), (tag1, c[len(b0):]), tuple(basis), p ** len(basis))
         hist[key] = hist.get(key, 0) + p ** ell
     return hist
 
 
-def _coset_alphabet(cosets, p: int, side: int) -> int:
-    """Distinct messages of one party (0 Alice, 1 Bob) over ``cosets``.
+def _coset_alphabet(lin: LinearPart, members, side: int) -> int:
+    """Distinct messages of one party (0 Alice, 1 Bob) over cosets' ``members``.
 
-    Each coset projects to a coset of that party's values, of size p^dim;
-    the projection's echelon form is found once per column range and
-    subspace. A party's affine map depends only on its tag, so one tag keeps
-    one subspace, whose cosets are equal or disjoint; a tag met with two
-    subspaces raises rather than count an overlap twice.
+    A member ``(tag, values)`` stands for values + the row space of its
+    tag's map, echeloned once per tag: such cosets are equal or disjoint.
     """
-    project = cache(lambda lo, n, rows: echelon([row[lo:lo + n] for row in rows], p))
-    spaces, found = {}, set()
-    for c in cosets:
-        tag, values = c[side]
-        basis, pivots = project(len(c.m0[1]) if side else 0, len(values), c.basis)
-        if spaces.setdefault(tag, basis) != basis:
-            raise ValidationError("one message tag has two subspaces; no exact alphabet")
-        found.add((tag, _reduce(values, basis, pivots, p)))
-    return sum(p ** len(spaces[tag]) for tag, _ in found)
+    p, spaces, found = lin.p, {}, set()
+    for tag, values in members:
+        if tag not in spaces:
+            spaces[tag] = echelon(lin.maps(side, tag), p)
+        basis, pivots = spaces[tag]
+        found.add((tag, _shift(values, [-values[col] for col in pivots], basis, p)))
+    return sum(p ** len(spaces[tag][0]) for tag, _ in found)
 
 
 def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
@@ -377,32 +377,32 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
 
     ``cases`` lists the arguments (x, y, *secret) to sweep, which the
     function, bound to P, takes; it looks its kernel up at each call. A
-    protocol declaring ``linear`` is swept by ``coset_hist``, one layout
-    held to one subspace across every case, and charged the values of its
-    ell + 1 message pairs per (case, nu), as many as the most at the first
-    nu and rho = 0, which bound what echelon reads and a coset key holds,
-    then the ell coordinates of rho each pair reads. Any other protocol is
-    swept by ``message_hist``, charged every joint state.
+    protocol declaring ``linear`` is swept by ``coset_hist``, one ``spaces``
+    for all cases, charged in message coordinates: (case, nu) pairs, their
+    values b, each as wide as the widest at the first nu, then each layout's
+    maps as first met. Others are swept by ``message_hist``, charged every
+    joint state.
     """
     lin = P.linear
     joint = _joint(P)
     if lin is None:
         charge(joint * max(1, len(cases)), budget, f"{what} joint states")
         return (lambda *args: message_hist(P, *args)), joint
-    if len(lin.nus) * lin.p ** lin.ell != joint:
-        raise ValidationError(f"{what}: declared linear randomness does not "
-                              "cover the randomness space")
-    pairs = max(1, len(cases)) * len(lin.nus) * (lin.ell + 1)
-    charge(pairs, budget, f"{what} message coordinates")   # before the width probe
-    r, ra, rb = lin.embed(lin.nus[0], (0,) * lin.ell)
-    width = 1
-    for (x, y, *s) in cases:
-        _, values = _tagged((P.alice_msg(x, *s, r, ra), P.bob_msg(y, r, rb)))
-        width = max(width, len(values))
-    charge(pairs * width, budget, f"{what} message coordinates")
-    charge(pairs * lin.ell, budget, f"{what} randomness coordinates")
+    space = f"{what} message coordinates"
+    pairs = max(1, len(cases)) * len(lin.nus)
+    charge(pairs, budget, space)   # before the width probe
+    nu = lin.nus[0]
+    width = max([1] + [len(lin.alice_form(x, *s, nu)[1] + lin.bob_form(y, nu)[1])
+                       for (x, y, *s) in cases])
+    coords = [0]
+
+    def met(size):
+        coords[0] += size
+        charge(coords[0], budget, space)
+
+    met(pairs * width)
     spaces = {}
-    return (lambda *args: coset_hist(P, *args, spaces=spaces)), joint
+    return (lambda *args: coset_hist(P, *args, spaces=spaces, met=met)), joint
 
 
 def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
@@ -458,15 +458,11 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
         reveal = P.f.eval(x, y) == 1
         cases += [((x, y, s), s if reveal else None, None if reveal else (x, y))
                   for s in P.secrets]
-    linear = P.linear is not None
-    alphabets, cosets = (set(), set()), set()
+    alphabets = (set(), set())   # each party's messages, or cosets' members
 
     def seen(hist):
-        if linear:
-            cosets.update(hist)
-        else:
-            alphabets[0].update(m0 for (m0, _) in hist)
-            alphabets[1].update(m1 for (_, m1) in hist)
+        for side, alphabet in enumerate(alphabets):
+            alphabet.update(m[side] for m in hist)
 
     eps, delta, witnesses = _sweep(P, cases, lambda m, x, y: P.decode(m[0], x, m[1], y),
                                    budget, "verify_cds", seen)
@@ -475,8 +471,8 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
         witnesses["delta"] = a + b[2:]
     resources = _randomness(P)
     for side, name in enumerate(("alice_message_alphabet", "bob_message_alphabet")):
-        resources[name] = (_coset_alphabet(cosets, P.linear.p, side) if linear
-                           else len(alphabets[side]))
+        resources[name] = (len(alphabets[side]) if P.linear is None
+                           else _coset_alphabet(P.linear, alphabets[side], side))
     return VerificationReport("cds", eps, delta, resources, witnesses)
 
 
@@ -588,10 +584,11 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     Both variants are linear CDS schemes: each party sends the rows its input
     makes available, found once per input, as its tag, and field elements
     affine over Z_p in all of the randomness (u, or the masks then the free
-    coordinates) as its values, which ``linear`` declares with no nonlinear
-    part. The program must compute f: ``verify_cds`` reports a decode error
-    where it rejects a 1-input and a leak where it accepts a 0-input, and
-    the CLI refuses it before compiling, naming every such input.
+    coordinates) as its values, which ``linear`` states with no nonlinear
+    part; a tag's map is the program's columns at its rows. The program must
+    compute f: ``verify_cds`` reports a decode error where it rejects a
+    1-input and a leak where it accepts a 0-input, and the CLI refuses it
+    before compiling, naming every such input.
     """
     if program.n_vars != f.n_x + f.n_y:
         raise ValidationError("span program variable count must match f's input bits")
@@ -603,7 +600,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     e = program.width
     d = program.size
     elem_bits = (p - 1).bit_length()
-    bob_rows = [i for i, (var, _) in enumerate(program.labels) if var > f.n_x]
+    bob_rows = tuple(i for i, (var, _) in enumerate(program.labels) if var > f.n_x)
     # each input's available rows, its party's tag, found once per input
     rows_a = {x: tuple(i for i in program.available_rows(literal_input(f, x, 0))
                        if program.labels[i][0] <= f.n_x) for x in range(1 << f.n_x)}
@@ -611,19 +608,14 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
                        if program.labels[i][0] > f.n_x) for y in range(1 << f.n_y)}
 
     if variant == "comm":
-        shared = product_space(range(p), e)
 
-        def alice_msg(x, s, u, ra=None):
-            shares = scheme.shares_from_vector(u)
-            implicit = sum(t * v for t, v in zip(program.target, u)) % p
-            pad = (s - implicit) % p
-            rows = rows_a[x]
-            return rows, (pad,) + tuple(shares[i] for i in rows)
+        def values(side, rows, pad, shares):   # pad is s - <target, u>, shares M u
+            return (pad,) * (1 - side) + tuple(shares[i] for i in rows)
 
-        def bob_msg(y, u, rb=None):
-            shares = scheme.shares_from_vector(u)
-            rows = rows_b[y]
-            return rows, tuple(shares[i] for i in rows)
+        # per unit of s the pad moves by 1; per unit of u_k by -target[k], and
+        # share i by M[i][k]
+        one = (1, (0,) * d)
+        grads = [((-t) % p, col) for t, col in zip(program.target, zip(*program.matrix))]
 
         def decode(m0, x, m1, y):
             (rows0, (pad, *values0)), (rows1, values1) = m0, m1
@@ -639,24 +631,27 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
             "bound_communication_le_share_total":
                 comm_elems * elem_bits <= (d + 1) * elem_bits,
         }
-        alice_private = (None,)
-        linear = LinearPart(p, (None,), e, lambda nu, rho: (rho, None, None))
+        coords = (e, 0, 0)
     else:
         n_masks = len(bob_rows)
         mask_of = {i: k for k, i in enumerate(bob_rows)}
-        shared = product_space(range(p), n_masks)
-        alice_private = product_space(range(p), e - 1)
 
-        def alice_msg(x, s, masks, free):
-            u = scheme.vector_for(s, free)
-            shares = scheme.shares_from_vector(u)
-            rows = rows_a[x]
-            return rows, (tuple(shares[i] for i in rows) +
-                          tuple((shares[i] + mk) % p for i, mk in zip(bob_rows, masks)))
+        def values(side, rows, shares, masks):
+            if side:
+                return tuple(masks[mask_of[i]] for i in rows)
+            return (tuple(shares[i] for i in rows) +
+                    tuple((shares[i] + mk) % p for i, mk in zip(bob_rows, masks)))
 
-        def bob_msg(y, masks, rb=None):
-            rows = rows_b[y]
-            return rows, tuple(masks[mask_of[i]] for i in rows)
+        # vector_for(s, free) is s z, z nonzero only at the pivot, plus e_k -
+        # target[k] z per unit of free coordinate k: share i moves by
+        # M[i][k] - target[k] (M z)_i
+        z = scheme.vector_for(1, (0,) * (e - 1))
+        base = scheme.shares_from_vector(z)
+        one = (base, (0,) * n_masks)
+        grads = ([((0,) * d, tuple(int(m == k) for m in range(n_masks)))
+                  for k in range(n_masks)] +   # the masks, then the free coordinates
+                 [(tuple((a - t * b) % p for a, b in zip(col, base)), (0,) * n_masks)
+                  for t, col, zk in zip(program.target, zip(*program.matrix), z) if not zk])
 
         def decode(m0, x, m1, y):
             (rows0, values0), (rows1, masks1) = m0, m1
@@ -672,13 +667,17 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
             "bound_randomness_le_share_total": n_masks * elem_bits <= d * elem_bits,
             "alice_private_states": p ** (e - 1),
         }
-        linear = LinearPart(p, (None,), n_masks + e - 1,
-                            lambda nu, rho: (rho[:n_masks], rho[n_masks:], None))
+        coords = (n_masks, e - 1, 0)
 
     resources["field"] = p
     resources["program_rows"] = d
-    return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
-                       alice_private=alice_private, resources=resources, linear=linear)
+    # values are linear in s and rho: at rho = 0 Alice's are s times her values
+    # per unit of s, Bob's 0; a tag's map is made when a sweep first meets it
+    linear = LinearPart(p, (None,), coords, lambda x, s, nu: (
+                            rows_a[x], tuple(s * v % p for v in values(0, rows_a[x], *one))),
+                        lambda y, nu: (rows_b[y], (0,) * len(rows_b[y])),
+                        cache(lambda side, rows: tuple(values(side, rows, *g) for g in grads)))
+    return CdsProtocol(f, (0, 1), decode=decode, resources=resources, linear=linear)
 
 
 # -- PSM -> CDS and composition ---------------------------------------------
@@ -695,9 +694,9 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
 
     Over a PSM declaring ``linear`` the CDS declares one too: for each
     (nu, s') Alice sends the PSM's tag with the masked bit as her tag, and
-    the PSM's values, affine in its rho. So (nu, s') is nonlinear, in
-    ``shared``'s order, and rho stays linear. Over any other PSM the whole
-    PSM message joins the masked bit as the tag, with no values.
+    the PSM's values and map for that tag. So (nu, s') is nonlinear and rho
+    stays linear. Over any other PSM the whole PSM message joins the masked
+    bit as the tag, with no values.
     """
     f = P.f
     values = {f.eval(x, y) for (x, y) in P.input_pairs()}
@@ -705,35 +704,14 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
         # constant f (an empty domain counts as 1): Alice sends the secret in
         # the clear when it may be revealed and nothing otherwise
         reveal = values != {0}
-
-        def alice_msg(x, s, r, ra=None):
-            return s if reveal else ()
-
-        def bob_msg(y, r, rb=None):
-            return ()
-
-        def decode(m0, x, m1, y):
-            return m0 if reveal else None
-
-        return CdsProtocol(f, (0, 1), (None,), alice_msg, bob_msg, decode,
+        return CdsProtocol(f, (0, 1), (None,), lambda x, s, r, ra=None: s if reveal else (),
+                           lambda y, r, rb=None: (),
+                           lambda m0, x, m1, y: m0 if reveal else None,
                            domain=P.domain, resources={"randomness_bits": 0})
 
     x_star, y_star = hiding_input(P)
     n = space_size(P.shared)
-    shared = pair_space(P.shared, (0, 1))
-    lin = linear = P.linear
-
-    def alice_msg(x, s, rr, ra=None):
-        r, sel = rr
-        xx = x if sel == 1 else x_star
-        m = P.alice_msg(xx, r, ra)
-        tag, values = (m, ()) if lin is None else m
-        return (tag, s ^ sel), values
-
-    def bob_msg(y, rr, rb=None):
-        r, sel = rr
-        yy = y if sel == 1 else y_star
-        return P.bob_msg(yy, r, rb)
+    lin = P.linear
 
     def decode(m0, x, m1, y):
         (tag, masked), values = m0
@@ -747,16 +725,29 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
     }
     if lin is not None:
 
-        def embed(nu_sel, rho):
+        def alice_form(x, s, nu_sel):
             nu, sel = nu_sel
-            r, ra, rb = lin.embed(nu, rho)
-            return (r, sel), ra, rb
+            tag, b = lin.alice_form(x if sel else x_star, nu)
+            return (tag, s ^ sel), b
 
-        linear = LinearPart(lin.p, tuple((nu, sel) for nu in lin.nus
-                                         for sel in (0, 1)), lin.ell, embed)
-    return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
+        linear = LinearPart(lin.p, tuple((nu, sel) for nu in lin.nus for sel in (0, 1)),
+                            lin.coords, alice_form,
+                            lambda y, nu: lin.bob_form(y if nu[1] else y_star, nu[0]),
+                            lambda side, tag: lin.maps(side, tag if side else tag[0]))
+        return CdsProtocol(f, (0, 1), decode=decode, domain=P.domain,
+                           resources=resources, linear=linear)
+
+    def alice_msg(x, s, rr, ra=None):
+        r, sel = rr
+        return (P.alice_msg(x if sel else x_star, r, ra), s ^ sel), ()
+
+    def bob_msg(y, rr, rb=None):
+        r, sel = rr
+        return P.bob_msg(y if sel else y_star, r, rb)
+
+    return CdsProtocol(f, (0, 1), pair_space(P.shared, (0, 1)), alice_msg, bob_msg, decode,
                        alice_private=P.alice_private, bob_private=P.bob_private,
-                       domain=P.domain, resources=resources, linear=linear)
+                       domain=P.domain, resources=resources)
 
 
 def hiding_input(P) -> tuple:
@@ -773,27 +764,25 @@ def hiding_input(P) -> tuple:
 def psm_from_dre(D: Dre) -> PsmProtocol:
     """A DRE is already a PSM: send the two encoding halves as the messages.
 
-    The PSM keeps the DRE's ``linear``: its randomness is the DRE's,
-    passed as r with no private coins.
+    The PSM keeps the DRE's ``linear``, whose forms state its messages: its
+    randomness is the DRE's, passed as r with no private coins.
     """
     return _dre_as_psm(D)
 
 
 def _dre_as_psm(D: Dre) -> PsmProtocol:
     # verify_dre sweeps through this private copy: wrappers that trace the
-    # public compiler then count one compile per chain stage, not two
-
-    def alice_msg(x, r, ra=None):
-        return D.enc_x(x, r)
-
-    def bob_msg(y, r, rb=None):
-        return D.enc_y(y, r)
+    # public compiler then count one compile per chain stage, not two; a
+    # declaring D passes its forms, which state the PSM's messages too
 
     def decode(m0, m1):
         return D.decode(m0, m1)
 
-    return PsmProtocol(D.f, D.shared, alice_msg, bob_msg, decode,
-                       domain=D.domain, resources=dict(D.resources), linear=D.linear)
+    given = {} if D.linear else {"shared": D.shared,
+                                 "alice_msg": lambda x, r, ra=None: D.enc_x(x, r),
+                                 "bob_msg": lambda y, r, rb=None: D.enc_y(y, r)}
+    return PsmProtocol(D.f, decode=decode, domain=D.domain, resources=dict(D.resources),
+                       linear=D.linear, **given)
 
 
 def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
@@ -849,56 +838,37 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     fixed, so the tag is empty. Inputs are restricted to a in Z_p^*
     (nonzero, below p): 0 has no residue class.
 
-    ``shared`` lists (r, s) lazily, r-major with the n - 1 free shares in
-    ``product`` order. For fixed r the encoding is affine in the free shares,
-    which ``linear`` declares (r nonlinear, the free shares linear):
-    it fills the coset of the hyperplane sum(y) = r^2 * a, so the verifiers
-    count (p - 1) / 2 cosets per input instead of (p - 1) * p^(n-1) values.
+    ``linear`` states the encoding: r is nonlinear and the n - 1 free shares
+    are rho, the last share their negated sum, so ``shared`` lists (r, free
+    shares) lazily, r-major. For fixed r the encoding fills the coset of the
+    hyperplane sum(y) = r^2 * a, so the verifiers count (p - 1) / 2 cosets
+    per input instead of (p - 1) * p^(n-1) values.
     """
     f = named_fn("qr", p=p, alice_positions=alice_positions, n_bits=n_bits)
     n = f.params["n_bits"]
     alice_pos = tuple(sorted(f.params["alice_positions"]))
     bob_pos = tuple(i for i in range(1, n + 1) if i not in alice_pos)
+    # per unit of free share k, share k moves by 1 and the last share by -1:
+    # one map for every r, restricted to each party's positions
+    maps = tuple(tuple(tuple(int(pos == k) + (p - 1) * (pos == n) for pos in positions)
+                       for k in range(1, n)) for positions in (alice_pos, bob_pos))
 
-    def shares(free):
-        return free + ((-sum(free)) % p,)
-
-    def iterate():
-        for r in range(1, p):
-            for free in product(range(p), repeat=n - 1):
-                yield (r, shares(free))
-
-    shared = LazySpace((p - 1) * p ** (n - 1), iterate)
-
-    def encode_bits(value, positions, r, s):
-        rsq = (r * r) % p
-        out = []
-        for j, pos in enumerate(positions):
-            bit = (value >> j) & 1
-            out.append((bit * rsq * (1 << (pos - 1)) + s[pos - 1]) % p)
-        return (), tuple(out)
-
-    def enc_x(x, rr):
-        r, s = rr
-        return encode_bits(x, alice_pos, r, s)
-
-    def enc_y(y, rr):
-        r, s = rr
-        return encode_bits(y, bob_pos, r, s)
+    def form(positions):   # at rho = 0 every share is 0
+        return lambda value, r: ((), tuple((((value >> j) & 1) * r * r << (pos - 1)) % p
+                                           for j, pos in enumerate(positions)))
 
     def decode(mx, my):
         return euler_qr((sum(mx[1]) + sum(my[1])) % p, p)
 
     domain = tuple(qr_split_inputs(f, a) for a in range(1, p))
-
+    states = (p - 1) * p ** (n - 1)
     resources = {
         "field": p,
         "bits": n,
-        "randomness_states": shared.size,
-        "randomness_bits": math.log2(shared.size),
+        "randomness_states": states,
+        "randomness_bits": math.log2(states),
         "encoding_elements": n,
     }
-    linear = LinearPart(p, tuple(range(1, p)), n - 1,
-                        lambda r, free: ((r, shares(free)), None, None))
-    return Dre(f, shared, enc_x, enc_y, decode, domain=domain,
-               resources=resources, linear=linear)
+    linear = LinearPart(p, tuple(range(1, p)), (n - 1, 0, 0), form(alice_pos), form(bob_pos),
+                        lambda side, tag: maps[side])
+    return Dre(f, decode=decode, domain=domain, resources=resources, linear=linear)

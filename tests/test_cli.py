@@ -268,7 +268,7 @@ desc = json.load(open("0.json"))
 desc["chain"] = ["gh", "frouting", "cdqs", "frouting"]
 json.dump(desc, open("bad.json", "w"))
 refused = [main(["verify", "bad.json", "--out", "bad.rep.json"]),
-           main(["verify", "stop.json", "--budget", "100", "--out", "stop.rep.json"])]
+           main(["verify", "stop.json", "--budget", "50", "--out", "stop.rep.json"])]
 after_refusal = loaded()
 verified = [main(["verify", f"{i}.json", "--out", f"{i}.rep.json"])
             for i in range(len(chains))]
@@ -291,8 +291,9 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     rejected = json.loads((tmp_path / "bad.rep.json").read_text())
     assert rejected["error"].startswith("descriptor rejected")
     stop = json.loads((tmp_path / "stop.rep.json").read_text())
-    # 4 inputs x 4 values of r x 3 points x 3 coordinates, charged before any run
-    assert (stop["space"], stop["size"]) == ("psqm_from_psm message coordinates", 144)
+    # 4 inputs x 4 values of r x 3 coordinates, then the one layout's 2 x 3
+    # maps, charged before the first run makes a coset key
+    assert (stop["space"], stop["size"]) == ("psqm_from_psm message coordinates", 54)
     assert verified == [0, 0, 0, 0]
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
@@ -456,16 +457,18 @@ sys.exit(main(sys.argv[1:]))
     ("dre,psm,cds", ["--fn", "qr", "--p", "1031"], "verify_cds message coordinates"),
     ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm joint states"),
     ("dre", ["--fn", "qr", "--p", "257"], None),
-    ("dre", ["--fn", "qr", "--p", "1031"], "verify_dre message coordinates"),
-    ("dre,psm", ["--fn", "qr", "--p", "1031"], "verify_psm message coordinates"),
-    ("dre,psm,psqm", ["--fn", "qr", "--p", "1031"], "psqm_from_psm message coordinates"),
+    ("dre", ["--fn", "qr", "--p", "1237"], "verify_dre message coordinates"),
+    ("dre,psm", ["--fn", "qr", "--p", "1237"], "verify_psm message coordinates"),
+    ("dre,psm,psqm", ["--fn", "qr", "--p", "1237"], "psqm_from_psm message coordinates"),
     ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "1031"], "cdqs_from_cds message coordinates"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # 2^32 pipe-bit strings, 10,321,920 one-time tables, lazy spaces past
-    # 2^63, and qr p=1031's coset keys, about 1030^2 * 22 coordinates that
-    # would not fit in 1 GiB: each build sizes its spaces without listing
-    # them, and each verify ends on a budget before it sweeps them
+    # 2^63, and qr coset keys that would not fit in 1 GiB: 1236^2 * 11 =
+    # 16,804,656 coordinates at p=1237 for the DRE, its PSM and PSQM, and
+    # 4 * 1030^2 * 11 = 46,679,600 at p=1031 for the CDS routes, which sweep
+    # both secrets and selectors; each build sizes its spaces without
+    # listing them, and each verify ends on a budget before it sweeps them
     env = _child_env()
     commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 0)]
     if stop is not None:
@@ -581,22 +584,24 @@ def test_branch_budget_charges_class_branches(tmp_path, chain, raw):
 ])
 def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
     # on qr p=5, (2 secrets * 4 inputs) * (4 values of r * 2 selectors) * 3
-    # points * 3 values of the CDS (the masked bit is in Alice's tag), or 4
-    # inputs * 4 values of r * 3 points * 3 values of the PSM, all charged
-    # before the first sweep; each budget admits the points alone, so the
-    # stop is on the coordinates
-    budget = {"dre,psm,cds,cdqs": 200, "dre,psm,psqm": 100}[chain]
+    # values of the CDS (the masked bit is in Alice's tag), or 4 inputs * 4
+    # values of r * 3 values of the PSM, charged before the first sweep, and
+    # then 2 * 3 coordinates of maps per layout as the sweep meets it: the
+    # CDS has two layouts, one per masked bit, and stops on the second, the
+    # PSM on its one
+    budget = {"dre,psm,cds,cdqs": 200, "dre,psm,psqm": 50}[chain]
     got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
                          ["--budget", str(budget)])
-    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 * 3, "dre,psm,psqm": 4 * 4 * 3 * 3}[chain]
+    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 + 2 * 6, "dre,psm,psqm": 4 * 4 * 3 + 6}[chain]
     assert got == (space, size, budget)
 
 
 def test_verify_reports_an_evaluation_budget_stop(tmp_path):
-    # 6 inputs x 6 values of r x 3 points, each a pair of 3 coordinates
+    # 6 inputs x 6 values of r, each a pair of 3 coordinates, then the one
+    # layout's maps, 2 rows of 3 coordinates
     got = _budget_report(tmp_path, ["--chain", "dre", "--fn", "qr", "--p", "7"],
-                         ["--budget", "200"])
-    assert got == ("verify_dre message coordinates", 6 * 6 * 3 * 3, 200)
+                         ["--budget", "110"])
+    assert got == ("verify_dre message coordinates", 6 * 6 * 3 + 2 * 3, 110)
 
 
 def test_verify_reports_a_qubit_budget_stop(tmp_path, monkeypatch):
@@ -660,18 +665,39 @@ def _wide_span_descriptor(tmp_path, width: int) -> Path:
 
 
 def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
-    # 8 cases x 20,001 evaluations of 3 message values pass the budget,
-    # but each evaluation reads a 20,000-long rho: building them all took
-    # ell^2 memory and ended in MemoryError without a report
+    # 8 cases of at most 3 message values, then each layout's maps, 20,000
+    # rows as wide as its values: 1, 2, 2 and 3 for the four inputs. The
+    # default budget admits all 160,024 coordinates; this one stops on the
+    # third layout, before its echelon form, with a report
     desc = _wide_span_descriptor(tmp_path, 20_000)
     run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
-                          "--out", "r.json"], cwd=tmp_path, env=_child_env(),
-                         capture_output=True, text=True, timeout=300)
+                          "--budget", "100000", "--out", "r.json"], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 3, run.stderr
     assert "MemoryError" not in run.stderr and "Traceback" not in run.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert (report["status"], report["space"], report["size"]) == (
-        "budget", "verify_cds randomness coordinates", 8 * 20_001 * 20_000)
+        "budget", "verify_cds message coordinates", 8 * 3 + 20_000 * (1 + 2 + 2))
+
+
+@pytest.mark.parametrize("variant", ["comm", "rand"])
+def test_a_wide_span_program_passes_with_a_report(tmp_path, variant):
+    # the maps of a 20,000-wide and1 program cost 160,024 message
+    # coordinates, so the default budget admits it, and no rho is built: it
+    # verifies within 1 GiB. The comm variant's 2^20,000 randomness states,
+    # 6,021 digits, are written as the power of two they reach
+    desc = _wide_span_descriptor(tmp_path, 20_000)
+    obj = json.loads(desc.read_text())
+    obj["options"]["variant"] = variant
+    desc.write_text(json.dumps(obj))
+    run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
+                          "--out", "r.json"], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["status"] == "pass" and report["report"]["perfect"] is True
+    assert report["report"]["resources"]["randomness_states"] == {
+        "comm": "at least 2^20000", "rand": 2}[variant]
 
 
 def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
@@ -746,10 +772,12 @@ def _hostile(recipe, tmp: Path) -> bytes:
 
 
 TOKENS = (*BASES, "cds", "cdqs", "frouting", "psqm", "nope")
-# verify children that must each stop with a report: span targets too wide
-# to evaluate, garden-hose strategies whose 2^pipes randomness exceeds the
-# budget, truth tables wider than their widths or negative, malformed JSON
-# and bytes, and chains whose stages do not compose
+# verify children that must each stop with a report: span targets whose
+# maps, ell = width rows each, exceed a budget of the width (the default
+# budget admits them, see test_a_wide_span_program_passes_with_a_report),
+# garden-hose strategies whose 2^pipes randomness exceeds the budget, truth
+# tables wider than their widths or negative, malformed JSON and bytes, and
+# chains whose stages do not compose
 HOSTILE = st.one_of(
     st.tuples(st.just("span"), st.integers(2_000, 50_000), st.sampled_from(["comm", "rand"])),
     st.tuples(st.just("pipes"), st.sampled_from(["gh,cds", "gh,cds,cdqs"]),
@@ -776,9 +804,10 @@ def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
     desc, rep = tmp / "d.json", tmp / "r.json"
     desc.write_bytes(_hostile(recipe, tmp))
     rep.unlink(missing_ok=True)
+    budget = ["--budget", str(recipe[1])] if recipe[0] == "span" else []
     run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
-                          "--out", str(rep)], env=_child_env(), capture_output=True,
-                         text=True, timeout=120)
+                          *budget, "--out", str(rep)], env=_child_env(),
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode in (1, 2, 3), (recipe, run.returncode, run.stderr)
     assert "MemoryError" not in run.stderr and "Traceback" not in run.stderr, run.stderr
     assert json.loads(rep.read_text())["status"] in ("fail", "budget")

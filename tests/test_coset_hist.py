@@ -34,9 +34,20 @@ MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
                              for x in range(4) for y in range(2)), name="maj3")
 
 
+# the fields a LinearPart states for a record that declares one
+STATED = {"shared", "alice_private", "bob_private", "alice_msg", "bob_msg", "enc_x", "enc_y"}
+
+
 def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
-    return type(P)(**{**vars(P), **changes})
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields.
+
+    A P that keeps a ``LinearPart`` is rebuilt from it: the spaces and
+    callbacks it states are not passed again, unless ``changes`` gives them.
+    """
+    fields = {**vars(P), **changes}
+    if fields["linear"] is not None:
+        fields = {k: v for k, v in fields.items() if k not in STATED or k in changes}
+    return type(P)(**fields)
 
 
 def _undeclared(P):
@@ -80,6 +91,22 @@ def _unleak(m, where: str):
     """``m`` as it was before ``_leak`` with ``where``."""
     tag, values = m
     return (tag[0], values) if where == "tag" else (tag, values[:-1])
+
+
+def _leaky_forms(lin, leaked, where: str):
+    """``lin`` with Alice's form also sending ``leaked(x, *secret, nu)``, constant
+    in rho, in her tag or as one more value, and her maps matching it."""
+    def alice_form(x, *args):
+        return _leak(lin.alice_form(x, *args), leaked(x, *args), where)
+
+    def maps(side, tag):
+        if side:
+            return lin.maps(side, tag)
+        if where == "tag":
+            return lin.maps(0, tag[0])
+        return tuple(row + (0,) for row in lin.maps(0, tag))
+
+    return lin._replace(alice_form=alice_form, maps=maps)
 
 
 def _same_cds(P) -> None:
@@ -198,7 +225,7 @@ def test_random_span_programs_match_the_message_sweep(drawn, variant):
 def test_declared_dre_leaking_x_is_caught(no_message_sweep):
     D = dre_qr(5)
     for where in ("tag", "values"):
-        leaky = replace(D, enc_x=lambda x, r: _leak(D.enc_x(x, r), x, where),
+        leaky = replace(D, linear=_leaky_forms(D.linear, lambda x, r: x, where),
                         decode=lambda mx, my: D.decode(_unleak(mx, where), my))
         report = verify_dre(leaky)
         assert report.eps_hat == 0
@@ -210,7 +237,9 @@ def test_declared_dre_leaking_x_is_caught(no_message_sweep):
 @pytest.mark.parametrize("variant", ["comm", "rand"])
 def test_declared_span_cds_ignoring_the_secret_is_caught(variant, no_message_sweep):
     P = cds_from_span(span_and1(3), AND1, variant)
-    blind = replace(P, alice_msg=lambda x, s, r, ra: P.alice_msg(x, 0, r, ra))
+    lin = P.linear
+    blind = replace(P, linear=lin._replace(
+        alice_form=lambda x, s, nu: lin.alice_form(x, 0, nu)))
     report = verify_cds(blind)
     assert report.eps_hat == 1              # secret 1 always decodes as 0
     assert report.witnesses["eps"] == (1, 1, 1)
@@ -219,17 +248,17 @@ def test_declared_span_cds_ignoring_the_secret_is_caught(variant, no_message_swe
 
 def test_declared_psm_cds_sending_the_secret_is_caught(monkeypatch):
     P = cds_from_psm(psm_from_dre(dre_qr(5)))
+    lin = P.linear
 
-    def secret_in_tag(x, s, rr, ra=None):
-        (psm_tag, _), values = P.alice_msg(x, s, rr, ra)
+    def secret_in_tag(x, s, nu):
+        (psm_tag, _), values = lin.alice_form(x, s, nu)
         return (psm_tag, s), values
 
     # in the tag, in place of s XOR s': the referee decodes s XOR s', right
     # half the time, and reads s itself
-    in_tag = replace(P, alice_msg=secret_in_tag)
+    in_tag = replace(P, linear=lin._replace(alice_form=secret_in_tag))
     # after the values, which decoding drops: decoding stays right
-    in_values = replace(P, alice_msg=lambda x, s, rr, ra=None:
-                        _leak(P.alice_msg(x, s, rr, ra), s, "values"),
+    in_values = replace(P, linear=_leaky_forms(lin, lambda x, s, nu: s, "values"),
                         decode=lambda m0, x, m1, y: P.decode(_unleak(m0, "values"), x, m1, y))
     wants = [(clear, verify_cds(_undeclared(clear))) for clear in (in_tag, in_values)]
     assert [(w.eps_hat, w.delta_pair) for _, w in wants] == [(Fraction(1, 2), 2), (0, 2)]
@@ -238,108 +267,136 @@ def test_declared_psm_cds_sending_the_secret_is_caught(monkeypatch):
         _same_cds_as(clear, want)
 
 
-def _scaled_cds(alice):
-    """1-bit CDS over Z_3 with one linear coordinate and Alice's message ``alice``."""
-    return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)), alice,
-                       lambda y, r, rb=None: ((), ()), lambda m0, x, m1, y: m0[1][0],
-                       linear=LinearPart(3, (None,), 1, lambda nu, rho: (rho, None, None)))
+def _scaled_lin(alice_form, maps):
+    """A LinearPart over Z_3 with one shared coordinate, Bob sending nothing;
+    ``maps(tag)`` is Alice's."""
+    return LinearPart(3, (None,), (1, 0, 0), alice_form, lambda y, nu: ((), ()),
+                      lambda side, tag: ((),) if side else maps(tag))
+
+
+def _scaled_cds(alice_form, maps):
+    """1-bit CDS of and1 stated by ``_scaled_lin``; the referee reads Alice's
+    tag, one value on each coset, as a declared decoder must give."""
+    return CdsProtocol(AND1, (0, 1), decode=lambda m0, x, m1, y: m0[0],
+                       linear=_scaled_lin(alice_form, maps))
+
+
+def _by_tag(tag):
+    """Alice's map when her one value is the coordinate times her tag."""
+    return ((tag,),)
 
 
 def test_compared_cosets_of_two_subspaces_are_refused():
-    # secret 0 sends 0, secret 1 sends the uniform coordinate: the canonical
-    # members coincide, so no figure may come from the coset keys
-    P = _scaled_cds(lambda x, s, r, ra=None: ((), ((s * r[0]) % 3,)))
-    assert verify_cds(_undeclared(P)).delta_pair == Fraction(4, 3)
-    with pytest.raises(ValidationError, match="not a subspace"):
-        verify_cds(P)
-    # the same fault between the equal-value inputs (0, 0) and (1, 0) of a PSM
-    Q = PsmProtocol(AND1, P.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
-                    lambda y, r, rb=None: ((), ()), lambda m0, m1: 0, linear=P.linear)
-    assert verify_psm(_undeclared(Q)).delta_pair == Fraction(4, 3)
-    with pytest.raises(ValidationError, match="not a subspace"):
-        verify_psm(Q)
+    # secret 0 sends 0, secret 1 the uniform coordinate, under one tag: no
+    # map states that, and a record refuses callbacks beside a LinearPart
+    lin = _scaled_lin(lambda x, s, nu: ((), (0,)), _by_tag)
+    for given in ({"shared": ((0,), (1,), (2,))},
+                  {"alice_msg": lambda x, s, r, ra=None: ((), ((s * r[0]) % 3,))}):
+        with pytest.raises(ValidationError, match="not both"):
+            CdsProtocol(AND1, (0, 1), decode=lambda m0, x, m1, y: 0, linear=lin, **given)
+    # with the secret as Alice's tag each secret has its own map, the tag
+    # tells the secrets apart, and the cosets give the message sweep's figures
+    P = _scaled_cds(lambda x, s, nu: (s, (0,)), _by_tag)
+    assert verify_cds(_undeclared(P)).delta_pair == 2
+    _same_cds(P)
+    # the same between the equal-value inputs (0, 0) and (1, 0) of a PSM
+    Q = PsmProtocol(AND1, decode=lambda m0, m1: m0[0],
+                    linear=_scaled_lin(lambda x, nu: (x, (0,)), _by_tag))
+    want = verify_psm(_undeclared(Q))
+    assert want.delta_pair == 2
+    assert verify_psm(Q).to_jsonable() == want.to_jsonable()
+    with pytest.raises(ValidationError, match="not both"):
+        replace(Q, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
 
 
 def test_uncompared_cosets_of_two_subspaces_are_refused():
-    # (0, 1) sends 0 and (1, 1) the uniform coordinate, under one layout: f
-    # tells them apart, so no distance compares them, yet the sweep refuses
-    P = _scaled_cds(lambda x, s, r, ra=None: ((), ()))
-    Q = PsmProtocol(AND1, P.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
-                    lambda y, r, rb=None: ((), ()), lambda m0, m1: int(m0[1] != (0,)),
-                    domain=((0, 1), (1, 1)), linear=P.linear)
-    assert verify_psm(_undeclared(Q)).delta_pair == 0
-    with pytest.raises(ValidationError, match="not a subspace"):
-        verify_psm(Q)
+    # (0, 1) sends 0 and (1, 1) the uniform coordinate: f tells them apart,
+    # so no distance compares them; with x as Alice's tag the coset sweep
+    # is the message sweep, and the same messages as callbacks are refused
+    Q = PsmProtocol(AND1, decode=lambda m0, m1: m0[0], domain=((0, 1), (1, 1)),
+                    linear=_scaled_lin(lambda x, nu: (x, (0,)), _by_tag))
+    want = verify_psm(_undeclared(Q))
+    assert want.perfect
+    assert verify_psm(Q).to_jsonable() == want.to_jsonable()
+    with pytest.raises(ValidationError, match="not both"):
+        replace(Q, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
 
 
 def test_overlapping_alphabet_cosets_are_refused():
-    # x = 0 sends 0, x = 1 sends the uniform coordinate, both under the tag
-    # s: Alice's messages overlap across inputs that are never compared, and
-    # the sweep refuses their one layout's two subspaces before any alphabet
-    P = _scaled_cds(lambda x, s, r, ra=None: (s, ((x * r[0]) % 3,)))
-    assert verify_cds(_undeclared(P)).resources["alice_message_alphabet"] == 6
-    with pytest.raises(ValidationError, match="not a subspace"):
-        verify_cds(P)
-    # Bob's tag y sets the two inputs' layouts apart, so the sweep passes
-    # them, but Alice's tag s still meets two subspaces in her alphabet
-    Q = replace(P, bob_msg=lambda y, r, rb=None: (y, ()), domain=((0, 0), (1, 1)))
-    assert verify_cds(_undeclared(Q)).resources["alice_message_alphabet"] == 6
-    with pytest.raises(ValidationError, match="two subspaces"):
-        verify_cds(Q)
+    # x = 0 sends 0, x = 1 the uniform coordinate: under the one tag s
+    # Alice's messages would overlap across inputs, which no map can state;
+    # with x in her tag her alphabet is the message sweep's, 2 + 2 * 3
+    P = _scaled_cds(lambda x, s, nu: ((s, x), (0,)), lambda tag: _by_tag(tag[1]))
+    assert verify_cds(_undeclared(P)).resources["alice_message_alphabet"] == 8
+    _same_cds(P)
+    # Bob's tag y sets the inputs' layouts apart, and Alice's alphabet stays
+    Q = replace(P, linear=P.linear._replace(bob_form=lambda y, nu: (y, ())),
+                domain=((0, 0), (1, 1)))
+    assert verify_cds(Q).resources["alice_message_alphabet"] == 8
+    _same_cds(Q)
 
 
 def test_declaration_must_cover_the_randomness():
-    P = _scaled_cds(lambda x, s, r, ra=None: (s, (r[0],)))
-    with pytest.raises(ValidationError):
-        verify_cds(replace(P, shared=((0,), (1,))))
+    # the spaces are made from the declaration, so they cover it exactly,
+    # and a record refuses a space of its own beside it
+    P = _scaled_cds(lambda x, s, nu: (s, (0,)), _by_tag)
+    assert list(P.shared) == [(None, (0,)), (None, (1,)), (None, (2,))]
+    assert list(P.alice_private) == list(P.bob_private) == [()]
+    with pytest.raises(ValidationError, match="not both"):
+        replace(P, shared=((0,), (1,)))
 
 
 def test_declared_messages_must_keep_their_tags_and_value_counts():
-    # the coordinate is sent only when it is nonzero: not affine in rho
-    P = _scaled_cds(lambda x, s, r, ra=None: (s, (r[0],)) if r[0] else (s, ()))
-    with pytest.raises(ValidationError, match="value counts move"):
-        verify_cds(P)
-    # the tag is the coordinate itself, so it moves with rho
-    P = _scaled_cds(lambda x, s, r, ra=None: ((s, r[0]), ()))
-    with pytest.raises(ValidationError, match="tags or value counts move"):
-        verify_cds(P)
-    # messages that are not (tag, values) pairs are refused, not read
-    for alice in (lambda x, s, r, ra=None: (r[0], s),
-                  lambda x, s, r, ra=None: (s, r[0], ()),
-                  lambda x, s, r, ra=None: (s, [r[0]])):
-        with pytest.raises(ValidationError, match=r"not a \(tag, values\) pair"):
-            verify_cds(_scaled_cds(alice))
+    # a map must be as wide as its party's values, once per layout
+    for alice_form, maps in ((lambda x, s, nu: (s, (0,)), lambda tag: ((),)),
+                             (lambda x, s, nu: (s, (0, 0)), _by_tag),
+                             (lambda x, s, nu: (s, (0,) * (1 + x)), _by_tag)):
+        with pytest.raises(ValidationError, match="not as wide"):
+            verify_cds(_scaled_cds(alice_form, maps))
+    # Bob's too
+    P = _scaled_cds(lambda x, s, nu: (s, (0,)), _by_tag)
+    with pytest.raises(ValidationError, match="not as wide"):
+        verify_cds(replace(P, linear=P.linear._replace(bob_form=lambda y, nu: ((), (0,)))))
 
 
 # -- budget and the lazy space ------------------------------------------------------
 
 
 def test_declared_budget_counts_evaluations_before_any_call():
-    # 6 inputs x 6 values of r x (2 + 1) points = 108 evaluations, each a
-    # message pair of 3 coordinates: (y1,) and (y2, y3)
+    # 6 inputs x 6 values of r = 36 pairs, each of 3 coordinates, (y1,) and
+    # (y2, y3): 108; then the one layout's maps, 2 rows of 3 coordinates: 114
     D = dre_qr(7)
-    calls = []
-    counted = replace(D, enc_x=lambda x, r: calls.append(x) or D.enc_x(x, r))
+    lin, calls = D.linear, []
+    counted = replace(D, linear=lin._replace(
+        alice_form=lambda x, r: calls.append(x) or lin.alice_form(x, r)))
+    with pytest.raises(BudgetError,
+                       match="verify_dre message coordinates: 36 exceed budget 35"):
+        verify_dre(counted, budget=35)
+    assert calls == []
+    # one form per input at the first r sizes the pairs' values
     with pytest.raises(BudgetError,
                        match="verify_dre message coordinates: 108 exceed budget 107"):
         verify_dre(counted, budget=107)
-    assert calls == []
-    # one evaluation per input sizes the pairs before the sweep is charged
-    with pytest.raises(BudgetError,
-                       match="verify_dre message coordinates: 324 exceed budget 323"):
-        verify_dre(counted, budget=323)
     assert len(calls) == 6
-    assert verify_dre(counted, budget=324).perfect
-    assert len(calls) == 6 + 6 + 108
+    # the maps are charged when the first pair meets their layout
+    with pytest.raises(BudgetError,
+                       match="verify_dre message coordinates: 114 exceed budget 113"):
+        verify_dre(counted, budget=113)
+    assert len(calls) == 6 + 6 + 1
+    assert verify_dre(counted, budget=114).perfect
+    assert len(calls) == 13 + 6 + 36
 
 
-def test_qr_shared_space_is_lazy_and_in_the_old_order():
+def test_qr_shared_space_is_lazy_and_in_the_generated_order():
+    # (r, free shares), r-major, the shares in product order; the last
+    # share, their negated sum, is no part of the randomness
     for p in (5, 7):
         D = dre_qr(p)
         n = D.f.params["n_bits"]
-        old = tuple((r, free + ((-sum(free)) % p,))
-                    for r in range(1, p) for free in product(range(p), repeat=n - 1))
-        assert tuple(D.shared) == old
+        want = tuple((r, free) for r in range(1, p)
+                     for free in product(range(p), repeat=n - 1))
+        assert tuple(D.shared) == want
     big = dre_qr(17)
+    assert isinstance(big.shared, protocols.LazySpace)
     assert len(big.shared) == 1_336_336
-    assert next(iter(big.shared)) == (1, (0,) * 5)
+    assert next(iter(big.shared)) == (1, (0,) * 4)

@@ -158,12 +158,15 @@ def test_span_cds_finds_each_inputs_rows_once(variant, monkeypatch):
                         lambda self, z: calls.append(z) or available_rows(self, z))
     P = cds_from_span(_span_for(f, 3), f, variant)
     assert len(calls) == 4 + 4
-    messages = []
-    counted = replace(P, bob_msg=lambda y, r, rb=None:
-                      messages.append(y) or P.bob_msg(y, r, rb))
+    # the sweep reads Bob's form twice per case (x, y, s), once to size the
+    # charge and once to sweep, and calls no message callback
+    forms, lin = [], P.linear
+    counted = CdsProtocol(f, (0, 1), decode=P.decode, resources=P.resources,
+                          linear=lin._replace(bob_form=lambda y, nu:
+                                              forms.append(y) or lin.bob_form(y, nu)))
     assert verify_cds(counted).perfect
     assert len(calls) == 4 + 4
-    assert len(messages) == {"comm": 672, "rand": 1024}[variant]
+    assert len(forms) == 2 * 16 * 2
 
 
 def test_span_cds_validation():
@@ -181,11 +184,12 @@ def test_span_cds_validation():
 
 
 def test_dre_qr_frozen_example():
-    # p = 7, a = 3 (bits 1,1,0), randomness (r, s) = (2, (5, 2, 0));
+    # p = 7, a = 3 (bits 1,1,0), randomness (r, free shares) = (2, (5, 2)),
+    # so s = (5, 2, 0), the last share the negated sum of the free ones;
     # worked by hand: y = (1*4*1+5, 1*4*2+2, 0+0) = (2, 3, 0) mod 7,
     # sum 5 is a non-residue mod 7, matching f(a=3) = 0
     D = dre_qr(7)
-    rr = (2, (5, 2, 0))
+    rr = (2, (5, 2))
     assert rr in D.shared
     x, y = qr_split_inputs(D.f, 3)
     assert (x, y) == (1, 1)  # Alice holds bit 1 of a, Bob bits 2 and 3

@@ -32,9 +32,20 @@ from cdslab.protocols import (CdsProtocol, PsmProtocol, cds_from_gh, cds_from_sp
                               space_size, verify_cds, verify_dre, verify_psm)
 
 
+# the fields a LinearPart states for a record that declares one
+STATED = {"shared", "alice_private", "bob_private", "alice_msg", "bob_msg", "enc_x", "enc_y"}
+
+
 def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
-    return type(P)(**{**vars(P), **changes})
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields.
+
+    A P that keeps a ``LinearPart`` is rebuilt from it: the spaces and
+    callbacks it states are not passed again, unless ``changes`` gives them.
+    """
+    fields = {**vars(P), **changes}
+    if fields["linear"] is not None:
+        fields = {k: v for k, v in fields.items() if k not in STATED or k in changes}
+    return type(P)(**fields)
 
 
 def _joint(P) -> int:
@@ -119,6 +130,22 @@ def _unleak(m, where: str):
     return (tag[0], values) if where == "tag" else (tag, values[:-1])
 
 
+def _leaky_forms(lin, leaked, where: str):
+    """``lin`` with Alice's form also sending ``leaked(x, *secret)``, constant
+    in rho, in her tag or as one more value, and her maps matching it."""
+    def alice_form(x, *args):
+        return _leak(lin.alice_form(x, *args), leaked(x, *args[:-1]), where)
+
+    def maps(side, tag):
+        if side:
+            return lin.maps(side, tag)
+        if where == "tag":
+            return lin.maps(0, tag[0])
+        return tuple(row + (0,) for row in lin.maps(0, tag))
+
+    return lin._replace(alice_form=alice_form, maps=maps)
+
+
 @settings(max_examples=40, deadline=None)
 @given(tables())
 def test_gh_cds_matches_the_flat_sweep(drawn):
@@ -149,9 +176,8 @@ def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant, wh
     assume(f.n_x == 1 or len(terms) <= 2)
     P = cds_from_span(span_dnf(terms, f.n_x + f.n_y, p), f, variant)
     assert P.linear is not None
-    alice_msg, decode = P.alice_msg, P.decode
-    P = replace(P, alice_msg=lambda x, s, r, ra=None:
-                _leak(alice_msg(x, s, r, ra), s if x in leaky else 0, where),
+    decode = P.decode
+    P = replace(P, linear=_leaky_forms(P.linear, lambda x, s: s if x in leaky else 0, where),
                 decode=lambda m0, x, m1, y: None if (x, y) in bad
                 else decode(_unleak(m0, where), x, m1, y))
     _same(verify_cds(P), _flat_cds(P))
@@ -183,13 +209,13 @@ def test_qr_dre_and_psm_match_the_flat_sweep(p, where, data):
     xs = sorted({x for (x, _) in D.input_pairs()})
     leaky = data.draw(st.sets(st.sampled_from(xs)))
     faulty = data.draw(st.sets(st.sampled_from(xs)))
-    enc_x, decode = D.enc_x, D.decode
+    decode = D.decode
 
     def sent(mx):
         return mx[0][1] if where == "tag" else mx[1][-1]
 
     # the other inputs send p - 1, which no x of Alice's equals
-    D = replace(D, enc_x=lambda x, r: _leak(enc_x(x, r), x if x in leaky else p - 1, where),
+    D = replace(D, linear=_leaky_forms(D.linear, lambda x: x if x in leaky else p - 1, where),
                 decode=lambda mx, my: decode(_unleak(mx, where), my) ^ (sent(mx) in faulty))
     want = _flat_psm(psm_from_dre(D))
     _same(verify_dre(D), want)

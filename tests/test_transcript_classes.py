@@ -38,9 +38,20 @@ XOR1 = named_fn("xor", n=1)
 EQ1 = named_fn("eq", n=1)
 
 
+# the fields a LinearPart states for a record that declares one
+STATED = {"shared", "alice_private", "bob_private", "alice_msg", "bob_msg", "enc_x", "enc_y"}
+
+
 def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
-    return type(P)(**{**vars(P), **changes})
+    """Protocol P rebuilt through its constructor with ``changes`` to its fields.
+
+    A P that keeps a ``LinearPart`` is rebuilt from it: the spaces and
+    callbacks it states are not passed again, unless ``changes`` gives them.
+    """
+    fields = {**vars(P), **changes}
+    if fields.get("linear") is not None:
+        fields = {k: v for k, v in fields.items() if k not in STATED or k in changes}
+    return type(P)(**fields)
 
 
 def _undeclared(P):
@@ -482,59 +493,67 @@ def test_planted_leak_coset_classes_match_enumerated():
     # PSM whose Alice adds x to her values leaks it between equal-value inputs
     cds = cds_from_span(span_and1(3), AND1, "comm")
     psm = psm_from_dre(dre_qr(5))
+    lin, psm_lin = cds.linear, psm.linear
 
-    def secret_in_tag(x, s, r, ra=None):
-        tag, values = cds.alice_msg(x, s, r, ra)
+    def secret_in_tag(x, s, nu):
+        tag, values = lin.alice_form(x, s, nu)
         return (tag, s if x == 0 else 0), values
 
-    def x_in_values(x, r, ra=None):
-        tag, values = psm.alice_msg(x, r, ra)
+    def x_in_values(x, nu):
+        tag, values = psm_lin.alice_form(x, nu)
         return tag, values + (x,)
 
-    leaky = replace(cds, alice_msg=secret_in_tag,
+    leaky = replace(cds, linear=lin._replace(
+                        alice_form=secret_in_tag,
+                        maps=lambda side, tag: lin.maps(side, tag if side else tag[0])),
                     decode=lambda m0, x, m1, y: cds.decode((m0[0][0], m0[1]), x, m1, y))
     _same_cds_classes(leaky)
     report = verify_cdqs(cdqs_from_cds(leaky))
     assert report.worst_gap > 0.1 and report.witnesses["gap"] == (0, 0)
-    leaky_psm = replace(psm, alice_msg=x_in_values,
+    leaky_psm = replace(psm, linear=psm_lin._replace(
+                            alice_form=x_in_values,
+                            maps=lambda side, tag: tuple(row + (0,) * (1 - side)
+                                                         for row in psm_lin.maps(side, tag))),
                         decode=lambda m0, m1: psm.decode((m0[0], m0[1][:-1]), m1))
     _same_psqm_classes(leaky_psm)
     assert verify_psqm(psqm_from_psm(leaky_psm)).worst_gap > 0.1
 
 
-def _two_subspaces(alice):
-    """A linear bit-CDS over Z_3, one coordinate, Alice sending ``alice(x, s, r)``."""
-    return CdsProtocol(AND1, (0, 1), ((0,), (1,), (2,)),
-                       lambda x, s, r, ra=None: ((), (alice(x, s, r[0]),)),
-                       lambda y, r, rb=None: ((), ()), lambda m0, x, m1, y: m0[1][0],
-                       linear=LinearPart(3, (None,), 1, lambda nu, rho: (rho, None, None)))
+def _by_tag(alice_form, decode):
+    """A linear bit-CDS of and1 over Z_3, one coordinate, Bob sending nothing;
+    Alice's one value is the coordinate times her tag's last entry."""
+    return CdsProtocol(AND1, (0, 1), decode=decode, linear=LinearPart(
+        3, (None,), (1, 0, 0), alice_form, lambda y, nu: ((), ()),
+        lambda side, tag: ((),) if side else ((tag[-1],),)))
 
 
 def test_pad_routes_refuse_cosets_of_two_subspaces():
-    # secret 0 sends 0, secret 1 the uniform coordinate: one input's two
-    # histograms put one pair of tags on two subspaces
-    cds = _two_subspaces(lambda x, s, r: (s * r) % 3)
-    with pytest.raises(ValidationError, match="not a subspace"):
-        cdqs_from_cds(cds).key_classes(0, 0)
-    # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM do
-    psm = PsmProtocol(AND1, cds.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
-                      lambda y, r, rb=None: ((), ()), lambda m0, m1: 0, linear=cds.linear)
-    with pytest.raises(ValidationError, match="not a subspace"):
-        verify_psqm(psqm_from_psm(psm))
+    # secret 0 sends 0, secret 1 the uniform coordinate: one tag would need
+    # two maps, which no LinearPart states, and the same messages as
+    # callbacks beside one are refused; with the secret in the tag each
+    # secret keeps its own map, and the key classes are the enumerated ones
+    cds = _by_tag(lambda x, s, nu: ((s,), (0,)), lambda m0, x, m1, y: m0[0][0])
+    with pytest.raises(ValidationError, match="not both"):
+        replace(cds, alice_msg=lambda x, s, r, ra=None: ((), ((s * r[0]) % 3,)))
+    _same_cds_classes(cds)
+    # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM
+    psm = PsmProtocol(AND1, decode=lambda m0, m1: m0[0][0], linear=cds.linear._replace(
+        alice_form=lambda x, nu: ((x,), (0,))))
+    with pytest.raises(ValidationError, match="not both"):
+        replace(psm, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
+    _same_psqm_classes(psm)
 
 
 def test_pad_routes_refuse_uncompared_cosets_of_two_subspaces():
-    # x = 0 sends 0, x = 1 the uniform coordinate, under one layout: the
-    # route's one kernel refuses the second input, though no run of it is
-    # compared with the first
-    C = cdqs_from_cds(_two_subspaces(lambda x, s, r: (x * r) % 3))
-    C.key_classes(0, 0)
-    with pytest.raises(ValidationError, match="not a subspace"):
-        C.key_classes(1, 0)
+    # x = 0 sends 0, x = 1 the uniform coordinate, which would be one layout
+    # on two subspaces; stated with x in Alice's tag, the route's one kernel
+    # keeps one map per tag across every input, as enumeration counts them
+    cds = _by_tag(lambda x, s, nu: ((s, x), (0,)), lambda m0, x, m1, y: m0[0][0])
+    _same_cds_classes(cds)
     # (0, 1) has f = 0 and (1, 1) f = 1, so verify_psqm compares no views
-    base = _two_subspaces(lambda x, s, r: 0)
-    psm = PsmProtocol(AND1, base.shared, lambda x, r, ra=None: ((), ((x * r[0]) % 3,)),
-                      lambda y, r, rb=None: ((), ()), lambda m0, m1: 0,
-                      domain=((0, 1), (1, 1)), linear=base.linear)
-    with pytest.raises(ValidationError, match="not a subspace"):
-        verify_psqm(psqm_from_psm(psm))
+    psm = PsmProtocol(AND1, decode=lambda m0, m1: m0[0][0], domain=((0, 1), (1, 1)),
+                      linear=cds.linear._replace(alice_form=lambda x, nu: ((x,), (0,))))
+    with pytest.raises(ValidationError, match="not both"):
+        replace(psm, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
+    _same_psqm_classes(psm)
+    assert verify_psqm(psqm_from_psm(psm)).worst_gap == 0

@@ -26,10 +26,11 @@ subspace across the whole sweep, so no module defines or reads the
 after-the-fact check ``_same_spaces``, and the only private ``protocols``
 names ``nlqc`` imports are ``_sweep_kernel`` and ``_joint``.
 Only ``protocols`` reads the linear message format, in which a declaring
-protocol's parties send ``(tag, values)`` pairs: no other module names
-``Coset``, ``LinearPart`` or ``_tagged``, the one reader of a message pair's
-tags and values, or reads a field that only those records have; ``nlqc``
-counts a coset key's messages through ``message_count``.
+protocol's parties send ``(tag, values)`` pairs that its ``LinearPart``
+states as affine forms: no other module names ``Coset`` or ``LinearPart``,
+or reads a field that only those records have (a coset's members and basis,
+a declaration's nus, coordinate counts, forms and maps); ``nlqc`` counts a
+coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, so nothing in
 ``nlqc``, where ``transcript_classes`` and ``class_product`` live, reads
 ``Fraction``. Records carry only fields something reads: a protocol's linear
@@ -227,14 +228,14 @@ def test_the_check_sees_a_kernel_read():
     assert not _kernel_reads(ast.parse("from .protocols import _sweep_kernel\n"))
 
 
-# the linear message format: the records and the reader of a pair's tags and
-# values, and the fields of a Coset or LinearPart no other record has
-FORMAT_NAMES = {"Coset", "LinearPart", "_tagged"}
-FORMAT_FIELDS = {"m0", "m1", "basis", "nus", "ell", "embed"}
+# the linear message format: its records, and the fields of a Coset or
+# LinearPart no other record has
+FORMAT_NAMES = {"Coset", "LinearPart"}
+FORMAT_FIELDS = {"m0", "m1", "basis", "nus", "coords", "alice_form", "bob_form", "maps"}
 
 
 def _format_reads(tree) -> set:
-    """The format's records, reader and fields a module names."""
+    """The format's records and fields a module names."""
     names, attributes = _reads(tree)
     return names & FORMAT_NAMES | attributes & FORMAT_FIELDS
 
@@ -253,11 +254,15 @@ def test_only_protocols_reads_the_linear_message_format(module):
 
 def test_the_check_sees_a_format_read():
     for planted in ("from .protocols import Coset\n",
-                    "from . import protocols\nlin = protocols.LinearPart(3, (), 0, f)\n",
-                    "def f(C):\n    return _tagged(C.run(0, 0))\n",
+                    "from . import protocols\n"
+                    "lin = protocols.LinearPart(3, (), (0, 0, 0), a, b, m)\n",
                     "def f(m):\n    return len(m.basis)\n",
                     "def f(m):\n    tag, values = m.m0\n",
-                    "def f(P):\n    return P.linear.nus\n"):
+                    "def f(P):\n    return P.linear.nus\n",
+                    "def f(P):\n    return sum(P.linear.coords)\n",
+                    "def f(P, x):\n    return P.linear.alice_form(x, 0, None)\n",
+                    "def f(lin, y):\n    return lin.bob_form(y, None)\n",
+                    "def f(lin):\n    return lin.maps(0, ())\n"):
         assert _format_reads(ast.parse(planted)), planted
     assert not _format_reads(ast.parse(
         "from .protocols import message_count\nn = message_count(m) * b.count\n"))
@@ -314,8 +319,8 @@ def test_nlqc_reads_only_the_sweep_kernel_and_joint_privately():
 
 
 def test_the_check_sees_a_private_protocols_read():
-    for planted, names in (("from .protocols import Worst, _joint, _tagged\n",
-                            {"_joint", "_tagged"}),
+    for planted, names in (("from .protocols import Worst, _joint, _shift\n",
+                            {"_joint", "_shift"}),
                            ("from cdslab.protocols import _same_spaces\n", {"_same_spaces"}),
                            ("from . import protocols\nf = protocols._coset_alphabet\n",
                             {"_coset_alphabet"}),
