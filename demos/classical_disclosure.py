@@ -55,10 +55,11 @@ print("one-time-table CDS for index1: perfect =", verify_cds(R).perfect)
 
 # The verifier measures, it does not assume: a protocol that broadcasts the
 # secret shows the maximal pairwise distance of 2 on hidden inputs.
-from cdslab.protocols import CdsProtocol
+# It is stated as forms with one randomness value and no linear coordinates:
+# Alice's tag is the secret, Bob's is 0, and neither sends values.
+from cdslab.protocols import CdsProtocol, LinearPart
 
-leaky = CdsProtocol(and1, (0, 1), ((),),
-                    lambda x, s, r, ra=None: s,
-                    lambda y, r, rb=None: 0,
-                    lambda m0, x, m1, y: m0)
+broadcast = LinearPart(2, (None,), (0, 0, 0), lambda x, s, nu: (s, ()),
+                       lambda y, nu: (0, ()), lambda side, tag: ())
+leaky = CdsProtocol(and1, (0, 1), broadcast, lambda m0, x, m1, y: m0[0])
 print("broadcast 'protocol' leakage:", verify_cds(leaky).delta_pair)

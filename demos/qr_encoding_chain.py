@@ -23,10 +23,21 @@ print(f"encoding residuosity mod {p}; Alice holds bit positions",
 # A worked example with pinned randomness: a = 3 has bits (1, 1, 0) and is
 # not a square mod 7. With r = 2 and free shares (5, 2), so shares (5, 2, 0),
 # the last being the negated sum of the others, the encodings are exactly
-# computable by hand. Each side sends an empty tag and its values.
-rr = (2, (5, 2))
+# computable by hand. Each side sends an empty tag and its values: the
+# encoding's forms give them at r and free shares 0, and each free share
+# moves them by its row of the side's map.
+r, free = 2, (5, 2)
 x, y = qr_split_inputs(D.f, 3)
-mx, my = D.enc_x(x, rr), D.enc_y(y, rr)
+
+
+def sent(side, form):
+    tag, b = form
+    rows = D.linear.maps(side, tag)
+    return tag, tuple((v + sum(c * row[i] for c, row in zip(free, rows))) % p
+                      for i, v in enumerate(b))
+
+
+mx, my = sent(0, D.linear.alice_form(x, r)), sent(1, D.linear.bob_form(y, r))
 print("a = 3 encodes as", mx[1], "+", my[1], "-> decode", D.decode(mx, my))
 
 # The exhaustive verifier sweeps every a in Z_p^* against every randomness

@@ -12,7 +12,7 @@ actual states.
 from cdslab.boolfn import named_fn
 from cdslab.gardenhose import gh_search
 from cdslab.nlqc import cdqs_from_cds, security_state_sweep, verify_cdqs
-from cdslab.protocols import CdsProtocol, cds_from_gh
+from cdslab.protocols import CdsProtocol, LinearPart, cds_from_gh
 
 and1 = named_fn("and", n=1)
 
@@ -48,10 +48,10 @@ print(f"state sweep over {sweep['n_states']} secrets:"
 # Negative control: a 'CDS' that just broadcasts the key. The lift stays
 # correct when f = 1, but on hiding inputs the referee's pad collapses and
 # the gap jumps well above zero, so the verifier is measuring, not assuming.
-broadcast_bit = CdsProtocol(and1, (0, 1), ((),),
-                            lambda x, s, r, ra=None: s,
-                            lambda y, r, rb=None: 0,
-                            lambda m0, x, m1, y: m0)
+# Its forms have no randomness: Alice's tag is the key bit, Bob's is 0.
+broadcast = LinearPart(2, (None,), (0, 0, 0), lambda x, s, nu: (s, ()),
+                       lambda y, nu: (0, ()), lambda side, tag: ())
+broadcast_bit = CdsProtocol(and1, (0, 1), broadcast, lambda m0, x, m1, y: m0[0])
 leaky = verify_cdqs(cdqs_from_cds(broadcast_bit))
 print("broadcast key layer: infidelity", leaky.worst_infidelity,
       "gap", round(leaky.worst_gap, 6))

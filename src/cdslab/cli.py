@@ -170,7 +170,9 @@ def _parse_fn(args) -> BoolFn:
     return named_fn(name, n=args.nx)
 
 
-def _span_for(f: BoolFn, p: int) -> SpanProgram:
+def _span_for(f: BoolFn, p: int, budget: int = DEFAULT_BUDGET) -> SpanProgram:
+    """f's span program: a named one, else ``span_dnf`` of its 1-inputs, whose
+    rows (one per literal) times columns are charged before it is built."""
     named = {"and1": span_and1, "or1": span_or1, "eq1": span_eq1}
     if f.name in named:
         return named[f.name](p)
@@ -178,6 +180,8 @@ def _span_for(f: BoolFn, p: int) -> SpanProgram:
     if not ones:
         raise ValidationError("constant-0 function has no satisfying terms")
     terms = [[(k + 1, bit) for k, bit in enumerate(literal_input(f, x, y))] for (x, y) in ones]
+    rows = sum(map(len, terms))
+    charge(rows * (1 + rows - len(terms)), budget, "span program entries")
     return span_dnf(terms, f.n_x + f.n_y, p)
 
 
@@ -216,8 +220,9 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
     if token == "span":
         if "span_program" in embedded:
             program = SpanProgram.from_jsonable(embedded["span_program"])
+            charge(program.size * program.width, opts["budget"], "span program entries")
         else:
-            program = _span_for(f, opts["p"])
+            program = _span_for(f, opts["p"], opts["budget"])
         _refuse("span program disagrees with the function",
                 [(x, y) for (x, y) in f.inputs()
                  if sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])

@@ -547,9 +547,9 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
     counts come from one sweep per secret by ``verify_cds``'s kernel, by
-    coset for a CDS declaring a linear part, charged against ``budget``
-    before the first (a coset layout when met); the product weights stay
-    integers until one division by the squared joint randomness.
+    coset, charged against ``budget`` before the first (a coset layout when
+    met); the product weights stay integers until one division by the
+    squared joint randomness.
     """
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
@@ -713,9 +713,9 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
     """A classical PSM is a simultaneous-message protocol with no qubits.
 
     A run is one sweep of P's messages on one input pair by ``verify_psm``'s
-    kernel, one branch per coset or message pair, the sweeps over every pair
-    charged before any run starts (a coset layout when met), one layout one
-    subspace across them all, as ``verify_psqm``'s view comparisons need.
+    kernel, one branch per coset, the sweeps over every pair charged before
+    any run starts (a coset layout when met), one layout one subspace across
+    them all, as ``verify_psqm``'s view comparisons need.
     """
     kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), budget, "psqm_from_psm"))
 

@@ -12,17 +12,17 @@ to and the group they must look like; it charges the sweep before it starts
 
 Conventions shared by every protocol type here:
 
-* ``shared`` is the common randomness both parties see; ``alice_private`` and
-  ``bob_private`` are party-local coin spaces (usually the single value
-  ``None``). Only the shared space counts as randomness complexity.
-* messages must be hashable so message distributions can be histogrammed.
+* ``linear`` is a ``LinearPart``: affine forms of each party's ``(tag,
+  values)``, from which the record takes its randomness spaces: ``shared``,
+  which both parties see and which alone counts as randomness complexity,
+  and the party-local ``alice_private`` and ``bob_private``.
+* tags must be hashable so message distributions can be histogrammed.
 * ``domain`` optionally restricts the verified input pairs; None means all.
-* ``linear``, when not None, is a ``LinearPart``: affine forms of each
-  party's ``(tag, values)``, which make the record's spaces and callbacks.
-  Every message sweep, here or in ``nlqc``, then reads them one coset at a
-  time (``coset_hist``), and enumerates (``message_hist``) only undeclared
-  protocols; ``_sweep_kernel`` chooses. ``cds_from_span``, ``dre_qr`` and
-  ``psm_from_dre`` declare it, and ``cds_from_psm`` over a declaring PSM.
+
+Every message sweep, here or in ``nlqc``, reads the forms one coset at a
+time (``coset_hist``) through ``_sweep_kernel``. A form with no rho
+coordinates is enumeration, each nu one point coset: the one-time table PSM
+and the constant CDS state their messages so, as tags with no values.
 """
 
 from __future__ import annotations
@@ -84,43 +84,11 @@ class VerificationReport:
 
 
 class InputDomain:
-    """Every record's ``domain`` (None: all of f's inputs) and ``resources``,
-    and a message protocol's ``linear`` part (``_messages``)."""
+    """Every record's ``domain`` (None: all of f's inputs) and ``resources``."""
 
     def __init__(self, domain: Optional[tuple], resources: Optional[dict]):
         self.domain = domain
         self.resources = {} if resources is None else resources
-
-    def _messages(self, linear: Optional[LinearPart]) -> None:
-        """Keep ``linear``; a record with one takes from it, never given too,
-        its spaces, (nu, shared rho) and each party's rho, and messages b +
-        rho . maps mod p."""
-        self.linear = linear
-        if linear is None:
-            return
-        p, (n_shared, n_alice, n_bob) = linear.p, linear.coords
-
-        def sender(side, form):
-            def send(x, *args):   # args: *secret, (nu, shared rho), the party's own rho
-                *secret, (nu, rho), own = args
-                tag, b = form(x, *secret, nu)
-                rho += (0,) * (n_alice * side) + own
-                return tag, _shift(b, rho, linear.maps(side, tag), p)
-            return send
-
-        alice_msg, bob_msg = sender(0, linear.alice_form), sender(1, linear.bob_form)
-        for name, value in {
-                "shared": pair_space(linear.nus, product_space(range(p), n_shared)),
-                "alice_private": product_space(range(p), n_alice),
-                "bob_private": product_space(range(p), n_bob),
-                "alice_msg": alice_msg, "bob_msg": bob_msg,
-                "enc_x": lambda x, r: alice_msg(x, r, ()),
-                "enc_y": lambda y, r: bob_msg(y, r, ())}.items():
-            if name in vars(self):
-                if vars(self)[name] not in (None, (None,)):
-                    raise ValidationError("a record takes a LinearPart or message "
-                                          "callbacks, not both")
-                setattr(self, name, value)
 
     def input_pairs(self):
         return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
@@ -171,27 +139,29 @@ def pair_space(first, second) -> LazySpace:
 
 
 class PsmProtocol(InputDomain):
-    """Private simultaneous messages: the referee learns f(x, y) and nothing else."""
+    """Private simultaneous messages: the referee learns f(x, y) and nothing else.
 
-    def __init__(self, f: BoolFn, shared=None, alice_msg=None, bob_msg=None, decode=None,
-                 alice_private: tuple = (None,), bob_private: tuple = (None,),
-                 domain: Optional[tuple] = None, resources: Optional[dict] = None,
-                 linear: Optional[LinearPart] = None):
-        self.f, self.shared = f, shared
-        self.alice_msg = alice_msg        # (x, r, ra) -> message
-        self.bob_msg = bob_msg            # (y, r, rb) -> message
+    The record takes its randomness spaces from ``linear``: ``shared`` holds
+    (nu, shared rho), and each party's private space its own rho.
+    """
+
+    def __init__(self, f: BoolFn, linear: LinearPart, decode: Callable,
+                 domain: Optional[tuple] = None, resources: Optional[dict] = None):
+        p, (n_shared, n_alice, n_bob) = linear.p, linear.coords
+        self.f, self.linear = f, linear
         self.decode = decode              # (m0, m1) -> value of f
-        self.alice_private, self.bob_private = alice_private, bob_private
+        self.shared = pair_space(linear.nus, product_space(range(p), n_shared))
+        self.alice_private = product_space(range(p), n_alice)
+        self.bob_private = product_space(range(p), n_bob)
         super().__init__(domain, resources)
-        self._messages(linear)
 
 
 class CdsProtocol(PsmProtocol):
     """Conditional disclosure of a secret held by Alice: a PSM record plus ``secrets``.
 
-    Alice sends ``alice_msg(x, s, r, ra)``, Bob sends ``bob_msg(y, r, rb)``;
-    the referee, knowing (x, y), should recover s exactly when f(x, y) = 1
-    and learn nothing about it otherwise, by ``decode(m0, x, m1, y)``.
+    Alice's form takes the secret after x; the referee, knowing (x, y),
+    should recover s exactly when f(x, y) = 1 and learn nothing about it
+    otherwise, by ``decode(m0, x, m1, y)``.
     """
 
     def __init__(self, f: BoolFn, secrets: tuple, *args, **kwargs):
@@ -199,20 +169,13 @@ class CdsProtocol(PsmProtocol):
         super().__init__(f, *args, **kwargs)
 
 
-class Dre(InputDomain):
+class Dre(PsmProtocol):
     """Decomposable randomized encoding: per-side encoders plus a decoder.
 
-    The pair (enc_x(x, r), enc_y(y, r)) must determine f(x, y) and its
-    distribution must depend on the input only through f(x, y).
+    The pair of encodings, Alice's of x and Bob's of y, must determine
+    f(x, y) and its distribution must depend on the input only through
+    f(x, y).
     """
-
-    def __init__(self, f: BoolFn, shared=None, enc_x=None, enc_y=None, decode=None,
-                 domain: Optional[tuple] = None,
-                 resources: Optional[dict] = None, linear: Optional[LinearPart] = None):
-        self.f, self.shared = f, shared
-        self.enc_x, self.enc_y, self.decode = enc_x, enc_y, decode
-        super().__init__(domain, resources)
-        self._messages(linear)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -253,24 +216,6 @@ def _randomness(P) -> dict:
     return resources
 
 
-def message_hist(P, x, y, *secret) -> dict:
-    """Exact counts of the message pair (m0, m1) of P on input (x, y).
-
-    Sweeps ``P.shared x P.alice_private x P.bob_private`` once; ``secret`` is
-    the CDS secret Alice's message takes after x (PSM messages take none).
-    Keys appear in sweep order, which downstream float sums depend on.
-    """
-    alice_msg, bob_msg = P.alice_msg, P.bob_msg
-    hist = {}
-    for r in P.shared:
-        for ra in P.alice_private:
-            m0 = alice_msg(x, *secret, r, ra)
-            for rb in P.bob_private:
-                m = (m0, bob_msg(y, r, rb))
-                hist[m] = hist.get(m, 0) + 1
-    return hist
-
-
 # -- coset histograms --------------------------------------------------------
 
 
@@ -283,15 +228,21 @@ class LinearPart(NamedTuple):
     the tag, any hashable constant, and the values b at rho = 0, in 0..p-1;
     rho adds rho . ``maps(side, tag)`` (side 0 Alice), row k the change per
     unit of rho_k, zero on the other party's coordinates. The decoder must
-    give one value on each coset the messages of one nu fill.
+    give one value on each coset the messages of one nu fill. ``nus`` may be
+    a lazy space; with no rho coordinates each nu is one point coset.
+
+    ``sent(side, tag)`` is what a message shows of its tag, the tag itself
+    unless a tag also holds what picks its map: message alphabets count
+    tags sent alike as one, when their maps span one row space.
     """
 
     p: int
-    nus: tuple
+    nus: object
     coords: tuple
     alice_form: Callable
     bob_form: Callable
     maps: Callable
+    sent: Callable = lambda side, tag: tag
 
 
 class Coset(NamedTuple):
@@ -328,7 +279,7 @@ def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None,
                met: Callable = lambda size: None) -> dict:
     """Exact counts of P's message pair on (x, y), one entry per coset.
 
-    P declares ``linear``; no callback is called. For each nu the values run
+    P's ``linear`` states its messages. For each nu the values run
     over b + rho A, A both tags' maps side by side: uniform on b + V, V A's
     row space, and nu adds p^ell to its ``Coset``. A layout (tags and value
     counts) has one A, so its cosets are equal or disjoint and L1 distances
@@ -361,37 +312,33 @@ def _coset_alphabet(lin: LinearPart, members, side: int) -> int:
     """Distinct messages of one party (0 Alice, 1 Bob) over cosets' ``members``.
 
     A member ``(tag, values)`` stands for values + the row space of its
-    tag's map, echeloned once per tag: such cosets are equal or disjoint.
+    tag's map, echeloned once per tag: such cosets are equal or disjoint,
+    and so are those of tags ``sent`` alike whose maps span one row space.
     """
     p, spaces, found = lin.p, {}, set()
     for tag, values in members:
         if tag not in spaces:
             spaces[tag] = echelon(lin.maps(side, tag), p)
         basis, pivots = spaces[tag]
-        found.add((tag, _shift(values, [-values[col] for col in pivots], basis, p)))
-    return sum(p ** len(spaces[tag][0]) for tag, _ in found)
+        found.add((lin.sent(side, tag), tuple(basis),
+                   _shift(values, [-values[col] for col in pivots], basis, p)))
+    return sum(p ** len(basis) for _, basis, _ in found)
 
 
 def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
     ``cases`` lists the arguments (x, y, *secret) to sweep, which the
-    function, bound to P, takes; it looks its kernel up at each call. A
-    protocol declaring ``linear`` is swept by ``coset_hist``, one ``spaces``
-    for all cases, charged in message coordinates: (case, nu) pairs, their
-    values b, each as wide as the widest at the first nu, then each layout's
-    maps as first met. Others are swept by ``message_hist``, charged every
-    joint state.
+    function, bound to P, takes: ``coset_hist``, one ``spaces`` for all
+    cases, charged in message coordinates: (case, nu) pairs, counted before
+    any nu is listed, their values b, each as wide as the widest at the
+    first nu, then each layout's maps as first met.
     """
     lin = P.linear
-    joint = _joint(P)
-    if lin is None:
-        charge(joint * max(1, len(cases)), budget, f"{what} joint states")
-        return (lambda *args: message_hist(P, *args)), joint
     space = f"{what} message coordinates"
-    pairs = max(1, len(cases)) * len(lin.nus)
+    pairs = max(1, len(cases)) * space_size(lin.nus)
     charge(pairs, budget, space)   # before the width probe
-    nu = lin.nus[0]
+    nu = next(iter(lin.nus))
     width = max([1] + [len(lin.alice_form(x, *s, nu)[1] + lin.bob_form(y, nu)[1])
                        for (x, y, *s) in cases])
     coords = [0]
@@ -402,7 +349,7 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
 
     met(pairs * width)
     spaces = {}
-    return (lambda *args: coset_hist(P, *args, spaces=spaces, met=met)), joint
+    return (lambda *args: coset_hist(P, *args, spaces=spaces, met=met)), _joint(P)
 
 
 def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
@@ -418,10 +365,9 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
     histograms, each with its first case: an equal one is as far from every
     other, and two distinct ones' first cases make their first pair. At its
     last case they are compared pairwise and dropped (a CDS holds one
-    input's at a time); the distances meet ``Worst`` in case order. A
-    protocol with a ``LinearPart`` is swept by coset, else by message;
-    decoding is deterministic, so it runs once per coset or distinct message
-    pair and counts with its multiplicity. ``seen`` gets every histogram,
+    input's at a time); the distances meet ``Worst`` in case order. P is
+    swept by coset; decoding is deterministic, so it runs once per coset and
+    counts with its multiplicity. ``seen`` gets every histogram,
     and ``what`` names the caller in budget errors.
     """
     hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], budget, what)
@@ -451,14 +397,14 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
 
     A revealing input must decode every secret and a hiding input send all
     of them alike, a leak witnessed as (x, y, s, s'). Message alphabets are
-    counted exactly on either path.
+    counted exactly, by coset.
     """
     cases = []
     for (x, y) in P.input_pairs():
         reveal = P.f.eval(x, y) == 1
         cases += [((x, y, s), s if reveal else None, None if reveal else (x, y))
                   for s in P.secrets]
-    alphabets = (set(), set())   # each party's messages, or cosets' members
+    alphabets = (set(), set())   # each party's cosets' members
 
     def seen(hist):
         for side, alphabet in enumerate(alphabets):
@@ -471,8 +417,7 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
         witnesses["delta"] = a + b[2:]
     resources = _randomness(P)
     for side, name in enumerate(("alice_message_alphabet", "bob_message_alphabet")):
-        resources[name] = (len(alphabets[side]) if P.linear is None
-                           else _coset_alphabet(P.linear, alphabets[side], side))
+        resources[name] = _coset_alphabet(P.linear, alphabets[side], side)
     return VerificationReport("cds", eps, delta, resources, witnesses)
 
 
@@ -513,42 +458,54 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     she joins; Bob reveals the XOR of each pair he joins plus, in the clear,
     every bit his side leaves unconnected. Chasing XORs along the water path
     unmasks the secret exactly when the water spills on Bob's side.
+
+    ``linear`` states this over Z_2: a party's tag lists the pipe sets it
+    XORs, sorted pairs then Bob's open pipes, Alice's tap first, and its
+    values are those XORs, Alice's first masked by s. Every pipe where water
+    spills on Alice's side is a nu, so decoding, s XOR that pipe's bit there,
+    gives one value on each coset; the other pipes are rho. The tap picks
+    Alice's map but is not sent: ``sent`` drops it, so her alphabet counts
+    what she sends, as each pipe's label does. Taps are nus too when one is
+    such an exit, so tags sent alike keep one row space.
     """
     if not gh_verify(strategy, f):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
-    shared = product_space((0, 1), m)
+    exits = {o.exit_pipe for o in (gh_eval(strategy, x, y) for (x, y) in f.inputs())
+             if o.side != RIGHT}
+    taps = {tap for tap, _ in strategy.alice.values()}
+    fixed = sorted(exits | taps if exits & taps else exits)
+    bit = {k: i for i, k in enumerate(fixed)}   # pipe -> its bit in nu
+    linear_pipes = [k for k in range(1, m + 1) if k not in bit]
 
-    def pair_xors(matching, r):
-        parts = []
-        for pair in sorted(tuple(sorted(p)) for p in matching):
-            i, j = pair
-            parts.append((pair, r[i - 1] ^ r[j - 1]))
-        return parts
+    def pairs(matching):
+        return tuple(sorted(tuple(sorted(p)) for p in matching))
 
-    def alice_msg(x, s, r, ra=None):
+    def offsets(tag, nu):   # each value at rho = 0: the XOR of its pipes' nu bits
+        return tuple(sum(nu[bit[k]] for k in pipes if k in bit) % 2 for pipes in tag)
+
+    def alice_form(x, s, nu):
         tap, matching = strategy.alice[x]
-        return tuple([("tap", s ^ r[tap - 1])] + pair_xors(matching, r))
+        tag = ((tap,),) + pairs(matching)
+        b = offsets(tag, nu)
+        return tag, (b[0] ^ s,) + b[1:]
 
-    def bob_msg(y, r, rb=None):
+    def bob_form(y, nu):
         matching = strategy.bob[y]
         used = {v for pair in matching for v in pair}
-        parts = pair_xors(matching, r)
-        for k in range(1, m + 1):
-            if k not in used:
-                parts.append((k, r[k - 1]))
-        return tuple(parts)
+        tag = pairs(matching) + tuple((k,) for k in range(1, m + 1) if k not in used)
+        return tag, offsets(tag, nu)
 
     def decode(m0, x, m1, y):
-        lookup = dict(m0)
-        lookup.update(dict(m1))
+        (tag0, values0), (tag1, values1) = m0, m1
+        lookup = dict(zip(tag0[1:] + tag1, values0[1:] + values1))
         outcome = gh_eval(strategy, x, y)
-        value = lookup["tap"]
+        value = values0[0]
         for prev, cur in zip(outcome.path, outcome.path[1:]):
             pair = tuple(sorted((prev[0], cur[0])))
             value ^= lookup[pair]
         if outcome.side == RIGHT:
-            value ^= lookup[outcome.exit_pipe]
+            value ^= lookup[(outcome.exit_pipe,)]
         return value
 
     alice_bits = max(1 + len(strategy.alice[x][1]) for x in strategy.alice)
@@ -561,8 +518,13 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
         "bob_message_bits": bob_bits,
         "bound_randomness_equals_pipes": True,
     }
-    return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode,
-                       resources=resources)
+    # a linear pipe's coordinate moves each value whose pipe set holds it
+    linear = LinearPart(2, product_space((0, 1), len(fixed)), (len(linear_pipes), 0, 0),
+                        alice_form, bob_form,
+                        cache(lambda side, tag: tuple(tuple(int(k in pipes) for pipes in tag)
+                                                      for k in linear_pipes)),
+                        lambda side, tag: tag if side else tag[1:])
+    return CdsProtocol(f, (0, 1), linear, decode, resources=resources)
 
 
 # -- span program -> CDS -----------------------------------------------------
@@ -677,7 +639,7 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
                             rows_a[x], tuple(s * v % p for v in values(0, rows_a[x], *one))),
                         lambda y, nu: (rows_b[y], (0,) * len(rows_b[y])),
                         cache(lambda side, rows: tuple(values(side, rows, *g) for g in grads)))
-    return CdsProtocol(f, (0, 1), decode=decode, resources=resources, linear=linear)
+    return CdsProtocol(f, (0, 1), linear, decode, resources=resources)
 
 
 # -- PSM -> CDS and composition ---------------------------------------------
@@ -692,21 +654,19 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
     f(x, y) = 1 the referee reads s' off the PSM and unmasks the secret; when
     f(x, y) = 0 the selector stays hidden, and with it the secret.
 
-    Over a PSM declaring ``linear`` the CDS declares one too: for each
-    (nu, s') Alice sends the PSM's tag with the masked bit as her tag, and
-    the PSM's values and map for that tag. So (nu, s') is nonlinear and rho
-    stays linear. Over any other PSM the whole PSM message joins the masked
-    bit as the tag, with no values.
+    The CDS's forms are the PSM's: for each (nu, s') Alice sends the PSM's
+    tag with the masked bit as her tag, and the PSM's values and map for
+    that tag. So (nu, s') is nonlinear and rho stays linear.
     """
     f = P.f
     values = {f.eval(x, y) for (x, y) in P.input_pairs()}
     if len(values) < 2:
-        # constant f (an empty domain counts as 1): Alice sends the secret in
-        # the clear when it may be revealed and nothing otherwise
+        # constant f (an empty domain counts as 1): Alice's tag is the secret
+        # when it may be revealed and empty otherwise; no randomness
         reveal = values != {0}
-        return CdsProtocol(f, (0, 1), (None,), lambda x, s, r, ra=None: s if reveal else (),
-                           lambda y, r, rb=None: (),
-                           lambda m0, x, m1, y: m0 if reveal else None,
+        linear = LinearPart(2, (None,), (0, 0, 0), lambda x, s, nu: (s if reveal else (), ()),
+                            lambda y, nu: ((), ()), lambda side, tag: ())
+        return CdsProtocol(f, (0, 1), linear, lambda m0, x, m1, y: m0[0] if reveal else None,
                            domain=P.domain, resources={"randomness_bits": 0})
 
     x_star, y_star = hiding_input(P)
@@ -715,7 +675,7 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
 
     def decode(m0, x, m1, y):
         (tag, masked), values = m0
-        return masked ^ P.decode(tag if lin is None else (tag, values), m1)
+        return masked ^ P.decode((tag, values), m1)
 
     resources = {
         "randomness_states": 2 * n,
@@ -723,31 +683,16 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
         "psm_randomness_states": n,
         "extra_message_bits": 1,
     }
-    if lin is not None:
 
-        def alice_form(x, s, nu_sel):
-            nu, sel = nu_sel
-            tag, b = lin.alice_form(x if sel else x_star, nu)
-            return (tag, s ^ sel), b
+    def alice_form(x, s, nu_sel):
+        nu, sel = nu_sel
+        tag, b = lin.alice_form(x if sel else x_star, nu)
+        return (tag, s ^ sel), b
 
-        linear = LinearPart(lin.p, tuple((nu, sel) for nu in lin.nus for sel in (0, 1)),
-                            lin.coords, alice_form,
-                            lambda y, nu: lin.bob_form(y if nu[1] else y_star, nu[0]),
-                            lambda side, tag: lin.maps(side, tag if side else tag[0]))
-        return CdsProtocol(f, (0, 1), decode=decode, domain=P.domain,
-                           resources=resources, linear=linear)
-
-    def alice_msg(x, s, rr, ra=None):
-        r, sel = rr
-        return (P.alice_msg(x if sel else x_star, r, ra), s ^ sel), ()
-
-    def bob_msg(y, rr, rb=None):
-        r, sel = rr
-        return P.bob_msg(y if sel else y_star, r, rb)
-
-    return CdsProtocol(f, (0, 1), pair_space(P.shared, (0, 1)), alice_msg, bob_msg, decode,
-                       alice_private=P.alice_private, bob_private=P.bob_private,
-                       domain=P.domain, resources=resources)
+    linear = LinearPart(lin.p, pair_space(lin.nus, (0, 1)), lin.coords, alice_form,
+                        lambda y, nu: lin.bob_form(y if nu[1] else y_star, nu[0]),
+                        lambda side, tag: lin.maps(side, tag if side else tag[0]))
+    return CdsProtocol(f, (0, 1), linear, decode, domain=P.domain, resources=resources)
 
 
 def hiding_input(P) -> tuple:
@@ -772,17 +717,13 @@ def psm_from_dre(D: Dre) -> PsmProtocol:
 
 def _dre_as_psm(D: Dre) -> PsmProtocol:
     # verify_dre sweeps through this private copy: wrappers that trace the
-    # public compiler then count one compile per chain stage, not two; a
-    # declaring D passes its forms, which state the PSM's messages too
+    # public compiler then count one compile per chain stage, not two; D's
+    # forms state the PSM's messages too
 
     def decode(m0, m1):
         return D.decode(m0, m1)
 
-    given = {} if D.linear else {"shared": D.shared,
-                                 "alice_msg": lambda x, r, ra=None: D.enc_x(x, r),
-                                 "bob_msg": lambda y, r, rb=None: D.enc_y(y, r)}
-    return PsmProtocol(D.f, decode=decode, domain=D.domain, resources=dict(D.resources),
-                       linear=D.linear, **given)
+    return PsmProtocol(D.f, D.linear, decode, domain=D.domain, resources=dict(D.resources))
 
 
 def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
@@ -793,6 +734,10 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
     position of his input and the mask bit there. The referee reads a single
     masked cell. Perfectly correct and perfectly private, but the randomness
     grows with (2^n_y)! so this is for tiny functions only.
+
+    ``linear`` states it with no rho: the (permutation, mask) pairs, listed
+    lazily permutation-major, are the nus, and each party sends its message
+    as its tag, with no values.
     """
     cols = 1 << f.n_y
     # (2^n_y)! 2^(2^n_y) states: past 256 bits and the budget, charge the power
@@ -801,22 +746,22 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
     total = (1 << int(bits) if bits > max(256, budget.bit_length())
              else math.factorial(cols) * (1 << cols))
     charge(total, budget, "psm_generic_table randomness states")
-    shared = pair_space(tuple(permutations(range(cols))), product_space((0, 1), cols))
+    nus = pair_space(tuple(permutations(range(cols))), product_space((0, 1), cols))
 
-    def alice_msg(x, r, ra=None):
-        perm, mask = r
+    def alice_form(x, nu):
+        perm, mask = nu
         row = [0] * cols
         for y in range(cols):
             row[perm[y]] = f.eval(x, y) ^ mask[perm[y]]
-        return tuple(row)
+        return tuple(row), ()
 
-    def bob_msg(y, r, rb=None):
-        perm, mask = r
-        return (perm[y], mask[perm[y]])
+    def bob_form(y, nu):
+        perm, mask = nu
+        return (perm[y], mask[perm[y]]), ()
 
     def decode(m0, m1):
-        pos, bit = m1
-        return m0[pos] ^ bit
+        (row, _), ((pos, bit), _) = m0, m1
+        return row[pos] ^ bit
 
     resources = {
         "randomness_states": total,
@@ -824,7 +769,8 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
         "alice_message_bits": cols,
         "bob_message_bits": f.n_y + 1,
     }
-    return PsmProtocol(f, shared, alice_msg, bob_msg, decode, resources=resources)
+    linear = LinearPart(2, nus, (0, 0, 0), alice_form, bob_form, lambda side, tag: ())
+    return PsmProtocol(f, linear, decode, resources=resources)
 
 
 def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
@@ -871,4 +817,4 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     }
     linear = LinearPart(p, tuple(range(1, p)), (n - 1, 0, 0), form(alice_pos), form(bob_pos),
                         lambda side, tag: maps[side])
-    return Dre(f, decode=decode, domain=domain, resources=resources, linear=linear)
+    return Dre(f, linear, decode, domain=domain, resources=resources)

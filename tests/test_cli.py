@@ -453,25 +453,30 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("chain,args,stop", [
-    ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], "verify_cds joint states"),
+    ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], "verify_cds message coordinates"),
     ("dre,psm,cds", ["--fn", "qr", "--p", "1031"], "verify_cds message coordinates"),
-    ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm joint states"),
+    ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm message coordinates"),
     ("dre", ["--fn", "qr", "--p", "257"], None),
     ("dre", ["--fn", "qr", "--p", "1237"], "verify_dre message coordinates"),
     ("dre,psm", ["--fn", "qr", "--p", "1237"], "verify_psm message coordinates"),
     ("dre,psm,psqm", ["--fn", "qr", "--p", "1237"], "psqm_from_psm message coordinates"),
     ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "1031"], "cdqs_from_cds message coordinates"),
+    ("span,cds", ["--fn", "index", "--nx", "3", "--p", "3"], "span program entries"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
-    # 2^32 pipe-bit strings, 10,321,920 one-time tables, lazy spaces past
-    # 2^63, and qr coset keys that would not fit in 1 GiB: 1236^2 * 11 =
-    # 16,804,656 coordinates at p=1237 for the DRE, its PSM and PSQM, and
-    # 4 * 1030^2 * 11 = 46,679,600 at p=1031 for the CDS routes, which sweep
-    # both secrets and selectors; each build sizes its spaces without
-    # listing them, and each verify ends on a budget before it sweeps them
+    # 32 pipes, the 16 where water spills left nus: 2^16 for each of 512
+    # cases; 10,321,920 one-time tables, counted per input before one is
+    # listed; lazy spaces past 2^63, and qr coset keys that
+    # would not fit in 1 GiB: 1236^2 * 11 = 16,804,656 coordinates at p=1237
+    # for the DRE, its PSM and PSQM, and 4 * 1030^2 * 11 = 46,679,600 at
+    # p=1031 for the CDS routes, which sweep both secrets and selectors; each
+    # build sizes its spaces without listing them, and each verify ends on a
+    # budget before it sweeps them. index3's span program, 11,264 rows by
+    # 10,241 columns, is charged before it is built
     env = _child_env()
-    commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 0)]
-    if stop is not None:
+    build_stop = stop == "span program entries"   # the build, not the verify, stops
+    commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 3 if build_stop else 0)]
+    if stop is not None and not build_stop:
         commands.append((["verify", "d.json", "--out", "r.json"], 3))
     for argv, code in commands:
         run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], cwd=tmp_path,
@@ -479,9 +484,32 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
         assert run.returncode == code, (argv, run.returncode, run.stderr)
         for word in ("MemoryError", "OverflowError", "Traceback"):
             assert word not in run.stderr, (argv, run.stderr)
-    if stop is not None:
+    if build_stop:
+        fields = json.loads(run.stderr.splitlines()[-1])
+        assert (fields["status"], fields["space"]) == ("budget", stop)
+    elif stop is not None:
         report = json.loads((tmp_path / "r.json").read_text())
         assert (report["status"], report["space"]) == ("budget", stop)
+
+
+def test_sixteen_pipe_gh_cds_passes_by_coset(tmp_path):
+    # gh_generic's 16 pipes for ip3: the 8 pipes where water spills left
+    # are nus, 2^8 per each of 128 cases, the other 8 rho. It passes within
+    # the default budget and 1 GiB, with the figures the 2^16-state
+    # enumeration gave
+    env = _child_env()
+    for argv in (["build", "--chain", "gh,cds", "--fn", "ip", "--nx", "3", "--max-pipes", "1",
+                  "--out", "d.json"], ["verify", "d.json", "--out", "r.json"]):
+        run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, (argv, run.returncode, run.stderr)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["status"] == "pass" and report["report"]["perfect"] is True
+    assert report["report"]["resources"] == {
+        "alice_message_alphabet": 2, "alice_message_bits": 1,
+        "bob_message_alphabet": 28928, "bob_message_bits": 12,
+        "bound_randomness_equals_pipes": True, "pipes": 16, "randomness_bits": 16,
+        "randomness_states": 65536}
 
 
 def _qr_runs(p: int) -> int:
@@ -680,6 +708,23 @@ def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
         "budget", "verify_cds message coordinates", 8 * 3 + 20_000 * (1 + 2 + 2))
 
 
+def test_a_descriptor_span_program_is_charged_before_it_is_echeloned(tmp_path, monkeypatch):
+    # the 2-row, 20,000-wide program holds 40,000 entries: one budget short
+    # of them stops before any echelon form, the next one checks the program
+    from cdslab import algebra
+
+    desc, rep = _wide_span_descriptor(tmp_path, 20_000), tmp_path / "r.json"
+    calls, echelon = [], algebra.echelon
+    monkeypatch.setattr(algebra, "echelon", lambda rows, p: calls.append(p) or echelon(rows, p))
+    assert main(["verify", str(desc), "--budget", "39999", "--out", str(rep)]) == 3
+    report = json.loads(rep.read_text())
+    assert (report["space"], report["size"]) == ("span program entries", 40_000)
+    assert calls == []
+    assert main(["verify", str(desc), "--budget", "40000", "--out", str(rep)]) == 3
+    assert json.loads(rep.read_text())["space"] == "verify_cds message coordinates"
+    assert calls
+
+
 @pytest.mark.parametrize("variant", ["comm", "rand"])
 def test_a_wide_span_program_passes_with_a_report(tmp_path, variant):
     # the maps of a 20,000-wide and1 program cost 160,024 message
@@ -775,7 +820,8 @@ TOKENS = (*BASES, "cds", "cdqs", "frouting", "psqm", "nope")
 # verify children that must each stop with a report: span targets whose
 # maps, ell = width rows each, exceed a budget of the width (the default
 # budget admits them, see test_a_wide_span_program_passes_with_a_report),
-# garden-hose strategies whose 2^pipes randomness exceeds the budget, truth
+# garden-hose strategies of 22-30 pipes whose (case, nu) pairs exceed a
+# budget of the pipe count (the default budget admits their cosets), truth
 # tables wider than their widths or negative, malformed JSON and bytes, and
 # chains whose stages do not compose
 HOSTILE = st.one_of(
@@ -804,7 +850,8 @@ def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
     desc, rep = tmp / "d.json", tmp / "r.json"
     desc.write_bytes(_hostile(recipe, tmp))
     rep.unlink(missing_ok=True)
-    budget = ["--budget", str(recipe[1])] if recipe[0] == "span" else []
+    budget = {"span": ["--budget", str(recipe[1])],
+              "pipes": ["--budget", str(recipe[-1])]}.get(recipe[0], [])
     run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
                           *budget, "--out", str(rep)], env=_child_env(),
                          capture_output=True, text=True, timeout=120)

@@ -1,10 +1,10 @@
 """Coset histograms against the enumerating message sweep.
 
-``coset_hist`` counts the messages of a protocol that declares a
-``LinearPart`` one coset at a time. Every report it feeds must equal the
-``message_hist`` sweep of the same protocol with the declaration removed, as
+``coset_hist`` counts the messages a protocol's ``LinearPart`` states one
+coset at a time. Every report it feeds must equal the sweep of the same
+protocol restated message by message (``message_reference.enumerated``), as
 exact ``Fraction``s, witnesses and alphabets included; planted faults must
-still be caught on the coset path.
+still be caught by coset.
 """
 
 from __future__ import annotations
@@ -25,47 +25,13 @@ from cdslab.boolfn import BoolFn, from_table, literal_input, named_fn
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.protocols import (DEFAULT_BUDGET, CdsProtocol, LinearPart, PsmProtocol,
                               cds_from_psm, cds_from_span, coset_hist, dre_qr,
-                              message_hist, psm_from_dre, verify_cds, verify_dre,
-                              verify_psm)
+                              psm_from_dre, verify_cds, verify_dre, verify_psm)
+from message_reference import enumerated, message_hist, replace
 
 GOLDEN = Path(__file__).parent / "golden"
 AND1 = named_fn("and", n=1)
 MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
                              for x in range(4) for y in range(2)), name="maj3")
-
-
-# the fields a LinearPart states for a record that declares one
-STATED = {"shared", "alice_private", "bob_private", "alice_msg", "bob_msg", "enc_x", "enc_y"}
-
-
-def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields.
-
-    A P that keeps a ``LinearPart`` is rebuilt from it: the spaces and
-    callbacks it states are not passed again, unless ``changes`` gives them.
-    """
-    fields = {**vars(P), **changes}
-    if fields["linear"] is not None:
-        fields = {k: v for k, v in fields.items() if k not in STATED or k in changes}
-    return type(P)(**fields)
-
-
-def _undeclared(P):
-    """P without its ``LinearPart``: the verifiers sweep it message by message."""
-    return replace(P, linear=None)
-
-
-def _forbid_message_sweep(monkeypatch) -> None:
-    """Fail any call of ``message_hist``, so a test sees the coset path only."""
-    def forbidden(*args):
-        raise AssertionError("declared protocol swept message by message")
-
-    monkeypatch.setattr(protocols, "message_hist", forbidden)
-
-
-@pytest.fixture
-def no_message_sweep(monkeypatch):
-    _forbid_message_sweep(monkeypatch)
 
 
 def _expand(hist: dict, p: int) -> dict:
@@ -110,7 +76,7 @@ def _leaky_forms(lin, leaked, where: str):
 
 
 def _same_cds(P) -> None:
-    _same_cds_as(P, verify_cds(_undeclared(P)))
+    _same_cds_as(P, verify_cds(enumerated(P)))
 
 
 def _same_cds_as(P, want) -> None:
@@ -126,12 +92,11 @@ def _same_cds_as(P, want) -> None:
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_qr_dre_and_psm_match_the_message_sweep(p, monkeypatch):
+def test_qr_dre_and_psm_match_the_message_sweep(p):
     D = dre_qr(p)
-    P = _undeclared(psm_from_dre(D))
+    P = enumerated(psm_from_dre(D))
     want = protocols._sweep(P, protocols._value_cases(P),
                             lambda m, x, y: P.decode(m[0], m[1]), DEFAULT_BUDGET, "ref")
-    _forbid_message_sweep(monkeypatch)
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):
         assert (report.eps_hat, report.delta_pair, report.witnesses) == want
@@ -141,11 +106,9 @@ def test_qr_dre_and_psm_match_the_message_sweep(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
-def test_qr_psm_cds_matches_the_message_sweep(p, monkeypatch):
+def test_qr_psm_cds_matches_the_message_sweep(p):
     P = cds_from_psm(psm_from_dre(dre_qr(p)))
-    want = verify_cds(_undeclared(P))
-    _forbid_message_sweep(monkeypatch)
-    _same_cds_as(P, want)
+    _same_cds_as(P, verify_cds(enumerated(P)))
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -166,7 +129,7 @@ def _golden_span_cases():
 
 
 @pytest.mark.parametrize("name,desc", list(_golden_span_cases()))
-def test_span_goldens_match_the_message_sweep(name, desc, no_message_sweep):
+def test_span_goldens_match_the_message_sweep(name, desc):
     program = SpanProgram.from_jsonable(desc["artifacts"]["span_program"])
     f = BoolFn.from_jsonable(desc["fn"])
     P = cds_from_span(program, f, desc["options"]["variant"])
@@ -222,7 +185,7 @@ def test_random_span_programs_match_the_message_sweep(drawn, variant):
 # -- planted faults ------------------------------------------------------------------
 
 
-def test_declared_dre_leaking_x_is_caught(no_message_sweep):
+def test_declared_dre_leaking_x_is_caught():
     D = dre_qr(5)
     for where in ("tag", "values"):
         leaky = replace(D, linear=_leaky_forms(D.linear, lambda x, r: x, where),
@@ -235,7 +198,7 @@ def test_declared_dre_leaking_x_is_caught(no_message_sweep):
 
 
 @pytest.mark.parametrize("variant", ["comm", "rand"])
-def test_declared_span_cds_ignoring_the_secret_is_caught(variant, no_message_sweep):
+def test_declared_span_cds_ignoring_the_secret_is_caught(variant):
     P = cds_from_span(span_and1(3), AND1, variant)
     lin = P.linear
     blind = replace(P, linear=lin._replace(
@@ -246,7 +209,7 @@ def test_declared_span_cds_ignoring_the_secret_is_caught(variant, no_message_swe
     assert report.delta_pair == 0
 
 
-def test_declared_psm_cds_sending_the_secret_is_caught(monkeypatch):
+def test_declared_psm_cds_sending_the_secret_is_caught():
     P = cds_from_psm(psm_from_dre(dre_qr(5)))
     lin = P.linear
 
@@ -260,9 +223,8 @@ def test_declared_psm_cds_sending_the_secret_is_caught(monkeypatch):
     # after the values, which decoding drops: decoding stays right
     in_values = replace(P, linear=_leaky_forms(lin, lambda x, s, nu: s, "values"),
                         decode=lambda m0, x, m1, y: P.decode(_unleak(m0, "values"), x, m1, y))
-    wants = [(clear, verify_cds(_undeclared(clear))) for clear in (in_tag, in_values)]
+    wants = [(clear, verify_cds(enumerated(clear))) for clear in (in_tag, in_values)]
     assert [(w.eps_hat, w.delta_pair) for _, w in wants] == [(Fraction(1, 2), 2), (0, 2)]
-    _forbid_message_sweep(monkeypatch)
     for clear, want in wants:
         _same_cds_as(clear, want)
 
@@ -288,37 +250,37 @@ def _by_tag(tag):
 
 def test_compared_cosets_of_two_subspaces_are_refused():
     # secret 0 sends 0, secret 1 the uniform coordinate, under one tag: no
-    # map states that, and a record refuses callbacks beside a LinearPart
+    # map states that, and a record takes no space or callback beside its forms
     lin = _scaled_lin(lambda x, s, nu: ((), (0,)), _by_tag)
     for given in ({"shared": ((0,), (1,), (2,))},
                   {"alice_msg": lambda x, s, r, ra=None: ((), ((s * r[0]) % 3,))}):
-        with pytest.raises(ValidationError, match="not both"):
+        with pytest.raises(TypeError):
             CdsProtocol(AND1, (0, 1), decode=lambda m0, x, m1, y: 0, linear=lin, **given)
     # with the secret as Alice's tag each secret has its own map, the tag
     # tells the secrets apart, and the cosets give the message sweep's figures
     P = _scaled_cds(lambda x, s, nu: (s, (0,)), _by_tag)
-    assert verify_cds(_undeclared(P)).delta_pair == 2
+    assert verify_cds(enumerated(P)).delta_pair == 2
     _same_cds(P)
     # the same between the equal-value inputs (0, 0) and (1, 0) of a PSM
     Q = PsmProtocol(AND1, decode=lambda m0, m1: m0[0],
                     linear=_scaled_lin(lambda x, nu: (x, (0,)), _by_tag))
-    want = verify_psm(_undeclared(Q))
+    want = verify_psm(enumerated(Q))
     assert want.delta_pair == 2
     assert verify_psm(Q).to_jsonable() == want.to_jsonable()
-    with pytest.raises(ValidationError, match="not both"):
+    with pytest.raises(TypeError):
         replace(Q, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
 
 
 def test_uncompared_cosets_of_two_subspaces_are_refused():
     # (0, 1) sends 0 and (1, 1) the uniform coordinate: f tells them apart,
     # so no distance compares them; with x as Alice's tag the coset sweep
-    # is the message sweep, and the same messages as callbacks are refused
+    # is the message sweep, and no record takes the same messages as callbacks
     Q = PsmProtocol(AND1, decode=lambda m0, m1: m0[0], domain=((0, 1), (1, 1)),
                     linear=_scaled_lin(lambda x, nu: (x, (0,)), _by_tag))
-    want = verify_psm(_undeclared(Q))
+    want = verify_psm(enumerated(Q))
     assert want.perfect
     assert verify_psm(Q).to_jsonable() == want.to_jsonable()
-    with pytest.raises(ValidationError, match="not both"):
+    with pytest.raises(TypeError):
         replace(Q, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
 
 
@@ -327,7 +289,7 @@ def test_overlapping_alphabet_cosets_are_refused():
     # Alice's messages would overlap across inputs, which no map can state;
     # with x in her tag her alphabet is the message sweep's, 2 + 2 * 3
     P = _scaled_cds(lambda x, s, nu: ((s, x), (0,)), lambda tag: _by_tag(tag[1]))
-    assert verify_cds(_undeclared(P)).resources["alice_message_alphabet"] == 8
+    assert verify_cds(enumerated(P)).resources["alice_message_alphabet"] == 8
     _same_cds(P)
     # Bob's tag y sets the inputs' layouts apart, and Alice's alphabet stays
     Q = replace(P, linear=P.linear._replace(bob_form=lambda y, nu: (y, ())),
@@ -338,12 +300,12 @@ def test_overlapping_alphabet_cosets_are_refused():
 
 def test_declaration_must_cover_the_randomness():
     # the spaces are made from the declaration, so they cover it exactly,
-    # and a record refuses a space of its own beside it
+    # and a record takes no space of its own beside it
     P = _scaled_cds(lambda x, s, nu: (s, (0,)), _by_tag)
     assert list(P.shared) == [(None, (0,)), (None, (1,)), (None, (2,))]
     assert list(P.alice_private) == list(P.bob_private) == [()]
-    with pytest.raises(ValidationError, match="not both"):
-        replace(P, shared=((0,), (1,)))
+    with pytest.raises(TypeError):
+        CdsProtocol(AND1, (0, 1), P.linear, P.decode, shared=((0,), (1,)))
 
 
 def test_declared_messages_must_keep_their_tags_and_value_counts():

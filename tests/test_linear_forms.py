@@ -2,15 +2,17 @@
 
 A ``LinearPart`` gives each party's tag and offset b at rho = 0, for each
 input, secret and nonlinear value nu, and one map per tag; the randomness
-spaces and message callbacks are made from it. Here the made callbacks must
-equal the hand-written encoders the linear compilers used to carry, copied
-below as references, on every input, secret and randomness value; and a
-sweep by coset must call no message callback and echelon each layout once.
+spaces are made from it. Here the messages the forms give must equal the
+hand-written encoders the linear compilers used to carry, copied below as
+references, on every input, secret and randomness value; and a sweep by
+coset must echelon each layout once.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,13 @@ from cdslab import nlqc, protocols
 from cdslab.algebra import LsssScheme, SpanProgram, sp_eval
 from cdslab.boolfn import from_table, literal_input, named_fn
 from cdslab.cli import _span_for
+from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
 from cdslab.nlqc import cdqs_from_cds, psqm_from_psm
-from cdslab.protocols import (cds_from_psm, cds_from_span, dre_qr, hiding_input,
-                              psm_from_dre, verify_cds, verify_dre)
+from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
+                              hiding_input, psm_from_dre, verify_cds, verify_dre)
+from message_reference import enumerated, send
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # -- reference encoders, as the compilers wrote them by hand -------------------
 
@@ -96,11 +102,38 @@ def _ref_span(program: SpanProgram, f, variant: str):
     return alice_msg, bob_msg
 
 
+def _ref_gh(strategy: GhStrategy):
+    """``cds_from_gh``'s message pair on the pipe bits r: (label, bit) parts."""
+    m = strategy.pipes
+
+    def pair_xors(matching, r):
+        parts = []
+        for pair in sorted(tuple(sorted(p)) for p in matching):
+            i, j = pair
+            parts.append((pair, r[i - 1] ^ r[j - 1]))
+        return parts
+
+    def alice_msg(x, s, r):
+        tap, matching = strategy.alice[x]
+        return tuple([("tap", s ^ r[tap - 1])] + pair_xors(matching, r))
+
+    def bob_msg(y, r):
+        matching = strategy.bob[y]
+        used = {v for pair in matching for v in pair}
+        parts = pair_xors(matching, r)
+        for k in range(1, m + 1):
+            if k not in used:
+                parts.append((k, r[k - 1]))
+        return tuple(parts)
+
+    return alice_msg, bob_msg
+
+
 def _inputs(f):
     return (sorted({x for (x, _) in f.inputs()}), sorted({y for (_, y) in f.inputs()}))
 
 
-# -- the stated callbacks against the references -------------------------------------
+# -- the stated messages against the references --------------------------------------
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -110,10 +143,11 @@ def test_dre_qr_states_the_hand_encoder(p):
     xs = sorted({x for (x, _) in D.domain})
     ys = sorted({y for (_, y) in D.domain})
     n = 0
+    lin = D.linear
     for r, free in D.shared:
         old = (r, shares(free))
-        assert all(D.enc_x(x, (r, free)) == enc_x(x, old) for x in xs)
-        assert all(D.enc_y(y, (r, free)) == enc_y(y, old) for y in ys)
+        assert all(send(lin, 0, lin.alice_form(x, r), free) == enc_x(x, old) for x in xs)
+        assert all(send(lin, 1, lin.bob_form(y, r), free) == enc_y(y, old) for y in ys)
         n += 1
     assert n == (p - 1) * p ** (D.f.params["n_bits"] - 1)
 
@@ -145,13 +179,14 @@ def test_span_cds_states_the_hand_messages(drawn, variant):
     P = cds_from_span(program, f, variant)
     alice_msg, bob_msg = _ref_span(program, f, variant)
     xs, ys = _inputs(f)
+    lin = P.linear
     for (nu, r), ra, rb in product(P.shared, P.alice_private, P.bob_private):
         # comm: r is u, and Alice has no coins; rand: r the masks, ra the free coordinates
         old = (r, None) if variant == "comm" else (r, ra)
         for x, s in product(xs, P.secrets):
-            assert P.alice_msg(x, s, (nu, r), ra) == alice_msg(x, s, *old)
+            assert send(lin, 0, lin.alice_form(x, s, nu), r + ra + rb) == alice_msg(x, s, *old)
         for y in ys:
-            assert P.bob_msg(y, (nu, r), rb) == bob_msg(y, r)
+            assert send(lin, 1, lin.bob_form(y, nu), r + ra + rb) == bob_msg(y, r)
 
 
 def test_psm_cds_over_qr_states_the_hand_messages():
@@ -170,43 +205,126 @@ def test_psm_cds_over_qr_states_the_hand_messages():
         return enc_y(y if sel == 1 else y_star, r)
 
     xs, ys = _inputs(P.f)
+    lin = P.linear
     for ((r, sel), free), ra, rb in product(P.shared, P.alice_private, P.bob_private):
         old = ((r, shares(free)), sel)
         for x, s in product(xs, P.secrets):
-            assert P.alice_msg(x, s, ((r, sel), free), ra) == alice_msg(x, s, old)
+            assert send(lin, 0, lin.alice_form(x, s, (r, sel)), free) == alice_msg(x, s, old)
         for y in ys:
-            assert P.bob_msg(y, ((r, sel), free), rb) == bob_msg(y, old)
+            assert send(lin, 1, lin.bob_form(y, (r, sel)), free) == bob_msg(y, old)
+
+
+def _as_sent(side, message):
+    """A ``cds_from_gh`` message (tag, values) as the old (label, bit) parts:
+    Alice's tap bit is labelled "tap", whatever its pipe, a pair by itself
+    and an open pipe by its number."""
+    tag, values = message
+    labels = ("tap",) + tag[1:] if side == 0 else tag
+    return tuple((label if label == "tap" or len(label) == 2 else label[0], v)
+                 for label, v in zip(labels, values))
+
+
+def _gh_states_the_hand_messages(strategy: GhStrategy) -> None:
+    # the forms' nus are the bits of the pipes where water spills left, and
+    # of every tap when one of those is a tap; the other pipes' bits are rho
+    f = _spill_fn(strategy)
+    P = cds_from_gh(strategy, f)
+    alice_msg, bob_msg = _ref_gh(strategy)
+    exits = {gh_eval(strategy, x, y).exit_pipe for (x, y) in f.inputs() if not f.eval(x, y)}
+    taps = {tap for tap, _ in strategy.alice.values()}
+    fixed = sorted(exits | taps if exits & taps else exits)
+    lin = P.linear
+    assert lin.coords == (strategy.pipes - len(fixed), 0, 0)
+    n = 0
+    for nu, rho in P.shared:
+        bits = dict(zip(fixed, nu))
+        free = iter(rho)
+        r = tuple(bits[k] if k in bits else next(free) for k in range(1, strategy.pipes + 1))
+        for x, s in product(strategy.alice, P.secrets):
+            assert _as_sent(0, send(lin, 0, lin.alice_form(x, s, nu), rho)) == alice_msg(x, s, r)
+        for y in strategy.bob:
+            assert _as_sent(1, send(lin, 1, lin.bob_form(y, nu), rho)) == bob_msg(y, r)
+        n += 1
+    assert n == 1 << strategy.pipes
+
+
+def _spill_fn(strategy: GhStrategy):
+    """The function ``strategy`` computes: 1 where the water spills right."""
+    return from_table(strategy.n_x, strategy.n_y, [
+        int(gh_eval(strategy, x, y).side == RIGHT)
+        for x in range(1 << strategy.n_x) for y in range(1 << strategy.n_y)])
+
+
+def test_committed_gh_strategies_state_the_hand_messages():
+    strategies = _committed_gh_strategies()
+    for strategy in strategies:
+        _gh_states_the_hand_messages(strategy)
+    assert len(strategies) == 7
+
+
+@st.composite
+def gh_strategies(draw):
+    """A strategy of 1-5 pipes on 1+1 to 2+2 bits, taps and matchings drawn."""
+    m = draw(st.integers(1, 5))
+    n_x, n_y = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def matching(pipes):
+        order = draw(st.permutations(pipes))
+        k = draw(st.integers(0, len(order) // 2))
+        return frozenset(frozenset(order[2 * i:2 * i + 2]) for i in range(k))
+
+    alice = {}
+    for x in range(1 << n_x):
+        tap = draw(st.integers(1, m))
+        alice[x] = (tap, matching([k for k in range(1, m + 1) if k != tap]))
+    bob = {y: matching(list(range(1, m + 1))) for y in range(1 << n_y)}
+    return GhStrategy(m, n_x, n_y, alice, bob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gh_strategies())
+def test_drawn_gh_strategies_state_the_hand_messages(strategy):
+    _gh_states_the_hand_messages(strategy)
+
+
+def _committed_gh_strategies() -> list:
+    return [GhStrategy.from_jsonable(json.loads(path.read_text())["artifacts"]["gh_strategy"])
+            for path in sorted(GOLDEN.glob("gh*.desc.json"))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gh_strategies() | st.sampled_from(_committed_gh_strategies()))
+def test_gh_decoding_gives_one_value_per_coset(strategy):
+    # on a hiding input the decoder gives s XOR the bit of the pipe where the
+    # water spills, which the forms make a nu; so every (x, y, s) decodes to
+    # one value over the rho of each nu, as the coset sweep reads it
+    f = _spill_fn(strategy)
+    P = cds_from_gh(strategy, f)
+    lin, decoded = P.linear, {}
+    for nu, rho in P.shared:
+        for (x, y), s in product(f.inputs(), P.secrets):
+            m0 = send(lin, 0, lin.alice_form(x, s, nu), rho)
+            m1 = send(lin, 1, lin.bob_form(y, nu), rho)
+            decoded.setdefault((x, y, s, nu), set()).add(P.decode(m0, x, m1, y))
+    assert all(len(values) == 1 for values in decoded.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(gh_strategies() | st.sampled_from(_committed_gh_strategies()))
+def test_gh_cds_reports_match_the_message_sweep(strategy):
+    # figures, witnesses and alphabets: Alice's counts what she sends, tags
+    # differing only in the tap pipe as one
+    f = _spill_fn(strategy)
+    P = cds_from_gh(strategy, f)
+    assert verify_cds(P).to_jsonable() == verify_cds(enumerated(P)).to_jsonable()
 
 
 # -- read once -------------------------------------------------------------------------
 
-CALLBACKS = ("alice_msg", "bob_msg", "enc_x", "enc_y")
-
-
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of message callback calls and of ``echelon`` calls in ``protocols``.
-
-    Every record built wraps its message callbacks in a counter, so a call
-    to any of them, stated or given, is seen.
-    """
-    calls = {"messages": 0, "echelon": 0}
-
-    def wrapped(fn):
-        def counting(*args):
-            calls["messages"] += 1
-            return fn(*args)
-        counting.counted = True
-        return counting
-
-    for cls in (protocols.PsmProtocol, protocols.CdsProtocol, protocols.Dre):
-        def init(self, *args, _init=cls.__init__, **kwargs):
-            _init(self, *args, **kwargs)
-            for name in CALLBACKS:
-                fn = vars(self).get(name)
-                if callable(fn) and not getattr(fn, "counted", False):
-                    setattr(self, name, wrapped(fn))
-        monkeypatch.setattr(cls, "__init__", init)
+    """Counts of ``echelon`` calls in ``protocols``."""
+    calls = {"echelon": 0}
     echelon = protocols.echelon
 
     def counting_echelon(rows, p):
@@ -236,7 +354,7 @@ def _cds_echelons(P) -> int:
 
 def test_a_dre_sweep_reads_its_one_map_once(counted):
     assert verify_dre(dre_qr(13)).perfect
-    assert counted == {"messages": 0, "echelon": 1}
+    assert counted == {"echelon": 1}
 
 
 @pytest.mark.parametrize("variant", ["comm", "rand"])
@@ -245,7 +363,7 @@ def test_a_span_sweep_echelons_each_layout_once(counted, variant):
     P = cds_from_span(_span_for(f, 3), f, variant)
     want = _cds_echelons(P)
     assert verify_cds(P).perfect
-    assert counted == {"messages": 0, "echelon": want}
+    assert counted == {"echelon": want}
     assert want == 16 + 4 + 4   # every (rows of x, rows of y), then each party's rows
 
 
@@ -253,7 +371,7 @@ def test_a_psm_cds_sweep_echelons_each_layout_once(counted):
     P = cds_from_psm(psm_from_dre(dre_qr(7)))
     assert verify_cds(P).perfect
     # one layout per masked bit, then those two tags of Alice's and Bob's one
-    assert counted == {"messages": 0, "echelon": 2 + 2 + 1} and _cds_echelons(P) == 5
+    assert counted == {"echelon": 2 + 2 + 1} and _cds_echelons(P) == 5
 
 
 def test_the_pad_routes_read_each_layout_once(counted):
@@ -261,10 +379,10 @@ def test_the_pad_routes_read_each_layout_once(counted):
     C = cdqs_from_cds(cds_from_psm(psm))
     for (x, y) in C.input_pairs():
         C.key_classes(x, y)
-    assert counted == {"messages": 0, "echelon": 2}
+    assert counted == {"echelon": 2}
     Q = psqm_from_psm(psm)
     for (x, y) in Q.input_pairs():
         Q.run(x, y)
-    assert counted == {"messages": 0, "echelon": 3}
+    assert counted == {"echelon": 3}
     assert nlqc.verify_psqm(Q).worst_gap <= 1e-12
-    assert counted["messages"] == 0
+    assert counted == {"echelon": 3}

@@ -17,6 +17,7 @@ from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, PsqmProtocol,
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm,
                               psm_from_dre, psm_generic_table, dre_qr)
 from cdslab.quantum import PureState, X, Z, epr_pairs, random_qubit, worst_fidelity
+from message_reference import cds_of, psm_of
 
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
@@ -62,8 +63,7 @@ def test_cdqs_from_cds_perfect_on_small_functions():
 
 def test_cdqs_needs_single_bit_cds():
     base = _gh_cds(AND1)
-    wide = CdsProtocol(AND1, (0, 1, 2), base.shared, base.alice_msg,
-                       base.bob_msg, base.decode)
+    wide = CdsProtocol(AND1, (0, 1, 2), base.linear, base.decode)
     with pytest.raises(ValidationError):
         cdqs_from_cds(wide)
 
@@ -71,10 +71,7 @@ def test_cdqs_needs_single_bit_cds():
 def test_cdqs_detects_key_leak():
     # the key-disclosing layer broadcasts the key: the referee's pad collapses
     # and the carried qubit stays correlated with the reference
-    leaky = CdsProtocol(AND1, (0, 1), ((),),
-                        lambda x, s, r, ra=None: s,
-                        lambda y, r, rb=None: 0,
-                        lambda m0, x, m1, y: m0)
+    leaky = cds_of(AND1, ((),), lambda x, s, r: s, lambda y, r: 0, lambda m0, x, m1, y: m0)
     report = verify_cdqs(cdqs_from_cds(leaky))
     assert report.worst_infidelity <= 1e-12  # still correct when revealing
     assert report.worst_gap > 0.5            # but the hiding inputs leak
@@ -178,11 +175,7 @@ def test_psqm_from_psm_and_table():
 
 def test_psqm_detects_input_leak():
     # messages reveal x outright: two same-value inputs get disjoint views
-    from cdslab.protocols import PsmProtocol
-    leaky = PsmProtocol(XOR1, ((),),
-                        lambda x, r, ra=None: x,
-                        lambda y, r, rb=None: y,
-                        lambda m0, m1: m0 ^ m1)
+    leaky = psm_of(XOR1, ((),), lambda x, r: x, lambda y, r: y, lambda m0, m1: m0 ^ m1)
     report = verify_psqm(psqm_from_psm(leaky))
     assert report.worst_infidelity == 0
     assert report.worst_gap >= 0.99

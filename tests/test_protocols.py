@@ -15,10 +15,10 @@ from cdslab.algebra import span_and1, span_eq1, span_or1, span_threshold_2of3
 from cdslab.boolfn import from_table, named_fn, qr_split_inputs
 from cdslab.errors import BudgetError, ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
-from cdslab.protocols import (CdsProtocol, Dre, PsmProtocol, cds_from_gh,
-                              cds_from_psm, cds_from_span, dre_qr, hiding_input,
-                              psm_from_dre, psm_generic_table,
+from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span,
+                              dre_qr, hiding_input, psm_from_dre, psm_generic_table,
                               verify_cds, verify_dre, verify_psm)
+from message_reference import cds_of, replace, send
 
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
@@ -27,26 +27,20 @@ MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
                  name="maj3")
 
 
-def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields."""
-    return type(P)(**{**vars(P), **changes})
-
-
 def _xor_cds():
     # classic two-mask construction: reveal iff x != y
     shared = tuple(product((0, 1), repeat=2))
 
-    def alice_msg(x, s, r, ra=None):
+    def alice_msg(x, s, r):
         return s ^ r[1 - x]
 
-    def bob_msg(y, r, rb=None):
+    def bob_msg(y, r):
         return r[y]
 
     def decode(m0, x, m1, y):
         return m0 ^ m1
 
-    return CdsProtocol(XOR1, (0, 1), shared, alice_msg, bob_msg, decode,
-                       resources={"randomness_bits": 2})
+    return cds_of(XOR1, shared, alice_msg, bob_msg, decode, resources={"randomness_bits": 2})
 
 
 def test_hand_built_xor_cds_is_perfect():
@@ -61,10 +55,7 @@ def test_hand_built_xor_cds_is_perfect():
 def test_leaky_cds_measures_full_leakage():
     # Alice broadcasts the secret: distributions at distinct secrets are
     # disjoint, so the pairwise L1 distance must be exactly 2
-    P = CdsProtocol(AND1, (0, 1), ((),),
-                    lambda x, s, r, ra=None: s,
-                    lambda y, r, rb=None: 0,
-                    lambda m0, x, m1, y: m0)
+    P = cds_of(AND1, ((),), lambda x, s, r: s, lambda y, r: 0, lambda m0, x, m1, y: m0)
     report = verify_cds(P)
     assert report.eps_hat == 0
     assert report.delta_pair == Fraction(2)
@@ -75,10 +66,8 @@ def test_leaky_cds_measures_full_leakage():
 
 def test_faulty_decoder_measures_exact_error():
     # decoding flips the secret on one of four randomness values: eps = 1/4
-    P = CdsProtocol(AND1, (0, 1), (0, 1, 2, 3),
-                    lambda x, s, r, ra=None: s ^ (1 if r == 0 else 0),
-                    lambda y, r, rb=None: (),
-                    lambda m0, x, m1, y: m0)
+    P = cds_of(AND1, (0, 1, 2, 3), lambda x, s, r: s ^ (1 if r == 0 else 0),
+               lambda y, r: (), lambda m0, x, m1, y: m0)
     report = verify_cds(P)
     assert report.eps_hat == Fraction(1, 4)
     assert report.witnesses["eps"] == (1, 1, 0) or report.witnesses["eps"] == (1, 1, 1)
@@ -159,7 +148,7 @@ def test_span_cds_finds_each_inputs_rows_once(variant, monkeypatch):
     P = cds_from_span(_span_for(f, 3), f, variant)
     assert len(calls) == 4 + 4
     # the sweep reads Bob's form twice per case (x, y, s), once to size the
-    # charge and once to sweep, and calls no message callback
+    # charge and once to sweep
     forms, lin = [], P.linear
     counted = CdsProtocol(f, (0, 1), decode=P.decode, resources=P.resources,
                           linear=lin._replace(bob_form=lambda y, nu:
@@ -189,12 +178,13 @@ def test_dre_qr_frozen_example():
     # worked by hand: y = (1*4*1+5, 1*4*2+2, 0+0) = (2, 3, 0) mod 7,
     # sum 5 is a non-residue mod 7, matching f(a=3) = 0
     D = dre_qr(7)
-    rr = (2, (5, 2))
+    r, free = rr = (2, (5, 2))
     assert rr in D.shared
     x, y = qr_split_inputs(D.f, 3)
     assert (x, y) == (1, 1)  # Alice holds bit 1 of a, Bob bits 2 and 3
-    mx = D.enc_x(x, rr)
-    my = D.enc_y(y, rr)
+    lin = D.linear
+    mx = send(lin, 0, lin.alice_form(x, r), free)
+    my = send(lin, 1, lin.bob_form(y, r), free)
     assert mx == ((), (2,))
     assert my == ((), (3, 0))
     assert D.decode(mx, my) == 0
@@ -253,15 +243,19 @@ def test_cds_from_psm_constant_functions():
     ones = psm_generic_table(from_table(1, 1, (1, 1, 1, 1)))
     P = cds_from_psm(ones)
     assert verify_cds(P).perfect
-    assert P.decode(P.alice_msg(0, 1, None), 0, P.bob_msg(0, None), 0) == 1
+    # one nu and no rho: the secret is Alice's tag, sent in the clear
+    assert list(P.linear.nus) == [None] and P.linear.coords == (0, 0, 0)
+    lin = P.linear
+    assert P.decode(lin.alice_form(0, 1, None), 0, lin.bob_form(0, None), 0) == 1
 
     zeros = psm_generic_table(from_table(1, 1, (0, 0, 0, 0)))
     Q = cds_from_psm(zeros)
     assert verify_cds(Q).perfect
-    assert Q.decode(Q.alice_msg(0, 1, None), 0, Q.bob_msg(0, None), 0) is None
+    lin = Q.linear
+    assert Q.decode(lin.alice_form(0, 1, None), 0, lin.bob_form(0, None), 0) is None
     # an empty domain counts as constant 1
     E = cds_from_psm(replace(zeros, domain=()))
-    assert E.alice_msg(0, 1, None) == 1 and E.input_pairs() == ()
+    assert E.linear.alice_form(0, 1, None) == (1, ()) and E.input_pairs() == ()
 
 
 def test_hiding_input_is_the_first_zero_input():
@@ -283,11 +277,17 @@ def test_verifier_budgets():
 
 
 def test_dre_leaking_x_is_caught():
-    # enc_x also sends x in the clear; decoding stays exact, but equal-value
-    # inputs with different x now have disjoint encoding distributions
+    # Alice's encoding also sends x in the clear, as one more value, which
+    # no randomness moves; decoding stays exact, but equal-value inputs with
+    # different x now have disjoint encoding distributions
     D = dre_qr(5)
-    leaky = Dre(D.f, D.shared, lambda x, r: (D.enc_x(x, r), x), D.enc_y,
-                lambda mx, my: D.decode(mx[0], my), domain=D.domain)
+    lin = D.linear
+    leaky = replace(D, linear=lin._replace(
+                        alice_form=lambda x, r: (lin.alice_form(x, r)[0],
+                                                 lin.alice_form(x, r)[1] + (x,)),
+                        maps=lambda side, tag: tuple(row + (0,) * (1 - side)
+                                                     for row in lin.maps(side, tag))),
+                    decode=lambda mx, my: D.decode((mx[0], mx[1][:-1]), my))
     report = verify_dre(leaky)
     assert report.eps_hat == 0
     assert report.delta_pair == 2
@@ -297,14 +297,16 @@ def test_dre_leaking_x_is_caught():
 
 
 def test_psm_decoder_erring_on_one_randomness_value():
-    # Alice flags the first of the 8 randomness values and the decoder flips
-    # its answer there, so every input decodes wrongly with probability 1/8
+    # Alice flags the first of the 8 randomness values in her tag and the
+    # decoder flips its answer there, so every input decodes wrongly with
+    # probability 1/8
     P = psm_generic_table(AND1)
-    r0 = next(iter(P.shared))
-    bad = PsmProtocol(AND1, P.shared,
-                      lambda x, r, ra=None: (P.alice_msg(x, r), r == r0),
-                      P.bob_msg,
-                      lambda m0, m1: P.decode(m0[0], m1) ^ m0[1])
+    lin = P.linear
+    r0 = next(iter(lin.nus))
+    bad = replace(P, linear=lin._replace(
+                      alice_form=lambda x, r: ((lin.alice_form(x, r)[0], r == r0), ()),
+                      maps=lambda side, tag: ()),
+                  decode=lambda m0, m1: P.decode((m0[0][0], ()), m1) ^ m0[0][1])
     report = verify_psm(bad)
     assert report.eps_hat == Fraction(1, 8)
     assert report.witnesses["eps"] == (0, 0)
@@ -321,16 +323,18 @@ def test_product_space_matches_itertools():
     shared = _xor_cds().shared
     assert tuple(product_space(shared, 2)) == tuple(product(shared, repeat=2))
     assert space_size(product_space(range(5), 40)) == 5 ** 40   # past 2^63
-    # the compilers' spaces that were tuples list lazily in the same order
+    # the compilers' spaces, (nu, shared rho), list lazily: the tables in
+    # the old order, and gh_generic's 4 pipe bits for and1 as the bits of
+    # pipes 2 and 4, where water spills left, then those of pipes 1 and 3
     f = named_fn("index", n_x=1)
     tables = tuple((perm, mask) for perm in permutations(range(4))
                    for mask in product((0, 1), repeat=4))
-    strategy = gh_generic(AND1)
+    bits = tuple(product((0, 1), repeat=2))
     for space, want in (
-            (cds_from_gh(strategy, AND1).shared,
-             tuple(product((0, 1), repeat=strategy.pipes))),
-            (psm_generic_table(f).shared, tables),
+            (cds_from_gh(gh_generic(AND1), AND1).shared,
+             tuple((nu, rho) for nu in bits for rho in bits)),
+            (psm_generic_table(f).shared, tuple((r, ()) for r in tables)),
             (cds_from_psm(psm_generic_table(f)).shared,
-             tuple((r, sel) for r in tables for sel in (0, 1)))):
+             tuple(((r, sel), ()) for r in tables for sel in (0, 1)))):
         assert space_size(space) == len(want)
         assert tuple(space) == want

@@ -2,12 +2,13 @@
 
 ``verify_cds``, ``verify_psm`` and ``verify_dre`` all reach one sweep loop.
 Here each report's ``eps_hat``, ``delta_pair`` and ``witnesses`` must equal a
-reference written out below from ``message_hist`` loops alone: every input,
-every secret, every pair that must look alike, worst figure and first
-witness kept by hand. The protocols are small random 1+1 and 2+1 tables
-compiled through the garden hose (message path), a span program (coset
-path) and the one-time table, and ``dre_qr`` for p = 5 and 7, each with a
-leak and a decode fault planted on inputs hypothesis draws.
+reference written out below from ``message_hist`` loops alone, which
+evaluate the forms at every randomness value: every input, every secret,
+every pair that must look alike, worst figure and first witness kept by
+hand. The protocols are small random 1+1 and 2+1 tables compiled through the
+garden hose, a span program and the one-time table, and ``dre_qr`` for p = 5
+and 7, each with a leak and a decode fault planted on inputs hypothesis
+draws.
 
 The sweep compares each group's distinct histograms only, and
 ``verify_psqm`` each value's distinct views; random message tables with
@@ -27,25 +28,10 @@ from cdslab.algebra import span_dnf
 from cdslab.boolfn import from_table, literal_input
 from cdslab.gardenhose import gh_generic
 from cdslab.nlqc import psqm_from_psm, verify_psqm
-from cdslab.protocols import (CdsProtocol, PsmProtocol, cds_from_gh, cds_from_span,
-                              dre_qr, message_hist, psm_from_dre, psm_generic_table,
-                              space_size, verify_cds, verify_dre, verify_psm)
-
-
-# the fields a LinearPart states for a record that declares one
-STATED = {"shared", "alice_private", "bob_private", "alice_msg", "bob_msg", "enc_x", "enc_y"}
-
-
-def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields.
-
-    A P that keeps a ``LinearPart`` is rebuilt from it: the spaces and
-    callbacks it states are not passed again, unless ``changes`` gives them.
-    """
-    fields = {**vars(P), **changes}
-    if fields["linear"] is not None:
-        fields = {k: v for k, v in fields.items() if k not in STATED or k in changes}
-    return type(P)(**fields)
+from cdslab.protocols import (cds_from_gh, cds_from_span, dre_qr, pair_space, psm_from_dre,
+                              psm_generic_table, space_size, verify_cds, verify_dre,
+                              verify_psm)
+from message_reference import cds_of, message_hist, psm_of, replace
 
 
 def _joint(P) -> int:
@@ -113,9 +99,21 @@ def tables(draw):
     return f, leaky, bad
 
 
-def _leaky_alice(alice_msg, leak):
-    """Alice's message with ``leak(x, s, r)`` appended."""
-    return lambda x, s, r, ra=None: (alice_msg(x, s, r, ra), leak(x, s, r))
+def _first_coordinate_nonlinear(lin):
+    """``lin`` with its first shared coordinate moved into the nus, which
+    list it after the old nu: the messages and their order stay."""
+    def lift(side, form):
+        def at(z, *args):   # args: *secret, (nu, the coordinate)
+            *secret, (nu, r) = args
+            tag, b = form(z, *secret, nu)
+            row = lin.maps(side, tag)[0]
+            return tag, tuple((v + r * w) % lin.p for v, w in zip(b, row))
+        return at
+
+    shared, alice, bob = lin.coords
+    return lin._replace(nus=pair_space(lin.nus, range(lin.p)), coords=(shared - 1, alice, bob),
+                        alice_form=lift(0, lin.alice_form), bob_form=lift(1, lin.bob_form),
+                        maps=lambda side, tag: lin.maps(side, tag)[1:])
 
 
 def _leak(m, leaked, where: str):
@@ -149,15 +147,23 @@ def _leaky_forms(lin, leaked, where: str):
 @settings(max_examples=40, deadline=None)
 @given(tables())
 def test_gh_cds_matches_the_flat_sweep(drawn):
-    # message path: Alice leaks s AND a pipe bit, and decoding flips with the
-    # tap entry, so both figures take fractional values
+    # Alice leaks s AND pipe 1's bit as one more value, which that bit, made
+    # a nu, keeps constant on each coset, and decoding flips with it, so
+    # both figures take fractional values
     f, leaky, bad = drawn
     P = cds_from_gh(gh_generic(f), f)
-    decode = P.decode
-    P = replace(P, alice_msg=_leaky_alice(P.alice_msg,
-                                          lambda x, s, r: s & r[0] if x in leaky else 0),
-                decode=lambda m0, x, m1, y: decode(m0[0], x, m1, y)
-                ^ (m0[0][0][1] if (x, y) in bad else 0))
+    lin, decode = _first_coordinate_nonlinear(P.linear), P.decode
+
+    def alice_form(x, s, nu):
+        tag, b = lin.alice_form(x, s, nu)
+        return tag, b + (s & nu[1] if x in leaky else 0,)
+
+    P = replace(P, linear=lin._replace(
+                    alice_form=alice_form,
+                    maps=lambda side, tag: tuple(row + (0,) * (1 - side)
+                                                 for row in lin.maps(side, tag))),
+                decode=lambda m0, x, m1, y: decode((m0[0], m0[1][:-1]), x, m1, y)
+                ^ (m0[1][-1] if (x, y) in bad else 0))
     _same(verify_cds(P), _flat_cds(P))
 
 
@@ -186,16 +192,15 @@ def test_span_cds_on_the_coset_path_matches_the_flat_sweep(drawn, p, variant, wh
 @settings(max_examples=40, deadline=None)
 @given(tables())
 def test_one_time_table_psm_matches_the_flat_sweep(drawn):
-    # Alice also sends x on the leaky inputs; decoding flips with the first
-    # masked cell when the sent x is faulty
+    # Alice's tag also holds x on the leaky inputs; decoding flips with the
+    # first masked cell when the sent x is faulty
     f, leaky, bad = drawn
     P = psm_generic_table(f)
     faulty = {x for (x, _) in bad}
-    alice_msg, decode = P.alice_msg, P.decode
-    P = replace(P, alice_msg=lambda x, r, ra=None: (alice_msg(x, r, ra),
-                                                    x if x in leaky else -1),
-                decode=lambda m0, m1: decode(m0[0], m1)
-                ^ (m0[0][0] if m0[1] in faulty else 0))
+    decode = P.decode
+    P = replace(P, linear=_leaky_forms(P.linear, lambda x: x if x in leaky else -1, "tag"),
+                decode=lambda m0, m1: decode(_unleak(m0, "tag"), m1)
+                ^ (m0[0][0][0] if m0[0][1] in faulty else 0))
     _same(verify_psm(P), _flat_psm(P))
 
 
@@ -268,10 +273,8 @@ def message_tables(draw):
 @given(message_tables())
 def test_random_cds_matches_the_all_pairs_sweep(drawn):
     f, k, alice, bob = drawn
-    P = CdsProtocol(f, (0, 1), tuple(range(k)),
-                    lambda x, s, r, ra=None: alice[(x, s)][r],
-                    lambda y, r, rb=None: bob[y][r],
-                    lambda m0, x, m1, y: (m0 + m1) % 2)
+    P = cds_of(f, tuple(range(k)), lambda x, s, r: alice[(x, s)][r], lambda y, r: bob[y][r],
+               lambda m0, x, m1, y: (m0 + m1) % 2)
     _same(verify_cds(P), _flat_cds(P))
 
 
@@ -279,8 +282,8 @@ def test_random_cds_matches_the_all_pairs_sweep(drawn):
 @given(message_tables())
 def test_random_psm_and_psqm_match_the_all_pairs_sweep(drawn):
     f, k, alice, bob = drawn
-    P = PsmProtocol(f, tuple(range(k)), lambda x, r, ra=None: alice[(x, 0)][r],
-                    lambda y, r, rb=None: bob[y][r], lambda m0, m1: (m0 * m1) % 2)
+    P = psm_of(f, tuple(range(k)), lambda x, r: alice[(x, 0)][r], lambda y, r: bob[y][r],
+               lambda m0, m1: (m0 * m1) % 2)
     _same(verify_psm(P), _flat_psm(P))
     report = verify_psqm(psqm_from_psm(P))
     assert (report.worst_gap, report.witnesses.get("view")) == _flat_psqm(psqm_from_psm(P))

@@ -21,7 +21,6 @@ from cdslab import nlqc, protocols
 from cdslab.algebra import span_and1, span_dnf, span_eq1
 from cdslab.boolfn import from_table, literal_input, named_fn
 from cdslab.cli import _span_for
-from cdslab.errors import ValidationError
 from cdslab.gardenhose import gh_generic, gh_search
 from cdslab.nlqc import (KEYS, RunBranch, TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
                          frouting_from_cdqs, psqm_from_psm,
@@ -29,34 +28,14 @@ from cdslab.nlqc import (KEYS, RunBranch, TranscriptClass, cdqs_from_cds, cdqs_f
                          verify_frouting, verify_psqm)
 from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh,
                               cds_from_psm, cds_from_span, coset_hist, dre_qr, hiding_input,
-                              message_count, message_hist, psm_from_dre, psm_generic_table)
+                              message_count, psm_from_dre, psm_generic_table)
 from cdslab.quantum import PAULI_EIGENSTATES, epr_pairs
+from message_reference import enumerated, message_hist, replace
 
 TOL = 1e-12
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
 EQ1 = named_fn("eq", n=1)
-
-
-# the fields a LinearPart states for a record that declares one
-STATED = {"shared", "alice_private", "bob_private", "alice_msg", "bob_msg", "enc_x", "enc_y"}
-
-
-def replace(P, **changes):
-    """Protocol P rebuilt through its constructor with ``changes`` to its fields.
-
-    A P that keeps a ``LinearPart`` is rebuilt from it: the spaces and
-    callbacks it states are not passed again, unless ``changes`` gives them.
-    """
-    fields = {**vars(P), **changes}
-    if fields.get("linear") is not None:
-        fields = {k: v for k, v in fields.items() if k not in STATED or k in changes}
-    return type(P)(**fields)
-
-
-def _undeclared(P):
-    """P without its ``LinearPart``: every sweep enumerates its messages."""
-    return replace(P, linear=None)
 
 
 # -- the flat reference ----------------------------------------------------------
@@ -148,19 +127,21 @@ def _class_and_flat_cdqs(cds):
 
 
 def _flat_psqm_classes(Q, x_star, y_star):
-    """Flat classes of the psqm route: key bit 0 runs the hiding input."""
+    """Flat classes of the psqm route: key bit 0 runs the hiding input. Q's
+    runs sweep an ``enumerated`` PSM, whose one-point cosets each hold one
+    message pair (m0, m1) as their tags: that pair is the transcript."""
     def hist(x, y):
-        return {b.transcript: b.prob for b in Q.run(x, y)}
+        return {(b.transcript[0][0], b.transcript[1][0]): b.prob for b in Q.run(x, y)}
 
     return _flat_classes(lambda x, y: {0: hist(x_star, y_star), 1: hist(x, y)})
 
 
 def _class_and_flat_psqm(psm):
     """The psqm route of ``psm``, and its flat reference, whose runs enumerate
-    the messages of ``psm`` with any linear part removed."""
+    the messages of ``psm`` one at a time."""
     classed = cdqs_from_psqm(psqm_from_psm(psm))
     x_star, y_star = hiding_input(psm)
-    flat = _flat_psqm_classes(psqm_from_psm(_undeclared(psm)), x_star, y_star)
+    flat = _flat_psqm_classes(psqm_from_psm(enumerated(psm)), x_star, y_star)
     return classed, _with_flat(classed, flat)
 
 
@@ -357,22 +338,32 @@ def test_random_table_routes_match_flat(n_x, data):
 
 
 def _leaky_cds(f):
-    """gh CDS plus one extra bit that leaks the secret on input (0, 0) only."""
+    """gh CDS plus one more shared bit b, the last coordinate, that leaks the
+    secret on input (0, 0) only: Alice also sends s ^ b when x = 0 and Bob b
+    when y = 0, else 0, each tag saying which."""
     base = cds_from_gh(gh_search(f, 3), f)
-    shared = tuple((r, b) for r in base.shared for b in (0, 1))
+    lin = base.linear
 
-    def alice_msg(x, s, rr, ra=None):
-        r, b = rr
-        return (base.alice_msg(x, s, r, ra), s ^ b if x == 0 else 0)
+    def alice_form(x, s, nu):
+        tag, b = lin.alice_form(x, s, nu)
+        return (tag, x == 0), b + (s if x == 0 else 0,)
 
-    def bob_msg(y, rr, rb=None):
-        r, b = rr
-        return (base.bob_msg(y, r, rb), b if y == 0 else 0)
+    def bob_form(y, nu):
+        tag, b = lin.bob_form(y, nu)
+        return (tag, y == 0), b + (0,)
+
+    def maps(side, tag):
+        inner, leaks = tag
+        return (tuple(row + (0,) for row in lin.maps(side, inner)) +
+                ((0,) * len(inner) + (int(leaks),),))
 
     def decode(m0, x, m1, y):
-        return base.decode(m0[0], x, m1[0], y)
+        (tag0, values0), (tag1, values1) = m0, m1
+        return base.decode((tag0[0], values0[:-1]), x, (tag1[0], values1[:-1]), y)
 
-    return CdsProtocol(f, (0, 1), shared, alice_msg, bob_msg, decode)
+    return CdsProtocol(f, (0, 1), lin._replace(
+        coords=(lin.coords[0] + 1, 0, 0), alice_form=alice_form, bob_form=bob_form, maps=maps,
+        sent=lambda side, tag: (lin.sent(side, tag[0]), tag[1])), decode)
 
 
 def test_planted_leak_gap_matches_flat():
@@ -410,8 +401,7 @@ def _count_sweeps(monkeypatch) -> tuple:
             return kernel(*args, **kwargs)
         return called
 
-    for name in ("coset_hist", "message_hist"):
-        monkeypatch.setattr(protocols, name, seen(getattr(protocols, name)))
+    monkeypatch.setattr(protocols, "coset_hist", seen(protocols.coset_hist))
     monkeypatch.setattr(nlqc, "_sweep_kernel", counted_kernel)
     return calls, kernels
 
@@ -460,13 +450,13 @@ def _integer_classes(C, denom) -> dict:
 def _same_cds_classes(cds) -> None:
     joint = len(cds.shared) * len(cds.alice_private) * len(cds.bob_private)
     got = _integer_classes(cdqs_from_cds(cds), joint ** 2)
-    assert got == _integer_classes(cdqs_from_cds(_undeclared(cds)), joint ** 2)
+    assert got == _integer_classes(cdqs_from_cds(enumerated(cds)), joint ** 2)
 
 
 def _same_psqm_classes(psm) -> None:
     joint = len(psm.shared)
     got = _integer_classes(cdqs_from_psqm(psqm_from_psm(psm)), joint ** 2)
-    want = _integer_classes(cdqs_from_psqm(psqm_from_psm(_undeclared(psm))), joint ** 2)
+    want = _integer_classes(cdqs_from_psqm(psqm_from_psm(enumerated(psm))), joint ** 2)
     assert got == want
 
 
@@ -529,17 +519,17 @@ def _by_tag(alice_form, decode):
 
 def test_pad_routes_refuse_cosets_of_two_subspaces():
     # secret 0 sends 0, secret 1 the uniform coordinate: one tag would need
-    # two maps, which no LinearPart states, and the same messages as
-    # callbacks beside one are refused; with the secret in the tag each
-    # secret keeps its own map, and the key classes are the enumerated ones
+    # two maps, which no LinearPart states, and no record takes the same
+    # messages as callbacks; with the secret in the tag each secret keeps
+    # its own map, and the key classes are the enumerated ones
     cds = _by_tag(lambda x, s, nu: ((s,), (0,)), lambda m0, x, m1, y: m0[0][0])
-    with pytest.raises(ValidationError, match="not both"):
+    with pytest.raises(TypeError):
         replace(cds, alice_msg=lambda x, s, r, ra=None: ((), ((s * r[0]) % 3,)))
     _same_cds_classes(cds)
     # x = 0 sends 0, x = 1 the uniform coordinate: two runs of one PSM
     psm = PsmProtocol(AND1, decode=lambda m0, m1: m0[0][0], linear=cds.linear._replace(
         alice_form=lambda x, nu: ((x,), (0,))))
-    with pytest.raises(ValidationError, match="not both"):
+    with pytest.raises(TypeError):
         replace(psm, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
     _same_psqm_classes(psm)
 
@@ -553,7 +543,7 @@ def test_pad_routes_refuse_uncompared_cosets_of_two_subspaces():
     # (0, 1) has f = 0 and (1, 1) f = 1, so verify_psqm compares no views
     psm = PsmProtocol(AND1, decode=lambda m0, m1: m0[0][0], domain=((0, 1), (1, 1)),
                       linear=cds.linear._replace(alice_form=lambda x, nu: ((x,), (0,))))
-    with pytest.raises(ValidationError, match="not both"):
+    with pytest.raises(TypeError):
         replace(psm, alice_msg=lambda x, r, ra=None: ((), ((x * r[0]) % 3,)))
     _same_psqm_classes(psm)
     assert verify_psqm(psqm_from_psm(psm)).worst_gap == 0

@@ -1,7 +1,8 @@
 """Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
-only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads a message-histogram
-kernel, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``, and every
-definition is read by the program itself, not by tests alone.
+only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads the message-histogram
+kernel, none enumerates messages or passes a record message callbacks, none re-checks a
+sweep's subspaces, the pad routes read no ``Fraction``, and every definition is read by
+the program itself, not by tests alone.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -18,18 +19,21 @@ in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
 it, so a test checks a figure the program computes, or keeps its own helper.
-The choice between ``message_hist`` and ``coset_hist``, and the sweep's
-budget charge, are made in ``protocols._sweep_kernel`` alone, so no other
-module reads either kernel.
+Every message sweep is by coset: ``protocols._sweep_kernel`` binds
+``coset_hist`` and makes the sweep's budget charge, so no other module reads
+the kernel. No module defines or names the enumerating ``message_hist``,
+which a test helper keeps as the reference, and no record takes message
+callbacks (``alice_msg``, ``bob_msg``, ``enc_x``, ``enc_y``): a record's
+forms state its messages and its randomness spaces.
 The kernel it binds holds each layout of tags and value counts to one
 subspace across the whole sweep, so no module defines or reads the
 after-the-fact check ``_same_spaces``, and the only private ``protocols``
 names ``nlqc`` imports are ``_sweep_kernel`` and ``_joint``.
-Only ``protocols`` reads the linear message format, in which a declaring
+Only ``protocols`` reads the linear message format, in which a
 protocol's parties send ``(tag, values)`` pairs that its ``LinearPart``
 states as affine forms: no other module names ``Coset`` or ``LinearPart``,
 or reads a field that only those records have (a coset's members and basis,
-a declaration's nus, coordinate counts, forms and maps); ``nlqc`` counts a
+a declaration's nus, coordinate counts, forms, maps and sent tags); ``nlqc`` counts a
 coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, so nothing in
 ``nlqc``, where ``transcript_classes`` and ``class_product`` live, reads
@@ -200,8 +204,8 @@ def test_the_check_sees_a_numpy_import_anywhere():
         assert _numpy_scopes(ast.parse(planted)) == scopes, planted
 
 
-# the message-histogram kernels: only protocols._sweep_kernel picks one
-KERNELS = {"message_hist", "coset_hist"}
+# the message-histogram kernel: only protocols._sweep_kernel binds it
+KERNELS = {"coset_hist"}
 
 
 def _kernel_reads(tree) -> set:
@@ -221,17 +225,65 @@ def test_only_protocols_reads_a_histogram_kernel(module):
 
 
 def test_the_check_sees_a_kernel_read():
-    for planted in ("from .protocols import message_hist\n",
+    for planted in ("from .protocols import coset_hist\n",
                     "from . import protocols\nh = protocols.coset_hist\n",
                     "def f(P):\n    return coset_hist(P, 0, 0)\n"):
         assert _kernel_reads(ast.parse(planted)), planted
     assert not _kernel_reads(ast.parse("from .protocols import _sweep_kernel\n"))
 
 
+# what no record takes: message callbacks; and the enumerating kernel, which
+# only the tests' reference keeps
+CALLBACK_FIELDS = {"alice_msg", "bob_msg", "enc_x", "enc_y"}
+RECORDS = {"CdsProtocol", "PsmProtocol", "Dre"}
+
+
+def _message_callbacks(tree) -> set:
+    """``message_hist`` if a module names it, and each callback field it
+    passes to a record's constructor or reads or writes as an attribute."""
+    found = {"message_hist"} & _named(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RECORDS:
+                found.update(k.arg for k in node.keywords if k.arg in CALLBACK_FIELDS)
+        elif isinstance(node, ast.Attribute) and node.attr in CALLBACK_FIELDS:
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_enumerates_messages_or_passes_callbacks(module):
+    # every record states its messages as forms, and every sweep reads them
+    # by coset; a form with no rho coordinates is enumeration
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _message_callbacks(tree) == set(), module.name
+
+
+def test_the_check_sees_message_hist_and_callbacks():
+    for planted, names in (
+            ("def message_hist(P, x, y):\n    pass\n", {"message_hist"}),
+            ("from .protocols import message_hist\n", {"message_hist"}),
+            ("from . import protocols\nh = protocols.message_hist\n", {"message_hist"}),
+            ("P = CdsProtocol(f, (0, 1), alice_msg=a, bob_msg=b, decode=d)\n",
+             {"alice_msg", "bob_msg"}),
+            ("from . import protocols\nD = protocols.Dre(f, enc_x=e, enc_y=g, decode=d)\n",
+             {"enc_x", "enc_y"}),
+            ("m = P.alice_msg(x, 0, r, None)\n", {"alice_msg"}),
+            ("self.bob_msg = bob_msg\n", {"bob_msg"})):
+        assert _message_callbacks(ast.parse(planted)) == names, planted
+    for allowed in ("P = CdsProtocol(f, (0, 1), linear, decode, domain=d)\n",
+                    "tag, b = lin.alice_form(x, 0, nu)\n",
+                    "n = message_count(m)\nh = coset_hist(P, x, y)\n"):
+        assert _message_callbacks(ast.parse(allowed)) == set(), allowed
+
+
 # the linear message format: its records, and the fields of a Coset or
 # LinearPart no other record has
 FORMAT_NAMES = {"Coset", "LinearPart"}
-FORMAT_FIELDS = {"m0", "m1", "basis", "nus", "coords", "alice_form", "bob_form", "maps"}
+FORMAT_FIELDS = {"m0", "m1", "basis", "nus", "coords", "alice_form", "bob_form", "maps",
+                 "sent"}
 
 
 def _format_reads(tree) -> set:
@@ -262,7 +314,8 @@ def test_the_check_sees_a_format_read():
                     "def f(P):\n    return sum(P.linear.coords)\n",
                     "def f(P, x):\n    return P.linear.alice_form(x, 0, None)\n",
                     "def f(lin, y):\n    return lin.bob_form(y, None)\n",
-                    "def f(lin):\n    return lin.maps(0, ())\n"):
+                    "def f(lin):\n    return lin.maps(0, ())\n",
+                    "def f(lin):\n    return lin.sent(0, ())\n"):
         assert _format_reads(ast.parse(planted)), planted
     assert not _format_reads(ast.parse(
         "from .protocols import message_count\nn = message_count(m) * b.count\n"))
