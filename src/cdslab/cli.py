@@ -16,66 +16,66 @@ them to stderr. A size or count past 256 bits is written as the power of two
 it reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
 give identical bytes.
 
-Only chains with a quantum stage load ``nlqc`` and ``quantum``, on the
-standard library: no ``build`` or ``verify`` loads numpy, which serves only
-``quantum.random_qubit``'s seeded draws.
+A request loads only the modules its chain's stages name: ``gh`` loads
+``gardenhose``, ``span`` loads ``algebra``, ``dre``, ``psm`` and ``cds``
+load ``protocols``, and a quantum stage loads ``nlqc``, which loads the
+statevector layer, ``quantum``, at a protocol's first run. ``sweep`` loads
+``boolfn`` and ``gardenhose`` alone, and ``csv`` loads only where a CSV
+report is written. Everything runs on the standard library: no ``build``
+or ``verify`` loads numpy, which serves only ``quantum.random_qubit``'s
+seeded draws.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import (SpanProgram, span_and1, span_eq1, span_or1, span_dnf,
-                      sp_eval)
 from .boolfn import BoolFn, all_functions, from_packed, literal_input, named_fn
-from .errors import BudgetError, DomainError, ValidationError, charge, count_text
-from .gardenhose import (GhStrategy, RIGHT, gh_eval, gh_generic, gh_generic_pipes,
-                         gh_search)
-from .protocols import (DEFAULT_BUDGET, VerificationReport, cds_from_gh,
-                        cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
-                        psm_generic_table, verify_cds, verify_dre, verify_psm)
+from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, charge,
+                     count_text)
+
+if TYPE_CHECKING:
+    from .algebra import SpanProgram
 
 BASES = ("gh", "span", "dre", "psm")
 
 
-def _nlqc():
-    """The quantum protocol compilers, imported only by chains that need them.
+def _layer(name: str):
+    """The ``cdslab`` module ``name``, imported at a request's first call into it.
 
-    ``nlqc`` loads the statevector layer at a chain's first run, and that
-    layer runs on the standard library, so no ``build`` or ``verify`` of any
-    chain loads numpy.
+    Every compiler, verifier and base the CLI runs is read from its module
+    here, at call time, so a chain loads only the modules its stages name,
+    and a wrapper installed on a module after import is what runs.
     """
-    from . import nlqc
-    return nlqc
+    return importlib.import_module(f"{__package__}.{name}")
 
 
-# Entries call compilers and verifiers through their module-level names (the
-# quantum ones through the ``nlqc`` module, looked up at call time), so a
-# wrapper installed on either module after import is what runs.
 COMPILE = {  # (from, to) -> compile(obj, f, opts)
-    ("gh", "cds"): lambda obj, f, opts: cds_from_gh(obj, f),
-    ("gh", "frouting"): lambda obj, f, opts: _nlqc().frouting_from_gh(obj, f),
-    ("span", "cds"): lambda obj, f, opts: cds_from_span(obj, f, variant=opts["variant"]),
-    ("dre", "psm"): lambda obj, f, opts: psm_from_dre(obj),
-    ("psm", "cds"): lambda obj, f, opts: cds_from_psm(obj),
-    ("psm", "psqm"): lambda obj, f, opts: _nlqc().psqm_from_psm(obj, opts["budget"]),
-    ("cds", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_cds(obj, opts["budget"]),
-    ("cdqs", "frouting"): lambda obj, f, opts: _nlqc().frouting_from_cdqs(obj),
-    ("frouting", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_frouting(obj),
-    ("psqm", "cdqs"): lambda obj, f, opts: _nlqc().cdqs_from_psqm(obj),
+    ("gh", "cds"): lambda obj, f, opts: _layer("protocols").cds_from_gh(obj, f),
+    ("gh", "frouting"): lambda obj, f, opts: _layer("nlqc").frouting_from_gh(obj, f),
+    ("span", "cds"): lambda obj, f, opts: _layer("protocols").cds_from_span(
+        obj, f, variant=opts["variant"]),
+    ("dre", "psm"): lambda obj, f, opts: _layer("protocols").psm_from_dre(obj),
+    ("psm", "cds"): lambda obj, f, opts: _layer("protocols").cds_from_psm(obj),
+    ("psm", "psqm"): lambda obj, f, opts: _layer("nlqc").psqm_from_psm(obj, opts["budget"]),
+    ("cds", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_cds(obj, opts["budget"]),
+    ("cdqs", "frouting"): lambda obj, f, opts: _layer("nlqc").frouting_from_cdqs(obj),
+    ("frouting", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_frouting(obj),
+    ("psqm", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_psqm(obj),
 }
 VERIFY = {  # kind -> verify(obj, budget)
-    "cds": lambda obj, budget: verify_cds(obj, budget=budget),
-    "psm": lambda obj, budget: verify_psm(obj, budget=budget),
-    "dre": lambda obj, budget: verify_dre(obj, budget=budget),
-    "cdqs": lambda obj, budget: _nlqc().verify_cdqs(obj, budget=budget),
-    "frouting": lambda obj, budget: _nlqc().verify_frouting(obj, budget=budget),
-    "psqm": lambda obj, budget: _nlqc().verify_psqm(obj, budget=budget),
+    "cds": lambda obj, budget: _layer("protocols").verify_cds(obj, budget=budget),
+    "psm": lambda obj, budget: _layer("protocols").verify_psm(obj, budget=budget),
+    "dre": lambda obj, budget: _layer("protocols").verify_dre(obj, budget=budget),
+    "cdqs": lambda obj, budget: _layer("nlqc").verify_cdqs(obj, budget=budget),
+    "frouting": lambda obj, budget: _layer("nlqc").verify_frouting(obj, budget=budget),
+    "psqm": lambda obj, budget: _layer("nlqc").verify_psqm(obj, budget=budget),
 }
 
 DESCRIPTOR_FORMAT = "cdslab-descriptor"
@@ -173,7 +173,8 @@ def _parse_fn(args) -> BoolFn:
 def _span_for(f: BoolFn, p: int, budget: int = DEFAULT_BUDGET) -> SpanProgram:
     """f's span program: a named one, else ``span_dnf`` of its 1-inputs, whose
     rows (one per literal) times columns are charged before it is built."""
-    named = {"and1": span_and1, "or1": span_or1, "eq1": span_eq1}
+    algebra = _layer("algebra")
+    named = {"and1": algebra.span_and1, "or1": algebra.span_or1, "eq1": algebra.span_eq1}
     if f.name in named:
         return named[f.name](p)
     ones = f.ones()
@@ -182,7 +183,7 @@ def _span_for(f: BoolFn, p: int, budget: int = DEFAULT_BUDGET) -> SpanProgram:
     terms = [[(k + 1, bit) for k, bit in enumerate(literal_input(f, x, y))] for (x, y) in ones]
     rows = sum(map(len, terms))
     charge(rows * (1 + rows - len(terms)), budget, "span program entries")
-    return span_dnf(terms, f.n_x + f.n_y, p)
+    return algebra.span_dnf(terms, f.n_x + f.n_y, p)
 
 
 # -- chain compilation -----------------------------------------------------------
@@ -207,35 +208,39 @@ def _refuse(message: str, bad: list) -> None:
 def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
     """Build (or reload) the chain's base object; returns (obj, artifacts)."""
     if token == "gh":
+        gardenhose = _layer("gardenhose")
         if "gh_strategy" in embedded:
-            strategy = GhStrategy.from_jsonable(embedded["gh_strategy"])
+            strategy = gardenhose.GhStrategy.from_jsonable(embedded["gh_strategy"])
         else:
-            strategy = gh_search(f, opts["max_pipes"], budget=opts["budget"])
+            strategy = gardenhose.gh_search(f, opts["max_pipes"], budget=opts["budget"])
             if strategy is None:
-                strategy = gh_generic(f)
+                strategy = gardenhose.gh_generic(f)
         _refuse("strategy routes some input to the wrong side",
                 [(x, y) for (x, y) in f.inputs()
-                 if (gh_eval(strategy, x, y).side == RIGHT) != (f.eval(x, y) == 1)])
+                 if (gardenhose.gh_eval(strategy, x, y).side == gardenhose.RIGHT)
+                 != (f.eval(x, y) == 1)])
         return strategy, {"gh_strategy": strategy.to_jsonable()}
     if token == "span":
+        algebra = _layer("algebra")
         if "span_program" in embedded:
-            program = SpanProgram.from_jsonable(embedded["span_program"])
+            program = algebra.SpanProgram.from_jsonable(embedded["span_program"])
             charge(program.size * program.width, opts["budget"], "span program entries")
         else:
             program = _span_for(f, opts["p"], opts["budget"])
         _refuse("span program disagrees with the function",
                 [(x, y) for (x, y) in f.inputs()
-                 if sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
+                 if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
         return program, {"span_program": program.to_jsonable()}
     if token == "dre":
         params = f.params
         if "p" not in params:
             raise ValidationError("the dre base needs --fn qr")
-        dre = dre_qr(params["p"], alice_positions=tuple(params["alice_positions"]),
-                     n_bits=params["n_bits"])
+        dre = _layer("protocols").dre_qr(params["p"],
+                                         alice_positions=tuple(params["alice_positions"]),
+                                         n_bits=params["n_bits"])
         return dre, {}
     if token == "psm":
-        return psm_generic_table(f, budget=opts["budget"]), {}
+        return _layer("protocols").psm_generic_table(f, budget=opts["budget"]), {}
     raise ValidationError(f"unknown base {token!r}")
 
 
@@ -258,7 +263,8 @@ def _verify_object(kind, obj, budget: int, tol: float) -> dict:
         return {"status": "pass", "kind": kind,
                 "report": {"rows": obj.size, "width": obj.width, "p": obj.p}}
     rep = VERIFY[kind](obj, budget)
-    ok = rep.perfect if isinstance(rep, VerificationReport) else rep.perfect(tol)
+    # a quantum report's figures are floats, perfect within ``tol``
+    ok = rep.perfect(tol) if kind in ("cdqs", "frouting", "psqm") else rep.perfect
     out = {"status": "pass" if ok else "fail", "kind": kind,
            "report": rep.to_jsonable()}
     if not ok:
@@ -283,6 +289,8 @@ def _emit(obj, path, fmt="json") -> None:
     if fmt == "json":
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     else:
+        import csv
+
         rows = []
         _flatten(obj, "", rows)
         buf = io.StringIO()
@@ -383,13 +391,14 @@ def _cmd_sweep(args) -> int:
     if args.nx < 0 or args.ny < 0 or not 0 < args.nx + args.ny <= 4:
         print("usage error: sweep supports 0 < nx+ny <= 4", file=sys.stderr)
         return 2
+    gardenhose = _layer("gardenhose")
     rows = []
     for index, f in enumerate(all_functions(args.nx, args.ny)):
-        found = gh_search(f, args.max_pipes, budget=args.budget)
+        found = gardenhose.gh_search(f, args.max_pipes, budget=args.budget)
         if found is not None:
             rows.append((index, f.name, found.pipes, "search"))
         else:
-            rows.append((index, f.name, gh_generic_pipes(f.n_x), "generic"))
+            rows.append((index, f.name, gardenhose.gh_generic_pipes(f.n_x), "generic"))
     if args.format == "json":
         obj = [{"index": i, "table": name, "pipes": p, "method": m}
                for (i, name, p, m) in rows]

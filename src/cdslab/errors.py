@@ -1,10 +1,16 @@
-"""Shared exception types and the one budget charge.
+"""Shared exception types, the one budget charge, and the bases every record shares.
 
 Three failure categories are kept apart so callers (and the CLI exit codes)
 can distinguish them: malformed objects, out-of-range inputs, and enumeration
 or register budgets being exceeded. Every budget stop goes through
 ``charge``, so each reads "{space}: {count} exceed budget {limit}".
+``InputDomain`` and ``Worst`` live here too, beside ``DEFAULT_BUDGET``, so
+the quantum records subclass them without loading the classical protocols.
 """
+
+from typing import Optional
+
+DEFAULT_BUDGET = 1 << 24
 
 
 class ValidationError(ValueError):
@@ -48,3 +54,30 @@ def charge(size: int, limit: int, space: str) -> None:
     """Stop with a ``BudgetError`` if ``size`` elements of ``space`` exceed ``limit``."""
     if size > limit:
         raise BudgetError(space, size, limit)
+
+
+class InputDomain:
+    """Every record's ``domain`` (None: all of f's inputs) and ``resources``."""
+
+    def __init__(self, domain: Optional[tuple], resources: Optional[dict]):
+        self.domain = domain
+        self.resources = {} if resources is None else resources
+
+    def input_pairs(self):
+        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
+
+
+class Worst:
+    """Worst figures by name, each with its witness.
+
+    A figure replaces the running worst only when it exceeds it, so of equal
+    figures the first one met stays witness; a name no figure has raised
+    above zero has neither.
+    """
+
+    def __init__(self):
+        self.worst, self.witnesses = {}, {}
+
+    def worse(self, name: str, figure, witness) -> None:
+        if figure > self.worst.get(name, 0):
+            self.worst[name], self.witnesses[name] = figure, witness

@@ -17,7 +17,12 @@ enters the state only when the water path reaches it.
 
 Every protocol here is compiled from classical data (a pad key a CDS or
 PSM discloses, or a garden-hose water path), so the compilers need no
-amplitude. The statevector layer, ``quantum``, is imported at a protocol's
+amplitude. They read the modules that data comes from at call time: the
+pad routes take their message sweeps from ``protocols``, and the
+garden-hose route and the routing verifier and conversions take the water
+trace and the side names from ``gardenhose``. A garden-hose route thus
+loads no classical protocol, and a CDQS from a CDS or a PSQM no garden-hose
+model. The statevector layer, ``quantum``, is imported at a protocol's
 first run, recovery or verification, and loads no numpy: no verifier here
 samples a state. numpy serves only ``quantum.random_qubit``, for
 ``security_state_sweep``'s seeded secrets, demos and tests.
@@ -40,12 +45,11 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn
-from .errors import ValidationError, charge
-from .gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_verify
-from .protocols import (DEFAULT_BUDGET, CdsProtocol, InputDomain, PsmProtocol, Worst,
-                        _joint, _sweep_kernel, hiding_input, message_count, space_size)
+from .errors import DEFAULT_BUDGET, InputDomain, ValidationError, Worst, charge
 
 if TYPE_CHECKING:
+    from .gardenhose import GhStrategy
+    from .protocols import CdsProtocol, PsmProtocol
     from .quantum import PureState
 
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -297,6 +301,8 @@ def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerif
     every pure input qubit, ``quantum.worst_fidelity`` of four runs of
     ``left_output``.
     """
+    from .gardenhose import RIGHT
+
     quantum = _statevector()
     sweep = _Sweep(budget)
     for (x, y) in P.input_pairs():
@@ -401,6 +407,8 @@ def transcript_classes(hists: dict, decode: Callable) -> list:
     keys in order and each histogram in sweep order. A coset key stands for
     its ``count`` messages, which share its class.
     """
+    from .protocols import message_count
+
     keys = list(hists)
     classes = {}
     for m in dict.fromkeys(m for s in keys for m in hists[s]):
@@ -551,6 +559,8 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     met); the product weights stay integers until one division by the
     squared joint randomness.
     """
+    from .protocols import _joint, _sweep_kernel, space_size
+
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     cases = [(x, y, s) for (x, y) in C.input_pairs() for s in C.secrets]
@@ -591,8 +601,8 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     referee view block by the same trace-one operator, so leaving it out
     changes no trace norm.
     """
-    if not gh_verify(strategy, f):
-        raise ValidationError("strategy does not compute f")
+    from .gardenhose import LEFT, RIGHT, gh_eval
+
     m = strategy.pipes
 
     def plan_for(x, y):
@@ -612,6 +622,9 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
         return plan, outcome.side, exit_reg, held
 
     plans = {(x, y): plan_for(x, y) for (x, y) in f.inputs()}
+    # each input's one water trace also checks that the strategy computes f
+    if any((plans[xy][1] == RIGHT) != (f.eval(*xy) == 1) for xy in plans):
+        raise ValidationError("strategy does not compute f")
 
     def run(x, y, carrier, q_reg):
         quantum = _statevector()
@@ -654,6 +667,8 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     so any pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one
     made from a router has no pad key and is refused.
     """
+    from .gardenhose import LEFT, RIGHT
+
     if C.key_of is None:
         raise ValidationError("need a protocol exposing its pad key")
     f = C.f
@@ -687,6 +702,8 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
     of them and the frame correction restores it; when f = 0 it never crossed,
     so the forwarded registers are independent of the secret.
     """
+    from .gardenhose import RIGHT
+
     if R.holdings is None:
         raise ValidationError("router must expose per-side register holdings")
     f = R.f
@@ -717,6 +734,8 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
     any run starts (a coset layout when met), one layout one subspace across
     them all, as ``verify_psqm``'s view comparisons need.
     """
+    from .protocols import _sweep_kernel, message_count
+
     kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), budget, "psqm_from_psm"))
 
     def run(x, y):
@@ -736,6 +755,8 @@ def cdqs_from_psqm(P: PsqmProtocol) -> CdqsProtocol:
     hand the referee both key bits; hiding inputs make every run's view
     key-independent, leaving the pad intact.
     """
+    from .protocols import hiding_input
+
     if P.quantum_regs:
         raise ValidationError("only classical-message protocols can be lifted here")
     x_star, y_star = hiding_input(P)

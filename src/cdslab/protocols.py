@@ -31,14 +31,14 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, lsss_reconstruct
 from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
-from .errors import ValidationError, charge
-from .gardenhose import GhStrategy, gh_eval, gh_verify, RIGHT
+from .errors import DEFAULT_BUDGET, InputDomain, ValidationError, Worst, charge
 
-DEFAULT_BUDGET = 1 << 24
+if TYPE_CHECKING:
+    from .gardenhose import GhStrategy
 
 
 class VerificationReport:
@@ -81,17 +81,6 @@ class VerificationReport:
                           for k, v in sorted(self.witnesses.items())},
             "notes": [],
         }
-
-
-class InputDomain:
-    """Every record's ``domain`` (None: all of f's inputs) and ``resources``."""
-
-    def __init__(self, domain: Optional[tuple], resources: Optional[dict]):
-        self.domain = domain
-        self.resources = {} if resources is None else resources
-
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
 
 
 class LazySpace:
@@ -184,22 +173,6 @@ class Dre(PsmProtocol):
 def _l1(hist_a, hist_b, denom) -> Fraction:
     keys = set(hist_a) | set(hist_b)
     return Fraction(sum(abs(hist_a.get(k, 0) - hist_b.get(k, 0)) for k in keys), denom)
-
-
-class Worst:
-    """Worst figures by name, each with its witness.
-
-    A figure replaces the running worst only when it exceeds it, so of equal
-    figures the first one met stays witness; a name no figure has raised
-    above zero has neither.
-    """
-
-    def __init__(self):
-        self.worst, self.witnesses = {}, {}
-
-    def worse(self, name: str, figure, witness) -> None:
-        if figure > self.worst.get(name, 0):
-            self.worst[name], self.witnesses[name] = figure, witness
 
 
 def _joint(P) -> int:
@@ -468,6 +441,8 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     what she sends, as each pipe's label does. Taps are nus too when one is
     such an exit, so tags sent alike keep one row space.
     """
+    from .gardenhose import RIGHT, gh_eval, gh_verify
+
     if not gh_verify(strategy, f):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes

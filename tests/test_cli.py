@@ -240,6 +240,28 @@ print(codes, sorted(m for m in ("dataclasses", "inspect", "numpy", "cdslab.nlqc"
 """
 
 
+_LOADS = """
+import json, sys
+from cdslab.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                                if m.startswith("cdslab") or m in ("csv", "fractions"))]))
+"""
+# what every request loads: the package, the CLI and the modules it imports
+_START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
+_CLASSICAL = _START | {"cdslab.algebra", "cdslab.protocols", "fractions"}
+
+
+def _loaded_by(cwd, argv) -> tuple:
+    """(exit code, the ``cdslab`` modules, ``csv`` and ``fractions`` loaded)
+    of a fresh child that runs ``main(argv)`` in ``cwd``."""
+    run = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv)], cwd=cwd,
+                         env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    code, loaded = json.loads(run.stdout)
+    return code, set(loaded)
+
+
 def test_classical_chain_never_imports_numpy(tmp_path):
     # quantum stages load nlqc, and with it numpy, only when a chain has one;
     # records are plain classes, so nothing loads dataclasses or inspect
@@ -247,6 +269,14 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _CLASSICAL_RUN], cwd=tmp_path,
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
+    # a request loads only the modules its stages name: no gardenhose without
+    # a gh stage, and sweep loads no protocol, algebra or Fraction
+    for argv, loaded in ((["verify", "0.json"], _CLASSICAL | {"cdslab.gardenhose"}),
+                         (["verify", "1.json"], _CLASSICAL),
+                         (["verify", "2.json"], _CLASSICAL),
+                         (["verify", "2.json", "--format", "csv"], _CLASSICAL | {"csv"}),
+                         (["sweep", "--nx", "1", "--ny", "1"], _START | {"cdslab.gardenhose"})):
+        assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
 
 
 _QUANTUM_RUN = """
@@ -298,6 +328,17 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
     assert after_runs == ["cdslab.quantum"]
+    # a garden-hose route loads no protocols, algebra or Fraction, a qr
+    # chain no gardenhose, and a build no statevector layer
+    routing, pads = _START | {"cdslab.gardenhose", "cdslab.nlqc"}, _CLASSICAL | {"cdslab.nlqc"}
+    for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], routing),
+                         (["verify", "0.json"], routing | {"cdslab.quantum"}),
+                         (["verify", "1.json"], routing | {"cdslab.quantum"}),
+                         (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
+                          pads),
+                         (["verify", "2.json"], pads | {"cdslab.quantum"}),
+                         (["verify", "3.json"], pads | {"cdslab.quantum"})):
+        assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
 
 
 _LEFT_SIDE_RUN = """

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import nlqc
+from cdslab import gardenhose, nlqc
 from cdslab.boolfn import from_table, named_fn
 from cdslab.gardenhose import LEFT, RIGHT, GhStrategy, gh_eval, gh_generic, gh_search
 from cdslab.nlqc import (RunBranch, cdqs_from_frouting, frouting_from_gh,
@@ -215,14 +215,16 @@ def test_generic_two_bit_routes_stay_within_small_factors(monkeypatch, fn):
 
 
 def test_plans_traced_once_per_input(monkeypatch):
-    calls = []
+    # nlqc reads gardenhose.gh_eval at call time, so the spy sits there and
+    # the strategy is searched before it
+    calls, strategy = [], gh_search(AND1, 3)
 
     def counted(strategy, x, y):
         calls.append((x, y))
         return gh_eval(strategy, x, y)
 
-    monkeypatch.setattr(nlqc, "gh_eval", counted)
-    R = _route(AND1)
+    monkeypatch.setattr(gardenhose, "gh_eval", counted)
+    R = frouting_from_gh(strategy, AND1)
     assert sorted(calls) == sorted(AND1.inputs())
     verify_frouting(R)
     verify_cdqs(cdqs_from_frouting(R))

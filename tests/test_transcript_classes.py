@@ -381,9 +381,10 @@ def test_planted_leak_gap_matches_flat():
 def _count_sweeps(monkeypatch) -> tuple:
     """(calls, kernels): from now on, the arguments of every histogram that a
     sweep kernel handed to ``nlqc`` computes, and for each kernel handed, the
-    set of ``protocols`` histogram kernels its histograms called."""
+    set of ``protocols`` histogram kernels its histograms called. ``nlqc``
+    reads ``protocols._sweep_kernel`` at call time, so the spy sits there."""
     calls, kernels = [], []
-    bind = nlqc._sweep_kernel
+    bind = protocols._sweep_kernel
 
     def counted_kernel(*args):
         hist_of, joint = bind(*args)
@@ -402,7 +403,7 @@ def _count_sweeps(monkeypatch) -> tuple:
         return called
 
     monkeypatch.setattr(protocols, "coset_hist", seen(protocols.coset_hist))
-    monkeypatch.setattr(nlqc, "_sweep_kernel", counted_kernel)
+    monkeypatch.setattr(protocols, "_sweep_kernel", counted_kernel)
     return calls, kernels
 
 

@@ -1,4 +1,5 @@
-"""Every name a ``cdslab`` module imports is used there; none imports ``dataclasses``,
+"""Every name a ``cdslab`` module imports is used there; each imports at import only the
+``cdslab`` modules pinned for it; none imports ``dataclasses``,
 only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads the message-histogram
 kernel, none enumerates messages or passes a record message callbacks, none re-checks a
 sweep's subspaces, the pad routes read no ``Fraction``, and every definition is read by
@@ -12,6 +13,11 @@ listing in ``__all__``.
 ``dataclasses`` loads ``inspect``, and each ``@dataclass`` compiles its
 methods at every import: together about 25 ms of each ``cdslab`` child's
 start-up. Records are plain classes or ``typing.NamedTuple``s instead.
+Compiling a module is most of a child's start-up too, so each module
+imports at import only the ``cdslab`` modules pinned for it, and reads the
+others at call time: ``nlqc`` reads ``protocols`` and ``gardenhose`` in
+the functions that use them, and ``cli`` every module a chain stage names,
+so a garden-hose route never compiles ``protocols`` or ``algebra``.
 numpy is imported only inside the one function that needs it,
 ``quantum.random_qubit``, so no module loads it at import and no ``cdslab``
 build or verify loads it at all. A function, class or method that nothing
@@ -28,7 +34,8 @@ forms state its messages and its randomness spaces.
 The kernel it binds holds each layout of tags and value counts to one
 subspace across the whole sweep, so no module defines or reads the
 after-the-fact check ``_same_spaces``, and the only private ``protocols``
-names ``nlqc`` imports are ``_sweep_kernel`` and ``_joint``.
+names ``nlqc`` imports, at call time in the pad routes, are ``_sweep_kernel``
+and ``_joint``.
 Only ``protocols`` reads the linear message format, in which a
 protocol's parties send ``(tag, values)`` pairs that its ``LinearPart``
 states as affine forms: no other module names ``Coset`` or ``LinearPart``,
@@ -128,6 +135,77 @@ def _imports(nodes, module: str) -> bool:
                 and node.module.split(".")[0] == module):
             return True
     return False
+
+
+# module -> the cdslab modules it imports at import, by file stem ("__init__":
+# a name of the package itself); the rest it imports where it calls them
+IMPORTED_AT_IMPORT = {
+    "__init__": {"errors"},
+    "errors": set(),
+    "boolfn": {"errors"},
+    "algebra": {"boolfn", "errors"},
+    "gardenhose": {"boolfn", "errors"},
+    "protocols": {"algebra", "boolfn", "errors"},
+    "quantum": {"errors"},
+    "nlqc": {"boolfn", "errors"},
+    "cli": {"__init__", "boolfn", "errors"},
+}
+
+
+def _cdslab_imported_at_import(tree) -> set:
+    """The ``cdslab`` modules, by file stem, that importing the module imports:
+    its imports outside functions and ``if TYPE_CHECKING:`` blocks."""
+    stems, found, stack = {p.stem for p in MODULES}, set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("cdslab" if node.level else None, node.module)))
+            paths = ([base] if base != "cdslab" else
+                     [f"cdslab.{alias.name}" for alias in node.names])
+        else:
+            continue
+        for parts in (path.split(".") for path in paths):
+            if parts[0] == "cdslab":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in stems else "__init__")
+    return found
+
+
+def test_every_module_has_its_imports_pinned():
+    assert set(IMPORTED_AT_IMPORT) == {p.stem for p in MODULES}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_module_imports_at_import_only_what_is_pinned(module):
+    # a chain loads only the modules its stages name: an eager import here
+    # would compile a module into every child that loads this one
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _cdslab_imported_at_import(tree) == IMPORTED_AT_IMPORT[module.stem], module.name
+
+
+def test_the_check_sees_an_import_at_import():
+    for planted, stems in (("from .protocols import Worst\n", {"protocols"}),
+                           ("from . import __version__, quantum\n", {"__init__", "quantum"}),
+                           ("import cdslab.gardenhose\n", {"gardenhose"}),
+                           ("from cdslab import algebra\n", {"algebra"}),
+                           ("from cdslab.nlqc import KEYS\n", {"nlqc"}),
+                           ("try:\n    from .algebra import echelon\nexcept ImportError:\n"
+                            "    pass\n", {"algebra"}),
+                           ("class A:\n    from .boolfn import BoolFn\n", {"boolfn"}),
+                           ("if TYPE_CHECKING:\n    from .quantum import PureState\n"
+                            "else:\n    from .errors import charge\n", {"errors"}),
+                           ("def f():\n    from .protocols import _joint\n"
+                            "g = lambda: __import__('x')\n", set()),
+                           ("import json\nfrom typing import TYPE_CHECKING\n", set())):
+        assert _cdslab_imported_at_import(ast.parse(planted)) == stems, planted
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
