@@ -412,9 +412,8 @@ def verify_dre(D: Dre, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     Privacy holds exactly when equal-value inputs have equal whole-encoding
     histograms, i.e. when ``delta_pair`` is 0.
     """
-    P = _dre_as_psm(D)
-    eps, delta, witnesses = _sweep(P, _value_cases(P),
-                                   lambda m, x, y: P.decode(m[0], m[1]), budget, "verify_dre")
+    eps, delta, witnesses = _sweep(D, _value_cases(D),
+                                   lambda m, x, y: D.decode(m[0], m[1]), budget, "verify_dre")
     resources = dict(D.resources)
     resources.setdefault("randomness_states", space_size(D.shared))
     resources["same_class_histograms_equal"] = delta == 0
@@ -432,55 +431,47 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     every bit his side leaves unconnected. Chasing XORs along the water path
     unmasks the secret exactly when the water spills on Bob's side.
 
-    ``linear`` states this over Z_2: a party's tag lists the pipe sets it
-    XORs, sorted pairs then Bob's open pipes, Alice's tap first, and its
-    values are those XORs, Alice's first masked by s. Every pipe where water
-    spills on Alice's side is a nu, so decoding, s XOR that pipe's bit there,
-    gives one value on each coset; the other pipes are rho. The tap picks
-    Alice's map but is not sent: ``sent`` drops it, so her alphabet counts
-    what she sends, as each pipe's label does. Taps are nus too when one is
-    such an exit, so tags sent alike keep one row space.
+    ``linear`` states this over Z_2 with one nu and one rho coordinate per
+    pipe: a party's tag lists the pipe sets it XORs, sorted pairs then Bob's
+    open pipes, Alice's tap first, and its values are those XORs, all 0 at
+    rho = 0 but Alice's first, s. Where the water spills on Alice's side the
+    chased XOR is s plus that pipe's bit, not one value on a coset, so the
+    decoder gives None there. The tap picks Alice's map but is not sent:
+    ``sent`` drops it, so her alphabet counts what she sends, as each pipe's
+    label does. Compiling traces each input's water once, which also checks
+    that the strategy computes f, and the decoder reads those traces.
     """
-    from .gardenhose import RIGHT, gh_eval, gh_verify
+    from .gardenhose import RIGHT, gh_eval
 
-    if not gh_verify(strategy, f):
+    if (strategy.n_x, strategy.n_y) != (f.n_x, f.n_y):
+        raise ValidationError("strategy and function input widths differ")
+    outcomes = {(x, y): gh_eval(strategy, x, y) for (x, y) in f.inputs()}
+    if any((o.side == RIGHT) != (f.eval(*xy) == 1) for xy, o in outcomes.items()):
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
-    exits = {o.exit_pipe for o in (gh_eval(strategy, x, y) for (x, y) in f.inputs())
-             if o.side != RIGHT}
-    taps = {tap for tap, _ in strategy.alice.values()}
-    fixed = sorted(exits | taps if exits & taps else exits)
-    bit = {k: i for i, k in enumerate(fixed)}   # pipe -> its bit in nu
-    linear_pipes = [k for k in range(1, m + 1) if k not in bit]
 
     def pairs(matching):
         return tuple(sorted(tuple(sorted(p)) for p in matching))
 
-    def offsets(tag, nu):   # each value at rho = 0: the XOR of its pipes' nu bits
-        return tuple(sum(nu[bit[k]] for k in pipes if k in bit) % 2 for pipes in tag)
-
     def alice_form(x, s, nu):
         tap, matching = strategy.alice[x]
-        tag = ((tap,),) + pairs(matching)
-        b = offsets(tag, nu)
-        return tag, (b[0] ^ s,) + b[1:]
+        return ((tap,),) + pairs(matching), (s,) + (0,) * len(matching)
 
     def bob_form(y, nu):
         matching = strategy.bob[y]
         used = {v for pair in matching for v in pair}
         tag = pairs(matching) + tuple((k,) for k in range(1, m + 1) if k not in used)
-        return tag, offsets(tag, nu)
+        return tag, (0,) * len(tag)
 
     def decode(m0, x, m1, y):
+        outcome = outcomes[(x, y)]
+        if outcome.side != RIGHT:
+            return None
         (tag0, values0), (tag1, values1) = m0, m1
         lookup = dict(zip(tag0[1:] + tag1, values0[1:] + values1))
-        outcome = gh_eval(strategy, x, y)
-        value = values0[0]
+        value = values0[0] ^ lookup[(outcome.exit_pipe,)]
         for prev, cur in zip(outcome.path, outcome.path[1:]):
-            pair = tuple(sorted((prev[0], cur[0])))
-            value ^= lookup[pair]
-        if outcome.side == RIGHT:
-            value ^= lookup[(outcome.exit_pipe,)]
+            value ^= lookup[tuple(sorted((prev[0], cur[0])))]
         return value
 
     alice_bits = max(1 + len(strategy.alice[x][1]) for x in strategy.alice)
@@ -493,11 +484,10 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
         "bob_message_bits": bob_bits,
         "bound_randomness_equals_pipes": True,
     }
-    # a linear pipe's coordinate moves each value whose pipe set holds it
-    linear = LinearPart(2, product_space((0, 1), len(fixed)), (len(linear_pipes), 0, 0),
-                        alice_form, bob_form,
+    # pipe k's coordinate moves each value whose pipe set holds it
+    linear = LinearPart(2, (None,), (m, 0, 0), alice_form, bob_form,
                         cache(lambda side, tag: tuple(tuple(int(k in pipes) for pipes in tag)
-                                                      for k in linear_pipes)),
+                                                      for k in range(1, m + 1))),
                         lambda side, tag: tag if side else tag[1:])
     return CdsProtocol(f, (0, 1), linear, decode, resources=resources)
 
@@ -687,18 +677,7 @@ def psm_from_dre(D: Dre) -> PsmProtocol:
     The PSM keeps the DRE's ``linear``, whose forms state its messages: its
     randomness is the DRE's, passed as r with no private coins.
     """
-    return _dre_as_psm(D)
-
-
-def _dre_as_psm(D: Dre) -> PsmProtocol:
-    # verify_dre sweeps through this private copy: wrappers that trace the
-    # public compiler then count one compile per chain stage, not two; D's
-    # forms state the PSM's messages too
-
-    def decode(m0, m1):
-        return D.decode(m0, m1)
-
-    return PsmProtocol(D.f, D.linear, decode, domain=D.domain, resources=dict(D.resources))
+    return PsmProtocol(D.f, D.linear, D.decode, domain=D.domain, resources=dict(D.resources))
 
 
 def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:

@@ -494,7 +494,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("chain,args,stop", [
-    ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], "verify_cds message coordinates"),
+    ("gh,cds", ["--fn", "ip", "--nx", "6", "--max-pipes", "1"], "verify_cds message coordinates"),
     ("dre,psm,cds", ["--fn", "qr", "--p", "1031"], "verify_cds message coordinates"),
     ("psm,psqm", ["--fn", "ip", "--nx", "3"], "psqm_from_psm message coordinates"),
     ("dre", ["--fn", "qr", "--p", "257"], None),
@@ -503,22 +503,31 @@ sys.exit(main(sys.argv[1:]))
     ("dre,psm,psqm", ["--fn", "qr", "--p", "1237"], "psqm_from_psm message coordinates"),
     ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "1031"], "cdqs_from_cds message coordinates"),
     ("span,cds", ["--fn", "index", "--nx", "3", "--p", "3"], "span program entries"),
+    ("gh,cds", ["--fn", "ip", "--nx", "4", "--max-pipes", "1"], {
+        "alice_message_alphabet": 2, "alice_message_bits": 1,
+        "bob_message_alphabet": 251723776, "bob_message_bits": 24,
+        "bound_randomness_equals_pipes": True, "pipes": 32, "randomness_bits": 32,
+        "randomness_states": 4294967296}),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
-    # 32 pipes, the 16 where water spills left nus: 2^16 for each of 512
-    # cases; 10,321,920 one-time tables, counted per input before one is
-    # listed; lazy spaces past 2^63, and qr coset keys that
-    # would not fit in 1 GiB: 1236^2 * 11 = 16,804,656 coordinates at p=1237
-    # for the DRE, its PSM and PSQM, and 4 * 1030^2 * 11 = 46,679,600 at
-    # p=1031 for the CDS routes, which sweep both secrets and selectors; each
-    # build sizes its spaces without listing them, and each verify ends on a
-    # budget before it sweeps them. index3's span program, 11,264 rows by
-    # 10,241 columns, is charged before it is built
+    # ip6's 128 pipes, every one a rho coordinate under one nu: each layout's
+    # 128 map rows, about 12,400 coordinates, are charged as met, and the
+    # budget ends the sweep some 1,290 layouts in. 10,321,920 one-time
+    # tables, counted per input before one is listed; lazy spaces past 2^63,
+    # and qr coset keys that would not fit in 1 GiB: 1236^2 * 11 =
+    # 16,804,656 coordinates at p=1237 for the DRE, its PSM and PSQM, and
+    # 4 * 1030^2 * 11 = 46,679,600 at p=1031 for the CDS routes, which sweep
+    # both secrets and selectors; each build sizes its spaces without
+    # listing them, and each verify ends on a budget before it sweeps them.
+    # index3's span program, 11,264 rows by 10,241 columns, is charged
+    # before it is built. A dict is a passing verify's resources: ip4's 32
+    # pipes, one coset per case, pass within the default budget
     env = _child_env()
     build_stop = stop == "span program entries"   # the build, not the verify, stops
+    passes = isinstance(stop, dict)
     commands = [(["build", "--chain", chain, *args, "--out", "d.json"], 3 if build_stop else 0)]
     if stop is not None and not build_stop:
-        commands.append((["verify", "d.json", "--out", "r.json"], 3))
+        commands.append((["verify", "d.json", "--out", "r.json"], 0 if passes else 3))
     for argv, code in commands:
         run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], cwd=tmp_path,
                              env=env, capture_output=True, text=True, timeout=300)
@@ -528,16 +537,19 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     if build_stop:
         fields = json.loads(run.stderr.splitlines()[-1])
         assert (fields["status"], fields["space"]) == ("budget", stop)
+    elif passes:
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["status"] == "pass" and report["report"]["perfect"] is True
+        assert report["report"]["resources"] == stop
     elif stop is not None:
         report = json.loads((tmp_path / "r.json").read_text())
         assert (report["status"], report["space"]) == ("budget", stop)
 
 
 def test_sixteen_pipe_gh_cds_passes_by_coset(tmp_path):
-    # gh_generic's 16 pipes for ip3: the 8 pipes where water spills left
-    # are nus, 2^8 per each of 128 cases, the other 8 rho. It passes within
-    # the default budget and 1 GiB, with the figures the 2^16-state
-    # enumeration gave
+    # gh_generic's 16 pipes for ip3, all rho under one nu: one coset for
+    # each of 128 cases. It passes within the default budget and 1 GiB,
+    # with the figures the 2^16-state enumeration gave
     env = _child_env()
     for argv in (["build", "--chain", "gh,cds", "--fn", "ip", "--nx", "3", "--max-pipes", "1",
                   "--out", "d.json"], ["verify", "d.json", "--out", "r.json"]):
@@ -861,7 +873,7 @@ TOKENS = (*BASES, "cds", "cdqs", "frouting", "psqm", "nope")
 # verify children that must each stop with a report: span targets whose
 # maps, ell = width rows each, exceed a budget of the width (the default
 # budget admits them, see test_a_wide_span_program_passes_with_a_report),
-# garden-hose strategies of 22-30 pipes whose (case, nu) pairs exceed a
+# garden-hose strategies of 22-30 pipes whose message coordinates exceed a
 # budget of the pipe count (the default budget admits their cosets), truth
 # tables wider than their widths or negative, malformed JSON and bytes, and
 # chains whose stages do not compose

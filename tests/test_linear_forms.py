@@ -26,7 +26,7 @@ from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
 from cdslab.nlqc import cdqs_from_cds, psqm_from_psm
 from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
                               hiding_input, psm_from_dre, verify_cds, verify_dre)
-from message_reference import enumerated, send
+from message_reference import enumerated, messages, send
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -225,25 +225,18 @@ def _as_sent(side, message):
 
 
 def _gh_states_the_hand_messages(strategy: GhStrategy) -> None:
-    # the forms' nus are the bits of the pipes where water spills left, and
-    # of every tap when one of those is a tap; the other pipes' bits are rho
+    # the forms have one nu, and pipe k's bit is the k-th rho coordinate
     f = _spill_fn(strategy)
     P = cds_from_gh(strategy, f)
     alice_msg, bob_msg = _ref_gh(strategy)
-    exits = {gh_eval(strategy, x, y).exit_pipe for (x, y) in f.inputs() if not f.eval(x, y)}
-    taps = {tap for tap, _ in strategy.alice.values()}
-    fixed = sorted(exits | taps if exits & taps else exits)
     lin = P.linear
-    assert lin.coords == (strategy.pipes - len(fixed), 0, 0)
+    assert len(lin.nus) == 1 and lin.coords == (strategy.pipes, 0, 0)
     n = 0
-    for nu, rho in P.shared:
-        bits = dict(zip(fixed, nu))
-        free = iter(rho)
-        r = tuple(bits[k] if k in bits else next(free) for k in range(1, strategy.pipes + 1))
+    for nu, r in P.shared:
         for x, s in product(strategy.alice, P.secrets):
-            assert _as_sent(0, send(lin, 0, lin.alice_form(x, s, nu), rho)) == alice_msg(x, s, r)
+            assert _as_sent(0, send(lin, 0, lin.alice_form(x, s, nu), r)) == alice_msg(x, s, r)
         for y in strategy.bob:
-            assert _as_sent(1, send(lin, 1, lin.bob_form(y, nu), rho)) == bob_msg(y, r)
+            assert _as_sent(1, send(lin, 1, lin.bob_form(y, nu), r)) == bob_msg(y, r)
         n += 1
     assert n == 1 << strategy.pipes
 
@@ -295,18 +288,15 @@ def _committed_gh_strategies() -> list:
 @settings(max_examples=60, deadline=None)
 @given(gh_strategies() | st.sampled_from(_committed_gh_strategies()))
 def test_gh_decoding_gives_one_value_per_coset(strategy):
-    # on a hiding input the decoder gives s XOR the bit of the pipe where the
-    # water spills, which the forms make a nu; so every (x, y, s) decodes to
-    # one value over the rho of each nu, as the coset sweep reads it
+    # with one nu, each (x, y, s)'s messages fill one coset, and every one of
+    # them must decode to one value: s where the water spills right, and None
+    # where it spills left, since there the chased XOR is s plus the bit of
+    # the pipe it spills from
     f = _spill_fn(strategy)
     P = cds_from_gh(strategy, f)
-    lin, decoded = P.linear, {}
-    for nu, rho in P.shared:
-        for (x, y), s in product(f.inputs(), P.secrets):
-            m0 = send(lin, 0, lin.alice_form(x, s, nu), rho)
-            m1 = send(lin, 1, lin.bob_form(y, nu), rho)
-            decoded.setdefault((x, y, s, nu), set()).add(P.decode(m0, x, m1, y))
-    assert all(len(values) == 1 for values in decoded.values())
+    for (x, y), s in product(f.inputs(), P.secrets):
+        decoded = {P.decode(m0, x, m1, y) for m0, m1 in messages(P, x, y, s)}
+        assert decoded == ({s} if f.eval(x, y) else {None})
 
 
 @settings(max_examples=60, deadline=None)

@@ -103,6 +103,29 @@ def test_gh_cds_randomness_equals_pipes():
 def test_gh_cds_rejects_wrong_strategy():
     with pytest.raises(ValidationError):
         cds_from_gh(gh_generic(AND1), XOR1)
+    # and2's strategy computes the zero function on 1+1 bits, yet is 2+2
+    with pytest.raises(ValidationError, match="widths differ"):
+        cds_from_gh(gh_generic(named_fn("and", n=2)), from_table(1, 1, (0, 0, 0, 0)))
+
+
+def test_gh_cds_traces_each_input_once(monkeypatch):
+    # protocols reads gardenhose.gh_eval at call time, so the spy sits there
+    # and the strategy is searched before it; the decoder reads the compiled
+    # traces, so neither sweep traces again
+    from cdslab import gardenhose
+    from cdslab.nlqc import cdqs_from_cds, verify_cdqs
+    calls, strategy, gh_eval = [], gh_search(AND1, 3), gardenhose.gh_eval
+
+    def counted(strategy, x, y):
+        calls.append((x, y))
+        return gh_eval(strategy, x, y)
+
+    monkeypatch.setattr(gardenhose, "gh_eval", counted)
+    P = cds_from_gh(strategy, AND1)
+    assert sorted(calls) == sorted(AND1.inputs())
+    assert verify_cds(P).perfect
+    assert verify_cdqs(cdqs_from_cds(P)).perfect(1e-9)
+    assert len(calls) == 4
 
 
 def test_span_cds_named_programs_both_variants():
@@ -324,15 +347,14 @@ def test_product_space_matches_itertools():
     assert tuple(product_space(shared, 2)) == tuple(product(shared, repeat=2))
     assert space_size(product_space(range(5), 40)) == 5 ** 40   # past 2^63
     # the compilers' spaces, (nu, shared rho), list lazily: the tables in
-    # the old order, and gh_generic's 4 pipe bits for and1 as the bits of
-    # pipes 2 and 4, where water spills left, then those of pipes 1 and 3
+    # the old order, and gh_generic's 4 pipe bits for and1 as rho, under
+    # one nu
     f = named_fn("index", n_x=1)
     tables = tuple((perm, mask) for perm in permutations(range(4))
                    for mask in product((0, 1), repeat=4))
-    bits = tuple(product((0, 1), repeat=2))
     for space, want in (
             (cds_from_gh(gh_generic(AND1), AND1).shared,
-             tuple((nu, rho) for nu in bits for rho in bits)),
+             tuple((None, rho) for rho in product((0, 1), repeat=4))),
             (psm_generic_table(f).shared, tuple((r, ()) for r in tables)),
             (cds_from_psm(psm_generic_table(f)).shared,
              tuple(((r, sel), ()) for r in tables for sel in (0, 1)))):
