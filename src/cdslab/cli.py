@@ -216,9 +216,7 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
             if strategy is None:
                 strategy = gardenhose.gh_generic(f)
         _refuse("strategy routes some input to the wrong side",
-                [(x, y) for (x, y) in f.inputs()
-                 if (gardenhose.gh_eval(strategy, x, y).side == gardenhose.RIGHT)
-                 != (f.eval(x, y) == 1)])
+                gardenhose.gh_trace(strategy, f)[1])
         return strategy, {"gh_strategy": strategy.to_jsonable()}
     if token == "span":
         algebra = _layer("algebra")
@@ -238,6 +236,9 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         dre = _layer("protocols").dre_qr(params["p"],
                                          alice_positions=tuple(params["alice_positions"]),
                                          n_bits=params["n_bits"])
+        _refuse("encoding disagrees with the function",   # on the inputs of either
+                [xy for xy in sorted({*f.inputs(), *dre.f.inputs()})
+                 if dre.f.eval(*xy) != f.eval(*xy)])
         return dre, {}
     if token == "psm":
         return _layer("protocols").psm_generic_table(f, budget=opts["budget"]), {}

@@ -145,15 +145,13 @@ def gh_eval(strategy: GhStrategy, x: int, y: int) -> GhOutcome:
     raise AssertionError("water revisited an opening; matchings were not disjoint")
 
 
-def gh_verify(strategy: GhStrategy, f: BoolFn) -> bool:
-    """True iff the spill side equals f on every input pair."""
-    if strategy.n_x != f.n_x or strategy.n_y != f.n_y:
+def gh_trace(strategy: GhStrategy, f: BoolFn) -> tuple:
+    """(outcomes, misrouted): ``gh_eval`` of each input of f, traced once, and in input
+    order the inputs whose spill side is not f's; other input widths are refused."""
+    if (strategy.n_x, strategy.n_y) != (f.n_x, f.n_y):
         raise ValidationError("strategy and function input widths differ")
-    for (x, y) in f.inputs():
-        side = gh_eval(strategy, x, y).side
-        if (side == RIGHT) != bool(f.eval(x, y)):
-            return False
-    return True
+    outcomes = {(x, y): gh_eval(strategy, x, y) for (x, y) in f.inputs()}
+    return outcomes, [xy for xy, o in outcomes.items() if (o.side == RIGHT) != (f.eval(*xy) == 1)]
 
 
 def gh_generic_pipes(n_x: int) -> int:
@@ -315,7 +313,7 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
         bob = {y: bob_choices[(mask & -mask).bit_length() - 1]
                for y, mask in enumerate(masks)}
         strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)
-        if not gh_verify(strategy, f):
+        if gh_trace(strategy, f)[1]:
             raise AssertionError("spill table disagrees with the water trace")
         return strategy
     return None

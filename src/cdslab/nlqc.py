@@ -555,9 +555,9 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
     counts come from one sweep per secret by ``verify_cds``'s kernel, by
-    coset, charged against ``budget`` before the first (a coset layout when
-    met); the product weights stay integers until one division by the
-    squared joint randomness.
+    coset, charged against ``budget`` before the first (a layout the first nu
+    misses, when met); the product weights stay integers until one division
+    by the squared joint randomness.
     """
     from .protocols import _joint, _sweep_kernel, space_size
 
@@ -599,14 +599,16 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     off the water path are never made, and ``holdings`` names only the exit
     register, on its side: an EPR pair no operation touched tensors every
     referee view block by the same trace-one operator, so leaving it out
-    changes no trace norm.
+    changes no trace norm. ``gh_trace`` checks the strategy, widths included.
     """
-    from .gardenhose import LEFT, RIGHT, gh_eval
+    from .gardenhose import LEFT, RIGHT, gh_trace
 
     m = strategy.pipes
+    outcomes, misrouted = gh_trace(strategy, f)
+    if misrouted:
+        raise ValidationError("strategy does not compute f")
 
-    def plan_for(x, y):
-        outcome = gh_eval(strategy, x, y)
+    def plan_for(outcome):
         plan = [("q", f"L{outcome.path[0][0]}", ("alice", 0, outcome.path[0][0]))]
         for (prev, cur) in zip(outcome.path, outcome.path[1:]):
             if cur[1] == "rl":
@@ -621,10 +623,7 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
         held[outcome.side] = (exit_reg,)
         return plan, outcome.side, exit_reg, held
 
-    plans = {(x, y): plan_for(x, y) for (x, y) in f.inputs()}
-    # each input's one water trace also checks that the strategy computes f
-    if any((plans[xy][1] == RIGHT) != (f.eval(*xy) == 1) for xy in plans):
-        raise ValidationError("strategy does not compute f")
+    plans = {xy: plan_for(outcome) for xy, outcome in outcomes.items()}
 
     def run(x, y, carrier, q_reg):
         quantum = _statevector()
@@ -731,8 +730,8 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
 
     A run is one sweep of P's messages on one input pair by ``verify_psm``'s
     kernel, one branch per coset, the sweeps over every pair charged before
-    any run starts (a coset layout when met), one layout one subspace across
-    them all, as ``verify_psqm``'s view comparisons need.
+    any run starts (a layout the first nu misses, when met), one layout one
+    subspace across them all, as ``verify_psqm``'s view comparisons need.
     """
     from .protocols import _sweep_kernel, message_count
 

@@ -7,8 +7,8 @@ randomness value, or every coset of messages that randomness entering
 linearly fills. ``verify_cds``, ``verify_psm`` and ``verify_dre`` share one
 sweep loop, ``_sweep``, over cases that each name the value they must decode
 to and the group they must look like; it charges the sweep before it starts
-(a coset layout when met) and keeps each worst figure's first witness in a
-``Worst``.
+(a coset layout the first nu misses, when met) and keeps each worst
+figure's first witness in a ``Worst``.
 
 Conventions shared by every protocol type here:
 
@@ -249,7 +249,7 @@ def _shift(vec, coeffs, rows, p: int) -> tuple:
 
 
 def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None,
-               met: Callable = lambda size: None) -> dict:
+               met: Callable = lambda layout: None) -> dict:
     """Exact counts of P's message pair on (x, y), one entry per coset.
 
     P's ``linear`` states its messages. For each nu the values run
@@ -258,7 +258,7 @@ def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None,
     counts) has one A, so its cosets are equal or disjoint and L1 distances
     are the message histograms'. ``spaces`` keeps each layout's echelon
     form, for a sweep or this call, made when first met after ``met`` gets
-    A's coordinate count; a map not as wide as its values is refused.
+    the layout; a map not as wide as its values is refused.
     """
     lin = P.linear
     p, ell = lin.p, sum(lin.coords)
@@ -268,7 +268,7 @@ def coset_hist(P, x, y, *secret, spaces: Optional[dict] = None,
         (tag0, b0), (tag1, b1) = lin.alice_form(x, *secret, nu), lin.bob_form(y, nu)
         layout = (tag0, tag1, len(b0), len(b1))
         if layout not in spaces:
-            met(ell * (len(b0) + len(b1)))
+            met(layout)
             maps = lin.maps(0, tag0), lin.maps(1, tag1)
             if any(len(row) != len(b) for rows, b in zip(maps, (b0, b1)) for row in rows):
                 raise ValidationError("a map's rows are not as wide as its party's values")
@@ -305,22 +305,25 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
     function, bound to P, takes: ``coset_hist``, one ``spaces`` for all
     cases, charged in message coordinates: (case, nu) pairs, counted before
     any nu is listed, their values b, each as wide as the widest at the
-    first nu, then each layout's maps as first met.
+    first nu, then at once the maps of the layouts met there, others' when met.
     """
     lin = P.linear
     space = f"{what} message coordinates"
     pairs = max(1, len(cases)) * space_size(lin.nus)
     charge(pairs, budget, space)   # before the width probe
     nu = next(iter(lin.nus))
-    width = max([1] + [len(lin.alice_form(x, *s, nu)[1] + lin.bob_form(y, nu)[1])
-                       for (x, y, *s) in cases])
-    coords = [0]
+    firsts = {(t0, t1, len(b0), len(b1)) for (t0, b0), (t1, b1) in (
+        (lin.alice_form(x, *s, nu), lin.bob_form(y, nu)) for (x, y, *s) in cases)}
+    coords, charged = [pairs * max([1] + [n0 + n1 for *_, n0, n1 in firsts])], set()
 
-    def met(size):
-        coords[0] += size
+    def met(*layouts):
+        new = set(layouts) - charged
+        charged.update(new)
+        coords[0] += sum(lin.coords) * sum(n0 + n1 for *_, n0, n1 in new)
         charge(coords[0], budget, space)
 
-    met(pairs * width)
+    met()
+    met(*firsts)
     spaces = {}
     return (lambda *args: coset_hist(P, *args, spaces=spaces, met=met)), _joint(P)
 
@@ -438,15 +441,13 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     chased XOR is s plus that pipe's bit, not one value on a coset, so the
     decoder gives None there. The tap picks Alice's map but is not sent:
     ``sent`` drops it, so her alphabet counts what she sends, as each pipe's
-    label does. Compiling traces each input's water once, which also checks
-    that the strategy computes f, and the decoder reads those traces.
+    label does. Compiling refuses a strategy ``gh_trace`` finds of other
+    widths or misrouted, and the decoder reads its one trace per input.
     """
-    from .gardenhose import RIGHT, gh_eval
+    from .gardenhose import RIGHT, gh_trace
 
-    if (strategy.n_x, strategy.n_y) != (f.n_x, f.n_y):
-        raise ValidationError("strategy and function input widths differ")
-    outcomes = {(x, y): gh_eval(strategy, x, y) for (x, y) in f.inputs()}
-    if any((o.side == RIGHT) != (f.eval(*xy) == 1) for xy, o in outcomes.items()):
+    outcomes, misrouted = gh_trace(strategy, f)
+    if misrouted:
         raise ValidationError("strategy does not compute f")
     m = strategy.pipes
 

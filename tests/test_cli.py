@@ -64,6 +64,37 @@ def test_verify_corrupted_descriptor_gives_witness(tmp_path):
     assert report["witness"]["inputs"]  # concrete failing input pairs
 
 
+ZERO_1X1 = {"n_x": 1, "n_y": 1, "name": "zero", "params": {}, "table": "0"}
+
+
+@pytest.mark.parametrize("chain,args,fn,error,witness", [
+    *(pytest.param(chain, ["and", "--nx", "2"], ZERO_1X1,
+                   "descriptor rejected: strategy and function input widths differ",
+                   "strategy and function input widths differ", id=chain)
+      for chain in ("gh", "gh,frouting", "gh,frouting,cdqs", "gh,cds")),
+    # entry (x=1, y=0) of qr7's table flipped: 0x97 -> 0x87
+    pytest.param("dre,psm,cds", ["qr", "--p", "7"], {"table": "87"},
+                 "encoding disagrees with the function", {"inputs": [[1, 0]]},
+                 id="dre,psm,cds"),
+    # a 1+1 table that agrees with qr7's entries at y < 2: its first input
+    # outside the 1+1 widths is (0, 2)
+    pytest.param("dre,psm,cds", ["qr", "--p", "7"], {"n_y": 1, "table": "7"},
+                 "descriptor rejected: y=2 outside [0, 2)", "y=2 outside [0, 2)",
+                 id="dre,psm,cds-widths"),
+])
+def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args, fn,
+                                                           error, witness):
+    # a base the descriptor embeds or rebuilds is checked against the
+    # descriptor's fn, whatever chain follows it
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["build", "--chain", chain, "--fn", *args, "--out", str(desc)]) == 0
+    tampered = json.loads(desc.read_text())
+    tampered["fn"].update(fn)
+    desc.write_text(json.dumps(tampered))
+    assert main(["verify", str(desc), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert (report["status"], report["error"], report["witness"]) == ("fail", error, witness)
+
 def test_verify_unreadable_descriptor(tmp_path):
     rep = tmp_path / "r.json"
     assert main(["verify", str(tmp_path / "missing.json"),
@@ -667,9 +698,8 @@ def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
     # on qr p=5, (2 secrets * 4 inputs) * (4 values of r * 2 selectors) * 3
     # values of the CDS (the masked bit is in Alice's tag), or 4 inputs * 4
     # values of r * 3 values of the PSM, charged before the first sweep, and
-    # then 2 * 3 coordinates of maps per layout as the sweep meets it: the
-    # CDS has two layouts, one per masked bit, and stops on the second, the
-    # PSM on its one
+    # then 2 * 3 coordinates of maps per layout the first nu meets, in one
+    # step: the CDS has two layouts, one per masked bit, the PSM one
     budget = {"dre,psm,cds,cdqs": 200, "dre,psm,psqm": 50}[chain]
     got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
                          ["--budget", str(budget)])
@@ -746,10 +776,11 @@ def _wide_span_descriptor(tmp_path, width: int) -> Path:
 
 
 def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
-    # 8 cases of at most 3 message values, then each layout's maps, 20,000
-    # rows as wide as its values: 1, 2, 2 and 3 for the four inputs. The
-    # default budget admits all 160,024 coordinates; this one stops on the
-    # third layout, before its echelon form, with a report
+    # 8 cases of at most 3 message values, then in one step the maps of the
+    # four layouts the one nu meets, 20,000 rows as wide as their values: 1,
+    # 2, 2 and 3 for the four inputs. The default budget admits all 160,024
+    # coordinates; this one stops on them, before any echelon form, with a
+    # report
     desc = _wide_span_descriptor(tmp_path, 20_000)
     run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
                           "--budget", "100000", "--out", "r.json"], cwd=tmp_path,
@@ -758,7 +789,7 @@ def test_a_wide_span_program_stops_on_its_randomness_coordinates(tmp_path):
     assert "MemoryError" not in run.stderr and "Traceback" not in run.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert (report["status"], report["space"], report["size"]) == (
-        "budget", "verify_cds message coordinates", 8 * 3 + 20_000 * (1 + 2 + 2))
+        "budget", "verify_cds message coordinates", 8 * 3 + 20_000 * (1 + 2 + 2 + 3))
 
 
 def test_a_descriptor_span_program_is_charged_before_it_is_echeloned(tmp_path, monkeypatch):

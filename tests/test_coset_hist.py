@@ -340,13 +340,13 @@ def test_declared_budget_counts_evaluations_before_any_call():
                        match="verify_dre message coordinates: 108 exceed budget 107"):
         verify_dre(counted, budget=107)
     assert len(calls) == 6
-    # the maps are charged when the first pair meets their layout
+    # the maps of the layouts the first r meets are charged before any sweep
     with pytest.raises(BudgetError,
                        match="verify_dre message coordinates: 114 exceed budget 113"):
         verify_dre(counted, budget=113)
-    assert len(calls) == 6 + 6 + 1
+    assert len(calls) == 6 + 6
     assert verify_dre(counted, budget=114).perfect
-    assert len(calls) == 13 + 6 + 36
+    assert len(calls) == 12 + 6 + 36
 
 
 def test_qr_shared_space_is_lazy_and_in_the_generated_order():

@@ -20,7 +20,7 @@ from cdslab.boolfn import BoolFn, all_functions, from_packed, from_table, named_
 from cdslab.cli import main
 from cdslab.errors import BudgetError
 from cdslab.gardenhose import (GhStrategy, _alice_choices, _matchings, gh_search,
-                               gh_verify)
+                               gh_trace)
 
 
 def _reference_search(f, max_pipes):
@@ -37,7 +37,7 @@ def _reference_search(f, max_pipes):
             for bob_pick in product(bob_choices, repeat=n_inputs_y):
                 bob = {y: bob_pick[y] for y in range(n_inputs_y)}
                 strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)
-                if gh_verify(strategy, f):
+                if not gh_trace(strategy, f)[1]:
                     return strategy
     return None
 

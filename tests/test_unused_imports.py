@@ -1,9 +1,10 @@
 """Every name a ``cdslab`` module imports is used there; each imports at import only the
 ``cdslab`` modules pinned for it; none imports ``dataclasses``,
 only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads the message-histogram
-kernel, none enumerates messages or passes a record message callbacks, none re-checks a
-sweep's subspaces, the pad routes read no ``Fraction``, and every definition is read by
-the program itself, not by tests alone.
+kernel, only ``gardenhose`` reads the water trace ``gh_eval``, none enumerates messages
+or passes a record message callbacks, none re-checks a sweep's subspaces, the pad routes
+read no ``Fraction``, and every definition is read by the program itself, not by tests
+alone.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -27,7 +28,10 @@ is no part of the program either: the sources, demos and benchmark must read
 it, so a test checks a figure the program computes, or keeps its own helper.
 Every message sweep is by coset: ``protocols._sweep_kernel`` binds
 ``coset_hist`` and makes the sweep's budget charge, so no other module reads
-the kernel. No module defines or names the enumerating ``message_hist``,
+the kernel. Every module but ``gardenhose`` checks a garden-hose strategy
+through ``gh_trace``, which checks the input widths and traces each input
+once, so none reads ``gh_eval`` and writes its own copy of the check.
+No module defines or names the enumerating ``message_hist``,
 which a test helper keeps as the reference, and no record takes message
 callbacks (``alice_msg``, ``bob_msg``, ``enc_x``, ``enc_y``): a record's
 forms state its messages and its randomness spaces.
@@ -310,6 +314,27 @@ def test_the_check_sees_a_kernel_read():
     assert not _kernel_reads(ast.parse("from .protocols import _sweep_kernel\n"))
 
 
+
+# the water trace: only gardenhose calls gh_eval, and every other module
+# reads gh_trace, which also checks a strategy against its function
+def _traces(tree) -> bool:
+    """True when a module names ``gh_eval``, as a name, an attribute or an import."""
+    return "gh_eval" in _reads(tree)[0]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_only_gardenhose_reads_the_water_trace(module):
+    if module.stem == "gardenhose":
+        return
+    assert not _traces(ast.parse(module.read_text(), filename=str(module))), module.name
+
+
+def test_the_check_sees_a_trace_read():
+    for planted in ("from .gardenhose import RIGHT, gh_eval\n",
+                    "from . import gardenhose\nside = gardenhose.gh_eval(s, 0, 0).side\n",
+                    "def f(s):\n    return gh_eval(s, 0, 0)\n"):
+        assert _traces(ast.parse(planted)), planted
+    assert not _traces(ast.parse("from .gardenhose import gh_trace\n"))
 # what no record takes: message callbacks; and the enumerating kernel, which
 # only the tests' reference keeps
 CALLBACK_FIELDS = {"alice_msg", "bob_msg", "enc_x", "enc_y"}
