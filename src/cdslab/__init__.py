@@ -9,8 +9,10 @@ The package is organised around three layers:
 ``cli``, ``protocols`` and ``nlqc`` import a layer a chain may not need
 where they call it, so a command loads only the modules its chain's stages
 name: a garden-hose route (``gardenhose``, ``nlqc``, ``quantum``) loads no
-classical protocol or algebra. ``errors`` holds what every layer shares:
-the exceptions, the budget charge and the records' common bases.
+classical protocol or algebra, and a pad route (``protocols``, ``nlqc``,
+``quantum``) no algebra and no ``fractions``, which only the exact classical
+verifiers import. ``errors`` holds what every layer shares: the exceptions,
+the budget charge and the records' common bases.
 
 Everything is deterministic given explicit seeds, and every verifier sweeps its
 full input/randomness space rather than sampling.

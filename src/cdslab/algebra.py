@@ -10,49 +10,10 @@ import random
 
 from .boolfn import is_prime
 from .errors import DomainError, ValidationError
-
-
-def euler_qr(a: int, p: int) -> int:
-    """Quadratic-residue indicator via Euler's criterion: a^((p-1)/2) mod p.
-
-    Returns 1 if a is a nonzero square mod p, else 0. a = 0 is rejected:
-    the criterion evaluates to 0 there, which is neither label.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValidationError(f"p={p} must be an odd prime")
-    if a % p == 0:
-        raise DomainError("a = 0 mod p is outside the residue/non-residue split")
-    return int(pow(a, (p - 1) // 2, p) == 1)
+from .protocols import echelon
 
 
 # -- linear span -------------------------------------------------------------
-
-
-def echelon(rows, p: int) -> tuple:
-    """Reduced row echelon form over Z_p (p prime) of equal-length ``rows``.
-
-    Returns (basis, pivots): the nonzero reduced rows, as tuples, and the
-    column of each one's leading 1; every other basis row is 0 there. Pivots
-    are taken column by column, each from the first unused row with a nonzero
-    entry, so the result depends only on ``rows`` and their order.
-    """
-    rows = [[v % p for v in row] for row in rows]
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    for col in range(width):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return [tuple(row) for row in rows[:len(pivots)]], pivots
 
 
 def in_span(rows, target, p: int):

@@ -13,19 +13,40 @@ from typing import Iterator
 from .errors import DomainError, ValidationError
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; fine at the sizes this package works with."""
+    """Exact primality of ``n`` below ``PRIME_BOUND``; a larger ``n`` is refused.
+
+    Division by the 13 base primes decides every n < 41^2; past that, a
+    strong-probable-prime test to each base, which no composite below the
+    bound passes.
+    """
+    if n >= PRIME_BOUND:
+        raise ValidationError(f"primality is decided only below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -169,6 +190,19 @@ def _index(n_x):
 def qr_residues(p: int) -> set:
     """All quadratic residues mod p including 0 (brute force over squares)."""
     return {(b * b) % p for b in range(p)}
+
+
+def euler_qr(a: int, p: int) -> int:
+    """Quadratic-residue indicator via Euler's criterion: a^((p-1)/2) mod p.
+
+    Returns 1 if a is a nonzero square mod p, else 0. a = 0 is rejected:
+    the criterion evaluates to 0 there, which is neither label.
+    """
+    if not is_prime(p) or p == 2:
+        raise ValidationError(f"p={p} must be an odd prime")
+    if a % p == 0:
+        raise DomainError("a = 0 mod p is outside the residue/non-residue split")
+    return int(pow(a, (p - 1) // 2, p) == 1)
 
 
 def _qr_split(p: int, alice_positions=None, n_bits=None):

@@ -17,13 +17,12 @@ it reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
 give identical bytes.
 
 A request loads only the modules its chain's stages name: ``gh`` loads
-``gardenhose``, ``span`` loads ``algebra``, ``dre``, ``psm`` and ``cds``
-load ``protocols``, and a quantum stage loads ``nlqc``, which loads the
-statevector layer, ``quantum``, at a protocol's first run. ``sweep`` loads
-``boolfn`` and ``gardenhose`` alone, and ``csv`` loads only where a CSV
-report is written. Everything runs on the standard library: no ``build``
-or ``verify`` loads numpy, which serves only ``quantum.random_qubit``'s
-seeded draws.
+``gardenhose``, ``span`` ``algebra`` (and ``protocols``), ``dre``, ``psm``
+and ``cds`` ``protocols``, a quantum stage ``nlqc``, which loads ``quantum``
+at a protocol's first run, and only a classical verify ``fractions``.
+``sweep`` loads ``boolfn`` and ``gardenhose`` alone, and ``csv`` loads only
+for a CSV report. No ``build`` or ``verify`` loads numpy, which serves only
+``quantum.random_qubit``'s seeded draws.
 """
 
 from __future__ import annotations
@@ -233,11 +232,17 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         params = f.params
         if "p" not in params:
             raise ValidationError("the dre base needs --fn qr")
+        # as build charges --fn qr --p P, on the wider of p and n_bits
+        _charge_table(max(int(params["p"]).bit_length(), int(params["n_bits"])), 0,
+                      opts["budget"])
         dre = _layer("protocols").dre_qr(params["p"],
                                          alice_positions=tuple(params["alice_positions"]),
                                          n_bits=params["n_bits"])
+        from heapq import merge
+        from itertools import groupby
+
         _refuse("encoding disagrees with the function",   # on the inputs of either
-                [xy for xy in sorted({*f.inputs(), *dre.f.inputs()})
+                [xy for xy, _ in groupby(merge(f.inputs(), dre.f.inputs()))
                  if dre.f.eval(*xy) != f.eval(*xy)])
         return dre, {}
     if token == "psm":

@@ -22,22 +22,25 @@ Conventions shared by every protocol type here:
 Every message sweep, here or in ``nlqc``, reads the forms one coset at a
 time (``coset_hist``) through ``_sweep_kernel``. A form with no rho
 coordinates is enumeration, each nu one point coset: the one-time table PSM
-and the constant CDS state their messages so, as tags with no values.
+and the constant CDS state their messages so, as tags with no values. The
+Z_p echelon form the cosets are reduced by lives here too, and ``algebra``'s
+span membership reads it. This module reads ``algebra`` only where a span
+program is compiled and ``fractions`` only in the exact verifiers, so a pad
+route, which reads the kernel alone, loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .algebra import LsssScheme, SpanProgram, echelon, euler_qr, lsss_reconstruct
-from .boolfn import BoolFn, literal_input, named_fn, qr_split_inputs
+from .boolfn import BoolFn, euler_qr, literal_input, named_fn, qr_split_inputs
 from .errors import DEFAULT_BUDGET, InputDomain, ValidationError, Worst, charge
 
 if TYPE_CHECKING:
+    from .algebra import SpanProgram
     from .gardenhose import GhStrategy
 
 
@@ -51,8 +54,7 @@ class VerificationReport:
     sits somewhere in ``delta_bracket`` = [delta_pair/2, delta_pair].
     """
 
-    def __init__(self, kind: str, eps_hat: Fraction, delta_pair: Fraction,
-                 resources: dict, witnesses: dict):
+    def __init__(self, kind: str, eps_hat, delta_pair, resources: dict, witnesses: dict):
         self.kind, self.eps_hat, self.delta_pair = kind, eps_hat, delta_pair
         self.resources, self.witnesses = resources, witnesses
 
@@ -65,6 +67,8 @@ class VerificationReport:
         return self.eps_hat == 0 and self.delta_pair == 0
 
     def to_jsonable(self) -> dict:
+        from fractions import Fraction
+
         def enc(v):
             if isinstance(v, Fraction):
                 return {"num": v.numerator, "den": v.denominator, "float": float(v)}
@@ -170,7 +174,9 @@ class Dre(PsmProtocol):
 # -- verifiers ---------------------------------------------------------------
 
 
-def _l1(hist_a, hist_b, denom) -> Fraction:
+def _l1(hist_a, hist_b, denom):
+    from fractions import Fraction
+
     keys = set(hist_a) | set(hist_b)
     return Fraction(sum(abs(hist_a.get(k, 0) - hist_b.get(k, 0)) for k in keys), denom)
 
@@ -237,6 +243,33 @@ class Coset(NamedTuple):
 def message_count(m) -> int:
     """Messages a histogram key stands for: a coset's ``count``, else 1."""
     return m.count if isinstance(m, Coset) else 1
+
+
+def echelon(rows, p: int) -> tuple:
+    """Reduced row echelon form over Z_p (p prime) of equal-length ``rows``.
+
+    Returns (basis, pivots): the nonzero reduced rows, as tuples, and the
+    column of each one's leading 1; every other basis row is 0 there. Pivots
+    are taken column by column, each from the first unused row with a nonzero
+    entry, so the result depends only on ``rows`` and their order.
+    """
+    rows = [[v % p for v in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return [tuple(row) for row in rows[:len(pivots)]], pivots
 
 
 def _shift(vec, coeffs, rows, p: int) -> tuple:
@@ -346,6 +379,8 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
     counts with its multiplicity. ``seen`` gets every histogram,
     and ``what`` names the caller in budget errors.
     """
+    from fractions import Fraction
+
     hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], budget, what)
     last = {group: i for i, (_, _, group) in enumerate(cases)}
     worst, kept, gaps = Worst(), {}, []
@@ -522,6 +557,8 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
         raise ValidationError("span program variable count must match f's input bits")
     if variant not in ("comm", "rand"):
         raise ValidationError(f"unknown variant {variant!r}")
+
+    from .algebra import LsssScheme, lsss_reconstruct
 
     p = program.p
     scheme = LsssScheme(program)

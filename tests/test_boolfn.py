@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdslab.boolfn import (BoolFn, all_functions, bits_msb_first, from_table,
-                           literal_input, named_fn, qr_residues,
+from cdslab.boolfn import (PRIME_BOUND, BoolFn, all_functions, bits_msb_first, from_table,
+                           is_prime, literal_input, named_fn, qr_residues,
                            qr_split_inputs)
 from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
@@ -84,6 +85,21 @@ def test_qr_split_custom_positions():
 def test_qr_rejects_even_prime():
     with pytest.raises(ValidationError):
         named_fn("qr", p=2)
+
+
+def test_is_prime_is_exact_to_its_bound():
+    # trial division is the reference below 10^5; 3215031751 and
+    # 3825123056546413051 are strong pseudoprimes to the first 4 and 11 bases,
+    # 561 and 41041 Carmichael numbers, and 2^61 - 1 a Mersenne prime
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division(n)]
+    assert not any(map(is_prime, (3215031751, 3825123056546413051, 561, 41041)))
+    assert is_prime(2 ** 61 - 1)
+    with pytest.raises(ValidationError, match=str(PRIME_BOUND)):
+        is_prime(2 ** 89 - 1)
 
 
 def test_literal_input_is_msb_first():

@@ -280,7 +280,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 # what every request loads: the package, the CLI and the modules it imports
 _START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
-_CLASSICAL = _START | {"cdslab.algebra", "cdslab.protocols", "fractions"}
+# and what a classical verify adds: the protocols, and fractions for exact figures
+_CLASSICAL = _START | {"cdslab.protocols", "fractions"}
 
 
 def _loaded_by(cwd, argv) -> tuple:
@@ -301,11 +302,15 @@ def test_classical_chain_never_imports_numpy(tmp_path):
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
     # a request loads only the modules its stages name: no gardenhose without
-    # a gh stage, and sweep loads no protocol, algebra or Fraction
+    # a gh stage, no algebra without a span stage (span membership reads the
+    # echelon form in protocols), no Fraction in a build, and sweep loads no
+    # protocol, algebra or Fraction
     for argv, loaded in ((["verify", "0.json"], _CLASSICAL | {"cdslab.gardenhose"}),
-                         (["verify", "1.json"], _CLASSICAL),
+                         (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra"}),
                          (["verify", "2.json"], _CLASSICAL),
                          (["verify", "2.json", "--format", "csv"], _CLASSICAL | {"csv"}),
+                         (["build", "--chain", "span,cds", "--fn", "eq"],
+                          _START | {"cdslab.algebra", "cdslab.protocols"}),
                          (["sweep", "--nx", "1", "--ny", "1"], _START | {"cdslab.gardenhose"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
 
@@ -359,10 +364,14 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
     assert after_runs == ["cdslab.quantum"]
-    # a garden-hose route loads no protocols, algebra or Fraction, a qr
-    # chain no gardenhose, and a build no statevector layer
-    routing, pads = _START | {"cdslab.gardenhose", "cdslab.nlqc"}, _CLASSICAL | {"cdslab.nlqc"}
+    # a garden-hose route loads no protocols, algebra or Fraction, a pad
+    # route no algebra or Fraction, a qr chain no gardenhose, and a build no
+    # statevector layer
+    routing, pads = (_START | {"cdslab.gardenhose", "cdslab.nlqc"},
+                     _START | {"cdslab.protocols", "cdslab.nlqc"})
     for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], routing),
+                         (["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and"],
+                          routing | {"cdslab.protocols"}),
                          (["verify", "0.json"], routing | {"cdslab.quantum"}),
                          (["verify", "1.json"], routing | {"cdslab.quantum"}),
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
@@ -829,6 +838,24 @@ def test_a_wide_span_program_passes_with_a_report(tmp_path, variant):
         "comm": "at least 2^20000", "rand": 2}[variant]
 
 
+def test_a_61_bit_field_builds_and_verifies(tmp_path):
+    # primality is a Miller-Rabin test, exact below its bound: the Mersenne
+    # prime 2^61 - 1 is decided at once, and a field past the bound is refused
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    p = 2 ** 61 - 1
+    assert main(["build", "--chain", "span,cds", "--fn", "eq", "--nx", "1", "--p", str(p),
+                 "--out", str(desc)]) == 0
+    assert main(["verify", str(desc), "--out", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["status"] == "pass" and report["report"]["resources"]["field"] == p
+    tampered = json.loads(desc.read_text())
+    tampered["artifacts"]["span_program"]["p"] = 2 ** 89 - 1
+    desc.write_text(json.dumps(tampered))
+    assert main(["verify", str(desc), "--out", str(rep)]) == 1
+    assert json.loads(rep.read_text())["error"] == (
+        "descriptor rejected: primality is decided only below 3317044064679887385961981")
+
+
 def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
     # the CLI checks the program on every input and names each one it gets
     # wrong; cds_from_span does not evaluate it again
@@ -862,10 +889,10 @@ def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
 
 
 @cache
-def _built(chain: str, tmp: Path) -> str:
-    """The descriptor text ``build --chain chain --fn and`` writes, built once."""
+def _built(chain: str, tmp: Path, fn: tuple = ("--fn", "and")) -> str:
+    """The descriptor text ``build --chain chain *fn`` writes, built once."""
     path = tmp / f"{chain}.json"
-    assert main(["build", "--chain", chain, "--fn", "and", "--out", str(path)]) == 0
+    assert main(["build", "--chain", chain, *fn, "--out", str(path)]) == 0
     return path.read_text()
 
 
@@ -889,6 +916,13 @@ def _hostile(recipe, tmp: Path) -> bytes:
         chain, table = args
         desc = json.loads(_built(chain, tmp))
         desc["fn"]["table"] = format(table, "x")
+    elif kind == "qr":
+        key, value = args
+        desc = json.loads(_built("dre,psm,cds,cdqs", tmp, ("--fn", "qr", "--p", "5")))
+        desc["fn"]["params"][key] = value
+    elif kind == "field":
+        desc = json.loads(_built("span,cds", tmp))
+        desc["artifacts"]["span_program"]["p"] = args[0]
     elif kind == "chain":
         desc = json.loads(_built("gh,cds", tmp))
         desc["chain"] = args[0]
@@ -906,14 +940,21 @@ TOKENS = (*BASES, "cds", "cdqs", "frouting", "psqm", "nope")
 # budget admits them, see test_a_wide_span_program_passes_with_a_report),
 # garden-hose strategies of 22-30 pipes whose message coordinates exceed a
 # budget of the pipe count (the default budget admits their cosets), truth
-# tables wider than their widths or negative, malformed JSON and bytes, and
-# chains whose stages do not compose
+# tables wider than their widths or negative, a p = 5 qr descriptor's p or
+# n_bits (3) set to any other value, span program fields p checked under a
+# budget of 4, which admits and1's 4 program entries and stops its sweep's
+# 8 cases, malformed JSON and bytes, and chains whose stages do not compose
 HOSTILE = st.one_of(
     st.tuples(st.just("span"), st.integers(2_000, 50_000), st.sampled_from(["comm", "rand"])),
     st.tuples(st.just("pipes"), st.sampled_from(["gh,cds", "gh,cds,cdqs"]),
               st.integers(22, 30)),
     st.tuples(st.just("table"), st.sampled_from(["gh,cds", "span,cds", "gh,frouting"]),
               st.integers(1 << 4, 1 << 64) | st.integers(-(1 << 64), -1)),
+    st.tuples(st.just("qr"), st.just("p"), st.integers(-(1 << 64), 1 << 64).filter(
+        lambda p: p != 5)),
+    st.tuples(st.just("qr"), st.just("n_bits"), st.integers(-(1 << 64), 1 << 64).filter(
+        lambda n: n != 3)),
+    st.tuples(st.just("field"), st.integers(-(1 << 64), 1 << 100)),
     st.tuples(st.just("chain"), st.lists(st.sampled_from(TOKENS), max_size=4).filter(
         lambda tokens: not _composes(tokens))),
     st.tuples(st.just("truncated"), st.integers(0, 1 << 16)),
@@ -924,6 +965,10 @@ HOSTILE = st.one_of(
 @settings(max_examples=20, deadline=None)
 @example(("table", "gh,cds", 0xf8))
 @example(("span", 20_000, "comm"))
+@example(("qr", "p", 2 ** 31 - 1))
+@example(("qr", "p", 10 ** 12 + 39))
+@example(("qr", "n_bits", 40))
+@example(("field", 2 ** 61 - 1))
 @given(HOSTILE)
 def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
     # one `cdslab verify` child at a time, each setting its own 1 GiB address
@@ -935,7 +980,8 @@ def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
     desc.write_bytes(_hostile(recipe, tmp))
     rep.unlink(missing_ok=True)
     budget = {"span": ["--budget", str(recipe[1])],
-              "pipes": ["--budget", str(recipe[-1])]}.get(recipe[0], [])
+              "pipes": ["--budget", str(recipe[-1])],
+              "field": ["--budget", "4"]}.get(recipe[0], [])
     run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
                           *budget, "--out", str(rep)], env=_child_env(),
                          capture_output=True, text=True, timeout=120)

@@ -1,10 +1,10 @@
 """Every name a ``cdslab`` module imports is used there; each imports at import only the
 ``cdslab`` modules pinned for it; none imports ``dataclasses``,
-only ``quantum.random_qubit`` imports numpy, only ``protocols`` reads the message-histogram
-kernel, only ``gardenhose`` reads the water trace ``gh_eval``, none enumerates messages
-or passes a record message callbacks, none re-checks a sweep's subspaces, the pad routes
-read no ``Fraction``, and every definition is read by the program itself, not by tests
-alone.
+only ``quantum.random_qubit`` imports numpy, only the exact classical verifiers import
+``fractions``, only ``protocols`` reads the message-histogram kernel, only ``gardenhose``
+reads the water trace ``gh_eval``, none enumerates messages or passes a record message
+callbacks, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``, and
+every definition is read by the program itself, not by tests alone.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -17,11 +17,17 @@ start-up. Records are plain classes or ``typing.NamedTuple``s instead.
 Compiling a module is most of a child's start-up too, so each module
 imports at import only the ``cdslab`` modules pinned for it, and reads the
 others at call time: ``nlqc`` reads ``protocols`` and ``gardenhose`` in
-the functions that use them, and ``cli`` every module a chain stage names,
-so a garden-hose route never compiles ``protocols`` or ``algebra``.
+the functions that use them, ``protocols`` reads ``algebra`` only where a
+span program is compiled, and ``cli`` every module a chain stage names, so a
+garden-hose route never compiles ``protocols`` or ``algebra``, and a pad
+route never compiles ``algebra``: the echelon form that the coset kernel and
+span membership share lives in ``protocols``, and ``euler_qr`` in ``boolfn``.
 numpy is imported only inside the one function that needs it,
 ``quantum.random_qubit``, so no module loads it at import and no ``cdslab``
-build or verify loads it at all. A function, class or method that nothing
+build or verify loads it at all. ``fractions``, which loads ``decimal``, is
+imported only inside the exact classical verifiers that build a ``Fraction``
+(``protocols._l1``, ``_sweep`` and ``VerificationReport.to_jsonable``), so
+only a classical verify loads it. A function, class or method that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
@@ -147,9 +153,9 @@ IMPORTED_AT_IMPORT = {
     "__init__": {"errors"},
     "errors": set(),
     "boolfn": {"errors"},
-    "algebra": {"boolfn", "errors"},
+    "algebra": {"boolfn", "errors", "protocols"},
     "gardenhose": {"boolfn", "errors"},
-    "protocols": {"algebra", "boolfn", "errors"},
+    "protocols": {"boolfn", "errors"},
     "quantum": {"errors"},
     "nlqc": {"boolfn", "errors"},
     "cli": {"__init__", "boolfn", "errors"},
@@ -244,8 +250,9 @@ def test_the_check_sees_a_module_level_numpy_import():
         assert not _imports(_executed_at_import(ast.parse(allowed)), "numpy"), allowed
 
 
-def _numpy_scopes(tree) -> list:
-    """Dotted name of the function or class around each numpy import; "" at module level."""
+def _import_scopes(tree, module: str) -> list:
+    """Dotted name of the function or class around each import of ``module``;
+    "" at module level."""
     scopes = []
 
     def visit(node, scope):
@@ -253,7 +260,7 @@ def _numpy_scopes(tree) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if _imports([child], "numpy"):
+            if _imports([child], module):
                 scopes.append(scope)
             visit(child, scope)
 
@@ -270,7 +277,7 @@ def test_numpy_is_imported_only_by_random_qubit(module):
     # every build and verify runs on the standard library; numpy serves only
     # random_qubit's seeded draws, for the security state sweep, demos and tests
     tree = ast.parse(module.read_text(), filename=str(module))
-    assert set(_numpy_scopes(tree)) <= NUMPY_ALLOWED.get(module.stem, set()), module.name
+    assert set(_import_scopes(tree, "numpy")) <= NUMPY_ALLOWED.get(module.stem, set()), module.name
 
 
 def test_the_check_sees_a_numpy_import_anywhere():
@@ -283,7 +290,38 @@ def test_the_check_sees_a_numpy_import_anywhere():
                             ("def random_qubit(seed):\n    if seed:\n"
                              "        import numpy as np\n", ["random_qubit"]),
                             ("from . import quantum\ndef f():\n    import math\n", [])):
-        assert _numpy_scopes(ast.parse(planted)) == scopes, planted
+        assert _import_scopes(ast.parse(planted), "numpy") == scopes, planted
+
+
+# module -> the functions that may import fractions: the exact classical verifiers
+FRACTIONS_ALLOWED = {"protocols": {"_l1", "_sweep", "VerificationReport.to_jsonable"}}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_fractions_is_imported_only_by_the_classical_verifiers(module):
+    # fractions loads decimal, about 1.3 ms and 0.27 MiB of a child's
+    # start-up; only a classical verify builds a Fraction, so no build, no
+    # garden-hose route and no pad route loads it
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert not _imports(_executed_at_import(tree), "fractions"), module.name
+    allowed = FRACTIONS_ALLOWED.get(module.stem, set())
+    assert set(_import_scopes(tree, "fractions")) <= allowed, module.name
+
+
+def test_the_check_sees_a_fractions_import():
+    for planted in ("from fractions import Fraction\n", "import fractions\n",
+                    "if TYPE_CHECKING:\n    from fractions import Fraction\n",
+                    "class VerificationReport:\n    from fractions import Fraction\n"):
+        assert _imports(_executed_at_import(ast.parse(planted)), "fractions"), planted
+    for planted, scopes in (("def _l1(a, b, n):\n    from fractions import Fraction\n", ["_l1"]),
+                            ("class VerificationReport:\n    def to_jsonable(self):\n"
+                             "        import fractions\n", ["VerificationReport.to_jsonable"]),
+                            ("def verify_cds(P):\n    from fractions import Fraction\n",
+                             ["verify_cds"]),
+                            ("from . import protocols\ndef f():\n    import math\n", [])):
+        tree = ast.parse(planted)
+        assert not _imports(_executed_at_import(tree), "fractions"), planted
+        assert _import_scopes(tree, "fractions") == scopes, planted
 
 
 # the message-histogram kernel: only protocols._sweep_kernel binds it
