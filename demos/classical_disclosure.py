@@ -9,11 +9,12 @@ Verification here is an exhaustive sweep, so correctness error and leakage
 come out as exact rationals, not estimates.
 """
 
-from cdslab.algebra import span_threshold_2of3
-from cdslab.boolfn import from_table, named_fn
-from cdslab.gardenhose import gh_search
-from cdslab.protocols import (cds_from_gh, cds_from_span, psm_generic_table,
-                              cds_from_psm, verify_cds)
+from cdslab.boolfn import from_packed
+from cdslab.families import named_fn
+from cdslab.ghsearch import gh_search
+from cdslab.protocols import cds_from_gh, cds_from_span, psm_generic_table, cds_from_psm
+from cdslab.toolkit import span_threshold_2of3
+from cdslab.verifiers import verify_cds
 
 # Route 1: compile a garden-hose strategy. One shared random bit per pipe;
 # hose connections become XOR announcements and the tap carries the secret.
@@ -30,9 +31,9 @@ print("  randomness bits   =", P.resources["randomness_bits"],
 # Route 2: compile a span program. Shares of a linear secret sharing scheme
 # flow to the referee only for rows the inputs switch on; the target vector
 # is reachable exactly on accepting inputs.
-maj = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
-                             for x in range(4) for y in range(2)),
-                 name="maj3")
+# Entry (x << 1) | y of the table is bit i of the packed value: 0xe8 sets
+# bits 3, 5, 6 and 7, the entries with at least two of the three bits set.
+maj = from_packed(2, 1, 0xe8, name="maj3")
 for variant in ("comm", "rand"):
     Q = cds_from_span(span_threshold_2of3(3), maj, variant)
     rep = verify_cds(Q)

@@ -9,8 +9,9 @@ unmatched opening: right side means f(x, y) = 1, left side means 0. The
 smallest m that computes f is the function's garden-hose cost.
 """
 
-from cdslab.boolfn import all_functions, named_fn
-from cdslab.gardenhose import gh_eval, gh_generic, gh_search
+from cdslab.families import all_functions, named_fn
+from cdslab.gardenhose import gh_eval
+from cdslab.ghsearch import gh_generic, gh_search
 
 # Search for the cheapest strategy computing AND of one bit per side. The
 # search is exhaustive over taps and matchings, so a None answer at m pipes

@@ -11,9 +11,9 @@ simultaneous-messages protocol, and one selector bit turns it into
 conditional disclosure.
 """
 
-from cdslab.boolfn import qr_split_inputs
-from cdslab.protocols import (cds_from_psm, dre_qr, psm_from_dre, verify_cds,
-                              verify_dre, verify_psm)
+from cdslab.families import qr_split_inputs
+from cdslab.protocols import cds_from_psm, dre_qr, psm_from_dre
+from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 
 p = 7
 D = dre_qr(p)

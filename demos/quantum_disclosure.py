@@ -9,10 +9,12 @@ qubit exactly when f says so, and the verifier checks both promises on
 actual states.
 """
 
-from cdslab.boolfn import named_fn
-from cdslab.gardenhose import gh_search
-from cdslab.nlqc import cdqs_from_cds, security_state_sweep, verify_cdqs
+from cdslab.families import named_fn
+from cdslab.ghsearch import gh_search
+from cdslab.padroutes import cdqs_from_cds
 from cdslab.protocols import CdsProtocol, LinearPart, cds_from_gh
+from cdslab.qverifiers import verify_cdqs
+from cdslab.toolkit import security_state_sweep
 
 and1 = named_fn("and", n=1)
 

@@ -7,12 +7,13 @@ exactly when f(x, y) = 0 and on the right when f(x, y) = 1, using one
 simultaneous round of classical broadcast plus pre-shared entanglement.
 """
 
-from cdslab.boolfn import named_fn
-from cdslab.gardenhose import gh_search
-from cdslab.nlqc import (cdqs_from_cds, cdqs_from_frouting, frouting_from_cdqs,
-                         frouting_from_gh, verify_cdqs, verify_frouting)
+from cdslab.families import named_fn
+from cdslab.ghsearch import gh_search
+from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
+from cdslab.padroutes import cdqs_from_cds, frouting_from_cdqs
 from cdslab.protocols import cds_from_gh
 from cdslab.quantum import worst_fidelity
+from cdslab.qverifiers import verify_cdqs, verify_frouting
 
 and1 = named_fn("and", n=1)
 

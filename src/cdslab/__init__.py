@@ -2,17 +2,18 @@
 
 The package is organised around three layers:
 
-* combinatorial and algebraic models (``boolfn``, ``algebra``, ``gardenhose``),
-* classical protocols with exact enumeration verifiers (``protocols``),
-* a dense statevector toolkit and quantum protocol compilers (``quantum``, ``nlqc``).
+* combinatorial and algebraic models (``boolfn``, ``families``, ``algebra``,
+  ``gardenhose``, ``ghsearch``),
+* classical protocols (``protocols``) and their exact verifiers (``verifiers``),
+* a dense statevector toolkit and quantum protocols (``quantum``, ``nlqc``,
+  ``padroutes``, ``qverifiers``).
 
-``cli``, ``protocols`` and ``nlqc`` import a layer a chain may not need
-where they call it, so a command loads only the modules its chain's stages
-name: a garden-hose route (``gardenhose``, ``nlqc``, ``quantum``) loads no
-classical protocol or algebra, and a pad route (``protocols``, ``nlqc``,
-``quantum``) no algebra and no ``fractions``, which only the exact classical
-verifiers import. ``errors`` holds what every layer shares: the exceptions,
-the budget charge and the records' common bases.
+A command loads only the modules its stages run, imported where they are
+called: a garden-hose route loads no classical protocol or algebra, a pad
+route no algebra and no ``fractions``, a build no verifier, and no command
+``toolkit``, which holds what only demos and tests call. ``errors`` holds
+what every layer shares: the exceptions, the budget charge and the records'
+common bases.
 
 Everything is deterministic given explicit seeds, and every verifier sweeps its
 full input/randomness space rather than sampling.

@@ -196,20 +196,6 @@ def span_eq1(p: int) -> SpanProgram:
     return span_dnf([[(1, 1), (2, 1)], [(1, 0), (2, 0)]], 2, p)
 
 
-def span_threshold_2of3(p: int) -> SpanProgram:
-    """At least two of three input bits set.
-
-    Over fields with p >= 5 this is Shamir interpolation through the points
-    1, 2, 3, which must be distinct and nonzero mod p; smaller fields cannot
-    host three such points, so they use the DNF construction (6 rows).
-    """
-    if p <= 3:
-        return span_dnf([[(1, 1), (2, 1)], [(1, 1), (3, 1)], [(2, 1), (3, 1)]], 3, p)
-    rows = tuple((1, k) for k in range(1, 4))
-    labels = tuple((k, 1) for k in range(1, 4))
-    return SpanProgram(rows, labels, (1, 0), p, 3)
-
-
 # -- linear secret sharing ---------------------------------------------------
 
 

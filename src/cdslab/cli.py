@@ -16,13 +16,12 @@ them to stderr. A size or count past 256 bits is written as the power of two
 it reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
 give identical bytes.
 
-A request loads only the modules its chain's stages name: ``gh`` loads
-``gardenhose``, ``span`` ``algebra`` (and ``protocols``), ``dre``, ``psm``
-and ``cds`` ``protocols``, a quantum stage ``nlqc``, which loads ``quantum``
-at a protocol's first run, and only a classical verify ``fractions``.
-``sweep`` loads ``boolfn`` and ``gardenhose`` alone, and ``csv`` loads only
-for a CSV report. No ``build`` or ``verify`` loads numpy, which serves only
-``quantum.random_qubit``'s seeded draws.
+A request loads only the modules its stages run: ``families`` for ``--fn``
+or a ``dre`` base, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
+``algebra`` for ``span``, ``protocols`` for a classical stage, ``nlqc`` for
+a quantum one (``padroutes`` for a pad route), ``quantum`` at a run, and to
+verify ``verifiers`` (with ``fractions``) or ``qverifiers``; ``csv`` only
+for a CSV report. No request loads ``toolkit`` or numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .boolfn import BoolFn, all_functions, from_packed, literal_input, named_fn
+from .boolfn import BoolFn, from_packed, literal_input
 from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, charge,
                      count_text)
 
@@ -62,19 +61,19 @@ COMPILE = {  # (from, to) -> compile(obj, f, opts)
         obj, f, variant=opts["variant"]),
     ("dre", "psm"): lambda obj, f, opts: _layer("protocols").psm_from_dre(obj),
     ("psm", "cds"): lambda obj, f, opts: _layer("protocols").cds_from_psm(obj),
-    ("psm", "psqm"): lambda obj, f, opts: _layer("nlqc").psqm_from_psm(obj, opts["budget"]),
-    ("cds", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_cds(obj, opts["budget"]),
-    ("cdqs", "frouting"): lambda obj, f, opts: _layer("nlqc").frouting_from_cdqs(obj),
+    ("psm", "psqm"): lambda obj, f, opts: _layer("padroutes").psqm_from_psm(obj, opts["budget"]),
+    ("cds", "cdqs"): lambda obj, f, opts: _layer("padroutes").cdqs_from_cds(obj, opts["budget"]),
+    ("cdqs", "frouting"): lambda obj, f, opts: _layer("padroutes").frouting_from_cdqs(obj),
     ("frouting", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_frouting(obj),
-    ("psqm", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_psqm(obj),
+    ("psqm", "cdqs"): lambda obj, f, opts: _layer("padroutes").cdqs_from_psqm(obj),
 }
 VERIFY = {  # kind -> verify(obj, budget)
-    "cds": lambda obj, budget: _layer("protocols").verify_cds(obj, budget=budget),
-    "psm": lambda obj, budget: _layer("protocols").verify_psm(obj, budget=budget),
-    "dre": lambda obj, budget: _layer("protocols").verify_dre(obj, budget=budget),
-    "cdqs": lambda obj, budget: _layer("nlqc").verify_cdqs(obj, budget=budget),
-    "frouting": lambda obj, budget: _layer("nlqc").verify_frouting(obj, budget=budget),
-    "psqm": lambda obj, budget: _layer("nlqc").verify_psqm(obj, budget=budget),
+    "cds": lambda obj, budget: _layer("verifiers").verify_cds(obj, budget=budget),
+    "psm": lambda obj, budget: _layer("verifiers").verify_psm(obj, budget=budget),
+    "dre": lambda obj, budget: _layer("verifiers").verify_dre(obj, budget=budget),
+    "cdqs": lambda obj, budget: _layer("qverifiers").verify_cdqs(obj, budget=budget),
+    "frouting": lambda obj, budget: _layer("qverifiers").verify_frouting(obj, budget=budget),
+    "psqm": lambda obj, budget: _layer("qverifiers").verify_psqm(obj, budget=budget),
 }
 
 DESCRIPTOR_FORMAT = "cdslab-descriptor"
@@ -158,7 +157,7 @@ def _parse_fn(args) -> BoolFn:
         return from_packed(n_x, n_y, packed, name=f"t{hex_table}")
     if not args.fn:
         raise ValidationError("need --fn or --table")
-    name = args.fn.lower()
+    name, named_fn = args.fn.lower(), _layer("families").named_fn
     if name == "qr":
         _charge_table(args.p.bit_length(), 0, args.budget)
         return named_fn("qr", p=args.p)
@@ -211,9 +210,10 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         if "gh_strategy" in embedded:
             strategy = gardenhose.GhStrategy.from_jsonable(embedded["gh_strategy"])
         else:
-            strategy = gardenhose.gh_search(f, opts["max_pipes"], budget=opts["budget"])
+            ghsearch = _layer("ghsearch")
+            strategy = ghsearch.gh_search(f, opts["max_pipes"], budget=opts["budget"])
             if strategy is None:
-                strategy = gardenhose.gh_generic(f)
+                strategy = ghsearch.gh_generic(f)
         _refuse("strategy routes some input to the wrong side",
                 gardenhose.gh_trace(strategy, f)[1])
         return strategy, {"gh_strategy": strategy.to_jsonable()}
@@ -232,9 +232,15 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         params = f.params
         if "p" not in params:
             raise ValidationError("the dre base needs --fn qr")
+        # the widths n_bits and the positions imply, before any charge or table
+        n_bits, alice = int(params["n_bits"]), params["alice_positions"]
+        if not all(1 <= i <= n_bits for i in alice):
+            raise ValidationError(f"alice positions outside 1..{n_bits}")
+        if (len(alice), n_bits - len(alice)) != (f.n_x, f.n_y):
+            raise ValidationError(f"qr widths {len(alice)}+{n_bits - len(alice)} differ "
+                                  f"from the function's {f.n_x}+{f.n_y}")
         # as build charges --fn qr --p P, on the wider of p and n_bits
-        _charge_table(max(int(params["p"]).bit_length(), int(params["n_bits"])), 0,
-                      opts["budget"])
+        _charge_table(max(int(params["p"]).bit_length(), n_bits), 0, opts["budget"])
         dre = _layer("protocols").dre_qr(params["p"],
                                          alice_positions=tuple(params["alice_positions"]),
                                          n_bits=params["n_bits"])
@@ -397,14 +403,14 @@ def _cmd_sweep(args) -> int:
     if args.nx < 0 or args.ny < 0 or not 0 < args.nx + args.ny <= 4:
         print("usage error: sweep supports 0 < nx+ny <= 4", file=sys.stderr)
         return 2
-    gardenhose = _layer("gardenhose")
+    ghsearch = _layer("ghsearch")
     rows = []
-    for index, f in enumerate(all_functions(args.nx, args.ny)):
-        found = gardenhose.gh_search(f, args.max_pipes, budget=args.budget)
+    for index, f in enumerate(_layer("families").all_functions(args.nx, args.ny)):
+        found = ghsearch.gh_search(f, args.max_pipes, budget=args.budget)
         if found is not None:
             rows.append((index, f.name, found.pipes, "search"))
         else:
-            rows.append((index, f.name, gardenhose.gh_generic_pipes(f.n_x), "generic"))
+            rows.append((index, f.name, ghsearch.gh_generic_pipes(f.n_x), "generic"))
     if args.format == "json":
         obj = [{"index": i, "table": name, "pipes": p, "method": m}
                for (i, name, p, m) in rows]

@@ -1,0 +1,284 @@
+"""Pad-and-disclose quantum protocols from a classical CDS, PSM or PSQM.
+
+Runs return one branch per pad key and transcript class: the transcripts of
+a class decode to the same key and have proportional likelihoods under
+every key, so the referee's view of each is a positive multiple of one
+operator and the class's representative, with the summed probability,
+stands for all ``count`` of them exactly. Message counts come from
+``protocols._sweep_kernel``, read at call time.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cache
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+from .errors import DEFAULT_BUDGET, ValidationError, charge
+from .nlqc import KEYS, CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch, _statevector
+
+if TYPE_CHECKING:
+    from .boolfn import BoolFn
+    from .protocols import CdsProtocol, PsmProtocol
+    from .quantum import PureState
+
+
+class TranscriptClass(NamedTuple):
+    """Transcripts that decode alike and carry proportional key weights.
+
+    ``rep`` is the first member in sweep order, ``weights`` maps each key of
+    nonzero weight to the members' summed weight under it, and ``count`` is
+    the number of transcripts the members stand for. Members share their
+    support, so every key in ``weights`` stands for ``count`` transcripts.
+    """
+
+    rep: object
+    weights: dict
+    count: int
+
+
+def transcript_classes(hists: dict, decode: Callable) -> list:
+    """Group the transcripts of ``hists`` = {key: {transcript: weight}}.
+
+    Two transcripts share a class when ``decode`` maps them to the same value
+    and their weight vectors over the keys are exactly proportional: the
+    integer vectors left over a common denominator (floats count as the
+    rationals they hold), divided by their gcd, are equal. A referee view
+    linear in the weights that reads a transcript only through its decoded
+    value is then a positive multiple of one operator across a class, so one
+    branch per class gives the fidelity and trace-norm gap of one branch per
+    transcript. Classes come in order of their first member, scanning the
+    keys in order and each histogram in sweep order. A coset key stands for
+    its ``count`` messages, which share its class.
+    """
+    from .protocols import message_count
+
+    keys = list(hists)
+    classes = {}
+    for m in dict.fromkeys(m for s in keys for m in hists[s]):
+        vec = [hists[s].get(m, 0) for s in keys]
+        ratios = [w.as_integer_ratio() for w in vec]
+        denom = math.lcm(*(d for _, d in ratios))
+        ints = [n * (denom // d) for n, d in ratios]
+        g = math.gcd(*ints)
+        label = (decode(m), tuple(n // g for n in ints))
+        rep, weights, count = classes.get(label) or (m, {}, 0)
+        for s, w in zip(keys, vec):
+            if w:
+                weights[s] = weights.get(s, 0) + w
+        classes[label] = (rep, weights, count + message_count(m))
+    return [TranscriptClass(*c) for c in classes.values()]
+
+
+def class_product(classes: list) -> list:
+    """Classes of two independent runs keyed independently.
+
+    A joint class's members are the pairs of per-run members, its key is
+    the pair of per-run keys and its weights multiply: an outer product of
+    proportional vectors is proportional, so the joint space is never
+    enumerated member by member.
+    """
+    return [TranscriptClass((a.rep, b.rep), {(s, t): v * w for s, v in a.weights.items()
+                                             for t, w in b.weights.items()},
+                            a.count * b.count)
+            for a in classes for b in classes]
+
+
+def _otp_left_output(classes: list, psi) -> list:
+    """The qubit Alice reconstructs from unit amplitudes psi, as a 2x2 matrix.
+
+    ``classes`` are the transcript classes of the key disclosure on one
+    input, weighted by probability under each key. The message register
+    holds one basis vector per class: within a class the amplitudes
+    sqrt(P(m | key)) are proportional, so mapping the members' normalised
+    superposition to one basis vector is an isometry on the register, which
+    is traced out. The state has 3 + k qubits, k those of the register.
+    """
+    quantum = _statevector()
+    kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
+    charge(3 + kq, quantum.MAX_QUBITS, "qubits per factor")
+    vec = [0j] * (1 << (3 + kq))
+    for s in KEYS:
+        padded = quantum.matmul(quantum.phased_pad(*s), psi)
+        base = ((s[0] << 1) | s[1]) << (1 + kq)
+        for i, c in enumerate(classes):
+            prob = c.weights.get(s)
+            if not prob:
+                continue
+            amp = 0.5 * math.sqrt(prob)
+            vec[base | i] += amp * padded[0]
+            vec[base | i | (1 << kq)] += amp * padded[1]
+    state = quantum.PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
+    state = state.apply(quantum.U_BELL, ["A1", "A2"])
+    return state.ptrace(["A2"])
+
+
+def _pad_run(classes_of: Callable) -> Callable:
+    """Run of a pad-and-disclose protocol.
+
+    The carrier is padded under each key; each transcript class of
+    ``classes_of(x, y)`` with weight under that key is one branch, carrying
+    the class's representative, summed probability and member count.
+    """
+    def run(x, y, carrier, q_reg):
+        classes = classes_of(x, y)
+        quantum = _statevector()
+        branches = []
+        for s in KEYS:
+            padded = carrier.apply(quantum.phased_pad(*s), [q_reg])
+            for c in classes:
+                prob = c.weights.get(s)
+                if prob:
+                    branches.append(RunBranch(0.25 * prob, c.rep, padded, c.count))
+        return branches
+
+    return run
+
+
+def _inverse_pad(s) -> list:
+    """Inverse of pad key s, the Hermitian pad itself; the identity for a failed decode."""
+    quantum = _statevector()
+    return quantum.phased_pad(*s) if s in KEYS else quantum.I2
+
+
+def _unpad(state: PureState, s) -> PureState:
+    """Undo pad key s on register "Q"; a failed decode passes the state through."""
+    return state if s not in KEYS else state.apply(_inverse_pad(s), ["Q"])
+
+
+def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
+              resources: dict) -> CdqsProtocol:
+    """Pad-and-disclose CDQS: the referee gets the padded "Q" and the transcript.
+
+    Alice pads the qubit with two key bits, and each bit is disclosed by one
+    independent run. ``bit_hists(x, y)`` maps a key-bit value to one run's
+    transcript weights, and ``bit_of(x, y, t)`` decodes one run's transcript
+    t to a bit. A transcript of the protocol is the pair of run transcripts.
+    Its classes, the product of the per-run classes with weights divided by
+    ``denom``, are formed once per input and kept, since the quantum
+    verifiers ask again for every swept qubit state.
+    """
+    @cache
+    def key_classes(x, y):
+        classes = transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t))
+        return [c._replace(weights={s: w / denom for s, w in c.weights.items()})
+                for c in class_product(classes)]
+
+    def key_of(x, y, transcript):
+        return tuple(bit_of(x, y, t) for t in transcript)
+
+    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",),
+                        lambda x, y, t, state: _unpad(state, key_of(x, y, t)),
+                        lambda x, y: "Q", key_classes=key_classes, key_of=key_of,
+                        domain=domain, resources=resources)
+
+
+def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
+    """Quantum one-time pad keyed by two secret bits a classical CDS hides.
+
+    Alice pads the secret qubit with the two-bit key and sends it along; two
+    independent runs of the bit-CDS disclose the key exactly on revealing
+    inputs. Hiding inputs leave the pad key uniform to the referee, so the
+    qubit they hold is maximally mixed and decoupled. Each run's message
+    counts come from one sweep per secret by ``verify_cds``'s kernel, by
+    coset, charged against ``budget`` before the first (a layout the first nu
+    misses, when met); the product weights stay integers until one division
+    by the squared joint randomness.
+    """
+    from .protocols import _joint, _sweep_kernel, space_size
+
+    if set(C.secrets) != {0, 1}:
+        raise ValidationError("need a single-bit CDS")
+    cases = [(x, y, s) for (x, y) in C.input_pairs() for s in C.secrets]
+    kernel = cache(lambda: _sweep_kernel(C, cases, budget, "cdqs_from_cds")[0])
+
+    def bit_hists(x, y):
+        return {s: kernel()(x, y, s) for s in C.secrets}
+
+    resources = {"pad_key_bits": 2, "qubits_sent": 1,
+                 "cds_randomness_states": space_size(C.shared) ** 2}
+    return _pad_cdqs(C.f, bit_hists, lambda x, y, m: C.decode(m[0], x, m[1], y),
+                     _joint(C) ** 2, C.domain, resources)
+
+
+def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
+    """Pad-and-disclose routing: the key travels only where f allows.
+
+    Alice pads the qubit and sends it right while a key-disclosing scheme runs
+    underneath. Revealing inputs let the right side decode the key and unpad.
+    On hiding inputs the messages carry no key information, so Alice, who kept
+    her key register coherent, can rotate it through the pad-to-EPR basis and
+    swap the qubit back onto her side. The route reuses C's run and pad key,
+    so any pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one
+    made from a router has no pad key and is refused.
+    """
+    from .gardenhose import LEFT, RIGHT
+
+    if C.key_of is None:
+        raise ValidationError("need a protocol exposing its pad key")
+    f = C.f
+
+    def exit_info(x, y):
+        if f.eval(x, y) == 1:
+            return RIGHT, "Q"
+        return LEFT, None
+
+    def correction(x, y, transcript):
+        return _inverse_pad(C.key_of(x, y, transcript))
+
+    def holdings(x, y):
+        return {"left": (), "right": ("Q",)}
+
+    def left_output(x, y, psi):
+        return _otp_left_output(C.key_classes(x, y), psi)
+
+    resources = dict(C.resources)
+    resources["qubits_sent"] = 1
+    return FRoutingProtocol(f, C.run, exit_info, correction, holdings=holdings,
+                            left_output=left_output, domain=C.domain,
+                            resources=resources)
+
+
+def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
+    """A classical PSM is a simultaneous-message protocol with no qubits.
+
+    A run is one sweep of P's messages on one input pair by ``verify_psm``'s
+    kernel, one branch per coset, the sweeps over every pair charged before
+    any run starts (a layout the first nu misses, when met), one layout one
+    subspace across them all, as ``verify_psqm``'s view comparisons need.
+    """
+    from .protocols import _sweep_kernel, message_count
+
+    kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), budget, "psqm_from_psm"))
+
+    def run(x, y):
+        hist_of, joint = kernel()
+        return [RunBranch(c / joint, m, None, message_count(m)) for m, c in
+                sorted(hist_of(x, y).items(), key=lambda kv: repr(kv[0]))]
+
+    return PsqmProtocol(P.f, run, lambda t: P.decode(t[0], t[1]), domain=P.domain,
+                        resources=dict(P.resources))
+
+
+def cdqs_from_psqm(P: PsqmProtocol) -> CdqsProtocol:
+    """Pad the qubit with two shared bits; leak each bit through one masked run.
+
+    For each key bit the parties either use their real inputs or a fixed
+    hiding input, so the run computes (key bit) AND f(x, y). Revealing inputs
+    hand the referee both key bits; hiding inputs make every run's view
+    key-independent, leaving the pad intact.
+    """
+    from .protocols import hiding_input
+
+    if P.quantum_regs:
+        raise ValidationError("only classical-message protocols can be lifted here")
+    x_star, y_star = hiding_input(P)
+
+    def hist(x, y):
+        return {b.transcript: b.prob for b in P.run(x, y)}
+
+    # key bit 0 runs the hiding input, swept once; key bit 1 the real one
+    hidden = cache(lambda: hist(x_star, y_star))
+    resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
+    return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: hist(x, y)},
+                     lambda x, y, t: P.decode(t), 1, P.domain, resources)

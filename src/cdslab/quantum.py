@@ -24,8 +24,9 @@ input from its outputs on four inputs. Spectra come from the cyclic Jacobi
 method for Hermitian matrices (Golub and Van Loan, *Matrix Computations*,
 section 8.5).
 
-Only ``random_qubit`` uses numpy, for its seeded draws, and imports it when
-called, so loading this module loads no numpy.
+Nothing here uses numpy. The seeded probe qubits, the Uhlmann fidelity,
+Choi states and the pad average, which only demos and tests call, live in
+``toolkit``.
 """
 
 from __future__ import annotations
@@ -371,29 +372,6 @@ def eigh(mat) -> tuple:
     return [vals[i] for i in order], [[row[i] for i in order] for row in v]
 
 
-def _eigh_psd(mat) -> tuple:
-    vals, vecs = eigh(mat)
-    return [max(0.0, x) for x in vals], vecs
-
-
-def sqrtm_psd(mat) -> list:
-    """Hermitian PSD square root via eigendecomposition."""
-    vals, vecs = _eigh_psd(mat)
-    scaled = [[z * math.sqrt(x) for z, x in zip(row, vals)] for row in vecs]
-    return matmul(scaled, dagger(vecs))
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), unsquared.
-
-    For pure states this is the absolute overlap. Satisfies
-    1 - F <= trace distance <= sqrt(1 - F^2).
-    """
-    root = sqrtm_psd(rho)
-    vals, _ = _eigh_psd(matmul(matmul(root, sigma), root))
-    return float(min(1.0, sum(map(math.sqrt, vals))))
-
-
 def _trace_norm(mat) -> float:
     return sum(map(abs, eigvalsh(mat)))
 
@@ -472,57 +450,6 @@ def worst_fidelity(channel: Callable) -> float:
             hi = mu
     # lo reaches an eigenvalue only when |beta| vanished beside it in rounding
     return M[0][0] + lo - sum(b2 / (lam - lo) for lam, b2 in terms if lam > lo)
-
-
-def random_qubit(seed: int) -> PureState:
-    """The qubit of ``numpy.random.default_rng(seed)``'s normal draw, normalised.
-
-    numpy is imported here, the one place it serves, so the seeded probe
-    states keep their bits.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return PureState((("q", 1),), v / np.linalg.norm(v))
-
-
-PAULI_EIGENSTATES = (
-    ("z+", (1 + 0j, 0j)),
-    ("z-", (0j, 1 + 0j)),
-    ("x+", (_R2 + 0j, _R2 + 0j)),
-    ("x-", (_R2 + 0j, -_R2 + 0j)),
-    ("y+", (_R2 + 0j, 1j / math.sqrt(2))),
-    ("y-", (_R2 + 0j, -1j / math.sqrt(2))),
-)
-
-
-def probe_qubits(seeds) -> list:
-    """(name, amplitudes) of the secret qubits a state sweep tries.
-
-    The six Pauli eigenstates come first, then ``random_qubit(seed)`` as
-    "rand<seed>" for each seed in order; the amplitudes are used as stored.
-    """
-    return list(PAULI_EIGENSTATES) + [(f"rand{seed}", random_qubit(seed).vec)
-                                      for seed in seeds]
-
-
-def pad_average(rho) -> list:
-    """Average over the four pads; a single qubit becomes maximally mixed."""
-    terms = [(1.0, matmul(matmul(P, rho), dagger(P)))
-             for P in (_PADS[key] for key in product((0, 1), repeat=2))]
-    return [[z / 4 for z in row] for row in weighted(terms)]
-
-
-def choi(channel: Callable, dim: int) -> list:
-    """Choi state (I x N)(|phi><phi|), normalized to trace one."""
-    terms = []
-    for i in range(dim):
-        for j in range(dim):
-            E = [[0j] * dim for _ in range(dim)]
-            E[i][j] = 1 + 0j
-            terms.append((1.0, kron(E, _matrix(channel(E)))))
-    return [[z / dim for z in row] for row in weighted(terms)]
 
 
 def decoupling_gap(J, d_ref: int, d_msg: int) -> float:

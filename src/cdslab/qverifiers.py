@@ -1,0 +1,221 @@
+"""Verifiers of the quantum protocols, which only a quantum verify loads.
+
+* correctness feeds half an EPR pair through the protocol and compares the
+  recovered output against the untouched reference half, i.e. it checks the
+  whole channel at once through its Choi state;
+* secrecy treats the referee view as a transcript-indexed block-diagonal
+  operator and measures, block by block, how far it sits from the product of
+  its marginals (or from the view of another run that should look the same).
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Optional
+
+from .errors import DEFAULT_BUDGET, ValidationError, Worst, charge
+from .nlqc import _statevector
+
+if TYPE_CHECKING:
+    from .nlqc import CdqsProtocol, FRoutingProtocol, PsqmProtocol
+
+
+class QVerificationReport:
+    """Exact-to-float verification outcome of a quantum protocol.
+
+    ``worst_infidelity`` is 1 - F over the inputs where the output must be
+    delivered; ``worst_gap`` is the largest decoupling gap (or pairwise view
+    distance) over the inputs where it must stay hidden.
+    """
+
+    def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
+                 per_input: dict, max_branches: int, routing_consistent: bool,
+                 resources: dict, witnesses: dict):
+        self.kind = kind
+        self.worst_infidelity, self.worst_gap = worst_infidelity, worst_gap
+        self.per_input, self.max_branches = per_input, max_branches
+        self.routing_consistent = routing_consistent
+        self.resources, self.witnesses = resources, witnesses
+
+    def perfect(self, tol: float = 1e-9) -> bool:
+        return (self.worst_infidelity <= tol and self.worst_gap <= tol
+                and self.routing_consistent)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "kind": self.kind,
+            "worst_infidelity": float(self.worst_infidelity),
+            "worst_gap": float(self.worst_gap),
+            "max_branches": self.max_branches,
+            "routing_consistent": self.routing_consistent,
+            "per_input": {f"{x},{y}": dict(sorted(info.items()))
+                          for (x, y), info in sorted(self.per_input.items())},
+            "resources": {k: self.resources[k] for k in sorted(self.resources)},
+            "witnesses": {k: list(v) if isinstance(v, tuple) else v
+                          for k, v in sorted(self.witnesses.items())},
+            "notes": [],
+        }
+
+
+class _Sweep(Worst):
+    """One verification's per-input figures, worst cases and branch budget.
+
+    The budget bounds the running total of branches the verifier walks, one
+    per class branch; the per-input ``branches`` figures, and with them
+    ``max_branches``, count by ``count``, the transcripts each class stands for.
+    Every figure counts toward its worst case, but only one above the
+    statevector layer's rounding floor, ``quantum._TOL``, names a witness: of
+    figures that are all rounding noise, which one is largest depends on the
+    order of floating-point operations, not on the protocol.
+    """
+
+    def __init__(self, budget: int):
+        super().__init__()
+        self.budget = budget
+        self.total = 0
+        self.per_input = {}
+
+    def worse(self, name: str, figure, witness) -> None:
+        if figure > _statevector()._TOL:
+            super().worse(name, figure, witness)
+        elif figure > self.worst.get(name, 0):
+            self.worst[name] = figure
+
+    def run(self, run: Callable, *args) -> tuple:
+        """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
+        branches = run(*args)
+        self.total += len(branches)
+        charge(self.total, self.budget, "branches")
+        return branches, sum(b.count for b in branches)
+
+    def record(self, xy: tuple, info: dict, name: str, figure: float) -> None:
+        self.per_input[xy] = info
+        self.worse(name, figure, xy)
+
+    def report(self, kind: str, error: str, gap: Optional[str], resources: dict,
+               consistent: bool = True) -> QVerificationReport:
+        max_branches = max((info["branches"] for info in self.per_input.values()),
+                           default=0)
+        return QVerificationReport(kind, self.worst.get(error, 0.0),
+                                   self.worst.get(gap, 0.0), self.per_input,
+                                   max_branches, consistent, dict(resources),
+                                   self.witnesses)
+
+
+def _choi_fidelity(branches, fix: Callable, out: str) -> float:
+    """Fidelity with |Phi+> of what the branches deliver to (R, ``out``).
+
+    ``fix(b)`` is branch b's state after the receiver's correction. The
+    target is pure, so Uhlmann's fidelity is sqrt(<Phi+| rho |Phi+>), with
+    rho the branches' probability-weighted mixture, and needs no eigen-solve.
+    """
+    quantum = _statevector()
+    overlap = sum(b.prob * quantum.overlap(fix(b).ptrace(["R", out]), quantum.PHI_PLUS)
+                  for b in branches)
+    return min(1.0, math.sqrt(max(0.0, overlap)))
+
+
+def _view_blocks(branches, regs) -> dict:
+    """Referee view per transcript: the sum of prob * (state reduced to ``regs``).
+
+    With ``regs`` None, or a branch without a state, the transcript is the
+    whole view.
+    """
+    terms = {}
+    for b in branches:
+        mat = ((1.0,),) if regs is None or b.state is None else b.state.ptrace(regs)
+        terms.setdefault(b.transcript, []).append((b.prob, mat))
+    quantum = _statevector()
+    return {t: quantum.weighted(ts) for t, ts in terms.items()}
+
+
+def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
+    """Trace distance of two views, their blocks matched by transcript.
+
+    A transcript only one view has is a zero block in the other.
+    """
+    keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
+    if not keys:
+        return 0.0
+    d = len(next(iter((blocks_a or blocks_b).values())))
+    zero = [[0j] * d for _ in range(d)]
+    return _statevector().trace_distance([blocks_a.get(k, zero) for k in keys],
+                                         [blocks_b.get(k, zero) for k in keys])
+
+
+def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+    """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
+    quantum = _statevector()
+    sweep = _Sweep(budget)
+    for (x, y) in P.input_pairs():
+        branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
+        if P.f.eval(x, y) == 1:
+            F = _choi_fidelity(branches,
+                               lambda b: P.recover(x, y, b.transcript, b.state),
+                               P.out_reg(x, y))
+            sweep.record((x, y), {"f": 1, "fidelity": F, "branches": n},
+                         "infidelity", 1 - F)
+        else:
+            blocks = _view_blocks(branches, ("R",) + tuple(P.msg_regs(x, y)))
+            stack = list(blocks.values())
+            gap = quantum.decoupling_gap(stack, 2, len(stack[0]) // 2)
+            sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap)
+    return sweep.report("cdqs", "infidelity", "gap", P.resources)
+
+
+def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+    """Delivered-qubit fidelity on both sides, worst case over inputs.
+
+    Branch-register sides are checked through the Choi state. A side that
+    reconstructs by local decoding reports its exact worst fidelity over
+    every pure input qubit, ``quantum.worst_fidelity`` of four runs of
+    ``left_output``.
+    """
+    from .gardenhose import RIGHT
+
+    quantum = _statevector()
+    sweep = _Sweep(budget)
+    for (x, y) in P.input_pairs():
+        fx = P.f.eval(x, y)
+        side, reg = P.exit_info(x, y)
+        if (side == RIGHT) != (fx == 1):
+            sweep.witnesses["side"] = (x, y)
+        if reg is not None:
+            branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
+            F = _choi_fidelity(
+                branches,
+                lambda b: b.state.apply(P.correction(x, y, b.transcript), [reg]),
+                reg)
+        else:
+            if P.left_output is None:
+                raise ValidationError("no register and no local reconstruction")
+            F = quantum.worst_fidelity(lambda psi: P.left_output(x, y, psi))
+            n = 0
+        sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
+                     "infidelity", 1 - F)
+    return sweep.report("frouting", "infidelity", None, P.resources,
+                        consistent="side" not in sweep.witnesses)
+
+
+def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+    """Decode accuracy on every input; view distance across equal-value inputs.
+
+    As ``verifiers._sweep`` does with histograms, a value keeps only its
+    distinct views and compares them pairwise in input order.
+    """
+    sweep = _Sweep(budget)
+    views = {}
+    for (x, y) in P.input_pairs():
+        branches, n = sweep.run(P.run, x, y)
+        fx = P.f.eval(x, y)
+        fail = sum((b.prob for b in branches if P.decode(b.transcript) != fx), 0.0)
+        view = _view_blocks(branches, P.quantum_regs or None)
+        if all(P.f.eval(*xy) != fx or other != view for xy, other in views.items()):
+            views[(x, y)] = view
+        sweep.record((x, y), {"f": fx, "decode_error": fail, "branches": n},
+                     "decode", fail)
+    for a, b in combinations(views, 2):
+        if P.f.eval(*a) == P.f.eval(*b):
+            sweep.worse("view", _block_distance(views[a], views[b]), (a, b))
+    return sweep.report("psqm", "decode", "view", P.resources)

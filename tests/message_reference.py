@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, _randomness, pair_space,
-                              product_space)
+from cdslab.protocols import CdsProtocol, LinearPart, PsmProtocol, pair_space, product_space
+from cdslab.verifiers import _randomness
 
 # the spaces a record takes from its forms, which its constructor does not take
 SPACES = {"shared", "alice_private", "bob_private"}

@@ -12,34 +12,33 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdslab.algebra import span_and1, span_eq1, span_or1, span_threshold_2of3
-from cdslab.boolfn import from_table, named_fn
+from cdslab.algebra import span_and1, span_eq1, span_or1
+from cdslab.boolfn import BoolFn
 from cdslab.cli import main as cli_main
-from cdslab.gardenhose import LEFT, RIGHT, gh_search
-from cdslab.nlqc import (cdqs_from_cds, cdqs_from_frouting, cdqs_from_psqm,
-                         frouting_from_cdqs, frouting_from_gh,
-                         psqm_from_psm,
-                         security_state_sweep, verify_cdqs, verify_frouting,
-                         verify_psqm)
-from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span,
-                              dre_qr, psm_from_dre, psm_generic_table,
-                              verify_cds, verify_dre, verify_psm)
-from cdslab.quantum import (epr_pairs, fidelity, pad_average, random_qubit,
-                            trace_distance, worst_fidelity)
+from cdslab.families import named_fn
+from cdslab.gardenhose import LEFT, RIGHT
+from cdslab.ghsearch import gh_search
+from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
+from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
+from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
+                              psm_generic_table)
+from cdslab.quantum import epr_pairs, trace_distance, worst_fidelity
+from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
+from cdslab.toolkit import (span_threshold_2of3, security_state_sweep, fidelity, pad_average,
+                            random_qubit)
+from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
 EQ1 = named_fn("eq", n=1)
-MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
-                             for x in range(4) for y in range(2)),
-                 name="maj3")
+MAJ = BoolFn(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
+                         for x in range(4) for y in range(2)), name="maj3")
 
 _CACHE: dict = {}
 
 
 def _two_bit_functions():
-    return [from_table(1, 1, tuple((packed >> i) & 1 for i in range(4)),
-                       name=f"t{packed:x}")
+    return [BoolFn(1, 1, tuple((packed >> i) & 1 for i in range(4)), name=f"t{packed:x}")
             for packed in range(16)]
 
 

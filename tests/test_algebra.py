@@ -8,11 +8,11 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdslab.algebra import (LsssScheme, in_span,
-                            lsss_reconstruct, span_and1, span_dnf, span_eq1,
-                            span_or1, span_threshold_2of3, sp_eval, SpanProgram)
-from cdslab.boolfn import euler_qr
+from cdslab.algebra import (LsssScheme, in_span, lsss_reconstruct, span_and1, span_dnf,
+                            span_eq1, span_or1, sp_eval, SpanProgram)
 from cdslab.errors import DomainError, ValidationError
+from cdslab.families import euler_qr
+from cdslab.toolkit import span_threshold_2of3
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97, 101]

@@ -9,17 +9,17 @@ from itertools import islice
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdslab.boolfn import (PRIME_BOUND, BoolFn, all_functions, bits_msb_first, from_table,
-                           is_prime, literal_input, named_fn, qr_residues,
-                           qr_split_inputs)
+from cdslab.boolfn import (PRIME_BOUND, BoolFn, bits_msb_first, is_prime,
+                           literal_input)
 from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
+from cdslab.families import all_functions, named_fn, qr_residues, qr_split_inputs
 from cdslab.protocols import DEFAULT_BUDGET
 
 
 def test_table_indexing_order():
     # table[(x << n_y) | y]: enumerate explicitly to pin the convention
-    f = from_table(1, 2, (0, 1, 0, 0, 1, 1, 0, 1))
+    f = BoolFn(1, 2, (0, 1, 0, 0, 1, 1, 0, 1))
     expected = {(0, 0): 0, (0, 1): 1, (0, 2): 0, (0, 3): 0,
                 (1, 0): 1, (1, 1): 1, (1, 2): 0, (1, 3): 1}
     for (x, y), v in expected.items():
@@ -103,7 +103,7 @@ def test_is_prime_is_exact_to_its_bound():
 
 
 def test_literal_input_is_msb_first():
-    f = from_table(2, 1, (0,) * 8)
+    f = BoolFn(2, 1, (0,) * 8)
     assert literal_input(f, 0b10, 1) == (1, 0, 1)
     assert bits_msb_first(6, 4) == (0, 1, 1, 0)
 

@@ -76,11 +76,11 @@ ZERO_1X1 = {"n_x": 1, "n_y": 1, "name": "zero", "params": {}, "table": "0"}
     pytest.param("dre,psm,cds", ["qr", "--p", "7"], {"table": "87"},
                  "encoding disagrees with the function", {"inputs": [[1, 0]]},
                  id="dre,psm,cds"),
-    # a 1+1 table that agrees with qr7's entries at y < 2: its first input
-    # outside the 1+1 widths is (0, 2)
+    # a 1+1 table that agrees with qr7's entries at y < 2: refused on the
+    # 1+2 widths its qr parameters imply, before the encoding is built
     pytest.param("dre,psm,cds", ["qr", "--p", "7"], {"n_y": 1, "table": "7"},
-                 "descriptor rejected: y=2 outside [0, 2)", "y=2 outside [0, 2)",
-                 id="dre,psm,cds-widths"),
+                 "descriptor rejected: qr widths 1+2 differ from the function's 1+1",
+                 "qr widths 1+2 differ from the function's 1+1", id="dre,psm,cds-widths"),
 ])
 def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args, fn,
                                                            error, witness):
@@ -260,7 +260,7 @@ _CLASSICAL_RUN = """
 import sys
 from cdslab.cli import main
 chains = [("gh,cds", "--fn", "and"), ("span,cds", "--fn", "eq"),
-          ("dre,psm,cds", "--fn", "qr", "--p", "5")]
+          ("dre,psm,cds", "--fn", "qr", "--p", "5"), ("gh,cds", "--table", "1:1:8")]
 codes = []
 for i, chain in enumerate(chains):
     codes.append(main(["build", "--chain", *chain, "--out", f"{i}.json"]))
@@ -280,17 +280,20 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 # what every request loads: the package, the CLI and the modules it imports
 _START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
-# and what a classical verify adds: the protocols, and fractions for exact figures
-_CLASSICAL = _START | {"cdslab.protocols", "fractions"}
+# and what a classical verify adds: the protocols, their verifiers, and
+# fractions for exact figures
+_CLASSICAL = _START | {"cdslab.protocols", "cdslab.verifiers", "fractions"}
 
 
 def _loaded_by(cwd, argv) -> tuple:
     """(exit code, the ``cdslab`` modules, ``csv`` and ``fractions`` loaded)
-    of a fresh child that runs ``main(argv)`` in ``cwd``."""
+    of a fresh child that runs ``main(argv)`` in ``cwd``; no request loads
+    ``toolkit``, the code only demos and tests call."""
     run = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv)], cwd=cwd,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     code, loaded = json.loads(run.stdout)
+    assert "cdslab.toolkit" not in loaded, argv
     return code, set(loaded)
 
 
@@ -300,18 +303,26 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     env = _child_env()
     out = subprocess.run([sys.executable, "-c", _CLASSICAL_RUN], cwd=tmp_path,
                          env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
-    # a request loads only the modules its stages name: no gardenhose without
-    # a gh stage, no algebra without a span stage (span membership reads the
-    # echelon form in protocols), no Fraction in a build, and sweep loads no
-    # protocol, algebra or Fraction
+    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0] []"
+    # a request loads only the modules its stages run: no gardenhose without
+    # a gh stage and no search for an embedded strategy, no algebra without a
+    # span stage (span membership reads the echelon form in protocols), no
+    # function families for a table, no verifier or Fraction in a build, and
+    # sweep loads no protocol, algebra or Fraction
     for argv, loaded in ((["verify", "0.json"], _CLASSICAL | {"cdslab.gardenhose"}),
                          (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra"}),
-                         (["verify", "2.json"], _CLASSICAL),
-                         (["verify", "2.json", "--format", "csv"], _CLASSICAL | {"csv"}),
+                         (["verify", "2.json"], _CLASSICAL | {"cdslab.families"}),
+                         (["verify", "2.json", "--format", "csv"],
+                          _CLASSICAL | {"cdslab.families", "csv"}),
+                         (["verify", "3.json"], _CLASSICAL | {"cdslab.gardenhose"}),
                          (["build", "--chain", "span,cds", "--fn", "eq"],
-                          _START | {"cdslab.algebra", "cdslab.protocols"}),
-                         (["sweep", "--nx", "1", "--ny", "1"], _START | {"cdslab.gardenhose"})):
+                          _START | {"cdslab.families", "cdslab.algebra", "cdslab.protocols"}),
+                         (["build", "--chain", "gh,cds", "--table", "1:1:8"],
+                          _START | {"cdslab.gardenhose", "cdslab.ghsearch", "cdslab.protocols"}),
+                         (["build", "--chain", "dre,psm,cds", "--fn", "qr", "--p", "5"],
+                          _START | {"cdslab.families", "cdslab.protocols"}),
+                         (["sweep", "--nx", "1", "--ny", "1"],
+                          _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
 
 
@@ -364,20 +375,24 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
     assert after_runs == ["cdslab.quantum"]
-    # a garden-hose route loads no protocols, algebra or Fraction, a pad
-    # route no algebra or Fraction, a qr chain no gardenhose, and a build no
-    # statevector layer
-    routing, pads = (_START | {"cdslab.gardenhose", "cdslab.nlqc"},
-                     _START | {"cdslab.protocols", "cdslab.nlqc"})
-    for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], routing),
+    # a garden-hose route loads no protocols, pad routes, algebra or
+    # Fraction, and with an embedded strategy no search; a pad route no
+    # algebra or Fraction, a qr chain no gardenhose, and a build no verifier
+    # or statevector layer
+    routing = _START | {"cdslab.gardenhose", "cdslab.nlqc"}
+    pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.nlqc", "cdslab.padroutes"}
+    checked = {"cdslab.qverifiers", "cdslab.quantum"}
+    for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"],
+                          routing | {"cdslab.families", "cdslab.ghsearch"}),
                          (["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and"],
-                          routing | {"cdslab.protocols"}),
-                         (["verify", "0.json"], routing | {"cdslab.quantum"}),
-                         (["verify", "1.json"], routing | {"cdslab.quantum"}),
+                          routing | {"cdslab.families", "cdslab.ghsearch", "cdslab.protocols",
+                                     "cdslab.padroutes"}),
+                         (["verify", "0.json"], routing | checked),
+                         (["verify", "1.json"], routing | checked),
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
                           pads),
-                         (["verify", "2.json"], pads | {"cdslab.quantum"}),
-                         (["verify", "3.json"], pads | {"cdslab.quantum"})):
+                         (["verify", "2.json"], pads | checked),
+                         (["verify", "3.json"], pads | checked)):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
 
 
@@ -968,6 +983,7 @@ HOSTILE = st.one_of(
 @example(("qr", "p", 2 ** 31 - 1))
 @example(("qr", "p", 10 ** 12 + 39))
 @example(("qr", "n_bits", 40))
+@example(("qr", "n_bits", 24))
 @example(("field", 2 ** 61 - 1))
 @given(HOSTILE)
 def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
@@ -982,9 +998,17 @@ def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
     budget = {"span": ["--budget", str(recipe[1])],
               "pipes": ["--budget", str(recipe[-1])],
               "field": ["--budget", "4"]}.get(recipe[0], [])
+    start = time.perf_counter()
     run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
                           *budget, "--out", str(rep)], env=_child_env(),
                          capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
     assert run.returncode in (1, 2, 3), (recipe, run.returncode, run.stderr)
     assert "MemoryError" not in run.stderr and "Traceback" not in run.stderr, run.stderr
-    assert json.loads(rep.read_text())["status"] in ("fail", "budget")
+    report = json.loads(rep.read_text())
+    assert report["status"] in ("fail", "budget")
+    if recipe == ("qr", "n_bits", 24):
+        # refused on its widths before a 2^24-entry table is built
+        assert (run.returncode, report["error"]) == (
+            1, "descriptor rejected: qr widths 1+23 differ from the function's 1+2")
+        assert elapsed < 1, elapsed

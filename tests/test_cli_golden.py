@@ -156,9 +156,9 @@ def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
     # sqrt(<Phi+| rho |Phi+>) against the eigen-solved Uhlmann fidelity
     import numpy as np
 
-    from cdslab import nlqc, quantum
+    from cdslab import nlqc, quantum, qverifiers, toolkit
 
-    closed = nlqc._choi_fidelity
+    closed = qverifiers._choi_fidelity
     phi = np.asarray(quantum.PHI_PLUS)
     target = np.outer(phi, phi.conj())
     scored = []
@@ -166,11 +166,11 @@ def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
     def compared(branches, fix, out):
         got = closed(branches, fix, out)
         rho = sum(b.prob * np.asarray(fix(b).ptrace(["R", out])) for b in branches)
-        assert abs(got - quantum.fidelity(rho, target)) <= FLOAT_TOL
+        assert abs(got - toolkit.fidelity(rho, target)) <= FLOAT_TOL
         scored.append(got)
         return got
 
-    monkeypatch.setattr(nlqc, "_choi_fidelity", compared)
+    monkeypatch.setattr(qverifiers, "_choi_fidelity", compared)
     for name, (build_args, _) in CASES.items():
         if set(build_args[1].split(",")) & set(QUANTUM_KINDS):
             run_case(name, tmp_path)

@@ -18,20 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import protocols
-from cdslab.algebra import (SpanProgram, sp_eval, span_and1, span_eq1, span_or1,
-                            span_threshold_2of3)
-from cdslab.boolfn import BoolFn, from_table, literal_input, named_fn
+from cdslab import protocols, verifiers
+from cdslab.algebra import SpanProgram, sp_eval, span_and1, span_eq1, span_or1
+from cdslab.boolfn import BoolFn, literal_input
 from cdslab.errors import BudgetError, ValidationError
+from cdslab.families import named_fn
 from cdslab.protocols import (DEFAULT_BUDGET, CdsProtocol, LinearPart, PsmProtocol,
-                              cds_from_psm, cds_from_span, coset_hist, dre_qr,
-                              psm_from_dre, verify_cds, verify_dre, verify_psm)
+                              cds_from_psm, cds_from_span, coset_hist, dre_qr, psm_from_dre)
+from cdslab.toolkit import span_threshold_2of3
+from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import enumerated, message_hist, replace
 
 GOLDEN = Path(__file__).parent / "golden"
 AND1 = named_fn("and", n=1)
-MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
-                             for x in range(4) for y in range(2)), name="maj3")
+MAJ = BoolFn(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
+                         for x in range(4) for y in range(2)), name="maj3")
 
 
 def _expand(hist: dict, p: int) -> dict:
@@ -95,7 +96,7 @@ def _same_cds_as(P, want) -> None:
 def test_qr_dre_and_psm_match_the_message_sweep(p):
     D = dre_qr(p)
     P = enumerated(psm_from_dre(D))
-    want = protocols._sweep(P, protocols._value_cases(P),
+    want = verifiers._sweep(P, verifiers._value_cases(P),
                             lambda m, x, y: P.decode(m[0], m[1]), DEFAULT_BUDGET, "ref")
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):
@@ -166,9 +167,9 @@ def span_programs(draw):
     if not any(target):
         target = (1,) + target[1:]
     program = SpanProgram(matrix, labels, target, p, n_x + 1)
-    shape = from_table(n_x, 1, (0,) * (2 << n_x))
+    shape = BoolFn(n_x, 1, (0,) * (2 << n_x))
     table = [sp_eval(program, literal_input(shape, x, y)) for (x, y) in shape.inputs()]
-    return program, from_table(n_x, 1, table)
+    return program, BoolFn(n_x, 1, tuple(table))
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import gardenhose, nlqc
-from cdslab.boolfn import from_table, named_fn
-from cdslab.gardenhose import LEFT, RIGHT, GhStrategy, gh_eval, gh_generic, gh_search
-from cdslab.nlqc import (RunBranch, cdqs_from_frouting, frouting_from_gh,
-                         security_state_sweep, verify_cdqs, verify_frouting)
+from cdslab.boolfn import BoolFn
+from cdslab.families import named_fn
+from cdslab.gardenhose import LEFT, RIGHT, GhStrategy, gh_eval
+from cdslab.ghsearch import gh_generic, gh_search
+from cdslab.nlqc import RunBranch, cdqs_from_frouting, frouting_from_gh
 from cdslab.quantum import PureState, epr_pairs
+from cdslab.qverifiers import verify_cdqs, verify_frouting
+from cdslab.toolkit import security_state_sweep
 
 TOL = 1e-12
 AND1 = named_fn("and", n=1)
@@ -106,10 +109,10 @@ def _check_against_flat(strategy: GhStrategy, f, sweep_seeds=range(2)) -> None:
 
 
 def _table_of(strategy: GhStrategy):
-    return from_table(strategy.n_x, strategy.n_y,
-                      [int(gh_eval(strategy, x, y).side == RIGHT)
-                       for x in range(1 << strategy.n_x)
-                       for y in range(1 << strategy.n_y)])
+    return BoolFn(strategy.n_x, strategy.n_y,
+                  tuple(int(gh_eval(strategy, x, y).side == RIGHT)
+                        for x in range(1 << strategy.n_x)
+                        for y in range(1 << strategy.n_y)))
 
 
 @st.composite

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from cdslab.boolfn import all_functions, from_table, named_fn
+from cdslab.boolfn import BoolFn
 from cdslab.errors import BudgetError, DomainError, ValidationError
-from cdslab.gardenhose import (GhStrategy, LEFT, RIGHT, _matchings, gh_eval,
-                               gh_generic, gh_search, gh_trace)
+from cdslab.families import all_functions, named_fn
+from cdslab.gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_trace
+from cdslab.ghsearch import _matchings, gh_generic, gh_search
 
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
@@ -92,8 +93,8 @@ def test_search_budget():
 
 
 def test_constant_functions_need_one_pipe():
-    ones = from_table(1, 1, (1, 1, 1, 1))
-    zeros = from_table(1, 1, (0, 0, 0, 0))
+    ones = BoolFn(1, 1, (1, 1, 1, 1))
+    zeros = BoolFn(1, 1, (0, 0, 0, 0))
     assert gh_search(ones, 1).pipes == 1
     assert gh_search(zeros, 2).pipes <= 2
 

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import gardenhose
-from cdslab.boolfn import BoolFn, all_functions, from_packed, from_table, named_fn
+from cdslab import gardenhose, ghsearch
+from cdslab.boolfn import BoolFn, from_packed
 from cdslab.cli import main
 from cdslab.errors import BudgetError
-from cdslab.gardenhose import (GhStrategy, _alice_choices, _matchings, gh_search,
-                               gh_trace)
+from cdslab.families import all_functions, named_fn
+from cdslab.gardenhose import GhStrategy, gh_trace
+from cdslab.ghsearch import _alice_choices, _matchings, gh_search
 
 
 def _reference_search(f, max_pipes):
@@ -108,7 +109,7 @@ def test_tables_stay_within_the_admitted_budget(monkeypatch):
         calls.append(args)
         return trace(*args)
 
-    monkeypatch.setattr(gardenhose, "_TABLES", {})
+    monkeypatch.setattr(ghsearch, "_TABLES", {})
     monkeypatch.setattr(gardenhose, "gh_eval", counted)
     with pytest.raises(BudgetError, match="at m=4:"):
         gh_search(EQ2, 12, budget=10 ** 6)
@@ -119,10 +120,10 @@ def test_tables_stay_within_the_admitted_budget(monkeypatch):
 
 
 def test_alice_without_input_bits_builds_only_tap_one_rows(monkeypatch):
-    monkeypatch.setattr(gardenhose, "_TABLES", {})
-    f = from_table(0, 2, (0, 1, 1, 0))
+    monkeypatch.setattr(ghsearch, "_TABLES", {})
+    f = BoolFn(0, 2, (0, 1, 1, 0))
     assert gh_search(f, 3) == _reference_search(f, 3)
-    for n_first, _, _, rows in gardenhose._TABLES.values():
+    for n_first, _, _, rows in ghsearch._TABLES.values():
         assert len(rows) == n_first
 
 
@@ -144,7 +145,7 @@ def test_a_refused_search_evaluates_nothing():
         gh_search(f, 3, budget=0)
     assert f.calls == 0
     # refused at m=2: the m=1 search read only the column it pruned on
-    g = _CountedFn(from_table(3, 3, [0] * 64))
+    g = _CountedFn(BoolFn(3, 3, (0,) * 64))
     with pytest.raises(BudgetError, match="at m=2:"):
         gh_search(g, 3, budget=10 ** 4)
     assert g.calls == 8
@@ -152,7 +153,7 @@ def test_a_refused_search_evaluates_nothing():
 
 def test_a_count_past_the_int_to_str_limit_is_reported_by_its_bit_length():
     # 2^14 Alice inputs at m=2: 2^16383 Alice picks times 2 Bob picks
-    f = from_table(14, 0, [0] * (1 << 14))
+    f = BoolFn(14, 0, (0,) * (1 << 14))
     with pytest.raises(BudgetError) as exc:
         gh_search(f, 2)
     assert str(exc.value) == ("gh_search candidate strategies at m=2: at least 2^16384 "

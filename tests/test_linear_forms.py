@@ -18,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import nlqc, protocols
+from cdslab import protocols, qverifiers
 from cdslab.algebra import LsssScheme, SpanProgram, sp_eval
-from cdslab.boolfn import from_table, literal_input, named_fn
+from cdslab.boolfn import BoolFn, literal_input
 from cdslab.cli import _span_for
+from cdslab.families import named_fn
 from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
-from cdslab.nlqc import cdqs_from_cds, psqm_from_psm
-from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
-                              hiding_input, psm_from_dre, verify_cds, verify_dre)
+from cdslab.padroutes import cdqs_from_cds, psqm_from_psm
+from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, hiding_input,
+                              psm_from_dre)
+from cdslab.verifiers import verify_cds, verify_dre
 from message_reference import enumerated, messages, send
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -167,9 +169,9 @@ def span_programs(draw):
     if not any(target):
         target = (1,) + target[1:]
     program = SpanProgram(matrix, labels, target, p, n_x + 1)
-    shape = from_table(n_x, 1, (0,) * (2 << n_x))
+    shape = BoolFn(n_x, 1, (0,) * (2 << n_x))
     table = [sp_eval(program, literal_input(shape, x, y)) for (x, y) in shape.inputs()]
-    return program, from_table(n_x, 1, table)
+    return program, BoolFn(n_x, 1, tuple(table))
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,9 +245,9 @@ def _gh_states_the_hand_messages(strategy: GhStrategy) -> None:
 
 def _spill_fn(strategy: GhStrategy):
     """The function ``strategy`` computes: 1 where the water spills right."""
-    return from_table(strategy.n_x, strategy.n_y, [
+    return BoolFn(strategy.n_x, strategy.n_y, tuple(
         int(gh_eval(strategy, x, y).side == RIGHT)
-        for x in range(1 << strategy.n_x) for y in range(1 << strategy.n_y)])
+        for x in range(1 << strategy.n_x) for y in range(1 << strategy.n_y)))
 
 
 def test_committed_gh_strategies_state_the_hand_messages():
@@ -374,5 +376,5 @@ def test_the_pad_routes_read_each_layout_once(counted):
     for (x, y) in Q.input_pairs():
         Q.run(x, y)
     assert counted == {"echelon": 3}
-    assert nlqc.verify_psqm(Q).worst_gap <= 1e-12
+    assert qverifiers.verify_psqm(Q).worst_gap <= 1e-12
     assert counted == {"echelon": 3}

@@ -5,18 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdslab.boolfn import from_table, named_fn
+from cdslab.boolfn import BoolFn
 from cdslab.errors import BudgetError, ValidationError
-from cdslab.gardenhose import LEFT, RIGHT, gh_generic, gh_search
-from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, PsqmProtocol,
-                         RunBranch, cdqs_from_cds, cdqs_from_frouting,
-                         cdqs_from_psqm, frouting_from_cdqs, frouting_from_gh,
-                         pauli_frame, psqm_from_psm,
-                         security_state_sweep, verify_cdqs, verify_frouting,
-                         verify_psqm)
-from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm,
-                              psm_from_dre, psm_generic_table, dre_qr)
-from cdslab.quantum import PureState, X, Z, epr_pairs, random_qubit, worst_fidelity
+from cdslab.families import named_fn
+from cdslab.gardenhose import LEFT, RIGHT
+from cdslab.ghsearch import gh_generic, gh_search
+from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch,
+                         cdqs_from_frouting, frouting_from_gh, pauli_frame)
+from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
+from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, psm_from_dre,
+                              psm_generic_table, dre_qr)
+from cdslab.quantum import PureState, X, Z, epr_pairs, worst_fidelity
+from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
+from cdslab.toolkit import security_state_sweep, random_qubit
 from message_reference import cds_of, psm_of
 
 AND1 = named_fn("and", n=1)
@@ -202,7 +203,7 @@ def test_cdqs_from_psqm_guards():
     quantum = PsqmProtocol(AND1, Q.run, Q.decode, quantum_regs=("M",))
     with pytest.raises(ValidationError):
         cdqs_from_psqm(quantum)
-    ones = psqm_from_psm(psm_generic_table(from_table(1, 1, (1, 1, 1, 1))))
+    ones = psqm_from_psm(psm_generic_table(BoolFn(1, 1, (1, 1, 1, 1))))
     with pytest.raises(ValidationError):
         cdqs_from_psqm(ones)  # no hiding input exists
 

@@ -11,20 +11,21 @@ from itertools import permutations, product
 
 import pytest
 
-from cdslab.algebra import span_and1, span_eq1, span_or1, span_threshold_2of3
-from cdslab.boolfn import from_table, named_fn, qr_split_inputs
+from cdslab.algebra import span_and1, span_eq1, span_or1
+from cdslab.boolfn import BoolFn
 from cdslab.errors import BudgetError, ValidationError
-from cdslab.gardenhose import gh_generic, gh_search
-from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span,
-                              dre_qr, hiding_input, psm_from_dre, psm_generic_table,
-                              verify_cds, verify_dre, verify_psm)
+from cdslab.families import named_fn, qr_split_inputs
+from cdslab.ghsearch import gh_generic, gh_search
+from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
+                              hiding_input, psm_from_dre, psm_generic_table)
+from cdslab.toolkit import span_threshold_2of3
+from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import cds_of, replace, send
 
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
-MAJ = from_table(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
-                             for x in range(4) for y in range(2)),
-                 name="maj3")
+MAJ = BoolFn(2, 1, tuple(int(bin((x << 1) | y).count("1") >= 2)
+                         for x in range(4) for y in range(2)), name="maj3")
 
 
 def _xor_cds():
@@ -84,7 +85,7 @@ def test_report_jsonable():
 
 def test_gh_cds_all_two_bit_functions():
     for packed in range(16):
-        f = from_table(1, 1, tuple((packed >> i) & 1 for i in range(4)))
+        f = BoolFn(1, 1, tuple((packed >> i) & 1 for i in range(4)))
         P = cds_from_gh(gh_generic(f), f)
         report = verify_cds(P)
         assert report.perfect, f.table
@@ -105,7 +106,7 @@ def test_gh_cds_rejects_wrong_strategy():
         cds_from_gh(gh_generic(AND1), XOR1)
     # and2's strategy computes the zero function on 1+1 bits, yet is 2+2
     with pytest.raises(ValidationError, match="widths differ"):
-        cds_from_gh(gh_generic(named_fn("and", n=2)), from_table(1, 1, (0, 0, 0, 0)))
+        cds_from_gh(gh_generic(named_fn("and", n=2)), BoolFn(1, 1, (0, 0, 0, 0)))
 
 
 def test_gh_cds_traces_each_input_once(monkeypatch):
@@ -113,7 +114,8 @@ def test_gh_cds_traces_each_input_once(monkeypatch):
     # and the strategy is searched before it; the decoder reads the compiled
     # traces, so neither sweep traces again
     from cdslab import gardenhose
-    from cdslab.nlqc import cdqs_from_cds, verify_cdqs
+    from cdslab.padroutes import cdqs_from_cds
+    from cdslab.qverifiers import verify_cdqs
     calls, strategy, gh_eval = [], gh_search(AND1, 3), gardenhose.gh_eval
 
     def counted(strategy, x, y):
@@ -263,7 +265,7 @@ def test_cds_from_psm_qr_chain():
 
 
 def test_cds_from_psm_constant_functions():
-    ones = psm_generic_table(from_table(1, 1, (1, 1, 1, 1)))
+    ones = psm_generic_table(BoolFn(1, 1, (1, 1, 1, 1)))
     P = cds_from_psm(ones)
     assert verify_cds(P).perfect
     # one nu and no rho: the secret is Alice's tag, sent in the clear
@@ -271,7 +273,7 @@ def test_cds_from_psm_constant_functions():
     lin = P.linear
     assert P.decode(lin.alice_form(0, 1, None), 0, lin.bob_form(0, None), 0) == 1
 
-    zeros = psm_generic_table(from_table(1, 1, (0, 0, 0, 0)))
+    zeros = psm_generic_table(BoolFn(1, 1, (0, 0, 0, 0)))
     Q = cds_from_psm(zeros)
     assert verify_cds(Q).perfect
     lin = Q.linear
@@ -286,7 +288,7 @@ def test_hiding_input_is_the_first_zero_input():
     assert hiding_input(P) == (0, 0)
     assert hiding_input(replace(P, domain=((1, 1), (1, 0), (0, 1)))) == (1, 0)
     with pytest.raises(ValidationError, match="no hiding input"):
-        hiding_input(psm_generic_table(from_table(1, 1, (1, 1, 1, 1))))
+        hiding_input(psm_generic_table(BoolFn(1, 1, (1, 1, 1, 1))))
 
 
 def test_verifier_budgets():

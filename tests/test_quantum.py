@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from cdslab.errors import BudgetError, ValidationError
-from cdslab.quantum import (MAX_QUBITS, H, I2,
-                            PAULI_EIGENSTATES, PureState, U_BELL, X, Y, Z,
-                            choi, decoupling_gap, epr_pairs, fidelity,
-                            pad_average, phased_pad, random_qubit, sqrtm_psd,
-                            trace_distance)
+from cdslab.quantum import (MAX_QUBITS, H, I2, PureState, U_BELL, X, Y, Z, decoupling_gap,
+                            epr_pairs, phased_pad, trace_distance)
+from cdslab.toolkit import (PAULI_EIGENSTATES, choi, fidelity, pad_average, random_qubit,
+                            sqrtm_psd)
 
 RNG = np.random.default_rng(20260813)
 

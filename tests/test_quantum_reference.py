@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdslab import quantum
+from cdslab import quantum, toolkit
 from cdslab.quantum import PureState
 
 TOL = 1e-12
@@ -187,10 +187,10 @@ def test_choi_and_pad_average_match_numpy():
     want = sum(np.kron(np.eye(2)[:, [i]] @ np.eye(2)[[j], :],
                        channel(np.eye(2)[:, [i]] @ np.eye(2)[[j], :]))
                for i in range(2) for j in range(2)) / 2
-    _close(quantum.choi(channel, 2), want)
+    _close(toolkit.choi(channel, 2), want)
     rho = _rand_density(2, rng=rng)
     pads = [np.asarray(quantum.phased_pad(s1, s2)) for s1 in (0, 1) for s2 in (0, 1)]
-    _close(quantum.pad_average(rho), sum(P @ rho @ P.conj().T for P in pads) / 4)
+    _close(toolkit.pad_average(rho), sum(P @ rho @ P.conj().T for P in pads) / 4)
 
 
 def _np_decoupling_gap(stack, d_ref, d_msg):
@@ -234,8 +234,8 @@ def test_fidelity_and_sqrtm_match_numpy(d):
     rng = np.random.default_rng(300 + d)
     for _ in range(3):
         rho, sigma = _rand_density(d, rng=rng), _rand_density(d, rng=rng)
-        assert abs(quantum.fidelity(rho, sigma) - _np_fidelity(rho, sigma)) <= TOL
-        root = np.asarray(quantum.sqrtm_psd(sigma))
+        assert abs(toolkit.fidelity(rho, sigma) - _np_fidelity(rho, sigma)) <= TOL
+        root = np.asarray(toolkit.sqrtm_psd(sigma))
         _close(root @ root, sigma)
 
 
@@ -244,6 +244,6 @@ def test_random_qubit_is_the_seeded_numpy_draw():
         rng = np.random.default_rng(seed)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         want = v / np.linalg.norm(v)
-        got = quantum.random_qubit(seed).vec
+        got = toolkit.random_qubit(seed).vec
         assert all(type(z) is complex for z in got)
         assert got == list(want)

@@ -25,12 +25,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdslab.algebra import span_dnf
-from cdslab.boolfn import from_table, literal_input
-from cdslab.gardenhose import gh_generic
-from cdslab.nlqc import psqm_from_psm, verify_psqm
+from cdslab.boolfn import BoolFn, literal_input
+from cdslab.ghsearch import gh_generic
+from cdslab.padroutes import psqm_from_psm
 from cdslab.protocols import (cds_from_gh, cds_from_span, dre_qr, pair_space, psm_from_dre,
-                              psm_generic_table, space_size, verify_cds, verify_dre,
-                              verify_psm)
+                              psm_generic_table, space_size)
+from cdslab.qverifiers import verify_psqm
+from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import cds_of, message_hist, psm_of, replace
 
 
@@ -92,7 +93,7 @@ def tables(draw):
     n_x = draw(st.sampled_from([1, 2]))
     bits = draw(st.lists(st.integers(0, 1), min_size=2 << n_x, max_size=2 << n_x))
     assume(0 < sum(bits) < len(bits))
-    f = from_table(n_x, 1, bits)
+    f = BoolFn(n_x, 1, tuple(bits))
     inputs = list(f.inputs())
     leaky = draw(st.sets(st.sampled_from(range(1 << n_x))))
     bad = draw(st.sets(st.sampled_from(inputs)))
@@ -237,15 +238,15 @@ def _flat_psqm(P) -> tuple:
     the witness only above the statevector layer's rounding floor, as the
     quantum verifiers do.
     """
-    from cdslab import nlqc, quantum
+    from cdslab import quantum, qverifiers
 
     pairs = P.input_pairs()
-    views = {xy: nlqc._view_blocks(P.run(*xy), P.quantum_regs or None) for xy in pairs}
+    views = {xy: qverifiers._view_blocks(P.run(*xy), P.quantum_regs or None) for xy in pairs}
     worst, witness = 0.0, None
     for i, a in enumerate(pairs):
         for b in pairs[i + 1:]:
             if P.f.eval(*a) == P.f.eval(*b):
-                d = nlqc._block_distance(views[a], views[b])
+                d = qverifiers._block_distance(views[a], views[b])
                 if d > worst:
                     worst = d
                     if d > quantum._TOL:
@@ -259,8 +260,8 @@ def message_tables(draw):
     values from a 3-letter alphabet: of up to 16 inputs, many histograms of
     a group are equal, some are not, and distances tie."""
     n_x, n_y = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    f = from_table(n_x, n_y, draw(st.lists(st.integers(0, 1), min_size=1 << (n_x + n_y),
-                                           max_size=1 << (n_x + n_y))))
+    f = BoolFn(n_x, n_y, tuple(draw(st.lists(st.integers(0, 1), min_size=1 << (n_x + n_y),
+                                             max_size=1 << (n_x + n_y)))))
     k = draw(st.integers(1, 4))
     letter = st.integers(0, 2)
     alice = {(x, s): draw(st.lists(letter, min_size=k, max_size=k))
@@ -304,16 +305,16 @@ def _calls(monkeypatch, module, name: str) -> list:
 def test_a_private_dre_compares_no_histograms(monkeypatch):
     # qr p=31: 15 residues and 15 non-residues, each value's histograms all
     # equal, so no pair is compared (all pairs would be 2 * C(15, 2) = 210)
-    from cdslab import protocols
+    from cdslab import verifiers
 
-    calls = _calls(monkeypatch, protocols, "_l1")
+    calls = _calls(monkeypatch, verifiers, "_l1")
     assert verify_dre(dre_qr(31)).perfect
     assert calls == []
 
 
 def test_a_private_psqm_compares_no_views(monkeypatch):
-    from cdslab import nlqc
+    from cdslab import qverifiers
 
-    calls = _calls(monkeypatch, nlqc, "_block_distance")
+    calls = _calls(monkeypatch, qverifiers, "_block_distance")
     report = verify_psqm(psqm_from_psm(psm_from_dre(dre_qr(31))))
     assert report.perfect() and calls == []

@@ -17,19 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import nlqc, protocols
+from cdslab import padroutes, protocols
 from cdslab.algebra import span_and1, span_dnf, span_eq1
-from cdslab.boolfn import from_table, literal_input, named_fn
+from cdslab.boolfn import BoolFn, literal_input
 from cdslab.cli import _span_for
-from cdslab.gardenhose import gh_generic, gh_search
-from cdslab.nlqc import (KEYS, RunBranch, TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
-                         frouting_from_cdqs, psqm_from_psm,
-                         security_state_sweep, transcript_classes, verify_cdqs,
-                         verify_frouting, verify_psqm)
-from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh,
-                              cds_from_psm, cds_from_span, coset_hist, dre_qr, hiding_input,
-                              message_count, psm_from_dre, psm_generic_table)
-from cdslab.quantum import PAULI_EIGENSTATES, epr_pairs
+from cdslab.families import named_fn
+from cdslab.ghsearch import gh_generic, gh_search
+from cdslab.nlqc import KEYS, RunBranch
+from cdslab.padroutes import (TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
+                              frouting_from_cdqs, psqm_from_psm, transcript_classes)
+from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh, cds_from_psm,
+                              cds_from_span, coset_hist, dre_qr, hiding_input, message_count,
+                              psm_from_dre, psm_generic_table)
+from cdslab.quantum import epr_pairs
+from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
+from cdslab.toolkit import security_state_sweep, PAULI_EIGENSTATES
 from message_reference import enumerated, message_hist, replace
 
 TOL = 1e-12
@@ -63,7 +65,7 @@ def _flat_message_classes(P: CdsProtocol):
         for s in P.secrets})
 
 
-_UNPAD = nlqc._unpad   # the module's own, before ``_verify_flat`` patches it
+_UNPAD = padroutes._unpad   # the module's own, before ``_verify_flat`` patches it
 
 
 class _MemoState:
@@ -100,7 +102,7 @@ class _MemoState:
 def _verify_flat(P):
     """``verify_cdqs`` of a flat route, unpadding each memoised state once per key."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(nlqc, "_unpad", lambda state, s: state.unpad(s))
+        m.setattr(padroutes, "_unpad", lambda state, s: state.unpad(s))
         return verify_cdqs(P)
 
 
@@ -118,7 +120,7 @@ def _memo_states(run):
 
 def _with_flat(classed, flat):
     """``classed`` with the flat key classes ``flat`` in place of its own."""
-    return replace(classed, run=_memo_states(nlqc._pad_run(flat)), key_classes=flat)
+    return replace(classed, run=_memo_states(padroutes._pad_run(flat)), key_classes=flat)
 
 
 def _class_and_flat_cdqs(cds):
@@ -330,7 +332,7 @@ def test_qr5_routes_match_flat():
 def test_random_table_routes_match_flat(n_x, data):
     table = data.draw(st.lists(st.integers(0, 1), min_size=2 << n_x,
                                max_size=2 << n_x))
-    f = from_table(n_x, 1, table)
+    f = BoolFn(n_x, 1, tuple(table))
     psm = psm_generic_table(f)
     _check_cds_route(cds_from_psm(psm), sweep=False)
     if any(f.eval(x, y) == 0 for (x, y) in f.inputs()):
@@ -380,8 +382,8 @@ def test_planted_leak_gap_matches_flat():
 
 def _count_sweeps(monkeypatch) -> tuple:
     """(calls, kernels): from now on, the arguments of every histogram that a
-    sweep kernel handed to ``nlqc`` computes, and for each kernel handed, the
-    set of ``protocols`` histogram kernels its histograms called. ``nlqc``
+    sweep kernel handed to ``padroutes`` computes, and for each kernel handed, the
+    set of ``protocols`` histogram kernels its histograms called. ``padroutes``
     reads ``protocols._sweep_kernel`` at call time, so the spy sits there."""
     calls, kernels = [], []
     bind = protocols._sweep_kernel
@@ -468,7 +470,7 @@ def test_span_coset_classes_match_enumerated(p, variant, data):
     # random 2+1 tables; at most 3 ones over Z_2 and 2 over Z_3 keep the
     # enumerated sweep within 3^7 coins
     ones = data.draw(st.sets(st.integers(0, 7), min_size=1, max_size=3 if p == 2 else 2))
-    f = from_table(2, 1, [int(i in ones) for i in range(8)])
+    f = BoolFn(2, 1, tuple(int(i in ones) for i in range(8)))
     _same_cds_classes(cds_from_span(_span_for(f, p), f, variant))
 
 

@@ -1,10 +1,11 @@
 """Every name a ``cdslab`` module imports is used there; each imports at import only the
 ``cdslab`` modules pinned for it; none imports ``dataclasses``,
-only ``quantum.random_qubit`` imports numpy, only the exact classical verifiers import
+only ``toolkit.random_qubit`` imports numpy, only the exact classical verifiers import
 ``fractions``, only ``protocols`` reads the message-histogram kernel, only ``gardenhose``
 reads the water trace ``gh_eval``, none enumerates messages or passes a record message
-callbacks, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``, and
-every definition is read by the program itself, not by tests alone.
+callbacks, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``,
+every definition is read by the program itself, not by tests alone, and what only demos
+and tests read lives in ``toolkit``.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -16,18 +17,21 @@ methods at every import: together about 25 ms of each ``cdslab`` child's
 start-up. Records are plain classes or ``typing.NamedTuple``s instead.
 Compiling a module is most of a child's start-up too, so each module
 imports at import only the ``cdslab`` modules pinned for it, and reads the
-others at call time: ``nlqc`` reads ``protocols`` and ``gardenhose`` in
-the functions that use them, ``protocols`` reads ``algebra`` only where a
-span program is compiled, and ``cli`` every module a chain stage names, so a
-garden-hose route never compiles ``protocols`` or ``algebra``, and a pad
-route never compiles ``algebra``: the echelon form that the coset kernel and
-span membership share lives in ``protocols``, and ``euler_qr`` in ``boolfn``.
-numpy is imported only inside the one function that needs it,
-``quantum.random_qubit``, so no module loads it at import and no ``cdslab``
-build or verify loads it at all. ``fractions``, which loads ``decimal``, is
-imported only inside the exact classical verifiers that build a ``Fraction``
-(``protocols._l1``, ``_sweep`` and ``VerificationReport.to_jsonable``), so
-only a classical verify loads it. A function, class or method that nothing
+others at call time: ``nlqc``, ``padroutes`` and ``qverifiers`` read
+``protocols`` and ``gardenhose`` in the functions that use them,
+``protocols`` reads ``algebra`` only where a span program is compiled and
+``families`` only where the qr encoding is, and ``cli`` every module a
+request's stages run, so a garden-hose route never compiles ``protocols``
+or ``algebra``, a pad route never compiles ``algebra``, a build no verifier
+and a descriptor's strategy no search: the echelon form that the coset
+kernel and span membership share lives in ``protocols``, and ``euler_qr``
+in ``families``. What only demos and tests call lives in ``toolkit``, which
+no request loads. numpy is imported only inside the one function that
+needs it, ``toolkit.random_qubit``, so no module loads it at import and no
+``cdslab`` build or verify loads it at all. ``fractions``, which loads
+``decimal``, is imported only inside the exact classical verifiers that
+build a ``Fraction`` (``verifiers._l1``, ``_sweep`` and
+``VerificationReport.to_jsonable``), so only a classical verify loads it. A function, class or method that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
@@ -44,17 +48,17 @@ forms state its messages and its randomness spaces.
 The kernel it binds holds each layout of tags and value counts to one
 subspace across the whole sweep, so no module defines or reads the
 after-the-fact check ``_same_spaces``, and the only private ``protocols``
-names ``nlqc`` imports, at call time in the pad routes, are ``_sweep_kernel``
-and ``_joint``.
+names ``padroutes`` imports, at call time, are ``_sweep_kernel`` and
+``_joint``.
 Only ``protocols`` reads the linear message format, in which a
 protocol's parties send ``(tag, values)`` pairs that its ``LinearPart``
 states as affine forms: no other module names ``Coset`` or ``LinearPart``,
 or reads a field that only those records have (a coset's members and basis,
-a declaration's nus, coordinate counts, forms, maps and sent tags); ``nlqc`` counts a
-coset key's messages through ``message_count``.
+a declaration's nus, coordinate counts, forms, maps and sent tags); ``padroutes``
+counts a coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, so nothing in
-``nlqc``, where ``transcript_classes`` and ``class_product`` live, reads
-``Fraction``. Records carry only fields something reads: a protocol's linear
+``padroutes``, where ``transcript_classes`` and ``class_product`` live, or in
+``nlqc`` reads ``Fraction``. Records carry only fields something reads: a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only ``cli``, which reads and writes the files,
 imports ``json``.
@@ -153,11 +157,17 @@ IMPORTED_AT_IMPORT = {
     "__init__": {"errors"},
     "errors": set(),
     "boolfn": {"errors"},
+    "families": {"boolfn", "errors"},
     "algebra": {"boolfn", "errors", "protocols"},
     "gardenhose": {"boolfn", "errors"},
+    "ghsearch": {"boolfn", "errors", "gardenhose"},
     "protocols": {"boolfn", "errors"},
+    "verifiers": {"errors", "protocols"},
     "quantum": {"errors"},
     "nlqc": {"boolfn", "errors"},
+    "qverifiers": {"errors", "nlqc"},
+    "padroutes": {"errors", "nlqc"},
+    "toolkit": {"algebra", "errors", "quantum", "qverifiers"},
     "cli": {"__init__", "boolfn", "errors"},
 }
 
@@ -269,7 +279,7 @@ def _import_scopes(tree, module: str) -> list:
 
 
 # module -> the functions that may import numpy
-NUMPY_ALLOWED = {"quantum": {"random_qubit"}}
+NUMPY_ALLOWED = {"toolkit": {"random_qubit"}}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
@@ -294,7 +304,7 @@ def test_the_check_sees_a_numpy_import_anywhere():
 
 
 # module -> the functions that may import fractions: the exact classical verifiers
-FRACTIONS_ALLOWED = {"protocols": {"_l1", "_sweep", "VerificationReport.to_jsonable"}}
+FRACTIONS_ALLOWED = {"verifiers": {"_l1", "_sweep", "VerificationReport.to_jsonable"}}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
@@ -435,13 +445,13 @@ def _format_reads(tree) -> set:
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_only_protocols_reads_the_linear_message_format(module):
-    # coset keys reach the pad routes as transcripts, which nlqc decodes
+    # coset keys reach the pad routes as transcripts, which padroutes decodes
     # through the protocol's own decoder and counts through message_count
     if module.stem == "protocols":
         return
     tree = ast.parse(module.read_text(), filename=str(module))
     assert _format_reads(tree) == set(), module.name
-    if module.stem == "nlqc":
+    if module.stem == "padroutes":
         assert {"message_count", "_sweep_kernel"} <= _reads(tree)[0]
 
 
@@ -504,12 +514,13 @@ def _private_protocols_reads(tree) -> set:
     return names
 
 
-def test_nlqc_reads_only_the_sweep_kernel_and_joint_privately():
+def test_pad_routes_read_only_the_sweep_kernel_and_joint_privately():
     # the pad routes get their kernel, and with it the subspace rule, from
     # _sweep_kernel, and the joint randomness from _joint; no other private
-    # helper of protocols is theirs to call
-    tree = ast.parse((SRC / "nlqc.py").read_text())
-    assert _private_protocols_reads(tree) == {"_sweep_kernel", "_joint"}
+    # helper of protocols is theirs to call, and the records' module none
+    reads = {stem: _private_protocols_reads(ast.parse((SRC / f"{stem}.py").read_text()))
+             for stem in ("nlqc", "padroutes")}
+    assert reads == {"nlqc": set(), "padroutes": {"_sweep_kernel", "_joint"}}
 
 
 def test_the_check_sees_a_private_protocols_read():
@@ -525,7 +536,7 @@ def test_the_check_sees_a_private_protocols_read():
 
 # module -> the top-level functions that must not read Fraction; None: the
 # whole module must not
-FRACTION_FREE = {"nlqc": None}
+FRACTION_FREE = {"nlqc": None, "padroutes": None}
 
 
 def _fraction_readers(tree, functions) -> set:
@@ -665,6 +676,36 @@ def test_the_check_sees_a_definition_only_tests_read():
     test = ast.parse("from m import kernel, S\nkernel()\nS().probe()\n")
     assert _unread_in({"m": module}, [module, program]) == {"m": ["kernel", "S.probe"]}
     assert _unread_in({"m": module}, [module, program, test]) == {}
+
+
+# what a CLI request can run: every module but toolkit, and the benchmark
+REQUEST_PATH = [m for m in MODULES if m.stem != "toolkit"] + sorted((ROOT / "bench").rglob("*.py"))
+
+
+def _demo_only(modules: dict, request_path: list) -> dict:
+    """Module name -> its top-level functions and classes that no tree in
+    ``request_path`` reads, toolkit's own excepted."""
+    unread = _unread_in({k: v for k, v in modules.items() if k != "toolkit.py"}, request_path)
+    unread = {k: [d for d in v if "." not in d] for k, v in unread.items()}
+    return {k: v for k, v in unread.items() if v}
+
+
+def test_code_only_demos_and_tests_read_lives_in_toolkit():
+    # no CLI request loads toolkit, so what only demos and tests call adds
+    # nothing to any request's start-up; anywhere else, every child that
+    # loads its module compiles it
+    assert _demo_only(_modules(), _trees(REQUEST_PATH)) == {}
+
+
+def test_the_check_sees_code_only_demos_read():
+    module = ast.parse("def kernel():\n    pass\ndef tour():\n    pass\n"
+                       "class Probe:\n    def draw(self):\n        pass\n")
+    toolkit = ast.parse("def sweep():\n    return kernel()\n")
+    program = ast.parse("from m import kernel\nkernel()\n")
+    demo = ast.parse("from m import tour, Probe\ntour()\nProbe().draw()\n")
+    modules = {"m.py": module, "toolkit.py": toolkit}
+    assert _demo_only(modules, [module, program]) == {"m.py": ["tour", "Probe"]}
+    assert _demo_only(modules, [module, program, demo]) == {}
 
 
 def test_the_check_sees_an_unread_definition():

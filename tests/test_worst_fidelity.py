@@ -22,12 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab.boolfn import from_table, named_fn
-from cdslab.gardenhose import LEFT, gh_generic, gh_search
-from cdslab.nlqc import (cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs,
-                         psqm_from_psm, verify_frouting)
+from cdslab.boolfn import BoolFn
+from cdslab.families import named_fn
+from cdslab.gardenhose import LEFT
+from cdslab.ghsearch import gh_generic, gh_search
+from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import cds_from_gh, cds_from_psm, psm_generic_table
-from cdslab.quantum import overlap, probe_qubits, worst_fidelity
+from cdslab.quantum import overlap, worst_fidelity
+from cdslab.qverifiers import verify_frouting
+from cdslab.toolkit import probe_qubits
 
 TOL = 1e-12
 AND1 = named_fn("and", n=1)
@@ -215,7 +218,7 @@ def test_psm_table_routes_left_side(f):
 @settings(max_examples=6, deadline=None)
 @given(table=st.lists(st.integers(0, 1), min_size=8, max_size=8))
 def test_random_table_routes_left_side(table):
-    f = from_table(2, 1, table)
+    f = BoolFn(2, 1, tuple(table))
     psm = psm_generic_table(f)
     if any(f.eval(x, y) == 0 for (x, y) in f.inputs()):
         _check_left_side(cdqs_from_cds(cds_from_psm(psm)))
@@ -228,7 +231,7 @@ def test_the_planted_full_leak_is_exactly_one_half():
     C = cdqs_from_cds(_gh_cds(AND1))
     R = frouting_from_cdqs(C)
     assert abs(worst_fidelity(lambda psi: R.left_output(1, 1, psi)) - 0.5) <= TOL
-    leaky = type(C)(**{**vars(C), "f": from_table(1, 1, (0, 0, 0, 0))})
+    leaky = type(C)(**{**vars(C), "f": BoolFn(1, 1, (0, 0, 0, 0))})
     _check_left_side(leaky, leak=(1, 1))
     report = verify_frouting(frouting_from_cdqs(leaky))
     assert abs(report.worst_infidelity - 0.5) <= TOL
