@@ -12,7 +12,7 @@ A command loads only the modules its stages run, imported where they are
 called: a garden-hose route loads no classical protocol or algebra, a pad
 route no algebra and no ``fractions``, a build no verifier, and no command
 ``toolkit``, which holds what only demos and tests call. ``errors`` holds
-what every layer shares: the exceptions, the budget charge and the records'
+what every layer shares: the exceptions, the budget ledger and the records'
 common bases.
 
 Everything is deterministic given explicit seeds, and every verifier sweeps its

@@ -105,10 +105,9 @@ class BoolFn:
     # -- serialization ------------------------------------------------------
 
     def to_jsonable(self) -> dict:
-        # hex bit i is entry i, the packing ``from_packed`` reads
-        packed = 0
-        for i, b in enumerate(self.table):
-            packed |= b << i
+        # hex bit i is entry i, the packing ``from_packed`` reads; a base-2
+        # string converts in linear time, where shifting in bit by bit is quadratic
+        packed = int("".join(["01"[b] for b in reversed(self.table)]), 2)
         return {
             "n_x": self.n_x,
             "n_y": self.n_y,
@@ -128,7 +127,7 @@ def from_packed(n_x: int, n_y: int, packed: int, name: str = "",
     """The function whose entry i is bit i of ``packed``, which has no higher bit."""
     if packed < 0 or packed.bit_length() > 1 << (n_x + n_y):
         raise ValidationError("table value wider than 2^(nx+ny) bits")
-    table = tuple((packed >> i) & 1 for i in range(1 << (n_x + n_y)))
+    table = tuple(map(int, reversed(format(packed, f"0{1 << (n_x + n_y)}b"))))
     return BoolFn(n_x, n_y, table, name=name, params=params)
 
 

@@ -10,11 +10,11 @@ Three subcommands:
 * ``sweep``  runs the pipe-count search over every function of a given shape.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget exceeded.
-A budget stop names the space it counted, its size and the limit: ``verify``
-writes them as a report with status "budget", ``build`` and ``sweep`` print
-them to stderr. A size or count past 256 bits is written as the power of two
-it reaches ("at least 2^k"). Outputs are deterministic: same inputs and seed
-give identical bytes.
+A command runs inside ``errors.budget(--budget)``; a stop names the space it
+counted, its size and the limit: ``verify`` writes them as a report with
+status "budget", ``build`` and ``sweep`` print them to stderr. A size or
+count past 256 bits is written as the power of two it reaches ("at least
+2^k"). Outputs are deterministic: same inputs and seed give identical bytes.
 
 A request loads only the modules its stages run: ``families`` for ``--fn``
 or a ``dre`` base, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .boolfn import BoolFn, from_packed, literal_input
-from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, charge,
-                     count_text)
+from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, budget,
+                     charge, count_text)
 
 if TYPE_CHECKING:
     from .algebra import SpanProgram
@@ -61,19 +61,19 @@ COMPILE = {  # (from, to) -> compile(obj, f, opts)
         obj, f, variant=opts["variant"]),
     ("dre", "psm"): lambda obj, f, opts: _layer("protocols").psm_from_dre(obj),
     ("psm", "cds"): lambda obj, f, opts: _layer("protocols").cds_from_psm(obj),
-    ("psm", "psqm"): lambda obj, f, opts: _layer("padroutes").psqm_from_psm(obj, opts["budget"]),
-    ("cds", "cdqs"): lambda obj, f, opts: _layer("padroutes").cdqs_from_cds(obj, opts["budget"]),
+    ("psm", "psqm"): lambda obj, f, opts: _layer("padroutes").psqm_from_psm(obj),
+    ("cds", "cdqs"): lambda obj, f, opts: _layer("padroutes").cdqs_from_cds(obj),
     ("cdqs", "frouting"): lambda obj, f, opts: _layer("padroutes").frouting_from_cdqs(obj),
     ("frouting", "cdqs"): lambda obj, f, opts: _layer("nlqc").cdqs_from_frouting(obj),
     ("psqm", "cdqs"): lambda obj, f, opts: _layer("padroutes").cdqs_from_psqm(obj),
 }
-VERIFY = {  # kind -> verify(obj, budget)
-    "cds": lambda obj, budget: _layer("verifiers").verify_cds(obj, budget=budget),
-    "psm": lambda obj, budget: _layer("verifiers").verify_psm(obj, budget=budget),
-    "dre": lambda obj, budget: _layer("verifiers").verify_dre(obj, budget=budget),
-    "cdqs": lambda obj, budget: _layer("qverifiers").verify_cdqs(obj, budget=budget),
-    "frouting": lambda obj, budget: _layer("qverifiers").verify_frouting(obj, budget=budget),
-    "psqm": lambda obj, budget: _layer("qverifiers").verify_psqm(obj, budget=budget),
+VERIFY = {  # kind -> verify(obj)
+    "cds": lambda obj: _layer("verifiers").verify_cds(obj),
+    "psm": lambda obj: _layer("verifiers").verify_psm(obj),
+    "dre": lambda obj: _layer("verifiers").verify_dre(obj),
+    "cdqs": lambda obj: _layer("qverifiers").verify_cdqs(obj),
+    "frouting": lambda obj: _layer("qverifiers").verify_frouting(obj),
+    "psqm": lambda obj: _layer("qverifiers").verify_psqm(obj),
 }
 
 DESCRIPTOR_FORMAT = "cdslab-descriptor"
@@ -138,12 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _charge_table(n_x: int, n_y: int, budget: int) -> None:
-    """Charge a truth table's 2^(n_x+n_y) entries against ``budget`` before it exists."""
+def _charge_table(n_x: int, n_y: int) -> None:
+    """Charge a truth table's 2^(n_x+n_y) entries before it exists."""
     if n_x < 0 or n_y < 0 or n_x + n_y >= sys.maxsize.bit_length():
         # no tuple holds 2^63 entries, whatever the budget
         raise ValidationError(f"input widths {n_x}+{n_y} outside 0..62 bits")
-    charge(1 << (n_x + n_y), budget, "truth table entries")
+    charge(1 << (n_x + n_y), "truth table entries")
 
 
 def _parse_fn(args) -> BoolFn:
@@ -153,22 +153,22 @@ def _parse_fn(args) -> BoolFn:
             n_x, n_y, packed = int(width_x), int(width_y), int(hex_table, 16)
         except ValueError:
             raise ValidationError("--table wants nx:ny:hex") from None
-        _charge_table(n_x, n_y, args.budget)
+        _charge_table(n_x, n_y)
         return from_packed(n_x, n_y, packed, name=f"t{hex_table}")
     if not args.fn:
         raise ValidationError("need --fn or --table")
     name, named_fn = args.fn.lower(), _layer("families").named_fn
     if name == "qr":
-        _charge_table(args.p.bit_length(), 0, args.budget)
+        _charge_table(args.p.bit_length(), 0)
         return named_fn("qr", p=args.p)
     if name == "index":   # Bob's input is a 2^nx-bit database
-        _charge_table(args.nx, 1 << max(args.nx, 0), args.budget)
+        _charge_table(args.nx, 1 << max(args.nx, 0))
         return named_fn("index", n_x=args.nx)
-    _charge_table(args.nx, args.nx, args.budget)
+    _charge_table(args.nx, args.nx)
     return named_fn(name, n=args.nx)
 
 
-def _span_for(f: BoolFn, p: int, budget: int = DEFAULT_BUDGET) -> SpanProgram:
+def _span_for(f: BoolFn, p: int) -> SpanProgram:
     """f's span program: a named one, else ``span_dnf`` of its 1-inputs, whose
     rows (one per literal) times columns are charged before it is built."""
     algebra = _layer("algebra")
@@ -180,7 +180,7 @@ def _span_for(f: BoolFn, p: int, budget: int = DEFAULT_BUDGET) -> SpanProgram:
         raise ValidationError("constant-0 function has no satisfying terms")
     terms = [[(k + 1, bit) for k, bit in enumerate(literal_input(f, x, y))] for (x, y) in ones]
     rows = sum(map(len, terms))
-    charge(rows * (1 + rows - len(terms)), budget, "span program entries")
+    charge(rows * (1 + rows - len(terms)), "span program entries")
     return algebra.span_dnf(terms, f.n_x + f.n_y, p)
 
 
@@ -211,7 +211,7 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
             strategy = gardenhose.GhStrategy.from_jsonable(embedded["gh_strategy"])
         else:
             ghsearch = _layer("ghsearch")
-            strategy = ghsearch.gh_search(f, opts["max_pipes"], budget=opts["budget"])
+            strategy = ghsearch.gh_search(f, opts["max_pipes"])
             if strategy is None:
                 strategy = ghsearch.gh_generic(f)
         _refuse("strategy routes some input to the wrong side",
@@ -221,9 +221,9 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
         algebra = _layer("algebra")
         if "span_program" in embedded:
             program = algebra.SpanProgram.from_jsonable(embedded["span_program"])
-            charge(program.size * program.width, opts["budget"], "span program entries")
+            charge(program.size * program.width, "span program entries")
         else:
-            program = _span_for(f, opts["p"], opts["budget"])
+            program = _span_for(f, opts["p"])
         _refuse("span program disagrees with the function",
                 [(x, y) for (x, y) in f.inputs()
                  if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
@@ -240,19 +240,15 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
             raise ValidationError(f"qr widths {len(alice)}+{n_bits - len(alice)} differ "
                                   f"from the function's {f.n_x}+{f.n_y}")
         # as build charges --fn qr --p P, on the wider of p and n_bits
-        _charge_table(max(int(params["p"]).bit_length(), n_bits), 0, opts["budget"])
+        _charge_table(max(int(params["p"]).bit_length(), n_bits), 0)
         dre = _layer("protocols").dre_qr(params["p"],
                                          alice_positions=tuple(params["alice_positions"]),
                                          n_bits=params["n_bits"])
-        from heapq import merge
-        from itertools import groupby
-
-        _refuse("encoding disagrees with the function",   # on the inputs of either
-                [xy for xy, _ in groupby(merge(f.inputs(), dre.f.inputs()))
-                 if dre.f.eval(*xy) != f.eval(*xy)])
+        _refuse("encoding disagrees with the function",   # equal widths: equal inputs
+                [xy for xy, a, b in zip(f.inputs(), f.table, dre.f.table) if a != b])
         return dre, {}
     if token == "psm":
-        return _layer("protocols").psm_generic_table(f, budget=opts["budget"]), {}
+        return _layer("protocols").psm_generic_table(f), {}
     raise ValidationError(f"unknown base {token!r}")
 
 
@@ -267,14 +263,14 @@ def _compile_chain(tokens, f: BoolFn, opts: dict, embedded: dict):
 # -- verification dispatch --------------------------------------------------------
 
 
-def _verify_object(kind, obj, budget: int, tol: float) -> dict:
+def _verify_object(kind, obj, tol: float) -> dict:
     if kind == "gh":
         return {"status": "pass", "kind": kind,
                 "report": {"pipes": obj.pipes}}
     if kind == "span":
         return {"status": "pass", "kind": kind,
                 "report": {"rows": obj.size, "width": obj.width, "p": obj.p}}
-    rep = VERIFY[kind](obj, budget)
+    rep = VERIFY[kind](obj)
     # a quantum report's figures are floats, perfect within ``tol``
     ok = rep.perfect(tol) if kind in ("cdqs", "frouting", "psqm") else rep.perfect
     out = {"status": "pass" if ok else "fail", "kind": kind,
@@ -340,8 +336,7 @@ def _cmd_build(args) -> int:
         f = _parse_fn(args)
         tokens = [t.strip() for t in args.chain.split(",") if t.strip()]
         _check_chain(tokens)
-        opts = {"p": args.p, "variant": args.variant,
-                "max_pipes": args.max_pipes, "budget": args.budget}
+        opts = {"p": args.p, "variant": args.variant, "max_pipes": args.max_pipes}
         kind, _, artifacts = _compile_chain(tokens, f, opts, {})
     except (ValidationError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -375,14 +370,13 @@ def _cmd_verify(args) -> int:
     try:
         if not isinstance(desc, dict) or desc.get("format") != DESCRIPTOR_FORMAT:
             raise VerifyFailure("not a descriptor file")
-        _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]), args.budget)
+        _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]))
         f = BoolFn.from_jsonable(desc["fn"])
         tokens = list(desc["chain"])
         _check_chain(tokens)
-        opts = {"p": 2, "variant": "comm", "max_pipes": 4, **dict(desc.get("options", {})),
-                "budget": args.budget}
+        opts = {"p": 2, "variant": "comm", "max_pipes": 4, **dict(desc.get("options", {}))}
         kind, obj, _ = _compile_chain(tokens, f, opts, desc.get("artifacts", {}))
-        result.update(_verify_object(kind, obj, args.budget, args.tol))
+        result.update(_verify_object(kind, obj, args.tol))
         result["chain"] = tokens
         result["fn"] = desc["fn"]
     except VerifyFailure as exc:
@@ -406,7 +400,7 @@ def _cmd_sweep(args) -> int:
     ghsearch = _layer("ghsearch")
     rows = []
     for index, f in enumerate(_layer("families").all_functions(args.nx, args.ny)):
-        found = ghsearch.gh_search(f, args.max_pipes, budget=args.budget)
+        found = ghsearch.gh_search(f, args.max_pipes)
         if found is not None:
             rows.append((index, f.name, found.pipes, "search"))
         else:
@@ -440,8 +434,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return {"build": _cmd_build, "verify": _cmd_verify,
-                "sweep": _cmd_sweep}[args.cmd](args)
+        with budget(args.budget):
+            return {"build": _cmd_build, "verify": _cmd_verify,
+                    "sweep": _cmd_sweep}[args.cmd](args)
     except BudgetError as exc:
         _report_budget(exc)
         return 3

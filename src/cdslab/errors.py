@@ -1,16 +1,34 @@
-"""Shared exception types, the one budget charge, and the bases every record shares.
+"""Shared exception types, the one budget ledger, and the bases every record shares.
 
 Three failure categories are kept apart so callers (and the CLI exit codes)
 can distinguish them: malformed objects, out-of-range inputs, and enumeration
-or register budgets being exceeded. Every budget stop goes through
-``charge``, so each reads "{space}: {count} exceed budget {limit}".
-``InputDomain`` and ``Worst`` live here too, beside ``DEFAULT_BUDGET``, so
-the quantum records subclass them without loading the classical protocols.
+or register budgets being exceeded. ``with budget(limit):`` sets a request's
+one budget, else ``DEFAULT_BUDGET``; every stop is a ``charge`` against it:
+"{space}: {count} exceed budget {limit}". The quantum records subclass
+``InputDomain`` and ``Worst`` here without loading the classical protocols.
 """
 
+from contextlib import contextmanager
 from typing import Optional
 
 DEFAULT_BUDGET = 1 << 24
+_limit = DEFAULT_BUDGET
+
+
+@contextmanager
+def budget(limit: int):
+    """Make ``limit`` the request's budget inside the block; the previous one after it."""
+    global _limit
+    outer, _limit = _limit, limit
+    try:
+        yield
+    finally:
+        _limit = outer
+
+
+def current_limit() -> int:
+    """The request's budget: the innermost ``budget`` block's limit."""
+    return _limit
 
 
 class ValidationError(ValueError):
@@ -50,8 +68,9 @@ class BudgetError(RuntimeError):
         self.space, self.size, self.limit = space, size, limit
 
 
-def charge(size: int, limit: int, space: str) -> None:
-    """Stop with a ``BudgetError`` if ``size`` elements of ``space`` exceed ``limit``."""
+def charge(size: int, space: str, limit: Optional[int] = None) -> None:
+    """Raise ``BudgetError`` if ``size`` of ``space`` exceeds the budget (or a given ``limit``)."""
+    limit = _limit if limit is None else limit
     if size > limit:
         raise BudgetError(space, size, limit)
 

@@ -8,15 +8,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from .boolfn import BoolFn, from_packed, is_prime
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, charge
 
 
 def _build(n_x, n_y, rule, name, params=None):
-    table = []
-    for x in range(1 << n_x):
-        for y in range(1 << n_y):
-            table.append(rule(x, y))
-    return BoolFn(n_x, n_y, tuple(table), name=name, params=params or {})
+    table = tuple(rule(x, y) for x in range(1 << n_x) for y in range(1 << n_y))
+    return BoolFn(n_x, n_y, table, name=name, params=params or {})
 
 
 def _and(n):
@@ -46,11 +43,6 @@ def _index(n_x):
     return _build(n_x, n_y, lambda x, y: (y >> x) & 1, f"index{n_x}", {"n_x": n_x})
 
 
-def qr_residues(p: int) -> set:
-    """All quadratic residues mod p including 0 (brute force over squares)."""
-    return {(b * b) % p for b in range(p)}
-
-
 def euler_qr(a: int, p: int) -> int:
     """Quadratic-residue indicator via Euler's criterion: a^((p-1)/2) mod p.
 
@@ -71,7 +63,8 @@ def _qr_split(p: int, alice_positions=None, n_bits=None):
     ``alice_positions``; Bob holds the rest. Each party's input packs its held
     bits low-to-high (input bit j is the party's j-th held position, positions
     sorted ascending). The value a is reduced mod p; a = 0 counts as a residue
-    since 0 = 0**2.
+    since 0 = 0**2. Residuosity is read from a table of p entries, charged
+    before it is made by squaring 0..(p-1)/2.
     """
     if not is_prime(p) or p == 2:
         raise ValidationError(f"p={p} must be an odd prime")
@@ -84,26 +77,17 @@ def _qr_split(p: int, alice_positions=None, n_bits=None):
     if len(set(alice_positions)) != len(alice_positions):
         raise ValidationError("duplicate alice positions")
     bob_positions = tuple(i for i in range(1, n + 1) if i not in alice_positions)
-    residues = qr_residues(p)
-    fn = _build(
-        len(alice_positions),
-        len(bob_positions),
-        lambda x, y: int(_assemble(x, y, alice_positions, bob_positions) % p
-                         in residues),
-        f"qr{p}",
-        {"p": p, "alice_positions": list(alice_positions), "n_bits": n},
-    )
-    return fn
-
-
-def _assemble(x: int, y: int, alice_positions, bob_positions) -> int:
-    """Integer whose bit at each party's j-th position is that input's bit j."""
-    a = 0
-    for j, pos in enumerate(alice_positions):
-        a |= ((x >> j) & 1) << (pos - 1)
-    for j, pos in enumerate(bob_positions):
-        a |= ((y >> j) & 1) << (pos - 1)
-    return a
+    charge(p, "qr residue table entries")
+    residues = bytearray(p)
+    for b in range(p // 2 + 1):
+        residues[b * b % p] = 1
+    # each party's inputs with their bits moved to its positions
+    at_x, at_y = ([sum(((v >> j) & 1) << (pos - 1) for j, pos in enumerate(positions))
+                   for v in range(1 << len(positions))]
+                  for positions in (alice_positions, bob_positions))
+    return _build(len(alice_positions), len(bob_positions),
+                  lambda x, y: residues[(at_x[x] | at_y[y]) % p], f"qr{p}",
+                  {"p": p, "alice_positions": list(alice_positions), "n_bits": n})
 
 
 def _qr_positions(f: BoolFn) -> tuple:

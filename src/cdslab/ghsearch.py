@@ -105,7 +105,7 @@ def _first_alice_pick(per_alice, spill, column, n_y_inputs, full):
     return None if masks is None else (pick, masks)
 
 
-def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
+def gh_search(f: BoolFn, max_pipes: int):
     """Smallest working strategy with at most ``max_pipes`` pipes, or None.
 
     Exhaustive over per-input tap/matching choices, in a fixed lexicographic
@@ -114,7 +114,8 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
     that computes f. One symmetry is quotiented out: pipes can be relabelled
     consistently on both sides, so the tap for x = 0 is pinned to pipe 1
     without loss of generality (anything else is a relabelling of something
-    enumerated). ``budget`` bounds that candidate count at each m, checked
+    enumerated). The request's budget (``errors.budget``, else
+    ``DEFAULT_BUDGET``) bounds that candidate count at each m, charged
     before the search at m evaluates f or builds a table row; f's columns
     are evaluated once each, when the search first reaches them.
 
@@ -141,7 +142,7 @@ def gh_search(f: BoolFn, max_pipes: int, budget: int = 10 ** 8):
         for c in per_alice:
             total *= len(c)
         total *= len(bob_choices) ** n_inputs_y
-        charge(total, budget, f"gh_search candidate strategies at m={m}")
+        charge(total, f"gh_search candidate strategies at m={m}")
         # extends the rows kept in _TABLES in place
         spill += _spill_rows(m, alice_choices[len(spill):len(per_alice[-1])], bob_choices)
         found = _first_alice_pick(per_alice, spill, column, n_inputs_y,

@@ -14,7 +14,7 @@ import math
 from functools import cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import DEFAULT_BUDGET, ValidationError, charge
+from .errors import ValidationError, charge
 from .nlqc import KEYS, CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch, _statevector
 
 if TYPE_CHECKING:
@@ -96,7 +96,7 @@ def _otp_left_output(classes: list, psi) -> list:
     """
     quantum = _statevector()
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
-    charge(3 + kq, quantum.MAX_QUBITS, "qubits per factor")
+    charge(3 + kq, "qubits per factor", quantum.MAX_QUBITS)
     vec = [0j] * (1 << (3 + kq))
     for s in KEYS:
         padded = quantum.matmul(quantum.phased_pad(*s), psi)
@@ -173,7 +173,7 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
                         domain=domain, resources=resources)
 
 
-def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
+def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
     """Quantum one-time pad keyed by two secret bits a classical CDS hides.
 
     Alice pads the secret qubit with the two-bit key and sends it along; two
@@ -181,16 +181,16 @@ def cdqs_from_cds(C: CdsProtocol, budget: int = DEFAULT_BUDGET) -> CdqsProtocol:
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
     counts come from one sweep per secret by ``verify_cds``'s kernel, by
-    coset, charged against ``budget`` before the first (a layout the first nu
-    misses, when met); the product weights stay integers until one division
-    by the squared joint randomness.
+    coset, charged before the first (a layout the first nu misses, when
+    met); the product weights stay integers until one division by the
+    squared joint randomness.
     """
     from .protocols import _joint, _sweep_kernel, space_size
 
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
     cases = [(x, y, s) for (x, y) in C.input_pairs() for s in C.secrets]
-    kernel = cache(lambda: _sweep_kernel(C, cases, budget, "cdqs_from_cds")[0])
+    kernel = cache(lambda: _sweep_kernel(C, cases, "cdqs_from_cds")[0])
 
     def bit_hists(x, y):
         return {s: kernel()(x, y, s) for s in C.secrets}
@@ -239,7 +239,7 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
                             resources=resources)
 
 
-def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
+def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
     """A classical PSM is a simultaneous-message protocol with no qubits.
 
     A run is one sweep of P's messages on one input pair by ``verify_psm``'s
@@ -249,7 +249,7 @@ def psqm_from_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> PsqmProtocol:
     """
     from .protocols import _sweep_kernel, message_count
 
-    kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), budget, "psqm_from_psm"))
+    kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), "psqm_from_psm"))
 
     def run(x, y):
         hist_of, joint = kernel()

@@ -32,7 +32,7 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn, literal_input
-from .errors import DEFAULT_BUDGET, InputDomain, ValidationError, charge
+from .errors import InputDomain, ValidationError, charge, current_limit
 
 if TYPE_CHECKING:
     from .algebra import SpanProgram
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 
 
 class LazySpace:
-    """A randomness space of ``size`` elements made on demand.
+    """A randomness space, or a domain's input pairs, of ``size`` elements made on demand.
 
     ``iterate()`` yields the elements in order, so ``len`` and iteration
     work as on the tuple it stands for without building it. Verifiers only
@@ -265,19 +265,20 @@ def _coset_alphabet(lin: LinearPart, members, side: int) -> int:
     return sum(p ** len(basis) for _, basis, _ in found)
 
 
-def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
+def _sweep_kernel(P, cases: list, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
     ``cases`` lists the arguments (x, y, *secret) to sweep, which the
     function, bound to P, takes: ``coset_hist``, one ``spaces`` for all
-    cases, charged in message coordinates: (case, nu) pairs, counted before
-    any nu is listed, their values b, each as wide as the widest at the
-    first nu, then at once the maps of the layouts met there, others' when met.
+    cases, charged as ``what``'s message coordinates: (case, nu) pairs,
+    counted before any nu is listed, their values b, each as wide as the
+    widest at the first nu, then at once the maps of the layouts met there,
+    others' when met.
     """
     lin = P.linear
     space = f"{what} message coordinates"
     pairs = max(1, len(cases)) * space_size(lin.nus)
-    charge(pairs, budget, space)   # before the width probe
+    charge(pairs, space)   # before the width probe
     nu = next(iter(lin.nus))
     firsts = {(t0, t1, len(b0), len(b1)) for (t0, b0), (t1, b1) in (
         (lin.alice_form(x, *s, nu), lin.bob_form(y, nu)) for (x, y, *s) in cases)}
@@ -287,7 +288,7 @@ def _sweep_kernel(P, cases: list, budget: int, what: str) -> tuple:
         new = set(layouts) - charged
         charged.update(new)
         coords[0] += sum(lin.coords) * sum(n0 + n1 for *_, n0, n1 in new)
-        charge(coords[0], budget, space)
+        charge(coords[0], space)
 
     met()
     met(*firsts)
@@ -555,7 +556,7 @@ def psm_from_dre(D: Dre) -> PsmProtocol:
     return PsmProtocol(D.f, D.linear, D.decode, domain=D.domain, resources=dict(D.resources))
 
 
-def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
+def psm_generic_table(f: BoolFn) -> PsmProtocol:
     """One-time-table PSM for any small f.
 
     Shared randomness holds a permuted, masked copy of f's truth table rows:
@@ -572,9 +573,9 @@ def psm_generic_table(f: BoolFn, budget: int = DEFAULT_BUDGET) -> PsmProtocol:
     # (2^n_y)! 2^(2^n_y) states: past 256 bits and the budget, charge the power
     # of two lgamma (within 1e-3 bits) shows it reaches; (2^20)! takes seconds
     bits = math.lgamma(cols + 1) / math.log(2) + cols - 1e-3
-    total = (1 << int(bits) if bits > max(256, budget.bit_length())
+    total = (1 << int(bits) if bits > max(256, current_limit().bit_length())
              else math.factorial(cols) * (1 << cols))
-    charge(total, budget, "psm_generic_table randomness states")
+    charge(total, "psm_generic_table randomness states")
     nus = pair_space(tuple(permutations(range(cols))), product_space((0, 1), cols))
 
     def alice_form(x, nu):
@@ -637,7 +638,7 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     def decode(mx, my):
         return euler_qr((sum(mx[1]) + sum(my[1])) % p, p)
 
-    domain = tuple(qr_split_inputs(f, a) for a in range(1, p))
+    domain = LazySpace(p - 1, lambda: (qr_split_inputs(f, a) for a in range(1, p)))
     states = (p - 1) * p ** (n - 1)
     resources = {
         "field": p,

@@ -186,7 +186,7 @@ class PureState:
         if len(set(names)) != len(names):
             raise ValidationError("duplicate register names")
         n = self.n_qubits
-        charge(n, MAX_QUBITS, "qubits per factor")
+        charge(n, "qubits per factor", MAX_QUBITS)
         self.vec = _vector(vec)
         if len(self.vec) != 1 << n:
             raise ValidationError("amplitude vector length mismatch")
@@ -206,14 +206,14 @@ class PureState:
                 raise DomainError(f"value {v} out of range for register {name}")
             idx = (idx << k) | v
         n = sum(k for (_, k) in regs)
-        charge(n, MAX_QUBITS, "qubits per factor")
+        charge(n, "qubits per factor", MAX_QUBITS)
         vec = [0j] * (1 << n)
         vec[idx] = 1 + 0j
         return PureState(regs, vec)
 
     def tensor(self, other: "PureState") -> "PureState":
         n = self.n_qubits + other.n_qubits
-        charge(n, MAX_QUBITS, "qubits per factor")
+        charge(n, "qubits per factor", MAX_QUBITS)
         return PureState(self.regs + other.regs, kron(self.vec, other.vec))
 
     # -- addressing ----------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import DEFAULT_BUDGET, ValidationError, Worst, charge
+from .errors import ValidationError, Worst, charge
 from .nlqc import _statevector
 
 if TYPE_CHECKING:
@@ -59,20 +59,20 @@ class QVerificationReport:
 
 
 class _Sweep(Worst):
-    """One verification's per-input figures, worst cases and branch budget.
+    """One verification's per-input figures, worst cases and branch charge.
 
-    The budget bounds the running total of branches the verifier walks, one
-    per class branch; the per-input ``branches`` figures, and with them
-    ``max_branches``, count by ``count``, the transcripts each class stands for.
+    The request's budget bounds the running total of branches the verifier
+    walks, charged after each run, one per class branch; the per-input
+    ``branches`` figures, and with them ``max_branches``, count by ``count``,
+    the transcripts each class stands for.
     Every figure counts toward its worst case, but only one above the
     statevector layer's rounding floor, ``quantum._TOL``, names a witness: of
     figures that are all rounding noise, which one is largest depends on the
     order of floating-point operations, not on the protocol.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self):
         super().__init__()
-        self.budget = budget
         self.total = 0
         self.per_input = {}
 
@@ -86,7 +86,7 @@ class _Sweep(Worst):
         """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
         branches = run(*args)
         self.total += len(branches)
-        charge(self.total, self.budget, "branches")
+        charge(self.total, "branches")
         return branches, sum(b.count for b in branches)
 
     def record(self, xy: tuple, info: dict, name: str, figure: float) -> None:
@@ -144,10 +144,10 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
                                          [blocks_b.get(k, zero) for k in keys])
 
 
-def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
     quantum = _statevector()
-    sweep = _Sweep(budget)
+    sweep = _Sweep()
     for (x, y) in P.input_pairs():
         branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
         if P.f.eval(x, y) == 1:
@@ -164,7 +164,7 @@ def verify_cdqs(P: CdqsProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationR
     return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
 
-def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
     """Delivered-qubit fidelity on both sides, worst case over inputs.
 
     Branch-register sides are checked through the Choi state. A side that
@@ -175,7 +175,7 @@ def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerif
     from .gardenhose import RIGHT
 
     quantum = _statevector()
-    sweep = _Sweep(budget)
+    sweep = _Sweep()
     for (x, y) in P.input_pairs():
         fx = P.f.eval(x, y)
         side, reg = P.exit_info(x, y)
@@ -198,13 +198,13 @@ def verify_frouting(P: FRoutingProtocol, budget: int = DEFAULT_BUDGET) -> QVerif
                         consistent="side" not in sweep.witnesses)
 
 
-def verify_psqm(P: PsqmProtocol, budget: int = DEFAULT_BUDGET) -> QVerificationReport:
+def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
     """Decode accuracy on every input; view distance across equal-value inputs.
 
     As ``verifiers._sweep`` does with histograms, a value keeps only its
     distinct views and compares them pairwise in input order.
     """
-    sweep = _Sweep(budget)
+    sweep = _Sweep()
     views = {}
     for (x, y) in P.input_pairs():
         branches, n = sweep.run(P.run, x, y)

@@ -12,7 +12,7 @@ import math
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DEFAULT_BUDGET, Worst
+from .errors import Worst
 from .protocols import _coset_alphabet, _sweep_kernel, space_size
 
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ def _randomness(P) -> dict:
     return resources
 
 
-def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
+def _sweep(P, cases: list, decode: Callable, what: str,
            seen: Callable = lambda hist: None) -> tuple:
     """(eps, delta, witnesses) of P over ``cases``: the one classical sweep.
 
@@ -97,7 +97,7 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
     """
     from fractions import Fraction
 
-    hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], budget, what)
+    hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], what)
     last = {group: i for i, (_, _, group) in enumerate(cases)}
     worst, kept, gaps = Worst(), {}, []
     for i, (args, want, group) in enumerate(cases):
@@ -119,7 +119,7 @@ def _sweep(P, cases: list, decode: Callable, budget: int, what: str,
             worst.witnesses)
 
 
-def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationReport:
+def verify_cds(P: CdsProtocol) -> VerificationReport:
     """Sweep all (x, y, s, randomness); exact worst-case error and leakage.
 
     A revealing input must decode every secret and a hiding input send all
@@ -138,7 +138,7 @@ def verify_cds(P: CdsProtocol, budget: int = DEFAULT_BUDGET) -> VerificationRepo
             alphabet.update(m[side] for m in hist)
 
     eps, delta, witnesses = _sweep(P, cases, lambda m, x, y: P.decode(m[0], x, m[1], y),
-                                   budget, "verify_cds", seen)
+                                   "verify_cds", seen)
     if "delta" in witnesses:
         a, b = witnesses["delta"]
         witnesses["delta"] = a + b[2:]
@@ -153,21 +153,21 @@ def _value_cases(P) -> list:
     return [((x, y), v, v) for (x, y) in P.input_pairs() for v in (P.f.eval(x, y),)]
 
 
-def verify_psm(P: PsmProtocol, budget: int = DEFAULT_BUDGET) -> VerificationReport:
+def verify_psm(P: PsmProtocol) -> VerificationReport:
     """Exact decode error over all inputs; leakage over equal-value input pairs."""
     eps, delta, witnesses = _sweep(P, _value_cases(P),
-                                   lambda m, x, y: P.decode(m[0], m[1]), budget, "verify_psm")
+                                   lambda m, x, y: P.decode(m[0], m[1]), "verify_psm")
     return VerificationReport("psm", eps, delta, _randomness(P), witnesses)
 
 
-def verify_dre(D: Dre, budget: int = DEFAULT_BUDGET) -> VerificationReport:
+def verify_dre(D: Dre) -> VerificationReport:
     """The PSM sweep of the DRE's encoding halves.
 
     Privacy holds exactly when equal-value inputs have equal whole-encoding
     histograms, i.e. when ``delta_pair`` is 0.
     """
     eps, delta, witnesses = _sweep(D, _value_cases(D),
-                                   lambda m, x, y: D.decode(m[0], m[1]), budget, "verify_dre")
+                                   lambda m, x, y: D.decode(m[0], m[1]), "verify_dre")
     resources = dict(D.resources)
     resources.setdefault("randomness_states", space_size(D.shared))
     resources["same_class_histograms_equal"] = delta == 0

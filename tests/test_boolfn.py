@@ -13,8 +13,7 @@ from cdslab.boolfn import (PRIME_BOUND, BoolFn, bits_msb_first, is_prime,
                            literal_input)
 from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
-from cdslab.families import all_functions, named_fn, qr_residues, qr_split_inputs
-from cdslab.protocols import DEFAULT_BUDGET
+from cdslab.families import all_functions, named_fn, qr_split_inputs
 
 
 def test_table_indexing_order():
@@ -50,17 +49,20 @@ def test_two_bit_families_against_direct_rules():
             assert fi.eval(x, y) == bin(x & y).count("1") % 2
 
 
-def test_qr_residue_oracle():
-    assert qr_residues(7) == {0, 1, 2, 4}
-    assert qr_residues(11) == {0, 1, 3, 4, 5, 9}
-
-
 def _qr_join(f, x, y) -> int:
     """The integer a with x's bits at Alice's positions and y's at Bob's, bit 1 lowest."""
     alice = sorted(f.params["alice_positions"])
     bob = [pos for pos in range(1, f.params["n_bits"] + 1) if pos not in alice]
     return sum(((v >> j) & 1) << (pos - 1) for v, ps in ((x, alice), (y, bob))
                for j, pos in enumerate(ps))
+
+
+def test_qr_residue_oracle():
+    # the residues mod p, 0 included, that qr's truth table marks
+    for p, residues in ((7, {0, 1, 2, 4}), (11, {0, 1, 3, 4, 5, 9})):
+        f = named_fn("qr", p=p)
+        assert {_qr_join(f, x, y) % p for (x, y) in f.ones()} == residues
+        assert {_qr_join(f, x, y) % p for (x, y) in f.inputs()} == set(range(p))
 
 
 def test_qr_split_function_values():
@@ -146,8 +148,7 @@ def test_table_option_codec_and_enumeration_share_one_packing(n_x, n_y, data):
     size = 1 << (n_x + n_y)
     packed = data.draw(st.integers(0, (1 << size) - 1))
     want = tuple((packed >> i) & 1 for i in range(size))
-    parsed = _parse_fn(argparse.Namespace(table=f"{n_x}:{n_y}:{packed:x}",
-                                          budget=DEFAULT_BUDGET))
+    parsed = _parse_fn(argparse.Namespace(table=f"{n_x}:{n_y}:{packed:x}"))
     decoded = BoolFn.from_jsonable({"n_x": n_x, "n_y": n_y, "table": f"{packed:x}"})
     assert parsed.table == decoded.table == want
     if packed < 1 << 12:   # all_functions lists the tables in packed order

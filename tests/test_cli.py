@@ -563,6 +563,7 @@ sys.exit(main(sys.argv[1:]))
         "bob_message_alphabet": 251723776, "bob_message_bits": 24,
         "bound_randomness_equals_pipes": True, "pipes": 32, "randomness_bits": 32,
         "randomness_states": 4294967296}),
+    ("dre", ["--fn", "qr", "--p", "8388617"], None),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # ip6's 128 pipes, every one a rho coordinate under one nu: each layout's
@@ -576,7 +577,9 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # listing them, and each verify ends on a budget before it sweeps them.
     # index3's span program, 11,264 rows by 10,241 columns, is charged
     # before it is built. A dict is a passing verify's resources: ip4's 32
-    # pipes, one coset per case, pass within the default budget
+    # pipes, one coset per case, pass within the default budget. The 24-bit
+    # qr build holds its 2^24-entry table (the default budget) twice, a
+    # residue table of p entries, and its p - 1 domain pairs unlisted
     env = _child_env()
     build_stop = stop == "span program entries"   # the build, not the verify, stops
     passes = isinstance(stop, dict)
@@ -714,20 +717,33 @@ def test_branch_budget_charges_class_branches(tmp_path, chain, raw):
     assert report["report"]["max_branches"] == raw
 
 
-@pytest.mark.parametrize("chain,space", [
-    ("dre,psm,cds,cdqs", "cdqs_from_cds message coordinates"),
-    ("dre,psm,psqm", "psqm_from_psm message coordinates"),
-])
+_QR5 = ["--fn", "qr", "--p", "5"]
+# (chain, space) -> (build arguments, --budget, the size the stop names), one
+# chain per verifier kind. On qr p=5, (2 secrets * 4 inputs) * (4 values of
+# r * 2 selectors) * 3 values of the CDS (the masked bit is in Alice's tag),
+# or 4 inputs * 4 values of r * 3 values of the PSM and the DRE, charged
+# before the first sweep, and then 2 * 3 coordinates of maps per layout the
+# first nu meets, in one step: the CDS has two layouts, one per masked bit,
+# the PSM one. A garden-hose route walks four class branches per input, and
+# the running total passes the budget at the third input (and1) or the fourth
+# (eq1). A PSQM run has at most one branch per (input, nu) pair, which its
+# kernel charges first, so its stop is that charge, made in verify_psqm's run.
+_VERIFY_STOPS = {
+    ("dre,psm,cds,cdqs", "cdqs_from_cds message coordinates"): (_QR5, 200, 8 * 8 * 3 + 2 * 6),
+    ("dre,psm,psqm", "psqm_from_psm message coordinates"): (_QR5, 50, 4 * 4 * 3 + 6),
+    ("dre,psm,cds", "verify_cds message coordinates"): (_QR5, 200, 8 * 8 * 3 + 2 * 6),
+    ("dre,psm", "verify_psm message coordinates"): (_QR5, 50, 4 * 4 * 3 + 6),
+    ("dre", "verify_dre message coordinates"): (_QR5, 50, 4 * 4 * 3 + 6),
+    ("gh,frouting,cdqs", "branches"): (["--fn", "and"], 10, 3 * 4),
+    ("gh,frouting", "branches"): (["--fn", "eq", "--nx", "1"], 12, 4 * 4),
+}
+
+
+@pytest.mark.parametrize("chain,space", list(_VERIFY_STOPS))
 def test_verify_budget_reaches_the_quantum_sweeps(tmp_path, chain, space):
-    # on qr p=5, (2 secrets * 4 inputs) * (4 values of r * 2 selectors) * 3
-    # values of the CDS (the masked bit is in Alice's tag), or 4 inputs * 4
-    # values of r * 3 values of the PSM, charged before the first sweep, and
-    # then 2 * 3 coordinates of maps per layout the first nu meets, in one
-    # step: the CDS has two layouts, one per masked bit, the PSM one
-    budget = {"dre,psm,cds,cdqs": 200, "dre,psm,psqm": 50}[chain]
-    got = _budget_report(tmp_path, ["--chain", chain, "--fn", "qr", "--p", "5"],
-                         ["--budget", str(budget)])
-    size = {"dre,psm,cds,cdqs": 8 * 8 * 3 + 2 * 6, "dre,psm,psqm": 4 * 4 * 3 + 6}[chain]
+    # verify --budget is the limit of every verifier's charge
+    args, budget, size = _VERIFY_STOPS[chain, space]
+    got = _budget_report(tmp_path, ["--chain", chain, *args], ["--budget", str(budget)])
     assert got == (space, size, budget)
 
 
@@ -760,6 +776,57 @@ def test_build_and_sweep_print_budget_fields(capsys, args, space):
     assert fields["status"] == "budget"
     assert fields["space"] == space
     assert fields["size"] > fields["limit"]
+
+
+def test_the_budget_ledger_nests_restores_and_is_no_parameter():
+    import importlib
+    import inspect
+    import types
+
+    from cdslab import errors
+
+    assert errors.current_limit() == errors.DEFAULT_BUDGET
+    with errors.budget(100):
+        with errors.budget(5):
+            assert errors.current_limit() == 5
+        assert errors.current_limit() == 100
+        with pytest.raises(errors.BudgetError) as exc, errors.budget(3):
+            errors.charge(4, "things")
+        assert (exc.value.limit, errors.current_limit()) == (3, 100)
+    assert errors.current_limit() == errors.DEFAULT_BUDGET
+
+    def budget_takers(module) -> list:
+        takers = []
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            # a class takes its parameters through the methods it defines,
+            # static and class methods unwrapped to the functions they hold
+            members = list(vars(obj).values()) if inspect.isclass(obj) else [obj]
+            takers += [f"{module.__name__}.{name}" for m in map(
+                           lambda m: getattr(m, "__func__", m), members)
+                       if inspect.isfunction(m) and "budget" in inspect.signature(m).parameters]
+        return takers
+
+    # the walk sees a budget on a function and on any kind of method
+    planted = types.ModuleType("planted")
+    exec("def plain(f, budget=1): pass\n"
+         "class Loaded:\n"
+         "    @classmethod\n"
+         "    def from_jsonable(cls, data, budget=1): pass\n"
+         "class Fixed:\n"
+         "    @staticmethod\n"
+         "    def build(budget): pass\n"
+         "class Clean:\n"
+         "    @classmethod\n"
+         "    def from_jsonable(cls, data): pass\n", vars(planted))
+    assert budget_takers(planted) == ["planted.plain", "planted.Loaded", "planted.Fixed"]
+    # the ledger is the only budget: no function, class or method takes one
+    takers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cdslab").glob("*.py")):
+        takers += budget_takers(importlib.import_module(
+            "cdslab" + ("" if path.stem == "__init__" else f".{path.stem}")))
+    assert takers == []
 
 
 def test_a_table_value_wider_than_its_widths_is_refused(tmp_path, capsys):

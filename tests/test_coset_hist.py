@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from cdslab import protocols, verifiers
 from cdslab.algebra import SpanProgram, sp_eval, span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn, literal_input
-from cdslab.errors import BudgetError, ValidationError
+from cdslab.errors import BudgetError, ValidationError, budget
 from cdslab.families import named_fn
-from cdslab.protocols import (DEFAULT_BUDGET, CdsProtocol, LinearPart, PsmProtocol,
-                              cds_from_psm, cds_from_span, coset_hist, dre_qr, psm_from_dre)
+from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_psm,
+                              cds_from_span, coset_hist, dre_qr, psm_from_dre)
 from cdslab.toolkit import span_threshold_2of3
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import enumerated, message_hist, replace
@@ -97,7 +97,7 @@ def test_qr_dre_and_psm_match_the_message_sweep(p):
     D = dre_qr(p)
     P = enumerated(psm_from_dre(D))
     want = verifiers._sweep(P, verifiers._value_cases(P),
-                            lambda m, x, y: P.decode(m[0], m[1]), DEFAULT_BUDGET, "ref")
+                            lambda m, x, y: P.decode(m[0], m[1]), "ref")
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):
         assert (report.eps_hat, report.delta_pair, report.witnesses) == want
@@ -332,21 +332,22 @@ def test_declared_budget_counts_evaluations_before_any_call():
     lin, calls = D.linear, []
     counted = replace(D, linear=lin._replace(
         alice_form=lambda x, r: calls.append(x) or lin.alice_form(x, r)))
-    with pytest.raises(BudgetError,
-                       match="verify_dre message coordinates: 36 exceed budget 35"):
-        verify_dre(counted, budget=35)
+    with pytest.raises(BudgetError, match="verify_dre message coordinates: 36 exceed "
+                       "budget 35"), budget(35):
+        verify_dre(counted)
     assert calls == []
     # one form per input at the first r sizes the pairs' values
-    with pytest.raises(BudgetError,
-                       match="verify_dre message coordinates: 108 exceed budget 107"):
-        verify_dre(counted, budget=107)
+    with pytest.raises(BudgetError, match="verify_dre message coordinates: 108 exceed "
+                       "budget 107"), budget(107):
+        verify_dre(counted)
     assert len(calls) == 6
     # the maps of the layouts the first r meets are charged before any sweep
-    with pytest.raises(BudgetError,
-                       match="verify_dre message coordinates: 114 exceed budget 113"):
-        verify_dre(counted, budget=113)
+    with pytest.raises(BudgetError, match="verify_dre message coordinates: 114 exceed "
+                       "budget 113"), budget(113):
+        verify_dre(counted)
     assert len(calls) == 6 + 6
-    assert verify_dre(counted, budget=114).perfect
+    with budget(114):
+        assert verify_dre(counted).perfect
     assert len(calls) == 12 + 6 + 36
 
 

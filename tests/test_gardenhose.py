@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cdslab.boolfn import BoolFn
-from cdslab.errors import BudgetError, DomainError, ValidationError
+from cdslab.errors import BudgetError, DomainError, ValidationError, budget
 from cdslab.families import all_functions, named_fn
 from cdslab.gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_trace
 from cdslab.ghsearch import _matchings, gh_generic, gh_search
@@ -88,8 +88,8 @@ def test_search_deterministic():
 
 
 def test_search_budget():
-    with pytest.raises(BudgetError):
-        gh_search(AND1, 3, budget=1)
+    with pytest.raises(BudgetError), budget(1):
+        gh_search(AND1, 3)
 
 
 def test_constant_functions_need_one_pipe():

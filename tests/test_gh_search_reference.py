@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cdslab import gardenhose, ghsearch
 from cdslab.boolfn import BoolFn, from_packed
 from cdslab.cli import main
-from cdslab.errors import BudgetError
+from cdslab.errors import BudgetError, budget
 from cdslab.families import all_functions, named_fn
 from cdslab.gardenhose import GhStrategy, gh_trace
 from cdslab.ghsearch import _alice_choices, _matchings, gh_search
@@ -88,9 +88,10 @@ EQ2 = named_fn("eq", n=2)
 
 
 def test_budget_message_unchanged():
-    assert gh_search(EQ2, 3) is None
-    with pytest.raises(BudgetError) as exc:
-        gh_search(EQ2, 4)
+    with budget(10 ** 8):
+        assert gh_search(EQ2, 3) is None
+        with pytest.raises(BudgetError) as exc:
+            gh_search(EQ2, 4)
     assert str(exc.value) == ("gh_search candidate strategies at m=4: 163840000 "
                               "exceed budget 100000000")
 
@@ -111,8 +112,8 @@ def test_tables_stay_within_the_admitted_budget(monkeypatch):
 
     monkeypatch.setattr(ghsearch, "_TABLES", {})
     monkeypatch.setattr(gardenhose, "gh_eval", counted)
-    with pytest.raises(BudgetError, match="at m=4:"):
-        gh_search(EQ2, 12, budget=10 ** 6)
+    with pytest.raises(BudgetError, match="at m=4:"), budget(10 ** 6):
+        gh_search(EQ2, 12)
     # full tables for m = 1..3, none for the m that exceeds the budget
     admitted = sum(len(_alice_choices(m)) * len(_matchings(list(range(1, m + 1))))
                    for m in (1, 2, 3))
@@ -141,20 +142,20 @@ class _CountedFn(BoolFn):
 
 def test_a_refused_search_evaluates_nothing():
     f = _CountedFn(EQ2)
-    with pytest.raises(BudgetError, match="at m=1:"):
-        gh_search(f, 3, budget=0)
+    with pytest.raises(BudgetError, match="at m=1:"), budget(0):
+        gh_search(f, 3)
     assert f.calls == 0
     # refused at m=2: the m=1 search read only the column it pruned on
     g = _CountedFn(BoolFn(3, 3, (0,) * 64))
-    with pytest.raises(BudgetError, match="at m=2:"):
-        gh_search(g, 3, budget=10 ** 4)
+    with pytest.raises(BudgetError, match="at m=2:"), budget(10 ** 4):
+        gh_search(g, 3)
     assert g.calls == 8
 
 
 def test_a_count_past_the_int_to_str_limit_is_reported_by_its_bit_length():
     # 2^14 Alice inputs at m=2: 2^16383 Alice picks times 2 Bob picks
     f = BoolFn(14, 0, (0,) * (1 << 14))
-    with pytest.raises(BudgetError) as exc:
+    with pytest.raises(BudgetError) as exc, budget(10 ** 8):
         gh_search(f, 2)
     assert str(exc.value) == ("gh_search candidate strategies at m=2: at least 2^16384 "
                               "exceed budget 100000000")

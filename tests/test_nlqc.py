@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cdslab.boolfn import BoolFn
-from cdslab.errors import BudgetError, ValidationError
+from cdslab.errors import BudgetError, ValidationError, budget
 from cdslab.families import named_fn
 from cdslab.gardenhose import LEFT, RIGHT
 from cdslab.ghsearch import gh_generic, gh_search
@@ -210,14 +210,14 @@ def test_cdqs_from_psqm_guards():
 
 def test_verify_budgets():
     C = cdqs_from_cds(_gh_cds(AND1))
-    with pytest.raises(BudgetError):
-        verify_cdqs(C, budget=3)
+    with pytest.raises(BudgetError), budget(3):
+        verify_cdqs(C)
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
-    with pytest.raises(BudgetError):
-        verify_frouting(R, budget=2)
+    with pytest.raises(BudgetError), budget(2):
+        verify_frouting(R)
     Q = psqm_from_psm(psm_generic_table(AND1))
-    with pytest.raises(BudgetError):
-        verify_psqm(Q, budget=1)
+    with pytest.raises(BudgetError), budget(1):
+        verify_psqm(Q)
 
 
 def test_report_jsonable_shape():

@@ -13,7 +13,7 @@ import pytest
 
 from cdslab.algebra import span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn
-from cdslab.errors import BudgetError, ValidationError
+from cdslab.errors import BudgetError, ValidationError, budget
 from cdslab.families import named_fn, qr_split_inputs
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
@@ -243,8 +243,8 @@ def test_psm_generic_table():
 
 
 def test_psm_table_budget():
-    with pytest.raises(BudgetError):
-        psm_generic_table(AND1, budget=7)
+    with pytest.raises(BudgetError), budget(7):
+        psm_generic_table(AND1)
     with pytest.raises(BudgetError):
         psm_generic_table(named_fn("ip", n=4))  # 16! permutations
 
@@ -293,12 +293,14 @@ def test_hiding_input_is_the_first_zero_input():
 
 def test_verifier_budgets():
     big = cds_from_gh(gh_generic(named_fn("ip", n=2)), named_fn("ip", n=2))
-    with pytest.raises(BudgetError):
-        verify_cds(big, budget=100)
-    with pytest.raises(BudgetError):
-        verify_dre(dre_qr(7), budget=10)
-    with pytest.raises(BudgetError):
-        verify_psm(psm_generic_table(AND1), budget=3)
+    with pytest.raises(BudgetError), budget(100):
+        verify_cds(big)
+    D = dre_qr(7)
+    with pytest.raises(BudgetError), budget(10):
+        verify_dre(D)
+    P = psm_generic_table(AND1)
+    with pytest.raises(BudgetError), budget(3):
+        verify_psm(P)
 
 
 def test_dre_leaking_x_is_caught():

@@ -61,7 +61,9 @@ The pad routes key their transcript classes on integer tuples, so nothing in
 ``nlqc`` reads ``Fraction``. Records carry only fields something reads: a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only ``cli``, which reads and writes the files,
-imports ``json``.
+imports ``json``. Every charge reads the request's one budget from
+``errors``' ledger, so no module but ``errors``, which defines it, and
+``cli``, whose ``--budget`` defaults to it, reads ``DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -570,6 +572,30 @@ def test_the_check_sees_a_fraction_read():
     assert _fraction_readers(ast.parse("import math\nx = math.gcd(4, 6)\n"), None) == set()
     with pytest.raises(AssertionError):
         _fraction_readers(planted, {"transcript_classes", "gone"})
+
+
+def _reads_default_budget(tree) -> bool:
+    """True when ``tree`` imports ``DEFAULT_BUDGET`` or reads it as an attribute."""
+    return any((isinstance(node, ast.ImportFrom)
+                and any(alias.name == "DEFAULT_BUDGET" for alias in node.names))
+               or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_BUDGET")
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_only_errors_and_cli_read_the_default_budget(module):
+    # errors defines the default and the CLI's --budget defaults to it; every
+    # other layer charges against the ledger, so the default has one source
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert module.stem in ("errors", "cli") or not _reads_default_budget(tree), module.name
+
+
+def test_the_check_sees_a_default_budget_read():
+    for planted in ("from .errors import DEFAULT_BUDGET\n",
+                    "def f():\n    from cdslab.errors import DEFAULT_BUDGET as d\n",
+                    "from . import errors\nx = errors.DEFAULT_BUDGET\n"):
+        assert _reads_default_budget(ast.parse(planted)), planted
+    assert not _reads_default_budget(ast.parse("from .errors import budget, charge\n"))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
