@@ -9,6 +9,9 @@ Three subcommands:
   writing a pass/fail report. Tampered descriptors fail with a witness.
 * ``sweep``  runs the pipe-count search over every function of a given shape.
 
+Their options are the table ``OPTIONS``: ``_parse`` reads argv by it, with
+no argparse and so no abbreviated option, and ``-h`` prints it.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget exceeded.
 A command runs inside ``errors.budget(--budget)``; a stop names the space it
 counted, its size and the limit: ``verify`` writes them as a report with
@@ -21,16 +24,17 @@ or a ``dre`` base, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
 ``algebra`` for ``span``, ``protocols`` for a classical stage, ``nlqc`` for
 a quantum one (``padroutes`` for a pad route), ``quantum`` at a run, and to
 verify ``verifiers`` (with ``fractions``) or ``qverifiers``; ``csv`` only
-for a CSV report. No request loads ``toolkit`` or numpy.
+for a CSV report. No request loads ``toolkit``, numpy or argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import io
 import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -91,51 +95,98 @@ class VerifyFailure(Exception):
 # -- argument handling ---------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cdslab",
-        description="build, verify, and sweep disclosure/routing protocol chains",
-    )
-    parser.add_argument("--version", action="version", version=f"cdslab {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+OPTIONS = {  # command -> {option: (type or choices, default, help)}; default ...: required
+    "build": {
+        "--chain": (str, ..., "comma list, e.g. gh,cds or dre,psm,psqm,cdqs"),
+        "--fn": (str, None, "named function family: and or xor eq ip index qr"),
+        "--table": (str, None, "truth table nx:ny:hex, entry (x<<ny)|y at hex bit i, lsb first"),
+        "--nx": (int, 1, "bits per side / Alice bits"),
+        "--p": (int, 2, "prime field / qr modulus"),
+        "--variant": (("comm", "rand"), "comm", "span-based disclosure flavour"),
+        "--max-pipes": (int, 4, "most pipes the garden-hose search tries"),
+        "--budget": (int, DEFAULT_BUDGET, "enumeration budget"),
+        "--seed": (int, 0, "tags the descriptor; every search is deterministic"),
+        "--out": (str, None, "descriptor path, else stdout"),
+        "--format": (("json",), "json", "descriptor format")},
+    "verify": {
+        "descriptor": (str, ..., "path to a descriptor JSON file"),
+        "--budget": (int, DEFAULT_BUDGET, "enumeration budget"),
+        "--tol": (float, 1e-9, "tolerance for quantum figures of merit"),
+        "--out": (str, None, "report path, else stdout"),
+        "--format": (("json", "csv"), "json", "report format")},
+    "sweep": {
+        "--nx": (int, ..., "Alice's input bits"),
+        "--ny": (int, ..., "Bob's input bits"),
+        "--max-pipes": (int, 4, "most pipes the garden-hose search tries"),
+        "--budget": (int, 10 ** 8, "enumeration budget"),
+        "--seed": (int, 0, "unused: the sweep is deterministic"),
+        "--out": (str, None, "table path, else stdout"),
+        "--format": (("csv", "json"), "csv", "table format")},
+}
 
-    b = sub.add_parser("build", help="compile a chain and write its descriptor")
-    b.add_argument("--chain", required=True,
-                   help="comma list, e.g. gh,cds or dre,psm,psqm,cdqs")
-    b.add_argument("--fn", default=None,
-                   help="named function family: and or xor eq ip index qr")
-    b.add_argument("--table", default=None,
-                   help="explicit truth table as nx:ny:hex (bit (x<<ny)|y is "
-                        "hex bit i, least significant first)")
-    b.add_argument("--nx", type=int, default=1, help="bits per side / Alice bits")
-    b.add_argument("--p", type=int, default=2, help="prime field / qr modulus")
-    b.add_argument("--variant", choices=("comm", "rand"), default="comm",
-                   help="span-based disclosure flavour")
-    b.add_argument("--max-pipes", type=int, default=4)
-    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    b.add_argument("--seed", type=int, default=0,
-                   help="recorded in the descriptor; all searches are "
-                        "deterministic, so this only tags the output")
-    b.add_argument("--out", default=None, help="descriptor path (default stdout)")
-    b.add_argument("--format", choices=("json",), default="json")
 
-    v = sub.add_parser("verify", help="rebuild a descriptor and verify it")
-    v.add_argument("descriptor", help="path to a descriptor JSON file")
-    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    v.add_argument("--tol", type=float, default=1e-9,
-                   help="tolerance for quantum figures of merit")
-    v.add_argument("--out", default=None, help="report path (default stdout)")
-    v.add_argument("--format", choices=("json", "csv"), default="json")
+def _help(commands) -> str:
+    """The usage of each of ``commands``: every option as ``OPTIONS`` states it."""
+    return "".join(f"usage: cdslab {cmd} [options]\n" + "".join(
+        f"  {name} {kind.__name__.upper() if callable(kind) else '{%s}' % ','.join(kind)}: "
+        f"{text} ({'required' if default is ... else f'default {default}'})\n"
+        for name, (kind, default, text) in OPTIONS[cmd].items()) for cmd in commands)
 
-    s = sub.add_parser("sweep", help="pipe-count search over all functions")
-    s.add_argument("--nx", type=int, required=True)
-    s.add_argument("--ny", type=int, required=True)
-    s.add_argument("--max-pipes", type=int, default=4)
-    s.add_argument("--budget", type=int, default=10 ** 8)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
-    return parser
+
+def _is_option(arg: str, table: dict) -> bool:
+    """argparse's rule: ``-``, a negative number and a string with a space are
+    values, unless they name an option (``--opt=value`` too), start ``-h`` or
+    ``--help=``, or start ``--=``, which argparse finds ambiguous."""
+    return arg[:1] == "-" and arg != "-" and (
+        arg.partition("=")[0] in table or arg.startswith(("-h", "--help=", "--="))
+        or not (re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg))
+
+
+def _parse(argv) -> SimpleNamespace | None:
+    """``argv`` read by ``OPTIONS`` into ``cmd`` and each option's value by name
+    (``--max-pipes`` as ``max_pipes``), or None once help or the version is
+    printed. An option takes ``--opt value`` or ``--opt=value``, in any order,
+    the last of a repeat wins, and every string after ``--`` is positional."""
+    cmd = argv[0] if argv else None
+    if cmd in ("-h", "--help", "--version"):
+        sys.stdout.write(f"cdslab {__version__}\n" if cmd == "--version" else _help(OPTIONS))
+        return None
+    if cmd not in OPTIONS:
+        raise ValidationError(f"the commands are {', '.join(OPTIONS)}")
+    table, rest, given, beside = OPTIONS[cmd], iter(argv[1:]), [], False
+    values = {name: default for name, (_, default, _) in table.items()}
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if arg == "--":   # argparse drops it only beside a positional string
+            count = len(given)
+            given += rest
+            if len(given) == count and not beside:
+                raise ValidationError("unrecognized argument '--'")
+            break
+        beside = not _is_option(arg, table)
+        if beside:
+            given.append(arg)
+            continue
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help([cmd]))
+            return None
+        if name not in table:
+            raise ValidationError(f"unrecognized argument {arg!r}")
+        if not eq and _is_option(value := next(rest, "--"), table):  # "--": none left
+            raise ValidationError(f"argument {name}: expected one argument")
+        kind = table[name][0]
+        try:   # ``index`` refuses a string outside the choices
+            values[name] = kind(value) if callable(kind) else kind[kind.index(value)]
+        except ValueError:
+            raise ValidationError(f"argument {name}: invalid value {value!r}") from None
+    positionals = [name for name in table if name[0] != "-"]   # each a string
+    values.update(zip(positionals, given))
+    missing = [name for name, value in values.items() if value is ...]
+    if missing or given[len(positionals):]:
+        raise ValidationError(f"missing {', '.join(missing)}" if missing else
+                              f"unrecognized arguments {given[len(positionals):]}")
+    return SimpleNamespace(cmd=cmd, **{name.lstrip("-").replace("-", "_"): value
+                                        for name, value in values.items()})
 
 
 def _charge_table(n_x: int, n_y: int) -> None:
@@ -338,9 +389,6 @@ def _cmd_build(args) -> int:
         _check_chain(tokens)
         opts = {"p": args.p, "variant": args.variant, "max_pipes": args.max_pipes}
         kind, _, artifacts = _compile_chain(tokens, f, opts, {})
-    except (ValidationError, DomainError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except VerifyFailure as exc:
         print(f"build produced an invalid artifact: {exc}", file=sys.stderr)
         return 1
@@ -395,8 +443,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.nx < 0 or args.ny < 0 or not 0 < args.nx + args.ny <= 4:
-        print("usage error: sweep supports 0 < nx+ny <= 4", file=sys.stderr)
-        return 2
+        raise ValidationError("sweep supports 0 < nx+ny <= 4")
     ghsearch = _layer("ghsearch")
     rows = []
     for index, f in enumerate(_layer("families").all_functions(args.nx, args.ny)):
@@ -428,15 +475,16 @@ def _report_budget(exc: BudgetError) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:   # help or the version was printed
+            return 0
         with budget(args.budget):
             return {"build": _cmd_build, "verify": _cmd_verify,
                     "sweep": _cmd_sweep}[args.cmd](args)
+    except (ValidationError, DomainError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except BudgetError as exc:
         _report_budget(exc)
         return 3

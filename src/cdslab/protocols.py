@@ -265,6 +265,14 @@ def _coset_alphabet(lin: LinearPart, members, side: int) -> int:
     return sum(p ** len(basis) for _, basis, _ in found)
 
 
+def _charge_pairs(P, cases: int, what: str) -> int:
+    """Charge, and return, the (case, nu) pairs of a sweep of ``cases`` cases
+    of P as ``what``'s message coordinates, before any nu or case is listed."""
+    pairs = max(1, cases) * space_size(P.linear.nus)
+    charge(pairs, f"{what} message coordinates")
+    return pairs
+
+
 def _sweep_kernel(P, cases: list, what: str) -> tuple:
     """(histogram function, joint randomness) for P's histograms on ``cases``.
 
@@ -275,10 +283,8 @@ def _sweep_kernel(P, cases: list, what: str) -> tuple:
     widest at the first nu, then at once the maps of the layouts met there,
     others' when met.
     """
-    lin = P.linear
-    space = f"{what} message coordinates"
-    pairs = max(1, len(cases)) * space_size(lin.nus)
-    charge(pairs, space)   # before the width probe
+    lin, space = P.linear, f"{what} message coordinates"
+    pairs = _charge_pairs(P, len(cases), what)   # before the width probe
     nu = next(iter(lin.nus))
     firsts = {(t0, t1, len(b0), len(b1)) for (t0, b0), (t1, b1) in (
         (lin.alice_form(x, *s, nu), lin.bob_form(y, nu)) for (x, y, *s) in cases)}

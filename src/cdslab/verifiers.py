@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
 from .errors import Worst
-from .protocols import _coset_alphabet, _sweep_kernel, space_size
+from .protocols import _charge_pairs, _coset_alphabet, _sweep_kernel, space_size
 
 if TYPE_CHECKING:
     from .protocols import CdsProtocol, Dre, PsmProtocol
@@ -148,14 +148,17 @@ def verify_cds(P: CdsProtocol) -> VerificationReport:
     return VerificationReport("cds", eps, delta, resources, witnesses)
 
 
-def _value_cases(P) -> list:
-    """A PSM's cases: each input decodes to f's value and looks like all inputs of it."""
+def _value_cases(P, what: str) -> list:
+    """A PSM's cases: each input decodes to f's value and looks like all inputs
+    of it. Their (case, nu) pairs are charged from the domain's size before
+    one is listed, so a domain too large to hold stops on the budget."""
+    _charge_pairs(P, 1 << (P.f.n_x + P.f.n_y) if P.domain is None else space_size(P.domain), what)
     return [((x, y), v, v) for (x, y) in P.input_pairs() for v in (P.f.eval(x, y),)]
 
 
 def verify_psm(P: PsmProtocol) -> VerificationReport:
     """Exact decode error over all inputs; leakage over equal-value input pairs."""
-    eps, delta, witnesses = _sweep(P, _value_cases(P),
+    eps, delta, witnesses = _sweep(P, _value_cases(P, "verify_psm"),
                                    lambda m, x, y: P.decode(m[0], m[1]), "verify_psm")
     return VerificationReport("psm", eps, delta, _randomness(P), witnesses)
 
@@ -166,7 +169,7 @@ def verify_dre(D: Dre) -> VerificationReport:
     Privacy holds exactly when equal-value inputs have equal whole-encoding
     histograms, i.e. when ``delta_pair`` is 0.
     """
-    eps, delta, witnesses = _sweep(D, _value_cases(D),
+    eps, delta, witnesses = _sweep(D, _value_cases(D, "verify_dre"),
                                    lambda m, x, y: D.decode(m[0], m[1]), "verify_dre")
     resources = dict(D.resources)
     resources.setdefault("randomness_states", space_size(D.shared))

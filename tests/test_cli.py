@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -13,10 +16,12 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cdslab.cli import BASES, COMPILE, main
+from cdslab import __version__
+from cdslab.cli import BASES, COMPILE, OPTIONS, _parse, main
+from cdslab.errors import DEFAULT_BUDGET, ValidationError
 
 
 def _read(path):
@@ -31,6 +36,175 @@ def _child_env():
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+# -- the option table against argparse ---------------------------------------------
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse grammar the option table replaced, kept as the reference."""
+    parser = argparse.ArgumentParser(
+        prog="cdslab",
+        description="build, verify, and sweep disclosure/routing protocol chains",
+    )
+    parser.add_argument("--version", action="version", version=f"cdslab {__version__}")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    b = sub.add_parser("build", help="compile a chain and write its descriptor")
+    b.add_argument("--chain", required=True,
+                   help="comma list, e.g. gh,cds or dre,psm,psqm,cdqs")
+    b.add_argument("--fn", default=None,
+                   help="named function family: and or xor eq ip index qr")
+    b.add_argument("--table", default=None,
+                   help="explicit truth table as nx:ny:hex (bit (x<<ny)|y is "
+                        "hex bit i, least significant first)")
+    b.add_argument("--nx", type=int, default=1, help="bits per side / Alice bits")
+    b.add_argument("--p", type=int, default=2, help="prime field / qr modulus")
+    b.add_argument("--variant", choices=("comm", "rand"), default="comm",
+                   help="span-based disclosure flavour")
+    b.add_argument("--max-pipes", type=int, default=4)
+    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    b.add_argument("--seed", type=int, default=0,
+                   help="recorded in the descriptor; all searches are "
+                        "deterministic, so this only tags the output")
+    b.add_argument("--out", default=None, help="descriptor path (default stdout)")
+    b.add_argument("--format", choices=("json",), default="json")
+
+    v = sub.add_parser("verify", help="rebuild a descriptor and verify it")
+    v.add_argument("descriptor", help="path to a descriptor JSON file")
+    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    v.add_argument("--tol", type=float, default=1e-9,
+                   help="tolerance for quantum figures of merit")
+    v.add_argument("--out", default=None, help="report path (default stdout)")
+    v.add_argument("--format", choices=("json", "csv"), default="json")
+
+    s = sub.add_parser("sweep", help="pipe-count search over all functions")
+    s.add_argument("--nx", type=int, required=True)
+    s.add_argument("--ny", type=int, required=True)
+    s.add_argument("--max-pipes", type=int, default=4)
+    s.add_argument("--budget", type=int, default=10 ** 8)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out", default=None)
+    s.add_argument("--format", choices=("csv", "json"), default="csv")
+    return parser
+
+
+def _reference(argv):
+    """The reference's namespace for ``argv`` as a sorted item list, or None
+    where it refuses (exit 2)."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return sorted(vars(_reference_parser().parse_args(argv)).items())
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return None
+
+
+def _abbreviates(token: str, cmd: str) -> bool:
+    """Whether argparse reads ``token`` as a unique-prefix abbreviation of one of
+    ``cmd``'s options, which the option table no longer reads."""
+    name = token.partition("=")[0]
+    return name[:2] == "--" and len(name) > 2 and any(o != name and o.startswith(name)
+                                                      for o in [*OPTIONS[cmd], "--help"])
+
+
+# well-formed values of each type, and strings that probe the option rule:
+# leading dashes, spaces, dots and "=", bad numbers and unknown choices
+_VALID = {int: st.integers(-10 ** 6, 10 ** 6).map(str), float: st.floats(-1e3, 1e3).map(str),
+          str: st.sampled_from(["gh,cds", "d.json", "-", "-1", "-a b", " x"])}
+_ODD = st.one_of(st.text(alphabet="-ab 1.=,", max_size=4), st.sampled_from(
+    ["1.5", "abc", " 7", "0x10", "1_000", "-0", "--1", "1e-9", "-1e-5", "-.5", "-5.", "nan",
+     "inf", "--", "JSON", "-h x"]))
+_STRAYS = st.sampled_from(["--bogus", "--bogus=1", "-x", "--nxx", "--chains", "--tol",
+                           "--ny", "--chain", "--", "a", "-1"])
+
+
+@st.composite
+def _argv(draw, cmd):
+    """A command's argv: its required options most of the time, others, some
+    repeated, in any order and either form; unless it is clean, with odd
+    values, missing values and stray strings."""
+    table, clean = OPTIONS[cmd], draw(st.booleans())
+    names = [name for name, (_, default, _) in table.items()
+             if default is ... and draw(st.integers(0, 5))]
+    tokens = []
+    for name in names + draw(st.lists(st.sampled_from(list(table)), max_size=5)):
+        kind = table[name][0]
+        valid = st.sampled_from(kind) if isinstance(kind, tuple) else _VALID[kind]
+        value = draw(valid if clean else st.one_of(valid, _ODD))
+        form = draw(st.sampled_from(["pair", "equals"] + ["bare"] * (not clean)))
+        if not name.startswith("-"):
+            tokens.append([value])
+        else:
+            tokens.append({"pair": [name, value], "equals": [f"{name}={value}"],
+                           "bare": [name]}[form])
+    tokens += [[stray] for stray in draw(st.lists(_STRAYS, max_size=0 if clean else 2))]
+    return [cmd, *(t for group in draw(st.permutations(tokens)) for t in group)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(list(OPTIONS)).flatmap(_argv))
+@example(["build", "--chain", "gh,cds", "--nx", "-1"])
+@example(["build", "--chain=gh", "--chain", "dre", "--max-pipes=-3", "--variant", "rand"])
+@example(["verify", "--tol", "-0.5", "--out=-a b", "d.json", "--format", "csv"])
+@example(["verify", "--tol", "-1e-5", "d.json"])
+@example(["verify", "--", "--out"])
+@example(["verify", "d.json", "--"])
+@example(["verify", "d.json", "--out", "x", "--"])
+@example(["verify", "d.json", "--tol", "nan"])
+@example(["build", "--chain", "-h x"])
+@example(["build", "--chain", "--help=a b"])
+@example(["build", "--chain", "--= a"])
+@example(["sweep", "--ny", "1", "--nx"])
+@example(["sweep", "--ny", "1", "--nx", "1", "--format", "JSON"])
+def test_the_option_table_reads_argv_as_argparse_did(argv):
+    # where argparse accepted, the same values; where it refused, exit 2
+    # with a usage error; the one change is that no abbreviation is read
+    assume(not any(_abbreviates(token, argv[0]) for token in argv[1:]))
+    want = _reference(argv)
+    # argparse 3.11 strips "--" from an explicit value too: --opt=-- read as []
+    assume(want is None or [] not in dict(want).values())
+    if want is not None:
+        assert repr(sorted(vars(_parse(argv)).items())) == repr(want), argv   # nan too
+        return
+    with pytest.raises(ValidationError):
+        _parse(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 2, argv
+    assert err.getvalue().startswith("usage error: "), (argv, err.getvalue())
+
+
+def test_abbreviations_are_refused(capsys):
+    argv = ["sweep", "--nx", "1", "--ny", "1", "--max", "2"]
+    assert _reference(argv) is not None
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage error: unrecognized argument '--max'\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([cmd, flag] for cmd in OPTIONS
+                                                        for flag in ("-h", "--help"))])
+def test_help_names_every_option_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for cmd in OPTIONS if argv[0].startswith("-") else [argv[0]]:
+        assert f"usage: cdslab {cmd}" in out
+        assert all(f"  {name} " in out for name in OPTIONS[cmd]), out
+
+
+def test_the_entry_point_prints_the_version_and_help():
+    # as the benchmark starts its children: exit 0, text on stdout alone, and
+    # help that names each option of the commands it covers
+    for argv, commands in ((["--version"], []), (["--help"], list(OPTIONS)),
+                           (["build", "--help"], ["build"])):
+        run = subprocess.run([sys.executable, "-m", "cdslab.cli", *argv], env=_child_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, ""), argv
+        if not commands:
+            assert run.stdout == f"cdslab {__version__}\n"
+        for cmd in commands:
+            assert f"usage: cdslab {cmd}" in run.stdout, argv
+            assert all(f"  {name} " in run.stdout for name in OPTIONS[cmd]), (argv, cmd)
 
 
 def test_build_verify_gh_cds(tmp_path):
@@ -276,7 +450,8 @@ import json, sys
 from cdslab.cli import main
 code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules
-                                if m.startswith("cdslab") or m in ("csv", "fractions"))]))
+                                if m.startswith("cdslab") or m in ("csv", "fractions")),
+                  sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)]))
 """
 # what every request loads: the package, the CLI and the modules it imports
 _START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
@@ -285,16 +460,25 @@ _START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
 _CLASSICAL = _START | {"cdslab.protocols", "cdslab.verifiers", "fractions"}
 
 
+@cache
+def _bare_modules() -> frozenset:
+    """The modules a bare interpreter, ``python -c pass``, holds."""
+    run = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                         env=_child_env(), capture_output=True, text=True, check=True)
+    return frozenset(run.stdout.split())
+
+
 def _loaded_by(cwd, argv) -> tuple:
-    """(exit code, the ``cdslab`` modules, ``csv`` and ``fractions`` loaded)
-    of a fresh child that runs ``main(argv)`` in ``cwd``; no request loads
-    ``toolkit``, the code only demos and tests call."""
+    """(exit code, the ``cdslab`` modules, ``csv`` and ``fractions`` loaded,
+    and those of ``argparse``, ``gettext`` and ``locale`` that a bare
+    interpreter does not hold) of a fresh child that runs ``main(argv)`` in
+    ``cwd``; no request loads ``toolkit``, the code only demos and tests call."""
     run = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv)], cwd=cwd,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    code, loaded = json.loads(run.stdout)
+    code, loaded, parsing = json.loads(run.stdout)
     assert "cdslab.toolkit" not in loaded, argv
-    return code, set(loaded)
+    return code, set(loaded), set(parsing) - _bare_modules()
 
 
 def test_classical_chain_never_imports_numpy(tmp_path):
@@ -323,7 +507,7 @@ def test_classical_chain_never_imports_numpy(tmp_path):
                           _START | {"cdslab.families", "cdslab.protocols"}),
                          (["sweep", "--nx", "1", "--ny", "1"],
                           _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"})):
-        assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
+        assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
 
 
 _QUANTUM_RUN = """
@@ -393,7 +577,7 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                           pads),
                          (["verify", "2.json"], pads | checked),
                          (["verify", "3.json"], pads | checked)):
-        assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded), argv
+        assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
 
 
 _LEFT_SIDE_RUN = """
@@ -563,7 +747,7 @@ sys.exit(main(sys.argv[1:]))
         "bob_message_alphabet": 251723776, "bob_message_bits": 24,
         "bound_randomness_equals_pipes": True, "pipes": 32, "randomness_bits": 32,
         "randomness_states": 4294967296}),
-    ("dre", ["--fn", "qr", "--p", "8388617"], None),
+    ("dre", ["--fn", "qr", "--p", "8388617"], "verify_dre message coordinates"),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # ip6's 128 pipes, every one a rho coordinate under one nu: each layout's
@@ -579,7 +763,8 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # before it is built. A dict is a passing verify's resources: ip4's 32
     # pipes, one coset per case, pass within the default budget. The 24-bit
     # qr build holds its 2^24-entry table (the default budget) twice, a
-    # residue table of p entries, and its p - 1 domain pairs unlisted
+    # residue table of p entries, and its p - 1 domain pairs unlisted; its
+    # verify charges those pairs' (case, nu) pairs before it lists one
     env = _child_env()
     build_stop = stop == "span program entries"   # the build, not the verify, stops
     passes = isinstance(stop, dict)

@@ -96,7 +96,7 @@ def _same_cds_as(P, want) -> None:
 def test_qr_dre_and_psm_match_the_message_sweep(p):
     D = dre_qr(p)
     P = enumerated(psm_from_dre(D))
-    want = verifiers._sweep(P, verifiers._value_cases(P),
+    want = verifiers._sweep(P, verifiers._value_cases(P, "ref"),
                             lambda m, x, y: P.decode(m[0], m[1]), "ref")
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):

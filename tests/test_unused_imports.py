@@ -61,7 +61,8 @@ The pad routes key their transcript classes on integer tuples, so nothing in
 ``nlqc`` reads ``Fraction``. Records carry only fields something reads: a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only ``cli``, which reads and writes the files,
-imports ``json``. Every charge reads the request's one budget from
+imports ``json``. ``cli`` reads argv by its own option table, so no module
+imports ``argparse``. Every charge reads the request's one budget from
 ``errors``' ledger, so no module but ``errors``, which defines it, and
 ``cli``, whose ``--budget`` defaults to it, reads ``DEFAULT_BUDGET``.
 """
@@ -604,6 +605,21 @@ def test_only_cli_imports_json(module):
     # alone turns those into text
     tree = ast.parse(module.read_text(), filename=str(module))
     assert _imports(ast.walk(tree), "json") == (module.stem == "cli"), module.name
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_argparse(module):
+    # the CLI reads argv by its own option table, so no request loads
+    # argparse or the gettext and locale modules argparse loads
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert not _imports(ast.walk(tree), "argparse"), module.name
+
+
+def test_the_check_sees_an_argparse_import():
+    for planted in ("import argparse\n", "def main():\n    from argparse import ArgumentParser\n",
+                    "import argparse as ap\n"):
+        assert _imports(ast.walk(ast.parse(planted)), "argparse"), planted
+    assert not _imports(ast.walk(ast.parse("from . import argparsing\n")), "argparse")
 
 
 def _meta_uses(tree) -> list:
