@@ -6,10 +6,11 @@ or register budgets being exceeded. ``with budget(limit):`` sets a request's
 one budget, else ``DEFAULT_BUDGET``; every stop is a ``charge`` against it:
 "{space}: {count} exceed budget {limit}". The quantum records subclass
 ``InputDomain`` and ``Worst`` here without loading the classical protocols.
+A record's domain is a sized space, charged by its size before it is walked.
 """
 
 from contextlib import contextmanager
-from typing import Optional
+from typing import Callable, Optional
 
 DEFAULT_BUDGET = 1 << 24
 _limit = DEFAULT_BUDGET
@@ -75,15 +76,36 @@ def charge(size: int, space: str, limit: Optional[int] = None) -> None:
         raise BudgetError(space, size, limit)
 
 
+class LazySpace:
+    """A space of ``size`` elements that ``iterate()`` yields in order, never held.
+
+    ``len`` and iteration work as on the tuple it stands for; a size past
+    2^63 - 1, which ``len`` cannot return, is read by ``space_size``.
+    """
+
+    def __init__(self, size: int, iterate: Callable):
+        self.size, self.iterate = size, iterate
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return self.iterate()
+
+
+def space_size(space) -> int:
+    """Number of elements of a space, lazy or not, of any size."""
+    return space.size if isinstance(space, LazySpace) else len(space)
+
+
 class InputDomain:
-    """Every record's ``domain`` (None: all of f's inputs) and ``resources``."""
+    """Every record's ``domain``, a sized space of input pairs (by default all
+    of f's, lazily, in ``f.inputs()`` order), and ``resources``."""
 
-    def __init__(self, domain: Optional[tuple], resources: Optional[dict]):
-        self.domain = domain
+    def __init__(self, domain, resources: Optional[dict]):
+        f = self.f
+        self.domain = LazySpace(1 << (f.n_x + f.n_y), f.inputs) if domain is None else domain
         self.resources = {} if resources is None else resources
-
-    def input_pairs(self):
-        return tuple(self.f.inputs()) if self.domain is None else tuple(self.domain)
 
 
 class Worst:

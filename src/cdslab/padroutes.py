@@ -14,7 +14,7 @@ import math
 from functools import cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import ValidationError, charge
+from .errors import ValidationError, charge, space_size
 from .nlqc import KEYS, CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch, _statevector
 
 if TYPE_CHECKING:
@@ -181,16 +181,15 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
     inputs. Hiding inputs leave the pad key uniform to the referee, so the
     qubit they hold is maximally mixed and decoupled. Each run's message
     counts come from one sweep per secret by ``verify_cds``'s kernel, by
-    coset, charged before the first (a layout the first nu misses, when
-    met); the product weights stay integers until one division by the
-    squared joint randomness.
+    coset, over C's domain times its secrets, charged by their size at the
+    first run (a layout the first nu misses, when met); the product weights
+    stay integers until one division by the squared joint randomness.
     """
-    from .protocols import _joint, _sweep_kernel, space_size
+    from .protocols import _joint, _sweep_kernel
 
     if set(C.secrets) != {0, 1}:
         raise ValidationError("need a single-bit CDS")
-    cases = [(x, y, s) for (x, y) in C.input_pairs() for s in C.secrets]
-    kernel = cache(lambda: _sweep_kernel(C, cases, "cdqs_from_cds")[0])
+    kernel = cache(lambda: _sweep_kernel(C, "cdqs_from_cds", C.secrets)[0])
 
     def bit_hists(x, y):
         return {s: kernel()(x, y, s) for s in C.secrets}
@@ -243,13 +242,14 @@ def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
     """A classical PSM is a simultaneous-message protocol with no qubits.
 
     A run is one sweep of P's messages on one input pair by ``verify_psm``'s
-    kernel, one branch per coset, the sweeps over every pair charged before
-    any run starts (a layout the first nu misses, when met), one layout one
-    subspace across them all, as ``verify_psqm``'s view comparisons need.
+    kernel, one branch per coset, the sweeps over P's domain charged by its
+    size before any run starts (a layout the first nu misses, when met), one
+    layout one subspace across them all, as ``verify_psqm``'s view
+    comparisons need.
     """
     from .protocols import _sweep_kernel, message_count
 
-    kernel = cache(lambda: _sweep_kernel(P, list(P.input_pairs()), "psqm_from_psm"))
+    kernel = cache(lambda: _sweep_kernel(P, "psqm_from_psm"))
 
     def run(x, y):
         hist_of, joint = kernel()

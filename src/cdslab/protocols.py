@@ -12,7 +12,7 @@ Conventions shared by every protocol type here:
   which both parties see and which alone counts as randomness complexity,
   and the party-local ``alice_private`` and ``bob_private``.
 * tags must be hashable so message distributions can be histogrammed.
-* ``domain`` optionally restricts the verified input pairs; None means all.
+* ``domain`` is the sized space of input pairs a verify sweeps; None means all.
 
 Every message sweep, in ``verifiers`` or in ``padroutes``, reads the forms
 one coset at a time (``coset_hist``) through ``_sweep_kernel``. A form with no rho
@@ -32,36 +32,11 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn, literal_input
-from .errors import InputDomain, ValidationError, charge, current_limit
+from .errors import InputDomain, LazySpace, ValidationError, charge, current_limit, space_size
 
 if TYPE_CHECKING:
     from .algebra import SpanProgram
     from .gardenhose import GhStrategy
-
-
-class LazySpace:
-    """A randomness space, or a domain's input pairs, of ``size`` elements made on demand.
-
-    ``iterate()`` yields the elements in order, so ``len`` and iteration
-    work as on the tuple it stands for without building it. Verifiers only
-    ever sweep a space whole, so no element is looked up by index. Sizes
-    past 2^63 - 1 are read as ``size`` (see ``space_size``), which ``len``
-    cannot return.
-    """
-
-    def __init__(self, size: int, iterate: Callable):
-        self.size, self.iterate = size, iterate
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return self.iterate()
-
-
-def space_size(space) -> int:
-    """Number of elements of a randomness space, lazy or not, of any size."""
-    return space.size if isinstance(space, LazySpace) else len(space)
 
 
 def product_space(space, repeat: int) -> LazySpace:
@@ -142,7 +117,8 @@ class LinearPart(NamedTuple):
     rho adds rho . ``maps(side, tag)`` (side 0 Alice), row k the change per
     unit of rho_k, zero on the other party's coordinates. The decoder must
     give one value on each coset the messages of one nu fill. ``nus`` may be
-    a lazy space; with no rho coordinates each nu is one point coset.
+    a lazy space, charged by its size before a sweep draws a nu; with no
+    rho coordinates each nu is one point coset.
 
     ``sent(side, tag)`` is what a message shows of its tag, the tag itself
     unless a tag also holds what picks its map: message alphabets count
@@ -265,29 +241,23 @@ def _coset_alphabet(lin: LinearPart, members, side: int) -> int:
     return sum(p ** len(basis) for _, basis, _ in found)
 
 
-def _charge_pairs(P, cases: int, what: str) -> int:
-    """Charge, and return, the (case, nu) pairs of a sweep of ``cases`` cases
-    of P as ``what``'s message coordinates, before any nu or case is listed."""
-    pairs = max(1, cases) * space_size(P.linear.nus)
-    charge(pairs, f"{what} message coordinates")
-    return pairs
+def _sweep_kernel(P, what: str, secrets=()) -> tuple:
+    """(histogram function, joint randomness) for P's sweep of ``what``.
 
-
-def _sweep_kernel(P, cases: list, what: str) -> tuple:
-    """(histogram function, joint randomness) for P's histograms on ``cases``.
-
-    ``cases`` lists the arguments (x, y, *secret) to sweep, which the
-    function, bound to P, takes: ``coset_hist``, one ``spaces`` for all
-    cases, charged as ``what``'s message coordinates: (case, nu) pairs,
-    counted before any nu is listed, their values b, each as wide as the
-    widest at the first nu, then at once the maps of the layouts met there,
-    others' when met.
+    The cases are P's domain times ``secrets``, arguments (x, y, *secret),
+    none with no secrets. The function, bound to P, is ``coset_hist``, one
+    ``spaces`` for all cases, charged as ``what``'s message coordinates:
+    (case, nu) pairs, counted from the domain's size before any input or
+    nu is drawn, their values b, each as wide as the widest at the first
+    nu, then at once the maps of the layouts met there, others' when met.
     """
     lin, space = P.linear, f"{what} message coordinates"
-    pairs = _charge_pairs(P, len(cases), what)   # before the width probe
+    tails = [(s,) for s in secrets] or [()]
+    pairs = max(1, space_size(P.domain) * len(tails)) * space_size(lin.nus)
+    charge(pairs, space)   # before the width probe draws an input
     nu = next(iter(lin.nus))
-    firsts = {(t0, t1, len(b0), len(b1)) for (t0, b0), (t1, b1) in (
-        (lin.alice_form(x, *s, nu), lin.bob_form(y, nu)) for (x, y, *s) in cases)}
+    firsts = {(t0, t1, len(b0), len(b1)) for (x, y) in P.domain for s in tails
+              for (t0, b0), (t1, b1) in [(lin.alice_form(x, *s, nu), lin.bob_form(y, nu))]}
     coords, charged = [pairs * max([1] + [n0 + n1 for *_, n0, n1 in firsts])], set()
 
     def met(*layouts):
@@ -506,11 +476,11 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
     that tag. So (nu, s') is nonlinear and rho stays linear.
     """
     f = P.f
-    values = {f.eval(x, y) for (x, y) in P.input_pairs()}
-    if len(values) < 2:
+    first = next((f.eval(x, y) for (x, y) in P.domain), 1)
+    if all(f.eval(x, y) == first for (x, y) in P.domain):   # up to f's other value
         # constant f (an empty domain counts as 1): Alice's tag is the secret
         # when it may be revealed and empty otherwise; no randomness
-        reveal = values != {0}
+        reveal = first == 1
         linear = LinearPart(2, (None,), (0, 0, 0), lambda x, s, nu: (s if reveal else (), ()),
                             lambda y, nu: ((), ()), lambda side, tag: ())
         return CdsProtocol(f, (0, 1), linear, lambda m0, x, m1, y: m0[0] if reveal else None,
@@ -544,7 +514,7 @@ def cds_from_psm(P: PsmProtocol) -> CdsProtocol:
 
 def hiding_input(P) -> tuple:
     """P's first input pair with f = 0, which a masked run uses for the real one."""
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         if P.f.eval(x, y) == 0:
             return x, y
     raise ValidationError("no hiding input available to mask with")

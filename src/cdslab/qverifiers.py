@@ -148,7 +148,7 @@ def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
     quantum = _statevector()
     sweep = _Sweep()
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
         if P.f.eval(x, y) == 1:
             F = _choi_fidelity(branches,
@@ -176,7 +176,7 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
 
     quantum = _statevector()
     sweep = _Sweep()
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         fx = P.f.eval(x, y)
         side, reg = P.exit_info(x, y)
         if (side == RIGHT) != (fx == 1):
@@ -206,7 +206,7 @@ def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
     """
     sweep = _Sweep()
     views = {}
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         branches, n = sweep.run(P.run, x, y)
         fx = P.f.eval(x, y)
         fail = sum((b.prob for b in branches if P.decode(b.transcript) != fx), 0.0)

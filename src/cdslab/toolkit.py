@@ -102,7 +102,7 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
     states = [(name, PureState((("Q", 1),), vec)) for (name, vec) in probe_qubits(seeds)]
     worst = Worst()
     per_input = {}
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         if P.f.eval(x, y) != 0:
             continue
         msg = tuple(P.msg_regs(x, y))

@@ -9,11 +9,11 @@ that imports ``fractions``, inside the functions that build a ``Fraction``.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, count
 from typing import TYPE_CHECKING, Callable
 
-from .errors import Worst
-from .protocols import _charge_pairs, _coset_alphabet, _sweep_kernel, space_size
+from .errors import Worst, space_size
+from .protocols import _coset_alphabet, _sweep_kernel
 
 if TYPE_CHECKING:
     from .protocols import CdsProtocol, Dre, PsmProtocol
@@ -77,44 +77,53 @@ def _randomness(P) -> dict:
     return resources
 
 
-def _sweep(P, cases: list, decode: Callable, what: str,
-           seen: Callable = lambda hist: None) -> tuple:
-    """(eps, delta, witnesses) of P over ``cases``: the one classical sweep.
+def _sweep(P, rule: Callable, decode: Callable, what: str,
+           seen: Callable = lambda hist: None, secrets=()) -> tuple:
+    """(eps, delta, witnesses) of P: the one classical sweep.
 
-    A case (args, want, group) sweeps P's messages on args = (x, y, *secret).
-    Unless ``want`` is None they must ``decode(m, x, y)`` to it; eps is the
-    worst fraction of the randomness that fails, witnessed by args. Unless
-    ``group`` is None they must be distributed as every case of the group;
-    delta is the worst L1 distance, witnessed by the first pair (args,
-    args') in case order to reach it. A group keeps only its distinct
+    It walks P's domain times ``secrets`` (none: args (x, y)), and ``rule``
+    gives each case args = (x, y, *secret) its (want, group). Unless
+    ``want`` is None P's messages on args must ``decode(m, x, y)`` to it;
+    eps is the worst fraction of the randomness that fails, witnessed by
+    args. Unless ``group`` is None they must be distributed as every case of
+    the group; delta is the worst L1 distance, witnessed by the first pair
+    (args, args') in case order to reach it. A group keeps only its distinct
     histograms, each with its first case: an equal one is as far from every
-    other, and two distinct ones' first cases make their first pair. At its
-    last case they are compared pairwise and dropped (a CDS holds one
-    input's at a time); the distances meet ``Worst`` in case order. P is
-    swept by coset; decoding is deterministic, so it runs once per coset and
-    counts with its multiplicity. ``seen`` gets every histogram,
-    and ``what`` names the caller in budget errors.
+    other, and two distinct ones' first cases make their first pair. A
+    group named by its input (x, y) is compared and dropped once that
+    input's cases are swept (a CDS holds one input's at a time), any other
+    at the walk's end; the distances meet ``Worst`` in case order. P is
+    swept by coset; decoding is deterministic, so it runs once per coset
+    and counts with its multiplicity. ``seen`` gets every histogram, and
+    ``what`` names the caller in budget errors.
     """
     from fractions import Fraction
 
-    hist_of, joint = _sweep_kernel(P, [args for args, _, _ in cases], what)
-    last = {group: i for i, (_, _, group) in enumerate(cases)}
-    worst, kept, gaps = Worst(), {}, []
-    for i, (args, want, group) in enumerate(cases):
-        hist = hist_of(*args)
-        seen(hist)
-        if want is not None:
-            fails = sum(c for m, c in hist.items() if decode(m, *args[:2]) != want)
-            worst.worse("eps", Fraction(fails, joint), args)
-        if group is not None:
-            held = kept.setdefault(group, [])
-            if all(hist != other for _, other in held):
-                held.append((i, hist))
-            if last[group] == i:
-                gaps += [(a, b, _l1(u, v, joint))
-                         for (a, u), (b, v) in combinations(kept.pop(group), 2)]
-    for a, b, gap in sorted(gaps):
-        worst.worse("delta", gap, (cases[a][0], cases[b][0]))
+    hist_of, joint = _sweep_kernel(P, what, secrets)
+    worst, kept, gaps, order = Worst(), {}, [], count()   # held histograms in case order
+
+    def compare(group):
+        gaps.extend((a, b, u, v, _l1(hu, hv, joint))
+                    for (a, u, hu), (b, v, hv) in combinations(kept.pop(group), 2))
+
+    for (x, y) in P.domain:
+        for args in [(x, y, s) for s in secrets] or [(x, y)]:
+            want, group = rule(*args)
+            hist = hist_of(*args)
+            seen(hist)
+            if want is not None:
+                fails = sum(c for m, c in hist.items() if decode(m, x, y) != want)
+                worst.worse("eps", Fraction(fails, joint), args)
+            if group is not None:
+                held = kept.setdefault(group, [])
+                if all(hist != other for *_, other in held):
+                    held.append((next(order), args, hist))
+        if (x, y) in kept:
+            compare((x, y))
+    for group in list(kept):
+        compare(group)
+    for *_, u, v, gap in sorted(gaps):   # by (a, b), unique
+        worst.worse("delta", gap, (u, v))
     return (worst.worst.get("eps", Fraction(0)), worst.worst.get("delta", Fraction(0)),
             worst.witnesses)
 
@@ -126,19 +135,17 @@ def verify_cds(P: CdsProtocol) -> VerificationReport:
     of them alike, a leak witnessed as (x, y, s, s'). Message alphabets are
     counted exactly, by coset.
     """
-    cases = []
-    for (x, y) in P.input_pairs():
-        reveal = P.f.eval(x, y) == 1
-        cases += [((x, y, s), s if reveal else None, None if reveal else (x, y))
-                  for s in P.secrets]
     alphabets = (set(), set())   # each party's cosets' members
 
     def seen(hist):
         for side, alphabet in enumerate(alphabets):
             alphabet.update(m[side] for m in hist)
 
-    eps, delta, witnesses = _sweep(P, cases, lambda m, x, y: P.decode(m[0], x, m[1], y),
-                                   "verify_cds", seen)
+    def rule(x, y, s):
+        return (s, None) if P.f.eval(x, y) == 1 else (None, (x, y))
+
+    eps, delta, witnesses = _sweep(P, rule, lambda m, x, y: P.decode(m[0], x, m[1], y),
+                                   "verify_cds", seen, P.secrets)
     if "delta" in witnesses:
         a, b = witnesses["delta"]
         witnesses["delta"] = a + b[2:]
@@ -148,18 +155,15 @@ def verify_cds(P: CdsProtocol) -> VerificationReport:
     return VerificationReport("cds", eps, delta, resources, witnesses)
 
 
-def _value_cases(P, what: str) -> list:
-    """A PSM's cases: each input decodes to f's value and looks like all inputs
-    of it. Their (case, nu) pairs are charged from the domain's size before
-    one is listed, so a domain too large to hold stops on the budget."""
-    _charge_pairs(P, 1 << (P.f.n_x + P.f.n_y) if P.domain is None else space_size(P.domain), what)
-    return [((x, y), v, v) for (x, y) in P.input_pairs() for v in (P.f.eval(x, y),)]
+def _value_sweep(P, what: str) -> tuple:
+    """A PSM's sweep: each input decodes to f's value and looks like all inputs of it."""
+    return _sweep(P, lambda x, y: (P.f.eval(x, y),) * 2,
+                  lambda m, x, y: P.decode(m[0], m[1]), what)
 
 
 def verify_psm(P: PsmProtocol) -> VerificationReport:
     """Exact decode error over all inputs; leakage over equal-value input pairs."""
-    eps, delta, witnesses = _sweep(P, _value_cases(P, "verify_psm"),
-                                   lambda m, x, y: P.decode(m[0], m[1]), "verify_psm")
+    eps, delta, witnesses = _value_sweep(P, "verify_psm")
     return VerificationReport("psm", eps, delta, _randomness(P), witnesses)
 
 
@@ -169,8 +173,7 @@ def verify_dre(D: Dre) -> VerificationReport:
     Privacy holds exactly when equal-value inputs have equal whole-encoding
     histograms, i.e. when ``delta_pair`` is 0.
     """
-    eps, delta, witnesses = _sweep(D, _value_cases(D, "verify_dre"),
-                                   lambda m, x, y: D.decode(m[0], m[1]), "verify_dre")
+    eps, delta, witnesses = _value_sweep(D, "verify_dre")
     resources = dict(D.resources)
     resources.setdefault("randomness_states", space_size(D.shared))
     resources["same_class_histograms_equal"] = delta == 0

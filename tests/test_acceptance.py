@@ -114,7 +114,7 @@ def test_criterion_05_qr_randomized_encoding():
     t0 = time.monotonic()
     for p in (3, 5, 7, 11, 13):
         D = dre_qr(p)
-        assert len(D.input_pairs()) == p - 1  # every a in Z_p^*
+        assert len(D.domain) == p - 1  # every a in Z_p^*
         report = verify_dre(D)
         assert report.eps_hat == 0, p
         assert report.delta_pair == 0, p

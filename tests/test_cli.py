@@ -748,6 +748,10 @@ sys.exit(main(sys.argv[1:]))
         "bound_randomness_equals_pipes": True, "pipes": 32, "randomness_bits": 32,
         "randomness_states": 4294967296}),
     ("dre", ["--fn", "qr", "--p", "8388617"], "verify_dre message coordinates"),
+    ("dre,psm,cds,cdqs", ["--fn", "qr", "--p", "8388617"],
+     ("cdqs_from_cds message coordinates", 4 * 8388616 ** 2)),
+    ("dre,psm,psqm,cdqs", ["--fn", "qr", "--p", "8388617"],
+     ("psqm_from_psm message coordinates", 8388616 ** 2)),
 ])
 def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # ip6's 128 pipes, every one a rho coordinate under one nu: each layout's
@@ -764,7 +768,10 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # pipes, one coset per case, pass within the default budget. The 24-bit
     # qr build holds its 2^24-entry table (the default budget) twice, a
     # residue table of p entries, and its p - 1 domain pairs unlisted; its
-    # verify charges those pairs' (case, nu) pairs before it lists one
+    # verify charges those pairs' (case, nu) pairs before it lists one. Its
+    # pad routes build without listing the domain (the constant-f test and
+    # the hiding input stop at once), and their verifies stop on the
+    # kernel's (case, nu) pairs, both secrets and selectors for the CDS
     env = _child_env()
     build_stop = stop == "span program entries"   # the build, not the verify, stops
     passes = isinstance(stop, dict)
@@ -786,7 +793,8 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
         assert report["report"]["resources"] == stop
     elif stop is not None:
         report = json.loads((tmp_path / "r.json").read_text())
-        assert (report["status"], report["space"]) == ("budget", stop)
+        space, size = stop if isinstance(stop, tuple) else (stop, report["size"])
+        assert (report["status"], report["space"], report["size"]) == ("budget", space, size)
 
 
 def test_sixteen_pipe_gh_cds_passes_by_coset(tmp_path):

@@ -96,8 +96,7 @@ def _same_cds_as(P, want) -> None:
 def test_qr_dre_and_psm_match_the_message_sweep(p):
     D = dre_qr(p)
     P = enumerated(psm_from_dre(D))
-    want = verifiers._sweep(P, verifiers._value_cases(P, "ref"),
-                            lambda m, x, y: P.decode(m[0], m[1]), "ref")
+    want = verifiers._value_sweep(P, "ref")
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):
         assert (report.eps_hat, report.delta_pair, report.witnesses) == want
@@ -116,7 +115,7 @@ def test_qr_psm_cds_matches_the_message_sweep(p):
 def test_qr_cosets_expand_to_the_message_histogram(p):
     D = dre_qr(p)
     P = psm_from_dre(D)
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         hist = coset_hist(P, x, y)
         assert len(hist) == (p - 1) // 2   # one coset per square r^2
         assert _expand(hist, p) == message_hist(P, x, y)

@@ -340,7 +340,7 @@ def _layouts(P, cases) -> set:
 
 def _cds_echelons(P) -> int:
     """One echelon per layout of a CDS sweep, and one per tag per side for alphabets."""
-    layouts = _layouts(P, [(x, y, s) for (x, y) in P.input_pairs() for s in P.secrets])
+    layouts = _layouts(P, [(x, y, s) for (x, y) in P.domain for s in P.secrets])
     return len(layouts) + len({lay[0] for lay in layouts}) + len({lay[1] for lay in layouts})
 
 
@@ -369,11 +369,11 @@ def test_a_psm_cds_sweep_echelons_each_layout_once(counted):
 def test_the_pad_routes_read_each_layout_once(counted):
     psm = psm_from_dre(dre_qr(7))
     C = cdqs_from_cds(cds_from_psm(psm))
-    for (x, y) in C.input_pairs():
+    for (x, y) in C.domain:
         C.key_classes(x, y)
     assert counted == {"echelon": 2}
     Q = psqm_from_psm(psm)
-    for (x, y) in Q.input_pairs():
+    for (x, y) in Q.domain:
         Q.run(x, y)
     assert counted == {"echelon": 3}
     assert qverifiers.verify_psqm(Q).worst_gap <= 1e-12

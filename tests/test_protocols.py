@@ -7,13 +7,13 @@ are known in closed form, so the sweep arithmetic itself is what gets checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import cycle, permutations, product
 
 import pytest
 
 from cdslab.algebra import span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn
-from cdslab.errors import BudgetError, ValidationError, budget
+from cdslab.errors import BudgetError, LazySpace, ValidationError, budget
 from cdslab.families import named_fn, qr_split_inputs
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
@@ -225,8 +225,8 @@ def test_dre_qr_verifies_perfectly():
 
 def test_dre_domain_excludes_zero():
     D = dre_qr(5)
-    assert len(D.input_pairs()) == 4  # a in 1..4
-    assert qr_split_inputs(D.f, 0) not in D.input_pairs()
+    assert len(D.domain) == 4  # a in 1..4
+    assert qr_split_inputs(D.f, 0) not in tuple(D.domain)
 
 
 def test_psm_from_dre():
@@ -280,7 +280,7 @@ def test_cds_from_psm_constant_functions():
     assert Q.decode(lin.alice_form(0, 1, None), 0, lin.bob_form(0, None), 0) is None
     # an empty domain counts as constant 1
     E = cds_from_psm(replace(zeros, domain=()))
-    assert E.linear.alice_form(0, 1, None) == (1, ()) and E.input_pairs() == ()
+    assert E.linear.alice_form(0, 1, None) == (1, ()) and tuple(E.domain) == ()
 
 
 def test_hiding_input_is_the_first_zero_input():
@@ -341,7 +341,8 @@ def test_psm_decoder_erring_on_one_randomness_value():
 
 
 def test_product_space_matches_itertools():
-    from cdslab.protocols import LazySpace, product_space, space_size
+    from cdslab.errors import space_size
+    from cdslab.protocols import product_space
     base = LazySpace(3, lambda: iter("abc"))
     space = product_space(base, 3)
     want = tuple(product("abc", repeat=3))
@@ -364,3 +365,53 @@ def test_product_space_matches_itertools():
              tuple(((r, sel), ()) for r in tables for sel in (0, 1)))):
         assert space_size(space) == len(want)
         assert tuple(space) == want
+
+
+DRAWS = 64
+
+
+def _planted(inputs, drawn: list) -> LazySpace:
+    """A 2^40-pair domain cycling through ``inputs``; a draw past ``DRAWS``,
+    counted in ``drawn[0]`` over every walk, fails the test."""
+    def walk():
+        for xy in cycle(inputs):
+            drawn[0] += 1
+            if drawn[0] > DRAWS:
+                pytest.fail(f"drew more than {DRAWS} inputs of a 2^40-pair domain")
+            yield xy
+    return LazySpace(1 << 40, walk)
+
+
+@pytest.mark.parametrize("base", ["dre_qr", "table"])
+def test_no_step_lists_a_domain(base):
+    # a domain is a sized space: each compiler draws the few inputs it
+    # needs (the constant-f test stops at f's second value, the hiding
+    # input at the first 0), and each verify is charged by the domain's
+    # size, 2^40 pairs, before its sweep draws a 64th
+    from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
+    from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
+
+    drawn = [0]
+    D = dre_qr(5)
+    if base == "dre_qr":
+        D.domain = _planted(tuple(D.domain), drawn)
+        psm = psm_from_dre(D)
+        checks = [(verify_dre, D, "verify_dre")]
+    else:
+        psm = psm_generic_table(D.f)
+        psm.domain = _planted(tuple(D.f.inputs()), drawn)
+        checks = []
+    cds = cds_from_psm(psm)
+    cdqs, psqm = cdqs_from_cds(cds), psqm_from_psm(psm)
+    padded = cdqs_from_psqm(psqm)
+    routes = frouting_from_cdqs(cdqs), frouting_from_cdqs(padded)
+    assert 0 < drawn[0] <= DRAWS
+    checks += [(verify_psm, psm, "verify_psm"), (verify_cds, cds, "verify_cds"),
+               (verify_cdqs, cdqs, "cdqs_from_cds"), (verify_cdqs, padded, "psqm_from_psm"),
+               (verify_psqm, psqm, "psqm_from_psm"), (verify_frouting, routes[0], "cdqs_from_cds"),
+               (verify_frouting, routes[1], "psqm_from_psm")]
+    for verify, record, what in checks:
+        drawn[0] = 0
+        with pytest.raises(BudgetError) as stop:
+            verify(record)
+        assert stop.value.space == f"{what} message coordinates", verify.__name__

@@ -46,7 +46,7 @@ def _l1(a: dict, b: dict, joint: int) -> Fraction:
 def _flat_cds(P) -> tuple:
     joint = _joint(P)
     eps, delta, witnesses = Fraction(0), Fraction(0), {}
-    for (x, y) in P.input_pairs():
+    for (x, y) in P.domain:
         hists = {s: message_hist(P, x, y, s) for s in P.secrets}
         if P.f.eval(x, y) == 1:
             for s in P.secrets:
@@ -65,7 +65,7 @@ def _flat_cds(P) -> tuple:
 
 def _flat_psm(P) -> tuple:
     joint = _joint(P)
-    pairs = P.input_pairs()
+    pairs = tuple(P.domain)
     value = {xy: P.f.eval(*xy) for xy in pairs}
     hists = {xy: message_hist(P, *xy) for xy in pairs}
     eps, delta, witnesses = Fraction(0), Fraction(0), {}
@@ -212,7 +212,7 @@ def test_qr_dre_and_psm_match_the_flat_sweep(p, where, data):
     # a value, constant in the linear randomness; decoding drops it and
     # flips the residuosity of the faulty ones
     D = dre_qr(p)
-    xs = sorted({x for (x, _) in D.input_pairs()})
+    xs = sorted({x for (x, _) in D.domain})
     leaky = data.draw(st.sets(st.sampled_from(xs)))
     faulty = data.draw(st.sets(st.sampled_from(xs)))
     decode = D.decode
@@ -240,7 +240,7 @@ def _flat_psqm(P) -> tuple:
     """
     from cdslab import quantum, qverifiers
 
-    pairs = P.input_pairs()
+    pairs = tuple(P.domain)
     views = {xy: qverifiers._view_blocks(P.run(*xy), P.quantum_regs or None) for xy in pairs}
     worst, witness = 0.0, None
     for i, a in enumerate(pairs):

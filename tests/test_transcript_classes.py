@@ -183,7 +183,7 @@ def _check_route(classed, flat, routing, sweep) -> None:
         _same_report(verify_frouting(got), verify_frouting(want))
         # the Pauli eigenstates span a qubit's operators, so equal outputs on
         # them make the left side's two maps equal on every input qubit
-        for (x, y) in classed.input_pairs():
+        for (x, y) in classed.domain:
             for name, psi in PAULI_EIGENSTATES:
                 a, b = got.left_output(x, y, psi), want.left_output(x, y, psi)
                 assert np.max(np.abs(np.subtract(a, b))) <= TOL, (x, y, name)
@@ -286,7 +286,7 @@ def test_transcript_classes_split_nearly_proportional_floats(counts, joint, data
 
 def test_class_runs_compress_and_keep_counts():
     C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
-    for (x, y) in C.input_pairs():
+    for (x, y) in C.domain:
         branches = C.run(x, y, epr_pairs([("R", "Q")]), "Q")
         assert len(branches) <= 16
         assert sum(b.count for b in branches) == 40000
@@ -431,7 +431,7 @@ def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
     cdqs = cdqs_from_psqm(psqm_from_psm(psm_from_dre(dre_qr(7))))
     verify_cdqs(cdqs)
     verify_frouting(frouting_from_cdqs(cdqs))
-    inputs = cdqs.input_pairs()
+    inputs = tuple(cdqs.domain)
     assert kernels == [{coset_hist}] and len(inputs) == 6
     assert len(calls) == len(inputs) + 1
     assert calls.count(hiding_input(cdqs)) == 2
@@ -447,7 +447,7 @@ def _integer_classes(C, denom) -> dict:
                             tuple(sorted((k, round(w * denom)) for k, w in c.weights.items())),
                             c.count)
                            for c in C.key_classes(x, y))
-            for (x, y) in C.input_pairs()}
+            for (x, y) in C.domain}
 
 
 def _same_cds_classes(cds) -> None:

@@ -3,7 +3,8 @@
 only ``toolkit.random_qubit`` imports numpy, only the exact classical verifiers import
 ``fractions``, only ``protocols`` reads the message-histogram kernel, only ``gardenhose``
 reads the water trace ``gh_eval``, none enumerates messages or passes a record message
-callbacks, none re-checks a sweep's subspaces, the pad routes read no ``Fraction``,
+callbacks, none re-checks a sweep's subspaces or lists a domain, the pad routes read no
+``Fraction``,
 every definition is read by the program itself, not by tests alone, and what only demos
 and tests read lives in ``toolkit``.
 
@@ -37,8 +38,10 @@ deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
 it, so a test checks a figure the program computes, or keeps its own helper.
 Every message sweep is by coset: ``protocols._sweep_kernel`` binds
-``coset_hist`` and makes the sweep's budget charge, so no other module reads
-the kernel. Every module but ``gardenhose`` checks a garden-hose strategy
+``coset_hist``, makes the sweep's cases from the domain and charges them by
+its size, so no other module reads the kernel, and none names
+``input_pairs`` or lists a ``.domain`` with ``tuple``, ``list``, ``set`` or
+``sorted``: a domain is walked, after its charge, and never held. Every module but ``gardenhose`` checks a garden-hose strategy
 through ``gh_trace``, which checks the input widths and traces each input
 once, so none reads ``gh_eval`` and writes its own copy of the check.
 No module defines or names the enumerating ``message_hist``,
@@ -535,6 +538,38 @@ def test_the_check_sees_a_private_protocols_read():
                            ("from .algebra import _x\nfrom .protocols import Coset\n"
                             "y = quantum._TOL\n", set())):
         assert _private_protocols_reads(ast.parse(planted)) == names, planted
+
+
+def _domain_listings(tree) -> list:
+    """Lines that name ``input_pairs`` or pass a ``.domain`` to a list builder."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef, ast.alias))
+                and "input_pairs" in (getattr(node, k, None) for k in ("id", "attr", "name"))):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("tuple", "list", "set", "sorted")
+              and any(isinstance(a, ast.Attribute) and a.attr == "domain" for a in node.args)):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_lists_a_domain(module):
+    # a domain is a sized space that sweeps charge by its size and walk
+    # lazily; listing it would hold every input pair before any charge
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _domain_listings(tree) == [], module.name
+
+
+def test_the_check_sees_a_domain_listed():
+    for planted in ("pairs = P.input_pairs()\n", "def input_pairs(self):\n    pass\n",
+                    "from .errors import input_pairs\n", "cases = list(P.domain)\n",
+                    "xs = sorted(C.domain)\n", "n = len(tuple(self.domain))\n",
+                    "seen = set(P.domain)\n"):
+        assert _domain_listings(ast.parse(planted)), planted
+    assert _domain_listings(ast.parse(
+        "for xy in P.domain:\n    pass\nn = space_size(P.domain)\nt = tuple(domain)\n")) == []
 
 
 # module -> the top-level functions that must not read Fraction; None: the

@@ -181,7 +181,7 @@ def _check_left_side(C, leak=None) -> None:
     probes = [vec for _, vec in probe_qubits(range(10))]
     assert len(probes) == 16
     lefts = 0
-    for (x, y) in R.input_pairs():
+    for (x, y) in R.domain:
         side, reg = R.exit_info(x, y)
         if side != LEFT:
             continue
