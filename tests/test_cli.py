@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from cdslab import __version__
 from cdslab.cli import BASES, COMPILE, OPTIONS, _parse, main
 from cdslab.errors import DEFAULT_BUDGET, ValidationError
+from cdslab.families import named_fn
 
 
 def _read(path):
@@ -268,6 +269,28 @@ def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args
     assert main(["verify", str(desc), "--out", str(rep)]) == 1
     report = json.loads(rep.read_text())
     assert (report["status"], report["error"], report["witness"]) == ("fail", error, witness)
+
+
+@pytest.mark.parametrize("fn,error", [
+    ({"params": {"p": 7, "alice_positions": [0], "n_bits": 3}},
+     "alice positions outside 1..3"),
+    ({"params": {"p": 7, "alice_positions": [4], "n_bits": 3}},
+     "alice positions outside 1..3"),
+    # a 1+1 split of 2 bits: the widths agree, but a = 4, 5, 6 have no inputs
+    (named_fn("qr", p=7, n_bits=2).to_jsonable(), "a=4 does not fit in 2 bits"),
+], ids=["position-0", "position-4", "n_bits-2"])
+def test_qr_parameters_a_descriptor_names_are_refused(tmp_path, capsys, fn, error):
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["build", "--chain", "dre,psm", "--fn", "qr", "--p", "7",
+                 "--out", str(desc)]) == 0
+    tampered = json.loads(desc.read_text())
+    tampered["fn"].update(fn)
+    desc.write_text(json.dumps(tampered))
+    capsys.readouterr()
+    assert main(["verify", str(desc), "--out", str(rep)]) == 1
+    assert json.loads(rep.read_text())["error"] == f"descriptor rejected: {error}"
+    assert "Traceback" not in capsys.readouterr().err
+
 
 def test_verify_unreadable_descriptor(tmp_path):
     rep = tmp_path / "r.json"

@@ -45,6 +45,8 @@ CASES = {
     "psm_cds_index": (["--chain", "psm,cds", "--fn", "index"], "json"),
     "psm_cds_const0": (["--chain", "psm,cds", "--table", "1:1:0"], "json"),
     "psm_cds_const1": (["--chain", "psm,cds", "--table", "1:1:f"], "json"),
+    "psm_psqm_and": (["--chain", "psm,psqm", "--fn", "and"], "json"),
+    "dre_psm_psqm_qr7": (["--chain", "dre,psm,psqm", "--fn", "qr", "--p", "7"], "json"),
     "psm_psqm_cdqs_and": (["--chain", "psm,psqm,cdqs", "--fn", "and"], "json"),
     "psm_psqm_cdqs_frouting_and": (["--chain", "psm,psqm,cdqs,frouting", "--fn", "and"],
                                    "json"),
