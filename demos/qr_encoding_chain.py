@@ -11,12 +11,12 @@ simultaneous-messages protocol, and one selector bit turns it into
 conditional disclosure.
 """
 
-from cdslab.families import qr_split_inputs
+from cdslab.families import named_fn, qr_split_inputs
 from cdslab.protocols import cds_from_psm, dre_qr, psm_from_dre
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 
 p = 7
-D = dre_qr(p)
+D = dre_qr(named_fn("qr", p=p))
 print(f"encoding residuosity mod {p}; Alice holds bit positions",
       D.f.params["alice_positions"])
 

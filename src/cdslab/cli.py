@@ -280,23 +280,8 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
                  if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
         return program, {"span_program": program.to_jsonable()}
     if token == "dre":
-        params = f.params
-        if "p" not in params:
-            raise ValidationError("the dre base needs --fn qr")
-        # the widths n_bits and the positions imply, before any charge or table
-        n_bits, alice = int(params["n_bits"]), params["alice_positions"]
-        if not all(1 <= i <= n_bits for i in alice):
-            raise ValidationError(f"alice positions outside 1..{n_bits}")
-        if (len(alice), n_bits - len(alice)) != (f.n_x, f.n_y):
-            raise ValidationError(f"qr widths {len(alice)}+{n_bits - len(alice)} differ "
-                                  f"from the function's {f.n_x}+{f.n_y}")
-        # as build charges --fn qr --p P, on the wider of p and n_bits
-        _charge_table(max(int(params["p"]).bit_length(), n_bits), 0)
-        dre = _layer("protocols").dre_qr(params["p"],
-                                         alice_positions=tuple(params["alice_positions"]),
-                                         n_bits=params["n_bits"])
-        _refuse("encoding disagrees with the function",   # equal widths: equal inputs
-                [xy for xy, a, b in zip(f.inputs(), f.table, dre.f.table) if a != b])
+        dre = _layer("protocols").dre_qr(f)
+        _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
         return dre, {}
     if token == "psm":
         return _layer("protocols").psm_generic_table(f), {}

@@ -1,10 +1,12 @@
 """Named function families (``and``, ``or``, ``xor``, ``eq``, ``ip``, ``index``,
-``qr``), the residue indicator and every function of a shape, in ``boolfn``'s
-convention; a ``--table`` build and a descriptor's verify do not load them.
+``qr``), the residue indicator, the qr split and residue rules a ``dre`` base is
+checked by, and every function of a shape, in ``boolfn``'s convention; only
+``--fn``, a ``dre`` base and ``sweep`` load them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .boolfn import BoolFn, from_packed, is_prime
@@ -56,57 +58,64 @@ def euler_qr(a: int, p: int) -> int:
     return int(pow(a, (p - 1) // 2, p) == 1)
 
 
-def _qr_split(p: int, alice_positions=None, n_bits=None):
-    """Residuosity of a split integer: a's bits are divided between the parties.
-
-    Bit positions are 1-based with weight 2**(i-1). Alice holds
-    ``alice_positions``; Bob holds the rest. Each party's input packs its held
-    bits low-to-high (input bit j is the party's j-th held position, positions
-    sorted ascending). The value a is reduced mod p; a = 0 counts as a residue
-    since 0 = 0**2. Residuosity is read from a table of p entries, charged
-    before it is made by squaring 0..(p-1)/2.
-    """
+def qr_positions(params: dict) -> tuple:
+    """(Alice's positions, Bob's), each ascending, of the split integer qr
+    ``params`` name: ``n_bits`` bits, bit i of weight 2**(i-1), mod the odd
+    prime ``p``, whose p-entry residue table is charged here, before anything
+    sized by p is made. Alice holds ``alice_positions``, distinct, in
+    1..n_bits, and Bob the rest; a party's input bit j is its j-th position."""
+    p, n = params["p"], params["n_bits"]
     if not is_prime(p) or p == 2:
         raise ValidationError(f"p={p} must be an odd prime")
-    n = n_bits if n_bits is not None else p.bit_length()
-    if alice_positions is None:
-        alice_positions = tuple(range(1, n // 2 + 1))
-    alice_positions = tuple(sorted(alice_positions))
-    if any(not 1 <= i <= n for i in alice_positions):
-        raise ValidationError("alice positions outside 1..n")
-    if len(set(alice_positions)) != len(alice_positions):
-        raise ValidationError("duplicate alice positions")
-    bob_positions = tuple(i for i in range(1, n + 1) if i not in alice_positions)
     charge(p, "qr residue table entries")
+    alice = tuple(sorted(params["alice_positions"]))
+    if any(not 1 <= i <= n for i in alice):
+        raise ValidationError(f"alice positions outside 1..{n}")
+    if len(set(alice)) != len(alice):
+        raise ValidationError("duplicate alice positions")
+    return alice, tuple(i for i in range(1, n + 1) if i not in alice)
+
+
+def _qr_rows(p: int, alice: tuple, bob: tuple) -> Iterator[bytes]:
+    """The split function's table, row x as bytes over y: the residuosity mod p
+    of the a whose bits at Alice's positions are x's and at Bob's y's, read
+    from a table of p entries made by squaring 0..(p-1)/2; a = 0 counts as a
+    residue since 0 = 0**2."""
     residues = bytearray(p)
     for b in range(p // 2 + 1):
         residues[b * b % p] = 1
     # each party's inputs with their bits moved to its positions
     at_x, at_y = ([sum(((v >> j) & 1) << (pos - 1) for j, pos in enumerate(positions))
-                   for v in range(1 << len(positions))]
-                  for positions in (alice_positions, bob_positions))
-    return _build(len(alice_positions), len(bob_positions),
-                  lambda x, y: residues[(at_x[x] | at_y[y]) % p], f"qr{p}",
-                  {"p": p, "alice_positions": list(alice_positions), "n_bits": n})
+                   for v in range(1 << len(positions))] for positions in (alice, bob))
+    return (bytes([residues[(ax | ay) % p] for ay in at_y]) for ax in at_x)
 
 
-def _qr_positions(f: BoolFn) -> tuple:
-    """(Alice's positions, Bob's positions) of a qr-split function."""
-    if "alice_positions" not in f.params:
-        raise DomainError("not a qr-split function")
-    alice = sorted(f.params["alice_positions"])
-    return alice, [i for i in range(1, f.params["n_bits"] + 1) if i not in alice]
+def _qr_split(p: int, alice_positions=None, n_bits=None):
+    """Residuosity of a split integer (see ``qr_positions``): its n_bits bits,
+    by default p's width, Alice holding by default the low half."""
+    n = p.bit_length() if n_bits is None else n_bits
+    params = {"p": p, "n_bits": n, "alice_positions": range(1, n // 2 + 1)
+              if alice_positions is None else alice_positions}
+    alice, bob = qr_positions(params)
+    return BoolFn(len(alice), len(bob), tuple(chain.from_iterable(_qr_rows(p, alice, bob))),
+                  f"qr{p}", {**params, "alice_positions": list(alice)})
+
+
+def qr_mismatches(f: BoolFn) -> list:
+    """The inputs (x, y) where f's table, of its split's widths, differs from
+    the residuosity its params name, read a row at a time: no second table."""
+    width, rows = 1 << f.n_y, enumerate(_qr_rows(f.params["p"], *qr_positions(f.params)))
+    return [(x, y) for x, want in rows if bytes(f.table[x * width:(x + 1) * width]) != want
+            for y in range(width) if f.table[x * width + y] != want[y]]
 
 
 def qr_split_inputs(f: BoolFn, a: int) -> tuple:
     """Split an integer a into the (x, y) pair that assembles back to it."""
-    alice, bob = _qr_positions(f)
-    n = f.params["n_bits"]
+    positions, n = qr_positions(f.params), f.params["n_bits"]
     if not 0 <= a < (1 << n):
         raise DomainError(f"a={a} does not fit in {n} bits")
-    x = sum(((a >> (pos - 1)) & 1) << j for j, pos in enumerate(alice))
-    y = sum(((a >> (pos - 1)) & 1) << j for j, pos in enumerate(bob))
-    return (x, y)
+    return tuple(sum(((a >> (pos - 1)) & 1) << j for j, pos in enumerate(side))
+                 for side in positions)
 
 
 _REGISTRY = {

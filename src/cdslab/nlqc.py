@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn
-from .errors import InputDomain, ValidationError
+from .errors import InputDomain, LazySpace, ValidationError
 
 if TYPE_CHECKING:
     from .gardenhose import GhStrategy
@@ -67,7 +67,7 @@ class CdqsProtocol(InputDomain):
 
     def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
                  out_reg: Callable, key_classes: Optional[Callable] = None,
-                 key_of: Optional[Callable] = None, domain: Optional[tuple] = None,
+                 key_of: Optional[Callable] = None, domain: Optional[LazySpace] = None,
                  resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
@@ -94,7 +94,7 @@ class FRoutingProtocol(InputDomain):
 
     def __init__(self, f: BoolFn, run: Callable, exit_info: Callable,
                  correction: Callable, holdings: Optional[Callable] = None,
-                 left_output: Optional[Callable] = None, domain: Optional[tuple] = None,
+                 left_output: Optional[Callable] = None, domain: Optional[LazySpace] = None,
                  resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
@@ -113,7 +113,7 @@ class PsqmProtocol(InputDomain):
     """
 
     def __init__(self, f: BoolFn, run: Callable, decode: Callable, quantum_regs: tuple = (),
-                 domain: Optional[tuple] = None, resources: Optional[dict] = None):
+                 domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y) -> [RunBranch]
         self.decode = decode              # (transcript) -> value of f

@@ -12,7 +12,8 @@ Conventions shared by every protocol type here:
   which both parties see and which alone counts as randomness complexity,
   and the party-local ``alice_private`` and ``bob_private``.
 * tags must be hashable so message distributions can be histogrammed.
-* ``domain`` is the sized space of input pairs a verify sweeps; None means all.
+* ``domain`` is the sized space of input pairs a verify sweeps, all of f's
+  inputs unless a constructor names a smaller one.
 
 Every message sweep, in ``verifiers`` or in ``padroutes``, reads the forms
 one coset at a time (``coset_hist``) through ``_sweep_kernel``. A form with no rho
@@ -66,7 +67,7 @@ class PsmProtocol(InputDomain):
     """
 
     def __init__(self, f: BoolFn, linear: LinearPart, decode: Callable,
-                 domain: Optional[tuple] = None, resources: Optional[dict] = None):
+                 domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         p, (n_shared, n_alice, n_bob) = linear.p, linear.coords
         self.f, self.linear = f, linear
         self.decode = decode              # (m0, m1) -> value of f
@@ -579,8 +580,8 @@ def psm_generic_table(f: BoolFn) -> PsmProtocol:
     return PsmProtocol(f, linear, decode, resources=resources)
 
 
-def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
-    """Randomized encoding of quadratic residuosity of a split integer.
+def dre_qr(f: BoolFn) -> Dre:
+    """Randomized encoding of f, the qr function ``named_fn('qr', ...)`` builds.
 
     Bit i of a (weight 2^(i-1)) is encoded as y_i = a_i * r^2 * 2^(i-1) + s_i
     mod p with r uniform over the units and the s_i uniform summing to zero.
@@ -596,12 +597,16 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
     hyperplane sum(y) = r^2 * a, so the verifiers count (p - 1) / 2 cosets
     per input instead of (p - 1) * p^(n-1) values.
     """
-    from .families import euler_qr, named_fn, qr_split_inputs
+    from .families import euler_qr, qr_positions, qr_split_inputs
 
-    f = named_fn("qr", p=p, alice_positions=alice_positions, n_bits=n_bits)
-    n = f.params["n_bits"]
-    alice_pos = tuple(sorted(f.params["alice_positions"]))
-    bob_pos = tuple(i for i in range(1, n + 1) if i not in alice_pos)
+    if "p" not in f.params:
+        raise ValidationError("the dre base needs --fn qr")
+    p, n, alice = f.params["p"], f.params["n_bits"], f.params["alice_positions"]
+    # the widths n and the positions imply, before anything is sized by n or p
+    if (len(alice), n - len(alice)) != (f.n_x, f.n_y):
+        raise ValidationError(f"qr widths {len(alice)}+{n - len(alice)} differ "
+                              f"from the function's {f.n_x}+{f.n_y}")
+    alice_pos, bob_pos = qr_positions(f.params)
     # per unit of free share k, share k moves by 1 and the last share by -1:
     # one map for every r, restricted to each party's positions
     maps = tuple(tuple(tuple(int(pos == k) + (p - 1) * (pos == n) for pos in positions)
@@ -623,6 +628,6 @@ def dre_qr(p: int, alice_positions=None, n_bits=None) -> Dre:
         "randomness_bits": math.log2(states),
         "encoding_elements": n,
     }
-    linear = LinearPart(p, tuple(range(1, p)), (n - 1, 0, 0), form(alice_pos), form(bob_pos),
+    linear = LinearPart(p, range(1, p), (n - 1, 0, 0), form(alice_pos), form(bob_pos),
                         lambda side, tag: maps[side])
     return Dre(f, linear, decode, domain=domain, resources=resources)

@@ -116,7 +116,6 @@ I2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 X = ((0j, 1 + 0j), (1 + 0j, 0j))
 Y = ((0j, -1j), (1j, 0j))
 Z = ((1 + 0j, 0j), (0j, -1 + 0j))
-H = ((_R2 + 0j, _R2 + 0j), (_R2 + 0j, -_R2 + 0j))
 
 PHI_PLUS = (_R2 + 0j, 0j, 0j, _R2 + 0j)
 

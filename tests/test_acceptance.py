@@ -113,7 +113,7 @@ def test_criterion_04_span_program_cds_with_bounds():
 def test_criterion_05_qr_randomized_encoding():
     t0 = time.monotonic()
     for p in (3, 5, 7, 11, 13):
-        D = dre_qr(p)
+        D = dre_qr(named_fn("qr", p=p))
         assert len(D.domain) == p - 1  # every a in Z_p^*
         report = verify_dre(D)
         assert report.eps_hat == 0, p
@@ -220,7 +220,7 @@ def test_criterion_09_single_qubit_toolkit():
 
 def test_criterion_10_encoding_chain_to_quantum_disclosure():
     # QR backbone at p = 7
-    D = dre_qr(7)
+    D = dre_qr(named_fn("qr", p=7))
     assert verify_dre(D).perfect
     psm = psm_from_dre(D)
     assert verify_psm(psm).perfect

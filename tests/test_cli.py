@@ -292,6 +292,29 @@ def test_qr_parameters_a_descriptor_names_are_refused(tmp_path, capsys, fn, erro
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_dre_request_builds_at_most_one_qr_table(tmp_path, monkeypatch):
+    # the dre base encodes the function it is given and walks its table
+    # against the residue rule, so a build makes only the --fn qr table and
+    # a verify reads the descriptor's
+    from cdslab import families
+
+    calls, split = [], families._qr_split
+
+    def spy(*args, **kwargs):
+        calls.append(args or kwargs)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(families, "_qr_split", spy)
+    monkeypatch.setitem(families._REGISTRY, "qr", spy)
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["build", "--chain", "dre", "--fn", "qr", "--p", "131101",
+                 "--out", str(desc)]) == 0
+    assert len(calls) == 1
+    assert main(["verify", str(desc), "--out", str(rep)]) == 3
+    assert (len(calls), json.loads(rep.read_text())["space"]) == (
+        1, "verify_dre message coordinates")
+
+
 def test_verify_unreadable_descriptor(tmp_path):
     rep = tmp_path / "r.json"
     assert main(["verify", str(tmp_path / "missing.json"),
@@ -789,7 +812,7 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
     # index3's span program, 11,264 rows by 10,241 columns, is charged
     # before it is built. A dict is a passing verify's resources: ip4's 32
     # pipes, one coset per case, pass within the default budget. The 24-bit
-    # qr build holds its 2^24-entry table (the default budget) twice, a
+    # qr build holds its 2^24-entry table (the default budget) once, a
     # residue table of p entries, and its p - 1 domain pairs unlisted; its
     # verify charges those pairs' (case, nu) pairs before it lists one. Its
     # pad routes build without listing the domain (the constant-f test and
@@ -1265,6 +1288,7 @@ HOSTILE = st.one_of(
 @example(("span", 20_000, "comm"))
 @example(("qr", "p", 2 ** 31 - 1))
 @example(("qr", "p", 10 ** 12 + 39))
+@example(("qr", "p", 2 ** 64 - 59))   # a prime whose range(p) has no len
 @example(("qr", "n_bits", 40))
 @example(("qr", "n_bits", 24))
 @example(("field", 2 ** 61 - 1))

@@ -94,7 +94,7 @@ def _same_cds_as(P, want) -> None:
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_qr_dre_and_psm_match_the_message_sweep(p):
-    D = dre_qr(p)
+    D = dre_qr(named_fn("qr", p=p))
     P = enumerated(psm_from_dre(D))
     want = verifiers._value_sweep(P, "ref")
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
@@ -107,13 +107,13 @@ def test_qr_dre_and_psm_match_the_message_sweep(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_qr_psm_cds_matches_the_message_sweep(p):
-    P = cds_from_psm(psm_from_dre(dre_qr(p)))
+    P = cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=p))))
     _same_cds_as(P, verify_cds(enumerated(P)))
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_qr_cosets_expand_to_the_message_histogram(p):
-    D = dre_qr(p)
+    D = dre_qr(named_fn("qr", p=p))
     P = psm_from_dre(D)
     for (x, y) in P.domain:
         hist = coset_hist(P, x, y)
@@ -186,7 +186,7 @@ def test_random_span_programs_match_the_message_sweep(drawn, variant):
 
 
 def test_declared_dre_leaking_x_is_caught():
-    D = dre_qr(5)
+    D = dre_qr(named_fn("qr", p=5))
     for where in ("tag", "values"):
         leaky = replace(D, linear=_leaky_forms(D.linear, lambda x, r: x, where),
                         decode=lambda mx, my: D.decode(_unleak(mx, where), my))
@@ -210,7 +210,7 @@ def test_declared_span_cds_ignoring_the_secret_is_caught(variant):
 
 
 def test_declared_psm_cds_sending_the_secret_is_caught():
-    P = cds_from_psm(psm_from_dre(dre_qr(5)))
+    P = cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5))))
     lin = P.linear
 
     def secret_in_tag(x, s, nu):
@@ -327,7 +327,7 @@ def test_declared_messages_must_keep_their_tags_and_value_counts():
 def test_declared_budget_counts_evaluations_before_any_call():
     # 6 inputs x 6 values of r = 36 pairs, each of 3 coordinates, (y1,) and
     # (y2, y3): 108; then the one layout's maps, 2 rows of 3 coordinates: 114
-    D = dre_qr(7)
+    D = dre_qr(named_fn("qr", p=7))
     lin, calls = D.linear, []
     counted = replace(D, linear=lin._replace(
         alice_form=lambda x, r: calls.append(x) or lin.alice_form(x, r)))
@@ -354,12 +354,12 @@ def test_qr_shared_space_is_lazy_and_in_the_generated_order():
     # (r, free shares), r-major, the shares in product order; the last
     # share, their negated sum, is no part of the randomness
     for p in (5, 7):
-        D = dre_qr(p)
+        D = dre_qr(named_fn("qr", p=p))
         n = D.f.params["n_bits"]
         want = tuple((r, free) for r in range(1, p)
                      for free in product(range(p), repeat=n - 1))
         assert tuple(D.shared) == want
-    big = dre_qr(17)
+    big = dre_qr(named_fn("qr", p=17))
     assert isinstance(big.shared, protocols.LazySpace)
     assert len(big.shared) == 1_336_336
     assert next(iter(big.shared)) == (1, (0,) * 4)

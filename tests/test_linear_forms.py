@@ -37,7 +37,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _ref_dre_qr(p: int):
     """``dre_qr``'s encoder on (r, shares), the last share the negated sum of the rest."""
-    D = dre_qr(p)
+    D = dre_qr(named_fn("qr", p=p))
     n = D.f.params["n_bits"]
     alice_pos = tuple(sorted(D.f.params["alice_positions"]))
     bob_pos = tuple(i for i in range(1, n + 1) if i not in alice_pos)
@@ -140,7 +140,7 @@ def _inputs(f):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_dre_qr_states_the_hand_encoder(p):
-    D = dre_qr(p)
+    D = dre_qr(named_fn("qr", p=p))
     shares, enc_x, enc_y = _ref_dre_qr(p)
     xs = sorted({x for (x, _) in D.domain})
     ys = sorted({y for (_, y) in D.domain})
@@ -193,9 +193,9 @@ def test_span_cds_states_the_hand_messages(drawn, variant):
 
 def test_psm_cds_over_qr_states_the_hand_messages():
     # the PSM -> CDS step as it was written, over the reference qr encoder
-    P = cds_from_psm(psm_from_dre(dre_qr(5)))
+    P = cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5))))
     shares, enc_x, enc_y = _ref_dre_qr(5)
-    x_star, y_star = hiding_input(psm_from_dre(dre_qr(5)))
+    x_star, y_star = hiding_input(psm_from_dre(dre_qr(named_fn("qr", p=5))))
 
     def alice_msg(x, s, rr):
         r, sel = rr
@@ -345,7 +345,7 @@ def _cds_echelons(P) -> int:
 
 
 def test_a_dre_sweep_reads_its_one_map_once(counted):
-    assert verify_dre(dre_qr(13)).perfect
+    assert verify_dre(dre_qr(named_fn("qr", p=13))).perfect
     assert counted == {"echelon": 1}
 
 
@@ -360,14 +360,14 @@ def test_a_span_sweep_echelons_each_layout_once(counted, variant):
 
 
 def test_a_psm_cds_sweep_echelons_each_layout_once(counted):
-    P = cds_from_psm(psm_from_dre(dre_qr(7)))
+    P = cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=7))))
     assert verify_cds(P).perfect
     # one layout per masked bit, then those two tags of Alice's and Bob's one
     assert counted == {"echelon": 2 + 2 + 1} and _cds_echelons(P) == 5
 
 
 def test_the_pad_routes_read_each_layout_once(counted):
-    psm = psm_from_dre(dre_qr(7))
+    psm = psm_from_dre(dre_qr(named_fn("qr", p=7)))
     C = cdqs_from_cds(cds_from_psm(psm))
     for (x, y) in C.domain:
         C.key_classes(x, y)

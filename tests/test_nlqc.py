@@ -144,7 +144,7 @@ def test_otp_reconstruction_values():
 
 def test_qr5_pad_route_fits_the_qubit_cap():
     # one message basis vector per transcript class: 5 qubits, not 3 + 14
-    C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
+    C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     report = verify_frouting(frouting_from_cdqs(C))
     assert report.perfect(1e-9)
     assert report.max_branches == 40000
@@ -191,7 +191,7 @@ def test_cdqs_from_psqm_chain():
 
 
 def test_cdqs_from_psqm_qr_domain():
-    Q = psqm_from_psm(psm_from_dre(dre_qr(5)))
+    Q = psqm_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5))))
     C = cdqs_from_psqm(Q)
     assert C.domain == Q.domain
     report = verify_cdqs(C)

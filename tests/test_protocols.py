@@ -202,7 +202,7 @@ def test_dre_qr_frozen_example():
     # so s = (5, 2, 0), the last share the negated sum of the free ones;
     # worked by hand: y = (1*4*1+5, 1*4*2+2, 0+0) = (2, 3, 0) mod 7,
     # sum 5 is a non-residue mod 7, matching f(a=3) = 0
-    D = dre_qr(7)
+    D = dre_qr(named_fn("qr", p=7))
     r, free = rr = (2, (5, 2))
     assert rr in D.shared
     x, y = qr_split_inputs(D.f, 3)
@@ -217,20 +217,20 @@ def test_dre_qr_frozen_example():
 
 def test_dre_qr_verifies_perfectly():
     for p in (3, 5, 7):
-        report = verify_dre(dre_qr(p))
+        report = verify_dre(dre_qr(named_fn("qr", p=p)))
         assert report.eps_hat == 0
         assert report.delta_pair == 0
         assert report.resources["same_class_histograms_equal"]
 
 
 def test_dre_domain_excludes_zero():
-    D = dre_qr(5)
+    D = dre_qr(named_fn("qr", p=5))
     assert len(D.domain) == 4  # a in 1..4
     assert qr_split_inputs(D.f, 0) not in tuple(D.domain)
 
 
 def test_psm_from_dre():
-    P = psm_from_dre(dre_qr(5))
+    P = psm_from_dre(dre_qr(named_fn("qr", p=5)))
     report = verify_psm(P)
     assert report.perfect
 
@@ -257,7 +257,7 @@ def test_cds_from_psm_and():
 
 
 def test_cds_from_psm_qr_chain():
-    D = dre_qr(5)
+    D = dre_qr(named_fn("qr", p=5))
     P = cds_from_psm(psm_from_dre(D))
     report = verify_cds(P)
     assert report.perfect
@@ -295,7 +295,7 @@ def test_verifier_budgets():
     big = cds_from_gh(gh_generic(named_fn("ip", n=2)), named_fn("ip", n=2))
     with pytest.raises(BudgetError), budget(100):
         verify_cds(big)
-    D = dre_qr(7)
+    D = dre_qr(named_fn("qr", p=7))
     with pytest.raises(BudgetError), budget(10):
         verify_dre(D)
     P = psm_generic_table(AND1)
@@ -307,7 +307,7 @@ def test_dre_leaking_x_is_caught():
     # Alice's encoding also sends x in the clear, as one more value, which
     # no randomness moves; decoding stays exact, but equal-value inputs with
     # different x now have disjoint encoding distributions
-    D = dre_qr(5)
+    D = dre_qr(named_fn("qr", p=5))
     lin = D.linear
     leaky = replace(D, linear=lin._replace(
                         alice_form=lambda x, r: (lin.alice_form(x, r)[0],
@@ -392,7 +392,7 @@ def test_no_step_lists_a_domain(base):
     from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
 
     drawn = [0]
-    D = dre_qr(5)
+    D = dre_qr(named_fn("qr", p=5))
     if base == "dre_qr":
         D.domain = _planted(tuple(D.domain), drawn)
         psm = psm_from_dre(D)

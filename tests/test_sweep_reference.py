@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from cdslab.algebra import span_dnf
 from cdslab.boolfn import BoolFn, literal_input
+from cdslab.families import named_fn
 from cdslab.ghsearch import gh_generic
 from cdslab.padroutes import psqm_from_psm
 from cdslab.protocols import (cds_from_gh, cds_from_span, dre_qr, pair_space, psm_from_dre,
@@ -211,7 +212,7 @@ def test_qr_dre_and_psm_match_the_flat_sweep(p, where, data):
     # Alice's encoding also carries x on the leaky inputs, in its tag or as
     # a value, constant in the linear randomness; decoding drops it and
     # flips the residuosity of the faulty ones
-    D = dre_qr(p)
+    D = dre_qr(named_fn("qr", p=p))
     xs = sorted({x for (x, _) in D.domain})
     leaky = data.draw(st.sets(st.sampled_from(xs)))
     faulty = data.draw(st.sets(st.sampled_from(xs)))
@@ -308,7 +309,7 @@ def test_a_private_dre_compares_no_histograms(monkeypatch):
     from cdslab import verifiers
 
     calls = _calls(monkeypatch, verifiers, "_l1")
-    assert verify_dre(dre_qr(31)).perfect
+    assert verify_dre(dre_qr(named_fn("qr", p=31))).perfect
     assert calls == []
 
 
@@ -316,5 +317,5 @@ def test_a_private_psqm_compares_no_views(monkeypatch):
     from cdslab import qverifiers
 
     calls = _calls(monkeypatch, qverifiers, "_block_distance")
-    report = verify_psqm(psqm_from_psm(psm_from_dre(dre_qr(31))))
+    report = verify_psqm(psqm_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=31)))))
     assert report.perfect() and calls == []

@@ -285,7 +285,7 @@ def test_transcript_classes_split_nearly_proportional_floats(counts, joint, data
 
 
 def test_class_runs_compress_and_keep_counts():
-    C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
+    C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     for (x, y) in C.domain:
         branches = C.run(x, y, epr_pairs([("R", "Q")]), "Q")
         assert len(branches) <= 16
@@ -322,7 +322,7 @@ def test_psm_table_routes_match_flat():
 def test_qr5_routes_match_flat():
     # the flat reference takes seconds per run here, so verify_cdqs only;
     # the flat left_output would need a message register past 14 qubits
-    psm = psm_from_dre(dre_qr(5))
+    psm = psm_from_dre(dre_qr(named_fn("qr", p=5)))
     _check_cds_route(cds_from_psm(psm), routing=False, sweep=False)
     _check_psqm_route(psm, routing=False, sweep=False)
 
@@ -414,7 +414,7 @@ def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
     # state; each (x, y, secret) histogram must still be computed only once,
     # by the kernel the shared sweep picks, once charged
     calls, kernels = _count_sweeps(monkeypatch)
-    cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(5))))
+    cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     verify_frouting(frouting_from_cdqs(cdqs))
     sweep = security_state_sweep(cdqs, seeds=range(2))
     assert security_state_sweep(cdqs, seeds=range(2)) == sweep
@@ -428,7 +428,7 @@ def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
     # psqm_from_psm is charged one sweep per input; the pad route's key-bit-0
     # run on the hiding input is swept once for all inputs, not once per input
     calls, kernels = _count_sweeps(monkeypatch)
-    cdqs = cdqs_from_psqm(psqm_from_psm(psm_from_dre(dre_qr(7))))
+    cdqs = cdqs_from_psqm(psqm_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=7)))))
     verify_cdqs(cdqs)
     verify_frouting(frouting_from_cdqs(cdqs))
     inputs = tuple(cdqs.domain)
@@ -476,7 +476,7 @@ def test_span_coset_classes_match_enumerated(p, variant, data):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_qr_coset_classes_match_enumerated(p):
-    psm = psm_from_dre(dre_qr(p))
+    psm = psm_from_dre(dre_qr(named_fn("qr", p=p)))
     _same_cds_classes(cds_from_psm(psm))
     _same_psqm_classes(psm)
 
@@ -485,7 +485,7 @@ def test_planted_leak_coset_classes_match_enumerated():
     # Alice adds her secret to her tag when x = 0, so (0, 0) leaks it; a
     # PSM whose Alice adds x to her values leaks it between equal-value inputs
     cds = cds_from_span(span_and1(3), AND1, "comm")
-    psm = psm_from_dre(dre_qr(5))
+    psm = psm_from_dre(dre_qr(named_fn("qr", p=5)))
     lin, psm_lin = cds.linear, psm.linear
 
     def secret_in_tag(x, s, nu):

@@ -32,7 +32,7 @@ needs it, ``toolkit.random_qubit``, so no module loads it at import and no
 ``cdslab`` build or verify loads it at all. ``fractions``, which loads
 ``decimal``, is imported only inside the exact classical verifiers that
 build a ``Fraction`` (``verifiers._l1``, ``_sweep`` and
-``VerificationReport.to_jsonable``), so only a classical verify loads it. A function, class or method that nothing
+``VerificationReport.to_jsonable``), so only a classical verify loads it. A function, class, method or module-level constant that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
@@ -694,9 +694,15 @@ def _reads(tree) -> tuple:
 
 
 def _unread(tree, names: set, attributes: set) -> list:
-    """Top-level functions and classes not in ``names``, methods not in ``attributes``."""
+    """Top-level functions, classes and constants not in ``names``, methods not
+    in ``attributes``."""
     unread = []
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            unread += [t.id for t in targets if isinstance(t, ast.Name)
+                       and not t.id.startswith("__") and t.id not in names]
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if node.name not in names:
@@ -793,4 +799,13 @@ def test_the_check_sees_an_unread_definition():
                      "    def q(self):\n        pass\n"
                      "A().p\nq = 1\n")
     names, attributes = _reads(tree)
-    assert _unread(tree, names, attributes) == ["unused", "A.m", "A.q"]
+    assert _unread(tree, names, attributes) == ["unused", "A.m", "A.q", "q"]
+
+
+def test_the_check_sees_a_constant_only_tests_read():
+    module = ast.parse("__all__ = ['gate']\nX = 1\nH: tuple = (1, 1)\nSCALE = 2\n"
+                       "def gate():\n    return X * SCALE\n")
+    program = ast.parse("from m import gate\ngate()\n")
+    test = ast.parse("from m import H\nassert H\n")
+    assert _unread_in({"m": module}, [module, program]) == {"m": ["H"]}
+    assert _unread_in({"m": module}, [module, program, test]) == {}
