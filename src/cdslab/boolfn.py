@@ -73,7 +73,7 @@ class BoolFn:
         size = 1 << (self.n_x + self.n_y)
         if len(self.table) != size:
             raise ValidationError(f"table length {len(self.table)} != {size}")
-        if any(b not in (0, 1) for b in self.table):
+        if not set(self.table) <= {0, 1}:
             raise ValidationError("table entries must be bits")
 
     def __eq__(self, other) -> bool:

@@ -4,9 +4,10 @@ Three subcommands:
 
 * ``build``  compiles a chain such as ``gh,cds`` or ``dre,psm,psqm,cdqs`` for a
   chosen function and writes a self-contained descriptor (a construction
-  recipe with every searched artifact embedded).
-* ``verify`` rebuilds a descriptor and runs the matching exhaustive verifier,
-  writing a pass/fail report. Tampered descriptors fail with a witness.
+  recipe with every searched artifact embedded), trusting the base it made.
+* ``verify`` rebuilds a descriptor, checks its base against its ``fn`` and
+  runs the matching exhaustive verifier, writing a pass/fail report.
+  Tampered descriptors fail with a witness.
 * ``sweep``  runs the pipe-count search over every function of a given shape.
 
 Their options are the table ``OPTIONS``: ``_parse`` reads argv by it, with
@@ -254,8 +255,15 @@ def _refuse(message: str, bad: list) -> None:
         raise VerifyFailure(message, witness={"inputs": list(map(list, bad))})
 
 
-def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
-    """Build (or reload) the chain's base object; returns (obj, artifacts)."""
+def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
+    """Build (or reload) the chain's base object; returns (obj, artifacts).
+
+    A build has no descriptor and passes ``desc`` None: a searched strategy
+    checks itself, and a generic one, a span program and the qr encoding are
+    made from ``f``. A verify passes the descriptor it read and checks the
+    base it reloads or re-makes against ``f``."""
+    read = desc is not None
+    embedded = desc.get("artifacts", {}) if read else {}
     if token == "gh":
         gardenhose = _layer("gardenhose")
         if "gh_strategy" in embedded:
@@ -265,8 +273,9 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
             strategy = ghsearch.gh_search(f, opts["max_pipes"])
             if strategy is None:
                 strategy = ghsearch.gh_generic(f)
-        _refuse("strategy routes some input to the wrong side",
-                gardenhose.gh_trace(strategy, f)[1])
+        if read:
+            _refuse("strategy routes some input to the wrong side",
+                    gardenhose.gh_trace(strategy, f)[1])
         return strategy, {"gh_strategy": strategy.to_jsonable()}
     if token == "span":
         algebra = _layer("algebra")
@@ -275,22 +284,24 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, embedded: dict):
             charge(program.size * program.width, "span program entries")
         else:
             program = _span_for(f, opts["p"])
-        _refuse("span program disagrees with the function",
-                [(x, y) for (x, y) in f.inputs()
-                 if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
+        if read:
+            _refuse("span program disagrees with the function",
+                    [(x, y) for (x, y) in f.inputs()
+                     if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
         return program, {"span_program": program.to_jsonable()}
     if token == "dre":
         dre = _layer("protocols").dre_qr(f)
-        _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
+        if read:
+            _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
         return dre, {}
     if token == "psm":
         return _layer("protocols").psm_generic_table(f), {}
     raise ValidationError(f"unknown base {token!r}")
 
 
-def _compile_chain(tokens, f: BoolFn, opts: dict, embedded: dict):
+def _compile_chain(tokens, f: BoolFn, opts: dict, desc: dict | None):
     """Compile a chain ``_check_chain`` accepted; returns (kind, obj, artifacts)."""
-    obj, artifacts = _base_artifact(tokens[0], f, opts, embedded)
+    obj, artifacts = _base_artifact(tokens[0], f, opts, desc)
     for edge in zip(tokens, tokens[1:]):
         obj = COMPILE[edge](obj, f, opts)
     return tokens[-1], obj, artifacts
@@ -368,15 +379,11 @@ def _flatten(obj, prefix, rows) -> None:
 
 
 def _cmd_build(args) -> int:
-    try:
-        f = _parse_fn(args)
-        tokens = [t.strip() for t in args.chain.split(",") if t.strip()]
-        _check_chain(tokens)
-        opts = {"p": args.p, "variant": args.variant, "max_pipes": args.max_pipes}
-        kind, _, artifacts = _compile_chain(tokens, f, opts, {})
-    except VerifyFailure as exc:
-        print(f"build produced an invalid artifact: {exc}", file=sys.stderr)
-        return 1
+    f = _parse_fn(args)
+    tokens = [t.strip() for t in args.chain.split(",") if t.strip()]
+    _check_chain(tokens)
+    opts = {"p": args.p, "variant": args.variant, "max_pipes": args.max_pipes}
+    kind, _, artifacts = _compile_chain(tokens, f, opts, None)
     descriptor = {
         "format": DESCRIPTOR_FORMAT,
         "version": 1,
@@ -408,7 +415,7 @@ def _cmd_verify(args) -> int:
         tokens = list(desc["chain"])
         _check_chain(tokens)
         opts = {"p": 2, "variant": "comm", "max_pipes": 4, **dict(desc.get("options", {}))}
-        kind, obj, _ = _compile_chain(tokens, f, opts, desc.get("artifacts", {}))
+        kind, obj, _ = _compile_chain(tokens, f, opts, desc)
         result.update(_verify_object(kind, obj, args.tol))
         result["chain"] = tokens
         result["fn"] = desc["fn"]

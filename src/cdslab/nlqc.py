@@ -29,17 +29,6 @@ if TYPE_CHECKING:
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _statevector():
-    """The ``quantum`` module, imported at its first use.
-
-    Compilers build closures, plans and key classes only, so compiling a
-    chain does not load it; runs, recoveries and verifiers fetch it here at
-    call time, which also reads ``quantum.MAX_QUBITS`` as it stands then.
-    """
-    from . import quantum
-    return quantum
-
-
 class RunBranch(NamedTuple):
     """One classical branch of a protocol run, or a class of ``count`` branches.
 
@@ -131,7 +120,7 @@ def pauli_frame(outcomes) -> list:
     act on the already-twisted state, so the net twist is the ordered product
     and the correction is its adjoint.
     """
-    quantum = _statevector()
+    from . import quantum
     I2, X, Z = quantum.I2, quantum.X, quantum.Z
     net = I2
     for (a, b) in outcomes:
@@ -190,7 +179,7 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     plans = {xy: plan_for(outcome) for xy, outcome in outcomes.items()}
 
     def run(x, y, carrier, q_reg):
-        quantum = _statevector()
+        from . import quantum
         plan = plans[(x, y)][0]
         state = carrier
         for reg_a, reg_b, desc in plan:

@@ -15,7 +15,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ValidationError, charge, space_size
-from .nlqc import KEYS, CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch, _statevector
+from .nlqc import KEYS, CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch
 
 if TYPE_CHECKING:
     from .boolfn import BoolFn
@@ -94,7 +94,7 @@ def _otp_left_output(classes: list, psi) -> list:
     superposition to one basis vector is an isometry on the register, which
     is traced out. The state has 3 + k qubits, k those of the register.
     """
-    quantum = _statevector()
+    from . import quantum
     kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
     charge(3 + kq, "qubits per factor", quantum.MAX_QUBITS)
     vec = [0j] * (1 << (3 + kq))
@@ -122,7 +122,7 @@ def _pad_run(classes_of: Callable) -> Callable:
     """
     def run(x, y, carrier, q_reg):
         classes = classes_of(x, y)
-        quantum = _statevector()
+        from . import quantum
         branches = []
         for s in KEYS:
             padded = carrier.apply(quantum.phased_pad(*s), [q_reg])
@@ -137,7 +137,7 @@ def _pad_run(classes_of: Callable) -> Callable:
 
 def _inverse_pad(s) -> list:
     """Inverse of pad key s, the Hermitian pad itself; the identity for a failed decode."""
-    quantum = _statevector()
+    from . import quantum
     return quantum.phased_pad(*s) if s in KEYS else quantum.I2
 
 

@@ -365,8 +365,8 @@ def cds_from_span(program: SpanProgram, f: BoolFn, variant: str = "comm") -> Cds
     coordinates) as its values, which ``linear`` states with no nonlinear
     part; a tag's map is the program's columns at its rows. The program must
     compute f: ``verify_cds`` reports a decode error where it rejects a
-    1-input and a leak where it accepts a 0-input, and the CLI refuses it
-    before compiling, naming every such input.
+    1-input and a leak where it accepts a 0-input, and a verify refuses a
+    descriptor's program before compiling, naming every such input.
     """
     if program.n_vars != f.n_x + f.n_y:
         raise ValidationError("span program variable count must match f's input bits")

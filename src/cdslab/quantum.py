@@ -263,12 +263,12 @@ class PureState:
 
     # -- measurement -----------------------------------------------------------
 
-    def bell_measure(self, reg_a: str, reg_b: str, tol: float = _TOL) -> list:
+    def bell_measure(self, reg_a: str, reg_b: str) -> list:
         """Measure a qubit pair in the basis (I x X^a Z^b)|epr>.
 
-        Returns [((a, b), prob, post_state)]; outcome (a, b) means the rest of
-        the state is left as if X^a Z^b had hit the partner of a perfect EPR
-        link, which is the teleportation correction convention used throughout.
+        Returns [((a, b), prob, post_state)] for each prob above ``_TOL``;
+        outcome (a, b) leaves the rest of the state as if X^a Z^b had hit the
+        partner of a perfect EPR link, the teleportation correction convention.
         """
         offs = _offsets(self.regs)
         if offs[reg_a][1] != 1 or offs[reg_b][1] != 1:
@@ -282,7 +282,7 @@ class PureState:
             o0, o1 = pair[r0], pair[r1]
             amp = [c0 * vec[base + o0] + c1 * vec[base + o1] for base in bases]
             p = sum(z.real * z.real + z.imag * z.imag for z in amp)
-            if p > tol:
+            if p > _TOL:
                 root = math.sqrt(p)
                 out.append((ab, p, PureState(keep_regs, [z / root for z in amp])))
         return out

@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ValidationError, Worst, charge
-from .nlqc import _statevector
 
 if TYPE_CHECKING:
     from .nlqc import CdqsProtocol, FRoutingProtocol, PsqmProtocol
@@ -77,7 +76,8 @@ class _Sweep(Worst):
         self.per_input = {}
 
     def worse(self, name: str, figure, witness) -> None:
-        if figure > _statevector()._TOL:
+        from .quantum import _TOL
+        if figure > _TOL:
             super().worse(name, figure, witness)
         elif figure > self.worst.get(name, 0):
             self.worst[name] = figure
@@ -110,7 +110,7 @@ def _choi_fidelity(branches, fix: Callable, out: str) -> float:
     target is pure, so Uhlmann's fidelity is sqrt(<Phi+| rho |Phi+>), with
     rho the branches' probability-weighted mixture, and needs no eigen-solve.
     """
-    quantum = _statevector()
+    from . import quantum
     overlap = sum(b.prob * quantum.overlap(fix(b).ptrace(["R", out]), quantum.PHI_PLUS)
                   for b in branches)
     return min(1.0, math.sqrt(max(0.0, overlap)))
@@ -126,7 +126,7 @@ def _view_blocks(branches, regs) -> dict:
     for b in branches:
         mat = ((1.0,),) if regs is None or b.state is None else b.state.ptrace(regs)
         terms.setdefault(b.transcript, []).append((b.prob, mat))
-    quantum = _statevector()
+    from . import quantum
     return {t: quantum.weighted(ts) for t, ts in terms.items()}
 
 
@@ -135,18 +135,19 @@ def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
 
     A transcript only one view has is a zero block in the other.
     """
+    from . import quantum
     keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
     if not keys:
         return 0.0
     d = len(next(iter((blocks_a or blocks_b).values())))
     zero = [[0j] * d for _ in range(d)]
-    return _statevector().trace_distance([blocks_a.get(k, zero) for k in keys],
-                                         [blocks_b.get(k, zero) for k in keys])
+    return quantum.trace_distance([blocks_a.get(k, zero) for k in keys],
+                                  [blocks_b.get(k, zero) for k in keys])
 
 
 def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
-    quantum = _statevector()
+    from . import quantum
     sweep = _Sweep()
     for (x, y) in P.domain:
         branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
@@ -172,9 +173,9 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
     every pure input qubit, ``quantum.worst_fidelity`` of four runs of
     ``left_output``.
     """
+    from . import quantum
     from .gardenhose import RIGHT
 
-    quantum = _statevector()
     sweep = _Sweep()
     for (x, y) in P.domain:
         fx = P.f.eval(x, y)

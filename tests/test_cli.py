@@ -256,6 +256,10 @@ ZERO_1X1 = {"n_x": 1, "n_y": 1, "name": "zero", "params": {}, "table": "0"}
     pytest.param("dre,psm,cds", ["qr", "--p", "7"], {"n_y": 1, "table": "7"},
                  "descriptor rejected: qr widths 1+2 differ from the function's 1+1",
                  "qr widths 1+2 differ from the function's 1+1", id="dre,psm,cds-widths"),
+    # the embedded and strategy checked against xor1
+    pytest.param("gh,cds", ["and"], named_fn("xor", n=1).to_jsonable(),
+                 "strategy routes some input to the wrong side",
+                 {"inputs": [[0, 1], [1, 0], [1, 1]]}, id="gh,cds-xor"),
 ])
 def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args, fn,
                                                            error, witness):
@@ -265,6 +269,31 @@ def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args
     assert main(["build", "--chain", chain, "--fn", *args, "--out", str(desc)]) == 0
     tampered = json.loads(desc.read_text())
     tampered["fn"].update(fn)
+    desc.write_text(json.dumps(tampered))
+    assert main(["verify", str(desc), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert (report["status"], report["error"], report["witness"]) == ("fail", error, witness)
+
+
+NULL_ARTIFACTS = "descriptor rejected: argument of type 'NoneType' is not iterable"
+
+
+@pytest.mark.parametrize("chain,args,fn,error,witness", [
+    # entry a=0 (x=0, y=0) of qr7's table flipped: 0x97 -> 0x96. verify_dre
+    # sweeps a in 1..6 only, so the base check alone sees it
+    ("dre", ["qr", "--p", "7"], {"table": "96"},
+     "encoding disagrees with the function", {"inputs": [[0, 0]]}),
+    ("gh,cds", ["and"], {}, NULL_ARTIFACTS, NULL_ARTIFACTS.split(": ", 1)[1]),
+    ("span,cds", ["and"], {}, NULL_ARTIFACTS, NULL_ARTIFACTS.split(": ", 1)[1]),
+], ids=["dre-a0", "gh,cds", "span,cds"])
+def test_null_artifacts_do_not_pass_for_a_build(tmp_path, chain, args, fn, error, witness):
+    # "artifacts": null in a descriptor is read, not taken for a build's
+    # missing descriptor: the base is still checked, or the null refused
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["build", "--chain", chain, "--fn", *args, "--out", str(desc)]) == 0
+    tampered = json.loads(desc.read_text())
+    tampered["fn"].update(fn)
+    tampered["artifacts"] = None
     desc.write_text(json.dumps(tampered))
     assert main(["verify", str(desc), "--out", str(rep)]) == 1
     report = json.loads(rep.read_text())
@@ -1178,8 +1207,9 @@ def test_a_61_bit_field_builds_and_verifies(tmp_path):
 
 
 def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
-    # the CLI checks the program on every input and names each one it gets
-    # wrong; cds_from_span does not evaluate it again
+    # a build trusts the program it made; a verify checks the descriptor's
+    # on every input and names each one it gets wrong, and cds_from_span
+    # does not evaluate it again
     from cdslab import algebra, cli, protocols
     calls, sp_eval = [], algebra.sp_eval
 
@@ -1193,9 +1223,9 @@ def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
     desc, rep = tmp_path / "d.json", tmp_path / "r.json"
     assert main(["build", "--chain", "span,cds", "--fn", "ip", "--nx", "2", "--p", "3",
                  "--out", str(desc)]) == 0
-    assert len(calls) == 16
+    assert len(calls) == 0
     assert main(["verify", str(desc), "--out", str(rep)]) == 0
-    assert len(calls) == 32
+    assert len(calls) == 16
     # the and1 program checked against xor1 fails on three of four inputs
     assert main(["build", "--chain", "span,cds", "--fn", "and", "--out", str(desc)]) == 0
     xor = tmp_path / "x.json"
@@ -1207,6 +1237,35 @@ def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
     report = json.loads(rep.read_text())
     assert report["error"] == "span program disagrees with the function"
     assert report["witness"] == {"inputs": [[0, 1], [1, 0], [1, 1]]}
+
+
+def test_a_build_trusts_its_base_and_a_verify_checks_it(tmp_path, monkeypatch):
+    # a build writes the base it made unchecked: a searched strategy checks
+    # itself and the qr table is made by the rule qr_mismatches walks. A
+    # verify checks the base it reads
+    from cdslab import families, gardenhose, ghsearch
+    calls = []
+
+    def spy(name, *modules):
+        real = getattr(modules[0], name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+
+    spy("qr_mismatches", families)
+    spy("gh_trace", gardenhose, ghsearch)
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    for argv, counts in ((["build", "--chain", "dre", "--fn", "qr", "--p", "7"], {}),
+                         (["verify", str(desc)], {"qr_mismatches": 1}),
+                         (["build", "--chain", "gh,cds", "--fn", "and"], {"gh_trace": 2}),
+                         (["verify", str(desc)], {"gh_trace": 2})):
+        calls.clear()
+        assert main(argv + ["--out", str(desc if argv[0] == "build" else rep)]) == 0
+        assert {name: calls.count(name) for name in set(calls)} == counts, argv
 
 
 @cache

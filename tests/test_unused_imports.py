@@ -171,7 +171,7 @@ IMPORTED_AT_IMPORT = {
     "verifiers": {"errors", "protocols"},
     "quantum": {"errors"},
     "nlqc": {"boolfn", "errors"},
-    "qverifiers": {"errors", "nlqc"},
+    "qverifiers": {"errors"},
     "padroutes": {"errors", "nlqc"},
     "toolkit": {"algebra", "errors", "quantum", "qverifiers"},
     "cli": {"__init__", "boolfn", "errors"},
