@@ -11,8 +11,9 @@ simultaneous-messages protocol, and one selector bit turns it into
 conditional disclosure.
 """
 
-from cdslab.families import named_fn, qr_split_inputs
+from cdslab.families import named_fn
 from cdslab.protocols import cds_from_psm, dre_qr, psm_from_dre
+from cdslab.toolkit import qr_split_inputs
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 
 p = 7

@@ -106,8 +106,8 @@ class BoolFn:
 
     def to_jsonable(self) -> dict:
         # hex bit i is entry i, the packing ``from_packed`` reads; a base-2
-        # string converts in linear time, where shifting in bit by bit is quadratic
-        packed = int("".join(["01"[b] for b in reversed(self.table)]), 2)
+        # string, made as bytes, converts in linear time, where shifting is quadratic
+        packed = int(bytes(self.table[::-1]).translate(bytes.maketrans(b"\0\1", b"01")), 2)
         return {
             "n_x": self.n_x,
             "n_y": self.n_y,

@@ -2,11 +2,11 @@
 
 Three subcommands:
 
-* ``build``  compiles a chain such as ``gh,cds`` or ``dre,psm,psqm,cdqs`` for a
-  chosen function and writes a self-contained descriptor (a construction
+* ``build``  makes the base of a chain such as ``gh,cds`` or ``dre,psm,psqm,cdqs``
+  for a chosen function and writes a self-contained descriptor (a construction
   recipe with every searched artifact embedded), trusting the base it made.
-* ``verify`` rebuilds a descriptor, checks its base against its ``fn`` and
-  runs the matching exhaustive verifier, writing a pass/fail report.
+* ``verify`` checks a descriptor's base against its ``fn``, compiles the chain
+  and runs the matching exhaustive verifier, writing a pass/fail report.
   Tampered descriptors fail with a witness.
 * ``sweep``  runs the pipe-count search over every function of a given shape.
 
@@ -22,10 +22,11 @@ count past 256 bits is written as the power of two it reaches ("at least
 
 A request loads only the modules its stages run: ``families`` for ``--fn``
 or a ``dre`` base, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
-``algebra`` for ``span``, ``protocols`` for a classical stage, ``nlqc`` for
-a quantum one (``padroutes`` for a pad route), ``quantum`` at a run, and to
-verify ``verifiers`` (with ``fractions``) or ``qverifiers``; ``csv`` only
-for a CSV report. No request loads ``toolkit``, numpy or argparse.
+``algebra`` for ``span``, ``protocols`` for a ``dre`` or ``psm`` base, and
+to verify ``protocols`` for a classical stage, ``nlqc`` for a quantum one
+(``padroutes`` for a pad route), ``quantum`` at a run, and ``verifiers``
+(with ``fractions``) or ``qverifiers``; ``csv`` only for a CSV report. No
+request loads ``toolkit``, numpy or argparse.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ if TYPE_CHECKING:
     from .algebra import SpanProgram
 
 BASES = ("gh", "span", "dre", "psm")
+ARTIFACTS = {"gh": "gh_strategy", "span": "span_program"}   # base -> what a descriptor embeds
+COMPILE_OPTIONS = ("p", "variant", "max_pipes")   # the build options a chain compiles by
 
 
 def _layer(name: str):
@@ -240,6 +243,8 @@ def _span_for(f: BoolFn, p: int) -> SpanProgram:
 
 
 def _check_chain(tokens) -> None:
+    """Refuse a chain no compile edges make, with the message of the edge
+    that refuses it: a build compiles no edge, so the CLI states the rule."""
     if not tokens:
         raise ValidationError("empty chain")
     if tokens[0] not in BASES:
@@ -247,6 +252,9 @@ def _check_chain(tokens) -> None:
     for a, b in zip(tokens, tokens[1:]):
         if (a, b) not in COMPILE:
             raise ValidationError(f"no rule builds {b!r} from {a!r}")
+    # a CDQS made from a router has no pad key for frouting_from_cdqs to route by
+    if ("frouting", "cdqs", "frouting") in zip(tokens, tokens[1:], tokens[2:]):
+        raise ValidationError("need a protocol exposing its pad key")
 
 
 def _refuse(message: str, bad: list) -> None:
@@ -256,67 +264,49 @@ def _refuse(message: str, bad: list) -> None:
 
 
 def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
-    """Build (or reload) the chain's base object; returns (obj, artifacts).
+    """The base object of a chain ``_check_chain`` accepted, made from ``f`` or read.
 
-    A build has no descriptor and passes ``desc`` None: a searched strategy
-    checks itself, and a generic one, a span program and the qr encoding are
-    made from ``f``. A verify passes the descriptor it read and checks the
-    base it reloads or re-makes against ``f``."""
-    read = desc is not None
-    embedded = desc.get("artifacts", {}) if read else {}
+    A build passes ``desc`` None and trusts what it makes from ``f``: a
+    searched strategy checks itself. A verify passes the descriptor it read
+    and checks against ``f`` what that states, an embedded strategy, a span
+    program and the qr encoding; a strategy it searches or makes is trusted."""
+    embedded = {} if desc is None else desc.get("artifacts", {})
     if token == "gh":
         gardenhose = _layer("gardenhose")
-        if "gh_strategy" in embedded:
-            strategy = gardenhose.GhStrategy.from_jsonable(embedded["gh_strategy"])
-        else:
-            ghsearch = _layer("ghsearch")
-            strategy = ghsearch.gh_search(f, opts["max_pipes"])
-            if strategy is None:
-                strategy = ghsearch.gh_generic(f)
-        if read:
+        if ARTIFACTS["gh"] in embedded:
+            strategy = gardenhose.GhStrategy.from_jsonable(embedded[ARTIFACTS["gh"]])
             _refuse("strategy routes some input to the wrong side",
                     gardenhose.gh_trace(strategy, f)[1])
-        return strategy, {"gh_strategy": strategy.to_jsonable()}
+            return strategy
+        ghsearch = _layer("ghsearch")
+        return ghsearch.gh_search(f, opts["max_pipes"]) or ghsearch.gh_generic(f)
     if token == "span":
         algebra = _layer("algebra")
-        if "span_program" in embedded:
-            program = algebra.SpanProgram.from_jsonable(embedded["span_program"])
+        if ARTIFACTS["span"] in embedded:
+            program = algebra.SpanProgram.from_jsonable(embedded[ARTIFACTS["span"]])
             charge(program.size * program.width, "span program entries")
         else:
             program = _span_for(f, opts["p"])
-        if read:
+        if desc is not None:
             _refuse("span program disagrees with the function",
                     [(x, y) for (x, y) in f.inputs()
                      if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
-        return program, {"span_program": program.to_jsonable()}
+        return program
     if token == "dre":
         dre = _layer("protocols").dre_qr(f)
-        if read:
+        if desc is not None:
             _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
-        return dre, {}
-    if token == "psm":
-        return _layer("protocols").psm_generic_table(f), {}
-    raise ValidationError(f"unknown base {token!r}")
-
-
-def _compile_chain(tokens, f: BoolFn, opts: dict, desc: dict | None):
-    """Compile a chain ``_check_chain`` accepted; returns (kind, obj, artifacts)."""
-    obj, artifacts = _base_artifact(tokens[0], f, opts, desc)
-    for edge in zip(tokens, tokens[1:]):
-        obj = COMPILE[edge](obj, f, opts)
-    return tokens[-1], obj, artifacts
+        return dre
+    return _layer("protocols").psm_generic_table(f)   # psm
 
 
 # -- verification dispatch --------------------------------------------------------
 
 
 def _verify_object(kind, obj, tol: float) -> dict:
-    if kind == "gh":
-        return {"status": "pass", "kind": kind,
-                "report": {"pipes": obj.pipes}}
-    if kind == "span":
-        return {"status": "pass", "kind": kind,
-                "report": {"rows": obj.size, "width": obj.width, "p": obj.p}}
+    if kind in ("gh", "span"):   # a chain of its base alone passes once the base is checked
+        return {"status": "pass", "kind": kind, "report": {"pipes": obj.pipes} if kind == "gh"
+                else {"rows": obj.size, "width": obj.width, "p": obj.p}}
     rep = VERIFY[kind](obj)
     # a quantum report's figures are floats, perfect within ``tol``
     ok = rep.perfect(tol) if kind in ("cdqs", "frouting", "psqm") else rep.perfect
@@ -382,19 +372,15 @@ def _cmd_build(args) -> int:
     f = _parse_fn(args)
     tokens = [t.strip() for t in args.chain.split(",") if t.strip()]
     _check_chain(tokens)
-    opts = {"p": args.p, "variant": args.variant, "max_pipes": args.max_pipes}
-    kind, _, artifacts = _compile_chain(tokens, f, opts, None)
-    descriptor = {
-        "format": DESCRIPTOR_FORMAT,
-        "version": 1,
-        "chain": tokens,
-        "kind": kind,
-        "fn": f.to_jsonable(),
-        "options": {"p": args.p, "variant": args.variant,
-                    "max_pipes": args.max_pipes, "seed": args.seed},
-        "artifacts": artifacts,
-    }
-    _emit(descriptor, args.out, "json")
+    if ("psqm", "cdqs") in zip(tokens, tokens[1:]) and 0 not in f.table:
+        # cdqs_from_psqm masks a run with an input where f is 0
+        raise ValidationError("no hiding input available to mask with")
+    opts = {name: getattr(args, name) for name in COMPILE_OPTIONS}
+    base = _base_artifact(tokens[0], f, opts, None)
+    artifacts = {ARTIFACTS[tokens[0]]: base.to_jsonable()} if tokens[0] in ARTIFACTS else {}
+    _emit({"format": DESCRIPTOR_FORMAT, "version": 1, "chain": tokens, "kind": tokens[-1],
+           "fn": f.to_jsonable(), "options": {**opts, "seed": args.seed},
+           "artifacts": artifacts}, args.out, "json")
     return 0
 
 
@@ -414,15 +400,18 @@ def _cmd_verify(args) -> int:
         f = BoolFn.from_jsonable(desc["fn"])
         tokens = list(desc["chain"])
         _check_chain(tokens)
-        opts = {"p": 2, "variant": "comm", "max_pipes": 4, **dict(desc.get("options", {}))}
-        kind, obj, _ = _compile_chain(tokens, f, opts, desc)
-        result.update(_verify_object(kind, obj, args.tol))
+        opts = {**{name: OPTIONS["build"]["--" + name.replace("_", "-")][1]
+                   for name in COMPILE_OPTIONS}, **dict(desc.get("options", {}))}
+        obj = _base_artifact(tokens[0], f, opts, desc)
+        for edge in zip(tokens, tokens[1:]):   # only a verify compiles the chain
+            obj = COMPILE[edge](obj, f, opts)
+        result.update(_verify_object(tokens[-1], obj, args.tol))
         result["chain"] = tokens
         result["fn"] = desc["fn"]
     except VerifyFailure as exc:
         result.update({"status": "fail", "error": str(exc),
                        "witness": exc.witness})
-    except (ValidationError, DomainError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:   # ValidationError, DomainError too
         result.update({"status": "fail",
                        "error": f"descriptor rejected: {exc}",
                        "witness": str(exc)})

@@ -7,7 +7,7 @@ checked by, and every function of a shape, in ``boolfn``'s convention; only
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .boolfn import BoolFn, from_packed, is_prime
 from .errors import DomainError, ValidationError, charge
@@ -45,17 +45,19 @@ def _index(n_x):
     return _build(n_x, n_y, lambda x, y: (y >> x) & 1, f"index{n_x}", {"n_x": n_x})
 
 
-def euler_qr(a: int, p: int) -> int:
-    """Quadratic-residue indicator via Euler's criterion: a^((p-1)/2) mod p.
-
-    Returns 1 if a is a nonzero square mod p, else 0. a = 0 is rejected:
-    the criterion evaluates to 0 there, which is neither label.
-    """
+def qr_residue(p: int) -> Callable[[int], int]:
+    """Euler's criterion mod p, p checked an odd prime once, here: a -> 1 if
+    a is a nonzero square mod p (a^((p-1)/2) = 1 mod p), else 0. a = 0 is
+    rejected: the criterion evaluates to 0 there, which is neither label."""
     if not is_prime(p) or p == 2:
         raise ValidationError(f"p={p} must be an odd prime")
-    if a % p == 0:
-        raise DomainError("a = 0 mod p is outside the residue/non-residue split")
-    return int(pow(a, (p - 1) // 2, p) == 1)
+
+    def residue(a: int) -> int:
+        if a % p == 0:
+            raise DomainError("a = 0 mod p is outside the residue/non-residue split")
+        return int(pow(a, (p - 1) // 2, p) == 1)
+
+    return residue
 
 
 def qr_positions(params: dict) -> tuple:
@@ -109,9 +111,9 @@ def qr_mismatches(f: BoolFn) -> list:
             for y in range(width) if f.table[x * width + y] != want[y]]
 
 
-def qr_split_inputs(f: BoolFn, a: int) -> tuple:
-    """Split an integer a into the (x, y) pair that assembles back to it."""
-    positions, n = qr_positions(f.params), f.params["n_bits"]
+def qr_split_at(positions: tuple, n: int, a: int) -> tuple:
+    """Split an n-bit integer a into the (x, y) pair that assembles back to
+    it, each party's bits read at its ``qr_positions``."""
     if not 0 <= a < (1 << n):
         raise DomainError(f"a={a} does not fit in {n} bits")
     return tuple(sum(((a >> (pos - 1)) & 1) << j for j, pos in enumerate(side))

@@ -597,7 +597,7 @@ def dre_qr(f: BoolFn) -> Dre:
     hyperplane sum(y) = r^2 * a, so the verifiers count (p - 1) / 2 cosets
     per input instead of (p - 1) * p^(n-1) values.
     """
-    from .families import euler_qr, qr_positions, qr_split_inputs
+    from .families import qr_positions, qr_residue, qr_split_at
 
     if "p" not in f.params:
         raise ValidationError("the dre base needs --fn qr")
@@ -606,7 +606,8 @@ def dre_qr(f: BoolFn) -> Dre:
     if (len(alice), n - len(alice)) != (f.n_x, f.n_y):
         raise ValidationError(f"qr widths {len(alice)}+{n - len(alice)} differ "
                               f"from the function's {f.n_x}+{f.n_y}")
-    alice_pos, bob_pos = qr_positions(f.params)
+    alice_pos, bob_pos = sides = qr_positions(f.params)
+    residue = qr_residue(p)   # p checked once, not at each decode
     # per unit of free share k, share k moves by 1 and the last share by -1:
     # one map for every r, restricted to each party's positions
     maps = tuple(tuple(tuple(int(pos == k) + (p - 1) * (pos == n) for pos in positions)
@@ -617,9 +618,9 @@ def dre_qr(f: BoolFn) -> Dre:
                                            for j, pos in enumerate(positions)))
 
     def decode(mx, my):
-        return euler_qr((sum(mx[1]) + sum(my[1])) % p, p)
+        return residue((sum(mx[1]) + sum(my[1])) % p)
 
-    domain = LazySpace(p - 1, lambda: (qr_split_inputs(f, a) for a in range(1, p)))
+    domain = LazySpace(p - 1, lambda: (qr_split_at(sides, n, a) for a in range(1, p)))
     states = (p - 1) * p ** (n - 1)
     resources = {
         "field": p,

@@ -1,5 +1,6 @@
 """What only demos and tests call, which no CLI request loads: probe qubits,
-channel pictures, the security state sweep and a threshold span program.
+channel pictures, the security state sweep, a threshold span program and the
+qr split of one integer.
 ``random_qubit`` is the one function in the package that imports numpy.
 """
 
@@ -128,3 +129,9 @@ def span_threshold_2of3(p: int) -> SpanProgram:
     rows = tuple((1, k) for k in range(1, 4))
     labels = tuple((k, 1) for k in range(1, 4))
     return SpanProgram(rows, labels, (1, 0), p, 3)
+
+
+def qr_split_inputs(f, a: int) -> tuple:
+    """The (x, y) pair of the qr function f that assembles back to a."""
+    from .families import qr_positions, qr_split_at
+    return qr_split_at(qr_positions(f.params), f.params["n_bits"], a)

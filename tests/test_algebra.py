@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cdslab.algebra import (LsssScheme, in_span, lsss_reconstruct, span_and1, span_dnf,
                             span_eq1, span_or1, sp_eval, SpanProgram)
 from cdslab.errors import DomainError, ValidationError
-from cdslab.families import euler_qr
+from cdslab.families import qr_residue
 from cdslab.toolkit import span_threshold_2of3
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -28,16 +28,16 @@ def test_euler_criterion_matches_squaring():
     for p in ODD_PRIMES:
         squares = {(z * z) % p for z in range(1, p)}
         for a in range(1, p):
-            assert euler_qr(a, p) == int(a in squares), (p, a)
+            assert qr_residue(p)(a) == int(a in squares), (p, a)
 
 
 def test_euler_rejects_zero_and_even():
     with pytest.raises(DomainError):
-        euler_qr(0, 7)
+        qr_residue(7)(0)
     with pytest.raises(DomainError):
-        euler_qr(14, 7)
+        qr_residue(7)(14)
     with pytest.raises(ValidationError):
-        euler_qr(1, 2)
+        qr_residue(2)
 
 
 def _in_span_brute(rows, target, p):

@@ -13,7 +13,8 @@ from cdslab.boolfn import (PRIME_BOUND, BoolFn, bits_msb_first, is_prime,
                            literal_input)
 from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
-from cdslab.families import all_functions, named_fn, qr_split_inputs
+from cdslab.families import all_functions, named_fn
+from cdslab.toolkit import qr_split_inputs
 
 
 def test_table_indexing_order():

@@ -566,8 +566,9 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     # a request loads only the modules its stages run: no gardenhose without
     # a gh stage and no search for an embedded strategy, no algebra without a
     # span stage (span membership reads the echelon form in protocols), no
-    # function families for a table, no verifier or Fraction in a build, and
-    # sweep loads no protocol, algebra or Fraction
+    # function families for a table, no compiler but a base's (a span base's
+    # algebra reads the echelon form in protocols), no verifier or Fraction
+    # in a build, and sweep loads no protocol, algebra or Fraction
     for argv, loaded in ((["verify", "0.json"], _CLASSICAL | {"cdslab.gardenhose"}),
                          (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra"}),
                          (["verify", "2.json"], _CLASSICAL | {"cdslab.families"}),
@@ -577,7 +578,7 @@ def test_classical_chain_never_imports_numpy(tmp_path):
                          (["build", "--chain", "span,cds", "--fn", "eq"],
                           _START | {"cdslab.families", "cdslab.algebra", "cdslab.protocols"}),
                          (["build", "--chain", "gh,cds", "--table", "1:1:8"],
-                          _START | {"cdslab.gardenhose", "cdslab.ghsearch", "cdslab.protocols"}),
+                          _START | {"cdslab.gardenhose", "cdslab.ghsearch"}),
                          (["build", "--chain", "dre,psm,cds", "--fn", "qr", "--p", "5"],
                           _START | {"cdslab.families", "cdslab.protocols"}),
                          (["sweep", "--nx", "1", "--ny", "1"],
@@ -636,20 +637,18 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     assert after_runs == ["cdslab.quantum"]
     # a garden-hose route loads no protocols, pad routes, algebra or
     # Fraction, and with an embedded strategy no search; a pad route no
-    # algebra or Fraction, a qr chain no gardenhose, and a build no verifier
-    # or statevector layer
+    # algebra or Fraction, a qr chain no gardenhose, and a build only its
+    # base's modules: no compiler past the base, verifier or statevector layer
     routing = _START | {"cdslab.gardenhose", "cdslab.nlqc"}
     pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.nlqc", "cdslab.padroutes"}
     checked = {"cdslab.qverifiers", "cdslab.quantum"}
-    for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"],
-                          routing | {"cdslab.families", "cdslab.ghsearch"}),
-                         (["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and"],
-                          routing | {"cdslab.families", "cdslab.ghsearch", "cdslab.protocols",
-                                     "cdslab.padroutes"}),
+    searched = _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"}
+    for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], searched),
+                         (["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and"], searched),
                          (["verify", "0.json"], routing | checked),
                          (["verify", "1.json"], routing | checked),
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
-                          pads),
+                          _START | {"cdslab.families", "cdslab.protocols"}),
                          (["verify", "2.json"], pads | checked),
                          (["verify", "3.json"], pads | checked)):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
@@ -760,16 +759,43 @@ _CHAIN_ARGS = {"gh": ["--fn", "and"], "span": ["--fn", "and"], "psm": ["--fn", "
 
 
 @pytest.mark.parametrize("chain", _chains(6))
-def test_every_compile_chain_builds(tmp_path, chain):
-    # a CDQS made from a router has no pad key to route by; every other path
-    # along the compile edges builds
+def test_every_compile_chain_builds(tmp_path, monkeypatch, chain):
+    # a CDQS made from a router has no pad key to route by, which the CLI
+    # states; every other path along the compile edges builds and verifies.
+    # A build makes only the chain's base and its verify compiles each edge
+    # once, so an edge that refused only when compiled would fail the verify
+    compiled = []
+
+    def counted(edge, compile_edge):
+        def run(obj, f, opts):
+            compiled.append(edge)
+            return compile_edge(obj, f, opts)
+        return run
+
+    for edge, compile_edge in COMPILE.items():
+        monkeypatch.setitem(COMPILE, edge, counted(edge, compile_edge))
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
     code = main(["build", "--chain", chain, *_CHAIN_ARGS[chain.split(",")[0]],
-                 "--out", str(tmp_path / "d.json")])
-    assert code == (2 if "frouting,cdqs,frouting" in chain else 0)
+                 "--out", str(desc)])
+    assert (code, compiled) == (2 if "frouting,cdqs,frouting" in chain else 0, [])
+    if code == 0:
+        assert main(["verify", str(desc), "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["status"] == "pass"
+        assert len(compiled) == chain.count(",")
+
+
+@pytest.mark.parametrize("chain", ["psm,psqm,cdqs", "psm,psqm,cdqs,frouting"])
+def test_a_psqm_lift_of_a_constant_one_function_is_refused_at_build(capsys, chain):
+    # cdqs_from_psqm masks a run with an input where f is 0; a build, which
+    # compiles no edge, refuses a constant-1 function with that edge's message
+    assert main(["build", "--chain", chain, "--table", "1:1:f"]) == 2
+    assert capsys.readouterr().err == "usage error: no hiding input available to mask with\n"
+    assert main(["build", "--chain", chain, "--table", "1:1:7"]) == 0
 
 
 def test_qr11_pad_route_builds(tmp_path):
-    # cdqs_from_cds sizes the key's randomness, 26,620^2 states, without building it
+    # the build makes only the qr encoding; its verify's cdqs_from_cds sizes
+    # the key's randomness, 26,620^2 states, without building it
     assert main(["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "11",
                  "--out", str(tmp_path / "d.json")]) == 0
 
@@ -1240,9 +1266,11 @@ def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
 
 
 def test_a_build_trusts_its_base_and_a_verify_checks_it(tmp_path, monkeypatch):
-    # a build writes the base it made unchecked: a searched strategy checks
-    # itself and the qr table is made by the rule qr_mismatches walks. A
-    # verify checks the base it reads
+    # a build writes the base it made unchecked and compiles no edge: a
+    # searched strategy checks itself and the qr table is made by the rule
+    # qr_mismatches walks. A verify checks the base the descriptor states (an
+    # embedded strategy, before cds_from_gh traces it) and trusts a strategy
+    # it searches, as a build does
     from cdslab import families, gardenhose, ghsearch
     calls = []
 
@@ -1261,11 +1289,19 @@ def test_a_build_trusts_its_base_and_a_verify_checks_it(tmp_path, monkeypatch):
     desc, rep = tmp_path / "d.json", tmp_path / "r.json"
     for argv, counts in ((["build", "--chain", "dre", "--fn", "qr", "--p", "7"], {}),
                          (["verify", str(desc)], {"qr_mismatches": 1}),
-                         (["build", "--chain", "gh,cds", "--fn", "and"], {"gh_trace": 2}),
+                         (["build", "--chain", "gh,cds", "--fn", "and"], {"gh_trace": 1}),
                          (["verify", str(desc)], {"gh_trace": 2})):
         calls.clear()
         assert main(argv + ["--out", str(desc if argv[0] == "build" else rep)]) == 0
         assert {name: calls.count(name) for name in set(calls)} == counts, argv
+    # with no strategy embedded the verify re-searches it: the search's
+    # self-check and cds_from_gh trace it, the CLI does not
+    emptied = json.loads(desc.read_text())
+    emptied["artifacts"] = {}
+    desc.write_text(json.dumps(emptied))
+    calls.clear()
+    assert main(["verify", str(desc), "--out", str(rep)]) == 0
+    assert calls == ["gh_trace", "gh_trace"]
 
 
 @cache

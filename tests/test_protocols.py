@@ -14,11 +14,11 @@ import pytest
 from cdslab.algebra import span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn
 from cdslab.errors import BudgetError, LazySpace, ValidationError, budget
-from cdslab.families import named_fn, qr_split_inputs
+from cdslab.families import named_fn
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
                               hiding_input, psm_from_dre, psm_generic_table)
-from cdslab.toolkit import span_threshold_2of3
+from cdslab.toolkit import qr_split_inputs, span_threshold_2of3
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import cds_of, replace, send
 

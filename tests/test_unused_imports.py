@@ -23,9 +23,9 @@ others at call time: ``nlqc``, ``padroutes`` and ``qverifiers`` read
 ``protocols`` reads ``algebra`` only where a span program is compiled and
 ``families`` only where the qr encoding is, and ``cli`` every module a
 request's stages run, so a garden-hose route never compiles ``protocols``
-or ``algebra``, a pad route never compiles ``algebra``, a build no verifier
+or ``algebra``, a pad route never compiles ``algebra``, a build no compile edge
 and a descriptor's strategy no search: the echelon form that the coset
-kernel and span membership share lives in ``protocols``, and ``euler_qr``
+kernel and span membership share lives in ``protocols``, and ``qr_residue``
 in ``families``. What only demos and tests call lives in ``toolkit``, which
 no request loads. numpy is imported only inside the one function that
 needs it, ``toolkit.random_qubit``, so no module loads it at import and no
