@@ -39,4 +39,4 @@ print("generic strategy for xor on 2+2 bits uses", generic.pipes, "pipes")
 print("\npipe counts over all 16 two-bit functions:")
 for f in all_functions(1, 1):
     s = gh_search(f, 3)
-    print(f"  table {f.table}: {s.pipes} pipes")
+    print(f"  table {tuple(f.table)}: {s.pipes} pipes")

@@ -1,7 +1,7 @@
 """Two-party Boolean functions as explicit truth tables.
 
-A function f : {0,1}^n_x x {0,1}^n_y -> {0,1} is stored as a flat tuple of
-bits indexed by ``(x << n_y) | y``, i.e. Alice's input occupies the high bits.
+A function f : {0,1}^n_x x {0,1}^n_y -> {0,1} is stored as one ``bytes`` of
+0/1 entries indexed by ``(x << n_y) | y``, i.e. Alice's input occupies the high bits.
 Every module shares this one indexing convention; the named families are
 built in ``families``, which only a request naming one (``--fn``, a ``dre``
 base) or ``sweep`` loads.
@@ -9,7 +9,8 @@ base) or ``sweep`` loads.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import product
+from typing import Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 
@@ -57,23 +58,26 @@ class BoolFn:
     Attributes:
         n_x: number of input bits on Alice's side.
         n_y: number of input bits on Bob's side.
-        table: tuple of 2**(n_x+n_y) bits, entry ``(x << n_y) | y``.
+        table: bytes of 2**(n_x+n_y) entries 0 or 1, entry ``(x << n_y) | y``.
         name: optional tag for named families.
         params: construction parameters of named families; equality and
             hashing ignore them.
     """
 
-    def __init__(self, n_x: int, n_y: int, table: tuple, name: str = "",
+    def __init__(self, n_x: int, n_y: int, table: Sequence[int], name: str = "",
                  params: dict | None = None):
-        self.n_x, self.n_y = n_x, n_y
-        self.table, self.name = table, name
+        self.n_x, self.n_y, self.name = n_x, n_y, name
         self.params = {} if params is None else params
         if self.n_x < 0 or self.n_y < 0 or self.n_x + self.n_y == 0:
             raise ValidationError("need at least one input bit across both sides")
         size = 1 << (self.n_x + self.n_y)
-        if len(self.table) != size:
-            raise ValidationError(f"table length {len(self.table)} != {size}")
-        if not set(self.table) <= {0, 1}:
+        if len(table) != size:   # first, so an int is never read as a length by bytes()
+            raise ValidationError(f"table length {len(table)} != {size}")
+        try:
+            self.table = bytes(table)
+        except (TypeError, ValueError):   # a str, None or an entry outside 0..255
+            raise ValidationError("table entries must be bits") from None
+        if len(self.table) != size or self.table.translate(None, b"\0\1"):   # wider buffer items
             raise ValidationError("table entries must be bits")
 
     def __eq__(self, other) -> bool:
@@ -95,9 +99,7 @@ class BoolFn:
         return self.table[(x << self.n_y) | y]
 
     def inputs(self) -> Iterator[tuple]:
-        for x in range(1 << self.n_x):
-            for y in range(1 << self.n_y):
-                yield (x, y)
+        return product(range(1 << self.n_x), range(1 << self.n_y))
 
     def ones(self) -> list:
         return [(x, y) for (x, y) in self.inputs() if self.eval(x, y) == 1]
@@ -105,9 +107,8 @@ class BoolFn:
     # -- serialization ------------------------------------------------------
 
     def to_jsonable(self) -> dict:
-        # hex bit i is entry i, the packing ``from_packed`` reads; a base-2
-        # string, made as bytes, converts in linear time, where shifting is quadratic
-        packed = int(bytes(self.table[::-1]).translate(bytes.maketrans(b"\0\1", b"01")), 2)
+        # hex bit i is entry i, as ``from_packed`` reads; base 2 converts in linear time
+        packed = int(self.table[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
         return {
             "n_x": self.n_x,
             "n_y": self.n_y,
@@ -127,8 +128,8 @@ def from_packed(n_x: int, n_y: int, packed: int, name: str = "",
     """The function whose entry i is bit i of ``packed``, which has no higher bit."""
     if packed < 0 or packed.bit_length() > 1 << (n_x + n_y):
         raise ValidationError("table value wider than 2^(nx+ny) bits")
-    table = tuple(map(int, reversed(format(packed, f"0{1 << (n_x + n_y)}b"))))
-    return BoolFn(n_x, n_y, table, name=name, params=params)
+    digits = format(packed, f"0{1 << (n_x + n_y)}b").encode()[::-1]   # digit i is entry i
+    return BoolFn(n_x, n_y, digits.translate(bytes.maketrans(b"01", b"\0\1")), name, params)
 
 
 def bits_msb_first(value: int, width: int) -> tuple:

@@ -196,7 +196,7 @@ def _parse(argv) -> SimpleNamespace | None:
 def _charge_table(n_x: int, n_y: int) -> None:
     """Charge a truth table's 2^(n_x+n_y) entries before it exists."""
     if n_x < 0 or n_y < 0 or n_x + n_y >= sys.maxsize.bit_length():
-        # no tuple holds 2^63 entries, whatever the budget
+        # no table holds 2^63 entries, whatever the budget
         raise ValidationError(f"input widths {n_x}+{n_y} outside 0..62 bits")
     charge(1 << (n_x + n_y), "truth table entries")
 

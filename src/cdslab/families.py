@@ -6,7 +6,7 @@ checked by, and every function of a shape, in ``boolfn``'s convention; only
 
 from __future__ import annotations
 
-from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .boolfn import BoolFn, from_packed, is_prime
@@ -14,7 +14,7 @@ from .errors import DomainError, ValidationError, charge
 
 
 def _build(n_x, n_y, rule, name, params=None):
-    table = tuple(rule(x, y) for x in range(1 << n_x) for y in range(1 << n_y))
+    table = bytes(rule(x, y) for x in range(1 << n_x) for y in range(1 << n_y))
     return BoolFn(n_x, n_y, table, name=name, params=params or {})
 
 
@@ -79,17 +79,17 @@ def qr_positions(params: dict) -> tuple:
 
 
 def _qr_rows(p: int, alice: tuple, bob: tuple) -> Iterator[bytes]:
-    """The split function's table, row x as bytes over y: the residuosity mod p
-    of the a whose bits at Alice's positions are x's and at Bob's y's, read
-    from a table of p entries made by squaring 0..(p-1)/2; a = 0 counts as a
-    residue since 0 = 0**2."""
+    """The split function's table, row x as bytes over y: whether a = ax + ay,
+    x's and y's bits moved to their disjoint positions, is a square mod p, 0
+    included, read at ay from ax on in p's squares repeated past 2**n_bits."""
     residues = bytearray(p)
     for b in range(p // 2 + 1):
         residues[b * b % p] = 1
-    # each party's inputs with their bits moved to its positions
     at_x, at_y = ([sum(((v >> j) & 1) << (pos - 1) for j, pos in enumerate(positions))
                    for v in range(1 << len(positions))] for positions in (alice, bob))
-    return (bytes([residues[(ax | ay) % p] for ay in at_y]) for ax in at_x)
+    repeated = memoryview(residues * ((1 << (len(alice) + len(bob))) // p + 1))
+    pick = itemgetter(*at_y, 0)   # a spare last index: even one ay picks a tuple
+    return (bytes(pick(repeated[ax:])[:-1]) for ax in at_x)
 
 
 def _qr_split(p: int, alice_positions=None, n_bits=None):
@@ -99,15 +99,14 @@ def _qr_split(p: int, alice_positions=None, n_bits=None):
     params = {"p": p, "n_bits": n, "alice_positions": range(1, n // 2 + 1)
               if alice_positions is None else alice_positions}
     alice, bob = qr_positions(params)
-    return BoolFn(len(alice), len(bob), tuple(chain.from_iterable(_qr_rows(p, alice, bob))),
+    return BoolFn(len(alice), len(bob), b"".join(_qr_rows(p, alice, bob)),
                   f"qr{p}", {**params, "alice_positions": list(alice)})
 
 
 def qr_mismatches(f: BoolFn) -> list:
-    """The inputs (x, y) where f's table, of its split's widths, differs from
-    the residuosity its params name, read a row at a time: no second table."""
+    """The inputs (x, y) where f's table differs from its params' ``_qr_rows``, by row."""
     width, rows = 1 << f.n_y, enumerate(_qr_rows(f.params["p"], *qr_positions(f.params)))
-    return [(x, y) for x, want in rows if bytes(f.table[x * width:(x + 1) * width]) != want
+    return [(x, y) for x, want in rows if f.table[x * width:(x + 1) * width] != want
             for y in range(width) if f.table[x * width + y] != want[y]]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+from array import array
 from itertools import islice
 
 import pytest
@@ -13,7 +14,7 @@ from cdslab.boolfn import (PRIME_BOUND, BoolFn, bits_msb_first, is_prime,
                            literal_input)
 from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
-from cdslab.families import all_functions, named_fn
+from cdslab.families import all_functions, named_fn, qr_mismatches
 from cdslab.toolkit import qr_split_inputs
 
 
@@ -27,11 +28,11 @@ def test_table_indexing_order():
 
 
 def test_named_families_frozen_tables():
-    assert named_fn("and", n=1).table == (0, 0, 0, 1)
-    assert named_fn("or", n=1).table == (0, 1, 1, 1)
-    assert named_fn("xor", n=1).table == (0, 1, 1, 0)
-    assert named_fn("eq", n=1).table == (1, 0, 0, 1)
-    assert named_fn("ip", n=1).table == (0, 0, 0, 1)
+    assert tuple(named_fn("and", n=1).table) == (0, 0, 0, 1)
+    assert tuple(named_fn("or", n=1).table) == (0, 1, 1, 1)
+    assert tuple(named_fn("xor", n=1).table) == (0, 1, 1, 0)
+    assert tuple(named_fn("eq", n=1).table) == (1, 0, 0, 1)
+    assert tuple(named_fn("ip", n=1).table) == (0, 0, 0, 1)
     # index over a 2-bit database: f(x, y) = bit x of y
     idx = named_fn("index", n_x=1)
     assert (idx.n_x, idx.n_y) == (1, 2)
@@ -151,10 +152,10 @@ def test_table_option_codec_and_enumeration_share_one_packing(n_x, n_y, data):
     want = tuple((packed >> i) & 1 for i in range(size))
     parsed = _parse_fn(argparse.Namespace(table=f"{n_x}:{n_y}:{packed:x}"))
     decoded = BoolFn.from_jsonable({"n_x": n_x, "n_y": n_y, "table": f"{packed:x}"})
-    assert parsed.table == decoded.table == want
+    assert tuple(parsed.table) == tuple(decoded.table) == want
     if packed < 1 << 12:   # all_functions lists the tables in packed order
         listed = next(islice(all_functions(n_x, n_y), packed, None))
-        assert (listed.table, listed.name) == (want, parsed.name)
+        assert (tuple(listed.table), listed.name) == (want, parsed.name)
 
 
 @given(st.integers(1, 2), st.integers(1, 2), st.data())
@@ -173,3 +174,44 @@ def test_table_length_validation():
         BoolFn(1, 1, (0, 1, 0))
     with pytest.raises(ValidationError):
         BoolFn(1, 1, (0, 1, 2, 0))
+
+
+def test_constructor_stores_bytes_and_keeps_its_refusals():
+    # any sequence of bits makes the same function; what is not one bit per
+    # entry is refused as a table, never with bytes()'s own error
+    bits = (0, 1, 1, 0)
+    fns = [BoolFn(1, 1, table) for table in (bits, list(bits), bytes(bits), bytearray(bits))]
+    assert all(type(f.table) is bytes and f == fns[0] for f in fns)
+    assert len({hash(f) for f in fns}) == 1
+    for bad in (2, -1, 256, None):
+        with pytest.raises(ValidationError, match="^table entries must be bits$"):
+            BoolFn(1, 1, (0, 1, bad, 0))
+    for bad in ("0110", array("q", bits)):   # a buffer of 8-byte items is no table of bits
+        with pytest.raises(ValidationError, match="^table entries must be bits$"):
+            BoolFn(1, 1, bad)
+    with pytest.raises(TypeError, match="has no len"):   # not four zero entries
+        BoolFn(1, 1, 4)
+
+
+_SMALL_ODD_PRIMES = [p for p in range(3, 200) if is_prime(p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_SMALL_ODD_PRIMES), st.integers(0, 3), st.data())
+def test_qr_rows_one_rule_for_every_split(p, extra, data):
+    # Alice's positions random, not one run, all of them (n_y = 0) or none
+    # (n_x = 0): each entry is the residuosity of the a it assembles
+    n = p.bit_length() + extra
+    alice = data.draw(st.one_of(st.just(list(range(1, n + 1))), st.just([]),
+                                st.lists(st.integers(1, n), unique=True)))
+    f = named_fn("qr", p=p, n_bits=n, alice_positions=alice)
+    assert (f.n_x, f.n_y) == (len(alice), n - len(alice))
+    squares = {b * b % p for b in range(p)}   # 0 included
+    for x, y in f.inputs():
+        assert f.eval(x, y) == int(_qr_join(f, x, y) % p in squares), (x, y)
+    assert qr_mismatches(f) == []
+    i = data.draw(st.integers(0, len(f.table) - 1))
+    flipped = bytearray(f.table)
+    flipped[i] ^= 1
+    g = BoolFn(f.n_x, f.n_y, flipped, f.name, f.params)
+    assert qr_mismatches(g) == [divmod(i, 1 << f.n_y)]
