@@ -91,6 +91,8 @@ class GhStrategy:
 
     @staticmethod
     def from_jsonable(obj: dict) -> "GhStrategy":
+        if not (isinstance(obj["alice"], dict) and isinstance(obj["bob"], dict)):
+            raise ValidationError("alice and bob must map inputs to entries")
         alice = {
             int(x): (entry["tap"], _freeze_matching(entry["match"]))
             for x, entry in obj["alice"].items()

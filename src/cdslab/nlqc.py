@@ -3,16 +3,22 @@
 Covers conditional disclosure of a quantum state (the quantum analogue of
 CDS), one-round routing of a qubit to the side named by a boolean function,
 and simultaneous-message computation with quantum resources. A protocol
-execution is never sampled: ``run(x, y, carrier, q_reg)`` returns its
-classical branches as (probability, transcript, residual state) triples, so
-verifiers can compute exact figures of merit. Garden-hose routes, here with
-their conversion to a CDQS, return one branch per Pauli-frame class:
-teleporting through fresh EPR links, the transcripts of a class leave the
-routed qubit in one state up to a phase, and each link enters the state only
-when the water path reaches it. They read the water trace from
-``gardenhose`` at call time, and load neither the pad routes (``padroutes``)
-nor any classical protocol. ``quantum`` is imported at a protocol's first
-run, recovery or verification.
+execution is never sampled: ``run(x, y, carrier)``, the qubit in the
+carrier's register "Q", returns its classical branches as (probability,
+transcript, residual state) triples, so verifiers can compute exact figures
+of merit. A CDQS and an f-routing state one delivery by the same three
+fields: ``run``, ``msg_regs``, the registers the right side (a CDQS's
+referee) holds after a run, which may leave out registers in product with
+the rest of the state, and ``recover``, which undoes the frame at the
+register where the qubit lands; either compiles to the other by passing
+them through. Garden-hose routes, here with their conversion to a CDQS,
+return one branch per Pauli-frame class: teleporting through fresh EPR
+links, the transcripts of a class leave the routed qubit in one state up to
+a phase, and each link enters the state only when the water path reaches
+it. They read the water trace from ``gardenhose`` at call time, and load
+neither the pad routes (``padroutes``) nor any classical protocol.
+``quantum`` is imported at a protocol's first run, recovery or
+verification.
 """
 
 from __future__ import annotations
@@ -46,25 +52,22 @@ class RunBranch(NamedTuple):
 class CdqsProtocol(InputDomain):
     """Conditional disclosure of a quantum state held by Alice.
 
-    The secret qubit enters in register ``q_reg`` of the carrier state and the
-    referee receives the registers named by ``msg_regs`` plus the transcript.
-    ``recover`` must restore the secret into ``out_reg`` when f(x, y) = 1.
-    A pad-and-disclose protocol also exposes its pad key: ``key_classes(x,
-    y)`` gives the transcript classes with their weights under each key, and
-    ``key_of(x, y, transcript)`` the key a transcript decodes to.
+    The referee receives the registers named by ``msg_regs`` plus the
+    transcript; ``recover`` must restore the secret into ``out_reg`` when
+    f(x, y) = 1. A pad-and-disclose protocol also exposes its pad key:
+    ``key_classes(x, y)`` gives the transcript classes with their weights
+    under each key.
     """
 
     def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
                  out_reg: Callable, key_classes: Optional[Callable] = None,
-                 key_of: Optional[Callable] = None, domain: Optional[LazySpace] = None,
-                 resources: Optional[dict] = None):
+                 domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
-        self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
+        self.run = run                    # (x, y, carrier) -> [RunBranch]
         self.msg_regs = msg_regs          # (x, y) -> tuple of register names
         self.recover = recover            # (x, y, transcript, state) -> PureState
         self.out_reg = out_reg            # (x, y) -> register name
         self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
-        self.key_of = key_of              # (x, y, transcript) -> key
         super().__init__(domain, resources)
 
 
@@ -72,24 +75,22 @@ class FRoutingProtocol(InputDomain):
     """Route a qubit left or right according to f in one simultaneous round.
 
     ``exit_info`` names the side and, for branch-verifiable protocols, the
-    register where the qubit lands; ``correction`` undoes the accumulated
-    frame. Protocols whose left side reconstructs the qubit by local decoding
-    instead of holding a branch register supply ``left_output``: the 2x2
-    density matrix the left side reconstructs from an input qubit of unit
-    amplitudes psi, linear in |psi><psi|.
-    ``holdings`` names the registers each side holds after a run; it may
-    leave out registers in product with the rest of the state.
+    register where the qubit lands, which ``recover`` corrects; ``msg_regs``
+    names the registers the right side holds. Protocols whose left side
+    reconstructs the qubit by local decoding instead of holding a branch
+    register supply ``left_output``: the 2x2 density matrix the left side
+    reconstructs from an input qubit of unit amplitudes psi, linear in
+    |psi><psi|.
     """
 
-    def __init__(self, f: BoolFn, run: Callable, exit_info: Callable,
-                 correction: Callable, holdings: Optional[Callable] = None,
-                 left_output: Optional[Callable] = None, domain: Optional[LazySpace] = None,
-                 resources: Optional[dict] = None):
+    def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
+                 exit_info: Callable, left_output: Optional[Callable] = None,
+                 domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
-        self.run = run                    # (x, y, carrier, q_reg) -> [RunBranch]
+        self.run = run                    # (x, y, carrier) -> [RunBranch]
+        self.msg_regs = msg_regs          # (x, y) -> tuple of register names
+        self.recover = recover            # (x, y, transcript, state) -> PureState
         self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
-        self.correction = correction      # (x, y, transcript) -> 2x2 matrix
-        self.holdings = holdings          # (x, y) -> {"left": regs, "right": regs}
         self.left_output = left_output    # (x, y, psi_vec) -> 2x2 matrix
         super().__init__(domain, resources)
 
@@ -149,12 +150,14 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     A run starts from the carrier alone, and the hop that measures a link
     makes it and tensors it in, so a hop acts on at most four qubits: the
     reference, the carried qubit and a link. Compiling makes no link, links
-    off the water path are never made, and ``holdings`` names only the exit
-    register, on its side: an EPR pair no operation touched tensors every
-    referee view block by the same trace-one operator, so leaving it out
-    changes no trace norm. ``gh_trace`` checks the strategy, widths included.
+    off the water path are never made, and ``msg_regs`` names the exit
+    register when the water spills right, else none: an EPR pair no
+    operation touched tensors every referee view block by the same
+    trace-one operator, so leaving it out changes no trace norm. ``recover``
+    undoes the transcript's Pauli frame at the exit register. ``gh_trace``
+    checks the strategy, widths included.
     """
-    from .gardenhose import LEFT, RIGHT, gh_trace
+    from .gardenhose import RIGHT, gh_trace
 
     m = strategy.pipes
     outcomes, misrouted = gh_trace(strategy, f)
@@ -162,7 +165,7 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
         raise ValidationError("strategy does not compute f")
 
     def plan_for(outcome):
-        plan = [("q", f"L{outcome.path[0][0]}", ("alice", 0, outcome.path[0][0]))]
+        plan = [("Q", f"L{outcome.path[0][0]}", ("alice", 0, outcome.path[0][0]))]
         for (prev, cur) in zip(outcome.path, outcome.path[1:]):
             if cur[1] == "rl":
                 plan.append((f"R{prev[0]}", f"R{cur[0]}",
@@ -172,71 +175,45 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
                              ("alice", prev[0], cur[0])))
         last_pipe, last_dir = outcome.path[-1]
         exit_reg = (f"R{last_pipe}" if last_dir == "lr" else f"L{last_pipe}")
-        held = {LEFT: (), RIGHT: ()}
-        held[outcome.side] = (exit_reg,)
-        return plan, outcome.side, exit_reg, held
+        return plan, outcome.side, exit_reg
 
     plans = {xy: plan_for(outcome) for xy, outcome in outcomes.items()}
 
-    def run(x, y, carrier, q_reg):
+    def run(x, y, carrier):
         from . import quantum
         plan = plans[(x, y)][0]
         state = carrier
         for reg_a, reg_b, desc in plan:
             # a hop's label ends in the pipe whose link it measures half of
             link = quantum.epr_pairs([(f"L{desc[2]}", f"R{desc[2]}")])
-            outcomes = state.tensor(link).bell_measure(
-                q_reg if reg_a == "q" else reg_a, reg_b)
+            outcomes = state.tensor(link).bell_measure(reg_a, reg_b)
             state = next(st for ab, _, st in outcomes if ab == (0, 0))
         first = tuple((desc, (0, 0)) for (_, _, desc) in plan[:-1])
         return [RunBranch(0.25, first + ((plan[-1][2], ab),), st, 4 ** len(first))
                 for ab, _, st in outcomes]
 
     def exit_info(x, y):
-        _, side, reg, _ = plans[(x, y)]
-        return side, reg
+        return plans[(x, y)][1:]
 
-    def correction(x, y, transcript):
-        return pauli_frame([ab for (_, ab) in transcript])
+    def msg_regs(x, y):
+        side, reg = exit_info(x, y)
+        return (reg,) if side == RIGHT else ()
 
-    def holdings(x, y):
-        return plans[(x, y)][3]
+    def recover(x, y, transcript, state):
+        return state.apply(pauli_frame([ab for (_, ab) in transcript]), [exit_info(x, y)[1]])
 
     resources = {"epr_pairs": m, "pipes": m,
                  "bound_epr_equals_pipes": True}
-    return FRoutingProtocol(f, run, exit_info, correction, holdings=holdings,
-                            resources=resources)
+    return FRoutingProtocol(f, run, msg_regs, recover, exit_info, resources=resources)
 
 
 def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
     """Disclose a qubit by routing it: the right side forwards everything.
 
     Run the router on the secret qubit; the referee receives the transcript
-    and every register the right side holds. When f = 1 the qubit sits in one
-    of them and the frame correction restores it; when f = 0 it never crossed,
-    so the forwarded registers are independent of the secret.
+    and every register the right side holds. When f = 1 the qubit sits in the
+    exit register and the router's recovery restores it; when f = 0 it never
+    crossed, so the forwarded registers are independent of the secret.
     """
-    from .gardenhose import RIGHT
-
-    if R.holdings is None:
-        raise ValidationError("router must expose per-side register holdings")
-    f = R.f
-
-    def msg_regs(x, y):
-        return tuple(R.holdings(x, y)["right"])
-
-    def recover(x, y, transcript, state):
-        side, reg = R.exit_info(x, y)
-        if side != RIGHT or reg is None:
-            return state
-        return state.apply(R.correction(x, y, transcript), [reg])
-
-    def out_reg(x, y):
-        _, reg = R.exit_info(x, y)
-        return reg
-
-    resources = dict(R.resources)
-    return CdqsProtocol(f, R.run, msg_regs, recover, out_reg, domain=R.domain,
-                        resources=resources)
-
-
+    return CdqsProtocol(R.f, R.run, R.msg_regs, R.recover, lambda x, y: R.exit_info(x, y)[1],
+                        domain=R.domain, resources=dict(R.resources))

@@ -5,7 +5,10 @@ a class decode to the same key and have proportional likelihoods under
 every key, so the referee's view of each is a positive multiple of one
 operator and the class's representative, with the summed probability,
 stands for all ``count`` of them exactly. Message counts come from
-``protocols._sweep_kernel``, read at call time.
+``protocols._sweep_kernel``, read at call time. A pad CDQS's referee holds
+"Q", and its recovery is the only decode of a key; the route built on it
+passes its run, registers, recovery and resources through and adds only
+where the qubit exits and what the left side reconstructs.
 """
 
 from __future__ import annotations
@@ -120,12 +123,12 @@ def _pad_run(classes_of: Callable) -> Callable:
     ``classes_of(x, y)`` with weight under that key is one branch, carrying
     the class's representative, summed probability and member count.
     """
-    def run(x, y, carrier, q_reg):
+    def run(x, y, carrier):
         classes = classes_of(x, y)
         from . import quantum
         branches = []
         for s in KEYS:
-            padded = carrier.apply(quantum.phased_pad(*s), [q_reg])
+            padded = carrier.apply(quantum.phased_pad(*s), ["Q"])
             for c in classes:
                 prob = c.weights.get(s)
                 if prob:
@@ -135,15 +138,11 @@ def _pad_run(classes_of: Callable) -> Callable:
     return run
 
 
-def _inverse_pad(s) -> list:
-    """Inverse of pad key s, the Hermitian pad itself; the identity for a failed decode."""
-    from . import quantum
-    return quantum.phased_pad(*s) if s in KEYS else quantum.I2
-
-
 def _unpad(state: PureState, s) -> PureState:
-    """Undo pad key s on register "Q"; a failed decode passes the state through."""
-    return state if s not in KEYS else state.apply(_inverse_pad(s), ["Q"])
+    """Undo pad key s on register "Q" by the Hermitian pad itself; a failed
+    decode passes the state through."""
+    from . import quantum
+    return state if s not in KEYS else state.apply(quantum.phased_pad(*s), ["Q"])
 
 
 def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
@@ -153,10 +152,11 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     Alice pads the qubit with two key bits, and each bit is disclosed by one
     independent run. ``bit_hists(x, y)`` maps a key-bit value to one run's
     transcript weights, and ``bit_of(x, y, t)`` decodes one run's transcript
-    t to a bit. A transcript of the protocol is the pair of run transcripts.
-    Its classes, the product of the per-run classes with weights divided by
-    ``denom``, are formed once per input and kept, since the quantum
-    verifiers ask again for every swept qubit state.
+    t to a bit. A transcript of the protocol is the pair of run transcripts,
+    and ``recover`` decodes it to the key and unpads "Q". Its classes, the
+    product of the per-run classes with weights divided by ``denom``, are
+    formed once per input and kept, since the quantum verifiers ask again
+    for every swept qubit state.
     """
     @cache
     def key_classes(x, y):
@@ -164,13 +164,12 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
         return [c._replace(weights={s: w / denom for s, w in c.weights.items()})
                 for c in class_product(classes)]
 
-    def key_of(x, y, transcript):
-        return tuple(bit_of(x, y, t) for t in transcript)
+    def recover(x, y, transcript, state):
+        return _unpad(state, tuple(bit_of(x, y, t) for t in transcript))
 
-    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",),
-                        lambda x, y, t, state: _unpad(state, key_of(x, y, t)),
-                        lambda x, y: "Q", key_classes=key_classes, key_of=key_of,
-                        domain=domain, resources=resources)
+    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",), recover,
+                        lambda x, y: "Q", key_classes=key_classes, domain=domain,
+                        resources=resources)
 
 
 def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
@@ -204,38 +203,28 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     """Pad-and-disclose routing: the key travels only where f allows.
 
     Alice pads the qubit and sends it right while a key-disclosing scheme runs
-    underneath. Revealing inputs let the right side decode the key and unpad.
-    On hiding inputs the messages carry no key information, so Alice, who kept
-    her key register coherent, can rotate it through the pad-to-EPR basis and
-    swap the qubit back onto her side. The route reuses C's run and pad key,
-    so any pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one
-    made from a router has no pad key and is refused.
+    underneath. Revealing inputs let the right side decode the key and unpad,
+    C's own recovery. On hiding inputs the messages carry no key information,
+    so Alice, who kept her key register coherent, can rotate it through the
+    pad-to-EPR basis and swap the qubit back onto her side. The route passes
+    C's run, registers, recovery and resources through, so any
+    pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one made from
+    a router has no pad key classes and is refused.
     """
     from .gardenhose import LEFT, RIGHT
 
-    if C.key_of is None:
+    if C.key_classes is None:
         raise ValidationError("need a protocol exposing its pad key")
-    f = C.f
 
     def exit_info(x, y):
-        if f.eval(x, y) == 1:
-            return RIGHT, "Q"
-        return LEFT, None
-
-    def correction(x, y, transcript):
-        return _inverse_pad(C.key_of(x, y, transcript))
-
-    def holdings(x, y):
-        return {"left": (), "right": ("Q",)}
+        return (RIGHT, C.out_reg(x, y)) if C.f.eval(x, y) == 1 else (LEFT, None)
 
     def left_output(x, y, psi):
         return _otp_left_output(C.key_classes(x, y), psi)
 
-    resources = dict(C.resources)
-    resources["qubits_sent"] = 1
-    return FRoutingProtocol(f, C.run, exit_info, correction, holdings=holdings,
+    return FRoutingProtocol(C.f, C.run, C.msg_regs, C.recover, exit_info,
                             left_output=left_output, domain=C.domain,
-                            resources=resources)
+                            resources=dict(C.resources))
 
 
 def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:

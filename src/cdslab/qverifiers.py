@@ -106,7 +106,7 @@ class _Sweep(Worst):
 def _choi_fidelity(branches, fix: Callable, out: str) -> float:
     """Fidelity with |Phi+> of what the branches deliver to (R, ``out``).
 
-    ``fix(b)`` is branch b's state after the receiver's correction. The
+    ``fix(b)`` is branch b's state after the record's ``recover``. The
     target is pure, so Uhlmann's fidelity is sqrt(<Phi+| rho |Phi+>), with
     rho the branches' probability-weighted mixture, and needs no eigen-solve.
     """
@@ -150,7 +150,7 @@ def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
     from . import quantum
     sweep = _Sweep()
     for (x, y) in P.domain:
-        branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
+        branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]))
         if P.f.eval(x, y) == 1:
             F = _choi_fidelity(branches,
                                lambda b: P.recover(x, y, b.transcript, b.state),
@@ -183,11 +183,9 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
         if (side == RIGHT) != (fx == 1):
             sweep.witnesses["side"] = (x, y)
         if reg is not None:
-            branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]), "Q")
-            F = _choi_fidelity(
-                branches,
-                lambda b: b.state.apply(P.correction(x, y, b.transcript), [reg]),
-                reg)
+            branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]))
+            F = _choi_fidelity(branches, lambda b: P.recover(x, y, b.transcript, b.state),
+                               reg)
         else:
             if P.left_output is None:
                 raise ValidationError("no register and no local reconstruction")

@@ -107,7 +107,7 @@ def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
         if P.f.eval(x, y) != 0:
             continue
         msg = tuple(P.msg_regs(x, y))
-        views = {name: _view_blocks(P.run(x, y, st, "Q"), msg) for name, st in states}
+        views = {name: _view_blocks(P.run(x, y, st), msg) for name, st in states}
         per_input[(x, y)] = 0.0
         for a, b in combinations(views, 2):
             d = _block_distance(views[a], views[b])

@@ -1418,3 +1418,44 @@ def test_hostile_descriptors_end_with_a_report(tmp_path_factory, recipe):
         assert (run.returncode, report["error"]) == (
             1, "descriptor rejected: qr widths 1+23 differ from the function's 1+2")
         assert elapsed < 1, elapsed
+
+
+# a JSON value of each type; a field is mutated to each one of another type
+_JSON_VALUES = (None, True, 5, 1.5, "x", [1, 2], {"0": 1})
+
+
+def _fields(obj, path=()):
+    """(path, value) of every field of a JSON value, depth first."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+@pytest.mark.parametrize("case", ["gh_cds", "gh_frouting"])
+def test_a_field_of_another_json_type_ends_with_a_report(tmp_path, capsys, case):
+    # every field of a golden descriptor, set to a value of each other JSON
+    # type: the verify passes, fails or stops on budget with a report, and
+    # never raises; a strategy side that is no map is a rejected descriptor
+    golden = json.loads((Path(__file__).parent / "golden" / f"{case}.desc.json").read_text())
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    for path, old in list(_fields(golden)):
+        for value in _JSON_VALUES:
+            if type(value) is type(old):
+                continue
+            mutated = json.loads(json.dumps(golden))
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            desc.write_text(json.dumps(mutated))
+            rep.unlink(missing_ok=True)
+            code = main(["verify", str(desc), "--out", str(rep)])
+            report = json.loads(rep.read_text())
+            assert code in (0, 1, 2, 3) and (report["status"] == "pass") == (code == 0), (
+                path, value, code)
+            if path[-2:] in (("gh_strategy", "alice"), ("gh_strategy", "bob")):
+                assert (code, report["error"]) == (
+                    1, "descriptor rejected: alice and bob must map inputs to entries"), value
+    capsys.readouterr()

@@ -3,9 +3,9 @@
 The reference runs a route the way ``frouting_from_gh`` did before classes:
 one dense state holding the carrier and every pipe's EPR link, a Bell
 measurement per hop on every branch, and one branch per transcript, 4^h of
-them after h hops. Its holdings are physical: every link half no hop
-measures, idle links included, where the class path names only the exit
-register. The class path must give the same fidelities, gaps and secret
+them after h hops. Its right side's registers are physical: every link half
+on the right that no hop measures, idle links included, where the class path
+names only the exit register. The class path must give the same fidelities, gaps and secret
 sweeps within 1e-12, and the same raw branch counts, which shows that
 leaving idle links out of the state and of the referee's view is exact.
 """
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cdslab import gardenhose, nlqc
 from cdslab.boolfn import BoolFn
 from cdslab.families import named_fn
-from cdslab.gardenhose import LEFT, RIGHT, GhStrategy, gh_eval
+from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.nlqc import RunBranch, cdqs_from_frouting, frouting_from_gh
 from cdslab.quantum import PureState, epr_pairs
@@ -41,7 +41,7 @@ def replace(P, **changes):
 def _plan(strategy: GhStrategy, x: int, y: int) -> list:
     """(measured register, fresh link half, broadcast label) per hop."""
     path = gh_eval(strategy, x, y).path
-    plan = [("q", f"L{path[0][0]}", ("alice", 0, path[0][0]))]
+    plan = [("Q", f"L{path[0][0]}", ("alice", 0, path[0][0]))]
     for (prev, cur) in zip(path, path[1:]):
         end, party = ("R", "bob") if cur[1] == "rl" else ("L", "alice")
         plan.append((f"{end}{prev[0]}", f"{end}{cur[0]}", (party, prev[0], cur[0])))
@@ -52,30 +52,27 @@ def _flat_run(strategy: GhStrategy):
     """One branch per transcript, each with its own dense state."""
     m = strategy.pipes
 
-    def run(x, y, carrier, q_reg):
+    def run(x, y, carrier):
         state = carrier.tensor(epr_pairs([(f"L{i}", f"R{i}") for i in range(1, m + 1)]))
         branches = [(1.0, (), state)]
         for (reg_a, reg_b, desc) in _plan(strategy, x, y):
-            ra = q_reg if reg_a == "q" else reg_a
             branches = [(p * q, t + ((desc, ab),), st2)
                         for (p, t, st) in branches
-                        for (ab, q, st2) in st.bell_measure(ra, reg_b)]
+                        for (ab, q, st2) in st.bell_measure(reg_a, reg_b)]
         return [RunBranch(p, t, st) for (p, t, st) in branches]
 
     return run
 
 
-def _physical_holdings(strategy: GhStrategy):
-    """Every link half no hop measures, on its side, idle links included."""
+def _physical_msg_regs(strategy: GhStrategy):
+    """Every link half on the right that no hop measures, idle links included."""
     m = strategy.pipes
 
-    def holdings(x, y):
+    def msg_regs(x, y):
         measured = {r for (a, b, _) in _plan(strategy, x, y) for r in (a, b)}
-        return {side: tuple(f"{end}{i}" for i in range(1, m + 1)
-                            if f"{end}{i}" not in measured)
-                for side, end in ((LEFT, "L"), (RIGHT, "R"))}
+        return tuple(f"R{i}" for i in range(1, m + 1) if f"R{i}" not in measured)
 
-    return holdings
+    return msg_regs
 
 
 def _same_report(a, b) -> None:
@@ -96,7 +93,7 @@ def _same_report(a, b) -> None:
 
 def _check_against_flat(strategy: GhStrategy, f, sweep_seeds=range(2)) -> None:
     R = frouting_from_gh(strategy, f)
-    flat = replace(R, run=_flat_run(strategy), holdings=_physical_holdings(strategy))
+    flat = replace(R, run=_flat_run(strategy), msg_regs=_physical_msg_regs(strategy))
     _same_report(verify_frouting(R), verify_frouting(flat))
     C, C_flat = cdqs_from_frouting(R), cdqs_from_frouting(flat)
     _same_report(verify_cdqs(C), verify_cdqs(C_flat))
@@ -157,7 +154,7 @@ def test_class_branches_keep_raw_counts_and_first_transcripts():
     flat = _flat_run(strategy)
     for (x, y) in f.inputs():
         carrier = epr_pairs([("R", "Q")])
-        classes, branches = R.run(x, y, carrier, "Q"), flat(x, y, carrier, "Q")
+        classes, branches = R.run(x, y, carrier), flat(x, y, carrier)
         assert len(classes) == 4
         assert sum(b.count for b in classes) == len(branches)
         assert [b.prob for b in classes] == [0.25] * 4

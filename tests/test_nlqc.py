@@ -99,38 +99,48 @@ def test_frouting_from_gh_generic_strategy():
 def test_frouting_branch_probabilities_sum_to_one():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
     for (x, y) in AND1.inputs():
-        branches = R.run(x, y, epr_pairs([("R", "Q")]), "Q")
+        branches = R.run(x, y, epr_pairs([("R", "Q")]))
         assert abs(sum(b.prob for b in branches) - 1) < 1e-10
 
 
-def test_frouting_holdings_partition_unmeasured_registers():
+def test_frouting_msg_regs_hold_the_exit_register_on_the_right():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
     for (x, y) in AND1.inputs():
-        h = R.holdings(x, y)
-        assert not (set(h["left"]) & set(h["right"]))
         side, reg = R.exit_info(x, y)
-        assert reg in (h["left"] if side == LEFT else h["right"])
+        assert reg[0] == ("R" if side == RIGHT else "L")
+        assert R.msg_regs(x, y) == ((reg,) if side == RIGHT else ())
 
 
 def test_routing_inconsistency_detected():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
-    flipped = FRoutingProtocol(XOR1, R.run, R.exit_info, R.correction,
-                               holdings=R.holdings)
+    flipped = FRoutingProtocol(XOR1, R.run, R.msg_regs, R.recover, R.exit_info)
     report = verify_frouting(flipped)
     assert not report.routing_consistent
     assert "side" in report.witnesses
 
 
 def test_pad_route_round_trip_preserves_quality():
-    C = cdqs_from_cds(_gh_cds(AND1))
-    R = frouting_from_cdqs(C)
-    r_report = verify_frouting(R)
-    assert r_report.perfect(1e-9)
-    C2 = cdqs_from_frouting(R)
-    report = verify_cdqs(C2)
-    assert report.perfect(1e-9)
-    assert report.worst_infidelity <= 1e-9
-    assert report.worst_gap <= 1e-9
+    # the round trip passes run, registers and recovery through, so its
+    # report is the pad CDQS's own: the same branches, figures within 1e-12
+    qr5 = psm_from_dre(dre_qr(named_fn("qr", p=5)))
+    for C in (cdqs_from_cds(_gh_cds(AND1)), cdqs_from_cds(cds_from_psm(qr5)),
+              cdqs_from_psqm(psqm_from_psm(psm_generic_table(AND1))),
+              cdqs_from_psqm(psqm_from_psm(qr5))):
+        R = frouting_from_cdqs(C)
+        assert verify_frouting(R).perfect(1e-9)
+        C2 = cdqs_from_frouting(R)
+        want, got = verify_cdqs(C), verify_cdqs(C2)
+        assert got.perfect(1e-9)
+        assert abs(got.worst_infidelity - want.worst_infidelity) <= 1e-12
+        assert abs(got.worst_gap - want.worst_gap) <= 1e-12
+        assert got.per_input.keys() == want.per_input.keys()
+        for xy, info in got.per_input.items():
+            other = want.per_input[xy]
+            assert (info["f"], info["branches"]) == (other["f"], other["branches"]), xy
+            figure = "fidelity" if info["f"] else "gap"
+            assert abs(info[figure] - other[figure]) <= 1e-12, xy
+        with pytest.raises(ValidationError, match="need a protocol exposing its pad key"):
+            frouting_from_cdqs(C2)
 
 
 def test_otp_reconstruction_values():
@@ -155,10 +165,8 @@ def test_route_compilers_validate_their_inputs():
     C2 = cdqs_from_frouting(frouting_from_cdqs(C))
     with pytest.raises(ValidationError):
         frouting_from_cdqs(C2)  # no key-disclosing layer exposed
-    bare = FRoutingProtocol(AND1, C2.run, lambda x, y: (LEFT, None),
-                            lambda x, y, t: np.eye(2))
-    with pytest.raises(ValidationError):
-        cdqs_from_frouting(bare)  # no holdings
+    bare = FRoutingProtocol(AND1, C2.run, C2.msg_regs, C2.recover,
+                            lambda x, y: (LEFT, None))
     with pytest.raises(ValidationError):
         verify_frouting(bare)  # no register and no local reconstruction
 

@@ -287,7 +287,7 @@ def test_transcript_classes_split_nearly_proportional_floats(counts, joint, data
 def test_class_runs_compress_and_keep_counts():
     C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     for (x, y) in C.domain:
-        branches = C.run(x, y, epr_pairs([("R", "Q")]), "Q")
+        branches = C.run(x, y, epr_pairs([("R", "Q")]))
         assert len(branches) <= 16
         assert sum(b.count for b in branches) == 40000
         assert abs(sum(b.prob for b in branches) - 1) <= TOL
@@ -440,27 +440,36 @@ def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
 # -- coset classes against enumerated classes --------------------------------------
 
 
-def _integer_classes(C, denom) -> dict:
+def _integer_classes(C, denom, bit_of) -> dict:
     """Every input's key classes of pad route C as sorted (decoded key, integer
-    weights, count) triples; ``denom`` scales the weights back to integers."""
-    return {(x, y): sorted((C.key_of(x, y, c.rep),
+    weights, count) triples; ``bit_of(x, y, t)`` decodes one run's transcript
+    t, as the route's recovery does, and ``denom`` scales the weights back to
+    integers."""
+    return {(x, y): sorted((tuple(bit_of(x, y, t) for t in c.rep),
                             tuple(sorted((k, round(w * denom)) for k, w in c.weights.items())),
                             c.count)
                            for c in C.key_classes(x, y))
             for (x, y) in C.domain}
 
 
+def _cds_classes(cds, denom) -> dict:
+    return _integer_classes(cdqs_from_cds(cds), denom,
+                            lambda x, y, m: cds.decode(m[0], x, m[1], y))
+
+
+def _psqm_classes(psm, denom) -> dict:
+    Q = psqm_from_psm(psm)
+    return _integer_classes(cdqs_from_psqm(Q), denom, lambda x, y, t: Q.decode(t))
+
+
 def _same_cds_classes(cds) -> None:
     joint = len(cds.shared) * len(cds.alice_private) * len(cds.bob_private)
-    got = _integer_classes(cdqs_from_cds(cds), joint ** 2)
-    assert got == _integer_classes(cdqs_from_cds(enumerated(cds)), joint ** 2)
+    assert _cds_classes(cds, joint ** 2) == _cds_classes(enumerated(cds), joint ** 2)
 
 
 def _same_psqm_classes(psm) -> None:
     joint = len(psm.shared)
-    got = _integer_classes(cdqs_from_psqm(psqm_from_psm(psm)), joint ** 2)
-    want = _integer_classes(cdqs_from_psqm(psqm_from_psm(enumerated(psm))), joint ** 2)
-    assert got == want
+    assert _psqm_classes(psm, joint ** 2) == _psqm_classes(enumerated(psm), joint ** 2)
 
 
 @settings(max_examples=12, deadline=None)

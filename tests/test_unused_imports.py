@@ -61,7 +61,9 @@ a declaration's nus, coordinate counts, forms, maps and sent tags); ``padroutes`
 counts a coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, so nothing in
 ``padroutes``, where ``transcript_classes`` and ``class_product`` live, or in
-``nlqc`` reads ``Fraction``. Records carry only fields something reads: a protocol's linear
+``nlqc`` reads ``Fraction``. Records carry only fields something reads: every
+attribute the ``__init__`` of ``InputDomain`` or of a class descending from it
+stores is read by the sources outside that ``__init__``, a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only ``cli``, which reads and writes the files,
 imports ``json``. ``cli`` reads argv by its own option table, so no module
@@ -678,6 +680,64 @@ def test_the_checks_see_json_and_meta():
                     "def f(P):\n    return P.meta.get('linear')\n"):
         assert _meta_uses(ast.parse(planted)) == [len(planted.splitlines())], planted
     assert _meta_uses(ast.parse("lin = P.linear\nmeta = {}\nf(meta=meta)\n")) == []
+
+
+def _unread_record_fields(trees) -> dict:
+    """Class -> the attributes its ``__init__`` stores on ``self`` that no tree
+    reads outside that ``__init__``, for ``InputDomain`` and every class that
+    descends from it in ``trees``."""
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    records = {"InputDomain"}
+    while True:
+        more = {name for name, node in classes.items() if name not in records
+                and any(isinstance(b, ast.Name) and b.id in records for b in node.bases)}
+        if not more:
+            break
+        records |= more
+    inits = {name: next((item for item in classes[name].body if isinstance(item, ast.FunctionDef)
+                         and item.name == "__init__"), None)
+             for name in records if name in classes}
+    unread = {}
+    for name, init in inits.items():
+        if init is None:
+            continue
+        stored = [t.attr for node in ast.walk(init) if isinstance(node, ast.Assign)
+                  for target in node.targets
+                  for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+                  if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                  and t.value.id == "self"]
+        inside = {id(node) for node in ast.walk(init)}
+        read = {node.attr for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside}
+        missing = [attr for attr in stored if attr not in read]
+        if missing:
+            unread[name] = missing
+    return unread
+
+
+def test_every_record_field_is_read():
+    # a record carries only fields something reads: a field the program
+    # stores and never reads is a contract no caller keeps
+    assert _unread_record_fields(_trees(MODULES)) == {}
+
+
+def test_the_check_sees_an_unread_record_field():
+    errors = ast.parse("class InputDomain:\n    def __init__(self, domain):\n"
+                       "        self.domain = domain\n")
+    module = ast.parse("class Route(InputDomain):\n"
+                       "    def __init__(self, run, holdings, key_of):\n"
+                       "        self.run, self.holdings = run, holdings\n"
+                       "        self.key_of = key_of\n        self.key_of(0)\n"
+                       "class Cdqs(Route):\n    def __init__(self, out_reg):\n"
+                       "        self.out_reg = out_reg\n"
+                       "class Other:\n    def __init__(self, unread):\n"
+                       "        self.unread = unread\n"
+                       "def verify(P):\n    return P.run(P.domain), P.out_reg\n")
+    assert _unread_record_fields([errors, module]) == {"Route": ["holdings", "key_of"]}
+    reader = ast.parse("def route(R):\n    return R.holdings, R.key_of\n")
+    assert _unread_record_fields([errors, module, reader]) == {}
 
 
 def _reads(tree) -> tuple:
