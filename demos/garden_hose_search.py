@@ -9,7 +9,8 @@ unmatched opening: right side means f(x, y) = 1, left side means 0. The
 smallest m that computes f is the function's garden-hose cost.
 """
 
-from cdslab.families import all_functions, named_fn
+from cdslab.boolfn import all_functions
+from cdslab.families import named_fn
 from cdslab.gardenhose import gh_eval
 from cdslab.ghsearch import gh_generic, gh_search
 

@@ -10,7 +10,7 @@ import random
 
 from .boolfn import is_prime
 from .errors import DomainError, ValidationError
-from .protocols import echelon
+from .zp import echelon
 
 
 # -- linear span -------------------------------------------------------------

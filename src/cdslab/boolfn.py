@@ -3,8 +3,9 @@
 A function f : {0,1}^n_x x {0,1}^n_y -> {0,1} is stored as one ``bytes`` of
 0/1 entries indexed by ``(x << n_y) | y``, i.e. Alice's input occupies the high bits.
 Every module shares this one indexing convention; the named families are
-built in ``families``, which only a request naming one (``--fn``, a ``dre``
-base) or ``sweep`` loads.
+built in ``families``, which only a request naming one (``--fn``) or a
+``dre`` verify loads, and every function of a shape, which ``sweep`` lists,
+here, beside the one table packing.
 """
 
 from __future__ import annotations
@@ -130,6 +131,12 @@ def from_packed(n_x: int, n_y: int, packed: int, name: str = "",
         raise ValidationError("table value wider than 2^(nx+ny) bits")
     digits = format(packed, f"0{1 << (n_x + n_y)}b").encode()[::-1]   # digit i is entry i
     return BoolFn(n_x, n_y, digits.translate(bytes.maketrans(b"01", b"\0\1")), name, params)
+
+
+def all_functions(n_x: int, n_y: int) -> Iterator[BoolFn]:
+    """Every Boolean function on n_x + n_y bits, in truth-table order."""
+    for packed in range(1 << (1 << (n_x + n_y))):
+        yield from_packed(n_x, n_y, packed, name=f"t{packed:x}")
 
 
 def bits_msb_first(value: int, width: int) -> tuple:

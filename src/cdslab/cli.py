@@ -21,8 +21,8 @@ count past 256 bits is written as the power of two it reaches ("at least
 2^k"). Outputs are deterministic: same inputs and seed give identical bytes.
 
 A request loads only the modules its stages run: ``families`` for ``--fn``
-or a ``dre`` base, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
-``algebra`` for ``span``, ``protocols`` for a ``dre`` or ``psm`` base, and
+or a ``dre`` verify, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
+``algebra`` and ``zp`` for ``span``, ``protocols`` for a ``psm`` base, and
 to verify ``protocols`` for a classical stage, ``nlqc`` for a quantum one
 (``padroutes`` for a pad route), ``quantum`` at a run, and ``verifiers``
 (with ``fractions``) or ``qverifiers``; ``csv`` only for a CSV report. No
@@ -40,7 +40,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .boolfn import BoolFn, from_packed, literal_input
+from .boolfn import BoolFn, all_functions, from_packed, literal_input
 from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, budget,
                      charge, count_text)
 
@@ -266,10 +266,11 @@ def _refuse(message: str, bad: list) -> None:
 def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
     """The base object of a chain ``_check_chain`` accepted, made from ``f`` or read.
 
-    A build passes ``desc`` None and trusts what it makes from ``f``: a
-    searched strategy checks itself. A verify passes the descriptor it read
-    and checks against ``f`` what that states, an embedded strategy, a span
-    program and the qr encoding; a strategy it searches or makes is trusted."""
+    A build passes ``desc`` None and trusts what it makes from ``f``, of a
+    ``dre`` base nothing: a searched strategy checks itself. A verify passes
+    the descriptor it read and checks against ``f`` what that states, an
+    embedded strategy, a span program and the qr encoding; a strategy it
+    searches or makes is trusted."""
     embedded = {} if desc is None else desc.get("artifacts", {})
     if token == "gh":
         gardenhose = _layer("gardenhose")
@@ -293,9 +294,12 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
                      if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
         return program
     if token == "dre":
+        if desc is None:
+            if "p" not in f.params:
+                raise ValidationError("the dre base needs --fn qr")
+            return None
         dre = _layer("protocols").dre_qr(f)
-        if desc is not None:
-            _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
+        _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
         return dre
     return _layer("protocols").psm_generic_table(f)   # psm
 
@@ -396,10 +400,15 @@ def _cmd_verify(args) -> int:
     try:
         if not isinstance(desc, dict) or desc.get("format") != DESCRIPTOR_FORMAT:
             raise VerifyFailure("not a descriptor file")
+        version = desc.get("version")
+        if version != 1 or type(version) is not int:   # JSON's true and 1.0 equal 1
+            raise ValidationError(f"version {version!r} is not 1")
         _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]))
         f = BoolFn.from_jsonable(desc["fn"])
         tokens = list(desc["chain"])
         _check_chain(tokens)
+        if desc.get("kind") != tokens[-1]:
+            raise ValidationError(f"kind {desc.get('kind')!r} is not the chain's last stage")
         opts = {**{name: OPTIONS["build"]["--" + name.replace("_", "-")][1]
                    for name in COMPILE_OPTIONS}, **dict(desc.get("options", {}))}
         obj = _base_artifact(tokens[0], f, opts, desc)
@@ -427,7 +436,7 @@ def _cmd_sweep(args) -> int:
         raise ValidationError("sweep supports 0 < nx+ny <= 4")
     ghsearch = _layer("ghsearch")
     rows = []
-    for index, f in enumerate(_layer("families").all_functions(args.nx, args.ny)):
+    for index, f in enumerate(all_functions(args.nx, args.ny)):
         found = ghsearch.gh_search(f, args.max_pipes)
         if found is not None:
             rows.append((index, f.name, found.pipes, "search"))

@@ -1,7 +1,7 @@
 """Named function families (``and``, ``or``, ``xor``, ``eq``, ``ip``, ``index``,
-``qr``), the residue indicator, the qr split and residue rules a ``dre`` base is
-checked by, and every function of a shape, in ``boolfn``'s convention; only
-``--fn``, a ``dre`` base and ``sweep`` load them.
+``qr``), the residue indicator, and the qr split and residue rules a ``dre``
+base is checked by, in ``boolfn``'s convention; only ``--fn`` and a ``dre``
+verify load them.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .boolfn import BoolFn, from_packed, is_prime
+from .boolfn import BoolFn, is_prime
 from .errors import DomainError, ValidationError, charge
 
 
@@ -140,9 +140,3 @@ def named_fn(name: str, **params) -> BoolFn:
     if key not in _REGISTRY:
         raise ValidationError(f"unknown function family {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[key](**params)
-
-
-def all_functions(n_x: int, n_y: int) -> Iterator[BoolFn]:
-    """Every Boolean function on n_x + n_y bits, in truth-table order."""
-    for packed in range(1 << (1 << (n_x + n_y))):
-        yield from_packed(n_x, n_y, packed, name=f"t{packed:x}")

@@ -19,10 +19,11 @@ Every message sweep, in ``verifiers`` or in ``padroutes``, reads the forms
 one coset at a time (``coset_hist``) through ``_sweep_kernel``. A form with no rho
 coordinates is enumeration, each nu one point coset: the one-time table PSM
 and the constant CDS state their messages so, as tags with no values. The
-Z_p echelon form the cosets are reduced by lives here too, and ``algebra``'s
-span membership reads it. This module reads ``algebra`` only where a span
+cosets are reduced by ``zp``'s echelon form, which ``algebra``'s span
+membership reads too. This module reads ``algebra`` only where a span
 program is compiled and ``families`` only where the qr encoding is, so a pad
-route, which reads the kernel alone, loads no algebra and no ``fractions``.
+route, which reads the kernel alone, loads no algebra and no ``fractions``;
+of the builds, only a ``psm`` base's, which makes its one-time table, loads it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn, literal_input
 from .errors import InputDomain, LazySpace, ValidationError, charge, current_limit, space_size
+from .zp import echelon
 
 if TYPE_CHECKING:
     from .algebra import SpanProgram
@@ -154,33 +156,6 @@ class Coset(NamedTuple):
 def message_count(m) -> int:
     """Messages a histogram key stands for: a coset's ``count``, else 1."""
     return m.count if isinstance(m, Coset) else 1
-
-
-def echelon(rows, p: int) -> tuple:
-    """Reduced row echelon form over Z_p (p prime) of equal-length ``rows``.
-
-    Returns (basis, pivots): the nonzero reduced rows, as tuples, and the
-    column of each one's leading 1; every other basis row is 0 there. Pivots
-    are taken column by column, each from the first unused row with a nonzero
-    entry, so the result depends only on ``rows`` and their order.
-    """
-    rows = [[v % p for v in row] for row in rows]
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    for col in range(width):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return [tuple(row) for row in rows[:len(pivots)]], pivots
 
 
 def _shift(vec, coeffs, rows, p: int) -> tuple:

@@ -10,11 +10,11 @@ from itertools import islice
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdslab.boolfn import (PRIME_BOUND, BoolFn, bits_msb_first, is_prime,
+from cdslab.boolfn import (PRIME_BOUND, BoolFn, all_functions, bits_msb_first, is_prime,
                            literal_input)
 from cdslab.cli import _parse_fn
 from cdslab.errors import DomainError, ValidationError
-from cdslab.families import all_functions, named_fn, qr_mismatches
+from cdslab.families import named_fn, qr_mismatches
 from cdslab.toolkit import qr_split_inputs
 
 

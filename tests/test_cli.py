@@ -530,9 +530,9 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 # what every request loads: the package, the CLI and the modules it imports
 _START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
-# and what a classical verify adds: the protocols, their verifiers, and
-# fractions for exact figures
-_CLASSICAL = _START | {"cdslab.protocols", "cdslab.verifiers", "fractions"}
+# and what a classical verify adds: the protocols, the echelon form their
+# cosets are reduced by, their verifiers, and fractions for exact figures
+_CLASSICAL = _START | {"cdslab.protocols", "cdslab.zp", "cdslab.verifiers", "fractions"}
 
 
 @cache
@@ -565,10 +565,11 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     assert out.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0] []"
     # a request loads only the modules its stages run: no gardenhose without
     # a gh stage and no search for an embedded strategy, no algebra without a
-    # span stage (span membership reads the echelon form in protocols), no
-    # function families for a table, no compiler but a base's (a span base's
-    # algebra reads the echelon form in protocols), no verifier or Fraction
-    # in a build, and sweep loads no protocol, algebra or Fraction
+    # span stage, no function families for a table, no compiler but a base's
+    # (a span base's algebra reads the echelon form in zp), no verifier or
+    # Fraction in a build, and sweep loads no protocol, algebra, families or
+    # Fraction; a dre build makes no encoding, so a psm base's is the one
+    # build that loads protocols
     for argv, loaded in ((["verify", "0.json"], _CLASSICAL | {"cdslab.gardenhose"}),
                          (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra"}),
                          (["verify", "2.json"], _CLASSICAL | {"cdslab.families"}),
@@ -576,13 +577,15 @@ def test_classical_chain_never_imports_numpy(tmp_path):
                           _CLASSICAL | {"cdslab.families", "csv"}),
                          (["verify", "3.json"], _CLASSICAL | {"cdslab.gardenhose"}),
                          (["build", "--chain", "span,cds", "--fn", "eq"],
-                          _START | {"cdslab.families", "cdslab.algebra", "cdslab.protocols"}),
+                          _START | {"cdslab.families", "cdslab.algebra", "cdslab.zp"}),
                          (["build", "--chain", "gh,cds", "--table", "1:1:8"],
                           _START | {"cdslab.gardenhose", "cdslab.ghsearch"}),
                          (["build", "--chain", "dre,psm,cds", "--fn", "qr", "--p", "5"],
-                          _START | {"cdslab.families", "cdslab.protocols"}),
+                          _START | {"cdslab.families"}),
+                         (["build", "--chain", "psm,cds", "--table", "1:1:8"],
+                          _START | {"cdslab.protocols", "cdslab.zp"}),
                          (["sweep", "--nx", "1", "--ny", "1"],
-                          _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"})):
+                          _START | {"cdslab.gardenhose", "cdslab.ghsearch"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
 
 
@@ -640,7 +643,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     # algebra or Fraction, a qr chain no gardenhose, and a build only its
     # base's modules: no compiler past the base, verifier or statevector layer
     routing = _START | {"cdslab.gardenhose", "cdslab.nlqc"}
-    pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.nlqc", "cdslab.padroutes"}
+    pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.zp", "cdslab.nlqc",
+                     "cdslab.padroutes"}
     checked = {"cdslab.qverifiers", "cdslab.quantum"}
     searched = _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"}
     for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], searched),
@@ -648,7 +652,7 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                          (["verify", "0.json"], routing | checked),
                          (["verify", "1.json"], routing | checked),
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
-                          _START | {"cdslab.families", "cdslab.protocols"}),
+                          _START | {"cdslab.families"}),
                          (["verify", "2.json"], pads | checked),
                          (["verify", "3.json"], pads | checked)):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
@@ -793,8 +797,51 @@ def test_a_psqm_lift_of_a_constant_one_function_is_refused_at_build(capsys, chai
     assert main(["build", "--chain", chain, "--table", "1:1:7"]) == 0
 
 
+def test_a_dre_base_of_no_qr_function_is_refused(tmp_path, capsys):
+    # the dre base encodes the request's own qr function: a build of another
+    # function is a usage error, and a verify of a descriptor whose fn is no
+    # qr function rejects it, both with the one message dre_qr refuses it by
+    for argv in (["--chain", "dre", "--fn", "and"], ["--chain", "dre,psm", "--table", "1:1:8"]):
+        assert main(["build", *argv]) == 2, argv
+        assert capsys.readouterr().err == "usage error: the dre base needs --fn qr\n", argv
+    golden = Path(__file__).parent / "golden"
+    desc = json.loads((golden / "dre_qr7.desc.json").read_text())
+    desc["fn"] = json.loads((golden / "gh_cds.desc.json").read_text())["fn"]
+    path, rep = tmp_path / "d.json", tmp_path / "r.json"
+    path.write_text(json.dumps(desc))
+    assert main(["verify", str(path), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert (report["status"], report["error"]) == (
+        "fail", "descriptor rejected: the dre base needs --fn qr")
+
+
+@pytest.mark.parametrize("path,value,error", [
+    (("version",), 2, "version 2 is not 1"),
+    (("version",), True, "version True is not 1"),
+    (("version",), 1.0, "version 1.0 is not 1"),
+    (("kind",), "psqm", "kind 'psqm' is not the chain's last stage"),
+    (("artifacts", "gh_strategy", "alice", "0", "tap"), True,
+     "pipes are numbered by ints, not True"),
+    (("artifacts", "gh_strategy", "bob", "1", "match"), [[1, 3.0]],
+     "pipes are numbered by ints, not 3.0"),
+    (("artifacts", "gh_strategy", "pipes"), True, "pipes are numbered by ints, not True")])
+def test_a_field_no_build_writes_is_a_rejected_descriptor(tmp_path, path, value, error):
+    # JSON's true and 1.0 equal 1, so a version, tap or pipe of either would
+    # pass for 1; and a kind other than the chain's last stage is no report's
+    desc = json.loads((Path(__file__).parent / "golden" / "gh_cds.desc.json").read_text())
+    node = desc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file, rep = tmp_path / "d.json", tmp_path / "r.json"
+    file.write_text(json.dumps(desc))
+    assert main(["verify", str(file), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert (report["status"], report["error"]) == ("fail", f"descriptor rejected: {error}")
+
+
 def test_qr11_pad_route_builds(tmp_path):
-    # the build makes only the qr encoding; its verify's cdqs_from_cds sizes
+    # the build makes only the qr table; its verify's cdqs_from_cds sizes
     # the key's randomness, 26,620^2 states, without building it
     assert main(["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "11",
                  "--out", str(tmp_path / "d.json")]) == 0

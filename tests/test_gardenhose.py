@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from cdslab.boolfn import BoolFn
+from cdslab.boolfn import BoolFn, all_functions
 from cdslab.errors import BudgetError, DomainError, ValidationError, budget
-from cdslab.families import all_functions, named_fn
+from cdslab.families import named_fn
 from cdslab.gardenhose import GhStrategy, LEFT, RIGHT, gh_eval, gh_trace
 from cdslab.ghsearch import _matchings, gh_generic, gh_search
 

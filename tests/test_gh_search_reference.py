@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import gardenhose, ghsearch
-from cdslab.boolfn import BoolFn, from_packed
+from cdslab.boolfn import BoolFn, all_functions, from_packed
 from cdslab.cli import main
 from cdslab.errors import BudgetError, budget
-from cdslab.families import all_functions, named_fn
+from cdslab.families import named_fn
 from cdslab.gardenhose import GhStrategy, gh_trace
 from cdslab.ghsearch import _alice_choices, _matchings, gh_search
 

@@ -23,10 +23,11 @@ others at call time: ``nlqc``, ``padroutes`` and ``qverifiers`` read
 ``protocols`` reads ``algebra`` only where a span program is compiled and
 ``families`` only where the qr encoding is, and ``cli`` every module a
 request's stages run, so a garden-hose route never compiles ``protocols``
-or ``algebra``, a pad route never compiles ``algebra``, a build no compile edge
+or ``algebra``, a pad route never compiles ``algebra``, a build no compile edge,
+a ``dre`` or ``span`` build no ``protocols``, ``sweep`` no ``families``
 and a descriptor's strategy no search: the echelon form that the coset
-kernel and span membership share lives in ``protocols``, and ``qr_residue``
-in ``families``. What only demos and tests call lives in ``toolkit``, which
+kernel and span membership share lives in ``zp``, which imports nothing,
+``qr_residue`` in ``families`` and ``all_functions`` in ``boolfn``. What only demos and tests call lives in ``toolkit``, which
 no request loads. numpy is imported only inside the one function that
 needs it, ``toolkit.random_qubit``, so no module loads it at import and no
 ``cdslab`` build or verify loads it at all. ``fractions``, which loads
@@ -166,10 +167,10 @@ IMPORTED_AT_IMPORT = {
     "errors": set(),
     "boolfn": {"errors"},
     "families": {"boolfn", "errors"},
-    "algebra": {"boolfn", "errors", "protocols"},
+    "algebra": {"boolfn", "errors", "zp"},
     "gardenhose": {"boolfn", "errors"},
     "ghsearch": {"boolfn", "errors", "gardenhose"},
-    "protocols": {"boolfn", "errors"},
+    "protocols": {"boolfn", "errors", "zp"},
     "verifiers": {"errors", "protocols"},
     "quantum": {"errors"},
     "nlqc": {"boolfn", "errors"},
@@ -177,6 +178,7 @@ IMPORTED_AT_IMPORT = {
     "padroutes": {"errors", "nlqc"},
     "toolkit": {"algebra", "errors", "quantum", "qverifiers"},
     "cli": {"__init__", "boolfn", "errors"},
+    "zp": set(),
 }
 
 
