@@ -9,9 +9,8 @@ verifiers lean on.
 
 import numpy as np
 
-from cdslab.quantum import (PureState, U_BELL, X, Z, decoupling_gap, epr_pairs, phased_pad,
-                            trace_distance)
-from cdslab.toolkit import choi, fidelity, pad_average, random_qubit
+from cdslab.quantum import PureState, U_BELL, X, Z, decoupling_gap, epr_pairs, phased_pad
+from cdslab.toolkit import choi, fidelity, pad_average, random_qubit, trace_distance
 
 # Teleportation fixes the outcome convention used everywhere: measuring
 # (message, EPR-left) in the Bell basis with outcome (a, b) leaves

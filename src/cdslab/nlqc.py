@@ -2,11 +2,11 @@
 
 Covers conditional disclosure of a quantum state (the quantum analogue of
 CDS), one-round routing of a qubit to the side named by a boolean function,
-and simultaneous-message computation with quantum resources. A protocol
-execution is never sampled: ``run(x, y, carrier)``, the qubit in the
-carrier's register "Q", returns its classical branches as (probability,
-transcript, residual state) triples, so verifiers can compute exact figures
-of merit. A CDQS and an f-routing state one delivery by the same three
+and simultaneous-message computation, whose one compiled instance sends a
+classical PSM's messages and carries no qubit. A disclosure or routing run
+is never sampled: ``run(x, y, carrier)``, the qubit in the carrier's
+register "Q", returns its classical branches as (probability, transcript,
+residual state) triples, so verifiers can compute exact figures of merit. A CDQS and an f-routing state one delivery by the same three
 fields: ``run``, ``msg_regs``, the registers the right side (a CDQS's
 referee) holds after a run, which may leave out registers in product with
 the rest of the state, and ``recover``, which undoes the frame at the
@@ -45,7 +45,7 @@ class RunBranch(NamedTuple):
 
     prob: float
     transcript: tuple
-    state: Optional[PureState]
+    state: PureState
     count: int = 1
 
 
@@ -98,17 +98,19 @@ class FRoutingProtocol(InputDomain):
 class PsqmProtocol(InputDomain):
     """Simultaneous messages computing f; the referee sees messages only.
 
-    ``run`` enumerates transcript branches; ``quantum_regs`` names any message
-    registers carried by branch states (empty for purely classical schemes).
+    The one PSQM compiled, ``padroutes.psqm_from_psm``, sends the messages of
+    a classical PSM, ``psm``, and carries no qubit, so its referee's views
+    are distributions: ``counts(x, y)`` maps each message pair on (x, y), by
+    coset, to its integer count out of ``denom`` randomness states, and
+    ``decode`` reads a pair.
     """
 
-    def __init__(self, f: BoolFn, run: Callable, decode: Callable, quantum_regs: tuple = (),
-                 domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
-        self.f = f
-        self.run = run                    # (x, y) -> [RunBranch]
-        self.decode = decode              # (transcript) -> value of f
-        self.quantum_regs = quantum_regs
-        super().__init__(domain, resources)
+    def __init__(self, psm, counts: Callable, denom: int, resources: Optional[dict] = None):
+        self.psm, self.f = psm, psm.f
+        self.counts = counts              # (x, y) -> {transcript: count}
+        self.denom = denom
+        self.decode = lambda t: psm.decode(t[0], t[1])   # (transcript) -> value of f
+        super().__init__(psm.domain, resources)
 
 
 # -- garden-hose route ---------------------------------------------------------

@@ -5,10 +5,12 @@ a class decode to the same key and have proportional likelihoods under
 every key, so the referee's view of each is a positive multiple of one
 operator and the class's representative, with the summed probability,
 stands for all ``count`` of them exactly. Message counts come from
-``protocols._sweep_kernel``, read at call time. A pad CDQS's referee holds
-"Q", and its recovery is the only decode of a key; the route built on it
-passes its run, registers, recovery and resources through and adds only
-where the qubit exits and what the left side reconstructs.
+``protocols._sweep_kernel``, read at call time, and stay integers until a
+class's weights are divided once by the squared joint randomness; a PSQM
+is a classical PSM's messages, handed on as those counts. A pad CDQS's
+referee holds "Q", and its recovery is the only decode of a key; the route
+built on it passes its run, registers, recovery and resources through and
+adds only where the qubit exits and what the left side reconstructs.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ class TranscriptClass(NamedTuple):
 
 
 def transcript_classes(hists: dict, decode: Callable) -> list:
-    """Group the transcripts of ``hists`` = {key: {transcript: weight}}.
+    """Group the transcripts of ``hists`` = {key: {transcript: integer weight}}.
 
     Two transcripts share a class when ``decode`` maps them to the same value
-    and their weight vectors over the keys are exactly proportional: the
-    integer vectors left over a common denominator (floats count as the
-    rationals they hold), divided by their gcd, are equal. A referee view
-    linear in the weights that reads a transcript only through its decoded
-    value is then a positive multiple of one operator across a class, so one
-    branch per class gives the fidelity and trace-norm gap of one branch per
-    transcript. Classes come in order of their first member, scanning the
+    and their weight vectors over the keys are exactly proportional: divided
+    by their gcd, they are equal. A referee view linear in the weights that
+    reads a transcript only through its decoded value is then a positive
+    multiple of one operator across a class, so one branch per class gives
+    the fidelity and trace-norm gap of one branch per transcript. Classes come in order of their first member, scanning the
     keys in order and each histogram in sweep order. A coset key stands for
     its ``count`` messages, which share its class.
     """
@@ -60,11 +60,8 @@ def transcript_classes(hists: dict, decode: Callable) -> list:
     classes = {}
     for m in dict.fromkeys(m for s in keys for m in hists[s]):
         vec = [hists[s].get(m, 0) for s in keys]
-        ratios = [w.as_integer_ratio() for w in vec]
-        denom = math.lcm(*(d for _, d in ratios))
-        ints = [n * (denom // d) for n, d in ratios]
-        g = math.gcd(*ints)
-        label = (decode(m), tuple(n // g for n in ints))
+        g = math.gcd(*vec)
+        label = (decode(m), tuple(n // g for n in vec))
         rep, weights, count = classes.get(label) or (m, {}, 0)
         for s, w in zip(keys, vec):
             if w:
@@ -151,12 +148,12 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
 
     Alice pads the qubit with two key bits, and each bit is disclosed by one
     independent run. ``bit_hists(x, y)`` maps a key-bit value to one run's
-    transcript weights, and ``bit_of(x, y, t)`` decodes one run's transcript
-    t to a bit. A transcript of the protocol is the pair of run transcripts,
-    and ``recover`` decodes it to the key and unpads "Q". Its classes, the
-    product of the per-run classes with weights divided by ``denom``, are
-    formed once per input and kept, since the quantum verifiers ask again
-    for every swept qubit state.
+    integer transcript counts, and ``bit_of(x, y, t)`` decodes one run's
+    transcript t to a bit. A transcript of the protocol is the pair of run
+    transcripts, and ``recover`` decodes it to the key and unpads "Q". Its
+    classes, the product of the per-run classes with weights divided by
+    ``denom``, are formed once per input and kept, since the quantum
+    verifiers ask again for every swept qubit state.
     """
     @cache
     def key_classes(x, y):
@@ -230,22 +227,15 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
 def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
     """A classical PSM is a simultaneous-message protocol with no qubits.
 
-    A run is one sweep of P's messages on one input pair by ``verify_psm``'s
-    kernel, one branch per coset, the sweeps over P's domain charged by its
-    size before any run starts (a layout the first nu misses, when met), one
-    layout one subspace across them all, as ``verify_psqm``'s view
-    comparisons need.
+    Its message counts on an input pair are one sweep of P's messages by
+    ``verify_psm``'s kernel, by coset, out of P's joint randomness states;
+    the sweeps over P's domain are charged by its size before the first
+    (a layout the first nu misses, when met).
     """
-    from .protocols import _sweep_kernel, message_count
+    from .protocols import _joint, _sweep_kernel
 
-    kernel = cache(lambda: _sweep_kernel(P, "psqm_from_psm"))
-
-    def run(x, y):
-        hist_of, joint = kernel()
-        return [RunBranch(c / joint, m, None, message_count(m)) for m, c in
-                sorted(hist_of(x, y).items(), key=lambda kv: repr(kv[0]))]
-
-    return PsqmProtocol(P.f, run, lambda t: P.decode(t[0], t[1]), domain=P.domain,
+    kernel = cache(lambda: _sweep_kernel(P, "psqm_from_psm")[0])
+    return PsqmProtocol(P, lambda x, y: kernel()(x, y), _joint(P),
                         resources=dict(P.resources))
 
 
@@ -255,19 +245,14 @@ def cdqs_from_psqm(P: PsqmProtocol) -> CdqsProtocol:
     For each key bit the parties either use their real inputs or a fixed
     hiding input, so the run computes (key bit) AND f(x, y). Revealing inputs
     hand the referee both key bits; hiding inputs make every run's view
-    key-independent, leaving the pad intact.
+    key-independent, leaving the pad intact. The product weights stay
+    integers until one division by the squared joint randomness.
     """
     from .protocols import hiding_input
 
-    if P.quantum_regs:
-        raise ValidationError("only classical-message protocols can be lifted here")
     x_star, y_star = hiding_input(P)
-
-    def hist(x, y):
-        return {b.transcript: b.prob for b in P.run(x, y)}
-
     # key bit 0 runs the hiding input, swept once; key bit 1 the real one
-    hidden = cache(lambda: hist(x_star, y_star))
+    hidden = cache(lambda: P.counts(x_star, y_star))
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
-    return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: hist(x, y)},
-                     lambda x, y, t: P.decode(t), 1, P.domain, resources)
+    return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: P.counts(x, y)},
+                     lambda x, y, t: P.decode(t), P.denom ** 2, P.domain, resources)

@@ -2,7 +2,7 @@
 
 Protocols are concrete message functions over finite, fully enumerable
 randomness spaces. Their exact verifiers live in ``verifiers``, which only a
-classical verify loads; this module holds the records, the compilers and
+classical or PSQM verify loads; this module holds the records, the compilers and
 the one message-histogram kernel every sweep reads.
 
 Conventions shared by every protocol type here:

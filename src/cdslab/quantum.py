@@ -18,15 +18,15 @@ with its exact probability, and ``ptrace`` returns a reduced density
 operator as a list of rows. The protocol verifiers read a referee's
 classical-quantum view as a block stack, a list holding the t (d, d) blocks
 of a block-diagonal operator, one block per transcript; ``decoupling_gap``
-and ``trace_distance`` take such stacks whole.
+takes such stacks whole.
 ``worst_fidelity`` gives a qubit map's exact worst fidelity over every pure
 input from its outputs on four inputs. Spectra come from the cyclic Jacobi
 method for Hermitian matrices (Golub and Van Loan, *Matrix Computations*,
 section 8.5).
 
 Nothing here uses numpy. The seeded probe qubits, the Uhlmann fidelity,
-Choi states and the pad average, which only demos and tests call, live in
-``toolkit``.
+the trace distance, Choi states and the pad average, which only demos and
+tests call, live in ``toolkit``.
 """
 
 from __future__ import annotations
@@ -373,20 +373,6 @@ def eigh(mat) -> tuple:
 
 def _trace_norm(mat) -> float:
     return sum(map(abs, eigvalsh(mat)))
-
-
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference.
-
-    Also takes two block stacks of one shape, lists of the (d, d) blocks of
-    block-diagonal operators: the trace norm adds up block by block, so the
-    result is the trace distance of the two operators.
-    """
-    r, s = _stack(rho), _stack(sigma)
-    if len(r) != len(s) or any(len(a) != len(b) for a, b in zip(r, s)):
-        raise ValidationError("dimension mismatch")
-    return 0.5 * sum(_trace_norm([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-                     for a, b in zip(r, s))
 
 
 # -- states and channels -------------------------------------------------------

@@ -5,13 +5,14 @@
   whole channel at once through its Choi state;
 * secrecy treats the referee view as a transcript-indexed block-diagonal
   operator and measures, block by block, how far it sits from the product of
-  its marginals (or from the view of another run that should look the same).
+  its marginals;
+* a PSQM carries no qubit, so its views are message distributions, and
+  ``verify_psm``'s exact sweep gives its figures.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ValidationError, Worst, charge
@@ -25,15 +26,17 @@ class QVerificationReport:
 
     ``worst_infidelity`` is 1 - F over the inputs where the output must be
     delivered; ``worst_gap`` is the largest decoupling gap (or pairwise view
-    distance) over the inputs where it must stay hidden.
+    distance) over the inputs where it must stay hidden. ``max_branches`` is
+    the largest per-input ``branches`` figure.
     """
 
     def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
-                 per_input: dict, max_branches: int, routing_consistent: bool,
-                 resources: dict, witnesses: dict):
+                 per_input: dict, routing_consistent: bool, resources: dict,
+                 witnesses: dict):
         self.kind = kind
         self.worst_infidelity, self.worst_gap = worst_infidelity, worst_gap
-        self.per_input, self.max_branches = per_input, max_branches
+        self.per_input = per_input
+        self.max_branches = max((info["branches"] for info in per_input.values()), default=0)
         self.routing_consistent = routing_consistent
         self.resources, self.witnesses = resources, witnesses
 
@@ -58,7 +61,8 @@ class QVerificationReport:
 
 
 class _Sweep(Worst):
-    """One verification's per-input figures, worst cases and branch charge.
+    """One CDQS or f-routing verification's per-input figures, worst cases
+    and branch charge.
 
     The request's budget bounds the running total of branches the verifier
     walks, charged after each run, one per class branch; the per-input
@@ -95,12 +99,9 @@ class _Sweep(Worst):
 
     def report(self, kind: str, error: str, gap: Optional[str], resources: dict,
                consistent: bool = True) -> QVerificationReport:
-        max_branches = max((info["branches"] for info in self.per_input.values()),
-                           default=0)
         return QVerificationReport(kind, self.worst.get(error, 0.0),
                                    self.worst.get(gap, 0.0), self.per_input,
-                                   max_branches, consistent, dict(resources),
-                                   self.witnesses)
+                                   consistent, dict(resources), self.witnesses)
 
 
 def _choi_fidelity(branches, fix: Callable, out: str) -> float:
@@ -117,32 +118,12 @@ def _choi_fidelity(branches, fix: Callable, out: str) -> float:
 
 
 def _view_blocks(branches, regs) -> dict:
-    """Referee view per transcript: the sum of prob * (state reduced to ``regs``).
-
-    With ``regs`` None, or a branch without a state, the transcript is the
-    whole view.
-    """
+    """Referee view per transcript: the sum of prob * (state reduced to ``regs``)."""
     terms = {}
     for b in branches:
-        mat = ((1.0,),) if regs is None or b.state is None else b.state.ptrace(regs)
-        terms.setdefault(b.transcript, []).append((b.prob, mat))
+        terms.setdefault(b.transcript, []).append((b.prob, b.state.ptrace(regs)))
     from . import quantum
     return {t: quantum.weighted(ts) for t, ts in terms.items()}
-
-
-def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
-    """Trace distance of two views, their blocks matched by transcript.
-
-    A transcript only one view has is a zero block in the other.
-    """
-    from . import quantum
-    keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
-    if not keys:
-        return 0.0
-    d = len(next(iter((blocks_a or blocks_b).values())))
-    zero = [[0j] * d for _ in range(d)]
-    return quantum.trace_distance([blocks_a.get(k, zero) for k in keys],
-                                  [blocks_b.get(k, zero) for k in keys])
 
 
 def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
@@ -198,23 +179,24 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
 
 
 def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
-    """Decode accuracy on every input; view distance across equal-value inputs.
+    """``verify_psm``'s sweep of the PSM whose messages P sends, exactly.
 
-    As ``verifiers._sweep`` does with histograms, a value keeps only its
-    distinct views and compares them pairwise in input order.
+    The referee's view of an input is its message distribution, so the
+    decode error is the sweep's eps, the view distance, a trace distance of
+    distributions, is half its L1 distance delta_pair, and each is witnessed
+    as the sweep witnesses it. An input's ``branches`` are its distinct
+    messages.
     """
-    sweep = _Sweep()
-    views = {}
-    for (x, y) in P.domain:
-        branches, n = sweep.run(P.run, x, y)
-        fx = P.f.eval(x, y)
-        fail = sum((b.prob for b in branches if P.decode(b.transcript) != fx), 0.0)
-        view = _view_blocks(branches, P.quantum_regs or None)
-        if all(P.f.eval(*xy) != fx or other != view for xy, other in views.items()):
-            views[(x, y)] = view
-        sweep.record((x, y), {"f": fx, "decode_error": fail, "branches": n},
-                     "decode", fail)
-    for a, b in combinations(views, 2):
-        if P.f.eval(*a) == P.f.eval(*b):
-            sweep.worse("view", _block_distance(views[a], views[b]), (a, b))
-    return sweep.report("psqm", "decode", "view", P.resources)
+    from .protocols import message_count
+    from .verifiers import _value_sweep
+
+    per_input = {}
+
+    def seen(xy, hist, fails):
+        per_input[xy] = {"f": P.f.eval(*xy), "decode_error": fails / P.denom,
+                         "branches": sum(map(message_count, hist))}
+
+    eps, delta, found = _value_sweep(P.psm, "psqm_from_psm", seen)
+    witnesses = {{"eps": "decode", "delta": "view"}[k]: w for k, w in found.items()}
+    return QVerificationReport("psqm", eps, delta / 2, per_input, True, dict(P.resources),
+                               witnesses)

@@ -1,6 +1,6 @@
 """What only demos and tests call, which no CLI request loads: probe qubits,
-channel pictures, the security state sweep, a threshold span program and the
-qr split of one integer.
+channel pictures and distances, the security state sweep, a threshold span
+program and the qr split of one integer.
 ``random_qubit`` is the one function in the package that imports numpy.
 """
 
@@ -11,9 +11,10 @@ from itertools import combinations, product
 from typing import TYPE_CHECKING, Callable
 
 from .algebra import SpanProgram, span_dnf
-from .errors import Worst
-from .quantum import _R2, PureState, dagger, eigh, kron, matmul, phased_pad, weighted
-from .qverifiers import _block_distance, _view_blocks
+from .errors import ValidationError, Worst
+from .quantum import (_R2, PureState, _stack, _trace_norm, dagger, eigh, kron, matmul,
+                      phased_pad, weighted)
+from .qverifiers import _view_blocks
 
 if TYPE_CHECKING:
     from .nlqc import CdqsProtocol
@@ -40,6 +41,34 @@ def fidelity(rho, sigma) -> float:
     root = sqrtm_psd(rho)
     vals, _ = _eigh_psd(matmul(matmul(root, sigma), root))
     return float(min(1.0, sum(map(math.sqrt, vals))))
+
+
+def trace_distance(rho, sigma) -> float:
+    """Half the trace norm of the difference.
+
+    Also takes two block stacks of one shape, lists of the (d, d) blocks of
+    block-diagonal operators: the trace norm adds up block by block, so the
+    result is the trace distance of the two operators.
+    """
+    r, s = _stack(rho), _stack(sigma)
+    if len(r) != len(s) or any(len(a) != len(b) for a, b in zip(r, s)):
+        raise ValidationError("dimension mismatch")
+    return 0.5 * sum(_trace_norm([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+                     for a, b in zip(r, s))
+
+
+def _block_distance(blocks_a: dict, blocks_b: dict) -> float:
+    """Trace distance of two views, their blocks matched by transcript.
+
+    A transcript only one view has is a zero block in the other.
+    """
+    keys = sorted(set(blocks_a) | set(blocks_b), key=repr)
+    if not keys:
+        return 0.0
+    d = len(next(iter((blocks_a or blocks_b).values())))
+    zero = [[0j] * d for _ in range(d)]
+    return trace_distance([blocks_a.get(k, zero) for k in keys],
+                          [blocks_b.get(k, zero) for k in keys])
 
 
 def random_qubit(seed: int) -> PureState:

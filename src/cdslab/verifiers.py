@@ -2,8 +2,9 @@
 
 Correctness error and secrecy leakage come out as exact rationals from one
 sweep loop, ``_sweep``, over the coset histograms ``protocols._sweep_kernel``
-charges and computes. Only a classical verify loads this module, the one
-that imports ``fractions``, inside the functions that build a ``Fraction``.
+charges and computes. ``qverifiers.verify_psqm`` runs the PSM sweep too, so
+only a classical or PSQM verify loads this module, the one that imports
+``fractions``, inside the functions that build a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def _randomness(P) -> dict:
     return resources
 
 
-def _sweep(P, rule: Callable, decode: Callable, what: str,
-           seen: Callable = lambda hist: None, secrets=()) -> tuple:
+def _sweep(P, rule: Callable, decode: Callable, what: str, seen: Callable,
+           secrets=()) -> tuple:
     """(eps, delta, witnesses) of P: the one classical sweep.
 
     It walks P's domain times ``secrets`` (none: args (x, y)), and ``rule``
@@ -94,7 +95,8 @@ def _sweep(P, rule: Callable, decode: Callable, what: str,
     input's cases are swept (a CDS holds one input's at a time), any other
     at the walk's end; the distances meet ``Worst`` in case order. P is
     swept by coset; decoding is deterministic, so it runs once per coset
-    and counts with its multiplicity. ``seen`` gets every histogram, and
+    and counts with its multiplicity. ``seen`` gets every case's args,
+    histogram and count of failing randomness (None unless decoded), and
     ``what`` names the caller in budget errors.
     """
     from fractions import Fraction
@@ -110,9 +112,10 @@ def _sweep(P, rule: Callable, decode: Callable, what: str,
         for args in [(x, y, s) for s in secrets] or [(x, y)]:
             want, group = rule(*args)
             hist = hist_of(*args)
-            seen(hist)
-            if want is not None:
-                fails = sum(c for m, c in hist.items() if decode(m, x, y) != want)
+            fails = None if want is None else sum(c for m, c in hist.items()
+                                                  if decode(m, x, y) != want)
+            seen(args, hist, fails)
+            if fails is not None:
                 worst.worse("eps", Fraction(fails, joint), args)
             if group is not None:
                 held = kept.setdefault(group, [])
@@ -137,7 +140,7 @@ def verify_cds(P: CdsProtocol) -> VerificationReport:
     """
     alphabets = (set(), set())   # each party's cosets' members
 
-    def seen(hist):
+    def seen(args, hist, fails):
         for side, alphabet in enumerate(alphabets):
             alphabet.update(m[side] for m in hist)
 
@@ -155,10 +158,10 @@ def verify_cds(P: CdsProtocol) -> VerificationReport:
     return VerificationReport("cds", eps, delta, resources, witnesses)
 
 
-def _value_sweep(P, what: str) -> tuple:
+def _value_sweep(P, what: str, seen: Callable = lambda args, hist, fails: None) -> tuple:
     """A PSM's sweep: each input decodes to f's value and looks like all inputs of it."""
     return _sweep(P, lambda x, y: (P.f.eval(x, y),) * 2,
-                  lambda m, x, y: P.decode(m[0], m[1]), what)
+                  lambda m, x, y: P.decode(m[0], m[1]), what, seen)
 
 
 def verify_psm(P: PsmProtocol) -> VerificationReport:

@@ -641,7 +641,9 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     # a garden-hose route loads no protocols, pad routes, algebra or
     # Fraction, and with an embedded strategy no search; a pad route no
     # algebra or Fraction, a qr chain no gardenhose, and a build only its
-    # base's modules: no compiler past the base, verifier or statevector layer
+    # base's modules: no compiler past the base, verifier or statevector
+    # layer; a PSQM carries no qubit, so its verify, the classical sweep,
+    # loads the classical verifiers and Fraction and no statevector layer
     routing = _START | {"cdslab.gardenhose", "cdslab.nlqc"}
     pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.zp", "cdslab.nlqc",
                      "cdslab.padroutes"}
@@ -654,7 +656,9 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
                           _START | {"cdslab.families"}),
                          (["verify", "2.json"], pads | checked),
-                         (["verify", "3.json"], pads | checked)):
+                         (["verify", "3.json"], pads | checked),
+                         (["verify", "stop.json"],
+                          pads | {"cdslab.qverifiers", "cdslab.verifiers", "fractions"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
 
 
@@ -1071,8 +1075,8 @@ _QR5 = ["--fn", "qr", "--p", "5"]
 # first nu meets, in one step: the CDS has two layouts, one per masked bit,
 # the PSM one. A garden-hose route walks four class branches per input, and
 # the running total passes the budget at the third input (and1) or the fourth
-# (eq1). A PSQM run has at most one branch per (input, nu) pair, which its
-# kernel charges first, so its stop is that charge, made in verify_psqm's run.
+# (eq1). verify_psqm is the PSM's sweep under the name psqm_from_psm, so its
+# stop is the PSM's.
 _VERIFY_STOPS = {
     ("dre,psm,cds,cdqs", "cdqs_from_cds message coordinates"): (_QR5, 200, 8 * 8 * 3 + 2 * 6),
     ("dre,psm,psqm", "psqm_from_psm message coordinates"): (_QR5, 50, 4 * 4 * 3 + 6),

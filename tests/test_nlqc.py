@@ -10,12 +10,12 @@ from cdslab.errors import BudgetError, ValidationError, budget
 from cdslab.families import named_fn
 from cdslab.gardenhose import LEFT, RIGHT
 from cdslab.ghsearch import gh_generic, gh_search
-from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch,
-                         cdqs_from_frouting, frouting_from_gh, pauli_frame)
+from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, cdqs_from_frouting, frouting_from_gh,
+                         pauli_frame)
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, psm_from_dre,
                               psm_generic_table, dre_qr)
-from cdslab.quantum import PureState, X, Z, epr_pairs, worst_fidelity
+from cdslab.quantum import X, Z, epr_pairs, worst_fidelity
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
 from cdslab.toolkit import security_state_sweep, random_qubit
 from message_reference import cds_of, psm_of
@@ -172,22 +172,22 @@ def test_route_compilers_validate_their_inputs():
 
 
 def test_psqm_from_psm_and_table():
+    # exact figures: every input sends 8 distinct message pairs, each once
+    # in the 8 randomness states, and the views of equal-value inputs agree
     Q = psqm_from_psm(psm_generic_table(AND1))
     report = verify_psqm(Q)
-    assert report.worst_infidelity == 0
-    assert report.worst_gap <= 1e-12
-    # branch enumeration is deterministically ordered
-    a = [b.transcript for b in Q.run(1, 0)]
-    b = [b.transcript for b in Q.run(1, 0)]
-    assert a == b == sorted(a, key=repr)
+    assert (report.worst_infidelity, report.worst_gap, report.witnesses) == (0, 0, {})
+    assert report.per_input == {(x, y): {"f": x & y, "decode_error": 0.0, "branches": 8}
+                                for x in (0, 1) for y in (0, 1)}
+    assert Q.denom == 8 and set(Q.counts(1, 0).values()) == {1}
 
 
 def test_psqm_detects_input_leak():
     # messages reveal x outright: two same-value inputs get disjoint views
     leaky = psm_of(XOR1, ((),), lambda x, r: x, lambda y, r: y, lambda m0, m1: m0 ^ m1)
     report = verify_psqm(psqm_from_psm(leaky))
-    assert report.worst_infidelity == 0
-    assert report.worst_gap >= 0.99
+    assert (report.worst_infidelity, report.worst_gap) == (0, 1)
+    assert report.witnesses == {"view": ((0, 0), (1, 1))}
 
 
 def test_cdqs_from_psqm_chain():
@@ -207,10 +207,6 @@ def test_cdqs_from_psqm_qr_domain():
 
 
 def test_cdqs_from_psqm_guards():
-    Q = psqm_from_psm(psm_generic_table(AND1))
-    quantum = PsqmProtocol(AND1, Q.run, Q.decode, quantum_regs=("M",))
-    with pytest.raises(ValidationError):
-        cdqs_from_psqm(quantum)
     ones = psqm_from_psm(psm_generic_table(BoolFn(1, 1, (1, 1, 1, 1))))
     with pytest.raises(ValidationError):
         cdqs_from_psqm(ones)  # no hiding input exists
@@ -235,38 +231,6 @@ def test_report_jsonable_shape():
                         "max_branches", "routing_consistent"}
     assert all("," in k for k in obj["per_input"])
     assert isinstance(obj["worst_gap"], float)
-
-
-def _qubit_psqm(message_qubit):
-    """XOR by one-time-padded bits plus a 1-qubit message register M.
-
-    ``message_qubit(x, y)`` gives M's amplitudes; a junk qubit J that the
-    referee never sees is entangled with M, so the view needs a partial trace.
-    """
-    def run(x, y):
-        a, b = message_qubit(x, y)
-        vec = np.array([a, 0, 0, b], dtype=complex)   # a|00> + b|11> on (M, J)
-        state = PureState((("M", 1), ("J", 1)), vec / np.linalg.norm(vec))
-        return [RunBranch(0.5, (x ^ r, y ^ r), state) for r in (0, 1)]
-
-    return PsqmProtocol(XOR1, run, lambda t: t[0] ^ t[1], quantum_regs=("M",))
-
-
-def test_verify_psqm_with_a_quantum_message_register():
-    honest = _qubit_psqm(lambda x, y: (1, 1) if x ^ y else (1, 2))
-    report = verify_psqm(honest)
-    assert report.worst_infidelity == 0
-    assert report.worst_gap <= 1e-12
-    assert all(info["branches"] == 2 for info in report.per_input.values())
-    # a decoder that reads Alice's padded bit alone is wrong half the time
-    wrong = PsqmProtocol(XOR1, honest.run, lambda t: t[0], quantum_regs=("M",))
-    assert verify_psqm(wrong).worst_infidelity == 0.5
-    # M now depends on x: diag(1, 0) against diag(1/2, 1/2) per transcript
-    leaky = _qubit_psqm(lambda x, y: (1, 0) if x == 0 else (1, 1))
-    report = verify_psqm(leaky)
-    assert report.worst_infidelity == 0
-    assert abs(report.worst_gap - 0.5) <= 1e-12
-    assert "view" in report.witnesses
 
 
 @pytest.mark.parametrize("f", [AND1, XOR1], ids=lambda f: f.name)

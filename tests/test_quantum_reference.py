@@ -216,7 +216,7 @@ def test_block_stack_figures_match_numpy(t, d_ref, d_msg):
     assert abs(quantum.decoupling_gap([blk.tolist() for blk in a], d_ref, d_msg)
                - _np_decoupling_gap(a, d_ref, d_msg)) <= TOL
     want = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
-    assert abs(quantum.trace_distance(a, b) - want) <= TOL
+    assert abs(toolkit.trace_distance(a, b) - want) <= TOL
 
 
 def _np_fidelity(rho, sigma):

@@ -11,17 +11,17 @@ and 7, each with a leak and a decode fault planted on inputs hypothesis
 draws.
 
 The sweep compares each group's distinct histograms only, and
-``verify_psqm`` each value's distinct views; random message tables with
-many equal histograms, and ties among the unequal ones, check both against
-references that compare every pair, and two private qr p=31 protocols pin
-that nothing is compared at all.
+``verify_psqm``, which runs the PSM sweep, each value's distinct views;
+random message tables with many equal histograms, and ties among the
+unequal ones, check both against references that compare every pair, and
+two private qr p=31 protocols pin that nothing is compared at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdslab.algebra import span_dnf
@@ -232,29 +232,6 @@ def test_qr_dre_and_psm_match_the_flat_sweep(p, where, data):
 # -- distinct views: each group's distinct histograms or views only -----------
 
 
-def _flat_psqm(P) -> tuple:
-    """(worst view distance, its witness or None) over every equal-value pair.
-
-    A pair's distance raises the worst case when it exceeds it, and names
-    the witness only above the statevector layer's rounding floor, as the
-    quantum verifiers do.
-    """
-    from cdslab import quantum, qverifiers
-
-    pairs = tuple(P.domain)
-    views = {xy: qverifiers._view_blocks(P.run(*xy), P.quantum_regs or None) for xy in pairs}
-    worst, witness = 0.0, None
-    for i, a in enumerate(pairs):
-        for b in pairs[i + 1:]:
-            if P.f.eval(*a) == P.f.eval(*b):
-                d = qverifiers._block_distance(views[a], views[b])
-                if d > worst:
-                    worst = d
-                    if d > quantum._TOL:
-                        witness = (a, b)
-    return worst, witness
-
-
 @st.composite
 def message_tables(draw):
     """A 1+1 to 2+2 table, and per-input message tables over a few shared
@@ -280,15 +257,38 @@ def test_random_cds_matches_the_all_pairs_sweep(drawn):
     _same(verify_cds(P), _flat_cds(P))
 
 
+def _tables(f, alice, bob):
+    """``message_tables``' draw for one message table per party, Alice's
+    the same under both secrets."""
+    return (f, len(bob[0]), {(x, s): row for x, row in enumerate(alice) for s in (0, 1)},
+            dict(enumerate(bob)))
+
+
+# the messages reveal x and y outright, so xor's equal-value inputs (0, 0)
+# and (1, 1) have disjoint views
+_LEAKY = _tables(named_fn("xor", n=1), ([0], [1]), ([0], [1]))
+# two pairs of views at the worst distance, 1: with the weights summed as
+# floats the first pair is 1 - 2^-53 apart, and a float sweep names the second
+_TIED = _tables(BoolFn(1, 1, (1, 1, 0, 0)), ([2, 0, 2], [0, 1, 1]), ([1, 1, 1], [2, 0, 0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(message_tables())
+@example(_LEAKY)
+@example(_TIED)
 def test_random_psm_and_psqm_match_the_all_pairs_sweep(drawn):
+    # the PSQM's figures are the PSM's, exactly: its view gap, a trace
+    # distance of distributions, is half their L1 distance
     f, k, alice, bob = drawn
     P = psm_of(f, tuple(range(k)), lambda x, r: alice[(x, 0)][r], lambda y, r: bob[y][r],
                lambda m0, m1: (m0 * m1) % 2)
-    _same(verify_psm(P), _flat_psm(P))
+    eps, delta, witnesses = want = _flat_psm(P)
+    _same(verify_psm(P), want)
     report = verify_psqm(psqm_from_psm(P))
-    assert (report.worst_gap, report.witnesses.get("view")) == _flat_psqm(psqm_from_psm(P))
+    assert (report.worst_infidelity, report.worst_gap) == (eps, delta / 2)
+    assert report.witnesses == {name: witnesses[k] for name, k in (("decode", "eps"),
+                                                                    ("view", "delta"))
+                                if k in witnesses}
 
 
 def _calls(monkeypatch, module, name: str) -> list:
@@ -314,8 +314,8 @@ def test_a_private_dre_compares_no_histograms(monkeypatch):
 
 
 def test_a_private_psqm_compares_no_views(monkeypatch):
-    from cdslab import qverifiers
+    from cdslab import verifiers
 
-    calls = _calls(monkeypatch, qverifiers, "_block_distance")
+    calls = _calls(monkeypatch, verifiers, "_l1")
     report = verify_psqm(psqm_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=31)))))
     assert report.perfect() and calls == []

@@ -9,7 +9,6 @@ within 1e-12 and the same branch counts as integers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -130,10 +129,10 @@ def _class_and_flat_cdqs(cds):
 
 def _flat_psqm_classes(Q, x_star, y_star):
     """Flat classes of the psqm route: key bit 0 runs the hiding input. Q's
-    runs sweep an ``enumerated`` PSM, whose one-point cosets each hold one
+    counts sweep an ``enumerated`` PSM, whose one-point cosets each hold one
     message pair (m0, m1) as their tags: that pair is the transcript."""
     def hist(x, y):
-        return {(b.transcript[0][0], b.transcript[1][0]): b.prob for b in Q.run(x, y)}
+        return {(m[0][0], m[1][0]): c / Q.denom for m, c in Q.counts(x, y).items()}
 
     return _flat_classes(lambda x, y: {0: hist(x_star, y_star), 1: hist(x, y)})
 
@@ -207,22 +206,16 @@ def _span_xor1(p):
 
 
 def test_transcript_classes_group_exactly_proportional_weights():
-    hists = {0: {"a": 1, "b": 2, "c": 1, "d": 0.5},
-             1: {"a": 2, "b": 4, "c": 3, "e": 7}}
+    hists = {0: {"a": 2, "b": 4, "c": 2, "d": 1},
+             1: {"a": 4, "b": 8, "c": 6, "e": 14}}
     classes = transcript_classes(hists, decode=lambda m: 0)
-    assert classes == [TranscriptClass("a", {0: 3, 1: 6}, 2),
-                       TranscriptClass("c", {0: 1, 1: 3}, 1),
-                       TranscriptClass("d", {0: 0.5}, 1),
-                       TranscriptClass("e", {1: 7}, 1)]
+    assert classes == [TranscriptClass("a", {0: 6, 1: 12}, 2),
+                       TranscriptClass("c", {0: 2, 1: 6}, 1),
+                       TranscriptClass("d", {0: 1}, 1),
+                       TranscriptClass("e", {1: 14}, 1)]
     # equal weights that decode differently never share a class
     split = transcript_classes({0: {"a": 1, "b": 1}}, decode=lambda m: m)
     assert [c.rep for c in split] == ["a", "b"]
-
-
-def test_transcript_classes_compare_floats_without_tolerance():
-    # 0.1 : 0.3 and 0.3 : 0.9 are proportional on paper but not as binary floats
-    hists = {0: {"a": 0.1, "b": 0.3}, 1: {"a": 0.3, "b": 0.9}}
-    assert len(transcript_classes(hists, decode=lambda m: 0)) == 2
 
 
 def _fraction_classes(hists, decode):
@@ -243,27 +236,26 @@ def _fraction_classes(hists, decode):
 
 
 @st.composite
-def _weight_hists(draw, as_float):
+def _weight_hists(draw):
     """{key: {transcript: weight}} whose transcripts repeat a few base vectors,
-    zeros included, scaled by small integers; float weights are counts c / J."""
+    zeros included, scaled by small integers."""
     n_keys = draw(st.integers(1, 4))
     bases = draw(st.lists(st.lists(st.integers(0, 6), min_size=n_keys, max_size=n_keys)
                           .filter(any), min_size=1, max_size=3))
     rows = draw(st.lists(st.tuples(st.sampled_from(bases), st.integers(1, 5)),
                          min_size=1, max_size=12))
-    joint = draw(st.integers(1, 10 ** 6)) if as_float else None
     hists = {k: {} for k in range(n_keys)}
     for t, (base, scale) in enumerate(rows):
         for k, c in enumerate(base):
             if c or draw(st.booleans()):   # a zero weight listed or left out
-                hists[k][t] = c * scale / joint if as_float else c * scale
+                hists[k][t] = c * scale
     return hists
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), as_float=st.booleans(), parity=st.booleans())
-def test_transcript_classes_match_fraction_reference(data, as_float, parity):
-    hists = data.draw(_weight_hists(as_float))
+@given(data=st.data(), parity=st.booleans())
+def test_transcript_classes_match_fraction_reference(data, parity):
+    hists = data.draw(_weight_hists())
     decode = (lambda t: t % 2) if parity else (lambda t: 0)
     got = transcript_classes(hists, decode)
     assert got == _fraction_classes(hists, decode)
@@ -271,14 +263,11 @@ def test_transcript_classes_match_fraction_reference(data, as_float, parity):
 
 
 @settings(max_examples=30, deadline=None)
-@given(counts=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=4),
-       joint=st.integers(1, 10 ** 6), data=st.data())
-def test_transcript_classes_split_nearly_proportional_floats(counts, joint, data):
-    # transcript 1 is transcript 0 with one weight moved by one ulp
+@given(counts=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=4), data=st.data())
+def test_transcript_classes_split_nearly_proportional_weights(counts, data):
+    # transcript 1 is transcript 0 with one weight moved by one
     k = data.draw(st.integers(0, len(counts) - 1))
-    hists = {i: {0: c / joint} for i, c in enumerate(counts)}
-    for i, c in enumerate(counts):
-        hists[i][1] = math.nextafter(c / joint, math.inf) if i == k else c / joint
+    hists = {i: {0: c, 1: c + (i == k)} for i, c in enumerate(counts)}
     got = transcript_classes(hists, decode=lambda t: 0)
     assert got == _fraction_classes(hists, decode=lambda t: 0)
     assert [c.rep for c in got] == [0, 1]

@@ -19,7 +19,8 @@ start-up. Records are plain classes or ``typing.NamedTuple``s instead.
 Compiling a module is most of a child's start-up too, so each module
 imports at import only the ``cdslab`` modules pinned for it, and reads the
 others at call time: ``nlqc``, ``padroutes`` and ``qverifiers`` read
-``protocols`` and ``gardenhose`` in the functions that use them,
+``protocols`` and ``gardenhose`` in the functions that use them, and
+``qverifiers`` reads ``verifiers`` for the PSQM's sweep,
 ``protocols`` reads ``algebra`` only where a span program is compiled and
 ``families`` only where the qr encoding is, and ``cli`` every module a
 request's stages run, so a garden-hose route never compiles ``protocols``
@@ -33,7 +34,8 @@ needs it, ``toolkit.random_qubit``, so no module loads it at import and no
 ``cdslab`` build or verify loads it at all. ``fractions``, which loads
 ``decimal``, is imported only inside the exact classical verifiers that
 build a ``Fraction`` (``verifiers._l1``, ``_sweep`` and
-``VerificationReport.to_jsonable``), so only a classical verify loads it. A function, class, method or module-level constant that nothing
+``VerificationReport.to_jsonable``), so only a classical verify, or a PSQM's,
+which runs the PSM sweep, loads it. A function, class, method or module-level constant that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
@@ -60,9 +62,10 @@ states as affine forms: no other module names ``Coset`` or ``LinearPart``,
 or reads a field that only those records have (a coset's members and basis,
 a declaration's nus, coordinate counts, forms, maps and sent tags); ``padroutes``
 counts a coset key's messages through ``message_count``.
-The pad routes key their transcript classes on integer tuples, so nothing in
-``padroutes``, where ``transcript_classes`` and ``class_product`` live, or in
-``nlqc`` reads ``Fraction``. Records carry only fields something reads: every
+The pad routes key their transcript classes on integer tuples, a PSQM's
+message counts among them, so nothing in ``padroutes``, where
+``transcript_classes`` and ``class_product`` live, or in ``nlqc`` reads
+``Fraction``. Records carry only fields something reads: every
 attribute the ``__init__`` of ``InputDomain`` or of a class descending from it
 stores is read by the sources outside that ``__init__``, a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
@@ -320,8 +323,8 @@ FRACTIONS_ALLOWED = {"verifiers": {"_l1", "_sweep", "VerificationReport.to_jsona
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_fractions_is_imported_only_by_the_classical_verifiers(module):
     # fractions loads decimal, about 1.3 ms and 0.27 MiB of a child's
-    # start-up; only a classical verify builds a Fraction, so no build, no
-    # garden-hose route and no pad route loads it
+    # start-up; only a classical or PSQM verify builds a Fraction, so no
+    # build, no garden-hose route and no pad route loads it
     tree = ast.parse(module.read_text(), filename=str(module))
     assert not _imports(_executed_at_import(tree), "fractions"), module.name
     allowed = FRACTIONS_ALLOWED.get(module.stem, set())
