@@ -122,13 +122,8 @@ class SpanProgram:
 
     @staticmethod
     def from_jsonable(obj: dict) -> "SpanProgram":
-        return SpanProgram(
-            tuple(tuple(r) for r in obj["matrix"]),
-            tuple(tuple(l) for l in obj["labels"]),
-            tuple(obj["target"]),
-            int(obj["p"]),
-            int(obj["n_vars"]),
-        )
+        return SpanProgram(tuple(map(tuple, obj["matrix"])), tuple(map(tuple, obj["labels"])),
+                           tuple(obj["target"]), obj["p"], obj["n_vars"])
 
 
 def sp_eval(program: SpanProgram, z) -> int:

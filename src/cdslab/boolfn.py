@@ -120,7 +120,7 @@ class BoolFn:
 
     @staticmethod
     def from_jsonable(obj: dict) -> "BoolFn":
-        return from_packed(int(obj["n_x"]), int(obj["n_y"]), int(obj["table"], 16),
+        return from_packed(obj["n_x"], obj["n_y"], int(obj["table"], 16),
                            name=obj.get("name", ""), params=obj.get("params", {}))
 
 

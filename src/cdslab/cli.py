@@ -7,7 +7,7 @@ Three subcommands:
   recipe with every searched artifact embedded), trusting the base it made.
 * ``verify`` checks a descriptor's base against its ``fn``, compiles the chain
   and runs the matching exhaustive verifier, writing a pass/fail report.
-  Tampered descriptors fail with a witness.
+  Tampered descriptors fail with a witness, malformed ones naming a field.
 * ``sweep``  runs the pipe-count search over every function of a given shape.
 
 Their options are the table ``OPTIONS``: ``_parse`` reads argv by it, with
@@ -128,6 +128,46 @@ OPTIONS = {  # command -> {option: (type or choices, default, help)}; default ..
         "--format": (("csv", "json"), "csv", "table format")},
 }
 
+_DEC, _HEX = re.compile("0|[1-9][0-9]*"), re.compile("[0-9a-f]+")   # a width or key, a table
+SCHEMA = {  # descriptor field -> its JSON rule; artifacts and params may omit fields
+    "format": (DESCRIPTOR_FORMAT,), "version": (1,), "chain": [str], "kind": str,
+    "fn": {"n_x": int, "n_y": int, "table": _HEX, "name": str, "params": {
+        "p": int, "n_bits": int, "n": int, "n_x": int, "alice_positions": [int]}},
+    "options": {name: OPTIONS["build"]["--" + name.replace("_", "-")][0]
+                for name in (*COMPILE_OPTIONS, "seed")},
+    "artifacts": {"gh_strategy": {"pipes": int, "n_x": int, "n_y": int, "alice": {
+        _DEC: {"tap": int, "match": [[int, int]]}}, "bob": {_DEC: {"match": [[int, int]]}}},
+        "span_program": {"matrix": [[int]], "labels": [[int, int]], "target": [int],
+                         "p": int, "n_vars": int}}}
+
+
+def _walk(value, rule, path=()) -> None:
+    """Refuse ``value`` unless it is what ``rule`` states, naming the first field that
+    is not: ``fn.n_x: must be int``. A rule is int, str, choices, a str pattern, [rule]
+    a list, [rule, rule] a pair, {pattern: rule} a map, or {field: rule} an object."""
+    def refuse(text, *key):
+        raise ValidationError(f"{'.'.join(path + key) or 'descriptor'}: {text}")
+    kind = rule if type(rule) is type else type(rule)
+    if kind in (int, str, dict, list) and type(value) is not kind:   # a bool is no int
+        refuse(f"must be {kind.__name__}")
+    if kind is dict:
+        if isinstance(keys := next(iter(rule)), re.Pattern):
+            rule = dict.fromkeys(filter(keys.fullmatch, value), rule[keys])
+        for key in dict.fromkeys([*value, *rule]):
+            if key in value and key in rule:
+                _walk(value[key], rule[key], path + (key,))
+            elif key in value or path[-1:] not in (("artifacts",), ("params",)):
+                refuse("unknown field" if key in value else "missing", key)
+    elif kind is list:
+        if len(rule) > 1 and len(value) != len(rule):
+            refuse(f"must be a list of {len(rule)}")
+        for i, item in enumerate(value):
+            _walk(item, rule[i % len(rule)], path + (str(i),))
+    elif kind is tuple and (type(value), value) not in [(type(c), c) for c in rule]:
+        refuse("must be " + " or ".join(map(repr, rule)))   # true and 1.0 are no 1
+    elif kind is re.Pattern and not (type(value) is str and rule.fullmatch(value)):
+        refuse(f"must match {rule.pattern}")
+
 
 def _help(commands) -> str:
     """The usage of each of ``commands``: every option as ``OPTIONS`` states it."""
@@ -202,14 +242,14 @@ def _charge_table(n_x: int, n_y: int) -> None:
 
 
 def _parse_fn(args) -> BoolFn:
-    if args.table:
+    if args.table:   # read by the rules of a descriptor's widths and table
+        shape = re.fullmatch(f"({_DEC.pattern}):({_DEC.pattern}):({_HEX.pattern})", args.table)
         try:
-            width_x, width_y, hex_table = args.table.split(":")
-            n_x, n_y, packed = int(width_x), int(width_y), int(hex_table, 16)
-        except ValueError:
+            n_x, n_y, hex_table = int(shape[1]), int(shape[2]), shape[3]
+        except (TypeError, ValueError):   # no match, or a width past int's digit limit
             raise ValidationError("--table wants nx:ny:hex") from None
         _charge_table(n_x, n_y)
-        return from_packed(n_x, n_y, packed, name=f"t{hex_table}")
+        return from_packed(n_x, n_y, int(hex_table, 16), name=f"t{hex_table}")
     if not args.fn:
         raise ValidationError("need --fn or --table")
     name, named_fn = args.fn.lower(), _layer("families").named_fn
@@ -271,7 +311,7 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
     the descriptor it read and checks against ``f`` what that states, an
     embedded strategy, a span program and the qr encoding; a strategy it
     searches or makes is trusted."""
-    embedded = {} if desc is None else desc.get("artifacts", {})
+    embedded = {} if desc is None else desc["artifacts"]
     if token == "gh":
         gardenhose = _layer("gardenhose")
         if ARTIFACTS["gh"] in embedded:
@@ -398,19 +438,12 @@ def _cmd_verify(args) -> int:
         return 1
     result = {"format": REPORT_FORMAT, "version": 1}
     try:
-        if not isinstance(desc, dict) or desc.get("format") != DESCRIPTOR_FORMAT:
-            raise VerifyFailure("not a descriptor file")
-        version = desc.get("version")
-        if version != 1 or type(version) is not int:   # JSON's true and 1.0 equal 1
-            raise ValidationError(f"version {version!r} is not 1")
-        _charge_table(int(desc["fn"]["n_x"]), int(desc["fn"]["n_y"]))
-        f = BoolFn.from_jsonable(desc["fn"])
-        tokens = list(desc["chain"])
+        _walk(desc, SCHEMA)   # before anything is charged or built
+        _charge_table(desc["fn"]["n_x"], desc["fn"]["n_y"])
+        f, tokens, opts = BoolFn.from_jsonable(desc["fn"]), desc["chain"], desc["options"]
         _check_chain(tokens)
-        if desc.get("kind") != tokens[-1]:
-            raise ValidationError(f"kind {desc.get('kind')!r} is not the chain's last stage")
-        opts = {**{name: OPTIONS["build"]["--" + name.replace("_", "-")][1]
-                   for name in COMPILE_OPTIONS}, **dict(desc.get("options", {}))}
+        if desc["kind"] != tokens[-1]:
+            raise ValidationError(f"kind {desc['kind']!r} is not the chain's last stage")
         obj = _base_artifact(tokens[0], f, opts, desc)
         for edge in zip(tokens, tokens[1:]):   # only a verify compiles the chain
             obj = COMPILE[edge](obj, f, opts)

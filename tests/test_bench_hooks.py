@@ -1,15 +1,19 @@
-"""The names the benchmark's tracer hooks into still exist in ``cdslab``.
+"""The names the benchmark's tracer hooks into still exist in ``cdslab``, and
+the descriptors the benchmark writes are ones a verify takes.
 
 ``bench/tracer.py`` imports ``cdslab`` modules and classes and wraps methods
-on them by name, in every traced child. A ``src/`` change that moves or
-renames one of them should fail here, in tier-1, rather than crash a traced
-benchmark run.
+on them by name, in every traced child, and ``bench/workloads.py`` writes
+``gh`` descriptors of its own. A ``src/`` change that moves or renames one of
+those names, or refuses those descriptors, should fail here, in tier-1,
+rather than crash a traced benchmark run or count its jobs as failed.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,21 @@ def test_every_method_the_tracer_wraps_exists():
     from cdslab.quantum import PureState
 
     assert {"apply", "bell_measure", "ptrace", "tensor"} <= set(vars(PureState))
+
+
+@pytest.mark.parametrize("chain", [("gh", "cds"), ("gh", "frouting"), ("gh", "frouting", "cdqs")])
+def test_a_descriptor_the_benchmark_writes_passes_the_walk_and_verifies(tmp_path, monkeypatch,
+                                                                       chain):
+    # the routing and classical workloads verify descriptors that
+    # ``descriptor_text`` writes; one the schema refused would count as failed
+    from cdslab.cli import SCHEMA, _walk, main
+
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = importlib.import_module("workloads")
+    strategy = workloads.strategy_with_profile(random.Random(0), 1, 1, 3, (3, 2, 1, 1))
+    text = workloads.descriptor_text(chain, workloads.table_of(strategy), strategy, 5)
+    _walk(json.loads(text), SCHEMA)
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    desc.write_text(text)
+    assert main(["verify", str(desc), "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["status"] == "pass"

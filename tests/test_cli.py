@@ -260,6 +260,10 @@ ZERO_1X1 = {"n_x": 1, "n_y": 1, "name": "zero", "params": {}, "table": "0"}
     pytest.param("gh,cds", ["and"], named_fn("xor", n=1).to_jsonable(),
                  "strategy routes some input to the wrong side",
                  {"inputs": [[0, 1], [1, 0], [1, 1]]}, id="gh,cds-xor"),
+    # entry a=0 (x=0, y=0) of qr7's table flipped: 0x97 -> 0x96. verify_dre
+    # sweeps a in 1..6 only, so the base check alone sees it
+    pytest.param("dre", ["qr", "--p", "7"], {"table": "96"},
+                 "encoding disagrees with the function", {"inputs": [[0, 0]]}, id="dre-a0"),
 ])
 def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args, fn,
                                                            error, witness):
@@ -275,20 +279,18 @@ def test_a_base_is_checked_against_the_descriptor_function(tmp_path, chain, args
     assert (report["status"], report["error"], report["witness"]) == ("fail", error, witness)
 
 
-NULL_ARTIFACTS = "descriptor rejected: argument of type 'NoneType' is not iterable"
+NULL_ARTIFACTS = "descriptor rejected: artifacts: must be dict"
 
 
 @pytest.mark.parametrize("chain,args,fn,error,witness", [
-    # entry a=0 (x=0, y=0) of qr7's table flipped: 0x97 -> 0x96. verify_dre
-    # sweeps a in 1..6 only, so the base check alone sees it
-    ("dre", ["qr", "--p", "7"], {"table": "96"},
-     "encoding disagrees with the function", {"inputs": [[0, 0]]}),
+    ("dre", ["qr", "--p", "7"], {"table": "96"}, NULL_ARTIFACTS,
+     NULL_ARTIFACTS.split(": ", 1)[1]),
     ("gh,cds", ["and"], {}, NULL_ARTIFACTS, NULL_ARTIFACTS.split(": ", 1)[1]),
     ("span,cds", ["and"], {}, NULL_ARTIFACTS, NULL_ARTIFACTS.split(": ", 1)[1]),
 ], ids=["dre-a0", "gh,cds", "span,cds"])
 def test_null_artifacts_do_not_pass_for_a_build(tmp_path, chain, args, fn, error, witness):
     # "artifacts": null in a descriptor is read, not taken for a build's
-    # missing descriptor: the base is still checked, or the null refused
+    # missing descriptor: the walk refuses it before any base is made
     desc, rep = tmp_path / "d.json", tmp_path / "r.json"
     assert main(["build", "--chain", chain, "--fn", *args, "--out", str(desc)]) == 0
     tampered = json.loads(desc.read_text())
@@ -352,10 +354,9 @@ def test_verify_unreadable_descriptor(tmp_path):
 
 
 def test_verify_wrong_format_file(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format": "something-else"}))
-    rep = tmp_path / "r.json"
-    assert main(["verify", str(bad), "--out", str(rep)]) == 1
+    assert _rejected(tmp_path, {"format": "something-else"}) == (
+        "descriptor rejected: format: must be 'cdslab-descriptor'")
+    assert _rejected(tmp_path, [1]) == "descriptor rejected: descriptor: must be dict"
 
 
 def test_chain_validation_exit_codes(tmp_path, capsys):
@@ -370,6 +371,17 @@ def test_chain_validation_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["build", "--chain", "gh,cds", *shape]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("table", ["1:1:0x8", "1:1:+8", "1:1:-0", "1_0:1:8", "01:1:8",
+                                   "1:1:F", "1: 1:8", "1:1:z", "1:one:8", "14:0:",
+                                   pytest.param("1" * 5000 + ":1:8", id="5000-digit-width")])
+def test_a_table_argument_has_one_spelling(capsys, table):
+    # --table reads its widths and hex by the rules of a descriptor's, so one
+    # function has one spelling: no prefix, sign, underscore, space, leading
+    # zero in a width or capital, and no width past int's digit limit
+    assert main(["build", "--chain", "gh,cds", "--table", table]) == 2
+    assert capsys.readouterr().err == "usage error: --table wants nx:ny:hex\n"
 
 
 def test_budget_exit_code(tmp_path):
@@ -819,29 +831,45 @@ def test_a_dre_base_of_no_qr_function_is_refused(tmp_path, capsys):
         "fail", "descriptor rejected: the dre base needs --fn qr")
 
 
-@pytest.mark.parametrize("path,value,error", [
-    (("version",), 2, "version 2 is not 1"),
-    (("version",), True, "version True is not 1"),
-    (("version",), 1.0, "version 1.0 is not 1"),
-    (("kind",), "psqm", "kind 'psqm' is not the chain's last stage"),
-    (("artifacts", "gh_strategy", "alice", "0", "tap"), True,
-     "pipes are numbered by ints, not True"),
-    (("artifacts", "gh_strategy", "bob", "1", "match"), [[1, 3.0]],
-     "pipes are numbered by ints, not 3.0"),
-    (("artifacts", "gh_strategy", "pipes"), True, "pipes are numbered by ints, not True")])
-def test_a_field_no_build_writes_is_a_rejected_descriptor(tmp_path, path, value, error):
-    # JSON's true and 1.0 equal 1, so a version, tap or pipe of either would
-    # pass for 1; and a kind other than the chain's last stage is no report's
-    desc = json.loads((Path(__file__).parent / "golden" / "gh_cds.desc.json").read_text())
-    node = desc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    file, rep = tmp_path / "d.json", tmp_path / "r.json"
-    file.write_text(json.dumps(desc))
-    assert main(["verify", str(file), "--out", str(rep)]) == 1
-    report = json.loads(rep.read_text())
-    assert (report["status"], report["error"]) == ("fail", f"descriptor rejected: {error}")
+@pytest.mark.parametrize("case,path,value,error", [
+    pytest.param("gh_cds", ("version",), 2, "version: must be 1",
+                 id="path0-2-version 2 is not 1"),
+    pytest.param("gh_cds", ("version",), True, "version: must be 1",
+                 id="path1-True-version True is not 1"),
+    pytest.param("gh_cds", ("version",), 1.0, "version: must be 1",
+                 id="path2-1.0-version 1.0 is not 1"),
+    pytest.param("gh_cds", ("kind",), "psqm", "kind 'psqm' is not the chain's last stage",
+                 id="path3-psqm-kind 'psqm' is not the chain's last stage"),
+    pytest.param("gh_cds", ("artifacts", "gh_strategy", "alice", "0", "tap"), True,
+                 "artifacts.gh_strategy.alice.0.tap: must be int",
+                 id="path4-True-pipes are numbered by ints, not True"),
+    pytest.param("gh_cds", ("artifacts", "gh_strategy", "bob", "1", "match"), [[1, 3.0]],
+                 "artifacts.gh_strategy.bob.1.match.0.1: must be int",
+                 id="path5-value5-pipes are numbered by ints, not 3.0"),
+    pytest.param("gh_cds", ("artifacts", "gh_strategy", "pipes"), True,
+                 "artifacts.gh_strategy.pipes: must be int",
+                 id="path6-True-pipes are numbered by ints, not True"),
+    ("gh_cds", ("fn", "n_x"), True, "fn.n_x: must be int"),
+    ("gh_cds", ("fn", "n_x"), 1.0, "fn.n_x: must be int"),
+    ("gh_cds", ("artifacts", "gh_strategy", "n_y"), "1", "artifacts.gh_strategy.n_y: must be int"),
+    ("gh_cds", ("fn", "name"), 5, "fn.name: must be str"),
+    ("dre_qr7", ("fn", "table"), "0x97", "fn.table: must match [0-9a-f]+"),
+    ("dre_qr7", ("fn", "table"), "9_7", "fn.table: must match [0-9a-f]+"),
+    ("dre_qr7", ("options", "p"), "x", "options.p: must be int"),
+    ("dre_qr7", ("options", "max_pipes"), "4", "options.max_pipes: must be int"),
+    ("dre_qr7", ("fn", "params", "p"), 7.0, "fn.params.p: must be int"),
+    ("dre_qr7", ("fn", "params", "n_bits"), "3", "fn.params.n_bits: must be int"),
+    ("span", ("artifacts", "span_program", "p"), "3", "artifacts.span_program.p: must be int"),
+    ("span", ("artifacts", "span_program", "p"), True, "artifacts.span_program.p: must be int"),
+    ("span", ("options", "variant"), "bogus", "options.variant: must be 'comm' or 'rand'"),
+    ("psm_cds_index", ("fn", "params", "n_x"), "1", "fn.params.n_x: must be int")])
+def test_a_field_no_build_writes_is_a_rejected_descriptor(tmp_path, case, path, value, error):
+    # JSON's true and 1.0 equal 1 and "1" reads as 1, so a width, pipe or
+    # option of either would pass for 1; a table of another spelling would
+    # name another function; and a kind other than the chain's last stage is
+    # no report's
+    desc = json.loads((Path(__file__).parent / "golden" / f"{case}.desc.json").read_text())
+    assert _rejected(tmp_path, _edited(desc, path, value)) == f"descriptor rejected: {error}"
 
 
 def test_qr11_pad_route_builds(tmp_path):
@@ -1191,11 +1219,11 @@ def test_a_table_value_wider_than_its_widths_is_refused(tmp_path, capsys):
     report = json.loads(rep.read_text())
     assert report["status"] == "fail"
     assert report["error"] == "descriptor rejected: table value wider than 2^(nx+ny) bits"
-    for table in ("1:1:1f", "1:1:-8"):   # a negative value has infinitely many bits
+    for table, error in (("1:1:1f", "table value wider than 2^(nx+ny) bits"),
+                         ("1:1:-8", "--table wants nx:ny:hex")):   # a sign is no hex digit
         capsys.readouterr()
         assert main(["build", "--chain", "gh,cds", "--table", table]) == 2
-        assert capsys.readouterr().err == (
-            "usage error: table value wider than 2^(nx+ny) bits\n")
+        assert capsys.readouterr().err == f"usage error: {error}\n"
 
 
 def _wide_span_descriptor(tmp_path, width: int) -> Path:
@@ -1484,29 +1512,44 @@ def _fields(obj, path=()):
         yield from _fields(value, path + (key,))
 
 
-@pytest.mark.parametrize("case", ["gh_cds", "gh_frouting"])
+GOLDEN_DESCRIPTORS = sorted(path.name.split(".")[0] for path in
+                            (Path(__file__).parent / "golden").glob("*.desc.json"))
+
+
+def _edited(desc: dict, path: tuple, value) -> dict:
+    """A copy of ``desc`` with the field at ``path`` set to ``value``."""
+    edited = json.loads(json.dumps(desc))
+    node = edited
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return edited
+
+
+def _rejected(tmp_path, desc) -> str:
+    """The error of a verify of ``desc``, which must exit 1 with a report."""
+    file, rep = tmp_path / "d.json", tmp_path / "r.json"
+    file.write_text(json.dumps(desc))
+    rep.unlink(missing_ok=True)
+    assert main(["verify", str(file), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert report["status"] == "fail"
+    return report["error"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_DESCRIPTORS)
 def test_a_field_of_another_json_type_ends_with_a_report(tmp_path, capsys, case):
     # every field of a golden descriptor, set to a value of each other JSON
-    # type: the verify passes, fails or stops on budget with a report, and
-    # never raises; a strategy side that is no map is a rejected descriptor
+    # type, and an unknown key put in each of its objects: the verify exits 1
+    # with a report naming that field, before anything is charged or built
     golden = json.loads((Path(__file__).parent / "golden" / f"{case}.desc.json").read_text())
-    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
-    for path, old in list(_fields(golden)):
+    for path, old in _fields(golden):
         for value in _JSON_VALUES:
-            if type(value) is type(old):
-                continue
-            mutated = json.loads(json.dumps(golden))
-            node = mutated
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            desc.write_text(json.dumps(mutated))
-            rep.unlink(missing_ok=True)
-            code = main(["verify", str(desc), "--out", str(rep)])
-            report = json.loads(rep.read_text())
-            assert code in (0, 1, 2, 3) and (report["status"] == "pass") == (code == 0), (
-                path, value, code)
-            if path[-2:] in (("gh_strategy", "alice"), ("gh_strategy", "bob")):
-                assert (code, report["error"]) == (
-                    1, "descriptor rejected: alice and bob must map inputs to entries"), value
+            if type(value) is not type(old):
+                assert _rejected(tmp_path, _edited(golden, path, value)).startswith(
+                    f"descriptor rejected: {'.'.join(map(str, path))}: "), (path, value)
+    for path in [()] + [path for path, old in _fields(golden) if isinstance(old, dict)]:
+        where = ".".join(map(str, (*path, "unknown")))
+        assert _rejected(tmp_path, _edited(golden, (*path, "unknown"), 0)) == (
+            f"descriptor rejected: {where}: unknown field"), path
     capsys.readouterr()

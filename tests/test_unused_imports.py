@@ -874,3 +874,56 @@ def test_the_check_sees_a_constant_only_tests_read():
     test = ast.parse("from m import H\nassert H\n")
     assert _unread_in({"m": module}, [module, program]) == {"m": ["H"]}
     assert _unread_in({"m": module}, [module, program, test]) == {}
+
+
+# the modules whose dict codecs read a descriptor's fields, which the CLI's
+# SCHEMA has typed before any codec runs
+CODECS = ("boolfn", "gardenhose", "algebra")
+
+
+def _codec_type_checks(tree) -> list:
+    """Lines where a ``from_jsonable`` in ``tree`` calls ``isinstance`` or ``type``,
+    or ``int`` on anything but a base-16 string or a key a comprehension binds
+    from ``.items()``."""
+    lines = []
+    for codec in ast.walk(tree):
+        if not (isinstance(codec, ast.FunctionDef) and codec.name == "from_jsonable"):
+            continue
+        keys = {gen.target.elts[0].id for node in ast.walk(codec)
+                for gen in getattr(node, "generators", ())
+                if isinstance(gen.target, ast.Tuple) and isinstance(gen.target.elts[0], ast.Name)
+                and isinstance(gen.iter, ast.Call)
+                and getattr(gen.iter.func, "attr", "") == "items"}
+        for call in ast.walk(codec):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                continue
+            args = call.args
+            hex_or_key = (len(args) == 2 and isinstance(args[1], ast.Constant)
+                          and args[1].value == 16) or (
+                len(args) == 1 and isinstance(args[0], ast.Name) and args[0].id in keys)
+            if call.func.id in ("isinstance", "type") or call.func.id == "int" and not hex_or_key:
+                lines.append(call.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", CODECS)
+def test_codecs_only_convert_what_the_schema_typed(module):
+    # the CLI's SCHEMA is the one place a descriptor's JSON types are known:
+    # a codec converts hex and decimal keys to ints and lists to tuples
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "from_jsonable"
+               for node in ast.walk(tree)), module
+    assert _codec_type_checks(tree) == [], module
+
+
+def test_the_check_sees_a_type_check_in_a_codec():
+    codec = ("class C:\n    @staticmethod\n    def from_jsonable(obj):\n"
+             "        side = {int(x): v for x, v in obj['side'].items()}\n"
+             "        return C(int(obj['table'], 16), side, {len(v) for v in obj['rows']})\n")
+    assert _codec_type_checks(ast.parse(codec)) == []
+    for planted in ("int(obj['n_x'])", "isinstance(obj['side'], dict)", "type(obj['p'])",
+                    "int(obj['table'])", "int(v)"):
+        tree = ast.parse(codec.replace("len(v)", planted))
+        assert _codec_type_checks(tree) == [5], planted
+    other = ast.parse("def to_jsonable(obj):\n    return int(obj['n_x'])\n")
+    assert _codec_type_checks(other) == []
