@@ -12,8 +12,8 @@ from cdslab.ghsearch import gh_search
 from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, frouting_from_cdqs
 from cdslab.protocols import cds_from_gh
-from cdslab.quantum import worst_fidelity
 from cdslab.qverifiers import verify_cdqs, verify_frouting
+from cdslab.spectra import worst_fidelity
 
 and1 = named_fn("and", n=1)
 

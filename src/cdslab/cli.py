@@ -24,9 +24,11 @@ A request loads only the modules its stages run: ``families`` for ``--fn``
 or a ``dre`` verify, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
 ``algebra`` and ``zp`` for ``span``, ``protocols`` for a ``psm`` base, and
 to verify ``protocols`` for a classical stage, ``nlqc`` for a quantum one
-(``padroutes`` for a pad route), ``quantum`` at a run, and ``verifiers``
-(with ``fractions``) or ``qverifiers``; ``csv`` only for a CSV report. No
-request loads ``toolkit``, numpy or argparse.
+(``padroutes`` for a pad route), ``frames`` for a CDQS or an f-routing
+(``spectra`` for a pad route's left side), and ``verifiers`` (with
+``fractions``) or ``qverifiers``; ``csv`` only for a CSV report. No request
+loads the dense ``quantum``, ``toolkit``, numpy or argparse: quantum figures
+are exact.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .boolfn import BoolFn, all_functions, from_packed, literal_input
-from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, budget,
-                     charge, count_text)
+from .errors import (DEFAULT_BUDGET, BudgetError, DomainError, ValidationError, VerifyFailure,
+                     budget, charge, count_text, refuse)
 
 if TYPE_CHECKING:
     from .algebra import SpanProgram
@@ -88,14 +90,6 @@ DESCRIPTOR_FORMAT = "cdslab-descriptor"
 REPORT_FORMAT = "cdslab-report"
 
 
-class VerifyFailure(Exception):
-    """Verification failed; carries a jsonable witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 # -- argument handling ---------------------------------------------------------
 
 
@@ -128,7 +122,8 @@ OPTIONS = {  # command -> {option: (type or choices, default, help)}; default ..
         "--format": (("csv", "json"), "csv", "table format")},
 }
 
-_DEC, _HEX = re.compile("0|[1-9][0-9]*"), re.compile("[0-9a-f]+")   # a width or key, a table
+# a width or input key, below 10^19 as every width and key of a table is, and a table
+_DEC, _HEX = re.compile("0|[1-9][0-9]{0,18}"), re.compile("[0-9a-f]+")
 SCHEMA = {  # descriptor field -> its JSON rule; artifacts and params may omit fields
     "format": (DESCRIPTOR_FORMAT,), "version": (1,), "chain": [str], "kind": str,
     "fn": {"n_x": int, "n_y": int, "table": _HEX, "name": str, "params": {
@@ -145,11 +140,11 @@ def _walk(value, rule, path=()) -> None:
     """Refuse ``value`` unless it is what ``rule`` states, naming the first field that
     is not: ``fn.n_x: must be int``. A rule is int, str, choices, a str pattern, [rule]
     a list, [rule, rule] a pair, {pattern: rule} a map, or {field: rule} an object."""
-    def refuse(text, *key):
+    def reject(text, *key):
         raise ValidationError(f"{'.'.join(path + key) or 'descriptor'}: {text}")
     kind = rule if type(rule) is type else type(rule)
     if kind in (int, str, dict, list) and type(value) is not kind:   # a bool is no int
-        refuse(f"must be {kind.__name__}")
+        reject(f"must be {kind.__name__}")
     if kind is dict:
         if isinstance(keys := next(iter(rule)), re.Pattern):
             rule = dict.fromkeys(filter(keys.fullmatch, value), rule[keys])
@@ -157,16 +152,16 @@ def _walk(value, rule, path=()) -> None:
             if key in value and key in rule:
                 _walk(value[key], rule[key], path + (key,))
             elif key in value or path[-1:] not in (("artifacts",), ("params",)):
-                refuse("unknown field" if key in value else "missing", key)
+                reject("unknown field" if key in value else "missing", key)
     elif kind is list:
         if len(rule) > 1 and len(value) != len(rule):
-            refuse(f"must be a list of {len(rule)}")
+            reject(f"must be a list of {len(rule)}")
         for i, item in enumerate(value):
             _walk(item, rule[i % len(rule)], path + (str(i),))
     elif kind is tuple and (type(value), value) not in [(type(c), c) for c in rule]:
-        refuse("must be " + " or ".join(map(repr, rule)))   # true and 1.0 are no 1
+        reject("must be " + " or ".join(map(repr, rule)))   # true and 1.0 are no 1
     elif kind is re.Pattern and not (type(value) is str and rule.fullmatch(value)):
-        refuse(f"must match {rule.pattern}")
+        reject(f"must match {rule.pattern}")
 
 
 def _help(commands) -> str:
@@ -244,10 +239,9 @@ def _charge_table(n_x: int, n_y: int) -> None:
 def _parse_fn(args) -> BoolFn:
     if args.table:   # read by the rules of a descriptor's widths and table
         shape = re.fullmatch(f"({_DEC.pattern}):({_DEC.pattern}):({_HEX.pattern})", args.table)
-        try:
-            n_x, n_y, hex_table = int(shape[1]), int(shape[2]), shape[3]
-        except (TypeError, ValueError):   # no match, or a width past int's digit limit
-            raise ValidationError("--table wants nx:ny:hex") from None
+        if shape is None:
+            raise ValidationError("--table wants nx:ny:hex")
+        n_x, n_y, hex_table = int(shape[1]), int(shape[2]), shape[3]
         _charge_table(n_x, n_y)
         return from_packed(n_x, n_y, int(hex_table, 16), name=f"t{hex_table}")
     if not args.fn:
@@ -297,12 +291,6 @@ def _check_chain(tokens) -> None:
         raise ValidationError("need a protocol exposing its pad key")
 
 
-def _refuse(message: str, bad: list) -> None:
-    """Fail on inputs ``bad`` that a base artifact gets wrong."""
-    if bad:
-        raise VerifyFailure(message, witness={"inputs": list(map(list, bad))})
-
-
 def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
     """The base object of a chain ``_check_chain`` accepted, made from ``f`` or read.
 
@@ -310,14 +298,15 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
     ``dre`` base nothing: a searched strategy checks itself. A verify passes
     the descriptor it read and checks against ``f`` what that states, an
     embedded strategy, a span program and the qr encoding; a strategy it
-    searches or makes is trusted."""
+    searches or makes is trusted. An embedded strategy is traced once: by its
+    chain's compile edge, which refuses it as ``gh_routes`` does, else here."""
     embedded = {} if desc is None else desc["artifacts"]
     if token == "gh":
         gardenhose = _layer("gardenhose")
         if ARTIFACTS["gh"] in embedded:
             strategy = gardenhose.GhStrategy.from_jsonable(embedded[ARTIFACTS["gh"]])
-            _refuse("strategy routes some input to the wrong side",
-                    gardenhose.gh_trace(strategy, f)[1])
+            if len(desc["chain"]) == 1:
+                gardenhose.gh_routes(strategy, f)
             return strategy
         ghsearch = _layer("ghsearch")
         return ghsearch.gh_search(f, opts["max_pipes"]) or ghsearch.gh_generic(f)
@@ -329,9 +318,9 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
         else:
             program = _span_for(f, opts["p"])
         if desc is not None:
-            _refuse("span program disagrees with the function",
-                    [(x, y) for (x, y) in f.inputs()
-                     if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
+            refuse("span program disagrees with the function",
+                   [(x, y) for (x, y) in f.inputs()
+                    if algebra.sp_eval(program, literal_input(f, x, y)) != f.eval(x, y)])
         return program
     if token == "dre":
         if desc is None:
@@ -339,7 +328,7 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
                 raise ValidationError("the dre base needs --fn qr")
             return None
         dre = _layer("protocols").dre_qr(f)
-        _refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
+        refuse("encoding disagrees with the function", _layer("families").qr_mismatches(f))
         return dre
     return _layer("protocols").psm_generic_table(f)   # psm
 

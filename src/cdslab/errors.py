@@ -1,8 +1,9 @@
 """Shared exception types, the one budget ledger, and the bases every record shares.
 
-Three failure categories are kept apart so callers (and the CLI exit codes)
-can distinguish them: malformed objects, out-of-range inputs, and enumeration
-or register budgets being exceeded. ``with budget(limit):`` sets a request's
+Four failure categories are kept apart so callers (and the CLI exit codes)
+can distinguish them: malformed objects, out-of-range inputs, enumeration
+or register budgets being exceeded, and an artifact that gets some inputs
+wrong, named as its witness. ``with budget(limit):`` sets a request's
 one budget, else ``DEFAULT_BUDGET``; every stop is a ``charge`` against it:
 "{space}: {count} exceed budget {limit}". The quantum records subclass
 ``InputDomain`` and ``Worst`` here without loading the classical protocols.
@@ -38,6 +39,20 @@ class ValidationError(ValueError):
 
 class DomainError(ValueError):
     """An input lies outside the domain an object is defined on."""
+
+
+class VerifyFailure(Exception):
+    """Verification failed; carries a jsonable witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def refuse(message: str, bad: list) -> None:
+    """Fail on inputs ``bad`` that an artifact gets wrong, naming them."""
+    if bad:
+        raise VerifyFailure(message, witness={"inputs": list(map(list, bad))})
 
 
 _EXACT_BITS = 256

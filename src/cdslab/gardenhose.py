@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .boolfn import BoolFn
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, refuse
 
 LEFT = "left"
 RIGHT = "right"
@@ -51,10 +51,11 @@ class GhStrategy:
         if self.pipes < 1:
             raise ValidationError("need at least one pipe")
         valid = set(range(1, self.pipes + 1))
-        if set(self.alice) != set(range(1 << self.n_x)):
-            raise ValidationError("alice must cover every x")
-        if set(self.bob) != set(range(1 << self.n_y)):
-            raise ValidationError("bob must cover every y")
+        for side, name, inputs, width in (("alice", "x", alice, n_x), ("bob", "y", bob, n_y)):
+            # the count first: a width past the inputs' count makes no range
+            if not (0 <= width < len(inputs).bit_length() and len(inputs) == 1 << width
+                    and set(inputs) == set(range(len(inputs)))):
+                raise ValidationError(f"{side} must cover every {name}")
         for x, (tap, matching) in self.alice.items():
             if tap not in valid:
                 raise ValidationError(f"tap {tap} outside 1..{self.pipes}")
@@ -149,6 +150,14 @@ def gh_trace(strategy: GhStrategy, f: BoolFn) -> tuple:
         raise ValidationError("strategy and function input widths differ")
     outcomes = {(x, y): gh_eval(strategy, x, y) for (x, y) in f.inputs()}
     return outcomes, [xy for xy, o in outcomes.items() if (o.side == RIGHT) != (f.eval(*xy) == 1)]
+
+
+def gh_routes(strategy: GhStrategy, f: BoolFn) -> dict:
+    """``gh_trace``'s outcomes of a strategy that computes f; one that routes
+    some input to the wrong side fails verification, naming those inputs."""
+    outcomes, misrouted = gh_trace(strategy, f)
+    refuse("strategy routes some input to the wrong side", misrouted)
+    return outcomes
 
 
 def _spill_rows(m, choices, matchings) -> list:

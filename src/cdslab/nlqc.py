@@ -5,20 +5,20 @@ CDS), one-round routing of a qubit to the side named by a boolean function,
 and simultaneous-message computation, whose one compiled instance sends a
 classical PSM's messages and carries no qubit. A disclosure or routing run
 is never sampled: ``run(x, y, carrier)``, the qubit in the carrier's
-register "Q", returns its classical branches as (probability, transcript,
-residual state) triples, so verifiers can compute exact figures of merit. A CDQS and an f-routing state one delivery by the same three
-fields: ``run``, ``msg_regs``, the registers the right side (a CDQS's
-referee) holds after a run, which may leave out registers in product with
-the rest of the state, and ``recover``, which undoes the frame at the
-register where the qubit lands; either compiles to the other by passing
-them through. Garden-hose routes, here with their conversion to a CDQS,
-return one branch per Pauli-frame class: teleporting through fresh EPR
-links, the transcripts of a class leave the routed qubit in one state up to
-a phase, and each link enters the state only when the water path reaches
-it. They read the water trace from ``gardenhose`` at call time, and load
-neither the pad routes (``padroutes``) nor any classical protocol.
-``quantum`` is imported at a protocol's first run, recovery or
-verification.
+register "Q", returns its classical branches as (integer weight,
+transcript, Pauli frame) triples, the weights out of the record's
+``denom``, so verifiers compute exact figures of merit. A CDQS and an
+f-routing state one delivery by the same fields: ``run``, ``denom``,
+``msg_regs``, the registers the right side (a CDQS's referee) holds after a
+run, which may leave out registers in product with the rest of the state,
+and ``recover``, which undoes the frame at the register where the qubit
+lands; either compiles to the other by passing them through. Garden-hose
+routes, here with their conversion to a CDQS, return one branch per
+Pauli-frame class: teleporting through fresh EPR links, the transcripts of a
+class leave the routed qubit under one frame. They read the water trace
+from ``gardenhose`` at call time, and load neither the pad routes
+(``padroutes``) nor any classical protocol. The frame kernel, ``frames``,
+is imported when a route is compiled; no record reads the dense statevector.
 """
 
 from __future__ import annotations
@@ -26,26 +26,24 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .boolfn import BoolFn
-from .errors import InputDomain, LazySpace, ValidationError
+from .errors import InputDomain, LazySpace
 
 if TYPE_CHECKING:
     from .gardenhose import GhStrategy
-    from .quantum import PureState
-
-KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 class RunBranch(NamedTuple):
     """One classical branch of a protocol run, or a class of ``count`` branches.
 
-    A class branch carries its first member as ``transcript`` and the
-    members' summed probability; branch counts use ``count``, and the
-    verifiers' branch budget charges the class branch once.
+    ``weight`` is an integer out of the record's ``denom`` and ``state`` a
+    ``frames`` state. A class branch carries its first member as
+    ``transcript`` and the members' summed weight; branch counts use
+    ``count``, and the verifiers' branch budget charges the class branch
+    once.
     """
 
-    prob: float
+    weight: int
     transcript: tuple
-    state: PureState
+    state: tuple
     count: int = 1
 
 
@@ -54,18 +52,19 @@ class CdqsProtocol(InputDomain):
 
     The referee receives the registers named by ``msg_regs`` plus the
     transcript; ``recover`` must restore the secret into ``out_reg`` when
-    f(x, y) = 1. A pad-and-disclose protocol also exposes its pad key:
-    ``key_classes(x, y)`` gives the transcript classes with their weights
-    under each key.
+    f(x, y) = 1. Every run's branch weights add up to ``denom``. A
+    pad-and-disclose protocol also exposes its pad key: ``key_classes(x, y)``
+    gives the transcript classes with their weights under each key.
     """
 
-    def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
-                 out_reg: Callable, key_classes: Optional[Callable] = None,
+    def __init__(self, f: BoolFn, run: Callable, denom: int, msg_regs: Callable,
+                 recover: Callable, out_reg: Callable, key_classes: Optional[Callable] = None,
                  domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier) -> [RunBranch]
+        self.denom = denom                # what a run's branch weights add up to
         self.msg_regs = msg_regs          # (x, y) -> tuple of register names
-        self.recover = recover            # (x, y, transcript, state) -> PureState
+        self.recover = recover            # (x, y, transcript, state) -> state
         self.out_reg = out_reg            # (x, y) -> register name
         self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
         super().__init__(domain, resources)
@@ -78,18 +77,19 @@ class FRoutingProtocol(InputDomain):
     register where the qubit lands, which ``recover`` corrects; ``msg_regs``
     names the registers the right side holds. Protocols whose left side
     reconstructs the qubit by local decoding instead of holding a branch
-    register supply ``left_output``: the 2x2 density matrix the left side
-    reconstructs from an input qubit of unit amplitudes psi, linear in
-    |psi><psi|.
+    register supply ``left_output``: the 2x2 matrix the left side
+    reconstructs from an input qubit of amplitudes psi, linear in
+    |psi><psi|. Every run's branch weights add up to ``denom``.
     """
 
-    def __init__(self, f: BoolFn, run: Callable, msg_regs: Callable, recover: Callable,
-                 exit_info: Callable, left_output: Optional[Callable] = None,
+    def __init__(self, f: BoolFn, run: Callable, denom: int, msg_regs: Callable,
+                 recover: Callable, exit_info: Callable, left_output: Optional[Callable] = None,
                  domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier) -> [RunBranch]
+        self.denom = denom                # what a run's branch weights add up to
         self.msg_regs = msg_regs          # (x, y) -> tuple of register names
-        self.recover = recover            # (x, y, transcript, state) -> PureState
+        self.recover = recover            # (x, y, transcript, state) -> state
         self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
         self.left_output = left_output    # (x, y, psi_vec) -> 2x2 matrix
         super().__init__(domain, resources)
@@ -116,19 +116,17 @@ class PsqmProtocol(InputDomain):
 # -- garden-hose route ---------------------------------------------------------
 
 
-def pauli_frame(outcomes) -> list:
-    """Correction undoing a chain of teleportation byproducts.
+def pauli_frame(outcomes) -> tuple:
+    """The net frame (A, B) of a chain of teleportation byproducts.
 
-    Outcome (a, b) at step t means X^a Z^b hit the carried state; later steps
-    act on the already-twisted state, so the net twist is the ordered product
-    and the correction is its adjoint.
+    Outcome (a, b) at a step means X^a Z^b hit the carried qubit. Up to a
+    phase the ordered product is X^A Z^B, A and B the parities of the a's
+    and of the b's, and XORing the frame with it undoes it.
     """
-    from . import quantum
-    I2, X, Z = quantum.I2, quantum.X, quantum.Z
-    net = I2
+    A = B = 0
     for (a, b) in outcomes:
-        net = quantum.matmul(quantum.matmul(X if a else I2, Z if b else I2), net)
-    return quantum.dagger(net)
+        A, B = A ^ a, B ^ b
+    return A, B
 
 
 def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
@@ -147,52 +145,44 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     and B the parities of the a's and of the b's, into four classes of
     4^(h-1) members whose states agree up to a global phase. Class (A, B)
     is represented by its first transcript, (0, 0) at every hop but the last
-    and (A, B) there, with probability 1/4 and its raw count.
+    and (A, B) there, with weight 1 out of 4 and its raw count.
 
-    A run starts from the carrier alone, and the hop that measures a link
-    makes it and tensors it in, so a hop acts on at most four qubits: the
-    reference, the carried qubit and a link. Compiling makes no link, links
+    A run starts from the carrier's frame and moves it one hop at a time, so
+    compiling makes no link and a run holds no state beyond the frame. Links
     off the water path are never made, and ``msg_regs`` names the exit
     register when the water spills right, else none: an EPR pair no
     operation touched tensors every referee view block by the same
     trace-one operator, so leaving it out changes no trace norm. ``recover``
-    undoes the transcript's Pauli frame at the exit register. ``gh_trace``
-    checks the strategy, widths included.
+    undoes the transcript's Pauli frame. ``gh_routes`` checks the strategy,
+    widths included, and traces each input once.
     """
-    from .gardenhose import RIGHT, gh_trace
+    from . import frames
+    from .gardenhose import RIGHT, gh_routes
 
     m = strategy.pipes
-    outcomes, misrouted = gh_trace(strategy, f)
-    if misrouted:
-        raise ValidationError("strategy does not compute f")
 
     def plan_for(outcome):
-        plan = [("Q", f"L{outcome.path[0][0]}", ("alice", 0, outcome.path[0][0]))]
+        """(hops, side, exit register): a hop is (the measured pair, the far
+        half of the link it measures, its broadcast label)."""
+        tap = outcome.path[0][0]
+        hops = [(("Q", f"L{tap}"), f"R{tap}", ("alice", 0, tap))]
         for (prev, cur) in zip(outcome.path, outcome.path[1:]):
-            if cur[1] == "rl":
-                plan.append((f"R{prev[0]}", f"R{cur[0]}",
-                             ("bob", prev[0], cur[0])))
-            else:
-                plan.append((f"L{prev[0]}", f"L{cur[0]}",
-                             ("alice", prev[0], cur[0])))
-        last_pipe, last_dir = outcome.path[-1]
-        exit_reg = (f"R{last_pipe}" if last_dir == "lr" else f"L{last_pipe}")
-        return plan, outcome.side, exit_reg
+            near, far, party = ("R", "L", "bob") if cur[1] == "rl" else ("L", "R", "alice")
+            hops.append(((f"{near}{prev[0]}", f"{near}{cur[0]}"), f"{far}{cur[0]}",
+                         (party, prev[0], cur[0])))
+        return hops, outcome.side, hops[-1][1]
 
-    plans = {xy: plan_for(outcome) for xy, outcome in outcomes.items()}
+    plans = {xy: plan_for(outcome) for xy, outcome in gh_routes(strategy, f).items()}
 
     def run(x, y, carrier):
-        from . import quantum
-        plan = plans[(x, y)][0]
+        hops = plans[(x, y)][0]
         state = carrier
-        for reg_a, reg_b, desc in plan:
-            # a hop's label ends in the pipe whose link it measures half of
-            link = quantum.epr_pairs([(f"L{desc[2]}", f"R{desc[2]}")])
-            outcomes = state.tensor(link).bell_measure(reg_a, reg_b)
-            state = next(st for ab, _, st in outcomes if ab == (0, 0))
-        first = tuple((desc, (0, 0)) for (_, _, desc) in plan[:-1])
-        return [RunBranch(0.25, first + ((plan[-1][2], ab),), st, 4 ** len(first))
-                for ab, _, st in outcomes]
+        for pair, far, _ in hops:
+            outcomes = frames.hop(state, pair, far)
+            state = outcomes[0][1]   # outcome (0, 0)
+        first = tuple((desc, (0, 0)) for (_, _, desc) in hops[:-1])
+        return [RunBranch(1, first + ((hops[-1][2], ab),), st, 4 ** len(first))
+                for ab, st in outcomes]
 
     def exit_info(x, y):
         return plans[(x, y)][1:]
@@ -202,11 +192,11 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
         return (reg,) if side == RIGHT else ()
 
     def recover(x, y, transcript, state):
-        return state.apply(pauli_frame([ab for (_, ab) in transcript]), [exit_info(x, y)[1]])
+        return frames.xor(state, pauli_frame(ab for (_, ab) in transcript))
 
     resources = {"epr_pairs": m, "pipes": m,
                  "bound_epr_equals_pipes": True}
-    return FRoutingProtocol(f, run, msg_regs, recover, exit_info, resources=resources)
+    return FRoutingProtocol(f, run, 4, msg_regs, recover, exit_info, resources=resources)
 
 
 def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
@@ -217,5 +207,6 @@ def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
     exit register and the router's recovery restores it; when f = 0 it never
     crossed, so the forwarded registers are independent of the secret.
     """
-    return CdqsProtocol(R.f, R.run, R.msg_regs, R.recover, lambda x, y: R.exit_info(x, y)[1],
-                        domain=R.domain, resources=dict(R.resources))
+    return CdqsProtocol(R.f, R.run, R.denom, R.msg_regs, R.recover,
+                        lambda x, y: R.exit_info(x, y)[1], domain=R.domain,
+                        resources=dict(R.resources))

@@ -3,14 +3,16 @@
 Runs return one branch per pad key and transcript class: the transcripts of
 a class decode to the same key and have proportional likelihoods under
 every key, so the referee's view of each is a positive multiple of one
-operator and the class's representative, with the summed probability,
-stands for all ``count`` of them exactly. Message counts come from
-``protocols._sweep_kernel``, read at call time, and stay integers until a
-class's weights are divided once by the squared joint randomness; a PSQM
-is a classical PSM's messages, handed on as those counts. A pad CDQS's
-referee holds "Q", and its recovery is the only decode of a key; the route
-built on it passes its run, registers, recovery and resources through and
-adds only where the qubit exits and what the left side reconstructs.
+operator and the class's representative, with the summed weight, stands
+for all ``count`` of them exactly. Message counts come from
+``protocols._sweep_kernel``, read at call time, and stay integers: a
+class's weight under a key is a product of two runs' counts, out of the
+squared joint randomness, and a branch is a ``frames`` state, the carrier
+padded by its key. A PSQM is a classical PSM's messages, handed on as those
+counts. A pad CDQS's referee holds "Q", and its recovery is the only decode
+of a key; the route built on it passes its run, registers, recovery and
+resources through and adds only where the qubit exits and what the left
+side reconstructs.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import math
 from functools import cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import ValidationError, charge, space_size
-from .nlqc import KEYS, CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch
+from .errors import ValidationError, space_size
+from .nlqc import CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch
 
 if TYPE_CHECKING:
     from .boolfn import BoolFn
     from .protocols import CdsProtocol, PsmProtocol
-    from .quantum import PureState
 
 
 class TranscriptClass(NamedTuple):
@@ -84,33 +85,36 @@ def class_product(classes: list) -> list:
             for a in classes for b in classes]
 
 
-def _otp_left_output(classes: list, psi) -> list:
-    """The qubit Alice reconstructs from unit amplitudes psi, as a 2x2 matrix.
+def _otp_left_output(classes: list, psi, denom: int) -> list:
+    """The qubit Alice reconstructs from amplitudes psi, as a 2x2 matrix.
 
     ``classes`` are the transcript classes of the key disclosure on one
-    input, weighted by probability under each key. The message register
-    holds one basis vector per class: within a class the amplitudes
-    sqrt(P(m | key)) are proportional, so mapping the members' normalised
-    superposition to one basis vector is an isometry on the register, which
-    is traced out. The state has 3 + k qubits, k those of the register.
+    input, with integer weights under each key out of ``denom`` / 4. The
+    message register holds sqrt(weight) on one basis vector per class and
+    is traced out, so it enters only through the Gram matrix of its states
+    under two keys, B_st = sum_c sqrt(w_s(c) w_t(c)). Rotating the key
+    register through the pad-to-EPR basis and keeping its second qubit
+    leaves rho = sum_{s,t} B_st <P_t psi|P_s psi> P_s P_t^dagger / (2 denom),
+    P_s the phased pad of key s.
     """
-    from . import quantum
-    kq = max(1, math.ceil(math.log2(max(2, len(classes)))))
-    charge(3 + kq, "qubits per factor", quantum.MAX_QUBITS)
-    vec = [0j] * (1 << (3 + kq))
+    from .frames import KEYS, PADS
+
+    padded = {s: [row[0] * psi[0] + row[1] * psi[1] for row in PADS[s]] for s in KEYS}
+    rho = [[0j, 0j], [0j, 0j]]
     for s in KEYS:
-        padded = quantum.matmul(quantum.phased_pad(*s), psi)
-        base = ((s[0] << 1) | s[1]) << (1 + kq)
-        for i, c in enumerate(classes):
-            prob = c.weights.get(s)
-            if not prob:
+        for t in KEYS:
+            # equal weights, as a hidden key leaves them, keep their exact root
+            gram = sum(w[s] if w[s] == w[t] else math.sqrt(w[s]) * math.sqrt(w[t])
+                       for w in (c.weights for c in classes) if s in w and t in w)
+            if not gram:
                 continue
-            amp = 0.5 * math.sqrt(prob)
-            vec[base | i] += amp * padded[0]
-            vec[base | i | (1 << kq)] += amp * padded[1]
-    state = quantum.PureState((("A1", 1), ("A2", 1), ("Q", 1), ("M", kq)), vec)
-    state = state.apply(quantum.U_BELL, ["A1", "A2"])
-    return state.ptrace(["A2"])
+            inner = (padded[t][0].conjugate() * padded[s][0]
+                     + padded[t][1].conjugate() * padded[s][1]) * gram / (2 * denom)
+            for i in range(2):
+                for j in range(2):
+                    rho[i][j] += inner * (PADS[s][i][0] * PADS[t][j][0].conjugate()
+                                          + PADS[s][i][1] * PADS[t][j][1].conjugate())
+    return rho
 
 
 def _pad_run(classes_of: Callable) -> Callable:
@@ -118,28 +122,16 @@ def _pad_run(classes_of: Callable) -> Callable:
 
     The carrier is padded under each key; each transcript class of
     ``classes_of(x, y)`` with weight under that key is one branch, carrying
-    the class's representative, summed probability and member count.
+    the class's representative, summed weight and member count.
     """
+    from . import frames
+
     def run(x, y, carrier):
         classes = classes_of(x, y)
-        from . import quantum
-        branches = []
-        for s in KEYS:
-            padded = carrier.apply(quantum.phased_pad(*s), ["Q"])
-            for c in classes:
-                prob = c.weights.get(s)
-                if prob:
-                    branches.append(RunBranch(0.25 * prob, c.rep, padded, c.count))
-        return branches
+        return [RunBranch(c.weights[s], c.rep, frames.xor(carrier, s), c.count)
+                for s in frames.KEYS for c in classes if c.weights.get(s)]
 
     return run
-
-
-def _unpad(state: PureState, s) -> PureState:
-    """Undo pad key s on register "Q" by the Hermitian pad itself; a failed
-    decode passes the state through."""
-    from . import quantum
-    return state if s not in KEYS else state.apply(quantum.phased_pad(*s), ["Q"])
 
 
 def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
@@ -150,21 +142,24 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     independent run. ``bit_hists(x, y)`` maps a key-bit value to one run's
     integer transcript counts, and ``bit_of(x, y, t)`` decodes one run's
     transcript t to a bit. A transcript of the protocol is the pair of run
-    transcripts, and ``recover`` decodes it to the key and unpads "Q". Its
-    classes, the product of the per-run classes with weights divided by
-    ``denom``, are formed once per input and kept, since the quantum
-    verifiers ask again for every swept qubit state.
+    transcripts, and ``recover`` decodes it to the key and unpads "Q", the
+    carried qubit, by XORing the key into its frame; a failed decode passes
+    the state through. Its classes, the product of the per-run classes with
+    integer weights out of ``denom``, are formed once per input and kept,
+    since the quantum verifiers ask again for every swept qubit state; a
+    run's weights, one uniform key and a class, are out of 4 ``denom``.
     """
+    from . import frames
+
     @cache
     def key_classes(x, y):
-        classes = transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t))
-        return [c._replace(weights={s: w / denom for s, w in c.weights.items()})
-                for c in class_product(classes)]
+        return class_product(transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t)))
 
     def recover(x, y, transcript, state):
-        return _unpad(state, tuple(bit_of(x, y, t) for t in transcript))
+        key = tuple(bit_of(x, y, t) for t in transcript)
+        return frames.xor(state, key) if key in frames.KEYS else state
 
-    return CdqsProtocol(f, _pad_run(key_classes), lambda x, y: ("Q",), recover,
+    return CdqsProtocol(f, _pad_run(key_classes), 4 * denom, lambda x, y: ("Q",), recover,
                         lambda x, y: "Q", key_classes=key_classes, domain=domain,
                         resources=resources)
 
@@ -217,9 +212,9 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
         return (RIGHT, C.out_reg(x, y)) if C.f.eval(x, y) == 1 else (LEFT, None)
 
     def left_output(x, y, psi):
-        return _otp_left_output(C.key_classes(x, y), psi)
+        return _otp_left_output(C.key_classes(x, y), psi, C.denom)
 
-    return FRoutingProtocol(C.f, C.run, C.msg_regs, C.recover, exit_info,
+    return FRoutingProtocol(C.f, C.run, C.denom, C.msg_regs, C.recover, exit_info,
                             left_output=left_output, domain=C.domain,
                             resources=dict(C.resources))
 

@@ -266,14 +266,12 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     chased XOR is s plus that pipe's bit, not one value on a coset, so the
     decoder gives None there. The tap picks Alice's map but is not sent:
     ``sent`` drops it, so her alphabet counts what she sends, as each pipe's
-    label does. Compiling refuses a strategy ``gh_trace`` finds of other
+    label does. Compiling refuses a strategy ``gh_routes`` finds of other
     widths or misrouted, and the decoder reads its one trace per input.
     """
-    from .gardenhose import RIGHT, gh_trace
+    from .gardenhose import RIGHT, gh_routes
 
-    outcomes, misrouted = gh_trace(strategy, f)
-    if misrouted:
-        raise ValidationError("strategy does not compute f")
+    outcomes = gh_routes(strategy, f)
     m = strategy.pipes
 
     def pairs(matching):
@@ -576,6 +574,8 @@ def dre_qr(f: BoolFn) -> Dre:
 
     if "p" not in f.params:
         raise ValidationError("the dre base needs --fn qr")
+    if missing := {"n_bits", "alice_positions"} - set(f.params):
+        raise ValidationError(f"fn.params: a qr function names {', '.join(sorted(missing))}")
     p, n, alice = f.params["p"], f.params["n_bits"], f.params["alice_positions"]
     # the widths n and the positions imply, before anything is sized by n or p
     if (len(alice), n - len(alice)) != (f.n_x, f.n_y):

@@ -1,32 +1,28 @@
-"""Statevector toolkit with named registers, on the standard library.
+"""Dense statevector reference with named registers, on the standard library.
 
-States carry an ordered tuple of (register name, qubit count) and an
-amplitude vector, a list of ``complex``; operators are sequences of rows
-(functions return lists, the module's constants are tuples). Every
-operation addresses qubits as (register, index) or a bare register name
-meaning all of its qubits, most significant first, and works by index
-arithmetic: qubit q of an n-qubit state is bit n - 1 - q of an amplitude's
-index. Inputs may be any nested sequence of numbers, numpy arrays included;
-a state or operator reads them into Python ``complex`` once. The register
-budget, ``MAX_QUBITS``, caps every state and is checked before ``tensor``
-allocates, so protocol bugs fail fast instead of allocating huge vectors; a
-dense state is one factor, so its budget stops name the space "qubits per
-factor".
+No request loads this module: the quantum verifiers run on Pauli frames
+(``frames``), exactly. Demos, ``toolkit``, the tests' dense references and
+the benchmark's tracer read it. States carry an ordered tuple of (register
+name, qubit count) and an amplitude vector, a list of ``complex``; operators
+are sequences of rows (functions return lists, the module's constants are
+tuples). Every operation addresses qubits as (register, index) or a bare
+register name meaning all of its qubits, most significant first, and works
+by index arithmetic: qubit q of an n-qubit state is bit n - 1 - q of an
+amplitude's index. Inputs may be any nested sequence of numbers, numpy
+arrays included; a state or operator reads them into Python ``complex``
+once. The register budget, ``MAX_QUBITS``, caps every state and is checked
+before ``tensor`` allocates, so a dense state is one factor and its budget
+stops name the space "qubits per factor".
 
 Measurement never samples: ``bell_measure`` returns every outcome branch
 with its exact probability, and ``ptrace`` returns a reduced density
-operator as a list of rows. The protocol verifiers read a referee's
-classical-quantum view as a block stack, a list holding the t (d, d) blocks
-of a block-diagonal operator, one block per transcript; ``decoupling_gap``
-takes such stacks whole.
-``worst_fidelity`` gives a qubit map's exact worst fidelity over every pure
-input from its outputs on four inputs. Spectra come from the cyclic Jacobi
-method for Hermitian matrices (Golub and Van Loan, *Matrix Computations*,
-section 8.5).
+operator as a list of rows. A referee's classical-quantum view is a block
+stack, a list holding the t (d, d) blocks of a block-diagonal operator, one
+block per transcript; ``decoupling_gap`` takes such stacks whole, and its
+trace norms come from ``spectra``.
 
 Nothing here uses numpy. The seeded probe qubits, the Uhlmann fidelity,
-the trace distance, Choi states and the pad average, which only demos and
-tests call, live in ``toolkit``.
+the trace distance, Choi states and the pad average live in ``toolkit``.
 """
 
 from __future__ import annotations
@@ -34,12 +30,12 @@ from __future__ import annotations
 import math
 from itertools import product
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ValidationError, charge
+from .spectra import eigh
 
 MAX_QUBITS = 14
-_TOL = 1e-12
 _R2 = 1 / math.sqrt(2)
 
 
@@ -114,7 +110,6 @@ def overlap(rho, psi) -> float:
 
 I2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 X = ((0j, 1 + 0j), (1 + 0j, 0j))
-Y = ((0j, -1j), (1j, 0j))
 Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 PHI_PLUS = (_R2 + 0j, 0j, 0j, _R2 + 0j)
@@ -266,7 +261,7 @@ class PureState:
     def bell_measure(self, reg_a: str, reg_b: str) -> list:
         """Measure a qubit pair in the basis (I x X^a Z^b)|epr>.
 
-        Returns [((a, b), prob, post_state)] for each prob above ``_TOL``;
+        Returns [((a, b), prob, post_state)] for each nonzero prob;
         outcome (a, b) leaves the rest of the state as if X^a Z^b had hit the
         partner of a perfect EPR link, the teleportation correction convention.
         """
@@ -282,7 +277,7 @@ class PureState:
             o0, o1 = pair[r0], pair[r1]
             amp = [c0 * vec[base + o0] + c1 * vec[base + o1] for base in bases]
             p = sum(z.real * z.real + z.imag * z.imag for z in amp)
-            if p > _TOL:
+            if p:
                 root = math.sqrt(p)
                 out.append((ab, p, PureState(keep_regs, [z / root for z in amp])))
         return out
@@ -298,81 +293,8 @@ class PureState:
         return [[sum(map(mul, ri, cj)) for cj in conj] for ri in rows]
 
 
-# -- spectra -------------------------------------------------------------------
-
-
-def _jacobi(a: list, vectors: bool) -> tuple:
-    """Cyclic Jacobi diagonalisation of the Hermitian matrix ``a``, in place.
-
-    Each rotation zeroes one off-diagonal pair: a phase makes the pivot real
-    and a real rotation annihilates it, so the rotation on rows and columns
-    (p, q) is [[c, s e], [-s conj(e), c]] with e the pivot's phase. Sweeps
-    run row by row over p < q and stop after one that finds every
-    off-diagonal entry at most 2^-60 of the Frobenius norm. Returns
-    (diagonal, accumulated rotations or None).
-    """
-    n = len(a)
-    v = ([[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-         if vectors else None)
-    tiny = 2.0 ** -120 * sum(z.real * z.real + z.imag * z.imag for row in a for z in row)
-    rotated = True
-    while rotated:
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                g = abs(apq)
-                if g * g <= tiny:
-                    continue
-                rotated = True
-                e = apq / g
-                app, aqq = a[p][p].real, a[q][q].real
-                tau = (aqq - app) / (2 * g)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1 / math.sqrt(1 + t * t)
-                s = t * c
-                se = s * e
-                sec = se.conjugate()
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = nkp = c * akp - sec * akq
-                    a[k][q] = nkq = se * akp + c * akq
-                    a[p][k], a[q][k] = nkp.conjugate(), nkq.conjugate()
-                a[p][p], a[q][q] = complex(app - t * g), complex(aqq + t * g)
-                a[p][q] = a[q][p] = 0j
-                if v is not None:
-                    for row in v:
-                        vkp, vkq = row[p], row[q]
-                        row[p], row[q] = c * vkp - sec * vkq, se * vkp + c * vkq
-    return [a[i][i].real for i in range(n)], v
-
-
-def _hermitian(mat) -> list:
-    """(mat + mat^H) / 2, which is ``mat`` itself when it is Hermitian."""
-    m = _matrix(mat)
-    if any(len(row) != len(m) for row in m):
-        raise ValidationError("matrix is not square")
-    return [[(x + y.conjugate()) / 2 for x, y in zip(row, col)]
-            for row, col in zip(m, zip(*m))]
-
-
-def eigvalsh(mat) -> list:
-    """Eigenvalues, ascending, of the Hermitian part of ``mat``."""
-    return sorted(_jacobi(_hermitian(mat), False)[0])
-
-
-def eigh(mat) -> tuple:
-    """(eigenvalues ascending, matrix whose columns are the eigenvectors)
-    of the Hermitian part of ``mat``."""
-    vals, v = _jacobi(_hermitian(mat), True)
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    return [vals[i] for i in order], [[row[i] for i in order] for row in v]
-
-
 def _trace_norm(mat) -> float:
-    return sum(map(abs, eigvalsh(mat)))
+    return sum(map(abs, eigh(mat)[0]))
 
 
 # -- states and channels -------------------------------------------------------
@@ -387,54 +309,6 @@ def epr_pairs(pairs: Sequence) -> PureState:
     if state is None:
         raise ValidationError("need at least one pair")
     return state
-
-
-# |0>, |1>, |+> and |+i>: their density operators span a qubit's operators
-_SPANNING_QUBITS = ((1 + 0j, 0j), (0j, 1 + 0j), (_R2 + 0j, _R2 + 0j), (_R2 + 0j, 1j * _R2))
-
-
-def worst_fidelity(channel: Callable) -> float:
-    """min over every pure qubit psi of <psi| channel(psi) |psi>, exactly.
-
-    ``channel(psi)`` is the 2x2 image of |psi><psi| under a linear map Phi
-    that keeps operators Hermitian; psi has unit norm. Four inputs fix Phi:
-    |0> and |1> give Phi(I) and Phi(Z), and with them |+> and |+i> give
-    Phi(X) and Phi(Y). For psi with Bloch vector n, and n_0 = 1, the figure
-    is sum_ab n_a n_b M_ab with M_ab = tr(sigma_a Phi(sigma_b)) / 4, so the
-    worst case is the trust-region problem min over |n| = 1 of n.An + b.n,
-    A the symmetric part of M's Pauli block and b its first row plus first
-    column. For a channel with Bloch form (T, t) the figure is
-    (1 + n.(Tn + t)) / 2: A is the symmetric part of T / 2 and b = t / 2.
-
-    One sphere constraint leaves no duality gap, so the minimum is the
-    maximum over mu <= lambda_min(A) of g(mu) = mu - sum_i beta_i^2 /
-    (lambda_i - mu), with A = Q diag(lambda) Q^T and beta = Q^T b / 2. g is
-    concave and g' = 1 - sum_i beta_i^2 / (lambda_i - mu)^2 falls
-    monotonically, so bisection on g' finds the maximiser; every g(mu) is a
-    lower bound and 0 <= g' <= 1 at the bracket's left end, so the value
-    there is short of the minimum by at most the final bracket width. The
-    hard case, b with no component in A's lowest eigenspace, needs no
-    branch: g' stays positive up to lambda_min and the bracket closes on it.
-    """
-    r0, r1, rx, ry = (channel(psi) for psi in _SPANNING_QUBITS)
-    images = (weighted([(1, r0), (1, r1)]), weighted([(2, rx), (-1, r0), (-1, r1)]),
-              weighted([(2, ry), (-1, r0), (-1, r1)]), weighted([(1, r0), (-1, r1)]))
-    M = [[sum(s[i][j] * im[j][i] for i in range(2) for j in range(2)).real / 4
-          for im in images] for s in (I2, X, Y, Z)]
-    lams, Q = eigh([row[1:] for row in M[1:]])
-    # A is real symmetric, so Jacobi's rotations, and Q, are real
-    beta = [sum(Q[j][i].real * (M[0][j + 1] + M[j + 1][0]) for j in range(3)) / 2
-            for i in range(3)]
-    terms = [(lam, b * b) for lam, b in zip(lams, beta) if b]
-    lo = hi = lams[0]
-    lo -= math.sqrt(sum(b2 for _, b2 in terms))
-    while lo < (mu := (lo + hi) / 2) < hi:
-        if sum(b2 / (lam - mu) ** 2 for lam, b2 in terms) < 1:
-            lo = mu
-        else:
-            hi = mu
-    # lo reaches an eigenvalue only when |beta| vanished beside it in rounding
-    return M[0][0] + lo - sum(b2 / (lam - lo) for lam, b2 in terms if lam > lo)
 
 
 def decoupling_gap(J, d_ref: int, d_msg: int) -> float:

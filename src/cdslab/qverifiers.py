@@ -8,6 +8,11 @@
   its marginals;
 * a PSQM carries no qubit, so its views are message distributions, and
   ``verify_psm``'s exact sweep gives its figures.
+
+Runs are Pauli frames with integer weights (``frames``), so each figure is
+exact until it is written as a float, and a perfect protocol's figures are
+exact zeros that name no witness. Only a pad route's left side loads the
+eigen-solver, ``spectra``, for its worst fidelity over every pure input.
 """
 
 from __future__ import annotations
@@ -68,23 +73,12 @@ class _Sweep(Worst):
     walks, charged after each run, one per class branch; the per-input
     ``branches`` figures, and with them ``max_branches``, count by ``count``,
     the transcripts each class stands for.
-    Every figure counts toward its worst case, but only one above the
-    statevector layer's rounding floor, ``quantum._TOL``, names a witness: of
-    figures that are all rounding noise, which one is largest depends on the
-    order of floating-point operations, not on the protocol.
     """
 
     def __init__(self):
         super().__init__()
         self.total = 0
         self.per_input = {}
-
-    def worse(self, name: str, figure, witness) -> None:
-        from .quantum import _TOL
-        if figure > _TOL:
-            super().worse(name, figure, witness)
-        elif figure > self.worst.get(name, 0):
-            self.worst[name] = figure
 
     def run(self, run: Callable, *args) -> tuple:
         """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
@@ -104,44 +98,38 @@ class _Sweep(Worst):
                                    consistent, dict(resources), self.witnesses)
 
 
-def _choi_fidelity(branches, fix: Callable, out: str) -> float:
+def _choi_fidelity(branches, fix: Callable, out: str, denom: int) -> float:
     """Fidelity with |Phi+> of what the branches deliver to (R, ``out``).
 
-    ``fix(b)`` is branch b's state after the record's ``recover``. The
-    target is pure, so Uhlmann's fidelity is sqrt(<Phi+| rho |Phi+>), with
-    rho the branches' probability-weighted mixture, and needs no eigen-solve.
+    ``fix(b)`` is branch b's frame after the record's ``recover``. The four
+    frames on |Phi+> are the orthogonal Bell states, so the squared
+    fidelity, <Phi+| rho |Phi+> for the branches' weighted mixture rho, is
+    the weight of the branches whose frame is the identity, over ``denom``.
     """
-    from . import quantum
-    overlap = sum(b.prob * quantum.overlap(fix(b).ptrace(["R", out]), quantum.PHI_PLUS)
-                  for b in branches)
-    return min(1.0, math.sqrt(max(0.0, overlap)))
-
-
-def _view_blocks(branches, regs) -> dict:
-    """Referee view per transcript: the sum of prob * (state reduced to ``regs``)."""
-    terms = {}
-    for b in branches:
-        terms.setdefault(b.transcript, []).append((b.prob, b.state.ptrace(regs)))
-    from . import quantum
-    return {t: quantum.weighted(ts) for t, ts in terms.items()}
+    hit = 0
+    for br in branches:
+        reg, a, b = fix(br)
+        if reg != out:
+            raise ValidationError(f"the qubit is carried in {reg}, not in {out}")
+        if not a | b:
+            hit += br.weight
+    return min(1.0, math.sqrt(hit / denom))
 
 
 def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
-    from . import quantum
+    from . import frames
     sweep = _Sweep()
     for (x, y) in P.domain:
-        branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]))
+        branches, n = sweep.run(P.run, x, y, frames.CARRIER)
         if P.f.eval(x, y) == 1:
             F = _choi_fidelity(branches,
                                lambda b: P.recover(x, y, b.transcript, b.state),
-                               P.out_reg(x, y))
+                               P.out_reg(x, y), P.denom)
             sweep.record((x, y), {"f": 1, "fidelity": F, "branches": n},
                          "infidelity", 1 - F)
         else:
-            blocks = _view_blocks(branches, ("R",) + tuple(P.msg_regs(x, y)))
-            stack = list(blocks.values())
-            gap = quantum.decoupling_gap(stack, 2, len(stack[0]) // 2)
+            gap = frames.decoupling_gap(branches, P.msg_regs(x, y), P.denom)
             sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap)
     return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
@@ -151,10 +139,10 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
 
     Branch-register sides are checked through the Choi state. A side that
     reconstructs by local decoding reports its exact worst fidelity over
-    every pure input qubit, ``quantum.worst_fidelity`` of four runs of
+    every pure input qubit, ``spectra.worst_fidelity`` of four runs of
     ``left_output``.
     """
-    from . import quantum
+    from . import frames
     from .gardenhose import RIGHT
 
     sweep = _Sweep()
@@ -164,13 +152,14 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
         if (side == RIGHT) != (fx == 1):
             sweep.witnesses["side"] = (x, y)
         if reg is not None:
-            branches, n = sweep.run(P.run, x, y, quantum.epr_pairs([("R", "Q")]))
+            branches, n = sweep.run(P.run, x, y, frames.CARRIER)
             F = _choi_fidelity(branches, lambda b: P.recover(x, y, b.transcript, b.state),
-                               reg)
+                               reg, P.denom)
         else:
             if P.left_output is None:
                 raise ValidationError("no register and no local reconstruction")
-            F = quantum.worst_fidelity(lambda psi: P.left_output(x, y, psi))
+            from .spectra import worst_fidelity
+            F = worst_fidelity(lambda psi: P.left_output(x, y, psi))
             n = 0
         sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
                      "infidelity", 1 - F)

@@ -12,9 +12,10 @@ from typing import TYPE_CHECKING, Callable
 
 from .algebra import SpanProgram, span_dnf
 from .errors import ValidationError, Worst
-from .quantum import (_R2, PureState, _stack, _trace_norm, dagger, eigh, kron, matmul,
-                      phased_pad, weighted)
-from .qverifiers import _view_blocks
+from .frames import CARRIER, view
+from .quantum import (_R2, PureState, _stack, _trace_norm, dagger, kron, matmul, phased_pad,
+                      weighted)
+from .spectra import eigh
 
 if TYPE_CHECKING:
     from .nlqc import CdqsProtocol
@@ -122,21 +123,39 @@ def choi(channel: Callable, dim: int) -> list:
     return [[z / dim for z in row] for row in weighted(terms)]
 
 
+def _probe_view(blocks: dict, psi, denom: int) -> dict:
+    """The referee's view per transcript when the secret qubit is ``psi``.
+
+    ``blocks`` are a run's ``frames.view``: frame (a, b) leaves the padded
+    qubit X^a Z^b psi in view, and a view without the carried qubit is one
+    number, its weight.
+    """
+    out = {}
+    for t, weights in blocks.items():
+        terms = []
+        for frame, w in weights.items():
+            v = matmul(phased_pad(*frame), psi) if frame else (1,)
+            terms.append((w / denom, [[a * b.conjugate() for b in v] for a in v]))
+        out[t] = weighted(terms)
+    return out
+
+
 def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
     """Max pairwise referee-view distance across concrete secret qubits.
 
-    Runs every hiding input with the six Pauli eigenstates and seeded random
-    qubits as the secret; a protocol that leaks nothing produces views at
-    distance zero from each other.
+    Runs every hiding input once, from the carrier's frame, and views it
+    with the six Pauli eigenstates and seeded random qubits as the secret;
+    a protocol that leaks nothing produces views at distance zero from each
+    other.
     """
-    states = [(name, PureState((("Q", 1),), vec)) for (name, vec) in probe_qubits(seeds)]
+    states = probe_qubits(seeds)
     worst = Worst()
     per_input = {}
     for (x, y) in P.domain:
         if P.f.eval(x, y) != 0:
             continue
-        msg = tuple(P.msg_regs(x, y))
-        views = {name: _view_blocks(P.run(x, y, st), msg) for name, st in states}
+        blocks = view(P.run(x, y, CARRIER), P.msg_regs(x, y))
+        views = {name: _probe_view(blocks, psi, P.denom) for name, psi in states}
         per_input[(x, y)] = 0.0
         for a, b in combinations(views, 2):
             d = _block_distance(views[a], views[b])

@@ -22,8 +22,9 @@ from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
                               psm_generic_table)
-from cdslab.quantum import epr_pairs, worst_fidelity
+from cdslab.quantum import epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
+from cdslab.spectra import worst_fidelity
 from cdslab.toolkit import (span_threshold_2of3, security_state_sweep, fidelity, pad_average,
                             random_qubit, trace_distance)
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm

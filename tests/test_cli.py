@@ -629,11 +629,10 @@ print(json.dumps([built, after_build, refused, after_refusal, verified, loaded()
 
 
 def test_quantum_chains_compile_without_numpy(tmp_path):
-    # every quantum compile edge builds from classical data, and the
-    # statevector layer loads at a chain's first run on the standard library
-    # alone, so neither compiling nor verifying a garden-hose route or a
-    # pad-and-disclose CDQS or PSQM loads numpy, or the inspect it loads;
-    # nothing loads dataclasses
+    # every quantum compile edge builds from classical data, and a run moves
+    # Pauli frames, so neither compiling nor verifying a garden-hose route or
+    # a pad-and-disclose CDQS or PSQM loads numpy, or the inspect it loads, or
+    # the dense statevector; nothing loads dataclasses
     run = subprocess.run([sys.executable, "-c", _QUANTUM_RUN], cwd=tmp_path,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -649,17 +648,17 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     assert verified == [0, 0, 0, 0]
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
-    assert after_runs == ["cdslab.quantum"]
+    assert after_runs == []
     # a garden-hose route loads no protocols, pad routes, algebra or
     # Fraction, and with an embedded strategy no search; a pad route no
     # algebra or Fraction, a qr chain no gardenhose, and a build only its
-    # base's modules: no compiler past the base, verifier or statevector
-    # layer; a PSQM carries no qubit, so its verify, the classical sweep,
-    # loads the classical verifiers and Fraction and no statevector layer
+    # base's modules: no compiler past the base, verifier or frame kernel;
+    # a PSQM carries no qubit, so its verify, the classical sweep, loads the
+    # classical verifiers and Fraction and no frame kernel
     routing = _START | {"cdslab.gardenhose", "cdslab.nlqc"}
     pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.zp", "cdslab.nlqc",
                      "cdslab.padroutes"}
-    checked = {"cdslab.qverifiers", "cdslab.quantum"}
+    checked = {"cdslab.qverifiers", "cdslab.frames"}
     searched = _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"}
     for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], searched),
                          (["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and"], searched),
@@ -1132,11 +1131,17 @@ def test_verify_reports_an_evaluation_budget_stop(tmp_path):
     assert got == ("verify_dre message coordinates", 6 * 6 * 3 + 2 * 3, 110)
 
 
-def test_verify_reports_a_qubit_budget_stop(tmp_path, monkeypatch):
+def test_a_frame_route_holds_no_qubits_to_charge(tmp_path, monkeypatch):
+    # a route's runs move one Pauli frame and build no dense state, so even a
+    # 3-qubit cap, which stopped this verify on a 4-qubit factor, stops nothing
     from cdslab import quantum
     monkeypatch.setattr(quantum, "MAX_QUBITS", 3)
-    got = _budget_report(tmp_path, ["--chain", "gh,frouting", "--fn", "and"])
-    assert got == ("qubits per factor", 4, 3)
+    desc, rep = tmp_path / "d.json", tmp_path / "r.json"
+    for chain in ("gh,frouting", "gh,cds,cdqs,frouting"):
+        assert main(["build", "--chain", chain, "--fn", "and", "--out", str(desc)]) == 0
+        assert main(["verify", str(desc), "--out", str(rep)]) == 0
+        report = json.loads(rep.read_text())["report"]
+        assert (report["worst_infidelity"], report["witnesses"]) == (0.0, {})
 
 
 @pytest.mark.parametrize("args,space", [
@@ -1352,8 +1357,8 @@ def test_a_build_trusts_its_base_and_a_verify_checks_it(tmp_path, monkeypatch):
     # a build writes the base it made unchecked and compiles no edge: a
     # searched strategy checks itself and the qr table is made by the rule
     # qr_mismatches walks. A verify checks the base the descriptor states (an
-    # embedded strategy, before cds_from_gh traces it) and trusts a strategy
-    # it searches, as a build does
+    # embedded strategy, by the one trace cds_from_gh makes of it) and trusts
+    # a strategy it searches, as a build does
     from cdslab import families, gardenhose, ghsearch
     calls = []
 
@@ -1373,7 +1378,7 @@ def test_a_build_trusts_its_base_and_a_verify_checks_it(tmp_path, monkeypatch):
     for argv, counts in ((["build", "--chain", "dre", "--fn", "qr", "--p", "7"], {}),
                          (["verify", str(desc)], {"qr_mismatches": 1}),
                          (["build", "--chain", "gh,cds", "--fn", "and"], {"gh_trace": 1}),
-                         (["verify", str(desc)], {"gh_trace": 2})):
+                         (["verify", str(desc)], {"gh_trace": 1})):
         calls.clear()
         assert main(argv + ["--out", str(desc if argv[0] == "build" else rep)]) == 0
         assert {name: calls.count(name) for name in set(calls)} == counts, argv
@@ -1553,3 +1558,62 @@ def test_a_field_of_another_json_type_ends_with_a_report(tmp_path, capsys, case)
         assert _rejected(tmp_path, _edited(golden, (*path, "unknown"), 0)) == (
             f"descriptor rejected: {where}: unknown field"), path
     capsys.readouterr()
+
+
+_DENSE_LOADS = """
+import json, sys
+from cdslab.cli import main
+code = main(["verify", sys.argv[1], "--out", "r.json"])
+print(json.dumps([code, [m for m in ("cdslab.quantum", "cdslab.toolkit", "numpy",
+                                     "cdslab.spectra") if m in sys.modules]]))
+"""
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("case", [case for case in GOLDEN_DESCRIPTORS if {"cdqs", "frouting"} & set(
+    json.loads((GOLDEN / f"{case}.desc.json").read_text())["chain"])])
+def test_a_quantum_verify_loads_no_dense_statevector(tmp_path, case):
+    # every CDQS and f-routing runs on Pauli frames: no verify loads the dense
+    # statevector, toolkit or numpy, and only a pad route's left side loads
+    # the eigen-solver that its worst fidelity needs
+    chain = json.loads((GOLDEN / f"{case}.desc.json").read_text())["chain"]
+    run = subprocess.run([sys.executable, "-c", _DENSE_LOADS, str(GOLDEN / f"{case}.desc.json")],
+                         cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    left_side = chain[-1] == "frouting" and "cdqs" in chain
+    assert json.loads(run.stdout) == [0, ["cdslab.spectra"] if left_side else []]
+
+
+def test_a_strategy_wider_than_its_inputs_is_rejected_within_a_gib(tmp_path):
+    # the strategy's own n_x of 40 is read against its two inputs before any
+    # range of 2^40 is made
+    desc = tmp_path / "d.json"
+    golden = json.loads((GOLDEN / "gh_cds.desc.json").read_text())
+    desc.write_text(json.dumps(_edited(golden, ("artifacts", "gh_strategy", "n_x"), 40)))
+    run = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, "verify", str(desc),
+                          "--out", "r.json"], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["error"] == "descriptor rejected: alice must cover every x"
+
+
+@pytest.mark.parametrize("field", ["n_bits", "alice_positions"])
+def test_a_qr_function_that_omits_a_param_is_rejected_by_name(tmp_path, field):
+    golden = json.loads((GOLDEN / "dre_qr7.desc.json").read_text())
+    del golden["fn"]["params"][field]
+    assert _rejected(tmp_path, golden) == (
+        f"descriptor rejected: fn.params: a qr function names {field}")
+
+
+def test_a_strategy_input_key_past_19_digits_is_rejected_by_the_schema(tmp_path):
+    # no input of a table has more than 19 digits, and 5,000 are past what
+    # Python converts to an int; 19 digits pass the schema and name no input
+    golden = json.loads((GOLDEN / "gh_cds.desc.json").read_text())
+    alice = golden["artifacts"]["gh_strategy"]["alice"]
+    for key, error in (("1" * 5000, f"artifacts.gh_strategy.alice.{'1' * 5000}: unknown field"),
+                       ("9" * 19, "alice must cover every x")):
+        edited = _edited(golden, ("artifacts", "gh_strategy", "alice", key), alice["0"])
+        assert _rejected(tmp_path, edited) == f"descriptor rejected: {error}"

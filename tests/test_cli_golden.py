@@ -2,9 +2,9 @@
 
 Each case builds a descriptor, verifies it and compares both files with the
 copies under ``tests/golden``. Descriptors, the sweep CSV and classical
-reports must match byte for byte. Quantum reports are float results of
-statevector arithmetic, so they must match field for field with floats
-within 1e-12.
+reports must match byte for byte. Quantum reports hold floats, computed
+from exact Pauli-frame weights but for a pad route's left side's eigen-solve,
+so they must match field for field with floats within 1e-12.
 
 The golden files are ``run_case``'s output on the code before a refactor.
 After an intended output change, rewrite only the cases it changes, files
@@ -154,8 +154,9 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
-    # every Choi state a quantum golden case scores: the closed form
-    # sqrt(<Phi+| rho |Phi+>) against the eigen-solved Uhlmann fidelity
+    # every Choi state a quantum golden case scores: the closed form, the
+    # weight of the identity frame, against the eigen-solved Uhlmann fidelity
+    # of the dense mixture of the branches' Bell states
     import numpy as np
 
     from cdslab import nlqc, quantum, qverifiers, toolkit
@@ -165,9 +166,13 @@ def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
     target = np.outer(phi, phi.conj())
     scored = []
 
-    def compared(branches, fix, out):
-        got = closed(branches, fix, out)
-        rho = sum(b.prob * np.asarray(fix(b).ptrace(["R", out])) for b in branches)
+    def bell(a, b):
+        v = np.kron(np.eye(2), np.asarray(quantum.phased_pad(a, b))) @ phi
+        return np.outer(v, v.conj())
+
+    def compared(branches, fix, out, denom):
+        got = closed(branches, fix, out, denom)
+        rho = sum(b.weight / denom * bell(*fix(b)[1:]) for b in branches)
         assert abs(got - toolkit.fidelity(rho, target)) <= FLOAT_TOL
         scored.append(got)
         return got

@@ -1,13 +1,11 @@
-"""Pauli-frame classes of garden-hose routes against a flat teleport reference.
+"""Pauli-frame classes of garden-hose routes against a flat frame reference.
 
-The reference runs a route the way ``frouting_from_gh`` did before classes:
-one dense state holding the carrier and every pipe's EPR link, a Bell
-measurement per hop on every branch, and one branch per transcript, 4^h of
-them after h hops. Its right side's registers are physical: every link half
-on the right that no hop measures, idle links included, where the class path
-names only the exit register. The class path must give the same fidelities, gaps and secret
-sweeps within 1e-12, and the same raw branch counts, which shows that
-leaving idle links out of the state and of the referee's view is exact.
+The reference runs a route one branch per transcript: a Bell measurement per
+hop on every branch, 4^h of them after h hops, each of weight 4^(H - h) out
+of the 4^H of the longest path. The class path must give the same
+fidelities, gaps and secret sweeps within 1e-12, and the same raw branch
+counts. ``tests/test_pauli_frames.py`` checks the frames themselves against
+dense statevectors.
 """
 
 from __future__ import annotations
@@ -16,15 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import gardenhose, nlqc
+from cdslab import frames, gardenhose, nlqc
 from cdslab.boolfn import BoolFn
 from cdslab.families import named_fn
 from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.nlqc import RunBranch, cdqs_from_frouting, frouting_from_gh
-from cdslab.quantum import PureState, epr_pairs
+from cdslab.quantum import PureState
 from cdslab.qverifiers import verify_cdqs, verify_frouting
 from cdslab.toolkit import security_state_sweep
+from dense_reference import plan
 
 TOL = 1e-12
 AND1 = named_fn("and", n=1)
@@ -38,41 +37,20 @@ def replace(P, **changes):
 # -- the flat reference ----------------------------------------------------------------
 
 
-def _plan(strategy: GhStrategy, x: int, y: int) -> list:
-    """(measured register, fresh link half, broadcast label) per hop."""
-    path = gh_eval(strategy, x, y).path
-    plan = [("Q", f"L{path[0][0]}", ("alice", 0, path[0][0]))]
-    for (prev, cur) in zip(path, path[1:]):
-        end, party = ("R", "bob") if cur[1] == "rl" else ("L", "alice")
-        plan.append((f"{end}{prev[0]}", f"{end}{cur[0]}", (party, prev[0], cur[0])))
-    return plan
+def _longest(strategy, f) -> int:
+    return max(len(plan(strategy, x, y)) for (x, y) in f.inputs())
 
 
-def _flat_run(strategy: GhStrategy):
-    """One branch per transcript, each with its own dense state."""
-    m = strategy.pipes
-
+def _flat_run(strategy, hops: int):
+    """One branch per transcript, weights out of 4^``hops``."""
     def run(x, y, carrier):
-        state = carrier.tensor(epr_pairs([(f"L{i}", f"R{i}") for i in range(1, m + 1)]))
-        branches = [(1.0, (), state)]
-        for (reg_a, reg_b, desc) in _plan(strategy, x, y):
-            branches = [(p * q, t + ((desc, ab),), st2)
-                        for (p, t, st) in branches
-                        for (ab, q, st2) in st.bell_measure(reg_a, reg_b)]
-        return [RunBranch(p, t, st) for (p, t, st) in branches]
+        branches = [((), carrier)]
+        for (pair, far, desc) in plan(strategy, x, y):
+            branches = [(t + ((desc, ab),), st2) for (t, st) in branches
+                        for (ab, st2) in frames.hop(st, pair, far)]
+        return [RunBranch(4 ** (hops - len(t)), t, st) for (t, st) in branches]
 
     return run
-
-
-def _physical_msg_regs(strategy: GhStrategy):
-    """Every link half on the right that no hop measures, idle links included."""
-    m = strategy.pipes
-
-    def msg_regs(x, y):
-        measured = {r for (a, b, _) in _plan(strategy, x, y) for r in (a, b)}
-        return tuple(f"R{i}" for i in range(1, m + 1) if f"R{i}" not in measured)
-
-    return msg_regs
 
 
 def _same_report(a, b) -> None:
@@ -93,7 +71,8 @@ def _same_report(a, b) -> None:
 
 def _check_against_flat(strategy: GhStrategy, f, sweep_seeds=range(2)) -> None:
     R = frouting_from_gh(strategy, f)
-    flat = replace(R, run=_flat_run(strategy), msg_regs=_physical_msg_regs(strategy))
+    hops = _longest(strategy, f)
+    flat = replace(R, run=_flat_run(strategy, hops), denom=4 ** hops)
     _same_report(verify_frouting(R), verify_frouting(flat))
     C, C_flat = cdqs_from_frouting(R), cdqs_from_frouting(flat)
     _same_report(verify_cdqs(C), verify_cdqs(C_flat))
@@ -151,20 +130,19 @@ def test_class_branches_keep_raw_counts_and_first_transcripts():
     f = named_fn("eq", n=1)
     strategy = gh_generic(f)
     R = frouting_from_gh(strategy, f)
-    flat = _flat_run(strategy)
+    flat = _flat_run(strategy, _longest(strategy, f))
     for (x, y) in f.inputs():
-        carrier = epr_pairs([("R", "Q")])
-        classes, branches = R.run(x, y, carrier), flat(x, y, carrier)
+        classes, branches = R.run(x, y, frames.CARRIER), flat(x, y, frames.CARRIER)
         assert len(classes) == 4
         assert sum(b.count for b in classes) == len(branches)
-        assert [b.prob for b in classes] == [0.25] * 4
+        assert [b.weight for b in classes] == [1] * 4
         # a class's representative is the first flat transcript with its frame
-        frames = {}
+        firsts = {}
         for b in branches:
             outcomes = [ab for (_, ab) in b.transcript]
             frame = tuple(sum(o[i] for o in outcomes) % 2 for i in (0, 1))
-            frames.setdefault(frame, b.transcript)
-        assert [b.transcript for b in classes] == list(frames.values())
+            firsts.setdefault(frame, b.transcript)
+        assert [b.transcript for b in classes] == list(firsts.values())
 
 
 # -- planted faults ------------------------------------------------------------------------
@@ -195,23 +173,24 @@ def test_dropped_class_is_caught():
 
 @pytest.mark.parametrize("fn", ["eq", "ip"])
 def test_generic_two_bit_routes_stay_within_small_factors(monkeypatch, fn):
-    # gh_generic spends 8 pipes on these: 18 qubits as one dense state
+    # gh_generic spends 8 pipes on these, 18 qubits as one dense state; a run
+    # holds one frame and builds no dense state at all
     f = named_fn(fn, n=2)
     R = frouting_from_gh(gh_search(f, 3) or gh_generic(f), f)
     assert R.resources["pipes"] == 8
-    peak = [0]
+    built = []
     init = PureState.__init__
 
     def counted(self, regs, vec):
         init(self, regs, vec)
-        peak[0] = max(peak[0], self.n_qubits)
+        built.append(self.n_qubits)
 
     monkeypatch.setattr(PureState, "__init__", counted)
     report = verify_frouting(R)
-    assert report.perfect(1e-9)
-    assert verify_cdqs(cdqs_from_frouting(R)).perfect(1e-9)
+    assert report.perfect(0) and report.worst_infidelity == 0
+    assert verify_cdqs(cdqs_from_frouting(R)).perfect(0)
+    assert built == []
     assert security_state_sweep(cdqs_from_frouting(R), seeds=range(1))["worst"] <= 1e-9
-    assert peak[0] <= 4
 
 
 def test_plans_traced_once_per_input(monkeypatch):

@@ -15,8 +15,10 @@ from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, cdqs_from_frouting, fro
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, psm_from_dre,
                               psm_generic_table, dre_qr)
-from cdslab.quantum import X, Z, epr_pairs, worst_fidelity
+from cdslab.frames import CARRIER
+from cdslab.quantum import X, Z, epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
+from cdslab.spectra import worst_fidelity
 from cdslab.toolkit import security_state_sweep, random_qubit
 from message_reference import cds_of, psm_of
 
@@ -29,14 +31,21 @@ def _gh_cds(f):
     return cds_from_gh(s, f)
 
 
+def _pauli(a, b):
+    return np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+
+
 def test_pauli_frame_undoes_byproduct_chain():
+    # the ordered product of the byproducts is X^A Z^B up to a phase
     rng = np.random.default_rng(11)
     for _ in range(20):
         outs = [tuple(rng.integers(0, 2, size=2)) for _ in range(rng.integers(0, 5))]
         net = np.eye(2, dtype=complex)
         for (a, b) in outs:
-            net = (np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)) @ net
-        assert np.allclose(pauli_frame(outs) @ net, np.eye(2), atol=1e-12)
+            net = _pauli(a, b) @ net
+        undone = _pauli(*pauli_frame(outs)).conj().T @ net
+        assert np.allclose(undone, undone[0, 0] * np.eye(2), atol=1e-12)
+        assert abs(abs(undone[0, 0]) - 1) <= 1e-12
 
 
 def test_pauli_frame_on_two_hop_teleport():
@@ -44,7 +53,7 @@ def test_pauli_frame_on_two_hop_teleport():
     state = psi.tensor(epr_pairs([("l1", "r1"), ("l2", "r2")]))
     for o1, p1, s1 in state.bell_measure("q0", "l1"):
         for o2, p2, s2 in s1.bell_measure("r1", "l2"):
-            fixed = s2.apply(pauli_frame([o1, o2]), ["r2"])
+            fixed = s2.apply(_pauli(*pauli_frame([o1, o2])).conj().T, ["r2"])
             overlap = abs(np.vdot(psi.vec, np.asarray(fixed.ptrace(["r2"])) @ psi.vec))
             assert abs(overlap - 1) < 1e-12
 
@@ -99,8 +108,8 @@ def test_frouting_from_gh_generic_strategy():
 def test_frouting_branch_probabilities_sum_to_one():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
     for (x, y) in AND1.inputs():
-        branches = R.run(x, y, epr_pairs([("R", "Q")]))
-        assert abs(sum(b.prob for b in branches) - 1) < 1e-10
+        branches = R.run(x, y, CARRIER)
+        assert sum(b.weight for b in branches) == R.denom == 4
 
 
 def test_frouting_msg_regs_hold_the_exit_register_on_the_right():
@@ -113,7 +122,7 @@ def test_frouting_msg_regs_hold_the_exit_register_on_the_right():
 
 def test_routing_inconsistency_detected():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
-    flipped = FRoutingProtocol(XOR1, R.run, R.msg_regs, R.recover, R.exit_info)
+    flipped = FRoutingProtocol(XOR1, R.run, R.denom, R.msg_regs, R.recover, R.exit_info)
     report = verify_frouting(flipped)
     assert not report.routing_consistent
     assert "side" in report.witnesses
@@ -153,7 +162,8 @@ def test_otp_reconstruction_values():
 
 
 def test_qr5_pad_route_fits_the_qubit_cap():
-    # one message basis vector per transcript class: 5 qubits, not 3 + 14
+    # the left side is stated from the key classes' Gram matrix, with no
+    # message register: no qubit is allocated at all
     C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     report = verify_frouting(frouting_from_cdqs(C))
     assert report.perfect(1e-9)
@@ -165,7 +175,7 @@ def test_route_compilers_validate_their_inputs():
     C2 = cdqs_from_frouting(frouting_from_cdqs(C))
     with pytest.raises(ValidationError):
         frouting_from_cdqs(C2)  # no key-disclosing layer exposed
-    bare = FRoutingProtocol(AND1, C2.run, C2.msg_regs, C2.recover,
+    bare = FRoutingProtocol(AND1, C2.run, C2.denom, C2.msg_regs, C2.recover,
                             lambda x, y: (LEFT, None))
     with pytest.raises(ValidationError):
         verify_frouting(bare)  # no register and no local reconstruction
@@ -239,7 +249,7 @@ def test_security_state_sweep_on_a_garden_hose_route(f):
     C = cdqs_from_frouting(R)
     assert security_state_sweep(C)["worst"] <= 1e-9
     # hand the referee the register where the hidden qubit lands
-    leaky = CdqsProtocol(f, C.run,
+    leaky = CdqsProtocol(f, C.run, C.denom,
                          lambda x, y: C.msg_regs(x, y) + (R.exit_info(x, y)[1],),
                          C.recover, C.out_reg)
     assert security_state_sweep(leaky)["worst"] > 0.1

@@ -13,7 +13,7 @@ import pytest
 
 from cdslab.algebra import span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn
-from cdslab.errors import BudgetError, LazySpace, ValidationError, budget
+from cdslab.errors import BudgetError, LazySpace, ValidationError, VerifyFailure, budget
 from cdslab.families import named_fn
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
@@ -102,8 +102,10 @@ def test_gh_cds_randomness_equals_pipes():
 
 
 def test_gh_cds_rejects_wrong_strategy():
-    with pytest.raises(ValidationError):
+    # a misrouted strategy fails verification, its misrouted inputs the witness
+    with pytest.raises(VerifyFailure, match="wrong side") as refused:
         cds_from_gh(gh_generic(AND1), XOR1)
+    assert refused.value.witness == {"inputs": [[0, 1], [1, 0], [1, 1]]}
     # and2's strategy computes the zero function on 1+1 bits, yet is 2+2
     with pytest.raises(ValidationError, match="widths differ"):
         cds_from_gh(gh_generic(named_fn("and", n=2)), BoolFn(1, 1, (0, 0, 0, 0)))

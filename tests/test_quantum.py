@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from cdslab.errors import BudgetError, ValidationError
-from cdslab.quantum import (MAX_QUBITS, I2, PureState, U_BELL, X, Y, Z, decoupling_gap,
+from cdslab.quantum import (MAX_QUBITS, I2, PureState, U_BELL, X, Z, decoupling_gap,
                             epr_pairs, phased_pad)
 from cdslab.toolkit import (PAULI_EIGENSTATES, choi, fidelity, pad_average, random_qubit,
                             sqrtm_psd, trace_distance)
 
 RNG = np.random.default_rng(20260813)
 H = ((2 ** -0.5 + 0j, 2 ** -0.5 + 0j), (2 ** -0.5 + 0j, -2 ** -0.5 + 0j))   # Hadamard
+Y = ((0j, -1j), (1j, 0j))
 
 
 def _rand_state(regs, rng=RNG):

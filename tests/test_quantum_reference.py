@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdslab import quantum, toolkit
+from cdslab import quantum, spectra, toolkit
 from cdslab.quantum import PureState
 
 TOL = 1e-12
@@ -80,10 +80,9 @@ def _projectors(vals, vecs, sep=1e-6):
 
 
 def _check_eigh(A):
-    vals, vecs = quantum.eigh(A)
+    vals, vecs = spectra.eigh(A)
     want_vals, want_vecs = np.linalg.eigh(A)
     _close(vals, want_vals)
-    _close(quantum.eigvalsh(A), want_vals)
     V = np.asarray(vecs)
     _close(V.conj().T @ V, np.eye(len(A)))
     _close(np.asarray(A) @ V, V * np.asarray(vals))
@@ -115,7 +114,7 @@ def test_jacobi_on_structured_matrices(d):
 
 def test_jacobi_reads_the_hermitian_part():
     A = _rand_op(6)
-    _close(quantum.eigvalsh(A), np.linalg.eigvalsh((A + A.conj().T) / 2))
+    _close(spectra.eigh(A)[0], np.linalg.eigvalsh((A + A.conj().T) / 2))
 
 
 # -- kernels ----------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The reference builds each pad-and-disclose run the way the verifiers saw it
 before classes: the distribution of a transcript, one run transcript per key
 bit, is the per-key product of the two runs' distributions, and every pair
 of run transcripts is its own branch. Class runs must give the same figures
-within 1e-12 and the same branch counts as integers.
+within 1e-12 and the same branch counts as integers. Both run on Pauli
+frames with integer weights; ``tests/test_pauli_frames.py`` checks the
+frames against dense statevectors.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import padroutes, protocols
+from cdslab import frames, padroutes, protocols
 from cdslab.algebra import span_and1, span_dnf, span_eq1
 from cdslab.boolfn import BoolFn, literal_input
 from cdslab.cli import _span_for
 from cdslab.families import named_fn
+from cdslab.frames import KEYS
 from cdslab.ghsearch import gh_generic, gh_search
-from cdslab.nlqc import KEYS, RunBranch
 from cdslab.padroutes import (TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
                               frouting_from_cdqs, psqm_from_psm, transcript_classes)
 from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh, cds_from_psm,
                               cds_from_span, coset_hist, dre_qr, hiding_input, message_count,
                               psm_from_dre, psm_generic_table)
-from cdslab.quantum import epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
 from cdslab.toolkit import security_state_sweep, PAULI_EIGENSTATES
 from message_reference import enumerated, message_hist, replace
@@ -43,7 +44,8 @@ EQ1 = named_fn("eq", n=1)
 
 
 def _flat_classes(bit_hists):
-    """One singleton class per pair of run transcripts, weighted under each key."""
+    """One singleton class per pair of run transcripts, with its integer weight
+    under each key."""
     def key_classes(x, y):
         hists = bit_hists(x, y)
         weights = {}
@@ -58,68 +60,12 @@ def _flat_classes(bit_hists):
 
 def _flat_message_classes(P: CdsProtocol):
     """Flat classes of two runs of P; a run's transcript is its (m0, m1)."""
-    joint = len(P.shared) * len(P.alice_private) * len(P.bob_private)
-    return _flat_classes(lambda x, y: {
-        s: {m: c / joint for m, c in message_hist(P, x, y, s).items()}
-        for s in P.secrets})
-
-
-_UNPAD = padroutes._unpad   # the module's own, before ``_verify_flat`` patches it
-
-
-class _MemoState:
-    """A branch state whose corrections and reductions are computed once each.
-
-    A flat run hands out at most four distinct padded states, each shared by
-    many branches, so the reference pays a kernel call per state instead of
-    one per branch.
-    """
-
-    def __init__(self, state):
-        self.state = state
-        self.memo = {}
-
-    def apply(self, U, regs):
-        key = ("apply", np.asarray(U).tobytes(), np.asarray(U).shape, tuple(regs))
-        if key not in self.memo:
-            self.memo[key] = _MemoState(self.state.apply(U, regs))
-        return self.memo[key]
-
-    def unpad(self, s):
-        key = ("unpad", s)
-        if key not in self.memo:
-            self.memo[key] = _UNPAD(self, s)
-        return self.memo[key]
-
-    def ptrace(self, regs):
-        key = ("ptrace", tuple(regs))
-        if key not in self.memo:
-            self.memo[key] = self.state.ptrace(regs)
-        return self.memo[key]
-
-
-def _verify_flat(P):
-    """``verify_cdqs`` of a flat route, unpadding each memoised state once per key."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(padroutes, "_unpad", lambda state, s: state.unpad(s))
-        return verify_cdqs(P)
-
-
-def _memo_states(run):
-    """``run`` with every distinct branch state wrapped in one ``_MemoState``."""
-    def memo_run(*args):
-        branches = run(*args)
-        wrapped = {id(b.state): _MemoState(b.state) for b in branches
-                   if b.state is not None}
-        return [RunBranch(b.prob, b.transcript, wrapped.get(id(b.state)), b.count)
-                for b in branches]
-
-    return memo_run
+    return _flat_classes(lambda x, y: {s: message_hist(P, x, y, s) for s in P.secrets})
 
 
 def _with_flat(classed, flat):
     """``classed`` with the flat key classes ``flat`` in place of its own."""
-    return replace(classed, run=_memo_states(padroutes._pad_run(flat)), key_classes=flat)
+    return replace(classed, run=padroutes._pad_run(flat), key_classes=flat)
 
 
 def _class_and_flat_cdqs(cds):
@@ -132,7 +78,7 @@ def _flat_psqm_classes(Q, x_star, y_star):
     counts sweep an ``enumerated`` PSM, whose one-point cosets each hold one
     message pair (m0, m1) as their tags: that pair is the transcript."""
     def hist(x, y):
-        return {(m[0][0], m[1][0]): c / Q.denom for m, c in Q.counts(x, y).items()}
+        return {(m[0][0], m[1][0]): c for m, c in Q.counts(x, y).items()}
 
     return _flat_classes(lambda x, y: {0: hist(x_star, y_star), 1: hist(x, y)})
 
@@ -173,7 +119,7 @@ def _same_sweep(a, b) -> None:
 
 
 def _check_route(classed, flat, routing, sweep) -> None:
-    _same_report(verify_cdqs(classed), _verify_flat(flat))
+    _same_report(verify_cdqs(classed), verify_cdqs(flat))
     if sweep:
         _same_sweep(security_state_sweep(classed, seeds=range(2)),
                     security_state_sweep(flat, seeds=range(2)))
@@ -276,10 +222,10 @@ def test_transcript_classes_split_nearly_proportional_weights(counts, data):
 def test_class_runs_compress_and_keep_counts():
     C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     for (x, y) in C.domain:
-        branches = C.run(x, y, epr_pairs([("R", "Q")]))
+        branches = C.run(x, y, frames.CARRIER)
         assert len(branches) <= 16
         assert sum(b.count for b in branches) == 40000
-        assert abs(sum(b.prob for b in branches) - 1) <= TOL
+        assert sum(b.weight for b in branches) == C.denom
 
 
 # -- differential tests ----------------------------------------------------------------
@@ -302,15 +248,15 @@ def test_psm_table_routes_match_flat():
     psm = psm_generic_table(AND1)
     _check_cds_route(cds_from_psm(psm))
     _check_psqm_route(psm)
-    # index1's flat cds route has up to 768^2 joint transcripts per key; its psqm
-    # route is small, though its flat transcripts need a 12-qubit message register
+    # index1's flat cds route has up to 768^2 joint transcripts per key; its
+    # psqm route is small, though its flat left side and sweep take seconds
     _check_psqm_route(psm_generic_table(named_fn("index", n_x=1)), routing=False,
                       sweep=False)
 
 
 def test_qr5_routes_match_flat():
-    # the flat reference takes seconds per run here, so verify_cdqs only;
-    # the flat left_output would need a message register past 14 qubits
+    # 40,000 flat transcripts per input make the flat left side and sweep take
+    # tens of seconds, so verify_cdqs only
     psm = psm_from_dre(dre_qr(named_fn("qr", p=5)))
     _check_cds_route(cds_from_psm(psm), routing=False, sweep=False)
     _check_psqm_route(psm, routing=False, sweep=False)
@@ -359,7 +305,7 @@ def _leaky_cds(f):
 
 def test_planted_leak_gap_matches_flat():
     classed, flat = _class_and_flat_cdqs(_leaky_cds(AND1))
-    got, want = verify_cdqs(classed), _verify_flat(flat)
+    got, want = verify_cdqs(classed), verify_cdqs(flat)
     _same_report(got, want)
     assert got.worst_gap > 0.1
     assert got.witnesses["gap"] == (0, 0)
@@ -429,36 +375,34 @@ def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
 # -- coset classes against enumerated classes --------------------------------------
 
 
-def _integer_classes(C, denom, bit_of) -> dict:
-    """Every input's key classes of pad route C as sorted (decoded key, integer
-    weights, count) triples; ``bit_of(x, y, t)`` decodes one run's transcript
-    t, as the route's recovery does, and ``denom`` scales the weights back to
-    integers."""
-    return {(x, y): sorted((tuple(bit_of(x, y, t) for t in c.rep),
-                            tuple(sorted((k, round(w * denom)) for k, w in c.weights.items())),
-                            c.count)
-                           for c in C.key_classes(x, y))
-            for (x, y) in C.domain}
+def _integer_classes(C, bit_of) -> tuple:
+    """Pad route C's run denominator, and every input's key classes as sorted
+    (decoded key, integer weights, count) triples; ``bit_of(x, y, t)`` decodes
+    one run's transcript t, as the route's recovery does."""
+    return C.denom, {(x, y): sorted((tuple(bit_of(x, y, t) for t in c.rep),
+                                     tuple(sorted(c.weights.items())), c.count)
+                                    for c in C.key_classes(x, y))
+                     for (x, y) in C.domain}
 
 
-def _cds_classes(cds, denom) -> dict:
-    return _integer_classes(cdqs_from_cds(cds), denom,
-                            lambda x, y, m: cds.decode(m[0], x, m[1], y))
+def _cds_classes(cds) -> tuple:
+    return _integer_classes(cdqs_from_cds(cds), lambda x, y, m: cds.decode(m[0], x, m[1], y))
 
 
-def _psqm_classes(psm, denom) -> dict:
+def _psqm_classes(psm) -> tuple:
     Q = psqm_from_psm(psm)
-    return _integer_classes(cdqs_from_psqm(Q), denom, lambda x, y, t: Q.decode(t))
+    return _integer_classes(cdqs_from_psqm(Q), lambda x, y, t: Q.decode(t))
 
 
 def _same_cds_classes(cds) -> None:
     joint = len(cds.shared) * len(cds.alice_private) * len(cds.bob_private)
-    assert _cds_classes(cds, joint ** 2) == _cds_classes(enumerated(cds), joint ** 2)
+    got = _cds_classes(cds)
+    assert got == _cds_classes(enumerated(cds)) and got[0] == 4 * joint ** 2
 
 
 def _same_psqm_classes(psm) -> None:
-    joint = len(psm.shared)
-    assert _psqm_classes(psm, joint ** 2) == _psqm_classes(enumerated(psm), joint ** 2)
+    got = _psqm_classes(psm)
+    assert got == _psqm_classes(enumerated(psm)) and got[0] == 4 * len(psm.shared) ** 2
 
 
 @settings(max_examples=12, deadline=None)
@@ -479,33 +423,45 @@ def test_qr_coset_classes_match_enumerated(p):
     _same_psqm_classes(psm)
 
 
-def test_planted_leak_coset_classes_match_enumerated():
-    # Alice adds her secret to her tag when x = 0, so (0, 0) leaks it; a
-    # PSM whose Alice adds x to her values leaks it between equal-value inputs
+def _secret_in_tag_cds():
+    """and1's span CDS over Z_3 whose Alice adds her secret to her tag when
+    x = 0, so (0, 0) leaks it."""
     cds = cds_from_span(span_and1(3), AND1, "comm")
-    psm = psm_from_dre(dre_qr(named_fn("qr", p=5)))
-    lin, psm_lin = cds.linear, psm.linear
+    lin = cds.linear
 
     def secret_in_tag(x, s, nu):
         tag, values = lin.alice_form(x, s, nu)
         return (tag, s if x == 0 else 0), values
 
+    return replace(cds, linear=lin._replace(
+                       alice_form=secret_in_tag,
+                       maps=lambda side, tag: lin.maps(side, tag if side else tag[0])),
+                   decode=lambda m0, x, m1, y: cds.decode((m0[0][0], m0[1]), x, m1, y))
+
+
+def _x_in_values_psm():
+    """The qr5 PSM whose Alice adds x to her values, leaking it between
+    equal-value inputs."""
+    psm = psm_from_dre(dre_qr(named_fn("qr", p=5)))
+    psm_lin = psm.linear
+
     def x_in_values(x, nu):
         tag, values = psm_lin.alice_form(x, nu)
         return tag, values + (x,)
 
-    leaky = replace(cds, linear=lin._replace(
-                        alice_form=secret_in_tag,
-                        maps=lambda side, tag: lin.maps(side, tag if side else tag[0])),
-                    decode=lambda m0, x, m1, y: cds.decode((m0[0][0], m0[1]), x, m1, y))
+    return replace(psm, linear=psm_lin._replace(
+                       alice_form=x_in_values,
+                       maps=lambda side, tag: tuple(row + (0,) * (1 - side)
+                                                    for row in psm_lin.maps(side, tag))),
+                   decode=lambda m0, m1: psm.decode((m0[0], m0[1][:-1]), m1))
+
+
+def test_planted_leak_coset_classes_match_enumerated():
+    leaky = _secret_in_tag_cds()
     _same_cds_classes(leaky)
     report = verify_cdqs(cdqs_from_cds(leaky))
     assert report.worst_gap > 0.1 and report.witnesses["gap"] == (0, 0)
-    leaky_psm = replace(psm, linear=psm_lin._replace(
-                            alice_form=x_in_values,
-                            maps=lambda side, tag: tuple(row + (0,) * (1 - side)
-                                                         for row in psm_lin.maps(side, tag))),
-                        decode=lambda m0, m1: psm.decode((m0[0], m0[1][:-1]), m1))
+    leaky_psm = _x_in_values_psm()
     _same_psqm_classes(leaky_psm)
     assert verify_psqm(psqm_from_psm(leaky_psm)).worst_gap > 0.1
 

@@ -6,7 +6,8 @@ reads the water trace ``gh_eval``, none enumerates messages or passes a record m
 callbacks, none re-checks a sweep's subspaces or lists a domain, the pad routes read no
 ``Fraction``,
 every definition is read by the program itself, not by tests alone, and what only demos
-and tests read lives in ``toolkit``.
+and tests read lives in ``toolkit`` or in the dense statevector reference ``quantum``,
+which no request loads.
 
 No linter ships with the package, and deleting code tends to leave imports
 behind, so this parses each module with ``ast``. A use is a name read
@@ -45,7 +46,8 @@ Every message sweep is by coset: ``protocols._sweep_kernel`` binds
 its size, so no other module reads the kernel, and none names
 ``input_pairs`` or lists a ``.domain`` with ``tuple``, ``list``, ``set`` or
 ``sorted``: a domain is walked, after its charge, and never held. Every module but ``gardenhose`` checks a garden-hose strategy
-through ``gh_trace``, which checks the input widths and traces each input
+through ``gh_trace``, or ``gh_routes``, which fails a misrouted strategy with
+its inputs as witness; each checks the input widths and traces each input
 once, so none reads ``gh_eval`` and writes its own copy of the check.
 No module defines or names the enumerating ``message_hist``,
 which a test helper keeps as the reference, and no record takes message
@@ -175,11 +177,13 @@ IMPORTED_AT_IMPORT = {
     "ghsearch": {"boolfn", "errors", "gardenhose"},
     "protocols": {"boolfn", "errors", "zp"},
     "verifiers": {"errors", "protocols"},
-    "quantum": {"errors"},
+    "spectra": {"errors", "frames"},
+    "quantum": {"errors", "spectra"},
+    "frames": {"errors"},
     "nlqc": {"boolfn", "errors"},
     "qverifiers": {"errors"},
     "padroutes": {"errors", "nlqc"},
-    "toolkit": {"algebra", "errors", "quantum", "qverifiers"},
+    "toolkit": {"algebra", "errors", "frames", "quantum", "spectra"},
     "cli": {"__init__", "boolfn", "errors"},
     "zp": set(),
 }
@@ -377,7 +381,7 @@ def test_the_check_sees_a_kernel_read():
 
 
 # the water trace: only gardenhose calls gh_eval, and every other module
-# reads gh_trace, which also checks a strategy against its function
+# reads gh_trace or gh_routes, which also check a strategy against its function
 def _traces(tree) -> bool:
     """True when a module names ``gh_eval``, as a name, an attribute or an import."""
     return "gh_eval" in _reads(tree)[0]
@@ -826,22 +830,27 @@ def test_the_check_sees_a_definition_only_tests_read():
     assert _unread_in({"m": module}, [module, program, test]) == {}
 
 
-# what a CLI request can run: every module but toolkit, and the benchmark
-REQUEST_PATH = [m for m in MODULES if m.stem != "toolkit"] + sorted((ROOT / "bench").rglob("*.py"))
+# the modules no CLI request loads: toolkit, and the dense statevector reference,
+# whose absence from every quantum verify tests/test_cli.py pins
+NO_REQUEST = ("toolkit", "quantum")
+# what a CLI request can run: every other module, and the benchmark
+REQUEST_PATH = ([m for m in MODULES if m.stem not in NO_REQUEST]
+                + sorted((ROOT / "bench").rglob("*.py")))
 
 
 def _demo_only(modules: dict, request_path: list) -> dict:
     """Module name -> its top-level functions and classes that no tree in
-    ``request_path`` reads, toolkit's own excepted."""
-    unread = _unread_in({k: v for k, v in modules.items() if k != "toolkit.py"}, request_path)
+    ``request_path`` reads, those of the modules no request loads excepted."""
+    unread = _unread_in({k: v for k, v in modules.items()
+                         if k[:-len(".py")] not in NO_REQUEST}, request_path)
     unread = {k: [d for d in v if "." not in d] for k, v in unread.items()}
     return {k: v for k, v in unread.items() if v}
 
 
 def test_code_only_demos_and_tests_read_lives_in_toolkit():
-    # no CLI request loads toolkit, so what only demos and tests call adds
-    # nothing to any request's start-up; anywhere else, every child that
-    # loads its module compiles it
+    # no CLI request loads toolkit or the dense reference quantum, so what
+    # only demos and tests call there adds nothing to any request's start-up;
+    # anywhere else, every child that loads its module compiles it
     assert _demo_only(_modules(), _trees(REQUEST_PATH)) == {}
 
 

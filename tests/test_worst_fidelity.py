@@ -1,6 +1,6 @@
 """The exact worst fidelity of a qubit map against a brute-force minimum.
 
-``quantum.worst_fidelity`` reads a linear qubit map off four inputs and
+``spectra.worst_fidelity`` reads a linear qubit map off four inputs and
 solves a 3x3 trust-region problem. The reference here knows none of that: it
 scores a dense grid of pure inputs through the map itself and refines the
 best grid points by a pattern search on the sphere. The two must agree
@@ -28,8 +28,9 @@ from cdslab.gardenhose import LEFT
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import cds_from_gh, cds_from_psm, psm_generic_table
-from cdslab.quantum import overlap, worst_fidelity
+from cdslab.quantum import overlap
 from cdslab.qverifiers import verify_frouting
+from cdslab.spectra import worst_fidelity
 from cdslab.toolkit import probe_qubits
 
 TOL = 1e-12
@@ -121,14 +122,16 @@ def stinespring(seed: int):
 
 
 def bloch_map(T, t):
-    """rho = (I + r.sigma) / 2 -> (I + (T r + t).sigma) / 2."""
+    """rho = (I + r.sigma) / 2 -> (I + (T r + t).sigma) / 2, extended linearly:
+    amplitudes psi of norm n^(1/2) give n times the image of the unit state."""
     def channel(psi):
         a, b = psi
+        n = abs(a) ** 2 + abs(b) ** 2
         r = (2 * (a.conjugate() * b).real, 2 * (a.conjugate() * b).imag,
              abs(a) ** 2 - abs(b) ** 2)
-        s = [sum(T[i][j] * r[j] for j in range(3)) + t[i] for i in range(3)]
-        return [[(1 + s[2]) / 2, (s[0] - 1j * s[1]) / 2],
-                [(s[0] + 1j * s[1]) / 2, (1 - s[2]) / 2]]
+        s = [sum(T[i][j] * r[j] for j in range(3)) + n * t[i] for i in range(3)]
+        return [[(n + s[2]) / 2, (s[0] - 1j * s[1]) / 2],
+                [(s[0] + 1j * s[1]) / 2, (n - s[2]) / 2]]
 
     return channel
 
