@@ -8,12 +8,12 @@ simultaneous round of classical broadcast plus pre-shared entanglement.
 """
 
 from cdslab.families import named_fn
+from cdslab.frames import left_fidelity
 from cdslab.ghsearch import gh_search
 from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, frouting_from_cdqs
 from cdslab.protocols import cds_from_gh
 from cdslab.qverifiers import verify_cdqs, verify_frouting
-from cdslab.spectra import worst_fidelity
 
 and1 = named_fn("and", n=1)
 
@@ -48,7 +48,8 @@ print("round trip infidelity:", back.worst_infidelity,
 # messages carry no key information, rotating Alice's kept key register
 # through the pad-to-EPR basis pulls the qubit back with fidelity exactly
 # one; once the key is decodable the best she can do is 1/2. The figure is
-# exact: the worst fidelity over every pure input qubit.
+# exact: the worst fidelity over every pure input qubit, read off the Gram
+# matrix of the message states under two keys.
 for (x, y) in and1.inputs():
-    p = worst_fidelity(lambda psi: R2.left_output(x, y, psi))
+    p = left_fidelity(R2.key_classes(x, y), R2.denom)
     print(f"  x={x} y={y} (f={and1.eval(x, y)}): left worst fidelity = {p:.12f}")

@@ -24,11 +24,11 @@ A request loads only the modules its stages run: ``families`` for ``--fn``
 or a ``dre`` verify, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
 ``algebra`` and ``zp`` for ``span``, ``protocols`` for a ``psm`` base, and
 to verify ``protocols`` for a classical stage, ``nlqc`` for a quantum one
-(``padroutes`` for a pad route), ``frames`` for a CDQS or an f-routing
-(``spectra`` for a pad route's left side), and ``verifiers`` (with
-``fractions``) or ``qverifiers``; ``csv`` only for a CSV report. No request
-loads the dense ``quantum``, ``toolkit``, numpy or argparse: quantum figures
-are exact.
+(``padroutes`` for a pad route), ``frames`` for a CDQS or an f-routing,
+and ``verifiers`` (with ``fractions``) or ``qverifiers``; ``csv`` only for a
+CSV report. No request loads the dense ``quantum`` and its eigen-solver,
+``toolkit``, numpy or argparse: quantum figures, even a left side's, are
+exact.
 """
 
 from __future__ import annotations

@@ -10,18 +10,20 @@ measurement of the carried qubit with half of a fresh EPR link moves it to
 the link's far half, each outcome (a, b) at probability 1/4 and XORed into
 the frame; a pad, or its undoing, XORs its key. Branch weights are integers
 over one denominator per run, so every figure is an exact rational until it
-is written as a float. What a frame cannot state is refused: a measurement
-that misses the carried qubit, or a view of a register it does not carry.
+is written as a float. A pad route's left side, where Alice pulls the qubit
+back through her key register, has its worst fidelity in closed form from
+the key classes' weights (``left_fidelity``). What a frame cannot state is
+refused: a measurement that misses the carried qubit, or a view of a
+register it does not carry.
 """
+
+import math
 
 from .errors import ValidationError
 
 CARRIER = ("Q", 0, 0)
-# the frames (a, b) of the Paulis X^a Z^b, which are also the pad keys, and the
-# phased pad i^(ab) X^a Z^b of each as rows: I, Z, X and Y
+# the frames (a, b) of the Paulis X^a Z^b, which are also the pad keys: I, Z, X, Y
 KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
-PADS = {(0, 0): ((1, 0), (0, 1)), (0, 1): ((1, 0), (0, -1)),
-        (1, 0): ((0, 1), (1, 0)), (1, 1): ((0, -1j), (1j, 0))}
 
 
 def hop(state: tuple, pair: tuple, far: str) -> list:
@@ -76,3 +78,30 @@ def decoupling_gap(branches, regs, denom: int) -> float:
                    for block in blocks.values() for frame in KEYS) / (8 * denom * denom)
     return sum(abs(w * (denom - total)) for block in blocks.values()
                for w in block.values()) / (2 * denom * denom)
+
+
+def left_fidelity(classes, denom: int) -> float:
+    """A pad route's left side: its worst fidelity over every pure input qubit.
+
+    ``classes`` are the transcript classes of the key disclosure on one
+    input, with integer weights under each key out of ``denom`` / 4. Alice
+    rotates her key register through the pad-to-EPR basis and keeps the
+    qubit; the message register enters only through its Gram matrix under
+    two keys, B_st = sum_c sqrt(w_s(c) w_t(c)). With P_s the pad of key s and
+    n the input's Bloch vector, the fidelity is sum_{s,t} B_st
+    |<psi|P_t P_s|psi>|^2 / (2 denom) = alpha_I + sum_Q alpha_Q n_Q^2, where
+    alpha_Q = sum_s B_{s, s xor Q} / (2 denom) and Q runs over X, Y and Z.
+    Every alpha_Q is nonnegative and n_X^2 + n_Y^2 + n_Z^2 = 1, so the
+    minimum sits on a Pauli axis: the figure is (sum_s B_ss + min_Q
+    sum_s B_{s, s xor Q}) / (2 denom). Equal weights, as a hidden key leaves
+    them, keep their exact root, so a hidden key reads exactly 1 and a
+    disclosed one exactly 1/2.
+    """
+    sums = dict.fromkeys(KEYS, 0)
+    for w in (c.weights for c in classes):
+        for (a, b), ws in w.items():
+            for q in KEYS:
+                wt = w.get((a ^ q[0], b ^ q[1]))
+                if wt:
+                    sums[q] += ws if ws == wt else math.sqrt(ws) * math.sqrt(wt)
+    return (sums[(0, 0)] + min(sums[q] for q in KEYS[1:])) / (2 * denom)

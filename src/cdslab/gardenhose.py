@@ -19,18 +19,23 @@ LEFT = "left"
 RIGHT = "right"
 
 
-def _freeze_matching(pairs):
-    out = set()
-    used = set()
+def _partners(pairs) -> dict:
+    """Each opening the matching ``pairs`` joins -> the opening its hose leads
+    to; a pipe matched with itself or an opening used twice is refused."""
+    out = {}
     for a, b in pairs:
         if a == b:
             raise ValidationError(f"pipe {a} matched with itself")
-        for v in (a, b):
-            if v in used:
+        for v, w in ((a, b), (b, a)):
+            if v in out:
                 raise ValidationError(f"pipe opening {v} used twice in a matching")
-            used.add(v)
-        out.add(frozenset((a, b)))
-    return frozenset(out)
+            out[v] = w
+    return out
+
+
+def _freeze_matching(pairs):
+    _partners(pairs)
+    return frozenset(map(frozenset, pairs))
 
 
 class GhStrategy:
@@ -42,6 +47,8 @@ class GhStrategy:
         alice: map x -> (tap pipe, left matching); the matching never touches
             the tap pipe's left opening.
         bob: map y -> right matching.
+        left_partners, right_partners: each x's and each y's matching as a
+            map from an opening to the one its hose leads to, made once.
     Matchings are frozensets of frozenset pairs {i, j}.
     """
 
@@ -56,20 +63,19 @@ class GhStrategy:
             if not (0 <= width < len(inputs).bit_length() and len(inputs) == 1 << width
                     and set(inputs) == set(range(len(inputs)))):
                 raise ValidationError(f"{side} must cover every {name}")
+        self.left_partners, self.right_partners = {}, {}
         for x, (tap, matching) in self.alice.items():
             if tap not in valid:
                 raise ValidationError(f"tap {tap} outside 1..{self.pipes}")
-            ends = {v for pair in matching for v in pair}
-            if not ends <= valid:
+            self.left_partners[x] = ends = _partners(matching)
+            if not ends.keys() <= valid:
                 raise ValidationError("left matching uses unknown pipe")
             if tap in ends:
                 raise ValidationError(f"x={x}: tap pipe {tap} also matched on the left")
-            _freeze_matching(matching)
         for y, matching in self.bob.items():
-            ends = {v for pair in matching for v in pair}
-            if not ends <= valid:
+            self.right_partners[y] = ends = _partners(matching)
+            if not ends.keys() <= valid:
                 raise ValidationError("right matching uses unknown pipe")
-            _freeze_matching(matching)
 
     def __eq__(self, other) -> bool:
         return type(other) is GhStrategy and vars(self) == vars(other)
@@ -109,37 +115,27 @@ class GhOutcome(NamedTuple):
     path: tuple
 
 
-def _partner(matching, pipe):
-    for pair in matching:
-        if pipe in pair:
-            (other,) = pair - {pipe}
-            return other
-    return None
-
-
 def gh_eval(strategy: GhStrategy, x: int, y: int) -> GhOutcome:
-    """Trace the water. Terminates after at most 2m hops since every opening
-    joins at most one hose and the flow never revisits an opening."""
+    """Trace the water, one partner lookup per hop. Terminates after at most
+    2m hops since every opening joins at most one hose and the flow never
+    revisits an opening."""
     if x not in strategy.alice:
         raise DomainError(f"x={x} not covered")
     if y not in strategy.bob:
         raise DomainError(f"y={y} not covered")
-    tap, left_match = strategy.alice[x]
-    right_match = strategy.bob[y]
+    tap = strategy.alice[x][0]
+    left, right = strategy.left_partners[x], strategy.right_partners[y]
     path = [(tap, "lr")]
-    pipe, direction = tap, "lr"
-    for _ in range(2 * strategy.pipes):
-        if direction == "lr":
-            nxt = _partner(right_match, pipe)
-            if nxt is None:
-                return GhOutcome(RIGHT, pipe, tuple(path))
-            pipe, direction = nxt, "rl"
-        else:
-            nxt = _partner(left_match, pipe)
-            if nxt is None:
-                return GhOutcome(LEFT, pipe, tuple(path))
-            pipe, direction = nxt, "lr"
-        path.append((pipe, direction))
+    pipe = tap
+    for _ in range(strategy.pipes):
+        nxt = right.get(pipe)
+        if nxt is None:
+            return GhOutcome(RIGHT, pipe, tuple(path))
+        path.append((nxt, "rl"))
+        pipe = left.get(nxt)
+        if pipe is None:
+            return GhOutcome(LEFT, nxt, tuple(path))
+        path.append((pipe, "lr"))
     raise AssertionError("water revisited an opening; matchings were not disjoint")
 
 

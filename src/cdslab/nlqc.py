@@ -75,15 +75,15 @@ class FRoutingProtocol(InputDomain):
 
     ``exit_info`` names the side and, for branch-verifiable protocols, the
     register where the qubit lands, which ``recover`` corrects; ``msg_regs``
-    names the registers the right side holds. Protocols whose left side
-    reconstructs the qubit by local decoding instead of holding a branch
-    register supply ``left_output``: the 2x2 matrix the left side
-    reconstructs from an input qubit of amplitudes psi, linear in
-    |psi><psi|. Every run's branch weights add up to ``denom``.
+    names the registers the right side holds. A pad route's left side
+    reconstructs the qubit from Alice's kept key register instead of holding
+    a branch register; it supplies ``key_classes``, as its CDQS does, from
+    which ``frames.left_fidelity`` reads its worst fidelity. Every run's
+    branch weights add up to ``denom``.
     """
 
     def __init__(self, f: BoolFn, run: Callable, denom: int, msg_regs: Callable,
-                 recover: Callable, exit_info: Callable, left_output: Optional[Callable] = None,
+                 recover: Callable, exit_info: Callable, key_classes: Optional[Callable] = None,
                  domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier) -> [RunBranch]
@@ -91,7 +91,7 @@ class FRoutingProtocol(InputDomain):
         self.msg_regs = msg_regs          # (x, y) -> tuple of register names
         self.recover = recover            # (x, y, transcript, state) -> state
         self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
-        self.left_output = left_output    # (x, y, psi_vec) -> 2x2 matrix
+        self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
         super().__init__(domain, resources)
 
 

@@ -10,9 +10,9 @@ class's weight under a key is a product of two runs' counts, out of the
 squared joint randomness, and a branch is a ``frames`` state, the carrier
 padded by its key. A PSQM is a classical PSM's messages, handed on as those
 counts. A pad CDQS's referee holds "Q", and its recovery is the only decode
-of a key; the route built on it passes its run, registers, recovery and
-resources through and adds only where the qubit exits and what the left
-side reconstructs.
+of a key; the route built on it passes its run, registers, recovery, key
+classes and resources through and adds only where the qubit exits. The left
+side's worst fidelity is read off the key classes (``frames.left_fidelity``).
 """
 
 from __future__ import annotations
@@ -83,38 +83,6 @@ def class_product(classes: list) -> list:
                                              for t, w in b.weights.items()},
                             a.count * b.count)
             for a in classes for b in classes]
-
-
-def _otp_left_output(classes: list, psi, denom: int) -> list:
-    """The qubit Alice reconstructs from amplitudes psi, as a 2x2 matrix.
-
-    ``classes`` are the transcript classes of the key disclosure on one
-    input, with integer weights under each key out of ``denom`` / 4. The
-    message register holds sqrt(weight) on one basis vector per class and
-    is traced out, so it enters only through the Gram matrix of its states
-    under two keys, B_st = sum_c sqrt(w_s(c) w_t(c)). Rotating the key
-    register through the pad-to-EPR basis and keeping its second qubit
-    leaves rho = sum_{s,t} B_st <P_t psi|P_s psi> P_s P_t^dagger / (2 denom),
-    P_s the phased pad of key s.
-    """
-    from .frames import KEYS, PADS
-
-    padded = {s: [row[0] * psi[0] + row[1] * psi[1] for row in PADS[s]] for s in KEYS}
-    rho = [[0j, 0j], [0j, 0j]]
-    for s in KEYS:
-        for t in KEYS:
-            # equal weights, as a hidden key leaves them, keep their exact root
-            gram = sum(w[s] if w[s] == w[t] else math.sqrt(w[s]) * math.sqrt(w[t])
-                       for w in (c.weights for c in classes) if s in w and t in w)
-            if not gram:
-                continue
-            inner = (padded[t][0].conjugate() * padded[s][0]
-                     + padded[t][1].conjugate() * padded[s][1]) * gram / (2 * denom)
-            for i in range(2):
-                for j in range(2):
-                    rho[i][j] += inner * (PADS[s][i][0] * PADS[t][j][0].conjugate()
-                                          + PADS[s][i][1] * PADS[t][j][1].conjugate())
-    return rho
 
 
 def _pad_run(classes_of: Callable) -> Callable:
@@ -199,7 +167,7 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     C's own recovery. On hiding inputs the messages carry no key information,
     so Alice, who kept her key register coherent, can rotate it through the
     pad-to-EPR basis and swap the qubit back onto her side. The route passes
-    C's run, registers, recovery and resources through, so any
+    C's run, registers, recovery, key classes and resources through, so any
     pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one made from
     a router has no pad key classes and is refused.
     """
@@ -211,11 +179,8 @@ def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
     def exit_info(x, y):
         return (RIGHT, C.out_reg(x, y)) if C.f.eval(x, y) == 1 else (LEFT, None)
 
-    def left_output(x, y, psi):
-        return _otp_left_output(C.key_classes(x, y), psi, C.denom)
-
     return FRoutingProtocol(C.f, C.run, C.denom, C.msg_regs, C.recover, exit_info,
-                            left_output=left_output, domain=C.domain,
+                            key_classes=C.key_classes, domain=C.domain,
                             resources=dict(C.resources))
 
 

@@ -19,7 +19,8 @@ with its exact probability, and ``ptrace`` returns a reduced density
 operator as a list of rows. A referee's classical-quantum view is a block
 stack, a list holding the t (d, d) blocks of a block-diagonal operator, one
 block per transcript; ``decoupling_gap`` takes such stacks whole, and its
-trace norms come from ``spectra``.
+trace norms come from ``eigh``, the cyclic Jacobi method for Hermitian
+matrices (Golub and Van Loan, *Matrix Computations*, section 8.5).
 
 Nothing here uses numpy. The seeded probe qubits, the Uhlmann fidelity,
 the trace distance, Choi states and the pad average live in ``toolkit``.
@@ -33,7 +34,6 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, ValidationError, charge
-from .spectra import eigh
 
 MAX_QUBITS = 14
 _R2 = 1 / math.sqrt(2)
@@ -291,6 +291,69 @@ class PureState:
         rows = [[vec[base + o] for base in bases] for o in offs]
         conj = [[z.conjugate() for z in row] for row in rows]
         return [[sum(map(mul, ri, cj)) for cj in conj] for ri in rows]
+
+
+def _jacobi(a: list) -> tuple:
+    """Cyclic Jacobi diagonalisation of the Hermitian matrix ``a``, in place.
+
+    Each rotation zeroes one off-diagonal pair: a phase makes the pivot real
+    and a real rotation annihilates it, so the rotation on rows and columns
+    (p, q) is [[c, s e], [-s conj(e), c]] with e the pivot's phase. Sweeps
+    run row by row over p < q and stop after one that finds every
+    off-diagonal entry at most 2^-60 of the Frobenius norm. Returns
+    (diagonal, accumulated rotations).
+    """
+    n = len(a)
+    v = [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    tiny = 2.0 ** -120 * sum(z.real * z.real + z.imag * z.imag for row in a for z in row)
+    rotated = True
+    while rotated:
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                g = abs(apq)
+                if g * g <= tiny:
+                    continue
+                rotated = True
+                e = apq / g
+                app, aqq = a[p][p].real, a[q][q].real
+                tau = (aqq - app) / (2 * g)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1 / math.sqrt(1 + t * t)
+                s = t * c
+                se = s * e
+                sec = se.conjugate()
+                for k in range(n):
+                    if k == p or k == q:
+                        continue
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = nkp = c * akp - sec * akq
+                    a[k][q] = nkq = se * akp + c * akq
+                    a[p][k], a[q][k] = nkp.conjugate(), nkq.conjugate()
+                a[p][p], a[q][q] = complex(app - t * g), complex(aqq + t * g)
+                a[p][q] = a[q][p] = 0j
+                for row in v:
+                    vkp, vkq = row[p], row[q]
+                    row[p], row[q] = c * vkp - sec * vkq, se * vkp + c * vkq
+    return [a[i][i].real for i in range(n)], v
+
+
+def _hermitian(mat) -> list:
+    """(mat + mat^H) / 2, which is ``mat`` itself when it is Hermitian."""
+    m = [list(map(complex, row)) for row in mat]
+    if any(len(row) != len(m) for row in m):
+        raise ValidationError("matrix is not square")
+    return [[(x + y.conjugate()) / 2 for x, y in zip(row, col)]
+            for row, col in zip(m, zip(*m))]
+
+
+def eigh(mat) -> tuple:
+    """(eigenvalues ascending, matrix whose columns are the eigenvectors)
+    of the Hermitian part of ``mat``."""
+    vals, v = _jacobi(_hermitian(mat))
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [vals[i] for i in order], [[row[i] for i in order] for row in v]
 
 
 def _trace_norm(mat) -> float:

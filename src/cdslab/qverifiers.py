@@ -11,8 +11,8 @@
 
 Runs are Pauli frames with integer weights (``frames``), so each figure is
 exact until it is written as a float, and a perfect protocol's figures are
-exact zeros that name no witness. Only a pad route's left side loads the
-eigen-solver, ``spectra``, for its worst fidelity over every pure input.
+exact zeros that name no witness. A pad route's left side reports its worst
+fidelity over every pure input, in closed form from its key classes.
 """
 
 from __future__ import annotations
@@ -137,10 +137,9 @@ def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
 def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
     """Delivered-qubit fidelity on both sides, worst case over inputs.
 
-    Branch-register sides are checked through the Choi state. A side that
-    reconstructs by local decoding reports its exact worst fidelity over
-    every pure input qubit, ``spectra.worst_fidelity`` of four runs of
-    ``left_output``.
+    Branch-register sides are checked through the Choi state. A pad route's
+    left side, which has no exit register, reports its worst fidelity over
+    every pure input qubit, ``frames.left_fidelity`` of its key classes.
     """
     from . import frames
     from .gardenhose import RIGHT
@@ -156,11 +155,9 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
             F = _choi_fidelity(branches, lambda b: P.recover(x, y, b.transcript, b.state),
                                reg, P.denom)
         else:
-            if P.left_output is None:
+            if P.key_classes is None:
                 raise ValidationError("no register and no local reconstruction")
-            from .spectra import worst_fidelity
-            F = worst_fidelity(lambda psi: P.left_output(x, y, psi))
-            n = 0
+            F, n = frames.left_fidelity(P.key_classes(x, y), P.denom), 0
         sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
                      "infidelity", 1 - F)
     return sweep.report("frouting", "infidelity", None, P.resources,

@@ -13,9 +13,8 @@ from typing import TYPE_CHECKING, Callable
 from .algebra import SpanProgram, span_dnf
 from .errors import ValidationError, Worst
 from .frames import CARRIER, view
-from .quantum import (_R2, PureState, _stack, _trace_norm, dagger, kron, matmul, phased_pad,
-                      weighted)
-from .spectra import eigh
+from .quantum import (_R2, PureState, _stack, _trace_norm, dagger, eigh, kron, matmul,
+                      phased_pad, weighted)
 
 if TYPE_CHECKING:
     from .nlqc import CdqsProtocol

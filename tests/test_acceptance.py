@@ -16,6 +16,7 @@ from cdslab.algebra import span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn
 from cdslab.cli import main as cli_main
 from cdslab.families import named_fn
+from cdslab.frames import left_fidelity
 from cdslab.gardenhose import LEFT, RIGHT
 from cdslab.ghsearch import gh_search
 from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
@@ -24,7 +25,6 @@ from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, 
                               psm_generic_table)
 from cdslab.quantum import epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
-from cdslab.spectra import worst_fidelity
 from cdslab.toolkit import (span_threshold_2of3, security_state_sweep, fidelity, pad_average,
                             random_qubit, trace_distance)
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
@@ -170,7 +170,7 @@ def test_criterion_08_route_round_trip_preserves_disclosure():
     worst_rec = 1.0
     for (x, y) in ((0, 0), (0, 1), (1, 0)):  # the f = 0 side
         # exact over every pure secret qubit
-        rec = worst_fidelity(lambda psi: R.left_output(x, y, psi))
+        rec = left_fidelity(R.key_classes(x, y), R.denom)
         worst_rec = min(worst_rec, rec)
         assert rec >= 1 - 1e-9, (x, y)
     print(f"criterion 08 PASS: round trip keeps "

@@ -1564,8 +1564,8 @@ _DENSE_LOADS = """
 import json, sys
 from cdslab.cli import main
 code = main(["verify", sys.argv[1], "--out", "r.json"])
-print(json.dumps([code, [m for m in ("cdslab.quantum", "cdslab.toolkit", "numpy",
-                                     "cdslab.spectra") if m in sys.modules]]))
+print(json.dumps([code, [m for m in ("cdslab.quantum", "cdslab.toolkit", "numpy")
+                          if m in sys.modules]]))
 """
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1573,16 +1573,14 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("case", [case for case in GOLDEN_DESCRIPTORS if {"cdqs", "frouting"} & set(
     json.loads((GOLDEN / f"{case}.desc.json").read_text())["chain"])])
 def test_a_quantum_verify_loads_no_dense_statevector(tmp_path, case):
-    # every CDQS and f-routing runs on Pauli frames: no verify loads the dense
-    # statevector, toolkit or numpy, and only a pad route's left side loads
-    # the eigen-solver that its worst fidelity needs
-    chain = json.loads((GOLDEN / f"{case}.desc.json").read_text())["chain"]
+    # every CDQS and f-routing runs on Pauli frames, and a pad route's left
+    # side is in closed form: no verify loads the dense statevector with its
+    # eigen-solver, toolkit or numpy
     run = subprocess.run([sys.executable, "-c", _DENSE_LOADS, str(GOLDEN / f"{case}.desc.json")],
                          cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr
-    left_side = chain[-1] == "frouting" and "cdqs" in chain
-    assert json.loads(run.stdout) == [0, ["cdslab.spectra"] if left_side else []]
+    assert json.loads(run.stdout) == [0, []]
 
 
 def test_a_strategy_wider_than_its_inputs_is_rejected_within_a_gib(tmp_path):

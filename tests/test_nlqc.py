@@ -15,10 +15,9 @@ from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, cdqs_from_frouting, fro
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, psm_from_dre,
                               psm_generic_table, dre_qr)
-from cdslab.frames import CARRIER
+from cdslab.frames import CARRIER, left_fidelity
 from cdslab.quantum import X, Z, epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
-from cdslab.spectra import worst_fidelity
 from cdslab.toolkit import security_state_sweep, random_qubit
 from message_reference import cds_of, psm_of
 
@@ -154,11 +153,11 @@ def test_pad_route_round_trip_preserves_quality():
 
 def test_otp_reconstruction_values():
     # hidden key: the left side recovers every pure qubit exactly; disclosed
-    # key: its worst fidelity over the pure qubits is 1/2
+    # key: its worst fidelity over the pure qubits is exactly 1/2
     R = frouting_from_cdqs(cdqs_from_cds(_gh_cds(AND1)))
     for (x, y) in AND1.inputs():
-        F = worst_fidelity(lambda psi: R.left_output(x, y, psi))
-        assert abs(F - (0.5 if AND1.eval(x, y) else 1.0)) < 1e-12, (x, y)
+        F = left_fidelity(R.key_classes(x, y), R.denom)
+        assert F == (0.5 if AND1.eval(x, y) else 1.0), (x, y)
 
 
 def test_qr5_pad_route_fits_the_qubit_cap():

@@ -4,14 +4,15 @@ Every CDQS and f-routing verify reads its runs as Pauli frames with integer
 weights (``cdslab.frames``). ``dense_reference`` runs the same records on
 dense statevectors: garden-hose routes teleport through every pipe's EPR
 link, pad routes pad a dense qubit, and the left side of a pad route is the
-(3 + k)-qubit state it was before frames. Per-input fidelities, gaps, secret
-sweeps and left-side outputs must agree within 1e-12, on random strategies,
-on random tables through both pad routes and on planted leaks.
+(3 + k)-qubit state it was before frames. Per-input fidelities, gaps and
+secret sweeps must agree within 1e-12, and the left side's closed-form
+worst fidelity must be the dense left side's least fidelity on the six
+Pauli eigenstates and exceed no probe's, on random strategies, on
+random tables through both pad routes and on planted leaks.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,8 @@ from cdslab.nlqc import RunBranch, cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
 from cdslab.protocols import cds_from_psm, psm_generic_table
 from cdslab.qverifiers import verify_cdqs, verify_frouting
-from cdslab.spectra import worst_fidelity
-from cdslab.toolkit import probe_qubits, security_state_sweep
+from cdslab.quantum import overlap
+from cdslab.toolkit import PAULI_EIGENSTATES, probe_qubits, security_state_sweep
 from test_frame_classes import _strategies, _table_of
 from test_transcript_classes import _leaky_cds, _secret_in_tag_cds, _x_in_values_psm
 
@@ -68,14 +69,16 @@ def _check_pad_route(C) -> None:
     right = dense.frouting_fidelities(R, run)
     _close({xy: report.per_input[xy]["fidelity"] for xy in right}, right)
     for (x, y) in C.domain:
-        def left(psi):
-            return dense.otp_left_output(C.key_classes(x, y), psi, C.denom)
-
-        for name, psi in probe_qubits(range(1)):
-            got = R.left_output(x, y, psi)
-            assert np.max(np.abs(np.subtract(got, left(psi)))) <= TOL, (x, y, name)
+        classes = C.key_classes(x, y)
+        figure = frames.left_fidelity(classes, C.denom)
+        seen = {name: overlap(dense.otp_left_output(classes, psi, C.denom), psi)
+                for name, psi in probe_qubits(range(1))}
+        # the dense left side's minimum sits on a Pauli axis: the six Pauli
+        # eigenstates reach the closed form, and no probe falls below it
+        assert abs(figure - min(seen[name] for name, _ in PAULI_EIGENSTATES)) <= TOL, (x, y)
+        assert figure <= min(seen.values()) + TOL, (x, y)
         if (x, y) not in right:
-            assert abs(report.per_input[(x, y)]["fidelity"] - worst_fidelity(left)) <= TOL
+            assert report.per_input[(x, y)]["fidelity"] == figure
 
 
 # -- the kernel --------------------------------------------------------------------------

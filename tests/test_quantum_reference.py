@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdslab import quantum, spectra, toolkit
+from cdslab import quantum, toolkit
 from cdslab.quantum import PureState
 
 TOL = 1e-12
@@ -80,7 +80,7 @@ def _projectors(vals, vecs, sep=1e-6):
 
 
 def _check_eigh(A):
-    vals, vecs = spectra.eigh(A)
+    vals, vecs = quantum.eigh(A)
     want_vals, want_vecs = np.linalg.eigh(A)
     _close(vals, want_vals)
     V = np.asarray(vecs)
@@ -114,7 +114,7 @@ def test_jacobi_on_structured_matrices(d):
 
 def test_jacobi_reads_the_hermitian_part():
     A = _rand_op(6)
-    _close(spectra.eigh(A)[0], np.linalg.eigvalsh((A + A.conj().T) / 2))
+    _close(quantum.eigh(A)[0], np.linalg.eigvalsh((A + A.conj().T) / 2))
 
 
 # -- kernels ----------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +30,7 @@ from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh,
                               cds_from_span, coset_hist, dre_qr, hiding_input, message_count,
                               psm_from_dre, psm_generic_table)
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
-from cdslab.toolkit import security_state_sweep, PAULI_EIGENSTATES
+from cdslab.toolkit import security_state_sweep
 from message_reference import enumerated, message_hist, replace
 
 TOL = 1e-12
@@ -126,12 +125,11 @@ def _check_route(classed, flat, routing, sweep) -> None:
     if routing:
         got, want = frouting_from_cdqs(classed), frouting_from_cdqs(flat)
         _same_report(verify_frouting(got), verify_frouting(want))
-        # the Pauli eigenstates span a qubit's operators, so equal outputs on
-        # them make the left side's two maps equal on every input qubit
+        # the left side's figure on every input, revealing ones included
         for (x, y) in classed.domain:
-            for name, psi in PAULI_EIGENSTATES:
-                a, b = got.left_output(x, y, psi), want.left_output(x, y, psi)
-                assert np.max(np.abs(np.subtract(a, b))) <= TOL, (x, y, name)
+            a = frames.left_fidelity(got.key_classes(x, y), got.denom)
+            b = frames.left_fidelity(want.key_classes(x, y), want.denom)
+            assert abs(a - b) <= TOL, (x, y)
 
 
 def _check_cds_route(cds, routing=True, sweep=True) -> None:

@@ -177,13 +177,12 @@ IMPORTED_AT_IMPORT = {
     "ghsearch": {"boolfn", "errors", "gardenhose"},
     "protocols": {"boolfn", "errors", "zp"},
     "verifiers": {"errors", "protocols"},
-    "spectra": {"errors", "frames"},
-    "quantum": {"errors", "spectra"},
+    "quantum": {"errors"},
     "frames": {"errors"},
     "nlqc": {"boolfn", "errors"},
     "qverifiers": {"errors"},
     "padroutes": {"errors", "nlqc"},
-    "toolkit": {"algebra", "errors", "frames", "quantum", "spectra"},
+    "toolkit": {"algebra", "errors", "frames", "quantum"},
     "cli": {"__init__", "boolfn", "errors"},
     "zp": set(),
 }

@@ -1,15 +1,16 @@
-"""The exact worst fidelity of a qubit map against a brute-force minimum.
+"""A pad route's left side in closed form against a brute-force minimum.
 
-``spectra.worst_fidelity`` reads a linear qubit map off four inputs and
-solves a 3x3 trust-region problem. The reference here knows none of that: it
-scores a dense grid of pure inputs through the map itself and refines the
-best grid points by a pattern search on the sphere. The two must agree
-within 1e-12 on random channels, on the identity and the fully depolarising
-channel, on a degenerate Bloch matrix and on hard-case instances.
+``frames.left_fidelity`` reads the left side's worst fidelity over every
+pure input off the key classes' Gram matrix. The reference here knows none
+of that: it runs the dense left side, ``dense_reference.otp_left_output``,
+on a grid of pure inputs and refines the best grid points by a pattern
+search on the sphere. The two must agree within 1e-12 on random key
+classes, partial leaks included. The sphere search is itself checked
+against qubit maps whose minima are known, off the Pauli axes too.
 
-A pad route's left side reports this figure, so the route tests check that
-it never exceeds the fidelity of any of the sixteen probe qubits a state
-sweep would try, and that it is exactly 1/2 where the key is disclosed.
+The route tests check that the figure never exceeds the dense left side's
+fidelity on any of the sixteen probe qubits a state sweep would try, that it
+is exactly 1 where the key is hidden and exactly 1/2 where it is disclosed.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from cdslab.boolfn import BoolFn
 from cdslab.families import named_fn
+from cdslab.frames import KEYS, left_fidelity
 from cdslab.gardenhose import LEFT
 from cdslab.ghsearch import gh_generic, gh_search
-from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
+from cdslab.padroutes import (TranscriptClass, cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs,
+                              psqm_from_psm)
 from cdslab.protocols import cds_from_gh, cds_from_psm, psm_generic_table
 from cdslab.quantum import overlap
 from cdslab.qverifiers import verify_frouting
-from cdslab.spectra import worst_fidelity
 from cdslab.toolkit import probe_qubits
 
 TOL = 1e-12
@@ -97,41 +100,19 @@ def brute_force_minimum(channel, grid: int = 40) -> float:
     return best
 
 
-# -- maps under test -----------------------------------------------------------------
-
-
-def stinespring(seed: int):
-    """A random qubit channel: a random isometry into qubit x environment, traced."""
-    rng = random.Random(seed)
-    env = rng.choice((1, 2, 3))
-    cols = []
-    for _ in range(2):
-        v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2 * env)]
-        for c in cols:
-            dot = sum(a.conjugate() * b for a, b in zip(c, v))
-            v = [b - dot * a for a, b in zip(c, v)]
-        norm = math.sqrt(sum(abs(z) ** 2 for z in v))
-        cols.append([z / norm for z in v])
-
-    def channel(psi):
-        w = [cols[0][r] * psi[0] + cols[1][r] * psi[1] for r in range(2 * env)]
-        return [[sum(w[i * env + e] * w[j * env + e].conjugate() for e in range(env))
-                 for j in range(2)] for i in range(2)]
-
-    return channel
+# -- the sphere search on known minima ------------------------------------------------
 
 
 def bloch_map(T, t):
-    """rho = (I + r.sigma) / 2 -> (I + (T r + t).sigma) / 2, extended linearly:
-    amplitudes psi of norm n^(1/2) give n times the image of the unit state."""
+    """The qubit map (I + r.sigma) / 2 -> (I + (T r + t).sigma) / 2 on pure inputs,
+    whose fidelity at Bloch vector n is (1 + n.(T n + t)) / 2."""
     def channel(psi):
         a, b = psi
-        n = abs(a) ** 2 + abs(b) ** 2
         r = (2 * (a.conjugate() * b).real, 2 * (a.conjugate() * b).imag,
              abs(a) ** 2 - abs(b) ** 2)
-        s = [sum(T[i][j] * r[j] for j in range(3)) + n * t[i] for i in range(3)]
-        return [[(n + s[2]) / 2, (s[0] - 1j * s[1]) / 2],
-                [(s[0] + 1j * s[1]) / 2, (n - s[2]) / 2]]
+        s = [sum(T[i][j] * r[j] for j in range(3)) + t[i] for i in range(3)]
+        return [[(1 + s[2]) / 2, (s[0] - 1j * s[1]) / 2],
+                [(s[0] + 1j * s[1]) / 2, (1 - s[2]) / 2]]
 
     return channel
 
@@ -143,35 +124,84 @@ MAPS = {
     "depolarising": (bloch_map(ZERO, (0, 0, 0)), 0.5),
     # the lowest eigenvalue of diag(1, 1, -1) is simple, the highest double
     "degenerate": (bloch_map(((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 0)), 0.0),
-    # t has no component on the lowest eigenvector, e_z: the hard case, with the
-    # minimum at n = (-0.075, 0, +-sqrt(1 - 0.075^2)), value -0.005625
+    # t has no component on the lowest eigenvector, e_z: the minimum is off
+    # every axis, at n = (-0.075, 0, +-sqrt(1 - 0.075^2)), value -0.005625
     "hard": (bloch_map(((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0.3, 0, 0)), -0.005625),
-    # a two-dimensional lowest eigenspace, t orthogonal to it: a circle of minima
+    # a circle of minima at n_z = -3/28, where (1 - 0.8 + 1.4 n_z^2 + 0.3 n_z) / 2
+    # is least
     "hard_circle": (bloch_map(((-0.8, 0, 0), (0, -0.8, 0), (0, 0, 0.6)), (0, 0, 0.3)),
-                    None),
+                    103 / 1120),
     # a quarter turn about y: T is not symmetric, and every input off the axis,
     # at n_y = 0, is worst
     "quarter_turn": (bloch_map(((0, 0, -1), (0, 1, 0), (1, 0, 0)), (0, 0, 0)), 0.5),
+    # |1> keeps 1 - 0.64 of itself
     "amplitude_damping": (bloch_map(((0.6, 0, 0), (0, 0.6, 0), (0, 0, 0.36)),
-                                    (0, 0, 0.64)), None),
+                                    (0, 0, 0.64)), 0.36),
 }
 
 
 @pytest.mark.parametrize("name", list(MAPS))
 def test_named_maps_match_the_brute_force_minimum(name):
     channel, known = MAPS[name]
-    got = worst_fidelity(channel)
-    assert abs(got - brute_force_minimum(channel)) <= TOL, name
-    if known is not None:
-        assert abs(got - known) <= TOL, name
+    assert abs(brute_force_minimum(channel) - known) <= TOL, name
+
+
+# -- the closed form on random key classes -------------------------------------------
+
+
+def _split(total: int, cuts) -> list:
+    """``total`` cut into consecutive parts at the points ``cuts``."""
+    cuts = sorted(cuts)
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def _classes(parts: dict) -> list:
+    """Class i weighs ``parts[s][i]`` under key s; keys of no weight are left out."""
+    rows = [{s: p[i] for s, p in parts.items() if p[i]} for i in range(len(parts[KEYS[0]]))]
+    return [TranscriptClass(i, w, 1) for i, w in enumerate(rows) if w]
+
+
+def _sphere_minimum(classes, denom: int) -> float:
+    return brute_force_minimum(lambda psi: dense.otp_left_output(classes, psi, denom), grid=16)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_channels_match_the_brute_force_minimum(seed):
-    channel = stinespring(seed)
-    got = worst_fidelity(channel)
-    assert abs(got - brute_force_minimum(channel)) <= TOL
-    assert 0.0 <= got <= 1.0 + TOL
+    # the left side of a seeded partial leak: each key's weight, out of
+    # denom / 4, split at random over three classes
+    rng = random.Random(seed)
+    total = rng.randint(6, 20)
+    classes = _classes({s: _split(total, [rng.randint(0, total) for _ in range(2)])
+                        for s in KEYS})
+    got = left_fidelity(classes, 4 * total)
+    assert abs(got - _sphere_minimum(classes, 4 * total)) <= TOL
+    assert 0.5 < got < 1
+
+
+@st.composite
+def key_classes(draw) -> tuple:
+    """(classes, denom): one to four classes whose weights under every key add
+    up to denom / 4."""
+    k, total = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    cuts = st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)
+    return _classes({s: _split(total, draw(cuts)) for s in KEYS}), 4 * total
+
+
+def test_left_fidelity_matches_the_sphere_search():
+    figures = []
+
+    @settings(max_examples=25, deadline=None)
+    @given(key_classes())
+    def check(drawn):
+        classes, denom = drawn
+        got = left_fidelity(classes, denom)
+        assert abs(got - _sphere_minimum(classes, denom)) <= TOL
+        assert 0.5 <= got <= 1 + TOL
+        figures.append(got)
+
+    check()
+    # partial leaks: neither hidden nor disclosed
+    assert any(0.5 < f < 1 for f in figures)
 
 
 # -- pad routes -----------------------------------------------------------------------
@@ -189,15 +219,16 @@ def _check_left_side(C, leak=None) -> None:
         if side != LEFT:
             continue
         lefts += 1
-        exact = worst_fidelity(lambda psi: R.left_output(x, y, psi))
+        classes = R.key_classes(x, y)
+        exact = left_fidelity(classes, R.denom)
         assert report.per_input[(x, y)]["fidelity"] == exact
-        sampled = [overlap(R.left_output(x, y, vec), vec) for vec in probes]
+        sampled = [overlap(dense.otp_left_output(classes, vec, R.denom), vec) for vec in probes]
         assert exact <= min(sampled) + TOL, (x, y)
         if (x, y) == leak:
-            assert abs(exact - 0.5) <= TOL
+            assert exact == 0.5
             assert max(abs(s - 0.5) for s in sampled) <= TOL
         else:
-            assert 1 - exact <= TOL, (x, y)
+            assert exact == 1.0, (x, y)
     assert lefts > 0
 
 
@@ -233,9 +264,9 @@ def test_the_planted_full_leak_is_exactly_one_half():
     # qubit left there anyway leaves Alice the maximally mixed state
     C = cdqs_from_cds(_gh_cds(AND1))
     R = frouting_from_cdqs(C)
-    assert abs(worst_fidelity(lambda psi: R.left_output(1, 1, psi)) - 0.5) <= TOL
+    assert left_fidelity(R.key_classes(1, 1), R.denom) == 0.5
     leaky = type(C)(**{**vars(C), "f": BoolFn(1, 1, (0, 0, 0, 0))})
     _check_left_side(leaky, leak=(1, 1))
     report = verify_frouting(frouting_from_cdqs(leaky))
-    assert abs(report.worst_infidelity - 0.5) <= TOL
+    assert report.worst_infidelity == 0.5
     assert report.witnesses["infidelity"] == (1, 1)
