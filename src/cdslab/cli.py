@@ -109,7 +109,6 @@ OPTIONS = {  # command -> {option: (type or choices, default, help)}; default ..
     "verify": {
         "descriptor": (str, ..., "path to a descriptor JSON file"),
         "--budget": (int, DEFAULT_BUDGET, "enumeration budget"),
-        "--tol": (float, 1e-9, "tolerance for quantum figures of merit"),
         "--out": (str, None, "report path, else stdout"),
         "--format": (("json", "csv"), "json", "report format")},
     "sweep": {
@@ -286,7 +285,8 @@ def _check_chain(tokens) -> None:
     for a, b in zip(tokens, tokens[1:]):
         if (a, b) not in COMPILE:
             raise ValidationError(f"no rule builds {b!r} from {a!r}")
-    # a CDQS made from a router has no pad key for frouting_from_cdqs to route by
+    # cdqs_from_frouting hands on the router's record without pad key classes,
+    # which frouting_from_cdqs needs to route by
     if ("frouting", "cdqs", "frouting") in zip(tokens, tokens[1:], tokens[2:]):
         raise ValidationError("need a protocol exposing its pad key")
 
@@ -336,16 +336,14 @@ def _base_artifact(token: str, f: BoolFn, opts: dict, desc: dict | None):
 # -- verification dispatch --------------------------------------------------------
 
 
-def _verify_object(kind, obj, tol: float) -> dict:
+def _verify_object(kind, obj) -> dict:
     if kind in ("gh", "span"):   # a chain of its base alone passes once the base is checked
         return {"status": "pass", "kind": kind, "report": {"pipes": obj.pipes} if kind == "gh"
                 else {"rows": obj.size, "width": obj.width, "p": obj.p}}
     rep = VERIFY[kind](obj)
-    # a quantum report's figures are floats, perfect within ``tol``
-    ok = rep.perfect(tol) if kind in ("cdqs", "frouting", "psqm") else rep.perfect
-    out = {"status": "pass" if ok else "fail", "kind": kind,
+    out = {"status": "pass" if rep.perfect else "fail", "kind": kind,
            "report": rep.to_jsonable()}
-    if not ok:
+    if not rep.perfect:
         out["witness"] = out["report"].get("witnesses", {})
     return out
 
@@ -436,7 +434,7 @@ def _cmd_verify(args) -> int:
         obj = _base_artifact(tokens[0], f, opts, desc)
         for edge in zip(tokens, tokens[1:]):   # only a verify compiles the chain
             obj = COMPILE[edge](obj, f, opts)
-        result.update(_verify_object(tokens[-1], obj, args.tol))
+        result.update(_verify_object(tokens[-1], obj))
         result["chain"] = tokens
         result["fn"] = desc["fn"]
     except VerifyFailure as exc:

@@ -61,23 +61,26 @@ def view(branches, regs) -> dict:
     return blocks
 
 
-def decoupling_gap(branches, regs, denom: int) -> float:
-    """Half the trace norm of J - J_R x J_m for the view of R and ``regs``.
+def decoupling_gap(branches, regs, denom: int) -> tuple:
+    """(gap, gap = 0): half the trace norm of J - J_R x J_m for the view of R
+    and ``regs``, and whether it is exactly 0.
 
     With W the branches' total weight and W_t block t's, over ``denom``, J_R
     is W I/2. With the carried qubit in view, block t is sum_P w_tP |P><P|
     over the Bell states P and its marginal is W_t I/2, so J_R x J_m is
     W W_t / 4 on every Bell state and the gap is 1/2 sum_t sum_P
     |w_tP - W W_t / 4|. Without it, block t is W_t I/2 on R and the gap is
-    1/2 sum_t |W_t (1 - W)|. Both are taken on the integers.
+    1/2 sum_t |W_t (1 - W)|. Both are taken on the integers, and the gap is
+    0 exactly when their sum is.
     """
     blocks = view(branches, regs)
     total = sum(w for block in blocks.values() for w in block.values())
     if regs:
-        return sum(abs(4 * denom * block.get(frame, 0) - total * sum(block.values()))
-                   for block in blocks.values() for frame in KEYS) / (8 * denom * denom)
-    return sum(abs(w * (denom - total)) for block in blocks.values()
-               for w in block.values()) / (2 * denom * denom)
+        gap = sum(abs(4 * denom * block.get(frame, 0) - total * sum(block.values()))
+                  for block in blocks.values() for frame in KEYS)
+        return gap / (8 * denom * denom), gap == 0
+    gap = sum(abs(w * (denom - total)) for block in blocks.values() for w in block.values())
+    return gap / (2 * denom * denom), gap == 0
 
 
 def left_fidelity(classes, denom: int) -> float:

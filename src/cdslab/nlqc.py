@@ -8,17 +8,17 @@ is never sampled: ``run(x, y, carrier)``, the qubit in the carrier's
 register "Q", returns its classical branches as (integer weight,
 transcript, Pauli frame) triples, the weights out of the record's
 ``denom``, so verifiers compute exact figures of merit. A CDQS and an
-f-routing state one delivery by the same fields: ``run``, ``denom``,
-``msg_regs``, the registers the right side (a CDQS's referee) holds after a
-run, which may leave out registers in product with the rest of the state,
-and ``recover``, which undoes the frame at the register where the qubit
-lands; either compiles to the other by passing them through. Garden-hose
-routes, here with their conversion to a CDQS, return one branch per
-Pauli-frame class: teleporting through fresh EPR links, the transcripts of a
-class leave the routed qubit under one frame. They read the water trace
-from ``gardenhose`` at call time, and load neither the pad routes
-(``padroutes``) nor any classical protocol. The frame kernel, ``frames``,
-is imported when a route is compiled; no record reads the dense statevector.
+f-routing are one record, as the source paper finds them equivalent: a
+route's right side is a CDQS's referee, holding ``msg_regs`` after a run,
+which may leave out registers in product with the rest of the state; the
+qubit lands in ``exit_reg``, where ``recover`` undoes its frame, and exits
+right exactly when its referee holds that register. Garden-hose routes
+return one branch per Pauli-frame class: teleporting through fresh EPR
+links, the transcripts of a class leave the routed qubit under one frame.
+They read the water trace from ``gardenhose`` at call time, and load
+neither the pad routes (``padroutes``) nor any classical protocol. The
+frame kernel, ``frames``, is imported when a route is compiled; no record
+reads the dense statevector.
 """
 
 from __future__ import annotations
@@ -47,52 +47,34 @@ class RunBranch(NamedTuple):
     count: int = 1
 
 
-class CdqsProtocol(InputDomain):
-    """Conditional disclosure of a quantum state held by Alice.
-
-    The referee receives the registers named by ``msg_regs`` plus the
-    transcript; ``recover`` must restore the secret into ``out_reg`` when
-    f(x, y) = 1. Every run's branch weights add up to ``denom``. A
-    pad-and-disclose protocol also exposes its pad key: ``key_classes(x, y)``
-    gives the transcript classes with their weights under each key.
-    """
-
-    def __init__(self, f: BoolFn, run: Callable, denom: int, msg_regs: Callable,
-                 recover: Callable, out_reg: Callable, key_classes: Optional[Callable] = None,
-                 domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
-        self.f = f
-        self.run = run                    # (x, y, carrier) -> [RunBranch]
-        self.denom = denom                # what a run's branch weights add up to
-        self.msg_regs = msg_regs          # (x, y) -> tuple of register names
-        self.recover = recover            # (x, y, transcript, state) -> state
-        self.out_reg = out_reg            # (x, y) -> register name
-        self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
-        super().__init__(domain, resources)
-
-
 class FRoutingProtocol(InputDomain):
-    """Route a qubit left or right according to f in one simultaneous round.
+    """Route a qubit left or right according to f in one simultaneous round,
+    or disclose it to a referee exactly where f = 1: one record.
 
-    ``exit_info`` names the side and, for branch-verifiable protocols, the
-    register where the qubit lands, which ``recover`` corrects; ``msg_regs``
-    names the registers the right side holds. A pad route's left side
-    reconstructs the qubit from Alice's kept key register instead of holding
-    a branch register; it supplies ``key_classes``, as its CDQS does, from
-    which ``frames.left_fidelity`` reads its worst fidelity. Every run's
-    branch weights add up to ``denom``.
+    ``exit_reg(x, y)`` names the register where the qubit lands, which
+    ``recover`` corrects, and ``msg_regs(x, y)`` the registers the right
+    side, a CDQS's referee, holds; the qubit exits right exactly when they
+    include its exit. A pad route's left side reconstructs the qubit from
+    Alice's kept key register instead, so its exit is None; it supplies
+    ``key_classes``, the transcript classes with their weights under each
+    pad key, from which ``frames.left_fidelity`` reads its worst fidelity.
+    Every run's branch weights add up to ``denom``.
     """
 
     def __init__(self, f: BoolFn, run: Callable, denom: int, msg_regs: Callable,
-                 recover: Callable, exit_info: Callable, key_classes: Optional[Callable] = None,
+                 recover: Callable, exit_reg: Callable, key_classes: Optional[Callable] = None,
                  domain: Optional[LazySpace] = None, resources: Optional[dict] = None):
         self.f = f
         self.run = run                    # (x, y, carrier) -> [RunBranch]
         self.denom = denom                # what a run's branch weights add up to
         self.msg_regs = msg_regs          # (x, y) -> tuple of register names
         self.recover = recover            # (x, y, transcript, state) -> state
-        self.exit_info = exit_info        # (x, y) -> (side, reg name or None)
+        self.exit_reg = exit_reg          # (x, y) -> register name or None
         self.key_classes = key_classes    # (x, y) -> [TranscriptClass]
         super().__init__(domain, resources)
+
+
+CdqsProtocol = FRoutingProtocol   # a CDQS is a route read from its right side
 
 
 class PsqmProtocol(InputDomain):
@@ -162,15 +144,15 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     m = strategy.pipes
 
     def plan_for(outcome):
-        """(hops, side, exit register): a hop is (the measured pair, the far
-        half of the link it measures, its broadcast label)."""
+        """(hops, the registers the right side holds): a hop is (the measured
+        pair, the far half of the link it measures, its broadcast label)."""
         tap = outcome.path[0][0]
         hops = [(("Q", f"L{tap}"), f"R{tap}", ("alice", 0, tap))]
         for (prev, cur) in zip(outcome.path, outcome.path[1:]):
             near, far, party = ("R", "L", "bob") if cur[1] == "rl" else ("L", "R", "alice")
             hops.append(((f"{near}{prev[0]}", f"{near}{cur[0]}"), f"{far}{cur[0]}",
                          (party, prev[0], cur[0])))
-        return hops, outcome.side, hops[-1][1]
+        return hops, (hops[-1][1],) if outcome.side == RIGHT else ()
 
     plans = {xy: plan_for(outcome) for xy, outcome in gh_routes(strategy, f).items()}
 
@@ -184,29 +166,29 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
         return [RunBranch(1, first + ((hops[-1][2], ab),), st, 4 ** len(first))
                 for ab, st in outcomes]
 
-    def exit_info(x, y):
-        return plans[(x, y)][1:]
+    def exit_reg(x, y):
+        return plans[(x, y)][0][-1][1]
 
     def msg_regs(x, y):
-        side, reg = exit_info(x, y)
-        return (reg,) if side == RIGHT else ()
+        return plans[(x, y)][1]
 
     def recover(x, y, transcript, state):
         return frames.xor(state, pauli_frame(ab for (_, ab) in transcript))
 
     resources = {"epr_pairs": m, "pipes": m,
                  "bound_epr_equals_pipes": True}
-    return FRoutingProtocol(f, run, 4, msg_regs, recover, exit_info, resources=resources)
+    return FRoutingProtocol(f, run, 4, msg_regs, recover, exit_reg, resources=resources)
 
 
-def cdqs_from_frouting(R: FRoutingProtocol) -> CdqsProtocol:
+def cdqs_from_frouting(R: FRoutingProtocol) -> FRoutingProtocol:
     """Disclose a qubit by routing it: the right side forwards everything.
 
     Run the router on the secret qubit; the referee receives the transcript
     and every register the right side holds. When f = 1 the qubit sits in the
     exit register and the router's recovery restores it; when f = 0 it never
-    crossed, so the forwarded registers are independent of the secret.
+    crossed, so the forwarded registers are independent of the secret. The
+    CDQS shares R's fields but ``key_classes``: a router's referee holds no
+    pad key, so ``frouting_from_cdqs`` refuses it.
     """
-    return CdqsProtocol(R.f, R.run, R.denom, R.msg_regs, R.recover,
-                        lambda x, y: R.exit_info(x, y)[1], domain=R.domain,
-                        resources=dict(R.resources))
+    return FRoutingProtocol(R.f, R.run, R.denom, R.msg_regs, R.recover, R.exit_reg,
+                            domain=R.domain, resources=dict(R.resources))

@@ -10,9 +10,9 @@ class's weight under a key is a product of two runs' counts, out of the
 squared joint randomness, and a branch is a ``frames`` state, the carrier
 padded by its key. A PSQM is a classical PSM's messages, handed on as those
 counts. A pad CDQS's referee holds "Q", and its recovery is the only decode
-of a key; the route built on it passes its run, registers, recovery, key
-classes and resources through and adds only where the qubit exits. The left
-side's worst fidelity is read off the key classes (``frames.left_fidelity``).
+of a key; the qubit exits there where f = 1 and to the left side elsewhere,
+so the CDQS is its own route. The left side's worst fidelity is read off the
+key classes (``frames.left_fidelity``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ValidationError, space_size
-from .nlqc import CdqsProtocol, FRoutingProtocol, PsqmProtocol, RunBranch
+from .nlqc import FRoutingProtocol, PsqmProtocol, RunBranch
 
 if TYPE_CHECKING:
     from .boolfn import BoolFn
@@ -103,7 +103,7 @@ def _pad_run(classes_of: Callable) -> Callable:
 
 
 def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
-              resources: dict) -> CdqsProtocol:
+              resources: dict) -> FRoutingProtocol:
     """Pad-and-disclose CDQS: the referee gets the padded "Q" and the transcript.
 
     Alice pads the qubit with two key bits, and each bit is disclosed by one
@@ -112,10 +112,12 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     transcript t to a bit. A transcript of the protocol is the pair of run
     transcripts, and ``recover`` decodes it to the key and unpads "Q", the
     carried qubit, by XORing the key into its frame; a failed decode passes
-    the state through. Its classes, the product of the per-run classes with
-    integer weights out of ``denom``, are formed once per input and kept,
-    since the quantum verifiers ask again for every swept qubit state; a
-    run's weights, one uniform key and a class, are out of 4 ``denom``.
+    the state through. The qubit exits in "Q" where f = 1, and elsewhere
+    has no exit register: the left side rebuilds it from the key. Its
+    classes, the product of the per-run classes with integer weights out of
+    ``denom``, are formed once per input and kept, since the quantum
+    verifiers ask again for every swept qubit state; a run's weights, one
+    uniform key and a class, are out of 4 ``denom``.
     """
     from . import frames
 
@@ -127,12 +129,12 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
         key = tuple(bit_of(x, y, t) for t in transcript)
         return frames.xor(state, key) if key in frames.KEYS else state
 
-    return CdqsProtocol(f, _pad_run(key_classes), 4 * denom, lambda x, y: ("Q",), recover,
-                        lambda x, y: "Q", key_classes=key_classes, domain=domain,
-                        resources=resources)
+    return FRoutingProtocol(f, _pad_run(key_classes), 4 * denom, lambda x, y: ("Q",), recover,
+                            lambda x, y: "Q" if f.eval(x, y) == 1 else None,
+                            key_classes=key_classes, domain=domain, resources=resources)
 
 
-def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
+def cdqs_from_cds(C: CdsProtocol) -> FRoutingProtocol:
     """Quantum one-time pad keyed by two secret bits a classical CDS hides.
 
     Alice pads the secret qubit with the two-bit key and sends it along; two
@@ -159,29 +161,20 @@ def cdqs_from_cds(C: CdsProtocol) -> CdqsProtocol:
                      _joint(C) ** 2, C.domain, resources)
 
 
-def frouting_from_cdqs(C: CdqsProtocol) -> FRoutingProtocol:
+def frouting_from_cdqs(C: FRoutingProtocol) -> FRoutingProtocol:
     """Pad-and-disclose routing: the key travels only where f allows.
 
     Alice pads the qubit and sends it right while a key-disclosing scheme runs
     underneath. Revealing inputs let the right side decode the key and unpad,
     C's own recovery. On hiding inputs the messages carry no key information,
     so Alice, who kept her key register coherent, can rotate it through the
-    pad-to-EPR basis and swap the qubit back onto her side. The route passes
-    C's run, registers, recovery, key classes and resources through, so any
-    pad-and-disclose CDQS, from a CDS or a PSQM, can be routed; one made from
-    a router has no pad key classes and is refused.
+    pad-to-EPR basis and swap the qubit back onto her side. A pad CDQS, from
+    a CDS or a PSQM, already states both exits, so the route is C itself; one
+    made from a router has no pad key classes and is refused.
     """
-    from .gardenhose import LEFT, RIGHT
-
     if C.key_classes is None:
         raise ValidationError("need a protocol exposing its pad key")
-
-    def exit_info(x, y):
-        return (RIGHT, C.out_reg(x, y)) if C.f.eval(x, y) == 1 else (LEFT, None)
-
-    return FRoutingProtocol(C.f, C.run, C.denom, C.msg_regs, C.recover, exit_info,
-                            key_classes=C.key_classes, domain=C.domain,
-                            resources=dict(C.resources))
+    return C
 
 
 def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
@@ -199,7 +192,7 @@ def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
                         resources=dict(P.resources))
 
 
-def cdqs_from_psqm(P: PsqmProtocol) -> CdqsProtocol:
+def cdqs_from_psqm(P: PsqmProtocol) -> FRoutingProtocol:
     """Pad the qubit with two shared bits; leak each bit through one masked run.
 
     For each key bit the parties either use their real inputs or a fixed

@@ -10,9 +10,11 @@
   ``verify_psm``'s exact sweep gives its figures.
 
 Runs are Pauli frames with integer weights (``frames``), so each figure is
-exact until it is written as a float, and a perfect protocol's figures are
-exact zeros that name no witness. A pad route's left side reports its worst
-fidelity over every pure input, in closed form from its key classes.
+exact until it is written as a float, and an integer test, no tolerance,
+decides it: a figure off its ideal names its input as witness, even where
+its float reads 0.0, and a report passes when none is named. A pad route's
+left side reports its worst fidelity over every pure input, in closed form
+from its key classes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .errors import ValidationError, Worst, charge
 
 if TYPE_CHECKING:
-    from .nlqc import CdqsProtocol, FRoutingProtocol, PsqmProtocol
+    from .nlqc import FRoutingProtocol, PsqmProtocol
 
 
 class QVerificationReport:
@@ -32,22 +34,22 @@ class QVerificationReport:
     ``worst_infidelity`` is 1 - F over the inputs where the output must be
     delivered; ``worst_gap`` is the largest decoupling gap (or pairwise view
     distance) over the inputs where it must stay hidden. ``max_branches`` is
-    the largest per-input ``branches`` figure.
+    the largest per-input ``branches`` figure. A route's "side" witness is
+    an input where the qubit exits away from f's side.
     """
 
     def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
-                 per_input: dict, routing_consistent: bool, resources: dict,
-                 witnesses: dict):
+                 per_input: dict, resources: dict, witnesses: dict):
         self.kind = kind
         self.worst_infidelity, self.worst_gap = worst_infidelity, worst_gap
         self.per_input = per_input
         self.max_branches = max((info["branches"] for info in per_input.values()), default=0)
-        self.routing_consistent = routing_consistent
         self.resources, self.witnesses = resources, witnesses
+        self.routing_consistent = "side" not in witnesses
 
-    def perfect(self, tol: float = 1e-9) -> bool:
-        return (self.worst_infidelity <= tol and self.worst_gap <= tol
-                and self.routing_consistent)
+    @property
+    def perfect(self) -> bool:
+        return not self.witnesses
 
     def to_jsonable(self) -> dict:
         return {
@@ -87,81 +89,86 @@ class _Sweep(Worst):
         charge(self.total, "branches")
         return branches, sum(b.count for b in branches)
 
-    def record(self, xy: tuple, info: dict, name: str, figure: float) -> None:
+    def record(self, xy: tuple, info: dict, name: str, figure: float, exact: bool) -> None:
+        """Keep ``info``; unless ``exact``, the figure's integer test failed at ``xy``,
+        which is its witness while no larger figure is met, 0.0 included."""
         self.per_input[xy] = info
-        self.worse(name, figure, xy)
+        if not exact:
+            self.worse(name, figure, xy)
+            self.witnesses.setdefault(name, xy)
 
-    def report(self, kind: str, error: str, gap: Optional[str], resources: dict,
-               consistent: bool = True) -> QVerificationReport:
-        return QVerificationReport(kind, self.worst.get(error, 0.0),
-                                   self.worst.get(gap, 0.0), self.per_input,
-                                   consistent, dict(resources), self.witnesses)
+    def report(self, kind: str, error: str, gap: Optional[str],
+               resources: dict) -> QVerificationReport:
+        return QVerificationReport(kind, self.worst.get(error, 0.0), self.worst.get(gap, 0.0),
+                                   self.per_input, dict(resources), self.witnesses)
 
 
-def _choi_fidelity(branches, fix: Callable, out: str, denom: int) -> float:
-    """Fidelity with |Phi+> of what the branches deliver to (R, ``out``).
+def _choi_fidelity(P: FRoutingProtocol, x, y, branches, out: str) -> tuple:
+    """(F, F = 1) for what P's ``recover`` delivers to (R, ``out``) on (x, y).
 
-    ``fix(b)`` is branch b's frame after the record's ``recover``. The four
-    frames on |Phi+> are the orthogonal Bell states, so the squared
-    fidelity, <Phi+| rho |Phi+> for the branches' weighted mixture rho, is
-    the weight of the branches whose frame is the identity, over ``denom``.
+    F is the fidelity with |Phi+>. The four frames on |Phi+> are the
+    orthogonal Bell states, so F squared, <Phi+| rho |Phi+> for the
+    branches' weighted mixture rho, is the weight of the branches whose
+    recovered frame is the identity over ``P.denom``, and F is 1 exactly
+    when that weight is all of ``P.denom``.
     """
     hit = 0
     for br in branches:
-        reg, a, b = fix(br)
+        reg, a, b = P.recover(x, y, br.transcript, br.state)
         if reg != out:
             raise ValidationError(f"the qubit is carried in {reg}, not in {out}")
         if not a | b:
             hit += br.weight
-    return min(1.0, math.sqrt(hit / denom))
+    return min(1.0, math.sqrt(hit / P.denom)), hit == P.denom
 
 
-def verify_cdqs(P: CdqsProtocol) -> QVerificationReport:
+def verify_cdqs(P: FRoutingProtocol) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
     from . import frames
     sweep = _Sweep()
     for (x, y) in P.domain:
         branches, n = sweep.run(P.run, x, y, frames.CARRIER)
         if P.f.eval(x, y) == 1:
-            F = _choi_fidelity(branches,
-                               lambda b: P.recover(x, y, b.transcript, b.state),
-                               P.out_reg(x, y), P.denom)
+            F, exact = _choi_fidelity(P, x, y, branches, P.exit_reg(x, y))
             sweep.record((x, y), {"f": 1, "fidelity": F, "branches": n},
-                         "infidelity", 1 - F)
+                         "infidelity", 1 - F, exact)
         else:
-            gap = frames.decoupling_gap(branches, P.msg_regs(x, y), P.denom)
-            sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap)
+            gap, exact = frames.decoupling_gap(branches, P.msg_regs(x, y), P.denom)
+            sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap, exact)
     return sweep.report("cdqs", "infidelity", "gap", P.resources)
 
 
 def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
     """Delivered-qubit fidelity on both sides, worst case over inputs.
 
-    Branch-register sides are checked through the Choi state. A pad route's
-    left side, which has no exit register, reports its worst fidelity over
-    every pure input qubit, ``frames.left_fidelity`` of its key classes.
+    The qubit exits right exactly when the right side holds its exit
+    register, and must where f = 1. Branch-register sides are checked
+    through the Choi state. A pad route's left side, which has no exit
+    register, reports its worst fidelity over every pure input qubit,
+    ``frames.left_fidelity`` of its key classes, 1 exactly when each class
+    weighs the four keys alike.
     """
     from . import frames
-    from .gardenhose import RIGHT
+    from .gardenhose import LEFT, RIGHT
 
     sweep = _Sweep()
     for (x, y) in P.domain:
-        fx = P.f.eval(x, y)
-        side, reg = P.exit_info(x, y)
+        fx, reg = P.f.eval(x, y), P.exit_reg(x, y)
+        side = RIGHT if reg in P.msg_regs(x, y) else LEFT
         if (side == RIGHT) != (fx == 1):
             sweep.witnesses["side"] = (x, y)
         if reg is not None:
             branches, n = sweep.run(P.run, x, y, frames.CARRIER)
-            F = _choi_fidelity(branches, lambda b: P.recover(x, y, b.transcript, b.state),
-                               reg, P.denom)
+            F, exact = _choi_fidelity(P, x, y, branches, reg)
         else:
             if P.key_classes is None:
                 raise ValidationError("no register and no local reconstruction")
-            F, n = frames.left_fidelity(P.key_classes(x, y), P.denom), 0
+            classes, n = P.key_classes(x, y), 0
+            F = frames.left_fidelity(classes, P.denom)
+            exact = all(len({c.weights.get(s, 0) for s in frames.KEYS}) == 1 for c in classes)
         sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
-                     "infidelity", 1 - F)
-    return sweep.report("frouting", "infidelity", None, P.resources,
-                        consistent="side" not in sweep.witnesses)
+                     "infidelity", 1 - F, exact)
+    return sweep.report("frouting", "infidelity", None, P.resources)
 
 
 def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
@@ -184,5 +191,4 @@ def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
 
     eps, delta, found = _value_sweep(P.psm, "psqm_from_psm", seen)
     witnesses = {{"eps": "decode", "delta": "view"}[k]: w for k, w in found.items()}
-    return QVerificationReport("psqm", eps, delta / 2, per_input, True, dict(P.resources),
-                               witnesses)
+    return QVerificationReport("psqm", eps, delta / 2, per_input, dict(P.resources), witnesses)

@@ -17,7 +17,7 @@ from .quantum import (_R2, PureState, _stack, _trace_norm, dagger, eigh, kron, m
                       phased_pad, weighted)
 
 if TYPE_CHECKING:
-    from .nlqc import CdqsProtocol
+    from .nlqc import FRoutingProtocol
 
 
 def sqrtm_psd(mat) -> list:
@@ -139,7 +139,7 @@ def _probe_view(blocks: dict, psi, denom: int) -> dict:
     return out
 
 
-def security_state_sweep(P: CdqsProtocol, seeds=range(10)) -> dict:
+def security_state_sweep(P: FRoutingProtocol, seeds=range(10)) -> dict:
     """Max pairwise referee-view distance across concrete secret qubits.
 
     Runs every hiding input once, from the carrier's frame, and views it

@@ -102,14 +102,14 @@ def gap(run, msg_regs, x, y) -> float:
 def cdqs_figures(P, run, msg_regs=None) -> dict:
     """{input: fidelity where f = 1, gap where f = 0} of the CDQS P run densely."""
     msg_regs = msg_regs or P.msg_regs
-    return {(x, y): choi_fidelity(P, run, x, y, P.out_reg(x, y)) if P.f.eval(x, y)
+    return {(x, y): choi_fidelity(P, run, x, y, P.exit_reg(x, y)) if P.f.eval(x, y)
             else gap(run, tuple(msg_regs(x, y)), x, y) for (x, y) in P.domain}
 
 
 def frouting_fidelities(P, run) -> dict:
     """{input: fidelity} of the f-routing P's branch-register side, run densely."""
-    return {(x, y): choi_fidelity(P, run, x, y, P.exit_info(x, y)[1])
-            for (x, y) in P.domain if P.exit_info(x, y)[1] is not None}
+    return {(x, y): choi_fidelity(P, run, x, y, P.exit_reg(x, y))
+            for (x, y) in P.domain if P.exit_reg(x, y) is not None}
 
 
 def security_state_sweep(P, run, msg_regs=None, seeds=range(2)) -> dict:

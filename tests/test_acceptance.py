@@ -229,12 +229,12 @@ def test_criterion_10_encoding_chain_to_quantum_disclosure():
     cds = cds_from_psm(psm)
     assert verify_cds(cds).perfect
     psqm = psqm_from_psm(psm)
-    assert verify_psqm(psqm).perfect(1e-9)
+    assert verify_psqm(psqm).perfect
 
     via_cds = verify_cdqs(cdqs_from_cds(cds))
-    assert via_cds.perfect(1e-9)
+    assert via_cds.perfect
     via_psqm = verify_cdqs(cdqs_from_psqm(psqm))
-    assert via_psqm.perfect(1e-9)
+    assert via_psqm.perfect
 
     # one-time-table backbone
     for f in (AND1, named_fn("index", n_x=1)):
@@ -242,8 +242,8 @@ def test_criterion_10_encoding_chain_to_quantum_disclosure():
         assert verify_psm(table_psm).perfect, f.name
         assert verify_cds(cds_from_psm(table_psm)).perfect, f.name
         table_psqm = psqm_from_psm(table_psm)
-        assert verify_psqm(table_psqm).perfect(1e-9), f.name
-        assert verify_cdqs(cdqs_from_psqm(table_psqm)).perfect(1e-9), f.name
+        assert verify_psqm(table_psqm).perfect, f.name
+        assert verify_cdqs(cdqs_from_psqm(table_psqm)).perfect, f.name
     print(f"criterion 10 PASS: qr(7) chain perfect via both routes "
           f"(worst infidelity {max(via_cds.worst_infidelity, via_psqm.worst_infidelity):.2e}), "
           f"table paths perfect for and1 and index1")

@@ -6,9 +6,11 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -74,8 +76,6 @@ def _reference_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="rebuild a descriptor and verify it")
     v.add_argument("descriptor", help="path to a descriptor JSON file")
     v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    v.add_argument("--tol", type=float, default=1e-9,
-                   help="tolerance for quantum figures of merit")
     v.add_argument("--out", default=None, help="report path (default stdout)")
     v.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -111,12 +111,12 @@ def _abbreviates(token: str, cmd: str) -> bool:
 
 # well-formed values of each type, and strings that probe the option rule:
 # leading dashes, spaces, dots and "=", bad numbers and unknown choices
-_VALID = {int: st.integers(-10 ** 6, 10 ** 6).map(str), float: st.floats(-1e3, 1e3).map(str),
+_VALID = {int: st.integers(-10 ** 6, 10 ** 6).map(str),
           str: st.sampled_from(["gh,cds", "d.json", "-", "-1", "-a b", " x"])}
 _ODD = st.one_of(st.text(alphabet="-ab 1.=,", max_size=4), st.sampled_from(
     ["1.5", "abc", " 7", "0x10", "1_000", "-0", "--1", "1e-9", "-1e-5", "-.5", "-5.", "nan",
      "inf", "--", "JSON", "-h x"]))
-_STRAYS = st.sampled_from(["--bogus", "--bogus=1", "-x", "--nxx", "--chains", "--tol",
+_STRAYS = st.sampled_from(["--bogus", "--bogus=1", "-x", "--nxx", "--chains",
                            "--ny", "--chain", "--", "a", "-1"])
 
 
@@ -147,12 +147,12 @@ def _argv(draw, cmd):
 @given(st.sampled_from(list(OPTIONS)).flatmap(_argv))
 @example(["build", "--chain", "gh,cds", "--nx", "-1"])
 @example(["build", "--chain=gh", "--chain", "dre", "--max-pipes=-3", "--variant", "rand"])
-@example(["verify", "--tol", "-0.5", "--out=-a b", "d.json", "--format", "csv"])
-@example(["verify", "--tol", "-1e-5", "d.json"])
+@example(["verify", "--budget", "-5", "--out=-a b", "d.json", "--format", "csv"])
+@example(["verify", "--budget", "-1e-5", "d.json"])
 @example(["verify", "--", "--out"])
 @example(["verify", "d.json", "--"])
 @example(["verify", "d.json", "--out", "x", "--"])
-@example(["verify", "d.json", "--tol", "nan"])
+@example(["verify", "d.json", "--tol", "1e-9"])   # no tolerance decides a verdict
 @example(["build", "--chain", "-h x"])
 @example(["build", "--chain", "--help=a b"])
 @example(["build", "--chain", "--= a"])
@@ -166,7 +166,7 @@ def test_the_option_table_reads_argv_as_argparse_did(argv):
     # argparse 3.11 strips "--" from an explicit value too: --opt=-- read as []
     assume(want is None or [] not in dict(want).values())
     if want is not None:
-        assert repr(sorted(vars(_parse(argv)).items())) == repr(want), argv   # nan too
+        assert repr(sorted(vars(_parse(argv)).items())) == repr(want), argv
         return
     with pytest.raises(ValidationError):
         _parse(argv)
@@ -206,6 +206,43 @@ def test_the_entry_point_prints_the_version_and_help():
         for cmd in commands:
             assert f"usage: cdslab {cmd}" in run.stdout, argv
             assert all(f"  {name} " in run.stdout for name in OPTIONS[cmd]), (argv, cmd)
+
+
+def _readme_options() -> dict:
+    """{command: {option: (type cell, default cell)}} of the README's options table;
+    a row with an empty command cell continues the command above it."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | option | type or choices | default |")
+    table, cmd = {}, None
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start + 2:]):
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        cmd = cells[0].strip("`") or cmd
+        for name in re.findall(r"`([^`]+)`", cells[1]):
+            table.setdefault(cmd, {})[name] = (cells[2], cells[3])
+    return table
+
+
+def test_the_readme_options_table_is_the_option_table():
+    # every command, option, type or choices and default of ``OPTIONS``, and
+    # nothing else, so a removed option leaves no row behind
+    readme = _readme_options()
+    assert {cmd: sorted(rows) for cmd, rows in readme.items()} == \
+        {cmd: sorted(table) for cmd, table in OPTIONS.items()}
+    for cmd, table in OPTIONS.items():
+        for name, (kind, default, _) in table.items():
+            kind_cell, default_cell = readme[cmd][name]
+            if isinstance(kind, tuple):
+                assert kind_cell == ", ".join(f"`{c}`" for c in kind), (cmd, name)
+                assert default_cell == f"`{default}`", (cmd, name)
+                continue
+            assert (kind_cell.split()[0] == "int") == (kind is int), (cmd, name)
+            assert not kind_cell.startswith("float"), (cmd, name)   # no option is a float
+            if default is ...:
+                assert default_cell == "required", (cmd, name)
+            elif default is None:
+                assert default_cell == ("stdout" if name == "--out" else "none"), (cmd, name)
+            else:
+                assert default_cell.split()[0] == str(default), (cmd, name)
 
 
 def test_build_verify_gh_cds(tmp_path):
@@ -651,7 +688,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     assert after_runs == []
     # a garden-hose route loads no protocols, pad routes, algebra or
     # Fraction, and with an embedded strategy no search; a pad route no
-    # algebra or Fraction, a qr chain no gardenhose, and a build only its
+    # algebra or Fraction, a qr chain no gardenhose (a pad CDQS states its
+    # exits without the garden-hose sides), and a build only its
     # base's modules: no compiler past the base, verifier or frame kernel;
     # a PSQM carries no qubit, so its verify, the classical sweep, loads the
     # classical verifiers and Fraction and no frame kernel
@@ -666,8 +704,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                          (["verify", "1.json"], routing | checked),
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
                           _START | {"cdslab.families"}),
-                         (["verify", "2.json"], pads | checked),
-                         (["verify", "3.json"], pads | checked),
+                         (["verify", "2.json"], pads | checked),   # dre,psm,psqm,cdqs
+                         (["verify", "3.json"], pads | checked),   # dre,psm,cds,cdqs
                          (["verify", "stop.json"],
                           pads | {"cdslab.qverifiers", "cdslab.verifiers", "fractions"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv

@@ -170,12 +170,14 @@ def test_choi_fidelity_in_closed_form_matches_uhlmann(tmp_path, monkeypatch):
         v = np.kron(np.eye(2), np.asarray(quantum.phased_pad(a, b))) @ phi
         return np.outer(v, v.conj())
 
-    def compared(branches, fix, out, denom):
-        got = closed(branches, fix, out, denom)
-        rho = sum(b.weight / denom * bell(*fix(b)[1:]) for b in branches)
+    def compared(P, x, y, branches, out):
+        got, exact = closed(P, x, y, branches, out)
+        rho = sum(b.weight / P.denom * bell(*P.recover(x, y, b.transcript, b.state)[1:])
+                  for b in branches)
         assert abs(got - toolkit.fidelity(rho, target)) <= FLOAT_TOL
+        assert exact == (got == 1.0)   # each golden fidelity is 1 or well below it
         scored.append(got)
-        return got
+        return got, exact
 
     monkeypatch.setattr(qverifiers, "_choi_fidelity", compared)
     for name, (build_args, _) in CASES.items():

@@ -187,8 +187,8 @@ def test_generic_two_bit_routes_stay_within_small_factors(monkeypatch, fn):
 
     monkeypatch.setattr(PureState, "__init__", counted)
     report = verify_frouting(R)
-    assert report.perfect(0) and report.worst_infidelity == 0
-    assert verify_cdqs(cdqs_from_frouting(R)).perfect(0)
+    assert report.perfect and report.worst_infidelity == 0
+    assert verify_cdqs(cdqs_from_frouting(R)).perfect
     assert built == []
     assert security_state_sweep(cdqs_from_frouting(R), seeds=range(1))["worst"] <= 1e-9
 

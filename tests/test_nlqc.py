@@ -10,11 +10,14 @@ from cdslab.errors import BudgetError, ValidationError, budget
 from cdslab.families import named_fn
 from cdslab.gardenhose import LEFT, RIGHT
 from cdslab.ghsearch import gh_generic, gh_search
-from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, cdqs_from_frouting, frouting_from_gh,
-                         pauli_frame)
-from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
+from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, RunBranch, cdqs_from_frouting,
+                         frouting_from_gh, pauli_frame)
+from cdslab.padroutes import (TranscriptClass, _pad_run, cdqs_from_cds, cdqs_from_psqm,
+                              frouting_from_cdqs, psqm_from_psm)
 from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, psm_from_dre,
                               psm_generic_table, dre_qr)
+from cdslab import frames
+from cdslab.cli import _verify_object
 from cdslab.frames import CARRIER, left_fidelity
 from cdslab.quantum import X, Z, epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
@@ -62,7 +65,7 @@ def test_cdqs_from_cds_perfect_on_small_functions():
         C = cdqs_from_cds(_gh_cds(f))
         report = verify_cdqs(C)
         assert report.kind == "cdqs"
-        assert report.perfect(1e-9), f.name
+        assert report.perfect, f.name
         assert report.worst_infidelity <= 1e-12
         assert report.worst_gap <= 1e-12
         sweep = security_state_sweep(C)
@@ -89,7 +92,7 @@ def test_cdqs_detects_key_leak():
 def test_frouting_from_gh_and():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
     report = verify_frouting(R)
-    assert report.perfect(1e-9)
+    assert report.perfect
     assert report.routing_consistent
     assert report.max_branches <= 64
     for (x, y), info in report.per_input.items():
@@ -100,7 +103,7 @@ def test_frouting_from_gh_and():
 def test_frouting_from_gh_generic_strategy():
     R = frouting_from_gh(gh_generic(XOR1), XOR1)
     report = verify_frouting(R)
-    assert report.perfect(1e-9)
+    assert report.perfect
     assert R.resources["epr_pairs"] == 4
 
 
@@ -114,14 +117,14 @@ def test_frouting_branch_probabilities_sum_to_one():
 def test_frouting_msg_regs_hold_the_exit_register_on_the_right():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
     for (x, y) in AND1.inputs():
-        side, reg = R.exit_info(x, y)
-        assert reg[0] == ("R" if side == RIGHT else "L")
-        assert R.msg_regs(x, y) == ((reg,) if side == RIGHT else ())
+        reg = R.exit_reg(x, y)
+        assert reg[0] == ("R" if AND1.eval(x, y) else "L")
+        assert R.msg_regs(x, y) == ((reg,) if AND1.eval(x, y) else ())
 
 
 def test_routing_inconsistency_detected():
     R = frouting_from_gh(gh_search(AND1, 3), AND1)
-    flipped = FRoutingProtocol(XOR1, R.run, R.denom, R.msg_regs, R.recover, R.exit_info)
+    flipped = FRoutingProtocol(XOR1, R.run, R.denom, R.msg_regs, R.recover, R.exit_reg)
     report = verify_frouting(flipped)
     assert not report.routing_consistent
     assert "side" in report.witnesses
@@ -135,10 +138,10 @@ def test_pad_route_round_trip_preserves_quality():
               cdqs_from_psqm(psqm_from_psm(psm_generic_table(AND1))),
               cdqs_from_psqm(psqm_from_psm(qr5))):
         R = frouting_from_cdqs(C)
-        assert verify_frouting(R).perfect(1e-9)
+        assert verify_frouting(R).perfect
         C2 = cdqs_from_frouting(R)
         want, got = verify_cdqs(C), verify_cdqs(C2)
-        assert got.perfect(1e-9)
+        assert got.perfect
         assert abs(got.worst_infidelity - want.worst_infidelity) <= 1e-12
         assert abs(got.worst_gap - want.worst_gap) <= 1e-12
         assert got.per_input.keys() == want.per_input.keys()
@@ -149,6 +152,94 @@ def test_pad_route_round_trip_preserves_quality():
             assert abs(info[figure] - other[figure]) <= 1e-12, xy
         with pytest.raises(ValidationError, match="need a protocol exposing its pad key"):
             frouting_from_cdqs(C2)
+
+
+def test_the_edges_hand_the_one_record_on():
+    # a pad CDQS states both exits, so it is its own route; a router's CDQS
+    # shares the router's fields but the pad key classes, which it has none of
+    qr5 = psm_from_dre(dre_qr(named_fn("qr", p=5)))
+    pads = (cdqs_from_cds(_gh_cds(AND1)), cdqs_from_cds(cds_from_psm(qr5)),
+            cdqs_from_psqm(psqm_from_psm(psm_generic_table(AND1))),
+            cdqs_from_psqm(psqm_from_psm(qr5)))
+    for C in pads:
+        assert frouting_from_cdqs(C) is C
+    assert CdqsProtocol is FRoutingProtocol
+    for R in (frouting_from_gh(gh_search(AND1, 3), AND1), *pads):
+        C = cdqs_from_frouting(R)
+        assert type(C) is FRoutingProtocol and C is not R
+        for field in ("f", "run", "msg_regs", "recover", "exit_reg", "domain"):
+            assert getattr(C, field) is getattr(R, field), field
+        assert (C.denom, C.resources, C.key_classes) == (R.denom, R.resources, None)
+
+
+def _route(denom: int, off: int) -> FRoutingProtocol:
+    """An and1 route whose qubit lands in "R" where f = 1 and in "L" elsewhere,
+    under the identity frame, but for ``off`` units of weight under X on (1, 1)."""
+    def exit_reg(x, y):
+        return "R" if AND1.eval(x, y) else "L"
+
+    def run(x, y, carrier):
+        off_here = off if (x, y) == (1, 1) else 0
+        return [RunBranch(denom - off_here, (), (exit_reg(x, y), 0, 0)),
+                RunBranch(off_here, (), (exit_reg(x, y), 1, 0))]
+
+    return FRoutingProtocol(AND1, run, denom, lambda x, y: ("R",) if AND1.eval(x, y) else (),
+                            lambda x, y, t, state: state, exit_reg)
+
+
+@pytest.mark.parametrize("denom", [10 ** 10, 10 ** 20])
+def test_a_unit_of_weight_off_the_identity_frame_fails(denom):
+    # F^2 = 1 - 1/denom on (1, 1): 1 - F is 5e-11 at 10^10 and reads 0.0 at
+    # 10^20, and no tolerance passes either; the route and its CDQS name (1, 1)
+    for kind, verify, edge in (("frouting", verify_frouting, lambda R: R),
+                               ("cdqs", verify_cdqs, cdqs_from_frouting)):
+        assert verify(edge(_route(denom, 0))).perfect, kind
+        P = edge(_route(denom, 1))
+        report = verify(P)
+        assert not report.perfect and report.routing_consistent, kind
+        assert report.witnesses == {"infidelity": (1, 1)}, kind
+        if denom == 10 ** 20:
+            assert report.worst_infidelity == 0.0, kind
+        else:
+            assert 0 < report.worst_infidelity <= 1e-9, kind
+        out = _verify_object(kind, P)
+        assert (out["status"], out["witness"]) == ("fail", {"infidelity": [1, 1]}), kind
+
+
+def _pad_route(a: int, off: int) -> FRoutingProtocol:
+    """An and1 pad route whose key classes weigh each key 2a: disclosed on
+    (1, 1), hidden on (0, 1) and (1, 0), and on (0, 0) two classes whose
+    weights under the identity key are ``off`` units above and below the
+    other keys'."""
+    def key_classes(x, y):
+        if AND1.eval(x, y):
+            return [TranscriptClass(s, {s: 2 * a}, 1) for s in frames.KEYS]
+        if (x, y) == (0, 0):
+            return [TranscriptClass(name, {s: a + sign * off * (s == (0, 0))
+                                           for s in frames.KEYS}, 1)
+                    for name, sign in (("up", 1), ("down", -1))]
+        return [TranscriptClass("hidden", dict.fromkeys(frames.KEYS, 2 * a), 1)]
+
+    def recover(x, y, t, state):
+        return frames.xor(state, t) if t in frames.KEYS else state
+
+    return FRoutingProtocol(AND1, _pad_run(key_classes), 8 * a, lambda x, y: ("Q",), recover,
+                            lambda x, y: "Q" if AND1.eval(x, y) else None,
+                            key_classes=key_classes)
+
+
+def test_a_unit_of_key_weight_off_fails_the_gap_and_the_left_side():
+    # on (0, 0) the gap is 3 / (16a), about 1.9e-10, and the left side's
+    # infidelity about 1 / (32 a^2), 3e-20: each is witnessed all the same
+    a = 10 ** 9
+    assert verify_cdqs(_pad_route(a, 0)).perfect and verify_frouting(_pad_route(a, 0)).perfect
+    P = _pad_route(a, 1)
+    cdqs, route = verify_cdqs(P), verify_frouting(frouting_from_cdqs(P))
+    assert 0 < cdqs.worst_gap <= 1e-9 and cdqs.worst_infidelity == 0
+    assert cdqs.witnesses == {"gap": (0, 0)} and not cdqs.perfect
+    assert route.worst_infidelity <= 1e-9 and route.routing_consistent
+    assert route.witnesses == {"infidelity": (0, 0)} and not route.perfect
+    assert route.per_input[(0, 0)]["side"] == LEFT
 
 
 def test_otp_reconstruction_values():
@@ -165,7 +256,7 @@ def test_qr5_pad_route_fits_the_qubit_cap():
     # message register: no qubit is allocated at all
     C = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     report = verify_frouting(frouting_from_cdqs(C))
-    assert report.perfect(1e-9)
+    assert report.perfect
     assert report.max_branches == 40000
 
 
@@ -175,7 +266,7 @@ def test_route_compilers_validate_their_inputs():
     with pytest.raises(ValidationError):
         frouting_from_cdqs(C2)  # no key-disclosing layer exposed
     bare = FRoutingProtocol(AND1, C2.run, C2.denom, C2.msg_regs, C2.recover,
-                            lambda x, y: (LEFT, None))
+                            lambda x, y: None)
     with pytest.raises(ValidationError):
         verify_frouting(bare)  # no register and no local reconstruction
 
@@ -203,7 +294,7 @@ def test_cdqs_from_psqm_chain():
     Q = psqm_from_psm(psm_generic_table(AND1))
     C = cdqs_from_psqm(Q)
     report = verify_cdqs(C)
-    assert report.perfect(1e-9)
+    assert report.perfect
     assert security_state_sweep(C)["worst"] <= 1e-9
 
 
@@ -212,7 +303,7 @@ def test_cdqs_from_psqm_qr_domain():
     C = cdqs_from_psqm(Q)
     assert C.domain == Q.domain
     report = verify_cdqs(C)
-    assert report.perfect(1e-9)
+    assert report.perfect
 
 
 def test_cdqs_from_psqm_guards():
@@ -248,7 +339,7 @@ def test_security_state_sweep_on_a_garden_hose_route(f):
     C = cdqs_from_frouting(R)
     assert security_state_sweep(C)["worst"] <= 1e-9
     # hand the referee the register where the hidden qubit lands
-    leaky = CdqsProtocol(f, C.run, C.denom,
-                         lambda x, y: C.msg_regs(x, y) + (R.exit_info(x, y)[1],),
-                         C.recover, C.out_reg)
+    leaky = FRoutingProtocol(f, C.run, C.denom,
+                             lambda x, y: C.msg_regs(x, y) + (R.exit_reg(x, y),),
+                             C.recover, C.exit_reg)
     assert security_state_sweep(leaky)["worst"] > 0.1

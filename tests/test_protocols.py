@@ -128,7 +128,7 @@ def test_gh_cds_traces_each_input_once(monkeypatch):
     P = cds_from_gh(strategy, AND1)
     assert sorted(calls) == sorted(AND1.inputs())
     assert verify_cds(P).perfect
-    assert verify_cdqs(cdqs_from_cds(P)).perfect(1e-9)
+    assert verify_cdqs(cdqs_from_cds(P)).perfect
     assert len(calls) == 4
 
 

@@ -318,4 +318,4 @@ def test_a_private_psqm_compares_no_views(monkeypatch):
 
     calls = _calls(monkeypatch, verifiers, "_l1")
     report = verify_psqm(psqm_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=31)))))
-    assert report.perfect() and calls == []
+    assert report.perfect and calls == []

@@ -27,7 +27,6 @@ import dense_reference as dense
 from cdslab.boolfn import BoolFn
 from cdslab.families import named_fn
 from cdslab.frames import KEYS, left_fidelity
-from cdslab.gardenhose import LEFT
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.padroutes import (TranscriptClass, cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs,
                               psqm_from_psm)
@@ -215,8 +214,7 @@ def _check_left_side(C, leak=None) -> None:
     assert len(probes) == 16
     lefts = 0
     for (x, y) in R.domain:
-        side, reg = R.exit_info(x, y)
-        if side != LEFT:
+        if R.exit_reg(x, y) is not None:   # the qubit exits right
             continue
         lefts += 1
         classes = R.key_classes(x, y)
@@ -265,7 +263,8 @@ def test_the_planted_full_leak_is_exactly_one_half():
     C = cdqs_from_cds(_gh_cds(AND1))
     R = frouting_from_cdqs(C)
     assert left_fidelity(R.key_classes(1, 1), R.denom) == 0.5
-    leaky = type(C)(**{**vars(C), "f": BoolFn(1, 1, (0, 0, 0, 0))})
+    leaky = type(C)(**{**vars(C), "f": BoolFn(1, 1, (0, 0, 0, 0)),
+                       "exit_reg": lambda x, y: None})
     _check_left_side(leaky, leak=(1, 1))
     report = verify_frouting(frouting_from_cdqs(leaky))
     assert report.worst_infidelity == 0.5
