@@ -34,10 +34,11 @@ exact.
 from __future__ import annotations
 
 import importlib
-import io
 import json
 import re
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -361,39 +362,36 @@ def _counts(obj) -> None:
 
 
 def _emit(obj, path, fmt="json") -> None:
+    """``obj`` to the file at ``path``, else stdout: JSON as ``json.dumps(obj,
+    sort_keys=True, indent=2)`` and a newline, a CSV report as its ``_flatten``
+    rows under ``key,value``, a list as its lines; encoded in pieces, written a
+    few thousand at a time, so no whole text is held and no piece is a write."""
     _counts(obj)
     if fmt == "json":
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    else:
+        chunks = chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), "\n")
+    elif isinstance(obj, dict):
         import csv
 
-        rows = []
-        _flatten(obj, "", rows)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows((k, f"{v}") for k, v in rows)
-        text = buf.getvalue()
-    _write(text, path)
-
-
-def _write(text: str, path) -> None:
-    """``text`` to the file at ``path``, or to stdout when there is none."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        lines = []
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+        rows = chain([("key", "value")], ((k, f"{v}") for k, v in _flatten(obj, "")))
+        chunks = (lines.pop() for _ in map(writer.writerow, rows))
     else:
-        sys.stdout.write(text)
+        chunks = iter(obj)
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        while batch := "".join(islice(chunks, 4096)):
+            fh.write(batch)
 
 
-def _flatten(obj, prefix, rows) -> None:
+def _flatten(obj, prefix):
+    """(dotted key, value) of each leaf of ``obj``, keys sorted; a list is one leaf."""
     if isinstance(obj, dict):
         for k in sorted(obj, key=str):
-            _flatten(obj[k], f"{prefix}{k}.", rows)
+            yield from _flatten(obj[k], f"{prefix}{k}.")
     elif isinstance(obj, (list, tuple)):
-        rows.append((prefix.rstrip("."), ";".join(str(v) for v in obj)))
+        yield prefix.rstrip("."), ";".join(str(v) for v in obj)
     else:
-        rows.append((prefix.rstrip("."), obj))
+        yield prefix.rstrip("."), obj
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -468,8 +466,8 @@ def _cmd_sweep(args) -> int:
         _emit({"format": "cdslab-sweep", "version": 1, "n_x": args.nx,
                "n_y": args.ny, "results": obj}, args.out, "json")
     else:
-        _write("index,table,pipes,method\n" + "".join(
-            f"{i},{name},{p},{m}\n" for (i, name, p, m) in rows), args.out)
+        _emit(["index,table,pipes,method\n",
+               *(f"{i},{name},{p},{m}\n" for (i, name, p, m) in rows)], args.out, "csv")
     return 0
 
 

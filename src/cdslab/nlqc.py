@@ -15,7 +15,8 @@ qubit lands in ``exit_reg``, where ``recover`` undoes its frame, and exits
 right exactly when its referee holds that register. Garden-hose routes
 return one branch per Pauli-frame class: teleporting through fresh EPR
 links, the transcripts of a class leave the routed qubit under one frame.
-They read the water trace from ``gardenhose`` at call time, and load
+They keep ``gardenhose``'s traced water paths, one per input, and derive
+each run's hops, exit and referee registers from them when called; they load
 neither the pad routes (``padroutes``) nor any classical protocol. The
 frame kernel, ``frames``, is imported when a route is compiled; no record
 reads the dense statevector.
@@ -136,28 +137,23 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     operation touched tensors every referee view block by the same
     trace-one operator, so leaving it out changes no trace norm. ``recover``
     undoes the transcript's Pauli frame. ``gh_routes`` checks the strategy,
-    widths included, and traces each input once.
+    widths included, and traces each input once; the route holds no plan,
+    but reads each input's hops, exit and registers off its traced outcome.
     """
     from . import frames
     from .gardenhose import RIGHT, gh_routes
 
     m = strategy.pipes
+    traced = gh_routes(strategy, f)
 
-    def plan_for(outcome):
-        """(hops, the registers the right side holds): a hop is (the measured
-        pair, the far half of the link it measures, its broadcast label)."""
-        tap = outcome.path[0][0]
-        hops = [(("Q", f"L{tap}"), f"R{tap}", ("alice", 0, tap))]
-        for (prev, cur) in zip(outcome.path, outcome.path[1:]):
+    def run(x, y, carrier):
+        path = traced[(x, y)].path
+        tap = path[0][0]
+        hops = [(("Q", f"L{tap}"), f"R{tap}", ("alice", 0, tap))]   # (pair, far, label)
+        for (prev, cur) in zip(path, path[1:]):
             near, far, party = ("R", "L", "bob") if cur[1] == "rl" else ("L", "R", "alice")
             hops.append(((f"{near}{prev[0]}", f"{near}{cur[0]}"), f"{far}{cur[0]}",
                          (party, prev[0], cur[0])))
-        return hops, (hops[-1][1],) if outcome.side == RIGHT else ()
-
-    plans = {xy: plan_for(outcome) for xy, outcome in gh_routes(strategy, f).items()}
-
-    def run(x, y, carrier):
-        hops = plans[(x, y)][0]
         state = carrier
         for pair, far, _ in hops:
             outcomes = frames.hop(state, pair, far)
@@ -167,10 +163,11 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
                 for ab, st in outcomes]
 
     def exit_reg(x, y):
-        return plans[(x, y)][0][-1][1]
+        outcome = traced[(x, y)]
+        return f"{'R' if outcome.side == RIGHT else 'L'}{outcome.exit_pipe}"
 
     def msg_regs(x, y):
-        return plans[(x, y)][1]
+        return (exit_reg(x, y),) if traced[(x, y)].side == RIGHT else ()
 
     def recover(x, y, transcript, state):
         return frames.xor(state, pauli_frame(ab for (_, ab) in transcript))

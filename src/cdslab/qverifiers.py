@@ -34,8 +34,8 @@ class QVerificationReport:
     ``worst_infidelity`` is 1 - F over the inputs where the output must be
     delivered; ``worst_gap`` is the largest decoupling gap (or pairwise view
     distance) over the inputs where it must stay hidden. ``max_branches`` is
-    the largest per-input ``branches`` figure. A route's "side" witness is
-    an input where the qubit exits away from f's side.
+    the largest per-input ``branches`` figure. The "side" witness is the first
+    input where the qubit exits away from f's side, a CDQS's referee lacking it.
     """
 
     def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
@@ -58,11 +58,10 @@ class QVerificationReport:
             "worst_gap": float(self.worst_gap),
             "max_branches": self.max_branches,
             "routing_consistent": self.routing_consistent,
-            "per_input": {f"{x},{y}": dict(sorted(info.items()))
-                          for (x, y), info in sorted(self.per_input.items())},
-            "resources": {k: self.resources[k] for k in sorted(self.resources)},
+            "per_input": {f"{x},{y}": info for (x, y), info in self.per_input.items()},
+            "resources": self.resources,
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
-                          for k, v in sorted(self.witnesses.items())},
+                          for k, v in self.witnesses.items()},
             "notes": [],
         }
 
@@ -123,13 +122,16 @@ def _choi_fidelity(P: FRoutingProtocol, x, y, branches, out: str) -> tuple:
 
 
 def verify_cdqs(P: FRoutingProtocol) -> QVerificationReport:
-    """Choi-state correctness on revealing inputs, decoupling on hiding ones."""
+    """Choi-state correctness on revealing inputs, whose exit register the referee
+    must hold (the first it lacks is the "side" witness); decoupling on hiding ones."""
     from . import frames
     sweep = _Sweep()
     for (x, y) in P.domain:
         branches, n = sweep.run(P.run, x, y, frames.CARRIER)
         if P.f.eval(x, y) == 1:
-            F, exact = _choi_fidelity(P, x, y, branches, P.exit_reg(x, y))
+            if (reg := P.exit_reg(x, y)) not in P.msg_regs(x, y):
+                sweep.witnesses.setdefault("side", (x, y))
+            F, exact = _choi_fidelity(P, x, y, branches, reg)
             sweep.record((x, y), {"f": 1, "fidelity": F, "branches": n},
                          "infidelity", 1 - F, exact)
         else:
@@ -156,7 +158,7 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
         fx, reg = P.f.eval(x, y), P.exit_reg(x, y)
         side = RIGHT if reg in P.msg_regs(x, y) else LEFT
         if (side == RIGHT) != (fx == 1):
-            sweep.witnesses["side"] = (x, y)
+            sweep.witnesses.setdefault("side", (x, y))
         if reg is not None:
             branches, n = sweep.run(P.run, x, y, frames.CARRIER)
             F, exact = _choi_fidelity(P, x, y, branches, reg)

@@ -56,9 +56,9 @@ class VerificationReport:
             "delta_pair": enc(self.delta_pair),
             "delta_bracket": [enc(self.delta_bracket[0]), enc(self.delta_bracket[1])],
             "perfect": self.perfect,
-            "resources": {k: enc(v) for k, v in sorted(self.resources.items())},
+            "resources": {k: enc(v) for k, v in self.resources.items()},
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
-                          for k, v in sorted(self.witnesses.items())},
+                          for k, v in self.witnesses.items()},
             "notes": [],
         }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import csv
 import io
 import itertools
@@ -18,11 +19,11 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdslab import __version__
-from cdslab.cli import BASES, COMPILE, OPTIONS, _parse, main
+from cdslab.cli import BASES, COMPILE, OPTIONS, _counts, _emit, _flatten, _parse, main
 from cdslab.errors import DEFAULT_BUDGET, ValidationError
 from cdslab.families import named_fn
 
@@ -516,6 +517,42 @@ def test_verify_csv_rows_have_two_fields(tmp_path):
     assert rows[0] == ["key", "value"]
     assert any(row[0].startswith("report.per_input.0,0.") for row in rows)
     assert all(len(row) == 2 for row in rows)
+
+
+_LEAVES = (st.none() | st.booleans() | st.sampled_from([1e-16, math.inf, -math.inf, math.nan])
+           | st.floats() | st.integers() | st.integers(1 << 250, 1 << 300).map(lambda n: -n)
+           | st.integers(1 << 250, 1 << 300) | st.text())
+# each dict's keys inserted in descending order, so the encoder orders them
+_REPORTS = st.dictionaries(st.text(), st.recursive(_LEAVES, lambda inner: st.lists(
+    inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4).map(
+    lambda d: dict(sorted(d.items(), reverse=True))), max_leaves=30)).map(
+    lambda d: dict(sorted(d.items(), reverse=True)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example({"z": {}, "é\"\n\\": [], "a": [1 << 300, 1e-16, math.nan, True, None]})
+@example({"rows": list(range(5000)), "per_input": {f"{i},0": {"f": 1} for i in range(900)}})
+@given(_REPORTS)
+def test_emit_writes_what_the_whole_text_would_be(tmp_path_factory, capsys, obj):
+    # the chunked writer against the whole text it replaces: json.dumps with
+    # sorted keys and an indent, and csv.writer of the flattened rows, each of
+    # the object with its ints past 256 bits written as counts
+    want = copy.deepcopy(obj)
+    _counts(want)
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(("key", "value"))
+    writer.writerows((k, f"{v}") for k, v in _flatten(want, ""))
+    path = tmp_path_factory.getbasetemp() / "emitted"
+    for fmt, text in (("json", json.dumps(want, sort_keys=True, indent=2) + "\n"),
+                      ("csv", table.getvalue())):
+        _emit(copy.deepcopy(obj), str(path), fmt)
+        with open(path, newline="") as fh:
+            assert fh.read() == text, fmt
+        capsys.readouterr()
+        _emit(copy.deepcopy(obj), None, fmt)
+        assert capsys.readouterr().out == text, fmt
 
 
 def test_stdout_output(capsys):
@@ -1016,6 +1053,22 @@ def test_hostile_chains_build_and_stop_on_budget(tmp_path, chain, args, stop):
         report = json.loads((tmp_path / "r.json").read_text())
         space, size = stop if isinstance(stop, tuple) else (stop, report["size"])
         assert (report["status"], report["space"], report["size"]) == ("budget", space, size)
+
+
+def test_a_wide_garden_hose_route_and_its_report_fit_in_128_mib(tmp_path):
+    # ip8's generic strategy, 65,536 inputs: the route keeps each input's
+    # traced water path and no plan, and the 7.6 MB report is encoded in chunks
+    # straight to its file, so the verify peaks near 70 MiB; a plan per input
+    # and the indented report held as one string do not fit in 128 MiB
+    script = _LIMITED_MAIN.replace("1 << 30", "1 << 27")
+    for argv in (["build", "--chain", "gh,frouting", "--fn", "ip", "--nx", "8",
+                  "--max-pipes", "1", "--out", "d.json"], ["verify", "d.json", "--out", "r.json"]):
+        run = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path,
+                             env=_child_env(), capture_output=True, text=True, timeout=300)
+        assert (run.returncode, run.stderr) == (0, ""), argv
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert (report["status"], report["report"]["witnesses"]) == ("pass", {})
+    assert len(report["report"]["per_input"]) == 1 << 16
 
 
 def test_sixteen_pipe_gh_cds_passes_by_coset(tmp_path):

@@ -130,6 +130,20 @@ def test_routing_inconsistency_detected():
     assert "side" in report.witnesses
 
 
+def test_a_revealing_exit_the_referee_never_holds_is_the_first_side_witness():
+    # a constant-1 route whose right side holds nothing: every exit is right
+    # and fidelity 1, yet the referee never receives the qubit, so both
+    # verifiers fail on the first input in sweep order
+    f = BoolFn(1, 1, (1, 1, 1, 1))
+    R = frouting_from_gh(gh_search(f, 2), f)
+    held_back = FRoutingProtocol(f, R.run, R.denom, lambda x, y: (), R.recover, R.exit_reg)
+    for verify in (verify_cdqs, verify_frouting):
+        report = verify(held_back)
+        assert report.worst_infidelity == 0.0
+        assert not report.perfect and not report.routing_consistent, verify.__name__
+        assert report.witnesses == {"side": (0, 0)}, verify.__name__
+
+
 def test_pad_route_round_trip_preserves_quality():
     # the round trip passes run, registers and recovery through, so its
     # report is the pad CDQS's own: the same branches, figures within 1e-12

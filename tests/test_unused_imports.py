@@ -72,8 +72,10 @@ attribute the ``__init__`` of ``InputDomain`` or of a class descending from it
 stores is read by the sources outside that ``__init__``, a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only ``cli``, which reads and writes the files,
-imports ``json``. ``cli`` reads argv by its own option table, so no module
-imports ``argparse``. Every charge reads the request's one budget from
+imports ``json``, and it encodes a report in chunks to its file: no module
+calls ``json.dumps`` with an indent or holds text in a ``StringIO``.
+``cli`` reads argv by its own option table, so no module imports
+``argparse``. Every charge reads the request's one budget from
 ``errors``' ledger, so no module but ``errors``, which defines it, and
 ``cli``, whose ``--budget`` defaults to it, reads ``DEFAULT_BUDGET``.
 """
@@ -650,6 +652,36 @@ def test_only_cli_imports_json(module):
     # alone turns those into text
     tree = ast.parse(module.read_text(), filename=str(module))
     assert _imports(ast.walk(tree), "json") == (module.stem == "cli"), module.name
+
+
+def _whole_texts(tree) -> list:
+    """Lines that hold a whole text before writing it: a ``dumps`` call with an
+    ``indent``, or any use of ``StringIO``."""
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+    return sorted({node.lineno for node in ast.walk(tree) if name(node) == "StringIO" or (
+        isinstance(node, ast.Call) and name(node.func) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords))})
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_module_holds_a_whole_report_text(module):
+    # ``cli._emit`` encodes a report in chunks straight to its file; an indent
+    # makes ``json.dumps`` join the pure-Python encoder's chunks into one
+    # string, and a wide garden-hose report's string does not fit in memory.
+    # ``json.dumps`` stays for the one-line budget record on stderr
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _whole_texts(tree) == [], module.name
+
+
+def test_the_check_sees_a_whole_report_text():
+    for planted in ("x = 1\ntext = json.dumps(obj, sort_keys=True, indent=2)\n",
+                    "from json import dumps\ntext = dumps(obj, indent=None)\n",
+                    "import io\nbuf = io.StringIO()\n", "x = 1\nfrom io import StringIO\n"):
+        assert _whole_texts(ast.parse(planted)) == [2], planted
+    for clean in ("print(json.dumps(fields, sort_keys=True), file=sys.stderr)\n",
+                  "chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)\n"):
+        assert _whole_texts(ast.parse(clean)) == [], clean
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
