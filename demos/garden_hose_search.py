@@ -22,12 +22,14 @@ print("2-pipe strategy for and1:", gh_search(and1, 2))
 best = gh_search(and1, 3)
 print("3-pipe strategy found with pipes =", best.pipes)
 
-# Watch the water. Every input pair gets a full traversal record.
+# Watch the water. Every input pair gets its path, the pipes the water runs
+# through in order, tap first; hoses alternate Bob's and Alice's, so the
+# water spills right after an odd number of pipes, from the last one.
 for x in (0, 1):
     for y in (0, 1):
         out = gh_eval(best, x, y)
         print(f"  x={x} y={y}: spills {out.side} from pipe {out.exit_pipe}"
-              f" after path {out.path}")
+              f" after pipes {list(out.path)}")
 
 # A universal fallback: 2^(n_x + 1) pipes work for any function, with Bob
 # bridging exactly the pairs whose Alice-input evaluates to 0.

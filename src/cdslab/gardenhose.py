@@ -33,9 +33,10 @@ def _partners(pairs) -> dict:
     return out
 
 
-def _freeze_matching(pairs):
-    _partners(pairs)
-    return frozenset(map(frozenset, pairs))
+def hoses(ends: dict) -> tuple:
+    """The hoses of a matching's partner map ``ends``, each once as a sorted
+    pair, in sorted order."""
+    return tuple(sorted((a, b) for a, b in ends.items() if a < b))
 
 
 class GhStrategy:
@@ -47,14 +48,13 @@ class GhStrategy:
         alice: map x -> (tap pipe, left matching); the matching never touches
             the tap pipe's left opening.
         bob: map y -> right matching.
-        left_partners, right_partners: each x's and each y's matching as a
-            map from an opening to the one its hose leads to, made once.
-    Matchings are frozensets of frozenset pairs {i, j}.
+    The constructor takes each matching as pairs {i, j} and holds it as its
+    partner map, each opening it joins -> the opening its hose leads to;
+    ``hoses`` lists its pairs again.
     """
 
     def __init__(self, pipes: int, n_x: int, n_y: int, alice: dict, bob: dict):
         self.pipes, self.n_x, self.n_y = pipes, n_x, n_y
-        self.alice, self.bob = alice, bob
         if self.pipes < 1:
             raise ValidationError("need at least one pipe")
         valid = set(range(1, self.pipes + 1))
@@ -63,17 +63,18 @@ class GhStrategy:
             if not (0 <= width < len(inputs).bit_length() and len(inputs) == 1 << width
                     and set(inputs) == set(range(len(inputs)))):
                 raise ValidationError(f"{side} must cover every {name}")
-        self.left_partners, self.right_partners = {}, {}
-        for x, (tap, matching) in self.alice.items():
+        self.alice, self.bob = {}, {}
+        for x, (tap, matching) in alice.items():
             if tap not in valid:
                 raise ValidationError(f"tap {tap} outside 1..{self.pipes}")
-            self.left_partners[x] = ends = _partners(matching)
+            ends = _partners(matching)
             if not ends.keys() <= valid:
                 raise ValidationError("left matching uses unknown pipe")
             if tap in ends:
                 raise ValidationError(f"x={x}: tap pipe {tap} also matched on the left")
-        for y, matching in self.bob.items():
-            self.right_partners[y] = ends = _partners(matching)
+            self.alice[x] = (tap, ends)
+        for y, matching in bob.items():
+            self.bob[y] = ends = _partners(matching)
             if not ends.keys() <= valid:
                 raise ValidationError("right matching uses unknown pipe")
 
@@ -85,34 +86,37 @@ class GhStrategy:
             "pipes": self.pipes,
             "n_x": self.n_x,
             "n_y": self.n_y,
-            "alice": {
-                str(x): {"tap": tap, "match": sorted(sorted(pair) for pair in matching)}
-                for x, (tap, matching) in self.alice.items()
-            },
-            "bob": {
-                str(y): {"match": sorted(sorted(pair) for pair in matching)}
-                for y, matching in self.bob.items()
-            },
+            "alice": {str(x): {"tap": tap, "match": [list(h) for h in hoses(ends)]}
+                      for x, (tap, ends) in self.alice.items()},
+            "bob": {str(y): {"match": [list(h) for h in hoses(ends)]}
+                    for y, ends in self.bob.items()},
         }
 
     @staticmethod
     def from_jsonable(obj: dict) -> "GhStrategy":
-        alice = {int(x): (entry["tap"], _freeze_matching(entry["match"]))
-                 for x, entry in obj["alice"].items()}
-        bob = {int(y): _freeze_matching(entry["match"]) for y, entry in obj["bob"].items()}
+        alice = {int(x): (entry["tap"], entry["match"]) for x, entry in obj["alice"].items()}
+        bob = {int(y): entry["match"] for y, entry in obj["bob"].items()}
         return GhStrategy(obj["pipes"], obj["n_x"], obj["n_y"], alice, bob)
 
 
 class GhOutcome(NamedTuple):
-    """Where the water ends up: spill side, exit pipe, traversal order.
+    """Where the water ends up: ``path``, the pipes in flow order, tap first.
 
-    ``path`` lists (pipe, direction) hops, direction "lr" (left to right,
-    Alice to Bob) or "rl".
+    Water enters the tap pipe left to right, and each next pipe is reached
+    through a hose on the side the last one ended: Bob's from ``path[i]`` to
+    ``path[i + 1]`` at even i, Alice's at odd i. So the water spills right
+    after an odd count of pipes, from the last one.
     """
 
-    side: str
-    exit_pipe: int
     path: tuple
+
+    @property
+    def side(self) -> str:
+        return RIGHT if len(self.path) % 2 else LEFT
+
+    @property
+    def exit_pipe(self) -> int:
+        return self.path[-1]
 
 
 def gh_eval(strategy: GhStrategy, x: int, y: int) -> GhOutcome:
@@ -123,19 +127,18 @@ def gh_eval(strategy: GhStrategy, x: int, y: int) -> GhOutcome:
         raise DomainError(f"x={x} not covered")
     if y not in strategy.bob:
         raise DomainError(f"y={y} not covered")
-    tap = strategy.alice[x][0]
-    left, right = strategy.left_partners[x], strategy.right_partners[y]
-    path = [(tap, "lr")]
-    pipe = tap
+    pipe, left = strategy.alice[x]
+    right = strategy.bob[y]
+    path = [pipe]
     for _ in range(strategy.pipes):
         nxt = right.get(pipe)
         if nxt is None:
-            return GhOutcome(RIGHT, pipe, tuple(path))
-        path.append((nxt, "rl"))
+            return GhOutcome(tuple(path))
+        path.append(nxt)
         pipe = left.get(nxt)
         if pipe is None:
-            return GhOutcome(LEFT, nxt, tuple(path))
-        path.append((pipe, "lr"))
+            return GhOutcome(tuple(path))
+        path.append(pipe)
     raise AssertionError("water revisited an opening; matchings were not disjoint")
 
 

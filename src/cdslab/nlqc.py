@@ -2,24 +2,24 @@
 
 Covers conditional disclosure of a quantum state (the quantum analogue of
 CDS), one-round routing of a qubit to the side named by a boolean function,
-and simultaneous-message computation, whose one compiled instance sends a
-classical PSM's messages and carries no qubit. A disclosure or routing run
-is never sampled: ``run(x, y, carrier)``, the qubit in the carrier's
-register "Q", returns its classical branches as (integer weight,
-transcript, Pauli frame) triples, the weights out of the record's
-``denom``, so verifiers compute exact figures of merit. A CDQS and an
-f-routing are one record, as the source paper finds them equivalent: a
-route's right side is a CDQS's referee, holding ``msg_regs`` after a run,
-which may leave out registers in product with the rest of the state; the
-qubit lands in ``exit_reg``, where ``recover`` undoes its frame, and exits
-right exactly when its referee holds that register. Garden-hose routes
-return one branch per Pauli-frame class: teleporting through fresh EPR
-links, the transcripts of a class leave the routed qubit under one frame.
-They keep ``gardenhose``'s traced water paths, one per input, and derive
-each run's hops, exit and referee registers from them when called; they load
-neither the pad routes (``padroutes``) nor any classical protocol. The
-frame kernel, ``frames``, is imported when a route is compiled; no record
-reads the dense statevector.
+and simultaneous-message computation, whose one compiled instance is a
+classical PSM, holding that PSM alone, and carries no qubit. A disclosure or
+routing run is never sampled: ``run(x, y, carrier)``, the qubit in the
+carrier's register "Q", returns its classical branches as (integer weight,
+transcript, Pauli frame) triples, the weights out of the record's ``denom``,
+so verifiers compute exact figures of merit. A CDQS and an f-routing are one
+record, as the source paper finds them equivalent: a route's right side is a
+CDQS's referee, holding ``msg_regs`` after a run, which may leave out
+registers in product with the rest of the state; the qubit lands in
+``exit_reg``, where ``recover`` undoes its frame, and exits right exactly
+when its referee holds that register. Garden-hose routes return one branch
+per Pauli-frame class: teleporting through fresh EPR links, the transcripts
+of a class leave the routed qubit under one frame. They keep
+``gardenhose``'s traced water paths, one per input, and derive each run's
+hops, each hop's side by its parity, exit and referee registers from them
+when called; they load neither the pad routes (``padroutes``) nor any
+classical protocol. The frame kernel, ``frames``, is imported when a route
+is compiled; no record reads the dense statevector.
 """
 
 from __future__ import annotations
@@ -83,16 +83,11 @@ class PsqmProtocol(InputDomain):
 
     The one PSQM compiled, ``padroutes.psqm_from_psm``, sends the messages of
     a classical PSM, ``psm``, and carries no qubit, so its referee's views
-    are distributions: ``counts(x, y)`` maps each message pair on (x, y), by
-    coset, to its integer count out of ``denom`` randomness states, and
-    ``decode`` reads a pair.
+    are that PSM's message distributions, and its decoder the PSM's.
     """
 
-    def __init__(self, psm, counts: Callable, denom: int, resources: Optional[dict] = None):
+    def __init__(self, psm, resources: Optional[dict] = None):
         self.psm, self.f = psm, psm.f
-        self.counts = counts              # (x, y) -> {transcript: count}
-        self.denom = denom
-        self.decode = lambda t: psm.decode(t[0], t[1])   # (transcript) -> value of f
         super().__init__(psm.domain, resources)
 
 
@@ -148,12 +143,12 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
 
     def run(x, y, carrier):
         path = traced[(x, y)].path
-        tap = path[0][0]
+        tap = path[0]
         hops = [(("Q", f"L{tap}"), f"R{tap}", ("alice", 0, tap))]   # (pair, far, label)
-        for (prev, cur) in zip(path, path[1:]):
-            near, far, party = ("R", "L", "bob") if cur[1] == "rl" else ("L", "R", "alice")
-            hops.append(((f"{near}{prev[0]}", f"{near}{cur[0]}"), f"{far}{cur[0]}",
-                         (party, prev[0], cur[0])))
+        for i, (prev, cur) in enumerate(zip(path, path[1:])):
+            # Bob's hose joins path[i] to path[i + 1] at even i, Alice's at odd i
+            near, far, party = ("L", "R", "alice") if i % 2 else ("R", "L", "bob")
+            hops.append(((f"{near}{prev}", f"{near}{cur}"), f"{far}{cur}", (party, prev, cur)))
         state = carrier
         for pair, far, _ in hops:
             outcomes = frames.hop(state, pair, far)

@@ -1,15 +1,15 @@
 """Pad-and-disclose quantum protocols from a classical CDS, PSM or PSQM.
 
 Runs return one branch per pad key and transcript class: the transcripts of
-a class decode to the same key and have proportional likelihoods under
-every key, so the referee's view of each is a positive multiple of one
-operator and the class's representative, with the summed weight, stands
-for all ``count`` of them exactly. Message counts come from
-``protocols._sweep_kernel``, read at call time, and stay integers: a
-class's weight under a key is a product of two runs' counts, out of the
-squared joint randomness, and a branch is a ``frames`` state, the carrier
-padded by its key. A PSQM is a classical PSM's messages, handed on as those
-counts. A pad CDQS's referee holds "Q", and its recovery is the only decode
+a class decode to the same key and have proportional likelihoods under every
+key, so the referee's view of each is a positive multiple of one operator
+and the class's representative, with the summed weight, stands for all
+``count`` of them exactly. Message counts come from
+``protocols._sweep_kernel``, read at call time, and stay integers: a class's
+weight under a key is a product of two runs' counts, out of the squared
+joint randomness, and a branch is a ``frames`` state, the carrier padded by
+its key. A PSQM is a classical PSM, handed on, whose messages its pad route
+sweeps. A pad CDQS's referee holds "Q", and its recovery is the only decode
 of a key; the qubit exits there where f = 1 and to the left side elsewhere,
 so the CDQS is its own route. The left side's worst fidelity is read off the
 key classes (``frames.left_fidelity``).
@@ -115,9 +115,10 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     the state through. The qubit exits in "Q" where f = 1, and elsewhere
     has no exit register: the left side rebuilds it from the key. Its
     classes, the product of the per-run classes with integer weights out of
-    ``denom``, are formed once per input and kept, since the quantum
-    verifiers ask again for every swept qubit state; a run's weights, one
-    uniform key and a class, are out of 4 ``denom``.
+    ``denom``, are formed once per input and kept, since a pad CDQS and its
+    route are one record, so verifying both reads each input's classes
+    twice; a run's weights, one uniform key and a class, are out of 4
+    ``denom``.
     """
     from . import frames
 
@@ -178,18 +179,9 @@ def frouting_from_cdqs(C: FRoutingProtocol) -> FRoutingProtocol:
 
 
 def psqm_from_psm(P: PsmProtocol) -> PsqmProtocol:
-    """A classical PSM is a simultaneous-message protocol with no qubits.
-
-    Its message counts on an input pair are one sweep of P's messages by
-    ``verify_psm``'s kernel, by coset, out of P's joint randomness states;
-    the sweeps over P's domain are charged by its size before the first
-    (a layout the first nu misses, when met).
-    """
-    from .protocols import _joint, _sweep_kernel
-
-    kernel = cache(lambda: _sweep_kernel(P, "psqm_from_psm")[0])
-    return PsqmProtocol(P, lambda x, y: kernel()(x, y), _joint(P),
-                        resources=dict(P.resources))
+    """A classical PSM is a simultaneous-message protocol with no qubits:
+    the PSQM holds P, whose messages it sends."""
+    return PsqmProtocol(P, resources=dict(P.resources))
 
 
 def cdqs_from_psqm(P: PsqmProtocol) -> FRoutingProtocol:
@@ -198,14 +190,20 @@ def cdqs_from_psqm(P: PsqmProtocol) -> FRoutingProtocol:
     For each key bit the parties either use their real inputs or a fixed
     hiding input, so the run computes (key bit) AND f(x, y). Revealing inputs
     hand the referee both key bits; hiding inputs make every run's view
-    key-independent, leaving the pad intact. The product weights stay
-    integers until one division by the squared joint randomness.
+    key-independent, leaving the pad intact. A run's message counts on an
+    input pair are one sweep of the PSM's messages by ``verify_psm``'s
+    kernel, by coset, out of its joint randomness states; the sweeps over
+    its domain are charged by its size before the first (a layout the first
+    nu misses, when met). The product weights stay integers until one
+    division by the squared joint randomness.
     """
-    from .protocols import hiding_input
+    from .protocols import _joint, _sweep_kernel, hiding_input
 
-    x_star, y_star = hiding_input(P)
+    psm, (x_star, y_star) = P.psm, hiding_input(P)
+    kernel = cache(lambda: _sweep_kernel(psm, "psqm_from_psm")[0])
     # key bit 0 runs the hiding input, swept once; key bit 1 the real one
-    hidden = cache(lambda: P.counts(x_star, y_star))
+    hidden = cache(lambda: kernel()(x_star, y_star))
     resources = {"pad_key_bits": 2, "qubits_sent": 1, "runs": 2}
-    return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: P.counts(x, y)},
-                     lambda x, y, t: P.decode(t), P.denom ** 2, P.domain, resources)
+    return _pad_cdqs(P.f, lambda x, y: {0: hidden(), 1: kernel()(x, y)},
+                     lambda x, y, t: psm.decode(t[0], t[1]), _joint(psm) ** 2, P.domain,
+                     resources)

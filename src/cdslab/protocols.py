@@ -92,13 +92,10 @@ class CdsProtocol(PsmProtocol):
         super().__init__(f, *args, **kwargs)
 
 
-class Dre(PsmProtocol):
-    """Decomposable randomized encoding: per-side encoders plus a decoder.
-
-    The pair of encodings, Alice's of x and Bob's of y, must determine
-    f(x, y) and its distribution must depend on the input only through
-    f(x, y).
-    """
+# a decomposable randomized encoding: Alice's encoding of x and Bob's of y
+# must determine f(x, y) and be distributed by f(x, y) alone, as a PSM's
+# messages are
+Dre = PsmProtocol
 
 
 def _joint(P) -> int:
@@ -269,22 +266,18 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     label does. Compiling refuses a strategy ``gh_routes`` finds of other
     widths or misrouted, and the decoder reads its one trace per input.
     """
-    from .gardenhose import RIGHT, gh_routes
+    from .gardenhose import RIGHT, gh_routes, hoses
 
     outcomes = gh_routes(strategy, f)
     m = strategy.pipes
 
-    def pairs(matching):
-        return tuple(sorted(tuple(sorted(p)) for p in matching))
-
     def alice_form(x, s, nu):
-        tap, matching = strategy.alice[x]
-        return ((tap,),) + pairs(matching), (s,) + (0,) * len(matching)
+        tap, ends = strategy.alice[x]
+        return ((tap,),) + hoses(ends), (s,) + (0,) * (len(ends) // 2)
 
     def bob_form(y, nu):
-        matching = strategy.bob[y]
-        used = {v for pair in matching for v in pair}
-        tag = pairs(matching) + tuple((k,) for k in range(1, m + 1) if k not in used)
+        ends = strategy.bob[y]
+        tag = hoses(ends) + tuple((k,) for k in range(1, m + 1) if k not in ends)
         return tag, (0,) * len(tag)
 
     def decode(m0, x, m1, y):
@@ -295,11 +288,12 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
         lookup = dict(zip(tag0[1:] + tag1, values0[1:] + values1))
         value = values0[0] ^ lookup[(outcome.exit_pipe,)]
         for prev, cur in zip(outcome.path, outcome.path[1:]):
-            value ^= lookup[tuple(sorted((prev[0], cur[0])))]
+            value ^= lookup[tuple(sorted((prev, cur)))]
         return value
 
-    alice_bits = max(1 + len(strategy.alice[x][1]) for x in strategy.alice)
-    bob_bits = max(m - len(strategy.bob[y]) for y in strategy.bob)
+    # a partner map holds each hose under both its openings
+    alice_bits = max(1 + len(ends) // 2 for _, ends in strategy.alice.values())
+    bob_bits = max(m - len(ends) // 2 for ends in strategy.bob.values())
     resources = {
         "pipes": m,
         "randomness_bits": m,
@@ -498,12 +492,9 @@ def hiding_input(P) -> tuple:
 
 
 def psm_from_dre(D: Dre) -> PsmProtocol:
-    """A DRE is already a PSM: send the two encoding halves as the messages.
-
-    The PSM keeps the DRE's ``linear``, whose forms state its messages: its
-    randomness is the DRE's, passed as r with no private coins.
-    """
-    return PsmProtocol(D.f, D.linear, D.decode, domain=D.domain, resources=dict(D.resources))
+    """A DRE is already a PSM: the two encoding halves are the messages, so
+    the DRE's record is handed on as it is."""
+    return D
 
 
 def psm_generic_table(f: BoolFn) -> PsmProtocol:

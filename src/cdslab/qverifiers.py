@@ -188,7 +188,8 @@ def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
     per_input = {}
 
     def seen(xy, hist, fails):
-        per_input[xy] = {"f": P.f.eval(*xy), "decode_error": fails / P.denom,
+        # the histogram's counts add up to the PSM's joint randomness
+        per_input[xy] = {"f": P.f.eval(*xy), "decode_error": fails / sum(hist.values()),
                          "branches": sum(map(message_count, hist))}
 
     eps, delta, found = _value_sweep(P.psm, "psqm_from_psm", seen)

@@ -23,11 +23,11 @@ from cdslab.toolkit import _block_distance, probe_qubits
 def plan(strategy, x: int, y: int) -> list:
     """(measured pair, far half of the link, broadcast label) per hop."""
     path = gh_eval(strategy, x, y).path
-    hops = [(("Q", f"L{path[0][0]}"), f"R{path[0][0]}", ("alice", 0, path[0][0]))]
-    for (prev, cur) in zip(path, path[1:]):
-        near, far, party = ("R", "L", "bob") if cur[1] == "rl" else ("L", "R", "alice")
-        hops.append(((f"{near}{prev[0]}", f"{near}{cur[0]}"), f"{far}{cur[0]}",
-                     (party, prev[0], cur[0])))
+    hops = [(("Q", f"L{path[0]}"), f"R{path[0]}", ("alice", 0, path[0]))]
+    for i, (prev, cur) in enumerate(zip(path, path[1:])):
+        # Bob's hose leaves an even position of the path, Alice's an odd one
+        near, far, party = ("L", "R", "alice") if i % 2 else ("R", "L", "bob")
+        hops.append(((f"{near}{prev}", f"{near}{cur}"), f"{far}{cur}", (party, prev, cur)))
     return hops
 
 

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdslab.boolfn import BoolFn, all_functions
 from cdslab.errors import BudgetError, DomainError, ValidationError, budget
@@ -30,13 +35,13 @@ def test_hand_traced_and_strategy():
     s = _and_strategy()
     # frozen water traces, worked out by hand from the pipe diagram
     o = gh_eval(s, 0, 0)
-    assert (o.side, o.exit_pipe, o.path) == (LEFT, 2, ((1, "lr"), (2, "rl")))
+    assert (o.side, o.exit_pipe, o.path) == (LEFT, 2, (1, 2))
     o = gh_eval(s, 0, 1)
-    assert (o.side, o.exit_pipe, o.path) == (LEFT, 3, ((1, "lr"), (3, "rl")))
+    assert (o.side, o.exit_pipe, o.path) == (LEFT, 3, (1, 3))
     o = gh_eval(s, 1, 0)
-    assert (o.side, o.exit_pipe, o.path) == (LEFT, 1, ((2, "lr"), (1, "rl")))
+    assert (o.side, o.exit_pipe, o.path) == (LEFT, 1, (2, 1))
     o = gh_eval(s, 1, 1)
-    assert (o.side, o.exit_pipe, o.path) == (RIGHT, 2, ((2, "lr"),))
+    assert (o.side, o.exit_pipe, o.path) == (RIGHT, 2, (2,))
     outcomes, misrouted = gh_trace(s, AND1)
     assert misrouted == []
     # one trace per input, in input order, each the one gh_eval gives
@@ -134,9 +139,74 @@ def test_json_round_trip():
 
 
 def test_path_alternates_sides():
+    # water enters the tap left to right, so each step path[i] -> path[i + 1]
+    # is one of Bob's hoses at even i and one of Alice's at odd i, and the
+    # last pipe's opening on the spill side joins no hose
     f = named_fn("eq", n=1)
-    s = gh_generic(f)
-    for (x, y) in f.inputs():
-        path = gh_eval(s, x, y).path
-        dirs = [d for _, d in path]
-        assert dirs == ["lr", "rl"] * (len(dirs) // 2) + (["lr"] if len(dirs) % 2 else [])
+    zigzag = GhStrategy(4, 0, 0, {0: (1, [(3, 2)])}, {0: [(1, 2), (4, 3)]})
+    for s in (gh_generic(f), zigzag):
+        for x in s.alice:
+            tap, left = s.alice[x]
+            for y in s.bob:
+                path = gh_eval(s, x, y).path
+                sides = [s.bob[y], left]
+                assert path[0] == tap
+                assert all(sides[i % 2].get(a) == b for i, (a, b) in enumerate(zip(path, path[1:])))
+                assert path[-1] not in sides[(len(path) - 1) % 2]
+    assert gh_eval(zigzag, 0, 0).path == (1, 2, 3, 4)
+
+
+# -- random strategies against the parent's codec and the benchmark's own trace ---
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py``, read only: it traces the water with its own code."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        yield importlib.import_module("workloads")
+
+
+@st.composite
+def _drawn(draw):
+    """(pipes, n_x, n_y, alice, bob) of a strategy of up to 2+2 bits on 1..7
+    pipes, each matching a list of pairs in drawn order and orientation."""
+    m, n_x, n_y = draw(st.integers(1, 7)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+    def pairs(ends):
+        ends = draw(st.permutations(ends))
+        return [tuple(ends[2 * i:2 * i + 2]) for i in range(draw(st.integers(0, len(ends) // 2)))]
+
+    alice = {}
+    for x in range(1 << n_x):
+        tap = draw(st.integers(1, m))
+        alice[x] = (tap, pairs([i for i in range(1, m + 1) if i != tap]))
+    return m, n_x, n_y, alice, {y: pairs(list(range(1, m + 1))) for y in range(1 << n_y)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn())
+def test_random_strategies_keep_their_pairs_and_trace_as_the_benchmark(workloads, drawn):
+    m, n_x, n_y, alice, bob = drawn
+    s = GhStrategy(m, n_x, n_y, alice, bob)
+    obj = s.to_jsonable()
+    # each matching is written as its input pairs, each sorted, in sorted
+    # order, whatever order and orientation they came in
+    assert obj == {"pipes": m, "n_x": n_x, "n_y": n_y,
+                   "alice": {str(x): {"tap": tap, "match": sorted(sorted(p) for p in pairs)}
+                             for x, (tap, pairs) in alice.items()},
+                   "bob": {str(y): {"match": sorted(sorted(p) for p in pairs)}
+                           for y, pairs in bob.items()}}
+    assert GhStrategy.from_jsonable(obj) == s
+    bench = workloads.Strategy(m, n_x, n_y, tuple(alice[x] for x in range(1 << n_x)),
+                               tuple(bob[y] for y in range(1 << n_y)))
+    for x, (tap, pairs) in alice.items():
+        for y in bob:
+            hops, spilled_right = workloads.water(bench, x, y)
+            # the pipe the benchmark's water reaches after its hop count
+            ends, pipe = (workloads._partners(pairs), workloads._partners(bob[y])), tap
+            for i in range(1, hops):
+                pipe = ends[i % 2][pipe]
+            o = gh_eval(s, x, y)
+            assert (o.side, o.exit_pipe, len(o.path)) == \
+                (RIGHT if spilled_right else LEFT, pipe, hops)

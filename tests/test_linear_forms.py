@@ -24,7 +24,7 @@ from cdslab.boolfn import BoolFn, literal_input
 from cdslab.cli import _span_for
 from cdslab.families import named_fn
 from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
-from cdslab.padroutes import cdqs_from_cds, psqm_from_psm
+from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, psqm_from_psm
 from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, hiding_input,
                               psm_from_dre)
 from cdslab.verifiers import verify_cds, verify_dre
@@ -108,23 +108,23 @@ def _ref_gh(strategy: GhStrategy):
     """``cds_from_gh``'s message pair on the pipe bits r: (label, bit) parts."""
     m = strategy.pipes
 
-    def pair_xors(matching, r):
+    def pair_xors(ends, r):
+        # a matching is held as its partner map, each hose under both openings
         parts = []
-        for pair in sorted(tuple(sorted(p)) for p in matching):
+        for pair in sorted((i, j) for i, j in ends.items() if i < j):
             i, j = pair
             parts.append((pair, r[i - 1] ^ r[j - 1]))
         return parts
 
     def alice_msg(x, s, r):
-        tap, matching = strategy.alice[x]
-        return tuple([("tap", s ^ r[tap - 1])] + pair_xors(matching, r))
+        tap, ends = strategy.alice[x]
+        return tuple([("tap", s ^ r[tap - 1])] + pair_xors(ends, r))
 
     def bob_msg(y, r):
-        matching = strategy.bob[y]
-        used = {v for pair in matching for v in pair}
-        parts = pair_xors(matching, r)
+        ends = strategy.bob[y]
+        parts = pair_xors(ends, r)
         for k in range(1, m + 1):
-            if k not in used:
+            if k not in ends:
                 parts.append((k, r[k - 1]))
         return tuple(parts)
 
@@ -373,8 +373,9 @@ def test_the_pad_routes_read_each_layout_once(counted):
         C.key_classes(x, y)
     assert counted == {"echelon": 2}
     Q = psqm_from_psm(psm)
+    R = cdqs_from_psqm(Q)
     for (x, y) in Q.domain:
-        Q.counts(x, y)
+        R.key_classes(x, y)
     assert counted == {"echelon": 3}
     # verify_psqm is the PSM's own sweep, which reads the one layout once more
     assert qverifiers.verify_psqm(Q).worst_gap == 0

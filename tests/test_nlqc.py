@@ -14,8 +14,8 @@ from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, RunBranch, cdqs_from_fr
                          frouting_from_gh, pauli_frame)
 from cdslab.padroutes import (TranscriptClass, _pad_run, cdqs_from_cds, cdqs_from_psqm,
                               frouting_from_cdqs, psqm_from_psm)
-from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, psm_from_dre,
-                              psm_generic_table, dre_qr)
+from cdslab.protocols import (CdsProtocol, _joint, cds_from_gh, cds_from_psm, coset_hist,
+                              psm_from_dre, psm_generic_table, dre_qr)
 from cdslab import frames
 from cdslab.cli import _verify_object
 from cdslab.frames import CARRIER, left_fidelity
@@ -293,7 +293,7 @@ def test_psqm_from_psm_and_table():
     assert (report.worst_infidelity, report.worst_gap, report.witnesses) == (0, 0, {})
     assert report.per_input == {(x, y): {"f": x & y, "decode_error": 0.0, "branches": 8}
                                 for x in (0, 1) for y in (0, 1)}
-    assert Q.denom == 8 and set(Q.counts(1, 0).values()) == {1}
+    assert _joint(Q.psm) == 8 and set(coset_hist(Q.psm, 1, 0).values()) == {1}
 
 
 def test_psqm_detects_input_leak():

@@ -72,12 +72,12 @@ def _class_and_flat_cdqs(cds):
     return classed, _with_flat(classed, _flat_message_classes(cds))
 
 
-def _flat_psqm_classes(Q, x_star, y_star):
-    """Flat classes of the psqm route: key bit 0 runs the hiding input. Q's
-    counts sweep an ``enumerated`` PSM, whose one-point cosets each hold one
-    message pair (m0, m1) as their tags: that pair is the transcript."""
+def _flat_psqm_classes(psm, x_star, y_star):
+    """Flat classes of the psqm route: key bit 0 runs the hiding input. Its
+    runs sweep ``psm``, an ``enumerated`` PSM, whose one-point cosets each
+    hold one message pair (m0, m1) as their tags: that pair is the transcript."""
     def hist(x, y):
-        return {(m[0][0], m[1][0]): c for m, c in Q.counts(x, y).items()}
+        return {(m[0][0], m[1][0]): c for m, c in coset_hist(psm, x, y).items()}
 
     return _flat_classes(lambda x, y: {0: hist(x_star, y_star), 1: hist(x, y)})
 
@@ -87,7 +87,7 @@ def _class_and_flat_psqm(psm):
     the messages of ``psm`` one at a time."""
     classed = cdqs_from_psqm(psqm_from_psm(psm))
     x_star, y_star = hiding_input(psm)
-    flat = _flat_psqm_classes(psqm_from_psm(enumerated(psm)), x_star, y_star)
+    flat = _flat_psqm_classes(enumerated(psm), x_star, y_star)
     return classed, _with_flat(classed, flat)
 
 
@@ -389,7 +389,7 @@ def _cds_classes(cds) -> tuple:
 
 def _psqm_classes(psm) -> tuple:
     Q = psqm_from_psm(psm)
-    return _integer_classes(cdqs_from_psqm(Q), lambda x, y, t: Q.decode(t))
+    return _integer_classes(cdqs_from_psqm(Q), lambda x, y, t: Q.psm.decode(t[0], t[1]))
 
 
 def _same_cds_classes(cds) -> None:
