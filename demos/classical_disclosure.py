@@ -12,7 +12,9 @@ come out as exact rationals, not estimates.
 from cdslab.boolfn import from_packed
 from cdslab.families import named_fn
 from cdslab.ghsearch import gh_search
-from cdslab.protocols import cds_from_gh, cds_from_span, psm_generic_table, cds_from_psm
+from cdslab.bases import cds_from_gh, psm_generic_table
+from cdslab.protocols import cds_from_psm
+from cdslab.spancds import cds_from_span
 from cdslab.toolkit import span_threshold_2of3
 from cdslab.verifiers import verify_cds
 

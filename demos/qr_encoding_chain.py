@@ -12,7 +12,8 @@ conditional disclosure.
 """
 
 from cdslab.families import named_fn
-from cdslab.protocols import cds_from_psm, dre_qr, psm_from_dre
+from cdslab.bases import dre_qr
+from cdslab.protocols import cds_from_psm, psm_from_dre
 from cdslab.toolkit import qr_split_inputs
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 

@@ -12,7 +12,8 @@ actual states.
 from cdslab.families import named_fn
 from cdslab.ghsearch import gh_search
 from cdslab.padroutes import cdqs_from_cds
-from cdslab.protocols import CdsProtocol, LinearPart, cds_from_gh
+from cdslab.bases import cds_from_gh
+from cdslab.protocols import CdsProtocol, LinearPart
 from cdslab.qverifiers import verify_cdqs
 from cdslab.toolkit import security_state_sweep
 

@@ -12,7 +12,7 @@ from cdslab.frames import left_fidelity
 from cdslab.ghsearch import gh_search
 from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, frouting_from_cdqs
-from cdslab.protocols import cds_from_gh
+from cdslab.bases import cds_from_gh
 from cdslab.qverifiers import verify_cdqs, verify_frouting
 
 and1 = named_fn("and", n=1)

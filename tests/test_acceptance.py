@@ -21,8 +21,9 @@ from cdslab.gardenhose import LEFT, RIGHT
 from cdslab.ghsearch import gh_search
 from cdslab.nlqc import cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
-from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, psm_from_dre,
-                              psm_generic_table)
+from cdslab.bases import cds_from_gh, dre_qr, psm_generic_table
+from cdslab.protocols import cds_from_psm, psm_from_dre
+from cdslab.spancds import cds_from_span
 from cdslab.quantum import epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
 from cdslab.toolkit import (span_threshold_2of3, security_state_sweep, fidelity, pad_average,

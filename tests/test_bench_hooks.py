@@ -70,7 +70,8 @@ def test_a_descriptor_the_benchmark_writes_passes_the_walk_and_verifies(tmp_path
                                                                        chain):
     # the routing and classical workloads verify descriptors that
     # ``descriptor_text`` writes; one the schema refused would count as failed
-    from cdslab.cli import SCHEMA, _walk, main
+    from cdslab.cli import main
+    from cdslab.cliverify import SCHEMA, _walk
 
     monkeypatch.syspath_prepend(str(TRACER.parent))
     workloads = importlib.import_module("workloads")

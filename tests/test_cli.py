@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdslab import __version__
-from cdslab.cli import BASES, COMPILE, OPTIONS, _counts, _emit, _flatten, _parse, main
+from cdslab.cli import _parse, main
+from cdslab.clicore import BASES, COMPILE, OPTIONS, _counts, _emit, _flatten
 from cdslab.errors import DEFAULT_BUDGET, ValidationError
 from cdslab.families import named_fn
 
@@ -614,11 +615,14 @@ print(json.dumps([code, sorted(m for m in sys.modules
                                 if m.startswith("cdslab") or m in ("csv", "fractions")),
                   sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)]))
 """
-# what every request loads: the package, the CLI and the modules it imports
-_START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.errors"}
+# what every request loads: the package, the CLI's argv reader, what its
+# commands share and the modules those import
+_START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.clicore", "cdslab.errors"}
+# and each command's own module: build and sweep share one, verify has its own
+_BUILD, _VERIFY = _START | {"cdslab.clibuild"}, _START | {"cdslab.cliverify"}
 # and what a classical verify adds: the protocols, the echelon form their
 # cosets are reduced by, their verifiers, and fractions for exact figures
-_CLASSICAL = _START | {"cdslab.protocols", "cdslab.zp", "cdslab.verifiers", "fractions"}
+_CLASSICAL = _VERIFY | {"cdslab.protocols", "cdslab.zp", "cdslab.verifiers", "fractions"}
 
 
 @cache
@@ -629,16 +633,33 @@ def _bare_modules() -> frozenset:
     return frozenset(run.stdout.split())
 
 
+def _stages(cwd, argv) -> list:
+    """The stages of the chain a build or verify request names; a sweep's none."""
+    if argv[0] == "build":
+        return argv[argv.index("--chain") + 1].split(",")
+    if argv[0] == "verify":
+        return json.loads((Path(cwd) / argv[1]).read_text())["chain"]
+    return []
+
+
 def _loaded_by(cwd, argv) -> tuple:
     """(exit code, the ``cdslab`` modules, ``csv`` and ``fractions`` loaded,
     and those of ``argparse``, ``gettext`` and ``locale`` that a bare
     interpreter does not hold) of a fresh child that runs ``main(argv)`` in
-    ``cwd``; no request loads ``toolkit``, the code only demos and tests call."""
+    ``cwd``; no request loads ``toolkit``, the code only demos and tests call,
+    a verify loads no build or sweep module and a build or sweep no verify
+    module, and a request without a span stage loads no span compiler."""
     run = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv)], cwd=cwd,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     code, loaded, parsing = json.loads(run.stdout)
     assert "cdslab.toolkit" not in loaded, argv
+    if argv[0] == "verify":
+        assert "cdslab.clibuild" not in loaded, argv
+    else:
+        assert "cdslab.cliverify" not in loaded, argv
+    if "span" not in _stages(cwd, argv):
+        assert "cdslab.spancds" not in loaded, argv
     return code, set(loaded), set(parsing) - _bare_modules()
 
 
@@ -652,26 +673,29 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     # a request loads only the modules its stages run: no gardenhose without
     # a gh stage and no search for an embedded strategy, no algebra without a
     # span stage, no function families for a table, no compiler but a base's
-    # (a span base's algebra reads the echelon form in zp), no verifier or
-    # Fraction in a build, and sweep loads no protocol, algebra, families or
-    # Fraction; a dre build makes no encoding, so a psm base's is the one
+    # (a span base's algebra reads the echelon form in zp; the gh, dre and
+    # psm bases' edges are in bases, the span base's in spancds), no verifier
+    # or Fraction in a build, and sweep loads no protocol, algebra, families
+    # or Fraction; a dre build makes no encoding, so a psm base's is the one
     # build that loads protocols
-    for argv, loaded in ((["verify", "0.json"], _CLASSICAL | {"cdslab.gardenhose"}),
-                         (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra"}),
-                         (["verify", "2.json"], _CLASSICAL | {"cdslab.families"}),
+    for argv, loaded in ((["verify", "0.json"],
+                          _CLASSICAL | {"cdslab.gardenhose", "cdslab.bases"}),
+                         (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra", "cdslab.spancds"}),
+                         (["verify", "2.json"], _CLASSICAL | {"cdslab.families", "cdslab.bases"}),
                          (["verify", "2.json", "--format", "csv"],
-                          _CLASSICAL | {"cdslab.families", "csv"}),
-                         (["verify", "3.json"], _CLASSICAL | {"cdslab.gardenhose"}),
+                          _CLASSICAL | {"cdslab.families", "cdslab.bases", "csv"}),
+                         (["verify", "3.json"],
+                          _CLASSICAL | {"cdslab.gardenhose", "cdslab.bases"}),
                          (["build", "--chain", "span,cds", "--fn", "eq"],
-                          _START | {"cdslab.families", "cdslab.algebra", "cdslab.zp"}),
+                          _BUILD | {"cdslab.families", "cdslab.algebra", "cdslab.zp"}),
                          (["build", "--chain", "gh,cds", "--table", "1:1:8"],
-                          _START | {"cdslab.gardenhose", "cdslab.ghsearch"}),
+                          _BUILD | {"cdslab.gardenhose", "cdslab.ghsearch"}),
                          (["build", "--chain", "dre,psm,cds", "--fn", "qr", "--p", "5"],
-                          _START | {"cdslab.families"}),
+                          _BUILD | {"cdslab.families"}),
                          (["build", "--chain", "psm,cds", "--table", "1:1:8"],
-                          _START | {"cdslab.protocols", "cdslab.zp"}),
+                          _BUILD | {"cdslab.bases", "cdslab.protocols", "cdslab.zp"}),
                          (["sweep", "--nx", "1", "--ny", "1"],
-                          _START | {"cdslab.gardenhose", "cdslab.ghsearch"})):
+                          _BUILD | {"cdslab.gardenhose", "cdslab.ghsearch"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
 
 
@@ -730,17 +754,17 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     # base's modules: no compiler past the base, verifier or frame kernel;
     # a PSQM carries no qubit, so its verify, the classical sweep, loads the
     # classical verifiers and Fraction and no frame kernel
-    routing = _START | {"cdslab.gardenhose", "cdslab.nlqc"}
-    pads = _START | {"cdslab.families", "cdslab.protocols", "cdslab.zp", "cdslab.nlqc",
-                     "cdslab.padroutes"}
+    routing = _VERIFY | {"cdslab.gardenhose", "cdslab.nlqc"}
+    pads = _VERIFY | {"cdslab.families", "cdslab.bases", "cdslab.protocols", "cdslab.zp",
+                      "cdslab.nlqc", "cdslab.padroutes"}
     checked = {"cdslab.qverifiers", "cdslab.frames"}
-    searched = _START | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"}
+    searched = _BUILD | {"cdslab.families", "cdslab.gardenhose", "cdslab.ghsearch"}
     for argv, loaded in ((["build", "--chain", "gh,frouting", "--fn", "and"], searched),
                          (["build", "--chain", "gh,cds,cdqs,frouting", "--fn", "and"], searched),
                          (["verify", "0.json"], routing | checked),
                          (["verify", "1.json"], routing | checked),
                          (["build", "--chain", "dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"],
-                          _START | {"cdslab.families"}),
+                          _BUILD | {"cdslab.families"}),
                          (["verify", "2.json"], pads | checked),   # dre,psm,psqm,cdqs
                          (["verify", "3.json"], pads | checked),   # dre,psm,cds,cdqs
                          (["verify", "stop.json"],
@@ -1415,14 +1439,14 @@ def test_a_span_base_is_evaluated_once_per_input(tmp_path, monkeypatch):
     # a build trusts the program it made; a verify checks the descriptor's
     # on every input and names each one it gets wrong, and cds_from_span
     # does not evaluate it again
-    from cdslab import algebra, cli, protocols
+    from cdslab import algebra, clicore, spancds
     calls, sp_eval = [], algebra.sp_eval
 
     def counted(program, z):
         calls.append(z)
         return sp_eval(program, z)
 
-    for module in (algebra, cli, protocols):
+    for module in (algebra, clicore, spancds):
         if hasattr(module, "sp_eval"):
             monkeypatch.setattr(module, "sp_eval", counted)
     desc, rep = tmp_path / "d.json", tmp_path / "r.json"

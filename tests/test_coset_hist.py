@@ -23,8 +23,10 @@ from cdslab.algebra import SpanProgram, sp_eval, span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn, literal_input
 from cdslab.errors import BudgetError, ValidationError, budget
 from cdslab.families import named_fn
-from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_psm,
-                              cds_from_span, coset_hist, dre_qr, psm_from_dre)
+from cdslab.bases import dre_qr
+from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_psm, coset_hist,
+                              psm_from_dre)
+from cdslab.spancds import cds_from_span
 from cdslab.toolkit import span_threshold_2of3
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import enumerated, message_hist, replace

@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 from cdslab import protocols, qverifiers
 from cdslab.algebra import LsssScheme, SpanProgram, sp_eval
 from cdslab.boolfn import BoolFn, literal_input
-from cdslab.cli import _span_for
+from cdslab.clicore import _span_for
 from cdslab.families import named_fn
 from cdslab.gardenhose import RIGHT, GhStrategy, gh_eval
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, psqm_from_psm
-from cdslab.protocols import (cds_from_gh, cds_from_psm, cds_from_span, dre_qr, hiding_input,
-                              psm_from_dre)
+from cdslab.bases import cds_from_gh, dre_qr
+from cdslab.protocols import cds_from_psm, hiding_input, psm_from_dre
+from cdslab.spancds import cds_from_span
 from cdslab.verifiers import verify_cds, verify_dre
 from message_reference import enumerated, messages, send
 

@@ -14,10 +14,10 @@ from cdslab.nlqc import (CdqsProtocol, FRoutingProtocol, RunBranch, cdqs_from_fr
                          frouting_from_gh, pauli_frame)
 from cdslab.padroutes import (TranscriptClass, _pad_run, cdqs_from_cds, cdqs_from_psqm,
                               frouting_from_cdqs, psqm_from_psm)
-from cdslab.protocols import (CdsProtocol, _joint, cds_from_gh, cds_from_psm, coset_hist,
-                              psm_from_dre, psm_generic_table, dre_qr)
+from cdslab.bases import cds_from_gh, psm_generic_table, dre_qr
+from cdslab.protocols import CdsProtocol, _joint, cds_from_psm, coset_hist, psm_from_dre
 from cdslab import frames
-from cdslab.cli import _verify_object
+from cdslab.cliverify import _verify_object
 from cdslab.frames import CARRIER, left_fidelity
 from cdslab.quantum import X, Z, epr_pairs
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm

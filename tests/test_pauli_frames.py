@@ -25,7 +25,8 @@ from cdslab.families import named_fn
 from cdslab.ghsearch import gh_search
 from cdslab.nlqc import RunBranch, cdqs_from_frouting, frouting_from_gh
 from cdslab.padroutes import cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs, psqm_from_psm
-from cdslab.protocols import cds_from_psm, psm_generic_table
+from cdslab.bases import psm_generic_table
+from cdslab.protocols import cds_from_psm
 from cdslab.qverifiers import verify_cdqs, verify_frouting
 from cdslab.quantum import overlap
 from cdslab.toolkit import PAULI_EIGENSTATES, probe_qubits, security_state_sweep

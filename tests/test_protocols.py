@@ -16,8 +16,9 @@ from cdslab.boolfn import BoolFn
 from cdslab.errors import BudgetError, LazySpace, ValidationError, VerifyFailure, budget
 from cdslab.families import named_fn
 from cdslab.ghsearch import gh_generic, gh_search
-from cdslab.protocols import (CdsProtocol, cds_from_gh, cds_from_psm, cds_from_span, dre_qr,
-                              hiding_input, psm_from_dre, psm_generic_table)
+from cdslab.bases import cds_from_gh, dre_qr, psm_generic_table
+from cdslab.protocols import CdsProtocol, cds_from_psm, hiding_input, psm_from_dre
+from cdslab.spancds import cds_from_span
 from cdslab.toolkit import qr_split_inputs, span_threshold_2of3
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import cds_of, replace, send
@@ -167,7 +168,7 @@ def test_span_cds_finds_each_inputs_rows_once(variant, monkeypatch):
     # the rows an input makes available are its party's tag: found once per
     # x and per y, not at each of the sweep's message evaluations
     from cdslab.algebra import SpanProgram
-    from cdslab.cli import _span_for
+    from cdslab.clicore import _span_for
     f = named_fn("ip", n=2)
     calls, available_rows = [], SpanProgram.available_rows
     monkeypatch.setattr(SpanProgram, "available_rows",

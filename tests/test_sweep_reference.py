@@ -29,8 +29,9 @@ from cdslab.boolfn import BoolFn, literal_input
 from cdslab.families import named_fn
 from cdslab.ghsearch import gh_generic
 from cdslab.padroutes import psqm_from_psm
-from cdslab.protocols import (cds_from_gh, cds_from_span, dre_qr, pair_space, psm_from_dre,
-                              psm_generic_table, space_size)
+from cdslab.bases import cds_from_gh, dre_qr, psm_generic_table
+from cdslab.protocols import pair_space, psm_from_dre, space_size
+from cdslab.spancds import cds_from_span
 from cdslab.qverifiers import verify_psqm
 from cdslab.verifiers import verify_cds, verify_dre, verify_psm
 from message_reference import cds_of, message_hist, psm_of, replace

@@ -20,15 +20,16 @@ from hypothesis import strategies as st
 from cdslab import frames, padroutes, protocols
 from cdslab.algebra import span_and1, span_dnf, span_eq1
 from cdslab.boolfn import BoolFn, literal_input
-from cdslab.cli import _span_for
+from cdslab.clicore import _span_for
 from cdslab.families import named_fn
 from cdslab.frames import KEYS
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.padroutes import (TranscriptClass, cdqs_from_cds, cdqs_from_psqm,
                               frouting_from_cdqs, psqm_from_psm, transcript_classes)
-from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_gh, cds_from_psm,
-                              cds_from_span, coset_hist, dre_qr, hiding_input, message_count,
-                              psm_from_dre, psm_generic_table)
+from cdslab.bases import cds_from_gh, dre_qr, psm_generic_table
+from cdslab.protocols import (CdsProtocol, LinearPart, PsmProtocol, cds_from_psm, coset_hist,
+                              hiding_input, message_count, psm_from_dre)
+from cdslab.spancds import cds_from_span
 from cdslab.qverifiers import verify_cdqs, verify_frouting, verify_psqm
 from cdslab.toolkit import security_state_sweep
 from message_reference import enumerated, message_hist, replace

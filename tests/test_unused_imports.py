@@ -22,8 +22,10 @@ imports at import only the ``cdslab`` modules pinned for it, and reads the
 others at call time: ``nlqc``, ``padroutes`` and ``qverifiers`` read
 ``protocols`` and ``gardenhose`` in the functions that use them, and
 ``qverifiers`` reads ``verifiers`` for the PSQM's sweep,
-``protocols`` reads ``algebra`` only where a span program is compiled and
-``families`` only where the qr encoding is, and ``cli`` every module a
+``protocols`` reads neither ``algebra`` nor ``families``: ``spancds``, the
+span program's edge, reads ``algebra``, and ``bases`` reads ``families`` only
+where the qr encoding is and ``gardenhose`` only where a strategy's CDS is;
+``cli`` reads each command's module, and ``clicore`` every module a
 request's stages run, so a garden-hose route never compiles ``protocols``
 or ``algebra``, a pad route never compiles ``algebra``, a build no compile edge,
 a ``dre`` or ``span`` build no ``protocols``, ``sweep`` no ``families``
@@ -58,7 +60,8 @@ subspace across the whole sweep, so no module defines or reads the
 after-the-fact check ``_same_spaces``, and the only private ``protocols``
 names ``padroutes`` imports, at call time, are ``_sweep_kernel`` and
 ``_joint``.
-Only ``protocols`` reads the linear message format, in which a
+Only ``protocols`` and the compilers split out of it that state forms,
+``bases`` and ``spancds``, read the linear message format, in which a
 protocol's parties send ``(tag, values)`` pairs that its ``LinearPart``
 states as affine forms: no other module names ``Coset`` or ``LinearPart``,
 or reads a field that only those records have (a coset's members and basis,
@@ -71,13 +74,15 @@ message counts among them, so nothing in ``padroutes``, where
 attribute the ``__init__`` of ``InputDomain`` or of a class descending from it
 stores is read by the sources outside that ``__init__``, a protocol's linear
 part is its ``linear`` field, no ``.meta`` attribute is read or written, and
-the codecs exchange dicts, so only ``cli``, which reads and writes the files,
-imports ``json``, and it encodes a report in chunks to its file: no module
-calls ``json.dumps`` with an indent or holds text in a ``StringIO``.
+the codecs exchange dicts, so only the CLI modules that read and write the
+files, ``clicore`` and ``cliverify``, import ``json``, and ``clicore``'s
+writer encodes a report in chunks to its file: no module calls ``json.dumps``
+with an indent or holds text in a ``StringIO``.
 ``cli`` reads argv by its own option table, so no module imports
 ``argparse``. Every charge reads the request's one budget from
 ``errors``' ledger, so no module but ``errors``, which defines it, and
-``cli``, whose ``--budget`` defaults to it, reads ``DEFAULT_BUDGET``.
+``clicore``, whose option table defaults ``--budget`` to it, reads
+``DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ def _used(tree) -> set:
 
 
 def test_every_module_is_checked():
-    assert {p.stem for p in MODULES} >= {"cli", "nlqc", "protocols", "quantum"}
+    assert {p.stem for p in MODULES} >= {"cli", "clicore", "nlqc", "protocols", "quantum"}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
@@ -178,6 +183,8 @@ IMPORTED_AT_IMPORT = {
     "gardenhose": {"boolfn", "errors"},
     "ghsearch": {"boolfn", "errors", "gardenhose"},
     "protocols": {"boolfn", "errors", "zp"},
+    "bases": {"boolfn", "errors", "protocols"},
+    "spancds": {"algebra", "boolfn", "errors", "protocols"},
     "verifiers": {"errors", "protocols"},
     "quantum": {"errors"},
     "frames": {"errors"},
@@ -185,7 +192,10 @@ IMPORTED_AT_IMPORT = {
     "qverifiers": {"errors"},
     "padroutes": {"errors", "nlqc"},
     "toolkit": {"algebra", "errors", "frames", "quantum"},
-    "cli": {"__init__", "boolfn", "errors"},
+    "cli": {"__init__", "clicore", "errors"},
+    "clicore": {"boolfn", "errors"},
+    "clibuild": {"boolfn", "clicore", "errors"},
+    "cliverify": {"boolfn", "clicore", "errors"},
     "zp": set(),
 }
 
@@ -449,7 +459,9 @@ def test_the_check_sees_message_hist_and_callbacks():
 
 
 # the linear message format: its records, and the fields of a Coset or
-# LinearPart no other record has
+# LinearPart no other record has; its owners, the records' module and the
+# compilers split out of it that state forms
+FORMAT_OWNERS = {"protocols", "bases", "spancds"}
 FORMAT_NAMES = {"Coset", "LinearPart"}
 FORMAT_FIELDS = {"m0", "m1", "basis", "nus", "coords", "alice_form", "bob_form", "maps",
                  "sent"}
@@ -465,9 +477,10 @@ def _format_reads(tree) -> set:
 def test_only_protocols_reads_the_linear_message_format(module):
     # coset keys reach the pad routes as transcripts, which padroutes decodes
     # through the protocol's own decoder and counts through message_count
-    if module.stem == "protocols":
-        return
     tree = ast.parse(module.read_text(), filename=str(module))
+    if module.stem in FORMAT_OWNERS:   # each owner states forms
+        assert "LinearPart" in _format_reads(tree), module.name
+        return
     assert _format_reads(tree) == set(), module.name
     if module.stem == "padroutes":
         assert {"message_count", "_sweep_kernel"} <= _reads(tree)[0]
@@ -632,10 +645,11 @@ def _reads_default_budget(tree) -> bool:
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_only_errors_and_cli_read_the_default_budget(module):
-    # errors defines the default and the CLI's --budget defaults to it; every
-    # other layer charges against the ledger, so the default has one source
+    # errors defines the default and the CLI's --budget, in clicore's option
+    # table, defaults to it; every other layer charges against the ledger, so
+    # the default has one source
     tree = ast.parse(module.read_text(), filename=str(module))
-    assert module.stem in ("errors", "cli") or not _reads_default_budget(tree), module.name
+    assert module.stem in ("errors", "clicore") or not _reads_default_budget(tree), module.name
 
 
 def test_the_check_sees_a_default_budget_read():
@@ -649,9 +663,10 @@ def test_the_check_sees_a_default_budget_read():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_only_cli_imports_json(module):
     # BoolFn, GhStrategy and SpanProgram convert to and from dicts; the CLI
-    # alone turns those into text
+    # alone turns those into text: clicore writes it, cliverify reads it
     tree = ast.parse(module.read_text(), filename=str(module))
-    assert _imports(ast.walk(tree), "json") == (module.stem == "cli"), module.name
+    assert _imports(ast.walk(tree), "json") == (module.stem in ("clicore", "cliverify")), (
+        module.name)
 
 
 def _whole_texts(tree) -> list:
@@ -666,7 +681,7 @@ def _whole_texts(tree) -> list:
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_no_module_holds_a_whole_report_text(module):
-    # ``cli._emit`` encodes a report in chunks straight to its file; an indent
+    # ``clicore._emit`` encodes a report in chunks straight to its file; an indent
     # makes ``json.dumps`` join the pure-Python encoder's chunks into one
     # string, and a wide garden-hose report's string does not fit in memory.
     # ``json.dumps`` stays for the one-line budget record on stderr

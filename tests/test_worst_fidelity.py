@@ -30,7 +30,8 @@ from cdslab.frames import KEYS, left_fidelity
 from cdslab.ghsearch import gh_generic, gh_search
 from cdslab.padroutes import (TranscriptClass, cdqs_from_cds, cdqs_from_psqm, frouting_from_cdqs,
                               psqm_from_psm)
-from cdslab.protocols import cds_from_gh, cds_from_psm, psm_generic_table
+from cdslab.bases import cds_from_gh, psm_generic_table
+from cdslab.protocols import cds_from_psm
 from cdslab.quantum import overlap
 from cdslab.qverifiers import verify_frouting
 from cdslab.toolkit import probe_qubits
