@@ -14,8 +14,8 @@ and the command line: ``cli`` reads argv and runs a command from ``clibuild``
 
 A command loads only the modules its stages run, imported where they are
 called: a garden-hose route loads no classical protocol or algebra, a pad
-route no algebra and no ``fractions``, a build no verifier (a ``dre`` or
-``span`` build no protocol), and no command the dense statevector reference
+route no algebra, a build no verifier (a ``dre`` or ``span`` build no
+protocol), and no command ``fractions`` or the dense statevector reference
 ``quantum`` or ``toolkit``, which hold what only demos and tests call.
 No module a command can load exceeds 2,000 syntax-tree nodes: a child with
 no bytecode cache compiles each module it imports, and the compiler's peak

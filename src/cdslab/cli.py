@@ -33,10 +33,10 @@ or a ``dre`` verify, ``gardenhose`` for ``gh`` (``ghsearch`` only to search),
 ``psm`` base, and to verify ``protocols`` for a classical stage (with
 ``bases`` for a ``gh``, ``dre`` or ``psm`` base's, ``spancds`` for a
 ``span`` base's), ``nlqc`` for a quantum one (``padroutes`` for a pad
-route), ``frames`` for a CDQS or an f-routing, and ``verifiers`` (with
-``fractions``) or ``qverifiers``; ``csv`` only for a CSV report. No
-request loads the dense ``quantum`` and its eigen-solver, ``toolkit``,
-numpy or argparse: quantum figures, even a left side's, are exact.
+route), ``frames`` for a CDQS or an f-routing, and ``verifiers`` or
+``qverifiers``; ``csv`` only for a CSV report. No request loads the dense
+``quantum`` and its eigen-solver, ``toolkit``, numpy, ``fractions`` or
+argparse: each figure is read off exact integer counts.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ coordinates is enumeration, each nu one point coset: the one-time table PSM
 and the constant CDS state their messages so, as tags with no values. The
 cosets are reduced by ``zp``'s echelon form, which ``algebra``'s span
 membership reads too. This module reads neither ``algebra`` nor
-``families``, so a pad route, which reads the kernel alone, loads no algebra
-and no ``fractions``; of the builds, only a ``psm`` base's, which makes its
-one-time table, loads it.
+``families``, so a pad route, which reads the kernel alone, loads no
+algebra; of the builds, only a ``psm`` base's, which makes its one-time
+table, loads this module.
 """
 
 from __future__ import annotations

@@ -192,6 +192,7 @@ def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
         per_input[xy] = {"f": P.f.eval(*xy), "decode_error": fails / sum(hist.values()),
                          "branches": sum(map(message_count, hist))}
 
-    eps, delta, found = _value_sweep(P.psm, "psqm_from_psm", seen)
+    eps, delta, joint, found = _value_sweep(P.psm, "psqm_from_psm", seen)
     witnesses = {{"eps": "decode", "delta": "view"}[k]: w for k, w in found.items()}
-    return QVerificationReport("psqm", eps, delta / 2, per_input, dict(P.resources), witnesses)
+    return QVerificationReport("psqm", eps / joint, delta / (2 * joint), per_input,
+                               dict(P.resources), witnesses)

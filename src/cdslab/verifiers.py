@@ -1,10 +1,13 @@
 """Exact verifiers of the classical protocols: CDS, PSM and DRE.
 
-Correctness error and secrecy leakage come out as exact rationals from one
-sweep loop, ``_sweep``, over the coset histograms ``protocols._sweep_kernel``
-charges and computes. ``qverifiers.verify_psqm`` runs the PSM sweep too, so
-only a classical or PSQM verify loads this module, the one that imports
-``fractions``, inside the functions that build a ``Fraction``.
+Correctness error and secrecy leakage come out of one sweep loop,
+``_sweep``, over the coset histograms ``protocols._sweep_kernel`` charges and
+computes. Each figure counts randomness values, so it is exact as an integer
+numerator over the sweep's one denominator, the protocol's joint randomness,
+and a report writes it, reduced and as a float, in integer arithmetic.
+``qverifiers.verify_psqm`` runs the PSM sweep too, so only a classical or
+PSQM verify loads this module, and no request loads ``fractions``: only the
+``Fraction`` views library callers read import it.
 """
 
 from __future__ import annotations
@@ -20,19 +23,40 @@ if TYPE_CHECKING:
     from .protocols import CdsProtocol, Dre, PsmProtocol
 
 
+def _enc(num: int, den: int) -> dict:
+    """num/den as the reduced fraction and the float a report writes."""
+    g = math.gcd(num, den)
+    return {"num": num // g, "den": den // g, "float": num / den}
+
+
 class VerificationReport:
     """Exact verification outcome of a classical protocol.
 
-    ``eps_hat`` is the worst decode-failure probability over inputs that must
-    reveal; ``delta_pair`` is the worst L1 distance between message
-    distributions that must look alike (secret pairs for CDS, equal-value
-    input pairs for PSM/DRE). Both are exact fractions. The best simulator
-    sits somewhere in ``delta_bracket`` = [delta_pair/2, delta_pair].
+    ``eps`` is the worst count of decode-failing randomness values over
+    inputs that must reveal; ``delta`` is the worst L1 distance, in counts,
+    between message histograms that must look alike (secret pairs for CDS,
+    equal-value input pairs for PSM/DRE). Both are over ``denom``, the joint
+    randomness. ``eps_hat`` and ``delta_pair`` read them as ``Fraction``s;
+    the best simulator sits somewhere in ``delta_bracket`` =
+    [delta_pair/2, delta_pair].
     """
 
-    def __init__(self, kind: str, eps_hat, delta_pair, resources: dict, witnesses: dict):
-        self.kind, self.eps_hat, self.delta_pair = kind, eps_hat, delta_pair
+    def __init__(self, kind: str, eps: int, delta: int, denom: int, resources: dict,
+                 witnesses: dict):
+        self.kind, self.eps, self.delta, self.denom = kind, eps, delta, denom
         self.resources, self.witnesses = resources, witnesses
+
+    @property
+    def eps_hat(self):
+        from fractions import Fraction
+
+        return Fraction(self.eps, self.denom)
+
+    @property
+    def delta_pair(self):
+        from fractions import Fraction
+
+        return Fraction(self.delta, self.denom)
 
     @property
     def delta_bracket(self) -> tuple:
@@ -40,34 +64,25 @@ class VerificationReport:
 
     @property
     def perfect(self) -> bool:
-        return self.eps_hat == 0 and self.delta_pair == 0
+        return self.eps == 0 and self.delta == 0
 
     def to_jsonable(self) -> dict:
-        from fractions import Fraction
-
-        def enc(v):
-            if isinstance(v, Fraction):
-                return {"num": v.numerator, "den": v.denominator, "float": float(v)}
-            return v
-
         return {
             "kind": self.kind,
-            "eps_hat": enc(self.eps_hat),
-            "delta_pair": enc(self.delta_pair),
-            "delta_bracket": [enc(self.delta_bracket[0]), enc(self.delta_bracket[1])],
+            "eps_hat": _enc(self.eps, self.denom),
+            "delta_pair": _enc(self.delta, self.denom),
+            "delta_bracket": [_enc(self.delta, 2 * self.denom), _enc(self.delta, self.denom)],
             "perfect": self.perfect,
-            "resources": {k: enc(v) for k, v in self.resources.items()},
+            "resources": dict(self.resources),
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
                           for k, v in self.witnesses.items()},
             "notes": [],
         }
 
 
-def _l1(hist_a, hist_b, denom):
-    from fractions import Fraction
-
+def _l1(hist_a, hist_b) -> int:
     keys = set(hist_a) | set(hist_b)
-    return Fraction(sum(abs(hist_a.get(k, 0) - hist_b.get(k, 0)) for k in keys), denom)
+    return sum(abs(hist_a.get(k, 0) - hist_b.get(k, 0)) for k in keys)
 
 
 def _randomness(P) -> dict:
@@ -80,32 +95,31 @@ def _randomness(P) -> dict:
 
 def _sweep(P, rule: Callable, decode: Callable, what: str, seen: Callable,
            secrets=()) -> tuple:
-    """(eps, delta, witnesses) of P: the one classical sweep.
+    """(eps, delta, joint, witnesses) of P: the one classical sweep.
 
     It walks P's domain times ``secrets`` (none: args (x, y)), and ``rule``
     gives each case args = (x, y, *secret) its (want, group). Unless
     ``want`` is None P's messages on args must ``decode(m, x, y)`` to it;
-    eps is the worst fraction of the randomness that fails, witnessed by
+    eps is the worst count of randomness values that fail, witnessed by
     args. Unless ``group`` is None they must be distributed as every case of
-    the group; delta is the worst L1 distance, witnessed by the first pair
-    (args, args') in case order to reach it. A group keeps only its distinct
-    histograms, each with its first case: an equal one is as far from every
-    other, and two distinct ones' first cases make their first pair. A
-    group named by its input (x, y) is compared and dropped once that
-    input's cases are swept (a CDS holds one input's at a time), any other
-    at the walk's end; the distances meet ``Worst`` in case order. P is
-    swept by coset; decoding is deterministic, so it runs once per coset
-    and counts with its multiplicity. ``seen`` gets every case's args,
-    histogram and count of failing randomness (None unless decoded), and
-    ``what`` names the caller in budget errors.
+    the group; delta is the worst L1 distance of counts, witnessed by the
+    first pair (args, args') in case order to reach it. Both are over
+    ``joint``, the joint randomness every histogram's counts add up to. A
+    group keeps only its distinct histograms, each with its first case: an
+    equal one is as far from every other, and two distinct ones' first cases
+    make their first pair. A group named by its input (x, y) is compared and
+    dropped once that input's cases are swept (a CDS holds one input's at a
+    time), any other at the walk's end; the distances meet ``Worst`` in case
+    order. P is swept by coset; decoding is deterministic, so it runs once
+    per coset and counts with its multiplicity. ``seen`` gets every case's
+    args, histogram and count of failing randomness (None unless decoded),
+    and ``what`` names the caller in budget errors.
     """
-    from fractions import Fraction
-
     hist_of, joint = _sweep_kernel(P, what, secrets)
     worst, kept, gaps, order = Worst(), {}, [], count()   # held histograms in case order
 
     def compare(group):
-        gaps.extend((a, b, u, v, _l1(hu, hv, joint))
+        gaps.extend((a, b, u, v, _l1(hu, hv))
                     for (a, u, hu), (b, v, hv) in combinations(kept.pop(group), 2))
 
     for (x, y) in P.domain:
@@ -116,7 +130,7 @@ def _sweep(P, rule: Callable, decode: Callable, what: str, seen: Callable,
                                                   if decode(m, x, y) != want)
             seen(args, hist, fails)
             if fails is not None:
-                worst.worse("eps", Fraction(fails, joint), args)
+                worst.worse("eps", fails, args)
             if group is not None:
                 held = kept.setdefault(group, [])
                 if all(hist != other for *_, other in held):
@@ -127,8 +141,7 @@ def _sweep(P, rule: Callable, decode: Callable, what: str, seen: Callable,
         compare(group)
     for *_, u, v, gap in sorted(gaps):   # by (a, b), unique
         worst.worse("delta", gap, (u, v))
-    return (worst.worst.get("eps", Fraction(0)), worst.worst.get("delta", Fraction(0)),
-            worst.witnesses)
+    return worst.worst.get("eps", 0), worst.worst.get("delta", 0), joint, worst.witnesses
 
 
 def verify_cds(P: CdsProtocol) -> VerificationReport:
@@ -147,15 +160,15 @@ def verify_cds(P: CdsProtocol) -> VerificationReport:
     def rule(x, y, s):
         return (s, None) if P.f.eval(x, y) == 1 else (None, (x, y))
 
-    eps, delta, witnesses = _sweep(P, rule, lambda m, x, y: P.decode(m[0], x, m[1], y),
-                                   "verify_cds", seen, P.secrets)
+    eps, delta, joint, witnesses = _sweep(P, rule, lambda m, x, y: P.decode(m[0], x, m[1], y),
+                                          "verify_cds", seen, P.secrets)
     if "delta" in witnesses:
         a, b = witnesses["delta"]
         witnesses["delta"] = a + b[2:]
     resources = _randomness(P)
     for side, name in enumerate(("alice_message_alphabet", "bob_message_alphabet")):
         resources[name] = _coset_alphabet(P.linear, alphabets[side], side)
-    return VerificationReport("cds", eps, delta, resources, witnesses)
+    return VerificationReport("cds", eps, delta, joint, resources, witnesses)
 
 
 def _value_sweep(P, what: str, seen: Callable = lambda args, hist, fails: None) -> tuple:
@@ -166,8 +179,8 @@ def _value_sweep(P, what: str, seen: Callable = lambda args, hist, fails: None) 
 
 def verify_psm(P: PsmProtocol) -> VerificationReport:
     """Exact decode error over all inputs; leakage over equal-value input pairs."""
-    eps, delta, witnesses = _value_sweep(P, "verify_psm")
-    return VerificationReport("psm", eps, delta, _randomness(P), witnesses)
+    eps, delta, joint, witnesses = _value_sweep(P, "verify_psm")
+    return VerificationReport("psm", eps, delta, joint, _randomness(P), witnesses)
 
 
 def verify_dre(D: Dre) -> VerificationReport:
@@ -176,8 +189,8 @@ def verify_dre(D: Dre) -> VerificationReport:
     Privacy holds exactly when equal-value inputs have equal whole-encoding
     histograms, i.e. when ``delta_pair`` is 0.
     """
-    eps, delta, witnesses = _value_sweep(D, "verify_dre")
+    eps, delta, joint, witnesses = _value_sweep(D, "verify_dre")
     resources = dict(D.resources)
     resources.setdefault("randomness_states", space_size(D.shared))
     resources["same_class_histograms_equal"] = delta == 0
-    return VerificationReport("dre", eps, delta, resources, witnesses)
+    return VerificationReport("dre", eps, delta, joint, resources, witnesses)

@@ -611,8 +611,8 @@ _LOADS = """
 import json, sys
 from cdslab.cli import main
 code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules
-                                if m.startswith("cdslab") or m in ("csv", "fractions")),
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cdslab")
+                                or m in ("csv", "decimal", "fractions", "numbers")),
                   sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)]))
 """
 # what every request loads: the package, the CLI's argv reader, what its
@@ -621,8 +621,9 @@ _START = {"cdslab", "cdslab.boolfn", "cdslab.cli", "cdslab.clicore", "cdslab.err
 # and each command's own module: build and sweep share one, verify has its own
 _BUILD, _VERIFY = _START | {"cdslab.clibuild"}, _START | {"cdslab.cliverify"}
 # and what a classical verify adds: the protocols, the echelon form their
-# cosets are reduced by, their verifiers, and fractions for exact figures
-_CLASSICAL = _VERIFY | {"cdslab.protocols", "cdslab.zp", "cdslab.verifiers", "fractions"}
+# cosets are reduced by and their verifiers, whose exact figures are integer
+# numerators over one denominator, so no fractions, decimal or numbers
+_CLASSICAL = _VERIFY | {"cdslab.protocols", "cdslab.zp", "cdslab.verifiers"}
 
 
 @cache
@@ -643,12 +644,13 @@ def _stages(cwd, argv) -> list:
 
 
 def _loaded_by(cwd, argv) -> tuple:
-    """(exit code, the ``cdslab`` modules, ``csv`` and ``fractions`` loaded,
-    and those of ``argparse``, ``gettext`` and ``locale`` that a bare
-    interpreter does not hold) of a fresh child that runs ``main(argv)`` in
-    ``cwd``; no request loads ``toolkit``, the code only demos and tests call,
-    a verify loads no build or sweep module and a build or sweep no verify
-    module, and a request without a span stage loads no span compiler."""
+    """(exit code, the ``cdslab`` modules and those of ``csv``, ``decimal``,
+    ``fractions`` and ``numbers`` loaded, and those of ``argparse``,
+    ``gettext`` and ``locale`` that a bare interpreter does not hold) of a
+    fresh child that runs ``main(argv)`` in ``cwd``; no request loads
+    ``toolkit``, the code only demos and tests call, a verify loads no build
+    or sweep module and a build or sweep no verify module, and a request
+    without a span stage loads no span compiler."""
     run = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv)], cwd=cwd,
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -675,9 +677,9 @@ def test_classical_chain_never_imports_numpy(tmp_path):
     # span stage, no function families for a table, no compiler but a base's
     # (a span base's algebra reads the echelon form in zp; the gh, dre and
     # psm bases' edges are in bases, the span base's in spancds), no verifier
-    # or Fraction in a build, and sweep loads no protocol, algebra, families
-    # or Fraction; a dre build makes no encoding, so a psm base's is the one
-    # build that loads protocols
+    # in a build, and sweep loads no protocol, algebra or families; no
+    # request loads fractions; a dre build makes no encoding, so a psm base's
+    # is the one build that loads protocols
     for argv, loaded in ((["verify", "0.json"],
                           _CLASSICAL | {"cdslab.gardenhose", "cdslab.bases"}),
                          (["verify", "1.json"], _CLASSICAL | {"cdslab.algebra", "cdslab.spancds"}),
@@ -747,13 +749,13 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     for i in range(4):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
     assert after_runs == []
-    # a garden-hose route loads no protocols, pad routes, algebra or
-    # Fraction, and with an embedded strategy no search; a pad route no
-    # algebra or Fraction, a qr chain no gardenhose (a pad CDQS states its
-    # exits without the garden-hose sides), and a build only its
-    # base's modules: no compiler past the base, verifier or frame kernel;
-    # a PSQM carries no qubit, so its verify, the classical sweep, loads the
-    # classical verifiers and Fraction and no frame kernel
+    # a garden-hose route loads no protocols, pad routes or algebra, and
+    # with an embedded strategy no search; a pad route no algebra, a qr
+    # chain no gardenhose (a pad CDQS states its exits without the
+    # garden-hose sides), and a build only its base's modules: no compiler
+    # past the base, verifier or frame kernel; a PSQM carries no qubit, so
+    # its verify, the classical sweep, loads the classical verifiers and no
+    # frame kernel, and like every request no fractions
     routing = _VERIFY | {"cdslab.gardenhose", "cdslab.nlqc"}
     pads = _VERIFY | {"cdslab.families", "cdslab.bases", "cdslab.protocols", "cdslab.zp",
                       "cdslab.nlqc", "cdslab.padroutes"}
@@ -768,7 +770,7 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                          (["verify", "2.json"], pads | checked),   # dre,psm,psqm,cdqs
                          (["verify", "3.json"], pads | checked),   # dre,psm,cds,cdqs
                          (["verify", "stop.json"],
-                          pads | {"cdslab.qverifiers", "cdslab.verifiers", "fractions"})):
+                          pads | {"cdslab.qverifiers", "cdslab.verifiers"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv
 
 

@@ -98,7 +98,8 @@ def _same_cds_as(P, want) -> None:
 def test_qr_dre_and_psm_match_the_message_sweep(p):
     D = dre_qr(named_fn("qr", p=p))
     P = enumerated(psm_from_dre(D))
-    want = verifiers._value_sweep(P, "ref")
+    eps, delta, joint, witnesses = verifiers._value_sweep(P, "ref")
+    want = (Fraction(eps, joint), Fraction(delta, joint), witnesses)
     dre, psm = verify_dre(D), verify_psm(psm_from_dre(D))
     for report in (dre, psm):
         assert (report.eps_hat, report.delta_pair, report.witnesses) == want

@@ -6,10 +6,13 @@ are known in closed form, so the sweep arithmetic itself is what gets checked.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import cycle, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdslab.algebra import span_and1, span_eq1, span_or1
 from cdslab.boolfn import BoolFn
@@ -20,8 +23,8 @@ from cdslab.bases import cds_from_gh, dre_qr, psm_generic_table
 from cdslab.protocols import CdsProtocol, cds_from_psm, hiding_input, psm_from_dre
 from cdslab.spancds import cds_from_span
 from cdslab.toolkit import qr_split_inputs, span_threshold_2of3
-from cdslab.verifiers import verify_cds, verify_dre, verify_psm
-from message_reference import cds_of, replace, send
+from cdslab.verifiers import VerificationReport, verify_cds, verify_dre, verify_psm
+from message_reference import cds_of, psm_of, replace, send
 
 AND1 = named_fn("and", n=1)
 XOR1 = named_fn("xor", n=1)
@@ -45,6 +48,53 @@ def _xor_cds():
     return cds_of(XOR1, shared, alice_msg, bob_msg, decode, resources={"randomness_bits": 2})
 
 
+def _fraction_enc(v):
+    """A figure as a report wrote it from a ``Fraction``: the reference."""
+    if isinstance(v, Fraction):
+        return {"num": v.numerator, "den": v.denominator, "float": float(v)}
+    return v
+
+
+def _same_as_fraction_report(report) -> None:
+    """``report.to_jsonable()`` is, byte for byte, what the report wrote when it
+    held its figures as ``Fraction``s, witnesses included."""
+    want = {
+        "kind": report.kind,
+        "eps_hat": _fraction_enc(report.eps_hat),
+        "delta_pair": _fraction_enc(report.delta_pair),
+        "delta_bracket": [_fraction_enc(report.delta_pair / 2), _fraction_enc(report.delta_pair)],
+        "perfect": report.eps_hat == 0 and report.delta_pair == 0,
+        "resources": {k: _fraction_enc(v) for k, v in report.resources.items()},
+        "witnesses": {k: list(v) if isinstance(v, tuple) else v
+                      for k, v in report.witnesses.items()},
+        "notes": [],
+    }
+    assert json.dumps(report.to_jsonable()) == json.dumps(want)
+
+
+# a denominator met in practice: the joint randomness 448 * 449^8 of qr p=449
+_JOINT_449 = 448 * 449 ** 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 1100) | st.just(_JOINT_449), st.integers(0, 2 ** 1102))
+@example(_JOINT_449, 0)
+@example(_JOINT_449, _JOINT_449 - 1)
+@example(_JOINT_449, 2 * _JOINT_449)
+@example(2 ** 53, 2 ** 53 + 1)           # halfway between two floats: rounds to even
+@example(2 ** 1100, 2 ** 1100 - 1)
+@example(3, 2)
+def test_integer_figures_encode_as_their_fractions(d, k):
+    # a figure n/d, 0 <= n <= 2d (an L1 distance is at most 2), and its half
+    # n/2d write the numbers and floats the Fraction reference writes
+    n = k % (2 * d + 1)
+    obj = VerificationReport("cds", n, n, d, {}, {}).to_jsonable()
+    for got, want in ((obj["eps_hat"], Fraction(n, d)), (obj["delta_pair"], Fraction(n, d)),
+                      (obj["delta_bracket"][0], Fraction(n, 2 * d)),
+                      (obj["delta_bracket"][1], Fraction(n, d))):
+        assert json.dumps(got) == json.dumps(_fraction_enc(want))
+
+
 def test_hand_built_xor_cds_is_perfect():
     report = verify_cds(_xor_cds())
     assert report.kind == "cds"
@@ -64,6 +114,7 @@ def test_leaky_cds_measures_full_leakage():
     assert report.delta_bracket == (Fraction(1), Fraction(2))
     assert not report.perfect
     assert report.witnesses["delta"][:2] in {(0, 0), (0, 1), (1, 0)}
+    _same_as_fraction_report(report)
 
 
 def test_faulty_decoder_measures_exact_error():
@@ -75,6 +126,7 @@ def test_faulty_decoder_measures_exact_error():
     assert report.witnesses["eps"] == (1, 1, 0) or report.witnesses["eps"] == (1, 1, 1)
     # the same flip leaks on hidden inputs: histograms (3,1) vs (1,3)
     assert report.delta_pair == Fraction(1)
+    _same_as_fraction_report(report)
 
 
 def test_report_jsonable():
@@ -324,6 +376,7 @@ def test_dre_leaking_x_is_caught():
     assert report.witnesses["delta"] == ((1, 0), (0, 2))  # a = 1 and a = 4
     assert report.resources["same_class_histograms_equal"] is False
     assert not report.perfect
+    _same_as_fraction_report(report)
 
 
 def test_psm_decoder_erring_on_one_randomness_value():
@@ -341,6 +394,26 @@ def test_psm_decoder_erring_on_one_randomness_value():
     assert report.eps_hat == Fraction(1, 8)
     assert report.witnesses["eps"] == (0, 0)
     assert report.delta_pair == Fraction(1, 2)  # the flag ties messages to r0
+    _same_as_fraction_report(report)
+
+
+def test_leaky_psqm_reports_the_floats_of_its_fractions():
+    # Alice sends x on one of three randomness values and 0 on the others, so
+    # x = 1 decodes wrongly with probability 2/3, which no float holds, and
+    # equal-value inputs' views are disjoint
+    from cdslab.padroutes import psqm_from_psm
+    from cdslab.qverifiers import QVerificationReport, verify_psqm
+
+    P = psm_of(XOR1, (0, 1, 2), lambda x, r: x if r == 0 else 0, lambda y, r: y,
+               lambda m0, m1: m0 ^ m1)
+    psm = verify_psm(P)
+    assert (psm.eps_hat, psm.delta_pair) == (Fraction(2, 3), 2)
+    _same_as_fraction_report(psm)
+    got = verify_psqm(psqm_from_psm(P))
+    want = QVerificationReport("psqm", psm.eps_hat, psm.delta_pair / 2, got.per_input,
+                               got.resources, got.witnesses)
+    assert got.witnesses == {"decode": (1, 0), "view": ((0, 0), (1, 1))}
+    assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
 
 
 def test_product_space_matches_itertools():

@@ -278,15 +278,15 @@ _TIED = _tables(BoolFn(1, 1, (1, 1, 0, 0)), ([2, 0, 2], [0, 1, 1]), ([1, 1, 1], 
 @example(_LEAKY)
 @example(_TIED)
 def test_random_psm_and_psqm_match_the_all_pairs_sweep(drawn):
-    # the PSQM's figures are the PSM's, exactly: its view gap, a trace
-    # distance of distributions, is half their L1 distance
+    # the PSQM's figures are the PSM's, each the float nearest it: its view
+    # gap, a trace distance of distributions, is half their L1 distance
     f, k, alice, bob = drawn
     P = psm_of(f, tuple(range(k)), lambda x, r: alice[(x, 0)][r], lambda y, r: bob[y][r],
                lambda m0, m1: (m0 * m1) % 2)
     eps, delta, witnesses = want = _flat_psm(P)
     _same(verify_psm(P), want)
     report = verify_psqm(psqm_from_psm(P))
-    assert (report.worst_infidelity, report.worst_gap) == (eps, delta / 2)
+    assert (report.worst_infidelity, report.worst_gap) == (float(eps), float(delta / 2))
     assert report.witnesses == {name: witnesses[k] for name, k in (("decode", "eps"),
                                                                     ("view", "delta"))
                                 if k in witnesses}

@@ -1,7 +1,7 @@
 """Every name a ``cdslab`` module imports is used there; each imports at import only the
 ``cdslab`` modules pinned for it; none imports ``dataclasses``,
-only ``toolkit.random_qubit`` imports numpy, only the exact classical verifiers import
-``fractions``, only ``protocols`` reads the message-histogram kernel, only ``gardenhose``
+only ``toolkit.random_qubit`` imports numpy, only a classical report's ``Fraction`` views
+import ``fractions``, only ``protocols`` reads the message-histogram kernel, only ``gardenhose``
 reads the water trace ``gh_eval``, none enumerates messages or passes a record message
 callbacks, none re-checks a sweep's subspaces or lists a domain, the pad routes read no
 ``Fraction``,
@@ -35,10 +35,11 @@ kernel and span membership share lives in ``zp``, which imports nothing,
 no request loads. numpy is imported only inside the one function that
 needs it, ``toolkit.random_qubit``, so no module loads it at import and no
 ``cdslab`` build or verify loads it at all. ``fractions``, which loads
-``decimal``, is imported only inside the exact classical verifiers that
-build a ``Fraction`` (``verifiers._l1``, ``_sweep`` and
-``VerificationReport.to_jsonable``), so only a classical verify, or a PSQM's,
-which runs the PSM sweep, loads it. A function, class, method or module-level constant that nothing
+``decimal`` and ``numbers``, is imported only inside the two
+``VerificationReport`` properties that read a figure as a ``Fraction``
+(``eps_hat`` and ``delta_pair``), which only library callers read: the sweep
+keeps its figures as integer numerators over its joint randomness and a
+report writes them in integer arithmetic, so no request loads it. A function, class, method or module-level constant that nothing
 in the sources, tests, demos or benchmark reads is dead code that a
 deletion left behind or that nothing ever needed. One that only tests read
 is no part of the program either: the sources, demos and benchmark must read
@@ -331,15 +332,16 @@ def test_the_check_sees_a_numpy_import_anywhere():
         assert _import_scopes(ast.parse(planted), "numpy") == scopes, planted
 
 
-# module -> the functions that may import fractions: the exact classical verifiers
-FRACTIONS_ALLOWED = {"verifiers": {"_l1", "_sweep", "VerificationReport.to_jsonable"}}
+# module -> the functions that may import fractions: a classical report's
+# Fraction views, which no request reads
+FRACTIONS_ALLOWED = {"verifiers": {"VerificationReport.eps_hat", "VerificationReport.delta_pair"}}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_fractions_is_imported_only_by_the_classical_verifiers(module):
-    # fractions loads decimal, about 1.3 ms and 0.27 MiB of a child's
-    # start-up; only a classical or PSQM verify builds a Fraction, so no
-    # build, no garden-hose route and no pad route loads it
+    # fractions loads decimal and numbers, about 2.1 ms and 0.39 MiB of the
+    # RSS high-water of a child that holds the classical verify modules; a
+    # sweep's figures are integers over one denominator, so no request loads it
     tree = ast.parse(module.read_text(), filename=str(module))
     assert not _imports(_executed_at_import(tree), "fractions"), module.name
     allowed = FRACTIONS_ALLOWED.get(module.stem, set())
