@@ -23,7 +23,8 @@ and1 = named_fn("and", n=1)
 R = frouting_from_gh(gh_search(and1, 3), and1)
 print("EPR pairs consumed:", R.resources["epr_pairs"])
 report = verify_frouting(R)
-for (x, y), info in sorted(report.per_input.items()):
+for xy, info in sorted(report.per_input.items()):
+    x, y = xy.split(",")
     print(f"  x={x} y={y}: f={info['f']} lands on {info['side']},"
           f" fidelity {info['fidelity']:.12f} over {info['branches']} branches")
 print("routing consistent with f:", report.routing_consistent)

@@ -40,11 +40,11 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
     decoder gives None there. The tap picks Alice's map but is not sent:
     ``sent`` drops it, so her alphabet counts what she sends, as each pipe's
     label does. Compiling refuses a strategy ``gh_routes`` finds of other
-    widths or misrouted, and the decoder reads its one trace per input.
+    widths or misrouted, and the decoder traces its input when called.
     """
-    from .gardenhose import RIGHT, gh_routes, hoses
+    from .gardenhose import RIGHT, gh_eval, gh_routes, hoses
 
-    outcomes = gh_routes(strategy, f)
+    gh_routes(strategy, f)
     m = strategy.pipes
 
     def alice_form(x, s, nu):
@@ -57,7 +57,7 @@ def cds_from_gh(strategy: GhStrategy, f: BoolFn) -> CdsProtocol:
         return tag, (0,) * len(tag)
 
     def decode(m0, x, m1, y):
-        outcome = outcomes[(x, y)]
+        outcome = gh_eval(strategy, x, y)
         if outcome.side != RIGHT:
             return None
         (tag0, values0), (tag1, values1) = m0, m1

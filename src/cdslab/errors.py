@@ -8,6 +8,7 @@ one budget, else ``DEFAULT_BUDGET``; every stop is a ``charge`` against it:
 "{space}: {count} exceed budget {limit}". The quantum records subclass
 ``InputDomain`` and ``Worst`` here without loading the classical protocols.
 A record's domain is a sized space, charged by its size before it is walked.
+``LEFT`` and ``RIGHT`` name the two sides a qubit or water can exit on.
 """
 
 from contextlib import contextmanager
@@ -15,6 +16,8 @@ from typing import Callable, Optional
 
 DEFAULT_BUDGET = 1 << 24
 _limit = DEFAULT_BUDGET
+LEFT = "left"
+RIGHT = "right"
 
 
 @contextmanager

@@ -13,10 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .boolfn import BoolFn
-from .errors import DomainError, ValidationError, refuse
-
-LEFT = "left"
-RIGHT = "right"
+from .errors import LEFT, RIGHT, DomainError, ValidationError, refuse
 
 
 def _partners(pairs) -> dict:
@@ -142,21 +139,19 @@ def gh_eval(strategy: GhStrategy, x: int, y: int) -> GhOutcome:
     raise AssertionError("water revisited an opening; matchings were not disjoint")
 
 
-def gh_trace(strategy: GhStrategy, f: BoolFn) -> tuple:
-    """(outcomes, misrouted): ``gh_eval`` of each input of f, traced once, and in input
-    order the inputs whose spill side is not f's; other input widths are refused."""
+def gh_trace(strategy: GhStrategy, f: BoolFn) -> list:
+    """In input order, the inputs of f whose spill side ``gh_eval`` finds is not
+    f's; other input widths are refused. No trace is kept."""
     if (strategy.n_x, strategy.n_y) != (f.n_x, f.n_y):
         raise ValidationError("strategy and function input widths differ")
-    outcomes = {(x, y): gh_eval(strategy, x, y) for (x, y) in f.inputs()}
-    return outcomes, [xy for xy, o in outcomes.items() if (o.side == RIGHT) != (f.eval(*xy) == 1)]
+    return [(x, y) for (x, y) in f.inputs()
+            if (gh_eval(strategy, x, y).side == RIGHT) != (f.eval(x, y) == 1)]
 
 
-def gh_routes(strategy: GhStrategy, f: BoolFn) -> dict:
-    """``gh_trace``'s outcomes of a strategy that computes f; one that routes
-    some input to the wrong side fails verification, naming those inputs."""
-    outcomes, misrouted = gh_trace(strategy, f)
-    refuse("strategy routes some input to the wrong side", misrouted)
-    return outcomes
+def gh_routes(strategy: GhStrategy, f: BoolFn) -> None:
+    """Refuse a strategy that ``gh_trace`` finds routes some input to the
+    wrong side, naming those inputs, or is of other widths."""
+    refuse("strategy routes some input to the wrong side", gh_trace(strategy, f))
 
 
 def _spill_rows(m, choices, matchings) -> list:

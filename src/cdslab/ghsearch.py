@@ -23,14 +23,10 @@ def gh_generic(f: BoolFn) -> GhStrategy:
     taps her own pair's first pipe; Bob bridges pair i exactly when
     f(i, y) = 0, sending the water back to spill on the left.
     """
-    m = gh_generic_pipes(f.n_x)
-    alice = {x: (2 * x + 1, frozenset()) for x in range(1 << f.n_x)}
-    bob = {}
-    for y in range(1 << f.n_y):
-        pairs = [frozenset((2 * i + 1, 2 * i + 2))
-                 for i in range(1 << f.n_x) if f.eval(i, y) == 0]
-        bob[y] = frozenset(pairs)
-    return GhStrategy(m, f.n_x, f.n_y, alice, bob)
+    alice = {x: (2 * x + 1, ()) for x in range(1 << f.n_x)}
+    bob = {y: [(2 * i + 1, 2 * i + 2) for i in range(1 << f.n_x) if f.eval(i, y) == 0]
+           for y in range(1 << f.n_y)}
+    return GhStrategy(gh_generic_pipes(f.n_x), f.n_x, f.n_y, alice, bob)
 
 
 def _matchings(elems):
@@ -154,7 +150,7 @@ def gh_search(f: BoolFn, max_pipes: int):
         bob = {y: bob_choices[(mask & -mask).bit_length() - 1]
                for y, mask in enumerate(masks)}
         strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)
-        if gh_trace(strategy, f)[1]:
+        if gh_trace(strategy, f):
             raise AssertionError("spill table disagrees with the water trace")
         return strategy
     return None

@@ -14,11 +14,11 @@ registers in product with the rest of the state; the qubit lands in
 ``exit_reg``, where ``recover`` undoes its frame, and exits right exactly
 when its referee holds that register. Garden-hose routes return one branch
 per Pauli-frame class: teleporting through fresh EPR links, the transcripts
-of a class leave the routed qubit under one frame. They keep
-``gardenhose``'s traced water paths, one per input, and derive each run's
-hops, each hop's side by its parity, exit and referee registers from them
-when called; they load neither the pad routes (``padroutes``) nor any
-classical protocol. The frame kernel, ``frames``, is imported when a route
+of a class leave the routed qubit under one frame. They hold only the
+strategy and trace an input's water path (``gardenhose.gh_eval``) when a
+run, exit or referee register asks for it, reading each hop's side off its
+parity; they load neither the pad routes (``padroutes``) nor any classical
+protocol. The frame kernel, ``frames``, is imported when a route
 is compiled; no record reads the dense statevector.
 """
 
@@ -132,17 +132,17 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
     operation touched tensors every referee view block by the same
     trace-one operator, so leaving it out changes no trace norm. ``recover``
     undoes the transcript's Pauli frame. ``gh_routes`` checks the strategy,
-    widths included, and traces each input once; the route holds no plan,
-    but reads each input's hops, exit and registers off its traced outcome.
+    widths included, tracing each input once; the route keeps no trace, and
+    ``run``, ``exit_reg`` and ``msg_regs`` trace their input when called.
     """
     from . import frames
-    from .gardenhose import RIGHT, gh_routes
+    from .gardenhose import RIGHT, gh_eval, gh_routes
 
     m = strategy.pipes
-    traced = gh_routes(strategy, f)
+    gh_routes(strategy, f)
 
     def run(x, y, carrier):
-        path = traced[(x, y)].path
+        path = gh_eval(strategy, x, y).path
         tap = path[0]
         hops = [(("Q", f"L{tap}"), f"R{tap}", ("alice", 0, tap))]   # (pair, far, label)
         for i, (prev, cur) in enumerate(zip(path, path[1:])):
@@ -158,11 +158,12 @@ def frouting_from_gh(strategy: GhStrategy, f: BoolFn) -> FRoutingProtocol:
                 for ab, st in outcomes]
 
     def exit_reg(x, y):
-        outcome = traced[(x, y)]
+        outcome = gh_eval(strategy, x, y)
         return f"{'R' if outcome.side == RIGHT else 'L'}{outcome.exit_pipe}"
 
     def msg_regs(x, y):
-        return (exit_reg(x, y),) if traced[(x, y)].side == RIGHT else ()
+        reg = exit_reg(x, y)
+        return (reg,) if reg[0] == "R" else ()
 
     def recover(x, y, transcript, state):
         return frames.xor(state, pauli_frame(ab for (_, ab) in transcript))

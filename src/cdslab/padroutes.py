@@ -115,14 +115,11 @@ def _pad_cdqs(f: BoolFn, bit_hists: Callable, bit_of: Callable, denom, domain,
     the state through. The qubit exits in "Q" where f = 1, and elsewhere
     has no exit register: the left side rebuilds it from the key. Its
     classes, the product of the per-run classes with integer weights out of
-    ``denom``, are formed once per input and kept, since a pad CDQS and its
-    route are one record, so verifying both reads each input's classes
-    twice; a run's weights, one uniform key and a class, are out of 4
-    ``denom``.
+    ``denom``, are formed when an input's run or ``key_classes`` is called;
+    a run's weights, one uniform key and a class, are out of 4 ``denom``.
     """
     from . import frames
 
-    @cache
     def key_classes(x, y):
         return class_product(transcript_classes(bit_hists(x, y), lambda t: bit_of(x, y, t)))
 

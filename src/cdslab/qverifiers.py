@@ -14,7 +14,8 @@ exact until it is written as a float, and an integer test, no tolerance,
 decides it: a figure off its ideal names its input as witness, even where
 its float reads 0.0, and a report passes when none is named. A pad route's
 left side reports its worst fidelity over every pure input, in closed form
-from its key classes.
+from its key classes. Each input's entry is held once, under the key "x,y"
+its report writes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import ValidationError, Worst, charge
+from .errors import LEFT, RIGHT, ValidationError, Worst, charge
 
 if TYPE_CHECKING:
     from .nlqc import FRoutingProtocol, PsqmProtocol
@@ -33,9 +34,11 @@ class QVerificationReport:
 
     ``worst_infidelity`` is 1 - F over the inputs where the output must be
     delivered; ``worst_gap`` is the largest decoupling gap (or pairwise view
-    distance) over the inputs where it must stay hidden. ``max_branches`` is
-    the largest per-input ``branches`` figure. The "side" witness is the first
-    input where the qubit exits away from f's side, a CDQS's referee lacking it.
+    distance) over the inputs where it must stay hidden. ``per_input`` holds
+    each input's entry once, under the key "x,y" a report writes, and
+    ``max_branches`` is its largest ``branches`` figure. The "side" witness is
+    the first input where the qubit exits away from f's side, a CDQS's
+    referee lacking it.
     """
 
     def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
@@ -58,7 +61,7 @@ class QVerificationReport:
             "worst_gap": float(self.worst_gap),
             "max_branches": self.max_branches,
             "routing_consistent": self.routing_consistent,
-            "per_input": {f"{x},{y}": info for (x, y), info in self.per_input.items()},
+            "per_input": self.per_input,
             "resources": self.resources,
             "witnesses": {k: list(v) if isinstance(v, tuple) else v
                           for k, v in self.witnesses.items()},
@@ -89,9 +92,10 @@ class _Sweep(Worst):
         return branches, sum(b.count for b in branches)
 
     def record(self, xy: tuple, info: dict, name: str, figure: float, exact: bool) -> None:
-        """Keep ``info``; unless ``exact``, the figure's integer test failed at ``xy``,
-        which is its witness while no larger figure is met, 0.0 included."""
-        self.per_input[xy] = info
+        """Keep ``info`` under its written key "x,y"; unless ``exact``, the figure's
+        integer test failed at ``xy``, which is its witness while no larger
+        figure is met, 0.0 included."""
+        self.per_input["%d,%d" % xy] = info
         if not exact:
             self.worse(name, figure, xy)
             self.witnesses.setdefault(name, xy)
@@ -151,7 +155,6 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
     weighs the four keys alike.
     """
     from . import frames
-    from .gardenhose import LEFT, RIGHT
 
     sweep = _Sweep()
     for (x, y) in P.domain:
@@ -189,8 +192,9 @@ def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
 
     def seen(xy, hist, fails):
         # the histogram's counts add up to the PSM's joint randomness
-        per_input[xy] = {"f": P.f.eval(*xy), "decode_error": fails / sum(hist.values()),
-                         "branches": sum(map(message_count, hist))}
+        per_input["%d,%d" % xy] = {"f": P.f.eval(*xy),
+                                   "decode_error": fails / sum(hist.values()),
+                                   "branches": sum(map(message_count, hist))}
 
     eps, delta, joint, found = _value_sweep(P.psm, "psqm_from_psm", seen)
     witnesses = {{"eps": "decode", "delta": "view"}[k]: w for k, w in found.items()}

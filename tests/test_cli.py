@@ -711,7 +711,8 @@ def loaded():
 
 chains = [("gh,frouting", "--fn", "and"), ("gh,frouting,cdqs", "--fn", "eq"),
           ("dre,psm,psqm,cdqs", "--fn", "qr", "--p", "5"),
-          ("dre,psm,cds,cdqs", "--fn", "qr", "--p", "5")]
+          ("dre,psm,cds,cdqs", "--fn", "qr", "--p", "5"),
+          ("dre,psm,psqm,cdqs,frouting", "--fn", "qr", "--p", "5")]
 built = [main(["build", "--chain", *c, "--out", f"{i}.json"]) for i, c in enumerate(chains)]
 built.append(main(["build", "--chain", "dre,psm,psqm", "--fn", "qr", "--p", "5",
                    "--out", "stop.json"]))
@@ -737,7 +738,7 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     built, after_build, refused, after_refusal, verified, after_runs = json.loads(run.stdout)
-    assert (built, after_build) == ([0, 0, 0, 0, 0], [])
+    assert (built, after_build) == ([0, 0, 0, 0, 0, 0], [])
     assert (refused, after_refusal) == ([1, 3], [])
     rejected = json.loads((tmp_path / "bad.rep.json").read_text())
     assert rejected["error"].startswith("descriptor rejected")
@@ -745,8 +746,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     # 4 inputs x 4 values of r x 3 coordinates, then the one layout's 2 x 3
     # maps, charged before the first run makes a coset key
     assert (stop["space"], stop["size"]) == ("psqm_from_psm message coordinates", 54)
-    assert verified == [0, 0, 0, 0]
-    for i in range(4):
+    assert verified == [0, 0, 0, 0, 0]
+    for i in range(5):
         assert json.loads((tmp_path / f"{i}.rep.json").read_text())["status"] == "pass"
     assert after_runs == []
     # a garden-hose route loads no protocols, pad routes or algebra, and
@@ -755,7 +756,8 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
     # garden-hose sides), and a build only its base's modules: no compiler
     # past the base, verifier or frame kernel; a PSQM carries no qubit, so
     # its verify, the classical sweep, loads the classical verifiers and no
-    # frame kernel, and like every request no fractions
+    # frame kernel, and like every request no fractions; a pad route's
+    # f-routing verify names its sides without loading gardenhose
     routing = _VERIFY | {"cdslab.gardenhose", "cdslab.nlqc"}
     pads = _VERIFY | {"cdslab.families", "cdslab.bases", "cdslab.protocols", "cdslab.zp",
                       "cdslab.nlqc", "cdslab.padroutes"}
@@ -769,6 +771,7 @@ def test_quantum_chains_compile_without_numpy(tmp_path):
                           _BUILD | {"cdslab.families"}),
                          (["verify", "2.json"], pads | checked),   # dre,psm,psqm,cdqs
                          (["verify", "3.json"], pads | checked),   # dre,psm,cds,cdqs
+                         (["verify", "4.json"], pads | checked),   # ...,psqm,cdqs,frouting
                          (["verify", "stop.json"],
                           pads | {"cdslab.qverifiers", "cdslab.verifiers"})):
         assert _loaded_by(tmp_path, argv + ["--out", "loads.out"]) == (0, loaded, set()), argv

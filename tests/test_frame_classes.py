@@ -194,8 +194,10 @@ def test_generic_two_bit_routes_stay_within_small_factors(monkeypatch, fn):
 
 
 def test_plans_traced_once_per_input(monkeypatch):
-    # nlqc reads gardenhose.gh_eval at call time, so the spy sits there and
-    # the strategy is searched before it
+    # nlqc reads gardenhose.gh_eval when a route is compiled, so the spy sits
+    # there and the strategy is searched before it: compiling traces each
+    # input once, for the check, and keeps no trace; a run, an exit or the
+    # referee's registers trace their input again when called
     calls, strategy = [], gh_search(AND1, 3)
 
     def counted(strategy, x, y):
@@ -204,8 +206,12 @@ def test_plans_traced_once_per_input(monkeypatch):
 
     monkeypatch.setattr(gardenhose, "gh_eval", counted)
     R = frouting_from_gh(strategy, AND1)
-    assert sorted(calls) == sorted(AND1.inputs())
-    verify_frouting(R)
-    verify_cdqs(cdqs_from_frouting(R))
-    security_state_sweep(cdqs_from_frouting(R), seeds=range(1))
-    assert len(calls) == 4
+    assert calls == list(AND1.inputs())
+    for call in (lambda: R.run(1, 0, frames.CARRIER), lambda: R.exit_reg(1, 0),
+                 lambda: R.msg_regs(1, 0)):
+        calls.clear()
+        call()
+        assert calls == [(1, 0)]
+    calls.clear()
+    assert verify_frouting(R).perfect
+    assert set(calls) == set(AND1.inputs())

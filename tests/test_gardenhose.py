@@ -42,13 +42,9 @@ def test_hand_traced_and_strategy():
     assert (o.side, o.exit_pipe, o.path) == (LEFT, 1, (2, 1))
     o = gh_eval(s, 1, 1)
     assert (o.side, o.exit_pipe, o.path) == (RIGHT, 2, (2,))
-    outcomes, misrouted = gh_trace(s, AND1)
-    assert misrouted == []
-    # one trace per input, in input order, each the one gh_eval gives
-    assert list(outcomes) == list(AND1.inputs())
-    assert all(o == gh_eval(s, x, y) for (x, y), o in outcomes.items())
+    assert gh_trace(s, AND1) == []
     # against xor1 the strategy is wrong exactly where and1 and xor1 differ
-    assert gh_trace(s, XOR1)[1] == [(0, 1), (1, 0), (1, 1)]
+    assert gh_trace(s, XOR1) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_matchings_count_is_telephone_number():
@@ -63,21 +59,21 @@ def test_generic_strategy_every_two_bit_function():
     for f in all_functions(1, 1):
         s = gh_generic(f)
         assert s.pipes == 4
-        assert gh_trace(s, f)[1] == []
+        assert gh_trace(s, f) == []
 
 
 def test_generic_strategy_wider_inputs():
     f = named_fn("ip", n=2)
     s = gh_generic(f)
     assert s.pipes == 8
-    assert gh_trace(s, f)[1] == []
+    assert gh_trace(s, f) == []
 
 
 def test_search_finds_three_pipe_and_xor():
     for f in (AND1, XOR1):
         s = gh_search(f, 3)
         assert s is not None and s.pipes == 3
-        assert gh_trace(s, f)[1] == []
+        assert gh_trace(s, f) == []
 
 
 def test_no_two_pipe_strategy_for_and_or_xor():
@@ -135,7 +131,7 @@ def test_json_round_trip():
     s = gh_search(XOR1, 3)
     again = GhStrategy.from_jsonable(s.to_jsonable())
     assert again == s
-    assert gh_trace(again, XOR1)[1] == []
+    assert gh_trace(again, XOR1) == []
 
 
 def test_path_alternates_sides():

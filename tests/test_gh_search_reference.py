@@ -38,7 +38,7 @@ def _reference_search(f, max_pipes):
             for bob_pick in product(bob_choices, repeat=n_inputs_y):
                 bob = {y: bob_pick[y] for y in range(n_inputs_y)}
                 strategy = GhStrategy(m, f.n_x, f.n_y, alice, bob)
-                if not gh_trace(strategy, f)[1]:
+                if not gh_trace(strategy, f):
                     return strategy
     return None
 

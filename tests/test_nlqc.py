@@ -95,7 +95,8 @@ def test_frouting_from_gh_and():
     assert report.perfect
     assert report.routing_consistent
     assert report.max_branches <= 64
-    for (x, y), info in report.per_input.items():
+    for (x, y) in AND1.inputs():
+        info = report.per_input[f"{x},{y}"]
         assert info["side"] == (RIGHT if AND1.eval(x, y) else LEFT)
         assert info["fidelity"] >= 1 - 1e-9
 
@@ -253,7 +254,7 @@ def test_a_unit_of_key_weight_off_fails_the_gap_and_the_left_side():
     assert cdqs.witnesses == {"gap": (0, 0)} and not cdqs.perfect
     assert route.worst_infidelity <= 1e-9 and route.routing_consistent
     assert route.witnesses == {"infidelity": (0, 0)} and not route.perfect
-    assert route.per_input[(0, 0)]["side"] == LEFT
+    assert route.per_input["0,0"]["side"] == LEFT
 
 
 def test_otp_reconstruction_values():
@@ -291,7 +292,7 @@ def test_psqm_from_psm_and_table():
     Q = psqm_from_psm(psm_generic_table(AND1))
     report = verify_psqm(Q)
     assert (report.worst_infidelity, report.worst_gap, report.witnesses) == (0, 0, {})
-    assert report.per_input == {(x, y): {"f": x & y, "decode_error": 0.0, "branches": 8}
+    assert report.per_input == {f"{x},{y}": {"f": x & y, "decode_error": 0.0, "branches": 8}
                                 for x in (0, 1) for y in (0, 1)}
     assert _joint(Q.psm) == 8 and set(coset_hist(Q.psm, 1, 0).values()) == {1}
 
@@ -345,6 +346,15 @@ def test_report_jsonable_shape():
                         "max_branches", "routing_consistent"}
     assert all("," in k for k in obj["per_input"])
     assert isinstance(obj["worst_gap"], float)
+
+
+def test_report_writes_its_own_per_input_block():
+    # each input's entry is held once, under the key the report writes
+    for report in (verify_cdqs(cdqs_from_cds(_gh_cds(XOR1))),
+                   verify_frouting(frouting_from_gh(gh_search(AND1, 3), AND1)),
+                   verify_psqm(psqm_from_psm(psm_generic_table(AND1)))):
+        assert report.to_jsonable()["per_input"] is report.per_input
+        assert list(report.per_input) == ["0,0", "0,1", "1,0", "1,1"]
 
 
 @pytest.mark.parametrize("f", [AND1, XOR1], ids=lambda f: f.name)

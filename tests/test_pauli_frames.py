@@ -43,15 +43,21 @@ def _close(got: dict, want: dict) -> None:
         assert abs(v - want[key]) <= TOL, (key, v, want[key])
 
 
+def _by_input(per_input: dict) -> dict:
+    """A report's per-input block keyed by (x, y) pairs, as the dense reference keys it."""
+    return {tuple(map(int, key.split(","))): info for key, info in per_input.items()}
+
+
 def _figures(report) -> dict:
     """{input: fidelity where f = 1, else gap} of a CDQS report."""
-    return {xy: info["fidelity" if info["f"] else "gap"] for xy, info in report.per_input.items()}
+    return {xy: info["fidelity" if info["f"] else "gap"]
+            for xy, info in _by_input(report.per_input).items()}
 
 
 def _check_gh_route(strategy, f) -> None:
     R = frouting_from_gh(strategy, f)
     run, physical = dense.gh_run(strategy), dense.physical_msg_regs(strategy)
-    _close({xy: info["fidelity"] for xy, info in verify_frouting(R).per_input.items()},
+    _close({xy: info["fidelity"] for xy, info in _by_input(verify_frouting(R).per_input).items()},
            dense.frouting_fidelities(R, run))
     # the dense referee also holds every idle link half on the right
     C = cdqs_from_frouting(R)
@@ -68,7 +74,7 @@ def _check_pad_route(C) -> None:
     R = frouting_from_cdqs(C)
     report = verify_frouting(R)
     right = dense.frouting_fidelities(R, run)
-    _close({xy: report.per_input[xy]["fidelity"] for xy in right}, right)
+    _close({(x, y): report.per_input[f"{x},{y}"]["fidelity"] for (x, y) in right}, right)
     for (x, y) in C.domain:
         classes = C.key_classes(x, y)
         figure = frames.left_fidelity(classes, C.denom)
@@ -79,7 +85,7 @@ def _check_pad_route(C) -> None:
         assert abs(figure - min(seen[name] for name, _ in PAULI_EIGENSTATES)) <= TOL, (x, y)
         assert figure <= min(seen.values()) + TOL, (x, y)
         if (x, y) not in right:
-            assert report.per_input[(x, y)]["fidelity"] == figure
+            assert report.per_input[f"{x},{y}"]["fidelity"] == figure
 
 
 # -- the kernel --------------------------------------------------------------------------

@@ -165,9 +165,10 @@ def test_gh_cds_rejects_wrong_strategy():
 
 
 def test_gh_cds_traces_each_input_once(monkeypatch):
-    # protocols reads gardenhose.gh_eval at call time, so the spy sits there
-    # and the strategy is searched before it; the decoder reads the compiled
-    # traces, so neither sweep traces again
+    # bases reads gardenhose.gh_eval when the CDS is compiled, so the spy
+    # sits there and the strategy is searched before it: compiling traces
+    # each input once, for the check, and keeps no trace; the decoder traces
+    # its input when called
     from cdslab import gardenhose
     from cdslab.padroutes import cdqs_from_cds
     from cdslab.qverifiers import verify_cdqs
@@ -179,10 +180,14 @@ def test_gh_cds_traces_each_input_once(monkeypatch):
 
     monkeypatch.setattr(gardenhose, "gh_eval", counted)
     P = cds_from_gh(strategy, AND1)
-    assert sorted(calls) == sorted(AND1.inputs())
+    assert calls == list(AND1.inputs())
+    calls.clear()
+    assert P.decode(((), ()), 0, ((), ()), 1) is None
+    assert calls == [(0, 1)]
+    calls.clear()
     assert verify_cds(P).perfect
     assert verify_cdqs(cdqs_from_cds(P)).perfect
-    assert len(calls) == 4
+    assert set(calls) == set(AND1.inputs())
 
 
 def test_span_cds_named_programs_both_variants():

@@ -309,7 +309,7 @@ def test_planted_leak_gap_matches_flat():
     assert got.worst_gap > 0.1
     assert got.witnesses["gap"] == (0, 0)
     for (x, y) in ((0, 1), (1, 0)):
-        assert got.per_input[(x, y)]["gap"] <= TOL
+        assert got.per_input[f"{x},{y}"]["gap"] <= TOL
     _same_sweep(security_state_sweep(classed, seeds=range(2)),
                 security_state_sweep(flat, seeds=range(2)))
 
@@ -344,31 +344,34 @@ def _count_sweeps(monkeypatch) -> tuple:
 
 
 def test_message_classes_swept_once_per_input_and_secret(monkeypatch):
-    # the quantum verifiers ask for an input's classes once per swept qubit
-    # state; each (x, y, secret) histogram must still be computed only once,
-    # by the kernel the shared sweep picks, once charged
+    # a verify reads each input's classes once, through its run or its
+    # key_classes, so each (x, y, secret) histogram is computed once, by the
+    # kernel the shared sweep picks, once charged; a record keeps no classes,
+    # and a later sweep computes them again, with the same kernel
     calls, kernels = _count_sweeps(monkeypatch)
     cdqs = cdqs_from_cds(cds_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=5)))))
     verify_frouting(frouting_from_cdqs(cdqs))
-    sweep = security_state_sweep(cdqs, seeds=range(2))
-    assert security_state_sweep(cdqs, seeds=range(2)) == sweep
-    assert kernels == [{coset_hist}]
     inputs = {call[:2] for call in calls}
     assert len(inputs) > 1
     assert len(calls) == 2 * len(inputs)   # two secrets, each swept once
+    sweep = security_state_sweep(cdqs, seeds=range(2))
+    assert security_state_sweep(cdqs, seeds=range(2)) == sweep
+    assert kernels == [{coset_hist}]
 
 
 def test_psqm_pad_route_sweeps_the_substitute_once(monkeypatch):
-    # psqm_from_psm is charged one sweep per input; the pad route's key-bit-0
-    # run on the hiding input is swept once for all inputs, not once per input
+    # psqm_from_psm is charged one sweep per input and verify; the pad
+    # route's key-bit-0 run on the hiding input is swept once for all inputs
+    # and verifies, not once per input
     calls, kernels = _count_sweeps(monkeypatch)
     cdqs = cdqs_from_psqm(psqm_from_psm(psm_from_dre(dre_qr(named_fn("qr", p=7)))))
-    verify_cdqs(cdqs)
     verify_frouting(frouting_from_cdqs(cdqs))
     inputs = tuple(cdqs.domain)
     assert kernels == [{coset_hist}] and len(inputs) == 6
     assert len(calls) == len(inputs) + 1
     assert calls.count(hiding_input(cdqs)) == 2
+    verify_cdqs(cdqs)
+    assert len(calls) == 2 * len(inputs) + 1
 
 
 # -- coset classes against enumerated classes --------------------------------------

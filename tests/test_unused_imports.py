@@ -2,7 +2,7 @@
 ``cdslab`` modules pinned for it; none imports ``dataclasses``,
 only ``toolkit.random_qubit`` imports numpy, only a classical report's ``Fraction`` views
 import ``fractions``, only ``protocols`` reads the message-histogram kernel, only ``gardenhose``
-reads the water trace ``gh_eval``, none enumerates messages or passes a record message
+and the two route compilers read the water trace ``gh_eval``, none enumerates messages or passes a record message
 callbacks, none re-checks a sweep's subspaces or lists a domain, the pad routes read no
 ``Fraction``,
 every definition is read by the program itself, not by tests alone, and what only demos
@@ -19,8 +19,8 @@ methods at every import: together about 25 ms of each ``cdslab`` child's
 start-up. Records are plain classes or ``typing.NamedTuple``s instead.
 Compiling a module is most of a child's start-up too, so each module
 imports at import only the ``cdslab`` modules pinned for it, and reads the
-others at call time: ``nlqc``, ``padroutes`` and ``qverifiers`` read
-``protocols`` and ``gardenhose`` in the functions that use them, and
+others at call time: ``nlqc`` reads ``gardenhose`` and ``padroutes``
+``protocols`` in the functions that use them, and
 ``qverifiers`` reads ``verifiers`` for the PSQM's sweep,
 ``protocols`` reads neither ``algebra`` nor ``families``: ``spancds``, the
 span program's edge, reads ``algebra``, and ``bases`` reads ``families`` only
@@ -48,10 +48,13 @@ Every message sweep is by coset: ``protocols._sweep_kernel`` binds
 ``coset_hist``, makes the sweep's cases from the domain and charges them by
 its size, so no other module reads the kernel, and none names
 ``input_pairs`` or lists a ``.domain`` with ``tuple``, ``list``, ``set`` or
-``sorted``: a domain is walked, after its charge, and never held. Every module but ``gardenhose`` checks a garden-hose strategy
+``sorted``: a domain is walked, after its charge, and never held. Every module checks a garden-hose strategy
 through ``gh_trace``, or ``gh_routes``, which fails a misrouted strategy with
 its inputs as witness; each checks the input widths and traces each input
-once, so none reads ``gh_eval`` and writes its own copy of the check.
+once, keeping no trace, so no module writes its own copy of the check. Only
+``gardenhose`` and the compilers of a strategy's route and CDS, ``nlqc`` and
+``bases``, read ``gh_eval``: those two trace an input when a run or a decode
+asks for its path.
 No module defines or names the enumerating ``message_hist``,
 which a test helper keeps as the reference, and no record takes message
 callbacks (``alice_msg``, ``bob_msg``, ``enc_x``, ``enc_y``): a record's
@@ -393,8 +396,12 @@ def test_the_check_sees_a_kernel_read():
 
 
 
-# the water trace: only gardenhose calls gh_eval, and every other module
-# reads gh_trace or gh_routes, which also check a strategy against its function
+# the water trace: gardenhose calls gh_eval, and so do the two compilers that
+# trace an input's path when asked for it; every module checks a strategy
+# against its function through gh_trace or gh_routes
+TRACE_READERS = {"gardenhose", "nlqc", "bases"}
+
+
 def _traces(tree) -> bool:
     """True when a module names ``gh_eval``, as a name, an attribute or an import."""
     return "gh_eval" in _reads(tree)[0]
@@ -402,9 +409,8 @@ def _traces(tree) -> bool:
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_only_gardenhose_reads_the_water_trace(module):
-    if module.stem == "gardenhose":
-        return
-    assert not _traces(ast.parse(module.read_text(), filename=str(module))), module.name
+    tree = ast.parse(module.read_text(), filename=str(module))
+    assert _traces(tree) == (module.stem in TRACE_READERS), module.name
 
 
 def test_the_check_sees_a_trace_read():

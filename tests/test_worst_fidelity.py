@@ -220,7 +220,7 @@ def _check_left_side(C, leak=None) -> None:
         lefts += 1
         classes = R.key_classes(x, y)
         exact = left_fidelity(classes, R.denom)
-        assert report.per_input[(x, y)]["fidelity"] == exact
+        assert report.per_input[f"{x},{y}"]["fidelity"] == exact
         sampled = [overlap(dense.otp_left_output(classes, vec, R.denom), vec) for vec in probes]
         assert exact <= min(sampled) + TOL, (x, y)
         if (x, y) == leak:
