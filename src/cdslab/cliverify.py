@@ -87,6 +87,7 @@ def _cmd_verify(args) -> int:
         if desc["kind"] != tokens[-1]:
             raise ValidationError(f"kind {desc['kind']!r} is not the chain's last stage")
         obj = _base_artifact(tokens[0], f, opts, desc)
+        del desc["artifacts"]   # the base holds what they state; nothing reads their lists
         for edge in zip(tokens, tokens[1:]):   # only a verify compiles the chain
             obj = COMPILE[edge](obj, f, opts)
         result.update(_verify_object(tokens[-1], obj))

@@ -87,11 +87,10 @@ class BudgetError(RuntimeError):
         self.space, self.size, self.limit = space, size, limit
 
 
-def charge(size: int, space: str, limit: Optional[int] = None) -> None:
-    """Raise ``BudgetError`` if ``size`` of ``space`` exceeds the budget (or a given ``limit``)."""
-    limit = _limit if limit is None else limit
-    if size > limit:
-        raise BudgetError(space, size, limit)
+def charge(size: int, space: str) -> None:
+    """Raise ``BudgetError`` if ``size`` of ``space`` exceeds the request's budget."""
+    if size > _limit:
+        raise BudgetError(space, size, _limit)
 
 
 class LazySpace:

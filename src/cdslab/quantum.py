@@ -33,7 +33,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .errors import DomainError, ValidationError, charge
+from .errors import BudgetError, DomainError, ValidationError
 
 MAX_QUBITS = 14
 _R2 = 1 / math.sqrt(2)
@@ -179,8 +179,8 @@ class PureState:
         names = [n for (n, _) in self.regs]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate register names")
-        n = self.n_qubits
-        charge(n, "qubits per factor", MAX_QUBITS)
+        if (n := self.n_qubits) > MAX_QUBITS:
+            raise BudgetError("qubits per factor", n, MAX_QUBITS)
         self.vec = _vector(vec)
         if len(self.vec) != 1 << n:
             raise ValidationError("amplitude vector length mismatch")
@@ -199,15 +199,15 @@ class PureState:
             if not 0 <= v < (1 << k):
                 raise DomainError(f"value {v} out of range for register {name}")
             idx = (idx << k) | v
-        n = sum(k for (_, k) in regs)
-        charge(n, "qubits per factor", MAX_QUBITS)
+        if (n := sum(k for (_, k) in regs)) > MAX_QUBITS:
+            raise BudgetError("qubits per factor", n, MAX_QUBITS)
         vec = [0j] * (1 << n)
         vec[idx] = 1 + 0j
         return PureState(regs, vec)
 
     def tensor(self, other: "PureState") -> "PureState":
-        n = self.n_qubits + other.n_qubits
-        charge(n, "qubits per factor", MAX_QUBITS)
+        if (n := self.n_qubits + other.n_qubits) > MAX_QUBITS:
+            raise BudgetError("qubits per factor", n, MAX_QUBITS)
         return PureState(self.regs + other.regs, kron(self.vec, other.vec))
 
     # -- addressing ----------------------------------------------------------

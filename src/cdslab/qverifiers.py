@@ -14,14 +14,16 @@ exact until it is written as a float, and an integer test, no tolerance,
 decides it: a figure off its ideal names its input as witness, even where
 its float reads 0.0, and a report passes when none is named. A pad route's
 left side reports its worst fidelity over every pure input, in closed form
-from its key classes. Each input's entry is held once, under the key "x,y"
-its report writes.
+from its key classes. Each verifier builds its report as it sweeps: the
+report charges the branch budget, keeps the worst figures and witnesses,
+and holds each distinct per-input entry once, every input with that entry
+sharing it under the key "x,y" the report writes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from .errors import LEFT, RIGHT, ValidationError, Worst, charge
 
@@ -29,26 +31,57 @@ if TYPE_CHECKING:
     from .nlqc import FRoutingProtocol, PsqmProtocol
 
 
-class QVerificationReport:
-    """Exact-to-float verification outcome of a quantum protocol.
+class QVerificationReport(Worst):
+    """Exact-to-float verification outcome of a quantum protocol, built as it sweeps.
 
     ``worst_infidelity`` is 1 - F over the inputs where the output must be
     delivered; ``worst_gap`` is the largest decoupling gap (or pairwise view
     distance) over the inputs where it must stay hidden. ``per_input`` holds
-    each input's entry once, under the key "x,y" a report writes, and
-    ``max_branches`` is its largest ``branches`` figure. The "side" witness is
-    the first input where the qubit exits away from f's side, a CDQS's
-    referee lacking it.
+    each input's entry under the key "x,y" a report writes, and
+    ``max_branches`` is its largest ``branches`` figure, the transcripts its
+    class branches stand for; the request's budget bounds the running total
+    of class branches ``run`` walks. The "side" witness is the first input
+    where the qubit exits away from f's side, a CDQS's referee lacking it.
     """
 
-    def __init__(self, kind: str, worst_infidelity: float, worst_gap: float,
-                 per_input: dict, resources: dict, witnesses: dict):
-        self.kind = kind
-        self.worst_infidelity, self.worst_gap = worst_infidelity, worst_gap
-        self.per_input = per_input
-        self.max_branches = max((info["branches"] for info in per_input.values()), default=0)
-        self.resources, self.witnesses = resources, witnesses
-        self.routing_consistent = "side" not in witnesses
+    def __init__(self, kind: str, resources: dict):
+        super().__init__()
+        self.kind, self.resources = kind, dict(resources)
+        self.total = self.max_branches = 0
+        self.per_input, self.entries = {}, {}
+
+    def run(self, run: Callable, *args) -> tuple:
+        """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
+        branches = run(*args)
+        self.total += len(branches)
+        charge(self.total, "branches")
+        return branches, sum(b.count for b in branches)
+
+    def record(self, xy: tuple, info: dict, name: str = "", figure: float = 0.0,
+               exact: bool = True) -> None:
+        """Keep ``info`` under its written key "x,y", as the equal entry kept before
+        if any; unless ``exact``, the figure's integer test failed at ``xy``,
+        which is its witness while no larger figure is met, 0.0 included. A
+        shared entry writes the same bytes: each field always has one type (no
+        1 beside a 1.0 or a True), and no figure can be -0.0, the one float
+        equal to a float it is not written as."""
+        self.max_branches = max(self.max_branches, info["branches"])
+        self.per_input["%d,%d" % xy] = self.entries.setdefault(tuple(info.items()), info)
+        if not exact:
+            self.worse(name, figure, xy)
+            self.witnesses.setdefault(name, xy)
+
+    @property
+    def worst_infidelity(self) -> float:
+        return self.worst.get("infidelity", 0.0)
+
+    @property
+    def worst_gap(self) -> float:
+        return self.worst.get("gap", 0.0)
+
+    @property
+    def routing_consistent(self) -> bool:
+        return "side" not in self.witnesses
 
     @property
     def perfect(self) -> bool:
@@ -67,43 +100,6 @@ class QVerificationReport:
                           for k, v in self.witnesses.items()},
             "notes": [],
         }
-
-
-class _Sweep(Worst):
-    """One CDQS or f-routing verification's per-input figures, worst cases
-    and branch charge.
-
-    The request's budget bounds the running total of branches the verifier
-    walks, charged after each run, one per class branch; the per-input
-    ``branches`` figures, and with them ``max_branches``, count by ``count``,
-    the transcripts each class stands for.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.total = 0
-        self.per_input = {}
-
-    def run(self, run: Callable, *args) -> tuple:
-        """``run(*args)``'s branches and the transcripts they stand for; over budget raises."""
-        branches = run(*args)
-        self.total += len(branches)
-        charge(self.total, "branches")
-        return branches, sum(b.count for b in branches)
-
-    def record(self, xy: tuple, info: dict, name: str, figure: float, exact: bool) -> None:
-        """Keep ``info`` under its written key "x,y"; unless ``exact``, the figure's
-        integer test failed at ``xy``, which is its witness while no larger
-        figure is met, 0.0 included."""
-        self.per_input["%d,%d" % xy] = info
-        if not exact:
-            self.worse(name, figure, xy)
-            self.witnesses.setdefault(name, xy)
-
-    def report(self, kind: str, error: str, gap: Optional[str],
-               resources: dict) -> QVerificationReport:
-        return QVerificationReport(kind, self.worst.get(error, 0.0), self.worst.get(gap, 0.0),
-                                   self.per_input, dict(resources), self.witnesses)
 
 
 def _choi_fidelity(P: FRoutingProtocol, x, y, branches, out: str) -> tuple:
@@ -129,19 +125,19 @@ def verify_cdqs(P: FRoutingProtocol) -> QVerificationReport:
     """Choi-state correctness on revealing inputs, whose exit register the referee
     must hold (the first it lacks is the "side" witness); decoupling on hiding ones."""
     from . import frames
-    sweep = _Sweep()
+    report = QVerificationReport("cdqs", P.resources)
     for (x, y) in P.domain:
-        branches, n = sweep.run(P.run, x, y, frames.CARRIER)
+        branches, n = report.run(P.run, x, y, frames.CARRIER)
         if P.f.eval(x, y) == 1:
             if (reg := P.exit_reg(x, y)) not in P.msg_regs(x, y):
-                sweep.witnesses.setdefault("side", (x, y))
+                report.witnesses.setdefault("side", (x, y))
             F, exact = _choi_fidelity(P, x, y, branches, reg)
-            sweep.record((x, y), {"f": 1, "fidelity": F, "branches": n},
-                         "infidelity", 1 - F, exact)
+            report.record((x, y), {"f": 1, "fidelity": F, "branches": n},
+                          "infidelity", 1 - F, exact)
         else:
             gap, exact = frames.decoupling_gap(branches, P.msg_regs(x, y), P.denom)
-            sweep.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap, exact)
-    return sweep.report("cdqs", "infidelity", "gap", P.resources)
+            report.record((x, y), {"f": 0, "gap": gap, "branches": n}, "gap", gap, exact)
+    return report
 
 
 def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
@@ -156,14 +152,14 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
     """
     from . import frames
 
-    sweep = _Sweep()
+    report = QVerificationReport("frouting", P.resources)
     for (x, y) in P.domain:
         fx, reg = P.f.eval(x, y), P.exit_reg(x, y)
         side = RIGHT if reg in P.msg_regs(x, y) else LEFT
         if (side == RIGHT) != (fx == 1):
-            sweep.witnesses.setdefault("side", (x, y))
+            report.witnesses.setdefault("side", (x, y))
         if reg is not None:
-            branches, n = sweep.run(P.run, x, y, frames.CARRIER)
+            branches, n = report.run(P.run, x, y, frames.CARRIER)
             F, exact = _choi_fidelity(P, x, y, branches, reg)
         else:
             if P.key_classes is None:
@@ -171,9 +167,9 @@ def verify_frouting(P: FRoutingProtocol) -> QVerificationReport:
             classes, n = P.key_classes(x, y), 0
             F = frames.left_fidelity(classes, P.denom)
             exact = all(len({c.weights.get(s, 0) for s in frames.KEYS}) == 1 for c in classes)
-        sweep.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
-                     "infidelity", 1 - F, exact)
-    return sweep.report("frouting", "infidelity", None, P.resources)
+        report.record((x, y), {"f": fx, "side": side, "fidelity": F, "branches": n},
+                      "infidelity", 1 - F, exact)
+    return report
 
 
 def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
@@ -188,15 +184,14 @@ def verify_psqm(P: PsqmProtocol) -> QVerificationReport:
     from .protocols import message_count
     from .verifiers import _value_sweep
 
-    per_input = {}
+    report = QVerificationReport("psqm", P.resources)
 
     def seen(xy, hist, fails):
         # the histogram's counts add up to the PSM's joint randomness
-        per_input["%d,%d" % xy] = {"f": P.f.eval(*xy),
-                                   "decode_error": fails / sum(hist.values()),
-                                   "branches": sum(map(message_count, hist))}
+        report.record(xy, {"f": P.f.eval(*xy), "decode_error": fails / sum(hist.values()),
+                           "branches": sum(map(message_count, hist))})
 
     eps, delta, joint, found = _value_sweep(P.psm, "psqm_from_psm", seen)
-    witnesses = {{"eps": "decode", "delta": "view"}[k]: w for k, w in found.items()}
-    return QVerificationReport("psqm", eps / joint, delta / (2 * joint), per_input,
-                               dict(P.resources), witnesses)
+    report.worst.update(infidelity=eps / joint, gap=delta / (2 * joint))
+    report.witnesses.update({{"eps": "decode", "delta": "view"}[k]: w for k, w in found.items()})
+    return report

@@ -357,6 +357,19 @@ def test_report_writes_its_own_per_input_block():
         assert list(report.per_input) == ["0,0", "0,1", "1,0", "1,1"]
 
 
+def test_a_report_holds_each_distinct_entry_once():
+    # ip's 64 inputs take two entries on the generic garden-hose route: each
+    # is held once, and every input with it shares that one dict
+    ip3 = named_fn("ip", n=3)
+    route = verify_frouting(frouting_from_gh(gh_generic(ip3), ip3))
+    assert route.perfect and len(route.per_input) == 64
+    for report in (route, verify_cdqs(cdqs_from_cds(_gh_cds(XOR1))),
+                   verify_psqm(psqm_from_psm(psm_generic_table(AND1)))):
+        entries = report.per_input.values()
+        distinct = {tuple(info.items()) for info in entries}
+        assert len({id(info) for info in entries}) == len(distinct) == 2
+
+
 @pytest.mark.parametrize("f", [AND1, XOR1], ids=lambda f: f.name)
 def test_security_state_sweep_on_a_garden_hose_route(f):
     R = frouting_from_gh(gh_search(f, 3), f)

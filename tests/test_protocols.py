@@ -415,8 +415,11 @@ def test_leaky_psqm_reports_the_floats_of_its_fractions():
     assert (psm.eps_hat, psm.delta_pair) == (Fraction(2, 3), 2)
     _same_as_fraction_report(psm)
     got = verify_psqm(psqm_from_psm(P))
-    want = QVerificationReport("psqm", psm.eps_hat, psm.delta_pair / 2, got.per_input,
-                               got.resources, got.witnesses)
+    want = QVerificationReport("psqm", got.resources)
+    want.worst.update(infidelity=psm.eps_hat, gap=psm.delta_pair / 2)
+    want.witnesses.update(got.witnesses)
+    for key, info in got.per_input.items():
+        want.record(tuple(map(int, key.split(","))), info)
     assert got.witnesses == {"decode": (1, 0), "view": ((0, 0), (1, 1))}
     assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
 

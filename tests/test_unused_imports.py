@@ -74,10 +74,10 @@ counts a coset key's messages through ``message_count``.
 The pad routes key their transcript classes on integer tuples, a PSQM's
 message counts among them, so nothing in ``padroutes``, where
 ``transcript_classes`` and ``class_product`` live, or in ``nlqc`` reads
-``Fraction``. Records carry only fields something reads: every
-attribute the ``__init__`` of ``InputDomain`` or of a class descending from it
-stores is read by the sources outside that ``__init__``, a protocol's linear
-part is its ``linear`` field, no ``.meta`` attribute is read or written, and
+``Fraction``. Records carry only fields something reads: every attribute
+the ``__init__`` of ``InputDomain`` or ``Worst`` or of a class descending
+from either stores is read by the sources outside that ``__init__``, a
+protocol's linear part is its ``linear`` field, no ``.meta`` attribute is read or written, and
 the codecs exchange dicts, so only the CLI modules that read and write the
 files, ``clicore`` and ``cliverify``, import ``json``, and ``clicore``'s
 writer encodes a report in chunks to its file: no module calls ``json.dumps``
@@ -747,11 +747,11 @@ def test_the_checks_see_json_and_meta():
 
 def _unread_record_fields(trees) -> dict:
     """Class -> the attributes its ``__init__`` stores on ``self`` that no tree
-    reads outside that ``__init__``, for ``InputDomain`` and every class that
-    descends from it in ``trees``."""
+    reads outside that ``__init__``, for ``InputDomain``, ``Worst`` and every
+    class that descends from either in ``trees``."""
     classes = {node.name: node for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
-    records = {"InputDomain"}
+    records = {"InputDomain", "Worst"}
     while True:
         more = {name for name, node in classes.items() if name not in records
                 and any(isinstance(b, ast.Name) and b.id in records for b in node.bases)}
@@ -801,6 +801,14 @@ def test_the_check_sees_an_unread_record_field():
     assert _unread_record_fields([errors, module]) == {"Route": ["holdings", "key_of"]}
     reader = ast.parse("def route(R):\n    return R.holdings, R.key_of\n")
     assert _unread_record_fields([errors, module, reader]) == {}
+    # a report built as it sweeps is a Worst: an accumulator it keeps and
+    # never reads again is caught too
+    worst = ast.parse("class Worst:\n    def __init__(self):\n"
+                      "        self.worst, self.witnesses = {}, {}\n")
+    report = ast.parse("class Report(Worst):\n    def __init__(self, kind):\n"
+                       "        super().__init__()\n        self.kind, self.total = kind, 0\n"
+                       "def write(R):\n    return R.kind, R.worst, R.witnesses\n")
+    assert _unread_record_fields([worst, report]) == {"Report": ["total"]}
 
 
 def _reads(tree) -> tuple:
